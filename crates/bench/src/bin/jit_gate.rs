@@ -21,7 +21,7 @@
 use stencilflow_expr::DataType;
 use stencilflow_json::Json;
 use stencilflow_program::StencilProgram;
-use stencilflow_reference::{generate_inputs, ReferenceExecutor};
+use stencilflow_reference::{generate_inputs, ReferenceExecutor, RunSpec, Tier, TierPolicy};
 use stencilflow_workloads::{
     chain_program, diffusion2d, diffusion3d, horizontal_diffusion, jacobi2d, jacobi3d,
     jacobi3d_typed, listing1, membench_program, upwind3d, ChainSpec, HorizontalDiffusionSpec,
@@ -90,6 +90,15 @@ struct WorkloadOutcome {
     cells: usize,
 }
 
+/// The gate pins the JIT tier (ineligible workloads take its transparent
+/// fallback rungs).
+fn jit_spec(steps: Option<usize>) -> RunSpec {
+    RunSpec {
+        steps,
+        tier: TierPolicy::Fixed(Tier::Jit),
+    }
+}
+
 fn main() {
     let mut assert_cached = false;
     let mut artifacts: Option<String> = None;
@@ -140,10 +149,10 @@ fn main() {
             sources.push((format!("{ix:02}-{}", program.name()), source.to_string()));
         }
         let baseline = executor.run_interpreted(&program, &inputs).unwrap();
-        let jit = match executor.run_jit(&program, &inputs) {
-            Ok(result) => result,
+        let jit = match executor.execute(&compiled, &inputs, &jit_spec(None)) {
+            Ok((result, _)) => result,
             Err(e) => {
-                eprintln!("FAIL {}: run_jit errored: {e}", program.name());
+                eprintln!("FAIL {}: the JIT tier errored: {e}", program.name());
                 failures += 1;
                 continue;
             }
@@ -182,8 +191,11 @@ fn main() {
     let stepped = jacobi3d(1, &[16, 16, 8], 1);
     let inputs = generate_inputs(&stepped, 23);
     let baseline = executor.run_steps(&stepped, &inputs, 4).unwrap();
-    match executor.run_steps_jit(&stepped, &inputs, 4) {
-        Ok(jit) => match diff_outputs(&stepped, &jit, &baseline) {
+    let stepped_run = executor
+        .prepare(&stepped)
+        .and_then(|compiled| executor.execute(&compiled, &inputs, &jit_spec(Some(4))));
+    match stepped_run {
+        Ok((jit, _)) => match diff_outputs(&stepped, &jit, &baseline) {
             Ok(()) => println!(
                 "ok: {:<24} native x4 steps, bitwise identical",
                 stepped.name()
@@ -195,7 +207,7 @@ fn main() {
         },
         Err(e) => {
             eprintln!(
-                "FAIL {} x4 steps: run_steps_jit errored: {e}",
+                "FAIL {} x4 steps: the JIT tier errored: {e}",
                 stepped.name()
             );
             failures += 1;

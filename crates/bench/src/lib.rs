@@ -20,6 +20,7 @@ use stencilflow_hwmodel::{
     FrequencyModel, Roofline,
 };
 use stencilflow_program::StencilProgram;
+use stencilflow_reference::Tier;
 use stencilflow_workloads::{
     chain_program, diffusion2d, diffusion3d, horizontal_diffusion, jacobi3d, upwind3d, ChainSpec,
     HorizontalDiffusionSpec, MembenchSpec,
@@ -515,14 +516,13 @@ pub struct ThroughputRow {
     /// `ReferenceExecutor::run` path).
     pub simd_cells_per_s: f64,
     /// Tile-fused tier throughput in cells/second
-    /// (`ReferenceExecutor::run_fused`, or `run_steps_fused` for the
-    /// time-stepping rows); cells are counted identically to the other
+    /// (`ReferenceExecutor::execute` pinned to `Tier::Fused`, stepped for
+    /// the time-stepping rows); cells are counted identically to the other
     /// tiers (iteration-space cells × stencils × steps), so overlapped
     /// tile recompute shows up as cost, not as extra cells.
     pub fused_cells_per_s: f64,
     /// Tier-4 native-JIT throughput in cells/second
-    /// (`ReferenceExecutor::run_jit`, or `run_steps_jit` for the
-    /// time-stepping rows): the fused schedule with the per-stencil
+    /// (`ReferenceExecutor::execute` pinned to `Tier::Jit`): the fused schedule with the per-stencil
     /// kernel sweeps compiled to machine code by the system C compiler.
     /// Falls back to the fused tier when the program is ineligible, so an
     /// ineligible workload records a jit ≈ fused measurement rather than
@@ -578,6 +578,24 @@ fn secs_per_iter(budget: std::time::Duration, mut run: impl FnMut()) -> f64 {
         }
     }
     start.elapsed().as_secs_f64() / iterations as f64
+}
+
+/// One outputs-only run pinned to `tier` (`ReferenceExecutor::execute`
+/// after a cache-hit `prepare`), so a per-tier row measures the tier it
+/// names rather than the router's pick.
+fn run_pinned(
+    executor: &stencilflow_reference::ReferenceExecutor,
+    program: &StencilProgram,
+    inputs: &std::collections::BTreeMap<String, stencilflow_reference::Grid>,
+    steps: Option<usize>,
+    tier: Tier,
+) -> stencilflow_reference::ExecutionResult {
+    let compiled = executor.prepare(program).unwrap();
+    let spec = stencilflow_reference::RunSpec {
+        steps,
+        tier: stencilflow_reference::TierPolicy::Fixed(tier),
+    };
+    executor.execute(&compiled, inputs, &spec).unwrap().0
 }
 
 fn measure_cells_per_s(cells: usize, run: impl FnMut()) -> f64 {
@@ -641,9 +659,9 @@ pub fn eval_throughput(quick: bool) -> Vec<ThroughputRow> {
         ),
     ];
     // Separate executors pin the kernel tier; each caches its compilation
-    // across the repeated measurement runs. Tier measurement is bypassed
-    // so the fused row measures the fused tier, not the router's pick.
-    let simd_executor = ReferenceExecutor::new().with_tier_measurement(false);
+    // across the repeated measurement runs. The fused and JIT rows pin
+    // their tier so they measure it, not the router's pick.
+    let simd_executor = ReferenceExecutor::new();
     let typed_executor = ReferenceExecutor::new().with_lane_batching(false);
     let value_executor = ReferenceExecutor::new().with_typed_kernels(false);
     let mut rows: Vec<ThroughputRow> = workloads
@@ -668,11 +686,11 @@ pub fn eval_throughput(quick: bool) -> Vec<ThroughputRow> {
                 std::hint::black_box(&result);
             });
             let fused = measure_cells_per_s(cells, || {
-                let result = simd_executor.run_fused(&program, &inputs).unwrap();
+                let result = run_pinned(&simd_executor, &program, &inputs, None, Tier::Fused);
                 std::hint::black_box(&result);
             });
             let jit = measure_cells_per_s(cells, || {
-                let result = simd_executor.run_jit(&program, &inputs).unwrap();
+                let result = run_pinned(&simd_executor, &program, &inputs, None, Tier::Jit);
                 std::hint::black_box(&result);
             });
             ThroughputRow {
@@ -716,15 +734,11 @@ pub fn eval_throughput(quick: bool) -> Vec<ThroughputRow> {
         std::hint::black_box(&result);
     });
     let fused = measure_cells_per_s(cells, || {
-        let result = simd_executor
-            .run_steps_fused(&program, &inputs, steps)
-            .unwrap();
+        let result = run_pinned(&simd_executor, &program, &inputs, Some(steps), Tier::Fused);
         std::hint::black_box(&result);
     });
     let jit = measure_cells_per_s(cells, || {
-        let result = simd_executor
-            .run_steps_jit(&program, &inputs, steps)
-            .unwrap();
+        let result = run_pinned(&simd_executor, &program, &inputs, Some(steps), Tier::Jit);
         std::hint::black_box(&result);
     });
     rows.push(ThroughputRow {
@@ -755,7 +769,7 @@ pub struct ShardedThroughput {
     /// 4-shard floor is conditioned on this: shards can only run
     /// concurrently when the host actually has cores for them.
     pub host_threads: usize,
-    /// Single-process fused-tier baseline (`run_steps_fused`) in cells/s.
+    /// Single-process fused-tier baseline (`execute`, `Tier::Fused`) in cells/s.
     pub fused_cells_per_s: f64,
     /// Sharded runtime at 1 shard (no boundaries, no halo traffic).
     pub sharded1_cells_per_s: f64,
@@ -810,9 +824,9 @@ pub fn sharded_throughput(quick: bool) -> ShardedThroughput {
     let program = jacobi3d(1, &jacobi_shape, 1);
     let inputs = generate_inputs(&program, 17);
     let cells = program.space().num_cells() * steps;
-    let executor = ReferenceExecutor::new().with_tier_measurement(false);
+    let executor = ReferenceExecutor::new();
     let fused = measure_cells_per_s(cells, || {
-        let result = executor.run_steps_fused(&program, &inputs, steps).unwrap();
+        let result = run_pinned(&executor, &program, &inputs, Some(steps), Tier::Fused);
         std::hint::black_box(&result);
     });
     let config1 = ShardConfig::shards(1);
@@ -1709,9 +1723,7 @@ mod tests {
         use stencilflow_reference::{generate_inputs, ReferenceExecutor};
         let chain = chain_program(&ChainSpec::new(8, 8).with_shape(&[192, 32, 32]));
         let inputs = generate_inputs(&chain, 17);
-        let executor = ReferenceExecutor::new()
-            .with_max_threads(1)
-            .with_tier_measurement(false);
+        let executor = ReferenceExecutor::new().with_max_threads(1);
         let compiled = executor.prepare(&chain).unwrap();
         assert!(
             compiled.fused_tier_supported(),
@@ -1721,7 +1733,7 @@ mod tests {
         let speedup = median_paired_speedup(
             std::time::Duration::from_millis(1500),
             || {
-                std::hint::black_box(executor.run_fused(&chain, &inputs).unwrap());
+                std::hint::black_box(run_pinned(&executor, &chain, &inputs, None, Tier::Fused));
             },
             || {
                 std::hint::black_box(executor.run(&chain, &inputs).unwrap());
@@ -1742,14 +1754,18 @@ mod tests {
         use stencilflow_reference::{generate_inputs, ReferenceExecutor};
         let program = jacobi3d(1, &[64, 64, 64], 1);
         let inputs = generate_inputs(&program, 17);
-        let executor = ReferenceExecutor::new()
-            .with_max_threads(1)
-            .with_tier_measurement(false);
+        let executor = ReferenceExecutor::new().with_max_threads(1);
         assert!(executor.prepare(&program).unwrap().fused_steps_supported());
         let speedup = median_paired_speedup(
             std::time::Duration::from_millis(1500),
             || {
-                std::hint::black_box(executor.run_steps_fused(&program, &inputs, 8).unwrap());
+                std::hint::black_box(run_pinned(
+                    &executor,
+                    &program,
+                    &inputs,
+                    Some(8),
+                    Tier::Fused,
+                ));
             },
             || {
                 std::hint::black_box(executor.run_steps(&program, &inputs, 8).unwrap());

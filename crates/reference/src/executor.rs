@@ -16,9 +16,16 @@
 //! For iterative workloads, [`ReferenceExecutor::run_steps`] time-steps a
 //! program by ping-ponging its output grids back into its inputs, reusing
 //! one compiled program across all steps.
+//!
+//! `run` / `run_steps` materialize every stencil's grid (what `Pipeline`
+//! validation compares against). Callers that only need the program
+//! outputs go through [`ReferenceExecutor::execute`], the one entry point
+//! to the faster tiers (fused, native JIT), pinned or measured per
+//! [`RunSpec`].
 
 use crate::grid::Grid;
 use crate::plan::CompiledStencil;
+use crate::tier::{Tier, TierPolicy, TierRouter};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -137,8 +144,8 @@ struct InputSpec {
 /// A stencil program compiled for repeated execution: slot-resolved (and,
 /// where the types allow, type-specialized) kernels, declared-geometry slot
 /// bindings, and interior/halo geometry for every stencil, in topological
-/// order. Built once by [`ReferenceExecutor::prepare`]; each
-/// [`ReferenceExecutor::run_compiled`] call only re-binds grids.
+/// order. Built once by [`ReferenceExecutor::prepare`]; each run only
+/// re-binds grids.
 pub struct CompiledProgram {
     name: String,
     dims: Vec<String>,
@@ -223,8 +230,8 @@ impl CompiledProgram {
         self.jit.is_ok()
     }
 
-    /// Why [`ReferenceExecutor::run_jit`] falls back to the fused tier, if
-    /// the program is statically ineligible.
+    /// Why [`Tier::Jit`] falls back to the fused tier, if the program is
+    /// statically ineligible.
     pub fn jit_fallback_reason(&self) -> Option<&str> {
         self.jit.as_ref().err().map(String::as_str)
     }
@@ -400,55 +407,31 @@ pub struct ReferenceExecutor {
     use_typed: bool,
     /// Whether typed sweeps may batch interior cells into lanes.
     use_lanes: bool,
-    /// Whether lane-batched sweeps may use the wide per-dtype lane width
-    /// (disabling pins the default `KERNEL_LANES` width for differential
-    /// tests and benchmarks).
-    use_wide_lanes: bool,
     /// Upper bound on the number of time steps the fused tier blocks into
     /// one temporal window.
-    fusion_window: usize,
+    pub(crate) fusion_window: usize,
     /// Explicit fused tile height (outermost-dimension slices); `None`
     /// picks a cache-budget heuristic.
-    fusion_tile_rows: Option<usize>,
+    pub(crate) fusion_tile_rows: Option<usize>,
     /// Compiled programs keyed by the hashed structural fingerprint; hits
     /// skip compilation entirely.
     cache: Mutex<BTreeMap<u64, Arc<CompiledProgram>>>,
     /// Number of program compilations performed (cache misses).
     compiles: AtomicUsize,
     /// Reusable scratch/state buffers for the fused tier: steady-state
-    /// `run_steps_fused` calls allocate nothing once the pool is warm.
-    pool: Mutex<BufferPool>,
+    /// fused stepping allocates nothing once the pool is warm.
+    pool: Mutex<Pool<f64>>,
     /// Reusable validity-mask buffers (only used when `pool_results` is
     /// set; see [`ReferenceExecutor::with_pooled_results`]).
-    mask_pool: Mutex<MaskPool>,
+    mask_pool: Mutex<Pool<bool>>,
     /// Whether result grids and masks are drawn from the pools instead of
     /// freshly allocated. Off by default: callers of the plain `run_*` API
     /// never return their results, so pooling them would only drain the
     /// pool. The service tier turns this on and recycles results.
     pool_results: bool,
-    /// Whether the convenience `run_fused`/`run_steps_fused` entry points
-    /// measure the eligible execution paths on first sight of a program
-    /// (mirroring the service layer's tier selection) instead of trusting
-    /// the caller's tier choice.
-    measure_tiers: bool,
-    /// Measured winner per `(fingerprint, stepped?)` for the convenience
-    /// entry points.
-    auto_tiers: Mutex<BTreeMap<(u64, bool), AutoTier>>,
-    /// First-sight measurements performed by the convenience entry points.
-    auto_measurements: AtomicUsize,
-}
-
-/// The execution paths the convenience `run_fused` entry points choose
-/// between (the in-process analogue of the service layer's `Tier`: the
-/// materializing compiled sweep stands in for the banded SIMD tier).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AutoTier {
-    /// Materializing compiled sweep, restricted to program outputs.
-    Materializing,
-    /// The tile-fused tier.
-    Fused,
-    /// The Tier-4 native backend.
-    Jit,
+    /// Measured tier decisions behind [`TierPolicy::Auto`] (the service
+    /// layer routes its jobs through, and persists, the same decisions).
+    pub(crate) router: TierRouter,
 }
 
 impl Default for ReferenceExecutor {
@@ -457,17 +440,14 @@ impl Default for ReferenceExecutor {
             max_threads: None,
             use_typed: true,
             use_lanes: true,
-            use_wide_lanes: true,
             fusion_window: crate::fuse::DEFAULT_FUSION_WINDOW,
             fusion_tile_rows: None,
             cache: Mutex::new(BTreeMap::new()),
             compiles: AtomicUsize::new(0),
-            pool: Mutex::new(BufferPool::default()),
-            mask_pool: Mutex::new(MaskPool::default()),
+            pool: Mutex::new(Pool::with_capacity(BUFFER_POOL_CAPACITY)),
+            mask_pool: Mutex::new(Pool::with_capacity(BUFFER_POOL_CAPACITY)),
             pool_results: false,
-            measure_tiers: true,
-            auto_tiers: Mutex::new(BTreeMap::new()),
-            auto_measurements: AtomicUsize::new(0),
+            router: TierRouter::default(),
         }
     }
 }
@@ -478,28 +458,21 @@ impl Clone for ReferenceExecutor {
             max_threads: self.max_threads,
             use_typed: self.use_typed,
             use_lanes: self.use_lanes,
-            use_wide_lanes: self.use_wide_lanes,
             fusion_window: self.fusion_window,
             fusion_tile_rows: self.fusion_tile_rows,
             cache: Mutex::new(self.cache.lock().expect("executor cache poisoned").clone()),
             compiles: AtomicUsize::new(self.compiles.load(Ordering::Relaxed)),
             // Buffer pools hold no semantic state; clones warm up their own
             // (but keep the configured retention capacity).
-            pool: Mutex::new(BufferPool::with_capacity(
+            pool: Mutex::new(Pool::with_capacity(
                 self.pool.lock().expect("buffer pool poisoned").capacity,
             )),
-            mask_pool: Mutex::new(MaskPool::with_capacity(
+            mask_pool: Mutex::new(Pool::with_capacity(
                 self.mask_pool.lock().expect("mask pool poisoned").capacity,
             )),
             pool_results: self.pool_results,
-            measure_tiers: self.measure_tiers,
-            auto_tiers: Mutex::new(
-                self.auto_tiers
-                    .lock()
-                    .expect("auto tier cache poisoned")
-                    .clone(),
-            ),
-            auto_measurements: AtomicUsize::new(self.auto_measurements.load(Ordering::Relaxed)),
+            // Like the pools, tier decisions are a cache: clones re-measure.
+            router: TierRouter::default(),
         }
     }
 }
@@ -514,41 +487,34 @@ pub(crate) const PARALLEL_THRESHOLD_CELL_ACCESSES: usize = 1 << 18;
 /// reset (a safety valve for program-generating loops, not a tuned policy).
 const COMPILED_CACHE_CAPACITY: usize = 64;
 
-/// Programs at or below this many cell·steps get a warmup pass before
-/// each timed path measurement in the convenience tier router (mirrors
-/// the service layer's `MEASURE_WARMUP_MAX_CELLS`).
-const AUTO_MEASURE_WARMUP_MAX_CELLS: usize = 1 << 20;
-
-/// Buffers kept in the fused tier's pool before further releases are
-/// dropped (a safety valve, not a tuned policy: one fused `run_steps`
-/// needs a handful of buffers per worker). The service tier raises the
-/// retention cap via [`ReferenceExecutor::with_pool_capacity`] because it
-/// keeps many jobs' grids in flight at once.
+/// Buffers kept in a pool before further releases are dropped (a safety
+/// valve, not a tuned policy: one fused `run_steps` needs a handful of
+/// buffers per worker). The service tier raises the retention cap via
+/// [`ReferenceExecutor::with_pool_capacity`] because it keeps many jobs'
+/// grids in flight at once.
 const BUFFER_POOL_CAPACITY: usize = 64;
 
-/// A best-fit pool of reusable `f64` buffers backing the fused tier's
-/// scratch tiles and window-boundary state grids. Acquire picks the
-/// smallest pooled buffer whose capacity suffices, so a steady state of
+/// A best-fit pool of reusable buffers. The executor keeps two: `f64`
+/// cells backing the fused tier's scratch tiles, window-boundary state
+/// grids and pooled results, and `bool` validity masks — every result
+/// carries one mask per output, so the service tier's
+/// zero-steady-state-allocation claim must cover masks too. Acquire picks
+/// the smallest pooled buffer whose capacity suffices, so a steady state of
 /// identical requests is allocation-free; the miss counter (exposed as
-/// [`ReferenceExecutor::pool_miss_count`]) increments only when an
+/// [`ReferenceExecutor::pool_miss_count`] /
+/// [`ReferenceExecutor::mask_pool_miss_count`]) increments only when an
 /// allocation was unavoidable.
 #[derive(Debug)]
-pub(crate) struct BufferPool {
-    buffers: Vec<Vec<f64>>,
+pub(crate) struct Pool<T> {
+    buffers: Vec<Vec<T>>,
     capacity: usize,
     pub(crate) acquires: usize,
     pub(crate) misses: usize,
 }
 
-impl Default for BufferPool {
-    fn default() -> Self {
-        BufferPool::with_capacity(BUFFER_POOL_CAPACITY)
-    }
-}
-
-impl BufferPool {
-    pub(crate) fn with_capacity(capacity: usize) -> BufferPool {
-        BufferPool {
+impl<T: Copy + Default> Pool<T> {
+    pub(crate) fn with_capacity(capacity: usize) -> Pool<T> {
+        Pool {
             buffers: Vec::new(),
             capacity: capacity.max(1),
             acquires: 0,
@@ -556,7 +522,9 @@ impl BufferPool {
         }
     }
 
-    pub(crate) fn acquire(&mut self, len: usize) -> Vec<f64> {
+    /// A buffer of `len` elements holding whatever its previous user left
+    /// in it: callers overwrite every element (or reset it themselves).
+    pub(crate) fn acquire(&mut self, len: usize) -> Vec<T> {
         self.acquires += 1;
         let best = self
             .buffers
@@ -568,82 +536,35 @@ impl BufferPool {
         match best {
             Some(ix) => {
                 let mut buf = self.buffers.swap_remove(ix);
-                buf.resize(len, 0.0);
+                buf.resize(len, T::default());
                 buf
             }
             None => {
                 self.misses += 1;
-                vec![0.0; len]
+                vec![T::default(); len]
             }
         }
     }
 
-    pub(crate) fn release(&mut self, buf: Vec<f64>) {
+    pub(crate) fn release(&mut self, buf: Vec<T>) {
         if self.buffers.len() < self.capacity && buf.capacity() > 0 {
             self.buffers.push(buf);
         }
     }
 }
 
-/// Best-fit pool of reusable validity-mask buffers, mirroring
-/// [`BufferPool`]. Only engaged when result pooling is on
-/// ([`ReferenceExecutor::with_pooled_results`]): every result carries one
-/// `Vec<bool>` mask per output, so the service tier's zero-steady-state
-/// -allocation claim must cover masks too. Acquired masks come back
-/// all-`true` (the state result sweeps expect), whatever the previous
-/// user left in them.
-#[derive(Debug)]
-pub(crate) struct MaskPool {
-    buffers: Vec<Vec<bool>>,
-    capacity: usize,
-    pub(crate) acquires: usize,
-    pub(crate) misses: usize,
-}
-
-impl Default for MaskPool {
-    fn default() -> Self {
-        MaskPool::with_capacity(BUFFER_POOL_CAPACITY)
-    }
-}
-
-impl MaskPool {
-    pub(crate) fn with_capacity(capacity: usize) -> MaskPool {
-        MaskPool {
-            buffers: Vec::new(),
-            capacity: capacity.max(1),
-            acquires: 0,
-            misses: 0,
-        }
-    }
-
-    pub(crate) fn acquire(&mut self, len: usize) -> Vec<bool> {
-        self.acquires += 1;
-        let best = self
-            .buffers
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.capacity() >= len)
-            .min_by_key(|(_, b)| b.capacity())
-            .map(|(ix, _)| ix);
-        match best {
-            Some(ix) => {
-                let mut buf = self.buffers.swap_remove(ix);
-                buf.clear();
-                buf.resize(len, true);
-                buf
-            }
-            None => {
-                self.misses += 1;
-                vec![true; len]
-            }
-        }
-    }
-
-    pub(crate) fn release(&mut self, buf: Vec<bool>) {
-        if self.buffers.len() < self.capacity && buf.capacity() > 0 {
-            self.buffers.push(buf);
-        }
-    }
+/// What to run and how to pick the tier, for
+/// [`ReferenceExecutor::execute`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunSpec {
+    /// `None` applies the program once; `Some(n)` time-steps it `n` times
+    /// with the feedback semantics of [`ReferenceExecutor::run_steps`]
+    /// (the pairing is validated even for `Some(1)`; `Some(0)` is an
+    /// error).
+    pub steps: Option<usize>,
+    /// Pin a tier, or measure the eligible tiers on first sight of the
+    /// program and run the cached winner afterwards.
+    pub tier: TierPolicy,
 }
 
 impl ReferenceExecutor {
@@ -677,18 +598,8 @@ impl ReferenceExecutor {
         self
     }
 
-    /// Enable or disable the width-aware (wide) lane dispatch (enabled by
-    /// default; disabling pins every lane-batched sweep to the default
-    /// [`stencilflow_expr::KERNEL_LANES`] width, the baseline the wide
-    /// dispatch is benchmarked and differentially tested against). Has no
-    /// effect when typed kernels or lane batching are disabled.
-    pub fn with_wide_lanes(mut self, enabled: bool) -> Self {
-        self.use_wide_lanes = enabled;
-        self
-    }
-
-    /// Bound the number of time steps [`ReferenceExecutor::run_steps_fused`]
-    /// blocks into one temporal window (default
+    /// Bound the number of time steps the fused tier blocks into one
+    /// temporal window (default
     /// `4`; `1` disables temporal blocking). Larger windows save full-grid
     /// state round-trips between windows but grow the overlapped recompute
     /// at tile edges linearly per step.
@@ -729,21 +640,11 @@ impl ReferenceExecutor {
         self
     }
 
-    /// Enable or disable first-sight tier measurement in the convenience
-    /// [`ReferenceExecutor::run_fused`] / `run_steps_fused` entry points
-    /// (enabled by default). Disabling pins those calls to the fused tier
-    /// (with its usual materializing fallback) — the bypass the bench
-    /// harness uses so per-tier rows measure the tier they claim to.
-    pub fn with_tier_measurement(mut self, enabled: bool) -> Self {
-        self.measure_tiers = enabled;
-        self
-    }
-
-    /// First-sight tier measurements performed by the convenience
-    /// `run_fused` entry points (each covers one `(program fingerprint,
-    /// stepped?)` key; repeat traffic hits the cached decision).
+    /// First-sight tier measurements performed under [`TierPolicy::Auto`]
+    /// (each covers one `(program fingerprint, stepped?)` key; repeat
+    /// traffic hits the cached decision).
     pub fn tier_measure_count(&self) -> usize {
-        self.auto_measurements.load(Ordering::Relaxed)
+        self.router.measure_count()
     }
 
     /// Number of program compilations this executor has performed. Cache
@@ -767,14 +668,6 @@ impl ReferenceExecutor {
         self.pool.lock().expect("buffer pool poisoned").acquires
     }
 
-    pub(crate) fn fusion_window(&self) -> usize {
-        self.fusion_window
-    }
-
-    pub(crate) fn fusion_tile_rows(&self) -> Option<usize> {
-        self.fusion_tile_rows
-    }
-
     pub(crate) fn pool_acquire(&self, len: usize) -> Vec<f64> {
         self.pool.lock().expect("buffer pool poisoned").acquire(len)
     }
@@ -795,31 +688,33 @@ impl ReferenceExecutor {
         self.mask_pool.lock().expect("mask pool poisoned").acquires
     }
 
-    /// A zeroed cell buffer for a result grid: pooled (and explicitly
-    /// zero-filled — pooled buffers come back dirty) when result pooling
-    /// is on, freshly allocated otherwise. Either way the caller sees
-    /// exactly the `vec![0.0; len]` the sweeps were written against.
+    /// A zeroed cell buffer for a result grid: pooled when result pooling
+    /// is on, freshly allocated otherwise.
     pub(crate) fn alloc_result_cells(&self, len: usize) -> Vec<f64> {
-        if self.pool_results {
-            let mut buf = self.pool_acquire(len);
-            buf.fill(0.0);
-            buf
-        } else {
-            vec![0.0; len]
-        }
+        self.alloc_result(&self.pool, 0.0, len)
     }
 
     /// An all-`true` validity mask for a result: pooled when result
     /// pooling is on, freshly allocated otherwise.
     pub(crate) fn alloc_result_mask(&self, len: usize) -> Vec<bool> {
-        if self.pool_results {
-            self.mask_pool
-                .lock()
-                .expect("mask pool poisoned")
-                .acquire(len)
-        } else {
-            vec![true; len]
+        self.alloc_result(&self.mask_pool, true, len)
+    }
+
+    /// Either way the caller sees exactly the `vec![fill; len]` the result
+    /// sweeps were written against; a pooled buffer is reset after the
+    /// pool lock is released.
+    fn alloc_result<T: Copy + Default>(
+        &self,
+        pool: &Mutex<Pool<T>>,
+        fill: T,
+        len: usize,
+    ) -> Vec<T> {
+        if !self.pool_results {
+            return vec![fill; len];
         }
+        let mut buf = pool.lock().expect("buffer pool poisoned").acquire(len);
+        buf.fill(fill);
+        buf
     }
 
     /// Return a mask buffer to the mask pool.
@@ -830,51 +725,16 @@ impl ReferenceExecutor {
             .release(buf);
     }
 
-    /// Worker-thread count for a sweep of `cells` cells with
-    /// `accesses_per_cell` reads each, at most `rows` independent work
-    /// units (shared by the materializing row sweep and the fused tile
-    /// sweep).
-    pub(crate) fn sweep_workers(
-        &self,
-        rows: usize,
-        cells: usize,
-        accesses_per_cell: usize,
-    ) -> usize {
-        self.worker_threads(rows, cells, accesses_per_cell)
-    }
-
+    /// Input validation for the compiled paths: every declared input
+    /// present, with the shape and element type baked into `compiled`.
     pub(crate) fn check_inputs(
         compiled: &CompiledProgram,
         inputs: &BTreeMap<String, Grid>,
     ) -> Result<()> {
-        for spec in &compiled.inputs {
-            let grid = inputs
-                .get(&spec.name)
-                .ok_or_else(|| ProgramError::Invalid {
-                    message: format!("missing input grid `{}`", spec.name),
-                })?;
-            if grid.shape() != spec.shape.as_slice() {
-                return Err(ProgramError::Invalid {
-                    message: format!(
-                        "input `{}` has shape {:?}, expected {:?}",
-                        spec.name,
-                        grid.shape(),
-                        spec.shape
-                    ),
-                });
-            }
-            if grid.data_type() != spec.dtype {
-                return Err(ProgramError::Invalid {
-                    message: format!(
-                        "input `{}` has element type {}, expected {}",
-                        spec.name,
-                        grid.data_type(),
-                        spec.dtype
-                    ),
-                });
-            }
-        }
-        Ok(())
+        compiled
+            .inputs
+            .iter()
+            .try_for_each(|spec| check_grid(inputs, &spec.name, &spec.shape, spec.dtype))
     }
 
     /// Compile `program` into a reusable [`CompiledProgram`], consulting the
@@ -886,8 +746,8 @@ impl ReferenceExecutor {
     /// program once but allocates nothing — cheap enough for the service
     /// tier's per-job hot path. For the very tightest loops hold the
     /// returned [`CompiledProgram`] and call
-    /// [`ReferenceExecutor::run_compiled`] directly
-    /// ([`ReferenceExecutor::run_steps`] does exactly that internally: one
+    /// [`ReferenceExecutor::execute`] directly
+    /// ([`ReferenceExecutor::run_steps`] does the same internally: one
     /// fingerprint for all steps).
     ///
     /// # Errors
@@ -961,9 +821,9 @@ impl ReferenceExecutor {
     }
 
     /// Run `program` on the given input grids through compiled execution
-    /// plans (the fast path). Equivalent to [`ReferenceExecutor::prepare`]
-    /// followed by [`ReferenceExecutor::run_compiled`]; the compilation is
-    /// cached, so repeated calls with the same program only pay the sweep.
+    /// plans (the fast path). The compilation is cached
+    /// ([`ReferenceExecutor::prepare`]), so repeated calls with the same
+    /// program only pay the sweep.
     ///
     /// Every input field of the program must be present in `inputs` with
     /// matching dimensions and element type. The result contains a grid for
@@ -985,14 +845,10 @@ impl ReferenceExecutor {
         self.run_compiled(&compiled, inputs)
     }
 
-    /// Run an already-compiled program on the given input grids. Binding is
+    /// The materializing sweep over an already-compiled program. Binding is
     /// cheap (a few name lookups per stencil); all compilation happened in
     /// [`ReferenceExecutor::prepare`].
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ReferenceExecutor::run`].
-    pub fn run_compiled(
+    fn run_compiled(
         &self,
         compiled: &CompiledProgram,
         inputs: &BTreeMap<String, Grid>,
@@ -1010,13 +866,7 @@ impl ReferenceExecutor {
                 source,
             };
             let bound = plan
-                .bind(
-                    inputs,
-                    &computed,
-                    self.use_typed,
-                    self.use_lanes,
-                    self.use_wide_lanes,
-                )
+                .bind(inputs, &computed, self.use_typed, self.use_lanes)
                 .map_err(code_error)?;
             let mut output = Grid::zeros(&dim_refs, &compiled.shape, plan.out_dtype());
             let mut mask = vec![true; compiled.num_cells];
@@ -1098,11 +948,7 @@ impl ReferenceExecutor {
     }
 
     /// [`ReferenceExecutor::run_steps`] over an already-compiled program.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ReferenceExecutor::run_steps`].
-    pub fn run_steps_compiled(
+    fn run_steps_compiled(
         &self,
         compiled: &CompiledProgram,
         inputs: &BTreeMap<String, Grid>,
@@ -1134,356 +980,81 @@ impl ReferenceExecutor {
         unreachable!("steps >= 1 always returns from the loop")
     }
 
-    /// Run `program` through the **tile-fused tier**: the iteration space
-    /// is partitioned into cache-sized tiles and each tile is swept
-    /// through all stencils of the program before the next tile is
-    /// touched, with intermediates held in pooled per-worker scratch
-    /// buffers instead of full grids (see `crate::fuse` and
-    /// `docs/evaluation.md`).
+    /// Run an already-compiled program and return **only the program
+    /// outputs** (plus their validity masks) together with the tier the
+    /// run was scheduled on — intermediates are never part of the result,
+    /// and every output cell is bit-identical to
+    /// [`ReferenceExecutor::run_interpreted`] on every tier.
     ///
-    /// The result contains **only the program outputs** (plus their
-    /// validity masks) — intermediates are deliberately never
-    /// materialized; every output cell is bit-identical to
-    /// [`ReferenceExecutor::run_interpreted`]. Programs the fused tier
-    /// cannot express (see [`CompiledProgram::fused_fallback_reason`])
-    /// transparently run the materializing path, restricted to the same
-    /// outputs-only shape.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ReferenceExecutor::run`].
-    /// Unless [`ReferenceExecutor::with_tier_measurement`] is disabled,
-    /// first sight of a program here measures the eligible execution paths
-    /// (materializing sweep, fused, native JIT — all bit-identical) and
-    /// caches the winner, exactly like the service layer's automatic tier
-    /// selection; repeated calls run the cached fastest path.
-    pub fn run_fused(
-        &self,
-        program: &StencilProgram,
-        inputs: &BTreeMap<String, Grid>,
-    ) -> Result<ExecutionResult> {
-        let compiled = self.prepare(program)?;
-        if !self.measure_tiers {
-            return self.run_fused_compiled(&compiled, inputs);
-        }
-        self.run_measured(&compiled, inputs, 1, false)
-    }
-
-    /// [`ReferenceExecutor::run_fused`] over an already-compiled program.
+    /// [`TierPolicy::Fixed`] pins a [`Tier`]. A pinned tier the program
+    /// cannot take falls down the ladder transparently — JIT to fused when
+    /// the program is statically ineligible
+    /// ([`CompiledProgram::jit_fallback_reason`]) or the machine has no
+    /// working compiler ([`crate::jit_available`]), fused to materializing
+    /// when the fuse plan is missing
+    /// ([`CompiledProgram::fused_fallback_reason`]) — and the pinned tier
+    /// is what is reported back. [`TierPolicy::Auto`] runs the measured
+    /// tier (see [`crate::tier`]).
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`ReferenceExecutor::run`].
-    pub fn run_fused_compiled(
+    /// The failure modes of [`ReferenceExecutor::run`] (or of
+    /// [`ReferenceExecutor::run_steps`] when `spec.steps` is set), plus
+    /// [`ProgramError::Invalid`] when a JIT-*eligible* program's emitted
+    /// unit fails to compile or load — that indicates an emitter bug and is
+    /// surfaced, never silently absorbed by the fallback.
+    pub fn execute(
         &self,
         compiled: &CompiledProgram,
         inputs: &BTreeMap<String, Grid>,
-    ) -> Result<ExecutionResult> {
-        Self::check_inputs(compiled, inputs)?;
-        match &compiled.fuse {
-            Ok(plan) => crate::fuse::execute(self, compiled, plan, inputs, 1),
-            Err(_) => {
-                let mut result = self.run_compiled(compiled, inputs)?;
-                result.retain_fields(&compiled.outputs);
-                Ok(result)
-            }
+        spec: &RunSpec,
+    ) -> Result<(ExecutionResult, Tier)> {
+        if spec.steps == Some(0) {
+            return Err(ProgramError::Invalid {
+                message: "run_steps requires at least one time step".into(),
+            });
         }
+        let run = |tier| self.run_tier(compiled, inputs, spec.steps, tier);
+        let (result, tier) = self
+            .router
+            .dispatch(compiled, spec.steps, spec.tier, run, drop);
+        result.map(|result| (result, tier))
     }
 
-    /// Time-step `program` through the fused tier: tiles stream through a
-    /// bounded window of time steps (temporal blocking) with the state
-    /// fields ping-ponging between pooled scratch buffers, so the steady
-    /// state allocates nothing (see
-    /// [`ReferenceExecutor::pool_miss_count`]). Feedback pairing and all
-    /// other semantics match [`ReferenceExecutor::run_steps`]; the result
-    /// holds the final step's program outputs, bit-identical to the
-    /// materializing time stepper, with
-    /// [`ExecutionResult::cells_evaluated`] counting every fused cell
-    /// evaluation (tile-overlap recompute included).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ReferenceExecutor::run_steps`].
-    /// Like [`ReferenceExecutor::run_fused`], first sight of a program
-    /// here measures the eligible paths and caches the winner unless
-    /// [`ReferenceExecutor::with_tier_measurement`] is disabled.
-    pub fn run_steps_fused(
+    /// The one fallback ladder, outputs only: the fused schedule (with
+    /// native stage sweeps for [`Tier::Jit`]) when `tier` asks for it and
+    /// the plan can express the run, the materializing sweep otherwise.
+    fn run_tier(
         &self,
-        program: &StencilProgram,
+        compiled: &CompiledProgram,
         inputs: &BTreeMap<String, Grid>,
-        steps: usize,
+        steps: Option<usize>,
+        tier: Tier,
     ) -> Result<ExecutionResult> {
-        let compiled = self.prepare(program)?;
-        if !self.measure_tiers || steps == 0 {
-            return self.run_steps_fused_compiled(&compiled, inputs, steps);
-        }
-        self.run_measured(&compiled, inputs, steps, true)
-    }
-
-    /// The convenience entry points' tier router: consult the measured
-    /// decision for `(fingerprint, stepped?)`, measuring the eligible
-    /// paths on first sight (with a warmup pass for small programs so
-    /// first-touch allocation doesn't bias the pick). The materializing
-    /// sweep is the floor — its failure is the call's failure; a fused or
-    /// JIT error during measurement merely excludes that path.
-    fn run_measured(
-        &self,
-        compiled: &Arc<CompiledProgram>,
-        inputs: &BTreeMap<String, Grid>,
-        steps: usize,
-        stepped: bool,
-    ) -> Result<ExecutionResult> {
-        let key = (compiled.fingerprint(), stepped);
-        let cached = self
-            .auto_tiers
-            .lock()
-            .expect("auto tier cache poisoned")
-            .get(&key)
-            .copied();
-        if let Some(tier) = cached {
-            return self.run_auto_tier(compiled, inputs, steps, stepped, tier);
-        }
-        let mut candidates = vec![AutoTier::Materializing];
-        let fused_ok = if stepped {
-            compiled.fused_steps_supported()
-        } else {
-            compiled.fused_tier_supported()
-        };
-        if fused_ok {
-            candidates.push(AutoTier::Fused);
-            if compiled.jit_supported() && crate::jit::jit_available().is_ok() {
-                candidates.push(AutoTier::Jit);
-            }
-        }
-        if candidates.len() == 1 {
-            self.record_auto_tier(key, AutoTier::Materializing);
-            return self.run_auto_tier(compiled, inputs, steps, stepped, AutoTier::Materializing);
-        }
-        let warm =
-            compiled.cell_count().saturating_mul(steps.max(1)) <= AUTO_MEASURE_WARMUP_MAX_CELLS;
-        let mut best: Option<(std::time::Duration, AutoTier, ExecutionResult)> = None;
-        for &tier in &candidates {
-            if warm {
-                // Warmup errors surface in the timed run below.
-                let _ = self.run_auto_tier(compiled, inputs, steps, stepped, tier);
-            }
-            let t0 = std::time::Instant::now();
-            match self.run_auto_tier(compiled, inputs, steps, stepped, tier) {
-                Ok(result) => {
-                    let elapsed = t0.elapsed();
-                    let improves = match &best {
-                        Some((b, _, _)) => elapsed < *b,
-                        None => true,
-                    };
-                    if improves {
-                        best = Some((elapsed, tier, result));
-                    }
-                }
-                Err(err) => {
-                    if tier == AutoTier::Materializing {
-                        return Err(err);
-                    }
-                }
-            }
-        }
-        let (_, tier, result) =
-            best.expect("the materializing path always measured or errored above");
-        self.record_auto_tier(key, tier);
-        self.auto_measurements.fetch_add(1, Ordering::Relaxed);
-        Ok(result)
-    }
-
-    fn record_auto_tier(&self, key: (u64, bool), tier: AutoTier) {
-        let mut tiers = self.auto_tiers.lock().expect("auto tier cache poisoned");
-        if tiers.len() >= COMPILED_CACHE_CAPACITY {
-            tiers.clear();
-        }
-        tiers.insert(key, tier);
-    }
-
-    fn run_auto_tier(
-        &self,
-        compiled: &Arc<CompiledProgram>,
-        inputs: &BTreeMap<String, Grid>,
-        steps: usize,
-        stepped: bool,
-        tier: AutoTier,
-    ) -> Result<ExecutionResult> {
-        match tier {
-            AutoTier::Materializing => {
-                let mut result = if stepped {
-                    self.run_steps_compiled(compiled, inputs, steps)?
-                } else {
-                    self.run_compiled(compiled, inputs)?
+        let count = steps.unwrap_or(1);
+        let plan = match &compiled.fuse {
+            Ok(plan) if tier != Tier::Simd && (count == 1 || plan.supports_steps()) => plan,
+            _ => {
+                let mut result = match steps {
+                    Some(steps) => self.run_steps_compiled(compiled, inputs, steps)?,
+                    None => self.run_compiled(compiled, inputs)?,
                 };
                 result.retain_fields(&compiled.outputs);
-                Ok(result)
+                return Ok(result);
             }
-            AutoTier::Fused => {
-                if stepped {
-                    self.run_steps_fused_compiled(compiled, inputs, steps)
-                } else {
-                    self.run_fused_compiled(compiled, inputs)
-                }
-            }
-            AutoTier::Jit => {
-                if stepped {
-                    self.run_steps_jit_compiled(compiled, inputs, steps)
-                } else {
-                    self.run_jit_compiled(compiled, inputs)
-                }
-            }
-        }
-    }
-
-    /// [`ReferenceExecutor::run_steps_fused`] over an already-compiled
-    /// program.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ReferenceExecutor::run_steps`].
-    pub fn run_steps_fused_compiled(
-        &self,
-        compiled: &CompiledProgram,
-        inputs: &BTreeMap<String, Grid>,
-        steps: usize,
-    ) -> Result<ExecutionResult> {
-        if steps == 0 {
-            return Err(ProgramError::Invalid {
-                message: "run_steps requires at least one time step".into(),
-            });
-        }
+        };
         Self::check_inputs(compiled, inputs)?;
-        match &compiled.fuse {
-            Ok(plan) if steps == 1 || plan.supports_steps() => {
-                // Validate the pairing exactly like the materializing
-                // stepper — even for a single step (dtype mismatches and
-                // ambiguity are rejected, never silently fused).
-                compiled.feedback_pairs()?;
-                crate::fuse::execute(self, compiled, plan, inputs, steps)
-            }
-            _ => {
-                let mut result = self.run_steps_compiled(compiled, inputs, steps)?;
-                result.retain_fields(&compiled.outputs);
-                Ok(result)
-            }
+        let native = match tier {
+            Tier::Jit => crate::jit::stage_fns(compiled)?,
+            _ => None,
+        };
+        if steps.is_some() {
+            // Validate the pairing exactly like the materializing stepper
+            // — even for a single step (dtype mismatches and ambiguity are
+            // rejected, never silently fused).
+            compiled.feedback_pairs()?;
         }
-    }
-
-    /// Run `program` through the **Tier-4 native backend**: the fused
-    /// tier's schedule (tiles, pads, ping-pong, regions) executes
-    /// unchanged, but each live stage's innermost sweep is one call into a
-    /// stage function compiled from the emitted C by the system `cc` and
-    /// loaded from the disk-backed code cache (see `stencilflow-jit` and
-    /// `docs/evaluation.md`). Output shape and bit-identity guarantees
-    /// match [`ReferenceExecutor::run_fused`]: program outputs only,
-    /// bit-identical to [`ReferenceExecutor::run_interpreted`].
-    ///
-    /// Statically ineligible programs
-    /// ([`CompiledProgram::jit_fallback_reason`]) and machines without a
-    /// working compiler ([`crate::jit_available`]) fall back to the fused
-    /// tier transparently.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ReferenceExecutor::run`], plus
-    /// [`ProgramError::Invalid`] when an *eligible* program's emitted unit
-    /// fails to compile or load — that indicates an emitter bug and is
-    /// surfaced, never silently absorbed by the fallback.
-    pub fn run_jit(
-        &self,
-        program: &StencilProgram,
-        inputs: &BTreeMap<String, Grid>,
-    ) -> Result<ExecutionResult> {
-        let compiled = self.prepare(program)?;
-        self.run_jit_compiled(&compiled, inputs)
-    }
-
-    /// [`ReferenceExecutor::run_jit`] over an already-compiled program.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ReferenceExecutor::run_jit`].
-    pub fn run_jit_compiled(
-        &self,
-        compiled: &CompiledProgram,
-        inputs: &BTreeMap<String, Grid>,
-    ) -> Result<ExecutionResult> {
-        Self::check_inputs(compiled, inputs)?;
-        match crate::jit::stage_fns(compiled) {
-            Ok(Some(fns)) => {
-                let plan = compiled
-                    .fuse
-                    .as_ref()
-                    .expect("jit eligibility implies a fuse plan");
-                crate::fuse::execute_with(self, compiled, plan, inputs, 1, Some(&fns))
-            }
-            Ok(None) => self.run_fused_compiled(compiled, inputs),
-            Err(message) => Err(ProgramError::Invalid {
-                message: format!(
-                    "native JIT failed for eligible program `{}`: {message}",
-                    compiled.name
-                ),
-            }),
-        }
-    }
-
-    /// Time-step `program` through the Tier-4 native backend: the fused
-    /// time stepper's temporal blocking and feedback ping-pong run
-    /// unchanged with native stage sweeps. Semantics, fallback ladder, and
-    /// bit-identity guarantees match [`ReferenceExecutor::run_steps_fused`]
-    /// and [`ReferenceExecutor::run_jit`].
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ReferenceExecutor::run_steps`] plus the
-    /// [`ReferenceExecutor::run_jit`] compile/load failure mode.
-    pub fn run_steps_jit(
-        &self,
-        program: &StencilProgram,
-        inputs: &BTreeMap<String, Grid>,
-        steps: usize,
-    ) -> Result<ExecutionResult> {
-        let compiled = self.prepare(program)?;
-        self.run_steps_jit_compiled(&compiled, inputs, steps)
-    }
-
-    /// [`ReferenceExecutor::run_steps_jit`] over an already-compiled
-    /// program.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ReferenceExecutor::run_steps_jit`].
-    pub fn run_steps_jit_compiled(
-        &self,
-        compiled: &CompiledProgram,
-        inputs: &BTreeMap<String, Grid>,
-        steps: usize,
-    ) -> Result<ExecutionResult> {
-        if steps == 0 {
-            return Err(ProgramError::Invalid {
-                message: "run_steps requires at least one time step".into(),
-            });
-        }
-        Self::check_inputs(compiled, inputs)?;
-        match &compiled.fuse {
-            Ok(plan) if steps == 1 || plan.supports_steps() => {
-                match crate::jit::stage_fns(compiled) {
-                    Ok(Some(fns)) => {
-                        compiled.feedback_pairs()?;
-                        crate::fuse::execute_with(self, compiled, plan, inputs, steps, Some(&fns))
-                    }
-                    Ok(None) => self.run_steps_fused_compiled(compiled, inputs, steps),
-                    Err(message) => Err(ProgramError::Invalid {
-                        message: format!(
-                            "native JIT failed for eligible program `{}`: {message}",
-                            compiled.name
-                        ),
-                    }),
-                }
-            }
-            _ => self.run_steps_fused_compiled(compiled, inputs, steps),
-        }
+        crate::fuse::execute(self, compiled, plan, inputs, count, native.as_deref())
     }
 
     /// Apply `program` once through the fault-tolerant sharded runtime:
@@ -1585,41 +1156,29 @@ impl ReferenceExecutor {
         })
     }
 
-    /// Input validation for the interpreted path (shape and element type
-    /// against the program's declarations; the compiled path validates
-    /// against the same geometry baked into the [`CompiledProgram`]).
+    /// Input validation for the interpreted path, against the program's
+    /// own declarations (the compiled paths validate against the same
+    /// geometry baked into the [`CompiledProgram`], with the same errors).
     fn check_program_inputs(
         program: &StencilProgram,
         inputs: &BTreeMap<String, Grid>,
     ) -> Result<()> {
-        for (name, decl) in program.inputs() {
-            let grid = inputs.get(name).ok_or_else(|| ProgramError::Invalid {
-                message: format!("missing input grid `{name}`"),
-            })?;
-            let expected_shape = crate::plan::declared_shape(program.space(), &decl.dims);
-            if grid.shape() != expected_shape.as_slice() {
-                return Err(ProgramError::Invalid {
-                    message: format!(
-                        "input `{name}` has shape {:?}, expected {:?}",
-                        grid.shape(),
-                        expected_shape
-                    ),
-                });
-            }
-            if grid.data_type() != decl.data_type() {
-                return Err(ProgramError::Invalid {
-                    message: format!(
-                        "input `{name}` has element type {}, expected {}",
-                        grid.data_type(),
-                        decl.data_type()
-                    ),
-                });
-            }
-        }
-        Ok(())
+        program.inputs().try_for_each(|(name, decl)| {
+            let shape = crate::plan::declared_shape(program.space(), &decl.dims);
+            check_grid(inputs, name, &shape, decl.data_type())
+        })
     }
 
-    fn worker_threads(&self, rows: usize, cells: usize, accesses_per_cell: usize) -> usize {
+    /// Worker-thread count for a sweep of `cells` cells with
+    /// `accesses_per_cell` reads each, at most `rows` independent work
+    /// units (shared by the materializing row sweep and the fused tile
+    /// sweep).
+    pub(crate) fn worker_threads(
+        &self,
+        rows: usize,
+        cells: usize,
+        accesses_per_cell: usize,
+    ) -> usize {
         if cells.saturating_mul(accesses_per_cell.max(1)) < PARALLEL_THRESHOLD_CELL_ACCESSES {
             return 1;
         }
@@ -1632,6 +1191,35 @@ impl ReferenceExecutor {
             .min(rows)
             .max(1)
     }
+}
+
+/// One input grid against its declared shape and element type.
+fn check_grid(
+    inputs: &BTreeMap<String, Grid>,
+    name: &str,
+    shape: &[usize],
+    dtype: DataType,
+) -> Result<()> {
+    let grid = inputs.get(name).ok_or_else(|| ProgramError::Invalid {
+        message: format!("missing input grid `{name}`"),
+    })?;
+    if grid.shape() != shape {
+        return Err(ProgramError::Invalid {
+            message: format!(
+                "input `{name}` has shape {:?}, expected {shape:?}",
+                grid.shape()
+            ),
+        });
+    }
+    if grid.data_type() != dtype {
+        return Err(ProgramError::Invalid {
+            message: format!(
+                "input `{name}` has element type {}, expected {dtype}",
+                grid.data_type()
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// Streams `fmt::Write` output through an FNV-1a accumulator, so hashing a
@@ -2132,7 +1720,7 @@ mod tests {
 
     #[test]
     fn pool_capacity_bounds_retention() {
-        let mut pool = BufferPool::with_capacity(2);
+        let mut pool = Pool::with_capacity(2);
         pool.release(vec![0.0; 8]);
         pool.release(vec![0.0; 8]);
         pool.release(vec![0.0; 8]); // dropped: over capacity
@@ -2148,13 +1736,17 @@ mod tests {
 
     #[test]
     fn mask_pool_returns_all_true_masks() {
-        let mut pool = MaskPool::with_capacity(4);
-        let mut mask = pool.acquire(6);
-        assert_eq!(pool.misses, 1);
+        let executor = ReferenceExecutor::new().with_pooled_results(true);
+        let mut mask = executor.alloc_result_mask(6);
+        assert_eq!(executor.mask_pool_miss_count(), 1);
         mask[3] = false;
-        pool.release(mask);
-        let again = pool.acquire(6);
-        assert_eq!(pool.misses, 1, "steady state hits the pool");
+        executor.release_mask(mask);
+        let again = executor.alloc_result_mask(6);
+        assert_eq!(
+            executor.mask_pool_miss_count(),
+            1,
+            "steady state hits the pool"
+        );
         assert!(again.iter().all(|&v| v), "pooled masks are reset to true");
     }
 }

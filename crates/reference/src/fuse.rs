@@ -57,7 +57,7 @@
 //!   position-indexed pad cell cannot represent).
 //!
 //! Ineligible programs transparently fall back to the materializing path
-//! (`run_compiled` / `run_steps_compiled`); the result is restricted to
+//! (the ladder in `ReferenceExecutor::execute`); the result is restricted to
 //! the program outputs either way, which is the fused tier's contract —
 //! intermediates are deliberately *not* materialized (this is where the
 //! speed comes from, and it matches the simulator's unused-intermediate
@@ -452,7 +452,7 @@ impl FusePlan {
         // Temporal blocking: a derivable feedback pairing with compatible
         // pad constants lets state fields ping-pong through shared-geometry
         // buffers. Failure here only disables the *fused* time stepper —
-        // single runs stay fused, and `run_steps_fused` falls back.
+        // single runs stay fused, and stepped runs fall back.
         let steps = compiled.feedback_pairs().ok().and_then(|pairs| {
             let mut step_lo = 0usize;
             let mut step_hi = 0usize;
@@ -861,24 +861,14 @@ struct WorkerTargets<'a> {
 /// Execute `compiled` through the fused tier for `steps` time steps
 /// (`steps == 1` is a plain fused run; callers have already validated the
 /// inputs and, for `steps > 1`, that the plan supports stepping).
+///
+/// When `jit` provides a Tier-4 native function for a stage, its sweeps
+/// run through the compiled `.so` instead of the bytecode lane interpreter
+/// — same tiles, same windows, same pads, same copies, so everything in
+/// the bit-identity argument above carries over except the innermost
+/// kernel evaluation, which the native unit replicates
+/// operation-for-operation (see [`FusePlan::jit_unit`]).
 pub(crate) fn execute(
-    executor: &ReferenceExecutor,
-    compiled: &CompiledProgram,
-    plan: &FusePlan,
-    inputs: &BTreeMap<String, Grid>,
-    steps: usize,
-) -> Result<ExecutionResult> {
-    execute_with(executor, compiled, plan, inputs, steps, None)
-}
-
-/// [`execute`] with optional Tier-4 native stage functions: when `jit`
-/// provides a function for a stage, its sweeps run through the compiled
-/// `.so` instead of the bytecode lane interpreter — same tiles, same
-/// windows, same pads, same copies, so everything in the bit-identity
-/// argument above carries over except the innermost kernel evaluation,
-/// which the native unit replicates operation-for-operation (see
-/// [`FusePlan::jit_unit`]).
-pub(crate) fn execute_with(
     executor: &ReferenceExecutor,
     compiled: &CompiledProgram,
     plan: &FusePlan,
@@ -886,15 +876,15 @@ pub(crate) fn execute_with(
     steps: usize,
     jit: Option<&[Option<StageFn>]>,
 ) -> Result<ExecutionResult> {
-    let w_max = executor.fusion_window().clamp(1, steps);
+    let w_max = executor.fusion_window.clamp(1, steps);
     let num_cells: usize = plan.shape.iter().product();
     let live_stages = plan.stages.iter().filter(|s| s.live).count();
-    let threads = executor.sweep_workers(
+    let threads = executor.worker_threads(
         plan.shape[0],
         num_cells * live_stages.max(1) * steps.min(w_max),
         2,
     );
-    let tiles = plan.tile_bounds(w_max, executor.fusion_tile_rows(), threads);
+    let tiles = plan.tile_bounds(w_max, executor.fusion_tile_rows, threads);
     let max_tile_h = tiles.iter().map(|&(lo, hi)| hi - lo).max().unwrap_or(1);
     let geoms = plan.geometries(max_tile_h, w_max, plan.lanes);
 

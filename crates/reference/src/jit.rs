@@ -13,8 +13,8 @@
 //! * this module holds the lazily probed process-wide engine and resolves
 //!   the per-stage sweep symbols an execution needs.
 //!
-//! The fallback ladder lives in the executor entry points
-//! ([`crate::ReferenceExecutor::run_jit`]): statically ineligible programs
+//! The fallback ladder lives in
+//! [`crate::ReferenceExecutor::execute`]: statically ineligible programs
 //! and machines without a working `cc` fall back to the fused tier
 //! transparently; a *failing* compile or load of an eligible program is
 //! surfaced as an error (it indicates an emitter bug, and hiding it would
@@ -23,6 +23,7 @@
 use crate::executor::CompiledProgram;
 use std::sync::{Arc, OnceLock};
 use stencilflow_jit::{CacheStats, JitConfig, JitEngine, StageFn};
+use stencilflow_program::{ProgramError, Result};
 
 /// The emitted translation unit for one compiled program, plus the symbol
 /// each fused stage exports. Built once per [`CompiledProgram`]; compiling
@@ -38,24 +39,22 @@ pub(crate) struct JitUnit {
 /// The process-wide engine, probed once: `Ok` holds the engine, `Err` the
 /// human-readable reason native execution is unavailable on this machine
 /// (typically: no system `cc`).
-fn engine() -> Result<Arc<JitEngine>, String> {
-    static ENGINE: OnceLock<Result<Arc<JitEngine>, String>> = OnceLock::new();
-    ENGINE
-        .get_or_init(|| JitEngine::new(JitConfig::from_env()).map(Arc::new))
-        .clone()
+fn engine() -> &'static std::result::Result<Arc<JitEngine>, String> {
+    static ENGINE: OnceLock<std::result::Result<Arc<JitEngine>, String>> = OnceLock::new();
+    ENGINE.get_or_init(|| JitEngine::new(JitConfig::from_env()).map(Arc::new))
 }
 
 /// Whether native execution can run at all on this machine; `Err` carries
-/// the probe failure (the `run_jit` entry points fall back to the fused
-/// tier in that case, and `verify.sh` refuses to skip it on CI).
-pub fn jit_available() -> Result<(), String> {
-    engine().map(|_| ())
+/// the probe failure (the JIT tier falls back to the fused tier in that
+/// case, and `verify.sh` refuses to skip it on CI).
+pub fn jit_available() -> std::result::Result<(), String> {
+    engine().as_ref().map(|_| ()).map_err(String::clone)
 }
 
 /// Cache counters of the process-wide engine (`None` before the first
 /// probe attempt or when the engine failed to initialize).
 pub fn jit_cache_stats() -> Option<CacheStats> {
-    engine().ok().map(|e| e.stats())
+    engine().as_ref().ok().map(|e| e.stats())
 }
 
 /// The engine's compiler salt (compiler identity + flags), or `None` when
@@ -63,32 +62,35 @@ pub fn jit_cache_stats() -> Option<CacheStats> {
 /// that keys persisted tier decisions: a different compiler can rank the
 /// JIT tier differently, so its decisions must not survive the swap.
 pub(crate) fn jit_salt() -> Option<String> {
-    engine().ok().map(|e| e.salt().to_string())
+    engine().as_ref().ok().map(|e| e.salt().to_string())
 }
 
 /// Resolve the loaded stage functions for a compiled program.
 ///
 /// * `Ok(Some(fns))` — the program is statically eligible and the module
 ///   is loaded; `fns` is indexed by fuse-plan stage (dead stages `None`).
-/// * `Ok(None)` — ineligible, or no working compiler: fall back.
+/// * `Ok(None)` — ineligible, or no working compiler: fall back to the
+///   bytecode sweeps of the fused tier.
 /// * `Err` — eligible but the emitted unit failed to compile, load, or
 ///   resolve: an emitter bug to surface, not to swallow.
-pub(crate) fn stage_fns(
-    compiled: &CompiledProgram,
-) -> Result<Option<Vec<Option<StageFn>>>, String> {
-    let Ok(unit) = compiled.jit_unit() else {
+pub(crate) fn stage_fns(compiled: &CompiledProgram) -> Result<Option<Vec<Option<StageFn>>>> {
+    let (Ok(unit), Ok(engine)) = (compiled.jit_unit(), engine()) else {
         return Ok(None);
     };
-    let Ok(engine) = engine() else {
-        return Ok(None);
+    let load = || -> std::result::Result<_, String> {
+        let module = engine.load(&compiled.fingerprint_hex(), &unit.source)?;
+        let resolve = |symbol: &Option<String>| {
+            symbol
+                .as_ref()
+                .map(|name| engine.stage_fn(&module, name))
+                .transpose()
+        };
+        unit.symbols.iter().map(resolve).collect()
     };
-    let module = engine.load(&compiled.fingerprint_hex(), &unit.source)?;
-    let mut fns = Vec::with_capacity(unit.symbols.len());
-    for symbol in &unit.symbols {
-        fns.push(match symbol {
-            Some(name) => Some(engine.stage_fn(&module, name)?),
-            None => None,
-        });
-    }
-    Ok(Some(fns))
+    load().map(Some).map_err(|message| ProgramError::Invalid {
+        message: format!(
+            "native JIT failed for eligible program `{}`: {message}",
+            compiled.name()
+        ),
+    })
 }

@@ -32,8 +32,9 @@ mod jit;
 mod plan;
 pub mod serve;
 pub mod shard;
+pub mod tier;
 
-pub use executor::{CompiledProgram, ExecutionResult, ReferenceExecutor};
+pub use executor::{CompiledProgram, ExecutionResult, ReferenceExecutor, RunSpec};
 pub use grid::Grid;
 pub use input_data::{generate_inputs, InputGenerator};
 pub use jit::{jit_available, jit_cache_stats};
@@ -43,10 +44,11 @@ pub use serve::daemon::{
 };
 pub use serve::{
     CancelToken, JobError, JobFault, JobOutcome, JobResult, JobSpec, ServeConfig, ServeExecutor,
-    ServeStats, Tier, TierCacheLoad, TierChoice, TierPolicy,
+    ServeStats,
 };
 pub use shard::{FaultPlan, ShardConfig, ShardReport, ShardStats, ShardedOutcome, WatchdogReport};
 pub use stencilflow_jit::CacheStats as JitCacheStats;
+pub use tier::{Tier, TierCacheLoad, TierChoice, TierPolicy};
 
 #[cfg(test)]
 mod tests {

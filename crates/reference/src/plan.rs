@@ -343,7 +343,6 @@ impl CompiledStencil {
         computed: &'g BTreeMap<String, Grid>,
         use_typed: bool,
         use_lanes: bool,
-        use_wide_lanes: bool,
     ) -> Result<BoundStencil<'g, 'p>, ExprError> {
         let mut grid_data: Vec<&'g [f64]> = Vec::with_capacity(self.fields.len());
         for field in &self.fields {
@@ -379,11 +378,6 @@ impl CompiledStencil {
             typed_template,
             use_typed: use_typed && self.typed.is_some(),
             use_lanes: use_typed && use_lanes && self.lane_ready,
-            lane_width: if use_wide_lanes {
-                self.lane_width
-            } else {
-                KERNEL_LANES
-            },
         })
     }
 
@@ -434,9 +428,6 @@ pub(crate) struct BoundStencil<'g, 'p> {
     use_typed: bool,
     /// Whether the interior sweep runs lane-batched (implies `use_typed`).
     use_lanes: bool,
-    /// Effective lane width of this binding (the plan's width, or
-    /// [`KERNEL_LANES`] when the executor pins the default width).
-    lane_width: usize,
 }
 
 /// One kernel tier driving the generic sweep: how slot values are
@@ -628,7 +619,7 @@ impl BoundStencil<'_, '_> {
             (true, Some(typed)) if self.use_lanes => {
                 // Dtype-driven const dispatch on the per-stencil lane
                 // width (see `CompiledStencil::lane_width`).
-                match self.lane_width {
+                match self.plan.lane_width {
                     KERNEL_LANES_WIDE => {
                         self.sweep_lanes::<KERNEL_LANES_WIDE>(typed, row_start, row_end, out, mask)
                     }

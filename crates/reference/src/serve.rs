@@ -18,7 +18,7 @@
 //!   help.
 //! * **Zero steady-state allocation** — every O(cells) buffer (outputs,
 //!   validity masks, band scratch, time-stepping state copies, fused-tier
-//!   scratch) is drawn from the executor's `BufferPool`/mask pool and
+//!   scratch) is drawn from the executor's cell and mask pools and
 //!   returned either internally or by the caller via
 //!   [`ServeExecutor::recycle`]. Once the pools are warm, sustained mixed
 //!   traffic performs no pool-miss allocations — asserted by the
@@ -29,85 +29,32 @@
 //! * **Automatic tier selection** — on first sight of a `(fingerprint,
 //!   stepped?)` key under [`TierPolicy::Auto`], the service measures every
 //!   eligible tier (SIMD always; fused and native JIT when the program
-//!   supports them) on the job itself and caches the winner, so known
-//!   regressions like fused-vs-SIMD on upwind3d can never recur: repeated
-//!   traffic always runs each program's fastest tier. All tiers are
-//!   bit-identical, so the measurement runs *are* the job — no work is
-//!   wasted. [`TierPolicy::Fixed`] and the per-job [`JobSpec::tier`]
-//!   override knob pin a tier explicitly.
+//!   supports them) on the job itself and caches the winner — through the
+//!   executor's one [`crate::tier`] router, with this module's banded
+//!   sweep as the SIMD runner — so known regressions like fused-vs-SIMD
+//!   on upwind3d can never recur: repeated traffic always runs each
+//!   program's fastest tier. All tiers are bit-identical, so the
+//!   measurement runs *are* the job — no work is wasted.
+//!   [`TierPolicy::Fixed`] and the per-job [`JobSpec::tier`] override
+//!   knob pin a tier explicitly.
 //!
 //! Results contain the program outputs only (the fused tier's contract),
 //! bit-identical to [`ReferenceExecutor::run_interpreted`] on every tier.
 //!
 
 use crate::executor::{
-    CompiledProgram, ExecutionResult, ReferenceExecutor, PARALLEL_THRESHOLD_CELL_ACCESSES,
+    CompiledProgram, ExecutionResult, ReferenceExecutor, RunSpec, PARALLEL_THRESHOLD_CELL_ACCESSES,
 };
 use crate::grid::Grid;
+pub use crate::tier::{Tier, TierCacheLoad, TierChoice, TierPolicy};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use stencilflow_json::Json;
 use stencilflow_program::{ProgramError, StencilProgram};
 
 pub mod daemon;
-
-/// Execution tiers the service schedules between (the interpreter and the
-/// plain bytecode tiers exist for reference/testing, not for serving).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Tier {
-    /// The lane-batched compiled sweep (per-stencil materialization), run
-    /// through the service's banded, stealable path.
-    Simd,
-    /// The tile-fused tier (pooled scratch, temporal blocking).
-    Fused,
-    /// The Tier-4 native backend (fused schedule, `cc`-compiled sweeps).
-    Jit,
-}
-
-impl Tier {
-    /// Stable lowercase name (CLI / JSON rendering).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Tier::Simd => "simd",
-            Tier::Fused => "fused",
-            Tier::Jit => "jit",
-        }
-    }
-}
-
-impl std::fmt::Display for Tier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for Tier {
-    type Err = String;
-    fn from_str(s: &str) -> std::result::Result<Tier, String> {
-        match s {
-            "simd" => Ok(Tier::Simd),
-            "fused" => Ok(Tier::Fused),
-            "jit" => Ok(Tier::Jit),
-            other => Err(format!(
-                "unknown tier `{other}` (expected `simd`, `fused`, or `jit`)"
-            )),
-        }
-    }
-}
-
-/// How the service picks the execution tier for a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TierPolicy {
-    /// Measure the eligible tiers on first sight of a program fingerprint
-    /// and cache the winner (the default).
-    Auto,
-    /// Pin every job to one tier (ineligible programs fall back down the
-    /// executor's usual ladder: jit → fused → materializing).
-    Fixed(Tier),
-}
 
 /// Configuration for a [`ServeExecutor`].
 #[derive(Debug, Clone)]
@@ -237,7 +184,7 @@ impl From<ProgramError> for JobError {
 pub type JobResult = std::result::Result<ExecutionResult, JobError>;
 
 /// Render a `catch_unwind` payload as the human-readable panic message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -245,6 +192,15 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
+}
+
+/// Run `body` inside a panic-isolation boundary: a panic becomes the
+/// job's [`JobError::Panicked`] outcome instead of unwinding the worker.
+fn isolated<T>(
+    body: impl FnOnce() -> std::result::Result<T, JobError>,
+) -> std::result::Result<T, JobError> {
+    catch_unwind(AssertUnwindSafe(body))
+        .unwrap_or_else(|payload| Err(JobError::Panicked(panic_message(payload))))
 }
 
 /// One queued job: a program, its input grids, and an optional time-step
@@ -356,46 +312,10 @@ pub struct ServeStats {
     pub steals: usize,
 }
 
-/// One cached tier decision (reporting snapshot).
-#[derive(Debug, Clone)]
-pub struct TierChoice {
-    /// Hex program fingerprint (the cache identity).
-    pub fingerprint: String,
-    /// Program name recorded at decision time.
-    pub program: String,
-    /// Whether the decision covers stepped (`steps > 1`) jobs.
-    pub stepped: bool,
-    /// The winning tier.
-    pub tier: Tier,
-}
-
-/// What importing a persisted tier-decision cache did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TierCacheLoad {
-    /// Decisions loaded into the live cache.
-    pub loaded: usize,
-    /// True when the persisted salt did not match this build's
-    /// [`ServeExecutor::build_fingerprint`] and every decision was
-    /// discarded as stale.
-    pub stale: bool,
-}
-
-/// Tier decisions kept before the cache is reset (safety valve, mirroring
-/// the compiled-program cache policy).
-const TIER_CACHE_CAPACITY: usize = 1024;
-
-/// Format tag of the persisted tier-decision cache.
-const TIER_CACHE_FORMAT: &str = "stencilflow-tier-cache-v1";
-
 /// Stealable bands per worker on a large sweep: small enough to bound
 /// per-band bind overhead, large enough that a late-arriving idle worker
 /// still finds work.
 const BANDS_PER_WORKER: usize = 2;
-
-/// Jobs at or below this many cell·steps get a warmup run before each
-/// timed tier measurement (first-touch pool misses would otherwise bias
-/// the pick); larger jobs are measured in one shot.
-const MEASURE_WARMUP_MAX_CELLS: usize = 1 << 20;
 
 /// The multi-tenant batch executor. See the module docs for the
 /// scheduling, pooling, and tier-selection contracts.
@@ -404,11 +324,7 @@ pub struct ServeExecutor {
     executor: ReferenceExecutor,
     workers: usize,
     policy: TierPolicy,
-    /// Winning tier per (fingerprint, stepped?) key, with the program name
-    /// for reporting.
-    tiers: Mutex<BTreeMap<(u64, bool), (Tier, String)>>,
     jobs: AtomicUsize,
-    measurements: AtomicUsize,
     steals: AtomicUsize,
 }
 
@@ -492,9 +408,7 @@ impl ServeExecutor {
                 .with_pooled_results(true),
             workers: config.workers.max(1),
             policy: config.policy,
-            tiers: Mutex::new(BTreeMap::new()),
             jobs: AtomicUsize::new(0),
-            measurements: AtomicUsize::new(0),
             steals: AtomicUsize::new(0),
         }
     }
@@ -513,73 +427,21 @@ impl ServeExecutor {
             pool_misses: self.executor.pool_miss_count(),
             mask_acquires: self.executor.mask_pool_acquire_count(),
             mask_misses: self.executor.mask_pool_miss_count(),
-            tier_measurements: self.measurements.load(Ordering::Relaxed),
+            tier_measurements: self.executor.tier_measure_count(),
             steals: self.steals.load(Ordering::Relaxed),
         }
     }
 
     /// Snapshot of the cached tier decisions.
     pub fn tier_choices(&self) -> Vec<TierChoice> {
-        self.tiers
-            .lock()
-            .expect("tier cache poisoned")
-            .iter()
-            .map(|(&(fp, stepped), &(tier, ref program))| TierChoice {
-                fingerprint: format!("{fp:016x}"),
-                program: program.clone(),
-                stepped,
-                tier,
-            })
-            .collect()
-    }
-
-    /// The bench-relevant build fingerprint that salts persisted tier
-    /// decisions: anything that can shift the measured tier ranking —
-    /// crate version, kernel lane widths, debug vs release codegen, and
-    /// the native compiler behind the JIT tier — invalidates the cache.
-    pub fn build_fingerprint() -> String {
-        let jit = crate::jit::jit_salt().unwrap_or_else(|| "jit-unavailable".to_string());
-        format!(
-            "v{} lanes{}/{} {} [{jit}]",
-            env!("CARGO_PKG_VERSION"),
-            stencilflow_expr::KERNEL_LANES,
-            stencilflow_expr::KERNEL_LANES_WIDE,
-            if cfg!(debug_assertions) {
-                "debug"
-            } else {
-                "release"
-            },
-        )
+        self.executor.router.choices()
     }
 
     /// Serialize the measured tier decisions (plus the build salt) as a
     /// text-JSON document suitable for a cache file. Round-trips through
     /// [`import_tier_decisions`](ServeExecutor::import_tier_decisions).
     pub fn export_tier_decisions(&self) -> String {
-        let decisions: Vec<Json> = self
-            .tier_choices()
-            .into_iter()
-            .map(|choice| {
-                Json::Object(vec![
-                    ("fingerprint".to_string(), Json::String(choice.fingerprint)),
-                    ("program".to_string(), Json::String(choice.program)),
-                    ("stepped".to_string(), Json::Bool(choice.stepped)),
-                    (
-                        "tier".to_string(),
-                        Json::String(choice.tier.as_str().to_string()),
-                    ),
-                ])
-            })
-            .collect();
-        Json::Object(vec![
-            (
-                "format".to_string(),
-                Json::String(TIER_CACHE_FORMAT.to_string()),
-            ),
-            ("salt".to_string(), Json::String(Self::build_fingerprint())),
-            ("decisions".to_string(), Json::Array(decisions)),
-        ])
-        .to_string_pretty()
+        self.executor.router.export()
     }
 
     /// Load previously exported tier decisions into the live cache.
@@ -590,64 +452,7 @@ impl ServeExecutor {
     /// trust stale rankings. Malformed documents are errors; individual
     /// decisions never override a decision already measured live.
     pub fn import_tier_decisions(&self, text: &str) -> std::result::Result<TierCacheLoad, String> {
-        let doc = stencilflow_json::parse(text).map_err(|e| format!("tier cache: {e}"))?;
-        let format = doc
-            .get("format")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "tier cache: missing `format`".to_string())?;
-        if format != TIER_CACHE_FORMAT {
-            return Err(format!("tier cache: unknown format `{format}`"));
-        }
-        let salt = doc
-            .get("salt")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "tier cache: missing `salt`".to_string())?;
-        let decisions = doc
-            .get("decisions")
-            .and_then(Json::as_array)
-            .ok_or_else(|| "tier cache: missing `decisions` array".to_string())?;
-        if salt != Self::build_fingerprint() {
-            return Ok(TierCacheLoad {
-                loaded: 0,
-                stale: true,
-            });
-        }
-        let mut loaded = 0usize;
-        let mut tiers = self.tiers.lock().expect("tier cache poisoned");
-        for (ix, entry) in decisions.iter().enumerate() {
-            let fail = |msg: &str| format!("tier cache decision {ix}: {msg}");
-            let fingerprint = entry
-                .get("fingerprint")
-                .and_then(Json::as_str)
-                .ok_or_else(|| fail("missing `fingerprint`"))?;
-            let fingerprint = u64::from_str_radix(fingerprint, 16)
-                .map_err(|_| fail("`fingerprint` is not a hex u64"))?;
-            let program = entry
-                .get("program")
-                .and_then(Json::as_str)
-                .ok_or_else(|| fail("missing `program`"))?;
-            let stepped = entry
-                .get("stepped")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| fail("missing `stepped`"))?;
-            let tier: Tier = entry
-                .get("tier")
-                .and_then(Json::as_str)
-                .ok_or_else(|| fail("missing `tier`"))?
-                .parse()
-                .map_err(|e: String| fail(&e))?;
-            if tiers.len() >= TIER_CACHE_CAPACITY {
-                break;
-            }
-            tiers
-                .entry((fingerprint, stepped))
-                .or_insert_with(|| (tier, program.to_string()));
-            loaded += 1;
-        }
-        Ok(TierCacheLoad {
-            loaded,
-            stale: false,
-        })
+        self.executor.router.import(text)
     }
 
     /// Return a finished result's grids and masks to the shared pools.
@@ -744,12 +549,8 @@ impl ServeExecutor {
                 // guarantees that even a panic in the scheduler glue
                 // between them downgrades to a per-job outcome instead of
                 // aborting the batch.
-                let (result, tier) = match catch_unwind(AssertUnwindSafe(|| {
-                    self.execute_job(shared, &job)
-                })) {
-                    Ok(pair) => pair,
-                    Err(payload) => (Err(JobError::Panicked(panic_message(payload))), Tier::Simd),
-                };
+                let (result, tier) = isolated(|| self.execute_job(shared, &job))
+                    .unwrap_or_else(|err| (Err(err), Tier::Simd));
                 // Decrement before the sink so a panicking sink cannot
                 // leave the other workers waiting on `remaining` forever.
                 shared.remaining.fetch_sub(1, Ordering::AcqRel);
@@ -817,7 +618,7 @@ impl ServeExecutor {
         let mut mask = self.executor.alloc_result_mask(len);
         let stencil = &sweep.compiled.stencil_plans()[sweep.stencil_ix];
         let (inputs, computed) = sweep.maps();
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
+        let outcome = isolated(|| {
             if ix == 0 {
                 match sweep.fault {
                     Some(JobFault::Poison) => panic!("injected poison-job fault"),
@@ -829,7 +630,7 @@ impl ServeExecutor {
                 return Err(JobError::Cancelled);
             }
             stencil
-                .bind(inputs, computed, true, true, true)
+                .bind(inputs, computed, true, true)
                 .and_then(|bound| bound.run_rows(row_start, row_end, &mut data, &mut mask))
                 .map_err(|source| {
                     JobError::Program(ProgramError::Code {
@@ -837,11 +638,7 @@ impl ServeExecutor {
                         source,
                     })
                 })
-        }));
-        let outcome = match attempt {
-            Ok(outcome) => outcome,
-            Err(payload) => Err(JobError::Panicked(panic_message(payload))),
-        };
+        });
         match outcome {
             Ok(()) => sweep
                 .results
@@ -867,112 +664,36 @@ impl ServeExecutor {
         true
     }
 
-    fn execute_job(&self, shared: &BatchShared<'_>, job: &JobSpec) -> (JobResult, Tier) {
-        if job.is_cancelled() {
-            return (Err(JobError::Cancelled), Tier::Simd);
-        }
-        let compiled = match self.executor.prepare(&job.program) {
-            Ok(compiled) => compiled,
-            Err(err) => return (Err(err.into()), Tier::Simd),
-        };
-        if let Err(err) = ReferenceExecutor::check_inputs(&compiled, &job.inputs) {
-            return (Err(err.into()), Tier::Simd);
-        }
-        if job.steps == 0 {
-            return (
-                Err(JobError::Program(ProgramError::Invalid {
-                    message: "serve jobs require at least one time step".into(),
-                })),
-                Tier::Simd,
-            );
-        }
-        let pinned = job.tier.or(match self.policy {
-            TierPolicy::Fixed(tier) => Some(tier),
-            TierPolicy::Auto => None,
-        });
-        match pinned {
-            Some(tier) => (self.run_tier(shared, &compiled, job, tier), tier),
-            None => {
-                let key = (compiled.fingerprint(), job.steps > 1);
-                let cached = self
-                    .tiers
-                    .lock()
-                    .expect("tier cache poisoned")
-                    .get(&key)
-                    .map(|&(tier, _)| tier);
-                match cached {
-                    Some(tier) => (self.run_tier(shared, &compiled, job, tier), tier),
-                    None => self.measure_and_pick(shared, &compiled, job, key),
-                }
-            }
-        }
-    }
-
-    /// First sight of a fingerprint under [`TierPolicy::Auto`]: run every
-    /// eligible tier once (with a warmup pass for small jobs so
-    /// first-touch pool misses don't bias the timing), cache the fastest,
-    /// and return its result — all tiers are bit-identical, so the
-    /// measurement doubles as the job itself.
-    fn measure_and_pick(
+    /// One job, start to finish. `Err` is a job rejected before it reached
+    /// a tier (reported as [`Tier::Simd`], like a panic in the glue).
+    fn execute_job(
         &self,
         shared: &BatchShared<'_>,
-        compiled: &Arc<CompiledProgram>,
         job: &JobSpec,
-        key: (u64, bool),
-    ) -> (JobResult, Tier) {
-        let candidates = eligible_tiers(compiled, job.steps);
-        if candidates.len() == 1 {
-            let tier = candidates[0];
-            self.record_tier(key, tier, compiled.name());
-            return (self.run_tier(shared, compiled, job, tier), tier);
+    ) -> std::result::Result<(JobResult, Tier), JobError> {
+        if job.is_cancelled() {
+            return Err(JobError::Cancelled);
         }
-        let warm =
-            compiled.cell_count().saturating_mul(job.steps.max(1)) <= MEASURE_WARMUP_MAX_CELLS;
-        let mut best: Option<(Duration, Tier, ExecutionResult)> = None;
-        for &tier in &candidates {
-            if warm {
-                // Warmup errors surface in the timed run below.
-                if let Ok(result) = self.run_tier(shared, compiled, job, tier) {
-                    self.recycle(result);
-                }
-            }
-            let t0 = Instant::now();
-            match self.run_tier(shared, compiled, job, tier) {
-                Ok(result) => {
-                    let elapsed = t0.elapsed();
-                    match &best {
-                        Some((best_elapsed, _, _)) if elapsed >= *best_elapsed => {
-                            self.recycle(result);
-                        }
-                        _ => {
-                            if let Some((_, _, previous)) = best.replace((elapsed, tier, result)) {
-                                self.recycle(previous);
-                            }
-                        }
-                    }
-                }
-                // The SIMD tier is the floor: its failure is the job's
-                // failure. Fused/JIT measurement errors (e.g. a compiler
-                // hiccup) just exclude the tier from this decision.
-                Err(err) => {
-                    if tier == Tier::Simd {
-                        return (Err(err), Tier::Simd);
-                    }
-                }
-            }
+        let compiled = self.executor.prepare(&job.program)?;
+        ReferenceExecutor::check_inputs(&compiled, &job.inputs)?;
+        if job.steps == 0 {
+            return Err(JobError::Program(ProgramError::Invalid {
+                message: "serve jobs require at least one time step".into(),
+            }));
         }
-        let (_, tier, result) = best.expect("the SIMD tier always measured or errored above");
-        self.record_tier(key, tier, compiled.name());
-        self.measurements.fetch_add(1, Ordering::Relaxed);
-        (Ok(result), tier)
-    }
-
-    fn record_tier(&self, key: (u64, bool), tier: Tier, program: &str) {
-        let mut tiers = self.tiers.lock().expect("tier cache poisoned");
-        if tiers.len() >= TIER_CACHE_CAPACITY {
-            tiers.clear();
-        }
-        tiers.insert(key, (tier, program.to_string()));
+        // One step is a single application (no feedback pairing is
+        // validated), more is a stepped run. Under `Auto`, first sight of
+        // a fingerprint measures every eligible tier on the job itself and
+        // caches the fastest; the SIMD runner handed to the router is the
+        // banded, stealable sweep.
+        let steps = (job.steps > 1).then_some(job.steps);
+        Ok(self.executor.router.dispatch(
+            &compiled,
+            steps,
+            job.tier.map_or(self.policy, TierPolicy::Fixed),
+            |tier| self.run_tier(shared, &compiled, job, steps, tier),
+            |result| self.recycle(result),
+        ))
     }
 
     fn run_tier(
@@ -980,6 +701,7 @@ impl ServeExecutor {
         shared: &BatchShared<'_>,
         compiled: &Arc<CompiledProgram>,
         job: &JobSpec,
+        steps: Option<usize>,
         tier: Tier,
     ) -> JobResult {
         if job.is_cancelled() {
@@ -995,37 +717,24 @@ impl ServeExecutor {
             // "zero pool misses after a panic" — the injected poison
             // fault fires before entry precisely so tests can pin the
             // stronger banded guarantee separately.
-            Tier::Fused | Tier::Jit => {
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    match job.fault {
-                        Some(JobFault::Poison) => panic!("injected poison-job fault"),
-                        Some(JobFault::Stall(delay)) => std::thread::sleep(delay),
-                        None => {}
-                    }
-                    if job.is_cancelled() {
-                        return Err(JobError::Cancelled);
-                    }
-                    let run = match (tier, job.steps <= 1) {
-                        (Tier::Fused, true) => {
-                            self.executor.run_fused_compiled(compiled, &job.inputs)
-                        }
-                        (Tier::Fused, false) => {
-                            self.executor
-                                .run_steps_fused_compiled(compiled, &job.inputs, job.steps)
-                        }
-                        (_, true) => self.executor.run_jit_compiled(compiled, &job.inputs),
-                        (_, false) => {
-                            self.executor
-                                .run_steps_jit_compiled(compiled, &job.inputs, job.steps)
-                        }
-                    };
-                    run.map_err(JobError::Program)
-                }));
-                match attempt {
-                    Ok(result) => result,
-                    Err(payload) => Err(JobError::Panicked(panic_message(payload))),
+            Tier::Fused | Tier::Jit => isolated(|| {
+                match job.fault {
+                    Some(JobFault::Poison) => panic!("injected poison-job fault"),
+                    Some(JobFault::Stall(delay)) => std::thread::sleep(delay),
+                    None => {}
                 }
-            }
+                if job.is_cancelled() {
+                    return Err(JobError::Cancelled);
+                }
+                let spec = RunSpec {
+                    steps,
+                    tier: TierPolicy::Fixed(tier),
+                };
+                self.executor
+                    .execute(compiled, &job.inputs, &spec)
+                    .map(|(result, _)| result)
+                    .map_err(JobError::Program)
+            }),
         }
     }
 
@@ -1112,39 +821,27 @@ impl ServeExecutor {
         for (_, grid) in std::mem::take(&mut io.work) {
             self.executor.pool_release(grid.into_data());
         }
-        if let Err(err) = outcome {
-            for (_, grid) in std::mem::take(&mut io.computed) {
-                self.executor.pool_release(grid.into_data());
-            }
-            for (_, mask) in std::mem::take(&mut final_masks) {
-                self.executor.release_mask(mask);
-            }
-            return Err(err);
-        }
-
-        // Outputs-only contract: intermediates return to the pools.
+        // Outputs-only contract: intermediates — and everything a failed
+        // job computed — return to the pools too.
         let outputs = compiled.output_names();
+        let keep = |name: &String| outcome.is_ok() && outputs.contains(name);
         let mut fields = BTreeMap::new();
         let mut out_masks = BTreeMap::new();
         for (name, grid) in std::mem::take(&mut io.computed) {
-            if outputs.contains(&name) {
+            if keep(&name) {
                 fields.insert(name, grid);
             } else {
                 self.executor.pool_release(grid.into_data());
             }
         }
         for (name, mask) in final_masks {
-            if outputs.contains(&name) {
+            if keep(&name) {
                 out_masks.insert(name, mask);
             } else {
                 self.executor.release_mask(mask);
             }
         }
-        Ok(ExecutionResult::from_parts(
-            fields,
-            out_masks,
-            cells_evaluated,
-        ))
+        outcome.map(|()| ExecutionResult::from_parts(fields, out_masks, cells_evaluated))
     }
 
     /// Sweep one stencil, banded across the worker pool when large. The
@@ -1286,25 +983,6 @@ impl ServeExecutor {
         let dim_refs: Vec<&str> = grid.dims().iter().map(String::as_str).collect();
         Grid::from_data(&dim_refs, grid.shape(), grid.data_type(), data)
     }
-}
-
-/// The tiers eligible for a job: SIMD always; fused when the plan (and,
-/// for stepped jobs, the feedback pairing) supports it; JIT additionally
-/// when the emitted unit exists and a compiler is reachable.
-fn eligible_tiers(compiled: &CompiledProgram, steps: usize) -> Vec<Tier> {
-    let mut tiers = vec![Tier::Simd];
-    let fused_ok = if steps > 1 {
-        compiled.fused_steps_supported()
-    } else {
-        compiled.fused_tier_supported()
-    };
-    if fused_ok {
-        tiers.push(Tier::Fused);
-        if compiled.jit_supported() && crate::jit::jit_available().is_ok() {
-            tiers.push(Tier::Jit);
-        }
-    }
-    tiers
 }
 
 #[cfg(test)]

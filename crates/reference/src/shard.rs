@@ -45,8 +45,9 @@
 //! and the supervisor **degrades** to the single-shard fused tier, which is
 //! bitwise identical by construction.
 
-use crate::executor::{CompiledProgram, ExecutionResult, ReferenceExecutor};
+use crate::executor::{CompiledProgram, ExecutionResult, ReferenceExecutor, RunSpec};
 use crate::grid::Grid;
+use crate::tier::{Tier, TierPolicy};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -738,13 +739,7 @@ fn plan_run(
     let mut shards = config.shards.min(extent).max(1);
     let mut window = config
         .window
-        .unwrap_or_else(|| {
-            if shards > host {
-                1
-            } else {
-                exec.fusion_window()
-            }
-        })
+        .unwrap_or(if shards > host { 1 } else { exec.fusion_window })
         .clamp(1, steps.max(1));
     // Shrink the window (then the shard count) until every shard can own at
     // least its dilation depth, so halos always come from interior rows.
@@ -807,6 +802,15 @@ fn plan_run(
         payload_words,
         link_capacity,
     })
+}
+
+/// Shard slabs (and the degraded single-shard rerun) always take the
+/// fused tier: a single application, or `steps` time steps.
+fn fused_spec(steps_mode: bool, steps: usize) -> RunSpec {
+    RunSpec {
+        steps: steps_mode.then_some(steps),
+        tier: TierPolicy::Fixed(Tier::Fused),
+    }
 }
 
 /// Entry point shared by [`ReferenceExecutor::run_sharded`] and
@@ -906,14 +910,10 @@ pub(crate) fn run_sharded(
                     }));
                     let outcome = match run {
                         Ok(result) => result,
-                        Err(panic) => {
-                            let reason = panic
-                                .downcast_ref::<String>()
-                                .cloned()
-                                .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-                                .unwrap_or_else(|| "worker panicked".to_string());
-                            Err(format!("shard {shard} panicked: {reason}"))
-                        }
+                        Err(panic) => Err(format!(
+                            "shard {shard} panicked: {}",
+                            crate::serve::panic_message(panic)
+                        )),
                     };
                     if let Err(reason) = &outcome {
                         shared.set_status(
@@ -1015,11 +1015,7 @@ pub(crate) fn run_sharded(
         report
             .fault_log
             .push(format!("degraded to the single-shard fused tier: {reason}"));
-        let result = if steps_mode {
-            exec.run_steps_fused_compiled(&global, inputs, steps)?
-        } else {
-            exec.run_fused_compiled(&global, inputs)?
-        };
+        let (result, _) = exec.execute(&global, inputs, &fused_spec(steps_mode, steps))?;
         report.elapsed = started.elapsed();
         return Ok(ShardedOutcome { result, report });
     }
@@ -1516,12 +1512,13 @@ fn worker_run(
         };
         shared.set_status(shard, WorkerStatus::Computing { window });
         let compute_started = Instant::now();
-        let result = if steps_mode {
-            worker_exec.run_steps_fused_compiled(&compiled, &work_inputs, window_steps)
-        } else {
-            worker_exec.run_fused_compiled(&compiled, &work_inputs)
-        }
-        .map_err(|e| format!("shard {shard} window {window}: {e}"))?;
+        let (result, _) = worker_exec
+            .execute(
+                &compiled,
+                &work_inputs,
+                &fused_spec(steps_mode, window_steps),
+            )
+            .map_err(|e| format!("shard {shard} window {window}: {e}"))?;
         comms.stats.compute += compute_started.elapsed();
         comms.stats.cells_evaluated += result.cells_evaluated();
         steps_done += window_steps;
@@ -1862,7 +1859,7 @@ mod tests {
         let program = diffusion_program(&[20, 6, 4]);
         let inputs = ramp_inputs(&program);
         let exec = ReferenceExecutor::new();
-        let reference = exec.run_fused(&program, &inputs).unwrap();
+        let reference = exec.run(&program, &inputs).unwrap();
         let outcome = exec
             .run_sharded(&program, &inputs, &ShardConfig::shards(3))
             .unwrap();

@@ -1,0 +1,486 @@
+//! Execution-tier selection: the tier names, the pinned-or-measured
+//! policy, and the one `TierRouter` that times tiers against each other.
+//!
+//! All tiers are bit-identical, so which one runs is purely a performance
+//! decision. Under [`TierPolicy::Auto`] the first sight of a `(program
+//! fingerprint, stepped?)` key runs every eligible tier on the job's real
+//! inputs — the measurement runs *are* the job — and caches the winner;
+//! repeat traffic pays one lock and one map lookup. Both
+//! [`ReferenceExecutor::execute`](crate::ReferenceExecutor::execute) and
+//! the service layer route through `TierRouter::route`, passing their own
+//! per-tier runners (the service's `Tier::Simd` runner is its banded,
+//! stealable sweep).
+
+use crate::executor::CompiledProgram;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
+use stencilflow_json::Json;
+use stencilflow_program::ProgramError;
+
+/// Execution tiers a run can be scheduled on (the interpreter and the
+/// plain bytecode tiers exist for reference/testing, not for routing).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Tier {
+    /// The lane-batched compiled sweep (per-stencil materialization).
+    Simd,
+    /// The tile-fused tier (pooled scratch, temporal blocking).
+    Fused,
+    /// The Tier-4 native backend (fused schedule, `cc`-compiled sweeps).
+    Jit,
+}
+
+impl Tier {
+    /// Stable lowercase name (CLI / JSON rendering).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Tier::Simd => "simd",
+            Tier::Fused => "fused",
+            Tier::Jit => "jit",
+        }
+    }
+}
+
+impl std::fmt::Display for Tier {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl std::str::FromStr for Tier {
+    type Err = String;
+    fn from_str(s: &str) -> std::result::Result<Tier, String> {
+        [Tier::Simd, Tier::Fused, Tier::Jit]
+            .into_iter()
+            .find(|tier| tier.as_str() == s)
+            .ok_or_else(|| format!("unknown tier `{s}` (expected `simd`, `fused`, or `jit`)"))
+    }
+}
+
+/// How the execution tier of a run is picked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TierPolicy {
+    /// Measure the eligible tiers on first sight of a program fingerprint
+    /// and cache the winner (the default).
+    Auto,
+    /// Pin one tier (ineligible programs fall back down the executor's
+    /// usual ladder: jit → fused → materializing).
+    Fixed(Tier),
+}
+
+/// One cached tier decision (reporting snapshot).
+#[derive(Debug, Clone)]
+pub struct TierChoice {
+    /// Hex program fingerprint (the cache identity).
+    pub fingerprint: String,
+    /// Program name recorded at decision time.
+    pub program: String,
+    /// Whether the decision covers stepped jobs.
+    pub stepped: bool,
+    /// The winning tier.
+    pub tier: Tier,
+}
+
+/// What importing a persisted tier-decision cache did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TierCacheLoad {
+    /// Decisions loaded into the live cache.
+    pub loaded: usize,
+    /// True when the persisted salt did not match this build (crate
+    /// version, lane widths, debug vs release, native compiler) and every
+    /// decision was discarded as stale.
+    pub stale: bool,
+}
+
+/// Tier decisions kept before the cache is reset (safety valve, mirroring
+/// the compiled-program cache policy).
+const TIER_CACHE_CAPACITY: usize = 1024;
+
+/// Format tag of the persisted tier-decision cache.
+const TIER_CACHE_FORMAT: &str = "stencilflow-tier-cache-v1";
+
+/// Runs at or below this many cell·steps get a warmup run before each
+/// timed tier measurement (first-touch pool misses would otherwise bias
+/// the pick); larger runs are measured in one shot.
+const MEASURE_WARMUP_MAX_CELLS: usize = 1 << 20;
+
+/// The bench-relevant build fingerprint that salts persisted tier
+/// decisions: anything that can shift the measured tier ranking — crate
+/// version, kernel lane widths, debug vs release codegen, and the native
+/// compiler behind the JIT tier — invalidates the cache.
+fn build_fingerprint() -> String {
+    let jit = crate::jit::jit_salt().unwrap_or_else(|| "jit-unavailable".to_string());
+    format!(
+        "v{} lanes{}/{} {} [{jit}]",
+        env!("CARGO_PKG_VERSION"),
+        stencilflow_expr::KERNEL_LANES,
+        stencilflow_expr::KERNEL_LANES_WIDE,
+        if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        },
+    )
+}
+
+/// The tiers eligible for a run, floor first: SIMD always; fused when the
+/// plan (and, for stepped runs, the feedback pairing) supports it; JIT
+/// additionally when the emitted unit exists and a compiler is reachable.
+fn eligible_tiers(compiled: &CompiledProgram, stepped: bool) -> &'static [Tier] {
+    let fused_ok = if stepped {
+        compiled.fused_steps_supported()
+    } else {
+        compiled.fused_tier_supported()
+    };
+    if !fused_ok {
+        &[Tier::Simd]
+    } else if compiled.jit_supported() && crate::jit::jit_available().is_ok() {
+        &[Tier::Simd, Tier::Fused, Tier::Jit]
+    } else {
+        &[Tier::Simd, Tier::Fused]
+    }
+}
+
+/// Identity of one routing decision: the `(fingerprint, stepped)` cache
+/// key plus the program name recorded next to the winner for reporting.
+#[derive(Debug, Clone, Copy)]
+struct RouteKey<'a> {
+    fingerprint: u64,
+    stepped: bool,
+    program: &'a str,
+}
+
+/// The measured tier decisions of one executor.
+#[derive(Debug, Default)]
+pub(crate) struct TierRouter {
+    /// Winning tier per `(fingerprint, stepped?)`, with the program name
+    /// for reporting.
+    decisions: Mutex<BTreeMap<(u64, bool), (Tier, String)>>,
+    /// First-sight measurements performed.
+    measurements: AtomicUsize,
+}
+
+impl TierRouter {
+    /// First-sight measurements performed (each covers one
+    /// `(fingerprint, stepped?)` key; repeat traffic hits the cache).
+    pub(crate) fn measure_count(&self) -> usize {
+        self.measurements.load(Ordering::Relaxed)
+    }
+
+    /// [`TierRouter::route`] for one job of `compiled` (`steps: None` is a
+    /// single application) under `policy`. The only tier with anything to
+    /// prepare is JIT, which compiles (or loads from the disk cache) and
+    /// `dlopen`s its module.
+    pub(crate) fn dispatch<R, E: From<ProgramError>>(
+        &self,
+        compiled: &CompiledProgram,
+        steps: Option<usize>,
+        policy: TierPolicy,
+        mut run: impl FnMut(Tier) -> Result<R, E>,
+        discard: impl FnMut(R),
+    ) -> (Result<R, E>, Tier) {
+        if let TierPolicy::Fixed(tier) = policy {
+            return (run(tier), tier);
+        }
+        let key = RouteKey {
+            fingerprint: compiled.fingerprint(),
+            stepped: steps.is_some(),
+            program: compiled.name(),
+        };
+        let first_sight = || {
+            let work = compiled.cell_count().saturating_mul(steps.unwrap_or(1));
+            let warm = work <= MEASURE_WARMUP_MAX_CELLS;
+            (eligible_tiers(compiled, key.stepped), warm)
+        };
+        let prepare = |tier| match tier {
+            Tier::Jit => crate::jit::stage_fns(compiled).map(drop).map_err(E::from),
+            _ => Ok(()),
+        };
+        self.route(key, first_sight, prepare, run, discard)
+    }
+
+    /// Run one job on its cached tier, deciding the tier first if `key`
+    /// has never been seen — the hit path is one lock and one map lookup.
+    ///
+    /// Only a miss asks `first_sight` for the eligible tiers (floor first,
+    /// never empty) and whether to warm up. Every candidate is then
+    /// `prepare`d *outside* its timer (so `cc` time never enters a
+    /// decision), warmed up once if asked, and `run` once under the clock;
+    /// the fastest wins, is cached, and its result is the job's result —
+    /// all tiers are bit-identical, so no work is wasted. Losing results
+    /// go to `discard`. The floor's failure is the call's failure; any
+    /// other candidate that fails to prepare or run is merely excluded
+    /// from this decision. A single candidate is recorded without being
+    /// counted as a measurement.
+    fn route<R, E>(
+        &self,
+        key: RouteKey<'_>,
+        first_sight: impl FnOnce() -> (&'static [Tier], bool),
+        mut prepare: impl FnMut(Tier) -> Result<(), E>,
+        mut run: impl FnMut(Tier) -> Result<R, E>,
+        mut discard: impl FnMut(R),
+    ) -> (Result<R, E>, Tier) {
+        let cached = self
+            .decisions
+            .lock()
+            .expect("tier cache poisoned")
+            .get(&(key.fingerprint, key.stepped))
+            .map(|&(tier, _)| tier);
+        if let Some(tier) = cached {
+            return (run(tier), tier);
+        }
+        let (candidates, warm) = first_sight();
+        let floor = candidates[0];
+        if candidates.len() == 1 {
+            self.record(key, floor);
+            return (run(floor), floor);
+        }
+        let mut best: Option<(Duration, Tier, R)> = None;
+        for &tier in candidates {
+            let timed = prepare(tier).and_then(|()| {
+                if warm {
+                    // Warmup errors surface in the timed run below.
+                    if let Ok(result) = run(tier) {
+                        discard(result);
+                    }
+                }
+                let t0 = Instant::now();
+                run(tier).map(|result| (t0.elapsed(), result))
+            });
+            match timed {
+                Ok((elapsed, result)) => {
+                    if best.as_ref().is_some_and(|(b, _, _)| elapsed >= *b) {
+                        discard(result);
+                    } else if let Some((_, _, previous)) = best.replace((elapsed, tier, result)) {
+                        discard(previous);
+                    }
+                }
+                Err(err) if tier == floor => return (Err(err), floor),
+                Err(_) => {}
+            }
+        }
+        let (_, tier, result) = best.expect("the floor tier either measured or returned above");
+        self.record(key, tier);
+        self.measurements.fetch_add(1, Ordering::Relaxed);
+        (Ok(result), tier)
+    }
+
+    fn record(&self, key: RouteKey<'_>, tier: Tier) {
+        let mut decisions = self.decisions.lock().expect("tier cache poisoned");
+        if decisions.len() >= TIER_CACHE_CAPACITY {
+            decisions.clear();
+        }
+        decisions.insert(
+            (key.fingerprint, key.stepped),
+            (tier, key.program.to_string()),
+        );
+    }
+
+    /// Snapshot of the cached decisions.
+    pub(crate) fn choices(&self) -> Vec<TierChoice> {
+        self.decisions
+            .lock()
+            .expect("tier cache poisoned")
+            .iter()
+            .map(|(&(fp, stepped), &(tier, ref program))| TierChoice {
+                fingerprint: format!("{fp:016x}"),
+                program: program.clone(),
+                stepped,
+                tier,
+            })
+            .collect()
+    }
+
+    /// Serialize the decisions (plus the build salt) as a text-JSON
+    /// document suitable for a cache file.
+    pub(crate) fn export(&self) -> String {
+        let text = |s: &str| Json::String(s.to_string());
+        let object = |members: Vec<(&str, Json)>| {
+            Json::Object(
+                members
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect(),
+            )
+        };
+        let decisions = self.choices().into_iter().map(|choice| {
+            object(vec![
+                ("fingerprint", text(&choice.fingerprint)),
+                ("program", text(&choice.program)),
+                ("stepped", Json::Bool(choice.stepped)),
+                ("tier", text(choice.tier.as_str())),
+            ])
+        });
+        object(vec![
+            ("format", text(TIER_CACHE_FORMAT)),
+            ("salt", text(&build_fingerprint())),
+            ("decisions", Json::Array(decisions.collect())),
+        ])
+        .to_string_pretty()
+    }
+
+    /// Load previously exported decisions. A salt that does not match
+    /// this build discards every decision (`stale: true`); malformed
+    /// documents are errors; a decision already measured live is never
+    /// overridden.
+    pub(crate) fn import(&self, text: &str) -> Result<TierCacheLoad, String> {
+        fn member<'j, T>(
+            object: &'j Json,
+            key: &str,
+            read: impl FnOnce(&'j Json) -> Option<T>,
+        ) -> Result<T, String> {
+            let missing = || format!("missing `{key}`");
+            object.get(key).and_then(read).ok_or_else(missing)
+        }
+        let top = |e: String| format!("tier cache: {e}");
+        let doc = stencilflow_json::parse(text).map_err(|e| top(e.to_string()))?;
+        let format = member(&doc, "format", Json::as_str).map_err(top)?;
+        if format != TIER_CACHE_FORMAT {
+            return Err(top(format!("unknown format `{format}`")));
+        }
+        let salt = member(&doc, "salt", Json::as_str).map_err(top)?;
+        let decisions = member(&doc, "decisions", Json::as_array).map_err(top)?;
+        let stale = salt != build_fingerprint();
+        let decisions = if stale { &[] } else { decisions };
+        let mut loaded = 0usize;
+        let mut live = self.decisions.lock().expect("tier cache poisoned");
+        for (ix, entry) in decisions.iter().enumerate() {
+            let fail = |e: String| format!("tier cache decision {ix}: {e}");
+            let fingerprint = member(entry, "fingerprint", Json::as_str).map_err(fail)?;
+            let fingerprint = u64::from_str_radix(fingerprint, 16)
+                .map_err(|_| fail("`fingerprint` is not a hex u64".to_string()))?;
+            let program = member(entry, "program", Json::as_str).map_err(fail)?;
+            let stepped = member(entry, "stepped", Json::as_bool).map_err(fail)?;
+            let tier = member(entry, "tier", Json::as_str).map_err(fail)?;
+            let tier: Tier = tier.parse().map_err(fail)?;
+            if live.len() >= TIER_CACHE_CAPACITY {
+                break;
+            }
+            live.entry((fingerprint, stepped))
+                .or_insert_with(|| (tier, program.to_string()));
+            loaded += 1;
+        }
+        Ok(TierCacheLoad { loaded, stale })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::Cell;
+
+    static ALL: [Tier; 3] = [Tier::Simd, Tier::Fused, Tier::Jit];
+
+    /// Closure fakes for one `route` call: per-tier prepare and run times
+    /// in milliseconds (indexed by `Tier as usize`) and the tiers whose
+    /// prepare / run fail. Counts runs and discards.
+    #[derive(Default)]
+    struct Fake {
+        prepare_ms: [u64; 3],
+        run_ms: [u64; 3],
+        prepare_fails: Option<Tier>,
+        run_fails: Option<Tier>,
+        runs: Cell<usize>,
+        discards: Cell<usize>,
+    }
+
+    impl Fake {
+        fn route(&self, router: &TierRouter, fingerprint: u64, stepped: bool, warm: bool) -> Tier {
+            let key = RouteKey {
+                fingerprint,
+                stepped,
+                program: "fake",
+            };
+            let outcome = |fails: Option<Tier>, ms: &[u64; 3], tier: Tier| {
+                std::thread::sleep(Duration::from_millis(ms[tier as usize]));
+                if fails == Some(tier) {
+                    Err(format!("{tier} exploded"))
+                } else {
+                    Ok(tier)
+                }
+            };
+            let (result, tier) = router.route(
+                key,
+                || (&ALL, warm),
+                |tier| outcome(self.prepare_fails, &self.prepare_ms, tier).map(drop),
+                |tier| {
+                    self.runs.set(self.runs.get() + 1);
+                    outcome(self.run_fails, &self.run_ms, tier)
+                },
+                |_| self.discards.set(self.discards.get() + 1),
+            );
+            match result {
+                Ok(won) => assert_eq!(won, tier, "the winner's own result is returned"),
+                Err(_) => assert_eq!(self.run_fails, Some(tier)),
+            }
+            tier
+        }
+    }
+
+    #[test]
+    fn prepare_time_never_enters_the_decision() {
+        // The JIT fake "compiles" for far longer than any run takes, but
+        // its run is the fastest: it must win.
+        let router = TierRouter::default();
+        let fake = Fake {
+            prepare_ms: [0, 0, 120],
+            run_ms: [30, 20, 2],
+            ..Fake::default()
+        };
+        assert_eq!(fake.route(&router, 1, false, false), Tier::Jit);
+        assert_eq!((fake.runs.get(), fake.discards.get()), (3, 2));
+        assert_eq!(router.measure_count(), 1);
+    }
+
+    #[test]
+    fn a_failing_non_floor_candidate_is_excluded() {
+        // Fused fails to run, JIT fails to prepare: SIMD is all that is left.
+        let router = TierRouter::default();
+        let fake = Fake {
+            run_ms: [20, 0, 0],
+            prepare_fails: Some(Tier::Jit),
+            run_fails: Some(Tier::Fused),
+            ..Fake::default()
+        };
+        assert_eq!(fake.route(&router, 2, false, true), Tier::Simd);
+        assert_eq!(fake.discards.get(), 1, "only SIMD's warm-up result");
+        assert_eq!(router.choices()[0].tier, Tier::Simd);
+    }
+
+    #[test]
+    fn a_failing_floor_candidate_fails_the_call() {
+        let router = TierRouter::default();
+        let fake = Fake {
+            run_fails: Some(Tier::Simd),
+            ..Fake::default()
+        };
+        assert_eq!(fake.route(&router, 3, false, false), Tier::Simd);
+        assert_eq!(fake.runs.get(), 1, "nothing is tried after the floor fails");
+        assert_eq!(router.measure_count(), 0);
+        assert!(router.choices().is_empty(), "a failed call decides nothing");
+    }
+
+    #[test]
+    fn a_second_route_on_the_same_key_measures_nothing() {
+        let router = TierRouter::default();
+        let fake = Fake {
+            run_ms: [1, 15, 15],
+            ..Fake::default()
+        };
+        assert_eq!(fake.route(&router, 4, false, false), Tier::Simd);
+        assert_eq!(fake.runs.get(), 3);
+        // The hit path runs the cached tier once: no prepare (it would
+        // fail), no warm-up, no discard.
+        let hit = Fake {
+            prepare_fails: Some(Tier::Simd),
+            ..Fake::default()
+        };
+        assert_eq!(hit.route(&router, 4, false, true), Tier::Simd);
+        assert_eq!((hit.runs.get(), hit.discards.get()), (1, 0));
+        assert_eq!(router.measure_count(), 1);
+        // Stepped traffic on the same fingerprint is a distinct key.
+        fake.route(&router, 4, true, false);
+        assert_eq!(router.measure_count(), 2);
+    }
+}

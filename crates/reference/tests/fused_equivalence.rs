@@ -1,104 +1,75 @@
-//! Golden equivalence of the tile-fused tier: fused execution must agree
-//! **bit for bit** with the tree-walking interpreter (and the
-//! materializing compiled path) on every program output — values and
-//! shrink masks — across tile heights, window sizes, and workloads,
-//! including the programs that fall back to the materializing path.
+//! Golden equivalence of the output-only tiers behind
+//! `ReferenceExecutor::execute`: every pinned tier (SIMD, fused, JIT) must
+//! agree **bit for bit** with the tree-walking interpreter on every
+//! program output — values, shrink masks, and error values — across tile
+//! heights, window sizes, and workloads, including the programs that fall
+//! back to the materializing path. The all-tier loop over the shared
+//! workloads runs here (once), next to the fused tier's own contracts
+//! (eligibility, dead-stage elision, pool steady state, measured
+//! routing); `jit_equivalence.rs` holds the native backend's.
 
+mod common;
+
+use common::{assert_outputs_match, assert_tiers_bit_identical, run_on, run_pinned, TIERS};
 use std::collections::BTreeMap;
 use stencilflow_expr::DataType;
 use stencilflow_program::{BoundaryCondition, StencilProgram, StencilProgramBuilder};
-use stencilflow_reference::{generate_inputs, Grid, ReferenceExecutor};
+use stencilflow_reference::{generate_inputs, Grid, ReferenceExecutor, Tier, TierPolicy};
 use stencilflow_workloads::{
     chain_program, diffusion2d, diffusion3d, horizontal_diffusion, jacobi2d, jacobi3d,
     jacobi3d_typed, listing1::listing1_with_shape, upwind3d_typed, ChainSpec,
     HorizontalDiffusionSpec,
 };
 
-/// Compare two results on the program outputs, bitwise, masks included.
-fn assert_outputs_match(
-    program: &StencilProgram,
-    label: &str,
-    fused: &stencilflow_reference::ExecutionResult,
-    baseline: &stencilflow_reference::ExecutionResult,
-) {
-    for output in program.outputs() {
-        let f = fused
-            .field(output)
-            .unwrap_or_else(|| panic!("fused result misses output `{output}`"));
-        let b = baseline.field(output).unwrap();
-        assert_eq!(f.shape(), b.shape());
-        for (cell, (x, y)) in f.as_slice().iter().zip(b.as_slice().iter()).enumerate() {
-            assert!(
-                x.to_bits() == y.to_bits(),
-                "program `{}` ({label}), output `{output}`, cell {cell}: \
-                 fused {x:?} != baseline {y:?}",
-                program.name()
-            );
+/// Time stepping on every tier across window sizes and tile heights vs
+/// the materializing stepper.
+fn assert_tier_steps_bit_identical(program: &StencilProgram, seed: u64, steps: usize) {
+    let inputs = generate_inputs(program, seed);
+    let baseline = ReferenceExecutor::new()
+        .run_steps(program, &inputs, steps)
+        .unwrap();
+    for tier in TIERS {
+        for window in [1usize, 2, 3, steps.max(1)] {
+            for tile_rows in [0usize, 1, 3] {
+                let executor = ReferenceExecutor::new()
+                    .with_fusion_window(window)
+                    .with_fusion_tile_rows(tile_rows);
+                let result = run_pinned(&executor, program, &inputs, Some(steps), tier).unwrap();
+                assert_outputs_match(
+                    program,
+                    &format!("{tier} steps={steps} window={window} tile_rows={tile_rows}"),
+                    &result,
+                    &baseline,
+                );
+            }
         }
-        assert_eq!(
-            fused.valid_mask(output).unwrap(),
-            baseline.valid_mask(output).unwrap(),
-            "mask mismatch for `{output}` in `{}` ({label})",
-            program.name()
-        );
     }
 }
 
-/// Run the fused tier under several tile heights and compare each against
-/// the interpreter (and the materializing compiled path).
-fn assert_fused_bit_identical(program: &StencilProgram, seed: u64) {
-    let inputs = generate_inputs(program, seed);
-    let plain = ReferenceExecutor::new();
-    let interpreted = plain.run_interpreted(program, &inputs).unwrap();
-    let materializing = plain.run(program, &inputs).unwrap();
-    assert_outputs_match(program, "materializing", &materializing, &interpreted);
-    for tile_rows in [0usize, 1, 2, 5] {
-        let executor = ReferenceExecutor::new()
-            .with_tier_measurement(false)
-            .with_fusion_tile_rows(tile_rows);
-        let fused = executor.run_fused(program, &inputs).unwrap();
-        assert_outputs_match(
-            program,
-            &format!("tile_rows={tile_rows}"),
-            &fused,
-            &interpreted,
-        );
-        // The fused result carries exactly the program outputs.
-        let fields: Vec<&str> = fused.fields().map(|(name, _)| name).collect();
-        assert_eq!(fields.len(), program.outputs().len());
-    }
-}
-
-/// Fused time stepping across window sizes and tile heights vs the
-/// materializing stepper.
-fn assert_fused_steps_bit_identical(program: &StencilProgram, seed: u64, steps: usize) {
-    let inputs = generate_inputs(program, seed);
-    let plain = ReferenceExecutor::new();
-    let baseline = plain.run_steps(program, &inputs, steps).unwrap();
-    for window in [1usize, 2, 3, steps.max(1)] {
-        for tile_rows in [0usize, 1, 3] {
-            let executor = ReferenceExecutor::new()
-                .with_tier_measurement(false)
-                .with_fusion_window(window)
-                .with_fusion_tile_rows(tile_rows);
-            let fused = executor.run_steps_fused(program, &inputs, steps).unwrap();
-            assert_outputs_match(
-                program,
-                &format!("steps={steps} window={window} tile_rows={tile_rows}"),
-                &fused,
-                &baseline,
-            );
+/// Unpairable programs and zero steps error on every tier exactly like
+/// `run_steps` — even a single step validates the pairing.
+fn assert_stepping_rejections_match(unpairable: &StencilProgram) {
+    let executor = ReferenceExecutor::new();
+    let inputs = generate_inputs(unpairable, 1);
+    for steps in [3usize, 1, 0] {
+        let want = executor
+            .run_steps(unpairable, &inputs, steps)
+            .unwrap_err()
+            .to_string();
+        for tier in TIERS {
+            let error = run_pinned(&executor, unpairable, &inputs, Some(steps), tier).unwrap_err();
+            assert_eq!(error.to_string(), want, "{tier} steps={steps}");
         }
     }
 }
 
 #[test]
 fn fused_matches_on_jacobi_and_diffusion() {
-    assert_fused_bit_identical(&jacobi2d(2, &[13, 9], 1), 1);
-    assert_fused_bit_identical(&jacobi3d(2, &[9, 7, 11], 1), 2);
-    assert_fused_bit_identical(&jacobi3d_typed(2, &[9, 7, 11], 1, DataType::Float64), 3);
-    assert_fused_bit_identical(&diffusion2d(2, &[12, 10], 1), 4);
-    assert_fused_bit_identical(&diffusion3d(2, &[7, 6, 9], 1), 5);
+    assert_tiers_bit_identical(&jacobi2d(2, &[13, 9], 1), 1);
+    assert_tiers_bit_identical(&jacobi3d(2, &[9, 7, 11], 1), 2);
+    assert_tiers_bit_identical(&jacobi3d_typed(2, &[9, 7, 11], 1, DataType::Float64), 3);
+    assert_tiers_bit_identical(&diffusion2d(2, &[12, 10], 1), 4);
+    assert_tiers_bit_identical(&diffusion3d(2, &[7, 6, 9], 1), 5);
 }
 
 #[test]
@@ -112,11 +83,11 @@ fn fused_matches_on_chains() {
             "chains must take the fused fast path: {:?}",
             compiled.fused_fallback_reason()
         );
-        assert_fused_bit_identical(&chain, 6 + stages as u64);
+        assert_tiers_bit_identical(&chain, 6 + stages as u64);
     }
     // Longer chains whose cumulative dilation exceeds the tile height.
     let chain = chain_program(&ChainSpec::new(10, 4).with_shape(&[24, 6]));
-    assert_fused_bit_identical(&chain, 17);
+    assert_tiers_bit_identical(&chain, 17);
 }
 
 #[test]
@@ -126,7 +97,7 @@ fn fused_matches_on_branchy_and_division_kernels() {
         let executor = ReferenceExecutor::new();
         let compiled = executor.prepare(&program).unwrap();
         assert!(compiled.fused_tier_supported());
-        assert_fused_bit_identical(&program, 21);
+        assert_tiers_bit_identical(&program, 21);
     }
     // Division inside a ternary arm: only the statically-typed
     // if-conversion makes this kernel branch-free, which the fused tier
@@ -145,7 +116,7 @@ fn fused_matches_on_branchy_and_division_kernels() {
         "typed if-conversion should make division ternaries fusible: {:?}",
         compiled.fused_fallback_reason()
     );
-    assert_fused_bit_identical(&program, 22);
+    assert_tiers_bit_identical(&program, 22);
 }
 
 #[test]
@@ -175,7 +146,7 @@ fn fused_matches_on_boundary_and_geometry_variety() {
         "{:?}",
         compiled.fused_fallback_reason()
     );
-    assert_fused_bit_identical(&program, 31);
+    assert_tiers_bit_identical(&program, 31);
 
     // One-dimensional domain: a single tile spanning the row.
     let program = StencilProgramBuilder::new("fused1d", &[23])
@@ -186,11 +157,11 @@ fn fused_matches_on_boundary_and_geometry_variety() {
         .output("s")
         .build()
         .unwrap();
-    assert_fused_bit_identical(&program, 32);
+    assert_tiers_bit_identical(&program, 32);
 
     // Remainder-heavy innermost extents around the fused lane widths.
     for width in [1usize, 3, 7, 8, 9, 15, 16, 17, 31, 33] {
-        assert_fused_bit_identical(&jacobi2d(1, &[5, width], 1), 40 + width as u64);
+        assert_tiers_bit_identical(&jacobi2d(1, &[5, width], 1), 40 + width as u64);
     }
 }
 
@@ -209,13 +180,13 @@ fn fused_multi_output_and_dead_stage_elision() {
         .output("right")
         .build()
         .unwrap();
-    assert_fused_bit_identical(&program, 51);
+    assert_tiers_bit_identical(&program, 51);
     // The dead stage does not add evaluations: fused counts at most the
     // live stages (times dilation overlap, bounded by an extra stage's
     // worth here).
     let inputs = generate_inputs(&program, 51);
-    let executor = ReferenceExecutor::new().with_tier_measurement(false);
-    let fused = executor.run_fused(&program, &inputs).unwrap();
+    let executor = ReferenceExecutor::new();
+    let fused = run_pinned(&executor, &program, &inputs, None, Tier::Fused).unwrap();
     let cells = program.space().num_cells();
     assert!(
         fused.cells_evaluated() < 4 * cells,
@@ -229,11 +200,11 @@ fn fused_multi_output_and_dead_stage_elision() {
 
 #[test]
 fn fused_steps_match_materializing_steps() {
-    assert_fused_steps_bit_identical(&jacobi3d(1, &[9, 8, 10], 1), 61, 5);
-    assert_fused_steps_bit_identical(&jacobi2d(1, &[11, 9], 1), 62, 7);
-    assert_fused_steps_bit_identical(&jacobi3d_typed(1, &[6, 7, 9], 1, DataType::Float64), 63, 4);
+    assert_tier_steps_bit_identical(&jacobi3d(1, &[9, 8, 10], 1), 61, 5);
+    assert_tier_steps_bit_identical(&jacobi2d(1, &[11, 9], 1), 62, 7);
+    assert_tier_steps_bit_identical(&jacobi3d_typed(1, &[6, 7, 9], 1, DataType::Float64), 63, 4);
     // Multi-stencil program per step (two internal Jacobi sweeps).
-    assert_fused_steps_bit_identical(&jacobi3d(2, &[8, 6, 9], 1), 64, 3);
+    assert_tier_steps_bit_identical(&jacobi3d(2, &[8, 6, 9], 1), 64, 3);
 
     // Coupled multi-field state with prefix pairing.
     let coupled = StencilProgramBuilder::new("coupled", &[10, 12])
@@ -247,7 +218,7 @@ fn fused_steps_match_materializing_steps() {
         .unwrap();
     let compiled = ReferenceExecutor::new().prepare(&coupled).unwrap();
     assert!(compiled.fused_steps_supported());
-    assert_fused_steps_bit_identical(&coupled, 65, 5);
+    assert_tier_steps_bit_identical(&coupled, 65, 5);
 }
 
 #[test]
@@ -258,7 +229,7 @@ fn ineligible_programs_fall_back_bit_identically() {
     let executor = ReferenceExecutor::new();
     let compiled = executor.prepare(&listing).unwrap();
     assert!(!compiled.fused_tier_supported());
-    assert_fused_bit_identical(&listing, 71);
+    assert_tiers_bit_identical(&listing, 71);
 
     // Copy boundaries cannot be expressed as position-indexed pads.
     let copy = StencilProgramBuilder::new("copyb", &[6, 8])
@@ -274,14 +245,14 @@ fn ineligible_programs_fall_back_bit_identically() {
         .fused_fallback_reason()
         .unwrap()
         .contains("copy boundary"));
-    assert_fused_bit_identical(&copy, 74);
+    assert_tiers_bit_identical(&copy, 74);
 
     // Lower-dimensional parameter fields keep horizontal diffusion on the
     // materializing path (for now).
     let hd = horizontal_diffusion(&HorizontalDiffusionSpec::small());
     let compiled = executor.prepare(&hd).unwrap();
     assert!(!compiled.fused_tier_supported());
-    assert_fused_bit_identical(&hd, 72);
+    assert_tiers_bit_identical(&hd, 72);
 
     // Consumers disagreeing on a field's boundary constant.
     let conflict = StencilProgramBuilder::new("conflict", &[6, 8])
@@ -295,10 +266,10 @@ fn ineligible_programs_fall_back_bit_identically() {
         .unwrap();
     let compiled = executor.prepare(&conflict).unwrap();
     assert!(!compiled.fused_tier_supported());
-    assert_fused_bit_identical(&conflict, 73);
+    assert_tiers_bit_identical(&conflict, 73);
 
-    // Fused stepping on unpairable programs errors exactly like the
-    // materializing stepper.
+    // Stepping on unpairable programs errors exactly like the
+    // materializing stepper, on every tier.
     let unpairable = StencilProgramBuilder::new("unpairable", &[6])
         .input("a", DataType::Float32, &["i"])
         .stencil("x", "a[i] + 1.0")
@@ -307,12 +278,7 @@ fn ineligible_programs_fall_back_bit_identically() {
         .output("y")
         .build()
         .unwrap();
-    let inputs = generate_inputs(&unpairable, 1);
-    assert!(executor.run_steps_fused(&unpairable, &inputs, 3).is_err());
-    // Even a single step validates the pairing, like `run_steps` does.
-    assert!(executor.run_steps(&unpairable, &inputs, 1).is_err());
-    assert!(executor.run_steps_fused(&unpairable, &inputs, 1).is_err());
-    assert!(executor.run_steps_fused(&unpairable, &inputs, 0).is_err());
+    assert_stepping_rejections_match(&unpairable);
 }
 
 #[test]
@@ -324,10 +290,9 @@ fn fused_steps_state_round_trips_through_windows() {
     let plain = ReferenceExecutor::new();
     let baseline = plain.run_steps(&program, &inputs, 11).unwrap();
     let executor = ReferenceExecutor::new()
-        .with_tier_measurement(false)
         .with_fusion_window(2)
         .with_fusion_tile_rows(3);
-    let fused = executor.run_steps_fused(&program, &inputs, 11).unwrap();
+    let fused = run_pinned(&executor, &program, &inputs, Some(11), Tier::Fused).unwrap();
     assert_outputs_match(&program, "windows", &fused, &baseline);
 }
 
@@ -335,15 +300,14 @@ fn fused_steps_state_round_trips_through_windows() {
 fn fused_steady_state_allocates_nothing_from_the_pool() {
     let program = jacobi3d(1, &[12, 10, 16], 1);
     let inputs = generate_inputs(&program, 91);
-    let executor = ReferenceExecutor::new()
-        .with_tier_measurement(false)
-        .with_fusion_window(2);
+    let executor = ReferenceExecutor::new().with_fusion_window(2);
+    let fused = |steps| run_pinned(&executor, &program, &inputs, steps, Tier::Fused).unwrap();
     // Warm-up populates the pool.
-    executor.run_steps_fused(&program, &inputs, 6).unwrap();
+    fused(Some(6));
     let warm_misses = executor.pool_miss_count();
     assert!(warm_misses > 0, "the first run must populate the pool");
     for _ in 0..3 {
-        executor.run_steps_fused(&program, &inputs, 6).unwrap();
+        fused(Some(6));
     }
     assert_eq!(
         executor.pool_miss_count(),
@@ -353,9 +317,9 @@ fn fused_steady_state_allocates_nothing_from_the_pool() {
     assert!(executor.pool_acquire_count() > warm_misses);
 
     // Single fused runs reuse the same pool.
-    executor.run_fused(&program, &inputs).unwrap();
+    fused(None);
     let after_single = executor.pool_miss_count();
-    executor.run_fused(&program, &inputs).unwrap();
+    fused(None);
     assert_eq!(executor.pool_miss_count(), after_single);
 }
 
@@ -366,16 +330,11 @@ fn fused_parallel_tiling_matches_sequential() {
     let program = jacobi3d(2, &[40, 16, 16], 1);
     let inputs = generate_inputs(&program, 101);
     let sequential = ReferenceExecutor::new()
-        .with_tier_measurement(false)
         .with_max_threads(1)
-        .with_fusion_tile_rows(4)
-        .run_fused(&program, &inputs)
-        .unwrap();
-    let parallel = ReferenceExecutor::new()
-        .with_tier_measurement(false)
-        .with_fusion_tile_rows(4)
-        .run_fused(&program, &inputs)
-        .unwrap();
+        .with_fusion_tile_rows(4);
+    let sequential = run_pinned(&sequential, &program, &inputs, None, Tier::Fused).unwrap();
+    let parallel = ReferenceExecutor::new().with_fusion_tile_rows(4);
+    let parallel = run_pinned(&parallel, &program, &inputs, None, Tier::Fused).unwrap();
     for output in program.outputs() {
         for (a, b) in sequential
             .field(output)
@@ -391,20 +350,21 @@ fn fused_parallel_tiling_matches_sequential() {
 
 #[test]
 fn measured_routing_stays_bit_identical_and_caches_the_decision() {
-    // The default `run_fused` path now measures the eligible execution
-    // paths on first sight (like the service layer's automatic tier
-    // selection). Whatever wins, the result must stay bit-identical to
-    // the interpreter, and repeat traffic must hit the cached decision.
+    // `TierPolicy::Auto` measures the eligible tiers on first sight (the
+    // service layer's automatic tier selection routes through the same
+    // code). Whatever wins, the result must stay bit-identical to the
+    // interpreter, and repeat traffic must hit the cached decision.
     let program = jacobi2d(2, &[14, 11], 1);
     let inputs = generate_inputs(&program, 111);
     let executor = ReferenceExecutor::new();
+    let auto = |steps| run_on(&executor, &program, &inputs, steps, TierPolicy::Auto).unwrap();
     let interpreted = executor.run_interpreted(&program, &inputs).unwrap();
     assert_eq!(executor.tier_measure_count(), 0);
-    let first = executor.run_fused(&program, &inputs).unwrap();
+    let first = auto(None);
     assert_outputs_match(&program, "measured single", &first, &interpreted);
     assert_eq!(executor.tier_measure_count(), 1);
     for _ in 0..3 {
-        let repeat = executor.run_fused(&program, &inputs).unwrap();
+        let repeat = auto(None);
         assert_outputs_match(&program, "measured repeat", &repeat, &interpreted);
     }
     assert_eq!(
@@ -413,17 +373,18 @@ fn measured_routing_stays_bit_identical_and_caches_the_decision() {
         "repeat traffic must reuse the measured decision"
     );
 
-    // Stepped traffic is a distinct decision key.
-    let stepped = executor.run_steps_fused(&program, &inputs, 4).unwrap();
+    // Stepped traffic is a distinct decision key, whatever the step count.
+    let stepped = auto(Some(4));
     let baseline = executor.run_steps(&program, &inputs, 4).unwrap();
     assert_outputs_match(&program, "measured stepped", &stepped, &baseline);
     assert_eq!(executor.tier_measure_count(), 2);
-    executor.run_steps_fused(&program, &inputs, 4).unwrap();
+    auto(Some(4));
+    auto(Some(2));
     assert_eq!(executor.tier_measure_count(), 2);
 
-    // The bypass knob pins the fused tier and never measures.
-    let pinned = ReferenceExecutor::new().with_tier_measurement(false);
-    let fused = pinned.run_fused(&program, &inputs).unwrap();
+    // A pinned tier never measures.
+    let pinned = ReferenceExecutor::new();
+    let fused = run_pinned(&pinned, &program, &inputs, None, Tier::Fused).unwrap();
     assert_outputs_match(&program, "pinned", &fused, &interpreted);
     assert_eq!(pinned.tier_measure_count(), 0);
 }
@@ -442,10 +403,8 @@ fn fused_handles_explicit_values() {
         "a".to_string(),
         Grid::from_values(&["i"], &[4], &[1.0, 2.0, 3.0, 4.0]),
     );
-    let result = ReferenceExecutor::new()
-        .with_tier_measurement(false)
-        .run_fused(&program, &inputs)
-        .unwrap();
+    let executor = ReferenceExecutor::new();
+    let result = run_pinned(&executor, &program, &inputs, None, Tier::Fused).unwrap();
     // Zero-constant default boundaries: s = [2, 4, 6, 3].
     assert_eq!(result.field("s").unwrap().as_slice(), &[2.0, 4.0, 6.0, 3.0]);
 }

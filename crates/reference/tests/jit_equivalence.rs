@@ -1,93 +1,26 @@
-//! Golden equivalence of the Tier-4 native backend: JIT execution must
-//! agree **bit for bit** with the tree-walking interpreter on every
-//! program output — values and shrink masks — across tile heights, window
-//! sizes, and workloads, including programs that fall back to the fused
-//! tier (statically ineligible) or the materializing path (fusion
-//! ineligible). These tests require a working system `cc` (the CI image
-//! guarantees one; `verify.sh` probes for it up front).
+//! The Tier-4 native backend's own contracts: which programs are
+//! JIT-eligible and what the emitted unit contains, the fallback rungs,
+//! module/pool reuse, and bit-identity to the tree-walking interpreter on
+//! the kernels only this suite has (membench, clamp/`fmin` fusion, f32
+//! math calls, int outputs). The all-tier loop over the workloads both
+//! suites share lives in `fused_equivalence.rs` — it pins `Tier::Jit` on
+//! every one of them, and the tests below assert those programs really
+//! are eligible, so that leg runs native code rather than the fallback.
+//! These tests require a working system `cc` (the CI image guarantees
+//! one; `verify.sh` probes for it up front).
 
+mod common;
+
+use common::{assert_tiers_bit_identical, run_pinned};
 use std::collections::BTreeMap;
 use stencilflow_expr::DataType;
 use stencilflow_program::{BoundaryCondition, StencilProgram, StencilProgramBuilder};
-use stencilflow_reference::{generate_inputs, Grid, ReferenceExecutor};
+use stencilflow_reference::{generate_inputs, Grid, ReferenceExecutor, Tier};
 use stencilflow_workloads::{
     chain_program, diffusion2d, diffusion3d, horizontal_diffusion, jacobi2d, jacobi3d,
     jacobi3d_typed, listing1::listing1_with_shape, membench_program, upwind3d_typed, ChainSpec,
     HorizontalDiffusionSpec, MembenchSpec,
 };
-
-/// Compare two results on the program outputs, bitwise, masks included.
-fn assert_outputs_match(
-    program: &StencilProgram,
-    label: &str,
-    jit: &stencilflow_reference::ExecutionResult,
-    baseline: &stencilflow_reference::ExecutionResult,
-) {
-    for output in program.outputs() {
-        let f = jit
-            .field(output)
-            .unwrap_or_else(|| panic!("jit result misses output `{output}`"));
-        let b = baseline.field(output).unwrap();
-        assert_eq!(f.shape(), b.shape());
-        for (cell, (x, y)) in f.as_slice().iter().zip(b.as_slice().iter()).enumerate() {
-            assert!(
-                x.to_bits() == y.to_bits(),
-                "program `{}` ({label}), output `{output}`, cell {cell}: \
-                 jit {x:?} != baseline {y:?}",
-                program.name()
-            );
-        }
-        assert_eq!(
-            jit.valid_mask(output).unwrap(),
-            baseline.valid_mask(output).unwrap(),
-            "mask mismatch for `{output}` in `{}` ({label})",
-            program.name()
-        );
-    }
-}
-
-/// Run the JIT tier under several tile heights and compare each against
-/// the interpreter.
-fn assert_jit_bit_identical(program: &StencilProgram, seed: u64) {
-    let inputs = generate_inputs(program, seed);
-    let plain = ReferenceExecutor::new();
-    let interpreted = plain.run_interpreted(program, &inputs).unwrap();
-    for tile_rows in [0usize, 1, 2, 5] {
-        let executor = ReferenceExecutor::new().with_fusion_tile_rows(tile_rows);
-        let jit = executor.run_jit(program, &inputs).unwrap();
-        assert_outputs_match(
-            program,
-            &format!("tile_rows={tile_rows}"),
-            &jit,
-            &interpreted,
-        );
-        // JIT results carry exactly the program outputs, like the fused tier.
-        let fields: Vec<&str> = jit.fields().map(|(name, _)| name).collect();
-        assert_eq!(fields.len(), program.outputs().len());
-    }
-}
-
-/// JIT time stepping across window sizes and tile heights vs the
-/// materializing stepper.
-fn assert_jit_steps_bit_identical(program: &StencilProgram, seed: u64, steps: usize) {
-    let inputs = generate_inputs(program, seed);
-    let plain = ReferenceExecutor::new();
-    let baseline = plain.run_steps(program, &inputs, steps).unwrap();
-    for window in [1usize, 2, steps.max(1)] {
-        for tile_rows in [0usize, 1, 3] {
-            let executor = ReferenceExecutor::new()
-                .with_fusion_window(window)
-                .with_fusion_tile_rows(tile_rows);
-            let jit = executor.run_steps_jit(program, &inputs, steps).unwrap();
-            assert_outputs_match(
-                program,
-                &format!("steps={steps} window={window} tile_rows={tile_rows}"),
-                &jit,
-                &baseline,
-            );
-        }
-    }
-}
 
 fn assert_eligible(program: &StencilProgram) {
     let compiled = ReferenceExecutor::new().prepare(program).unwrap();
@@ -122,20 +55,14 @@ fn jit_matches_on_jacobi_and_diffusion() {
     ] {
         assert_eligible(&program);
     }
-    assert_jit_bit_identical(&jacobi2d(2, &[13, 9], 1), 1);
-    assert_jit_bit_identical(&jacobi3d(2, &[9, 7, 11], 1), 2);
-    assert_jit_bit_identical(&jacobi3d_typed(2, &[9, 7, 11], 1, DataType::Float64), 3);
-    assert_jit_bit_identical(&diffusion2d(2, &[12, 10], 1), 4);
-    assert_jit_bit_identical(&diffusion3d(2, &[7, 6, 9], 1), 5);
 }
 
 #[test]
 fn jit_matches_on_chains_and_membench() {
     let chain = chain_program(&ChainSpec::new(6, 8).with_shape(&[6, 5, 7]));
     assert_eligible(&chain);
-    assert_jit_bit_identical(&chain, 11);
     let mem = membench_program(&MembenchSpec::new(8, 1).with_shape(&[16, 8, 8]));
-    assert_jit_bit_identical(&mem, 12);
+    assert_tiers_bit_identical(&mem, 12);
 }
 
 #[test]
@@ -146,7 +73,6 @@ fn jit_matches_on_branchy_division_and_clamp_kernels() {
     for dtype in [DataType::Float32, DataType::Float64] {
         let program = upwind3d_typed(2, &[7, 9, 11], 1, dtype);
         assert_eligible(&program);
-        assert_jit_bit_identical(&program, 21);
     }
     // Division in a ternary arm: inf/NaN from the unselected arm must
     // match the interpreter bitwise.
@@ -159,7 +85,6 @@ fn jit_matches_on_branchy_division_and_clamp_kernels() {
         .build()
         .unwrap();
     assert_eligible(&program);
-    assert_jit_bit_identical(&program, 22);
     // A clamp the emitter fuses to fmin/fmax. Float64 input: the f32
     // variant mixes an F32 slot with the F64 literal in the select arms
     // and never specializes (no typed kernel), so it exercises the
@@ -177,7 +102,7 @@ fn jit_matches_on_branchy_division_and_clamp_kernels() {
         compiled.jit_source().unwrap().contains("fmin"),
         "literal-else clamp should fuse to fmin in the emitted unit"
     );
-    assert_jit_bit_identical(&clamp, 23);
+    assert_tiers_bit_identical(&clamp, 23);
     // f32 math-call kernel: every store must carry the (double)(float)
     // round wrap, and fmin on exact f32 values round-trips exactly.
     let minf = StencilProgramBuilder::new("minf", &[9, 8])
@@ -189,7 +114,7 @@ fn jit_matches_on_branchy_division_and_clamp_kernels() {
     assert_eligible(&minf);
     let compiled = ReferenceExecutor::new().prepare(&minf).unwrap();
     assert!(compiled.jit_source().unwrap().contains("(double)(float)("));
-    assert_jit_bit_identical(&minf, 24);
+    assert_tiers_bit_identical(&minf, 24);
 }
 
 #[test]
@@ -214,7 +139,6 @@ fn jit_matches_on_boundary_and_geometry_variety() {
         .build()
         .unwrap();
     assert_eligible(&program);
-    assert_jit_bit_identical(&program, 31);
 
     // One-dimensional domain: the native sweep degenerates to one row.
     let program = StencilProgramBuilder::new("jit1d", &[23])
@@ -226,19 +150,14 @@ fn jit_matches_on_boundary_and_geometry_variety() {
         .build()
         .unwrap();
     assert_eligible(&program);
-    assert_jit_bit_identical(&program, 32);
-
-    // Remainder-heavy innermost extents around the fused lane widths.
-    for width in [1usize, 3, 8, 9, 17, 33] {
-        assert_jit_bit_identical(&jacobi2d(1, &[5, width], 1), 40 + width as u64);
-    }
 }
 
 #[test]
 fn jit_steps_match_materializing_steps() {
-    assert_jit_steps_bit_identical(&jacobi3d(1, &[9, 8, 10], 1), 61, 5);
-    assert_jit_steps_bit_identical(&jacobi2d(1, &[11, 9], 1), 62, 7);
-    assert_jit_steps_bit_identical(&jacobi3d_typed(1, &[6, 7, 9], 1, DataType::Float64), 63, 4);
+    // The stepped programs of the shared loop are native-eligible.
+    assert_eligible(&jacobi3d(1, &[9, 8, 10], 1));
+    assert_eligible(&jacobi2d(1, &[11, 9], 1));
+    assert_eligible(&jacobi3d_typed(1, &[6, 7, 9], 1, DataType::Float64));
 
     // Coupled multi-field state with prefix pairing.
     let coupled = StencilProgramBuilder::new("coupled", &[10, 12])
@@ -251,22 +170,6 @@ fn jit_steps_match_materializing_steps() {
         .build()
         .unwrap();
     assert_eligible(&coupled);
-    assert_jit_steps_bit_identical(&coupled, 65, 5);
-
-    // Unpairable programs error exactly like the other steppers.
-    let unpairable = StencilProgramBuilder::new("unpairable", &[6])
-        .input("a", DataType::Float32, &["i"])
-        .stencil("x", "a[i] + 1.0")
-        .stencil("y", "a[i] * 2.0")
-        .output("x")
-        .output("y")
-        .build()
-        .unwrap();
-    let executor = ReferenceExecutor::new();
-    let inputs = generate_inputs(&unpairable, 1);
-    assert!(executor.run_steps_jit(&unpairable, &inputs, 3).is_err());
-    assert!(executor.run_steps_jit(&unpairable, &inputs, 1).is_err());
-    assert!(executor.run_steps_jit(&unpairable, &inputs, 0).is_err());
 }
 
 #[test]
@@ -283,12 +186,10 @@ fn ineligible_programs_fall_back_bit_identically() {
         .unwrap()
         .contains("fused tier unavailable"));
     assert!(compiled.jit_source().is_none());
-    assert_jit_bit_identical(&listing, 71);
 
     let hd = horizontal_diffusion(&HorizontalDiffusionSpec::small());
     let compiled = executor.prepare(&hd).unwrap();
     assert!(!compiled.jit_supported());
-    assert_jit_bit_identical(&hd, 72);
 
     // Copy boundaries: fused-ineligible, same ladder.
     let copy = StencilProgramBuilder::new("copyb", &[6, 8])
@@ -300,12 +201,11 @@ fn ineligible_programs_fall_back_bit_identically() {
         .unwrap();
     let compiled = executor.prepare(&copy).unwrap();
     assert!(!compiled.jit_supported());
-    assert_jit_bit_identical(&copy, 74);
 
     // The middle rung of the ladder: *fused*-supported, but the int32
     // output keeps Tier-4 off (the native sweep stores raw doubles; only
-    // float outputs round-trip losslessly). run_jit lands on the fused
-    // tier, still bit-identical.
+    // float outputs round-trip losslessly). `Tier::Jit` lands on the
+    // fused tier, still bit-identical.
     let intout = StencilProgramBuilder::new("intout", &[6, 8])
         .input("a", DataType::Float32, &["i", "j"])
         .stencil("s", "a[i-1,j] + a[i+1,j]")
@@ -320,7 +220,7 @@ fn ineligible_programs_fall_back_bit_identically() {
         .jit_fallback_reason()
         .unwrap()
         .contains("not a float type"));
-    assert_jit_bit_identical(&intout, 75);
+    assert_tiers_bit_identical(&intout, 75);
 }
 
 #[test]
@@ -332,11 +232,12 @@ fn jit_reuses_modules_and_pool_in_steady_state() {
     let program = jacobi3d(1, &[12, 10, 16], 1);
     let inputs = generate_inputs(&program, 91);
     let executor = ReferenceExecutor::new().with_fusion_window(2);
-    executor.run_steps_jit(&program, &inputs, 6).unwrap();
+    let jit = || run_pinned(&executor, &program, &inputs, Some(6), Tier::Jit).unwrap();
+    jit();
     let warm_misses = executor.pool_miss_count();
     assert!(warm_misses > 0, "the first run must populate the pool");
     for _ in 0..3 {
-        executor.run_steps_jit(&program, &inputs, 6).unwrap();
+        jit();
     }
     assert_eq!(
         executor.pool_miss_count(),
@@ -356,13 +257,10 @@ fn jit_parallel_tiling_matches_sequential() {
     let inputs = generate_inputs(&program, 101);
     let sequential = ReferenceExecutor::new()
         .with_max_threads(1)
-        .with_fusion_tile_rows(4)
-        .run_jit(&program, &inputs)
-        .unwrap();
-    let parallel = ReferenceExecutor::new()
-        .with_fusion_tile_rows(4)
-        .run_jit(&program, &inputs)
-        .unwrap();
+        .with_fusion_tile_rows(4);
+    let sequential = run_pinned(&sequential, &program, &inputs, None, Tier::Jit).unwrap();
+    let parallel = ReferenceExecutor::new().with_fusion_tile_rows(4);
+    let parallel = run_pinned(&parallel, &program, &inputs, None, Tier::Jit).unwrap();
     for output in program.outputs() {
         for (a, b) in sequential
             .field(output)
@@ -390,6 +288,7 @@ fn jit_handles_explicit_values() {
         "a".to_string(),
         Grid::from_values(&["i"], &[4], &[1.0, 2.0, 3.0, 4.0]),
     );
-    let result = ReferenceExecutor::new().run_jit(&program, &inputs).unwrap();
+    let executor = ReferenceExecutor::new();
+    let result = run_pinned(&executor, &program, &inputs, None, Tier::Jit).unwrap();
     assert_eq!(result.field("s").unwrap().as_slice(), &[2.0, 4.0, 6.0, 3.0]);
 }

@@ -197,9 +197,12 @@ fn main() {
             .with_tenant_quota("greedy", TenantQuota::new().with_cell_budget(10))
     };
     let options = || {
+        // The chaos script carries a poison job; only an embedder can let
+        // faults onto the wire.
         DaemonLoopOptions::new()
             .with_config(config())
             .with_tier_cache(&tier_cache)
+            .with_fault_injection()
     };
 
     // ---- Pass 1: seeded chaos traffic with a mid-stream shutdown. ----

@@ -64,7 +64,6 @@ fn main() {
 }
 
 fn daemon_command(args: &[String]) {
-    daemon::quiet_injected_panics();
     let mut workers: Option<usize> = None;
     let mut queue: Option<usize> = None;
     let mut batch: Option<usize> = None;

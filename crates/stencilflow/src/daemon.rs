@@ -12,9 +12,12 @@
 //!
 //! * `{"op":"submit","id":ID,"tenant":T,"program":PATH,"grids":PATH,
 //!   "steps":N,"tier":NAME,"soft_deadline_ms":N,"hard_timeout_ms":N,
-//!   "fault":"poison"|{"stall_ms":N},"out":PATH}` — admit one job. The
-//!   response echoes the id with `"ok":true`, or `"ok":false` plus the
-//!   structured reject code (`SF0401`..`SF0406`).
+//!   "out":PATH}` — admit one job. The response echoes the id with
+//!   `"ok":true`, or `"ok":false` plus the structured reject code
+//!   (`SF0401`..`SF0406`). Resilience gates that embed the loop with
+//!   [`DaemonLoopOptions::with_fault_injection`] may add
+//!   `"fault":"poison"|{"stall_ms":N}`; any other loop answers that key
+//!   with an `error` line.
 //! * `{"op":"manifest","path":PATH,"tenant":T}` — admit a whole serve
 //!   manifest (the `stencilflow serve` format); jobs get ids derived
 //!   from the entry label and index.
@@ -90,16 +93,22 @@ pub struct SubmitRequest {
     pub soft_deadline: Option<Duration>,
     /// Hard timeout from submission.
     pub hard_timeout: Option<Duration>,
-    /// Deterministic fault injection (resilience gates).
+    /// Deterministic fault injection (only ever set by a loop embedded
+    /// with [`DaemonLoopOptions::with_fault_injection`]).
     pub fault: Option<JobFault>,
     /// Where to write the outputs as a binary grid set.
     pub out: Option<PathBuf>,
 }
 
-/// Parse one request line. Total over arbitrary input: every failure is
-/// a structured message, never a panic — the fuzz suite holds this to
+/// Parse one request line as a default-configured loop does (a `fault`
+/// key is rejected). Total over arbitrary input: every failure is a
+/// structured message, never a panic — the fuzz suite holds this to
 /// malformed JSON, wrong shapes, unknown ops/keys, and hostile numbers.
 pub fn parse_request(line: &str) -> Result<Request, String> {
+    parse_line(line, false)
+}
+
+fn parse_line(line: &str, fault_injection: bool) -> Result<Request, String> {
     let json = stencilflow_json::parse(line).map_err(|e| format!("malformed request: {e}"))?;
     let object = json
         .as_object()
@@ -110,7 +119,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         .as_str()
         .ok_or("`op` must be a string")?;
     match op {
-        "submit" => parse_submit(&json),
+        "submit" => parse_submit(&json, fault_injection),
         "manifest" => {
             check_keys(object, &["op", "path", "tenant"])?;
             let path = PathBuf::from(required_str(&json, "path")?);
@@ -133,7 +142,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-fn parse_submit(json: &Json) -> Result<Request, String> {
+fn parse_submit(json: &Json, fault_injection: bool) -> Result<Request, String> {
     let object = json.as_object().expect("caller checked the shape");
     check_keys(
         object,
@@ -176,6 +185,9 @@ fn parse_submit(json: &Json) -> Result<Request, String> {
     let hard_timeout = duration_ms(json, "hard_timeout_ms")?;
     let fault = match json.get("fault") {
         None => None,
+        Some(_) if !fault_injection => {
+            return Err("`fault` is rejected: fault injection is not enabled on this daemon".into())
+        }
         Some(Json::String(name)) if name == "poison" => Some(JobFault::Poison),
         Some(Json::String(name)) => return Err(format!("unknown fault `{name}`")),
         Some(value) => {
@@ -274,6 +286,9 @@ pub struct DaemonLoopOptions {
     /// Tier-decision persistence: imported before the first request,
     /// exported on exit. `None` disables persistence.
     pub tier_cache: Option<PathBuf>,
+    /// Whether `submit` requests may carry a `fault` key. Off unless the
+    /// embedding binary turns it on: nothing on the wire or the CLI can.
+    pub fault_injection: bool,
 }
 
 impl DaemonLoopOptions {
@@ -291,6 +306,13 @@ impl DaemonLoopOptions {
     /// Persist tier decisions at this path across restarts.
     pub fn with_tier_cache(mut self, path: impl Into<PathBuf>) -> Self {
         self.tier_cache = Some(path.into());
+        self
+    }
+
+    /// Accept the `fault` key of `submit` requests (resilience gates and
+    /// tests that embed the loop; a production daemon never calls this).
+    pub fn with_fault_injection(mut self) -> Self {
+        self.fault_injection = true;
         self
     }
 }
@@ -333,7 +355,7 @@ pub fn run_loop<R: BufRead, W: Write>(
         if line.is_empty() {
             continue;
         }
-        match parse_request(line) {
+        match parse_line(line, options.fault_injection) {
             Err(message) => respond(output, error_json(&message))?,
             Ok(Request::Submit(submit)) => handle_submit(&daemon, &outs, submit, output)?,
             Ok(Request::Manifest { path, tenant }) => {

@@ -199,13 +199,13 @@ fn submit_line(id: &str, program: &Path, grids: &Path) -> String {
 }
 
 fn run_script(script: String, config: DaemonConfig) -> Vec<Json> {
+    run_script_with(script, DaemonLoopOptions::new().with_config(config))
+}
+
+fn run_script_with(script: String, options: DaemonLoopOptions) -> Vec<Json> {
     let mut output = Vec::new();
-    daemon::run_loop(
-        Cursor::new(script),
-        &mut output,
-        DaemonLoopOptions::new().with_config(config),
-    )
-    .expect("the loop itself never fails on request content");
+    daemon::run_loop(Cursor::new(script), &mut output, options)
+        .expect("the loop itself never fails on request content");
     String::from_utf8(output)
         .expect("responses are UTF-8")
         .lines()
@@ -272,6 +272,69 @@ fn loop_sheds_duplicates_and_malformed_lines_without_aborting() {
         .find(|r| r.get("op").and_then(Json::as_str) == Some("drain"))
         .expect("drain report emitted");
     assert_eq!(drain.get("clean").and_then(Json::as_bool), Some(true));
+}
+
+#[test]
+fn fault_submits_are_rejected_unless_the_embedder_allows_them() {
+    let fixture = Fixture::new("fault");
+    let program = fixture.write("p.json", SMALL_JSON);
+    let parsed = ingest::load_program(&program).expect("fixture program loads");
+    let grids = fixture.dir.join("g.sfgs");
+    ingest::write_grid_set(&grids, generate_inputs(&parsed, 11).into_iter())
+        .expect("fixture grids write");
+
+    let poison =
+        submit_line("poison-1", &program, &grids).replacen("{", "{\"fault\":\"poison\",", 1);
+    assert!(daemon::parse_request(&poison)
+        .unwrap_err()
+        .contains("fault injection is not enabled"));
+    let script = format!(
+        "{poison}\n{}\n{{\"op\":\"drain\"}}\n",
+        submit_line("ok-1", &program, &grids)
+    );
+    let config = || DaemonConfig::new().with_serve(ServeConfig::new().with_workers(1));
+    let outcomes = |responses: &[Json]| -> Vec<(String, String)> {
+        responses
+            .iter()
+            .filter(|r| r.get("op").and_then(Json::as_str) == Some("outcome"))
+            .map(|r| {
+                let text = |key| r.get(key).and_then(Json::as_str).unwrap().to_string();
+                (text("id"), text("status"))
+            })
+            .collect()
+    };
+
+    // Default loop: the fault submit is an in-band error, never a job, and
+    // the loop goes on to serve the next request.
+    let responses = run_script(script.clone(), config());
+    let error = responses
+        .iter()
+        .find(|r| r.get("op").and_then(Json::as_str) == Some("error"))
+        .expect("the fault submit earns an error line");
+    assert!(error
+        .get("error")
+        .and_then(Json::as_str)
+        .unwrap()
+        .contains("`fault`"));
+    assert_eq!(
+        outcomes(&responses),
+        [("ok-1".to_string(), "done".to_string())]
+    );
+
+    // An embedder that allows faults gets the poison job, isolated.
+    let responses = run_script_with(
+        script,
+        DaemonLoopOptions::new()
+            .with_config(config())
+            .with_fault_injection(),
+    );
+    assert_eq!(
+        outcomes(&responses),
+        [
+            ("ok-1".to_string(), "done".to_string()),
+            ("poison-1".to_string(), "panicked".to_string())
+        ]
+    );
 }
 
 #[test]

@@ -19,7 +19,9 @@
 #   7. examples                  — compile-and-run every example
 #   8. fault_sweep               — the sharded fault-injection suite: every
 #                                  (seed x fault schedule) run must stay
-#                                  bitwise identical to the interpreter;
+#                                  bitwise identical to the interpreter,
+#                                  and every worker_panic run must report
+#                                  that it degraded;
 #                                  seeds extend via STENCILFLOW_FAULT_SEEDS
 #                                  (comma-separated), and the fault-log JSON
 #                                  lands next to the bench JSON
