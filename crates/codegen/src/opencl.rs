@@ -1,8 +1,9 @@
 //! Intel-FPGA-OpenCL-style kernel emission.
 
 use crate::expr_c::{kernel_to_c, program_to_c, SelectStyle};
+use std::collections::HashSet;
 use std::fmt::Write as _;
-use stencilflow_core::{ChannelEndpoint, HardwareMapping, MultiDevicePlan};
+use stencilflow_core::{ChannelEndpoint, HardwareMapping, MemoryAccessKind, MultiDevicePlan};
 use stencilflow_expr::CompiledKernel;
 use stencilflow_program::{StencilNode, StencilProgram};
 
@@ -57,15 +58,10 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
     let _ = writeln!(out);
 
     // Reader kernels (dedicated prefetchers at source nodes).
-    for unit in &mapping.memory_units {
-        if unit.kind != stencilflow_core::MemoryAccessKind::Read {
+    for (index, unit) in mapping.memory_units.iter().enumerate() {
+        if unit.kind != MemoryAccessKind::Read {
             continue;
         }
-        let consumers: Vec<&stencilflow_core::Channel> = mapping
-            .channels
-            .iter()
-            .filter(|c| c.from == ChannelEndpoint::MemoryRead(unit.field.clone()))
-            .collect();
         let _ = writeln!(
             out,
             "__kernel void read_{}(__global const float* restrict data, const long n) {{",
@@ -73,7 +69,7 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
         );
         let _ = writeln!(out, "  for (long i = 0; i < n; ++i) {{");
         let _ = writeln!(out, "    const float value = data[i];");
-        for consumer in consumers {
+        for consumer in mapping.memory_channels(index) {
             let _ = writeln!(
                 out,
                 "    write_channel_intel({}, value);",
@@ -88,11 +84,6 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
         let stencil = program
             .stencil(&unit.name)
             .expect("mapping units correspond to program stencils");
-        let buffers = mapping
-            .input_channels(&unit.name)
-            .iter()
-            .map(|c| (c.field.clone(), c.depth_elements))
-            .collect::<Vec<_>>();
         let _ = writeln!(out, "__attribute__((autorun))");
         let _ = writeln!(out, "__kernel void stencil_{}() {{", unit.name);
         // Internal buffers as shift registers.
@@ -152,18 +143,14 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
         }
         let _ = writeln!(out, "    }}");
         let _ = writeln!(out, "  }}\n}}\n");
-        let _ = buffers;
     }
 
     // Writer kernels at sink nodes.
-    for unit in &mapping.memory_units {
-        if unit.kind != stencilflow_core::MemoryAccessKind::Write {
+    for (index, unit) in mapping.memory_units.iter().enumerate() {
+        if unit.kind != MemoryAccessKind::Write {
             continue;
         }
-        let producer = mapping
-            .channels
-            .iter()
-            .find(|c| c.to == ChannelEndpoint::MemoryWrite(unit.field.clone()));
+        let producer = mapping.memory_channels(index).next();
         let _ = writeln!(
             out,
             "__kernel void write_{}(__global float* restrict data, const long n) {{",
@@ -193,6 +180,7 @@ pub fn generate_multi_device_kernels(
     plan.devices
         .iter()
         .map(|device| {
+            let local: HashSet<&str> = device.stencils.iter().map(String::as_str).collect();
             let mut out = String::new();
             let _ = writeln!(
                 out,
@@ -221,11 +209,11 @@ pub fn generate_multi_device_kernels(
             // all shared declarations (kept simple: include the full file and
             // annotate ownership).
             for line in base.lines() {
-                let owned = device
-                    .stencils
-                    .iter()
-                    .any(|s| line.contains(&format!("stencil_{s}(")));
-                if line.starts_with("__kernel void stencil_") && !owned {
+                let foreign = line
+                    .strip_prefix("__kernel void stencil_")
+                    .and_then(|rest| rest.split_once('('))
+                    .is_some_and(|(stencil, _)| !local.contains(stencil));
+                if foreign {
                     let _ = writeln!(out, "// [other device] {line}");
                 } else {
                     let _ = writeln!(out, "{line}");
@@ -265,5 +253,36 @@ mod tests {
         assert_eq!(files.len(), 2);
         assert!(files[0].contains("// [other device]"));
         assert!(files[1].contains("// [other device]"));
+    }
+
+    /// The per-device name set marks exactly the kernel lines that the scan
+    /// it replaced did: a `stencil_<name>(` header of no local stencil.
+    #[test]
+    fn foreign_kernels_are_the_headers_of_non_local_stencils() {
+        let program = chain_program(&ChainSpec::new(12, 8).with_shape(&[64, 8, 8]));
+        let mapping = HardwareMapping::build(&program, &AnalysisConfig::paper_defaults()).unwrap();
+        let plan = MultiDevicePlan::partition(&program, &PartitionConfig::devices(3)).unwrap();
+        let base = generate_kernels(&program, &mapping);
+        let files = generate_multi_device_kernels(&program, &mapping, &plan);
+        for (device, file) in plan.devices.iter().zip(&files) {
+            let (_, body) = file.split_once("design:\n\n").unwrap();
+            let expected: String = base
+                .lines()
+                .map(|line| {
+                    let local = device
+                        .stencils
+                        .iter()
+                        .any(|s| line.contains(&format!("stencil_{s}(")));
+                    if line.starts_with("__kernel void stencil_") && !local {
+                        format!("// [other device] {line}\n")
+                    } else {
+                        format!("{line}\n")
+                    }
+                })
+                .collect();
+            assert_eq!(body, expected, "device {}", device.index);
+            let marked = body.matches("// [other device]").count();
+            assert_eq!(marked, 12 - device.stencils.len());
+        }
     }
 }

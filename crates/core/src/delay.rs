@@ -28,6 +28,7 @@ use crate::buffers::InternalBufferAnalysis;
 use crate::config::AnalysisConfig;
 use crate::error::{CoreError, Result};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use stencilflow_program::{NodeKind, StencilDag, StencilProgram};
 
 /// Computed FIFO depth of one DAG edge.
@@ -53,6 +54,8 @@ pub struct ChannelDepth {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DelayBufferAnalysis {
     channels: Vec<ChannelDepth>,
+    /// Consumer node → its incoming channels, contiguous in `channels`.
+    incoming: BTreeMap<String, Range<usize>>,
     arrival: BTreeMap<String, u64>,
     node_delay: BTreeMap<String, u64>,
     vector_width: u64,
@@ -112,9 +115,11 @@ impl DelayBufferAnalysis {
         let order = dag.topological_order().map_err(CoreError::from)?;
         let mut arrival: BTreeMap<String, u64> = BTreeMap::new();
         let mut channels = Vec::new();
+        let mut incoming = BTreeMap::new();
         for node in &order {
             let kind = dag.node_kind(node);
             let in_edges = dag.in_edges(node);
+            let first = channels.len();
             let mut need = 0u64;
             let mut edge_delays: Vec<(String, String, u64)> = Vec::new();
             for edge in &in_edges {
@@ -141,11 +146,13 @@ impl DelayBufferAnalysis {
                     .unwrap_or(0),
                 _ => 0,
             };
+            incoming.insert(node.clone(), first..channels.len());
             arrival.insert(node.clone(), need + compute);
         }
 
         Ok(DelayBufferAnalysis {
             channels,
+            incoming,
             arrival,
             node_delay,
             vector_width: width,
@@ -160,7 +167,14 @@ impl DelayBufferAnalysis {
 
     /// The channel between two nodes, if it exists.
     pub fn channel(&self, from: &str, to: &str) -> Option<&ChannelDepth> {
-        self.channels.iter().find(|c| c.from == from && c.to == to)
+        self.incoming(to).iter().find(|c| c.from == from)
+    }
+
+    /// The channels entering `node` (none for a source or an unknown node).
+    fn incoming(&self, node: &str) -> &[ChannelDepth] {
+        self.incoming
+            .get(node)
+            .map_or(&[], |range| &self.channels[range.clone()])
     }
 
     /// Required depth (words, including minimum slack) of one channel; the
@@ -218,8 +232,7 @@ impl DelayBufferAnalysis {
     /// with unsigned arithmetic, but the zero-edge invariant is real).
     pub fn check_invariants(&self, dag: &StencilDag) -> std::result::Result<(), String> {
         for node in dag.nodes() {
-            let incoming: Vec<&ChannelDepth> =
-                self.channels.iter().filter(|c| c.to == node.name).collect();
+            let incoming = self.incoming(&node.name);
             if incoming.is_empty() {
                 continue;
             }
@@ -326,6 +339,28 @@ mod tests {
         let analysis = analyze(&program, &config);
         let dag = program.dag().unwrap();
         analysis.check_invariants(&dag).unwrap();
+    }
+
+    #[test]
+    fn channel_lookup_agrees_with_a_scan_of_all_channels() {
+        let program = crate::tests_support::listing1();
+        let config = AnalysisConfig::paper_defaults();
+        let analysis = analyze(&program, &config);
+        let dag = program.dag().unwrap();
+        let names: Vec<String> = dag.nodes().map(|n| n.name).collect();
+        for from in &names {
+            for to in &names {
+                let scanned = analysis
+                    .channels()
+                    .iter()
+                    .find(|c| &c.from == from && &c.to == to);
+                assert_eq!(analysis.channel(from, to), scanned, "{from} -> {to}");
+                assert_eq!(scanned.is_some(), dag.has_edge(from, to));
+                let depth = scanned.map_or(config.min_channel_depth, |c| c.depth_words);
+                assert_eq!(analysis.depth_words(from, to), depth);
+            }
+        }
+        assert!(analysis.channel("b0", "nowhere").is_none());
     }
 
     #[test]

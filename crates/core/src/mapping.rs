@@ -12,7 +12,7 @@ use crate::config::AnalysisConfig;
 use crate::delay::DelayBufferAnalysis;
 use crate::error::Result;
 use crate::perf::PerformanceEstimate;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use stencilflow_expr::OpCount;
 use stencilflow_program::{NodeKind, StencilDag, StencilProgram};
 
@@ -66,7 +66,7 @@ impl ChannelEndpoint {
 }
 
 /// Kind of off-chip memory access performed by a memory unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryAccessKind {
     /// Reading an input field.
     Read,
@@ -118,6 +118,14 @@ pub struct HardwareMapping {
     pub vector_width: usize,
     /// Expected performance (Eq. 1).
     pub performance: PerformanceEstimate,
+    /// Stencil name → position in `units`.
+    unit_index: HashMap<String, usize>,
+    /// Per unit, the positions in `channels` of the channels it consumes and
+    /// of those it produces, in channel order.
+    unit_channels: Vec<(Vec<usize>, Vec<usize>)>,
+    /// Per memory unit, the positions in `channels` of the channels it feeds
+    /// (a reader) or drains (a writer), in channel order.
+    memory_channels: Vec<Vec<usize>>,
 }
 
 impl HardwareMapping {
@@ -212,6 +220,32 @@ impl HardwareMapping {
             });
         }
 
+        // Index the adjacency once, so no lookup scans the channel list.
+        let unit_index: HashMap<String, usize> = units
+            .iter()
+            .enumerate()
+            .map(|(ix, unit)| (unit.name.clone(), ix))
+            .collect();
+        let memory_index: HashMap<(&str, MemoryAccessKind), usize> = memory_units
+            .iter()
+            .enumerate()
+            .map(|(ix, unit)| ((unit.field.as_str(), unit.kind), ix))
+            .collect();
+        let mut unit_channels = vec![(Vec::new(), Vec::new()); units.len()];
+        let mut memory_channels = vec![Vec::new(); memory_units.len()];
+        for (ix, channel) in channels.iter().enumerate() {
+            match &channel.from {
+                ChannelEndpoint::Stencil(name) => unit_channels[unit_index[name]].1.push(ix),
+                from => {
+                    memory_channels[memory_index[&(from.name(), MemoryAccessKind::Read)]].push(ix)
+                }
+            }
+            match &channel.to {
+                ChannelEndpoint::Stencil(name) => unit_channels[unit_index[name]].0.push(ix),
+                to => memory_channels[memory_index[&(to.name(), MemoryAccessKind::Write)]].push(ix),
+            }
+        }
+
         Ok(HardwareMapping {
             program_name: program.name().to_string(),
             units,
@@ -219,12 +253,15 @@ impl HardwareMapping {
             memory_units,
             vector_width: width,
             performance,
+            unit_index,
+            unit_channels,
+            memory_channels,
         })
     }
 
     /// Look up a stencil unit by name.
     pub fn unit(&self, name: &str) -> Option<&StencilUnit> {
-        self.units.iter().find(|u| u.name == name)
+        self.unit_index.get(name).map(|&ix| &self.units[ix])
     }
 
     /// Number of stencil units.
@@ -233,19 +270,29 @@ impl HardwareMapping {
     }
 
     /// Channels whose consumer is the given stencil.
-    pub fn input_channels(&self, stencil: &str) -> Vec<&Channel> {
-        self.channels
-            .iter()
-            .filter(|c| c.to == ChannelEndpoint::Stencil(stencil.to_string()))
-            .collect()
+    pub fn input_channels(&self, stencil: &str) -> impl Iterator<Item = &Channel> {
+        let unit = self.unit_index.get(stencil);
+        self.channels_at(unit.map_or(&[], |&ix| &self.unit_channels[ix].0))
     }
 
     /// Channels whose producer is the given stencil.
-    pub fn output_channels(&self, stencil: &str) -> Vec<&Channel> {
-        self.channels
-            .iter()
-            .filter(|c| c.from == ChannelEndpoint::Stencil(stencil.to_string()))
-            .collect()
+    pub fn output_channels(&self, stencil: &str) -> impl Iterator<Item = &Channel> {
+        let unit = self.unit_index.get(stencil);
+        self.channels_at(unit.map_or(&[], |&ix| &self.unit_channels[ix].1))
+    }
+
+    /// Channels attached to `memory_units[index]`: those a reader feeds, or
+    /// the one a writer drains.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not a position in `memory_units`.
+    pub fn memory_channels(&self, index: usize) -> impl Iterator<Item = &Channel> {
+        self.channels_at(&self.memory_channels[index])
+    }
+
+    fn channels_at<'a>(&'a self, positions: &'a [usize]) -> impl Iterator<Item = &'a Channel> {
+        positions.iter().map(|&ix| &self.channels[ix])
     }
 
     /// Total on-chip buffer capacity of the design in elements (internal
@@ -292,8 +339,23 @@ mod tests {
         assert_eq!(mapping.channels.len(), 10);
         // Memory units: 3 readers + 1 writer.
         assert_eq!(mapping.memory_units.len(), 4);
-        assert_eq!(mapping.input_channels("b4").len(), 2);
-        assert_eq!(mapping.output_channels("b0").len(), 2);
+        assert_eq!(mapping.input_channels("b4").count(), 2);
+        assert_eq!(mapping.output_channels("b0").count(), 2);
+        // Only stencil units have unit channels; memory units have their own.
+        assert_eq!(mapping.input_channels("a0").count(), 0);
+        assert_eq!(mapping.output_channels("a0").count(), 0);
+        assert!(mapping.unit("a0").is_none());
+        for (ix, unit) in mapping.memory_units.iter().enumerate() {
+            let attached: Vec<&Channel> = mapping.memory_channels(ix).collect();
+            assert_eq!(attached.len(), unit.connections, "{}", unit.field);
+            for channel in attached {
+                let end = match unit.kind {
+                    MemoryAccessKind::Read => &channel.from,
+                    MemoryAccessKind::Write => &channel.to,
+                };
+                assert!(end.is_memory() && end.name() == unit.field);
+            }
+        }
         let b0 = mapping.unit("b0").unwrap();
         assert_eq!(b0.fan_in, 2);
         assert_eq!(b0.fan_out, 2);

@@ -108,9 +108,11 @@ impl StencilDag {
 
     /// Add a node; re-adding an existing node keeps its original kind.
     pub fn add_node(&mut self, name: &str, kind: NodeKind) {
-        self.nodes.entry(name.to_string()).or_insert(kind);
-        self.successors.entry(name.to_string()).or_default();
-        self.predecessors.entry(name.to_string()).or_default();
+        if !self.nodes.contains_key(name) {
+            self.nodes.insert(name.to_string(), kind);
+            self.successors.insert(name.to_string(), Vec::new());
+            self.predecessors.insert(name.to_string(), Vec::new());
+        }
     }
 
     /// Add a directed edge carrying `field` from `from` to `to`. Both nodes
@@ -229,12 +231,10 @@ impl StencilDag {
             .collect()
     }
 
-    /// Topological order of all nodes (Kahn's algorithm).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProgramError::Cycle`] if the graph contains a cycle.
-    pub fn topological_order(&self) -> Result<Vec<String>> {
+    /// Kahn's algorithm: the nodes in the order their last predecessor was
+    /// sorted, and the in-degree each node has left. A cyclic graph leaves the
+    /// nodes on and behind its cycles unsorted, with a non-zero rest.
+    fn kahn(&self) -> (Vec<&str>, BTreeMap<&str, usize>) {
         let mut in_degree: BTreeMap<&str, usize> = self
             .nodes
             .keys()
@@ -247,25 +247,32 @@ impl StencilDag {
             .collect();
         let mut order = Vec::with_capacity(self.nodes.len());
         while let Some(node) = queue.pop_front() {
-            order.push(node.to_string());
-            for edge in self.out_edges(node) {
-                let entry = in_degree.get_mut(edge.to.as_str()).expect("node exists");
+            order.push(node);
+            for &edge in &self.successors[node] {
+                let to = self.edges[edge].to.as_str();
+                let entry = in_degree.get_mut(to).expect("node exists");
                 *entry -= 1;
                 if *entry == 0 {
-                    queue.push_back(edge.to.as_str());
+                    queue.push_back(to);
                 }
             }
         }
-        if order.len() != self.nodes.len() {
-            let stuck = self
-                .nodes
-                .keys()
-                .find(|n| !order.contains(n))
-                .cloned()
-                .unwrap_or_default();
-            return Err(ProgramError::Cycle { node: stuck });
+        (order, in_degree)
+    }
+
+    /// Topological order of all nodes (Kahn's algorithm).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProgramError::Cycle`] if the graph contains a cycle.
+    pub fn topological_order(&self) -> Result<Vec<String>> {
+        let (order, in_degree) = self.kahn();
+        if let Some((stuck, _)) = in_degree.iter().find(|(_, &rest)| rest > 0) {
+            return Err(ProgramError::Cycle {
+                node: stuck.to_string(),
+            });
         }
-        Ok(order)
+        Ok(order.into_iter().map(str::to_string).collect())
     }
 
     /// All nodes reachable from `start` (excluding `start` itself unless it
@@ -325,42 +332,31 @@ impl StencilDag {
         total
     }
 
-    /// Length (in edges) of the longest path ending at `node`.
-    pub fn depth_of(&self, node: &str) -> usize {
-        let mut memo: BTreeMap<&str, usize> = BTreeMap::new();
-        self.depth_rec(node, &mut memo)
+    /// Length (in edges) of the longest path ending at each sorted node, in
+    /// one pass over the topological order.
+    fn depths(&self) -> BTreeMap<&str, usize> {
+        let mut depths: BTreeMap<&str, usize> = BTreeMap::new();
+        for node in self.kahn().0 {
+            let depth = self.predecessors[node]
+                .iter()
+                .map(|&edge| 1 + depths[self.edges[edge].from.as_str()])
+                .max()
+                .unwrap_or(0);
+            depths.insert(node, depth);
+        }
+        depths
     }
 
-    fn depth_rec<'a>(&'a self, node: &'a str, memo: &mut BTreeMap<&'a str, usize>) -> usize {
-        if let Some(&d) = memo.get(node) {
-            return d;
-        }
-        let depth = self
-            .in_edges(node)
-            .iter()
-            .map(|e| {
-                let from: &str = self
-                    .nodes
-                    .keys()
-                    .find(|k| k.as_str() == e.from)
-                    .map(String::as_str)
-                    .unwrap_or("");
-                1 + self.depth_rec(from, memo)
-            })
-            .max()
-            .unwrap_or(0);
-        memo.insert(node, depth);
-        depth
+    /// Length (in edges) of the longest path ending at `node` (0 for a node
+    /// that is unknown or not topologically sortable).
+    pub fn depth_of(&self, node: &str) -> usize {
+        self.depths().get(node).copied().unwrap_or(0)
     }
 
     /// The maximum depth over all nodes (the depth of the DAG, which
     /// adversely affects the performance upper bound per §VIII-A).
     pub fn max_depth(&self) -> usize {
-        self.nodes
-            .keys()
-            .map(|n| self.depth_of(n))
-            .max()
-            .unwrap_or(0)
+        self.depths().into_values().max().unwrap_or(0)
     }
 }
 
@@ -501,6 +497,27 @@ mod tests {
     }
 
     #[test]
+    fn cycle_error_names_a_node_on_the_cycle() {
+        // `in` and `a0` sort; the cycle b -> c -> d -> b does not.
+        let mut dag = StencilDag::new();
+        dag.add_edge("in", "a0", "in");
+        dag.add_edge("a0", "b", "a0");
+        dag.add_edge("b", "c", "b");
+        dag.add_edge("c", "d", "c");
+        dag.add_edge("d", "b", "d");
+        match dag.topological_order() {
+            Err(ProgramError::Cycle { node }) => {
+                assert!(["b", "c", "d"].contains(&node.as_str()), "{node}")
+            }
+            other => panic!("expected a cycle error, got {other:?}"),
+        }
+        // The depth queries terminate on it, too.
+        assert_eq!(dag.depth_of("a0"), 1);
+        assert_eq!(dag.depth_of("c"), 0);
+        assert_eq!(dag.max_depth(), 1);
+    }
+
+    #[test]
     fn reconvergent_paths_detected() {
         let dag = fork_join();
         // A -> C directly and A -> B -> C: two paths.
@@ -529,6 +546,54 @@ mod tests {
         assert!(reach.contains("B"));
         assert!(reach.contains("C"));
         assert!(!reach.contains("in"));
+    }
+
+    /// The recursive definition the one-pass `depths` replaced.
+    fn recursive_depth(dag: &StencilDag, node: &str) -> usize {
+        dag.in_edges(node)
+            .iter()
+            .map(|e| 1 + recursive_depth(dag, &e.from))
+            .max()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn depths_equal_the_recursive_definition() {
+        // A diamond whose two arms are diamonds themselves, one arm a stage
+        // longer than the other.
+        let mut nested = StencilDag::new();
+        for (from, to) in [
+            ("s", "l0"),
+            ("l0", "l1"),
+            ("l0", "l2"),
+            ("l1", "l3"),
+            ("l2", "l3"),
+            ("s", "r0"),
+            ("r0", "r1"),
+            ("r0", "r2"),
+            ("r1", "r3"),
+            ("r2", "r3"),
+            ("r3", "r4"),
+            ("l3", "t"),
+            ("r4", "t"),
+            ("s", "t"),
+        ] {
+            nested.add_edge(from, to, from);
+        }
+        assert_eq!(nested.depth_of("l3"), 3);
+        assert_eq!(nested.depth_of("t"), 5);
+        assert_eq!(nested.max_depth(), 5);
+        for dag in [fork_join(), nested] {
+            let mut deepest = 0;
+            for node in dag.nodes() {
+                let expected = recursive_depth(&dag, &node.name);
+                assert_eq!(dag.depth_of(&node.name), expected, "{}", node.name);
+                deepest = deepest.max(expected);
+            }
+            assert_eq!(dag.max_depth(), deepest);
+        }
+        assert_eq!(StencilDag::new().max_depth(), 0);
+        assert_eq!(fork_join().depth_of("missing"), 0);
     }
 
     #[test]
