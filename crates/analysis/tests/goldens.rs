@@ -139,16 +139,22 @@ fn native_ineligible_stencils_report_sf0208() {
     assert!(native[0].message.contains("not a float type"));
     assert!(report.is_clean(), "SF0208 is informational");
 
-    // A select mixing an f32 slot with the f64 literal never specializes:
-    // no typed stream, so neither the typed tiers nor Tier-4 apply.
-    let unspecializable = StencilProgramBuilder::new("mixsel", &[8, 8])
-        .dims(&["i", "j"])
-        .input("a", DataType::Float32, &["i", "j"])
-        .stencil("s", "a[i,j] < 0.5 ? a[i,j] : 0.5")
-        .output("s")
-        .build()
-        .unwrap();
-    let report = analyze_program(&unspecializable);
+    // A select mixing an f32 slot with the f64 literal specializes (the
+    // join is typed at run time) and is Tier-4 eligible: silent.
+    let mixsel = |code: &str| {
+        StencilProgramBuilder::new("mixsel", &[8, 8])
+            .dims(&["i", "j"])
+            .input("a", DataType::Float32, &["i", "j"])
+            .stencil("s", code)
+            .output("s")
+            .build()
+            .unwrap()
+    };
+    let mixed_width = analyze_program(&mixsel("a[i,j] < 0.5 ? a[i,j] : 0.5"));
+    assert!(mixed_width.with_code("SF0208").is_empty());
+    // An integer literal arm never specializes: no typed stream, so
+    // neither the typed tiers nor Tier-4 apply.
+    let report = analyze_program(&mixsel("a[i,j] < 0.5 ? a[i,j] : 1"));
     let native = report.with_code("SF0208");
     assert_eq!(native.len(), 1);
     assert!(native[0].message.contains("does not specialize"));

@@ -10,31 +10,8 @@
 
 use stencilflow_analysis::{analyze_program, analyze_sharding, AnalysisReport, Severity};
 use stencilflow_core::ShardLinkSpec;
-use stencilflow_expr::DataType;
 use stencilflow_json::Json;
-use stencilflow_program::StencilProgram;
-use stencilflow_workloads::{
-    chain_program, diffusion2d, diffusion3d, horizontal_diffusion, jacobi2d, jacobi3d,
-    jacobi3d_typed, listing1, membench_program, upwind3d, ChainSpec, HorizontalDiffusionSpec,
-    MembenchSpec,
-};
-
-/// The workload suite swept by every benchmark binary, at analysis-sized
-/// shapes (the analyses are shape-generic; small shapes keep this fast).
-fn workloads() -> Vec<StencilProgram> {
-    vec![
-        listing1(),
-        jacobi2d(1, &[32, 32], 1),
-        jacobi3d(1, &[16, 16, 8], 1),
-        jacobi3d_typed(1, &[16, 16, 8], 1, DataType::Float64),
-        diffusion2d(1, &[32, 32], 1),
-        diffusion3d(1, &[16, 16, 8], 1),
-        chain_program(&ChainSpec::new(8, 8)),
-        membench_program(&MembenchSpec::new(8, 1)),
-        horizontal_diffusion(&HorizontalDiffusionSpec::small()),
-        upwind3d(2, &[8, 8, 8], 1),
-    ]
-}
+use stencilflow_workloads::analyze_suite;
 
 fn main() {
     let mut check = false;
@@ -60,7 +37,7 @@ fn main() {
     let mut reports: Vec<AnalysisReport> = Vec::new();
     let mut errors = 0usize;
     let mut warnings = 0usize;
-    for program in workloads() {
+    for program in analyze_suite() {
         let mut report = analyze_program(&program);
         // Sweep the sharded-run configuration every workload would get by
         // default: the static pass must prove the default link sizing

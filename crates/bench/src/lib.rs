@@ -1114,10 +1114,15 @@ pub fn throughput_json(
 /// The `jacobi3d*` rows additionally gate the Tier-4 native JIT: the
 /// compiled-C sweep must not lose to the fused bytecode sweep it
 /// replaces (`jit_speedup` >= 1.0x on full-mode baselines).
-/// `horizontal_diffusion` rows carry no floors (the small-domain row is
-/// structurally lane-hostile and documents why; the larger row measures
-/// the tier fairly). Quick-mode documents (small domains on noisy shared
-/// CI runners) use looser floors than full-mode baselines.
+/// The benchmark-domain `horizontal_diffusion 24x24x64` row gates the
+/// whole typed ladder at once, as `simd_cells_per_s /
+/// compiled_cells_per_s`: all 24 stencils must sweep on lane-batched typed
+/// kernels, and one that drops back to the `Value` path (as the twelve
+/// mixed-width limiter stencils once did, holding this ratio at 1.6)
+/// costs far more than the margin. The small-domain `horizontal_diffusion`
+/// row carries no floor: it is structurally lane-hostile and documents
+/// why. Quick-mode documents (small domains on noisy shared CI runners)
+/// use looser floors than full-mode baselines.
 ///
 /// The `sharded` section gates the zero-fault overhead of the sharded
 /// runtime: 1-shard throughput must stay within a constant factor of the
@@ -1158,6 +1163,9 @@ pub fn check_floors(json_text: &str) -> Result<String, String> {
     // jacobi3d rows (>= 1.0x full mode; the quick floor absorbs the
     // small-domain FFI-call overhead and shared-runner jitter).
     let jit_floor = if quick { 0.7 } else { 1.0 };
+    // Horizontal diffusion, lane-batched typed sweep over the `Value`
+    // bytecode sweep: ~4x measured with every stencil specialized.
+    let hdiff_lane_floor = if quick { 2.0 } else { 2.5 };
     let rows = parsed
         .get("rows")
         .and_then(|v| v.as_array())
@@ -1167,12 +1175,32 @@ pub fn check_floors(json_text: &str) -> Result<String, String> {
     let mut checked = 0usize;
     let mut branchy_checked = 0usize;
     let mut fused_checked = 0usize;
+    let mut hdiff_checked = 0usize;
+    let mut check_gate = |workload: &str, key: &str, value: Option<f64>, floor: f64| match value {
+        Some(value) if value >= floor => {
+            summary.push_str(&format!("ok: {workload}: {key} {value:.2} >= {floor:.2}\n"));
+        }
+        Some(value) => failures.push(format!(
+            "{workload}: {key} {value:.2} below floor {floor:.2}"
+        )),
+        None => failures.push(format!("{workload}: missing `{key}`")),
+    };
     for row in rows {
         let workload = row
             .get("workload")
             .and_then(|v| v.as_str())
             .unwrap_or("<unnamed>")
             .to_string();
+        let field = |key: &str| row.get(key).and_then(|v| v.as_f64());
+        if workload.starts_with("horizontal_diffusion ") {
+            hdiff_checked += 1;
+            let key = "simd_cells_per_s / compiled_cells_per_s";
+            let ratio = field("simd_cells_per_s")
+                .zip(field("compiled_cells_per_s"))
+                .map(|(simd, compiled)| simd / compiled);
+            check_gate(&workload, key, ratio, hdiff_lane_floor);
+            continue;
+        }
         let gates: Vec<(&str, f64)> = if workload.starts_with("jacobi3d") {
             checked += 1;
             let mut gates = vec![
@@ -1202,15 +1230,7 @@ pub fn check_floors(json_text: &str) -> Result<String, String> {
             continue;
         };
         for (key, floor) in gates {
-            match row.get(key).and_then(|v| v.as_f64()) {
-                Some(value) if value >= floor => {
-                    summary.push_str(&format!("ok: {workload}: {key} {value:.2} >= {floor:.2}\n"));
-                }
-                Some(value) => failures.push(format!(
-                    "{workload}: {key} {value:.2} below floor {floor:.2}"
-                )),
-                None => failures.push(format!("{workload}: missing `{key}`")),
-            }
+            check_gate(&workload, key, field(key), floor);
         }
     }
     if checked == 0 {
@@ -1221,6 +1241,11 @@ pub fn check_floors(json_text: &str) -> Result<String, String> {
     }
     if fused_checked < 2 {
         return Err("benchmark JSON is missing the fused-tier rows (chain and steps)".to_string());
+    }
+    if hdiff_checked == 0 {
+        return Err(
+            "no benchmark-domain horizontal_diffusion row to check in benchmark JSON".to_string(),
+        );
     }
     // The sharded-runtime zero-fault overhead gates.
     let sharded = parsed
@@ -1464,6 +1489,21 @@ mod tests {
         );
     }
 
+    /// The benchmark-domain horizontal-diffusion row with the lane tier at
+    /// `lanes` times the `Value` bytecode sweep.
+    fn hdiff_row(lanes: f64) -> ThroughputRow {
+        ThroughputRow {
+            workload: "horizontal_diffusion 24x24x64".to_string(),
+            cells: 884_736,
+            interpreted_cells_per_s: 0.7e6,
+            compiled_cells_per_s: 7.0e6,
+            typed_cells_per_s: 12.0e6,
+            simd_cells_per_s: 7.0e6 * lanes,
+            fused_cells_per_s: 7.0e6 * lanes,
+            jit_cells_per_s: 7.0e6 * lanes,
+        }
+    }
+
     #[test]
     fn check_floors_accepts_healthy_and_rejects_regressed_documents() {
         let sharded = |host_threads: usize, s1: f64, s4: f64| ShardedThroughput {
@@ -1483,7 +1523,8 @@ mod tests {
                         upwind_simd: f64,
                         chain_fused: f64,
                         steps_fused: f64,
-                        jacobi_jit: f64| {
+                        jacobi_jit: f64,
+                        hdiff_lanes: f64| {
             let rows = vec![
                 ThroughputRow {
                     workload: "jacobi3d 32^3 f32".to_string(),
@@ -1525,34 +1566,42 @@ mod tests {
                     fused_cells_per_s: 32.0e6 * steps_fused,
                     jit_cells_per_s: 32.0e6 * steps_fused * jacobi_jit,
                 },
+                hdiff_row(hdiff_lanes),
             ];
             throughput_json(&rows, Some(&healthy_sharded), true)
         };
-        assert!(check_floors(&document(2.0, 1.8, 1.6, 1.3, 1.2)).is_ok());
-        let err = check_floors(&document(1.0, 1.8, 1.6, 1.3, 1.2)).unwrap_err();
+        assert!(check_floors(&document(2.0, 1.8, 1.6, 1.3, 1.2, 4.0)).is_ok());
+        let err = check_floors(&document(1.0, 1.8, 1.6, 1.3, 1.2, 4.0)).unwrap_err();
         assert!(err.contains("simd_speedup"), "unexpected error: {err}");
         // A regressed branchy row trips its own gate.
-        let err = check_floors(&document(2.0, 1.0, 1.6, 1.3, 1.2)).unwrap_err();
+        let err = check_floors(&document(2.0, 1.0, 1.6, 1.3, 1.2, 4.0)).unwrap_err();
         assert!(
             err.contains("upwind3d") && err.contains("simd_speedup"),
             "unexpected error: {err}"
         );
         // Regressed fused rows trip the fused gates.
-        let err = check_floors(&document(2.0, 1.8, 1.0, 1.3, 1.2)).unwrap_err();
+        let err = check_floors(&document(2.0, 1.8, 1.0, 1.3, 1.2, 4.0)).unwrap_err();
         assert!(
             err.contains("chain") && err.contains("fused_speedup"),
             "unexpected error: {err}"
         );
-        let err = check_floors(&document(2.0, 1.8, 1.6, 1.0, 1.2)).unwrap_err();
+        let err = check_floors(&document(2.0, 1.8, 1.6, 1.0, 1.2, 4.0)).unwrap_err();
         assert!(
             err.contains("steps") && err.contains("fused_speedup"),
             "unexpected error: {err}"
         );
         // A native sweep losing to the fused bytecode sweep trips the
         // Tier-4 floor on the jacobi rows.
-        let err = check_floors(&document(2.0, 1.8, 1.6, 1.3, 0.5)).unwrap_err();
+        let err = check_floors(&document(2.0, 1.8, 1.6, 1.3, 0.5, 4.0)).unwrap_err();
         assert!(
             err.contains("jacobi3d") && err.contains("jit_speedup"),
+            "unexpected error: {err}"
+        );
+        // Horizontal diffusion with stencils back on the `Value` path trips
+        // the lane-over-bytecode gate.
+        let err = check_floors(&document(2.0, 1.8, 1.6, 1.3, 1.2, 1.6)).unwrap_err();
+        assert!(
+            err.contains("horizontal_diffusion") && err.contains("compiled_cells_per_s"),
             "unexpected error: {err}"
         );
         // Documents without jacobi, upwind, or fused rows (or unparseable
@@ -1631,6 +1680,7 @@ mod tests {
                 fused_cells_per_s: 41.6e6,
                 jit_cells_per_s: 50.0e6,
             },
+            hdiff_row(4.0),
         ];
         let document = |sh: &ShardedThroughput| throughput_json(&healthy_rows, Some(sh), true);
         // Healthy single-core document passes under the time-sliced floor.

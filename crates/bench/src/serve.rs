@@ -11,8 +11,9 @@
 //! 2. Materialize each tenant's input grids once and share them `Arc`'d
 //!    across every job that reuses the template — the service must not
 //!    depend on caller-side copies.
-//! 3. Run one warmup batch: automatic tier selection measures each
-//!    fingerprint, the buffer pools fill, the JIT compiles (if present).
+//! 3. Warm up on one pass over the mix (`ServeExecutor::warm`): automatic
+//!    tier selection measures each fingerprint, the JIT compiles (if
+//!    present), the buffer pools fill for every worker.
 //! 4. Run the measured batches, recycling every result; the steady-state
 //!    counters (`pool_misses`, `mask_misses`, `compiles`) must not move
 //!    from the post-warmup snapshot. That delta, the sustained Mcells/s,
@@ -41,7 +42,7 @@ pub struct ServeBenchReport {
     pub jobs_per_batch: usize,
     /// Large jobs per batch.
     pub large_jobs: usize,
-    /// Measured batches (after the warmup batch).
+    /// Measured batches (after the warmup).
     pub batches: usize,
     /// Failed jobs across the measured batches (must be zero).
     pub errors: usize,
@@ -133,18 +134,12 @@ pub fn run_serve_bench(quick: bool) -> ServeBenchReport {
         .unwrap_or(1);
     let batch = || -> Vec<JobSpec> { mix.jobs.iter().map(|(job, _)| job.clone()).collect() };
 
-    // Warmup: tier measurement, pool population, shared-cache compile.
-    // Streaming sink: results are recycled as jobs land, so peak pooled
-    // liveness is the in-flight set, not the whole batch. Two batches, so
-    // the pool has absorbed the peak concurrent demand of the worker
-    // interleavings before the steady window opens.
-    for _ in 0..2 {
-        serve.run_batch_with(batch(), |outcome| {
-            if let Ok(result) = outcome.result {
-                serve.recycle(result);
-            }
-        });
-    }
+    // Warmup: tier measurement, shared-cache compile, and pools
+    // provisioned for every worker at once (`ServeExecutor::warm`; results
+    // are recycled from the sink, so none is held), so the steady window's
+    // zero-miss property does not hang on which jobs happened to overlap
+    // during the warmup.
+    serve.warm(batch()).expect("every job of the mix runs");
     let warm = serve.stats();
 
     let batches = if quick { 2 } else { 3 };

@@ -220,6 +220,60 @@ fn f32_round_wraps_round_trip_on_special_values() {
 }
 
 #[test]
+fn mixed_width_joins_round_trip_on_special_values() {
+    // f32 slots joined with f64 literal arms: the value's width is a
+    // runtime flag, and every operation on it rounds by select. The C side
+    // must reproduce that on the rows where rounding decides the result —
+    // above all a product that is positive in f64 but underflows to zero
+    // in f32, which flips horizontal diffusion's `lim * diff > 0.0`.
+    let engine = engine();
+    let pairs = f32_pairs();
+    let cases: Vec<&[f64]> = pairs.iter().map(|p| p.as_slice()).collect();
+    for source in [
+        "x = a[i] > 0.5 ? 0.1 : a[i]; x * b[i]",
+        "x = a[i] > 0.5 ? a[i] : 0.1; b[i] / x",
+        "x = a[i] > 0.5 ? 0.1 : a[i]; x * b[i] > 0.0 ? 0.0 : x",
+        "x = a[i] > 0.5 ? 0.1 : a[i]; sqrt(abs(x)) + min(x, b[i]) - max(0.3, x)",
+        "x = a[i] > 0.5 ? 0.1 : a[i]; y = b[i] > 0.0 ? b[i] : 0.7; x * y + x",
+        "x = a[i] > 0.5 ? 0.1 : a[i]; y = b[i] > 0.0 ? x : b[i]; y * b[i] - 0.1",
+        "a[i] < 0.5 ? a[i] : 0.5",
+        "a[i] * b[i] > 100000.0 ? 100000.0 : a[i] * b[i]",
+    ] {
+        assert_roundtrip(&engine, source, &[DataType::Float32], &cases);
+    }
+    // The flux limiter itself, slots a[i+1], a[i], b[i+1], b[i].
+    let tiny = 1e-30f32 as f64;
+    let sub = 1e-45f32 as f64;
+    let max = f32::MAX as f64;
+    let quads: Vec<[f64; 4]> = vec![
+        // lim is f32 and lim * diff underflows in f32 only.
+        [tiny, 0.0, tiny, 0.0],
+        [sub, 0.0, sub, 0.0],
+        [-tiny, 0.0, 0.0, tiny],
+        // lim is the f64 literal: the product must stay unrounded.
+        [9.0, 1.0, sub, 0.0],
+        [9.0, 1.0, 0.0, sub],
+        [max, -max, 0.1f32 as f64, 0.0],
+        // Signed zeros, infinities, NaN.
+        [-0.0, 0.0, 0.0, -0.0],
+        [0.0, -0.0, -0.0, 0.0],
+        [f64::INFINITY, 1.0, f64::NEG_INFINITY, 1.0],
+        [1.0, f64::INFINITY, 1.0, f64::INFINITY],
+        [f64::NAN, 1.0, 2.0, 1.0],
+        [5.0, 1.0, f64::NAN, 1.0],
+        [1.0, f64::NAN, f64::NAN, 1.0],
+    ];
+    let cases: Vec<&[f64]> = quads.iter().map(|q| q.as_slice()).collect();
+    assert_roundtrip(
+        &engine,
+        "delta = a[i+1] - a[i]; lim = delta > 4.0 ? 4.0 : delta; \
+         lim * (b[i+1] - b[i]) > 0.0 ? 0.0 : lim",
+        &[DataType::Float32],
+        &cases,
+    );
+}
+
+#[test]
 fn exact_float_literals_survive_c_parsing() {
     // Literals are emitted with Rust's shortest-round-trip formatting; the
     // C compiler must parse them back to the identical doubles. Exercised

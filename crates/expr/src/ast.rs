@@ -437,7 +437,11 @@ impl Expr {
             }
             Expr::Binary { op, lhs, rhs } => {
                 let prec = self.precedence();
-                lhs.fmt_with_parens(f, prec)?;
+                // Comparisons do not chain in the grammar (`a < b < c` is a
+                // parse error), so a comparison on the left needs its
+                // parentheses; the arithmetic and logic levels are
+                // left-associative and do not.
+                lhs.fmt_with_parens(f, prec + u8::from(op.is_comparison()))?;
                 write!(f, " {op} ")?;
                 // Right operand needs strictly higher precedence to avoid
                 // reassociation of subtraction/division on re-parse.

@@ -339,18 +339,38 @@ impl CompiledKernel {
     /// Specialization performs a static type-propagation pass over the
     /// bytecode: given the (bind-time) type of every slot, the result type
     /// of each instruction is determined by the same promotion rules the
-    /// [`Value`] arithmetic applies dynamically. When every instruction
-    /// resolves to a single static float (or boolean) type, the kernel is
-    /// lowered to [`TypedOp`]s carrying a compile-time "round through `f32`"
-    /// flag, and the typed evaluation loop is bit-identical to
+    /// [`Value`] arithmetic applies dynamically. Every instruction is
+    /// lowered to [`TypedOp`]s carrying a compile-time "round through
+    /// `f32`" flag, and the typed evaluation loop is bit-identical to
     /// [`CompiledKernel::eval_slots`] by construction.
     ///
+    /// One kind of value has no static type and specializes all the same:
+    /// a select whose arms are floats of different width (`delta > 4.0 ?
+    /// 4.0 : delta` over an `f32` field joins an `f64` literal with an
+    /// `f32`). Its width is carried at run time in a flag local — `1.0`
+    /// for `f64`, `0.0` for `f32`, picked by the select's own condition —
+    /// and every rounding-sensitive instruction consuming it computes
+    /// unrounded and then rounds by select,
+    /// `Select(flag, x, round32(x))`, with the flag of the promoted type
+    /// (`f64` absorbs the flag; two flagged operands are `f64` if either
+    /// is). Only existing instructions are used (`round32(x)` is
+    /// `Mul { round: true }` by `1.0`), so lane batching, the typed
+    /// verifier and the C emitter see nothing new. A flag no instruction
+    /// reads is never computed: a join in tail position, or one that only
+    /// feeds compares and other joins, lowers to the plain `Select` it
+    /// would be with uniform slot types — the grid store rounds the result
+    /// through the output type exactly as the `Value` path's final cast
+    /// does.
+    ///
     /// Returns `None` — and consumers keep the dynamic `Value` path — when
-    /// the kernel cannot be statically typed: integer-typed slots or
-    /// literals (integer division can fail, which the infallible typed loop
-    /// cannot express), arithmetic on two booleans, negation of a boolean
-    /// (which promotes to `int64`), or control-flow joins whose branches
-    /// produce different types.
+    /// the kernel cannot be typed even so: integer-typed slots or literals
+    /// (integer division can fail, which the infallible typed loop cannot
+    /// express), arithmetic on two booleans, negation of a boolean (which
+    /// promotes to `int64`), a select with a boolean arm against a float
+    /// arm, or a *jump-based* join whose branches produce different types
+    /// (a mixed-width ternary with a division in an arm: the untyped
+    /// if-conversion leaves it a diamond, and the flag of a diamond would
+    /// need a second pass).
     pub fn specialize(&self, slot_types: &[DataType]) -> Option<TypedKernel> {
         assert_eq!(
             slot_types.len(),
@@ -362,13 +382,66 @@ impl CompiledKernel {
             .map(|&t| SType::from_data_type(t))
             .collect::<Option<_>>()?;
 
+        // The first pass materializes the flag of every mixed join. A flag
+        // costs a spilled condition, and a `Select` whose operands went
+        // through locals no longer reads as a clamp to the C emitter, so
+        // when some flag turns out to have no reader the stream is typed
+        // again with only the flags that have one.
+        let mut typed = self.type_ops(&slot_stypes, None)?;
+        let wanted = typed.wanted_flags();
+        if wanted.contains(&false) {
+            typed = self.type_ops(&slot_stypes, Some(&wanted))?;
+        }
+        let Typer {
+            mut ops,
+            next_local,
+            flags,
+            ..
+        } = typed;
+        // Statically-typed if-conversion: the untyped pass keeps any
+        // diamond whose arm contains a division (it cannot rule out the
+        // fallible integer variant), but every op of this stream is now
+        // proven float-typed — float division is IEEE-total — so the
+        // remaining diamonds convert to branch-free selects here,
+        // unlocking lane batching for division-heavy ternaries.
+        let converted = crate::opt::typed_if_convert(&mut ops);
+        // Both arms of a converted select evaluate unconditionally, and
+        // flag code runs above the operands it serves: either way the
+        // jump-based stack bound of the untyped stream no longer covers
+        // the typed one.
+        let max_stack = if converted || !flags.is_empty() {
+            crate::opt::typed_max_stack_of(&ops)
+        } else {
+            self.max_stack
+        };
+        Some(debug_verified_typed(TypedKernel {
+            ops,
+            slot_count: self.slots.len(),
+            local_count: next_local as usize,
+            max_stack,
+        }))
+    }
+
+    /// One static type-propagation pass over the bytecode (see
+    /// [`CompiledKernel::specialize`]). `wanted[k]` says whether the `k`-th
+    /// runtime type flag gets a local; `None` materializes all of them.
+    fn type_ops<'a>(&self, slot_stypes: &[SType], wanted: Option<&'a [bool]>) -> Option<Typer<'a>> {
+        let mut typer = Typer {
+            ops: Vec::with_capacity(self.ops.len()),
+            next_local: u16::try_from(self.local_count).ok()?,
+            temps: [None; 3],
+            flags: Vec::new(),
+            wanted,
+        };
         let mut stack: Vec<SType> = Vec::new();
         let mut locals: Vec<Option<SType>> = vec![None; self.local_count];
         // Expected stack types at each forward-jump target. All jumps in the
         // bytecode are forward (ternaries and short-circuit logic), so one
         // linear pass visits every instruction with its full type context.
         let mut joins: BTreeMap<u32, Vec<SType>> = BTreeMap::new();
-        let mut ops = Vec::with_capacity(self.ops.len());
+        // Typed position of every untyped instruction: flag code makes the
+        // typed stream longer, so jump targets are translated at the end.
+        let mut typed_pc: Vec<u32> = Vec::with_capacity(self.ops.len() + 1);
         let mut live = true;
 
         fn join(joins: &mut BTreeMap<u32, Vec<SType>>, target: u32, snapshot: Vec<SType>) -> bool {
@@ -382,6 +455,7 @@ impl CompiledKernel {
         }
 
         for (pc, op) in self.ops.iter().enumerate() {
+            typed_pc.push(typer.ops.len() as u32);
             if let Some(snapshot) = joins.get(&(pc as u32)) {
                 if live {
                     if *snapshot != stack {
@@ -401,15 +475,15 @@ impl CompiledKernel {
             match *op {
                 Op::Const(v) => {
                     stack.push(SType::from_data_type(v.data_type())?);
-                    ops.push(TypedOp::Const(v.as_f64()));
+                    typer.ops.push(TypedOp::Const(v.as_f64()));
                 }
                 Op::Slot(ix) => {
                     stack.push(slot_stypes[ix as usize]);
-                    ops.push(TypedOp::Slot(ix));
+                    typer.ops.push(TypedOp::Slot(ix));
                 }
                 Op::Local(ix) => {
                     stack.push(locals[ix as usize]?);
-                    ops.push(TypedOp::Local(ix));
+                    typer.ops.push(TypedOp::Local(ix));
                 }
                 Op::Store(ix) => {
                     let t = stack.pop()?;
@@ -417,11 +491,11 @@ impl CompiledKernel {
                         Some(previous) if previous != t => return None,
                         _ => locals[ix as usize] = Some(t),
                     }
-                    ops.push(TypedOp::Store(ix));
+                    typer.ops.push(TypedOp::Store(ix));
                 }
                 Op::Pop => {
                     stack.pop()?;
-                    ops.push(TypedOp::Pop);
+                    typer.ops.push(TypedOp::Pop);
                 }
                 Op::Unary(UnOp::Neg) => {
                     let t = stack.pop()?;
@@ -430,34 +504,41 @@ impl CompiledKernel {
                         return None;
                     }
                     stack.push(t);
-                    ops.push(TypedOp::Neg {
+                    // Negation is exact: the negative of an `f32` value
+                    // is one, so a `Dyn` operand needs no rounding by flag.
+                    typer.ops.push(TypedOp::Neg {
                         round: t == SType::F32,
                     });
                 }
                 Op::Unary(UnOp::Not) => {
                     stack.pop()?;
                     stack.push(SType::Bool);
-                    ops.push(TypedOp::Not);
+                    typer.ops.push(TypedOp::Not);
                 }
                 Op::Binary(binop) => {
                     let r = stack.pop()?;
                     let l = stack.pop()?;
                     match binop {
                         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
-                            let t = SType::arithmetic(l, r)?;
-                            let round = t == SType::F32;
+                            // `Bool ∘ Bool` stays boolean under promotion
+                            // (the result is re-coerced through
+                            // `from_f64`), which the typed loop does not
+                            // model — reject it.
+                            let t = match typer.promote(l, r)? {
+                                SType::Bool => return None,
+                                t => t,
+                            };
                             stack.push(t);
-                            ops.push(match binop {
+                            typer.rounded(t, |round| match binop {
                                 BinOp::Add => TypedOp::Add { round },
                                 BinOp::Sub => TypedOp::Sub { round },
                                 BinOp::Mul => TypedOp::Mul { round },
-                                BinOp::Div => TypedOp::Div { round },
-                                _ => unreachable!(),
-                            });
+                                _ => TypedOp::Div { round },
+                            })?;
                         }
                         BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge | BinOp::Eq | BinOp::Ne => {
                             stack.push(SType::Bool);
-                            ops.push(TypedOp::Compare(match binop {
+                            typer.ops.push(TypedOp::Compare(match binop {
                                 BinOp::Lt => CompareOp::Lt,
                                 BinOp::Gt => CompareOp::Gt,
                                 BinOp::Le => CompareOp::Le,
@@ -474,30 +555,30 @@ impl CompiledKernel {
                 }
                 Op::Call1(func) => {
                     let a = stack.pop()?;
-                    let t = SType::math_result(a, None);
+                    let t = SType::math_result(a);
                     stack.push(t);
-                    ops.push(TypedOp::Call1(func, t == SType::F32));
+                    typer.rounded(t, |round| TypedOp::Call1(func, round))?;
                 }
                 Op::Call2(func) => {
                     let b = stack.pop()?;
                     let a = stack.pop()?;
-                    let t = SType::math_result(a, Some(b));
+                    let t = SType::math_result(typer.promote(a, b)?);
                     stack.push(t);
-                    ops.push(TypedOp::Call2(func, t == SType::F32));
+                    typer.rounded(t, |round| TypedOp::Call2(func, round))?;
                 }
                 Op::Jump(target) => {
                     if !join(&mut joins, target, stack.clone()) {
                         return None;
                     }
                     live = false;
-                    ops.push(TypedOp::Jump(target));
+                    typer.ops.push(TypedOp::Jump(target));
                 }
                 Op::JumpIfFalse(target) => {
                     stack.pop()?;
                     if !join(&mut joins, target, stack.clone()) {
                         return None;
                     }
-                    ops.push(TypedOp::JumpIfFalse(target));
+                    typer.ops.push(TypedOp::JumpIfFalse(target));
                 }
                 Op::AndShortCircuit(target) => {
                     stack.pop()?;
@@ -506,7 +587,7 @@ impl CompiledKernel {
                     if !join(&mut joins, target, taken) {
                         return None;
                     }
-                    ops.push(TypedOp::AndFalse(target));
+                    typer.ops.push(TypedOp::AndFalse(target));
                 }
                 Op::OrShortCircuit(target) => {
                     stack.pop()?;
@@ -515,27 +596,22 @@ impl CompiledKernel {
                     if !join(&mut joins, target, taken) {
                         return None;
                     }
-                    ops.push(TypedOp::OrTrue(target));
+                    typer.ops.push(TypedOp::OrTrue(target));
                 }
                 Op::ToBool => {
                     stack.pop()?;
                     stack.push(SType::Bool);
-                    ops.push(TypedOp::ToBool);
+                    typer.ops.push(TypedOp::ToBool);
                 }
                 Op::Select => {
                     let otherwise = stack.pop()?;
                     let then = stack.pop()?;
                     stack.pop()?; // condition: any type (truthiness).
-                    if then != otherwise {
-                        // Mixed-type arms cannot resolve to one static type —
-                        // the same condition that fails a jump-based join.
-                        return None;
-                    }
-                    stack.push(then);
-                    ops.push(TypedOp::Select);
+                    stack.push(typer.select(then, otherwise)?);
                 }
             }
         }
+        typed_pc.push(typer.ops.len() as u32);
         // A jump may target one past the final instruction (ternary in tail
         // position): merge that join like any other.
         if let Some(snapshot) = joins.get(&(self.ops.len() as u32)) {
@@ -551,29 +627,16 @@ impl CompiledKernel {
         if !live || stack.is_empty() {
             return None;
         }
-        // Statically-typed if-conversion: the untyped pass keeps any
-        // diamond whose arm contains a division (it cannot rule out the
-        // fallible integer variant), but every op of this stream is now
-        // proven float-typed — float division is IEEE-total — so the
-        // remaining diamonds convert to branch-free selects here,
-        // unlocking lane batching for division-heavy ternaries.
-        if crate::opt::typed_if_convert(&mut ops) {
-            // Both arms now evaluate unconditionally: the jump-based
-            // stack bound no longer covers the select form.
-            let max_stack = crate::opt::typed_max_stack_of(&ops);
-            return Some(debug_verified_typed(TypedKernel {
-                ops,
-                slot_count: self.slots.len(),
-                local_count: self.local_count,
-                max_stack,
-            }));
+        for op in &mut typer.ops {
+            if let TypedOp::Jump(t)
+            | TypedOp::JumpIfFalse(t)
+            | TypedOp::AndFalse(t)
+            | TypedOp::OrTrue(t) = op
+            {
+                *t = typed_pc[*t as usize];
+            }
         }
-        Some(debug_verified_typed(TypedKernel {
-            ops,
-            slot_count: self.slots.len(),
-            local_count: self.local_count,
-            max_stack: self.max_stack,
-        }))
+        Some(typer)
     }
 
     /// Convenience evaluation through an [`AccessResolver`]: resolves every
@@ -614,6 +677,14 @@ enum SType {
     F64,
     /// Boolean (comparison / logic results), stored as `0.0` / `1.0`.
     Bool,
+    /// A float whose width is only known at run time: the result of a
+    /// select (or a chain of them) whose arms are `f32` on one side and
+    /// `f64` on the other, as in `delta > 4.0 ? 4.0 : delta` over an `f32`
+    /// field. The value is still one raw `f64`; the numbered runtime type
+    /// flag ([`Flag`]) is `1.0` when the `Value` path would hold an `f64`
+    /// here and `0.0` when it would hold an `f32`. Two `Dyn`s are the same
+    /// type only when they share the flag.
+    Dyn(u16),
 }
 
 impl SType {
@@ -628,32 +699,190 @@ impl SType {
         }
     }
 
-    /// Result type of `+ - * /` on two operands, mirroring
-    /// [`DataType::promote`]. `Bool ∘ Bool` stays boolean under promotion
-    /// (the result is re-coerced through `from_f64`), which the typed loop
-    /// does not model — reject it.
-    fn arithmetic(l: SType, r: SType) -> Option<SType> {
-        match (l, r) {
-            (SType::Bool, SType::Bool) => None,
-            (SType::F64, _) | (_, SType::F64) => Some(SType::F64),
-            _ => Some(SType::F32),
-        }
-    }
-
-    /// Result type of a math-function call, mirroring
-    /// [`crate::eval::eval_math_fn`]: the promoted argument type if it is a
-    /// float, otherwise `f64`.
-    fn math_result(a: SType, b: Option<SType>) -> SType {
-        let promoted = match (a, b) {
-            (t, None) => t,
-            (SType::Bool, Some(t)) | (t, Some(SType::Bool)) => t,
-            (SType::F64, Some(_)) | (_, Some(SType::F64)) => SType::F64,
-            (SType::F32, Some(SType::F32)) => SType::F32,
-        };
+    /// Result type of a math-function call on arguments of promoted type
+    /// `promoted`, mirroring [`crate::eval::eval_math_fn`]: the promoted
+    /// argument type if it is a float, otherwise `f64`.
+    fn math_result(promoted: SType) -> SType {
         match promoted {
             SType::Bool => SType::F64,
             t => t,
         }
+    }
+}
+
+/// One runtime type flag of a specialization pass (see [`SType::Dyn`]).
+struct Flag {
+    /// The local register holding the flag; `None` when nothing reads it.
+    local: Option<u16>,
+    /// The flags this one is computed from.
+    sources: [Option<u16>; 2],
+    /// Whether an instruction rounds by this flag.
+    read: bool,
+}
+
+/// The output side of one specialization pass: the typed stream so far and
+/// the runtime type flags behind its [`SType::Dyn`] values.
+struct Typer<'a> {
+    ops: Vec<TypedOp>,
+    /// Next free local register (the untyped kernel's come first).
+    next_local: u16,
+    /// Scratch registers shared by every spill sequence, made on first use.
+    temps: [Option<u16>; 3],
+    flags: Vec<Flag>,
+    /// Which flags get a local, by number; `None` gives every flag one.
+    wanted: Option<&'a [bool]>,
+}
+
+impl Typer<'_> {
+    fn fresh_local(&mut self) -> Option<u16> {
+        let local = self.next_local;
+        self.next_local = local.checked_add(1)?;
+        Some(local)
+    }
+
+    fn temp(&mut self, ix: usize) -> Option<u16> {
+        if self.temps[ix].is_none() {
+            self.temps[ix] = Some(self.fresh_local()?);
+        }
+        self.temps[ix]
+    }
+
+    /// Number a new flag computed from the flags of `a` and `b` (when they
+    /// have one) and give it a local if it is wanted. Returns the flag and
+    /// its local.
+    fn new_flag(&mut self, a: SType, b: SType) -> Option<(u16, Option<u16>)> {
+        let flag = u16::try_from(self.flags.len()).ok()?;
+        let wanted = self.wanted.is_none_or(|w| w[flag as usize]);
+        let local = if wanted {
+            Some(self.fresh_local()?)
+        } else {
+            None
+        };
+        let source = |t| match t {
+            SType::Dyn(f) => Some(f),
+            _ => None,
+        };
+        self.flags.push(Flag {
+            local,
+            sources: [source(a), source(b)],
+            read: false,
+        });
+        Some((flag, local))
+    }
+
+    /// Which flags need a local: the ones an instruction rounds by, and
+    /// the ones those are computed from (always lower-numbered).
+    fn wanted_flags(&self) -> Vec<bool> {
+        let mut wanted: Vec<bool> = self.flags.iter().map(|f| f.read).collect();
+        for ix in (0..wanted.len()).rev() {
+            if wanted[ix] {
+                for source in self.flags[ix].sources.into_iter().flatten() {
+                    wanted[source as usize] = true;
+                }
+            }
+        }
+        wanted
+    }
+
+    /// Push "is a value of type `t` an `f64` at run time" as `1.0` / `0.0`.
+    fn push_is_f64(&mut self, t: SType) -> Option<()> {
+        self.ops.push(match t {
+            SType::F64 => TypedOp::Const(1.0),
+            SType::Dyn(flag) => TypedOp::Local(self.flags[flag as usize].local?),
+            SType::F32 | SType::Bool => TypedOp::Const(0.0),
+        });
+        Some(())
+    }
+
+    /// Operand type of `l ∘ r` for arithmetic and two-argument math
+    /// functions, mirroring [`DataType::promote`]: `f64` absorbs
+    /// everything, a boolean takes the other side's type, and two values
+    /// with different runtime flags are `f64` when either is.
+    fn promote(&mut self, l: SType, r: SType) -> Option<SType> {
+        Some(match (l, r) {
+            (SType::F64, _) | (_, SType::F64) => SType::F64,
+            (SType::Dyn(f), SType::Dyn(g)) if f != g => {
+                let (flag, local) = self.new_flag(l, r)?;
+                if let Some(local) = local {
+                    self.push_is_f64(l)?;
+                    self.ops.push(TypedOp::Const(1.0));
+                    self.push_is_f64(r)?;
+                    self.ops.extend([TypedOp::Select, TypedOp::Store(local)]);
+                }
+                SType::Dyn(flag)
+            }
+            (SType::Dyn(f), _) | (_, SType::Dyn(f)) => SType::Dyn(f),
+            (SType::F32, _) | (_, SType::F32) => SType::F32,
+            (SType::Bool, SType::Bool) => SType::Bool,
+        })
+    }
+
+    /// Emit a rounding-sensitive instruction producing type `t`. A static
+    /// type fixes the `round` flag; a runtime-typed result is computed
+    /// unrounded and then replaced by its `f32` rounding unless the flag
+    /// says `f64`: `x -> Select(flag, x, x * 1.0 rounded)`. The product by
+    /// one is exact, so the rounded arm is `Value::from_f64(x, Float32)`
+    /// bit for bit.
+    fn rounded(&mut self, t: SType, make: impl Fn(bool) -> TypedOp) -> Option<()> {
+        let SType::Dyn(flag) = t else {
+            self.ops.push(make(t == SType::F32));
+            return Some(());
+        };
+        self.flags[flag as usize].read = true;
+        let x = self.temp(0)?;
+        self.ops.extend([make(false), TypedOp::Store(x)]);
+        self.push_is_f64(t)?;
+        self.ops.extend([
+            TypedOp::Local(x),
+            TypedOp::Local(x),
+            TypedOp::Const(1.0),
+            TypedOp::Mul { round: true },
+            TypedOp::Select,
+        ]);
+        Some(())
+    }
+
+    /// Emit a select whose arms have types `then` and `otherwise`
+    /// (condition and both arms are on the stack) and return its type.
+    fn select(&mut self, then: SType, otherwise: SType) -> Option<SType> {
+        if then == otherwise {
+            self.ops.push(TypedOp::Select);
+            return Some(then);
+        }
+        if then == SType::Bool || otherwise == SType::Bool {
+            // A boolean arm against a float arm: the result is not even
+            // always a float.
+            return None;
+        }
+        // Floats of different (or differently flagged) width: the result's
+        // flag is the taken arm's, chosen by the same condition.
+        let (flag, local) = self.new_flag(then, otherwise)?;
+        if let Some(local) = local {
+            let [c, t, e] = [self.temp(0)?, self.temp(1)?, self.temp(2)?];
+            self.ops.extend([
+                TypedOp::Store(e),
+                TypedOp::Store(t),
+                TypedOp::Store(c),
+                TypedOp::Local(c),
+            ]);
+            match (then, otherwise) {
+                (SType::F64, SType::F32) => self.ops.push(TypedOp::ToBool),
+                (SType::F32, SType::F64) => self.ops.push(TypedOp::Not),
+                _ => {
+                    self.push_is_f64(then)?;
+                    self.push_is_f64(otherwise)?;
+                    self.ops.push(TypedOp::Select);
+                }
+            }
+            self.ops.extend([
+                TypedOp::Store(local),
+                TypedOp::Local(c),
+                TypedOp::Local(t),
+                TypedOp::Local(e),
+            ]);
+        }
+        self.ops.push(TypedOp::Select);
+        Some(SType::Dyn(flag))
     }
 }
 
@@ -1557,11 +1786,154 @@ mod tests {
         // Integer-typed slots: no specialization.
         let kernel = compile("a[i] * 2.0");
         assert!(kernel.specialize(&[DataType::Int32]).is_none());
-        // Ternary branches of different static types: no specialization.
+        // Ternary arms of different float widths used to be the third
+        // case. They specialize now: the select is typed `Dyn`, and in
+        // tail position that costs nothing — the stream is the one the
+        // all-f64 slots get.
         let kernel = compile("a[i] > 0.0 ? a[i] : 0.5");
+        let mixed = kernel.specialize(&[DataType::Float32]).unwrap();
+        let uniform = kernel.specialize(&[DataType::Float64]).unwrap();
+        assert_eq!(mixed.ops(), uniform.ops());
+        // A boolean arm against a float arm is still out: the result is
+        // not always a float.
+        let kernel = compile("a[i] > 0.0 ? a[i] : a[i] < 1.0");
         assert!(kernel.specialize(&[DataType::Float32]).is_none());
-        // ... but the same program with f64 slots joins cleanly.
+        // So is a mixed-width join that kept its jumps (the division
+        // blocks the untyped if-conversion).
+        let kernel = compile("a[i] > 0.0 ? a[i] / 3.0 : a[i]");
+        assert!(kernel.specialize(&[DataType::Float32]).is_none());
         assert!(kernel.specialize(&[DataType::Float64]).is_some());
+    }
+
+    /// The two limiter shapes of `workloads::horizontal_diffusion`.
+    const FLUX: &str = "delta = a[i+1] - a[i]; lim = delta > 4.0 ? 4.0 : delta; \
+                        lim * (b[i+1] - b[i]) > 0.0 ? 0.0 : lim";
+    const UPDATE: &str = "res = a[i] - b[i] * (a[i+1] - a[i-1]); res > 100000.0 ? 100000.0 : res";
+
+    /// Typed, lane and `Value` results of `code` on `LANES` rows of f32
+    /// slot values, compared bit for bit.
+    fn check_mixed_rows<const LANES: usize>(code: &str, rows: [&[f32]; LANES]) -> TypedKernel {
+        let kernel = compile(code);
+        let slots = kernel.slots().len();
+        let typed = kernel
+            .specialize(&vec![DataType::Float32; slots])
+            .unwrap_or_else(|| panic!("`{code}` should specialize"));
+        assert!(typed.supports_lanes(), "`{code}` should be branch-free");
+        let lanes: Vec<[f64; LANES]> = (0..slots)
+            .map(|s| std::array::from_fn(|lane| rows[lane][s] as f64))
+            .collect();
+        let batched = typed.eval_lanes(&lanes, &mut LaneScratch::default());
+        for (lane, row) in rows.iter().enumerate() {
+            assert_eq!(row.len(), slots, "one value per slot of `{code}`");
+            let values: Vec<Value> = row.iter().map(|&v| Value::F32(v)).collect();
+            let raw: Vec<f64> = row.iter().map(|&v| v as f64).collect();
+            let reference = kernel
+                .eval_slots(&values, &mut EvalScratch::default())
+                .unwrap()
+                .as_f64();
+            let scalar = typed.eval_slots(&raw, &mut TypedScratch::default());
+            for (tier, got) in [("typed", scalar), ("lane", batched[lane])] {
+                assert!(
+                    reference.to_bits() == got.to_bits() || (reference.is_nan() && got.is_nan()),
+                    "{tier} mismatch for `{code}` on {row:?}: {reference:?} vs {got:?}"
+                );
+            }
+        }
+        typed
+    }
+
+    #[test]
+    fn mixed_width_joins_specialize_bitwise() {
+        // Slots of FLUX: a[i+1], a[i], b[i+1], b[i]. Rows cover: limiter
+        // taken (lim is the f64 literal, the product stays unrounded) and
+        // not taken (lim is f32, the product rounds); a product that is
+        // positive in f64 but rounds to zero in f32, which flips the outer
+        // condition; signed zeros, infinities, NaN and subnormals.
+        let tiny = f32::MIN_POSITIVE;
+        let typed = check_mixed_rows(
+            FLUX,
+            [
+                &[9.0, 1.0, 2.0, 1.0],
+                &[9.0, 1.0, 1.0, 2.0],
+                &[1.3, 1.0, 1.7, 1.1],
+                &[1.3, 1.0, 1.1, 1.7],
+                &[tiny, 0.0, tiny, 0.0],
+                &[1e-30, 0.0, 1e-30, 0.0],
+                &[-0.0, 0.0, 0.0, -0.0],
+                &[f32::INFINITY, 1.0, f32::NEG_INFINITY, 1.0],
+                &[f32::NAN, 1.0, 2.0, 1.0],
+                &[1.0, f32::NAN, f32::NAN, 1.0],
+                &[f32::from_bits(1), 0.0, f32::from_bits(7), 0.0],
+                &[5.0 + tiny, 1.0, 3.0e38, -3.0e38],
+            ],
+        );
+        // One flag (lim's, read by the product) is materialized; the tail
+        // select's is not, and stays a plain compare-and-select.
+        let stores = |ops: &[TypedOp]| {
+            ops.iter()
+                .filter(|op| matches!(op, TypedOp::Store(_)))
+                .count()
+        };
+        // delta, lim, the flag, the three select spills, the product.
+        assert_eq!(stores(typed.ops()), 7);
+        let n = typed.ops().len();
+        assert_eq!(
+            typed.ops()[n - 5..],
+            [
+                TypedOp::Const(0.0),
+                TypedOp::Compare(CompareOp::Gt),
+                TypedOp::Const(0.0),
+                TypedOp::Local(1),
+                TypedOp::Select
+            ]
+        );
+        // A join nobody computes with costs nothing at all.
+        let typed = check_mixed_rows(
+            UPDATE,
+            [
+                &[1.0, 0.5, 2.0, 3.0],
+                &[3.0e38, -1.0, 3.0e38, 0.0],
+                &[f32::NAN, 1.0, 1.0, 1.0],
+                &[-0.0, 0.0, 0.0, 0.0],
+            ],
+        );
+        let kernel = compile(UPDATE);
+        let uniform = kernel.specialize(&[DataType::Float64; 4]).unwrap();
+        assert_eq!(typed.ops().len(), uniform.ops().len());
+        assert_eq!(stores(typed.ops()), 1);
+    }
+
+    #[test]
+    fn runtime_width_follows_value_promotion() {
+        // Every consumer rule, each on both arm choices (a[i] = 3.5 takes
+        // the f64 literal 0.1, a[i] = -3.5 the f32 slot): Dyn with f64 is
+        // f64, with f32 or a boolean stays Dyn, with another Dyn is f64 if
+        // either is; compares, calls, negation, stores and nested joins.
+        for code in [
+            "x = a[i] > 0.0 ? 0.1 : b[i]; x * b[i]",
+            "x = a[i] > 0.0 ? b[i] : 0.1; b[i] / x",
+            "x = a[i] > 0.0 ? 0.1 : b[i]; x + 0.7",
+            "x = a[i] > 0.0 ? 0.1 : b[i]; x * (b[i] > 0.0)",
+            "x = a[i] > 0.0 ? 0.1 : b[i]; y = b[i] > 0.3 ? b[i] : 0.7; x * y",
+            "x = a[i] > 0.0 ? 0.1 : b[i]; y = x * b[i]; y * x - y",
+            "x = a[i] > 0.0 ? 0.1 : b[i]; sqrt(x) + min(x, b[i]) * max(0.3, x)",
+            "x = a[i] > 0.0 ? 0.1 : b[i]; pow(x, x) - -x",
+            "x = a[i] > 0.0 ? 0.1 : b[i]; x * b[i] > 0.033 ? x : x * x",
+            "x = a[i] > 0.0 ? 0.1 : b[i]; y = b[i] > 0.3 ? x : 0.7; z = y < 0.5 ? b[i] : y; z * b[i]",
+            "x = a[i] > 0.0 ? 0.1 : b[i]; y = b[i] > 0.3 ? x : b[i] * b[i]; y / b[i]",
+        ] {
+            check_mixed_rows(
+                code,
+                [
+                    &[3.5, 0.33],
+                    &[-3.5, 0.33],
+                    &[3.5, 0.29],
+                    &[-3.5, 0.29],
+                    &[f32::NAN, 1.0e-30],
+                    &[-1.0, 1.0e-30],
+                ],
+            );
+        }
     }
 
     #[test]

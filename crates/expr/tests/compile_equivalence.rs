@@ -187,7 +187,9 @@ proptest! {
     fn compilation_is_deterministic(program in arb_program()) {
         let a = CompiledKernel::compile(&program).unwrap();
         let b = CompiledKernel::compile(&program).unwrap();
-        prop_assert_eq!(a.ops(), b.ops());
+        // Compared as text: a folded `0.0 / 0.0` leaves a NaN constant,
+        // which is not `==` to itself.
+        prop_assert_eq!(format!("{:?}", a.ops()), format!("{:?}", b.ops()));
         prop_assert_eq!(a.slots(), b.slots());
         let resolver = resolver_for(&program, false);
         let first = a.eval(&resolver);

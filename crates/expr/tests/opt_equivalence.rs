@@ -3,13 +3,17 @@
 //! optimized bytecode — if-converted, CSE'd, DCE'd — is bitwise identical
 //! to both the unoptimized bytecode and the tree-walking interpreter,
 //! across f32, f64, and mixed slot types, on the `Value` path and (where
-//! the kernel specializes) the typed and lane paths.
+//! the kernel specializes) the typed and lane paths. A second generator
+//! builds nested ternaries whose arms differ in float width — a literal
+//! against an `f32` expression — and feeds the result through locals into
+//! rounding-sensitive consumers; there, specialization is required rather
+//! than merely checked when it happens.
 
 use proptest::prelude::*;
 use stencilflow_expr::ast::{BinOp, Expr, Index, MathFn, Program, Stmt, UnOp};
 use stencilflow_expr::{
     AccessExtractor, AccessResolver, CompiledKernel, EvalScratch, Evaluator, LaneScratch,
-    MapResolver, TypedScratch, Value,
+    MapResolver, Op, TypedScratch, Value,
 };
 
 /// Random expressions biased towards ternaries (including nested ones) and
@@ -20,19 +24,7 @@ fn arb_expr(_depth: u32) -> BoxedStrategy<Expr> {
     let leaf = prop_oneof![
         (0i32..100).prop_map(|v| Expr::FloatLit(v as f64 / 8.0)),
         (0i64..4).prop_map(Expr::IntLit),
-        (0usize..3usize, -2i64..3, -2i64..3).prop_map(|(f, di, dj)| Expr::FieldAccess {
-            field: format!("f{f}"),
-            indices: vec![
-                Index {
-                    var: "i".into(),
-                    offset: di
-                },
-                Index {
-                    var: "j".into(),
-                    offset: dj
-                },
-            ],
-        }),
+        (0usize..3usize, -2i64..3, -2i64..3).prop_map(|(f, di, dj)| access(f, di, dj)),
     ];
     leaf.prop_recursive(4, 96, 3, |inner| {
         prop_oneof![
@@ -107,6 +99,12 @@ enum SlotMode {
 }
 
 fn resolver_for(program: &Program, mode: SlotMode) -> MapResolver {
+    resolver_variant(program, mode, 0)
+}
+
+/// [`resolver_for`] with the slot values moved by `variant`, so a program
+/// evaluated over several variants takes each arm of its ternaries.
+fn resolver_variant(program: &Program, mode: SlotMode, variant: usize) -> MapResolver {
     let mut resolver = MapResolver::new();
     let accesses = AccessExtractor::extract(program);
     for (field, info) in accesses.iter() {
@@ -121,6 +119,7 @@ fn resolver_for(program: &Program, mode: SlotMode) -> MapResolver {
                 .sum::<f64>()
                 + field.len() as f64
                 - 1.4;
+            let v = v * (1.0 + 0.83 * variant as f64) - 0.61 * variant as f64;
             let f32_slot = match mode {
                 SlotMode::AllF32 => true,
                 SlotMode::AllF64 => false,
@@ -210,8 +209,237 @@ fn check_optimized_equivalence(program: &Program, mode: SlotMode) -> Result<(), 
     Ok(())
 }
 
+fn access(field: usize, di: i64, dj: i64) -> Expr {
+    Expr::FieldAccess {
+        field: format!("f{field}"),
+        indices: vec![
+            Index {
+                var: "i".into(),
+                offset: di,
+            },
+            Index {
+                var: "j".into(),
+                offset: dj,
+            },
+        ],
+    }
+}
+
+fn arb_access() -> BoxedStrategy<Expr> {
+    (0usize..3usize, -1i64..2, -1i64..2)
+        .prop_map(|(f, di, dj)| access(f, di, dj))
+        .boxed()
+}
+
+/// Literals in tenths: `f64`-typed, and mostly not representable in `f32`,
+/// so a wrongly rounded (or wrongly unrounded) result shows in the bits.
+fn arb_literal() -> BoxedStrategy<Expr> {
+    (-9i32..40)
+        .prop_map(|v| Expr::FloatLit(v as f64 / 10.0))
+        .boxed()
+}
+
+/// A ternary joining a literal arm with an expression arm (itself possibly
+/// such a ternary), in either arm order. With `division` the expression
+/// arms may divide, which keeps the untyped diamond.
+fn arb_join(division: bool) -> BoxedStrategy<Expr> {
+    let arm = prop_oneof![
+        arb_access(),
+        (arb_access(), arb_access(), any::<u8>()).prop_map(move |(a, b, op)| {
+            let op = match op % 4 {
+                0 => BinOp::Sub,
+                1 => BinOp::Mul,
+                2 if division => BinOp::Div,
+                _ => BinOp::Add,
+            };
+            Expr::binary(op, a, b)
+        }),
+    ];
+    arm.prop_recursive(3, 16, 2, |inner| {
+        (
+            arb_access(),
+            arb_literal(),
+            arb_literal(),
+            inner,
+            any::<bool>(),
+            any::<bool>(),
+        )
+            .prop_map(|(probe, bound, literal, arm, greater, literal_first)| {
+                let cond = Expr::binary(if greater { BinOp::Gt } else { BinOp::Lt }, probe, bound);
+                if literal_first {
+                    Expr::ternary(cond, literal, arm)
+                } else {
+                    Expr::ternary(cond, arm, literal)
+                }
+            })
+    })
+    .boxed()
+}
+
+/// `t0 = join; t1 = join; t2 = consumer(t0, t1, field); tail(t0, t1, t2)`:
+/// the joined values reach `* / sqrt min max`, a `+` with a literal (which
+/// settles the width at `f64`), each other, and a tail ternary through
+/// locals.
+fn arb_mixed_program(division: bool) -> impl Strategy<Value = Program> {
+    (
+        arb_join(division),
+        arb_join(division),
+        arb_access(),
+        arb_literal(),
+        any::<u8>(),
+        any::<u8>(),
+    )
+        .prop_map(|(j0, j1, field, literal, consumer, tail)| {
+            let var = |name: &str| Expr::Var(name.to_string());
+            let call = |func, args| Expr::Call { func, args };
+            let t2 = match consumer % 8 {
+                0 => Expr::binary(BinOp::Mul, var("t0"), field.clone()),
+                1 => Expr::binary(BinOp::Div, field.clone(), var("t0")),
+                2 => call(
+                    MathFn::Sqrt,
+                    vec![Expr::binary(BinOp::Mul, var("t0"), var("t0"))],
+                ),
+                3 => call(MathFn::Min, vec![var("t0"), field.clone()]),
+                4 => call(MathFn::Max, vec![literal.clone(), var("t1")]),
+                5 => Expr::binary(BinOp::Mul, var("t0"), var("t1")),
+                6 => Expr::binary(BinOp::Add, var("t0"), literal.clone()),
+                _ => Expr::binary(
+                    BinOp::Sub,
+                    Expr::unary(UnOp::Neg, var("t1")),
+                    Expr::binary(BinOp::Lt, var("t0"), field.clone()),
+                ),
+            };
+            let last = match tail % 4 {
+                // The flux limiter's shape: the joined value decides the
+                // branch through a product, then is one of the arms.
+                0 => Expr::ternary(
+                    Expr::binary(
+                        BinOp::Gt,
+                        Expr::binary(BinOp::Mul, var("t0"), field),
+                        Expr::FloatLit(0.0),
+                    ),
+                    Expr::FloatLit(0.0),
+                    var("t2"),
+                ),
+                1 => Expr::ternary(
+                    Expr::binary(BinOp::Lt, var("t2"), literal),
+                    var("t1"),
+                    var("t2"),
+                ),
+                2 => Expr::binary(BinOp::Mul, var("t2"), var("t1")),
+                _ => Expr::binary(BinOp::Div, var("t2"), field),
+            };
+            Program {
+                statements: [("t0", j0), ("t1", j1), ("t2", t2)]
+                    .into_iter()
+                    .map(|(name, value)| Stmt {
+                        name: Some(name.to_string()),
+                        value,
+                    })
+                    .chain(std::iter::once(Stmt {
+                        name: None,
+                        value: last,
+                    }))
+                    .collect(),
+            }
+        })
+}
+
+/// Interpreter, `Value` bytecode, typed and lane results of a mixed-width
+/// program agree bit for bit over several slot-value variants (one lane
+/// per variant). A program whose bytecode is branch-free must specialize,
+/// and branch-free.
+fn check_mixed_equivalence(program: &Program, mode: SlotMode) -> Result<(), TestCaseError> {
+    const VARIANTS: usize = 6;
+    let kernel = CompiledKernel::compile(program).expect("non-empty programs compile");
+    let select_form = !kernel.ops().iter().any(|op| {
+        matches!(
+            op,
+            Op::Jump(_) | Op::JumpIfFalse(_) | Op::AndShortCircuit(_) | Op::OrShortCircuit(_)
+        )
+    });
+    let mut typed = None;
+    let mut lanes = vec![[0.0; VARIANTS]; kernel.slots().len()];
+    let mut references = [0.0; VARIANTS];
+    for variant in 0..VARIANTS {
+        let resolver = resolver_variant(program, mode, variant);
+        let interpreted = Evaluator::new(&resolver)
+            .eval_program(program)
+            .expect("float programs cannot fail");
+        let values: Vec<Value> = kernel
+            .slots()
+            .iter()
+            .map(|slot| resolver.resolve(&slot.field, &slot.offsets).unwrap())
+            .collect();
+        let reference = kernel
+            .eval_slots(&values, &mut EvalScratch::default())
+            .expect("float programs cannot fail");
+        prop_assert_eq!(interpreted.data_type(), reference.data_type());
+        prop_assert!(bits_match(interpreted.as_f64(), reference.as_f64()));
+        references[variant] = reference.as_f64();
+        for (lane, value) in lanes.iter_mut().zip(&values) {
+            lane[variant] = value.as_f64();
+        }
+        if variant == 0 {
+            let slot_types: Vec<_> = values.iter().map(|v| v.data_type()).collect();
+            typed = kernel.specialize(&slot_types);
+            if select_form {
+                prop_assert!(typed.is_some(), "`{}` must specialize", program);
+            }
+        }
+        if let Some(typed) = &typed {
+            let raw: Vec<f64> = values.iter().map(|v| v.as_f64()).collect();
+            let specialized = typed.eval_slots(&raw, &mut TypedScratch::default());
+            prop_assert!(
+                bits_match(reference.as_f64(), specialized),
+                "typed mismatch for `{}` (variant {}): {:?} vs {}",
+                program,
+                variant,
+                reference,
+                specialized
+            );
+        }
+    }
+    prop_assert!(
+        !select_form || typed.as_ref().is_some_and(|t| t.supports_lanes()),
+        "`{}` must be branch-free",
+        program
+    );
+    if let Some(typed) = typed.filter(|t| t.supports_lanes()) {
+        let batched = typed.eval_lanes(&lanes, &mut LaneScratch::<VARIANTS>::default());
+        for (variant, (lane, reference)) in batched.iter().zip(references).enumerate() {
+            prop_assert!(
+                bits_match(reference, *lane),
+                "lane mismatch for `{}` (variant {}): {} vs {}",
+                program,
+                variant,
+                reference,
+                lane
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// Select-form joins of a literal arm with an `f32` (or, under mixed
+    /// slots, some other float) arm specialize, and the typed and lane
+    /// tiers agree with the `Value` path bit for bit.
+    #[test]
+    fn mixed_width_joins_specialize_bitwise(program in arb_mixed_program(false)) {
+        check_mixed_equivalence(&program, SlotMode::AllF32)?;
+        check_mixed_equivalence(&program, SlotMode::Mixed)?;
+    }
+
+    /// With a division in an arm the untyped diamond stays: such a join
+    /// may not specialize, but when it does the bits still agree.
+    #[test]
+    fn mixed_width_joins_with_division_arms_stay_bitwise(program in arb_mixed_program(true)) {
+        check_mixed_equivalence(&program, SlotMode::AllF32)?;
+        check_mixed_equivalence(&program, SlotMode::Mixed)?;
+    }
 
     /// Optimized bytecode is bitwise identical to the unoptimized bytecode
     /// and to the interpreter on all-f32 slots (per-operation rounding).

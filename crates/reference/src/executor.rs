@@ -551,6 +551,23 @@ impl<T: Copy + Default> Pool<T> {
             self.buffers.push(buf);
         }
     }
+
+    /// Add `copies` free buffers for every one held now, each with the
+    /// capacity of the largest (retention cap permitting; the memory is
+    /// reserved, not touched). Called with nothing checked out, after jobs
+    /// that ran one at a time: no job then had more buffers out at once
+    /// than the list holds, and none asked for more than the largest, so
+    /// `copies` such jobs running together always find one of the added
+    /// buffers free, whatever best fit lent to whom in the meantime.
+    /// (Copying the held capacities instead is not enough. Small requests
+    /// borrow a large buffer when theirs run out, and a large request can
+    /// then find all of its own on loan.)
+    pub(crate) fn reserve(&mut self, copies: usize) {
+        let largest = self.buffers.iter().map(Vec::capacity).max().unwrap_or(0);
+        for _ in 0..copies * self.buffers.len() {
+            self.release(Vec::with_capacity(largest));
+        }
+    }
 }
 
 /// What to run and how to pick the tier, for
@@ -723,6 +740,18 @@ impl ReferenceExecutor {
             .lock()
             .expect("mask pool poisoned")
             .release(buf);
+    }
+
+    /// [`Pool::reserve`] on the cell and the mask pool.
+    pub(crate) fn reserve_pools(&self, copies: usize) {
+        self.pool
+            .lock()
+            .expect("buffer pool poisoned")
+            .reserve(copies);
+        self.mask_pool
+            .lock()
+            .expect("mask pool poisoned")
+            .reserve(copies);
     }
 
     /// Input validation for the compiled paths: every declared input
@@ -1732,6 +1761,27 @@ mod tests {
         let c = pool.acquire(8);
         assert_eq!(pool.misses, 1);
         drop((a, b, c));
+    }
+
+    #[test]
+    fn pool_reserve_serves_copies_of_what_it_holds_at_any_length() {
+        let mut pool = Pool::with_capacity(16);
+        pool.release(vec![0.0; 5]);
+        pool.release(vec![0.0; 10]);
+        pool.reserve(2);
+        assert_eq!(pool.buffers.len(), 6);
+        assert_eq!(
+            pool.buffers.iter().filter(|b| b.capacity() == 10).count(),
+            5
+        );
+        // Two jobs with two buffers out each, all at the largest length:
+        // the copies of the 5-cell buffer would have been no use.
+        let out: Vec<_> = (0..4).map(|_| pool.acquire(10)).collect();
+        assert_eq!(pool.misses, 0);
+        drop(out);
+        // The retention cap still bounds it.
+        pool.reserve(100);
+        assert_eq!(pool.buffers.len(), 16);
     }
 
     #[test]

@@ -468,6 +468,28 @@ impl ServeExecutor {
         }
     }
 
+    /// Warm the service for the kinds of job in `jobs`, deterministically.
+    ///
+    /// The jobs run once each, one at a time, and are recycled, so every
+    /// fingerprint is compiled and has its tier measured with nothing else
+    /// running, and what the pools hold afterwards is a function of the
+    /// jobs, not of how worker threads happened to interleave. The pools
+    /// then reserve room for `workers` such jobs at once (see
+    /// `Pool::reserve`), so traffic of these kinds that recycles from the
+    /// [`run_batch_with`](ServeExecutor::run_batch_with) sink misses no
+    /// pool from its first batch on. (A warm-up made of ordinary batches
+    /// only provisions for the overlaps that happened to occur in it: two
+    /// large jobs that first meet in the measured window each need the
+    /// scratch one of them warmed.) The first job that fails ends the
+    /// warm-up with its error.
+    pub fn warm(&self, jobs: Vec<JobSpec>) -> std::result::Result<(), JobError> {
+        for job in jobs {
+            self.recycle(self.run_one(job).result?);
+        }
+        self.executor.reserve_pools(self.workers);
+        Ok(())
+    }
+
     /// Run one job to completion (a single-job batch).
     pub fn run_one(&self, job: JobSpec) -> JobOutcome {
         self.run_batch(vec![job])
@@ -1074,14 +1096,12 @@ mod tests {
         let program = jacobi_like(&[16, 16]);
         let serve = ServeExecutor::new(ServeConfig::new().with_workers(2));
         let jobs = || -> Vec<JobSpec> { (0..8).map(|seed| job_for(&program, seed)).collect() };
-        // Warmup: tier measurement + pool population. Several batches, so
-        // the pool has seen the peak concurrent demand of every worker
-        // interleaving before the steady window opens.
-        for _ in 0..3 {
-            for outcome in serve.run_batch(jobs()) {
-                serve.recycle(outcome.result.unwrap());
-            }
-        }
+        // Warmup: tier measurement, and pools provisioned for two jobs in
+        // flight, whatever the workers' interleaving in the steady window
+        // turns out to be. This window collects each batch before it
+        // recycles, so eight results are held on top of those two.
+        serve.warm(jobs()).unwrap();
+        serve.executor.reserve_pools(8);
         let warm = serve.stats();
         for _ in 0..3 {
             for outcome in serve.run_batch(jobs()) {

@@ -104,6 +104,18 @@ fn horizontal_diffusion_matches_bitwise() {
 }
 
 #[test]
+fn horizontal_diffusion_runs_entirely_on_typed_lane_kernels() {
+    // Half of the 24 stencils join an f64 literal with an f32 arm in their
+    // limiter ternaries; all of them specialize, branch-free, so no sweep
+    // of the paper's application is left on the boxed `Value` path.
+    let program = horizontal_diffusion(&HorizontalDiffusionSpec::bench());
+    let compiled = ReferenceExecutor::new().prepare(&program).unwrap();
+    assert_eq!(compiled.stencil_count(), 24);
+    assert_eq!(compiled.typed_stencil_count(), 24);
+    assert_eq!(compiled.lane_stencil_count(), 24);
+}
+
+#[test]
 fn chain_and_listing1_match_bitwise() {
     let chain = chain_program(&ChainSpec::new(6, 8).with_shape(&[6, 5, 7]));
     assert_bit_identical(&chain, 6);

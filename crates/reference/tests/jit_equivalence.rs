@@ -85,24 +85,27 @@ fn jit_matches_on_branchy_division_and_clamp_kernels() {
         .build()
         .unwrap();
     assert_eligible(&program);
-    // A clamp the emitter fuses to fmin/fmax. Float64 input: the f32
-    // variant mixes an F32 slot with the F64 literal in the select arms
-    // and never specializes (no typed kernel), so it exercises the
-    // fallback ladder instead of the emitter.
-    let clamp = StencilProgramBuilder::new("clamp", &[9, 8])
-        .input("a", DataType::Float64, &["i", "j"])
-        .stencil("s", "a[i,j] < 0.5 ? a[i,j] : 0.5")
-        .output_type("s", DataType::Float64)
-        .output("s")
-        .build()
-        .unwrap();
-    assert_eligible(&clamp);
-    let compiled = ReferenceExecutor::new().prepare(&clamp).unwrap();
-    assert!(
-        compiled.jit_source().unwrap().contains("fmin"),
-        "literal-else clamp should fuse to fmin in the emitted unit"
-    );
-    assert_tiers_bit_identical(&clamp, 23);
+    // A clamp the emitter fuses to fmin/fmax, on both element types. The
+    // f32 variant joins an F32 slot with the F64 literal in the select
+    // arms: it specializes with a runtime-typed result whose flag nobody
+    // reads, so the emitter sees the same plain compare-and-select as for
+    // f64 and fuses it just the same.
+    for (dtype, seed) in [(DataType::Float64, 23), (DataType::Float32, 25)] {
+        let clamp = StencilProgramBuilder::new("clamp", &[9, 8])
+            .input("a", dtype, &["i", "j"])
+            .stencil("s", "a[i,j] < 0.5 ? a[i,j] : 0.5")
+            .output_type("s", dtype)
+            .output("s")
+            .build()
+            .unwrap();
+        assert_eligible(&clamp);
+        let compiled = ReferenceExecutor::new().prepare(&clamp).unwrap();
+        assert!(
+            compiled.jit_source().unwrap().contains("fmin"),
+            "literal-else {dtype} clamp should fuse to fmin in the emitted unit"
+        );
+        assert_tiers_bit_identical(&clamp, seed);
+    }
     // f32 math-call kernel: every store must carry the (double)(float)
     // round wrap, and fmin on exact f32 values round-trips exactly.
     let minf = StencilProgramBuilder::new("minf", &[9, 8])

@@ -581,6 +581,36 @@ mod tests {
     }
 
     #[test]
+    fn every_horizontal_diffusion_unit_has_a_typed_kernel() {
+        // The 16^3 program of the `sim-pipeline` benchmark workload: the
+        // twelve limiter units join an f64 literal with an f32 arm and
+        // used to evaluate on the `Value` path.
+        use stencilflow_workloads::{horizontal_diffusion, HorizontalDiffusionSpec};
+        let program = horizontal_diffusion(&HorizontalDiffusionSpec {
+            shape: [16, 16, 16],
+            vectorization: 1,
+        });
+        let mut units = 0;
+        for stencil in program.stencils() {
+            let wiring: BTreeMap<String, usize> = stencil
+                .accesses
+                .iter()
+                .enumerate()
+                .map(|(channel, (field, _))| (field.to_string(), channel))
+                .collect();
+            let unit = StencilUnitSim::new(&program, stencil, &wiring, vec![wiring.len()]);
+            assert!(
+                unit.typed.is_some(),
+                "`{}` has no typed kernel",
+                stencil.name
+            );
+            assert!(unit.lane_capable, "`{}` is not branch-free", stencil.name);
+            units += 1;
+        }
+        assert_eq!(units, 24);
+    }
+
+    #[test]
     fn lane_batched_unit_matches_scalar_unit_bitwise() {
         // A 2-D stencil with boundary predication on both ends of the
         // innermost dimension: interior cells lane-batch (when enough data

@@ -74,16 +74,17 @@ impl HorizontalDiffusionSpec {
     /// 64-cell rows give every lane-ready stencil real interior batches
     /// (and the wide f32 lane width) while staying small enough for CI.
     ///
-    /// Measuring it also exposed the *dominant* limiter on this program,
-    /// which no domain size fixes: half of its 24 stencils cannot
-    /// type-specialize at all, because the flux/update limiter ternaries
-    /// (`delta > 4.0 ? 4.0 : delta`) mix an `f64` literal arm with an
-    /// `f32` expression arm — the kernel's dynamic result type is
-    /// data-dependent, which no static tier can represent, so those
-    /// stencils evaluate on the tagged `Value` path and cap the
-    /// program-level lane speedup by Amdahl's law. (Rewriting the
-    /// limiters as `min`/`max` would specialize, but would change the
-    /// §IX-A branch inventory this reconstruction pins.)
+    /// Measuring it also exposed what used to be the *dominant* limiter on
+    /// this program, which no domain size fixes: in half of its 24
+    /// stencils the flux/update limiter ternaries (`delta > 4.0 ? 4.0 :
+    /// delta`) join an `f64` literal arm with an `f32` expression arm, so
+    /// the value's width is data-dependent. Those stencils once evaluated
+    /// on the tagged `Value` path and capped the program-level lane
+    /// speedup by Amdahl's law. `CompiledKernel::specialize` now types
+    /// such a join with a runtime width flag, and all 24 stencils sweep on
+    /// lane-batched typed kernels. (Rewriting the limiters as `min`/`max`
+    /// would have specialized too, but would change the §IX-A branch
+    /// inventory this reconstruction pins.)
     pub fn bench() -> Self {
         HorizontalDiffusionSpec {
             shape: [24, 24, 64],

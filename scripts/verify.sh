@@ -5,7 +5,11 @@
 #
 # Gates, in order:
 #   1. cargo fmt --check          — formatting
-#   2. cargo build --release     — the build the benchmarks and examples use
+#   2. cargo build --release     — the build the benchmarks and examples
+#                                  use, then the same for `benchmark/`
+#                                  (a workspace of its own that compiles
+#                                  against the crates' public API and that
+#                                  nothing else here builds)
 #   3. cargo test -q             — tier-1 tests (incl. golden equivalence
 #                                  and the in-crate speedup floors)
 #   4. cargo clippy -D warnings  — lints
@@ -118,6 +122,7 @@ cargo fmt --all -- --check
 
 echo "==> cargo build --release"
 cargo build --release
+cargo build --release --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo test -q"
 cargo test -q
