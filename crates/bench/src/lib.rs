@@ -580,6 +580,32 @@ fn secs_per_iter(budget: std::time::Duration, mut run: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64() / iterations as f64
 }
 
+/// [`secs_per_iter`] for several workloads at once: they run round-robin
+/// (after one warm-up round) until `budget` has elapsed, and each gets the
+/// mean of its own iterations.
+fn interleaved_secs_per_iter(
+    budget: std::time::Duration,
+    runs: &mut [&mut dyn FnMut()],
+) -> Vec<f64> {
+    use std::time::Instant;
+    runs.iter_mut().for_each(|run| run());
+    let mut totals = vec![0.0; runs.len()];
+    let mut rounds = 0u32;
+    let start = Instant::now();
+    while rounds == 0 || start.elapsed() < budget {
+        for (run, total) in runs.iter_mut().zip(totals.iter_mut()) {
+            let begin = Instant::now();
+            run();
+            *total += begin.elapsed().as_secs_f64();
+        }
+        rounds += 1;
+    }
+    totals
+        .iter()
+        .map(|total| total / f64::from(rounds))
+        .collect()
+}
+
 /// One outputs-only run pinned to `tier` (`ReferenceExecutor::execute`
 /// after a cache-hit `prepare`), so a per-tier row measures the tier it
 /// names rather than the router's pick.
@@ -709,7 +735,11 @@ pub fn eval_throughput(quick: bool) -> Vec<ThroughputRow> {
     // Iterative time loop: one Jacobi sweep ping-ponged through
     // `run_steps`, so every step after the first hits the compiled-program
     // cache. The interpreted baseline feeds the output back by hand.
-    let steps = if quick { 4 } else { 8 };
+    // Enough steps that a run is several milliseconds even on the quick
+    // domain: launching and joining the workers costs a few hundred
+    // microseconds per run (more when a wake-up crosses vCPUs), which at 4
+    // steps was a third of a 32^3 run and swung the quick ratios by 0.3.
+    let steps = if quick { 16 } else { 8 };
     let program = jacobi3d(1, &jacobi_shape, 1);
     let inputs = generate_inputs(&program, 17);
     let cells = program.space().num_cells() * steps;
@@ -769,7 +799,9 @@ pub struct ShardedThroughput {
     /// 4-shard floor is conditioned on this: shards can only run
     /// concurrently when the host actually has cores for them.
     pub host_threads: usize,
-    /// Single-process fused-tier baseline (`execute`, `Tier::Fused`) in cells/s.
+    /// Single-process fused-tier baseline (`execute`, `Tier::Fused`) in
+    /// cells/s, swept on **one thread** — the thread budget of one shard
+    /// worker — so the ratios below compare runtimes, not thread counts.
     pub fused_cells_per_s: f64,
     /// Sharded runtime at 1 shard (no boundaries, no halo traffic).
     pub sharded1_cells_per_s: f64,
@@ -787,12 +819,12 @@ pub struct ShardedThroughput {
 
 impl ShardedThroughput {
     /// Zero-fault overhead of the sharded runtime at 1 shard, as a
-    /// fraction of the single-process fused tier.
+    /// fraction of the single-process fused tier on the same single thread.
     pub fn sharded1_ratio(&self) -> f64 {
         self.sharded1_cells_per_s / self.fused_cells_per_s
     }
 
-    /// 4-shard throughput as a fraction of the single-process fused tier
+    /// 4-shard throughput as a fraction of the single-thread fused tier
     /// (> 1 means the shards scale; < 1 on hosts without 4 cores, where
     /// the shards time-slice and pay the halo/dilation tax).
     pub fn sharded4_ratio(&self) -> f64 {
@@ -820,23 +852,26 @@ impl ShardedThroughput {
 pub fn sharded_throughput(quick: bool) -> ShardedThroughput {
     use stencilflow_reference::{generate_inputs, ReferenceExecutor, ShardConfig};
     let jacobi_shape: [usize; 3] = if quick { [32, 32, 32] } else { [64, 64, 64] };
-    let steps = if quick { 4 } else { 8 };
+    // Enough steps that a run is several milliseconds even on the quick
+    // domain: launching and joining the workers costs a few hundred
+    // microseconds per run (more when a wake-up crosses vCPUs), which at 4
+    // steps was a third of a 32^3 run and swung the quick ratios by 0.3.
+    let steps = if quick { 16 } else { 8 };
     let program = jacobi3d(1, &jacobi_shape, 1);
     let inputs = generate_inputs(&program, 17);
     let cells = program.space().num_cells() * steps;
     let executor = ReferenceExecutor::new();
-    let fused = measure_cells_per_s(cells, || {
-        let result = run_pinned(&executor, &program, &inputs, Some(steps), Tier::Fused);
-        std::hint::black_box(&result);
-    });
+    // A shard worker sweeps its slab on one thread. Give the baseline the
+    // same budget: on a 2-thread SMT host a row-parallel baseline read
+    // `sharded1_ratio` as 0.97 or 0.55 depending on how the siblings were
+    // scheduled that hour, which says nothing about the runtime's overhead.
+    let one_thread = ReferenceExecutor::new().with_max_threads(1);
     let config1 = ShardConfig::shards(1);
-    let sharded1 = measure_cells_per_s(cells, || {
-        let outcome = executor
-            .run_steps_sharded(&program, &inputs, steps, &config1)
-            .unwrap();
-        std::hint::black_box(&outcome);
-    });
     let config4 = ShardConfig::shards(4);
+    let sharded = |config: &ShardConfig| {
+        let outcome = executor.run_steps_sharded(&program, &inputs, steps, config);
+        std::hint::black_box(outcome.unwrap());
+    };
     // One plain run first to harvest the halo-traffic report (and to make
     // sure the measured path is the genuine sharded runtime, not the
     // degraded fallback).
@@ -850,12 +885,20 @@ pub fn sharded_throughput(quick: bool) -> ShardedThroughput {
     );
     let halo_bytes = probe.report.halo_bytes_sent() as f64;
     let elapsed = probe.report.elapsed.as_secs_f64();
-    let sharded4 = measure_cells_per_s(cells, || {
-        let outcome = executor
-            .run_steps_sharded(&program, &inputs, steps, &config4)
-            .unwrap();
-        std::hint::black_box(&outcome);
-    });
+    // The three runs take turns inside one window, so a load swing of the
+    // host slows all of them alike instead of landing on one side of a ratio.
+    let secs = interleaved_secs_per_iter(
+        std::time::Duration::from_millis(600),
+        &mut [
+            &mut || {
+                let result = run_pinned(&one_thread, &program, &inputs, Some(steps), Tier::Fused);
+                std::hint::black_box(&result);
+            },
+            &mut || sharded(&config1),
+            &mut || sharded(&config4),
+        ],
+    );
+    let [fused, sharded1, sharded4] = [0, 1, 2].map(|run| cells as f64 / secs[run]);
     ShardedThroughput {
         workload: format!("jacobi3d {0}^3 x{steps} steps", jacobi_shape[0]),
         cells,
@@ -891,7 +934,7 @@ pub fn format_sharded(sharded: &ShardedThroughput) -> String {
     ));
     out.push_str(&format!(
         "{:<28} {:>12.3e}\n",
-        "fused (1 process) c/s", sharded.fused_cells_per_s
+        "fused (1 thread) c/s", sharded.fused_cells_per_s
     ));
     out.push_str(&format!(
         "{:<28} {:>12.3e}  ({:.2}x fused)\n",

@@ -2,12 +2,13 @@
 //!
 //! This module lives in `stencilflow-core` (rather than the simulator) so
 //! that both consumers of the channel abstraction can share one type: the
-//! cycle-level simulator (`stencilflow-sim`, which re-exports it under its
-//! historical `sim::channel` path) wires [`Fifo`]s between stencil units,
-//! and the sharded halo-exchange runtime
-//! (`stencilflow_reference::shard`) carries framed halo slabs over the
-//! same FIFOs — the simulator depends on the reference executor, so the
-//! channel layer has to sit below both.
+//! sharded halo-exchange runtime (`stencilflow_reference::shard`) carries
+//! framed halo slabs over [`Fifo`]s, and the cycle-level simulator
+//! (`stencilflow-sim`) models the same channel — its timing loop with a
+//! count-only twin that follows this type's capacity, latency and credit
+//! rules, its value-carrying test oracle with [`Fifo`] itself. The
+//! simulator depends on the reference executor, so the channel layer has
+//! to sit below both.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -177,8 +178,8 @@ impl Fifo {
     }
 
     /// Whether `n` consecutive pushes would currently succeed (capacity and
-    /// bandwidth credits for the whole batch). Used by lane-batched units to
-    /// reserve space for a full batch before producing it.
+    /// bandwidth credits for the whole batch). Used by the shard links to
+    /// reserve space for a whole frame before sending it.
     pub fn can_push_n(&self, n: usize) -> bool {
         self.queue.len() + n <= self.capacity && self.credits >= n as f64
     }

@@ -8,7 +8,8 @@ use stencilflow_program::{BoundaryCondition, StencilProgram, StencilProgramBuild
 use stencilflow_reference::{generate_inputs, Grid, ReferenceExecutor};
 use stencilflow_workloads::{
     chain_program, diffusion2d, diffusion3d, horizontal_diffusion, jacobi2d, jacobi3d,
-    listing1::listing1_with_shape, upwind3d, upwind3d_typed, ChainSpec, HorizontalDiffusionSpec,
+    listing1::listing1_with_shape, random_dag, upwind3d, upwind3d_typed, ChainSpec,
+    HorizontalDiffusionSpec,
 };
 
 /// Run all four executor paths — tree-walking interpreter, dynamically
@@ -253,50 +254,11 @@ fn run_steps_matches_interpreted_ping_pong_bitwise() {
 #[test]
 fn random_small_dags_match_bitwise() {
     // Deterministic pseudo-random DAG sweep in the spirit of the
-    // cross-crate property tests: every stage reads earlier fields at small
-    // offsets with a mix of boundary conditions.
-    for seed in 0..24u64 {
-        let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
-        let mut next = |bound: u64| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state % bound
-        };
-        let stages = 1 + next(5) as usize;
-        let mut builder = StencilProgramBuilder::new("random", &[9, 11]).input(
-            "src",
-            DataType::Float32,
-            &["i", "j"],
-        );
-        let mut produced = vec!["src".to_string()];
-        for stage in 0..stages {
-            let name = format!("s{stage}");
-            let a = produced[next(produced.len() as u64) as usize].clone();
-            let di = next(5) as i64 - 2;
-            let dj = next(3) as i64 - 1;
-            let fi = match di.cmp(&0) {
-                std::cmp::Ordering::Equal => "i".to_string(),
-                std::cmp::Ordering::Greater => format!("i+{di}"),
-                std::cmp::Ordering::Less => format!("i{di}"),
-            };
-            let fj = match dj.cmp(&0) {
-                std::cmp::Ordering::Equal => "j".to_string(),
-                std::cmp::Ordering::Greater => format!("j+{dj}"),
-                std::cmp::Ordering::Less => format!("j{dj}"),
-            };
-            let code = format!("0.5 * {a}[{fi},{fj}] + 0.25 * {a}[i,j] + 1.0");
-            builder = builder.stencil(&name, &code);
-            match next(3) {
-                0 => builder = builder.boundary(&name, &a, BoundaryCondition::Constant(2.5)),
-                1 => builder = builder.boundary(&name, &a, BoundaryCondition::Copy),
-                _ => builder = builder.shrink(&name),
-            }
-            produced.push(name);
-        }
-        let last = produced.last().unwrap().clone();
-        let program = builder.output(&last).build().unwrap();
-        assert_bit_identical(&program, seed);
+    // cross-crate property tests: 2-D and 3-D domains, every stage reads
+    // earlier fields (and sometimes a lower-rank input) at small offsets
+    // with a mix of boundary conditions and element types.
+    for seed in 0..48u64 {
+        assert_bit_identical(&random_dag(seed), seed);
     }
 }
 

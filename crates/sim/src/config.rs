@@ -44,13 +44,6 @@ pub struct SimConfig {
     /// compute-latency terms and the simulator's single-cycle evaluation.
     /// Ignored when `channel_depth_override` is set.
     pub extra_channel_slack: u64,
-    /// Let stencil units consume, evaluate, and produce a full lane batch
-    /// (`stencilflow_expr::KERNEL_LANES` cells) in one step when their
-    /// sliding windows already buffer the data and the output channels have
-    /// space. This is a **functional fast mode**: the output streams are
-    /// bit-identical to the cycle-accurate run, but cycle counts and stall
-    /// statistics no longer model the hardware. Off by default.
-    pub lane_batching: bool,
 }
 
 impl Default for SimConfig {
@@ -62,7 +55,6 @@ impl Default for SimConfig {
             max_cycles: 200_000_000,
             deadlock_window: 10_000,
             extra_channel_slack: 1024,
-            lane_batching: false,
         }
     }
 }
@@ -80,13 +72,6 @@ impl SimConfig {
     /// Set the shared off-chip bandwidth budget (builder style).
     pub fn with_memory_bandwidth(mut self, words_per_cycle: f64) -> Self {
         self.memory_words_per_cycle = Some(words_per_cycle);
-        self
-    }
-
-    /// Enable lane-batched stencil units (builder style). Functional fast
-    /// mode: bit-identical streams, non-hardware-accurate cycle counts.
-    pub fn with_lane_batching(mut self, enabled: bool) -> Self {
-        self.lane_batching = enabled;
         self
     }
 }

@@ -15,7 +15,21 @@
 //! * optional **network channels** (SMI substitute) with added latency and
 //!   bandwidth limits for designs spanning multiple devices.
 //!
-//! Because the units evaluate the real stencil expressions on real data, the
+//! The simulator is split the way the hardware is. **Control is
+//! count-driven**: whether a unit consumes, fires or stalls in a cycle
+//! depends on how many elements it has consumed, how full its FIFOs are, and
+//! on bandwidth credits and network arrival times — never on what a word
+//! *is* (the streaming units produce one word per cell whatever its value).
+//! So the cycle loop moves tokens, not data, and its cycle count, per-unit
+//! stalls and per-channel watermarks are exactly those of a loop that drags
+//! every `f64` along. **The datapath is a pure function per cell**: once a
+//! run has completed, each unit's output stream is computed in one bulk
+//! pass from its input streams, with the real stencil expressions, boundary
+//! predication and per-type rounding. A `#[cfg(test)]` oracle keeps the
+//! value-carrying loop and pins both halves to it, statistic for statistic
+//! and bit for bit.
+//!
+//! Because the units evaluate the real expressions on real data, the
 //! simulator doubles as a functional backend: its outputs are compared
 //! against the sequential reference executor in the test suite, and its cycle
 //! counts against the analytical model `C = L + I·N` (Eq. 1). Crucially, it
@@ -25,17 +39,15 @@
 
 #![forbid(unsafe_code)]
 
-// The channel layer moved to `stencilflow-core` so the sharded runtime in
-// `stencilflow-reference` (a dependency of this crate) can reuse it; the
-// historical `sim::channel` path keeps working through this re-export.
-pub use stencilflow_core::channel;
+mod channel;
 pub mod config;
 pub mod memory;
+#[cfg(test)]
+mod oracle;
 pub mod report;
 pub mod simulator;
-pub mod unit;
+mod unit;
 
-pub use channel::{ChannelError, Fifo};
 pub use config::{NetworkParams, SimConfig};
 pub use memory::MemoryModel;
 pub use report::{SimOutcome, SimReport};

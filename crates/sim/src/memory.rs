@@ -1,6 +1,12 @@
 //! Off-chip memory model and the reader / writer units attached to it.
+//!
+//! Readers and writers are count machines like the stencil units (a reader
+//! *is* one: `StencilUnit::reader`). *Which* words a reader streams is a
+//! function of the input grid alone (`input_stream`); what a writer
+//! collects is the producing unit's whole field.
 
-use crate::channel::Fifo;
+use crate::channel::TokenChannel;
+use std::borrow::Cow;
 use stencilflow_program::IterationSpace;
 use stencilflow_reference::Grid;
 
@@ -65,133 +71,88 @@ impl MemoryModel {
     }
 }
 
-/// A dedicated prefetcher reading one input field from off-chip memory and
-/// broadcasting it, one element per output cell, to all consumers.
-#[derive(Debug)]
-pub struct ReaderUnit {
-    /// Field name.
-    pub field: String,
-    /// Values streamed per cell (pre-projected from the input grid).
-    values: Vec<f64>,
-    /// Indices of the outgoing channels in the simulator's channel table.
-    pub out_channels: Vec<usize>,
-    /// Whether this reader draws from the off-chip bandwidth budget
-    /// (full-domain fields only).
-    pub uses_bandwidth: bool,
-    /// Elements pushed so far.
-    pub produced: usize,
-    /// Cycles spent unable to push.
-    pub stall_cycles: u64,
-}
-
-impl ReaderUnit {
-    /// Build a reader by projecting `grid` onto the full iteration space:
-    /// element `c` of the stream is the grid value the stencils expect at
-    /// cell `c` (lower-dimensional fields repeat values).
-    pub fn new(
-        field: &str,
-        grid: &Grid,
-        space: &IterationSpace,
-        out_channels: Vec<usize>,
-        uses_bandwidth: bool,
-    ) -> Self {
-        let mut values = Vec::with_capacity(space.num_cells());
-        for index in space.indices() {
-            let projected: Vec<usize> = grid
-                .dims()
-                .iter()
-                .map(|d| space.dim_index(d).map(|ix| index[ix]).unwrap_or(0))
-                .collect();
-            values.push(grid.get(&projected));
-        }
-        ReaderUnit {
-            field: field.to_string(),
-            values,
-            out_channels,
-            uses_bandwidth,
-            produced: 0,
-            stall_cycles: 0,
+/// The stream a reader feeds its consumers: element `c` is the grid value
+/// the stencils expect at cell `c` of the iteration space. A grid spanning
+/// the whole space in memory order is borrowed as it is; any other one
+/// (dimensions matched by name) repeats its values along the dimensions it
+/// lacks. The caller has checked that every grid dimension naming a space
+/// dimension has that dimension's extent.
+pub(crate) fn input_stream<'a>(grid: &'a Grid, space: &IterationSpace) -> Cow<'a, [f64]> {
+    if grid.dims() == space.dims.as_slice() && grid.shape() == space.shape.as_slice() {
+        return Cow::Borrowed(grid.as_slice());
+    }
+    // Stride of each space dimension inside the grid; zero broadcasts.
+    let mut strides = vec![0usize; space.rank()];
+    for (dim, &stride) in grid.dims().iter().zip(grid.strides()) {
+        if let Some(ix) = space.dim_index(dim) {
+            strides[ix] += stride;
         }
     }
-
-    /// Whether the reader has streamed its whole field.
-    pub fn done(&self) -> bool {
-        self.produced >= self.values.len()
+    let data = grid.as_slice();
+    let mut values = Vec::with_capacity(space.num_cells());
+    let mut index = vec![0usize; space.rank()];
+    let mut offset = 0usize;
+    for _ in 0..space.num_cells() {
+        values.push(data[offset]);
+        for d in (0..space.rank()).rev() {
+            index[d] += 1;
+            offset += strides[d];
+            if index[d] < space.shape[d] {
+                break;
+            }
+            offset -= strides[d] * space.shape[d];
+            index[d] = 0;
+        }
     }
-
-    /// Attempt one cycle of work; returns `true` if progress was made.
-    pub fn step(&mut self, now: u64, channels: &mut [Fifo], memory: &mut MemoryModel) -> bool {
-        if self.done() {
-            return false;
-        }
-        if !self.out_channels.iter().all(|&c| channels[c].can_push()) {
-            self.stall_cycles += 1;
-            return false;
-        }
-        if self.uses_bandwidth && !memory.request_word() {
-            self.stall_cycles += 1;
-            return false;
-        }
-        let value = self.values[self.produced];
-        for &c in &self.out_channels {
-            channels[c]
-                .push(now, value)
-                .expect("output space reserved by the can_push check above");
-        }
-        self.produced += 1;
-        true
-    }
+    Cow::Owned(values)
 }
 
 /// A dedicated writer draining one program output to off-chip memory.
-#[derive(Debug)]
-pub struct WriterUnit {
-    /// Output field name.
-    pub field: String,
+#[derive(Debug, Clone)]
+pub(crate) struct WriterUnit {
     /// Index of the incoming channel.
-    pub in_channel: usize,
-    /// Collected output values (row-major over the iteration space).
-    pub values: Vec<f64>,
+    in_channel: usize,
     /// Total number of cells expected.
-    pub expected: usize,
+    expected: usize,
+    /// Cells drained so far.
+    pub(crate) received: usize,
     /// Cycles spent waiting for data or bandwidth.
-    pub stall_cycles: u64,
+    pub(crate) stall_cycles: u64,
 }
 
 impl WriterUnit {
-    /// Create a writer expecting `expected` elements.
-    pub fn new(field: &str, in_channel: usize, expected: usize) -> Self {
+    pub(crate) fn new(in_channel: usize, expected: usize) -> Self {
         WriterUnit {
-            field: field.to_string(),
             in_channel,
-            values: Vec::with_capacity(expected),
             expected,
+            received: 0,
             stall_cycles: 0,
         }
     }
 
     /// Whether all output cells have been received.
-    pub fn done(&self) -> bool {
-        self.values.len() >= self.expected
+    pub(crate) fn done(&self) -> bool {
+        self.received >= self.expected
     }
 
     /// Attempt one cycle of work; returns `true` if progress was made.
-    pub fn step(&mut self, now: u64, channels: &mut [Fifo], memory: &mut MemoryModel) -> bool {
+    pub(crate) fn step(
+        &mut self,
+        now: u64,
+        channels: &mut [TokenChannel],
+        memory: &mut MemoryModel,
+    ) -> bool {
         if self.done() {
             return false;
         }
-        if !channels[self.in_channel].can_pop(now) {
+        // The bandwidth request comes second: a writer with nothing to
+        // write does not draw from the budget.
+        if !channels[self.in_channel].can_pop(now) || !memory.request_word() {
             self.stall_cycles += 1;
             return false;
         }
-        if !memory.request_word() {
-            self.stall_cycles += 1;
-            return false;
-        }
-        let value = channels[self.in_channel]
-            .pop(now)
-            .expect("word availability established by the can_pop check above");
-        self.values.push(value);
+        channels[self.in_channel].try_pop(now);
+        self.received += 1;
         true
     }
 }
@@ -199,7 +160,12 @@ impl WriterUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::unit::StencilUnit;
     use stencilflow_expr::DataType;
+
+    fn channel(capacity: usize) -> TokenChannel {
+        TokenChannel::new(capacity, 0, f64::INFINITY)
+    }
 
     #[test]
     fn memory_model_enforces_budget() {
@@ -228,48 +194,84 @@ mod tests {
     fn reader_projects_lower_dimensional_fields() {
         let space = IterationSpace::new(&["i", "j"], &[2, 3]).unwrap();
         let grid = Grid::from_values(&["j"], &[3], &[10.0, 20.0, 30.0]);
-        let mut channels = vec![Fifo::new("c", 16)];
+        let streamed = input_stream(&grid, &space);
+        assert_eq!(*streamed, [10.0, 20.0, 30.0, 10.0, 20.0, 30.0]);
+        let column = Grid::from_values(&["i"], &[2], &[1.0, 2.0]);
+        assert_eq!(
+            *input_stream(&column, &space),
+            [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
+        );
+        // A full-rank grid is streamed in place, a transposed one by name.
+        let values: Vec<f64> = (0..6).map(f64::from).collect();
+        let full = Grid::from_values(&["i", "j"], &[2, 3], &values);
+        assert!(matches!(input_stream(&full, &space), Cow::Borrowed(_)));
+        let transposed = Grid::from_values(&["j", "i"], &[3, 2], &values);
+        assert_eq!(
+            *input_stream(&transposed, &space),
+            [0.0, 2.0, 4.0, 1.0, 3.0, 5.0]
+        );
+
+        // The reader itself only counts: one word per cell, then done.
+        let mut channels = vec![channel(16)];
         let mut memory = MemoryModel::new(None);
-        let mut reader = ReaderUnit::new("row", &grid, &space, vec![0], false);
+        let mut reader = StencilUnit::reader(vec![0], false, space.num_cells());
         memory.begin_cycle();
-        channels[0].begin_cycle();
         for _ in 0..6 {
             assert!(reader.step(0, &mut channels, &mut memory));
         }
-        assert!(reader.done());
-        let streamed: Vec<f64> = (0..6).map(|_| channels[0].pop(0).unwrap()).collect();
-        assert_eq!(streamed, vec![10.0, 20.0, 30.0, 10.0, 20.0, 30.0]);
+        assert!(!reader.step(0, &mut channels, &mut memory));
+        assert_eq!(channels[0].len, 6);
+        assert_eq!(memory.total_words(), 0);
     }
 
     #[test]
     fn writer_collects_in_order() {
-        let mut channels = vec![Fifo::new("c", 16)];
-        channels[0].begin_cycle();
+        let mut channels = vec![channel(16)];
         let mut memory = MemoryModel::new(None);
         memory.begin_cycle();
-        channels[0].push(0, 1.5).unwrap();
-        channels[0].push(0, 2.5).unwrap();
-        let mut writer = WriterUnit::new("out", 0, 2);
+        channels[0].push(0);
+        channels[0].push(0);
+        let mut writer = WriterUnit::new(0, 2);
         assert!(writer.step(0, &mut channels, &mut memory));
         assert!(writer.step(0, &mut channels, &mut memory));
         assert!(writer.done());
-        assert_eq!(writer.values, vec![1.5, 2.5]);
+        assert_eq!(writer.received, 2);
         // Further steps make no progress.
         assert!(!writer.step(0, &mut channels, &mut memory));
+        assert_eq!(writer.stall_cycles, 0);
+        assert_eq!(memory.total_words(), 2);
+    }
+
+    #[test]
+    fn writer_waits_for_data_and_for_bandwidth() {
+        let mut channels = vec![channel(4)];
+        let mut memory = MemoryModel::new(Some(1.0));
+        let mut writer = WriterUnit::new(0, 2);
+        memory.begin_cycle();
+        // Nothing to drain: a stall that draws no bandwidth.
+        assert!(!writer.step(0, &mut channels, &mut memory));
+        assert_eq!((writer.stall_cycles, memory.stalled_requests()), (1, 0));
+        channels[0].push(0);
+        channels[0].push(0);
+        assert!(writer.step(0, &mut channels, &mut memory));
+        // The cycle's one word is spent.
+        assert!(!writer.step(0, &mut channels, &mut memory));
+        assert_eq!((writer.stall_cycles, memory.stalled_requests()), (2, 1));
+        assert_eq!(channels[0].len, 1);
     }
 
     #[test]
     fn reader_stalls_on_full_channel_and_scalar_grid_broadcasts() {
         let space = IterationSpace::new(&["i"], &[4]).unwrap();
         let grid = Grid::scalar(7.0, DataType::Float32);
-        let mut channels = vec![Fifo::new("c", 1)];
+        assert_eq!(*input_stream(&grid, &space), [7.0; 4]);
+        let mut channels = vec![channel(1)];
         let mut memory = MemoryModel::new(None);
         memory.begin_cycle();
-        channels[0].begin_cycle();
-        let mut reader = ReaderUnit::new("dt", &grid, &space, vec![0], false);
+        let mut reader = StencilUnit::reader(vec![0], false, space.num_cells());
         assert!(reader.step(0, &mut channels, &mut memory));
         assert!(!reader.step(0, &mut channels, &mut memory)); // channel full
-        assert_eq!(reader.stall_cycles, 1);
-        assert_eq!(channels[0].pop(0).unwrap(), 7.0);
+        assert_eq!((reader.input_stalls, reader.output_stalls), (0, 1));
+        assert_eq!(reader.produced, 1);
     }
 }

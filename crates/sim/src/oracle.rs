@@ -1,0 +1,862 @@
+//! The value-carrying cycle loop the simulator ran before timing and values
+//! were split, kept as the test oracle of the split engine.
+//!
+//! Every word is a real `f64` travelling through a [`Fifo`]; every unit
+//! keeps a sliding window per input field and evaluates one cell per
+//! [`StencilUnitSim::step`] through the scalar kernel. [`simulate`] is the
+//! old `Simulator::build` + `Simulator::run` in one function: the engine in
+//! [`crate::simulator`] must return the same [`SimReport`] — outcome, cycle
+//! count, every statistic and every output bit — on any program, plan and
+//! configuration.
+
+use crate::config::SimConfig;
+use crate::memory::MemoryModel;
+use crate::report::{ChannelStats, SimOutcome, SimReport, UnitStats};
+use std::collections::{BTreeMap, VecDeque};
+use stencilflow_core::channel::Fifo;
+use stencilflow_core::{AnalysisConfig, CoreError, DelayBufferAnalysis, InternalBufferAnalysis};
+use stencilflow_core::{MultiDevicePlan, Result as CoreResult};
+use stencilflow_expr::{CompiledKernel, EvalScratch, TypedKernel, TypedScratch, Value};
+use stencilflow_program::{
+    BoundaryCondition, IterationSpace, ProgramError, StencilDag, StencilNode, StencilProgram,
+};
+use stencilflow_reference::Grid;
+
+/// The per-field input port of a stencil unit: a channel plus the sliding
+/// window that implements the internal buffer.
+#[derive(Debug)]
+struct FieldPort {
+    field: String,
+    channel: usize,
+    /// Smallest linearized access offset.
+    min_lin: i64,
+    /// How many elements ahead of the current output cell this port consumes
+    /// (the internal-buffer fill distance, mirroring the shift-register
+    /// implementation and the per-edge delay used by the analysis).
+    consume_ahead: usize,
+    /// Sliding window of recently consumed elements.
+    window: VecDeque<f64>,
+    /// Linear cell index corresponding to the front of the window.
+    window_base: i64,
+    /// Elements consumed from the channel so far.
+    consumed: usize,
+}
+
+impl FieldPort {
+    fn required_consumed(&self, cell: usize, total: usize) -> usize {
+        let needed = cell as i64 + self.consume_ahead as i64;
+        needed.clamp(0, total as i64) as usize
+    }
+
+    fn value_at(&self, linear: i64) -> Option<f64> {
+        let offset = linear - self.window_base;
+        if offset < 0 {
+            return None;
+        }
+        self.window.get(offset as usize).copied()
+    }
+
+    fn prune(&mut self, cell: usize) {
+        // Keep everything that can still be accessed by this or later
+        // cells — the centre cell included, which a `Copy` boundary reads
+        // even when every tap of the field points forward. (The loop as it
+        // shipped pruned the centre then and panicked on such a program;
+        // this is its only change here besides losing the lane mode.)
+        let keep_from = cell as i64 + self.min_lin.min(0);
+        while self.window_base < keep_from && self.window.len() > 1 {
+            self.window.pop_front();
+            self.window_base += 1;
+        }
+    }
+}
+
+/// One pre-bound access of the unit's compiled kernel: which port it taps,
+/// at which linearized offset, and the per-dimension bounds checks for
+/// boundary predication.
+#[derive(Debug)]
+struct SlotTap {
+    /// Index into `StencilUnitSim::ports`.
+    port: usize,
+    /// Linearized (memory-order) offset of the access.
+    linear: i64,
+    /// `(dimension, offset)` pairs to bounds-check.
+    checks: Vec<(usize, i64)>,
+    /// Boundary condition applied when a check fails.
+    boundary: BoundaryCondition,
+}
+
+/// A simulated stencil unit.
+#[derive(Debug)]
+pub(crate) struct StencilUnitSim {
+    /// Stencil name.
+    pub name: String,
+    space: IterationSpace,
+    ports: Vec<FieldPort>,
+    /// Compiled code segment; evaluated once per produced cell through
+    /// pre-bound window taps (`slots`) instead of the tree-walking
+    /// evaluator.
+    kernel: CompiledKernel,
+    /// Type-specialized kernel (all stream values carry the unit's data
+    /// type): evaluates window taps on raw `f64`s with no `Value` tagging.
+    typed: Option<TypedKernel>,
+    slots: Vec<SlotTap>,
+    slot_values: Vec<Value>,
+    typed_values: Vec<f64>,
+    scratch: EvalScratch,
+    typed_scratch: TypedScratch,
+    output_type: stencilflow_expr::DataType,
+    /// Outgoing channel indices.
+    pub out_channels: Vec<usize>,
+    /// Cells produced so far.
+    pub produced: usize,
+    total_cells: usize,
+    /// Cycles stalled waiting for input data.
+    pub input_stalls: u64,
+    /// Cycles stalled waiting for output space.
+    pub output_stalls: u64,
+}
+
+impl StencilUnitSim {
+    /// Create a unit for `stencil`, wiring each consumed field to the given
+    /// channel index and the output to `out_channels`.
+    pub(crate) fn new(
+        program: &StencilProgram,
+        stencil: &StencilNode,
+        input_channels: &BTreeMap<String, usize>,
+        out_channels: Vec<usize>,
+    ) -> Self {
+        let space = program.space().clone();
+        let mut ports = Vec::new();
+        for (field, info) in stencil.accesses.iter() {
+            let mut lins: Vec<i64> = info
+                .offsets
+                .iter()
+                .map(|offsets| {
+                    let mut full = vec![0i64; space.rank()];
+                    for (var, &off) in info.index_vars.iter().zip(offsets.iter()) {
+                        if let Some(dim) = space.dim_index(var) {
+                            full[dim] = off;
+                        }
+                    }
+                    space.linearize_offset(&full)
+                })
+                .collect();
+            if lins.is_empty() {
+                lins.push(0);
+            }
+            let channel = *input_channels
+                .get(field)
+                .unwrap_or_else(|| panic!("no channel wired for field `{field}`"));
+            let max_lin = *lins.iter().max().expect("non-empty");
+            let min_lin = *lins.iter().min().expect("non-empty");
+            // Buffer-fill distance: the full shift-register span when the
+            // field is accessed more than once, otherwise just far enough to
+            // have the (possibly forward-offset) single access available.
+            let span = if lins.len() >= 2 {
+                max_lin - min_lin + 1
+            } else {
+                0
+            };
+            let consume_ahead = span.max(max_lin + 1).max(1) as usize;
+            ports.push(FieldPort {
+                field: field.to_string(),
+                channel,
+                min_lin,
+                consume_ahead,
+                window: VecDeque::new(),
+                window_base: 0,
+                consumed: 0,
+            });
+        }
+
+        // Compile the code segment and bind every access slot to its port
+        // tap: linearized offset plus the bounds checks used for boundary
+        // predication. This replaces the per-cell string-keyed resolver.
+        let kernel =
+            CompiledKernel::compile(&stencil.program).expect("validated stencil programs compile");
+        let mut slots = Vec::with_capacity(kernel.slots().len());
+        for slot in kernel.slots() {
+            let port = ports
+                .iter()
+                .position(|p| p.field == slot.field)
+                .unwrap_or_else(|| panic!("no port wired for field `{}`", slot.field));
+            let mut full_offset = vec![0i64; space.rank()];
+            let mut checks = Vec::with_capacity(slot.index_vars.len());
+            for (var, &off) in slot.index_vars.iter().zip(slot.offsets.iter()) {
+                if let Some(dim) = space.dim_index(var) {
+                    full_offset[dim] = off;
+                    checks.push((dim, off));
+                }
+            }
+            slots.push(SlotTap {
+                port,
+                linear: space.linearize_offset(&full_offset),
+                checks,
+                boundary: stencil.boundary.condition_for(&slot.field),
+            });
+        }
+        let slot_values = vec![Value::F64(0.0); slots.len()];
+        let typed_values = vec![0.0; slots.len()];
+        // Every stream value of the unit is tagged with the unit's data
+        // type, so the specialization is uniform over the slots.
+        let slot_types = vec![stencil.output_type; slots.len()];
+        let typed = kernel.specialize(&slot_types);
+
+        StencilUnitSim {
+            name: stencil.name.clone(),
+            space: space.clone(),
+            ports,
+            kernel,
+            typed,
+            slots,
+            slot_values,
+            typed_values,
+            scratch: EvalScratch::default(),
+            typed_scratch: TypedScratch::default(),
+            output_type: stencil.output_type,
+            out_channels,
+            produced: 0,
+            total_cells: space.num_cells(),
+            input_stalls: 0,
+            output_stalls: 0,
+        }
+    }
+
+    /// Attempt one cycle of work; returns `true` if any progress was made.
+    pub(crate) fn step(&mut self, now: u64, channels: &mut [Fifo]) -> bool {
+        let mut progress = false;
+        let cell = self.produced;
+
+        // Consume phase: pull at most one element per field per cycle, as
+        // long as this cell (or the drain of the stream) still needs it.
+        let mut missing_input = false;
+        for port in &mut self.ports {
+            if port.consumed >= self.total_cells {
+                continue;
+            }
+            let required = if cell < self.total_cells {
+                port.required_consumed(cell, self.total_cells)
+            } else {
+                // Drain phase: pull whatever is left of the input stream.
+                self.total_cells
+            };
+            if port.consumed < required {
+                // A failed pop is back-pressure (word not produced yet or
+                // still in network flight), not a bug: record the stall and
+                // retry next cycle.
+                match channels[port.channel].pop(now) {
+                    Ok(value) => {
+                        if port.window.is_empty() {
+                            port.window_base = port.consumed as i64;
+                        }
+                        port.window.push_back(value);
+                        port.consumed += 1;
+                        progress = true;
+                    }
+                    Err(_) => {
+                        missing_input = true;
+                    }
+                }
+            }
+        }
+
+        if cell >= self.total_cells {
+            return progress;
+        }
+
+        // Are all inputs for this cell available?
+        let ready = self
+            .ports
+            .iter()
+            .all(|p| p.consumed >= p.required_consumed(cell, self.total_cells));
+        if !ready {
+            if missing_input {
+                self.input_stalls += 1;
+            }
+            return progress;
+        }
+
+        // Output channels must all have space (the conditional write of the
+        // compute phase).
+        if !self.out_channels.iter().all(|&c| channels[c].can_push()) {
+            self.output_stalls += 1;
+            return progress;
+        }
+
+        // Compute the cell: resolve every pre-bound slot against the port
+        // windows (with boundary predication), then run the compiled kernel
+        // — through the type-specialized variant when one exists.
+        let index = self.decompose(cell);
+        let dtype = self.output_type;
+        let mut raw_values = std::mem::take(&mut self.typed_values);
+        for (tap, value) in self.slots.iter().zip(raw_values.iter_mut()) {
+            let port = &self.ports[tap.port];
+            let out_of_bounds = tap.checks.iter().any(|&(dim, off)| {
+                let pos = index[dim] as i64 + off;
+                pos < 0 || pos >= self.space.shape[dim] as i64
+            });
+            let raw = if out_of_bounds {
+                match tap.boundary {
+                    BoundaryCondition::Constant(c) => Some(c),
+                    BoundaryCondition::Copy => port.value_at(cell as i64),
+                }
+            } else {
+                port.value_at(cell as i64 + tap.linear)
+            };
+            *value = raw
+                .expect("validated programs evaluate; missing window data indicates a wiring bug");
+        }
+        let value = if let Some(typed) = &self.typed {
+            // Raw taps round through the unit's data type exactly as the
+            // `Value` path tags them; the typed kernel then runs `Value`-free.
+            for v in raw_values.iter_mut() {
+                *v = Value::from_f64(*v, dtype).as_f64();
+            }
+            let mut scratch = std::mem::take(&mut self.typed_scratch);
+            let result = typed.eval_slots(&raw_values, &mut scratch);
+            self.typed_scratch = scratch;
+            Value::from_f64(result, dtype).as_f64()
+        } else {
+            let mut values = std::mem::take(&mut self.slot_values);
+            for (value, &raw) in values.iter_mut().zip(raw_values.iter()) {
+                *value = Value::from_f64(raw, dtype);
+            }
+            let mut scratch = std::mem::take(&mut self.scratch);
+            let result = self
+                .kernel
+                .eval_slots(&values, &mut scratch)
+                .expect("validated programs evaluate; unresolved symbols indicate a wiring bug");
+            self.slot_values = values;
+            self.scratch = scratch;
+            Value::from_f64(result.as_f64(), dtype).as_f64()
+        };
+        self.typed_values = raw_values;
+        for &c in &self.out_channels {
+            channels[c]
+                .push(now, value)
+                .expect("output space reserved by the can_push check above");
+        }
+        self.produced += 1;
+        // Prune windows to their steady-state size.
+        let next = self.produced;
+        for port in &mut self.ports {
+            port.prune(next);
+        }
+        true
+    }
+
+    fn decompose(&self, mut flat: usize) -> Vec<usize> {
+        let shape = &self.space.shape;
+        let mut index = vec![0usize; shape.len()];
+        for d in (0..shape.len()).rev() {
+            index[d] = flat % shape[d];
+            flat /= shape[d];
+        }
+        index
+    }
+}
+
+/// A dedicated prefetcher reading one input field from off-chip memory and
+/// broadcasting it, one element per output cell, to all consumers.
+#[derive(Debug)]
+pub(crate) struct ReaderUnit {
+    /// Field name.
+    pub field: String,
+    /// Values streamed per cell (pre-projected from the input grid).
+    values: Vec<f64>,
+    /// Indices of the outgoing channels in the simulator's channel table.
+    pub out_channels: Vec<usize>,
+    /// Whether this reader draws from the off-chip bandwidth budget
+    /// (full-domain fields only).
+    pub uses_bandwidth: bool,
+    /// Elements pushed so far.
+    pub produced: usize,
+    /// Cycles spent unable to push.
+    pub stall_cycles: u64,
+}
+
+impl ReaderUnit {
+    /// Build a reader by projecting `grid` onto the full iteration space:
+    /// element `c` of the stream is the grid value the stencils expect at
+    /// cell `c` (lower-dimensional fields repeat values).
+    pub(crate) fn new(
+        field: &str,
+        grid: &Grid,
+        space: &IterationSpace,
+        out_channels: Vec<usize>,
+        uses_bandwidth: bool,
+    ) -> Self {
+        let mut values = Vec::with_capacity(space.num_cells());
+        for index in space.indices() {
+            let projected: Vec<usize> = grid
+                .dims()
+                .iter()
+                .map(|d| space.dim_index(d).map(|ix| index[ix]).unwrap_or(0))
+                .collect();
+            values.push(grid.get(&projected));
+        }
+        ReaderUnit {
+            field: field.to_string(),
+            values,
+            out_channels,
+            uses_bandwidth,
+            produced: 0,
+            stall_cycles: 0,
+        }
+    }
+
+    /// Whether the reader has streamed its whole field.
+    pub(crate) fn done(&self) -> bool {
+        self.produced >= self.values.len()
+    }
+
+    /// Attempt one cycle of work; returns `true` if progress was made.
+    pub(crate) fn step(
+        &mut self,
+        now: u64,
+        channels: &mut [Fifo],
+        memory: &mut MemoryModel,
+    ) -> bool {
+        if self.done() {
+            return false;
+        }
+        if !self.out_channels.iter().all(|&c| channels[c].can_push()) {
+            self.stall_cycles += 1;
+            return false;
+        }
+        if self.uses_bandwidth && !memory.request_word() {
+            self.stall_cycles += 1;
+            return false;
+        }
+        let value = self.values[self.produced];
+        for &c in &self.out_channels {
+            channels[c]
+                .push(now, value)
+                .expect("output space reserved by the can_push check above");
+        }
+        self.produced += 1;
+        true
+    }
+}
+
+/// A dedicated writer draining one program output to off-chip memory.
+#[derive(Debug)]
+pub(crate) struct WriterUnit {
+    /// Output field name.
+    pub field: String,
+    /// Index of the incoming channel.
+    pub in_channel: usize,
+    /// Collected output values (row-major over the iteration space).
+    pub values: Vec<f64>,
+    /// Total number of cells expected.
+    pub expected: usize,
+    /// Cycles spent waiting for data or bandwidth.
+    pub stall_cycles: u64,
+}
+
+impl WriterUnit {
+    /// Create a writer expecting `expected` elements.
+    pub(crate) fn new(field: &str, in_channel: usize, expected: usize) -> Self {
+        WriterUnit {
+            field: field.to_string(),
+            in_channel,
+            values: Vec::with_capacity(expected),
+            expected,
+            stall_cycles: 0,
+        }
+    }
+
+    /// Whether all output cells have been received.
+    pub(crate) fn done(&self) -> bool {
+        self.values.len() >= self.expected
+    }
+
+    /// Attempt one cycle of work; returns `true` if progress was made.
+    pub(crate) fn step(
+        &mut self,
+        now: u64,
+        channels: &mut [Fifo],
+        memory: &mut MemoryModel,
+    ) -> bool {
+        if self.done() {
+            return false;
+        }
+        if !channels[self.in_channel].can_pop(now) {
+            self.stall_cycles += 1;
+            return false;
+        }
+        if !memory.request_word() {
+            self.stall_cycles += 1;
+            return false;
+        }
+        let value = channels[self.in_channel]
+            .pop(now)
+            .expect("word availability established by the can_pop check above");
+        self.values.push(value);
+        true
+    }
+}
+
+/// Build the design of `program` (partitioned by `plan`, if any) and run it
+/// on `inputs`, cycle by cycle, carrying every value.
+pub(crate) fn simulate(
+    program: &StencilProgram,
+    analysis: &AnalysisConfig,
+    plan: Option<&MultiDevicePlan>,
+    config: &SimConfig,
+    inputs: &BTreeMap<String, Grid>,
+) -> CoreResult<SimReport> {
+    let internal = InternalBufferAnalysis::compute(program, analysis)?;
+    let delay = DelayBufferAnalysis::compute(program, &internal, analysis)?;
+
+    // Device assignment for network-channel classification.
+    let mut device_of: BTreeMap<String, usize> = BTreeMap::new();
+    if let Some(plan) = plan {
+        for partition in &plan.devices {
+            for stencil in &partition.stencils {
+                device_of.insert(stencil.clone(), partition.index);
+            }
+        }
+    }
+
+    let mut channels: Vec<Fifo> = Vec::new();
+    let mut channel_index: BTreeMap<(String, String), usize> = BTreeMap::new();
+    for channel in delay.channels() {
+        let capacity = config
+            .channel_depth_override
+            .unwrap_or(channel.depth_words.max(1) + config.extra_channel_slack)
+            as usize;
+        let crosses_devices = match (device_of.get(&channel.from), device_of.get(&channel.to)) {
+            (Some(a), Some(b)) => a != b,
+            _ => false,
+        };
+        let (latency, words_per_cycle) = if crosses_devices {
+            (
+                config.network.latency_cycles,
+                config.network.words_per_cycle,
+            )
+        } else {
+            (0, f64::INFINITY)
+        };
+        let capacity = capacity.max(1) + if crosses_devices { latency as usize } else { 0 };
+        let mut fifo =
+            Fifo::new(&format!("{}->{}", channel.from, channel.to), capacity).with_latency(latency);
+        if words_per_cycle.is_finite() {
+            fifo = fifo.with_bandwidth(words_per_cycle);
+        }
+        channel_index.insert((channel.from.clone(), channel.to.clone()), channels.len());
+        channels.push(fifo);
+    }
+    let outs_of = |name: &str| -> Vec<usize> {
+        channel_index
+            .iter()
+            .filter(|((from, _), _)| from == name)
+            .map(|(_, &idx)| idx)
+            .collect()
+    };
+
+    let space = program.space();
+    let total_cells = space.num_cells();
+    for (name, decl) in program.inputs() {
+        let grid = inputs.get(name).ok_or_else(|| {
+            CoreError::Program(ProgramError::Invalid {
+                message: format!("missing input grid `{name}`"),
+            })
+        })?;
+        if grid.rank() != decl.rank() {
+            return Err(CoreError::Program(ProgramError::Invalid {
+                message: format!(
+                    "input `{name}` has rank {}, expected {}",
+                    grid.rank(),
+                    decl.rank()
+                ),
+            }));
+        }
+    }
+
+    // Readers: one per program input.
+    let full_rank = space.rank();
+    let mut readers: Vec<ReaderUnit> = Vec::new();
+    for (name, decl) in program.inputs() {
+        let outs = outs_of(name);
+        if outs.is_empty() {
+            continue; // unused input
+        }
+        readers.push(ReaderUnit::new(
+            name,
+            &inputs[name],
+            space,
+            outs,
+            decl.rank() == full_rank,
+        ));
+    }
+
+    // Stencil units, in topological order.
+    let mut units: Vec<StencilUnitSim> = Vec::new();
+    for name in &program.topological_stencils()? {
+        let stencil = program.stencil(name).expect("topological order is valid");
+        let mut input_channels = BTreeMap::new();
+        for (field, _) in stencil.accesses.iter() {
+            let idx = channel_index
+                .get(&(field.to_string(), name.clone()))
+                .copied()
+                .ok_or_else(|| CoreError::Internal {
+                    message: format!("no channel from `{field}` to `{name}`"),
+                })?;
+            input_channels.insert(field.to_string(), idx);
+        }
+        units.push(StencilUnitSim::new(
+            program,
+            stencil,
+            &input_channels,
+            outs_of(name),
+        ));
+    }
+
+    // Writers: one per program output.
+    let mut writers: Vec<WriterUnit> = Vec::new();
+    for output in program.outputs() {
+        let sink = StencilDag::output_node_name(output);
+        let idx = channel_index
+            .get(&(output.clone(), sink))
+            .copied()
+            .ok_or_else(|| CoreError::Internal {
+                message: format!("no channel from `{output}` to its output memory"),
+            })?;
+        writers.push(WriterUnit::new(output, idx, total_cells));
+    }
+
+    // Main loop.
+    let mut memory = MemoryModel::new(config.memory_words_per_cycle);
+    let mut cycles: u64 = 0;
+    let mut idle_cycles: u64 = 0;
+    let outcome = loop {
+        if writers.iter().all(WriterUnit::done) {
+            break SimOutcome::Completed;
+        }
+        if cycles >= config.max_cycles {
+            break SimOutcome::MaxCyclesExceeded;
+        }
+        memory.begin_cycle();
+        for channel in channels.iter_mut() {
+            channel.begin_cycle();
+        }
+        let mut progress = false;
+        for reader in readers.iter_mut() {
+            progress |= reader.step(cycles, &mut channels, &mut memory);
+        }
+        for unit in units.iter_mut() {
+            progress |= unit.step(cycles, &mut channels);
+        }
+        for writer in writers.iter_mut() {
+            progress |= writer.step(cycles, &mut channels, &mut memory);
+        }
+        if progress {
+            idle_cycles = 0;
+        } else {
+            idle_cycles += 1;
+            if idle_cycles >= config.deadlock_window {
+                break SimOutcome::Deadlocked;
+            }
+        }
+        cycles += 1;
+    };
+
+    // Collect outputs.
+    let dim_refs: Vec<&str> = space.dims.iter().map(String::as_str).collect();
+    let mut outputs = BTreeMap::new();
+    if outcome == SimOutcome::Completed {
+        for writer in &writers {
+            let dtype = program
+                .field_type(&writer.field)
+                .unwrap_or(stencilflow_expr::DataType::Float32);
+            let mut grid = Grid::zeros(&dim_refs, &space.shape, dtype);
+            for (flat, index) in space.indices().enumerate() {
+                grid.set(&index, writer.values[flat]);
+            }
+            outputs.insert(writer.field.clone(), grid);
+        }
+    }
+
+    // Statistics.
+    let mut unit_stats = Vec::new();
+    for reader in &readers {
+        unit_stats.push(UnitStats {
+            name: format!("read:{}", reader.field),
+            produced: reader.produced,
+            input_stalls: 0,
+            output_stalls: reader.stall_cycles,
+        });
+    }
+    for unit in &units {
+        unit_stats.push(UnitStats {
+            name: unit.name.clone(),
+            produced: unit.produced,
+            input_stalls: unit.input_stalls,
+            output_stalls: unit.output_stalls,
+        });
+    }
+    for writer in &writers {
+        unit_stats.push(UnitStats {
+            name: format!("write:{}", writer.field),
+            produced: writer.values.len(),
+            input_stalls: writer.stall_cycles,
+            output_stalls: 0,
+        });
+    }
+    let channel_stats = channels
+        .iter()
+        .map(|c| ChannelStats {
+            name: c.name().to_string(),
+            capacity: c.capacity(),
+            high_watermark: c.high_watermark(),
+            words: c.pushed_total(),
+        })
+        .collect();
+
+    Ok(SimReport {
+        outcome,
+        cycles,
+        outputs,
+        unit_stats,
+        channel_stats,
+        memory_words: memory.total_words(),
+        memory_stalls: memory.stalled_requests(),
+    })
+}
+
+/// Panic unless the two reports agree in every field: outcome, cycles,
+/// every unit's and channel's statistics, the memory counters, and the
+/// output grids bit for bit.
+pub(crate) fn assert_same_report(ours: &SimReport, theirs: &SimReport) {
+    assert_eq!(ours.outcome, theirs.outcome);
+    assert_eq!(ours.cycles, theirs.cycles);
+    assert_eq!(ours.unit_stats, theirs.unit_stats);
+    assert_eq!(ours.channel_stats, theirs.channel_stats);
+    assert_eq!(ours.memory_words, theirs.memory_words);
+    assert_eq!(ours.memory_stalls, theirs.memory_stalls);
+    let names = |report: &SimReport| report.outputs.keys().cloned().collect::<Vec<_>>();
+    assert_eq!(names(ours), names(theirs));
+    for (name, grid) in &ours.outputs {
+        let other = &theirs.outputs[name];
+        assert_eq!(grid.dims(), other.dims(), "`{name}`");
+        assert_eq!(grid.shape(), other.shape(), "`{name}`");
+        assert_eq!(grid.data_type(), other.data_type(), "`{name}`");
+        for (cell, (a, b)) in grid.as_slice().iter().zip(other.as_slice()).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "`{name}`, cell {cell}: {a:?} vs {b:?}"
+            );
+        }
+    }
+}
+
+mod tests {
+    use super::*;
+    use crate::config::NetworkParams;
+    use crate::simulator::Simulator;
+    use stencilflow_core::PartitionConfig;
+    use stencilflow_reference::generate_inputs;
+    use stencilflow_workloads::random_dag;
+
+    /// Run the split engine and the oracle loop on the same design and
+    /// require the same report.
+    fn both(
+        program: &StencilProgram,
+        plan: Option<&MultiDevicePlan>,
+        config: &SimConfig,
+        inputs: &BTreeMap<String, Grid>,
+    ) -> SimReport {
+        let analysis = AnalysisConfig::paper_defaults();
+        let simulator = match plan {
+            Some(plan) => Simulator::build_multi_device(program, &analysis, plan, config),
+            None => Simulator::build(program, &analysis, config),
+        }
+        .unwrap();
+        let ours = simulator.run(inputs).unwrap();
+        let theirs = simulate(program, &analysis, plan, config, inputs).unwrap();
+        assert_same_report(&ours, &theirs);
+        ours
+    }
+
+    #[test]
+    fn split_engine_matches_the_value_carrying_loop_on_random_programs() {
+        let mut outcomes = BTreeMap::new();
+        for seed in 0..64u64 {
+            let program = random_dag(seed);
+            let inputs = generate_inputs(&program, seed);
+            let devices = PartitionConfig::devices(program.stencil_count().min(2));
+            let plan = MultiDevicePlan::partition(&program, &devices).unwrap();
+            let default = both(&program, None, &SimConfig::default(), &inputs);
+            assert!(default.completed(), "seed {seed}");
+            let slow_network = SimConfig {
+                network: NetworkParams {
+                    latency_cycles: 7,
+                    words_per_cycle: 0.75,
+                },
+                ..SimConfig::default()
+            };
+            let configs = [
+                (Some(&plan), SimConfig::default()),
+                (Some(&plan), slow_network),
+                (None, SimConfig::default().with_memory_bandwidth(0.5)),
+                (None, SimConfig::default().with_memory_bandwidth(1.5)),
+                (
+                    None,
+                    SimConfig {
+                        deadlock_window: 40,
+                        ..SimConfig::with_minimal_channels()
+                    },
+                ),
+                (
+                    None,
+                    SimConfig {
+                        extra_channel_slack: 0,
+                        deadlock_window: 200,
+                        ..SimConfig::default()
+                    },
+                ),
+                (
+                    None,
+                    SimConfig {
+                        max_cycles: default.cycles * 2 / 3,
+                        ..SimConfig::default()
+                    },
+                ),
+            ];
+            for (plan, config) in &configs {
+                let report = both(&program, *plan, config, &inputs);
+                assert_eq!(report.completed(), !report.outputs.is_empty());
+                *outcomes.entry(format!("{:?}", report.outcome)).or_insert(0) += 1;
+            }
+        }
+        // The sweep is not vacuous: every way a run can end occurs.
+        assert!(outcomes["Completed"] >= 5 * 64 / 2, "{outcomes:?}");
+        assert!(outcomes["Deadlocked"] >= 1, "{outcomes:?}");
+        assert_eq!(outcomes["MaxCyclesExceeded"], 64, "{outcomes:?}");
+    }
+
+    #[test]
+    fn split_engine_matches_the_value_carrying_loop_on_the_paper_programs() {
+        // Listing 1 (a lower-rank input, a fork and a join) and horizontal
+        // diffusion (mixed-width kernels, 1-D coefficient fields), on one
+        // device and on four.
+        use stencilflow_workloads::{
+            horizontal_diffusion, listing1::listing1_with_shape, HorizontalDiffusionSpec,
+        };
+        let programs = [
+            listing1_with_shape(&[6, 6, 6]),
+            horizontal_diffusion(&HorizontalDiffusionSpec::small()),
+        ];
+        for program in &programs {
+            let inputs = generate_inputs(program, 5);
+            let plan = MultiDevicePlan::partition(program, &PartitionConfig::devices(4)).unwrap();
+            let single = both(program, None, &SimConfig::default(), &inputs);
+            let multi = both(program, Some(&plan), &SimConfig::default(), &inputs);
+            assert!(single.completed() && multi.completed());
+            let starved = both(program, None, &SimConfig::with_minimal_channels(), &inputs);
+            assert_eq!(starved.outcome, SimOutcome::Deadlocked);
+        }
+    }
+}

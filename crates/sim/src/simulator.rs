@@ -1,37 +1,80 @@
 //! The top-level simulator: builds the spatial design from a program and its
-//! buffering analysis, then executes it cycle by cycle.
+//! buffering analysis once, then runs it on concrete inputs in two passes
+//! (see the crate documentation for why the split is exact): a cycle loop
+//! over count machines that yields the timing, and — only if the design ran
+//! to completion — one bulk evaluation of every unit's output stream, in
+//! topological order, that yields the values.
 
-use crate::channel::Fifo;
+use crate::channel::TokenChannel;
 use crate::config::SimConfig;
-use crate::memory::{MemoryModel, ReaderUnit, WriterUnit};
+use crate::memory::{input_stream, MemoryModel, WriterUnit};
 use crate::report::{ChannelStats, SimOutcome, SimReport, UnitStats};
-use crate::unit::StencilUnitSim;
+use crate::unit::{FieldKernel, StencilUnit};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use stencilflow_core::{AnalysisConfig, CoreError, DelayBufferAnalysis, InternalBufferAnalysis};
 use stencilflow_core::{MultiDevicePlan, Result as CoreResult};
-use stencilflow_program::{ProgramError, StencilDag, StencilProgram};
+use stencilflow_expr::DataType;
+use stencilflow_program::{IterationSpace, ProgramError, StencilDag, StencilProgram};
 use stencilflow_reference::Grid;
 
-/// Description of one channel of the built design (before instantiation).
+/// The count machines of a design. The simulator holds them in their
+/// initial state; every run steps a copy.
 #[derive(Debug, Clone)]
-struct ChannelSpec {
-    from: String,
-    to: String,
-    capacity: usize,
-    latency: u64,
-    words_per_cycle: f64,
+struct Machines {
+    channels: Vec<TokenChannel>,
+    /// One reader per program input that is read at all, then the stencil
+    /// units in topological order. Unit `u` produces stream `u`.
+    units: Vec<StencilUnit>,
+    /// One writer per program output.
+    writers: Vec<WriterUnit>,
+}
+
+/// One step of the functional pass: the datapath of a stencil unit.
+#[derive(Debug)]
+struct Stage {
+    kernel: FieldKernel,
+    /// The stream read through each port.
+    sources: Vec<usize>,
+    /// Element type of the output grid, if the field is a program output.
+    output: Option<DataType>,
+}
+
+/// A declared program input.
+#[derive(Debug)]
+struct InputField {
+    name: String,
+    rank: usize,
+    /// Whether any stencil reads it, i.e. whether it has a reader unit.
+    read: bool,
 }
 
 /// A spatial design ready to be simulated on concrete input data.
 #[derive(Debug)]
 pub struct Simulator {
-    program: StencilProgram,
     config: SimConfig,
-    channel_specs: Vec<ChannelSpec>,
-    /// `(from, to) -> channel index`
-    channel_index: BTreeMap<(String, String), usize>,
-    /// Stencils in topological order.
-    stencil_order: Vec<String>,
+    space: IterationSpace,
+    inputs: Vec<InputField>,
+    machines: Machines,
+    /// `from->to`, in `DelayBufferAnalysis` order.
+    channel_names: Vec<String>,
+    /// `read:<field>`, stencils, `write:<field>`: the order of
+    /// `SimReport::unit_stats`.
+    unit_names: Vec<String>,
+    /// One stage per stencil unit (the units after the readers).
+    stages: Vec<Stage>,
+    /// Per stream, the last unit reading it: the stream is dropped after
+    /// that unit's stage, so live memory follows the DAG's width, not its
+    /// size.
+    last_reader: Vec<Option<usize>>,
+}
+
+fn internal(message: String) -> CoreError {
+    CoreError::Internal { message }
+}
+
+fn invalid(message: String) -> CoreError {
+    CoreError::Program(ProgramError::Invalid { message })
 }
 
 impl Simulator {
@@ -72,28 +115,28 @@ impl Simulator {
         config: &SimConfig,
         plan: Option<&MultiDevicePlan>,
     ) -> CoreResult<Self> {
-        let internal = InternalBufferAnalysis::compute(program, analysis)?;
-        let delay = DelayBufferAnalysis::compute(program, &internal, analysis)?;
-        let dag = program.dag()?;
+        let internal_buffers = InternalBufferAnalysis::compute(program, analysis)?;
+        let delay = DelayBufferAnalysis::compute(program, &internal_buffers, analysis)?;
+        let space = program.space();
+        let total_cells = space.num_cells();
 
         // Device assignment for network-channel classification.
-        let mut device_of: BTreeMap<String, usize> = BTreeMap::new();
-        if let Some(plan) = plan {
-            for partition in &plan.devices {
-                for stencil in &partition.stencils {
-                    device_of.insert(stencil.clone(), partition.index);
-                }
+        let mut device_of: BTreeMap<&str, usize> = BTreeMap::new();
+        for partition in plan.iter().flat_map(|plan| &plan.devices) {
+            for stencil in &partition.stencils {
+                device_of.insert(stencil, partition.index);
             }
         }
 
-        let mut channel_specs = Vec::new();
-        let mut channel_index = BTreeMap::new();
+        let mut channels = Vec::new();
+        let mut channel_names = Vec::new();
+        let mut channel_index: BTreeMap<(&str, &str), usize> = BTreeMap::new();
         for channel in delay.channels() {
-            let capacity = config
+            let (from, to) = (channel.from.as_str(), channel.to.as_str());
+            let depth = config
                 .channel_depth_override
-                .unwrap_or(channel.depth_words.max(1) + config.extra_channel_slack)
-                as usize;
-            let crosses_devices = match (device_of.get(&channel.from), device_of.get(&channel.to)) {
+                .unwrap_or(channel.depth_words.max(1) + config.extra_channel_slack);
+            let crosses_devices = match (device_of.get(from), device_of.get(to)) {
                 (Some(a), Some(b)) => a != b,
                 _ => false,
             };
@@ -105,30 +148,108 @@ impl Simulator {
             } else {
                 (0, f64::INFINITY)
             };
-            let index = channel_specs.len();
-            channel_specs.push(ChannelSpec {
-                from: channel.from.clone(),
-                to: channel.to.clone(),
-                capacity: capacity.max(1) + if crosses_devices { latency as usize } else { 0 },
-                latency,
-                words_per_cycle,
-            });
-            channel_index.insert((channel.from.clone(), channel.to.clone()), index);
+            // A network channel also holds the words in flight.
+            let capacity = (depth.max(1) + latency) as usize;
+            channel_index.insert((from, to), channels.len());
+            channels.push(TokenChannel::new(capacity, latency, words_per_cycle));
+            channel_names.push(format!("{from}->{to}"));
+        }
+        let channel_between = |from: &str, to: &str| {
+            let channel = channel_index.get(&(from, to)).copied();
+            channel.ok_or_else(|| internal(format!("no channel from `{from}` to `{to}`")))
+        };
+        let mut fan_out: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        for (&(from, _), &channel) in &channel_index {
+            fan_out.entry(from).or_default().push(channel);
         }
 
-        let _ = &dag; // DAG used only for validation side effects today.
+        // Readers: one per program input that anything reads. Only
+        // full-domain fields draw from the off-chip budget.
+        let mut inputs = Vec::new();
+        let mut units = Vec::new();
+        let mut unit_names = Vec::new();
+        let mut stream_of: BTreeMap<&str, usize> = BTreeMap::new();
+        for (name, decl) in program.inputs() {
+            let outs = fan_out.remove(name);
+            inputs.push(InputField {
+                name: name.to_string(),
+                rank: decl.rank(),
+                read: outs.is_some(),
+            });
+            if let Some(outs) = outs {
+                let full_domain = decl.rank() == space.rank();
+                stream_of.insert(name, units.len());
+                units.push(StencilUnit::reader(outs, full_domain, total_cells));
+                unit_names.push(format!("read:{name}"));
+            }
+        }
+
+        // Stencil units, control and datapath, in topological order.
+        let mut stages = Vec::new();
+        let mut last_reader = vec![None; units.len()];
+        let order = program.topological_stencils()?;
+        for name in &order {
+            let stencil = program
+                .stencil(name)
+                .ok_or_else(|| internal(format!("`{name}` is ordered but not a stencil")))?;
+            let mut in_channels = Vec::new();
+            let mut sources = Vec::new();
+            for (field, _) in stencil.accesses.iter() {
+                let source = *stream_of.get(field).ok_or_else(|| {
+                    internal(format!("`{name}` reads `{field}` before it exists"))
+                })?;
+                in_channels.push(channel_between(field, name)?);
+                sources.push(source);
+                last_reader[source] = Some(units.len());
+            }
+            let outs = fan_out.remove(name.as_str()).unwrap_or_default();
+            stream_of.insert(name, units.len());
+            units.push(StencilUnit::new(space, stencil, &in_channels, outs));
+            unit_names.push(name.clone());
+            last_reader.push(None);
+            stages.push(Stage {
+                kernel: FieldKernel::new(space, stencil)?,
+                sources,
+                output: None,
+            });
+        }
+
+        // Writers: one per program output.
+        let first_stage = units.len() - stages.len();
+        let mut writers = Vec::new();
+        for output in program.outputs() {
+            let sink = StencilDag::output_node_name(output);
+            writers.push(WriterUnit::new(
+                channel_between(output, &sink)?,
+                total_cells,
+            ));
+            unit_names.push(format!("write:{output}"));
+            let stage = stream_of
+                .get(output.as_str())
+                .and_then(|unit| unit.checked_sub(first_stage))
+                .ok_or_else(|| internal(format!("output `{output}` is not a stencil")))?;
+            stages[stage].output = Some(program.field_type(output).unwrap_or(DataType::Float32));
+        }
+
         Ok(Simulator {
-            program: program.clone(),
             config: config.clone(),
-            channel_specs,
-            channel_index,
-            stencil_order: program.topological_stencils()?,
+            space: space.clone(),
+            inputs,
+            machines: Machines {
+                channels,
+                units,
+                writers,
+            },
+            channel_names,
+            unit_names,
+            stages,
+            last_reader,
         })
     }
 
     /// Number of channels in the built design.
     pub fn channel_count(&self) -> usize {
-        self.channel_specs.len()
+        self.machines.channels.len()
     }
 
     /// Run the design on concrete input grids.
@@ -136,195 +257,41 @@ impl Simulator {
     /// # Errors
     ///
     /// Returns [`CoreError::Program`] if an input grid is missing or has the
-    /// wrong shape.
+    /// wrong rank or extents, or if a stencil's code fails on the data.
     pub fn run(&self, inputs: &BTreeMap<String, Grid>) -> CoreResult<SimReport> {
-        let program = &self.program;
-        let space = program.space();
-        let total_cells = space.num_cells();
-
-        // Validate inputs.
-        for (name, decl) in program.inputs() {
-            let grid = inputs.get(name).ok_or_else(|| {
-                CoreError::Program(ProgramError::Invalid {
-                    message: format!("missing input grid `{name}`"),
-                })
-            })?;
-            if grid.rank() != decl.rank() {
-                return Err(CoreError::Program(ProgramError::Invalid {
-                    message: format!(
-                        "input `{name}` has rank {}, expected {}",
-                        grid.rank(),
-                        decl.rank()
-                    ),
-                }));
-            }
-        }
-
-        // Instantiate channels.
-        let mut channels: Vec<Fifo> = self
-            .channel_specs
-            .iter()
-            .map(|spec| {
-                let mut fifo = Fifo::new(&format!("{}->{}", spec.from, spec.to), spec.capacity)
-                    .with_latency(spec.latency);
-                if spec.words_per_cycle.is_finite() {
-                    fifo = fifo.with_bandwidth(spec.words_per_cycle);
-                }
-                fifo
-            })
-            .collect();
-
-        // Readers: one per program input.
-        let full_rank = space.rank();
-        let mut readers: Vec<ReaderUnit> = Vec::new();
-        for (name, decl) in program.inputs() {
-            let outs: Vec<usize> = self
-                .channel_index
-                .iter()
-                .filter(|((from, _), _)| from == name)
-                .map(|(_, &idx)| idx)
-                .collect();
-            if outs.is_empty() {
-                continue; // unused input
-            }
-            readers.push(ReaderUnit::new(
-                name,
-                &inputs[name],
-                space,
-                outs,
-                decl.rank() == full_rank,
-            ));
-        }
-
-        // Stencil units.
-        let mut units: Vec<StencilUnitSim> = Vec::new();
-        for name in &self.stencil_order {
-            let stencil = program.stencil(name).expect("topological order is valid");
-            let mut input_channels = BTreeMap::new();
-            for (field, _) in stencil.accesses.iter() {
-                let idx = self
-                    .channel_index
-                    .get(&(field.to_string(), name.clone()))
-                    .copied()
-                    .ok_or_else(|| CoreError::Internal {
-                        message: format!("no channel from `{field}` to `{name}`"),
-                    })?;
-                input_channels.insert(field.to_string(), idx);
-            }
-            let outs: Vec<usize> = self
-                .channel_index
-                .iter()
-                .filter(|((from, _), _)| from == name)
-                .map(|(_, &idx)| idx)
-                .collect();
-            units.push(
-                StencilUnitSim::new(program, stencil, &input_channels, outs)
-                    .with_lane_batching(self.config.lane_batching),
-            );
-        }
-
-        // Writers: one per program output.
-        let mut writers: Vec<WriterUnit> = Vec::new();
-        for output in program.outputs() {
-            let sink = StencilDag::output_node_name(output);
-            let idx = self
-                .channel_index
-                .get(&(output.clone(), sink))
-                .copied()
-                .ok_or_else(|| CoreError::Internal {
-                    message: format!("no channel from `{output}` to its output memory"),
-                })?;
-            writers.push(WriterUnit::new(output, idx, total_cells));
-        }
-
-        // Main loop.
+        self.check_inputs(inputs)?;
+        let mut machines = self.machines.clone();
         let mut memory = MemoryModel::new(self.config.memory_words_per_cycle);
-        let mut cycles: u64 = 0;
-        let mut idle_cycles: u64 = 0;
-        let outcome = loop {
-            if writers.iter().all(WriterUnit::done) {
-                break SimOutcome::Completed;
-            }
-            if cycles >= self.config.max_cycles {
-                break SimOutcome::MaxCyclesExceeded;
-            }
-            memory.begin_cycle();
-            for channel in channels.iter_mut() {
-                channel.begin_cycle();
-            }
-            let mut progress = false;
-            for reader in readers.iter_mut() {
-                progress |= reader.step(cycles, &mut channels, &mut memory);
-            }
-            for unit in units.iter_mut() {
-                progress |= unit.step(cycles, &mut channels);
-            }
-            for writer in writers.iter_mut() {
-                progress |= writer.step(cycles, &mut channels, &mut memory);
-            }
-            if progress {
-                idle_cycles = 0;
-            } else {
-                idle_cycles += 1;
-                if idle_cycles >= self.config.deadlock_window {
-                    break SimOutcome::Deadlocked;
-                }
-            }
-            cycles += 1;
+        let (outcome, cycles) = machines.run(&self.config, &mut memory);
+        let outputs = if outcome == SimOutcome::Completed {
+            self.evaluate(inputs)?
+        } else {
+            BTreeMap::new()
         };
 
-        // Collect outputs.
-        let dim_refs: Vec<&str> = space.dims.iter().map(String::as_str).collect();
-        let mut outputs = BTreeMap::new();
-        if outcome == SimOutcome::Completed {
-            for writer in &writers {
-                let dtype = program
-                    .field_type(&writer.field)
-                    .unwrap_or(stencilflow_expr::DataType::Float32);
-                let mut grid = Grid::zeros(&dim_refs, &space.shape, dtype);
-                for (flat, index) in space.indices().enumerate() {
-                    grid.set(&index, writer.values[flat]);
-                }
-                outputs.insert(writer.field.clone(), grid);
-            }
-        }
-
-        // Statistics.
-        let mut unit_stats = Vec::new();
-        for reader in &readers {
-            unit_stats.push(UnitStats {
-                name: format!("read:{}", reader.field),
-                produced: reader.produced,
-                input_stalls: 0,
-                output_stalls: reader.stall_cycles,
-            });
-        }
-        for unit in &units {
-            unit_stats.push(UnitStats {
-                name: unit.name.clone(),
-                produced: unit.produced,
-                input_stalls: unit.input_stalls,
-                output_stalls: unit.output_stalls,
-            });
-        }
-        for writer in &writers {
-            unit_stats.push(UnitStats {
-                name: format!("write:{}", writer.field),
-                produced: writer.values.len(),
-                input_stalls: writer.stall_cycles,
-                output_stalls: 0,
-            });
-        }
-        let channel_stats = channels
-            .iter()
-            .map(|c| ChannelStats {
-                name: c.name().to_string(),
-                capacity: c.capacity(),
-                high_watermark: c.high_watermark(),
-                words: c.pushed_total(),
+        let units = machines.units.iter();
+        let writers = machines.writers.iter();
+        let stats = units
+            .map(|u| (u.produced, u.input_stalls, u.output_stalls))
+            .chain(writers.map(|w| (w.received, w.stall_cycles, 0)));
+        let unit_stats = (self.unit_names.iter().zip(stats))
+            .map(
+                |(name, (produced, input_stalls, output_stalls))| UnitStats {
+                    name: name.clone(),
+                    produced,
+                    input_stalls,
+                    output_stalls,
+                },
+            )
+            .collect();
+        let channel_stats = (self.channel_names.iter().zip(&machines.channels))
+            .map(|(name, channel)| ChannelStats {
+                name: name.clone(),
+                capacity: channel.capacity,
+                high_watermark: channel.high_watermark,
+                words: channel.pushed_total,
             })
             .collect();
-
         Ok(SimReport {
             outcome,
             cycles,
@@ -335,12 +302,113 @@ impl Simulator {
             memory_stalls: memory.stalled_requests(),
         })
     }
+
+    /// Every declared input is present, has its declared rank, and matches
+    /// the iteration space along each dimension it shares with it (the
+    /// streams index the grid by the space's coordinates).
+    fn check_inputs(&self, inputs: &BTreeMap<String, Grid>) -> CoreResult<()> {
+        for InputField { name, rank, .. } in &self.inputs {
+            let grid = inputs
+                .get(name)
+                .ok_or_else(|| invalid(format!("missing input grid `{name}`")))?;
+            if grid.rank() != *rank {
+                let found = grid.rank();
+                return Err(invalid(format!(
+                    "input `{name}` has rank {found}, expected {rank}"
+                )));
+            }
+            for (dim, &extent) in grid.dims().iter().zip(grid.shape()) {
+                let expected = self.space.dim_index(dim).map(|ix| self.space.shape[ix]);
+                if let Some(expected) = expected.filter(|&expected| expected != extent) {
+                    return Err(invalid(format!(
+                        "input `{name}` has extent {extent} along `{dim}`, expected {expected}"
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The functional pass: every stage's whole output stream, in
+    /// topological order, and from them the program outputs.
+    fn evaluate(&self, inputs: &BTreeMap<String, Grid>) -> CoreResult<BTreeMap<String, Grid>> {
+        let dims: Vec<&str> = self.space.dims.iter().map(String::as_str).collect();
+        let read = self.inputs.iter().filter(|input| input.read);
+        let mut streams: Vec<Option<Cow<[f64]>>> = read
+            .map(|input| Some(input_stream(&inputs[&input.name], &self.space)))
+            .collect();
+        let mut outputs = BTreeMap::new();
+        for (unit, stage) in (streams.len()..).zip(&self.stages) {
+            let field = {
+                let stream =
+                    |&s: &usize| streams[s].as_deref().expect("read before its last reader");
+                let sources: Vec<&[f64]> = stage.sources.iter().map(stream).collect();
+                stage.kernel.eval_field(&sources)?
+            };
+            if let Some(dtype) = stage.output {
+                let grid = Grid::from_values_typed(&dims, &self.space.shape, dtype, &field);
+                outputs.insert(self.unit_names[unit].clone(), grid);
+            }
+            for &source in &stage.sources {
+                if self.last_reader[source] == Some(unit) {
+                    streams[source] = None;
+                }
+            }
+            streams.push(self.last_reader[unit].map(|_| Cow::Owned(field)));
+        }
+        Ok(outputs)
+    }
+}
+
+impl Machines {
+    /// The cycle loop: step readers and units (in topological order, so a
+    /// word pushed into an on-chip channel is visible downstream in the same
+    /// cycle), then writers, until every writer is done, nothing has moved
+    /// for `deadlock_window` cycles, or `max_cycles` is reached.
+    fn run(&mut self, config: &SimConfig, memory: &mut MemoryModel) -> (SimOutcome, u64) {
+        // Only channels with a bandwidth budget need a per-cycle grant.
+        let throttled: Vec<usize> = (0..self.channels.len())
+            .filter(|&c| self.channels[c].throttled())
+            .collect();
+        let mut cycles: u64 = 0;
+        let mut idle_cycles: u64 = 0;
+        let outcome = loop {
+            if self.writers.iter().all(WriterUnit::done) {
+                break SimOutcome::Completed;
+            }
+            if cycles >= config.max_cycles {
+                break SimOutcome::MaxCyclesExceeded;
+            }
+            memory.begin_cycle();
+            for &channel in &throttled {
+                self.channels[channel].begin_cycle();
+            }
+            let mut progress = false;
+            for unit in self.units.iter_mut() {
+                progress |= unit.step(cycles, &mut self.channels, memory);
+            }
+            for writer in self.writers.iter_mut() {
+                progress |= writer.step(cycles, &mut self.channels, memory);
+            }
+            if progress {
+                idle_cycles = 0;
+            } else {
+                idle_cycles += 1;
+                if idle_cycles >= config.deadlock_window {
+                    break SimOutcome::Deadlocked;
+                }
+            }
+            cycles += 1;
+        };
+        (outcome, cycles)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use stencilflow_core::PartitionConfig;
+    use stencilflow_program::{BoundaryCondition, StencilProgramBuilder};
     use stencilflow_reference::{generate_inputs, ReferenceExecutor};
     use stencilflow_workloads::{chain_program, ChainSpec};
 
@@ -405,12 +473,63 @@ mod tests {
     }
 
     #[test]
-    fn lane_batched_simulation_is_bit_identical() {
-        // The lane-batching fast mode must not change a single output bit —
-        // only how many cells a unit may process per step.
+    fn repeated_runs_of_one_simulator_return_equal_reports() {
+        // `build` resolves the whole design; `run` only takes data and
+        // leaves the built state untouched, so a second run — on the same
+        // or on other inputs — starts from the same initial design.
         let program = chain_program(&ChainSpec::new(4, 8).with_shape(&[16, 8, 8]));
+        let sim = Simulator::build(
+            &program,
+            &AnalysisConfig::paper_defaults(),
+            &SimConfig::default(),
+        )
+        .unwrap();
         let inputs = generate_inputs(&program, 3);
-        let scalar = Simulator::build(
+        let first = sim.run(&inputs).unwrap();
+        let other = sim.run(&generate_inputs(&program, 4)).unwrap();
+        let again = sim.run(&inputs).unwrap();
+        assert!(first.completed());
+        crate::oracle::assert_same_report(&first, &again);
+        // Timing does not depend on the data; the values do.
+        assert_eq!(first.cycles, other.cycles);
+        assert_eq!(first.unit_stats, other.unit_stats);
+        assert_eq!(first.channel_stats, other.channel_stats);
+        assert_ne!(first.output("f4"), other.output("f4"));
+    }
+
+    #[test]
+    fn wrong_input_extents_are_an_error_not_a_panic() {
+        let program = chain_program(&ChainSpec::new(2, 8).with_shape(&[16, 8, 8]));
+        let sim = Simulator::build(
+            &program,
+            &AnalysisConfig::paper_defaults(),
+            &SimConfig::default(),
+        )
+        .unwrap();
+        let mut inputs = generate_inputs(&program, 1);
+        let name = inputs.keys().next().unwrap().clone();
+        let short = Grid::zeros(&["i", "j", "k"], &[16, 8, 4], DataType::Float32);
+        inputs.insert(name.clone(), short);
+        let error = sim.run(&inputs).unwrap_err();
+        assert!(matches!(error, CoreError::Program(_)), "{error}");
+        inputs.insert(name, Grid::zeros(&["i", "j"], &[16, 8], DataType::Float32));
+        assert!(matches!(sim.run(&inputs), Err(CoreError::Program(_))));
+    }
+
+    #[test]
+    fn copy_boundary_with_only_forward_taps_reads_the_centre_cell() {
+        // The value-carrying loop pruned the centre cell out of a window
+        // whose taps all point forward and panicked when the `Copy`
+        // boundary asked for it; whole streams always hold it.
+        let program = StencilProgramBuilder::new("forward", &[6, 9])
+            .input("a", DataType::Float32, &["i", "j"])
+            .stencil("s", "2.0 * a[i,j+2]")
+            .boundary("s", "a", BoundaryCondition::Copy)
+            .output("s")
+            .build()
+            .unwrap();
+        let inputs = generate_inputs(&program, 1);
+        let report = Simulator::build(
             &program,
             &AnalysisConfig::paper_defaults(),
             &SimConfig::default(),
@@ -418,21 +537,12 @@ mod tests {
         .unwrap()
         .run(&inputs)
         .unwrap();
-        let batched = Simulator::build(
-            &program,
-            &AnalysisConfig::paper_defaults(),
-            &SimConfig::default().with_lane_batching(true),
-        )
-        .unwrap()
-        .run(&inputs)
-        .unwrap();
-        assert!(scalar.completed());
-        assert!(batched.completed());
-        let a = scalar.output("f4").unwrap();
-        let b = batched.output("f4").unwrap();
-        for (x, y) in a.as_slice().iter().zip(b.as_slice().iter()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        assert!(report.completed());
+        let reference = ReferenceExecutor::new().run(&program, &inputs).unwrap();
+        let expected = reference.field("s").unwrap();
+        assert_eq!(report.output("s").unwrap(), expected);
+        let a = &inputs["a"];
+        assert_eq!(expected.get(&[3, 8]), 2.0 * a.get(&[3, 8]));
     }
 
     #[test]

@@ -1,308 +1,160 @@
 //! Simulated stencil processing units.
 //!
-//! Each unit mirrors the expanded `Stencil` library node of Fig. 12: per
-//! input field it keeps a sliding window (the shift-register internal buffer)
-//! fed from the field's FIFO channel; every streaming iteration it shifts the
-//! windows, reads all tap points, evaluates the stencil expression with
-//! boundary predication, and conditionally writes the result to its output
-//! channels. The unit passes through three phases: *initialization* (filling
-//! the windows before any output can be produced), *streaming* (one consume
-//! and one produce per cycle), and *draining* (producing the trailing cells
-//! from buffered data while inputs are exhausted).
+//! Each unit mirrors the expanded `Stencil` library node of Fig. 12, and —
+//! like the hardware — falls into a control half and a datapath half:
+//!
+//! * [`StencilUnit`] is the control. Per input field it counts the elements
+//!   consumed from the field's channel against the shift-register fill
+//!   distance; every cycle it pulls at most one element per field, fires
+//!   when every field has reached that distance and every output channel
+//!   has space, and otherwise records an input or output stall. It passes
+//!   through the phases of the generated code (*initialization*,
+//!   *streaming*, *draining*) without ever looking at a value. A memory
+//!   reader is the unit without input ports ([`StencilUnit::reader`]).
+//! * [`FieldKernel`] is the datapath: the stencil expression with its tap
+//!   points and boundary predication, a pure function from the unit's whole
+//!   input streams to its whole output stream.
 
-use crate::channel::Fifo;
-use std::collections::{BTreeMap, VecDeque};
+use crate::channel::TokenChannel;
+use crate::memory::MemoryModel;
+use stencilflow_core::{CoreError, Result as CoreResult};
 use stencilflow_expr::{
-    CompiledKernel, EvalScratch, LaneScratch, TypedKernel, TypedScratch, Value, KERNEL_LANES,
+    CompiledKernel, DataType, EvalScratch, LaneScratch, TypedKernel, TypedScratch, Value,
+    KERNEL_LANES,
 };
-use stencilflow_program::{BoundaryCondition, IterationSpace, StencilNode, StencilProgram};
+use stencilflow_program::{BoundaryCondition, IterationSpace, ProgramError, StencilNode};
 
-/// The per-field input port of a stencil unit: a channel plus the sliding
-/// window that implements the internal buffer.
-#[derive(Debug)]
-struct FieldPort {
-    field: String,
+/// An access at `offsets` along `index_vars`, as one offset per dimension of
+/// the iteration space (zero along the dimensions the field lacks).
+fn full_offset(space: &IterationSpace, index_vars: &[String], offsets: &[i64]) -> Vec<i64> {
+    let mut full = vec![0i64; space.rank()];
+    for (var, &off) in index_vars.iter().zip(offsets) {
+        if let Some(dim) = space.dim_index(var) {
+            full[dim] = off;
+        }
+    }
+    full
+}
+
+/// The per-field input port of a stencil unit.
+#[derive(Debug, Clone)]
+struct Port {
     channel: usize,
-    /// Smallest linearized access offset.
-    min_lin: i64,
     /// How many elements ahead of the current output cell this port consumes
     /// (the internal-buffer fill distance, mirroring the shift-register
     /// implementation and the per-edge delay used by the analysis).
     consume_ahead: usize,
-    /// Sliding window of recently consumed elements.
-    window: VecDeque<f64>,
-    /// Linear cell index corresponding to the front of the window.
-    window_base: i64,
     /// Elements consumed from the channel so far.
     consumed: usize,
 }
 
-impl FieldPort {
-    fn required_consumed(&self, cell: usize, total: usize) -> usize {
-        let needed = cell as i64 + self.consume_ahead as i64;
-        needed.clamp(0, total as i64) as usize
-    }
-
-    fn value_at(&self, linear: i64) -> Option<f64> {
-        let offset = linear - self.window_base;
-        if offset < 0 {
-            return None;
-        }
-        self.window.get(offset as usize).copied()
-    }
-
-    fn prune(&mut self, cell: usize) {
-        // Keep everything that can still be accessed by this or later cells.
-        let keep_from = cell as i64 + self.min_lin;
-        while self.window_base < keep_from && self.window.len() > 1 {
-            self.window.pop_front();
-            self.window_base += 1;
-        }
-    }
-}
-
-/// One pre-bound access of the unit's compiled kernel: which port it taps,
-/// at which linearized offset, and the per-dimension bounds checks for
-/// boundary predication.
-#[derive(Debug)]
-struct SlotTap {
-    /// Index into `StencilUnitSim::ports`.
-    port: usize,
-    /// Linearized (memory-order) offset of the access.
-    linear: i64,
-    /// `(dimension, offset)` pairs to bounds-check.
-    checks: Vec<(usize, i64)>,
-    /// Boundary condition applied when a check fails.
-    boundary: BoundaryCondition,
-}
-
-/// A simulated stencil unit.
-#[derive(Debug)]
-pub struct StencilUnitSim {
-    /// Stencil name.
-    pub name: String,
-    space: IterationSpace,
-    ports: Vec<FieldPort>,
-    /// Compiled code segment; evaluated once per produced cell through
-    /// pre-bound window taps (`slots`) instead of the tree-walking
-    /// evaluator.
-    kernel: CompiledKernel,
-    /// Type-specialized kernel (all stream values carry the unit's data
-    /// type): evaluates window taps on raw `f64`s with no `Value` tagging.
-    typed: Option<TypedKernel>,
-    slots: Vec<SlotTap>,
-    slot_values: Vec<Value>,
-    typed_values: Vec<f64>,
-    scratch: EvalScratch,
-    typed_scratch: TypedScratch,
-    /// Functional fast mode: consume/evaluate/produce a full lane batch per
-    /// step when the windows and output channels allow it (see
-    /// [`StencilUnitSim::with_lane_batching`]).
-    lane_batching: bool,
-    /// Whether the typed kernel is branch-free (lane-batchable at all).
-    lane_capable: bool,
-    lane_values: Vec<[f64; KERNEL_LANES]>,
-    lane_scratch: LaneScratch<KERNEL_LANES>,
-    output_type: stencilflow_expr::DataType,
-    /// Outgoing channel indices.
-    pub out_channels: Vec<usize>,
-    /// Cells produced so far.
-    pub produced: usize,
+/// The control half of a simulated stencil unit.
+#[derive(Debug, Clone)]
+pub(crate) struct StencilUnit {
+    ports: Vec<Port>,
+    out_channels: Vec<usize>,
     total_cells: usize,
+    /// Whether every produced cell costs a word of off-chip bandwidth.
+    draws_memory: bool,
+    /// Cells produced so far.
+    pub(crate) produced: usize,
     /// Cycles stalled waiting for input data.
-    pub input_stalls: u64,
+    pub(crate) input_stalls: u64,
     /// Cycles stalled waiting for output space.
-    pub output_stalls: u64,
+    pub(crate) output_stalls: u64,
 }
 
-impl StencilUnitSim {
-    /// Create a unit for `stencil`, wiring each consumed field to the given
-    /// channel index and the output to `out_channels`.
-    pub fn new(
-        program: &StencilProgram,
+impl StencilUnit {
+    /// Create the control unit of `stencil`; `in_channels` holds one channel
+    /// index per accessed field, in `stencil.accesses` order.
+    pub(crate) fn new(
+        space: &IterationSpace,
         stencil: &StencilNode,
-        input_channels: &BTreeMap<String, usize>,
+        in_channels: &[usize],
         out_channels: Vec<usize>,
     ) -> Self {
-        let space = program.space().clone();
-        let mut ports = Vec::new();
-        for (field, info) in stencil.accesses.iter() {
-            let mut lins: Vec<i64> = info
-                .offsets
-                .iter()
-                .map(|offsets| {
-                    let mut full = vec![0i64; space.rank()];
-                    for (var, &off) in info.index_vars.iter().zip(offsets.iter()) {
-                        if let Some(dim) = space.dim_index(var) {
-                            full[dim] = off;
-                        }
-                    }
-                    space.linearize_offset(&full)
-                })
-                .collect();
-            if lins.is_empty() {
-                lins.push(0);
-            }
-            let channel = *input_channels
-                .get(field)
-                .unwrap_or_else(|| panic!("no channel wired for field `{field}`"));
-            let max_lin = *lins.iter().max().expect("non-empty");
-            let min_lin = *lins.iter().min().expect("non-empty");
-            // Buffer-fill distance: the full shift-register span when the
-            // field is accessed more than once, otherwise just far enough to
-            // have the (possibly forward-offset) single access available.
-            let span = if lins.len() >= 2 {
-                max_lin - min_lin + 1
-            } else {
-                0
-            };
-            let consume_ahead = span.max(max_lin + 1).max(1) as usize;
-            ports.push(FieldPort {
-                field: field.to_string(),
-                channel,
-                min_lin,
-                consume_ahead,
-                window: VecDeque::new(),
-                window_base: 0,
-                consumed: 0,
-            });
-        }
-
-        // Compile the code segment and bind every access slot to its port
-        // tap: linearized offset plus the bounds checks used for boundary
-        // predication. This replaces the per-cell string-keyed resolver.
-        let kernel =
-            CompiledKernel::compile(&stencil.program).expect("validated stencil programs compile");
-        let mut slots = Vec::with_capacity(kernel.slots().len());
-        for slot in kernel.slots() {
-            let port = ports
-                .iter()
-                .position(|p| p.field == slot.field)
-                .unwrap_or_else(|| panic!("no port wired for field `{}`", slot.field));
-            let mut full_offset = vec![0i64; space.rank()];
-            let mut checks = Vec::with_capacity(slot.index_vars.len());
-            for (var, &off) in slot.index_vars.iter().zip(slot.offsets.iter()) {
-                if let Some(dim) = space.dim_index(var) {
-                    full_offset[dim] = off;
-                    checks.push((dim, off));
+        let ports = stencil
+            .accesses
+            .iter()
+            .zip(in_channels)
+            .map(|((_, info), &channel)| {
+                let lins: Vec<i64> = (info.offsets.iter())
+                    .map(|offsets| {
+                        space.linearize_offset(&full_offset(space, &info.index_vars, offsets))
+                    })
+                    .collect();
+                let max_lin = lins.iter().copied().max().unwrap_or(0);
+                let min_lin = lins.iter().copied().min().unwrap_or(0);
+                // Buffer-fill distance: the full shift-register span when the
+                // field is accessed more than once, otherwise just far enough
+                // to have the (possibly forward-offset) single access
+                // available.
+                let span = if lins.len() >= 2 {
+                    max_lin - min_lin + 1
+                } else {
+                    0
+                };
+                Port {
+                    channel,
+                    consume_ahead: span.max(max_lin + 1).max(1) as usize,
+                    consumed: 0,
                 }
-            }
-            slots.push(SlotTap {
-                port,
-                linear: space.linearize_offset(&full_offset),
-                checks,
-                boundary: stencil.boundary.condition_for(&slot.field),
-            });
-        }
-        let slot_values = vec![Value::F64(0.0); slots.len()];
-        let typed_values = vec![0.0; slots.len()];
-        let lane_values = vec![[0.0; KERNEL_LANES]; slots.len()];
-        // Every stream value of the unit is tagged with the unit's data
-        // type, so the specialization is uniform over the slots.
-        let slot_types = vec![stencil.output_type; slots.len()];
-        let typed = kernel.specialize(&slot_types);
-        let lane_capable = typed.as_ref().is_some_and(TypedKernel::supports_lanes);
-
-        StencilUnitSim {
-            name: stencil.name.clone(),
-            space: space.clone(),
+            })
+            .collect();
+        StencilUnit {
             ports,
-            kernel,
-            typed,
-            slots,
-            slot_values,
-            typed_values,
-            scratch: EvalScratch::default(),
-            typed_scratch: TypedScratch::default(),
-            lane_batching: false,
-            lane_capable,
-            lane_values,
-            lane_scratch: LaneScratch::default(),
-            output_type: stencil.output_type,
+            ..Self::reader(out_channels, false, space.num_cells())
+        }
+    }
+
+    /// A dedicated prefetcher streaming one input field from off-chip
+    /// memory, one element per cell, to all its consumers. Only full-domain
+    /// fields draw from the bandwidth budget (`draws_memory`).
+    pub(crate) fn reader(out_channels: Vec<usize>, draws_memory: bool, total_cells: usize) -> Self {
+        StencilUnit {
+            ports: Vec::new(),
             out_channels,
+            total_cells,
+            draws_memory,
             produced: 0,
-            total_cells: space.num_cells(),
             input_stalls: 0,
             output_stalls: 0,
         }
     }
 
-    /// Enable lane-batched production (builder style): when the unit's
-    /// typed kernel is branch-free, its sliding windows already buffer the
-    /// taps of the next `KERNEL_LANES` cells (all interior — boundary
-    /// predication keeps the scalar path), and every output channel has
-    /// space for the whole batch, one [`StencilUnitSim::step`] call
-    /// consumes, evaluates, and produces all of them through
-    /// [`TypedKernel::eval_lanes`] over the contiguous window storage.
-    ///
-    /// The produced streams are bit-identical to the scalar unit's; cycle
-    /// counts and stall statistics stop modelling the hardware, which is
-    /// why this functional fast mode is off by default.
-    pub fn with_lane_batching(mut self, enabled: bool) -> Self {
-        self.lane_batching = enabled;
-        self
-    }
-
-    /// Whether the unit has produced its full output domain and drained all
-    /// of its inputs.
-    pub fn done(&self) -> bool {
-        self.produced >= self.total_cells
-            && self.ports.iter().all(|p| p.consumed >= self.total_cells)
-    }
-
     /// Attempt one cycle of work; returns `true` if any progress was made.
-    ///
-    /// With [`StencilUnitSim::with_lane_batching`] enabled, a step may
-    /// instead process a whole lane batch when the data allows it.
-    pub fn step(&mut self, now: u64, channels: &mut [Fifo]) -> bool {
-        if self.lane_batching && self.try_lane_batch(now, channels) {
-            return true;
-        }
+    pub(crate) fn step(
+        &mut self,
+        now: u64,
+        channels: &mut [TokenChannel],
+        memory: &mut MemoryModel,
+    ) -> bool {
         let mut progress = false;
         let cell = self.produced;
+        let total = self.total_cells;
 
         // Consume phase: pull at most one element per field per cycle, as
         // long as this cell (or the drain of the stream) still needs it.
+        // A failed pop is back-pressure (word not produced yet or still in
+        // network flight): the port retries next cycle.
         let mut missing_input = false;
+        let mut ready = true;
         for port in &mut self.ports {
-            if port.consumed >= self.total_cells {
-                continue;
-            }
-            let required = if cell < self.total_cells {
-                port.required_consumed(cell, self.total_cells)
-            } else {
-                // Drain phase: pull whatever is left of the input stream.
-                self.total_cells
-            };
+            // Past the last cell the unit drains whatever is left.
+            let required = (cell + port.consume_ahead).min(total);
             if port.consumed < required {
-                // A failed pop is back-pressure (word not produced yet or
-                // still in network flight), not a bug: record the stall and
-                // retry next cycle.
-                match channels[port.channel].pop(now) {
-                    Ok(value) => {
-                        if port.window.is_empty() {
-                            port.window_base = port.consumed as i64;
-                        }
-                        port.window.push_back(value);
-                        port.consumed += 1;
-                        progress = true;
-                    }
-                    Err(_) => {
-                        missing_input = true;
-                    }
+                if channels[port.channel].try_pop(now) {
+                    port.consumed += 1;
+                    progress = true;
+                } else {
+                    missing_input = true;
                 }
             }
+            ready &= port.consumed >= required;
         }
-
-        if cell >= self.total_cells {
+        if cell >= total {
             return progress;
         }
-
-        // Are all inputs for this cell available?
-        let ready = self
-            .ports
-            .iter()
-            .all(|p| p.consumed >= p.required_consumed(cell, self.total_cells));
         if !ready {
             if missing_input {
                 self.input_stalls += 1;
@@ -311,187 +163,248 @@ impl StencilUnitSim {
         }
 
         // Output channels must all have space (the conditional write of the
-        // compute phase).
-        if !self.out_channels.iter().all(|&c| channels[c].can_push()) {
+        // compute phase); only then is the memory word requested.
+        if !self.out_channels.iter().all(|&c| channels[c].can_push())
+            || (self.draws_memory && !memory.request_word())
+        {
             self.output_stalls += 1;
             return progress;
         }
-
-        // Compute the cell: resolve every pre-bound slot against the port
-        // windows (with boundary predication), then run the compiled kernel
-        // — through the type-specialized variant when one exists.
-        let index = self.decompose(cell);
-        let dtype = self.output_type;
-        let mut raw_values = std::mem::take(&mut self.typed_values);
-        for (tap, value) in self.slots.iter().zip(raw_values.iter_mut()) {
-            let port = &self.ports[tap.port];
-            let out_of_bounds = tap.checks.iter().any(|&(dim, off)| {
-                let pos = index[dim] as i64 + off;
-                pos < 0 || pos >= self.space.shape[dim] as i64
-            });
-            let raw = if out_of_bounds {
-                match tap.boundary {
-                    BoundaryCondition::Constant(c) => Some(c),
-                    BoundaryCondition::Copy => port.value_at(cell as i64),
-                }
-            } else {
-                port.value_at(cell as i64 + tap.linear)
-            };
-            *value = raw
-                .expect("validated programs evaluate; missing window data indicates a wiring bug");
-        }
-        let value = if let Some(typed) = &self.typed {
-            // Raw taps round through the unit's data type exactly as the
-            // `Value` path tags them; the typed kernel then runs `Value`-free.
-            for v in raw_values.iter_mut() {
-                *v = Value::from_f64(*v, dtype).as_f64();
-            }
-            let mut scratch = std::mem::take(&mut self.typed_scratch);
-            let result = typed.eval_slots(&raw_values, &mut scratch);
-            self.typed_scratch = scratch;
-            Value::from_f64(result, dtype).as_f64()
-        } else {
-            let mut values = std::mem::take(&mut self.slot_values);
-            for (value, &raw) in values.iter_mut().zip(raw_values.iter()) {
-                *value = Value::from_f64(raw, dtype);
-            }
-            let mut scratch = std::mem::take(&mut self.scratch);
-            let result = self
-                .kernel
-                .eval_slots(&values, &mut scratch)
-                .expect("validated programs evaluate; unresolved symbols indicate a wiring bug");
-            self.slot_values = values;
-            self.scratch = scratch;
-            Value::from_f64(result.as_f64(), dtype).as_f64()
-        };
-        self.typed_values = raw_values;
         for &c in &self.out_channels {
-            channels[c]
-                .push(now, value)
-                .expect("output space reserved by the can_push check above");
+            channels[c].push(now);
         }
         self.produced += 1;
-        // Prune windows to their steady-state size.
-        let next = self.produced;
-        for port in &mut self.ports {
-            port.prune(next);
-        }
         true
     }
+}
 
-    /// Try to consume, evaluate, and produce one full lane batch
-    /// (`KERNEL_LANES` consecutive cells of the innermost dimension) in this
-    /// step. Returns `false` — leaving the scalar cycle path to run — when
-    /// the kernel has control flow, the batch would cross a row end or
-    /// touch a boundary-predicated tap, input data or output space is
-    /// missing, or fewer than `KERNEL_LANES` cells remain.
-    fn try_lane_batch(&mut self, now: u64, channels: &mut [Fifo]) -> bool {
-        const L: usize = KERNEL_LANES;
-        if !self.lane_capable {
-            return false;
+/// One pre-bound access of the unit's compiled kernel: which input stream it
+/// taps, at which linearized offset, and the per-dimension bounds checks for
+/// boundary predication.
+#[derive(Debug)]
+struct SlotTap {
+    /// Index into the unit's input streams (`accesses` order).
+    port: usize,
+    /// Linearized (memory-order) offset of the access.
+    linear: i64,
+    /// `(dimension, offset)` pairs to bounds-check, innermost dimension
+    /// excluded: they hold or fail for a whole row.
+    outer_checks: Vec<(usize, i64)>,
+    /// Offset along the innermost dimension (zero when the access does not
+    /// index it, which never fails the check).
+    inner: i64,
+    /// Boundary condition applied when a check fails.
+    boundary: BoundaryCondition,
+}
+
+impl SlotTap {
+    /// The raw tap value for the cell at position `k` of a row starting at
+    /// flat index `row`: the stream element at the tap's offset, or the
+    /// boundary value (`Copy` reads the centre cell) when the access leaves
+    /// the domain.
+    #[inline]
+    fn value(&self, stream: &[f64], row: usize, k: usize, width: usize, outer_oob: bool) -> f64 {
+        let cell = row + k;
+        let pos = k as i64 + self.inner;
+        if outer_oob || pos < 0 || pos >= width as i64 {
+            match self.boundary {
+                BoundaryCondition::Constant(c) => c,
+                BoundaryCondition::Copy => stream[cell],
+            }
+        } else {
+            stream[(cell as i64 + self.linear) as usize]
         }
-        let cell = self.produced;
-        if cell + L > self.total_cells {
-            return false;
+    }
+}
+
+/// Round every value through `dtype`, as a stream element of that type is
+/// (`Value::from_f64(v, dtype).as_f64()`, with the two float cases spelled
+/// out so that they vectorize).
+#[inline]
+fn round_all(values: &mut [f64], dtype: DataType) {
+    match dtype {
+        DataType::Float64 => {}
+        DataType::Float32 => values.iter_mut().for_each(|v| *v = *v as f32 as f64),
+        _ => values
+            .iter_mut()
+            .for_each(|v| *v = Value::from_f64(*v, dtype).as_f64()),
+    }
+}
+
+/// The datapath half of a simulated stencil unit: evaluates the stencil's
+/// code segment over whole input streams.
+///
+/// Every stream value entering the unit and every result leaving it is
+/// rounded through the unit's output type — the element type of all of the
+/// unit's channels.
+#[derive(Debug)]
+pub(crate) struct FieldKernel {
+    name: String,
+    /// Extents of the outer dimensions and of the innermost one.
+    outer: Vec<usize>,
+    width: usize,
+    /// Compiled code segment, evaluated through pre-bound taps.
+    kernel: CompiledKernel,
+    /// Type-specialized kernel: evaluates on raw `f64`s with no `Value`
+    /// tagging, lane-batched when it is branch-free.
+    typed: Option<TypedKernel>,
+    taps: Vec<SlotTap>,
+    output_type: DataType,
+}
+
+impl FieldKernel {
+    /// Compile `stencil`'s code segment and bind every access slot to its
+    /// input stream (the position of its field in `stencil.accesses`).
+    pub(crate) fn new(space: &IterationSpace, stencil: &StencilNode) -> CoreResult<Self> {
+        let code_error = |source| {
+            CoreError::Program(ProgramError::Code {
+                stencil: stencil.name.clone(),
+                source,
+            })
+        };
+        let kernel = CompiledKernel::compile(&stencil.program).map_err(code_error)?;
+        let inner_dim = space.rank() - 1;
+        let mut taps = Vec::with_capacity(kernel.slots().len());
+        for slot in kernel.slots() {
+            let port = stencil
+                .accesses
+                .iter()
+                .position(|(field, _)| field == slot.field)
+                .ok_or_else(|| CoreError::Internal {
+                    message: format!(
+                        "`{}` evaluates `{}` but does not list it as an access",
+                        stencil.name, slot.field
+                    ),
+                })?;
+            let offset = full_offset(space, &slot.index_vars, &slot.offsets);
+            // A zero offset never leaves the domain: only the others need a
+            // bounds check.
+            let checked = (0..inner_dim).filter(|&dim| offset[dim] != 0);
+            taps.push(SlotTap {
+                port,
+                linear: space.linearize_offset(&offset),
+                outer_checks: checked.map(|dim| (dim, offset[dim])).collect(),
+                inner: offset[inner_dim],
+                boundary: stencil.boundary.condition_for(&slot.field),
+            });
         }
-        let index = self.decompose(cell);
-        let rank = self.space.shape.len();
-        let k = index[rank - 1];
-        // The batch must stay within one innermost-dimension run so that
-        // only the last index varies across lanes.
-        if k + L > self.space.shape[rank - 1] {
-            return false;
+        // Every stream value of the unit carries the unit's data type, so
+        // the specialization is uniform over the slots.
+        let typed = kernel.specialize(&vec![stencil.output_type; taps.len()]);
+        Ok(FieldKernel {
+            name: stencil.name.clone(),
+            outer: space.shape[..inner_dim].to_vec(),
+            width: space.inner_extent(),
+            kernel,
+            typed,
+            taps,
+            output_type: stencil.output_type,
+        })
+    }
+
+    /// The unit's whole output stream from its whole input streams (one per
+    /// accessed field, each spanning the iteration space): `KERNEL_LANES`
+    /// cells per kernel call when the typed kernel is branch-free.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProgramError::Code`] if a kernel without a typed form fails
+    /// on the data (integer division by zero).
+    pub(crate) fn eval_field(&self, streams: &[&[f64]]) -> CoreResult<Vec<f64>> {
+        match &self.typed {
+            Some(typed) if typed.supports_lanes() => {
+                let mut scratch = LaneScratch::default();
+                self.sweep::<KERNEL_LANES>(streams, |taps| Ok(typed.eval_lanes(taps, &mut scratch)))
+            }
+            _ => self.eval_per_cell(streams),
         }
-        // Every tap of every lane must be interior: boundary predication
-        // (and its Copy re-reads) keeps the scalar path.
-        for tap in &self.slots {
-            for &(dim, off) in &tap.checks {
-                let (lo, hi) = if dim == rank - 1 {
-                    (k as i64 + off, (k + L - 1) as i64 + off)
-                } else {
+    }
+
+    /// [`FieldKernel::eval_field`] one cell per call, through the scalar
+    /// typed kernel or, without one, the `Value` kernel: the path of kernels
+    /// that keep control flow or do not specialize.
+    fn eval_per_cell(&self, streams: &[&[f64]]) -> CoreResult<Vec<f64>> {
+        if let Some(typed) = &self.typed {
+            let mut scratch = TypedScratch::default();
+            return self.sweep::<1>(streams, |taps| {
+                Ok([typed.eval_slots(taps.as_flattened(), &mut scratch)])
+            });
+        }
+        let mut values = vec![Value::F64(0.0); self.taps.len()];
+        let mut scratch = EvalScratch::default();
+        self.sweep::<1>(streams, |taps| {
+            for (value, &[tap]) in values.iter_mut().zip(taps) {
+                *value = Value::from_f64(tap, self.output_type);
+            }
+            let result = self.kernel.eval_slots(&values, &mut scratch);
+            let result = result.map_err(|source| ProgramError::Code {
+                stencil: self.name.clone(),
+                source,
+            })?;
+            Ok([result.as_f64()])
+        })
+    }
+
+    /// Walk the field row by row (runs of the innermost dimension), `L`
+    /// cells at a time: gather every tap's batch, round it through the
+    /// unit's type, call `eval`, round and store the results. Every lane is
+    /// predicated on its own boundary checks, so halo cells, rows narrower
+    /// than a batch and row remainders all take the same path; the surplus
+    /// lanes of a partial batch compute on stale taps and are dropped.
+    fn sweep<const L: usize>(
+        &self,
+        streams: &[&[f64]],
+        mut eval: impl FnMut(&[[f64; L]]) -> CoreResult<[f64; L]>,
+    ) -> CoreResult<Vec<f64>> {
+        let (outer, width, dtype) = (&self.outer, self.width, self.output_type);
+        let rows: usize = outer.iter().product();
+        let mut out = vec![0.0; rows * width];
+        let mut batches = vec![[0.0; L]; self.taps.len()];
+        let mut index = vec![0usize; outer.len()];
+        let mut oob = vec![false; self.taps.len()];
+        for row in (0..rows).map(|r| r * width) {
+            // Outer-dimension checks hold or fail for the whole row.
+            for (tap, oob) in self.taps.iter().zip(oob.iter_mut()) {
+                *oob = tap.outer_checks.iter().any(|&(dim, off)| {
                     let pos = index[dim] as i64 + off;
-                    (pos, pos)
-                };
-                if lo < 0 || hi >= self.space.shape[dim] as i64 {
-                    return false;
+                    pos < 0 || pos >= outer[dim] as i64
+                });
+            }
+            for k0 in (0..width).step_by(L) {
+                let n = L.min(width - k0);
+                for ((tap, &oob), batch) in self.taps.iter().zip(&oob).zip(batches.iter_mut()) {
+                    let stream = streams[tap.port];
+                    let first = k0 as i64 + tap.inner;
+                    if !oob && n == L && first >= 0 && first + L as i64 <= width as i64 {
+                        let start = ((row + k0) as i64 + tap.linear) as usize;
+                        batch.copy_from_slice(&stream[start..start + L]);
+                    } else {
+                        for (lane, value) in batch[..n].iter_mut().enumerate() {
+                            *value = tap.value(stream, row, k0 + lane, width, oob);
+                        }
+                    }
+                    round_all(batch, dtype);
                 }
+                let mut result = eval(&batches)?;
+                round_all(&mut result, dtype);
+                out[row + k0..row + k0 + n].copy_from_slice(&result[..n]);
             }
-        }
-        // Top up every window to cover the batch's trailing cell; bail if a
-        // channel cannot supply it yet.
-        for port in &mut self.ports {
-            let required = port.required_consumed(cell + L - 1, self.total_cells);
-            while port.consumed < required {
-                let Ok(value) = channels[port.channel].pop(now) else {
-                    return false;
-                };
-                if port.window.is_empty() {
-                    port.window_base = port.consumed as i64;
+            for d in (0..outer.len()).rev() {
+                index[d] += 1;
+                if index[d] < outer[d] {
+                    break;
                 }
-                port.window.push_back(value);
-                port.consumed += 1;
-            }
-            // Make the window contiguous so taps gather from one slice.
-            port.window.make_contiguous();
-        }
-        // Reserve output space for the whole batch. Bandwidth-limited
-        // channels cap their per-cycle credits below a batch, so units
-        // writing to them permanently fall back to the scalar path — a
-        // silent fallback, not a stall: the scalar cycle does its own stall
-        // accounting when it genuinely cannot push.
-        if !self.out_channels.iter().all(|&c| channels[c].can_push_n(L)) {
-            return false;
-        }
-
-        // Gather each tap's lanes from the contiguous window run and round
-        // them through the unit's data type, exactly as the scalar path
-        // tags per-cell values.
-        let dtype = self.output_type;
-        let mut lanes = std::mem::take(&mut self.lane_values);
-        for (tap, lane_row) in self.slots.iter().zip(lanes.iter_mut()) {
-            let port = &self.ports[tap.port];
-            let start = (cell as i64 + tap.linear - port.window_base) as usize;
-            let (window, _) = port.window.as_slices();
-            for (value, &raw) in lane_row.iter_mut().zip(window[start..start + L].iter()) {
-                *value = Value::from_f64(raw, dtype).as_f64();
+                index[d] = 0;
             }
         }
-        let typed = self.typed.as_ref().expect("lane_capable implies typed");
-        let mut scratch = std::mem::take(&mut self.lane_scratch);
-        let result = typed.eval_lanes(&lanes, &mut scratch);
-        self.lane_scratch = scratch;
-        self.lane_values = lanes;
-        for &c in &self.out_channels {
-            for &value in &result {
-                channels[c]
-                    .push(now, Value::from_f64(value, dtype).as_f64())
-                    .expect("batch space reserved by the can_push_n check above");
-            }
-        }
-        self.produced += L;
-        let next = self.produced;
-        for port in &mut self.ports {
-            port.prune(next);
-        }
-        true
-    }
-
-    fn decompose(&self, mut flat: usize) -> Vec<usize> {
-        let shape = &self.space.shape;
-        let mut index = vec![0usize; shape.len()];
-        for d in (0..shape.len()).rev() {
-            index[d] = flat % shape[d];
-            flat /= shape[d];
-        }
-        index
+        Ok(out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stencilflow_expr::DataType;
-    use stencilflow_program::StencilProgramBuilder;
+    use stencilflow_program::{StencilProgram, StencilProgramBuilder};
 
     fn simple_program() -> StencilProgram {
         StencilProgramBuilder::new("p", &[8])
@@ -503,33 +416,55 @@ mod tests {
             .unwrap()
     }
 
+    /// Control and datapath of stencil `s`, wired `channel 0 -> s -> channel 1`.
+    fn unit_of(program: &StencilProgram) -> (StencilUnit, FieldKernel) {
+        let stencil = program.stencil("s").unwrap();
+        (
+            StencilUnit::new(program.space(), stencil, &[0], vec![1]),
+            FieldKernel::new(program.space(), stencil).unwrap(),
+        )
+    }
+
+    fn channels(input: usize, output: usize) -> (Vec<TokenChannel>, MemoryModel) {
+        let channels = vec![
+            TokenChannel::new(input, 0, f64::INFINITY),
+            TokenChannel::new(output, 0, f64::INFINITY),
+        ];
+        (channels, MemoryModel::new(None))
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn unit_streams_a_three_point_stencil() {
         let program = simple_program();
-        let stencil = program.stencil("s").unwrap();
-        let mut channels = vec![Fifo::new("a->s", 64), Fifo::new("s->out", 64)];
-        let inputs: BTreeMap<String, usize> = [("a".to_string(), 0)].into_iter().collect();
-        let mut unit = StencilUnitSim::new(&program, stencil, &inputs, vec![1]);
+        let (mut unit, kernel) = unit_of(&program);
+        let (mut channels, mut memory) = channels(64, 64);
 
-        // Feed the input stream 0..8 and run until done.
-        let data: Vec<f64> = (0..8).map(|v| v as f64).collect();
-        let mut fed = 0usize;
+        // Control: feed one word per cycle and run until the unit has
+        // produced its eight cells and drained its input.
+        let mut cycles = 0;
         for cycle in 0..200u64 {
-            for c in channels.iter_mut() {
-                c.begin_cycle();
+            if cycle < 8 {
+                channels[0].push(cycle);
             }
-            if fed < data.len() && channels[0].can_push() {
-                channels[0].push(cycle, data[fed]).unwrap();
-                fed += 1;
-            }
-            unit.step(cycle, &mut channels);
-            if unit.done() {
+            unit.step(cycle, &mut channels, &mut memory);
+            cycles = cycle + 1;
+            if unit.produced == 8 && channels[0].len == 0 {
                 break;
             }
         }
-        assert!(unit.done());
-        let outputs: Vec<f64> = (0..8).map(|_| channels[1].pop(1000).unwrap()).collect();
-        // s[i] = a[i-1] + a[i+1] with constant-0 boundaries.
+        // The fill distance of `a[i-1] + a[i+1]` is three words: the first
+        // cell fires in cycle 2, the last two are drained from the buffer.
+        assert_eq!((unit.produced, cycles), (8, 10));
+        assert_eq!(channels[1].len, 8);
+        assert_eq!((unit.input_stalls, unit.output_stalls), (0, 0));
+
+        // Datapath: s[i] = a[i-1] + a[i+1] with constant-0 boundaries.
+        let data: Vec<f64> = (0..8).map(f64::from).collect();
+        let outputs = kernel.eval_field(&[&data]).unwrap();
         assert_eq!(outputs, vec![1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 6.0]);
     }
 
@@ -553,31 +488,15 @@ mod tests {
         let data: Vec<f64> = (0..8).map(|v| v as f64 * 0.37).collect();
         let mut outputs: Vec<Vec<f64>> = Vec::new();
         for (program, expect_typed) in [(typed_program, true), (value_program, false)] {
-            let stencil = program.stencil("s").unwrap();
-            let mut channels = vec![Fifo::new("a->s", 64), Fifo::new("s->out", 64)];
-            let wiring: BTreeMap<String, usize> = [("a".to_string(), 0)].into_iter().collect();
-            let mut unit = StencilUnitSim::new(&program, stencil, &wiring, vec![1]);
-            assert_eq!(unit.typed.is_some(), expect_typed);
-            let mut fed = 0usize;
-            for cycle in 0..200u64 {
-                for c in channels.iter_mut() {
-                    c.begin_cycle();
-                }
-                if fed < data.len() && channels[0].can_push() {
-                    channels[0].push(cycle, data[fed]).unwrap();
-                    fed += 1;
-                }
-                unit.step(cycle, &mut channels);
-                if unit.done() {
-                    break;
-                }
-            }
-            assert!(unit.done());
-            outputs.push((0..8).map(|_| channels[1].pop(1000).unwrap()).collect());
+            let (_, kernel) = unit_of(&program);
+            assert_eq!(kernel.typed.is_some(), expect_typed);
+            outputs.push(kernel.eval_field(&[&data]).unwrap());
         }
-        for (a, b) in outputs[0].iter().zip(outputs[1].iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_eq!(bits(&outputs[0]), bits(&outputs[1]));
+        // The taps are rounded through the unit's f32 before the kernel
+        // sees them, on both paths.
+        let expected = 0.5f32 * (0.5f32 + 0.37f64 as f32);
+        assert_eq!(outputs[0][0].to_bits(), f64::from(expected).to_bits());
     }
 
     #[test]
@@ -592,169 +511,106 @@ mod tests {
         });
         let mut units = 0;
         for stencil in program.stencils() {
-            let wiring: BTreeMap<String, usize> = stencil
-                .accesses
-                .iter()
-                .enumerate()
-                .map(|(channel, (field, _))| (field.to_string(), channel))
-                .collect();
-            let unit = StencilUnitSim::new(&program, stencil, &wiring, vec![wiring.len()]);
+            let kernel = FieldKernel::new(program.space(), stencil).unwrap();
+            let typed = kernel
+                .typed
+                .unwrap_or_else(|| panic!("`{}` has no typed kernel", stencil.name));
             assert!(
-                unit.typed.is_some(),
-                "`{}` has no typed kernel",
+                typed.supports_lanes(),
+                "`{}` is not branch-free",
                 stencil.name
             );
-            assert!(unit.lane_capable, "`{}` is not branch-free", stencil.name);
             units += 1;
         }
         assert_eq!(units, 24);
     }
 
+    /// Lane-batched and per-cell evaluation of `s` agree bit for bit, on
+    /// `shape` and on every innermost extent around the lane width.
+    fn assert_lanes_match_scalar(shape: &[usize], code: &str, boundary: BoundaryCondition) {
+        let (dims, inner) = shape.split_at(shape.len() - 1);
+        let widths = (1..=20).chain(inner.iter().copied());
+        for width in widths {
+            let shape = [dims, &[width]].concat();
+            let names = &["i", "j"][2 - shape.len()..];
+            let program = StencilProgramBuilder::new("p", &shape)
+                .dims(names)
+                .input("a", DataType::Float32, names)
+                .stencil("s", code)
+                .boundary("s", "a", boundary)
+                .output("s")
+                .build()
+                .unwrap();
+            let (_, kernel) = unit_of(&program);
+            let typed = kernel.typed.as_ref().expect("an all-float kernel is typed");
+            assert!(typed.supports_lanes(), "`{code}` must be branch-free");
+            let data: Vec<f64> = (0..program.space().num_cells())
+                .map(|v| ((v as f64 * 0.61 - 11.0) as f32) as f64)
+                .collect();
+            let lanes = kernel.eval_field(&[&data]).unwrap();
+            let scalar = kernel.eval_per_cell(&[&data]).unwrap();
+            assert_eq!(bits(&lanes), bits(&scalar), "width {width}");
+        }
+    }
+
     #[test]
     fn lane_batched_unit_matches_scalar_unit_bitwise() {
         // A 2-D stencil with boundary predication on both ends of the
-        // innermost dimension: interior cells lane-batch (when enough data
-        // is buffered), halo cells take the scalar path, and the produced
-        // stream must match the scalar unit's bit for bit.
-        let program = StencilProgramBuilder::new("p", &[4, 19])
-            .input("a", DataType::Float32, &["i", "j"])
-            .stencil("s", "0.5 * (a[i,j-1] + a[i,j+1]) - 0.25 * a[i-1,j]")
-            .boundary("s", "a", BoundaryCondition::Constant(0.75))
-            .output("s")
-            .build()
-            .unwrap();
-        let stencil = program.stencil("s").unwrap();
-        let total = program.space().num_cells();
-        let data: Vec<f64> = (0..total)
-            .map(|v| (v as f64 * 0.37) as f32 as f64)
-            .collect();
-        let mut outputs: Vec<Vec<f64>> = Vec::new();
-        for lane_batching in [false, true] {
-            let mut channels = vec![Fifo::new("a->s", 1024), Fifo::new("s->out", 1024)];
-            let wiring: BTreeMap<String, usize> = [("a".to_string(), 0)].into_iter().collect();
-            let mut unit = StencilUnitSim::new(&program, stencil, &wiring, vec![1])
-                .with_lane_batching(lane_batching);
-            assert!(unit.lane_capable);
-            let mut fed = 0usize;
-            for cycle in 0..10_000u64 {
-                for c in channels.iter_mut() {
-                    c.begin_cycle();
-                }
-                // Feed eagerly so the lane path has whole batches buffered.
-                while fed < data.len() && channels[0].can_push() {
-                    channels[0].push(cycle, data[fed]).unwrap();
-                    fed += 1;
-                }
-                unit.step(cycle, &mut channels);
-                if unit.done() {
-                    break;
-                }
-            }
-            assert!(unit.done());
-            assert_eq!(unit.produced, total);
-            outputs.push(
-                (0..total)
-                    .map(|_| channels[1].pop(1_000_000).unwrap())
-                    .collect(),
-            );
-        }
-        for (cell, (a, b)) in outputs[0].iter().zip(outputs[1].iter()).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "cell {cell}: {a:?} vs {b:?}");
-        }
+        // innermost dimension and on the outer one: interior batches are
+        // gathered as slices, halo batches, narrow rows (width <
+        // `KERNEL_LANES`) and row remainders lane by lane — and the stream
+        // must match per-cell evaluation bit for bit.
+        let code = "0.5 * (a[i,j-1] + a[i,j+1]) - 0.25 * a[i-1,j]";
+        assert_lanes_match_scalar(&[4, 19], code, BoundaryCondition::Constant(0.75));
+        assert_lanes_match_scalar(&[4, 19], code, BoundaryCondition::Copy);
+        // One dimension, taps further out than a narrow row is wide.
+        let code = "a[j-3] - 2.0 * a[j] + a[j+2]";
+        assert_lanes_match_scalar(&[5], code, BoundaryCondition::Copy);
     }
 
     #[test]
     fn branchy_kernels_lane_batch_after_if_conversion() {
         // A data-dependent ternary used to force the scalar path
         // (`supports_lanes` rejected the jump diamond); the if-conversion
-        // pass lowers it to a select, so the unit's lane mode engages — and
-        // the produced stream must still match the scalar unit bit for bit.
-        let program = StencilProgramBuilder::new("p", &[4, 19])
-            .input("a", DataType::Float32, &["i", "j"])
-            .stencil(
-                "s",
-                "d = a[i,j] - a[i,j-1]; d > 0.0 ? d * a[i,j+1] : -d * a[i,j]",
-            )
-            .boundary("s", "a", BoundaryCondition::Constant(0.25))
-            .output("s")
-            .build()
-            .unwrap();
-        let stencil = program.stencil("s").unwrap();
-        let total = program.space().num_cells();
-        let data: Vec<f64> = (0..total)
-            .map(|v| ((v as f64 * 0.61 - 11.0) as f32) as f64)
-            .collect();
-        let mut outputs: Vec<Vec<f64>> = Vec::new();
-        for lane_batching in [false, true] {
-            let mut channels = vec![Fifo::new("a->s", 1024), Fifo::new("s->out", 1024)];
-            let wiring: BTreeMap<String, usize> = [("a".to_string(), 0)].into_iter().collect();
-            let mut unit = StencilUnitSim::new(&program, stencil, &wiring, vec![1])
-                .with_lane_batching(lane_batching);
-            assert!(
-                unit.lane_capable,
-                "if-converted ternary kernels must support lanes"
-            );
-            let mut fed = 0usize;
-            for cycle in 0..10_000u64 {
-                for c in channels.iter_mut() {
-                    c.begin_cycle();
-                }
-                while fed < data.len() && channels[0].can_push() {
-                    channels[0].push(cycle, data[fed]).unwrap();
-                    fed += 1;
-                }
-                unit.step(cycle, &mut channels);
-                if unit.done() {
-                    break;
-                }
-            }
-            assert!(unit.done());
-            outputs.push(
-                (0..total)
-                    .map(|_| channels[1].pop(1_000_000).unwrap())
-                    .collect(),
-            );
-        }
-        for (cell, (a, b)) in outputs[0].iter().zip(outputs[1].iter()).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "cell {cell}: {a:?} vs {b:?}");
-        }
+        // pass lowers it to a select, so the unit evaluates in lanes — and
+        // the produced stream must still match per-cell evaluation.
+        assert_lanes_match_scalar(
+            &[4, 19],
+            "d = a[i,j] - a[i,j-1]; d > 0.0 ? d * a[i,j+1] : -d * a[i,j]",
+            BoundaryCondition::Constant(0.25),
+        );
     }
 
     #[test]
     fn unit_stalls_without_input_and_counts_it() {
         let program = simple_program();
-        let stencil = program.stencil("s").unwrap();
-        let mut channels = vec![Fifo::new("a->s", 4), Fifo::new("s->out", 4)];
-        let inputs: BTreeMap<String, usize> = [("a".to_string(), 0)].into_iter().collect();
-        let mut unit = StencilUnitSim::new(&program, stencil, &inputs, vec![1]);
-        for c in channels.iter_mut() {
-            c.begin_cycle();
-        }
+        let (mut unit, _) = unit_of(&program);
+        let (mut channels, mut memory) = channels(4, 4);
         // No input available: no progress, and the stall is recorded.
-        assert!(!unit.step(0, &mut channels));
-        assert!(unit.input_stalls > 0);
+        assert!(!unit.step(0, &mut channels, &mut memory));
+        assert_eq!(unit.input_stalls, 1);
+        // A word that is consumed but does not yet fill the buffer is
+        // progress, not a stall.
+        channels[0].push(1);
+        assert!(unit.step(1, &mut channels, &mut memory));
+        assert_eq!((unit.input_stalls, unit.produced), (1, 0));
     }
 
     #[test]
     fn unit_blocks_on_full_output_channel() {
         let program = simple_program();
-        let stencil = program.stencil("s").unwrap();
+        let (mut unit, _) = unit_of(&program);
         // Output channel of capacity 1.
-        let mut channels = vec![Fifo::new("a->s", 64), Fifo::new("s->out", 1)];
-        let inputs: BTreeMap<String, usize> = [("a".to_string(), 0)].into_iter().collect();
-        let mut unit = StencilUnitSim::new(&program, stencil, &inputs, vec![1]);
+        let (mut channels, mut memory) = channels(64, 1);
         for cycle in 0..20u64 {
-            for c in channels.iter_mut() {
-                c.begin_cycle();
-            }
             if channels[0].can_push() {
-                channels[0].push(cycle, cycle as f64).unwrap();
+                channels[0].push(cycle);
             }
-            unit.step(cycle, &mut channels);
+            unit.step(cycle, &mut channels, &mut memory);
         }
         // Only one output fits; the unit must have stalled on output.
-        assert_eq!(channels[1].len(), 1);
+        assert_eq!(channels[1].len, 1);
         assert!(unit.output_stalls > 0);
-        assert!(unit.produced <= 2);
+        assert_eq!(unit.produced, 1);
     }
 }

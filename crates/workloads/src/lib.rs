@@ -17,6 +17,8 @@
 //! * [`upwind`] — first-order upwind advection, the branchy
 //!   (data-dependent-select) workload gating if-conversion and the
 //!   lane-batched evaluation of ternary kernels.
+//! * [`random`] — seeded random DAGs, the program generator the
+//!   differential test suites share.
 
 #![forbid(unsafe_code)]
 
@@ -27,6 +29,7 @@ pub mod jacobi;
 pub mod jobmix;
 pub mod listing1;
 pub mod membench;
+pub mod random;
 pub mod upwind;
 
 pub use chain::{chain_program, ChainSpec};
@@ -36,6 +39,7 @@ pub use jacobi::{jacobi2d, jacobi3d, jacobi3d_typed};
 pub use jobmix::{JobClass, JobMixSpec, JobTemplate};
 pub use listing1::listing1;
 pub use membench::{membench_program, MembenchSpec};
+pub use random::random_dag;
 pub use upwind::{upwind3d, upwind3d_typed};
 
 /// The ten programs `analyze --check` sweeps in CI: one of every workload
