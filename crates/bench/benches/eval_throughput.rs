@@ -1,8 +1,7 @@
 //! Evaluation-throughput harness: prints the cells/second comparison of the
-//! tree-walking evaluator against the compiled execution plan, the scalar
-//! type-specialized kernels, and the lane-batched (SIMD) typed sweep
-//! (Jacobi 3D 64³ f32/f64, horizontal diffusion, and a `run_steps` time
-//! loop), then times the paths with Criterion.
+//! tree-walking evaluator against the compiled execution plan (Jacobi 3D
+//! 64³ f32/f64, horizontal diffusion, and a `run_steps` time loop), then
+//! times the two paths with Criterion.
 
 use criterion::{criterion_group, Criterion};
 use stencilflow_bench::{eval_throughput, format_throughput};
@@ -17,16 +16,8 @@ fn bench_eval_throughput(c: &mut Criterion) {
     let jacobi = jacobi3d(2, &[64, 64, 64], 1);
     let jacobi_inputs = generate_inputs(&jacobi, 17);
     let executor = ReferenceExecutor::new();
-    let typed_executor = ReferenceExecutor::new().with_lane_batching(false);
-    let value_executor = ReferenceExecutor::new().with_typed_kernels(false);
     group.bench_function("jacobi3d_64_interpreted", |b| {
         b.iter(|| executor.run_interpreted(&jacobi, &jacobi_inputs).unwrap());
-    });
-    group.bench_function("jacobi3d_64_compiled", |b| {
-        b.iter(|| value_executor.run(&jacobi, &jacobi_inputs).unwrap());
-    });
-    group.bench_function("jacobi3d_64_typed", |b| {
-        b.iter(|| typed_executor.run(&jacobi, &jacobi_inputs).unwrap());
     });
     group.bench_function("jacobi3d_64_simd", |b| {
         b.iter(|| executor.run(&jacobi, &jacobi_inputs).unwrap());
@@ -42,12 +33,6 @@ fn bench_eval_throughput(c: &mut Criterion) {
     let hdiff_inputs = generate_inputs(&hdiff, 17);
     group.bench_function("horizontal_diffusion_interpreted", |b| {
         b.iter(|| executor.run_interpreted(&hdiff, &hdiff_inputs).unwrap());
-    });
-    group.bench_function("horizontal_diffusion_compiled", |b| {
-        b.iter(|| value_executor.run(&hdiff, &hdiff_inputs).unwrap());
-    });
-    group.bench_function("horizontal_diffusion_typed", |b| {
-        b.iter(|| typed_executor.run(&hdiff, &hdiff_inputs).unwrap());
     });
     group.bench_function("horizontal_diffusion_simd", |b| {
         b.iter(|| executor.run(&hdiff, &hdiff_inputs).unwrap());

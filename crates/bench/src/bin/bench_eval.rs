@@ -1,6 +1,6 @@
 //! Runs the evaluation-throughput harness and writes the JSON baseline
 //! tracked as `BENCH_eval.json`, or — with `--check-floors` — gates an
-//! existing JSON document against the kernel-tier speedup floors.
+//! existing JSON document against the speedup floors.
 //!
 //! Usage:
 //!
@@ -8,8 +8,8 @@
 //!   then writes the JSON document to `OUTPUT.json` (or stdout when no path
 //!   is given). `--quick` shrinks the domains for CI smoke runs.
 //! * `bench_eval --check-floors INPUT.json` — reads a previously written
-//!   document and exits non-zero if any compiled/typed/simd speedup floor
-//!   is violated (the CI perf gate; see `stencilflow_bench::check_floors`).
+//!   document and exits non-zero if any speedup floor is violated (the CI
+//!   perf gate; see `stencilflow_bench::check_floors`).
 
 fn main() {
     let mut quick = false;

@@ -17,9 +17,6 @@
 //! * [`roofline`] — arithmetic intensity / roofline bounds (Eq. 2–4).
 //! * [`comparators`] — roofline-style performance models of the CPU and GPU
 //!   baselines of Tab. II.
-//! * [`sharding`] — predicted per-shard bandwidth/roofline bounds for the
-//!   sharded host runtime, compared against measured per-shard throughput
-//!   in the benchmark reports.
 //! * [`silicon`] — the silicon-efficiency metric of §IX-C.
 
 #![forbid(unsafe_code)]
@@ -30,7 +27,6 @@ pub mod device;
 pub mod frequency;
 pub mod resources;
 pub mod roofline;
-pub mod sharding;
 pub mod silicon;
 
 pub use bandwidth::BandwidthModel;
@@ -39,7 +35,6 @@ pub use device::{Device, DeviceKind, ResourcePool};
 pub use frequency::FrequencyModel;
 pub use resources::{estimate_resources, ResourceEstimate};
 pub use roofline::{Roofline, RooflinePoint};
-pub use sharding::{ShardModel, ShardPrediction};
 pub use silicon::silicon_efficiency;
 
 #[cfg(test)]

@@ -108,8 +108,11 @@ impl ExecutionResult {
         self.valid_masks.retain(|name, _| keep.contains(name));
     }
 
-    /// Compare a field against another grid, only at valid cells, with the
-    /// given relative tolerance. Returns the maximum relative error seen.
+    /// Compare a field against another grid at its valid cells. Returns the
+    /// maximum relative error seen (absolute below magnitude 1), or `None`
+    /// when the field is unknown or the shapes differ. Two NaNs agree; a
+    /// NaN or an infinity the other side does not share is an infinite
+    /// error.
     pub fn compare_field(&self, name: &str, other: &Grid) -> Option<f64> {
         let grid = self.fields.get(name)?;
         let mask = self.valid_masks.get(name)?;
@@ -123,8 +126,14 @@ impl ExecutionResult {
             }
             let a = grid.get(&index);
             let b = other.get(&index);
+            if a == b || (a.is_nan() && b.is_nan()) {
+                continue;
+            }
             let scale = a.abs().max(b.abs()).max(1.0);
-            max_err = max_err.max((a - b).abs() / scale);
+            let err = (a - b).abs() / scale;
+            // `f64::max` drops a NaN operand: an error that is not a
+            // number must fail the comparison, not vanish from it.
+            max_err = max_err.max(if err.is_nan() { f64::INFINITY } else { err });
         }
         Some(max_err)
     }
@@ -403,10 +412,6 @@ pub struct ReferenceExecutor {
     /// Worker-thread cap for the compiled sweep; `None` picks the available
     /// hardware parallelism.
     max_threads: Option<usize>,
-    /// Whether compiled sweeps may use type-specialized kernels.
-    use_typed: bool,
-    /// Whether typed sweeps may batch interior cells into lanes.
-    use_lanes: bool,
     /// Upper bound on the number of time steps the fused tier blocks into
     /// one temporal window.
     pub(crate) fusion_window: usize,
@@ -438,8 +443,6 @@ impl Default for ReferenceExecutor {
     fn default() -> Self {
         ReferenceExecutor {
             max_threads: None,
-            use_typed: true,
-            use_lanes: true,
             fusion_window: crate::fuse::DEFAULT_FUSION_WINDOW,
             fusion_tile_rows: None,
             cache: Mutex::new(BTreeMap::new()),
@@ -456,8 +459,6 @@ impl Clone for ReferenceExecutor {
     fn clone(&self) -> Self {
         ReferenceExecutor {
             max_threads: self.max_threads,
-            use_typed: self.use_typed,
-            use_lanes: self.use_lanes,
             fusion_window: self.fusion_window,
             fusion_tile_rows: self.fusion_tile_rows,
             cache: Mutex::new(self.cache.lock().expect("executor cache poisoned").clone()),
@@ -594,24 +595,6 @@ impl ReferenceExecutor {
     /// (`1` forces a sequential sweep).
     pub fn with_max_threads(mut self, threads: usize) -> Self {
         self.max_threads = Some(threads.max(1));
-        self
-    }
-
-    /// Enable or disable type-specialized kernels in compiled sweeps
-    /// (enabled by default; disabling pins the dynamically typed `Value`
-    /// bytecode path, which is useful for equivalence tests and as the
-    /// benchmark baseline).
-    pub fn with_typed_kernels(mut self, enabled: bool) -> Self {
-        self.use_typed = enabled;
-        self
-    }
-
-    /// Enable or disable lane batching of typed interior sweeps (enabled by
-    /// default; disabling pins the scalar typed kernel, which is the
-    /// baseline the lane tier is benchmarked and differentially tested
-    /// against). Has no effect when typed kernels are disabled.
-    pub fn with_lane_batching(mut self, enabled: bool) -> Self {
-        self.use_lanes = enabled;
         self
     }
 
@@ -894,9 +877,7 @@ impl ReferenceExecutor {
                 stencil: plan.name().to_string(),
                 source,
             };
-            let bound = plan
-                .bind(inputs, &computed, self.use_typed, self.use_lanes)
-                .map_err(code_error)?;
+            let bound = plan.bind(inputs, &computed).map_err(code_error)?;
             let mut output = Grid::zeros(&dim_refs, &compiled.shape, plan.out_dtype());
             let mut mask = vec![true; compiled.num_cells];
 
@@ -1400,6 +1381,41 @@ mod tests {
         assert!(mask[space.flat_index(&[1, 1])]);
         assert!(mask[space.flat_index(&[2, 2])]);
         assert!(!mask[space.flat_index(&[0, 2])]);
+    }
+
+    #[test]
+    fn compare_field_fails_closed_on_values_that_are_not_numbers() {
+        // `lap` is valid on the 2x2 interior of a 4x4 domain only.
+        let program = laplace_program(&[4, 4]);
+        let inputs = generate_inputs(&program, 1);
+        let mut result = ReferenceExecutor::new().run(&program, &inputs).unwrap();
+        let reference = result.field("lap").unwrap().clone();
+        assert_eq!(result.compare_field("lap", &reference), Some(0.0));
+
+        // A number against a NaN, on either side, is an infinite error.
+        let mut other = reference.clone();
+        other.set(&[1, 2], f64::NAN);
+        assert_eq!(result.compare_field("lap", &other), Some(f64::INFINITY));
+        result.fields.get_mut("lap").unwrap().set(&[1, 2], f64::NAN);
+        assert_eq!(result.compare_field("lap", &reference), Some(f64::INFINITY));
+        // NaN against NaN agrees.
+        assert_eq!(result.compare_field("lap", &other), Some(0.0));
+        // So do equal infinities; unequal ones do not.
+        other.set(&[2, 2], f64::INFINITY);
+        assert_eq!(result.compare_field("lap", &other), Some(f64::INFINITY));
+        result
+            .fields
+            .get_mut("lap")
+            .unwrap()
+            .set(&[2, 2], f64::INFINITY);
+        assert_eq!(result.compare_field("lap", &other), Some(0.0));
+        // A masked-out NaN is ignored.
+        other.set(&[0, 0], f64::NAN);
+        assert_eq!(result.compare_field("lap", &other), Some(0.0));
+        // Shape mismatches and unknown fields compare as `None`.
+        let small = Grid::zeros(&["i", "j"], &[3, 3], DataType::Float32);
+        assert_eq!(result.compare_field("lap", &small), None);
+        assert_eq!(result.compare_field("nope", &reference), None);
     }
 
     #[test]

@@ -341,8 +341,6 @@ impl CompiledStencil {
         &'p self,
         inputs: &'g BTreeMap<String, Grid>,
         computed: &'g BTreeMap<String, Grid>,
-        use_typed: bool,
-        use_lanes: bool,
     ) -> Result<BoundStencil<'g, 'p>, ExprError> {
         let mut grid_data: Vec<&'g [f64]> = Vec::with_capacity(self.fields.len());
         for field in &self.fields {
@@ -360,24 +358,21 @@ impl CompiledStencil {
             debug_assert_eq!(grid.len(), field.len, "input validation guarantees shapes");
             grid_data.push(grid.as_slice());
         }
-        let mut slot_template = Vec::with_capacity(self.slots.len());
-        let mut typed_template = Vec::with_capacity(self.slots.len());
-        for slot in &self.slots {
-            let raw = if slot.scalar {
-                grid_data[slot.grid][0]
-            } else {
-                0.0
-            };
-            slot_template.push(Value::from_f64(raw, slot.dtype));
-            typed_template.push(raw);
-        }
+        let tap_template = self
+            .slots
+            .iter()
+            .map(|slot| {
+                if slot.scalar {
+                    grid_data[slot.grid][0]
+                } else {
+                    0.0
+                }
+            })
+            .collect();
         Ok(BoundStencil {
             plan: self,
             grid_data,
-            slot_template,
-            typed_template,
-            use_typed: use_typed && self.typed.is_some(),
-            use_lanes: use_typed && use_lanes && self.lane_ready,
+            tap_template,
         })
     }
 
@@ -393,7 +388,6 @@ impl CompiledStencil {
         self.typed.as_ref()
     }
 
-    /// The slot-resolved `Value` bytecode kernel.
     /// Bind-time element type of every kernel slot, in slot order (the
     /// types the typed kernel was specialized with); feeds the
     /// JIT-eligibility verification pass.
@@ -401,6 +395,7 @@ impl CompiledStencil {
         self.slots.iter().map(|s| s.dtype).collect()
     }
 
+    /// The slot-resolved `Value` bytecode kernel.
     pub(crate) fn compiled_kernel(&self) -> &CompiledKernel {
         &self.kernel
     }
@@ -421,98 +416,16 @@ impl CompiledStencil {
 pub(crate) struct BoundStencil<'g, 'p> {
     plan: &'p CompiledStencil,
     grid_data: Vec<&'g [f64]>,
-    /// Template slot-value vector with scalar slots prefilled (Value path).
-    slot_template: Vec<Value>,
-    /// Raw counterpart of `slot_template` (typed path).
-    typed_template: Vec<f64>,
-    use_typed: bool,
-    /// Whether the interior sweep runs lane-batched (implies `use_typed`).
-    use_lanes: bool,
-}
-
-/// One kernel tier driving the generic sweep: how slot values are
-/// represented, loaded from raw grid storage, and evaluated. Keeping the
-/// interior/halo control flow in one generic function
-/// ([`BoundStencil::sweep`]) means the two tiers cannot drift apart.
-trait SweepKernel {
-    /// Per-slot value representation ([`Value`] or raw `f64`).
-    type Slot: Copy;
-    /// A load of a raw grid value (or a pre-rounded boundary constant) for
-    /// `slot`.
-    fn load(raw: f64, slot: &SlotTemplate) -> Self::Slot;
-    /// Evaluate the kernel on the resolved slot values; the result is the
-    /// raw output value before rounding through the stencil's output type.
-    fn eval(&mut self, values: &[Self::Slot]) -> Result<f64, ExprError>;
-}
-
-/// The dynamically typed `Value` bytecode tier.
-struct ValueSweep<'k> {
-    kernel: &'k CompiledKernel,
-    scratch: EvalScratch,
-}
-
-impl SweepKernel for ValueSweep<'_> {
-    type Slot = Value;
-
-    fn load(raw: f64, slot: &SlotTemplate) -> Value {
-        // Boundary constants are pre-rounded through the slot type, so
-        // tagging them here is exactly `from_f64(c, dtype)` (idempotent).
-        Value::from_f64(raw, slot.dtype)
-    }
-
-    fn eval(&mut self, values: &[Value]) -> Result<f64, ExprError> {
-        Ok(self.kernel.eval_slots(values, &mut self.scratch)?.as_f64())
-    }
-}
-
-/// The type-specialized raw-`f64` tier. Grids round every store through
-/// their element type, so raw loads are exactly the payloads the `Value`
-/// tier would tag — the tiers agree bit for bit.
-struct TypedSweep<'k> {
-    kernel: &'k TypedKernel,
-    scratch: TypedScratch,
-}
-
-impl SweepKernel for TypedSweep<'_> {
-    type Slot = f64;
-
-    fn load(raw: f64, _slot: &SlotTemplate) -> f64 {
-        raw
-    }
-
-    fn eval(&mut self, values: &[f64]) -> Result<f64, ExprError> {
-        Ok(self.kernel.eval_slots(values, &mut self.scratch))
-    }
-}
-
-/// Fill `values` with the slot values of interior cell `k` of the current
-/// row: every access is statically in bounds, so the loads are plain strided
-/// reads with no branches.
-#[inline]
-fn fill_interior_slots<K: SweepKernel>(
-    plan: &CompiledStencil,
-    grid_data: &[&[f64]],
-    rowbase: &[i64],
-    k: usize,
-    values: &mut [K::Slot],
-) {
-    let rank = plan.shape.len();
-    for (s, slot) in plan.slots.iter().enumerate() {
-        if slot.scalar {
-            continue;
-        }
-        let flat = (rowbase[s] + k as i64 * slot.coeffs[rank - 1]) as usize;
-        values[s] = K::load(grid_data[slot.grid][flat], slot);
-    }
+    /// One raw tap per slot, scalar slots prefilled (they are resolved once
+    /// per run, never re-read per cell).
+    tap_template: Vec<f64>,
 }
 
 /// Raw value of one non-scalar slot at a halo cell: bounds-check the access
 /// and apply the boundary condition on a miss. `index` must hold the cell's
 /// full index (leading dimensions and `k`). The returned raw value is what
 /// grid storage holds (already rounded through the slot's element type), so
-/// both kernel tiers load it identically — and the lane-batched halo gather
-/// reuses this exact per-cell logic per lane, which is why it stays
-/// bit-identical to the scalar halo sweep.
+/// every kernel loads it identically, whatever the batch width.
 #[inline]
 fn halo_slot_raw(
     plan: &CompiledStencil,
@@ -533,34 +446,11 @@ fn halo_slot_raw(
         grid_data[slot.grid][(center + slot.delta) as usize]
     } else {
         match slot.boundary {
-            // Pre-rounded through the slot type; `K::load` tagging is
-            // idempotent on it.
+            // Pre-rounded through the slot type, so tagging it with
+            // `Value::from_f64(c, dtype)` is idempotent.
             BoundaryCondition::Constant(_) => slot.halo_constant,
             BoundaryCondition::Copy => grid_data[slot.grid][center as usize],
         }
-    }
-}
-
-/// Fill `values` for a halo cell: bounds-check each access and apply the
-/// boundary condition on misses. `index` must hold the cell's full index
-/// (leading dimensions and `k`).
-#[inline]
-fn fill_halo_slots<K: SweepKernel>(
-    plan: &CompiledStencil,
-    grid_data: &[&[f64]],
-    index: &[usize],
-    rowbase: &[i64],
-    k: usize,
-    values: &mut [K::Slot],
-) {
-    for (s, slot) in plan.slots.iter().enumerate() {
-        if slot.scalar {
-            continue;
-        }
-        values[s] = K::load(
-            halo_slot_raw(plan, grid_data, s, slot, index, rowbase, k),
-            slot,
-        );
     }
 }
 
@@ -575,7 +465,7 @@ fn halo_mask_valid(plan: &CompiledStencil, index: &[usize]) -> bool {
 
 /// Round a lane batch of raw results through the stencil's output element
 /// type into `out` — per lane exactly `Value::from_f64(v, dtype).as_f64()`,
-/// the rounding every scalar path applies on store.
+/// the rounding the interpreter applies on store.
 #[inline]
 pub(crate) fn round_lanes<const LANES: usize>(
     values: &[f64; LANES],
@@ -597,17 +487,34 @@ pub(crate) fn round_lanes<const LANES: usize>(
     }
 }
 
+/// The lane-batched evaluation of a branch-free typed kernel, `L` cells per
+/// bytecode pass.
+fn lane_eval<const L: usize>(
+    typed: &TypedKernel,
+) -> impl FnMut(&[[f64; L]], &mut [f64; L]) -> Result<(), ExprError> + '_ {
+    let mut scratch = LaneScratch::<L>::default();
+    move |taps, out| {
+        *out = typed.eval_lanes(taps, &mut scratch);
+        Ok(())
+    }
+}
+
 impl BoundStencil<'_, '_> {
     /// Sweep rows `[row_start, row_end)`, writing results into `out` and the
-    /// validity mask into `mask` (both spanning exactly those rows). Uses
-    /// the type-specialized kernel when available and enabled — lane-batched
-    /// over the interior where the stencil allows it; all paths produce
-    /// identical bits.
+    /// validity mask into `mask` (both spanning exactly those rows).
+    ///
+    /// The stencil's own kernels pick the instantiation of the one
+    /// [`BoundStencil::sweep`], nothing else does: a lane-ready typed kernel
+    /// runs `lane_width` cells per pass; a typed kernel that is not (a jump
+    /// survived, or a tap's innermost stride is neither 0 nor 1) runs cell
+    /// by cell (`L = 1`) on raw `f64`s; a kernel that does not specialize
+    /// runs cell by cell on tagged [`Value`]s. All three produce the
+    /// interpreter's bits.
     ///
     /// # Errors
     ///
     /// Propagates evaluation failures (e.g. integer division by zero; only
-    /// reachable on the `Value` path — typed kernels are infallible).
+    /// reachable on the `Value` kernel — typed kernels are infallible).
     pub fn run_rows(
         &self,
         row_start: usize,
@@ -615,85 +522,81 @@ impl BoundStencil<'_, '_> {
         out: &mut [f64],
         mask: &mut [bool],
     ) -> Result<(), ExprError> {
-        match (self.use_typed, &self.plan.typed) {
-            (true, Some(typed)) if self.use_lanes => {
-                // Dtype-driven const dispatch on the per-stencil lane
-                // width (see `CompiledStencil::lane_width`).
-                match self.plan.lane_width {
-                    KERNEL_LANES_WIDE => {
-                        self.sweep_lanes::<KERNEL_LANES_WIDE>(typed, row_start, row_end, out, mask)
-                    }
-                    _ => self.sweep_lanes::<KERNEL_LANES>(typed, row_start, row_end, out, mask),
-                }
-                Ok(())
+        let plan = self.plan;
+        let rows = (row_start, row_end);
+        match &plan.typed {
+            Some(typed) if plan.lane_ready && plan.lane_width == KERNEL_LANES_WIDE => {
+                self.sweep(rows, out, mask, lane_eval::<KERNEL_LANES_WIDE>(typed))
             }
-            (true, Some(typed)) => self.sweep(
-                TypedSweep {
-                    kernel: typed,
-                    scratch: TypedScratch::default(),
-                },
-                &self.typed_template,
-                row_start,
-                row_end,
-                out,
-                mask,
-            ),
-            _ => self.sweep(
-                ValueSweep {
-                    kernel: &self.plan.kernel,
-                    scratch: EvalScratch::default(),
-                },
-                &self.slot_template,
-                row_start,
-                row_end,
-                out,
-                mask,
-            ),
+            Some(typed) if plan.lane_ready => {
+                self.sweep(rows, out, mask, lane_eval::<KERNEL_LANES>(typed))
+            }
+            Some(typed) => {
+                let mut scratch = TypedScratch::default();
+                self.sweep::<1>(rows, out, mask, |taps, out| {
+                    *out = [typed.eval_slots(taps.as_flattened(), &mut scratch)];
+                    Ok(())
+                })
+            }
+            None => {
+                // Grids round every store through their element type, so
+                // tagging a raw tap recovers exactly the value the
+                // interpreter reads.
+                let mut values = vec![Value::F64(0.0); plan.slots.len()];
+                let mut scratch = EvalScratch::default();
+                self.sweep::<1>(rows, out, mask, |taps, out| {
+                    for ((value, &[tap]), slot) in values.iter_mut().zip(taps).zip(&plan.slots) {
+                        *value = Value::from_f64(tap, slot.dtype);
+                    }
+                    *out = [plan.kernel.eval_slots(&values, &mut scratch)?.as_f64()];
+                    Ok(())
+                })
+            }
         }
     }
 
-    /// The lane-batched typed sweep: cells are evaluated `LANES` at a time
-    /// wherever a full batch fits in the row.
+    /// The sweep: every row is cut into batches of `L` cells, each batch's
+    /// taps are gathered slot-major into `[f64; L]` lanes, `eval` maps them
+    /// to `L` raw results, and the results are rounded through the output
+    /// type on store.
     ///
-    /// * **Interior batches** gather each slot with one contiguous
-    ///   innermost-dimension load (unit stride) or a broadcast (zero
-    ///   stride) and feed a single [`TypedKernel::eval_lanes`] pass.
-    /// * **Halo (or mixed) batches** gather each slot lane by lane with
-    ///   the same clamped/bounds-checked tap logic the scalar halo sweep
-    ///   uses ([`halo_slot_raw`]) — the gather is slower than the
-    ///   interior's contiguous copy, but the bytecode-dispatch cost of the
-    ///   kernel is still amortized over all `LANES` cells, so halos no
-    ///   longer force the per-cell scalar path.
-    /// * Only the **row remainder** (fewer than `LANES` cells left in the
-    ///   row) falls back to the scalar typed kernel.
+    /// * **Interior batches** (every lane statically in bounds) gather each
+    ///   slot with one contiguous innermost-dimension load (unit stride) or
+    ///   a broadcast (zero stride); at `L = 1` that is a plain strided read,
+    ///   whatever the stride.
+    /// * **Halo (or mixed) batches** split into the contiguous interval of
+    ///   interior lanes, loaded the same way, plus edge lanes gathered one
+    ///   by one through the bounds-checked [`halo_slot_raw`], which also
+    ///   drive the shrink mask.
+    /// * The **row remainder** is a partial batch: its surplus lanes keep
+    ///   the taps of an earlier batch and their results are dropped, never
+    ///   stored. Only `L = 1` kernels can fail, and they have no surplus.
     ///
-    /// Bit-identical to [`BoundStencil::sweep`] because each lane applies
-    /// the identical per-cell loads and computation — for any lane width
-    /// (the width only changes how cells are grouped into batches, never
-    /// what any one lane computes).
-    fn sweep_lanes<const LANES: usize>(
+    /// The width only changes how cells are grouped into batches, never
+    /// what any one lane loads or computes. (`eval` stores its results
+    /// through `&mut`, and the batch loop is a plain `while`: returning the
+    /// lanes inside a `Result` and stepping with `step_by` each measured
+    /// ~1.5 % slower on `listing1`'s three-op kernels.)
+    fn sweep<const L: usize>(
         &self,
-        typed: &TypedKernel,
-        row_start: usize,
-        row_end: usize,
+        (row_start, row_end): (usize, usize),
         out: &mut [f64],
         mask: &mut [bool],
-    ) {
+        mut eval: impl FnMut(&[[f64; L]], &mut [f64; L]) -> Result<(), ExprError>,
+    ) -> Result<(), ExprError> {
         let plan = self.plan;
         let rank = plan.shape.len();
         let row_len = plan.row_len();
         debug_assert_eq!(out.len(), (row_end - row_start) * row_len);
+        debug_assert!(L == 1 || plan.lane_ready, "wide batches need 0/1 strides");
 
-        let mut scratch = TypedScratch::default();
-        let mut lane_scratch = LaneScratch::<LANES>::default();
         // Slot-major lane buffer; scalar slots stay broadcast for the whole
-        // sweep, exactly like the scalar template prefill.
-        let mut lane_values: Vec<[f64; LANES]> =
-            self.typed_template.iter().map(|&v| [v; LANES]).collect();
-        let mut values = self.typed_template.clone();
+        // sweep.
+        let mut lane_values: Vec<[f64; L]> = self.tap_template.iter().map(|&v| [v; L]).collect();
         let mut lead = vec![0usize; rank - 1];
         let mut rowbase = vec![0i64; plan.slots.len()];
         let mut index = vec![0usize; rank];
+        let mut result = [0.0; L];
 
         let lo_k = plan.interior_lo[rank - 1];
         let hi_k = plan.interior_hi[rank - 1];
@@ -705,39 +608,10 @@ impl BoundStencil<'_, '_> {
             let out_row = &mut out[(row - row_start) * row_len..][..row_len];
             let mask_row = &mut mask[(row - row_start) * row_len..][..row_len];
 
-            let mut k = 0usize;
+            let mut k = 0;
             while k < row_len {
-                if k + LANES > row_len {
-                    // Row remainder: scalar typed kernel, cell by cell.
-                    let cell_interior = row_interior && k >= lo_k && k < hi_k;
-                    if cell_interior {
-                        fill_interior_slots::<TypedSweep<'_>>(
-                            plan,
-                            &self.grid_data,
-                            &rowbase,
-                            k,
-                            &mut values,
-                        );
-                    } else {
-                        index[rank - 1] = k;
-                        fill_halo_slots::<TypedSweep<'_>>(
-                            plan,
-                            &self.grid_data,
-                            &index,
-                            &rowbase,
-                            k,
-                            &mut values,
-                        );
-                        if plan.shrink {
-                            mask_row[k] = halo_mask_valid(plan, &index);
-                        }
-                    }
-                    let result = typed.eval_slots(&values, &mut scratch);
-                    out_row[k] = Value::from_f64(result, plan.out_dtype).as_f64();
-                    k += 1;
-                } else if row_interior && k >= lo_k && k + LANES <= hi_k {
-                    // Lane-batched interior run: gather each slot's lanes
-                    // from its contiguous innermost-dimension window.
+                let end = row_len.min(k + L);
+                if row_interior && k >= lo_k && k + L <= hi_k {
                     for (s, slot) in plan.slots.iter().enumerate() {
                         if slot.scalar {
                             continue;
@@ -746,25 +620,17 @@ impl BoundStencil<'_, '_> {
                         let base = (rowbase[s] + k as i64 * stride) as usize;
                         let lanes = &mut lane_values[s];
                         if stride == 1 {
-                            lanes.copy_from_slice(&self.grid_data[slot.grid][base..base + LANES]);
+                            lanes.copy_from_slice(&self.grid_data[slot.grid][base..base + L]);
                         } else {
-                            *lanes = [self.grid_data[slot.grid][base]; LANES];
+                            *lanes = [self.grid_data[slot.grid][base]; L];
                         }
                     }
-                    let result = typed.eval_lanes(&lane_values, &mut lane_scratch);
-                    round_lanes(&result, plan.out_dtype, &mut out_row[k..k + LANES]);
-                    k += LANES;
                 } else {
-                    // Lane-batched halo (or mixed halo/interior) run. The
-                    // interior cells of a batch form one contiguous lane
-                    // interval, so the gather splits into a bulk interior
-                    // load (contiguous copy or broadcast, exactly like the
-                    // interior batch) plus per-lane bounds-checked edge
-                    // lanes — identical loads to the scalar halo sweep,
-                    // batched through one eval_lanes pass.
+                    // The interior cells of a batch form one contiguous
+                    // lane interval.
                     let (int_start, int_end) = if row_interior {
-                        let start = lo_k.clamp(k, k + LANES);
-                        (start, hi_k.clamp(start, k + LANES))
+                        let start = lo_k.clamp(k, end);
+                        (start, hi_k.clamp(start, end))
                     } else {
                         (k, k)
                     };
@@ -785,7 +651,7 @@ impl BoundStencil<'_, '_> {
                                 span.fill(self.grid_data[slot.grid][base]);
                             }
                         }
-                        for cell in (k..int_start).chain(int_end..k + LANES) {
+                        for cell in (k..int_start).chain(int_end..end) {
                             index[rank - 1] = cell;
                             lanes[cell - k] = halo_slot_raw(
                                 plan,
@@ -799,20 +665,25 @@ impl BoundStencil<'_, '_> {
                         }
                     }
                     if plan.shrink {
-                        for (lane, mask_cell) in mask_row[k..k + LANES].iter_mut().enumerate() {
-                            let cell = k + lane;
-                            if !(row_interior && cell >= lo_k && cell < hi_k) {
-                                index[rank - 1] = cell;
-                                *mask_cell = halo_mask_valid(plan, &index);
-                            }
+                        for cell in (k..int_start).chain(int_end..end) {
+                            index[rank - 1] = cell;
+                            mask_row[cell] = halo_mask_valid(plan, &index);
                         }
                     }
-                    let result = typed.eval_lanes(&lane_values, &mut lane_scratch);
-                    round_lanes(&result, plan.out_dtype, &mut out_row[k..k + LANES]);
-                    k += LANES;
                 }
+                eval(&lane_values, &mut result)?;
+                if end - k == L {
+                    round_lanes(&result, plan.out_dtype, &mut out_row[k..k + L]);
+                } else {
+                    // Row remainder: the surplus lanes are dropped here.
+                    let mut rounded = [0.0; L];
+                    round_lanes(&result, plan.out_dtype, &mut rounded);
+                    out_row[k..end].copy_from_slice(&rounded[..end - k]);
+                }
+                k = end;
             }
         }
+        Ok(())
     }
 
     /// Decompose `row` into the leading index and per-slot row bases.
@@ -838,61 +709,5 @@ impl BoundStencil<'_, '_> {
                 .iter()
                 .enumerate()
                 .all(|(d, &ix)| ix >= plan.interior_lo[d] && ix < plan.interior_hi[d])
-    }
-
-    /// The sweep, generic over the kernel tier (monomorphized per tier, so
-    /// the inner loops compile exactly as the hand-specialized versions
-    /// would — with one shared copy of the interior/halo control flow).
-    fn sweep<K: SweepKernel>(
-        &self,
-        mut kernel: K,
-        template: &[K::Slot],
-        row_start: usize,
-        row_end: usize,
-        out: &mut [f64],
-        mask: &mut [bool],
-    ) -> Result<(), ExprError> {
-        let plan = self.plan;
-        let rank = plan.shape.len();
-        let row_len = plan.row_len();
-        debug_assert_eq!(out.len(), (row_end - row_start) * row_len);
-
-        let mut values = template.to_vec();
-        let mut lead = vec![0usize; rank - 1];
-        let mut rowbase = vec![0i64; plan.slots.len()];
-        let mut index = vec![0usize; rank];
-
-        let lo_k = plan.interior_lo[rank - 1];
-        let hi_k = plan.interior_hi[rank - 1];
-
-        for row in row_start..row_end {
-            let row_interior = self.row_setup(row, &mut lead, &mut rowbase);
-            index[..rank - 1].copy_from_slice(&lead);
-
-            let out_row = &mut out[(row - row_start) * row_len..][..row_len];
-            let mask_row = &mut mask[(row - row_start) * row_len..][..row_len];
-
-            for (k, (out_cell, mask_cell)) in
-                out_row.iter_mut().zip(mask_row.iter_mut()).enumerate()
-            {
-                if row_interior && k >= lo_k && k < hi_k {
-                    // Interior fast path: every access is statically in
-                    // bounds; plain strided reads, no branches, mask stays
-                    // valid.
-                    fill_interior_slots::<K>(plan, &self.grid_data, &rowbase, k, &mut values);
-                } else {
-                    // Halo: bounds-check each access and apply the boundary
-                    // condition on misses.
-                    index[rank - 1] = k;
-                    fill_halo_slots::<K>(plan, &self.grid_data, &index, &rowbase, k, &mut values);
-                    if plan.shrink {
-                        *mask_cell = halo_mask_valid(plan, &index);
-                    }
-                }
-                let result = kernel.eval(&values)?;
-                *out_cell = Value::from_f64(result, plan.out_dtype).as_f64();
-            }
-        }
-        Ok(())
     }
 }

@@ -652,7 +652,7 @@ impl ServeExecutor {
                 return Err(JobError::Cancelled);
             }
             stencil
-                .bind(inputs, computed, true, true)
+                .bind(inputs, computed)
                 .and_then(|bound| bound.run_rows(row_start, row_end, &mut data, &mut mask))
                 .map_err(|source| {
                     JobError::Program(ProgramError::Code {
@@ -1157,30 +1157,52 @@ mod tests {
 
     #[test]
     fn large_sweeps_offer_bands_and_stay_bitwise_identical() {
-        // Heavy enough to band (> 2^18 cell·accesses), run with a wide
-        // worker pool so stealing has a chance to engage; correctness must
-        // hold either way.
-        let program = jacobi_like(&[512, 256]);
+        // The large job is heavy enough to band (> 2^18 cell·accesses) and
+        // its owner sleeps in band 0, so the other worker — done with its
+        // small job, the queue empty — has to steal the remaining bands.
+        let large = jacobi_like(&[512, 256]);
+        let small = jacobi_like(&[8, 8]);
         let serve = ServeExecutor::new(
             ServeConfig::new()
-                .with_workers(4)
+                .with_workers(2)
                 .with_tier_policy(TierPolicy::Fixed(Tier::Simd)),
         );
-        let reference = ReferenceExecutor::new();
-        let job = job_for(&program, 3);
-        let expected = reference.run(&job.program, &job.inputs).unwrap();
-        let outcome = serve.run_one(job);
-        let result = outcome.result.unwrap();
-        for (a, b) in result
-            .field("u_next")
-            .unwrap()
-            .as_slice()
+        let batch = || {
+            let stall = JobFault::Stall(Duration::from_millis(50));
+            vec![job_for(&large, 3).with_fault(stall), job_for(&small, 4)]
+        };
+        let expected: Vec<_> = batch()
             .iter()
-            .zip(expected.field("u_next").unwrap().as_slice())
-        {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        serve.recycle(result);
+            .map(|job| ReferenceExecutor::new().run(&job.program, &job.inputs))
+            .collect();
+        let run = || {
+            for (outcome, expected) in serve.run_batch(batch()).into_iter().zip(&expected) {
+                let result = outcome.result.unwrap();
+                let got = result.field("u_next").unwrap().as_slice();
+                let want = expected
+                    .as_ref()
+                    .unwrap()
+                    .field("u_next")
+                    .unwrap()
+                    .as_slice();
+                assert!(got
+                    .iter()
+                    .zip(want)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()));
+                serve.recycle(result);
+            }
+            serve.stats()
+        };
+        let first = run();
+        assert!(first.steals >= 1, "no band was stolen: {first:?}");
+        // Stitching returned every band buffer, the thief's included: the
+        // same batch again allocates nothing.
+        let second = run();
+        assert!(second.steals > first.steals);
+        assert_eq!(
+            (second.pool_misses, second.mask_misses),
+            (first.pool_misses, first.mask_misses)
+        );
     }
 
     #[test]

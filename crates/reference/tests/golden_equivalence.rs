@@ -12,19 +12,17 @@ use stencilflow_workloads::{
     HorizontalDiffusionSpec,
 };
 
-/// Run all four executor paths — tree-walking interpreter, dynamically
-/// typed `Value` bytecode, scalar type-specialized kernels, and the
-/// lane-batched typed sweep (the default) — and require identical bits
-/// everywhere: every field (inputs included in the comparison domain via
-/// the program outputs), every validity mask, and the evaluation counters.
+/// Run the default compiled sweep and the tree-walking interpreter and
+/// require identical bits everywhere: every field (inputs included in the
+/// comparison domain via the program outputs), every validity mask, and the
+/// evaluation counters. Each stencil sweeps on the kernel its own expression
+/// compiles to; that the `Value`, scalar typed and lane-batched kernels of
+/// one expression agree is pinned where the kernels live
+/// (`stencilflow-workloads`' `kernel_tiers_agree_on_the_analyze_suite`).
 fn assert_bit_identical(program: &StencilProgram, seed: u64) {
     let inputs = generate_inputs(program, seed);
     let executor = ReferenceExecutor::new();
-    let value_executor = ReferenceExecutor::new().with_typed_kernels(false);
-    let scalar_typed_executor = ReferenceExecutor::new().with_lane_batching(false);
     let compiled = executor.run(program, &inputs).unwrap();
-    let value_compiled = value_executor.run(program, &inputs).unwrap();
-    let scalar_typed = scalar_typed_executor.run(program, &inputs).unwrap();
     let interpreted = executor.run_interpreted(program, &inputs).unwrap();
 
     assert_eq!(compiled.cells_evaluated(), interpreted.cells_evaluated());
@@ -34,34 +32,15 @@ fn assert_bit_identical(program: &StencilProgram, seed: u64) {
 
     for (name, grid) in compiled.fields() {
         let baseline = interpreted.field(name).unwrap();
-        let value_grid = value_compiled.field(name).unwrap();
-        let scalar_grid = scalar_typed.field(name).unwrap();
         assert_eq!(
             grid.shape(),
             baseline.shape(),
             "shape mismatch for `{name}`"
         );
-        for (cell, (((a, b), c), d)) in grid
-            .as_slice()
-            .iter()
-            .zip(baseline.as_slice().iter())
-            .zip(value_grid.as_slice().iter())
-            .zip(scalar_grid.as_slice().iter())
-            .enumerate()
-        {
+        for (cell, (a, b)) in grid.as_slice().iter().zip(baseline.as_slice()).enumerate() {
             assert!(
                 a.to_bits() == b.to_bits(),
                 "program `{}`, field `{name}`, cell {cell}: compiled {a:?} != interpreted {b:?}",
-                program.name()
-            );
-            assert!(
-                a.to_bits() == c.to_bits(),
-                "program `{}`, field `{name}`, cell {cell}: typed {a:?} != Value path {c:?}",
-                program.name()
-            );
-            assert!(
-                a.to_bits() == d.to_bits(),
-                "program `{}`, field `{name}`, cell {cell}: lane-batched {a:?} != scalar typed {d:?}",
                 program.name()
             );
         }
@@ -71,20 +50,48 @@ fn assert_bit_identical(program: &StencilProgram, seed: u64) {
             "mask mismatch for `{name}` in `{}`",
             program.name()
         );
-        assert_eq!(
-            compiled.valid_mask(name).unwrap(),
-            value_compiled.valid_mask(name).unwrap(),
-            "typed/Value mask mismatch for `{name}` in `{}`",
-            program.name()
-        );
-        assert_eq!(
-            compiled.valid_mask(name).unwrap(),
-            scalar_typed.valid_mask(name).unwrap(),
-            "lane/scalar mask mismatch for `{name}` in `{}`",
-            program.name()
-        );
         assert_eq!(compiled.valid_count(name), interpreted.valid_count(name));
     }
+}
+
+/// Kernels that take one of the sweep's two cell-by-cell (`L = 1`)
+/// instantiations by rule, over a 2-D `f32` field `u` and its transpose `t`,
+/// with whether they specialize to a typed kernel: an integer literal, a
+/// `Bool + Bool` sum and a mixed-width join that keeps its jumps (division
+/// in an arm) stay on the `Value` kernel; a tap whose innermost stride is
+/// neither 0 nor 1 keeps a typed kernel off the lanes.
+const CELLWISE_KERNELS: [(&str, bool); 4] = [
+    ("1 * u[i,j-2] + u[i-1,j] * u[i,j+2]", false),
+    ("(u[i,j-2] > 0.0) + (u[i,j+2] > u[i-1,j])", false),
+    ("u[i,j] > 0.5 ? 1.0 / u[i-1,j] : u[i,j+2]", false),
+    ("t[j-1,i] + u[i,j-2] * u[i+1,j+2]", true),
+];
+
+/// A one-stencil program around a [`CELLWISE_KERNELS`] entry, checked to
+/// land on the instantiation it is meant to.
+fn cellwise_program(
+    shape: [usize; 2],
+    (expr, typed): (&str, bool),
+    boundary: BoundaryCondition,
+    shrink: bool,
+) -> StencilProgram {
+    let mut builder = StencilProgramBuilder::new("cellwise", &shape)
+        .input("u", DataType::Float32, &["i", "j"])
+        .input("t", DataType::Float32, &["j", "i"])
+        .stencil("s", expr)
+        .boundary("s", "u", boundary)
+        .output("s");
+    if expr.contains("t[") {
+        builder = builder.boundary("s", "t", boundary);
+    }
+    if shrink {
+        builder = builder.shrink("s");
+    }
+    let program = builder.build().unwrap();
+    let compiled = ReferenceExecutor::new().prepare(&program).unwrap();
+    assert_eq!(compiled.typed_stencil_count(), usize::from(typed), "{expr}");
+    assert_eq!(compiled.lane_stencil_count(), 0, "{expr}");
+    program
 }
 
 #[test]
@@ -169,6 +176,16 @@ fn boundary_condition_variety_matches_bitwise() {
         .build()
         .unwrap();
     assert_bit_identical(&program, 9);
+
+    // The same halo paths through the cell-by-cell instantiations of the
+    // sweep.
+    for kernel in CELLWISE_KERNELS {
+        for boundary in [BoundaryCondition::Constant(1.5), BoundaryCondition::Copy] {
+            for shrink in [false, true] {
+                assert_bit_identical(&cellwise_program([6, 11], kernel, boundary, shrink), 10);
+            }
+        }
+    }
 }
 
 #[test]
@@ -305,8 +322,8 @@ fn lane_batched_sweep_is_engaged_on_jacobi() {
 fn branchy_upwind_matches_bitwise_and_lane_batches() {
     // The branchy workload: data-dependent ternaries that only lane-batch
     // because the if-conversion pass lowers their diamonds to selects.
-    // Every tier (interpreter, Value bytecode, scalar typed, lane-batched)
-    // must agree bitwise, and the lane tier must actually engage.
+    // The sweep must agree bitwise with the interpreter, and the lane tier
+    // must actually engage.
     for dtype in [DataType::Float32, DataType::Float64] {
         let program = upwind3d_typed(2, &[7, 9, 11], 1, dtype);
         assert_bit_identical(&program, 61);
@@ -323,7 +340,8 @@ fn branchy_upwind_matches_bitwise_and_lane_batches() {
 #[test]
 fn branchy_upwind_matches_on_remainder_widths() {
     // Innermost extents straddling the lane width, exercising the halo
-    // lane path and the scalar row remainder on a select-carrying kernel.
+    // lane path and the partial row-remainder batch on a select-carrying
+    // kernel.
     for width in [1usize, 2, 3, 7, 8, 9, 11, 16, 20] {
         let program = upwind3d(1, &[4, 5, width], 1);
         assert_bit_identical(&program, 70 + width as u64);
@@ -334,8 +352,7 @@ fn branchy_upwind_matches_on_remainder_widths() {
 fn halo_lane_path_matches_on_wide_halos() {
     // Deep halos on both ends of the innermost dimension with mixed
     // boundary conditions: whole batches land in the halo (and in the
-    // halo/interior transition), driving the lane-batched halo gather
-    // rather than the per-cell fallback.
+    // halo/interior transition), driving the lane-batched halo gather.
     let program = StencilProgramBuilder::new("deep_halo", &[5, 24])
         .input("a", DataType::Float32, &["i", "j"])
         .input("b", DataType::Float32, &["i", "j"])
@@ -356,9 +373,10 @@ fn halo_lane_path_matches_on_wide_halos() {
 fn lane_batched_matches_scalar_typed_on_remainder_widths() {
     // Innermost extents straddling the lane width (KERNEL_LANES = 8):
     // shorter than one batch, exactly one batch, and batch + remainder —
-    // every cell of every width must match the scalar typed sweep bitwise,
-    // for f32 (per-op rounding) and f64 workloads.
-    for width in [1usize, 2, 3, 7, 8, 9, 11, 16, 20] {
+    // every cell of every width must match the interpreter bitwise, for
+    // f32 (per-op rounding) and f64 workloads, and so must the cell-by-cell
+    // instantiations of the same sweep.
+    for width in 1usize..=20 {
         for dtype in [DataType::Float32, DataType::Float64] {
             let program = StencilProgramBuilder::new("lane_rem", &[5, width])
                 .input("u", dtype, &["i", "j"])
@@ -373,6 +391,11 @@ fn lane_batched_matches_scalar_typed_on_remainder_widths() {
                 .output("t")
                 .build()
                 .unwrap();
+            assert_bit_identical(&program, 40 + width as u64);
+        }
+        for kernel in CELLWISE_KERNELS {
+            let boundary = BoundaryCondition::Constant(0.25);
+            let program = cellwise_program([5, width], kernel, boundary, true);
             assert_bit_identical(&program, 40 + width as u64);
         }
     }
@@ -404,6 +427,34 @@ fn lane_batched_matches_scalar_typed_on_low_rank_fields() {
         .build()
         .unwrap();
     assert_bit_identical(&program, 52);
+}
+
+#[test]
+fn integer_division_by_zero_is_an_error_on_both_paths() {
+    // Only the `Value` kernel can fail; the sweep must hand its error up
+    // as the interpreter does, from a halo cell (a zero boundary constant)
+    // and from an interior cell (a zero in the data).
+    let executor = ReferenceExecutor::new();
+    for (boundary, zero_at, fails) in [(2.0, None, false), (0.0, None, true), (2.0, Some(13), true)]
+    {
+        let program = StencilProgramBuilder::new("div0", &[4, 9])
+            .input("n", DataType::Int32, &["i", "j"])
+            .stencil("s", "7 / n[i,j-1]")
+            .boundary("s", "n", BoundaryCondition::Constant(boundary))
+            .output_type("s", DataType::Int32)
+            .output("s")
+            .build()
+            .unwrap();
+        assert_eq!(executor.prepare(&program).unwrap().typed_stencil_count(), 0);
+        let mut values = vec![3.0; 36];
+        if let Some(cell) = zero_at {
+            values[cell] = 0.0;
+        }
+        let grid = Grid::from_values_typed(&["i", "j"], &[4, 9], DataType::Int32, &values);
+        let inputs = BTreeMap::from([("n".to_string(), grid)]);
+        assert_eq!(executor.run(&program, &inputs).is_err(), fails);
+        assert_eq!(executor.run_interpreted(&program, &inputs).is_err(), fails);
+    }
 }
 
 #[test]

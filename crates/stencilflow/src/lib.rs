@@ -190,11 +190,12 @@ impl Pipeline {
         if simulation.completed() {
             let reference = ReferenceExecutor::new().run(&self.program, inputs)?;
             for output in self.program.outputs() {
-                if let Some(grid) = simulation.output(output) {
-                    if let Some(err) = reference.compare_field(output, grid) {
-                        max_error = max_error.max(err);
-                    }
-                }
+                // A missing or mis-shaped simulated output fails validation.
+                let err = simulation
+                    .output(output)
+                    .and_then(|grid| reference.compare_field(output, grid))
+                    .unwrap_or(f64::INFINITY);
+                max_error = max_error.max(err);
             }
         } else {
             max_error = f64::INFINITY;

@@ -123,4 +123,84 @@ mod tests {
         assert_eq!((unchanged, joined), (40, 12));
         assert_eq!(hash, 0x032e_5bed_af29_6b69);
     }
+    #[test]
+    fn kernel_tiers_agree_on_the_analyze_suite() {
+        // The three kernels a stencil's expression compiles to — `Value`
+        // bytecode, scalar typed, lane-batched typed — must agree bit for
+        // bit on every stencil of the suite: the executor and the simulator
+        // run whichever one the expression allows and are compared with the
+        // interpreter only on that one.
+        use stencilflow_expr::{
+            CompiledKernel, DataType, EvalScratch, LaneScratch, TypedScratch, Value, KERNEL_LANES,
+        };
+        const SPECIAL: [f64; 6] = [
+            0.0,
+            -0.0,
+            1.0e-310,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        const ROWS: usize = 64;
+        let mut rng = jobmix::SplitMix64::new(0x5eed);
+        let mut stencils = 0;
+        for program in analyze_suite() {
+            for stencil in program.stencils() {
+                stencils += 1;
+                let kernel = CompiledKernel::compile(&stencil.program).unwrap();
+                let types: Vec<DataType> = kernel
+                    .slots()
+                    .iter()
+                    .map(|slot| program.field_type(&slot.field).unwrap())
+                    .collect();
+                let typed = kernel.specialize(&types).unwrap();
+                // Slot vectors as grid storage would hold them (rounded
+                // through the slot's type): one uniform row per special
+                // value, then random rows salted with them.
+                let rows: Vec<Vec<f64>> = (0..ROWS)
+                    .map(|row| {
+                        types
+                            .iter()
+                            .map(|&dtype| {
+                                let raw = match (SPECIAL.get(row), rng.next()) {
+                                    (Some(&special), _) => special,
+                                    (None, r) if r % 8 == 0 => SPECIAL[(r >> 8) as usize % 6],
+                                    (None, r) => (r >> 11) as f64 / (1u64 << 51) as f64 - 2.0,
+                                };
+                                Value::from_f64(raw, dtype).as_f64()
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let (mut eval, mut scalar, mut lanes) = (
+                    EvalScratch::default(),
+                    TypedScratch::default(),
+                    LaneScratch::<KERNEL_LANES>::default(),
+                );
+                for batch in rows.chunks(KERNEL_LANES) {
+                    let taps: Vec<[f64; KERNEL_LANES]> = (0..types.len())
+                        .map(|slot| std::array::from_fn(|lane| batch[lane][slot]))
+                        .collect();
+                    let batched = typed.eval_lanes(&taps, &mut lanes);
+                    for (row, lane) in batch.iter().zip(batched) {
+                        let values: Vec<Value> = row
+                            .iter()
+                            .zip(&types)
+                            .map(|(&raw, &dtype)| Value::from_f64(raw, dtype))
+                            .collect();
+                        let value = kernel.eval_slots(&values, &mut eval).unwrap().as_f64();
+                        let typed = typed.eval_slots(row, &mut scalar);
+                        assert_eq!(
+                            (value.to_bits(), typed.to_bits()),
+                            (typed.to_bits(), lane.to_bits()),
+                            "`{}` of `{}` on {row:?}: Value {value:?}, typed {typed:?}, lane {lane:?}",
+                            stencil.name,
+                            program.name()
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(stencils, 52);
+    }
 }

@@ -46,9 +46,12 @@
 #  10. bench_eval --quick + report --quick
 #                                — the benchmark smoke run; writes the JSON
 #                                  document the floor gate checks
-#  11. bench_eval --check-floors — kernel-tier speedup floors (compiled /
-#                                  typed / simd on jacobi3d, the
-#                                  if-conversion lane floor on upwind3d,
+#  11. bench_eval --check-floors — speedup floors: one kernel-tier gate
+#                                  per row (the default `run` over the
+#                                  tree-walking interpreter on jacobi3d,
+#                                  upwind3d, chain and benchmark-domain
+#                                  horizontal diffusion, set above what
+#                                  scalar typed kernels alone reach),
 #                                  the fused-tier floors on the chain
 #                                  and time-stepping rows, the Tier-4
 #                                  jit-vs-fused floor on the jacobi3d
