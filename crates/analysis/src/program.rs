@@ -276,13 +276,11 @@ fn check_kernels(program: &StencilProgram, report: &mut AnalysisReport) {
 
 /// SF0208: Tier-4 (native JIT) eligibility, judged the way the runtime
 /// judges it — the kernel must specialize with the stencil's real slot
-/// types to a typed stream that the typed verifier proves branch-free
-/// ([`TypedJudgment::supports_native`]), and the stencil's output type
-/// must be a float type (the native sweep stores raw doubles; only float
-/// outputs round-trip losslessly). Ineligible stencils run on the fused
-/// tier, transparently and bit-identically, so this is informational.
-///
-/// [`TypedJudgment::supports_native`]: stencilflow_expr::TypedJudgment::supports_native
+/// types to a typed stream (branch-free by type: the emitter renders it as
+/// a straight-line C expression DAG), and the stencil's output type must be
+/// a float type (the native sweep stores raw doubles; only float outputs
+/// round-trip losslessly). Ineligible stencils run on the fused tier,
+/// transparently and bit-identically, so this is informational.
 fn check_native_eligibility(
     program: &StencilProgram,
     stencil: &str,
@@ -318,12 +316,8 @@ fn native_ineligibility(
                 .to_string(),
         );
     };
-    match stencilflow_expr::verify_typed(&typed) {
-        Err(e) => return Some(format!("typed verification fails: {e}")),
-        Ok(judgment) if !judgment.supports_native() => {
-            return Some("the typed stream keeps control flow after optimization".to_string());
-        }
-        Ok(_) => {}
+    if let Err(e) = stencilflow_expr::verify_typed(&typed) {
+        return Some(format!("typed verification fails: {e}"));
     }
     match program.field_type(stencil) {
         Some(DataType::Float32 | DataType::Float64) => None,

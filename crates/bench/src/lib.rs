@@ -1027,9 +1027,9 @@ pub fn throughput_json(
 /// Check the speedup floors recorded in a `bench_eval` JSON document (the
 /// CI gate behind `bench_eval --check-floors`). Every gated row carries one
 /// **kernel-tier** gate, `simd_speedup`: the default `run` over the
-/// tree-walking interpreter, with a floor above what scalar typed kernels
-/// alone reach — so a stencil that silently leaves the lane-batched sweep
-/// trips it, and so does one that stops specializing. It applies to the
+/// tree-walking interpreter, with a floor far above what the boxed `Value`
+/// kernel reaches — so a stencil that silently stops specializing, and with
+/// that leaves the lane-batched sweep, trips it. It applies to the
 /// `jacobi3d*` rows, to the `upwind3d*` row (whose data-dependent
 /// ternaries lane-batch only through if-conversion), to the `chain*` row
 /// and to the benchmark-domain `horizontal_diffusion 24x24x64` row (all 24
@@ -1062,11 +1062,13 @@ pub fn check_floors(json_text: &str) -> Result<String, String> {
         .get("quick")
         .and_then(|v| v.as_bool())
         .ok_or("benchmark JSON is missing the `quick` flag")?;
-    // The kernel-tier floor sits between what scalar typed kernels reach
-    // over the interpreter (13-18x quick, 15-23x full) and what the
-    // lane-batched sweep measures (40-75x quick, 48-89x full; one stalled
-    // 200 ms window in five quick runs read 29x): ordinary jitter does not
-    // trip it, a disengaged lane path does.
+    // The kernel-tier floor guards against a stencil falling to the boxed
+    // `Value` kernel. It sits under what the lane-batched sweep measures
+    // (40-75x quick, 48-89x full; one stalled 200 ms window in five quick
+    // runs read 29x) and over what even the scalar typed kernel reached
+    // while a bench column could still pin it (13-18x quick, 15-23x full,
+    // PR 17's baseline; the boxed kernel is slower still): ordinary jitter
+    // does not trip it, a row that stopped specializing does.
     let kernel_floor = if quick { 22.0 } else { 30.0 };
     // The fused-tier acceptance criteria: >= 2x on the 8-stage chain and
     // >= 1.5x on the jacobi3d time loop over the materializing path
@@ -1313,7 +1315,7 @@ mod tests {
         let inputs = generate_inputs(program, 17);
         let executor = ReferenceExecutor::new().with_max_threads(1);
         let compiled = executor.prepare(program).unwrap();
-        assert_eq!(compiled.lane_stencil_count(), compiled.stencil_count());
+        assert_eq!(compiled.typed_stencil_count(), compiled.stencil_count());
         let interpreted = measure_secs_per_iter(&|| {
             std::hint::black_box(executor.run_interpreted(program, &inputs).unwrap());
         });
@@ -1323,11 +1325,13 @@ mod tests {
         interpreted / default
     }
 
-    // Each floor below sits between what scalar typed kernels reach over
-    // the interpreter under the opt-level-2 test profile (13x on jacobi3d
-    // 32^3, 17x on 64^3, 19x on upwind3d 64^3) and what the lane-batched
-    // sweep measures (36x, 61x, 77x): a kernel that silently stops
-    // lane-batching trips it, CI contention does not.
+    // Each floor below guards against a stencil falling to the boxed
+    // `Value` kernel. It sits under what the lane-batched sweep measures
+    // over the interpreter under the opt-level-2 test profile (36x on
+    // jacobi3d 32^3, 61x on 64^3, 77x on upwind3d 64^3) and over what even
+    // the scalar typed kernel reached when PR 17 could still pin it (13x,
+    // 17x, 19x; the boxed kernel is slower still): a kernel that silently
+    // stops specializing trips it, CI contention does not.
 
     #[test]
     fn kernel_tier_speedup_floors_hold() {
@@ -1403,7 +1407,7 @@ mod tests {
             throughput_json(&rows, Some(&healthy_sharded), true)
         };
         assert!(check_floors(&document(40.0, 40.0, 1.6, 1.3, 1.2, 60.0)).is_ok());
-        // A jacobi row back on scalar typed kernels trips the kernel gate.
+        // A jacobi row that left the lane-batched sweep trips the kernel gate.
         let err = check_floors(&document(14.0, 40.0, 1.6, 1.3, 1.2, 60.0)).unwrap_err();
         assert!(
             err.contains("jacobi3d") && err.contains("simd_speedup"),

@@ -20,10 +20,11 @@
 //!   around one kernel, used by the execution-level round-trip tests to
 //!   compare compiled C against the bytecode one value vector at a time.
 //!
-//! Emission is total only for *verified, branch-free* kernels: control
-//! flow (`Jump`/`JumpIfFalse`/`AndFalse`/`OrTrue`) and NaN constants
-//! (unrepresentable as a C literal) return an error, which callers
-//! surface as a JIT-ineligibility reason and fall back to the fused tier.
+//! A typed kernel is a straight-line expression DAG by type (`TypedOp`
+//! has no jumps; conditionals are `Select`s), so emission fails only on a
+//! malformed stream or a NaN constant (unrepresentable as a C literal):
+//! callers surface the error as a JIT-ineligibility reason and fall back to
+//! the fused tier.
 
 use crate::expr_c::{float_literal, fuse_clamp, mathfn_c, SelectStyle, Shape};
 use stencilflow_expr::value::CompareOp;
@@ -67,8 +68,8 @@ pub const JIT_STAGE_PARAMS: &str = "(const double *const *sf_slots, const double
 ///
 /// # Errors
 ///
-/// Fails when any stage's kernel carries control flow, reads an
-/// uninitialized local, or embeds a NaN constant; the message names the
+/// Fails when any stage's kernel reads an uninitialized local or embeds a
+/// NaN constant; the message names the
 /// offending symbol so executors can report a precise fallback reason.
 pub fn jit_translation_unit(stages: &[JitStageSpec<'_>]) -> Result<String, String> {
     let mut unit = String::new();
@@ -346,12 +347,6 @@ fn emit_kernel(
                     continue;
                 }
                 stack.push((format!("({cond} ? {then} : {otherwise})"), Shape::Other));
-            }
-            TypedOp::Jump(_)
-            | TypedOp::JumpIfFalse(_)
-            | TypedOp::AndFalse(_)
-            | TypedOp::OrTrue(_) => {
-                return Err("kernel carries control flow (not branch-free)".to_string());
             }
         }
     }

@@ -362,15 +362,26 @@ impl CompiledKernel {
     /// through the output type exactly as the `Value` path's final cast
     /// does.
     ///
+    /// **Division is speculated at specialization time.** The optimizer
+    /// keeps any diamond with a division in an arm — in the `Value`
+    /// bytecode it may be the integer variant, whose division-by-zero error
+    /// lazy evaluation would have skipped — so before typing, the stream
+    /// goes through the same if-conversion once more with division treated
+    /// as total (`opt::speculate_division`). That is sound because
+    /// the converted stream is used only if typing then succeeds, which
+    /// proves every instruction float: float division is IEEE-total, the
+    /// discarded arm can only produce an unobserved inf or NaN, and the
+    /// arms' instructions (and so their rounding flags) are kept verbatim.
+    /// An integer slot or literal anywhere makes typing fail, and the
+    /// kernel stays on its unconverted, lazy `Value` bytecode. A
+    /// [`TypedKernel`] therefore never jumps.
+    ///
     /// Returns `None` — and consumers keep the dynamic `Value` path — when
     /// the kernel cannot be typed even so: integer-typed slots or literals
     /// (integer division can fail, which the infallible typed loop cannot
     /// express), arithmetic on two booleans, negation of a boolean (which
-    /// promotes to `int64`), a select with a boolean arm against a float
-    /// arm, or a *jump-based* join whose branches produce different types
-    /// (a mixed-width ternary with a division in an arm: the untyped
-    /// if-conversion leaves it a diamond, and the flag of a diamond would
-    /// need a second pass).
+    /// promotes to `int64`), or a select with a boolean arm against a float
+    /// arm.
     pub fn specialize(&self, slot_types: &[DataType]) -> Option<TypedKernel> {
         assert_eq!(
             slot_types.len(),
@@ -381,53 +392,40 @@ impl CompiledKernel {
             .iter()
             .map(|&t| SType::from_data_type(t))
             .collect::<Option<_>>()?;
+        // Sound only because everything below returns `None` unless it
+        // proves every instruction float.
+        let ops = crate::opt::speculate_division(&self.ops);
 
         // The first pass materializes the flag of every mixed join. A flag
         // costs a spilled condition, and a `Select` whose operands went
         // through locals no longer reads as a clamp to the C emitter, so
         // when some flag turns out to have no reader the stream is typed
         // again with only the flags that have one.
-        let mut typed = self.type_ops(&slot_stypes, None)?;
+        let mut typed = self.type_ops(&ops, &slot_stypes, None)?;
         let wanted = typed.wanted_flags();
         if wanted.contains(&false) {
-            typed = self.type_ops(&slot_stypes, Some(&wanted))?;
+            typed = self.type_ops(&ops, &slot_stypes, Some(&wanted))?;
         }
-        let Typer {
-            mut ops,
-            next_local,
-            flags,
-            ..
-        } = typed;
-        // Statically-typed if-conversion: the untyped pass keeps any
-        // diamond whose arm contains a division (it cannot rule out the
-        // fallible integer variant), but every op of this stream is now
-        // proven float-typed — float division is IEEE-total — so the
-        // remaining diamonds convert to branch-free selects here,
-        // unlocking lane batching for division-heavy ternaries.
-        let converted = crate::opt::typed_if_convert(&mut ops);
-        // Both arms of a converted select evaluate unconditionally, and
-        // flag code runs above the operands it serves: either way the
-        // jump-based stack bound of the untyped stream no longer covers
-        // the typed one.
-        let max_stack = if converted || !flags.is_empty() {
-            crate::opt::typed_max_stack_of(&ops)
-        } else {
-            self.max_stack
-        };
         Some(debug_verified_typed(TypedKernel {
-            ops,
+            max_stack: typed_max_stack_of(&typed.ops),
+            ops: typed.ops,
             slot_count: self.slots.len(),
-            local_count: next_local as usize,
-            max_stack,
+            local_count: typed.next_local as usize,
         }))
     }
 
-    /// One static type-propagation pass over the bytecode (see
+    /// One static type-propagation pass over `ops`, this kernel's bytecode
+    /// after [`crate::opt::speculate_division`] (see
     /// [`CompiledKernel::specialize`]). `wanted[k]` says whether the `k`-th
     /// runtime type flag gets a local; `None` materializes all of them.
-    fn type_ops<'a>(&self, slot_stypes: &[SType], wanted: Option<&'a [bool]>) -> Option<Typer<'a>> {
+    fn type_ops<'a>(
+        &self,
+        ops: &[Op],
+        slot_stypes: &[SType],
+        wanted: Option<&'a [bool]>,
+    ) -> Option<Typer<'a>> {
         let mut typer = Typer {
-            ops: Vec::with_capacity(self.ops.len()),
+            ops: Vec::with_capacity(ops.len()),
             next_local: u16::try_from(self.local_count).ok()?,
             temps: [None; 3],
             flags: Vec::new(),
@@ -435,43 +433,8 @@ impl CompiledKernel {
         };
         let mut stack: Vec<SType> = Vec::new();
         let mut locals: Vec<Option<SType>> = vec![None; self.local_count];
-        // Expected stack types at each forward-jump target. All jumps in the
-        // bytecode are forward (ternaries and short-circuit logic), so one
-        // linear pass visits every instruction with its full type context.
-        let mut joins: BTreeMap<u32, Vec<SType>> = BTreeMap::new();
-        // Typed position of every untyped instruction: flag code makes the
-        // typed stream longer, so jump targets are translated at the end.
-        let mut typed_pc: Vec<u32> = Vec::with_capacity(self.ops.len() + 1);
-        let mut live = true;
 
-        fn join(joins: &mut BTreeMap<u32, Vec<SType>>, target: u32, snapshot: Vec<SType>) -> bool {
-            match joins.get(&target) {
-                Some(existing) => *existing == snapshot,
-                None => {
-                    joins.insert(target, snapshot);
-                    true
-                }
-            }
-        }
-
-        for (pc, op) in self.ops.iter().enumerate() {
-            typed_pc.push(typer.ops.len() as u32);
-            if let Some(snapshot) = joins.get(&(pc as u32)) {
-                if live {
-                    if *snapshot != stack {
-                        return None;
-                    }
-                } else {
-                    stack = snapshot.clone();
-                    live = true;
-                }
-            }
-            if !live {
-                // Fall-through past an unconditional jump with no recorded
-                // join: the lowering never produces this, but bail rather
-                // than guess.
-                return None;
-            }
+        for op in ops {
             match *op {
                 Op::Const(v) => {
                     stack.push(SType::from_data_type(v.data_type())?);
@@ -566,38 +529,12 @@ impl CompiledKernel {
                     stack.push(t);
                     typer.rounded(t, |round| TypedOp::Call2(func, round))?;
                 }
-                Op::Jump(target) => {
-                    if !join(&mut joins, target, stack.clone()) {
-                        return None;
-                    }
-                    live = false;
-                    typer.ops.push(TypedOp::Jump(target));
-                }
-                Op::JumpIfFalse(target) => {
-                    stack.pop()?;
-                    if !join(&mut joins, target, stack.clone()) {
-                        return None;
-                    }
-                    typer.ops.push(TypedOp::JumpIfFalse(target));
-                }
-                Op::AndShortCircuit(target) => {
-                    stack.pop()?;
-                    let mut taken = stack.clone();
-                    taken.push(SType::Bool);
-                    if !join(&mut joins, target, taken) {
-                        return None;
-                    }
-                    typer.ops.push(TypedOp::AndFalse(target));
-                }
-                Op::OrShortCircuit(target) => {
-                    stack.pop()?;
-                    let mut taken = stack.clone();
-                    taken.push(SType::Bool);
-                    if !join(&mut joins, target, taken) {
-                        return None;
-                    }
-                    typer.ops.push(TypedOp::OrTrue(target));
-                }
+                // A jump that resisted even the division-speculating
+                // if-conversion: no typed kernel, the `Value` path runs it.
+                Op::Jump(_)
+                | Op::JumpIfFalse(_)
+                | Op::AndShortCircuit(_)
+                | Op::OrShortCircuit(_) => return None,
                 Op::ToBool => {
                     stack.pop()?;
                     stack.push(SType::Bool);
@@ -611,30 +548,8 @@ impl CompiledKernel {
                 }
             }
         }
-        typed_pc.push(typer.ops.len() as u32);
-        // A jump may target one past the final instruction (ternary in tail
-        // position): merge that join like any other.
-        if let Some(snapshot) = joins.get(&(self.ops.len() as u32)) {
-            if live {
-                if *snapshot != stack {
-                    return None;
-                }
-            } else {
-                stack = snapshot.clone();
-                live = true;
-            }
-        }
-        if !live || stack.is_empty() {
+        if stack.is_empty() {
             return None;
-        }
-        for op in &mut typer.ops {
-            if let TypedOp::Jump(t)
-            | TypedOp::JumpIfFalse(t)
-            | TypedOp::AndFalse(t)
-            | TypedOp::OrTrue(t) = op
-            {
-                *t = typed_pc[*t as usize];
-            }
         }
         Some(typer)
     }
@@ -888,7 +803,8 @@ impl Typer<'_> {
 
 /// One instruction of a type-specialized kernel. Arithmetic ops carry a
 /// statically resolved `round` flag (`true` when the result type is `f32`);
-/// comparisons push `0.0` / `1.0`; truthiness is `!= 0.0`.
+/// comparisons push `0.0` / `1.0`; truthiness is `!= 0.0`. There is no
+/// control flow: a conditional is a [`TypedOp::Select`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TypedOp {
     /// Push a literal.
@@ -934,14 +850,6 @@ pub enum TypedOp {
     Call1(MathFn, bool),
     /// Math function of two arguments; `true` rounds through `f32`.
     Call2(MathFn, bool),
-    /// Unconditional jump.
-    Jump(u32),
-    /// Pop; jump when zero.
-    JumpIfFalse(u32),
-    /// Pop; on zero push `0.0` and jump (short-circuit `&&`).
-    AndFalse(u32),
-    /// Pop; on non-zero push `1.0` and jump (short-circuit `||`).
-    OrTrue(u32),
     /// Pop and push its truthiness as `0.0` / `1.0`.
     ToBool,
     /// Branch-free conditional: pop `otherwise`, `then`, `cond`; push `then`
@@ -949,13 +857,9 @@ pub enum TypedOp {
     Select,
 }
 
-/// Reusable scratch space for [`TypedKernel::eval_slots`]; one per worker
-/// thread.
-#[derive(Debug, Default, Clone)]
-pub struct TypedScratch {
-    stack: Vec<f64>,
-    locals: Vec<f64>,
-}
+/// Reusable scratch space for [`TypedKernel::eval_slots`], the one-cell
+/// form of the lane evaluation; one per worker thread.
+pub type TypedScratch = LaneScratch<1>;
 
 /// Default lane width used by the lane-batched consumers of [`TypedKernel`]
 /// (the reference executor's interior sweep and the simulator's batched
@@ -999,7 +903,8 @@ impl<const LANES: usize> Default for LaneScratch<LANES> {
 /// [`CompiledKernel::specialize`]): evaluation runs entirely on raw `f64`s
 /// with statically resolved rounding, skipping `Value` tagging and per-op
 /// promotion. Specialized kernels are infallible — integer division (the
-/// only failing operation) never specializes.
+/// only failing operation) never specializes — and branch-free: `specialize`
+/// types only a stream whose every jump diamond became a select.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TypedKernel {
     ops: Vec<TypedOp>,
@@ -1030,27 +935,16 @@ impl TypedKernel {
         &self.ops
     }
 
-    /// Whether this kernel can be evaluated lane-batched
-    /// ([`TypedKernel::eval_lanes`]): the instruction stream must be free of
-    /// control flow. Jumps cannot diverge per lane, so jump-based ternaries
-    /// and short-circuit logic keep the scalar path; comparisons, `ToBool`,
-    /// `Not`, and `Select` are branch-free and batch fine. The if-conversion
-    /// pass ([`crate::opt::IfConversion`]) rewrites eligible jump diamonds
-    /// into [`TypedOp::Select`], which is how formerly-branchy kernels gain
-    /// lane support.
+    /// Always `true`: a typed kernel never carries control flow, so there
+    /// is nothing to ask. Retained only because the frozen benchmark adapter
+    /// (`benchmark/src/sut.rs`) calls it; goes at the next re-anchor.
     pub fn supports_lanes(&self) -> bool {
-        !self.ops.iter().any(|op| {
-            matches!(
-                op,
-                TypedOp::Jump(_)
-                    | TypedOp::JumpIfFalse(_)
-                    | TypedOp::AndFalse(_)
-                    | TypedOp::OrTrue(_)
-            )
-        })
+        true
     }
 
-    /// Evaluate with pre-resolved raw slot values (the hot path).
+    /// Evaluate one cell with pre-resolved raw slot values: the per-cell
+    /// form of [`TypedKernel::eval_lanes`] (tests and the simulator's oracle
+    /// use it; sweeps batch).
     ///
     /// `slot_values[i]` must hold the value of slot `i` for the current
     /// cell, already representable in the slot's type (grid storage
@@ -1059,125 +953,7 @@ impl TypedKernel {
     /// performs no heap allocation.
     pub fn eval_slots(&self, slot_values: &[f64], scratch: &mut TypedScratch) -> f64 {
         debug_assert_eq!(slot_values.len(), self.slot_count);
-        #[inline]
-        fn finish(v: f64, round: bool) -> f64 {
-            if round {
-                v as f32 as f64
-            } else {
-                v
-            }
-        }
-        let stack = &mut scratch.stack;
-        stack.clear();
-        stack.reserve(self.max_stack);
-        scratch.locals.clear();
-        scratch.locals.resize(self.local_count, 0.0);
-        let locals = &mut scratch.locals;
-
-        let ops = &self.ops;
-        let mut pc = 0usize;
-        while pc < ops.len() {
-            match ops[pc] {
-                TypedOp::Const(v) => stack.push(v),
-                TypedOp::Slot(ix) => stack.push(slot_values[ix as usize]),
-                TypedOp::Local(ix) => stack.push(locals[ix as usize]),
-                TypedOp::Store(ix) => {
-                    locals[ix as usize] = pop_verified(stack, 0.0, "Store");
-                }
-                TypedOp::Pop => {
-                    pop_verified(stack, 0.0, "Pop");
-                }
-                TypedOp::Neg { round } => {
-                    let v = pop_verified(stack, 0.0, "Neg");
-                    stack.push(finish(-v, round));
-                }
-                TypedOp::Not => {
-                    let v = pop_verified(stack, 0.0, "Not");
-                    stack.push(if v != 0.0 { 0.0 } else { 1.0 });
-                }
-                TypedOp::Add { round } => {
-                    let r = pop_verified(stack, 0.0, "Add rhs");
-                    let l = pop_verified(stack, 0.0, "Add lhs");
-                    stack.push(finish(l + r, round));
-                }
-                TypedOp::Sub { round } => {
-                    let r = pop_verified(stack, 0.0, "Sub rhs");
-                    let l = pop_verified(stack, 0.0, "Sub lhs");
-                    stack.push(finish(l - r, round));
-                }
-                TypedOp::Mul { round } => {
-                    let r = pop_verified(stack, 0.0, "Mul rhs");
-                    let l = pop_verified(stack, 0.0, "Mul lhs");
-                    stack.push(finish(l * r, round));
-                }
-                TypedOp::Div { round } => {
-                    let r = pop_verified(stack, 0.0, "Div rhs");
-                    let l = pop_verified(stack, 0.0, "Div lhs");
-                    stack.push(finish(l / r, round));
-                }
-                TypedOp::Compare(op) => {
-                    let r = pop_verified(stack, 0.0, "Compare rhs");
-                    let l = pop_verified(stack, 0.0, "Compare lhs");
-                    let result = match op {
-                        CompareOp::Lt => l < r,
-                        CompareOp::Gt => l > r,
-                        CompareOp::Le => l <= r,
-                        CompareOp::Ge => l >= r,
-                        CompareOp::Eq => l == r,
-                        CompareOp::Ne => l != r,
-                    };
-                    stack.push(if result { 1.0 } else { 0.0 });
-                }
-                TypedOp::Call1(func, round) => {
-                    let a = pop_verified(stack, 0.0, "Call1");
-                    stack.push(finish(math_fn_raw(func, a, 0.0), round));
-                }
-                TypedOp::Call2(func, round) => {
-                    let b = pop_verified(stack, 0.0, "Call2 arg 2");
-                    let a = pop_verified(stack, 0.0, "Call2 arg 1");
-                    stack.push(finish(math_fn_raw(func, a, b), round));
-                }
-                TypedOp::Jump(target) => {
-                    pc = target as usize;
-                    continue;
-                }
-                TypedOp::JumpIfFalse(target) => {
-                    let c = pop_verified(stack, 0.0, "JumpIfFalse");
-                    if c == 0.0 {
-                        pc = target as usize;
-                        continue;
-                    }
-                }
-                TypedOp::AndFalse(target) => {
-                    let l = pop_verified(stack, 0.0, "AndFalse");
-                    if l == 0.0 {
-                        stack.push(0.0);
-                        pc = target as usize;
-                        continue;
-                    }
-                }
-                TypedOp::OrTrue(target) => {
-                    let l = pop_verified(stack, 0.0, "OrTrue");
-                    if l != 0.0 {
-                        stack.push(1.0);
-                        pc = target as usize;
-                        continue;
-                    }
-                }
-                TypedOp::ToBool => {
-                    let v = pop_verified(stack, 0.0, "ToBool");
-                    stack.push(if v != 0.0 { 1.0 } else { 0.0 });
-                }
-                TypedOp::Select => {
-                    let otherwise = pop_verified(stack, 0.0, "Select otherwise");
-                    let then = pop_verified(stack, 0.0, "Select then");
-                    let cond = pop_verified(stack, 0.0, "Select cond");
-                    stack.push(if cond != 0.0 { then } else { otherwise });
-                }
-            }
-            pc += 1;
-        }
-        pop_verified(stack, 0.0, "result")
+        self.eval_lanes_with(|ix| [slot_values[ix]], scratch)[0]
     }
 
     /// Evaluate `LANES` cells per bytecode pass (the lane-batched hot path).
@@ -1190,11 +966,6 @@ impl TypedKernel {
     /// a scalar evaluation of lane `l`'s slot values — the per-lane loops
     /// over plain `[f64; LANES]` arrays are written so rustc autovectorizes
     /// them, and the bytecode-dispatch cost is amortized over all lanes.
-    ///
-    /// # Panics
-    ///
-    /// The kernel must be branch-free ([`TypedKernel::supports_lanes`]);
-    /// control-flow instructions panic.
     pub fn eval_lanes<const LANES: usize>(
         &self,
         slot_values: &[[f64; LANES]],
@@ -1211,11 +982,6 @@ impl TypedKernel {
     /// instead of staging it through a slot-value array. `load` may be
     /// called several times for the same slot (CSE re-emits leaf taps);
     /// it must be pure.
-    ///
-    /// # Panics
-    ///
-    /// The kernel must be branch-free ([`TypedKernel::supports_lanes`]);
-    /// control-flow instructions panic.
     pub fn eval_lanes_with<const LANES: usize>(
         &self,
         load: impl Fn(usize) -> [f64; LANES],
@@ -1336,12 +1102,6 @@ impl TypedKernel {
                         *c = if *c != 0.0 { *t } else { *e };
                     }
                 }
-                TypedOp::Jump(_)
-                | TypedOp::JumpIfFalse(_)
-                | TypedOp::AndFalse(_)
-                | TypedOp::OrTrue(_) => {
-                    unreachable!("eval_lanes requires a branch-free kernel (supports_lanes)")
-                }
             }
         }
         pop_verified(stack, [0.0; LANES], "result")
@@ -1349,9 +1109,8 @@ impl TypedKernel {
 }
 
 /// In debug builds, run the bytecode verifier over a freshly specialized
-/// stream — specialization bugs (including `typed_if_convert`'s rewrites)
-/// surface at the construction site rather than cells later in an eval
-/// loop. Release builds pass the kernel through untouched.
+/// stream — specialization bugs surface at the construction site rather
+/// than cells later in an eval loop. Release builds pass the kernel through untouched.
 fn debug_verified_typed(kernel: TypedKernel) -> TypedKernel {
     #[cfg(debug_assertions)]
     if let Err(e) = crate::verify::verify_typed(&kernel) {
@@ -1533,6 +1292,31 @@ pub(crate) fn op_stack_effect(op: &Op) -> i64 {
         Op::AndShortCircuit(_) | Op::OrShortCircuit(_) => 0,
         Op::Select => -2,
     }
+}
+
+/// Operand-stack depth of a typed instruction stream. Not the untyped
+/// kernel's: a select evaluates both arms where the diamond it came from
+/// ran one, and runtime-type-flag code runs above the operands it serves.
+fn typed_max_stack_of(ops: &[TypedOp]) -> usize {
+    let mut depth = 0i64;
+    let mut max = 0i64;
+    for op in ops {
+        depth += match op {
+            TypedOp::Const(_) | TypedOp::Slot(_) | TypedOp::Local(_) => 1,
+            TypedOp::Store(_)
+            | TypedOp::Pop
+            | TypedOp::Add { .. }
+            | TypedOp::Sub { .. }
+            | TypedOp::Mul { .. }
+            | TypedOp::Div { .. }
+            | TypedOp::Compare(_)
+            | TypedOp::Call2(..) => -1,
+            TypedOp::Neg { .. } | TypedOp::Not | TypedOp::Call1(..) | TypedOp::ToBool => 0,
+            TypedOp::Select => -2,
+        };
+        max = max.max(depth);
+    }
+    max.max(1) as usize
 }
 
 /// Number of local registers an instruction stream uses (registers are
@@ -1798,11 +1582,18 @@ mod tests {
         // not always a float.
         let kernel = compile("a[i] > 0.0 ? a[i] : a[i] < 1.0");
         assert!(kernel.specialize(&[DataType::Float32]).is_none());
-        // So is a mixed-width join that kept its jumps (the division
-        // blocks the untyped if-conversion).
+        // A mixed-width join with a division in an arm keeps its jumps in
+        // the `Value` bytecode. Division is speculated before typing, so
+        // it is a `Dyn` select like the one above; in tail position, the
+        // all-f64 stream again.
         let kernel = compile("a[i] > 0.0 ? a[i] / 3.0 : a[i]");
+        assert!(kernel.ops().iter().any(|op| matches!(op, Op::Jump(_))));
+        let mixed = kernel.specialize(&[DataType::Float32]).unwrap();
+        let uniform = kernel.specialize(&[DataType::Float64]).unwrap();
+        assert_eq!(mixed.ops(), uniform.ops());
+        // An integer division in a speculated arm never gets that far.
+        let kernel = compile("a[i] > 0.0 ? 1 / 0 : a[i]");
         assert!(kernel.specialize(&[DataType::Float32]).is_none());
-        assert!(kernel.specialize(&[DataType::Float64]).is_some());
     }
 
     /// The two limiter shapes of `workloads::horizontal_diffusion`.
@@ -1818,7 +1609,6 @@ mod tests {
         let typed = kernel
             .specialize(&vec![DataType::Float32; slots])
             .unwrap_or_else(|| panic!("`{code}` should specialize"));
-        assert!(typed.supports_lanes(), "`{code}` should be branch-free");
         let lanes: Vec<[f64; LANES]> = (0..slots)
             .map(|s| std::array::from_fn(|lane| rows[lane][s] as f64))
             .collect();
@@ -1982,7 +1772,6 @@ mod tests {
                 let typed = kernel
                     .specialize(&slot_types)
                     .unwrap_or_else(|| panic!("`{code}` should specialize for {dtype}"));
-                assert!(typed.supports_lanes(), "`{code}` should be branch-free");
                 // Distinct per-lane values, rounded through the slot type as
                 // grid storage would round them.
                 let lanes: Vec<[f64; LANES]> = (0..kernel.slots().len())
@@ -2013,18 +1802,22 @@ mod tests {
     }
 
     #[test]
-    fn control_flow_blocks_lane_support() {
+    fn no_jump_survives_specialization() {
         // Jump-based diamonds survive in the *untyped* bytecode of the
-        // unoptimized lowering, but `specialize` runs the statically-typed
-        // if-conversion regardless of the untyped pipeline: once every op
-        // is proven float-typed, no diamond of the expression language can
-        // resist conversion, so every specialized kernel is branch-free
-        // and lane-ready. (Kernels that cannot specialize at all — the
-        // integer cases — remain on the jump-based `Value` path.)
-        for code in [
-            "a[i] > 0.0 ? a[i] : -a[i]",
-            "b[i] != 0.0 && a[i] > 0.0 ? a[i] : a[i-1]",
-            "a[i] > 0.0 || b[i] > 0.0 ? a[i] : a[i-1]",
+        // unoptimized lowering, and `specialize` speculates them away
+        // regardless of the untyped pipeline: the typed stream is the one
+        // the optimized kernel gets, a select per diamond.
+        let selects = |typed: &TypedKernel| {
+            typed
+                .ops()
+                .iter()
+                .filter(|op| **op == TypedOp::Select)
+                .count()
+        };
+        for (code, diamonds) in [
+            ("a[i] > 0.0 ? a[i] : -a[i]", 1),
+            ("b[i] != 0.0 && a[i] > 0.0 ? a[i] : a[i-1]", 2),
+            ("a[i] > 0.0 || b[i] > 0.0 ? a[i] : a[i-1]", 2),
         ] {
             let program = parse_program(code).unwrap();
             let kernel = CompiledKernel::compile_unoptimized(&program).unwrap();
@@ -2041,25 +1834,13 @@ mod tests {
             let typed = kernel
                 .specialize(&slot_types)
                 .unwrap_or_else(|| panic!("`{code}` should specialize"));
-            assert!(
-                typed.supports_lanes(),
-                "typed if-conversion should flatten `{code}` even without \
-                 the untyped pass"
-            );
+            assert_eq!(selects(&typed), diamonds, "`{code}`");
             let optimized = CompiledKernel::compile(&program).unwrap();
-            let typed = optimized
-                .specialize(&slot_types)
-                .unwrap_or_else(|| panic!("optimized `{code}` should specialize"));
-            assert!(
-                typed.supports_lanes(),
-                "if-converted `{code}` should lane-batch"
-            );
+            assert!(optimized.specialize(&slot_types).is_some());
         }
-        // A division in an arm resists the *untyped* pass (the `Value`
-        // bytecode keeps its jumps), but specialization proves the
-        // division float — infallible — and the statically-typed
-        // if-conversion flattens the diamond, so the typed kernel is
-        // branch-free and lane-ready.
+        // A division in an arm resists the optimizer (the `Value` bytecode
+        // keeps its jumps, in case the division is an integer one);
+        // specialization speculates it and then proves it float.
         let program = parse_program("a[i] > 0.0 ? a[i] / b[i] : a[i]").unwrap();
         let kernel = CompiledKernel::compile(&program).unwrap();
         assert!(kernel
@@ -2067,14 +1848,26 @@ mod tests {
             .iter()
             .any(|op| matches!(op, Op::Jump(_) | Op::JumpIfFalse(_))));
         let typed = kernel.specialize(&[DataType::Float64; 2]).unwrap();
-        assert!(typed.supports_lanes());
+        assert_eq!(
+            typed.ops(),
+            [
+                TypedOp::Slot(0),
+                TypedOp::Const(0.0),
+                TypedOp::Compare(CompareOp::Gt),
+                TypedOp::Slot(0),
+                TypedOp::Slot(1),
+                TypedOp::Div { round: false },
+                TypedOp::Slot(0),
+                TypedOp::Select,
+            ]
+        );
     }
 
     #[test]
-    fn typed_if_conversion_flattens_division_diamonds() {
+    fn speculated_division_diamonds_match_the_value_path() {
         // Division-carrying ternaries: the untyped bytecode must stay
-        // lazy (integer division could error), the typed stream converts
-        // to selects — and stays bit-identical to the jump-based `Value`
+        // lazy (integer division could error), the typed stream is
+        // selects — and stays bit-identical to the jump-based `Value`
         // evaluation, division-by-zero arms (quiet inf/NaN) included.
         let mut r = MapResolver::new();
         r.insert_access("a", &[0], Value::F32(3.5));
@@ -2091,31 +1884,21 @@ mod tests {
         ] {
             for dtype in [DataType::Float32, DataType::Float64] {
                 check_typed_matches_value_path(code, dtype, &r);
-                let kernel = compile(code);
-                let slot_types: Vec<DataType> = kernel.slots().iter().map(|_| dtype).collect();
-                let typed = kernel
-                    .specialize(&slot_types)
-                    .unwrap_or_else(|| panic!("`{code}` should specialize"));
-                assert!(
-                    typed.supports_lanes(),
-                    "`{code}` should be branch-free after typed if-conversion"
-                );
             }
         }
     }
 
     #[test]
-    fn typed_if_conversion_recomputes_the_stack_bound() {
+    fn selects_of_speculated_arms_recompute_the_stack_bound() {
         // The select form evaluates both arms before selecting: the
         // jump-based bound (arms never coexist) would under-reserve.
         let code = "a[i] > 0.0 ? (a[i] + a[i-1]) / (b[i] + dt) : a[i] / b[i]";
         let kernel = compile(code);
         let typed = kernel.specialize(&[DataType::Float32; 4]).unwrap();
-        assert!(typed.supports_lanes());
         // cond + both arms' peak operands live together.
         assert!(typed.max_stack >= 4);
         // Deep nesting still evaluates correctly through the recomputed
-        // reservation (exercises eval_slots and eval_lanes).
+        // reservation.
         let raw = vec![2.0, 1.0, 3.0, 0.5];
         let scalar = typed.eval_slots(&raw, &mut TypedScratch::default());
         let lanes: Vec<[f64; 4]> = raw.iter().map(|&v| [v; 4]).collect();

@@ -15,9 +15,9 @@
 //! * [`IfConversion`] — rewrites the jump diamonds produced by ternaries
 //!   (and the conditional skips produced by short-circuit `&&`/`||`) into
 //!   the branch-free [`Op::Select`] opcode, evaluating both arms
-//!   unconditionally and selecting one result. This is what lets
-//!   [`TypedKernel::supports_lanes`](crate::TypedKernel::supports_lanes) admit formerly-branchy kernels into
-//!   the lane-batched (SIMD) tier.
+//!   unconditionally and selecting one result. A [`TypedKernel`](crate::TypedKernel)
+//!   is built only from a stream this rewrite has left jump-free, which is
+//!   what makes every typed kernel lane-batchable.
 //! * [`Cse`] — common-subexpression elimination over pure operations
 //!   (taps, arithmetic, math functions): the bytecode is value-numbered
 //!   into a DAG and re-emitted with shared subcomputations held in local
@@ -40,7 +40,11 @@
 //!   select discards, never errors. The per-operation `f32`-rounding flags
 //!   are untouched — the arms' instructions are kept verbatim, only the
 //!   jumps around them are replaced — so the typed specialization of the
-//!   select form rounds exactly like the jump form did.
+//!   select form rounds exactly like the jump form would.
+//!   [`CompiledKernel::specialize`](crate::CompiledKernel::specialize) runs
+//!   the same rewrite once more with division speculated too: it uses the
+//!   result only after proving every instruction float-typed, and float
+//!   division is IEEE-total.
 //! * CSE merges only pure operations; two occurrences of the same
 //!   operation on the same operands produce identical bits (and identical
 //!   errors — division deduplicates against itself). Re-emission preserves
@@ -51,13 +55,15 @@
 //!   exactly like the interpreter.
 //!
 //! Kernels that still carry jumps after if-conversion (an arm with a
-//! division keeps its diamond) skip CSE/DCE entirely — the passes return
-//! the stream unchanged, which is always legal.
+//! division keeps its diamond in the `Value` bytecode) skip CSE/DCE
+//! entirely — the passes return the stream unchanged, which is always
+//! legal.
 
 use crate::ast::BinOp;
-use crate::compile::{local_count_of, Op, TypedOp};
+use crate::compile::{local_count_of, Op};
 use crate::types::DataType;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -207,11 +213,24 @@ pub fn dump_ops(ops: &[Op]) -> String {
     out
 }
 
+/// What if-conversion may assume about a division it would speculate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Division {
+    /// Nothing: the integer variant raises the language's only runtime
+    /// error, which speculation would make appear. The optimizer pipeline's
+    /// setting — the `Value` bytecode runs on slots of any type.
+    MayFail,
+    /// It is IEEE float division, total. Only
+    /// [`CompiledKernel::specialize`](crate::CompiledKernel::specialize)
+    /// says so, and it discards the converted stream unless typing then
+    /// proves every instruction float (an integer slot or literal makes it
+    /// return `None`).
+    Total,
+}
+
 /// Whether an instruction is pure and infallible — safe to evaluate
-/// speculatively (if-conversion) and to merge or drop (CSE/DCE). Division
-/// is excluded: its integer variant raises the language's only runtime
-/// error, which speculation or elimination would make appear or vanish.
-fn pure_infallible(op: &Op) -> bool {
+/// speculatively. Division is only under [`Division::Total`].
+fn pure_infallible(op: &Op, division: Division) -> bool {
     match op {
         Op::Const(_)
         | Op::Slot(_)
@@ -221,7 +240,7 @@ fn pure_infallible(op: &Op) -> bool {
         | Op::Call2(_)
         | Op::ToBool
         | Op::Select => true,
-        Op::Binary(BinOp::Div) => false,
+        Op::Binary(BinOp::Div) => division == Division::Total,
         Op::Binary(_) => true,
         Op::Store(_)
         | Op::Pop
@@ -233,8 +252,8 @@ fn pure_infallible(op: &Op) -> bool {
 }
 
 /// Operand/result arity of a pure instruction (`None` for impure ops).
-fn pure_arity(op: &Op) -> Option<(usize, usize)> {
-    if !pure_infallible(op) {
+fn pure_arity(op: &Op, division: Division) -> Option<(usize, usize)> {
+    if !pure_infallible(op, division) {
         return None;
     }
     Some(match op {
@@ -249,10 +268,10 @@ fn pure_arity(op: &Op) -> Option<(usize, usize)> {
 /// Whether `ops` is a pure, infallible region that consumes nothing below
 /// its own stack frame and leaves exactly one value — the shape of a
 /// ternary arm or a short-circuit right-hand side.
-fn produces_one_pure_value(ops: &[Op]) -> bool {
+fn produces_one_pure_value(ops: &[Op], division: Division) -> bool {
     let mut depth = 0i64;
     for op in ops {
-        let Some((pops, pushes)) = pure_arity(op) else {
+        let Some((pops, pushes)) = pure_arity(op, division) else {
             return false;
         };
         depth -= pops as i64;
@@ -281,9 +300,10 @@ fn produces_one_pure_value(ops: &[Op]) -> bool {
 /// A diamond converts only when its speculated region is pure and
 /// infallible (`pure_infallible`); nested diamonds convert innermost
 /// first, so an outer ternary whose arm contains an inner ternary becomes
-/// convertible once the inner one has been flattened. Kernels whose
-/// diamonds all resist conversion (e.g. a division in an arm) keep their
-/// jumps — and with them the scalar evaluation path.
+/// convertible once the inner one has been flattened. A diamond with a
+/// division in an arm keeps its jumps in the `Value` bytecode; the typed
+/// specialization of the kernel converts it all the same (see
+/// `speculate_division`).
 pub struct IfConversion;
 
 /// One applicable rewrite found by the candidate scan.
@@ -304,12 +324,24 @@ impl Pass for IfConversion {
 
     fn run(&self, ops: &mut Vec<Op>) -> bool {
         let mut changed = false;
-        while let Some(rewrite) = find_rewrite(ops) {
+        while let Some(rewrite) = find_rewrite(ops, Division::MayFail) {
             apply_rewrite(ops, rewrite);
             changed = true;
         }
         changed
     }
+}
+
+/// If-conversion with division speculated ([`Division::Total`]), to a
+/// fixpoint; borrows `ops` back when there was nothing to convert. Every arm
+/// the lowering produces is an expression — no stores, and inner diamonds
+/// convert first — so the result is jump-free.
+pub(crate) fn speculate_division(ops: &[Op]) -> Cow<'_, [Op]> {
+    let mut ops = Cow::Borrowed(ops);
+    while let Some(rewrite) = find_rewrite(&ops, Division::Total) {
+        apply_rewrite(ops.to_mut(), rewrite);
+    }
+    ops
 }
 
 /// Jump target of a control-flow op, if any.
@@ -335,7 +367,7 @@ fn region_is_isolated(ops: &[Op], removed: &[usize], lo: usize, hi: usize) -> bo
 /// diamonds are found before the outer diamonds that contain them, because
 /// an outer arm still holding jumps fails the purity check until its inner
 /// diamond has been converted.
-fn find_rewrite(ops: &[Op]) -> Option<Rewrite> {
+fn find_rewrite(ops: &[Op], division: Division) -> Option<Rewrite> {
     for (ix, op) in ops.iter().enumerate() {
         match op {
             Op::JumpIfFalse(else_target) => {
@@ -352,8 +384,8 @@ fn find_rewrite(ops: &[Op]) -> Option<Rewrite> {
                 }
                 let then_arm = &ops[ix + 1..else_start - 1];
                 let else_arm = &ops[else_start..end];
-                if produces_one_pure_value(then_arm)
-                    && produces_one_pure_value(else_arm)
+                if produces_one_pure_value(then_arm, division)
+                    && produces_one_pure_value(else_arm, division)
                     && region_is_isolated(ops, &[ix, else_start - 1], ix, end)
                 {
                     return Some(Rewrite::Ternary {
@@ -369,7 +401,8 @@ fn find_rewrite(ops: &[Op]) -> Option<Rewrite> {
                     continue;
                 }
                 let rhs = &ops[ix + 1..end];
-                if produces_one_pure_value(rhs) && region_is_isolated(ops, &[ix], ix, end) {
+                if produces_one_pure_value(rhs, division) && region_is_isolated(ops, &[ix], ix, end)
+                {
                     return Some(match op {
                         Op::AndShortCircuit(_) => Rewrite::And { sc: ix, end },
                         _ => Rewrite::Or { sc: ix, end },
@@ -712,265 +745,6 @@ fn emit_node(
         out.push(Op::Local(register));
         registers[node] = Some(register);
     }
-}
-
-/// Whether a typed instruction is pure and infallible — safe to evaluate
-/// speculatively during typed if-conversion. Unlike the untyped pass
-/// ([`pure_infallible`]), **division speculates freely**: a [`TypedOp`]
-/// stream exists only for statically float-typed kernels, and float
-/// division is IEEE-total (a zero divisor yields ±inf/NaN, never an
-/// error), so the one obstacle that forces the untyped pass to keep a
-/// diamond — a possibly-integer division in a lazily-skipped arm —
-/// cannot occur here.
-fn typed_pure_infallible(op: &TypedOp) -> bool {
-    match op {
-        TypedOp::Const(_)
-        | TypedOp::Slot(_)
-        | TypedOp::Local(_)
-        | TypedOp::Neg { .. }
-        | TypedOp::Not
-        | TypedOp::Add { .. }
-        | TypedOp::Sub { .. }
-        | TypedOp::Mul { .. }
-        | TypedOp::Div { .. }
-        | TypedOp::Compare(_)
-        | TypedOp::Call1(..)
-        | TypedOp::Call2(..)
-        | TypedOp::ToBool
-        | TypedOp::Select => true,
-        TypedOp::Store(_)
-        | TypedOp::Pop
-        | TypedOp::Jump(_)
-        | TypedOp::JumpIfFalse(_)
-        | TypedOp::AndFalse(_)
-        | TypedOp::OrTrue(_) => false,
-    }
-}
-
-/// Operand/result arity of a pure typed instruction (`None` for impure
-/// ops); the typed counterpart of [`pure_arity`].
-fn typed_pure_arity(op: &TypedOp) -> Option<(usize, usize)> {
-    if !typed_pure_infallible(op) {
-        return None;
-    }
-    Some(match op {
-        TypedOp::Const(_) | TypedOp::Slot(_) | TypedOp::Local(_) => (0, 1),
-        TypedOp::Neg { .. } | TypedOp::Not | TypedOp::Call1(..) | TypedOp::ToBool => (1, 1),
-        TypedOp::Add { .. }
-        | TypedOp::Sub { .. }
-        | TypedOp::Mul { .. }
-        | TypedOp::Div { .. }
-        | TypedOp::Compare(_)
-        | TypedOp::Call2(..) => (2, 1),
-        TypedOp::Select => (3, 1),
-        _ => unreachable!("pure ops only"),
-    })
-}
-
-/// Typed analogue of [`produces_one_pure_value`]: a pure, infallible typed
-/// region that consumes nothing below its own stack frame and leaves
-/// exactly one value.
-fn typed_produces_one_pure_value(ops: &[TypedOp]) -> bool {
-    let mut depth = 0i64;
-    for op in ops {
-        let Some((pops, pushes)) = typed_pure_arity(op) else {
-            return false;
-        };
-        depth -= pops as i64;
-        if depth < 0 {
-            return false;
-        }
-        depth += pushes as i64;
-    }
-    depth == 1
-}
-
-/// Jump target of a typed control-flow op, if any.
-fn typed_jump_target(op: &TypedOp) -> Option<usize> {
-    match op {
-        TypedOp::Jump(t) | TypedOp::JumpIfFalse(t) | TypedOp::AndFalse(t) | TypedOp::OrTrue(t) => {
-            Some(*t as usize)
-        }
-        _ => None,
-    }
-}
-
-/// See [`region_is_isolated`]; same rule over the typed stream.
-fn typed_region_is_isolated(ops: &[TypedOp], removed: &[usize], lo: usize, hi: usize) -> bool {
-    ops.iter().enumerate().all(|(ix, op)| {
-        removed.contains(&ix)
-            || typed_jump_target(op).is_none_or(|target| target <= lo || target >= hi)
-    })
-}
-
-/// Find the first typed rewrite, scanning left to right (innermost
-/// diamonds first, exactly like [`find_rewrite`]).
-fn typed_find_rewrite(ops: &[TypedOp]) -> Option<Rewrite> {
-    for (ix, op) in ops.iter().enumerate() {
-        match op {
-            TypedOp::JumpIfFalse(else_target) => {
-                let else_start = *else_target as usize;
-                if else_start < ix + 2 || else_start > ops.len() {
-                    continue;
-                }
-                let TypedOp::Jump(end) = ops[else_start - 1] else {
-                    continue;
-                };
-                let end = end as usize;
-                if end < else_start || end > ops.len() {
-                    continue;
-                }
-                let then_arm = &ops[ix + 1..else_start - 1];
-                let else_arm = &ops[else_start..end];
-                if typed_produces_one_pure_value(then_arm)
-                    && typed_produces_one_pure_value(else_arm)
-                    && typed_region_is_isolated(ops, &[ix, else_start - 1], ix, end)
-                {
-                    return Some(Rewrite::Ternary {
-                        jif: ix,
-                        jump: else_start - 1,
-                        end,
-                    });
-                }
-            }
-            TypedOp::AndFalse(target) | TypedOp::OrTrue(target) => {
-                let end = *target as usize;
-                if end <= ix + 1 || end > ops.len() {
-                    continue;
-                }
-                let rhs = &ops[ix + 1..end];
-                if typed_produces_one_pure_value(rhs)
-                    && typed_region_is_isolated(ops, &[ix], ix, end)
-                {
-                    return Some(match op {
-                        TypedOp::AndFalse(_) => Rewrite::And { sc: ix, end },
-                        _ => Rewrite::Or { sc: ix, end },
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Splice one typed rewrite into the stream and remap remaining jump
-/// targets; mirrors [`apply_rewrite`] with `0.0` / `1.0` standing in for
-/// the boolean constants (exactly [`crate::Value::as_f64`] of them).
-fn typed_apply_rewrite(ops: &mut Vec<TypedOp>, rewrite: Rewrite) {
-    let old = std::mem::take(ops);
-    let (new, lo, hi, shift): (Vec<TypedOp>, usize, usize, i64) = match rewrite {
-        Rewrite::Ternary { jif, jump, end } => {
-            let mut new = Vec::with_capacity(old.len() - 1);
-            new.extend_from_slice(&old[..jif]);
-            new.extend_from_slice(&old[jif + 1..jump]);
-            new.extend_from_slice(&old[jump + 1..end]);
-            new.push(TypedOp::Select);
-            new.extend_from_slice(&old[end..]);
-            (new, jif, end, -1)
-        }
-        Rewrite::And { sc, end } => {
-            let mut new = Vec::with_capacity(old.len() + 1);
-            new.extend_from_slice(&old[..sc]);
-            new.extend_from_slice(&old[sc + 1..end]);
-            new.push(TypedOp::Const(0.0));
-            new.push(TypedOp::Select);
-            new.extend_from_slice(&old[end..]);
-            (new, sc, end, 1)
-        }
-        Rewrite::Or { sc, end } => {
-            let mut new = Vec::with_capacity(old.len() + 1);
-            new.extend_from_slice(&old[..sc]);
-            new.push(TypedOp::Const(1.0));
-            new.extend_from_slice(&old[sc + 1..end]);
-            new.push(TypedOp::Select);
-            new.extend_from_slice(&old[end..]);
-            (new, sc, end, 1)
-        }
-    };
-    *ops = new;
-    for op in ops.iter_mut() {
-        let remap = |target: u32| -> u32 {
-            let t = target as usize;
-            if t <= lo {
-                target
-            } else {
-                debug_assert!(t >= hi, "jump into a converted region");
-                (t as i64 + shift) as u32
-            }
-        };
-        match op {
-            TypedOp::Jump(t)
-            | TypedOp::JumpIfFalse(t)
-            | TypedOp::AndFalse(t)
-            | TypedOp::OrTrue(t) => {
-                *t = remap(*t);
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Statically-typed if-conversion: rewrite the jump diamonds of a
-/// specialized ([`TypedOp`]) instruction stream into branch-free
-/// [`TypedOp::Select`]s, to a fixpoint.
-///
-/// The untyped [`IfConversion`] pass must keep any diamond whose arm
-/// contains a division: on untyped bytecode a division may be the integer
-/// variant, whose division-by-zero error lazy evaluation would have
-/// skipped. After [`CompiledKernel::specialize`](crate::CompiledKernel::specialize)
-/// has proven every instruction float-typed, that obstacle is gone —
-/// float division is IEEE-total — so this pass converts the diamonds the
-/// untyped pass left behind, unlocking lane batching
-/// ([`TypedKernel::supports_lanes`](crate::TypedKernel::supports_lanes))
-/// for division-heavy ternaries.
-///
-/// Bit-identity argument: the arms' instructions are kept verbatim (their
-/// static `f32`-rounding flags included), only the jumps around them are
-/// removed; both arms evaluate unconditionally — every typed op is total,
-/// so the discarded arm can only produce an unobserved value (quiet
-/// NaNs/infs included), never an error — and the select returns exactly
-/// the value the taken branch computes. Returns whether anything changed.
-pub(crate) fn typed_if_convert(ops: &mut Vec<TypedOp>) -> bool {
-    let mut changed = false;
-    while let Some(rewrite) = typed_find_rewrite(ops) {
-        typed_apply_rewrite(ops, rewrite);
-        changed = true;
-    }
-    changed
-}
-
-/// Upper bound of the operand-stack depth of a typed instruction stream
-/// (linear scan; jumps only ever skip pushes, as in
-/// [`crate::compile::max_stack_of`]). Recomputed after typed
-/// if-conversion, which deepens the stack by evaluating both arms.
-pub(crate) fn typed_max_stack_of(ops: &[TypedOp]) -> usize {
-    let mut depth = 0i64;
-    let mut max = 0i64;
-    for op in ops {
-        depth += match op {
-            TypedOp::Const(_) | TypedOp::Slot(_) | TypedOp::Local(_) => 1,
-            TypedOp::Store(_)
-            | TypedOp::Pop
-            | TypedOp::Add { .. }
-            | TypedOp::Sub { .. }
-            | TypedOp::Mul { .. }
-            | TypedOp::Div { .. }
-            | TypedOp::Compare(_)
-            | TypedOp::Call2(..)
-            | TypedOp::JumpIfFalse(_) => -1,
-            TypedOp::Neg { .. }
-            | TypedOp::Not
-            | TypedOp::Call1(..)
-            | TypedOp::Jump(_)
-            | TypedOp::ToBool
-            | TypedOp::AndFalse(_)
-            | TypedOp::OrTrue(_) => 0,
-            TypedOp::Select => -2,
-        };
-        max = max.max(depth);
-    }
-    max.max(1) as usize
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@
 //! stack bound plus conservative **infallibility** (no reachable division
 //! can take the integer-division-by-zero path), **purity** (no local
 //! mutation — the property if-conversion requires of speculated regions),
-//! and **branch-freedom** (the property `supports_lanes` requires) verdicts.
+//! and **branch-freedom** (no jump survived if-conversion) verdicts.
 //! The judgment is what the program-level analyzer (`stencilflow-analysis`)
 //! turns into diagnostics, and what tier admission can consult instead of
 //! trusting optimizer bookkeeping.
@@ -342,9 +342,10 @@ pub struct KernelJudgment {
     /// No `Store` instructions: the kernel never mutates a register. This
     /// is the purity notion if-conversion requires of speculated regions.
     pub pure: bool,
-    /// No control-flow instructions (`Select` is branch-free and allowed) —
-    /// the property the lane-batched tier requires
-    /// ([`crate::TypedKernel::supports_lanes`]).
+    /// No control-flow instructions (`Select` is branch-free and allowed).
+    /// A typed kernel has the property by type — [`TypedOp`] cannot jump —
+    /// so this describes the `Value` bytecode only, where a division in an
+    /// arm keeps its diamond.
     pub branch_free: bool,
     /// Abstract result type of the kernel.
     pub result: AbstractType,
@@ -697,40 +698,21 @@ pub fn verify_kernel(
 }
 
 /// What the verifier proved about an accepted typed stream. Typed kernels
-/// are infallible by construction (division is always float), so the
-/// judgment carries only the structural facts.
+/// are infallible (division is always float) and branch-free (no
+/// [`TypedOp`] jumps) by construction, so the judgment carries only the
+/// structural facts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TypedJudgment {
     /// Exact maximum reachable operand-stack depth.
     pub max_stack: usize,
     /// Local registers the stream actually touches.
     pub local_count: usize,
-    /// No control-flow instructions — must agree with
-    /// [`crate::TypedKernel::supports_lanes`].
-    pub branch_free: bool,
 }
 
-impl TypedJudgment {
-    /// Whether the judged kernel is eligible for Tier-4 native emission
-    /// (`stencilflow-codegen`'s JIT translation unit): the stream must be
-    /// branch-free, since the emitter renders it as a straight-line C
-    /// expression DAG — `Select` is fine (a C ternary or fused
-    /// `fmin`/`fmax`), but jump diamonds and short-circuit logic are not.
-    /// Judged on the *typed* stream deliberately: typed if-conversion
-    /// speculates division (IEEE-total) where the untyped pass must keep
-    /// the diamond, so kernels like `c ? a/b : d` are native-eligible even
-    /// though their untyped bytecode still jumps. Purity is not required:
-    /// CSE introduces `Store`s, and single-assignment temporaries emit as
-    /// `const double` locals.
-    pub fn supports_native(&self) -> bool {
-        self.branch_free
-    }
-}
-
-/// Verify a [`TypedOp`] stream: stack-depth safety, init-before-use,
-/// jump-target validity, bounds, and single-result exit — the invariants
-/// the unchecked typed/lane eval loops rely on. Types need no tracking
-/// (every typed stack slot is a raw `f64`).
+/// Verify a [`TypedOp`] stream: stack-depth safety, init-before-use, bounds,
+/// and single-result exit — the invariants the unchecked lane eval loop
+/// relies on. Types need no tracking (every typed stack slot is a raw
+/// `f64`).
 ///
 /// # Errors
 ///
@@ -741,7 +723,7 @@ pub fn verify_typed_ops(
     local_count: usize,
 ) -> Result<TypedJudgment, VerifyError> {
     // Reuse the full abstract interpreter by projecting every TypedOp onto
-    // an untyped Op with the same stack/locals/control behavior. `round`
+    // an untyped Op with the same stack/locals behavior. `round`
     // flags and concrete functions are irrelevant to the structural
     // properties; placeholder choices below preserve arity exactly.
     let projected: Vec<Op> = ops
@@ -764,10 +746,6 @@ pub fn verify_typed_ops(
             TypedOp::Compare(_) => Op::Binary(BinOp::Lt),
             TypedOp::Call1(f, _) => Op::Call1(f),
             TypedOp::Call2(f, _) => Op::Call2(f),
-            TypedOp::Jump(t) => Op::Jump(t),
-            TypedOp::JumpIfFalse(t) => Op::JumpIfFalse(t),
-            TypedOp::AndFalse(t) => Op::AndShortCircuit(t),
-            TypedOp::OrTrue(t) => Op::OrShortCircuit(t),
             TypedOp::ToBool => Op::ToBool,
             TypedOp::Select => Op::Select,
         })
@@ -776,14 +754,10 @@ pub fn verify_typed_ops(
     Ok(TypedJudgment {
         max_stack: judgment.max_stack,
         local_count: judgment.local_count,
-        branch_free: judgment.branch_free,
     })
 }
 
-/// Verify a specialized kernel end to end, including its declared bounds
-/// and the agreement between the verifier's branch-freedom proof and
-/// [`crate::TypedKernel::supports_lanes`] (lane admission must never be
-/// more permissive than the proof).
+/// Verify a specialized kernel end to end, including its declared bounds.
 ///
 /// # Errors
 ///
@@ -797,11 +771,6 @@ pub fn verify_typed(kernel: &crate::TypedKernel) -> Result<TypedJudgment, Verify
             required: judgment.max_stack,
         });
     }
-    debug_assert_eq!(
-        judgment.branch_free,
-        kernel.supports_lanes(),
-        "supports_lanes disagrees with the verifier's branch-freedom proof"
-    );
     Ok(judgment)
 }
 
@@ -991,7 +960,8 @@ mod tests {
             let typed = kernel.specialize(&types).expect("float kernel specializes");
             let judgment =
                 verify_typed(&typed).unwrap_or_else(|e| panic!("rejected `{code}`: {e}"));
-            assert_eq!(judgment.branch_free, typed.supports_lanes());
+            assert!(judgment.max_stack <= typed.max_stack());
+            assert_eq!(judgment.local_count, typed.local_count());
         }
     }
 

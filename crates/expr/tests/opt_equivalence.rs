@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use stencilflow_expr::ast::{BinOp, Expr, Index, MathFn, Program, Stmt, UnOp};
 use stencilflow_expr::{
     AccessExtractor, AccessResolver, CompiledKernel, EvalScratch, Evaluator, LaneScratch,
-    MapResolver, Op, TypedScratch, Value,
+    MapResolver, TypedScratch, Value,
 };
 
 /// Random expressions biased towards ternaries (including nested ones) and
@@ -194,16 +194,14 @@ fn check_optimized_equivalence(program: &Program, mode: SlotMode) -> Result<(), 
             reference,
             specialized
         );
-        if typed.supports_lanes() {
-            const LANES: usize = 4;
-            let lanes: Vec<[f64; LANES]> = raw.iter().map(|&v| [v; LANES]).collect();
-            let batched = typed.eval_lanes(&lanes, &mut LaneScratch::<LANES>::default());
-            for lane in batched {
-                prop_assert!(
-                    bits_match(specialized, lane),
-                    "lane mismatch for `{program}`: {specialized} vs {lane}"
-                );
-            }
+        const LANES: usize = 4;
+        let lanes: Vec<[f64; LANES]> = raw.iter().map(|&v| [v; LANES]).collect();
+        let batched = typed.eval_lanes(&lanes, &mut LaneScratch::<LANES>::default());
+        for lane in batched {
+            prop_assert!(
+                bits_match(specialized, lane),
+                "lane mismatch for `{program}`: {specialized} vs {lane}"
+            );
         }
     }
     Ok(())
@@ -347,17 +345,11 @@ fn arb_mixed_program(division: bool) -> impl Strategy<Value = Program> {
 
 /// Interpreter, `Value` bytecode, typed and lane results of a mixed-width
 /// program agree bit for bit over several slot-value variants (one lane
-/// per variant). A program whose bytecode is branch-free must specialize,
-/// and branch-free.
+/// per variant). The programs are all-float, so each must specialize —
+/// whether or not a division kept a diamond in its `Value` bytecode.
 fn check_mixed_equivalence(program: &Program, mode: SlotMode) -> Result<(), TestCaseError> {
     const VARIANTS: usize = 6;
     let kernel = CompiledKernel::compile(program).expect("non-empty programs compile");
-    let select_form = !kernel.ops().iter().any(|op| {
-        matches!(
-            op,
-            Op::Jump(_) | Op::JumpIfFalse(_) | Op::AndShortCircuit(_) | Op::OrShortCircuit(_)
-        )
-    });
     let mut typed = None;
     let mut lanes = vec![[0.0; VARIANTS]; kernel.slots().len()];
     let mut references = [0.0; VARIANTS];
@@ -383,40 +375,31 @@ fn check_mixed_equivalence(program: &Program, mode: SlotMode) -> Result<(), Test
         if variant == 0 {
             let slot_types: Vec<_> = values.iter().map(|v| v.data_type()).collect();
             typed = kernel.specialize(&slot_types);
-            if select_form {
-                prop_assert!(typed.is_some(), "`{}` must specialize", program);
-            }
+            prop_assert!(typed.is_some(), "`{}` must specialize", program);
         }
-        if let Some(typed) = &typed {
-            let raw: Vec<f64> = values.iter().map(|v| v.as_f64()).collect();
-            let specialized = typed.eval_slots(&raw, &mut TypedScratch::default());
-            prop_assert!(
-                bits_match(reference.as_f64(), specialized),
-                "typed mismatch for `{}` (variant {}): {:?} vs {}",
-                program,
-                variant,
-                reference,
-                specialized
-            );
-        }
+        let typed = typed.as_ref().expect("typed by the first variant");
+        let raw: Vec<f64> = values.iter().map(|v| v.as_f64()).collect();
+        let specialized = typed.eval_slots(&raw, &mut TypedScratch::default());
+        prop_assert!(
+            bits_match(reference.as_f64(), specialized),
+            "typed mismatch for `{}` (variant {}): {:?} vs {}",
+            program,
+            variant,
+            reference,
+            specialized
+        );
     }
-    prop_assert!(
-        !select_form || typed.as_ref().is_some_and(|t| t.supports_lanes()),
-        "`{}` must be branch-free",
-        program
-    );
-    if let Some(typed) = typed.filter(|t| t.supports_lanes()) {
-        let batched = typed.eval_lanes(&lanes, &mut LaneScratch::<VARIANTS>::default());
-        for (variant, (lane, reference)) in batched.iter().zip(references).enumerate() {
-            prop_assert!(
-                bits_match(reference, *lane),
-                "lane mismatch for `{}` (variant {}): {} vs {}",
-                program,
-                variant,
-                reference,
-                lane
-            );
-        }
+    let typed = typed.expect("typed by the first variant");
+    let batched = typed.eval_lanes(&lanes, &mut LaneScratch::<VARIANTS>::default());
+    for (variant, (lane, reference)) in batched.iter().zip(references).enumerate() {
+        prop_assert!(
+            bits_match(reference, *lane),
+            "lane mismatch for `{}` (variant {}): {} vs {}",
+            program,
+            variant,
+            reference,
+            lane
+        );
     }
     Ok(())
 }
@@ -433,8 +416,8 @@ proptest! {
         check_mixed_equivalence(&program, SlotMode::Mixed)?;
     }
 
-    /// With a division in an arm the untyped diamond stays: such a join
-    /// may not specialize, but when it does the bits still agree.
+    /// With a division in an arm the untyped diamond stays; the join
+    /// specializes all the same, division speculated, and the bits agree.
     #[test]
     fn mixed_width_joins_with_division_arms_stay_bitwise(program in arb_mixed_program(true)) {
         check_mixed_equivalence(&program, SlotMode::AllF32)?;

@@ -192,7 +192,8 @@ fn check_agreement(program: &Program, mode: SlotMode) -> Result<(), TestCaseErro
                 typed_judgment
             );
             let typed_judgment = typed_judgment.unwrap();
-            prop_assert_eq!(typed_judgment.branch_free, typed.supports_lanes());
+            prop_assert!(typed_judgment.max_stack <= typed.max_stack());
+            prop_assert_eq!(typed_judgment.local_count, typed.local_count());
         }
     }
     Ok(())

@@ -205,15 +205,11 @@ impl CompiledProgram {
         self.stencils.len()
     }
 
-    /// Number of stencils carrying a type-specialized (`Value`-free) kernel.
+    /// Number of stencils carrying a type-specialized (`Value`-free) kernel:
+    /// the ones whose sweep runs lane-batched. The rest run cell by cell on
+    /// boxed `Value`s.
     pub fn typed_stencil_count(&self) -> usize {
         self.stencils.iter().filter(|s| s.is_typed()).count()
-    }
-
-    /// Number of stencils whose interior sweep can run lane-batched
-    /// (branch-free typed kernel, unit- or zero-stride innermost accesses).
-    pub fn lane_stencil_count(&self) -> usize {
-        self.stencils.iter().filter(|s| s.is_lane_ready()).count()
     }
 
     /// Whether the tile-fused tier can execute this program directly
@@ -231,8 +227,7 @@ impl CompiledProgram {
 
     /// Whether the Tier-4 native backend can execute this program: the
     /// fused tier supports it, and every live stage's optimized bytecode
-    /// passed the static verifier with a branch-free judgment and emitted
-    /// cleanly as C (see `docs/evaluation.md`). Note this is *static*
+    /// passed the static verifier and its typed kernel emitted cleanly as C (see `docs/evaluation.md`). Note this is *static*
     /// eligibility — a machine without a working `cc` still falls back at
     /// run time ([`crate::jit_available`]).
     pub fn jit_supported(&self) -> bool {
@@ -305,13 +300,13 @@ impl CompiledProgram {
         &self.stencils
     }
 
-    /// Number of lane-ready stencils that dispatch to the wide
+    /// Number of typed stencils that dispatch to the wide
     /// ([`stencilflow_expr::KERNEL_LANES_WIDE`]) lane width — all-`f32`
     /// kernels on rows long enough that full wide batches dominate.
     pub fn wide_lane_stencil_count(&self) -> usize {
         self.stencils
             .iter()
-            .filter(|s| s.is_lane_ready() && s.lane_width() == stencilflow_expr::KERNEL_LANES_WIDE)
+            .filter(|s| s.is_typed() && s.lane_width() == stencilflow_expr::KERNEL_LANES_WIDE)
             .count()
     }
 

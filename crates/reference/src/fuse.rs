@@ -44,9 +44,9 @@
 //! The padded-scratch fast path requires (checked once at
 //! [`FusePlan::build`]):
 //!
-//! * every stencil carries a branch-free type-specialized kernel
-//!   ([`TypedKernel::supports_lanes`] — since typed if-conversion this
-//!   includes division-heavy ternaries);
+//! * every stencil carries a type-specialized kernel (branch-free by type:
+//!   specialization speculates even division-carrying ternaries into
+//!   selects);
 //! * every non-scalar field spans the full iteration space, indexed in
 //!   iteration-space dimension order (scratch tiles are laid out in space
 //!   order, so transposed accesses cannot be expressed as constant flat
@@ -280,17 +280,11 @@ impl FusePlan {
             );
         }
 
-        // Stages: typed branch-free kernels with space-ordered taps.
+        // Stages: typed kernels with space-ordered taps.
         let mut stages: Vec<FusedStage> = Vec::with_capacity(plans.len());
         for (ix, plan) in plans.iter().enumerate() {
-            let Some(typed) = plan.typed_kernel() else {
+            if plan.typed_kernel().is_none() {
                 return Err(format!("stencil `{}` has no typed kernel", plan.name()));
-            };
-            if !typed.supports_lanes() {
-                return Err(format!(
-                    "stencil `{}` keeps control flow in its typed kernel",
-                    plan.name()
-                ));
             }
             let mut slots = Vec::with_capacity(plan.compiled_kernel().slots().len());
             for slot in plan.compiled_kernel().slots() {
@@ -530,9 +524,7 @@ impl FusePlan {
     /// on top of fuse eligibility:
     ///
     /// * every live stage's kernel re-verifies against its bind-time slot
-    ///   types and the judgment must support native emission
-    ///   (branch-free — the same property the lane sweep needs, but taken
-    ///   from the independent verifier, not compiler bookkeeping);
+    ///   types;
     /// * stage output types are `f32`/`f64` (the native store rounding
     ///   mirrors `round_lanes`, which has no third arm in C);
     /// * emission itself succeeds (no NaN constants).
@@ -564,17 +556,6 @@ impl FusePlan {
             let typed = plan
                 .typed_kernel()
                 .ok_or_else(|| format!("stage `{}` has no type-specialized kernel", plan.name()))?;
-            // The emitter consumes the *typed* stream, so branch-freedom is
-            // judged there: typed if-conversion speculates IEEE-total
-            // division where the untyped pass must keep the diamond.
-            let judgment = stencilflow_expr::verify_typed(typed)
-                .map_err(|e| format!("stage `{}` failed typed verification: {e}", plan.name()))?;
-            if !judgment.supports_native() {
-                return Err(format!(
-                    "stage `{}` kernel is not branch-free after optimization",
-                    plan.name()
-                ));
-            }
             let slot_kinds = stage
                 .slots
                 .iter()

@@ -32,8 +32,8 @@
 use crate::grid::Grid;
 use std::collections::{BTreeMap, BTreeSet};
 use stencilflow_expr::{
-    CompiledKernel, DataType, EvalScratch, ExprError, LaneScratch, TypedKernel, TypedScratch,
-    Value, KERNEL_LANES, KERNEL_LANES_WIDE,
+    CompiledKernel, DataType, EvalScratch, ExprError, LaneScratch, TypedKernel, Value,
+    KERNEL_LANES, KERNEL_LANES_WIDE,
 };
 use stencilflow_program::{BoundaryCondition, IterationSpace, StencilNode, StencilProgram};
 
@@ -90,13 +90,9 @@ struct FieldRef {
 pub(crate) struct CompiledStencil {
     name: String,
     kernel: CompiledKernel,
-    /// Type-specialized kernel, present when every op's type is static.
+    /// Type-specialized kernel, present when every op's type is static;
+    /// the sweep then runs lane-batched.
     typed: Option<TypedKernel>,
-    /// Whether the interior sweep may run lane-batched: the typed kernel is
-    /// branch-free and every non-scalar slot walks the innermost dimension
-    /// with a unit stride (contiguous run) or a zero stride (broadcast from
-    /// a field that does not span the innermost dimension).
-    lane_ready: bool,
     /// Lane width of the batched sweep, chosen per stencil at compile time
     /// (dtype-driven const dispatch): all-`f32` kernels on long rows take
     /// [`KERNEL_LANES_WIDE`] — their per-op `f32` rounding makes narrow
@@ -249,10 +245,6 @@ impl CompiledStencil {
             );
         }
         let typed = kernel.specialize(&slot_types);
-        let lane_ready = typed.as_ref().is_some_and(TypedKernel::supports_lanes)
-            && slots
-                .iter()
-                .all(|s| s.scalar || matches!(s.coeffs[rank - 1], 0 | 1));
         // Width-aware lane counts: all-f32 kernels on long rows batch wide
         // (their per-op f32 rounding chains are latency-bound at narrow
         // widths); f64-involving kernels keep the default width — the
@@ -266,7 +258,7 @@ impl CompiledStencil {
         let all_f32 = slot_types.iter().all(|&t| t == DataType::Float32)
             && stencil.output_type == DataType::Float32;
         let lane_width =
-            if lane_ready && all_f32 && row_len >= WIDE_ROW_MULTIPLE * KERNEL_LANES_WIDE {
+            if typed.is_some() && all_f32 && row_len >= WIDE_ROW_MULTIPLE * KERNEL_LANES_WIDE {
                 KERNEL_LANES_WIDE
             } else {
                 KERNEL_LANES
@@ -275,7 +267,6 @@ impl CompiledStencil {
             name: stencil.name.clone(),
             kernel,
             typed,
-            lane_ready,
             lane_width,
             fields,
             slots,
@@ -302,12 +293,6 @@ impl CompiledStencil {
     /// Whether this stencil carries a type-specialized kernel.
     pub fn is_typed(&self) -> bool {
         self.typed.is_some()
-    }
-
-    /// Whether this stencil's interior sweep may run lane-batched (see the
-    /// `lane_ready` field for the exact conditions).
-    pub fn is_lane_ready(&self) -> bool {
-        self.lane_ready
     }
 
     /// Number of per-cell field reads of the sweep (scalar slots excluded);
@@ -378,7 +363,7 @@ impl CompiledStencil {
 
     /// Lane width the batched sweep dispatches to for this stencil (one of
     /// [`KERNEL_LANES`] / [`KERNEL_LANES_WIDE`]; meaningful only when the
-    /// stencil is lane-ready).
+    /// stencil is typed).
     pub fn lane_width(&self) -> usize {
         self.lane_width
     }
@@ -487,8 +472,25 @@ pub(crate) fn round_lanes<const LANES: usize>(
     }
 }
 
-/// The lane-batched evaluation of a branch-free typed kernel, `L` cells per
-/// bytecode pass.
+/// Gather one slot's interior lanes: `lanes[l] = grid[l · stride]`, `grid`
+/// starting at the first lane's tap. (`inline(always)`: a full batch passes
+/// its `[f64; L]`, and the copy must see that constant length — left to the
+/// inliner's judgment, `jobs_per_s`@`hdiff` read 0.96x, 0/10 pairs.)
+#[inline(always)]
+fn gather(grid: &[f64], stride: i64, lanes: &mut [f64]) {
+    match stride {
+        1 => lanes.copy_from_slice(&grid[..lanes.len()]),
+        0 => lanes.fill(grid[0]),
+        _ => {
+            for (l, lane) in lanes.iter_mut().enumerate() {
+                *lane = grid[l * stride as usize];
+            }
+        }
+    }
+}
+
+/// The lane-batched evaluation of a typed kernel, `L` cells per bytecode
+/// pass.
 fn lane_eval<const L: usize>(
     typed: &TypedKernel,
 ) -> impl FnMut(&[[f64; L]], &mut [f64; L]) -> Result<(), ExprError> + '_ {
@@ -504,12 +506,10 @@ impl BoundStencil<'_, '_> {
     /// validity mask into `mask` (both spanning exactly those rows).
     ///
     /// The stencil's own kernels pick the instantiation of the one
-    /// [`BoundStencil::sweep`], nothing else does: a lane-ready typed kernel
-    /// runs `lane_width` cells per pass; a typed kernel that is not (a jump
-    /// survived, or a tap's innermost stride is neither 0 nor 1) runs cell
-    /// by cell (`L = 1`) on raw `f64`s; a kernel that does not specialize
-    /// runs cell by cell on tagged [`Value`]s. All three produce the
-    /// interpreter's bits.
+    /// [`BoundStencil::sweep`], nothing else does: a typed kernel runs
+    /// `lane_width` cells per pass on raw `f64`s; a kernel that does not
+    /// specialize runs cell by cell (`L = 1`) on tagged [`Value`]s. Both
+    /// produce the interpreter's bits.
     ///
     /// # Errors
     ///
@@ -525,19 +525,10 @@ impl BoundStencil<'_, '_> {
         let plan = self.plan;
         let rows = (row_start, row_end);
         match &plan.typed {
-            Some(typed) if plan.lane_ready && plan.lane_width == KERNEL_LANES_WIDE => {
+            Some(typed) if plan.lane_width == KERNEL_LANES_WIDE => {
                 self.sweep(rows, out, mask, lane_eval::<KERNEL_LANES_WIDE>(typed))
             }
-            Some(typed) if plan.lane_ready => {
-                self.sweep(rows, out, mask, lane_eval::<KERNEL_LANES>(typed))
-            }
-            Some(typed) => {
-                let mut scratch = TypedScratch::default();
-                self.sweep::<1>(rows, out, mask, |taps, out| {
-                    *out = [typed.eval_slots(taps.as_flattened(), &mut scratch)];
-                    Ok(())
-                })
-            }
+            Some(typed) => self.sweep(rows, out, mask, lane_eval::<KERNEL_LANES>(typed)),
             None => {
                 // Grids round every store through their element type, so
                 // tagging a raw tap recovers exactly the value the
@@ -561,9 +552,9 @@ impl BoundStencil<'_, '_> {
     /// type on store.
     ///
     /// * **Interior batches** (every lane statically in bounds) gather each
-    ///   slot with one contiguous innermost-dimension load (unit stride) or
-    ///   a broadcast (zero stride); at `L = 1` that is a plain strided read,
-    ///   whatever the stride.
+    ///   slot with one contiguous innermost-dimension load (unit stride), a
+    ///   broadcast (zero stride: the field does not span the innermost
+    ///   dimension) or a strided read per lane (a transposed field).
     /// * **Halo (or mixed) batches** split into the contiguous interval of
     ///   interior lanes, loaded the same way, plus edge lanes gathered one
     ///   by one through the bounds-checked [`halo_slot_raw`], which also
@@ -588,7 +579,6 @@ impl BoundStencil<'_, '_> {
         let rank = plan.shape.len();
         let row_len = plan.row_len();
         debug_assert_eq!(out.len(), (row_end - row_start) * row_len);
-        debug_assert!(L == 1 || plan.lane_ready, "wide batches need 0/1 strides");
 
         // Slot-major lane buffer; scalar slots stay broadcast for the whole
         // sweep.
@@ -618,12 +608,11 @@ impl BoundStencil<'_, '_> {
                         }
                         let stride = slot.coeffs[rank - 1];
                         let base = (rowbase[s] + k as i64 * stride) as usize;
-                        let lanes = &mut lane_values[s];
-                        if stride == 1 {
-                            lanes.copy_from_slice(&self.grid_data[slot.grid][base..base + L]);
-                        } else {
-                            *lanes = [self.grid_data[slot.grid][base]; L];
-                        }
+                        gather(
+                            &self.grid_data[slot.grid][base..],
+                            stride,
+                            &mut lane_values[s],
+                        );
                     }
                 } else {
                     // The interior cells of a batch form one contiguous
@@ -643,13 +632,7 @@ impl BoundStencil<'_, '_> {
                             let stride = slot.coeffs[rank - 1];
                             let base = (rowbase[s] + int_start as i64 * stride) as usize;
                             let span = &mut lanes[int_start - k..int_end - k];
-                            if stride == 1 {
-                                span.copy_from_slice(
-                                    &self.grid_data[slot.grid][base..base + (int_end - int_start)],
-                                );
-                            } else {
-                                span.fill(self.grid_data[slot.grid][base]);
-                            }
+                            gather(&self.grid_data[slot.grid][base..], stride, span);
                         }
                         for cell in (k..int_start).chain(int_end..end) {
                             index[rank - 1] = cell;

@@ -775,26 +775,30 @@ impl ServeExecutor {
         let num_cells = compiled.cell_count();
         let stencil_count = compiled.stencil_count();
 
-        let mut io = if steps == 1 {
-            SweepIo {
+        // `pairs`: the output-to-input pairing of time stepping, derived (and
+        // its errors surfaced) once per job, before anything is pooled.
+        let (pairs, mut io) = if steps == 1 {
+            let io = SweepIo {
                 client_inputs: Some(Arc::clone(&job.inputs)),
                 work: BTreeMap::new(),
                 computed: BTreeMap::new(),
-            }
+            };
+            (Vec::new(), io)
         } else {
+            let pairs = compiled.feedback_pairs()?;
             // Time stepping mutates the state fields, so the job works on
             // pooled copies of the client's inputs (steady-state pool
             // hits, never a clone allocation).
-            compiled.feedback_pairs()?;
             let mut work = BTreeMap::new();
             for (name, grid) in job.inputs.iter() {
                 work.insert(name.clone(), self.pooled_copy(grid));
             }
-            SweepIo {
+            let io = SweepIo {
                 client_inputs: None,
                 work,
                 computed: BTreeMap::new(),
-            }
+            };
+            (pairs, io)
         };
 
         let mut cells_evaluated = 0usize;
@@ -819,7 +823,6 @@ impl ServeExecutor {
                 }
                 // Feedback: outputs become next step's state; everything
                 // else returns to the pools.
-                let pairs = compiled.feedback_pairs()?;
                 for (output, input) in &pairs {
                     let grid = io
                         .computed

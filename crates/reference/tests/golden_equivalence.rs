@@ -16,9 +16,10 @@ use stencilflow_workloads::{
 /// require identical bits everywhere: every field (inputs included in the
 /// comparison domain via the program outputs), every validity mask, and the
 /// evaluation counters. Each stencil sweeps on the kernel its own expression
-/// compiles to; that the `Value`, scalar typed and lane-batched kernels of
-/// one expression agree is pinned where the kernels live
-/// (`stencilflow-workloads`' `kernel_tiers_agree_on_the_analyze_suite`).
+/// compiles to; that the `Value` kernel and the typed kernel of one
+/// expression agree, one cell at a time and in lanes, is pinned where the
+/// kernels live (`stencilflow-workloads`'
+/// `kernel_tiers_agree_on_the_analyze_suite`).
 fn assert_bit_identical(program: &StencilProgram, seed: u64) {
     let inputs = generate_inputs(program, seed);
     let executor = ReferenceExecutor::new();
@@ -54,44 +55,68 @@ fn assert_bit_identical(program: &StencilProgram, seed: u64) {
     }
 }
 
-/// Kernels that take one of the sweep's two cell-by-cell (`L = 1`)
-/// instantiations by rule, over a 2-D `f32` field `u` and its transpose `t`,
-/// with whether they specialize to a typed kernel: an integer literal, a
-/// `Bool + Bool` sum and a mixed-width join that keeps its jumps (division
-/// in an arm) stay on the `Value` kernel; a tap whose innermost stride is
-/// neither 0 nor 1 keeps a typed kernel off the lanes.
-const CELLWISE_KERNELS: [(&str, bool); 4] = [
-    ("1 * u[i,j-2] + u[i-1,j] * u[i,j+2]", false),
-    ("(u[i,j-2] > 0.0) + (u[i,j+2] > u[i-1,j])", false),
-    ("u[i,j] > 0.5 ? 1.0 / u[i-1,j] : u[i,j+2]", false),
-    ("t[j-1,i] + u[i,j-2] * u[i+1,j+2]", true),
+/// Kernels that sweep cell by cell on the boxed `Value` kernel by rule, over
+/// a 2-D `f32` field `u`: an integer literal, and a `Bool + Bool` sum.
+const BOXED_BY_RULE: [&str; 2] = [
+    "1 * u[i,j-2] + u[i-1,j] * u[i,j+2]",
+    "(u[i,j-2] > 0.0) + (u[i,j+2] > u[i-1,j])",
 ];
 
-/// A one-stencil program around a [`CELLWISE_KERNELS`] entry, checked to
-/// land on the instantiation it is meant to.
-fn cellwise_program(
+/// Kernels that reach the lanes by a rule of their own, over `u` and its
+/// transpose `t`, with the stencil's output type. A mixed-width join with a
+/// division in an arm keeps its jumps in the `Value` bytecode;
+/// specialization speculates the division, so the join is a select with a
+/// runtime width flag — unread in tail position, read by the product in the
+/// second form. A tap that strides the innermost dimension gathers lane by
+/// lane.
+const LANE_BY_RULE: [(&str, DataType); 4] = [
+    (
+        "u[i,j] > 0.5 ? 1.0 / u[i-1,j] : u[i,j+2]",
+        DataType::Float32,
+    ),
+    (
+        "(u[i,j] > 0.5 ? 1.0 / u[i-1,j] : u[i,j+2]) * u[i,j-2]",
+        DataType::Float32,
+    ),
+    (
+        "(u[i,j] > 0.5 ? 1.0 / u[i-1,j] : u[i,j+2]) * u[i,j-2]",
+        DataType::Float64,
+    ),
+    ("t[j-1,i] + u[i,j-2] * u[i+1,j+2]", DataType::Float32),
+];
+
+/// One-stencil programs around every [`BOXED_BY_RULE`] and [`LANE_BY_RULE`]
+/// entry, each checked to land on the kernel form it is meant to.
+fn by_rule_programs(
     shape: [usize; 2],
-    (expr, typed): (&str, bool),
     boundary: BoundaryCondition,
     shrink: bool,
-) -> StencilProgram {
-    let mut builder = StencilProgramBuilder::new("cellwise", &shape)
-        .input("u", DataType::Float32, &["i", "j"])
-        .input("t", DataType::Float32, &["j", "i"])
-        .stencil("s", expr)
-        .boundary("s", "u", boundary)
-        .output("s");
-    if expr.contains("t[") {
-        builder = builder.boundary("s", "t", boundary);
-    }
-    if shrink {
-        builder = builder.shrink("s");
-    }
-    let program = builder.build().unwrap();
-    let compiled = ReferenceExecutor::new().prepare(&program).unwrap();
-    assert_eq!(compiled.typed_stencil_count(), usize::from(typed), "{expr}");
-    assert_eq!(compiled.lane_stencil_count(), 0, "{expr}");
-    program
+) -> Vec<StencilProgram> {
+    let boxed = BOXED_BY_RULE.map(|expr| (expr, DataType::Float32, 0));
+    let lanes = LANE_BY_RULE.map(|(expr, out)| (expr, out, 1));
+    boxed
+        .into_iter()
+        .chain(lanes)
+        .map(|(expr, out, typed)| {
+            let mut builder = StencilProgramBuilder::new("by_rule", &shape)
+                .input("u", DataType::Float32, &["i", "j"])
+                .input("t", DataType::Float32, &["j", "i"])
+                .stencil("s", expr)
+                .boundary("s", "u", boundary)
+                .output_type("s", out)
+                .output("s");
+            if expr.contains("t[") {
+                builder = builder.boundary("s", "t", boundary);
+            }
+            if shrink {
+                builder = builder.shrink("s");
+            }
+            let program = builder.build().unwrap();
+            let compiled = ReferenceExecutor::new().prepare(&program).unwrap();
+            assert_eq!(compiled.typed_stencil_count(), typed, "{expr}");
+            program
+        })
+        .collect()
 }
 
 #[test]
@@ -120,7 +145,6 @@ fn horizontal_diffusion_runs_entirely_on_typed_lane_kernels() {
     let compiled = ReferenceExecutor::new().prepare(&program).unwrap();
     assert_eq!(compiled.stencil_count(), 24);
     assert_eq!(compiled.typed_stencil_count(), 24);
-    assert_eq!(compiled.lane_stencil_count(), 24);
 }
 
 #[test]
@@ -177,12 +201,12 @@ fn boundary_condition_variety_matches_bitwise() {
         .unwrap();
     assert_bit_identical(&program, 9);
 
-    // The same halo paths through the cell-by-cell instantiations of the
-    // sweep.
-    for kernel in CELLWISE_KERNELS {
-        for boundary in [BoundaryCondition::Constant(1.5), BoundaryCondition::Copy] {
-            for shrink in [false, true] {
-                assert_bit_identical(&cellwise_program([6, 11], kernel, boundary, shrink), 10);
+    // The same halo paths through the kernels that are boxed by rule and
+    // the ones that reach the lanes by speculation or a strided gather.
+    for boundary in [BoundaryCondition::Constant(1.5), BoundaryCondition::Copy] {
+        for shrink in [false, true] {
+            for program in by_rule_programs([6, 11], boundary, shrink) {
+                assert_bit_identical(&program, 10);
             }
         }
     }
@@ -292,7 +316,7 @@ fn wide_lane_dispatch_is_bit_identical_and_engages_on_f32() {
     let f64_long = stencilflow_workloads::jacobi3d_typed(2, &[20, 10, 64], 1, DataType::Float64);
     let compiled = executor.prepare(&f64_long).unwrap();
     assert_eq!(compiled.wide_lane_stencil_count(), 0);
-    assert_eq!(compiled.lane_stencil_count(), compiled.stencil_count());
+    assert_eq!(compiled.typed_stencil_count(), compiled.stencil_count());
     let f32_short = jacobi3d(2, &[20, 20, 32], 1);
     let compiled = executor.prepare(&f32_short).unwrap();
     assert_eq!(compiled.wide_lane_stencil_count(), 0);
@@ -301,21 +325,25 @@ fn wide_lane_dispatch_is_bit_identical_and_engages_on_f32() {
         assert_bit_identical(program, seed);
     }
 
-    // Odd row lengths drive the wide mixed-batch and remainder paths.
+    // Odd row lengths drive the wide mixed-batch and remainder paths; the
+    // all-f32 by-rule kernels take the strided gather there 16 wide.
     for width in [64usize, 65, 71, 79] {
         assert_bit_identical(&jacobi3d(1, &[6, 5, width], 1), 94 + width as u64);
+    }
+    for program in by_rule_programs([5, 71], BoundaryCondition::Copy, false) {
+        assert_bit_identical(&program, 99);
     }
 }
 
 #[test]
 fn lane_batched_sweep_is_engaged_on_jacobi() {
     // The lane tier must actually dispatch (not silently fall back to the
-    // scalar typed kernel) on the flagship workloads.
+    // boxed `Value` kernel) on the flagship workloads.
     let executor = ReferenceExecutor::new();
     let jacobi = executor.prepare(&jacobi3d(2, &[16, 16, 16], 1)).unwrap();
-    assert_eq!(jacobi.lane_stencil_count(), jacobi.stencil_count());
+    assert_eq!(jacobi.typed_stencil_count(), jacobi.stencil_count());
     let diffusion = executor.prepare(&diffusion2d(2, &[16, 16], 1)).unwrap();
-    assert!(diffusion.lane_stencil_count() > 0);
+    assert_eq!(diffusion.typed_stencil_count(), diffusion.stencil_count());
 }
 
 #[test]
@@ -330,7 +358,7 @@ fn branchy_upwind_matches_bitwise_and_lane_batches() {
         let executor = ReferenceExecutor::new();
         let compiled = executor.prepare(&program).unwrap();
         assert_eq!(
-            compiled.lane_stencil_count(),
+            compiled.typed_stencil_count(),
             compiled.stencil_count(),
             "if-converted upwind kernels must dispatch to the lane tier"
         );
@@ -374,8 +402,9 @@ fn lane_batched_matches_scalar_typed_on_remainder_widths() {
     // Innermost extents straddling the lane width (KERNEL_LANES = 8):
     // shorter than one batch, exactly one batch, and batch + remainder —
     // every cell of every width must match the interpreter bitwise, for
-    // f32 (per-op rounding) and f64 workloads, and so must the cell-by-cell
-    // instantiations of the same sweep.
+    // f32 (per-op rounding) and f64 workloads, and so must the by-rule
+    // kernels: boxed ones cell by cell, a strided gather and a speculated
+    // division in partial batches.
     for width in 1usize..=20 {
         for dtype in [DataType::Float32, DataType::Float64] {
             let program = StencilProgramBuilder::new("lane_rem", &[5, width])
@@ -393,9 +422,7 @@ fn lane_batched_matches_scalar_typed_on_remainder_widths() {
                 .unwrap();
             assert_bit_identical(&program, 40 + width as u64);
         }
-        for kernel in CELLWISE_KERNELS {
-            let boundary = BoundaryCondition::Constant(0.25);
-            let program = cellwise_program([5, width], kernel, boundary, true);
+        for program in by_rule_programs([5, width], BoundaryCondition::Constant(0.25), true) {
             assert_bit_identical(&program, 40 + width as u64);
         }
     }

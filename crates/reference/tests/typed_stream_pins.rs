@@ -1,0 +1,198 @@
+//! Pins taken with the last binary whose `specialize` typed a jump-form
+//! stream and if-converted it afterwards (PR 18's): every typed stream of
+//! the analyze suite and of the benchmark's horizontal diffusion, and the
+//! emitted C of the ten `jit_gate` workloads. Speculating division *before*
+//! typing must reproduce every row — same ops in the same order with the
+//! same round flags, same declared stack bound and local count — or the
+//! FNV pins, JIT cache keys and simulator goldens downstream would move.
+//!
+//! On a mismatch the failure message prints the table as this binary
+//! computes it.
+
+use stencilflow_expr::{CompiledKernel, DataType};
+use stencilflow_program::StencilProgram;
+use stencilflow_reference::ReferenceExecutor;
+use stencilflow_workloads::{
+    analyze_suite, chain_program, diffusion2d, diffusion3d, horizontal_diffusion, jacobi2d,
+    jacobi3d, jacobi3d_typed, listing1::listing1_with_shape, membench_program, upwind3d, ChainSpec,
+    HorizontalDiffusionSpec, MembenchSpec,
+};
+
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `program/stencil fnv(typed ops) max_stack local_count`, or `boxed` for a
+/// stencil that does not specialize.
+fn typed_stream_rows(program: &StencilProgram) -> Vec<String> {
+    let mut rows = Vec::new();
+    for stencil in program.stencils() {
+        let kernel = CompiledKernel::compile(&stencil.program).unwrap();
+        let types: Vec<DataType> = kernel
+            .slots()
+            .iter()
+            .map(|slot| program.field_type(&slot.field).unwrap())
+            .collect();
+        let form = match kernel.specialize(&types) {
+            Some(typed) => format!(
+                "{:016x} {} {}",
+                fnv1a(&format!("{:?}", typed.ops())),
+                typed.max_stack(),
+                typed.local_count()
+            ),
+            None => "boxed".to_string(),
+        };
+        rows.push(format!("{}/{} {form}", program.name(), stencil.name));
+    }
+    rows
+}
+
+/// `jit_gate`'s workload list (the analyze suite at execution-sized shapes).
+fn jit_gate_workloads() -> Vec<StencilProgram> {
+    vec![
+        listing1_with_shape(&[8, 8, 8]),
+        jacobi2d(1, &[32, 32], 1),
+        jacobi3d(1, &[16, 16, 8], 1),
+        jacobi3d_typed(1, &[16, 16, 8], 1, DataType::Float64),
+        diffusion2d(1, &[32, 32], 1),
+        diffusion3d(1, &[16, 16, 8], 1),
+        chain_program(&ChainSpec::new(8, 8).with_shape(&[32, 16, 16])),
+        membench_program(&MembenchSpec::new(8, 1).with_shape(&[16, 8, 8])),
+        horizontal_diffusion(&HorizontalDiffusionSpec::small()),
+        upwind3d(2, &[8, 8, 8], 1),
+    ]
+}
+
+fn assert_table(what: &str, actual: &[String], pinned: &[&str]) {
+    assert!(
+        actual.iter().map(String::as_str).eq(pinned.iter().copied()),
+        "{what} moved; this binary computes:\n{}",
+        actual.join("\n")
+    );
+}
+
+#[test]
+fn typed_streams_reproduce_the_parent_pins() {
+    let mut rows = Vec::new();
+    for program in analyze_suite() {
+        rows.extend(typed_stream_rows(&program));
+    }
+    let bench = horizontal_diffusion(&HorizontalDiffusionSpec::bench());
+    rows.extend(
+        typed_stream_rows(&bench)
+            .into_iter()
+            .map(|row| format!("bench:{row}")),
+    );
+    assert_eq!(rows.len(), 52 + 24);
+    assert_table("typed streams", &rows, TYPED_STREAMS);
+}
+
+#[test]
+fn jit_sources_reproduce_the_parent_pins() {
+    let executor = ReferenceExecutor::new();
+    let rows: Vec<String> = jit_gate_workloads()
+        .iter()
+        .map(|program| {
+            let compiled = executor.prepare(program).unwrap();
+            match compiled.jit_source() {
+                Some(source) => format!("{} {:016x}", program.name(), fnv1a(source)),
+                None => format!("{} fallback", program.name()),
+            }
+        })
+        .collect();
+    assert_table("JIT sources", &rows, JIT_SOURCES);
+}
+
+const TYPED_STREAMS: &[&str] = &[
+    "listing1/b0 e9a13f75ccc3dd2b 2 0",
+    "listing1/b1 314ad1b0d4f0eaaf 3 0",
+    "listing1/b2 d86019dff5519678 3 0",
+    "listing1/b3 e9a13f75ccc3dd2b 2 0",
+    "listing1/b4 e9a13f75ccc3dd2b 2 0",
+    "jacobi2d/f1 9440d0f7534ace22 3 0",
+    "jacobi3d/f1 c7325f267a3f7394 3 0",
+    "jacobi3d/f1 f3e2b6c732af6c8a 3 0",
+    "diffusion2d/f1 329160538d3ae527 3 0",
+    "diffusion3d/f1 7dc465d2bda655c4 3 0",
+    "chain8x8op/f1 031f3c0936dbcaa0 3 0",
+    "chain8x8op/f2 031f3c0936dbcaa0 3 0",
+    "chain8x8op/f3 031f3c0936dbcaa0 3 0",
+    "chain8x8op/f4 031f3c0936dbcaa0 3 0",
+    "chain8x8op/f5 031f3c0936dbcaa0 3 0",
+    "chain8x8op/f6 031f3c0936dbcaa0 3 0",
+    "chain8x8op/f7 031f3c0936dbcaa0 3 0",
+    "chain8x8op/f8 031f3c0936dbcaa0 3 0",
+    "membench8x1/out0 ade1e17de645b657 2 0",
+    "membench8x1/out1 ade1e17de645b657 2 0",
+    "membench8x1/out2 ade1e17de645b657 2 0",
+    "membench8x1/out3 ade1e17de645b657 2 0",
+    "membench8x1/out4 ade1e17de645b657 2 0",
+    "membench8x1/out5 ade1e17de645b657 2 0",
+    "membench8x1/out6 ade1e17de645b657 2 0",
+    "membench8x1/out7 ade1e17de645b657 2 0",
+    "horizontal_diffusion/flx_pp_in d7e0de18a55ed19d 4 6",
+    "horizontal_diffusion/flx_u_in d7e0de18a55ed19d 4 6",
+    "horizontal_diffusion/flx_v_in d7e0de18a55ed19d 4 6",
+    "horizontal_diffusion/flx_w_in d7e0de18a55ed19d 4 6",
+    "horizontal_diffusion/fly_pp_in 1f82f62b62fc9dec 4 6",
+    "horizontal_diffusion/fly_u_in 1f82f62b62fc9dec 4 6",
+    "horizontal_diffusion/fly_v_in 1f82f62b62fc9dec 4 6",
+    "horizontal_diffusion/fly_w_in 1f82f62b62fc9dec 4 6",
+    "horizontal_diffusion/lap_pp_in 0fc9e52e3675b689 4 0",
+    "horizontal_diffusion/lap_u_in 0fc9e52e3675b689 4 0",
+    "horizontal_diffusion/lap_v_in 0fc9e52e3675b689 4 0",
+    "horizontal_diffusion/lap_w_in 0fc9e52e3675b689 4 0",
+    "horizontal_diffusion/pp_out 1c86f072f4a8b7bc 4 1",
+    "horizontal_diffusion/s_uv 161583e3f12ab3c5 3 0",
+    "horizontal_diffusion/smag_u a397214394fdfaa8 5 0",
+    "horizontal_diffusion/smag_v a397214394fdfaa8 5 0",
+    "horizontal_diffusion/sqr_s 81d1a6758eded411 2 0",
+    "horizontal_diffusion/sqr_uv 81d1a6758eded411 2 0",
+    "horizontal_diffusion/t_s 559e231d327b2cf6 3 0",
+    "horizontal_diffusion/u_out 367fdea650978b49 5 0",
+    "horizontal_diffusion/u_tmp 1c86f072f4a8b7bc 4 1",
+    "horizontal_diffusion/v_out 367fdea650978b49 5 0",
+    "horizontal_diffusion/v_tmp 1c86f072f4a8b7bc 4 1",
+    "horizontal_diffusion/w_out 1c86f072f4a8b7bc 4 1",
+    "upwind3d/c1 88ece0aeb4b24103 7 1",
+    "upwind3d/c2 88ece0aeb4b24103 7 1",
+    "bench:horizontal_diffusion/flx_pp_in d7e0de18a55ed19d 4 6",
+    "bench:horizontal_diffusion/flx_u_in d7e0de18a55ed19d 4 6",
+    "bench:horizontal_diffusion/flx_v_in d7e0de18a55ed19d 4 6",
+    "bench:horizontal_diffusion/flx_w_in d7e0de18a55ed19d 4 6",
+    "bench:horizontal_diffusion/fly_pp_in 1f82f62b62fc9dec 4 6",
+    "bench:horizontal_diffusion/fly_u_in 1f82f62b62fc9dec 4 6",
+    "bench:horizontal_diffusion/fly_v_in 1f82f62b62fc9dec 4 6",
+    "bench:horizontal_diffusion/fly_w_in 1f82f62b62fc9dec 4 6",
+    "bench:horizontal_diffusion/lap_pp_in 0fc9e52e3675b689 4 0",
+    "bench:horizontal_diffusion/lap_u_in 0fc9e52e3675b689 4 0",
+    "bench:horizontal_diffusion/lap_v_in 0fc9e52e3675b689 4 0",
+    "bench:horizontal_diffusion/lap_w_in 0fc9e52e3675b689 4 0",
+    "bench:horizontal_diffusion/pp_out 1c86f072f4a8b7bc 4 1",
+    "bench:horizontal_diffusion/s_uv 161583e3f12ab3c5 3 0",
+    "bench:horizontal_diffusion/smag_u a397214394fdfaa8 5 0",
+    "bench:horizontal_diffusion/smag_v a397214394fdfaa8 5 0",
+    "bench:horizontal_diffusion/sqr_s 81d1a6758eded411 2 0",
+    "bench:horizontal_diffusion/sqr_uv 81d1a6758eded411 2 0",
+    "bench:horizontal_diffusion/t_s 559e231d327b2cf6 3 0",
+    "bench:horizontal_diffusion/u_out 367fdea650978b49 5 0",
+    "bench:horizontal_diffusion/u_tmp 1c86f072f4a8b7bc 4 1",
+    "bench:horizontal_diffusion/v_out 367fdea650978b49 5 0",
+    "bench:horizontal_diffusion/v_tmp 1c86f072f4a8b7bc 4 1",
+    "bench:horizontal_diffusion/w_out 1c86f072f4a8b7bc 4 1",
+];
+
+const JIT_SOURCES: &[&str] = &[
+    "listing1 fallback",
+    "jacobi2d 08a088cf3ed08761",
+    "jacobi3d c672d44779c339d0",
+    "jacobi3d 74ddc5929abf1cd2",
+    "diffusion2d aa0e703917f7b4d3",
+    "diffusion3d 4634aa31617eb2de",
+    "chain8x8op 04bed67bf5b4b260",
+    "membench8x1 7d3cc474490f3f80",
+    "horizontal_diffusion fallback",
+    "upwind3d fc1e94fdb3c17dff",
+];

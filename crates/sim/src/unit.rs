@@ -19,8 +19,7 @@ use crate::channel::TokenChannel;
 use crate::memory::MemoryModel;
 use stencilflow_core::{CoreError, Result as CoreResult};
 use stencilflow_expr::{
-    CompiledKernel, DataType, EvalScratch, LaneScratch, TypedKernel, TypedScratch, Value,
-    KERNEL_LANES,
+    CompiledKernel, DataType, EvalScratch, LaneScratch, TypedKernel, Value, KERNEL_LANES,
 };
 use stencilflow_program::{BoundaryCondition, IterationSpace, ProgramError, StencilNode};
 
@@ -246,7 +245,7 @@ pub(crate) struct FieldKernel {
     /// Compiled code segment, evaluated through pre-bound taps.
     kernel: CompiledKernel,
     /// Type-specialized kernel: evaluates on raw `f64`s with no `Value`
-    /// tagging, lane-batched when it is branch-free.
+    /// tagging, lane-batched.
     typed: Option<TypedKernel>,
     taps: Vec<SlotTap>,
     output_type: DataType,
@@ -304,31 +303,18 @@ impl FieldKernel {
 
     /// The unit's whole output stream from its whole input streams (one per
     /// accessed field, each spanning the iteration space): `KERNEL_LANES`
-    /// cells per kernel call when the typed kernel is branch-free.
+    /// cells per call of the typed kernel, or one cell per call of the
+    /// `Value` kernel when the stencil does not specialize.
     ///
     /// # Errors
     ///
     /// Returns [`ProgramError::Code`] if a kernel without a typed form fails
     /// on the data (integer division by zero).
     pub(crate) fn eval_field(&self, streams: &[&[f64]]) -> CoreResult<Vec<f64>> {
-        match &self.typed {
-            Some(typed) if typed.supports_lanes() => {
-                let mut scratch = LaneScratch::default();
-                self.sweep::<KERNEL_LANES>(streams, |taps| Ok(typed.eval_lanes(taps, &mut scratch)))
-            }
-            _ => self.eval_per_cell(streams),
-        }
-    }
-
-    /// [`FieldKernel::eval_field`] one cell per call, through the scalar
-    /// typed kernel or, without one, the `Value` kernel: the path of kernels
-    /// that keep control flow or do not specialize.
-    fn eval_per_cell(&self, streams: &[&[f64]]) -> CoreResult<Vec<f64>> {
         if let Some(typed) = &self.typed {
-            let mut scratch = TypedScratch::default();
-            return self.sweep::<1>(streams, |taps| {
-                Ok([typed.eval_slots(taps.as_flattened(), &mut scratch)])
-            });
+            let mut scratch = LaneScratch::default();
+            return self
+                .sweep::<KERNEL_LANES>(streams, |taps| Ok(typed.eval_lanes(taps, &mut scratch)));
         }
         let mut values = vec![Value::F64(0.0); self.taps.len()];
         let mut scratch = EvalScratch::default();
@@ -404,6 +390,7 @@ impl FieldKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stencilflow_expr::TypedScratch;
     use stencilflow_program::{StencilProgram, StencilProgramBuilder};
 
     fn simple_program() -> StencilProgram {
@@ -512,12 +499,9 @@ mod tests {
         let mut units = 0;
         for stencil in program.stencils() {
             let kernel = FieldKernel::new(program.space(), stencil).unwrap();
-            let typed = kernel
-                .typed
-                .unwrap_or_else(|| panic!("`{}` has no typed kernel", stencil.name));
             assert!(
-                typed.supports_lanes(),
-                "`{}` is not branch-free",
+                kernel.typed.is_some(),
+                "`{}` has no typed kernel",
                 stencil.name
             );
             units += 1;
@@ -543,12 +527,16 @@ mod tests {
                 .unwrap();
             let (_, kernel) = unit_of(&program);
             let typed = kernel.typed.as_ref().expect("an all-float kernel is typed");
-            assert!(typed.supports_lanes(), "`{code}` must be branch-free");
             let data: Vec<f64> = (0..program.space().num_cells())
                 .map(|v| ((v as f64 * 0.61 - 11.0) as f32) as f64)
                 .collect();
             let lanes = kernel.eval_field(&[&data]).unwrap();
-            let scalar = kernel.eval_per_cell(&[&data]).unwrap();
+            let mut scratch = TypedScratch::default();
+            let scalar = kernel
+                .sweep::<1>(&[&data], |taps| {
+                    Ok([typed.eval_slots(taps.as_flattened(), &mut scratch)])
+                })
+                .unwrap();
             assert_eq!(bits(&lanes), bits(&scalar), "width {width}");
         }
     }
@@ -570,10 +558,9 @@ mod tests {
 
     #[test]
     fn branchy_kernels_lane_batch_after_if_conversion() {
-        // A data-dependent ternary used to force the scalar path
-        // (`supports_lanes` rejected the jump diamond); the if-conversion
-        // pass lowers it to a select, so the unit evaluates in lanes — and
-        // the produced stream must still match per-cell evaluation.
+        // If-conversion lowers a data-dependent ternary to a select, so the
+        // unit evaluates it in lanes — and the produced stream must match
+        // per-cell evaluation.
         assert_lanes_match_scalar(
             &[4, 19],
             "d = a[i,j] - a[i,j-1]; d > 0.0 ? d * a[i,j+1] : -d * a[i,j]",

@@ -90,7 +90,7 @@ mod tests {
         // the rest). The FNV-1a hash of their typed streams' debug text
         // was taken with the specializer as it was then: they must come
         // out byte for byte the same, and the twelve must now specialize
-        // too, branch-free.
+        // too.
         use stencilflow_expr::{CompiledKernel, DataType};
         let mut hash = 0xcbf2_9ce4_8422_2325_u64;
         let mut unchanged = 0;
@@ -106,7 +106,6 @@ mod tests {
                 let typed = kernel
                     .specialize(&types)
                     .unwrap_or_else(|| panic!("`{}` does not specialize", stencil.name));
-                assert!(typed.supports_lanes(), "`{}` keeps jumps", stencil.name);
                 let limiter = program.name() == "horizontal_diffusion"
                     && (stencil.name.starts_with("fl")
                         || ["u_tmp", "v_tmp", "w_out", "pp_out"].contains(&stencil.name.as_str()));
@@ -125,13 +124,19 @@ mod tests {
     }
     #[test]
     fn kernel_tiers_agree_on_the_analyze_suite() {
-        // The three kernels a stencil's expression compiles to — `Value`
-        // bytecode, scalar typed, lane-batched typed — must agree bit for
-        // bit on every stencil of the suite: the executor and the simulator
-        // run whichever one the expression allows and are compared with the
-        // interpreter only on that one.
+        // The two kernels a stencil's expression compiles to — `Value`
+        // bytecode and the typed kernel, one cell at a time and at both
+        // lane widths — must agree bit for bit on every stencil of the
+        // suite: the executor and the simulator run whichever one the
+        // expression allows and are compared with the interpreter only on
+        // that one. So must the by-rule kernels of `golden_equivalence.rs`
+        // that reach the lanes only since specialization speculates
+        // division (a mixed-width join in tail position, and one whose
+        // runtime width flag is read) or since the sweep gathers strided
+        // taps, over `f32` and over mixed slots.
         use stencilflow_expr::{
-            CompiledKernel, DataType, EvalScratch, LaneScratch, TypedScratch, Value, KERNEL_LANES,
+            parse_program, CompiledKernel, DataType, EvalScratch, LaneScratch, TypedKernel,
+            TypedScratch, Value, KERNEL_LANES, KERNEL_LANES_WIDE,
         };
         const SPECIAL: [f64; 6] = [
             0.0,
@@ -143,6 +148,71 @@ mod tests {
         ];
         const ROWS: usize = 64;
         let mut rng = jobmix::SplitMix64::new(0x5eed);
+
+        /// Lane `l` of every `L`-wide batch of `rows` (`ROWS` is a multiple
+        /// of both widths) against `expected[l]`.
+        fn assert_lanes<const L: usize>(typed: &TypedKernel, rows: &[Vec<f64>], expected: &[f64]) {
+            let mut scratch = LaneScratch::<L>::default();
+            for (batch, expected) in rows.chunks(L).zip(expected.chunks(L)) {
+                let taps: Vec<[f64; L]> = (0..rows[0].len())
+                    .map(|slot| std::array::from_fn(|lane| batch[lane][slot]))
+                    .collect();
+                let batched = typed.eval_lanes(&taps, &mut scratch);
+                for ((row, want), got) in batch.iter().zip(expected).zip(batched) {
+                    assert_eq!(want.to_bits(), got.to_bits(), "{L} lanes on {row:?}");
+                }
+            }
+        }
+
+        let mut check = |what: &str, kernel: &CompiledKernel, types: &[DataType]| {
+            let typed = kernel
+                .specialize(types)
+                .unwrap_or_else(|| panic!("{what} does not specialize"));
+            // Slot vectors as grid storage would hold them (rounded
+            // through the slot's type): one uniform row per special
+            // value, one with a zero in every slot but the first (a zero
+            // divisor under a finite dividend), then random rows salted
+            // with the special values.
+            let rows: Vec<Vec<f64>> = (0..ROWS)
+                .map(|row| {
+                    types
+                        .iter()
+                        .enumerate()
+                        .map(|(slot, &dtype)| {
+                            let raw = match (SPECIAL.get(row), rng.next()) {
+                                (Some(&special), _) => special,
+                                (None, _) if row == SPECIAL.len() => f64::from(slot == 0),
+                                (None, r) if r % 8 == 0 => SPECIAL[(r >> 8) as usize % 6],
+                                (None, r) => (r >> 11) as f64 / (1u64 << 51) as f64 - 2.0,
+                            };
+                            Value::from_f64(raw, dtype).as_f64()
+                        })
+                        .collect()
+                })
+                .collect();
+            let (mut eval, mut scalar) = (EvalScratch::default(), TypedScratch::default());
+            let expected: Vec<f64> = rows
+                .iter()
+                .map(|row| {
+                    let values: Vec<Value> = row
+                        .iter()
+                        .zip(types)
+                        .map(|(&raw, &dtype)| Value::from_f64(raw, dtype))
+                        .collect();
+                    let value = kernel.eval_slots(&values, &mut eval).unwrap().as_f64();
+                    let typed = typed.eval_slots(row, &mut scalar);
+                    assert_eq!(
+                        value.to_bits(),
+                        typed.to_bits(),
+                        "{what} on {row:?}: Value {value:?}, typed {typed:?}"
+                    );
+                    value
+                })
+                .collect();
+            assert_lanes::<KERNEL_LANES>(&typed, &rows, &expected);
+            assert_lanes::<KERNEL_LANES_WIDE>(&typed, &rows, &expected);
+        };
+
         let mut stencils = 0;
         for program in analyze_suite() {
             for stencil in program.stencils() {
@@ -153,54 +223,26 @@ mod tests {
                     .iter()
                     .map(|slot| program.field_type(&slot.field).unwrap())
                     .collect();
-                let typed = kernel.specialize(&types).unwrap();
-                // Slot vectors as grid storage would hold them (rounded
-                // through the slot's type): one uniform row per special
-                // value, then random rows salted with them.
-                let rows: Vec<Vec<f64>> = (0..ROWS)
-                    .map(|row| {
-                        types
-                            .iter()
-                            .map(|&dtype| {
-                                let raw = match (SPECIAL.get(row), rng.next()) {
-                                    (Some(&special), _) => special,
-                                    (None, r) if r % 8 == 0 => SPECIAL[(r >> 8) as usize % 6],
-                                    (None, r) => (r >> 11) as f64 / (1u64 << 51) as f64 - 2.0,
-                                };
-                                Value::from_f64(raw, dtype).as_f64()
-                            })
-                            .collect()
-                    })
-                    .collect();
-                let (mut eval, mut scalar, mut lanes) = (
-                    EvalScratch::default(),
-                    TypedScratch::default(),
-                    LaneScratch::<KERNEL_LANES>::default(),
-                );
-                for batch in rows.chunks(KERNEL_LANES) {
-                    let taps: Vec<[f64; KERNEL_LANES]> = (0..types.len())
-                        .map(|slot| std::array::from_fn(|lane| batch[lane][slot]))
-                        .collect();
-                    let batched = typed.eval_lanes(&taps, &mut lanes);
-                    for (row, lane) in batch.iter().zip(batched) {
-                        let values: Vec<Value> = row
-                            .iter()
-                            .zip(&types)
-                            .map(|(&raw, &dtype)| Value::from_f64(raw, dtype))
-                            .collect();
-                        let value = kernel.eval_slots(&values, &mut eval).unwrap().as_f64();
-                        let typed = typed.eval_slots(row, &mut scalar);
-                        assert_eq!(
-                            (value.to_bits(), typed.to_bits()),
-                            (typed.to_bits(), lane.to_bits()),
-                            "`{}` of `{}` on {row:?}: Value {value:?}, typed {typed:?}, lane {lane:?}",
-                            stencil.name,
-                            program.name()
-                        );
-                    }
-                }
+                let what = format!("`{}` of `{}`", stencil.name, program.name());
+                check(&what, &kernel, &types);
             }
         }
         assert_eq!(stencils, 52);
+
+        for code in [
+            "u[i,j] > 0.5 ? 1.0 / u[i-1,j] : u[i,j+2]",
+            "(u[i,j] > 0.5 ? 1.0 / u[i-1,j] : u[i,j+2]) * u[i,j-2]",
+            "t[j-1,i] + u[i,j-2] * u[i+1,j+2]",
+        ] {
+            let kernel = CompiledKernel::compile(&parse_program(code).unwrap()).unwrap();
+            let slots = kernel.slots().len();
+            let mixed: Vec<DataType> = [DataType::Float32, DataType::Float64]
+                .into_iter()
+                .cycle()
+                .take(slots)
+                .collect();
+            check(code, &kernel, &vec![DataType::Float32; slots]);
+            check(code, &kernel, &mixed);
+        }
     }
 }

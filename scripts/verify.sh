@@ -50,8 +50,9 @@
 #                                  per row (the default `run` over the
 #                                  tree-walking interpreter on jacobi3d,
 #                                  upwind3d, chain and benchmark-domain
-#                                  horizontal diffusion, set above what
-#                                  scalar typed kernels alone reach),
+#                                  horizontal diffusion, set so that a
+#                                  stencil silently falling to the boxed
+#                                  `Value` kernel trips it),
 #                                  the fused-tier floors on the chain
 #                                  and time-stepping rows, the Tier-4
 #                                  jit-vs-fused floor on the jacobi3d
