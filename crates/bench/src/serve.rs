@@ -66,8 +66,6 @@ pub struct ServeBenchReport {
     /// Program compilations during the measured batches (must be zero —
     /// the shared cache dedups every fingerprint).
     pub steady_compiles: usize,
-    /// Row bands executed by non-owner workers across the whole run.
-    pub steals: usize,
     /// First-sight tier measurements (warmup only).
     pub tier_measurements: usize,
     /// The cached tier decisions after the run.
@@ -205,7 +203,6 @@ pub fn run_serve_bench(quick: bool) -> ServeBenchReport {
         steady_pool_misses: steady.pool_misses - warm.pool_misses,
         steady_mask_misses: steady.mask_misses - warm.mask_misses,
         steady_compiles: steady.compiles - warm.compiles,
-        steals: steady.steals,
         tier_measurements: steady.tier_measurements,
         tiers: serve.tier_choices(),
     }
@@ -287,7 +284,6 @@ pub fn serve_json(report: &ServeBenchReport) -> String {
                 ),
             ]),
         ),
-        ("steals".to_string(), Json::Number(report.steals as f64)),
         (
             "tier_measurements".to_string(),
             Json::Number(report.tier_measurements as f64),
@@ -317,11 +313,10 @@ pub fn format_serve(report: &ServeBenchReport) -> String {
         report.large_p99_ms
     ));
     out.push_str(&format!(
-        "  steady state: {} pool misses, {} mask misses, {} compiles; {} band steals, {} tier measurements\n",
+        "  steady state: {} pool misses, {} mask misses, {} compiles; {} tier measurements\n",
         report.steady_pool_misses,
         report.steady_mask_misses,
         report.steady_compiles,
-        report.steals,
         report.tier_measurements
     ));
     for choice in &report.tiers {

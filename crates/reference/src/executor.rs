@@ -100,14 +100,6 @@ impl ExecutionResult {
         self.fields.remove(name)
     }
 
-    /// Restrict the result to the given field names (the fused tier's
-    /// outputs-only contract, applied to fallback results for
-    /// consistency).
-    pub(crate) fn retain_fields(&mut self, keep: &[String]) {
-        self.fields.retain(|name, _| keep.contains(name));
-        self.valid_masks.retain(|name, _| keep.contains(name));
-    }
-
     /// Compare a field against another grid at its valid cells. Returns the
     /// maximum relative error seen (absolute below magnitude 1), or `None`
     /// when the field is unknown or the shapes differ. Two NaNs agree; a
@@ -261,24 +253,9 @@ impl CompiledProgram {
         format!("{:016x}", self.fingerprint)
     }
 
-    /// The program output names (service-tier internal).
-    pub(crate) fn output_names(&self) -> &[String] {
-        &self.outputs
-    }
-
     /// Number of cells of the full iteration space (service-tier internal).
     pub(crate) fn cell_count(&self) -> usize {
         self.num_cells
-    }
-
-    /// Dimension names of the iteration space (service-tier internal).
-    pub(crate) fn dim_names(&self) -> &[String] {
-        &self.dims
-    }
-
-    /// Extents of the iteration space (service-tier internal).
-    pub(crate) fn space_shape(&self) -> &[usize] {
-        &self.shape
     }
 
     /// The Tier-4 emission result (JIT-internal).
@@ -613,7 +590,7 @@ impl ReferenceExecutor {
 
     /// Raise (or lower) the number of buffers the executor's pools retain
     /// between runs (default: a handful, enough for one fused `run_steps`).
-    /// The service tier keeps many jobs' grids, masks, and band buffers in
+    /// The service tier keeps many jobs' grids, masks and stepping state in
     /// flight concurrently and sets this high enough that sustained mixed
     /// traffic never drops a released buffer.
     pub fn with_pool_capacity(mut self, capacity: usize) -> Self {
@@ -718,6 +695,30 @@ impl ReferenceExecutor {
             .lock()
             .expect("mask pool poisoned")
             .release(buf);
+    }
+
+    /// Hand back buffers no result will carry: to the pools when results
+    /// are pooled, a plain drop otherwise (an executor nobody recycles into
+    /// would only hoard them).
+    pub(crate) fn release_all(
+        &self,
+        grids: impl IntoIterator<Item = Grid>,
+        masks: impl IntoIterator<Item = Vec<bool>>,
+    ) {
+        if self.pool_results {
+            grids
+                .into_iter()
+                .for_each(|grid| self.pool_release(grid.into_data()));
+            masks.into_iter().for_each(|mask| self.release_mask(mask));
+        }
+    }
+
+    /// [`release_all`](Self::release_all) on everything a result holds.
+    pub(crate) fn recycle(&self, result: ExecutionResult) {
+        self.release_all(
+            result.fields.into_values(),
+            result.valid_masks.into_values(),
+        );
     }
 
     /// [`Pool::reserve`] on the cell and the mask pool.
@@ -849,17 +850,23 @@ impl ReferenceExecutor {
         inputs: &BTreeMap<String, Grid>,
     ) -> Result<ExecutionResult> {
         let compiled = self.prepare(program)?;
-        self.run_compiled(&compiled, inputs)
+        self.run_compiled(&compiled, inputs, &BTreeMap::new(), &|| Ok(()))
     }
 
     /// The materializing sweep over an already-compiled program. Binding is
     /// cheap (a few name lookups per stencil); all compilation happened in
-    /// [`ReferenceExecutor::prepare`].
-    fn run_compiled(
+    /// [`ReferenceExecutor::prepare`]. A field resolves against `state`
+    /// (what time stepping fed back) before `inputs`; `probe` is asked
+    /// before every stencil whether to go on. Result cells and masks come
+    /// from the pools when results are pooled, and on any error everything
+    /// drawn so far goes back before the error leaves.
+    fn run_compiled<E: From<ProgramError>>(
         &self,
         compiled: &CompiledProgram,
         inputs: &BTreeMap<String, Grid>,
-    ) -> Result<ExecutionResult> {
+        state: &BTreeMap<String, Grid>,
+        probe: &dyn Fn() -> std::result::Result<(), E>,
+    ) -> std::result::Result<ExecutionResult, E> {
         Self::check_inputs(compiled, inputs)?;
 
         let dim_refs: Vec<&str> = compiled.dims.iter().map(String::as_str).collect();
@@ -872,18 +879,25 @@ impl ReferenceExecutor {
                 stencil: plan.name().to_string(),
                 source,
             };
-            let bound = plan.bind(inputs, &computed).map_err(code_error)?;
-            let mut output = Grid::zeros(&dim_refs, &compiled.shape, plan.out_dtype());
-            let mut mask = vec![true; compiled.num_cells];
-
-            let rows = plan.row_count();
-            let row_len = plan.row_len();
-            let threads = self.worker_threads(rows, compiled.num_cells, plan.accesses_per_cell());
-            if threads <= 1 {
-                bound
-                    .run_rows(0, rows, output.as_mut_slice(), &mut mask)
-                    .map_err(code_error)?;
-            } else {
+            let cells = self.alloc_result_cells(compiled.num_cells);
+            let mut output = Grid::from_data(&dim_refs, &compiled.shape, plan.out_dtype(), cells);
+            let mut mask = self.alloc_result_mask(compiled.num_cells);
+            let swept = probe().and_then(|()| {
+                let grid_of = |name: &str| {
+                    let fed = state.get(name).or_else(|| inputs.get(name));
+                    fed.or_else(|| computed.get(name))
+                };
+                let bound = plan.bind(grid_of).map_err(code_error)?;
+                let rows = plan.row_count();
+                let row_len = plan.row_len();
+                let threads =
+                    self.worker_threads(rows, compiled.num_cells, plan.accesses_per_cell());
+                if threads <= 1 {
+                    bound
+                        .run_rows(0, rows, output.as_mut_slice(), &mut mask)
+                        .map_err(code_error)?;
+                    return Ok(());
+                }
                 let rows_per_worker = rows.div_ceil(threads);
                 let outcomes: Vec<std::result::Result<(), stencilflow_expr::ExprError>> =
                     std::thread::scope(|scope| {
@@ -912,6 +926,12 @@ impl ReferenceExecutor {
                 for outcome in outcomes {
                     outcome.map_err(code_error)?;
                 }
+                Ok(())
+            });
+            if let Err(error) = swept {
+                let (grids, masks) = (computed.into_values(), masks.into_values());
+                self.release_all(grids.chain([output]), masks.chain([mask]));
+                return Err(error);
             }
             cells_evaluated += compiled.num_cells;
             computed.insert(plan.name().to_string(), output);
@@ -949,26 +969,34 @@ impl ReferenceExecutor {
         steps: usize,
     ) -> Result<ExecutionResult> {
         let compiled = self.prepare(program)?;
-        self.run_steps_compiled(&compiled, inputs, steps)
+        self.run_steps_compiled(&compiled, inputs, steps, &|| Ok(()))
     }
 
     /// [`ReferenceExecutor::run_steps`] over an already-compiled program.
-    fn run_steps_compiled(
+    /// The caller's `inputs` are read, never copied: what a step feeds back
+    /// lives in a state map that shadows them, and spent state, like every
+    /// intermediate and mask of a step that is not the last, is handed to
+    /// [`release_all`](Self::release_all).
+    fn run_steps_compiled<E: From<ProgramError>>(
         &self,
         compiled: &CompiledProgram,
         inputs: &BTreeMap<String, Grid>,
         steps: usize,
-    ) -> Result<ExecutionResult> {
+        probe: &dyn Fn() -> std::result::Result<(), E>,
+    ) -> std::result::Result<ExecutionResult, E> {
         if steps == 0 {
-            return Err(ProgramError::Invalid {
+            return Err(E::from(ProgramError::Invalid {
                 message: "run_steps requires at least one time step".into(),
-            });
+            }));
         }
         let pairs = compiled.feedback_pairs()?;
-        let mut work = inputs.clone();
+        let mut state: BTreeMap<String, Grid> = BTreeMap::new();
         let mut total_cells = 0usize;
         for step in 0..steps {
-            let mut result = self.run_compiled(compiled, &work)?;
+            let swept = self.run_compiled(compiled, inputs, &state, probe);
+            // The state this step read is spent, whatever the step came to.
+            self.release_all(std::mem::take(&mut state).into_values(), []);
+            let mut result = swept?;
             total_cells += result.cells_evaluated;
             if step + 1 == steps {
                 result.cells_evaluated = total_cells;
@@ -979,8 +1007,9 @@ impl ReferenceExecutor {
                     .fields
                     .remove(output)
                     .expect("program outputs are always computed");
-                work.insert(input.clone(), grid);
+                state.insert(input.clone(), grid);
             }
+            self.recycle(result);
         }
         unreachable!("steps >= 1 always returns from the loop")
     }
@@ -1019,7 +1048,7 @@ impl ReferenceExecutor {
                 message: "run_steps requires at least one time step".into(),
             });
         }
-        let run = |tier| self.run_tier(compiled, inputs, spec.steps, tier);
+        let run = |tier| self.run_tier(compiled, inputs, spec.steps, tier, &|| Ok(()));
         let (result, tier) = self
             .router
             .dispatch(compiled, spec.steps, spec.tier, run, drop);
@@ -1029,22 +1058,31 @@ impl ReferenceExecutor {
     /// The one fallback ladder, outputs only: the fused schedule (with
     /// native stage sweeps for [`Tier::Jit`]) when `tier` asks for it and
     /// the plan can express the run, the materializing sweep otherwise.
-    fn run_tier(
+    pub(crate) fn run_tier<E: From<ProgramError>>(
         &self,
         compiled: &CompiledProgram,
         inputs: &BTreeMap<String, Grid>,
         steps: Option<usize>,
         tier: Tier,
-    ) -> Result<ExecutionResult> {
+        probe: &dyn Fn() -> std::result::Result<(), E>,
+    ) -> std::result::Result<ExecutionResult, E> {
         let count = steps.unwrap_or(1);
         let plan = match &compiled.fuse {
             Ok(plan) if tier != Tier::Simd && (count == 1 || plan.supports_steps()) => plan,
             _ => {
                 let mut result = match steps {
-                    Some(steps) => self.run_steps_compiled(compiled, inputs, steps)?,
-                    None => self.run_compiled(compiled, inputs)?,
+                    Some(steps) => self.run_steps_compiled(compiled, inputs, steps, probe)?,
+                    None => self.run_compiled(compiled, inputs, &BTreeMap::new(), probe)?,
                 };
-                result.retain_fields(&compiled.outputs);
+                // Outputs only: intermediates leave the result.
+                let is_spare = |name: &&String| !compiled.outputs.contains(name);
+                let spare: Vec<String> = result.fields.keys().filter(is_spare).cloned().collect();
+                for name in spare {
+                    self.release_all(
+                        result.fields.remove(&name),
+                        result.valid_masks.remove(&name),
+                    );
+                }
                 return Ok(result);
             }
         };
@@ -1060,6 +1098,7 @@ impl ReferenceExecutor {
             compiled.feedback_pairs()?;
         }
         crate::fuse::execute(self, compiled, plan, inputs, count, native.as_deref())
+            .map_err(E::from)
     }
 
     /// Apply `program` once through the fault-tolerant sharded runtime:
@@ -1538,8 +1577,11 @@ mod tests {
         assert_eq!(compiled.typed_stencil_count(), 1);
         let via_cache = executor.prepare(&program).unwrap();
         assert_eq!(executor.compile_count(), 1);
-        let a = executor.run_compiled(&compiled, &inputs).unwrap();
-        let b = executor.run_compiled(&via_cache, &inputs).unwrap();
+        let run = |compiled| -> Result<ExecutionResult> {
+            executor.run_compiled(compiled, &inputs, &BTreeMap::new(), &|| Ok(()))
+        };
+        let a = run(&compiled).unwrap();
+        let b = run(&via_cache).unwrap();
         assert_eq!(
             a.field("lap").unwrap().as_slice(),
             b.field("lap").unwrap().as_slice()

@@ -314,7 +314,8 @@ impl CompiledStencil {
         *self.shape.last().expect("iteration spaces are never empty")
     }
 
-    /// Resolve every field of this stencil to its grid for one run.
+    /// Resolve every field of this stencil to its grid for one run, through
+    /// the caller's name lookup (`grid_of`).
     ///
     /// This is the cheap per-run step: a few name lookups plus the scalar
     /// slot prefill — no compilation, no geometry analysis.
@@ -324,17 +325,13 @@ impl CompiledStencil {
     /// Returns [`ExprError::UnresolvedSymbol`] if a field has no grid.
     pub fn bind<'g, 'p>(
         &'p self,
-        inputs: &'g BTreeMap<String, Grid>,
-        computed: &'g BTreeMap<String, Grid>,
+        grid_of: impl Fn(&str) -> Option<&'g Grid>,
     ) -> Result<BoundStencil<'g, 'p>, ExprError> {
         let mut grid_data: Vec<&'g [f64]> = Vec::with_capacity(self.fields.len());
         for field in &self.fields {
-            let grid = inputs
-                .get(&field.name)
-                .or_else(|| computed.get(&field.name))
-                .ok_or_else(|| ExprError::UnresolvedSymbol {
-                    name: field.name.clone(),
-                })?;
+            let grid = grid_of(&field.name).ok_or_else(|| ExprError::UnresolvedSymbol {
+                name: field.name.clone(),
+            })?;
             debug_assert_eq!(
                 grid.data_type(),
                 field.dtype,

@@ -22,8 +22,8 @@
 //!   deadline nears, and no job starves because its deadline eventually
 //!   becomes the earliest. A hard timeout cancels the job — before it
 //!   starts if it lapsed in the queue, or mid-run through its
-//!   [`CancelToken`], which the band boundaries check so pooled buffers
-//!   recycle on cancellation.
+//!   [`CancelToken`], which the materializing sweep checks before every
+//!   stencil of every step, so pooled buffers recycle on cancellation.
 //! * **Panic isolation** — inherited from the batch layer: a poison job
 //!   comes back as [`JobStatus::Panicked`] while the pool, scratch, and
 //!   the rest of the traffic keep running.
@@ -707,7 +707,7 @@ impl Daemon {
         let meta = Mutex::new(meta);
         let stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
-            scope.spawn(|| {
+            let watchdog = scope.spawn(|| {
                 while !stop.load(Ordering::Acquire) {
                     let now = Instant::now();
                     for (deadline, token) in &watched {
@@ -737,7 +737,10 @@ impl Daemon {
                 let wait = dispatch_start.saturating_duration_since(entry.submitted);
                 self.finalize(entry, status, wait, &sink);
             });
+            // Wake the watchdog out of its tick: the round is over now, not
+            // at the next tick.
             stop.store(true, Ordering::Release);
+            watchdog.thread().unpark();
         });
         settled
     }

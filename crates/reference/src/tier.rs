@@ -7,9 +7,9 @@
 //! inputs — the measurement runs *are* the job — and caches the winner;
 //! repeat traffic pays one lock and one map lookup. Both
 //! [`ReferenceExecutor::execute`](crate::ReferenceExecutor::execute) and
-//! the service layer route through `TierRouter::route`, passing their own
-//! per-tier runners (the service's `Tier::Simd` runner is its banded,
-//! stealable sweep).
+//! the service layer route through `TierRouter::route`, and both hand it
+//! the executor's one per-tier runner (the service wraps it in its panic
+//! boundary and gives the materializing sweep a cancellation probe).
 
 use crate::executor::CompiledProgram;
 use std::collections::BTreeMap;

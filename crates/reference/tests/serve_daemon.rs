@@ -18,11 +18,12 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+use stencilflow_expr::DataType;
 use stencilflow_json::Json;
-use stencilflow_program::StencilProgram;
+use stencilflow_program::{ProgramError, StencilProgram, StencilProgramBuilder};
 use stencilflow_reference::{
-    generate_inputs, CancelReason, Daemon, DaemonConfig, DaemonOutcome, DaemonRequest,
+    generate_inputs, CancelReason, CancelToken, Daemon, DaemonConfig, DaemonOutcome, DaemonRequest,
     ExecutionResult, Grid, JobError, JobFault, JobSpec, JobStatus, ReferenceExecutor, RejectReason,
     ServeConfig, ServeExecutor, TenantQuota, Tier,
 };
@@ -83,8 +84,8 @@ fn poison_job_is_isolated_and_pooled_buffers_recycle() {
     let expected = ReferenceExecutor::new()
         .run_interpreted(&program, &inputs)
         .unwrap();
-    // The strict 0-miss guarantee is the banded tier's (fused/jit own
-    // internal scratch); pin it so the invariant is exact.
+    // Pinned to the materializing sweep, so the buffers a clean job draws
+    // are exactly its results and the invariant is exact.
     let clean = job(&program, &inputs).with_tier(Tier::Simd);
     for _ in 0..2 {
         let outcome = serve.run_one(clean.clone());
@@ -114,6 +115,100 @@ fn poison_job_is_isolated_and_pooled_buffers_recycle() {
     assert_eq!(
         after.mask_misses, warm.mask_misses,
         "poison job leaked pooled masks"
+    );
+}
+
+#[test]
+fn cancelling_a_stepped_job_mid_run_stops_it_and_recycles_its_buffers() {
+    let serve = ServeExecutor::new(ServeConfig::new().with_workers(1));
+    let program = Arc::new(jacobi2d(1, &[8, 8], 1));
+    let inputs = Arc::new(generate_inputs(&program, 9));
+    let stepped = |steps| {
+        job(&program, &inputs)
+            .with_tier(Tier::Simd)
+            .with_steps(steps)
+    };
+    let clean = || {
+        let outcome = serve.run_one(stepped(3));
+        serve.recycle(outcome.result.expect("the clean job completes"));
+        serve.stats()
+    };
+    let warm = clean();
+
+    // 2^40 steps never finish on their own, so the job coming back at all
+    // is the cancellation observed at a step boundary. The helper fires
+    // the token only once the job is provably under way: it has drawn the
+    // buffers of at least eight sweeps.
+    let token = CancelToken::new();
+    let endless = stepped(1 << 40).with_cancel_token(token.clone());
+    let outcome = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while serve.stats().pool_acquires < warm.pool_acquires + 8 {
+                std::thread::yield_now();
+            }
+            token.cancel();
+        });
+        serve.run_one(endless)
+    });
+    assert!(
+        matches!(outcome.result, Err(JobError::Cancelled)),
+        "expected Cancelled, got {:?}",
+        outcome.result
+    );
+
+    // Fed-back state, the sweep in flight, its mask: all back in the pools.
+    let after = clean();
+    assert_eq!(
+        (after.pool_misses, after.mask_misses),
+        (warm.pool_misses, warm.mask_misses),
+        "the cancelled job leaked pooled buffers"
+    );
+}
+
+#[test]
+fn a_kernel_error_in_a_later_step_is_reported_and_leaks_nothing() {
+    // Integer slots keep both kernels on the boxed path, where division
+    // by zero is an error. `k_next = 4 / k - 2`: from k = 2 the first step
+    // feeds back 0 and the second step divides by it, with `s` already
+    // computed and the first step's output held as state. From k = 5 the
+    // sequence is -2, -4, -3, -3, ... and never reaches 0.
+    let program = StencilProgramBuilder::new("int_feedback", &[6, 5])
+        .input("k", DataType::Int32, &["i", "j"])
+        .stencil("s", "k[i,j] + 1")
+        .output_type("s", DataType::Int32)
+        .stencil("k_next", "4 / k[i,j] - 3 + s[i,j] - k[i,j]")
+        .output_type("k_next", DataType::Int32)
+        .output("k_next")
+        .build()
+        .unwrap();
+    let program = Arc::new(program);
+    let serve = ServeExecutor::new(ServeConfig::new().with_workers(1));
+    let from = |k: f64| {
+        let grid = Grid::from_fn(&["i", "j"], &[6, 5], DataType::Int32, |_| k);
+        let inputs = Arc::new(BTreeMap::from([("k".to_string(), grid)]));
+        serve.run_one(job(&program, &inputs).with_tier(Tier::Simd).with_steps(4))
+    };
+    let clean = || {
+        let result = from(5.0).result.expect("k = 5 never divides by zero");
+        assert!(result
+            .field("k_next")
+            .unwrap()
+            .as_slice()
+            .iter()
+            .all(|&k| k == -3.0));
+        serve.recycle(result);
+        serve.stats()
+    };
+    let warm = clean();
+    match from(2.0).result {
+        Err(JobError::Program(ProgramError::Code { stencil, .. })) => assert_eq!(stencil, "k_next"),
+        other => panic!("expected the kernel's error, got {other:?}"),
+    }
+    let after = clean();
+    assert_eq!(
+        (after.pool_misses, after.mask_misses),
+        (warm.pool_misses, warm.mask_misses),
+        "the failed job leaked pooled buffers"
     );
 }
 
@@ -342,9 +437,9 @@ fn watchdog_cancels_a_stalled_job_mid_run() {
     );
     let program = Arc::new(jacobi2d(1, &[8, 8], 1));
     let inputs = Arc::new(generate_inputs(&program, 6));
-    // The stall holds the first band long enough for the watchdog to
-    // fire the 25 ms hard timeout; the band boundary then observes the
-    // token. Pinned to the banded tier, where cancellation is checked.
+    // The stall holds the job long enough for the watchdog to fire the
+    // 25 ms hard timeout; the check after the stall then observes the
+    // token.
     daemon
         .submit(
             DaemonRequest::new(
@@ -362,6 +457,45 @@ fn watchdog_cancels_a_stalled_job_mid_run() {
         JobStatus::Cancelled(CancelReason::HardTimeout) => {}
         other => panic!("expected mid-run Cancelled(HardTimeout), got {other:?}"),
     }
+}
+
+#[test]
+fn a_dispatch_round_does_not_wait_out_the_watchdog_tick() {
+    // The round's watchdog sleeps a tick at a time; the end of the round
+    // has to wake it. Ratio-based: rounds under a 200 ms tick against the
+    // same rounds under a 100 us tick (a round that waited out one slow
+    // tick would read in the hundreds).
+    let program = Arc::new(jacobi2d(1, &[8, 8], 1));
+    let inputs = Arc::new(generate_inputs(&program, 3));
+    let fastest_round = |tick: Duration| {
+        let daemon = Daemon::new(
+            DaemonConfig::new()
+                .with_serve(ServeConfig::new().with_workers(2))
+                .with_watchdog_tick(tick),
+        );
+        let round = |n: usize| {
+            for ix in 0..4 {
+                let id = format!("r{n}-{ix}");
+                let request = DaemonRequest::new(id, "t", job(&program, &inputs));
+                daemon.submit(request).unwrap();
+            }
+            let started = Instant::now();
+            let settled = daemon.dispatch(|outcome| match outcome.status {
+                JobStatus::Done { result, .. } => daemon.serve().recycle(result),
+                other => panic!("trivial job did not complete: {other:?}"),
+            });
+            assert_eq!(settled, 4);
+            started.elapsed()
+        };
+        round(0); // compiles and measures tiers
+        (1..=5).map(round).min().expect("five rounds")
+    };
+    let fast = fastest_round(Duration::from_micros(100));
+    let slow = fastest_round(Duration::from_millis(200));
+    assert!(
+        slow < fast * 100,
+        "a round under a 200 ms watchdog tick took {slow:?}, {fast:?} under a 100 us tick"
+    );
 }
 
 #[test]

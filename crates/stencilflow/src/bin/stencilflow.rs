@@ -303,8 +303,8 @@ fn serve_command(args: &[String]) {
         );
     }
     println!(
-        "compiles: {}  tier measurements: {}  steals: {}  pool misses: {}  mask misses: {}",
-        stats.compiles, stats.tier_measurements, stats.steals, stats.pool_misses, stats.mask_misses
+        "compiles: {}  tier measurements: {}  pool misses: {}  mask misses: {}",
+        stats.compiles, stats.tier_measurements, stats.pool_misses, stats.mask_misses
     );
     for choice in serve.tier_choices() {
         println!(

@@ -682,7 +682,6 @@ fn stats_json(daemon: &Daemon) -> Json {
                 ("jobs", num(serve.jobs as f64)),
                 ("compiles", num(serve.compiles as f64)),
                 ("tier_measurements", num(serve.tier_measurements as f64)),
-                ("steals", num(serve.steals as f64)),
                 ("pool_misses", num(serve.pool_misses as f64)),
                 ("mask_misses", num(serve.mask_misses as f64)),
             ]),

@@ -111,7 +111,7 @@ impl JobMixSpec {
             (Arc::new(crate::jacobi2d(1, &[16, 16], 1)), 4),
         ];
         // One large template: ~65k cells per stencil, two orders of
-        // magnitude over the small ones and heavy enough to band.
+        // magnitude over the small ones.
         let large = Arc::new(crate::jacobi2d(1, &[512, 128], 1));
 
         let large_jobs = self.large_jobs.min(self.jobs);

@@ -65,7 +65,9 @@
 #                                  batch executor and fails the build if
 #                                  sustained throughput falls under the
 #                                  host-conditioned floor, the small-job
-#                                  p99 latency bound breaks (fairness),
+#                                  p99 latency bound breaks (fairness:
+#                                  the FIFO job queue, one job per
+#                                  worker, nothing split or stolen),
 #                                  any job errors, or a measured
 #                                  steady-state batch allocates at all
 #                                  (pool/mask misses or recompiles != 0)
