@@ -7,7 +7,12 @@
 //! feedback pair) and the compiled `run_steps` path. Writes a JSON log of
 //! every run — per-schedule recovery statistics and the chronological
 //! fault log — and exits non-zero on any bitwise mismatch, so CI can run
-//! it as a gate and archive the log as an artifact.
+//! it as a gate and archive the log as an artifact. The exchange window is
+//! pinned to one step (the default depends on the host's core count and
+//! can swallow the whole run in one window), and a schedule that tested
+//! nothing also fails the gate: a run that did not degrade yet sent no
+//! halo frame, a halo schedule that injected no fault on any seed, a
+//! `worker_panic` run that did not degrade.
 //!
 //! Usage: `fault_sweep [--seeds 7,23,42] [--out PATH]`
 //!
@@ -117,17 +122,19 @@ fn main() {
         ("delayed_halo", Box::new(FaultPlan::delayed_halo)),
         ("duplicated_halo", Box::new(FaultPlan::duplicated_halo)),
         ("corrupted_halo", Box::new(FaultPlan::corrupted_halo)),
-        // Window 0 exists under every window sizing (with shards <= host
-        // threads the whole run is one window).
         ("worker_panic", Box::new(|_| FaultPlan::worker_panic(1, 0))),
     ];
 
     let mut runs = Vec::new();
     let mut mismatches = 0usize;
-    let mut undegraded = 0usize;
-    for &seed in &seeds {
-        for (schedule, make_plan) in &schedules {
-            let config = ShardConfig::shards(shards).with_fault_plan(make_plan(seed));
+    // Runs (or whole schedules) that passed without testing anything.
+    let mut vacuous = 0usize;
+    for (schedule, make_plan) in &schedules {
+        let mut schedule_faults = 0.0;
+        for &seed in &seeds {
+            let config = ShardConfig::shards(shards)
+                .with_window(1)
+                .with_fault_plan(make_plan(seed));
             let outcome = executor
                 .run_steps_sharded(&program, &inputs, steps, &config)
                 .unwrap();
@@ -146,15 +153,19 @@ fn main() {
                 );
             }
             let report = &outcome.report;
-            if *schedule == "worker_panic" && !report.degraded {
-                // The panic never fired (or was absorbed): the schedule
-                // tested nothing.
-                undegraded += 1;
-                eprintln!("NOT DEGRADED: seed {seed} worker_panic ran to completion sharded");
-            }
             let sum = |f: fn(&stencilflow_reference::ShardStats) -> usize| -> f64 {
                 report.per_shard.iter().map(f).sum::<usize>() as f64
             };
+            if *schedule == "worker_panic" && !report.degraded {
+                // The panic never fired (or was absorbed).
+                vacuous += 1;
+                eprintln!("NOT DEGRADED: seed {seed} worker_panic ran to completion sharded");
+            }
+            if !report.degraded && sum(|s| s.frames_sent) == 0.0 {
+                vacuous += 1;
+                eprintln!("NO EXCHANGE: seed {seed} schedule {schedule} sent no halo frame");
+            }
+            schedule_faults += sum(|s| s.faults_injected);
             println!(
                 "seed {seed:>4} {schedule:<16} match={bitwise_match} degraded={} \
                  resent={} nacks={} corrupt={} faults={}",
@@ -214,6 +225,12 @@ fn main() {
                 ),
             ]));
         }
+        // A seeded roll may miss every frame of one small run, so a halo
+        // schedule is held to injecting something over all the seeds.
+        if schedule.ends_with("_halo") && schedule_faults == 0.0 {
+            vacuous += 1;
+            eprintln!("NO FAULTS: schedule {schedule} injected nothing on any seed");
+        }
     }
 
     let document = Json::Object(vec![
@@ -243,15 +260,15 @@ fn main() {
         }
         None => println!("{document}"),
     }
-    if mismatches > 0 || undegraded > 0 {
+    if mismatches > 0 || vacuous > 0 {
         eprintln!(
-            "{mismatches} fault schedule(s) diverged from the interpreter, \
-             {undegraded} worker_panic run(s) did not degrade"
+            "{mismatches} fault run(s) diverged from the interpreter, \
+             {vacuous} run(s) or schedule(s) tested nothing"
         );
         std::process::exit(1);
     }
     println!(
-        "all {} fault runs bitwise-identical to the interpreter",
+        "all {} fault runs bitwise-identical to the interpreter, none vacuous",
         seeds.len() * schedules.len()
     );
 }

@@ -1,14 +1,12 @@
-//! Bounded FIFO channels connecting simulated units and shard workers.
+//! Bounded FIFO channels connecting simulated units.
 //!
-//! This module lives in `stencilflow-core` (rather than the simulator) so
-//! that both consumers of the channel abstraction can share one type: the
-//! sharded halo-exchange runtime (`stencilflow_reference::shard`) carries
-//! framed halo slabs over [`Fifo`]s, and the cycle-level simulator
-//! (`stencilflow-sim`) models the same channel — its timing loop with a
-//! count-only twin that follows this type's capacity, latency and credit
-//! rules, its value-carrying test oracle with [`Fifo`] itself. The
-//! simulator depends on the reference executor, so the channel layer has
-//! to sit below both.
+//! The cycle-level simulator (`stencilflow-sim`) models this channel: its
+//! timing loop with a count-only twin (`TokenChannel`) that follows this
+//! type's capacity, latency and credit rules, its value-carrying test
+//! oracle with [`Fifo`] itself. Those are [`Fifo`]'s remaining users — the
+//! simulator's `#[cfg(test)]` oracle and `TokenChannel`'s equivalence
+//! test; the sharded runtime (`stencilflow_reference::shard`) queues whole
+//! frames on links of its own.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -16,9 +14,7 @@ use std::fmt;
 /// Typed misuse error returned by [`Fifo::push`] and [`Fifo::pop`].
 ///
 /// Every variant names the channel so a stalled or misbehaving design can
-/// report exactly which edge failed — the sharded halo-exchange runtime and
-/// its progress watchdog rely on this to attribute starvation to an edge
-/// instead of dying in an assertion.
+/// report exactly which edge failed instead of dying in an assertion.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChannelError {
     /// A push was attempted while the queue already held `capacity` words.
@@ -175,13 +171,6 @@ impl Fifo {
     /// Whether a push would currently succeed.
     pub fn can_push(&self) -> bool {
         self.queue.len() < self.capacity && self.credits >= 1.0
-    }
-
-    /// Whether `n` consecutive pushes would currently succeed (capacity and
-    /// bandwidth credits for the whole batch). Used by the shard links to
-    /// reserve space for a whole frame before sending it.
-    pub fn can_push_n(&self, n: usize) -> bool {
-        self.queue.len() + n <= self.capacity && self.credits >= n as f64
     }
 
     /// Whether a pop at the given cycle would succeed (a word is present and

@@ -9,7 +9,7 @@
 //! never drain — the sender blocks mid-frame forever and the receiver
 //! starves. PR 6 *detects* that case at runtime with a progress watchdog;
 //! this module *predicts* it, from the program and the shard configuration
-//! alone, using the exact arithmetic the runtime plans with:
+//! alone, with the arithmetic the runtime plans by:
 //!
 //! ```text
 //! radius        = cumulative dim0 halo radius of the DAG per step
@@ -19,19 +19,22 @@
 //! deadlock      ⇔ shards > 1 ∧ configured capacity < required
 //! ```
 //!
-//! The runtime imports [`halo_radius`], [`minimum_link_depth_words`], and
-//! [`FRAME_HEADER_WORDS`] from here — prediction and detection share one
-//! set of constants by construction, which `tests/analysis_prediction.rs`
-//! cross-checks against the live watchdog report.
+//! The runtime calls this: its planner hands [`analyze_shard_links`] the
+//! requested geometry and runs on the shards, window, slab ranges and link
+//! capacity it returns, so prediction and detection agree by construction;
+//! `tests/analysis_prediction.rs` checks the prediction against the live
+//! watchdog report.
 
 use crate::error::{CoreError, Result};
-use crate::partition::SlabPartition;
+use crate::partition::{SlabPartition, SlabRange};
 use std::collections::BTreeMap;
 use stencilflow_program::{ProgramError, StencilProgram};
 
-/// Words of framing metadata preceding every halo payload on a link
-/// (magic, kind, shard, seq, window, checksum). Must match the frame
-/// layout in `stencilflow_reference::shard`.
+/// Words of framing metadata accounted for ahead of every halo payload on
+/// a link: sequence number, window, field, payload length and checksum,
+/// plus the one word that used to hold a magic sentinel and stays in the
+/// accounting so every sized capacity keeps its value. The runtime's
+/// `Frame` is charged this much on top of its payload.
 pub const FRAME_HEADER_WORDS: usize = 6;
 
 /// The fig04-style minimum capacity of a halo link: it must hold at least
@@ -92,11 +95,10 @@ pub fn halo_radius(program: &StencilProgram) -> std::result::Result<usize, Progr
     Ok(max_radius as usize)
 }
 
-/// Shard-run parameters the link-sizing pass needs, mirroring the knobs of
-/// the runtime's `ShardConfig`. `window` is the *requested* steps per
-/// temporal window (the runtime's `with_window`); the pass applies the
-/// same feasibility shrinking the runtime planner does, so the resolved
-/// geometry matches it exactly.
+/// Shard-run parameters the link-sizing pass needs: the knobs of the
+/// runtime's `ShardConfig`. `window` is the *requested* steps per temporal
+/// window (the runtime's `with_window`); the pass shrinks an infeasible
+/// request, and the geometry it resolves is the one the runtime runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardLinkSpec {
     /// Requested shard count.
@@ -148,6 +150,8 @@ pub struct ShardLinkRequirement {
     pub shards: usize,
     /// Window after feasibility shrinking.
     pub window: usize,
+    /// Rows each shard owns under that geometry, in shard order.
+    pub slabs: Vec<SlabRange>,
     /// Cumulative per-step halo radius of the DAG.
     pub radius: usize,
     /// Halo rows exchanged per window (`radius × window`).
@@ -169,8 +173,9 @@ pub struct ShardLinkRequirement {
 }
 
 /// Statically size the halo links of a sharded run and decide whether the
-/// configuration deadlocks, using the same arithmetic the runtime plans
-/// with (see the module docs).
+/// configuration deadlocks (see the module docs). The only place a
+/// requested geometry is shrunk and a link sized: the runtime plans from
+/// the returned requirement.
 ///
 /// # Errors
 ///
@@ -185,15 +190,14 @@ pub fn analyze_shard_links(
     let row_words: usize = space.shape[1..].iter().product::<usize>().max(1);
     let radius = halo_radius(program).map_err(CoreError::Program)?;
 
-    // Mirror the runtime planner's feasibility shrinking: the window, then
-    // the shard count, shrink until every shard can own at least its
-    // dilation depth.
+    // Shrink the window, then the shard count, until every shard can own
+    // at least its dilation depth, so halos always come from interior rows.
     let mut shards = spec.shards.min(extent).max(1);
     let mut window = spec.window.clamp(1, spec.steps.max(1));
-    loop {
+    let slabs = loop {
         let min_rows = (radius * window).max(1);
         match SlabPartition::split(extent, shards, min_rows) {
-            Ok(_) => break,
+            Ok(partition) => break partition.ranges,
             Err(_) if window > 1 => window -= 1,
             Err(_) if shards > 1 => shards -= 1,
             Err(e) => {
@@ -202,19 +206,21 @@ pub fn analyze_shard_links(
                 })
             }
         }
-    }
+    };
 
     let halo_rows = radius * window;
     let payload_words = halo_rows * row_words;
     let required_frame_words = minimum_link_depth_words(payload_words);
-    // The runtime's default: room for every feedback field's frame in both
-    // the original and a duplicated transmission.
+    // Default: room for every feedback field's frame in both the original
+    // and a duplicated transmission, so two neighbors pushing at each other
+    // before either drains can never mutually block.
     let configured_capacity_words = spec
         .link_capacity_words
         .unwrap_or_else(|| 4 * spec.feedback_pairs.max(1) * required_frame_words);
     Ok(ShardLinkRequirement {
         shards,
         window,
+        slabs,
         radius,
         halo_rows,
         row_words,
@@ -291,5 +297,9 @@ mod tests {
         let program = chain(8);
         let req = analyze_shard_links(&program, &ShardLinkSpec::new(4, 4, 8)).unwrap();
         assert!(req.window < 4 || req.shards < 4);
+        // The slabs it hands the runtime are the shrunk geometry's.
+        assert_eq!(req.slabs.len(), req.shards);
+        assert_eq!((req.slabs[0].start, req.slabs[req.shards - 1].end), (0, 8));
+        assert!(req.slabs.iter().all(|s| s.rows() >= req.halo_rows));
     }
 }

@@ -87,12 +87,6 @@ impl ExecutionResult {
         }
     }
 
-    /// Decompose the result into its parts (used by the sharded runtime,
-    /// which reassembles global grids from shard interiors).
-    pub(crate) fn into_parts(self) -> (BTreeMap<String, Grid>, BTreeMap<String, Vec<bool>>, usize) {
-        (self.fields, self.valid_masks, self.cells_evaluated)
-    }
-
     /// Remove and return a computed field (used by the sharded runtime to
     /// feed a window's output back as the next window's input without a
     /// copy).
@@ -1120,7 +1114,7 @@ impl ReferenceExecutor {
         inputs: &BTreeMap<String, Grid>,
         config: &crate::shard::ShardConfig,
     ) -> Result<crate::shard::ShardedOutcome> {
-        crate::shard::run_sharded(self, program, inputs, 1, false, config)
+        crate::shard::run_sharded(self, program, inputs, None, config)
     }
 
     /// Time-step `program` through the fault-tolerant sharded runtime,
@@ -1140,7 +1134,7 @@ impl ReferenceExecutor {
         steps: usize,
         config: &crate::shard::ShardConfig,
     ) -> Result<crate::shard::ShardedOutcome> {
-        crate::shard::run_sharded(self, program, inputs, steps, true, config)
+        crate::shard::run_sharded(self, program, inputs, Some(steps), config)
     }
 
     /// Run `program` through the tree-walking evaluator (the semantic

@@ -1,13 +1,19 @@
 //! Tier-3½: the fault-tolerant sharded halo-exchange runtime.
 //!
+//! This tier is the robustness harness, not a performance tier:
+//! `TierPolicy::Auto` never selects it, and its two bench floors bound its
+//! zero-fault overhead against the fused tier, not its speed.
+//!
 //! The paper maps one stencil DAG across a chain of devices; this module is
 //! the reproduction's data-parallel analogue on one host: the iteration
 //! space is split along the outermost dimension into contiguous slabs
 //! ([`stencilflow_core::SlabPartition`]), each slab is driven by a worker
-//! thread through the existing fused/lane tier, and neighbors exchange halo
-//! slabs between temporal windows over the shared `Fifo` channel layer
-//! ([`stencilflow_core::channel`], the same type the cycle simulator wires
-//! between stencil units).
+//! thread through the fused tier, and neighbors exchange halo slabs
+//! between temporal windows over bounded links. Shards, window, slab
+//! ranges and link capacity are the ones
+//! [`stencilflow_core::shardlink::analyze_shard_links`] resolves — the call
+//! that predicts the undersized-link deadlock — so what it sizes is what
+//! runs.
 //!
 //! # Bit-identity under sharding
 //!
@@ -25,39 +31,47 @@
 //! only its interior, receives the `R × W` rows adjoining it from its
 //! neighbors' interiors, and feeds the reassembled slab into the next
 //! window. Faults can therefore delay or degrade a run, but never change
-//! its bits: every recovery path re-derives the same interior rows.
+//! its bits: every recovery path re-derives the same interior rows. A DAG
+//! with `R = 0` has nothing to exchange and sends no frames at all.
 //!
-//! # Fault model
+//! # Frames, links and the fault model
 //!
-//! A seed-driven [`FaultPlan`] is threaded through the channel layer: halo
-//! frames can be dropped, delayed, duplicated, or corrupted (payload bit
-//! flip), and a worker can be stalled or panicked at a chosen window. Every
-//! data frame carries a per-link sequence number and an FNV checksum over
-//! the payload bits; receivers discard stale duplicates, detect corruption,
-//! and re-request frames over a reverse control channel with exponential
-//! backoff under a bounded retry budget. Injected faults hit only the first
-//! transmission of a frame, so one resend always recovers — recovery within
-//! the budget is deterministic. A progress watchdog on the supervisor
-//! detects global stalls, names the starved edge, and cross-checks the
-//! fig04-style minimum-depth rule (a link must hold at least one whole
-//! frame) against the live configuration. Anything unrecoverable — retry
-//! budget exhausted, a dead worker, a watchdog trip — poisons the runtime
-//! and the supervisor **degrades** to the single-shard fused tier, which is
-//! bitwise identical by construction.
+//! A halo slab travels as one frame: a per-link sequence number, the
+//! window and feedback field it belongs to, the payload, and an FNV
+//! checksum taken over the payload when the frame is built. A link is a
+//! mutex-guarded queue of whole frames bounded in *words* — each frame is
+//! charged [`stencilflow_core::shardlink::FRAME_HEADER_WORDS`] plus its
+//! payload length, the unit the static analysis sizes capacities in — so a
+//! link too shallow for one frame can never accept it.
+//!
+//! A seed-driven [`FaultPlan`] acts where a worker sends: a frame's first
+//! transmission can be dropped, delayed, duplicated, or corrupted (one
+//! payload bit flipped after the checksum is taken), and a worker can be
+//! stalled or panicked at a chosen window. Receivers discard stale
+//! duplicates, detect corruption by the checksum, and re-request frames
+//! over a reverse request link with exponential backoff under a bounded
+//! retry budget (private constants of this module). Injected faults hit
+//! only the first transmission of a frame, so one resend always recovers —
+//! recovery within the budget is deterministic. A progress watchdog on the
+//! supervisor detects global stalls, names the starved edge, and
+//! cross-checks the fig04-style minimum-depth rule (a link must hold at
+//! least one whole frame) against the live configuration. Anything
+//! unrecoverable — retry budget exhausted, a dead worker, a watchdog trip —
+//! poisons the runtime and the supervisor **degrades** to the single-shard
+//! fused tier, which is bitwise identical by construction.
 
 use crate::executor::{CompiledProgram, ExecutionResult, ReferenceExecutor, RunSpec};
 use crate::grid::Grid;
 use crate::tier::{Tier, TierPolicy};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use stencilflow_core::channel::Fifo;
 use stencilflow_core::shardlink::{
-    halo_radius, minimum_link_depth_words, FRAME_HEADER_WORDS as HEADER_WORDS,
+    analyze_shard_links, ShardLinkRequirement, ShardLinkSpec, FRAME_HEADER_WORDS as HEADER_WORDS,
 };
-use stencilflow_core::SlabPartition;
+use stencilflow_core::CoreError;
 use stencilflow_program::{ProgramError, Result, StencilProgram, StencilProgramBuilder};
 
 /// Injected fault schedule for one sharded run, decided deterministically
@@ -71,15 +85,13 @@ pub struct FaultPlan {
     /// dropped.
     pub drop_per_mille: u16,
     /// Per-mille probability that a data frame's first transmission is
-    /// delayed by [`FaultPlan::delay`].
+    /// delayed by a millisecond on the sender.
     pub delay_per_mille: u16,
     /// Per-mille probability that a data frame is enqueued twice.
     pub duplicate_per_mille: u16,
     /// Per-mille probability that a data frame's first transmission has one
     /// payload bit flipped.
     pub corrupt_per_mille: u16,
-    /// Sender-side delay applied by the delay fault.
-    pub delay: Duration,
     /// Panic worker `.0` at the start of window `.1`.
     pub panic_worker: Option<(usize, usize)>,
     /// Stall worker `.0` at the start of window `.1` for duration `.2`.
@@ -95,7 +107,6 @@ impl FaultPlan {
             delay_per_mille: 0,
             duplicate_per_mille: 0,
             corrupt_per_mille: 0,
-            delay: Duration::from_millis(1),
             panic_worker: None,
             stall_worker: None,
         }
@@ -155,16 +166,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether the plan injects nothing.
-    pub fn is_none(&self) -> bool {
-        self.drop_per_mille == 0
-            && self.delay_per_mille == 0
-            && self.duplicate_per_mille == 0
-            && self.corrupt_per_mille == 0
-            && self.panic_worker.is_none()
-            && self.stall_worker.is_none()
-    }
-
     /// Deterministic fault decision for transmission `seq` on link
     /// `link_salt`.
     fn roll(&self, link_salt: u64, seq: u64) -> InjectedFault {
@@ -218,11 +219,6 @@ pub struct ShardConfig {
     pub shards: usize,
     /// Fault schedule to inject.
     pub fault_plan: FaultPlan,
-    /// Maximum resend requests per missing frame before the shard gives up
-    /// and the run degrades.
-    pub retry_budget: u32,
-    /// First retry deadline; doubles per attempt (exponential backoff).
-    pub backoff: Duration,
     /// Progress watchdog bound: if nothing moves globally for this long,
     /// the supervisor reports the starved edge and degrades.
     pub watchdog: Duration,
@@ -243,8 +239,6 @@ impl ShardConfig {
         ShardConfig {
             shards,
             fault_plan: FaultPlan::none(),
-            retry_budget: 8,
-            backoff: Duration::from_millis(4),
             watchdog: Duration::from_millis(1000),
             link_capacity_words: None,
             window: None,
@@ -373,11 +367,18 @@ pub struct ShardedOutcome {
 }
 
 // ---------------------------------------------------------------------------
-// Halo frames over the shared Fifo channel layer.
+// Halo frames and the bounded links that carry them.
 // ---------------------------------------------------------------------------
 
-/// Sentinel first word of every frame (compared bit-exactly).
-const MAGIC: u64 = 0x5374656e63696c46; // "StencilF"
+/// Resend requests per missing frame before the shard gives up and the run
+/// degrades.
+const RETRY_BUDGET: u32 = 8;
+/// First retry deadline; doubles per attempt (exponential backoff).
+const BACKOFF: Duration = Duration::from_millis(4);
+/// Sender-side sleep applied by the delay fault.
+const FAULT_DELAY: Duration = Duration::from_millis(1);
+/// Capacity of a resend-request link: 64 payload-free frames.
+const REQUEST_LINK_WORDS: usize = 64 * HEADER_WORDS;
 
 fn fnv_checksum(words: &[f64]) -> u64 {
     let mut hash = 0xcbf29ce484222325u64;
@@ -390,155 +391,128 @@ fn fnv_checksum(words: &[f64]) -> u64 {
     hash
 }
 
-fn encode_frame(seq: u64, window: usize, field: usize, payload: &[f64]) -> Vec<f64> {
-    let mut words = Vec::with_capacity(HEADER_WORDS + payload.len());
-    words.push(f64::from_bits(MAGIC));
-    words.push(seq as f64);
-    words.push(window as f64);
-    words.push(field as f64);
-    words.push(payload.len() as f64);
-    words.push(f64::from_bits(fnv_checksum(payload)));
-    words.extend_from_slice(payload);
-    words
-}
-
-#[derive(Debug)]
+/// One halo slab on the wire. A resend request is a frame too: sequence
+/// number 0, no payload, naming the `(window, field)` it asks for.
+#[derive(Debug, Clone)]
 struct Frame {
     seq: u64,
     window: usize,
     field: usize,
     payload: Vec<f64>,
-    checksum_ok: bool,
+    /// FNV hash of the payload as the sender built it; a frame damaged in
+    /// flight no longer matches.
+    checksum: u64,
 }
 
-/// One direction of a halo channel: a `Fifo` behind a mutex, with frames
-/// pushed and popped atomically so the queue always holds whole frames.
+impl Frame {
+    fn new(seq: u64, window: usize, field: usize, payload: Vec<f64>) -> Self {
+        Frame {
+            seq,
+            window,
+            field,
+            checksum: fnv_checksum(&payload),
+            payload,
+        }
+    }
+
+    /// Words this frame occupies on a link: the unit link capacities are
+    /// sized in.
+    fn words(&self) -> usize {
+        HEADER_WORDS + self.payload.len()
+    }
+
+    fn checksum_ok(&self) -> bool {
+        fnv_checksum(&self.payload) == self.checksum
+    }
+}
+
+/// One direction of a halo channel: a queue of whole frames bounded in
+/// words.
 struct HaloLink {
     name: String,
+    /// Words the queued frames may occupy together.
     capacity: usize,
-    fifo: Mutex<Fifo>,
+    queue: Mutex<VecDeque<Frame>>,
 }
 
 impl HaloLink {
     fn new(name: String, capacity: usize) -> Self {
         HaloLink {
-            capacity,
-            fifo: Mutex::new(Fifo::new(&name, capacity)),
             name,
+            capacity,
+            queue: Mutex::new(VecDeque::new()),
         }
     }
 
-    /// Push a whole frame if it fits; `false` means back-pressure.
-    fn try_push_frame(&self, words: &[f64]) -> bool {
-        let mut fifo = self.fifo.lock().expect("halo link poisoned");
-        if !fifo.can_push_n(words.len()) {
+    /// Enqueue a copy of `frame` if it fits; `false` means back-pressure.
+    fn try_push(&self, frame: &Frame) -> bool {
+        let mut queue = self.queue.lock().expect("halo link poisoned");
+        let queued: usize = queue.iter().map(Frame::words).sum();
+        if queued + frame.words() > self.capacity {
             return false;
         }
-        for &w in words {
-            fifo.push(0, w)
-                .expect("frame space reserved by the can_push_n check above");
-        }
+        queue.push_back(frame.clone());
         true
     }
 
-    /// Pop one whole frame if any is queued.
-    fn try_pop_frame(&self) -> Option<Frame> {
-        let mut fifo = self.fifo.lock().expect("halo link poisoned");
-        if fifo.is_empty() {
-            return None;
-        }
-        // Frames are pushed atomically under the same lock, so a non-empty
-        // queue starts with a complete frame.
-        let mut header = [0f64; HEADER_WORDS];
-        for slot in header.iter_mut() {
-            *slot = fifo.pop(0).expect("whole frames are always queued");
-        }
-        debug_assert_eq!(header[0].to_bits(), MAGIC, "halo frame lost sync");
-        let len = header[4] as usize;
-        let mut payload = Vec::with_capacity(len);
-        for _ in 0..len {
-            payload.push(fifo.pop(0).expect("whole frames are always queued"));
-        }
-        let checksum_ok = fnv_checksum(&payload) == header[5].to_bits();
-        Some(Frame {
-            seq: header[1] as u64,
-            window: header[2] as usize,
-            field: header[3] as usize,
-            payload,
-            checksum_ok,
-        })
+    /// Dequeue the oldest frame, if any.
+    fn try_pop(&self) -> Option<Frame> {
+        self.queue.lock().expect("halo link poisoned").pop_front()
     }
 }
 
-/// The four channels across one shard boundary `b | b+1`: halo data in both
-/// directions plus a reverse control (resend request) channel per data
-/// direction. Control channels are assumed reliable; the fault plan only
-/// touches data frames.
-struct BoundaryLinks {
-    /// Halo data, shard `b` → `b+1`.
-    data_up: HaloLink,
-    /// Halo data, shard `b+1` → `b`.
-    data_down: HaloLink,
-    /// Resend requests for `data_up`, shard `b+1` → `b`.
-    nack_up: HaloLink,
-    /// Resend requests for `data_down`, shard `b` → `b+1`.
-    nack_down: HaloLink,
+/// One direction across a shard boundary: the halo data link plus the
+/// reverse link its receiver requests resends on. Request links are assumed
+/// reliable; the fault plan only touches data frames.
+struct Lane {
+    data: HaloLink,
+    requests: HaloLink,
+}
+
+impl Lane {
+    fn new(from: usize, to: usize, capacity: usize) -> Self {
+        Lane {
+            data: HaloLink::new(format!("halo[{from}->{to}]"), capacity),
+            requests: HaloLink::new(format!("nack[{to}->{from}]"), REQUEST_LINK_WORDS),
+        }
+    }
+
+    /// Ask `data`'s sender to resend `(window, field)`. Best effort: a full
+    /// request link drops the request and the receiver's next deadline
+    /// asks again.
+    fn request_resend(&self, window: usize, field: usize) {
+        let request = Frame::new(0, window, field, Vec::new());
+        let _ = self.requests.try_push(&request);
+    }
+}
+
+/// The two lanes across the shard boundary `b | b+1`.
+struct Boundary {
+    /// Shard `b` → `b+1`.
+    up: Lane,
+    /// Shard `b+1` → `b`.
+    down: Lane,
 }
 
 // ---------------------------------------------------------------------------
 // Shared supervisor state.
 // ---------------------------------------------------------------------------
 
+/// What the watchdog reads of one worker: a line for its report and, when
+/// the worker is stuck on a link, which one.
 #[derive(Debug, Clone)]
-enum WorkerStatus {
-    Idle,
-    Computing {
-        window: usize,
-    },
-    SendBlocked {
-        edge: String,
-        window: usize,
-        needed: usize,
-        capacity: usize,
-    },
-    Waiting {
-        edge: String,
-        window: usize,
-        field: usize,
-    },
-    Draining,
-    Done,
-    Failed {
-        reason: String,
-    },
+struct WorkerStatus {
+    what: String,
+    blocked: Option<BlockedEdge>,
 }
 
-impl WorkerStatus {
-    fn describe(&self, shard: usize) -> String {
-        match self {
-            WorkerStatus::Idle => format!("shard {shard}: idle"),
-            WorkerStatus::Computing { window } => {
-                format!("shard {shard}: computing window {window}")
-            }
-            WorkerStatus::SendBlocked {
-                edge,
-                window,
-                needed,
-                capacity,
-            } => format!(
-                "shard {shard}: blocked sending {needed} words on `{edge}` \
-                 (capacity {capacity}) in window {window}"
-            ),
-            WorkerStatus::Waiting {
-                edge,
-                window,
-                field,
-            } => format!("shard {shard}: waiting on `{edge}` for field {field} in window {window}"),
-            WorkerStatus::Draining => format!("shard {shard}: draining resend requests"),
-            WorkerStatus::Done => format!("shard {shard}: done"),
-            WorkerStatus::Failed { reason } => format!("shard {shard}: failed ({reason})"),
-        }
-    }
+#[derive(Debug, Clone)]
+struct BlockedEdge {
+    edge: String,
+    window: usize,
+    /// The link's capacity when the worker is a sender the link pushes back
+    /// on; `None` for a receiver waiting on a frame.
+    sender_capacity: Option<usize>,
 }
 
 struct Shared {
@@ -568,7 +542,12 @@ impl Shared {
             computed: AtomicUsize::new(0),
             done: AtomicUsize::new(0),
             status: (0..shards)
-                .map(|_| Mutex::new(WorkerStatus::Idle))
+                .map(|_| {
+                    Mutex::new(WorkerStatus {
+                        what: "idle".to_string(),
+                        blocked: None,
+                    })
+                })
                 .collect(),
             fault_log: Mutex::new(Vec::new()),
             watchdog: Mutex::new(None),
@@ -605,8 +584,19 @@ impl Shared {
         self.fault_log.lock().expect("fault log").push(entry);
     }
 
-    fn set_status(&self, shard: usize, status: WorkerStatus) {
-        *self.status[shard].lock().expect("status slot") = status;
+    fn set_status(&self, shard: usize, what: String, blocked: Option<BlockedEdge>) {
+        *self.status[shard].lock().expect("status slot") = WorkerStatus { what, blocked };
+    }
+
+    /// One line per worker, as the watchdog report prints them.
+    fn describe_workers(&self) -> Vec<String> {
+        self.status
+            .iter()
+            .enumerate()
+            .map(|(shard, slot)| {
+                format!("shard {shard}: {}", slot.lock().expect("status slot").what)
+            })
+            .collect()
     }
 }
 
@@ -699,28 +689,28 @@ fn slice_grid_rows(grid: &Grid, dim0: &str, lo: usize, hi: usize) -> Result<Grid
 // ---------------------------------------------------------------------------
 
 struct Plan {
-    shards: usize,
-    window: usize,
+    /// Shards, window, radius, halo rows and link sizes as the static
+    /// link-sizing pass resolved them.
+    link: ShardLinkRequirement,
     windows: usize,
-    /// Total time steps of the run (1 in single-application mode).
-    total_steps: usize,
-    radius: usize,
-    halo_rows: usize,
-    row_words: usize,
+    /// Time steps of the run; `None` is one plain application.
+    steps: Option<usize>,
+    /// One slab per shard.
     geoms: Vec<SlabGeom>,
-    /// Feedback pairs `(output field, input field)`; empty in single-window
-    /// single-application mode.
+    /// Feedback pairs `(output field, input field)`; empty for a plain
+    /// application.
     pairs: Vec<(String, String)>,
-    /// Data frame payload words (one halo slab).
-    payload_words: usize,
-    link_capacity: usize,
 }
 
+/// Choose the requested window, let the static link-sizing pass resolve
+/// the geometry (it shrinks an infeasible request and sizes the links), and
+/// add what only the runtime needs: slab dilation and the feedback pairs.
 fn plan_run(
     exec: &ReferenceExecutor,
     program: &StencilProgram,
-    steps: usize,
-    steps_mode: bool,
+    compiled: &CompiledProgram,
+    steps: Option<usize>,
+    host: usize,
     config: &ShardConfig,
 ) -> Result<Plan> {
     if config.shards == 0 {
@@ -728,112 +718,90 @@ fn plan_run(
             message: "sharded execution requires at least one shard".into(),
         });
     }
-    let space = program.space();
-    let extent = space.shape[0];
-    let row_words: usize = space.shape[1..].iter().product::<usize>().max(1);
-    let radius = halo_radius(program)?;
-    let host = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    let mut shards = config.shards.min(extent).max(1);
-    let mut window = config
-        .window
-        .unwrap_or(if shards > host { 1 } else { exec.fusion_window })
-        .clamp(1, steps.max(1));
-    // Shrink the window (then the shard count) until every shard can own at
-    // least its dilation depth, so halos always come from interior rows.
-    let slabs = loop {
-        let min_rows = (radius * window).max(1);
-        match SlabPartition::split(extent, shards, min_rows) {
-            Ok(slabs) => break slabs,
-            Err(_) if window > 1 => window -= 1,
-            Err(_) if shards > 1 => shards -= 1,
-            Err(e) => {
-                return Err(ProgramError::Invalid {
-                    message: format!("cannot shard `{}`: {e}", program.name()),
-                })
-            }
-        }
+    let extent = program.space().shape[0];
+    let total_steps = steps.unwrap_or(1);
+    let pairs = match steps {
+        Some(_) => compiled.feedback_pairs()?,
+        None => Vec::new(),
     };
-    // A single shard exchanges no halos, so there is no reason to cut the
-    // run into windows: one fused call over all steps keeps the zero-fault
-    // overhead down to slicing, one thread spawn, and reassembly. Explicit
-    // window overrides are honored (tests pin them).
-    if shards == 1 && config.window.is_none() {
-        window = steps.max(1);
-    }
+    let requested = config
+        .window
+        .unwrap_or(if config.shards.min(extent) > host {
+            1
+        } else {
+            exec.fusion_window
+        });
+    let spec = ShardLinkSpec {
+        link_capacity_words: config.link_capacity_words,
+        feedback_pairs: pairs.len(),
+        ..ShardLinkSpec::new(config.shards, requested, total_steps)
+    };
+    let mut link = analyze_shard_links(program, &spec).map_err(|e| match e {
+        CoreError::Program(e) => e,
+        other => ProgramError::Invalid {
+            message: other.to_string(),
+        },
+    })?;
 
-    let halo_rows = radius * window;
-    let geoms: Vec<SlabGeom> = slabs
-        .ranges
+    // With nothing to exchange — a single shard, or a DAG that reaches no
+    // neighboring row — there is no reason to cut the run into windows: one
+    // fused call over all steps keeps the zero-fault overhead down to
+    // slicing, one thread spawn, and reassembly. Explicit window overrides
+    // are honored (tests pin them). The link sizes stay those of the window
+    // the pass resolved; such a run has no link to hold them to.
+    if (link.shards == 1 || link.radius == 0) && config.window.is_none() {
+        link.window = total_steps;
+        link.halo_rows = link.radius * total_steps;
+    }
+    let geoms = link
+        .slabs
         .iter()
         .map(|r| SlabGeom {
             start: r.start,
             end: r.end,
-            lo: r.start.saturating_sub(halo_rows),
-            hi: (r.end + halo_rows).min(extent),
+            lo: r.start.saturating_sub(link.halo_rows),
+            hi: (r.end + link.halo_rows).min(extent),
         })
         .collect();
-
-    let pairs = if steps_mode {
-        exec.prepare(program)?.feedback_pairs()?
-    } else {
-        Vec::new()
-    };
-
-    let payload_words = halo_rows * row_words;
-    // Default capacity: room for every feedback field's frame in both the
-    // original and a duplicated transmission, so two neighbors pushing at
-    // each other before either drains can never mutually block.
-    let link_capacity = config
-        .link_capacity_words
-        .unwrap_or_else(|| 4 * pairs.len().max(1) * minimum_link_depth_words(payload_words));
     Ok(Plan {
-        shards,
-        window,
-        windows: steps.max(1).div_ceil(window),
-        total_steps: steps.max(1),
-        radius,
-        halo_rows,
-        row_words,
+        windows: total_steps.div_ceil(link.window),
+        link,
+        steps,
         geoms,
         pairs,
-        payload_words,
-        link_capacity,
     })
 }
 
 /// Shard slabs (and the degraded single-shard rerun) always take the
 /// fused tier: a single application, or `steps` time steps.
-fn fused_spec(steps_mode: bool, steps: usize) -> RunSpec {
+fn fused_spec(steps: Option<usize>) -> RunSpec {
     RunSpec {
-        steps: steps_mode.then_some(steps),
+        steps,
         tier: TierPolicy::Fixed(Tier::Fused),
     }
 }
 
-/// Entry point shared by [`ReferenceExecutor::run_sharded`] and
-/// [`ReferenceExecutor::run_steps_sharded`].
+/// Entry point shared by [`ReferenceExecutor::run_sharded`] (`steps` is
+/// `None`) and [`ReferenceExecutor::run_steps_sharded`].
 pub(crate) fn run_sharded(
     exec: &ReferenceExecutor,
     program: &StencilProgram,
     inputs: &BTreeMap<String, Grid>,
-    steps: usize,
-    steps_mode: bool,
+    steps: Option<usize>,
     config: &ShardConfig,
 ) -> Result<ShardedOutcome> {
-    if steps_mode && steps == 0 {
+    if steps == Some(0) {
         return Err(ProgramError::Invalid {
             message: "run_steps requires at least one time step".into(),
         });
     }
     let started = Instant::now();
-    let plan = plan_run(exec, program, steps, steps_mode, config)?;
     let host = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let global = exec.prepare(program)?;
+    let plan = plan_run(exec, program, &global, steps, host, config)?;
+    let (shards, row_words) = (plan.link.shards, plan.link.row_words);
 
     let space = program.space();
     // Compile every distinct slab height once up front (the worker
@@ -857,7 +825,7 @@ pub(crate) fn run_sharded(
 
     let dim0 = space.dims[0].clone();
     // Per-shard initial inputs: every grid sliced to the shard's slab.
-    let mut shard_inputs: Vec<BTreeMap<String, Grid>> = Vec::with_capacity(plan.shards);
+    let mut shard_inputs: Vec<BTreeMap<String, Grid>> = Vec::with_capacity(shards);
     for geom in &plan.geoms {
         let mut sliced = BTreeMap::new();
         for (name, grid) in inputs {
@@ -869,40 +837,28 @@ pub(crate) fn run_sharded(
         shard_inputs.push(sliced);
     }
 
-    let shared = Shared::new(plan.shards);
-    let links: Vec<BoundaryLinks> = (0..plan.shards.saturating_sub(1))
-        .map(|b| BoundaryLinks {
-            data_up: HaloLink::new(format!("halo[{b}->{}]", b + 1), plan.link_capacity),
-            data_down: HaloLink::new(format!("halo[{}->{b}]", b + 1), plan.link_capacity),
-            nack_up: HaloLink::new(format!("nack[{}->{b}]", b + 1), 64 * HEADER_WORDS),
-            nack_down: HaloLink::new(format!("nack[{b}->{}]", b + 1), 64 * HEADER_WORDS),
+    let capacity = plan.link.configured_capacity_words;
+    let links: Vec<Boundary> = (0..shards - 1)
+        .map(|b| Boundary {
+            up: Lane::new(b, b + 1, capacity),
+            down: Lane::new(b + 1, b, capacity),
         })
         .collect();
+    let shared = Shared::new(shards);
 
     let outcomes: Vec<std::result::Result<WorkerOutput, String>> = {
-        let shared = &shared;
-        let links = &links;
-        let plan_ref = &plan;
-        let slab_programs = &slab_programs;
-        let config_ref = config;
+        let (shared, links, plan, slab_programs) = (&shared, &links, &plan, &slab_programs);
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(plan_ref.shards);
+            let mut handles = Vec::with_capacity(shards);
             for (shard, initial) in shard_inputs.drain(..).enumerate() {
-                let geom = plan_ref.geoms[shard];
-                let compiled = std::sync::Arc::clone(&slab_programs[&geom.slab_rows()]);
+                let compiled =
+                    std::sync::Arc::clone(&slab_programs[&plan.geoms[shard].slab_rows()]);
                 let worker_exec = exec.clone().with_max_threads(1);
                 handles.push(scope.spawn(move || {
                     let run = catch_unwind(AssertUnwindSafe(|| {
                         worker_run(
-                            WorkerSpec {
-                                shard,
-                                geom,
-                                plan: plan_ref,
-                                links,
-                                shared,
-                                config: config_ref,
-                                steps_mode,
-                            },
+                            Comms::new(shard, plan, links, shared),
+                            &config.fault_plan,
                             compiled,
                             worker_exec,
                             initial,
@@ -916,12 +872,7 @@ pub(crate) fn run_sharded(
                         )),
                     };
                     if let Err(reason) = &outcome {
-                        shared.set_status(
-                            shard,
-                            WorkerStatus::Failed {
-                                reason: reason.clone(),
-                            },
-                        );
+                        shared.set_status(shard, format!("failed ({reason})"), None);
                         shared.poison(reason.clone());
                         shared.log(format!("shard {shard}: failed: {reason}"));
                     }
@@ -940,7 +891,7 @@ pub(crate) fn run_sharded(
             {
                 let (lock, cv) = &shared.done_signal;
                 let mut guard = lock.lock().expect("done signal");
-                while shared.done.load(Ordering::Acquire) < plan_ref.shards {
+                while shared.done.load(Ordering::Acquire) < shards {
                     let (g, _) = cv
                         .wait_timeout(guard, Duration::from_millis(2))
                         .expect("done signal");
@@ -954,11 +905,11 @@ pub(crate) fn run_sharded(
                     if shared.poisoned() {
                         continue; // workers are already unwinding
                     }
-                    if last_change.elapsed() > config_ref.watchdog {
-                        let report = watchdog_report(shared, plan_ref);
+                    if last_change.elapsed() > config.watchdog {
+                        let report = watchdog_report(shared, plan);
                         shared.log(format!(
                             "watchdog: no progress for {:?}; starved edge `{}`",
-                            config_ref.watchdog, report.starved_edge
+                            config.watchdog, report.starved_edge
                         ));
                         *shared.watchdog.lock().expect("watchdog slot") = Some(report);
                         shared.poison("progress watchdog tripped".to_string());
@@ -972,38 +923,26 @@ pub(crate) fn run_sharded(
         })
     };
 
-    let mut per_shard = Vec::new();
-    let mut worker_fields: Vec<Option<WorkerOutput>> = Vec::new();
-    let mut failure: Option<String> = None;
-    for outcome in outcomes {
-        match outcome {
-            Ok(output) => {
-                per_shard.push(output.stats.clone());
-                worker_fields.push(Some(output));
-            }
-            Err(reason) => {
-                if failure.is_none() {
-                    failure = Some(reason);
-                }
-                worker_fields.push(None);
-            }
-        }
-    }
     let watchdog = shared.watchdog.lock().expect("watchdog slot").clone();
-    if watchdog.is_some() && failure.is_none() {
-        failure = Some("progress watchdog tripped".to_string());
-    }
-
+    let failure = outcomes
+        .iter()
+        .find_map(|outcome| outcome.as_ref().err().cloned())
+        .or_else(|| {
+            watchdog
+                .as_ref()
+                .map(|_| "progress watchdog tripped".to_string())
+        });
+    let workers: Vec<WorkerOutput> = outcomes.into_iter().flatten().collect();
     let mut report = ShardReport {
-        shards: plan.shards,
-        window: plan.window,
-        halo_rows: plan.halo_rows,
-        radius: plan.radius,
+        shards,
+        window: plan.link.window,
+        halo_rows: plan.link.halo_rows,
+        radius: plan.link.radius,
         host_threads: host,
         degraded: false,
         degrade_reason: None,
         watchdog,
-        per_shard,
+        per_shard: workers.iter().map(|w| w.stats.clone()).collect(),
         fault_log: shared.fault_log.lock().expect("fault log").clone(),
         elapsed: started.elapsed(),
     };
@@ -1015,45 +954,35 @@ pub(crate) fn run_sharded(
         report
             .fault_log
             .push(format!("degraded to the single-shard fused tier: {reason}"));
-        let (result, _) = exec.execute(&global, inputs, &fused_spec(steps_mode, steps))?;
+        let (result, _) = exec.execute(&global, inputs, &fused_spec(steps))?;
         report.elapsed = started.elapsed();
         return Ok(ShardedOutcome { result, report });
     }
 
-    // Assemble the global outputs from each shard's interior rows.
+    // Assemble the global outputs from each shard's interior rows (no
+    // failure: every worker returned its slab).
     let dim_refs: Vec<&str> = space.dims.iter().map(String::as_str).collect();
     let mut fields: BTreeMap<String, Grid> = BTreeMap::new();
     let mut masks: BTreeMap<String, Vec<bool>> = BTreeMap::new();
-    let mut cells = 0usize;
     for output in program.outputs() {
-        let dtype = worker_fields
-            .first()
-            .and_then(|w| w.as_ref())
-            .and_then(|w| w.fields.get(output))
-            .map(|g| g.data_type())
-            .ok_or_else(|| ProgramError::Invalid {
-                message: format!("shard 0 produced no output `{output}`"),
-            })?;
-        let mut grid = Grid::zeros(&dim_refs, &space.shape, dtype);
+        let mut grid = Grid::zeros(
+            &dim_refs,
+            &space.shape,
+            workers[0].slab(output)?.0.data_type(),
+        );
         let mut mask = vec![true; space.num_cells()];
-        for (shard, slot) in worker_fields.iter().enumerate() {
-            let worker = slot.as_ref().expect("non-degraded runs keep every worker");
-            let geom = plan.geoms[shard];
-            let slab_grid = worker.fields.get(output).expect("outputs are uniform");
-            let slab_mask = worker.masks.get(output).expect("outputs carry masks");
-            let src_lo = geom.interior_offset() * plan.row_words;
-            let src_hi = src_lo + geom.rows() * plan.row_words;
-            let dst_lo = geom.start * plan.row_words;
-            grid.as_mut_slice()[dst_lo..dst_lo + (src_hi - src_lo)]
-                .copy_from_slice(&slab_grid.as_slice()[src_lo..src_hi]);
-            mask[dst_lo..dst_lo + (src_hi - src_lo)].copy_from_slice(&slab_mask[src_lo..src_hi]);
+        for (worker, geom) in workers.iter().zip(&plan.geoms) {
+            let (slab_grid, slab_mask) = worker.slab(output)?;
+            let src = geom.interior_offset() * row_words
+                ..(geom.interior_offset() + geom.rows()) * row_words;
+            let dst = geom.start * row_words..geom.end * row_words;
+            grid.as_mut_slice()[dst.clone()].copy_from_slice(&slab_grid.as_slice()[src.clone()]);
+            mask[dst].copy_from_slice(&slab_mask[src]);
         }
         fields.insert(output.clone(), grid);
         masks.insert(output.clone(), mask);
     }
-    for slot in &worker_fields {
-        cells += slot.as_ref().map(|w| w.stats.cells_evaluated).unwrap_or(0);
-    }
+    let cells = workers.iter().map(|w| w.stats.cells_evaluated).sum();
 
     Ok(ShardedOutcome {
         result: ExecutionResult::from_parts(fields, masks, cells),
@@ -1061,396 +990,300 @@ pub(crate) fn run_sharded(
     })
 }
 
+/// What a worker hands back: its slab's outputs and its statistics.
 struct WorkerOutput {
-    fields: BTreeMap<String, Grid>,
-    masks: BTreeMap<String, Vec<bool>>,
+    result: ExecutionResult,
     stats: ShardStats,
 }
 
-/// Receiver-side state of one inbound data link.
-#[derive(Default)]
-struct RecvState {
+impl WorkerOutput {
+    /// This slab's grid and validity mask of `output`.
+    fn slab(&self, output: &str) -> Result<(&Grid, &[bool])> {
+        self.result
+            .field(output)
+            .zip(self.result.valid_mask(output))
+            .ok_or_else(|| ProgramError::Invalid {
+                message: format!("shard {} produced no output `{output}`", self.stats.shard),
+            })
+    }
+}
+
+/// One end of the halo protocol: everything a worker keeps per neighbor.
+/// The two row offsets are all that depends on which side the neighbor is.
+struct Peer<'a> {
+    /// The lane this shard sends halo data on and is asked for resends on.
+    outbound: &'a Lane,
+    /// The lane this shard receives halo data on and requests resends on.
+    inbound: &'a Lane,
+    /// Distinguishes `outbound`'s fault rolls from every other link's.
+    salt: u64,
+    /// First local row of the interior rows adjoining this neighbor: what
+    /// its dilation needs from us (interior, hence exact).
+    send_row: usize,
+    /// First local row of our dilation toward this neighbor.
+    recv_row: usize,
+    /// Next sequence number on `outbound`; starts at 1 so `last_seq == 0`
+    /// means "nothing received yet".
+    seq: u64,
+    /// Clean payloads sent, keyed by `(window, field)`. A sender runs at
+    /// most one window ahead of its neighbor, so retaining the last two
+    /// windows covers every resend request that can still arrive.
+    retained: BTreeMap<(usize, usize), Vec<f64>>,
+    /// Highest sequence number accepted from `inbound`.
     last_seq: u64,
-    /// Frames accepted ahead of time, keyed by `(window, field)`. A sender
-    /// can run at most one window ahead, so this stays tiny.
+    /// Payloads accepted ahead of time, keyed by `(window, field)`. A
+    /// sender can run at most one window ahead, so this stays tiny.
     pending: BTreeMap<(usize, usize), Vec<f64>>,
 }
 
-/// Everything a worker thread needs that outlives one window: identity,
-/// geometry, and the shared runtime environment. One bundle instead of the
-/// seven loose parameters `worker_run` used to take.
-struct WorkerSpec<'a> {
-    shard: usize,
-    geom: SlabGeom,
-    plan: &'a Plan,
-    links: &'a [BoundaryLinks],
-    shared: &'a Shared,
-    config: &'a ShardConfig,
-    steps_mode: bool,
-}
-
-/// Halo-protocol state of one worker: identity and links plus the mutable
-/// sequence counters, retained payloads, and receive buffers the exchange
-/// used to thread through every call as loose `&mut` parameters (each of
-/// the former free functions needed `#[allow(clippy::too_many_arguments)]`;
-/// as methods they take at most three).
+/// A worker's identity and halo-protocol state: zero, one or two [`Peer`]s,
+/// shard-1 first. A run with nothing to exchange has none.
 struct Comms<'a> {
     shard: usize,
     plan: &'a Plan,
-    links: &'a [BoundaryLinks],
     shared: &'a Shared,
     stats: ShardStats,
-    /// Sequence counters start at 1 so `last_seq == 0` means "nothing
-    /// received yet".
-    seq_up: u64,
-    seq_down: u64,
-    /// Retained clean payloads per outbound direction, keyed by
-    /// `(window, field)`. A sender runs at most one window ahead of either
-    /// neighbor, so retaining the last two windows always covers every
-    /// resend request that can still arrive.
-    retained_up: BTreeMap<(usize, usize), Vec<f64>>,
-    retained_down: BTreeMap<(usize, usize), Vec<f64>>,
-    /// Inbound state: `recv_low` from shard-1 via `data_up[shard-1]`,
-    /// `recv_high` from shard+1 via `data_down[shard]`.
-    recv_low: RecvState,
-    recv_high: RecvState,
+    peers: Vec<Peer<'a>>,
 }
 
 impl<'a> Comms<'a> {
-    fn new(
-        shard: usize,
-        geom: SlabGeom,
-        plan: &'a Plan,
-        links: &'a [BoundaryLinks],
-        shared: &'a Shared,
-    ) -> Self {
+    fn new(shard: usize, plan: &'a Plan, links: &'a [Boundary], shared: &'a Shared) -> Self {
+        let geom = plan.geoms[shard];
+        let halo_rows = plan.link.halo_rows;
+        // `up` is the neighbor above, shard+1: it needs our last interior
+        // rows and fills our high dilation; shard-1 the first and the low.
+        let peer = |outbound, inbound, up: bool| Peer {
+            outbound,
+            inbound,
+            salt: (shard as u64) << 1 | u64::from(up),
+            send_row: geom.interior_offset() + if up { geom.rows() - halo_rows } else { 0 },
+            recv_row: if up { geom.slab_rows() - halo_rows } else { 0 },
+            seq: 1,
+            retained: BTreeMap::new(),
+            last_seq: 0,
+            pending: BTreeMap::new(),
+        };
+        let mut peers = Vec::new();
+        if halo_rows > 0 && shard > 0 {
+            peers.push(peer(&links[shard - 1].down, &links[shard - 1].up, false));
+        }
+        if halo_rows > 0 && shard + 1 < plan.link.shards {
+            peers.push(peer(&links[shard].up, &links[shard].down, true));
+        }
         Comms {
             shard,
             plan,
-            links,
             shared,
             stats: ShardStats {
                 shard,
                 rows: geom.rows(),
                 ..ShardStats::default()
             },
-            seq_up: 1,
-            seq_down: 1,
-            retained_up: BTreeMap::new(),
-            retained_down: BTreeMap::new(),
-            recv_low: RecvState::default(),
-            recv_high: RecvState::default(),
+            peers,
         }
     }
 
-    /// Send one halo frame (`up` = toward shard+1), applying the fault
-    /// plan to the first transmission.
+    /// Send one halo frame to `peer`, applying the fault plan to this, its
+    /// first transmission.
     fn send_halo(
         &mut self,
+        peer: usize,
         window: usize,
         field: usize,
         payload: Vec<f64>,
-        up: bool,
         faults: &FaultPlan,
     ) -> std::result::Result<(), String> {
-        let shard = self.shard;
-        let links = self.links;
-        let shared = self.shared;
-        let (link, salt, seq, retained) = if up {
-            (
-                &links[shard].data_up,
-                link_salt(shard, true),
-                &mut self.seq_up,
-                &mut self.retained_up,
-            )
-        } else {
-            (
-                &links[shard - 1].data_down,
-                link_salt(shard, false),
-                &mut self.seq_down,
-                &mut self.retained_down,
-            )
-        };
-        let this_seq = *seq;
-        *seq += 1;
-        let fault = faults.roll(salt, this_seq);
+        let (shard, shared) = (self.shard, self.shared);
+        let peer = &mut self.peers[peer];
+        let link = &peer.outbound.data;
+        let seq = peer.seq;
+        peer.seq += 1;
         // Retain the clean payload for resends; drop windows no neighbor
         // can still request (senders run at most one window ahead).
-        retained.insert((window, field), payload.clone());
-        retained.retain(|&(w, _), _| w + 2 > window);
+        peer.retained.insert((window, field), payload.clone());
+        peer.retained.retain(|&(w, _), _| w + 2 > window);
         self.stats.frames_sent += 1;
-        match fault {
-            InjectedFault::Drop => {
-                self.stats.faults_injected += 1;
-                shared.log(format!(
-                    "shard {shard}: dropped frame seq {this_seq} (window {window}, field \
-                     {field}) on `{}`",
-                    link.name
-                ));
-                Ok(()) // the receiver's timeout + resend request recovers it
-            }
+        let mut frame = Frame::new(seq, window, field, payload);
+        // What the rolled fault does to the transmission: how the log names
+        // it, whether the sender sleeps first, and how many copies of the
+        // frame reach the link. A dropped frame is recovered by the
+        // receiver's timeout and resend request.
+        let (injected, delay, copies) = match faults.roll(peer.salt, seq) {
+            InjectedFault::None => (None, false, 1),
+            InjectedFault::Drop => (Some("dropped"), false, 0),
+            InjectedFault::Delay => (Some("delayed"), true, 1),
+            InjectedFault::Duplicate => (Some("duplicated"), false, 2),
             InjectedFault::Corrupt => {
-                self.stats.faults_injected += 1;
-                // Flip a payload bit *after* encoding, so the checksum in
-                // the header still describes the clean payload and the
-                // receiver can tell the frame was damaged in flight.
-                let mut words = encode_frame(this_seq, window, field, &payload);
-                let victim = HEADER_WORDS
-                    + (splitmix(this_seq ^ faults.seed) as usize) % payload.len().max(1);
-                words[victim] = f64::from_bits(words[victim].to_bits() ^ (1 << 17));
-                shared.log(format!(
-                    "shard {shard}: corrupted frame seq {this_seq} (window {window}, field \
-                     {field}) on `{}`",
-                    link.name
-                ));
-                push_frame(shard, window, link, &words, shared, &mut self.stats)
-            }
-            InjectedFault::Duplicate => {
-                self.stats.faults_injected += 1;
-                shared.log(format!(
-                    "shard {shard}: duplicated frame seq {this_seq} (window {window}, field \
-                     {field}) on `{}`",
-                    link.name
-                ));
-                let frame = encode_frame(this_seq, window, field, &payload);
-                push_frame(shard, window, link, &frame, shared, &mut self.stats)?;
-                push_frame(shard, window, link, &frame, shared, &mut self.stats)
-            }
-            InjectedFault::Delay => {
-                self.stats.faults_injected += 1;
-                shared.log(format!(
-                    "shard {shard}: delayed frame seq {this_seq} (window {window}, field \
-                     {field}) on `{}` by {:?}",
-                    link.name, faults.delay
-                ));
-                std::thread::sleep(faults.delay);
-                push_frame(
-                    shard,
-                    window,
-                    link,
-                    &encode_frame(this_seq, window, field, &payload),
-                    shared,
-                    &mut self.stats,
-                )
-            }
-            InjectedFault::None => push_frame(
-                shard,
-                window,
-                link,
-                &encode_frame(this_seq, window, field, &payload),
-                shared,
-                &mut self.stats,
-            ),
-        }
-    }
-
-    /// Serve resend requests arriving on this shard's inbound control
-    /// links.
-    fn service_nacks(&mut self) {
-        let shard = self.shard;
-        let links = self.links;
-        let shared = self.shared;
-        // Requests about our upward data frames come from shard+1.
-        if shard + 1 < self.plan.shards {
-            while let Some(request) = links[shard].nack_up.try_pop_frame() {
-                if let Some(payload) = self.retained_up.get(&(request.window, request.field)) {
-                    let seq = self.seq_up;
-                    self.seq_up += 1;
-                    let frame = encode_frame(seq, request.window, request.field, payload);
-                    // Resends are never faulted: injected faults only hit
-                    // first transmissions, which bounds recovery.
-                    if links[shard].data_up.try_push_frame(&frame) {
-                        self.stats.frames_resent += 1;
-                        self.stats.words_sent += payload.len();
-                        shared.bump();
-                        shared.log(format!(
-                            "shard {shard}: resent window {} field {} on `{}`",
-                            request.window, request.field, links[shard].data_up.name
-                        ));
-                    }
+                // Flip a payload bit *after* the checksum was taken, so it
+                // still describes the clean payload and the receiver can
+                // tell the frame was damaged in flight.
+                let victim = splitmix(seq ^ faults.seed) as usize % frame.payload.len().max(1);
+                if let Some(word) = frame.payload.get_mut(victim) {
+                    *word = f64::from_bits(word.to_bits() ^ (1 << 17));
                 }
+                (Some("corrupted"), false, 1)
             }
-        }
-        // Requests about our downward data frames come from shard-1.
-        if shard > 0 {
-            while let Some(request) = links[shard - 1].nack_down.try_pop_frame() {
-                if let Some(payload) = self.retained_down.get(&(request.window, request.field)) {
-                    let seq = self.seq_down;
-                    self.seq_down += 1;
-                    let frame = encode_frame(seq, request.window, request.field, payload);
-                    if links[shard - 1].data_down.try_push_frame(&frame) {
-                        self.stats.frames_resent += 1;
-                        self.stats.words_sent += payload.len();
-                        shared.bump();
-                        shared.log(format!(
-                            "shard {shard}: resent window {} field {} on `{}`",
-                            request.window,
-                            request.field,
-                            links[shard - 1].data_down.name
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Drain one inbound data link into the receive state, validating
-    /// frames and requesting resends of corrupt ones. `from_high` drains
-    /// the link from shard+1, otherwise the one from shard-1.
-    fn drain_data_link(&mut self, from_high: bool) {
-        let shard = self.shard;
-        let links = self.links;
-        let shared = self.shared;
-        let (link, nack_link, state) = if from_high {
-            (
-                &links[shard].data_down,
-                &links[shard].nack_down,
-                &mut self.recv_high,
-            )
-        } else {
-            (
-                &links[shard - 1].data_up,
-                &links[shard - 1].nack_up,
-                &mut self.recv_low,
-            )
         };
+        if let Some(injected) = injected {
+            self.stats.faults_injected += 1;
+            shared.log(format!(
+                "shard {shard}: {injected} frame seq {seq} (window {window}, field {field}) \
+                 on `{}`",
+                link.name
+            ));
+        }
+        if delay {
+            std::thread::sleep(FAULT_DELAY);
+        }
+        for _ in 0..copies {
+            push_frame(shard, window, link, &frame, shared, &mut self.stats)?;
+        }
+        Ok(())
+    }
+
+    /// Serve the resend requests the neighbors queued for this shard's
+    /// outbound frames.
+    fn service_nacks(&mut self) {
+        let (shard, shared) = (self.shard, self.shared);
+        for peer in &mut self.peers {
+            while let Some(request) = peer.outbound.requests.try_pop() {
+                let key = (request.window, request.field);
+                let Some(payload) = peer.retained.get(&key) else {
+                    continue;
+                };
+                // Resends are never faulted: injected faults only hit
+                // first transmissions, which bounds recovery.
+                let frame = Frame::new(peer.seq, request.window, request.field, payload.clone());
+                peer.seq += 1;
+                if peer.outbound.data.try_push(&frame) {
+                    self.stats.frames_resent += 1;
+                    self.stats.words_sent += frame.payload.len();
+                    shared.bump();
+                    shared.log(format!(
+                        "shard {shard}: resent window {} field {} on `{}`",
+                        request.window, request.field, peer.outbound.data.name
+                    ));
+                }
+            }
+        }
+    }
+
+    /// Drain every inbound data link into its peer's receive state,
+    /// validating frames and requesting resends of corrupt ones.
+    fn drain_data_links(&mut self) {
+        let (shard, shared) = (self.shard, self.shared);
         let stats = &mut self.stats;
-        while let Some(frame) = link.try_pop_frame() {
-            if !frame.checksum_ok {
-                stats.corrupt_detected += 1;
-                stats.nacks_sent += 1;
-                shared.log(format!(
-                    "shard {shard}: checksum mismatch on `{}` (window {}, field {}); \
-                     requesting resend",
-                    link.name, frame.window, frame.field
-                ));
-                let _ = nack_link.try_push_frame(&encode_frame(0, frame.window, frame.field, &[]));
-                continue;
+        for peer in &mut self.peers {
+            let link = &peer.inbound.data;
+            while let Some(frame) = link.try_pop() {
+                let key = (frame.window, frame.field);
+                if !frame.checksum_ok() {
+                    stats.corrupt_detected += 1;
+                    stats.nacks_sent += 1;
+                    shared.log(format!(
+                        "shard {shard}: checksum mismatch on `{}` (window {}, field {}); \
+                         requesting resend",
+                        link.name, frame.window, frame.field
+                    ));
+                    peer.inbound.request_resend(frame.window, frame.field);
+                    continue;
+                }
+                if frame.seq <= peer.last_seq || peer.pending.contains_key(&key) {
+                    stats.stale_discarded += 1;
+                    shared.log(format!(
+                        "shard {shard}: discarded stale/duplicate seq {} on `{}`",
+                        frame.seq, link.name
+                    ));
+                    continue;
+                }
+                peer.last_seq = frame.seq;
+                stats.frames_received += 1;
+                peer.pending.insert(key, frame.payload);
+                shared.bump();
             }
-            if frame.seq <= state.last_seq
-                || state.pending.contains_key(&(frame.window, frame.field))
-            {
-                stats.stale_discarded += 1;
-                shared.log(format!(
-                    "shard {shard}: discarded stale/duplicate seq {} on `{}`",
-                    frame.seq, link.name
-                ));
-                continue;
-            }
-            state.last_seq = frame.seq;
-            stats.frames_received += 1;
-            state
-                .pending
-                .insert((frame.window, frame.field), frame.payload);
-            shared.bump();
         }
     }
 
     /// Wait (bounded, with exponential backoff and resend requests) for
-    /// every halo this shard needs before the next window.
+    /// every halo this shard needs before the next window; returns the
+    /// payloads keyed by `(peer, field)`.
     fn collect_halos(
         &mut self,
         window: usize,
-        config: &ShardConfig,
-        halos: &mut BTreeMap<(bool, usize), Vec<f64>>,
-    ) -> std::result::Result<(), String> {
-        let shard = self.shard;
-        let links = self.links;
-        let shared = self.shared;
-        // (from_high_neighbor, field) -> retry state.
-        let mut spins = 0u32;
-        let mut missing: BTreeMap<(bool, usize), (u32, Instant)> = BTreeMap::new();
-        for field in 0..self.plan.pairs.len() {
-            if shard > 0 {
-                missing.insert((false, field), (0, Instant::now() + config.backoff));
-            }
-            if shard + 1 < self.plan.shards {
-                missing.insert((true, field), (0, Instant::now() + config.backoff));
+    ) -> std::result::Result<BTreeMap<(usize, usize), Vec<f64>>, String> {
+        let (shard, shared) = (self.shard, self.shared);
+        let mut halos = BTreeMap::new();
+        // (peer, field) -> (resend requests issued, next deadline).
+        let mut missing: BTreeMap<(usize, usize), (u32, Instant)> = BTreeMap::new();
+        for peer in 0..self.peers.len() {
+            for field in 0..self.plan.pairs.len() {
+                missing.insert((peer, field), (0, Instant::now() + BACKOFF));
             }
         }
 
-        while !missing.is_empty() {
+        let mut spins = 0u32;
+        loop {
             if shared.poisoned() {
                 return Err(poison_reason(shared));
             }
-            if shard > 0 {
-                self.drain_data_link(false);
-            }
-            if shard + 1 < self.plan.shards {
-                self.drain_data_link(true);
-            }
-            let (recv_low, recv_high) = (&mut self.recv_low, &mut self.recv_high);
-            missing.retain(|&(from_high, field), _| {
-                let state = if from_high {
-                    &mut *recv_high
-                } else {
-                    &mut *recv_low
-                };
-                match state.pending.remove(&(window, field)) {
+            self.drain_data_links();
+            missing.retain(|&(peer, field), _| {
+                match self.peers[peer].pending.remove(&(window, field)) {
                     Some(payload) => {
-                        halos.insert((from_high, field), payload);
+                        halos.insert((peer, field), payload);
                         false
                     }
                     None => true,
                 }
             });
             if missing.is_empty() {
-                break;
+                return Ok(halos);
             }
             // While waiting, serve the neighbors' resend requests —
             // otherwise two shards waiting on each other's resends would
             // deadlock.
             self.service_nacks();
             let now = Instant::now();
-            for (&(from_high, field), (attempts, deadline)) in missing.iter_mut() {
+            for (&(peer, field), (attempts, deadline)) in missing.iter_mut() {
                 if now < *deadline {
                     continue;
                 }
-                if *attempts >= config.retry_budget {
-                    let edge = if from_high {
-                        &links[shard].data_down.name
-                    } else {
-                        &links[shard - 1].data_up.name
-                    };
+                let inbound = self.peers[peer].inbound;
+                let edge = &inbound.data.name;
+                if *attempts >= RETRY_BUDGET {
                     return Err(format!(
-                        "shard {shard}: retry budget ({}) exhausted waiting for window \
-                         {window} field {field} on `{edge}`",
-                        config.retry_budget
+                        "shard {shard}: retry budget ({RETRY_BUDGET}) exhausted waiting for \
+                         window {window} field {field} on `{edge}`"
                     ));
                 }
-                let (nack_link, edge) = if from_high {
-                    (&links[shard].nack_down, &links[shard].data_down.name)
-                } else {
-                    (&links[shard - 1].nack_up, &links[shard - 1].data_up.name)
-                };
                 self.stats.nacks_sent += 1;
                 shared.log(format!(
                     "shard {shard}: window {window} field {field} overdue on `{edge}` \
                      (attempt {}); requesting resend",
                     *attempts + 1
                 ));
-                let _ = nack_link.try_push_frame(&encode_frame(0, window, field, &[]));
+                inbound.request_resend(window, field);
                 *attempts += 1;
-                *deadline = now + config.backoff * 2u32.saturating_pow(*attempts);
+                *deadline = now + BACKOFF * 2u32.saturating_pow(*attempts);
                 shared.set_status(
                     shard,
-                    WorkerStatus::Waiting {
+                    format!("waiting on `{edge}` for field {field} in window {window}"),
+                    Some(BlockedEdge {
                         edge: edge.clone(),
                         window,
-                        field,
-                    },
+                        sender_capacity: None,
+                    }),
                 );
             }
             relax(&mut spins);
         }
-        Ok(())
     }
 
     /// After the final window: keep answering resend requests until every
     /// worker has finished computing (then nobody can still need us).
     fn drain_until_all_done(&mut self) {
         let mut spins = 0u32;
-        while self.shared.computed.load(Ordering::Acquire) < self.plan.shards
+        while self.shared.computed.load(Ordering::Acquire) < self.plan.link.shards
             && !self.shared.poisoned()
         {
             self.service_nacks();
@@ -1460,22 +1293,14 @@ impl<'a> Comms<'a> {
 }
 
 fn worker_run(
-    spec: WorkerSpec<'_>,
+    mut comms: Comms<'_>,
+    faults: &FaultPlan,
     compiled: std::sync::Arc<CompiledProgram>,
     worker_exec: ReferenceExecutor,
     mut work_inputs: BTreeMap<String, Grid>,
 ) -> std::result::Result<WorkerOutput, String> {
-    let WorkerSpec {
-        shard,
-        geom,
-        plan,
-        links,
-        shared,
-        config,
-        steps_mode,
-    } = spec;
-    let faults = &config.fault_plan;
-    let mut comms = Comms::new(shard, geom, plan, links, shared);
+    let (shard, plan, shared) = (comms.shard, comms.plan, comms.shared);
+    let (row_words, payload_words) = (plan.link.row_words, plan.link.payload_words);
     let mut steps_done = 0usize;
 
     for window in 0..plan.windows {
@@ -1505,23 +1330,17 @@ fn worker_run(
             }
         }
 
-        let window_steps = if steps_mode {
-            plan.window.min(plan.total_steps - steps_done)
-        } else {
-            1
-        };
-        shared.set_status(shard, WorkerStatus::Computing { window });
+        let window_steps = plan
+            .steps
+            .map(|total| plan.link.window.min(total - steps_done));
+        shared.set_status(shard, format!("computing window {window}"), None);
         let compute_started = Instant::now();
-        let (result, _) = worker_exec
-            .execute(
-                &compiled,
-                &work_inputs,
-                &fused_spec(steps_mode, window_steps),
-            )
+        let (mut result, _) = worker_exec
+            .execute(&compiled, &work_inputs, &fused_spec(window_steps))
             .map_err(|e| format!("shard {shard} window {window}: {e}"))?;
         comms.stats.compute += compute_started.elapsed();
         comms.stats.cells_evaluated += result.cells_evaluated();
-        steps_done += window_steps;
+        steps_done += window_steps.unwrap_or(1);
         shared.bump();
 
         if window + 1 == plan.windows {
@@ -1529,65 +1348,43 @@ fn worker_run(
             // resend requests until every worker has finished computing —
             // a neighbor may still need our previous frames.
             shared.computed.fetch_add(1, Ordering::AcqRel);
-            let (fields, masks, _) = result.into_parts();
-            shared.set_status(shard, WorkerStatus::Draining);
+            shared.set_status(shard, "draining resend requests".to_string(), None);
             let exchange_started = Instant::now();
             comms.drain_until_all_done();
             comms.stats.exchange += exchange_started.elapsed();
-            shared.set_status(shard, WorkerStatus::Done);
+            shared.set_status(shard, "done".to_string(), None);
             return Ok(WorkerOutput {
-                fields,
-                masks,
+                result,
                 stats: comms.stats,
             });
         }
 
-        // Halo exchange: ship the rows adjoining each artificial edge (they
-        // are interior, hence exact), then reassemble the next window's
-        // inputs as neighbor frames arrive — compute of other shards
-        // overlaps this transfer.
+        // Halo exchange: ship each neighbor the rows adjoining its edge
+        // (they are interior, hence exact), then wait for the neighbors'
+        // frames — compute of other shards overlaps this transfer.
         let exchange_started = Instant::now();
-        let mut result = result;
-        for (field_id, (out_field, _)) in plan.pairs.iter().enumerate() {
+        for (field, (out_field, _)) in plan.pairs.iter().enumerate() {
             let grid = result
                 .field(out_field)
                 .ok_or_else(|| format!("shard {shard}: output `{out_field}` missing"))?;
-            let interior = geom.interior_offset();
-            if shard + 1 < plan.shards {
-                // Top rows [end - halo, end) feed shard+1's low dilation.
-                let lo = (interior + geom.rows() - plan.halo_rows) * plan.row_words;
-                let payload = grid.as_slice()[lo..lo + plan.payload_words].to_vec();
-                comms.send_halo(window, field_id, payload, true, faults)?;
-            }
-            if shard > 0 {
-                // Bottom rows [start, start + halo) feed shard-1's high
-                // dilation.
-                let lo = interior * plan.row_words;
-                let payload = grid.as_slice()[lo..lo + plan.payload_words].to_vec();
-                comms.send_halo(window, field_id, payload, false, faults)?;
+            for peer in 0..comms.peers.len() {
+                let lo = comms.peers[peer].send_row * row_words;
+                let payload = grid.as_slice()[lo..lo + payload_words].to_vec();
+                comms.send_halo(peer, window, field, payload, faults)?;
             }
         }
-
-        // Collect the halos this shard needs for the next window.
-        let mut halos: BTreeMap<(bool, usize), Vec<f64>> = BTreeMap::new();
-        comms.collect_halos(window, config, &mut halos)?;
+        let halos = comms.collect_halos(window)?;
         comms.stats.exchange += exchange_started.elapsed();
 
         // Reassemble the next window's inputs: own interior stays, the
         // dilation rows are replaced by the neighbors' interiors.
-        for (field_id, (out_field, in_field)) in plan.pairs.iter().enumerate() {
+        for (field, (out_field, in_field)) in plan.pairs.iter().enumerate() {
             let mut grid = result
                 .take_field(out_field)
                 .ok_or_else(|| format!("shard {shard}: output `{out_field}` missing"))?;
-            let slice = grid.as_mut_slice();
-            if shard > 0 {
-                let payload = halos.get(&(false, field_id)).expect("low halo collected");
-                slice[..plan.payload_words].copy_from_slice(payload);
-            }
-            if shard + 1 < plan.shards {
-                let payload = halos.get(&(true, field_id)).expect("high halo collected");
-                let lo = (geom.slab_rows() - plan.halo_rows) * plan.row_words;
-                slice[lo..lo + plan.payload_words].copy_from_slice(payload);
+            for (peer, neighbor) in comms.peers.iter().enumerate() {
+                let lo = neighbor.recv_row * row_words;
+                grid.as_mut_slice()[lo..lo + payload_words].copy_from_slice(&halos[&(peer, field)]);
             }
             work_inputs.insert(in_field.clone(), grid);
         }
@@ -1602,10 +1399,6 @@ fn poison_reason(shared: &Shared) -> String {
         .expect("poison reason")
         .clone()
         .unwrap_or_else(|| "runtime poisoned".to_string())
-}
-
-fn link_salt(shard: usize, up: bool) -> u64 {
-    (shard as u64) << 1 | u64::from(up)
 }
 
 /// Adaptive wait for the worker polling loops: yield the core for the
@@ -1628,38 +1421,32 @@ fn push_frame(
     shard: usize,
     window: usize,
     link: &HaloLink,
-    words: &[f64],
+    frame: &Frame,
     shared: &Shared,
     stats: &mut ShardStats,
 ) -> std::result::Result<(), String> {
-    if link.capacity < words.len() {
+    let needed = frame.words();
+    if link.capacity < needed {
         let report = WatchdogReport {
             starved_edge: link.name.clone(),
             window,
             configured_capacity_words: link.capacity,
-            required_frame_words: words.len(),
+            required_frame_words: needed,
             analysis_agrees: true,
-            worker_status: describe_all(shared),
+            worker_status: shared.describe_workers(),
         };
-        shared.log(format!(
-            "shard {shard}: `{}` is undersized ({} words < one {}-word frame): \
-             the buffer analysis minimum is violated, the link can never drain",
-            link.name,
-            link.capacity,
-            words.len()
-        ));
         *shared.watchdog.lock().expect("watchdog slot") = Some(report);
+        // The worker's failure path logs this reason.
         return Err(format!(
-            "deadlock on `{}`: capacity {} words below the one-frame minimum of {}",
-            link.name,
-            link.capacity,
-            words.len()
+            "deadlock on `{}`: capacity {} words below the one-frame minimum of {needed} \
+             (the buffer analysis minimum is violated, the link can never drain)",
+            link.name, link.capacity
         ));
     }
     let mut spins = 0u32;
     loop {
-        if link.try_push_frame(words) {
-            stats.words_sent += words.len().saturating_sub(HEADER_WORDS);
+        if link.try_push(frame) {
+            stats.words_sent += frame.payload.len();
             shared.bump();
             return Ok(());
         }
@@ -1668,84 +1455,52 @@ fn push_frame(
         }
         shared.set_status(
             shard,
-            WorkerStatus::SendBlocked {
+            format!(
+                "blocked sending {needed} words on `{}` (capacity {}) in window {window}",
+                link.name, link.capacity
+            ),
+            Some(BlockedEdge {
                 edge: link.name.clone(),
                 window,
-                needed: words.len(),
-                capacity: link.capacity,
-            },
+                sender_capacity: Some(link.capacity),
+            }),
         );
         relax(&mut spins);
     }
-}
-
-fn describe_all(shared: &Shared) -> Vec<String> {
-    shared
-        .status
-        .iter()
-        .enumerate()
-        .map(|(shard, slot)| slot.lock().expect("status slot").describe(shard))
-        .collect()
 }
 
 /// Build the watchdog's report: pick the starved edge from the worker
 /// statuses and cross-check the live configuration against the fig04-style
 /// one-frame minimum depth.
 fn watchdog_report(shared: &Shared, plan: &Plan) -> WatchdogReport {
-    let statuses: Vec<WorkerStatus> = shared
+    let blocked: Vec<BlockedEdge> = shared
         .status
         .iter()
-        .map(|slot| slot.lock().expect("status slot").clone())
+        .filter_map(|slot| slot.lock().expect("status slot").blocked.clone())
         .collect();
-    let required = minimum_link_depth_words(plan.payload_words);
-    let mut starved_edge = "<unknown>".to_string();
-    let mut window = 0usize;
-    let mut configured = plan.link_capacity;
     // A blocked sender is the sharpest signal (its edge can provably not
     // accept a frame); a waiting receiver the second best.
-    for status in &statuses {
-        if let WorkerStatus::SendBlocked {
-            edge,
-            window: w,
-            capacity,
-            ..
-        } = status
-        {
-            starved_edge = edge.clone();
-            window = *w;
-            configured = *capacity;
-            break;
-        }
-    }
-    if starved_edge == "<unknown>" {
-        for status in &statuses {
-            if let WorkerStatus::Waiting {
-                edge, window: w, ..
-            } = status
-            {
-                starved_edge = edge.clone();
-                window = *w;
-                break;
-            }
-        }
-    }
+    let starved = blocked
+        .iter()
+        .find(|b| b.sender_capacity.is_some())
+        .or(blocked.first());
+    let configured = starved
+        .and_then(|b| b.sender_capacity)
+        .unwrap_or(plan.link.configured_capacity_words);
     WatchdogReport {
-        starved_edge,
-        window,
+        starved_edge: starved.map_or_else(|| "<unknown>".to_string(), |b| b.edge.clone()),
+        window: starved.map_or(0, |b| b.window),
         configured_capacity_words: configured,
-        required_frame_words: required,
-        analysis_agrees: configured < required,
-        worker_status: statuses
-            .iter()
-            .enumerate()
-            .map(|(shard, s)| s.describe(shard))
-            .collect(),
+        required_frame_words: plan.link.required_frame_words,
+        analysis_agrees: configured < plan.link.required_frame_words,
+        worker_status: shared.describe_workers(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stencilflow_core::shardlink::halo_radius;
     use stencilflow_expr::DataType;
 
     fn diffusion_program(shape: &[usize; 3]) -> StencilProgram {
@@ -1810,23 +1565,24 @@ mod tests {
 
     #[test]
     fn frames_round_trip_and_detect_corruption() {
-        let payload = vec![1.5, -2.25, f64::NAN.abs(), 0.0];
-        let words = encode_frame(7, 3, 1, &payload);
-        let link = HaloLink::new("t".into(), 64);
-        assert!(link.try_push_frame(&words));
-        let frame = link.try_pop_frame().unwrap();
-        assert!(frame.checksum_ok);
+        let clean = Frame::new(7, 3, 1, vec![1.5, -2.25, f64::NAN.abs(), 0.0]);
+        let link = HaloLink::new("t".into(), 2 * clean.words());
+        assert!(link.try_push(&clean));
+        let frame = link.try_pop().unwrap();
+        assert!(frame.checksum_ok());
         assert_eq!(frame.seq, 7);
         assert_eq!(frame.window, 3);
         assert_eq!(frame.field, 1);
         assert_eq!(frame.payload.len(), 4);
         assert_eq!(frame.payload[0], 1.5);
 
-        let mut corrupted = words.clone();
-        let victim = HEADER_WORDS + 2;
-        corrupted[victim] = f64::from_bits(corrupted[victim].to_bits() ^ 1);
-        assert!(link.try_push_frame(&corrupted));
-        assert!(!link.try_pop_frame().unwrap().checksum_ok);
+        let mut corrupted = clean.clone();
+        corrupted.payload[2] = f64::from_bits(corrupted.payload[2].to_bits() ^ 1);
+        assert!(link.try_push(&corrupted));
+        // A link is bounded in words, header included: two frames fill it.
+        assert!(link.try_push(&clean));
+        assert!(!link.try_push(&clean));
+        assert!(!link.try_pop().unwrap().checksum_ok());
     }
 
     #[test]

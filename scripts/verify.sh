@@ -21,11 +21,18 @@
 #                                  predicted shard-link deadlocks); the
 #                                  diagnostics JSON lands in $ANALYSIS_JSON
 #   7. examples                  — compile-and-run every example
-#   8. fault_sweep               — the sharded fault-injection suite: every
-#                                  (seed x fault schedule) run must stay
-#                                  bitwise identical to the interpreter,
-#                                  and every worker_panic run must report
-#                                  that it degraded;
+#   8. fault_sweep               — the sharded fault-injection suite, the
+#                                  exchange window pinned to one step so
+#                                  the result does not depend on the
+#                                  host's core count: every (seed x fault
+#                                  schedule) run must stay bitwise
+#                                  identical to the interpreter, and no
+#                                  schedule may pass having tested nothing
+#                                  — every worker_panic run must report
+#                                  that it degraded, every run that did
+#                                  not degrade must have sent halo frames,
+#                                  and each of the four halo schedules
+#                                  must have injected a fault on some seed;
 #                                  seeds extend via STENCILFLOW_FAULT_SEEDS
 #                                  (comma-separated), and the fault-log JSON
 #                                  lands next to the bench JSON
