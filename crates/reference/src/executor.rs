@@ -149,7 +149,7 @@ pub struct CompiledProgram {
     inputs: Vec<InputSpec>,
     outputs: Vec<String>,
     stencils: Vec<CompiledStencil>,
-    /// Tile-fusion analysis: the fused tier's plan, or the reason the
+    /// Fusion analysis: the fused tier's plan, or the reason the
     /// program stays on the materializing path.
     fuse: std::result::Result<crate::fuse::FusePlan, String>,
     /// Hashed structural fingerprint of the source program (the executor
@@ -198,7 +198,7 @@ impl CompiledProgram {
         self.stencils.iter().filter(|s| s.is_typed()).count()
     }
 
-    /// Whether the tile-fused tier can execute this program directly
+    /// Whether the fused tier can execute this program directly
     /// (see `docs/evaluation.md`; ineligible programs transparently fall
     /// back to the materializing path).
     pub fn fused_tier_supported(&self) -> bool {
@@ -378,11 +378,11 @@ pub struct ReferenceExecutor {
     /// Worker-thread cap for the compiled sweep; `None` picks the available
     /// hardware parallelism.
     max_threads: Option<usize>,
-    /// Upper bound on the number of time steps the fused tier blocks into
-    /// one temporal window.
+    /// Upper bound on the number of time steps the fused tier chains into
+    /// one window.
     pub(crate) fusion_window: usize,
-    /// Explicit fused tile height (outermost-dimension slices); `None`
-    /// picks a cache-budget heuristic.
+    /// Explicit block height of the fused wavefront (outermost-dimension
+    /// planes per tick); `None` derives it from the scratch budget.
     pub(crate) fusion_tile_rows: Option<usize>,
     /// Compiled programs keyed by the hashed structural fingerprint; hits
     /// skip compilation entirely.
@@ -462,7 +462,7 @@ const COMPILED_CACHE_CAPACITY: usize = 64;
 const BUFFER_POOL_CAPACITY: usize = 64;
 
 /// A best-fit pool of reusable buffers. The executor keeps two: `f64`
-/// cells backing the fused tier's scratch tiles, window-boundary state
+/// cells backing the fused tier's ring buffers, window-boundary state
 /// grids and pooled results, and `bool` validity masks — every result
 /// carries one mask per output, so the service tier's
 /// zero-steady-state-allocation claim must cover masks too. Acquire picks
@@ -564,19 +564,20 @@ impl ReferenceExecutor {
         self
     }
 
-    /// Bound the number of time steps the fused tier blocks into one
-    /// temporal window (default
-    /// `4`; `1` disables temporal blocking). Larger windows save full-grid
-    /// state round-trips between windows but grow the overlapped recompute
-    /// at tile edges linearly per step.
+    /// Bound the number of time steps the fused tier chains into one
+    /// window (default `4`; `1` round-trips the state through full grids
+    /// after every step). Larger windows save those round-trips but keep
+    /// one more ring buffer per stage and step in the working set.
     pub fn with_fusion_window(mut self, window: usize) -> Self {
         self.fusion_window = window.max(1);
         self
     }
 
-    /// Pin the fused tile height (outermost-dimension slices per tile)
-    /// instead of the cache-budget heuristic. Mostly useful for tests that
-    /// must exercise multi-tile execution on small domains.
+    /// Pin the block height of the fused wavefront (outermost-dimension
+    /// planes produced per tick; `0` restores the default) instead of
+    /// deriving it from the scratch budget. Mostly useful for tests that
+    /// must exercise multi-tick execution and ring wrap-around on small
+    /// domains.
     pub fn with_fusion_tile_rows(mut self, rows: usize) -> Self {
         self.fusion_tile_rows = if rows == 0 { None } else { Some(rows) };
         self
@@ -1209,7 +1210,7 @@ impl ReferenceExecutor {
 
     /// Worker-thread count for a sweep of `cells` cells with
     /// `accesses_per_cell` reads each, at most `rows` independent work
-    /// units (shared by the materializing row sweep and the fused tile
+    /// units (shared by the materializing row sweep and the fused plane
     /// sweep).
     pub(crate) fn worker_threads(
         &self,

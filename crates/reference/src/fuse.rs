@@ -1,43 +1,59 @@
-//! Tile-fused multi-stencil execution.
+//! Wavefront-fused multi-stencil execution.
 //!
 //! The default compiled path of the [`crate::ReferenceExecutor`]
 //! *materializes*: every stencil of a program sweeps the full iteration
 //! space and writes a full grid before the next stencil starts, and every
 //! [`crate::ReferenceExecutor::run_steps`] iteration round-trips the whole
 //! state through full grids. The paper's central claim (§I, §VIII-C) is
-//! that chained stencils should *stream* through each other instead; this
-//! module is the CPU analogue of that FIFO pipelining: the iteration space
-//! is partitioned into **tiles** (innermost-contiguous slabs of the
-//! outermost dimension) and each tile is swept through *all* stencils of
-//! the program — and, for time stepping, through a bounded **window** of
-//! time steps (temporal blocking) — before the next tile is touched, with
-//! every intermediate held in a small per-worker scratch buffer instead of
-//! a full grid.
+//! that chained stencils should *stream* through each other, each stage
+//! holding only its *internal buffer* (the reach of its accesses) plus the
+//! *delay buffer* that equalises reconvergent paths (§IV). This module is
+//! the CPU analogue, in planes of the outermost dimension instead of
+//! words: every field lives in a small **ring buffer** of planes, and one
+//! loop advances all stencils of the program — and, for time stepping, all
+//! steps of a bounded **window** as one unrolled chain — together, each
+//! trailing its producers by just the planes it reads ahead.
 //!
-//! # How a tile executes
+//! # The wavefront
 //!
-//! For a tile `T = [t_lo, t_hi)` of the outermost dimension, each stage is
-//! computed over `T` *dilated* by the cumulative downstream access
-//! footprint ([`AccessFootprints`], chained backward along the DAG at
-//! [`FusePlan`] build time): the last consumer needs exactly `T`, its
-//! producers need `T` plus their consumers' halo, and so on — the classic
-//! overlapped (redundant-compute) tiling. For `run_steps`, a window of `w`
-//! steps additionally dilates step `t` by `(w - t)` times the per-step
-//! footprint, and the state fields of the feedback pairing ping-pong
-//! between two scratch buffers; only the final step of the final window is
-//! written back to full grids.
+//! A scratch plane is one outermost-dimension slice (rows × cells; a 2-D
+//! space has one row per plane, a 1-D space is a single plane of a single
+//! row). [`FusePlan::schedule`] chains **forward** along the DAG and
+//! through the `w` steps of a window: copied-in inputs have **lag** 0, a
+//! stage the maximum over its taps of `lag(producer) + max(offset₀, 0)`;
+//! a state input at step `t > 1` *is* the ring its paired output wrote at
+//! step `t - 1`. Every ring gets a **depth** — the maximum over its
+//! consumers of `lag(consumer) - lag(ring) + max(-offset₀, 0)`, plus the
+//! block height `B` — which is the internal-buffer + delay-buffer
+//! recurrence `stencilflow_core` solves for the FPGA mapping. At run time
+//! a tick advances the front by `B` planes: the input copy-in, then every
+//! `(step, stage)` in topological order, produces the planes
+//! `[.., front - lag)` it has not produced yet into its ring (planes are
+//! addressed modulo the depth; a run stops where any ring it touches
+//! wraps). Out-of-domain planes are "produced" by a constant fill when
+//! their turn comes, and the last step's planes go to the output grid (or
+//! the next window's state grid). Every cell is computed exactly once.
 //!
-//! Every scratch buffer is **halo-padded**: out-of-domain border cells are
-//! pre-filled with the (per-field) constant boundary value, so the sweep
-//! itself is a pure contiguous lane sweep — no interior/halo split, no
-//! bounds checks, no per-lane boundary gathers. Rows are evaluated in full
-//! lane batches ([`TypedKernel::eval_lanes`] at a width chosen from the
-//! innermost extent, wider than the materializing tier's default since
-//! fused rows have no mixed halo batches); the batch that straddles the
-//! row end simply *over-computes* into write-slack cells whose values are
-//! never read (typed kernels are total — IEEE float arithmetic cannot
-//! fail — so evaluating garbage lanes is safe), and the clobbered tail pad
-//! is re-filled after each row.
+//! `B` comes from the scratch budget — as many planes per tick as keep the
+//! rings inside it — so a domain whose rings fit whole runs **one tick**,
+//! which is plain stage-major order over padded copies of the fields.
+//! Multi-worker runs give each worker one contiguous chunk of planes and
+//! its own rings; only there does a stage compute more than its share:
+//! each chunk is *dilated* by the cumulative downstream access footprint
+//! (chained backward along the DAG at [`FusePlan`] build time, times the
+//! steps left in the window), so workers never exchange anything and the
+//! overlap at the `workers - 1` seams is recomputed from identical inputs.
+//!
+//! Every ring plane is **halo-padded**: border cells hold the (per-field)
+//! constant boundary value — the row and cell pads are filled once per
+//! run, since only in-domain cells are ever overwritten — so the sweep
+//! itself is a pure contiguous lane sweep with no interior/halo split, no
+//! bounds checks and no per-lane boundary gathers. Rows are evaluated in
+//! full lane batches (`TypedKernel::eval_lanes_with` at a width chosen
+//! from the innermost extent); the batch that straddles the row end
+//! *over-computes* into write-slack cells whose values are never read
+//! (typed kernels are total, so evaluating garbage lanes is safe), and the
+//! clobbered tail pad is re-filled after each row.
 //!
 //! # Eligibility and the fallback
 //!
@@ -48,7 +64,7 @@
 //!   specialization speculates even division-carrying ternaries into
 //!   selects);
 //! * every non-scalar field spans the full iteration space, indexed in
-//!   iteration-space dimension order (scratch tiles are laid out in space
+//!   iteration-space dimension order (scratch planes are laid out in space
 //!   order, so transposed accesses cannot be expressed as constant flat
 //!   offsets);
 //! * every out-of-domain access resolves to a `Constant` boundary
@@ -68,18 +84,19 @@
 //! Fused results are bit-identical to the interpreted tier on every output
 //! cell (golden suite: `fused_equivalence.rs`):
 //!
-//! * every computed cell evaluates through the same [`TypedKernel`] lane
+//! * every cell is evaluated once, through the same `TypedKernel` lane
 //!   interpreter as the materializing tier, on loads that are raw grid
 //!   payloads (inputs are copied in verbatim, stage results are rounded
 //!   through the stencil's output type before the store — exactly the
 //!   store rounding of the full-grid sweep), so each cell performs the
-//!   identical operation sequence on identical bits;
+//!   identical operation sequence on identical bits; the lag recurrence
+//!   guarantees every plane a tap reads was produced, and the depth
+//!   recurrence that it has not been overwritten yet;
 //! * out-of-domain loads read pad cells holding the boundary constant
 //!   pre-rounded through the field's element type — exactly the value the
 //!   materializing halo pass computes per access;
-//! * tile overlap recomputes boundary-region cells from identical inputs,
-//!   producing identical bits, so it does not matter which tile's copy of
-//!   an overlapped cell a consumer reads;
+//! * at a worker seam both neighbours compute the overlap from identical
+//!   inputs, and only the chunk's owner stores it;
 //! * shrink masks depend on access geometry only (never on data): the
 //!   per-cell "did any access leave the domain" predicate of the
 //!   interpreter is equivalent to membership in a per-stencil valid *box*,
@@ -91,60 +108,77 @@ use crate::plan::round_lanes;
 use crate::ReferenceExecutor;
 use std::collections::BTreeMap;
 use stencilflow_codegen::{jit_translation_unit, JitSlotKind, JitStageSpec};
-use stencilflow_expr::{DataType, LaneScratch, TypedKernel, Value};
+use stencilflow_expr::{DataType, LaneScratch, Value};
 use stencilflow_jit::{SlotArg, StageFn, SweepArgs};
 use stencilflow_program::{
     AccessFootprints, BoundaryCondition, ProgramError, Result, StencilProgram,
 };
 
-/// Default number of time steps fused into one temporal-blocking window.
-/// Each extra step dilates every tile by one more per-step footprint on
-/// each side (redundant recompute grows linearly per step, quadratically
-/// per window), so the window is kept small; see
+/// Default number of time steps chained into one window. Nothing is
+/// recomputed at any window length, so throughput is flat from 2 to 16
+/// steps (`docs/evaluation.md`, Tier 3); every step adds one ring per
+/// stage to the working set, so the window stays small; see
 /// [`ReferenceExecutor::with_fusion_window`].
 pub(crate) const DEFAULT_FUSION_WINDOW: usize = 4;
 
-/// Scratch-budget target in bytes per worker for the automatic tile
-/// height. Larger tiles amortize the per-tile copies and the temporal-
-/// blocking overlap better than small cache-resident tiles help locality
-/// (the lane sweep is dispatch-bound, not DRAM-bound), so the budget sits
-/// at the last-level-cache scale rather than L2.
-const TILE_SCRATCH_BUDGET_BYTES: usize = 1 << 21;
+/// Scratch budget in bytes per worker: the block height is as many planes
+/// per tick as keep all rings of a window inside it. The native sweep is
+/// memory bound, and what streams through the rings (source and target
+/// planes of the full grids) competes with them for the private cache, so
+/// the smallest budget of the measured sweep won or tied on every row
+/// (0.5–4 MiB × windows 2/4/8 on 128³ × 16 and 512 × 128, both fused
+/// tiers: `docs/evaluation.md`, Tier 3); the bytecode sweep is dispatch
+/// bound and nearly indifferent.
+const SCRATCH_BUDGET_BYTES: usize = 1 << 19;
+
+/// Axis of the planes × rows × cells scratch layout a space dimension maps
+/// to: the innermost dimension is the contiguous cell axis, and of the
+/// others (spaces have at most three dimensions) the outermost is the
+/// plane axis the wavefront advances along.
+fn axis(dim: usize, rank: usize) -> usize {
+    if dim + 1 == rank {
+        2
+    } else {
+        dim
+    }
+}
 
 /// One field (program input or stencil output) of a fuse plan, with the
-/// geometry of its per-tile scratch buffer.
+/// layout of one scratch plane of it.
 #[derive(Debug)]
 struct FusedField {
     name: String,
-    /// Scalar program input: prefilled into the lane template, no buffer.
+    /// Scalar program input: broadcast into the lanes, no buffer.
     scalar: bool,
-    /// Program input (copied into scratch per tile) vs. stage output
-    /// (computed into scratch).
+    /// Program input (copied into its ring) vs. stage output (computed
+    /// into it).
     input: bool,
     /// Whether the field is read by any live stage (or is an output).
     live: bool,
     /// Pad fill value: the consumers' shared boundary constant, rounded
     /// through the field's element type.
     pad_constant: f64,
-    /// Per-dimension pad extents (≥ the consumers' largest offsets).
-    pad_lo: Vec<usize>,
-    pad_hi: Vec<usize>,
-    /// Within-step dilation of the region this field must cover, in
-    /// outermost-dimension slices relative to the tile.
+    /// Per-axis pad extents (≥ the consumers' largest offsets).
+    pad_lo: [usize; 3],
+    pad_hi: [usize; 3],
+    /// Row and plane strides of a padded scratch plane, and the flat
+    /// offset of its first in-domain cell.
+    row: usize,
+    plane: usize,
+    origin: usize,
+    /// Within-step dilation of the region of this field a worker must
+    /// cover, in planes relative to its chunk (seams only).
     grow_lo: usize,
     grow_hi: usize,
-    /// Feedback partner (state pairing) for temporal blocking; paired
-    /// fields share unified geometry and ping-pong their two buffers.
-    pair: Option<usize>,
 }
 
 /// How one kernel slot of a fused stage reads its field.
 #[derive(Debug)]
 enum FusedSlot {
-    /// Scalar symbol, prefilled once per run.
+    /// Scalar symbol.
     Scalar(usize),
-    /// Field tap at a constant per-space-dimension offset.
-    Tap { field: usize, off: Vec<i64> },
+    /// Field tap at a constant per-axis offset.
+    Tap { field: usize, off: [i64; 3] },
 }
 
 /// One stencil of a fuse plan.
@@ -162,32 +196,34 @@ struct FusedStage {
     slots: Vec<FusedSlot>,
     out_dtype: DataType,
     shrink: bool,
-    /// The shrink-validity box per dimension (`[lo, hi)`): a cell is
-    /// valid iff every coordinate lies inside — exactly the interpreter's
-    /// "no access left the domain" predicate, which is a box because
-    /// every check constrains one coordinate independently.
-    mask_lo: Vec<usize>,
-    mask_hi: Vec<usize>,
+    /// The shrink-validity box per axis (`[lo, hi)`): a cell is valid iff
+    /// every coordinate lies inside — exactly the interpreter's "no access
+    /// left the domain" predicate, which is a box because every check
+    /// constrains one coordinate independently.
+    mask_lo: [usize; 3],
+    mask_hi: [usize; 3],
 }
 
-/// The temporal-blocking extension of a fuse plan.
+/// The time-stepping extension of a fuse plan.
 #[derive(Debug)]
 struct StepPlan {
-    /// Feedback pairs as `(output field, state input field)`.
+    /// Feedback pairs as `(output field, state input field)`, in program
+    /// output order (stepping pairs every output).
     pairs: Vec<(usize, usize)>,
-    /// Per-step dilation of the tile footprint (outermost dimension).
+    /// Per-step dilation of a worker's chunk (seams only).
     step_lo: usize,
     step_hi: usize,
 }
 
-/// A program analyzed for tile-fused execution. Built once per
+/// A program analyzed for fused execution. Built once per
 /// [`CompiledProgram`]; owns only geometry (kernels stay in the compiled
 /// stencils).
 #[derive(Debug)]
 pub(crate) struct FusePlan {
     dims: Vec<String>,
     shape: Vec<usize>,
-    rank: usize,
+    /// The iteration space as planes × rows × cells (see [`axis`]).
+    ext: [usize; 3],
     /// Lane width of the fused sweep, chosen from the innermost extent.
     lanes: usize,
     fields: Vec<FusedField>,
@@ -221,7 +257,10 @@ impl FusePlan {
     ) -> std::result::Result<FusePlan, String> {
         let space = program.space();
         let rank = space.rank();
-        let shape = space.shape.clone();
+        let mut ext = [1usize; 3];
+        for (d, &n) in space.shape.iter().enumerate() {
+            ext[axis(d, rank)] = n;
+        }
 
         // Field table: program inputs first, then stage outputs in
         // topological (compiled) order.
@@ -243,11 +282,13 @@ impl FusePlan {
                 input,
                 live: false,
                 pad_constant: 0.0,
-                pad_lo: vec![0; rank],
-                pad_hi: vec![0; rank],
+                pad_lo: [0; 3],
+                pad_hi: [0; 3],
+                row: 0,
+                plane: 0,
+                origin: 0,
                 grow_lo: 0,
                 grow_hi: 0,
-                pair: None,
             });
         };
         for (name, decl) in program.inputs() {
@@ -302,20 +343,22 @@ impl FusePlan {
                         slot.field
                     ));
                 }
-                slots.push(FusedSlot::Tap {
-                    field,
-                    off: slot.offsets.clone(),
-                });
+                let mut off = [0i64; 3];
+                for (d, &o) in slot.offsets.iter().enumerate() {
+                    off[axis(d, rank)] = o;
+                }
+                slots.push(FusedSlot::Tap { field, off });
             }
             // The shrink-validity box from the same deduplicated check set
             // the materializing halo pass evaluates per cell.
-            let mut mask_lo = vec![0usize; rank];
-            let mut mask_hi = shape.clone();
+            let mut mask_lo = [0usize; 3];
+            let mut mask_hi = ext;
             for &(dim, off) in plan.shrink_mask_checks() {
+                let a = axis(dim, rank);
                 if off < 0 {
-                    mask_lo[dim] = mask_lo[dim].max((-off) as usize);
+                    mask_lo[a] = mask_lo[a].max((-off) as usize);
                 } else {
-                    mask_hi[dim] = mask_hi[dim].min(shape[dim].saturating_sub(off as usize));
+                    mask_hi[a] = mask_hi[a].min(ext[a].saturating_sub(off as usize));
                 }
             }
             stages.push(FusedStage {
@@ -381,8 +424,9 @@ impl FusePlan {
                     continue;
                 };
                 for (d, &(lo, hi)) in extent.iter().enumerate() {
-                    fields[*field].pad_lo[d] = fields[*field].pad_lo[d].max((-lo).max(0) as usize);
-                    fields[*field].pad_hi[d] = fields[*field].pad_hi[d].max(hi.max(0) as usize);
+                    let a = axis(d, rank);
+                    fields[*field].pad_lo[a] = fields[*field].pad_lo[a].max((-lo).max(0) as usize);
+                    fields[*field].pad_hi[a] = fields[*field].pad_hi[a].max(hi.max(0) as usize);
                 }
                 if extent.iter().all(|&(lo, hi)| lo == 0 && hi == 0) {
                     // Center-only accesses never leave the domain; the
@@ -417,12 +461,12 @@ impl FusePlan {
             }
         }
 
-        // Backward dilation chain (outermost dimension): a field must
-        // cover its consumers' regions dilated by their footprints.
-        // Reverse topological order visits every consumer before its
-        // producers.
+        // Backward dilation chain along the plane axis (a 1-D space has a
+        // single plane and nothing to chain): a field must cover its
+        // consumers' regions dilated by their footprints. Reverse
+        // topological order visits every consumer before its producers.
         for s in (0..stages.len()).rev() {
-            if !stages[s].live {
+            if !stages[s].live || rank == 1 {
                 continue;
             }
             let name = plans[stages[s].stencil].name();
@@ -443,10 +487,10 @@ impl FusePlan {
             }
         }
 
-        // Temporal blocking: a derivable feedback pairing with compatible
-        // pad constants lets state fields ping-pong through shared-geometry
-        // buffers. Failure here only disables the *fused* time stepper —
-        // single runs stay fused, and stepped runs fall back.
+        // Time stepping: a derivable feedback pairing with compatible pad
+        // constants lets step `t + 1` read its state straight from the
+        // ring step `t` wrote. Failure here only disables the *fused* time
+        // stepper — single runs stay fused, and stepped runs fall back.
         let steps = compiled.feedback_pairs().ok().and_then(|pairs| {
             let mut step_lo = 0usize;
             let mut step_hi = 0usize;
@@ -454,8 +498,8 @@ impl FusePlan {
             for (output, input) in &pairs {
                 let o = field_ids[output];
                 let i = field_ids[input];
-                // A shared buffer holds one pad constant: both sides must
-                // agree whenever both are read out of domain.
+                // A ring holds one pad constant: both sides must agree
+                // whenever both are read out of domain.
                 if constants[o].is_some()
                     && constants[i].is_some()
                     && fields[o].pad_constant.to_bits() != fields[i].pad_constant.to_bits()
@@ -466,32 +510,28 @@ impl FusePlan {
                 step_hi = step_hi.max(fields[i].grow_hi.saturating_sub(fields[o].grow_hi));
                 mapped.push((o, i));
             }
-            // Unify the pair's pads and fill constant so the two buffers
-            // are interchangeable across the ping-pong. The *dilation*
-            // (`grow_*`) stays per field — regions must follow the exact
-            // backward chain, or consumer regions would outgrow their
-            // producers — and only the buffer sizing takes the pair
-            // maximum (see `FusePlan::geometries`).
+            // Unify the pair's pads and fill constant: the output's ring
+            // serves the readers of both. The *dilation* (`grow_*`) stays
+            // per field — regions must follow the exact backward chain, or
+            // consumer regions would outgrow their producers.
             for &(o, i) in &mapped {
                 let constant = if constants[i].is_some() {
                     fields[i].pad_constant
                 } else {
                     fields[o].pad_constant
                 };
-                for d in 0..rank {
-                    let lo = fields[o].pad_lo[d].max(fields[i].pad_lo[d]);
-                    let hi = fields[o].pad_hi[d].max(fields[i].pad_hi[d]);
-                    fields[o].pad_lo[d] = lo;
-                    fields[i].pad_lo[d] = lo;
-                    fields[o].pad_hi[d] = hi;
-                    fields[i].pad_hi[d] = hi;
+                for a in 0..3 {
+                    let lo = fields[o].pad_lo[a].max(fields[i].pad_lo[a]);
+                    let hi = fields[o].pad_hi[a].max(fields[i].pad_hi[a]);
+                    fields[o].pad_lo[a] = lo;
+                    fields[i].pad_lo[a] = lo;
+                    fields[o].pad_hi[a] = hi;
+                    fields[i].pad_hi[a] = hi;
                 }
                 for f in [o, i] {
                     fields[f].pad_constant = constant;
                     fields[f].live = true;
                 }
-                fields[o].pair = Some(i);
-                fields[i].pair = Some(o);
             }
             Some(StepPlan {
                 pairs: mapped,
@@ -500,11 +540,21 @@ impl FusePlan {
             })
         });
 
+        // Plane layout. Rows hold whole lane batches: the last batch's
+        // over-compute writes (and reads) up to `batches * lanes`, which
+        // also covers the in-domain extent and the tail pad.
+        let lanes = fused_lane_width(ext[2]);
+        for f in fields.iter_mut().filter(|f| f.live && !f.scalar) {
+            f.row = f.pad_lo[2] + ext[2].div_ceil(lanes) * lanes + f.pad_hi[2];
+            f.plane = (f.pad_lo[1] + ext[1] + f.pad_hi[1]) * f.row;
+            f.origin = f.pad_lo[1] * f.row + f.pad_lo[2];
+        }
+
         Ok(FusePlan {
             dims: space.dims.clone(),
-            shape: shape.clone(),
-            rank,
-            lanes: fused_lane_width(shape[rank - 1]),
+            shape: space.shape.clone(),
+            ext,
+            lanes,
             fields,
             stages,
             outputs,
@@ -577,243 +627,226 @@ impl FusePlan {
         Ok(crate::jit::JitUnit { source, symbols })
     }
 
-    fn slice_cells(&self) -> usize {
-        self.shape[1..].iter().product::<usize>().max(1)
-    }
-
-    fn step_dilation(&self) -> (usize, usize) {
-        self.steps
+    /// Planes of `field` a worker owning `chunk` must cover at step `t` of
+    /// a `w`-step window: the chunk dilated by everything downstream.
+    fn region(&self, field: usize, chunk: (usize, usize), t: usize, w: usize) -> (usize, usize) {
+        let (step_lo, step_hi) = self
+            .steps
             .as_ref()
-            .map(|s| (s.step_lo, s.step_hi))
-            .unwrap_or((0, 0))
+            .map_or((0, 0), |s| (s.step_lo, s.step_hi));
+        let f = &self.fields[field];
+        let lo = chunk.0.saturating_sub(f.grow_lo + (w - t) * step_lo);
+        let hi = (chunk.1 + f.grow_hi + (w - t) * step_hi).min(self.ext[0]);
+        (lo, hi.max(lo))
     }
 
-    /// Tile bounds along the outermost dimension. One-dimensional spaces
-    /// use a single tile (the outermost dimension *is* the contiguous row
-    /// the sweep batches over).
-    fn tile_bounds(
+    /// Chain the wavefront forward through a window of `w_max` steps:
+    /// the rings in tick order, with their producers, lags and depths.
+    /// `pinned` overrides the budget-derived block height; `native(stage)`
+    /// says whether a stage sweeps through its compiled function (whose
+    /// last-step planes are stored straight to their slab and need no
+    /// ring).
+    fn schedule(
         &self,
         w_max: usize,
-        override_rows: Option<usize>,
-        threads: usize,
-    ) -> Vec<(usize, usize)> {
-        let extent = self.shape[0];
-        if self.rank == 1 {
-            return vec![(0, extent)];
-        }
-        let tile_h = match override_rows {
-            Some(rows) => rows.max(1),
-            None => {
-                let live_buffers = self
-                    .fields
-                    .iter()
-                    .filter(|f| f.live && !f.scalar)
-                    .count()
-                    .max(1);
-                let budget =
-                    TILE_SCRATCH_BUDGET_BYTES / 8 / (live_buffers * self.slice_cells()).max(1);
-                // Keep the redundant recompute of temporal blocking small
-                // relative to the tile.
-                let (step_lo, step_hi) = self.step_dilation();
-                let step_overhead = (step_lo + step_hi) * w_max.saturating_sub(1) * 2;
-                budget.max(step_overhead).max(4)
+        pinned: Option<usize>,
+        native: impl Fn(usize) -> bool,
+    ) -> Schedule {
+        let new_ring = |field: usize, stage: Option<usize>, step: usize, lag, taps| {
+            let f = &self.fields[field];
+            Ring {
+                field,
+                stage,
+                step,
+                taps,
+                lag,
+                reach: 0,
+                read_in_step: false,
+                depth: 0,
+                lead: f.pad_lo[0],
+                plane: f.plane,
+                row: f.row,
+                origin: f.origin,
             }
         };
-        let tile_h = tile_h.clamp(1, extent);
-        // Give parallel workers at least one tile each where possible.
-        let tile_h = tile_h.min(extent.div_ceil(threads.max(1))).max(1);
-        let mut tiles = Vec::with_capacity(extent.div_ceil(tile_h));
-        let mut lo = 0usize;
-        while lo < extent {
-            let hi = (lo + tile_h).min(extent);
-            tiles.push((lo, hi));
-            lo = hi;
+        let mut rings: Vec<Ring> = Vec::new();
+        // The ring each field is read from at the current step.
+        let mut holder = vec![usize::MAX; self.fields.len()];
+        for (f, field) in self.fields.iter().enumerate() {
+            if field.live && !field.scalar && field.input {
+                holder[f] = rings.len();
+                rings.push(new_ring(f, None, 0, 0, Vec::new()));
+            }
         }
-        tiles
+        let pairs = self.steps.as_ref().map_or(&[][..], |s| &s.pairs);
+        for t in 1..=w_max {
+            if t > 1 {
+                for &(o, i) in pairs {
+                    holder[i] = holder[o];
+                }
+            }
+            for (s, stage) in self.stages.iter().enumerate().filter(|(_, s)| s.live) {
+                let mut lag = 0usize;
+                let taps: Vec<Tap> = stage
+                    .slots
+                    .iter()
+                    .map(|slot| match slot {
+                        FusedSlot::Scalar(field) => Tap::Scalar(*field),
+                        FusedSlot::Tap { field, off } => {
+                            let ring = holder[*field];
+                            let r = &rings[ring];
+                            lag = lag.max(r.lag + off[0].max(0) as usize);
+                            let inner = r.origin as i64 + off[1] * r.row as i64 + off[2];
+                            Tap::Ring {
+                                ring,
+                                off0: off[0],
+                                inner: inner as usize,
+                            }
+                        }
+                    })
+                    .collect();
+                for tap in &taps {
+                    if let Tap::Ring { ring, off0, .. } = tap {
+                        let r = &mut rings[*ring];
+                        r.reach = r.reach.max(lag - r.lag + (-off0).max(0) as usize);
+                        r.read_in_step |= r.step == t;
+                    }
+                }
+                holder[stage.field] = rings.len();
+                rings.push(new_ring(stage.field, Some(s), t, lag, taps));
+            }
+        }
+
+        // A ring nobody reads belongs to an output of the window's last
+        // step (liveness starts at the outputs); a native stage stores
+        // those planes directly, so the ring holds nothing.
+        let needed =
+            |r: &Ring| r.read_in_step || !(r.step == w_max && r.stage.is_some_and(&native));
+        let whole = |r: &Ring| self.ext[0] + r.lead + self.fields[r.field].pad_hi[0];
+        let max_lag = rings.iter().map(|r| r.lag).max().unwrap_or(0);
+        let max_pad_hi = self.fields.iter().map(|f| f.pad_hi[0]).max().unwrap_or(0);
+        let one_tick = self.ext[0] + max_lag + max_pad_hi;
+        let block = pinned.unwrap_or_else(|| {
+            let budget = SCRATCH_BUDGET_BYTES / std::mem::size_of::<f64>();
+            let (mut all, mut fixed, mut per_block) = (0usize, 0usize, 0usize);
+            for r in rings.iter().filter(|r| needed(r)) {
+                all += whole(r) * r.plane;
+                fixed += r.reach * r.plane;
+                per_block += r.plane;
+            }
+            if all <= budget {
+                one_tick
+            } else {
+                (budget.saturating_sub(fixed) / per_block.max(1)).max(1)
+            }
+        });
+        let mut arena_len = 0usize;
+        for r in rings.iter_mut() {
+            if needed(r) {
+                r.depth = (r.reach + block).min(whole(r));
+                arena_len += r.depth * r.plane;
+            }
+        }
+        Schedule {
+            rings,
+            block,
+            arena_len,
+        }
+    }
+}
+
+/// One ring buffer of the wavefront — the planes of one field at one step
+/// of the window, addressed modulo `depth` — and what produces it.
+#[derive(Debug)]
+struct Ring {
+    field: usize,
+    /// The producing stage (`None`: copied in from the input's grid).
+    stage: Option<usize>,
+    /// Step that produces it (0: a copied-in input).
+    step: usize,
+    /// How each kernel slot of the producing stage reads its operand.
+    taps: Vec<Tap>,
+    /// Planes the producer trails the front by.
+    lag: usize,
+    /// Planes the slowest consumer trails the producer by, its backward
+    /// reach included (the delay buffer plus the internal buffer).
+    reach: usize,
+    /// Whether a stage of the producing step reads it.
+    read_in_step: bool,
+    /// Planes held: `reach` plus the block height, capped at the whole
+    /// padded field (0: never written, see [`FusePlan::schedule`]).
+    depth: usize,
+    /// Pad planes below the domain (`pos + lead` is never negative).
+    lead: usize,
+    plane: usize,
+    row: usize,
+    origin: usize,
+}
+
+impl Ring {
+    /// Ring slot holding plane `pos`.
+    #[inline]
+    fn slot(&self, pos: i64) -> usize {
+        (pos + self.lead as i64) as usize % self.depth
     }
 
-    /// Scratch geometry of every live non-scalar field for tiles of height
-    /// `max_tile_h` in windows of up to `w_max` steps at lane width
-    /// `lanes`.
-    fn geometries(&self, max_tile_h: usize, w_max: usize, lanes: usize) -> Vec<FieldGeom> {
-        let (step_lo, step_hi) = self.step_dilation();
-        let window_slack = w_max.saturating_sub(1);
-        self.fields
+    /// Flat offset of plane `pos`.
+    #[inline]
+    fn at(&self, pos: i64) -> usize {
+        self.slot(pos) * self.plane
+    }
+
+    /// Planes from `pos` up that are contiguous in the buffer.
+    #[inline]
+    fn run(&self, pos: i64) -> usize {
+        self.depth - self.slot(pos)
+    }
+}
+
+/// How one kernel slot of a scheduled stage reads its operand.
+#[derive(Debug)]
+enum Tap {
+    /// Scalar input (index into the scalar table).
+    Scalar(usize),
+    /// Plane `pos + off0` of `ring`, `inner` cells into it.
+    Ring {
+        ring: usize,
+        off0: i64,
+        inner: usize,
+    },
+}
+
+/// The wavefront of one `execute` call; a window shorter than the one it
+/// was chained for runs the prefix of `rings` up to its last step.
+#[derive(Debug)]
+struct Schedule {
+    /// Copied-in inputs first, then step-major in topological order.
+    rings: Vec<Ring>,
+    /// Planes the front advances per tick.
+    block: usize,
+    /// Cells of one worker's rings, back to back.
+    arena_len: usize,
+}
+
+impl Schedule {
+    /// Split a worker's arena into its rings.
+    fn carve<'a>(&self, mut arena: &'a mut [f64]) -> Vec<&'a mut [f64]> {
+        self.rings
             .iter()
-            .map(|f| {
-                if !f.live || f.scalar {
-                    return FieldGeom::default();
-                }
-                // Paired buffers swap owners across the ping-pong, so the
-                // shared geometry is sized for both fields' dilation.
-                let (grow_lo, grow_hi) = match f.pair {
-                    Some(p) => (
-                        f.grow_lo.max(self.fields[p].grow_lo),
-                        f.grow_hi.max(self.fields[p].grow_hi),
-                    ),
-                    None => (f.grow_lo, f.grow_hi),
-                };
-                let back0 = grow_lo + window_slack * step_lo + f.pad_lo[0];
-                // Rows hold whole lane batches: the last batch's
-                // over-compute writes (and reads) up to `batches * lanes`,
-                // which also covers the in-domain extent and the tail pad.
-                let row_span = self.shape[self.rank - 1].div_ceil(lanes) * lanes;
-                let mut ext = Vec::with_capacity(self.rank);
-                for d in 0..self.rank {
-                    let mut e = self.shape[d] + f.pad_lo[d] + f.pad_hi[d];
-                    if d == 0 {
-                        let full = max_tile_h
-                            + grow_lo
-                            + grow_hi
-                            + window_slack * (step_lo + step_hi)
-                            + f.pad_lo[0]
-                            + f.pad_hi[0];
-                        // Positions above `shape + pad_hi` are never
-                        // touched, so deep dilation chains need not
-                        // allocate past them.
-                        e = full.min(back0 + self.shape[0] + f.pad_hi[0]);
-                    }
-                    if d == self.rank - 1 {
-                        let lead = if self.rank == 1 {
-                            // The row origin of a 1-D space sits `back0`
-                            // cells into the buffer (d == 0 above computed
-                            // the padded extent; replace it).
-                            back0
-                        } else {
-                            f.pad_lo[d]
-                        };
-                        e = lead + row_span + f.pad_hi[d];
-                    }
-                    ext.push(e);
-                }
-                let mut stride = vec![1usize; self.rank];
-                for d in (0..self.rank - 1).rev() {
-                    stride[d] = stride[d + 1] * ext[d + 1];
-                }
-                FieldGeom {
-                    len: stride[0] * ext[0],
-                    stride,
-                    back0,
-                }
+            .map(|r| {
+                let (ring, rest) = std::mem::take(&mut arena).split_at_mut(r.depth * r.plane);
+                arena = rest;
+                ring
             })
             .collect()
     }
 }
 
-/// Per-field scratch geometry of one `execute` call (extents fixed across
-/// tiles; the outermost origin slides with the tile: the buffer's first
-/// slice holds outermost coordinate `tile_lo - back0`).
-#[derive(Debug, Clone, Default)]
-struct FieldGeom {
-    /// Row-major strides over the padded extents.
-    stride: Vec<usize>,
-    /// Slices the outermost origin sits *before* the tile start.
-    back0: usize,
-    len: usize,
-}
-
-/// Region of the outermost dimension `field` must cover for tile
-/// `(t_lo, t_hi)` at step `t` of a `w`-step window.
-#[inline]
-fn stage_region(
-    plan: &FusePlan,
-    field: usize,
-    tile: (usize, usize),
-    t: usize,
-    w: usize,
-) -> (usize, usize) {
-    let (step_lo, step_hi) = plan.step_dilation();
-    let slack = w - t;
-    let f = &plan.fields[field];
-    let lo = tile.0.saturating_sub(f.grow_lo + slack * step_lo);
-    let hi = (tile.1 + f.grow_hi + slack * step_hi).min(plan.shape[0]);
-    (lo, hi.max(lo))
-}
-
-/// The buffer a field resolves to at step `t`. State pairs share two
-/// buffers and alternate roles: the stage writing the pair's *output*
-/// field targets buffer `t % 2` (counting the input field's buffer as
-/// index 0) and same-step readers of the output follow it there, while
-/// readers of the *state input* field resolve to buffer `(t - 1) % 2` —
-/// the window's initial state copy at `t = 1`, the previous step's output
-/// afterwards.
-#[inline]
-fn resolve_buffer(plan: &FusePlan, field: usize, t: usize) -> usize {
-    let f = &plan.fields[field];
-    let Some(pair) = f.pair else {
-        return field;
-    };
-    let (input_buf, output_buf) = if f.input {
-        (field, pair)
-    } else {
-        (pair, field)
-    };
-    let parity = if f.input { (t + 1) % 2 } else { t % 2 };
-    if parity == 1 {
-        output_buf
-    } else {
-        input_buf
-    }
-}
-
-/// Iterate the leading-dimension rows of `region` (outermost range × full
-/// extents of the middle dimensions). Rank-1 spaces have a single row —
-/// the tile already spans the whole dimension.
-#[inline]
-fn for_each_region_row(plan: &FusePlan, region: (usize, usize), mut body: impl FnMut(&[usize])) {
-    let rank = plan.rank;
-    if rank == 1 {
-        body(&[]);
-        return;
-    }
-    let inner: usize = plan.shape[1..rank - 1].iter().product();
-    let mut lead = vec![0usize; rank - 1];
-    for x0 in region.0..region.1 {
-        lead[0] = x0;
-        for row in 0..inner.max(1) {
-            let mut rem = row;
-            for d in (1..rank - 1).rev() {
-                lead[d] = rem % plan.shape[d];
-                rem /= plan.shape[d];
-            }
-            body(&lead);
-        }
-    }
-}
-
-/// Flat offset of the `k = 0` cell (shifted by `off`) of a row in a
-/// field's scratch buffer.
-#[inline]
-fn field_row_base(
-    plan: &FusePlan,
-    geom: &FieldGeom,
-    field: &FusedField,
-    tile: (usize, usize),
-    lead: &[usize],
-    off: &[i64],
-) -> usize {
-    let rank = plan.rank;
-    if rank == 1 {
-        return (off[0] - (tile.0 as i64 - geom.back0 as i64)) as usize;
-    }
-    let mut base = 0i64;
-    for (d, &l) in lead.iter().enumerate() {
-        let origin = if d == 0 {
-            tile.0 as i64 - geom.back0 as i64
-        } else {
-            -(field.pad_lo[d] as i64)
-        };
-        base += (l as i64 + off[d] - origin) * geom.stride[d] as i64;
-    }
-    base += off[rank - 1] + field.pad_lo[rank - 1] as i64;
-    base as usize
-}
-
 /// Everything a worker needs for one window, shared read-only.
-struct TileCtx<'a> {
+struct WindowCtx<'a> {
     plan: &'a FusePlan,
     compiled: &'a CompiledProgram,
-    geoms: &'a [FieldGeom],
+    sched: &'a Schedule,
     /// Raw source data per input field (user grids, or the pooled state
     /// grids of the previous window).
     sources: Vec<Option<&'a [f64]>>,
@@ -821,22 +854,18 @@ struct TileCtx<'a> {
     scalars: &'a [f64],
     /// Steps in this window.
     w: usize,
-    /// Whether this is the final window (outputs + masks are written).
+    /// Whether this is the final window (masks are written).
     last: bool,
-    tiles: &'a [(usize, usize)],
     /// Tier-4 native stage functions, indexed like `plan.stages` (`None`
     /// entries and `None` overall both mean "sweep through the bytecode").
     jit: Option<&'a [Option<StageFn>]>,
 }
 
-/// Mutable write targets of one worker for one window.
-struct WorkerTargets<'a> {
-    /// Final window: per-output grid slabs covering the worker's tiles.
-    grids: Vec<&'a mut [f64]>,
-    /// Final window: per-output mask slabs.
-    masks: Vec<&'a mut [bool]>,
-    /// Non-final windows: per-state-pair next-state slabs.
-    state: Vec<&'a mut [f64]>,
+impl WindowCtx<'_> {
+    /// The native function of `stage`, if it sweeps through one.
+    fn native(&self, stage: Option<usize>) -> Option<&StageFn> {
+        self.jit.and_then(|fns| fns[stage?].as_ref())
+    }
 }
 
 /// Execute `compiled` through the fused tier for `steps` time steps
@@ -845,10 +874,13 @@ struct WorkerTargets<'a> {
 ///
 /// When `jit` provides a Tier-4 native function for a stage, its sweeps
 /// run through the compiled `.so` instead of the bytecode lane interpreter
-/// — same tiles, same windows, same pads, same copies, so everything in
-/// the bit-identity argument above carries over except the innermost
-/// kernel evaluation, which the native unit replicates
-/// operation-for-operation (see [`FusePlan::jit_unit`]).
+/// — same wavefront, same rings, same pads, so everything in the
+/// bit-identity argument above carries over except the innermost kernel
+/// evaluation, which the native unit replicates operation-for-operation
+/// (see [`FusePlan::jit_unit`]). A native function writes exactly the
+/// in-domain cells of a row, so its last-step planes go straight to the
+/// output (or next-state) slab; the lane interpreter over-computes past
+/// the row end and keeps ring + copy-out.
 pub(crate) fn execute(
     executor: &ReferenceExecutor,
     compiled: &CompiledProgram,
@@ -858,18 +890,17 @@ pub(crate) fn execute(
     jit: Option<&[Option<StageFn>]>,
 ) -> Result<ExecutionResult> {
     let w_max = executor.fusion_window.clamp(1, steps);
-    let num_cells: usize = plan.shape.iter().product();
+    let [n0, n1, nk] = plan.ext;
+    let num_cells = n0 * n1 * nk;
     let live_stages = plan.stages.iter().filter(|s| s.live).count();
-    let threads = executor.worker_threads(
-        plan.shape[0],
-        num_cells * live_stages.max(1) * steps.min(w_max),
-        2,
-    );
-    let tiles = plan.tile_bounds(w_max, executor.fusion_tile_rows, threads);
-    let max_tile_h = tiles.iter().map(|&(lo, hi)| hi - lo).max().unwrap_or(1);
-    let geoms = plan.geometries(max_tile_h, w_max, plan.lanes);
+    let threads = executor.worker_threads(n0, num_cells * live_stages.max(1) * w_max, 2);
+    // One contiguous chunk of planes per worker.
+    let chunk_h = n0.div_ceil(threads);
+    let chunks: Vec<(usize, usize)> = (0..n0.div_ceil(chunk_h))
+        .map(|ix| (ix * chunk_h, ((ix + 1) * chunk_h).min(n0)))
+        .collect();
 
-    // Scalar prefills and input sources.
+    // Scalar values and input sources.
     let mut scalars = vec![0.0f64; plan.fields.len()];
     let mut user_sources: Vec<Option<&[f64]>> = vec![None; plan.fields.len()];
     for (ix, field) in plan.fields.iter().enumerate() {
@@ -888,11 +919,16 @@ pub(crate) fn execute(
         }
     }
 
-    // Result grids and masks for the program outputs.
+    // Nothing below can fail, so every pooled buffer acquired from here on
+    // is released at the end.
+    let sched = plan.schedule(w_max, executor.fusion_tile_rows, |stage| {
+        jit.is_some_and(|fns| fns[stage].is_some())
+    });
+
+    // Result grids and masks for the program outputs. Under the service
+    // tier (pooled results) these buffers come from the executor pools —
+    // zero-filled / all-true exactly like fresh allocations.
     let dim_refs: Vec<&str> = plan.dims.iter().map(String::as_str).collect();
-    // Under the service tier (pooled results) these buffers come from the
-    // executor pools — zero-filled / all-true exactly like the fresh
-    // allocations the sweeps below were written against.
     let mut out_grids: Vec<Grid> = plan
         .outputs
         .iter()
@@ -912,65 +948,41 @@ pub(crate) fn execute(
         .collect();
 
     // Window partition of the step count.
-    let windows: Vec<usize> = {
-        let mut remaining = steps;
-        let mut w = Vec::new();
-        while remaining > 0 {
-            let take = remaining.min(w_max);
-            w.push(take);
-            remaining -= take;
-        }
-        w
-    };
+    let windows: Vec<usize> = (0..steps.div_ceil(w_max))
+        .map(|wix| w_max.min(steps - wix * w_max))
+        .collect();
 
-    // Pooled full-size state grids for window boundaries (two alternating
-    // sets; none needed when one window covers every step).
-    let pairs: &[(usize, usize)] = plan
-        .steps
-        .as_ref()
-        .map(|s| s.pairs.as_slice())
-        .unwrap_or(&[]);
+    // Pooled full-size state grids for window boundaries, one per output
+    // (stepping pairs every output), in two alternating sets; none needed
+    // when one window covers every step.
     let mut state_a: Vec<Vec<f64>> = Vec::new();
     let mut state_b: Vec<Vec<f64>> = Vec::new();
     if windows.len() > 1 {
-        state_a = pairs
-            .iter()
-            .map(|_| executor.pool_acquire(num_cells))
-            .collect();
-        state_b = pairs
-            .iter()
-            .map(|_| executor.pool_acquire(num_cells))
-            .collect();
+        for set in [&mut state_a, &mut state_b] {
+            *set = plan
+                .outputs
+                .iter()
+                .map(|_| executor.pool_acquire(num_cells))
+                .collect();
+        }
     }
 
-    // Per-worker scratch buffers, acquired once for the whole call.
-    let worker_count = threads.min(tiles.len()).max(1);
-    let mut worker_scratch: Vec<Vec<Vec<f64>>> = (0..worker_count)
-        .map(|_| {
-            geoms
-                .iter()
-                .map(|g| {
-                    if g.len == 0 {
-                        // Dead or scalar field: no buffer.
-                        Vec::new()
-                    } else {
-                        executor.pool_acquire(g.len)
-                    }
-                })
-                .collect()
+    // One arena per worker holding all of its rings, acquired once for
+    // the whole call; the row and cell pads of every ring plane are filled
+    // here and never written again.
+    let mut arenas: Vec<Vec<f64>> = chunks
+        .iter()
+        .map(|_| match sched.arena_len {
+            0 => Vec::new(),
+            len => executor.pool_acquire(len),
         })
         .collect();
+    for arena in arenas.iter_mut() {
+        for (ring, buf) in sched.rings.iter().zip(sched.carve(arena)) {
+            fill_pads(plan, ring, buf);
+        }
+    }
 
-    // Contiguous tile ranges per worker.
-    let per_worker = tiles.len().div_ceil(worker_count);
-    let worker_tiles: Vec<(usize, usize)> = (0..worker_count)
-        .map(|ix| {
-            let lo = (ix * per_worker).min(tiles.len());
-            (lo, ((ix + 1) * per_worker).min(tiles.len()))
-        })
-        .collect();
-
-    let slice_cells = plan.slice_cells();
     let mut cells_evaluated = 0usize;
     for (wix, &w) in windows.iter().enumerate() {
         let last = wix + 1 == windows.len();
@@ -986,109 +998,75 @@ pub(crate) fn execute(
         // window's pooled outputs afterwards.
         let mut sources = user_sources.clone();
         if wix > 0 {
-            for (p, &(_, input)) in pairs.iter().enumerate() {
-                sources[input] = Some(read_set[p].as_slice());
+            let pairs = &plan.steps.as_ref().expect("several windows step").pairs;
+            for (state, &(_, input)) in read_set.iter().zip(pairs) {
+                sources[input] = Some(state.as_slice());
             }
         }
 
         // Split the write targets into disjoint per-worker slabs.
-        let mut grid_slabs: Vec<Vec<&mut [f64]>> = Vec::new();
-        let mut mask_slabs: Vec<Vec<&mut [bool]>> = Vec::new();
-        let mut state_slabs: Vec<Vec<&mut [f64]>> = Vec::new();
-        if last {
-            for grid in out_grids.iter_mut() {
-                grid_slabs.push(split_slabs(
-                    grid.as_mut_slice(),
-                    &worker_tiles,
-                    &tiles,
-                    slice_cells,
-                ));
-            }
-            for mask in out_masks.iter_mut() {
-                mask_slabs.push(split_slabs(mask, &worker_tiles, &tiles, slice_cells));
-            }
-        } else {
-            for buf in write_set.iter_mut() {
-                state_slabs.push(split_slabs(
-                    buf.as_mut_slice(),
-                    &worker_tiles,
-                    &tiles,
-                    slice_cells,
-                ));
-            }
-        }
-        // Transpose target-major slabs into worker-major bundles.
-        let mut bundles: Vec<WorkerTargets<'_>> = (0..worker_count)
-            .map(|_| WorkerTargets {
-                grids: Vec::new(),
+        let mut workers: Vec<Worker<'_>> = chunks
+            .iter()
+            .zip(arenas.iter_mut())
+            .map(|(&chunk, arena)| Worker {
+                chunk,
+                slabs: Vec::new(),
                 masks: Vec::new(),
-                state: Vec::new(),
+                arena,
             })
             .collect();
-        for slabs in grid_slabs {
-            for (worker, slab) in slabs.into_iter().enumerate() {
-                bundles[worker].grids.push(slab);
+        let targets: Vec<&mut [f64]> = if last {
+            out_grids.iter_mut().map(Grid::as_mut_slice).collect()
+        } else {
+            write_set.iter_mut().map(Vec::as_mut_slice).collect()
+        };
+        for target in targets {
+            for (worker, slab) in workers
+                .iter_mut()
+                .zip(split_slabs(target, &chunks, n1 * nk))
+            {
+                worker.slabs.push(slab);
             }
         }
-        for slabs in mask_slabs {
-            for (worker, slab) in slabs.into_iter().enumerate() {
-                bundles[worker].masks.push(slab);
-            }
-        }
-        for slabs in state_slabs {
-            for (worker, slab) in slabs.into_iter().enumerate() {
-                bundles[worker].state.push(slab);
+        if last {
+            for mask in out_masks.iter_mut() {
+                for (worker, slab) in workers.iter_mut().zip(split_slabs(mask, &chunks, n1 * nk)) {
+                    worker.masks.push(slab);
+                }
             }
         }
 
-        let ctx = TileCtx {
+        let ctx = WindowCtx {
             plan,
             compiled,
-            geoms: &geoms,
+            sched: &sched,
             sources,
             scalars: &scalars,
             w,
             last,
-            tiles: &tiles,
             jit,
         };
-        let evaluated: Vec<usize> = if worker_count == 1 {
-            let bundle = bundles.pop().expect("one bundle per worker");
-            vec![run_worker(
-                &ctx,
-                worker_tiles[0],
-                bundle,
-                &mut worker_scratch[0],
-            )]
+        cells_evaluated += if workers.len() == 1 {
+            workers
+                .into_iter()
+                .map(|worker| run_worker(&ctx, worker))
+                .sum::<usize>()
         } else {
             std::thread::scope(|scope| {
                 let ctx = &ctx;
-                let mut handles = Vec::with_capacity(worker_count);
-                for ((range, bundle), scratch) in worker_tiles
-                    .iter()
-                    .zip(bundles)
-                    .zip(worker_scratch.iter_mut())
-                {
-                    let range = *range;
-                    handles.push(scope.spawn(move || run_worker(ctx, range, bundle, scratch)));
-                }
+                let handles: Vec<_> = workers
+                    .into_iter()
+                    .map(|worker| scope.spawn(move || run_worker(ctx, worker)))
+                    .collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("fused workers do not panic"))
-                    .collect()
+                    .sum::<usize>()
             })
         };
-        cells_evaluated += evaluated.iter().sum::<usize>();
     }
 
-    for set in worker_scratch {
-        for buf in set {
-            if buf.capacity() > 0 {
-                executor.pool_release(buf);
-            }
-        }
-    }
-    for buf in state_a.into_iter().chain(state_b) {
+    for buf in arenas.into_iter().chain(state_a).chain(state_b) {
         executor.pool_release(buf);
     }
 
@@ -1108,361 +1086,349 @@ pub(crate) fn execute(
     ))
 }
 
-/// Split a full-grid buffer into per-worker slabs along the tile bounds.
+/// Split a full-grid buffer into per-worker slabs along the chunk bounds.
 fn split_slabs<'a, T>(
     mut buf: &'a mut [T],
-    worker_tiles: &[(usize, usize)],
-    tiles: &[(usize, usize)],
-    slice_cells: usize,
+    chunks: &[(usize, usize)],
+    plane_cells: usize,
 ) -> Vec<&'a mut [T]> {
-    let mut slabs = Vec::with_capacity(worker_tiles.len());
-    for &(tile_lo, tile_hi) in worker_tiles {
-        if tile_lo >= tile_hi {
-            slabs.push(&mut [] as &mut [T]);
-            continue;
-        }
-        let rows = tiles[tile_hi - 1].1 - tiles[tile_lo].0;
-        let (slab, rest) = buf.split_at_mut(rows * slice_cells);
-        slabs.push(slab);
-        buf = rest;
-    }
-    slabs
+    chunks
+        .iter()
+        .map(|&(lo, hi)| {
+            let (slab, rest) = std::mem::take(&mut buf).split_at_mut((hi - lo) * plane_cells);
+            buf = rest;
+            slab
+        })
+        .collect()
 }
 
-/// Execute one worker's tile range for one window; returns the number of
-/// logical cells evaluated (tile-overlap recompute included, end-of-row
+/// Fill the row and cell pads of every plane of a ring with its boundary
+/// constant. In-domain cells are left as they are: every one a tap reads
+/// was produced first (the lag recurrence).
+fn fill_pads(plan: &FusePlan, ring: &Ring, buf: &mut [f64]) {
+    let field = &plan.fields[ring.field];
+    let c = field.pad_constant;
+    let (rows_lo, rows_hi) = (field.pad_lo[1], field.pad_lo[1] + plan.ext[1]);
+    let (cells_lo, cells_hi) = (field.pad_lo[2], field.pad_lo[2] + plan.ext[2]);
+    for plane in buf.chunks_exact_mut(ring.plane) {
+        plane[..rows_lo * ring.row].fill(c);
+        plane[rows_hi * ring.row..].fill(c);
+        for row in plane[rows_lo * ring.row..rows_hi * ring.row].chunks_exact_mut(ring.row) {
+            row[..cells_lo].fill(c);
+            row[cells_hi..].fill(c);
+        }
+    }
+}
+
+/// Where the planes a stage produces in this window end up.
+#[derive(Clone, Copy)]
+enum Sink {
+    /// In its ring only.
+    Ring,
+    /// In its ring (a stage of the same step reads it, or the lane
+    /// interpreter produced it), then copied to the slab of this output.
+    Copy(usize),
+    /// Stored by the native function straight to the slab of this output.
+    Direct(usize),
+}
+
+/// One ring's progress through a window on one worker.
+struct RingRun {
+    /// In-domain planes to compute (the chunk, dilated at the seams).
+    lo: i64,
+    hi: i64,
+    /// Next plane to produce, and one past the last; both reach into the
+    /// pad planes where the region touches the domain edge.
+    next: i64,
+    end: i64,
+    sink: Sink,
+}
+
+/// What one worker owns for one window: its chunk of planes, the slab of
+/// every output (and, in the final window, of every mask) over that chunk,
+/// and the arena its rings are carved from.
+struct Worker<'a> {
+    chunk: (usize, usize),
+    slabs: Vec<&'a mut [f64]>,
+    masks: Vec<&'a mut [bool]>,
+    arena: &'a mut [f64],
+}
+
+/// Execute one worker's chunk for one window; returns the number of
+/// logical cells evaluated (seam recompute included, end-of-row
 /// over-compute excluded).
-fn run_worker(
-    ctx: &TileCtx<'_>,
-    range: (usize, usize),
-    targets: WorkerTargets<'_>,
-    scratch: &mut [Vec<f64>],
-) -> usize {
-    if range.0 >= range.1 {
-        return 0;
-    }
+fn run_worker(ctx: &WindowCtx<'_>, worker: Worker<'_>) -> usize {
     match ctx.plan.lanes {
-        32 => run_worker_lanes::<32>(ctx, range, targets, scratch),
-        16 => run_worker_lanes::<16>(ctx, range, targets, scratch),
-        _ => run_worker_lanes::<8>(ctx, range, targets, scratch),
+        32 => run_worker_lanes::<32>(ctx, worker),
+        16 => run_worker_lanes::<16>(ctx, worker),
+        _ => run_worker_lanes::<8>(ctx, worker),
     }
 }
 
-fn run_worker_lanes<const L: usize>(
-    ctx: &TileCtx<'_>,
-    range: (usize, usize),
-    mut targets: WorkerTargets<'_>,
-    scratch: &mut [Vec<f64>],
-) -> usize {
+fn run_worker_lanes<const L: usize>(ctx: &WindowCtx<'_>, worker: Worker<'_>) -> usize {
+    let Worker {
+        chunk,
+        mut slabs,
+        mut masks,
+        arena,
+    } = worker;
     let plan = ctx.plan;
-    let plans = ctx.compiled.stencil_plans();
-    let mut lane_scratch = LaneScratch::<L>::default();
-    let max_slots = plan.stages.iter().map(|s| s.slots.len()).max().unwrap_or(0);
-    let mut lane_values: Vec<[f64; L]> = vec![[0.0; L]; max_slots];
+    let sched = ctx.sched;
+    let [n0, n1, nk] = plan.ext;
+    let mut rings = sched.carve(arena);
+    let max_taps = sched.rings.iter().map(|r| r.taps.len()).max().unwrap_or(0);
+    let mut lanes = LaneState::<L> {
+        bases: vec![0; max_taps],
+        scratch: LaneScratch::default(),
+    };
+
+    if ctx.last {
+        for (&(stage, _), mask) in plan.outputs.iter().zip(masks.iter_mut()) {
+            if plan.stages[stage].shrink {
+                fill_mask(plan, &plan.stages[stage], mask, chunk);
+            }
+        }
+    }
+
+    // This window's rings and where each starts and ends on this chunk.
+    let live = sched.rings.iter().take_while(|r| r.step <= ctx.w).count();
+    let mut runs: Vec<RingRun> = sched.rings[..live]
+        .iter()
+        .map(|ring| {
+            let output = plan
+                .outputs
+                .iter()
+                .position(|&(_, field)| field == ring.field);
+            let sink = match output {
+                Some(o) if ring.step == ctx.w => {
+                    if ctx.native(ring.stage).is_some() && !ring.read_in_step {
+                        Sink::Direct(o)
+                    } else {
+                        Sink::Copy(o)
+                    }
+                }
+                _ => Sink::Ring,
+            };
+            let (lo, hi) = plan.region(ring.field, chunk, ring.step.max(1), ctx.w);
+            let (mut next, mut end) = (lo as i64, hi as i64);
+            // A region that touches the domain edge also produces the pad
+            // planes beyond it (a slab has none).
+            if !matches!(sink, Sink::Direct(_)) {
+                if lo == 0 {
+                    next = -(ring.lead as i64);
+                }
+                if hi == n0 {
+                    end = (n0 + plan.fields[ring.field].pad_hi[0]) as i64;
+                }
+            }
+            RingRun {
+                lo: lo as i64,
+                hi: hi as i64,
+                next,
+                end,
+                sink,
+            }
+        })
+        .collect();
+
     let mut cells = 0usize;
-    let worker_row0 = ctx.tiles[range.0].0;
-
-    for tile_ix in range.0..range.1 {
-        let tile = ctx.tiles[tile_ix];
-        // Seed the pad cells of every live buffer with its boundary
-        // constant. Only actual pads are filled — in-domain cells are
-        // either computed/copied this tile or provably never read.
-        for (f, field) in plan.fields.iter().enumerate() {
-            if field.live && !field.scalar {
-                fill_pads(plan, &ctx.geoms[f], field, &mut scratch[f], tile);
+    let mut front = runs.iter().map(|run| run.lo).min().unwrap_or(0);
+    let mut pending = true;
+    while pending {
+        pending = false;
+        front += sched.block as i64;
+        for (ix, run) in runs.iter_mut().enumerate() {
+            let ring = &sched.rings[ix];
+            let upto = (front - ring.lag as i64).min(run.end);
+            let from = run.next;
+            run.next = upto.max(from);
+            pending |= run.next < run.end;
+            // Pad planes below and above the domain.
+            for pos in (from..upto.min(run.lo)).chain(run.hi.max(from)..upto) {
+                let at = ring.at(pos);
+                rings[ix][at..at + ring.plane].fill(plan.fields[ring.field].pad_constant);
             }
-        }
-        // Copy input fields (and the window's initial state) into scratch
-        // over their step-1 region.
-        for (f, field) in plan.fields.iter().enumerate() {
-            if !field.live || field.scalar || !field.input {
-                continue;
-            }
-            let Some(src) = ctx.sources[f] else { continue };
-            let region = stage_region(plan, f, tile, 1, ctx.w);
-            copy_region_in(
-                plan,
-                &ctx.geoms[f],
-                field,
-                src,
-                &mut scratch[f],
-                tile,
-                region,
-            );
-        }
-
-        for t in 1..=ctx.w {
-            for (stage_ix, stage) in plan.stages.iter().enumerate() {
-                if !stage.live {
+            // In-domain planes, in runs no ring wraps within.
+            let mut x = from.max(run.lo);
+            while x < upto.min(run.hi) {
+                let mut n = (upto.min(run.hi) - x) as usize;
+                if !matches!(run.sink, Sink::Direct(_)) {
+                    n = n.min(ring.run(x));
+                }
+                for tap in &ring.taps {
+                    if let Tap::Ring { ring: r, off0, .. } = tap {
+                        n = n.min(sched.rings[*r].run(x + off0));
+                    }
+                }
+                let span_x = x;
+                x += n as i64;
+                if ring.stage.is_none() {
+                    let src = ctx.sources[ring.field].expect("live inputs have sources");
+                    copy_in(plan, ring, src, rings[ix], span_x, n);
                     continue;
                 }
-                let region = stage_region(plan, stage.field, tile, t, ctx.w);
-                if region.0 >= region.1 {
-                    continue;
+                // Detach the write target so the taps can borrow the
+                // rings (a stage never reads the ring it writes).
+                let (out, layout) = match run.sink {
+                    Sink::Direct(o) => (
+                        std::mem::take(&mut slabs[o]),
+                        ((span_x as usize - chunk.0) * n1 * nk, n1 * nk, nk),
+                    ),
+                    _ => (
+                        std::mem::take(&mut rings[ix]),
+                        (ring.at(span_x) + ring.origin, ring.plane, ring.row),
+                    ),
+                };
+                let span = Span {
+                    x: span_x,
+                    n,
+                    layout,
+                };
+                match ctx.native(ring.stage) {
+                    Some(func) => sweep_native(ctx, func, ring, &rings, out, span),
+                    None => sweep_lanes(ctx, ring, &rings, out, span, &mut lanes),
                 }
-                if let Some(func) = ctx.jit.and_then(|fns| fns[stage_ix].as_ref()) {
-                    cells += sweep_stage_native(
-                        ctx,
-                        stage,
-                        func,
-                        SweepSpan { tile, t, region },
-                        scratch,
-                    );
-                    continue;
+                cells += n * n1 * nk;
+                match run.sink {
+                    Sink::Direct(o) => slabs[o] = out,
+                    Sink::Ring => rings[ix] = out,
+                    Sink::Copy(o) => {
+                        rings[ix] = out;
+                        let own = (span_x.max(chunk.0 as i64), x.min(chunk.1 as i64));
+                        copy_out(plan, ring, rings[ix], slabs[o], own, chunk.0);
+                    }
                 }
-                let typed = plans[stage.stencil]
-                    .typed_kernel()
-                    .expect("fuse eligibility requires typed kernels");
-                cells += sweep_stage::<L>(
-                    ctx,
-                    stage,
-                    typed,
-                    SweepSpan { tile, t, region },
-                    scratch,
-                    &mut lane_values,
-                    &mut lane_scratch,
-                );
-            }
-        }
-
-        // Write back the final step's outputs over the tile proper.
-        let w = ctx.w;
-        if ctx.last {
-            for (o, &(stage_ix, field)) in plan.outputs.iter().enumerate() {
-                let stage = &plan.stages[stage_ix];
-                let buf = resolve_buffer(plan, field, w);
-                copy_region_out(
-                    plan,
-                    &ctx.geoms[buf],
-                    &plan.fields[buf],
-                    &scratch[buf],
-                    targets.grids[o],
-                    tile,
-                    worker_row0,
-                );
-                if stage.shrink {
-                    fill_mask(plan, stage, targets.masks[o], tile, worker_row0);
-                }
-            }
-        } else {
-            let pairs = &plan
-                .steps
-                .as_ref()
-                .expect("non-final windows only exist when stepping")
-                .pairs;
-            for (p, &(out_field, _)) in pairs.iter().enumerate() {
-                let buf = resolve_buffer(plan, out_field, w);
-                copy_region_out(
-                    plan,
-                    &ctx.geoms[buf],
-                    &plan.fields[buf],
-                    &scratch[buf],
-                    targets.state[p],
-                    tile,
-                    worker_row0,
-                );
             }
         }
     }
     cells
 }
 
-/// Where one stage sweep lands: the tile, the temporal step within the
-/// window, and the dim0 region dilation assigns to that step.
+/// A run of `n` planes from `x` that no ring wraps within, and where it is
+/// stored: the flat offset of its first in-domain cell, the plane stride
+/// and the row stride.
 #[derive(Clone, Copy)]
-struct SweepSpan {
-    tile: (usize, usize),
-    t: usize,
-    region: (usize, usize),
+struct Span {
+    x: i64,
+    n: usize,
+    layout: (usize, usize, usize),
 }
 
-/// Sweep one stage over `span.region` of `span.tile` at step `span.t`.
-/// Returns the number of logical cells computed.
-fn sweep_stage<const L: usize>(
-    ctx: &TileCtx<'_>,
-    stage: &FusedStage,
-    typed: &TypedKernel,
-    span: SweepSpan,
-    scratch: &mut [Vec<f64>],
-    lane_values: &mut [[f64; L]],
-    lane_scratch: &mut LaneScratch<L>,
-) -> usize {
+/// Per-worker scratch of the bytecode sweep.
+struct LaneState<const L: usize> {
+    /// Flat offset of each tap's current row.
+    bases: Vec<usize>,
+    scratch: LaneScratch<L>,
+}
+
+/// Sweep one stage over `span` through the typed lane interpreter, into
+/// its (detached) ring `out`.
+fn sweep_lanes<const L: usize>(
+    ctx: &WindowCtx<'_>,
+    target: &Ring,
+    rings: &[&mut [f64]],
+    out: &mut [f64],
+    span: Span,
+    state: &mut LaneState<L>,
+) {
     let plan = ctx.plan;
-    let SweepSpan { tile, t, region } = span;
-    let rank = plan.rank;
-    let shape_k = plan.shape[rank - 1];
-    let batches = shape_k.div_ceil(L);
-    let zero_off = vec![0i64; rank];
-
-    // Prefill scalar lanes (the lane loader falls back to these).
-    for (s, slot) in stage.slots.iter().enumerate() {
-        if let FusedSlot::Scalar(field) = slot {
-            lane_values[s] = [ctx.scalars[*field]; L];
-        }
-    }
-    // Resolve the ping-pong-aware read buffers, then momentarily take the
-    // write buffer out of the scratch set so reads can borrow the rest.
-    let reads: Vec<Option<(usize, &[i64])>> = stage
-        .slots
-        .iter()
-        .map(|slot| match slot {
-            FusedSlot::Scalar(_) => None,
-            FusedSlot::Tap { field, off } => {
-                Some((resolve_buffer(plan, *field, t), off.as_slice()))
-            }
-        })
-        .collect();
-    let write_buf = resolve_buffer(plan, stage.field, t);
-    let mut out = std::mem::take(&mut scratch[write_buf]);
-    let out_geom = &ctx.geoms[write_buf];
-    let out_field = &plan.fields[write_buf];
-    let pad_hi_k = out_field.pad_hi[rank - 1];
-    let refill_tail = pad_hi_k > 0 && batches * L > shape_k;
-
-    // Iteration spaces have at most three dimensions, so rows of one
-    // outermost slice advance by exactly one (middle-dimension) stride:
-    // bases are computed once per slice and incremented per row.
-    let inner = if rank >= 3 { plan.shape[1] } else { 1 };
-    let x0_range = if rank == 1 { 0..1 } else { region.0..region.1 };
-    let mut computed = 0usize;
-    let mut slot_bases = vec![0usize; reads.len()];
-    let mut lead = vec![0usize; rank.saturating_sub(1)];
-    for x0 in x0_range {
-        if rank >= 2 {
-            lead[0] = x0;
-        }
-        if rank >= 3 {
-            lead[1] = 0;
-        }
-        let mut out_base = field_row_base(plan, out_geom, out_field, tile, &lead, &zero_off);
-        for (s, read) in reads.iter().enumerate() {
-            if let Some((buf, off)) = read {
-                slot_bases[s] =
-                    field_row_base(plan, &ctx.geoms[*buf], &plan.fields[*buf], tile, &lead, off);
+    let [_, n1, nk] = plan.ext;
+    let stage = &plan.stages[target.stage.expect("copy-ins are not swept")];
+    let typed = ctx.compiled.stencil_plans()[stage.stencil]
+        .typed_kernel()
+        .expect("fuse eligibility requires typed kernels");
+    let batches = nk.div_ceil(L);
+    let field = &plan.fields[target.field];
+    let pad_hi_k = field.pad_hi[2];
+    let refill_tail = pad_hi_k > 0 && batches * L > nk;
+    let (out_base, out_s0, out_s1) = span.layout;
+    let LaneState { bases, scratch } = state;
+    for p in 0..span.n {
+        let pos = span.x + p as i64;
+        for (base, tap) in bases.iter_mut().zip(&target.taps) {
+            if let Tap::Ring { ring, off0, inner } = tap {
+                *base = ctx.sched.rings[*ring].at(pos + off0) + inner;
             }
         }
-        for _j in 0..inner {
+        let mut out_row = out_base + p * out_s0;
+        for _ in 0..n1 {
             for b in 0..batches {
                 let k0 = b * L;
                 // Each slot batch is built directly on the operand stack
-                // from its contiguous scratch row (scalars broadcast from
-                // the prefilled template).
+                // from its contiguous ring row (scalars broadcast).
                 let result = typed.eval_lanes_with(
-                    |s| match &reads[s] {
-                        Some((buf, _)) => {
+                    |s| match &target.taps[s] {
+                        Tap::Ring { ring, .. } => {
                             let mut batch = [0.0; L];
-                            let base = slot_bases[s] + k0;
-                            batch.copy_from_slice(&scratch[*buf][base..base + L]);
+                            let base = bases[s] + k0;
+                            batch.copy_from_slice(&rings[*ring][base..base + L]);
                             batch
                         }
-                        None => lane_values[s],
+                        Tap::Scalar(field) => [ctx.scalars[*field]; L],
                     },
-                    lane_scratch,
+                    scratch,
                 );
                 round_lanes(
                     &result,
                     stage.out_dtype,
-                    &mut out[out_base + k0..out_base + k0 + L],
+                    &mut out[out_row + k0..out_row + k0 + L],
                 );
             }
-            computed += shape_k;
             // Restore the tail pad the over-computed last batch clobbered.
             if refill_tail {
-                out[out_base + shape_k..out_base + shape_k + pad_hi_k].fill(out_field.pad_constant);
+                out[out_row + nk..out_row + nk + pad_hi_k].fill(field.pad_constant);
             }
-            if rank >= 3 {
-                out_base += out_geom.stride[1];
-                for (s, read) in reads.iter().enumerate() {
-                    if let Some((buf, _)) = read {
-                        slot_bases[s] += ctx.geoms[*buf].stride[1];
-                    }
+            out_row += out_s1;
+            for (base, tap) in bases.iter_mut().zip(&target.taps) {
+                if let Tap::Ring { ring, .. } = tap {
+                    *base += ctx.sched.rings[*ring].row;
                 }
             }
         }
     }
-    scratch[write_buf] = out;
-    computed
 }
 
-/// Sweep one stage through its compiled Tier-4 native function. The sweep
-/// geometry is exactly [`sweep_stage`]'s: the same region rows, the same
-/// ping-pong buffer resolution, the same `field_row_base` anchors — row
-/// bases are linear in the leading coordinates, so the whole
-/// `region × shape[1] × shape[k]` walk is three strides handed to the
-/// native code. Differences from the bytecode sweep, both asymptotically
-/// invisible to consumers:
-///
-/// * no end-of-row over-compute — the native loop writes exactly
-///   `[0, nk)`, so the tail pad is never clobbered and never refilled
-///   (the pads keep their `fill_pads` constants, which is what the
-///   refill restores anyway);
-/// * write-slack cells past the tail pad are left untouched instead of
-///   holding garbage lane results (never read either way).
-fn sweep_stage_native(
-    ctx: &TileCtx<'_>,
-    stage: &FusedStage,
+/// Sweep one stage over `span` through its compiled Tier-4 native
+/// function: ring planes are linear in the plane and row coordinates
+/// within a run, so the whole `n × rows × cells` walk is three strides
+/// handed to the native code. Unlike the bytecode sweep it writes exactly
+/// the in-domain cells of a row — the tail pad is never clobbered, and
+/// `out` may as well be an unpadded output slab.
+fn sweep_native(
+    ctx: &WindowCtx<'_>,
     func: &StageFn,
-    span: SweepSpan,
-    scratch: &mut [Vec<f64>],
-) -> usize {
-    let plan = ctx.plan;
-    let SweepSpan { tile, t, region } = span;
-    let rank = plan.rank;
-    let shape_k = plan.shape[rank - 1];
-    let zero_off = vec![0i64; rank];
-
-    let (n0, n1) = match rank {
-        1 => (1usize, 1usize),
-        2 => (region.1 - region.0, 1),
-        _ => (region.1 - region.0, plan.shape[1]),
-    };
-    let lead: Vec<usize> = match rank {
-        1 => Vec::new(),
-        2 => vec![region.0],
-        _ => vec![region.0, 0],
-    };
-
-    let write_buf = resolve_buffer(plan, stage.field, t);
-    let mut out = std::mem::take(&mut scratch[write_buf]);
-    let out_geom = &ctx.geoms[write_buf];
-    let out_field = &plan.fields[write_buf];
-    let out_base = field_row_base(plan, out_geom, out_field, tile, &lead, &zero_off);
-
-    let stride01 = |geom: &FieldGeom| -> (usize, usize) {
-        (
-            if rank >= 2 { geom.stride[0] } else { 0 },
-            if rank >= 3 { geom.stride[1] } else { 0 },
-        )
-    };
-    let slots: Vec<SlotArg<'_>> = stage
-        .slots
+    target: &Ring,
+    rings: &[&mut [f64]],
+    out: &mut [f64],
+    span: Span,
+) {
+    let [_, n1, nk] = ctx.plan.ext;
+    let slots: Vec<SlotArg<'_>> = target
+        .taps
         .iter()
-        .map(|slot| match slot {
-            FusedSlot::Scalar(field) => SlotArg::Scalar(ctx.scalars[*field]),
-            FusedSlot::Tap { field, off } => {
-                let buf = resolve_buffer(plan, *field, t);
-                let base =
-                    field_row_base(plan, &ctx.geoms[buf], &plan.fields[buf], tile, &lead, off);
-                let (s0, s1) = stride01(&ctx.geoms[buf]);
+        .map(|tap| match tap {
+            Tap::Scalar(field) => SlotArg::Scalar(ctx.scalars[*field]),
+            Tap::Ring { ring, off0, inner } => {
+                let r = &ctx.sched.rings[*ring];
                 SlotArg::Tap {
-                    buf: &scratch[buf],
-                    base,
-                    s0,
-                    s1,
+                    buf: &rings[*ring][..],
+                    base: r.at(span.x + off0) + inner,
+                    s0: r.plane,
+                    s1: r.row,
                 }
             }
         })
         .collect();
-    let (out_s0, out_s1) = stride01(out_geom);
+    let (out_base, out_s0, out_s1) = span.layout;
     let mut args = SweepArgs {
         slots: &slots,
-        out: &mut out,
+        out,
         out_base,
         out_s0,
         out_s1,
-        n0,
+        n0: span.n,
         n1,
-        nk: shape_k,
+        nk,
     };
     // The bounds validation inside `sweep` re-checks the geometry this
     // function just derived; a failure is a planner bug, not a runtime
@@ -1470,185 +1436,114 @@ fn sweep_stage_native(
     if let Err(e) = func.sweep(&mut args) {
         panic!("jit sweep geometry rejected: {e}");
     }
-    scratch[write_buf] = out;
-    n0 * n1 * shape_k
 }
 
-/// Seed the pad cells of one scratch buffer for one tile:
-///
-/// * innermost head/tail pads on every row;
-/// * full pad rows of the middle dimensions on every covered slice;
-/// * the out-of-domain outermost mini-slabs the buffer covers (positions
-///   `[-pad_lo, 0)` and `[shape, shape + pad_hi)` — positions further out
-///   are never read).
-///
-/// In-domain cells are deliberately left as-is: every in-domain read is
-/// contained in a computed (or copied) region by the dilation-chain
-/// invariant, so stale values from previous tiles are unobservable.
-fn fill_pads(
-    plan: &FusePlan,
-    geom: &FieldGeom,
-    field: &FusedField,
-    buf: &mut [f64],
-    tile: (usize, usize),
-) {
-    let rank = plan.rank;
-    let c = field.pad_constant;
-    let ext0 = if geom.stride.is_empty() {
-        return;
-    } else {
-        geom.len / geom.stride[0]
-    };
-    if rank == 1 {
-        // Head [0, back0 + min offset .. ) — everything below the row
-        // origin plus the row pads; the row occupies
-        // [back0, back0 + row_span), reads reach `pad_lo` below and
-        // `pad_hi` above it.
-        let row_start = geom.back0;
-        buf[row_start - field.pad_lo[0]..row_start].fill(c);
-        let shape = plan.shape[0];
-        let tail = row_start + shape;
-        let tail_end = (tail + field.pad_hi[0]).min(buf.len());
-        buf[tail..tail_end].fill(c);
-        return;
-    }
-    let origin0 = tile.0 as i64 - geom.back0 as i64;
-    // Out-of-domain outermost mini-slabs.
-    for pos in -(field.pad_lo[0] as i64)..0 {
-        let row = pos - origin0;
-        if (0..ext0 as i64).contains(&row) {
-            let start = row as usize * geom.stride[0];
-            buf[start..start + geom.stride[0]].fill(c);
+/// Copy `n` planes from `x` of a full grid into the in-domain cells of
+/// their ring planes.
+fn copy_in(plan: &FusePlan, ring: &Ring, src: &[f64], dst: &mut [f64], x: i64, n: usize) {
+    let [_, n1, nk] = plan.ext;
+    for pos in x..x + n as i64 {
+        let mut to = ring.at(pos) + ring.origin;
+        let mut from = pos as usize * n1 * nk;
+        for _ in 0..n1 {
+            dst[to..to + nk].copy_from_slice(&src[from..from + nk]);
+            to += ring.row;
+            from += nk;
         }
-    }
-    for pos in plan.shape[0] as i64..(plan.shape[0] + field.pad_hi[0]) as i64 {
-        let row = pos - origin0;
-        if (0..ext0 as i64).contains(&row) {
-            let start = row as usize * geom.stride[0];
-            buf[start..start + geom.stride[0]].fill(c);
-        }
-    }
-    // Middle-dimension pad rows, per covered slice.
-    for slice in 0..ext0 {
-        let slice_start = slice * geom.stride[0];
-        for d in 1..rank - 1 {
-            let ext_d = geom.stride[d - 1] / geom.stride[d];
-            let lo = field.pad_lo[d];
-            let hi_start = lo + plan.shape[d];
-            // Fill rows [0, lo) and [hi_start, ext_d) of dimension d over
-            // the remaining (inner) extent.
-            for r in (0..lo).chain(hi_start..ext_d) {
-                let start = slice_start + r * geom.stride[d];
-                buf[start..start + geom.stride[d]].fill(c);
-            }
-        }
-    }
-    // Innermost head/tail pads on every (in-domain-or-not) row.
-    let rows = geom.len / geom.stride[rank - 2];
-    let row_len = geom.stride[rank - 2];
-    let k_lo = field.pad_lo[rank - 1];
-    let k_tail = k_lo + plan.shape[rank - 1];
-    let k_tail_end = (k_tail + field.pad_hi[rank - 1]).min(row_len);
-    for r in 0..rows {
-        let start = r * row_len;
-        buf[start..start + k_lo].fill(c);
-        buf[start + k_tail..start + k_tail_end].fill(c);
     }
 }
 
-/// Copy the in-domain rows of `region` from a full grid into scratch.
-fn copy_region_in(
+/// Copy the planes `own` of a ring into the worker's output slab (whose
+/// first plane is `row0`).
+fn copy_out(
     plan: &FusePlan,
-    geom: &FieldGeom,
-    field: &FusedField,
-    src: &[f64],
-    dst: &mut [f64],
-    tile: (usize, usize),
-    region: (usize, usize),
-) {
-    let rank = plan.rank;
-    let shape_k = plan.shape[rank - 1];
-    let mut gstride = vec![1usize; rank];
-    for d in (0..rank - 1).rev() {
-        gstride[d] = gstride[d + 1] * plan.shape[d + 1];
-    }
-    let zero_off = vec![0i64; rank];
-    for_each_region_row(plan, region, |lead| {
-        let mut gflat = 0usize;
-        for (d, &l) in lead.iter().enumerate() {
-            gflat += l * gstride[d];
-        }
-        let sbase = field_row_base(plan, geom, field, tile, lead, &zero_off);
-        dst[sbase..sbase + shape_k].copy_from_slice(&src[gflat..gflat + shape_k]);
-    });
-}
-
-/// Copy the tile-proper rows from scratch into the worker's output slab
-/// (whose first row is outermost coordinate `worker_row0`).
-fn copy_region_out(
-    plan: &FusePlan,
-    geom: &FieldGeom,
-    field: &FusedField,
+    ring: &Ring,
     src: &[f64],
     slab: &mut [f64],
-    tile: (usize, usize),
-    worker_row0: usize,
+    own: (i64, i64),
+    row0: usize,
 ) {
-    let rank = plan.rank;
-    let shape_k = plan.shape[rank - 1];
-    let mut gstride = vec![1usize; rank];
-    for d in (0..rank - 1).rev() {
-        gstride[d] = gstride[d + 1] * plan.shape[d + 1];
-    }
-    let zero_off = vec![0i64; rank];
-    for_each_region_row(plan, (tile.0, tile.1), |lead| {
-        let mut sflat = 0usize;
-        if rank >= 2 {
-            sflat += (lead[0] - worker_row0) * gstride[0];
-            for d in 1..rank - 1 {
-                sflat += lead[d] * gstride[d];
-            }
+    let [_, n1, nk] = plan.ext;
+    for pos in own.0..own.1 {
+        let mut from = ring.at(pos) + ring.origin;
+        let mut to = (pos as usize - row0) * n1 * nk;
+        for _ in 0..n1 {
+            slab[to..to + nk].copy_from_slice(&src[from..from + nk]);
+            from += ring.row;
+            to += nk;
         }
-        let sbase = field_row_base(plan, geom, field, tile, lead, &zero_off);
-        slab[sflat..sflat + shape_k].copy_from_slice(&src[sbase..sbase + shape_k]);
-    });
+    }
 }
 
-/// Clear the invalid cells of a shrink mask over the tile's rows (masks
+/// Clear the invalid cells of a shrink mask over a worker's chunk (masks
 /// start all-true; only the cells outside the validity box are written).
-fn fill_mask(
-    plan: &FusePlan,
-    stage: &FusedStage,
-    slab: &mut [bool],
-    tile: (usize, usize),
-    worker_row0: usize,
-) {
-    let rank = plan.rank;
-    let shape_k = plan.shape[rank - 1];
-    let mut gstride = vec![1usize; rank];
-    for d in (0..rank - 1).rev() {
-        gstride[d] = gstride[d + 1] * plan.shape[d + 1];
+fn fill_mask(plan: &FusePlan, stage: &FusedStage, slab: &mut [bool], chunk: (usize, usize)) {
+    let [_, n1, nk] = plan.ext;
+    let k_lo = stage.mask_lo[2].min(nk);
+    let k_hi = stage.mask_hi[2].clamp(k_lo, nk);
+    for (plane, x0) in slab.chunks_exact_mut(n1 * nk).zip(chunk.0..) {
+        let plane_valid = x0 >= stage.mask_lo[0] && x0 < stage.mask_hi[0];
+        for (j, row) in plane.chunks_exact_mut(nk).enumerate() {
+            if plane_valid && j >= stage.mask_lo[1] && j < stage.mask_hi[1] {
+                row[..k_lo].fill(false);
+                row[k_hi..].fill(false);
+            } else {
+                row.fill(false);
+            }
+        }
     }
-    let k_lo = stage.mask_lo[rank - 1].min(shape_k);
-    let k_hi = stage.mask_hi[rank - 1].clamp(k_lo, shape_k);
-    for_each_region_row(plan, (tile.0, tile.1), |lead| {
-        let mut sflat = 0usize;
-        let mut lead_valid = true;
-        if rank >= 2 {
-            sflat += (lead[0] - worker_row0) * gstride[0];
-            for d in 1..rank - 1 {
-                sflat += lead[d] * gstride[d];
-            }
-            for (d, &l) in lead.iter().enumerate() {
-                lead_valid &= l >= stage.mask_lo[d] && l < stage.mask_hi[d];
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use stencilflow_core::{analyze, AnalysisConfig};
+
+    /// The ring recurrence against the FPGA mapping's buffers, on every
+    /// fusible program of the `analyze` suite at one plane per tick, in
+    /// unpadded cells: a ring always holds the internal buffer of each of
+    /// its consumers, and never more than the largest internal + delay
+    /// buffer `core` gives one of its edges plus one plane and one block.
+    /// It can hold *less* than that edge buffer where paths reconverge
+    /// (`upwind3d`'s `u`: 3 planes against 4 and a bit): `core` delays a
+    /// stage by its whole shift register (`hi - lo`) and its compute
+    /// latency, a ring's consumer trails by its look-ahead (`hi`) only.
+    #[test]
+    fn ring_depths_track_the_internal_and_delay_buffers() {
+        let executor = ReferenceExecutor::new();
+        let mut fusible = 0;
+        for program in stencilflow_workloads::analyze_suite() {
+            let compiled = executor.prepare(&program).unwrap();
+            let Ok(plan) = FusePlan::build(&program, &compiled) else {
+                continue;
+            };
+            fusible += 1;
+            let analysis = analyze(&program, &AnalysisConfig::default()).unwrap();
+            let sched = plan.schedule(1, Some(1), |_| false);
+            let plane = (plan.ext[1] * plan.ext[2]) as u64;
+            for ring in &sched.rings {
+                let name = &plan.fields[ring.field].name;
+                let cells = ring.depth as u64 * plane;
+                let (mut internal, mut edge) = (0u64, 0u64);
+                for ch in analysis
+                    .delay
+                    .channels()
+                    .iter()
+                    .filter(|c| &c.field == name)
+                {
+                    let buffers = analysis.internal.stencil(&ch.to);
+                    let size = buffers
+                        .and_then(|b| b.field(name))
+                        .map_or(0, |b| b.size_elements);
+                    internal = internal.max(size);
+                    edge = edge.max(size + ch.delay_words * analysis.delay.vector_width());
+                }
+                let label = format!("`{}` in `{}`", name, program.name());
+                assert!(cells >= internal, "{label}: {cells} < internal {internal}");
+                let most = edge + plane + sched.block as u64 * plane;
+                assert!(cells <= most, "{label}: {cells} > {edge} + plane + block");
             }
         }
-        let row = &mut slab[sflat..sflat + shape_k];
-        if !lead_valid {
-            row.fill(false);
-        } else {
-            row[..k_lo].fill(false);
-            row[k_hi..].fill(false);
-        }
-    });
+        assert_eq!(fusible, 8);
+    }
 }

@@ -25,7 +25,7 @@ use stencilflow_program::ProgramError;
 pub enum Tier {
     /// The lane-batched compiled sweep (per-stencil materialization).
     Simd,
-    /// The tile-fused tier (pooled scratch, temporal blocking).
+    /// The fused tier (pooled ring buffers, windowed time stepping).
     Fused,
     /// The Tier-4 native backend (fused schedule, `cc`-compiled sweeps).
     Jit,

@@ -65,9 +65,54 @@ pub fn assert_outputs_match(
     }
 }
 
-/// Run every tier under several tile heights and compare each against the
-/// interpreter; a rejected input must produce the interpreter's error on
-/// every tier too.
+/// Block heights every golden loop pins (`0` leaves the budget-derived
+/// one): single planes, blocks that wrap their rings, the whole extent in
+/// one tick, and more than the extent.
+pub fn block_heights(program: &StencilProgram) -> [usize; 6] {
+    let extent = program.space().shape[0];
+    [0, 1, 2, 3, extent, extent + 7]
+}
+
+/// Stencils that reach a program output: the stages the fused tier
+/// computes (it elides the rest).
+pub fn live_stages(program: &StencilProgram) -> usize {
+    let mut live: Vec<&str> = program.outputs().iter().map(String::as_str).collect();
+    let mut next = 0;
+    while next < live.len() {
+        let stencil = program.stencil(live[next]).unwrap();
+        for producer in program.stencils() {
+            if stencil.accesses.contains(&producer.name) && !live.contains(&producer.name.as_str())
+            {
+                live.push(&producer.name);
+            }
+        }
+        next += 1;
+    }
+    live.len()
+}
+
+/// On one worker the wavefront evaluates every cell of every live stage
+/// of every step exactly once, whatever the block height and window.
+pub fn assert_no_redundant_compute(
+    executor: &ReferenceExecutor,
+    program: &StencilProgram,
+    result: &ExecutionResult,
+    steps: usize,
+    label: &str,
+) {
+    if executor.prepare(program).unwrap().fused_tier_supported() {
+        assert_eq!(
+            result.cells_evaluated(),
+            program.space().num_cells() * live_stages(program) * steps,
+            "program `{}` ({label}): cells evaluated",
+            program.name()
+        );
+    }
+}
+
+/// Run every tier under several block heights and compare each against
+/// the interpreter; a rejected input must produce the interpreter's error
+/// on every tier too.
 pub fn assert_tiers_bit_identical(program: &StencilProgram, seed: u64) {
     let inputs = generate_inputs(program, seed);
     let plain = ReferenceExecutor::new();
@@ -79,17 +124,16 @@ pub fn assert_tiers_bit_identical(program: &StencilProgram, seed: u64) {
         .unwrap_err()
         .to_string();
     for tier in TIERS {
-        for tile_rows in [0usize, 1, 2, 5] {
-            let executor = ReferenceExecutor::new().with_fusion_tile_rows(tile_rows);
+        for block in block_heights(program) {
+            let executor = ReferenceExecutor::new().with_fusion_tile_rows(block);
             let result = run_pinned(&executor, program, &inputs, None, tier).unwrap();
-            assert_outputs_match(
-                program,
-                &format!("{tier} tile_rows={tile_rows}"),
-                &result,
-                &interpreted,
-            );
+            let label = format!("{tier} block={block}");
+            assert_outputs_match(program, &label, &result, &interpreted);
             // `execute` results carry exactly the program outputs.
             assert_eq!(result.fields().count(), program.outputs().len());
+            if tier != Tier::Simd {
+                assert_no_redundant_compute(&executor, program, &result, 1, &label);
+            }
         }
         let error = run_pinned(&plain, program, &missing, None, tier).unwrap_err();
         assert_eq!(error.to_string(), rejection, "{tier} error value");

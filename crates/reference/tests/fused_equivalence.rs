@@ -1,46 +1,52 @@
 //! Golden equivalence of the output-only tiers behind
 //! `ReferenceExecutor::execute`: every pinned tier (SIMD, fused, JIT) must
 //! agree **bit for bit** with the tree-walking interpreter on every
-//! program output — values, shrink masks, and error values — across tile
+//! program output — values, shrink masks, and error values — across block
 //! heights, window sizes, and workloads, including the programs that fall
-//! back to the materializing path. The all-tier loop over the shared
+//! back to the materializing path, and the fused tiers must evaluate every
+//! cell exactly once. The all-tier loop over the shared
 //! workloads runs here (once), next to the fused tier's own contracts
 //! (eligibility, dead-stage elision, pool steady state, measured
 //! routing); `jit_equivalence.rs` holds the native backend's.
 
 mod common;
 
-use common::{assert_outputs_match, assert_tiers_bit_identical, run_on, run_pinned, TIERS};
+use common::{
+    assert_no_redundant_compute, assert_outputs_match, assert_tiers_bit_identical, block_heights,
+    run_on, run_pinned, TIERS,
+};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use stencilflow_expr::DataType;
 use stencilflow_program::{BoundaryCondition, StencilProgram, StencilProgramBuilder};
-use stencilflow_reference::{generate_inputs, Grid, ReferenceExecutor, Tier, TierPolicy};
+use stencilflow_reference::{
+    generate_inputs, Grid, JobSpec, ReferenceExecutor, ServeConfig, ServeExecutor, Tier, TierPolicy,
+};
 use stencilflow_workloads::{
     chain_program, diffusion2d, diffusion3d, horizontal_diffusion, jacobi2d, jacobi3d,
-    jacobi3d_typed, listing1::listing1_with_shape, upwind3d_typed, ChainSpec,
+    jacobi3d_typed, listing1::listing1_with_shape, random_dag, upwind3d_typed, ChainSpec,
     HorizontalDiffusionSpec,
 };
 
-/// Time stepping on every tier across window sizes and tile heights vs
-/// the materializing stepper.
+/// Time stepping on every tier across window sizes (dividing the step
+/// count or not) and block heights vs the materializing stepper.
 fn assert_tier_steps_bit_identical(program: &StencilProgram, seed: u64, steps: usize) {
     let inputs = generate_inputs(program, seed);
     let baseline = ReferenceExecutor::new()
         .run_steps(program, &inputs, steps)
         .unwrap();
     for tier in TIERS {
-        for window in [1usize, 2, 3, steps.max(1)] {
-            for tile_rows in [0usize, 1, 3] {
+        for window in [1usize, 2, 4, 5] {
+            for block in block_heights(program) {
                 let executor = ReferenceExecutor::new()
                     .with_fusion_window(window)
-                    .with_fusion_tile_rows(tile_rows);
+                    .with_fusion_tile_rows(block);
                 let result = run_pinned(&executor, program, &inputs, Some(steps), tier).unwrap();
-                assert_outputs_match(
-                    program,
-                    &format!("{tier} steps={steps} window={window} tile_rows={tile_rows}"),
-                    &result,
-                    &baseline,
-                );
+                let label = format!("{tier} steps={steps} window={window} block={block}");
+                assert_outputs_match(program, &label, &result, &baseline);
+                if tier != Tier::Simd {
+                    assert_no_redundant_compute(&executor, program, &result, steps, &label);
+                }
             }
         }
     }
@@ -85,7 +91,7 @@ fn fused_matches_on_chains() {
         );
         assert_tiers_bit_identical(&chain, 6 + stages as u64);
     }
-    // Longer chains whose cumulative dilation exceeds the tile height.
+    // Longer chains whose cumulative lag exceeds the block height.
     let chain = chain_program(&ChainSpec::new(10, 4).with_shape(&[24, 6]));
     assert_tiers_bit_identical(&chain, 17);
 }
@@ -148,7 +154,7 @@ fn fused_matches_on_boundary_and_geometry_variety() {
     );
     assert_tiers_bit_identical(&program, 31);
 
-    // One-dimensional domain: a single tile spanning the row.
+    // One-dimensional domain: a single plane of a single row.
     let program = StencilProgramBuilder::new("fused1d", &[23])
         .input("a", DataType::Float32, &["i"])
         .stencil("s", "a[i-3] + a[i+2] * 0.5")
@@ -181,18 +187,15 @@ fn fused_multi_output_and_dead_stage_elision() {
         .build()
         .unwrap();
     assert_tiers_bit_identical(&program, 51);
-    // The dead stage does not add evaluations: fused counts at most the
-    // live stages (times dilation overlap, bounded by an extra stage's
-    // worth here).
+    // The dead stage does not add evaluations: fused counts exactly the
+    // three live stages.
     let inputs = generate_inputs(&program, 51);
     let executor = ReferenceExecutor::new();
     let fused = run_pinned(&executor, &program, &inputs, None, Tier::Fused).unwrap();
-    let cells = program.space().num_cells();
-    assert!(
-        fused.cells_evaluated() < 4 * cells,
-        "dead stage should be elided: {} evaluations for {} cells",
+    assert_eq!(
         fused.cells_evaluated(),
-        cells
+        3 * program.space().num_cells(),
+        "dead stage should be elided"
     );
     assert!(fused.field("dead").is_none());
     assert!(fused.field("base").is_none());
@@ -326,24 +329,184 @@ fn fused_steady_state_allocates_nothing_from_the_pool() {
 #[test]
 fn fused_parallel_tiling_matches_sequential() {
     // Big enough to cross the parallel threshold; disjoint output slabs
-    // must compose to the identical grid.
-    let program = jacobi3d(2, &[40, 16, 16], 1);
-    let inputs = generate_inputs(&program, 101);
-    let sequential = ReferenceExecutor::new()
-        .with_max_threads(1)
-        .with_fusion_tile_rows(4);
-    let sequential = run_pinned(&sequential, &program, &inputs, None, Tier::Fused).unwrap();
-    let parallel = ReferenceExecutor::new().with_fusion_tile_rows(4);
-    let parallel = run_pinned(&parallel, &program, &inputs, None, Tier::Fused).unwrap();
-    for output in program.outputs() {
-        for (a, b) in sequential
-            .field(output)
+    // must compose to the identical grid, and the only cells computed
+    // twice are the chunk dilation at the one seam between two workers.
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(2));
+    let plane = 32 * 32;
+    // (program, steps, planes recomputed at a seam): two chained sweeps
+    // dilate the first by one plane on each side of the seam; a window of
+    // `w` single-sweep steps dilates step `t` by `w - t` on each side,
+    // `w (w - 1)` planes per window, here two windows of four steps.
+    let cases = [
+        (jacobi3d(2, &[64, 32, 32], 1), None, 2),
+        (jacobi3d(1, &[64, 32, 32], 1), Some(8), 2 * 4 * 3),
+    ];
+    for (program, steps, seam_planes) in cases {
+        let inputs = generate_inputs(&program, 101);
+        for tier in [Tier::Fused, Tier::Jit] {
+            let sequential = ReferenceExecutor::new().with_max_threads(1);
+            let sequential = run_pinned(&sequential, &program, &inputs, steps, tier).unwrap();
+            let parallel = ReferenceExecutor::new().with_max_threads(2);
+            let parallel = run_pinned(&parallel, &program, &inputs, steps, tier).unwrap();
+            assert_outputs_match(
+                &program,
+                &format!("{tier} parallel"),
+                &parallel,
+                &sequential,
+            );
+            assert_eq!(
+                parallel.cells_evaluated(),
+                sequential.cells_evaluated() + (workers - 1) * seam_planes * plane,
+                "{tier} steps={steps:?}: seam recompute"
+            );
+        }
+    }
+}
+
+/// What rings add over tiles, each against the interpreter on every tier
+/// and block height, with the exact evaluation count.
+#[test]
+fn rings_match_on_lags_depths_and_extents() {
+    // A reconvergent DAG whose two paths have different lags: `b` is read
+    // three planes ahead and `a` two behind, so `a`'s ring is a delay
+    // buffer five planes deep — deeper than any single stencil's reach.
+    let reconvergent = |shape: &[usize]| {
+        StencilProgramBuilder::new("reconvergent", shape)
+            .input("u", DataType::Float32, &["i", "j", "k"])
+            .stencil("a", "u[i,j,k] * 2.0 + u[i,j-1,k]")
+            .stencil("b", "u[i,j,k] + u[i+1,j,k+1]")
+            .stencil("c", "a[i-2,j,k] - b[i+3,j,k] + u[i,j,k]")
+            .boundary("c", "a", BoundaryCondition::Constant(-1.0))
+            .boundary("c", "b", BoundaryCondition::Constant(4.0))
+            .stencil("d", "c[i,j,k] + c[i-1,j,k+1] * u[i,j,k]")
+            .shrink("d")
+            .output("d")
+            .output("c")
+            .build()
             .unwrap()
-            .as_slice()
-            .iter()
-            .zip(parallel.field(output).unwrap().as_slice())
-        {
-            assert_eq!(a.to_bits(), b.to_bits());
+    };
+    // One-sided stencils: a tap set that never looks back (depth is the
+    // block alone) or never looks ahead (lag 0 on its producer).
+    let one_sided = |shape: &[usize]| {
+        StencilProgramBuilder::new("one_sided", shape)
+            .input("u", DataType::Float64, &["i", "j"])
+            .stencil("ahead", "u[i,j] + u[i+2,j+1]")
+            .stencil("behind", "ahead[i,j] - ahead[i-1,j]")
+            .stencil("far", "behind[i+1,j] * behind[i+3,j-1]")
+            .shrink("far")
+            .output("far")
+            .build()
+            .unwrap()
+    };
+    // Outermost extent 1, 2 and prime; rings deeper than the extent; and
+    // (at blocks 2 and 3) blocks that wrap their rings.
+    for (extent, seed) in [(1usize, 200u64), (2, 201), (7, 202), (13, 203)] {
+        for program in [reconvergent(&[extent, 4, 9]), one_sided(&[extent, 11])] {
+            let compiled = ReferenceExecutor::new().prepare(&program).unwrap();
+            assert_eq!(compiled.fused_fallback_reason(), None);
+            assert_tiers_bit_identical(&program, seed);
+        }
+    }
+}
+
+#[test]
+fn rings_match_on_random_dags() {
+    // The shared generator (its lower-rank `coef` keeps these on the
+    // fallback), one plane per tick.
+    for seed in 0..64u64 {
+        let program = random_dag(seed);
+        let inputs = generate_inputs(&program, seed);
+        let executor = ReferenceExecutor::new().with_fusion_tile_rows(1);
+        let interpreted = executor.run_interpreted(&program, &inputs).unwrap();
+        for tier in [Tier::Fused, Tier::Jit] {
+            let result = run_pinned(&executor, &program, &inputs, None, tier).unwrap();
+            assert_outputs_match(
+                &program,
+                &format!("{tier} seed={seed}"),
+                &result,
+                &interpreted,
+            );
+        }
+    }
+    // The same shapes made fusible: full-rank inputs, constant or shrink
+    // boundaries, plane offsets in -3..=3, reconvergent reads.
+    let mut fused = 0;
+    for seed in 0..64u64 {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let shape = [
+            1 + next(9) as usize,
+            1 + next(4) as usize,
+            3 + next(9) as usize,
+        ];
+        let dtype = [DataType::Float32, DataType::Float64][next(2) as usize];
+        let mut builder = StencilProgramBuilder::new("random_fusible", &shape)
+            .input("src", dtype, &["i", "j", "k"])
+            .input("aux", DataType::Float32, &["i", "j", "k"]);
+        let mut produced = vec!["src".to_string(), "aux".to_string()];
+        let stages = 1 + next(6) as usize;
+        for stage in 0..stages {
+            let name = format!("s{stage}");
+            let a =
+                produced[produced.len() - 1 - next(2.min(produced.len() as u64)) as usize].clone();
+            let b = produced[next(produced.len() as u64) as usize].clone();
+            let (di, dj, dk) = (next(7) as i64 - 3, next(3) as i64 - 1, next(5) as i64 - 2);
+            let code = format!(
+                "0.5 * {a}[i{di:+},j,k{dk:+}] + 0.25 * {a}[i,j{dj:+},k] - 0.125 * {b}[i{:+},j,k]",
+                next(5) as i64 - 2
+            );
+            builder = builder.stencil(&name, &code);
+            if next(3) == 0 {
+                builder = builder.shrink(&name);
+            }
+            if next(4) == 0 {
+                builder = builder.output_type(&name, DataType::Float64);
+            }
+            produced.push(name);
+        }
+        builder = builder.output(&produced[produced.len() - 1]);
+        if stages > 2 && next(3) == 0 {
+            builder = builder.output(&produced[2 + next(stages as u64 - 1) as usize]);
+        }
+        let program = builder.build().unwrap();
+        let compiled = ReferenceExecutor::new().prepare(&program).unwrap();
+        fused += usize::from(compiled.fused_tier_supported());
+        assert_tiers_bit_identical(&program, seed);
+    }
+    assert_eq!(fused, 64, "the fusible generator must stay fusible");
+}
+
+#[test]
+fn rings_match_through_the_pooled_service() {
+    // Pooled results, pooled rings, and rings too large for the scratch
+    // budget (so the default block height streams the domain in many
+    // ticks), stepped across a window that does not divide the step
+    // count; the second job of each tier runs in recycled buffers.
+    let program = Arc::new(jacobi3d_typed(1, &[40, 64, 64], 1, DataType::Float64));
+    let inputs = Arc::new(generate_inputs(&program, 301));
+    let baseline = ReferenceExecutor::new()
+        .run_steps(&program, &inputs, 6)
+        .unwrap();
+    let serve = ServeExecutor::new(ServeConfig::new().with_workers(1));
+    for tier in [Tier::Fused, Tier::Jit] {
+        for round in 0..2 {
+            let job = JobSpec::new(Arc::clone(&program), Arc::clone(&inputs))
+                .with_steps(6)
+                .with_tier(tier);
+            let result = serve.run_one(job).result.unwrap();
+            assert_outputs_match(
+                &program,
+                &format!("{tier} pooled round {round}"),
+                &result,
+                &baseline,
+            );
+            assert_eq!(result.cells_evaluated(), 6 * program.space().num_cells());
+            serve.recycle(result);
         }
     }
 }
@@ -407,4 +570,56 @@ fn fused_handles_explicit_values() {
     let result = run_pinned(&executor, &program, &inputs, None, Tier::Fused).unwrap();
     // Zero-constant default boundaries: s = [2, 4, 6, 3].
     assert_eq!(result.field("s").unwrap().as_slice(), &[2.0, 4.0, 6.0, 3.0]);
+}
+
+/// Horizontal diffusion does not fuse yet (lower-rank parameter fields),
+/// but its DAG already fixes what a wavefront over it would hold: the lag
+/// and ring recurrence of `fuse.rs`, evaluated on the program's access
+/// footprints. Printed (`--nocapture`) for ROADMAP item 2 and pinned.
+#[test]
+fn hdiff_wavefront_lags_and_depths() {
+    use stencilflow_program::AccessFootprints;
+    let program = horizontal_diffusion(&HorizontalDiffusionSpec::small());
+    let footprints = AccessFootprints::of_program(&program);
+    let mut lag: BTreeMap<&str, i64> = BTreeMap::new();
+    let mut reach: BTreeMap<&str, i64> = BTreeMap::new();
+    let order = program.dag().unwrap().topological_order().unwrap();
+    let stencils: Vec<_> = order.iter().filter_map(|n| program.stencil(n)).collect();
+    for stencil in &stencils {
+        let taps: Vec<(&str, i64, i64)> = footprints
+            .edges()
+            .filter(|(consumer, _, _)| *consumer == stencil.name)
+            .map(|(_, field, extent)| (field, extent[0].0, extent[0].1))
+            .collect();
+        let own = taps
+            .iter()
+            .map(|&(field, _, hi)| lag.get(field).copied().unwrap_or(0) + hi.max(0))
+            .max()
+            .unwrap_or(0);
+        for &(field, lo, _) in &taps {
+            let behind = own - lag.get(field).copied().unwrap_or(0) + (-lo).max(0);
+            let entry = reach.entry(field).or_insert(0);
+            *entry = (*entry).max(behind);
+        }
+        lag.insert(&stencil.name, own);
+    }
+    // Lower-rank parameter fields would be broadcast, not ringed.
+    let rank = program.space().rank();
+    reach.retain(|field, _| program.input(field).is_none_or(|decl| decl.rank() == rank));
+    println!("{:<12} {:>4} {:>6}", "field", "lag", "depth");
+    for (field, behind) in &reach {
+        let own = lag.get(field).copied().unwrap_or(0);
+        println!("{field:<12} {own:>4} {:>6}", behind + 1);
+    }
+    let planes: i64 = reach.values().map(|behind| behind + 1).sum();
+    let max_lag = *lag.values().max().unwrap();
+    let deepest = *reach.values().max().unwrap() + 1;
+    println!(
+        "{} stages, {} ring-held fields, max lag {max_lag}, deepest ring {deepest}, \
+         {planes} planes in all at one plane per tick",
+        stencils.len(),
+        reach.len(),
+    );
+    assert_eq!(stencils.len(), 24);
+    assert_eq!((max_lag, deepest, planes), (4, 5, 57));
 }

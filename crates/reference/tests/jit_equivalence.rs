@@ -256,7 +256,9 @@ fn jit_reuses_modules_and_pool_in_steady_state() {
 
 #[test]
 fn jit_parallel_tiling_matches_sequential() {
-    let program = jacobi3d(2, &[40, 16, 16], 1);
+    // Over the parallel threshold, four planes per tick: two workers, each
+    // streaming its chunk through wrapping rings.
+    let program = jacobi3d(2, &[64, 32, 32], 1);
     let inputs = generate_inputs(&program, 101);
     let sequential = ReferenceExecutor::new()
         .with_max_threads(1)
