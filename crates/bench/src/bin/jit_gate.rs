@@ -13,8 +13,15 @@
 //! in-process rerun would hit the module cache anyway).
 //!
 //! With `--artifacts DIR`, writes the emitted C translation units, the
-//! persisted compiler stderr logs, and a JSON summary of eligibility and
-//! cache statistics — the bundle CI uploads next to `BENCH_eval.json`.
+//! persisted compiler stderr logs, and a JSON summary of eligibility, the
+//! unit census and cache statistics — the bundle CI uploads next to
+//! `BENCH_eval.json`.
+//!
+//! The census (`jit units: P programs, M modules, S live stages, B
+//! bodies`) says what the native programs share: a module is a distinct
+//! emitted text (what `cc` is paid for), a body a distinct sweep function
+//! inside one. The gate fails unless `B < S` — the suite's chain alone is
+//! eight stages over one body.
 //!
 //! Usage: `jit_gate [--assert-cached] [--artifacts DIR]`
 
@@ -90,6 +97,16 @@ struct WorkloadOutcome {
     cells: usize,
 }
 
+/// What the native programs of the sweep emitted, and how much of it is
+/// shared.
+#[derive(Default)]
+struct Census {
+    programs: usize,
+    modules: usize,
+    live_stages: usize,
+    bodies: usize,
+}
+
 /// The gate pins the JIT tier (ineligible workloads take its transparent
 /// fallback rungs).
 fn jit_spec(steps: Option<usize>) -> RunSpec {
@@ -132,6 +149,7 @@ fn main() {
     let executor = ReferenceExecutor::new();
     let mut outcomes: Vec<WorkloadOutcome> = Vec::new();
     let mut sources: Vec<(String, String)> = Vec::new();
+    let mut census = Census::default();
     let mut failures = 0usize;
     for (ix, program) in workloads().into_iter().enumerate() {
         let inputs = generate_inputs(&program, 17);
@@ -145,7 +163,13 @@ fn main() {
         };
         // Index-prefixed so same-named variants (jacobi3d f32/f64) keep
         // distinct artifact files.
-        if let Some(source) = compiled.jit_source() {
+        if let (Some(source), Some((live_stages, bodies))) =
+            (compiled.jit_source(), compiled.jit_stage_census())
+        {
+            census.programs += 1;
+            census.modules += usize::from(sources.iter().all(|(_, seen)| seen != source));
+            census.live_stages += live_stages;
+            census.bodies += bodies;
             sources.push((format!("{ix:02}-{}", program.name()), source.to_string()));
         }
         let baseline = executor.run_interpreted(&program, &inputs).unwrap();
@@ -225,6 +249,14 @@ fn main() {
         eprintln!("jit gate failed: no workload took the native path (vacuous gate)");
         failures += 1;
     }
+    println!(
+        "jit units: {} programs, {} modules, {} live stages, {} bodies",
+        census.programs, census.modules, census.live_stages, census.bodies
+    );
+    if census.bodies >= census.live_stages {
+        eprintln!("jit gate failed: no two stages share a body (the chain's eight should)");
+        failures += 1;
+    }
 
     let stats = stencilflow_reference::jit_cache_stats();
     if let Some(stats) = &stats {
@@ -246,7 +278,7 @@ fn main() {
     }
 
     if let Some(dir) = artifacts {
-        if let Err(e) = write_artifacts(&dir, &outcomes, &sources, stats.as_ref()) {
+        if let Err(e) = write_artifacts(&dir, &outcomes, &sources, &census, stats.as_ref()) {
             eprintln!("jit gate failed: cannot write artifacts to `{dir}`: {e}");
             failures += 1;
         } else {
@@ -268,6 +300,7 @@ fn write_artifacts(
     dir: &str,
     outcomes: &[WorkloadOutcome],
     sources: &[(String, String)],
+    census: &Census,
     stats: Option<&stencilflow_reference::JitCacheStats>,
 ) -> Result<(), String> {
     let root = std::path::Path::new(dir);
@@ -307,9 +340,19 @@ fn write_artifacts(
             Json::Object(fields)
         })
         .collect();
+    let count = |name: &str, n: usize| (name.to_string(), Json::Number(n as f64));
     let mut document = vec![
         ("gate".to_string(), Json::String("jit".to_string())),
         ("workloads".to_string(), Json::Array(workloads_json)),
+        (
+            "units".to_string(),
+            Json::Object(vec![
+                count("programs", census.programs),
+                count("modules", census.modules),
+                count("live_stages", census.live_stages),
+                count("bodies", census.bodies),
+            ]),
+        ),
     ];
     if let Some(stats) = stats {
         document.push((

@@ -13,9 +13,10 @@
 //!
 //! Two entry points:
 //!
-//! * [`jit_translation_unit`] — the real backend: one `sf_stage_{i}`
-//!   sweep function per fused stage, all in a single translation unit
-//!   compiled once per program.
+//! * [`jit_translation_unit`] — the real backend: one exported
+//!   `sf_stage_{i}` per fused stage, each a name for one of the unit's
+//!   *distinct* sweep bodies (a chain of identical stencils has one), all
+//!   in a single translation unit compiled once per distinct text.
 //! * [`jit_eval_unit`] — a single `double f(const double *slots)` wrapper
 //!   around one kernel, used by the execution-level round-trip tests to
 //!   compare compiled C against the bytecode one value vector at a time.
@@ -27,6 +28,7 @@
 //! the fused tier.
 
 use crate::expr_c::{float_literal, fuse_clamp, mathfn_c, SelectStyle, Shape};
+use std::collections::HashMap;
 use stencilflow_expr::value::CompareOp;
 use stencilflow_expr::{BinOp, DataType, TypedKernel, TypedOp};
 
@@ -63,28 +65,56 @@ pub const JIT_STAGE_PARAMS: &str = "(const double *const *sf_slots, const double
      double *restrict sf_out, int64_t sf_os0, int64_t sf_os1, \
      int64_t sf_n0, int64_t sf_n1, int64_t sf_nk)";
 
+/// [`JIT_STAGE_PARAMS`]' names in order: what a forwarding stage passes on.
+const JIT_STAGE_ARGS: &str =
+    "(sf_slots, sf_scalars, sf_ss0, sf_ss1, sf_out, sf_os0, sf_os1, sf_n0, sf_n1, sf_nk)";
+
 /// Emit a whole fused program — every live stage — as one C translation
-/// unit.
+/// unit, and say how many distinct sweep bodies it holds.
+///
+/// Stages whose emitted sweeps are the same text share one `static
+/// sf_body_{k}`, and every stage exports its own symbol over its body
+/// (`SF_STAGE`: an alias on ELF, which costs `cc` nothing; a forwarding
+/// call elsewhere): the symbol table follows the stage list, the code
+/// `cc` optimizes follows the number of distinct kernels. Sameness is
+/// judged on the text, not on the specs — `0.0 == -0.0` for a derived
+/// `PartialEq`, not for a stencil.
 ///
 /// # Errors
 ///
 /// Fails when any stage's kernel reads an uninitialized local or embeds a
 /// NaN constant; the message names the
 /// offending symbol so executors can report a precise fallback reason.
-pub fn jit_translation_unit(stages: &[JitStageSpec<'_>]) -> Result<String, String> {
-    let mut unit = String::new();
-    unit.push_str(
+pub fn jit_translation_unit(stages: &[JitStageSpec<'_>]) -> Result<(String, usize), String> {
+    let mut unit = format!(
         "/* Generated by stencilflow-codegen (Tier-4 native backend). Do not edit.\n\
           * Arithmetic is double with explicit (double)(float) rounds, matching the\n\
           * typed bytecode tiers bit for bit; compile with -ffp-contract=off. */\n\
          #include <stdint.h>\n\
-         #include <math.h>\n",
+         #include <math.h>\n\
+         #ifdef __ELF__\n\
+         #define SF_STAGE(stage, body) \
+         void stage{JIT_STAGE_PARAMS} __attribute__((alias(#body)));\n\
+         #else\n\
+         #define SF_STAGE(stage, body) \
+         void stage{JIT_STAGE_PARAMS} {{ body{JIT_STAGE_ARGS}; }}\n\
+         #endif\n"
     );
+    let mut bodies: HashMap<String, usize> = HashMap::new();
+    let mut exports = String::from("\n");
     for stage in stages {
-        unit.push('\n');
-        unit.push_str(&emit_stage(stage).map_err(|e| format!("stage `{}`: {e}", stage.symbol))?);
+        let body = emit_stage(stage).map_err(|e| format!("stage `{}`: {e}", stage.symbol))?;
+        let fresh = bodies.len();
+        let k = *bodies.entry(body).or_insert_with_key(|body| {
+            unit.push_str(&format!(
+                "\nstatic void sf_body_{fresh}{JIT_STAGE_PARAMS} {body}"
+            ));
+            fresh
+        });
+        exports.push_str(&format!("SF_STAGE({}, sf_body_{k})\n", stage.symbol));
     }
-    Ok(unit)
+    unit.push_str(&exports);
+    Ok((unit, bodies.len()))
 }
 
 /// Emit one kernel as `double {symbol}(const double *sf_slots)` (every
@@ -117,6 +147,7 @@ struct EmittedKernel {
     result: String,
 }
 
+/// The braces of one stage's sweep function and everything between them.
 fn emit_stage(stage: &JitStageSpec<'_>) -> Result<String, String> {
     if stage.slot_kinds.len() != stage.kernel.slot_count() {
         return Err(format!(
@@ -144,8 +175,7 @@ fn emit_stage(stage: &JitStageSpec<'_>) -> Result<String, String> {
         .map(|(ix, _)| ix)
         .collect();
 
-    let mut f = String::new();
-    f.push_str(&format!("void {}{} {{\n", stage.symbol, JIT_STAGE_PARAMS));
+    let mut f = String::from("{\n");
     // Silence unused-parameter warnings for stages without scalars/taps;
     // the parameter list is fixed by the ABI.
     if taps.is_empty() {
@@ -451,8 +481,9 @@ mod tests {
             slot_kinds: kinds,
             round_output: true,
         };
-        let unit = jit_translation_unit(&[spec]).unwrap();
-        assert!(unit.contains("void sf_stage_0(const double *const *sf_slots"));
+        let (unit, _) = jit_translation_unit(&[spec]).unwrap();
+        assert!(unit.contains("static void sf_body_0(const double *const *sf_slots"));
+        assert!(unit.contains("\nSF_STAGE(sf_stage_0, sf_body_0)\n"));
         assert!(
             unit.contains("const double sf_s1 = sf_scalars[1];"),
             "{unit}"
@@ -463,6 +494,69 @@ mod tests {
             "f32 output must round on store:\n{unit}"
         );
         assert!(unit.contains("#include <math.h>"));
+    }
+
+    /// `(unit text, bodies the emitter reports)` for stages `sf_stage_{i}`
+    /// of `(source, slot kinds, round_output)`, all slots `f64`.
+    fn unit_of(stages: &[(&str, &[JitSlotKind], bool)]) -> (String, usize) {
+        let kernels: Vec<TypedKernel> = stages
+            .iter()
+            .map(|(source, kinds, _)| typed(source, &vec![DataType::Float64; kinds.len()]))
+            .collect();
+        let specs: Vec<JitStageSpec<'_>> = stages
+            .iter()
+            .zip(&kernels)
+            .enumerate()
+            .map(|(ix, ((_, kinds, round_output), kernel))| JitStageSpec {
+                symbol: format!("sf_stage_{ix}"),
+                kernel,
+                slot_kinds: kinds.to_vec(),
+                round_output: *round_output,
+            })
+            .collect();
+        let (unit, bodies) = jit_translation_unit(&specs).unwrap();
+        assert_eq!(unit.matches("\nstatic void sf_body_").count(), bodies);
+        assert_eq!(unit.matches("\nSF_STAGE(sf_stage_").count(), stages.len());
+        (unit, bodies)
+    }
+
+    #[test]
+    fn equal_stages_share_one_body_and_keep_their_own_symbols() {
+        use JitSlotKind::{Scalar, Tap};
+        let stage = ("a[i] * c + a[i-1]", &[Tap, Scalar, Tap][..], false);
+        let (unit, bodies) = unit_of(&[stage, stage]);
+        assert_eq!(bodies, 1);
+        assert!(
+            unit.ends_with(
+                "}\n\nSF_STAGE(sf_stage_0, sf_body_0)\nSF_STAGE(sf_stage_1, sf_body_0)\n"
+            ),
+            "both stages must name the shared body:\n{unit}"
+        );
+        // One more stage is one more symbol: units of different stage
+        // counts differ in text even when they share their only body.
+        let (longer, bodies) = unit_of(&[stage, stage, stage]);
+        assert_eq!(bodies, 1);
+        assert_ne!(unit, longer);
+    }
+
+    #[test]
+    fn stages_that_differ_anywhere_keep_separate_bodies() {
+        use JitSlotKind::{Scalar, Tap};
+        let base = ("a[i] * c + 0.0", &[Tap, Scalar][..], false);
+        for other in [
+            ("a[i] * c + 0.0", &[Tap, Scalar][..], true),
+            ("a[i] * c + 0.0", &[Tap, Tap][..], false),
+            ("a[i] * c + 0.5", &[Tap, Scalar][..], false),
+            // Equal under `f64`'s `==`, one rounding apart at `a[i]*c = -0.0`.
+            ("a[i] * c + (-0.0)", &[Tap, Scalar][..], false),
+        ] {
+            let (unit, bodies) = unit_of(&[base, other, base]);
+            assert_eq!(bodies, 2, "{other:?} must not share `base`'s body:\n{unit}");
+            assert!(
+                unit.contains("\nSF_STAGE(sf_stage_1, sf_body_1)\n"),
+                "{unit}"
+            );
+        }
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! hold for the transcendental calls, which the emitter forwards to the
 //! same libm the interpreter uses.
 
-use stencilflow_codegen::jit_eval_unit;
+use stencilflow_codegen::{jit_eval_unit, jit_translation_unit, JitSlotKind, JitStageSpec};
 use stencilflow_expr::{parse_program, CompiledKernel, DataType, TypedKernel, TypedScratch};
-use stencilflow_jit::{JitConfig, JitEngine};
+use stencilflow_jit::{JitConfig, JitEngine, SlotArg, SweepArgs};
 
 fn typed(source: &str, slots: &[DataType]) -> TypedKernel {
     let program = parse_program(source).expect("test kernels parse");
@@ -44,7 +44,7 @@ fn engine() -> JitEngine {
 fn assert_roundtrip(engine: &JitEngine, source: &str, slots: &[DataType], cases: &[&[f64]]) {
     let kernel = typed(source, slots);
     let unit = jit_eval_unit(&kernel, "sf_eval").expect("eligible kernels emit");
-    let module = engine.load(&unit, &unit).expect("emitted unit compiles");
+    let module = engine.load(source, &unit).expect("emitted unit compiles");
     let eval = engine
         .eval_fn(&module, "sf_eval", kernel.slot_count())
         .expect("eval symbol resolves");
@@ -381,5 +381,76 @@ fn transcendental_calls_forward_to_libm_bitwise() {
         "sin(a[i]) * cos(b[i]) + tan(a[i])",
     ] {
         assert_roundtrip(&engine, source, &[DataType::Float64], &cases);
+    }
+}
+
+#[test]
+fn stage_symbols_sweep_alike_as_aliases_and_as_forwarders() {
+    // Three stages over two bodies. `SF_STAGE` exports a stage as an alias
+    // of its body on ELF and as a forwarding call elsewhere; `-U__ELF__`
+    // compiles the elsewhere here. (Its own cache directories: another
+    // salt in the shared one would evict the other tests' entries.)
+    let shared = typed("0.5 * a[i] + b[i]", &[DataType::Float64]);
+    let other = typed("a[i] - 0.25 * b[i]", &[DataType::Float64]);
+    let stages = [&shared, &other, &shared];
+    let specs: Vec<JitStageSpec<'_>> = stages
+        .iter()
+        .enumerate()
+        .map(|(ix, kernel)| JitStageSpec {
+            symbol: format!("sf_stage_{ix}"),
+            kernel,
+            slot_kinds: vec![JitSlotKind::Tap; 2],
+            round_output: false,
+        })
+        .collect();
+    let (unit, bodies) = jit_translation_unit(&specs).expect("eligible stages emit");
+    assert_eq!(bodies, 2);
+
+    let a: Vec<f64> = (0..24).map(|i| f64::from(i) * 0.37 - 3.0).collect();
+    let b: Vec<f64> = (0..24).map(|i| 1.0 / (f64::from(i) + 0.5)).collect();
+    let tap = |buf| SlotArg::Tap {
+        buf,
+        base: 0,
+        s0: 12,
+        s1: 4,
+    };
+    let mut scratch = TypedScratch::default();
+    for (form, flags) in [
+        ("alias", vec![]),
+        ("forward", vec!["-U__ELF__".to_string()]),
+    ] {
+        let mut config = JitConfig::from_env();
+        config.cache_dir =
+            std::env::temp_dir().join(format!("sf-jit-roundtrip-{form}-{}", std::process::id()));
+        config.extra_flags = flags;
+        let cache_dir = config.cache_dir.clone();
+        let engine = JitEngine::new(config).expect("system cc must be available");
+        let module = engine.load(form, &unit).expect("emitted unit compiles");
+        for (ix, kernel) in stages.iter().enumerate() {
+            let stage = engine
+                .stage_fn(&module, &format!("sf_stage_{ix}"))
+                .expect("every stage exports its own symbol");
+            let mut out = vec![0.0; 24];
+            let mut args = SweepArgs {
+                slots: &[tap(&a), tap(&b)],
+                out: &mut out,
+                out_base: 0,
+                out_s0: 12,
+                out_s1: 4,
+                n0: 2,
+                n1: 3,
+                nk: 4,
+            };
+            stage.sweep(&mut args).expect("sweep");
+            for (cell, got) in out.iter().enumerate() {
+                let want = kernel.eval_slots(&[a[cell], b[cell]], &mut scratch);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{form} stage {ix} cell {cell}"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(cache_dir);
     }
 }

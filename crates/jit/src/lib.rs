@@ -2,19 +2,22 @@
 //! emitted translation units, cache the resulting shared objects on disk,
 //! and load them through a quarantined `dlopen` boundary.
 //!
-//! The crate deliberately knows nothing about stencils: it accepts a
-//! *fingerprint* (the caller's stable identity for the program, salted here
-//! with the compiler version and flags) plus C *source*, and returns a
-//! loaded module from which typed symbols can be resolved. All policy —
-//! which programs are eligible, what the C looks like, how sweeps map onto
-//! the emitted ABI — lives in `stencilflow-codegen` and
-//! `stencilflow-reference`; this crate only guarantees that
+//! The crate deliberately knows nothing about stencils: it accepts C
+//! *source* — whose text, salted here with the compiler version and flags,
+//! *is* the identity of a module; the label passed along is provenance for
+//! the build log only — and returns a loaded module from which typed
+//! symbols can be resolved. All policy — which programs are eligible, what
+//! the C looks like, how sweeps map onto the emitted ABI — lives in
+//! `stencilflow-codegen` and `stencilflow-reference`; this crate only
+//! guarantees that
 //!
-//! * identical `(salt, fingerprint)` pairs never invoke `cc` twice, even
-//!   across processes (the disk cache is the source of truth; an atomic
-//!   `.key` sidecar written last marks an entry complete);
-//! * a fingerprint collision (same hash, different key material) is
-//!   detected and treated as a miss rather than served wrong code;
+//! * identical `(salt, source)` pairs never invoke `cc` twice, even
+//!   across processes and labels (the disk cache is the source of truth;
+//!   an atomic `.key` sidecar written last marks an entry complete), and a
+//!   changed source — a new emitter or optimizer — is a miss by construction;
+//! * a disk entry is served only if its `.c` equals the source and its
+//!   `.so` has the length and hash its sidecar recorded; a torn, truncated
+//!   or unloadable entry is one rebuild, never an error or wrong code;
 //! * entries built under a different compiler version or flag set are
 //!   evicted at engine start, and the cache stays under a byte bound via
 //!   least-recently-used eviction;
@@ -32,6 +35,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::SystemTime;
 
@@ -191,59 +195,58 @@ impl JitEngine {
         self.stats.lock().unwrap().clone()
     }
 
-    /// The cache entry hash for a fingerprint under this engine's salt;
-    /// stable across processes, used to name on-disk artifacts.
-    pub fn entry_hash(&self, fingerprint: &str) -> String {
-        let key = self.key_material(fingerprint);
-        // Two independently seeded FNV-1a-64 passes give a 128-bit name;
-        // the `.key` sidecar still guards against the residual collision.
-        let a = fnv1a64(0xcbf2_9ce4_8422_2325, key.as_bytes());
-        let b = fnv1a64(
-            0xcbf2_9ce4_8422_2325 ^ 0x9e37_79b9_7f4a_7c15,
-            key.as_bytes(),
-        );
+    /// The cache entry hash of `source` under this engine's salt; stable
+    /// across processes, names the module-table entry and the disk entry.
+    pub fn entry_hash(&self, source: &str) -> String {
+        // Two independently seeded FNV-1a-64 passes give a 128-bit name; a
+        // disk hit is still compared against the stored source.
+        let lane = |basis| {
+            let salted = fnv1a64(fnv1a64(basis, self.salt.as_bytes()), b"\n");
+            fnv1a64(salted, source.as_bytes())
+        };
+        let (a, b) = (lane(FNV_BASIS), lane(FNV_BASIS ^ 0x9e37_79b9_7f4a_7c15));
         format!("{a:016x}{b:016x}")
     }
 
-    fn key_material(&self, fingerprint: &str) -> String {
-        format!("{}\n{fingerprint}", self.salt)
+    /// The `.key` sidecar of an entry whose object is `so`: the salt (read
+    /// back by [`Self::evict_stale_salt`]) and the object's length and hash.
+    fn key_material(&self, so: &[u8]) -> String {
+        let hash = fnv1a64(FNV_BASIS, so);
+        format!("{}\n{} {hash:016x}\n", self.salt, so.len())
     }
 
-    /// Load the module for `(fingerprint, source)`, compiling at most once
-    /// per `(salt, fingerprint)` across all processes sharing the cache
-    /// directory.
+    /// Load the module for `source`, compiling at most once per `(salt,
+    /// source)` across all processes sharing the cache directory. `label`
+    /// heads the entry's `.log` and is not part of the key.
     ///
     /// # Errors
     ///
     /// Fails when the compiler rejects the source (its stderr is included
-    /// and persisted to the entry's `.log`) or the produced object cannot
-    /// be loaded.
-    pub fn load(&self, fingerprint: &str, source: &str) -> Result<Arc<ModuleHandle>, String> {
-        let hash = self.entry_hash(fingerprint);
+    /// and persisted to the entry's `.log`) or the freshly built object
+    /// cannot be loaded.
+    pub fn load(&self, label: &str, source: &str) -> Result<Arc<ModuleHandle>, String> {
+        let hash = self.entry_hash(source);
         if let Some(module) = self.modules.lock().unwrap().get(&hash) {
             self.stats.lock().unwrap().hits += 1;
             return Ok(Arc::clone(module));
         }
-        let so_path = self.entry_path(&hash, "so");
-        let key_path = self.entry_path(&hash, "key");
-        let module =
-            if self.disk_entry_valid(&hash, fingerprint) {
+        let module = match self.open_cached(&hash, source) {
+            Some(module) => {
                 self.stats.lock().unwrap().hits += 1;
                 // Touch the hit marker so LRU eviction sees recent use.
                 let _ = fs::OpenOptions::new()
                     .write(true)
-                    .open(&key_path)
+                    .open(self.entry_path(&hash, "key"))
                     .and_then(|f| f.set_modified(SystemTime::now()));
-                Arc::new(ModuleHandle::open(&so_path).map_err(|e| {
-                    format!("cached module {} failed to load: {e}", so_path.display())
-                })?)
-            } else {
-                self.build_entry(&hash, fingerprint, source)?;
-                Arc::new(
-                    ModuleHandle::open(&so_path)
-                        .map_err(|e| format!("freshly built module failed to load: {e}"))?,
-                )
-            };
+                module
+            }
+            None => {
+                self.build_entry(&hash, label, source)?;
+                ModuleHandle::open(&self.entry_path(&hash, "so"))
+                    .map_err(|e| format!("freshly built module failed to load: {e}"))?
+            }
+        };
+        let module = Arc::new(module);
         let mut modules = self.modules.lock().unwrap();
         if modules.len() >= MODULE_CACHE_CAPACITY {
             modules.clear();
@@ -280,30 +283,31 @@ impl JitEngine {
         self.config.cache_dir.join(format!("{hash}.{ext}"))
     }
 
-    /// An entry is a valid hit iff the `.so` exists and the `.key` sidecar
-    /// (written last, atomically) matches this engine's full key material —
-    /// a mismatched sidecar under the same hash is a detected collision or
-    /// a torn write, and is rebuilt.
-    fn disk_entry_valid(&self, hash: &str, fingerprint: &str) -> bool {
-        if !self.entry_path(hash, "so").is_file() {
-            return false;
+    /// Open the disk entry `hash` if it is intact: its sidecar must name
+    /// this salt and exactly the `.so` on disk, its `.c` must be `source`.
+    /// `None` — no entry, a torn write, a damaged object, one `dlopen`
+    /// refuses — means build (which drops whatever was there).
+    fn open_cached(&self, hash: &str, source: &str) -> Option<ModuleHandle> {
+        let so_path = self.entry_path(hash, "so");
+        let key = fs::read_to_string(self.entry_path(hash, "key")).ok()?;
+        if key != self.key_material(&fs::read(&so_path).ok()?)
+            || fs::read(self.entry_path(hash, "c")).ok()? != source.as_bytes()
+        {
+            return None;
         }
-        match fs::read_to_string(self.entry_path(hash, "key")) {
-            Ok(stored) => stored == self.key_material(fingerprint),
-            Err(_) => false,
-        }
+        ModuleHandle::open(&so_path).ok()
     }
 
-    fn build_entry(&self, hash: &str, fingerprint: &str, source: &str) -> Result<(), String> {
+    fn build_entry(&self, hash: &str, label: &str, source: &str) -> Result<(), String> {
         let c_path = self.entry_path(hash, "c");
         let so_path = self.entry_path(hash, "so");
         let key_path = self.entry_path(hash, "key");
         let log_path = self.entry_path(hash, "log");
-        // A rebuild over a mismatched entry must first drop the old hit
+        // A rebuild over a damaged entry must first drop the old hit
         // marker, so a crash mid-build leaves a miss, never a wrong hit.
         let _ = fs::remove_file(&key_path);
         write_atomic(&c_path, source.as_bytes())?;
-        let so_tmp = self.entry_path(hash, "so.tmp");
+        let so_tmp = unique_tmp(&so_path);
         let mut cmd = Command::new(&self.config.cc);
         cmd.args(BASE_CFLAGS.iter())
             .args(self.config.extra_flags.iter())
@@ -320,7 +324,7 @@ impl JitEngine {
             .output()
             .map_err(|e| format!("cannot run `{}`: {e}", self.config.cc))?;
         let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
-        let _ = fs::write(&log_path, &stderr);
+        let _ = fs::write(&log_path, format!("built for `{label}`\n{stderr}"));
         if !output.status.success() {
             let _ = fs::remove_file(&so_tmp);
             return Err(format!(
@@ -331,10 +335,11 @@ impl JitEngine {
                 stderr.trim()
             ));
         }
+        let so = fs::read(&so_tmp).map_err(|e| format!("cannot read {}: {e}", so_tmp.display()))?;
         fs::rename(&so_tmp, &so_path)
             .map_err(|e| format!("cannot finalize {}: {e}", so_path.display()))?;
         // The `.key` sidecar is the commit point: written last, atomically.
-        write_atomic(&key_path, self.key_material(fingerprint).as_bytes())?;
+        write_atomic(&key_path, self.key_material(&so).as_bytes())?;
         self.enforce_byte_bound(hash);
         self.refresh_cache_bytes();
         Ok(())
@@ -417,7 +422,7 @@ impl JitEngine {
     fn remove_entry(&self, hash: &str) {
         // Sidecar first: once the hit marker is gone the entry is a miss
         // even if later removals fail.
-        for ext in ["key", "so", "c", "log", "so.tmp"] {
+        for ext in ["key", "so", "c", "log"] {
             let _ = fs::remove_file(self.entry_path(hash, ext));
         }
         self.modules.lock().unwrap().remove(hash);
@@ -433,6 +438,9 @@ impl JitEngine {
     }
 }
 
+/// The standard FNV-1a-64 offset basis.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a over `bytes` from an explicit offset basis (seeding the basis
 /// differently yields an independent hash stream).
 fn fnv1a64(basis: u64, bytes: &[u8]) -> u64 {
@@ -444,14 +452,19 @@ fn fnv1a64(basis: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Write `bytes` to `path` atomically (`path` + `.tmp`, then rename), so a
+/// A scratch name beside `path` that no other build of the same entry —
+/// another thread under another label, another process — is writing.
+fn unique_tmp(path: &Path) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    PathBuf::from(format!("{}.{}-{n}", path.display(), std::process::id()))
+}
+
+/// Write `bytes` to `path` atomically (a scratch file, then rename), so a
 /// concurrent reader sees either the old content or the new, never a torn
 /// file.
 fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
-    let tmp = path.with_extension(match path.extension().and_then(|e| e.to_str()) {
-        Some(ext) => format!("{ext}.w"),
-        None => "w".to_string(),
-    });
+    let tmp = unique_tmp(path);
     fs::write(&tmp, bytes).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
     fs::rename(&tmp, path).map_err(|e| format!("cannot finalize {}: {e}", path.display()))
 }
@@ -587,33 +600,105 @@ mod tests {
         let _ = fs::remove_dir_all(dir);
     }
 
+    /// `EVAL_SOURCE` with a different literal: same shape, other module.
+    const EVAL_SOURCE_B: &str = "#include <stdint.h>\n\
+        double sf_eval(const double *sf_slots) {\n\
+            return sf_slots[0] * 3.0 + sf_slots[1];\n\
+        }\n";
+
     #[test]
-    fn sidecar_mismatch_is_treated_as_a_collision_and_rebuilt() {
+    fn one_label_with_two_sources_yields_two_modules() {
+        let config = test_config();
+        let dir = config.cache_dir.clone();
+        let engine = JitEngine::new(config).expect("engine");
+        let a = engine.load("same-label", EVAL_SOURCE).expect("load a");
+        let b = engine.load("same-label", EVAL_SOURCE_B).expect("load b");
+        let eval = |module| engine.eval_fn(module, "sf_eval", 2).expect("symbol");
+        assert_eq!(eval(&a).call(&[3.0, 0.5]).unwrap(), 6.5);
+        assert_eq!(eval(&b).call(&[3.0, 0.5]).unwrap(), 9.5);
+        assert_eq!(engine.stats().cc_invocations, 2);
+        assert_ne!(
+            engine.entry_hash(EVAL_SOURCE),
+            engine.entry_hash(EVAL_SOURCE_B)
+        );
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn two_labels_with_one_source_compile_once() {
         let config = test_config();
         let dir = config.cache_dir.clone();
         let engine = JitEngine::new(config.clone()).expect("engine");
-        engine.load("collider", EVAL_SOURCE).expect("load");
-        let hash = engine.entry_hash("collider");
-        drop(engine);
-
-        // Forge a sidecar claiming different key material under the same
-        // hash — as if another fingerprint had collided into this entry.
-        let key_path = dir.join(format!("{hash}.key"));
-        let forged = fs::read_to_string(&key_path)
-            .unwrap()
-            .replace("collider", "other");
-        fs::write(&key_path, forged).unwrap();
-
-        let engine = JitEngine::new(config).expect("engine");
-        engine.load("collider", EVAL_SOURCE).expect("load");
+        engine.load("first-label", EVAL_SOURCE).expect("load");
+        engine.load("second-label", EVAL_SOURCE).expect("load");
         let stats = engine.stats();
-        assert_eq!(stats.hits, 0, "a collided entry must not be served");
-        assert_eq!(stats.cc_invocations, 1);
-        assert_eq!(
-            fs::read_to_string(&key_path).unwrap(),
-            format!("{}\ncollider", engine.salt()),
-            "rebuild must restore the true key material"
+        assert_eq!((stats.hits, stats.cc_invocations), (1, 1));
+        drop(engine);
+        // Neither the in-process table nor the disk entry knows the label.
+        let engine = JitEngine::new(config).expect("engine");
+        engine.load("third-label", EVAL_SOURCE).expect("load");
+        assert_eq!(engine.stats().cc_invocations, 0);
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 4, "one c/so/key/log");
+        let log = dir.join(format!("{}.log", engine.entry_hash(EVAL_SOURCE)));
+        assert!(
+            fs::read_to_string(log).unwrap().contains("first-label"),
+            "the log names who caused the build"
         );
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn damaged_cache_entries_are_rebuilt_not_reported() {
+        let config = test_config();
+        let dir = config.cache_dir.clone();
+        let engine = JitEngine::new(config.clone()).expect("engine");
+        engine.load("damaged", EVAL_SOURCE).expect("load");
+        let hash = engine.entry_hash(EVAL_SOURCE);
+        drop(engine);
+        let path = |ext: &str| dir.join(format!("{hash}.{ext}"));
+        let intact = fs::read(path("so")).unwrap();
+
+        type Damage<'a> = &'a dyn Fn(&JitEngine);
+        let truncated: Damage = &|_| fs::write(path("so"), &intact[..intact.len() / 2]).unwrap();
+        let empty: Damage = &|_| fs::write(path("so"), b"").unwrap();
+        let flipped: Damage = &|_| {
+            let mut bytes = intact.clone();
+            let last = bytes.len() - 1;
+            bytes[last] ^= 1;
+            fs::write(path("so"), bytes).unwrap();
+        };
+        // A sidecar that vouches for an object `dlopen` refuses.
+        let unloadable: Damage = &|engine| {
+            fs::write(path("so"), b"not an object").unwrap();
+            fs::write(path("key"), engine.key_material(b"not an object")).unwrap();
+        };
+        // As if another source had hashed into this entry, or the `.c`
+        // write was torn.
+        let other_source: Damage = &|_| fs::write(path("c"), EVAL_SOURCE_B).unwrap();
+
+        for damage in [truncated, empty, flipped, unloadable, other_source] {
+            let engine = JitEngine::new(config.clone()).expect("engine");
+            damage(&engine);
+            let module = engine
+                .load("damaged", EVAL_SOURCE)
+                .expect("rebuilt, not reported");
+            let eval = engine.eval_fn(&module, "sf_eval", 2).expect("symbol");
+            assert_eq!(eval.call(&[1.0, 1.0]).unwrap(), 3.0);
+            let stats = engine.stats();
+            assert_eq!((stats.hits, stats.cc_invocations), (0, 1));
+            assert_eq!(
+                fs::read_to_string(path("key")).unwrap(),
+                engine.key_material(&fs::read(path("so")).unwrap()),
+                "the rebuild must leave a committed, self-consistent entry"
+            );
+            assert_eq!(fs::read(path("c")).unwrap(), EVAL_SOURCE.as_bytes());
+        }
+        // A torn sidecar names no salt: evicted at start, then a miss.
+        fs::write(path("key"), "").unwrap();
+        let engine = JitEngine::new(config).expect("engine");
+        engine.load("damaged", EVAL_SOURCE).expect("load");
+        let stats = engine.stats();
+        assert_eq!((stats.hits, stats.cc_invocations), (0, 1));
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -654,9 +739,9 @@ mod tests {
         config.max_cache_bytes = 1;
         let engine = JitEngine::new(config).expect("engine");
         engine.load("lru-a", EVAL_SOURCE).expect("load");
-        let hash_a = engine.entry_hash("lru-a");
+        let hash_a = engine.entry_hash(EVAL_SOURCE);
         engine.load("lru-b", STAGE_SOURCE).expect("load");
-        let hash_b = engine.entry_hash("lru-b");
+        let hash_b = engine.entry_hash(STAGE_SOURCE);
         assert!(
             !dir.join(format!("{hash_a}.key")).exists(),
             "oldest entry must be evicted when over the byte bound"

@@ -154,11 +154,9 @@ pub struct CompiledProgram {
     fuse: std::result::Result<crate::fuse::FusePlan, String>,
     /// Hashed structural fingerprint of the source program (the executor
     /// cache key): FNV-1a streamed over the program's `Debug` rendering, so
-    /// computing it allocates nothing. Its hex rendering also keys the
-    /// Tier-4 disk code cache, salted with the compiler identity — see
-    /// `stencilflow-jit`. (A 64-bit collision between structurally
-    /// different programs would alias two cache entries; with the cache
-    /// capped at [`COMPILED_CACHE_CAPACITY`] entries the odds are
+    /// computing it allocates nothing. (A 64-bit collision between
+    /// structurally different programs would alias two cache entries; with
+    /// the cache capped at [`COMPILED_CACHE_CAPACITY`] entries the odds are
     /// astronomically against it, and the service hot path — thousands of
     /// small jobs hashing on every submit — must not pay an O(program-size)
     /// `String` render per hit.)
@@ -233,18 +231,18 @@ impl CompiledProgram {
         self.jit.as_ref().ok().map(|unit| unit.source.as_str())
     }
 
+    /// `(live stages, distinct sweep bodies)` of [`Self::jit_source`]: every
+    /// live stage exports a symbol, stages whose emitted sweeps are the same
+    /// text share one body (a chain of identical stencils has one).
+    pub fn jit_stage_census(&self) -> Option<(usize, usize)> {
+        let unit = self.jit.as_ref().ok()?;
+        Some((unit.symbols.iter().flatten().count(), unit.bodies))
+    }
+
     /// The hashed structural program fingerprint (the executor cache key;
     /// the service tier keys its tier-choice cache off it too).
     pub(crate) fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// Hex rendering of the fingerprint: the Tier-4 code-cache key (before
-    /// salting) and the identity shown in service-layer reports. Moving
-    /// from the exact debug render to this hash deliberately bumped every
-    /// JIT disk-cache key once (stale entries are simply rebuilt).
-    pub(crate) fn fingerprint_hex(&self) -> String {
-        format!("{:016x}", self.fingerprint)
     }
 
     /// Number of cells of the full iteration space (service-tier internal).
@@ -1092,8 +1090,7 @@ impl ReferenceExecutor {
             // rejected, never silently fused).
             compiled.feedback_pairs()?;
         }
-        crate::fuse::execute(self, compiled, plan, inputs, count, native.as_deref())
-            .map_err(E::from)
+        crate::fuse::execute(self, compiled, plan, inputs, count, native).map_err(E::from)
     }
 
     /// Apply `program` once through the fault-tolerant sharded runtime:
@@ -1278,9 +1275,9 @@ impl std::fmt::Write for FnvWriter {
 /// The hashed structural fingerprint of a program: FNV-1a (64-bit) over
 /// the program's `Debug` rendering, streamed — the render is walked
 /// exactly once and never allocated. Two structurally identical programs
-/// hash identically; the executor cache, the service tier's tier-choice
-/// cache, and (hex-rendered, salted) the Tier-4 disk code cache all key
-/// off this value.
+/// hash identically; the executor cache and the service tier's
+/// tier-choice cache key off this value (the Tier-4 code cache does not:
+/// it is keyed by the emitted C).
 pub(crate) fn program_fingerprint(program: &StencilProgram) -> u64 {
     use std::fmt::Write as _;
     let mut writer = FnvWriter(0xcbf2_9ce4_8422_2325);

@@ -569,8 +569,9 @@ impl FusePlan {
     }
 
     /// Build the Tier-4 native translation unit for this plan: one
-    /// `sf_stage_{i}` sweep function per live stage, emitted from the
-    /// typed bytecode (see `stencilflow_codegen::jit_unit`). Eligibility
+    /// exported `sf_stage_{i}` per live stage over one sweep body per
+    /// distinct stage, emitted from the typed bytecode (see
+    /// `stencilflow_codegen::jit_unit`). Eligibility
     /// on top of fuse eligibility:
     ///
     /// * every live stage's kernel re-verifies against its bind-time slot
@@ -623,8 +624,13 @@ impl FusePlan {
             });
             symbols[ix] = Some(symbol);
         }
-        let source = jit_translation_unit(&specs)?;
-        Ok(crate::jit::JitUnit { source, symbols })
+        let (source, bodies) = jit_translation_unit(&specs)?;
+        Ok(crate::jit::JitUnit {
+            source,
+            symbols,
+            bodies,
+            resolved: std::sync::OnceLock::new(),
+        })
     }
 
     /// Planes of `field` a worker owning `chunk` must cover at step `t` of

@@ -8,10 +8,11 @@
 //!   runs the eligibility judgment and builds the [`JitUnit`] stored on
 //!   every [`crate::CompiledProgram`]);
 //! * `stencilflow-jit` compiles and caches it (system `cc`, disk-backed
-//!   code cache keyed by the program fingerprint plus a compiler salt) and
-//!   quarantines the `dlopen` boundary;
-//! * this module holds the lazily probed process-wide engine and resolves
-//!   the per-stage sweep symbols an execution needs.
+//!   code cache keyed by the emitted text plus a compiler salt — the unit
+//!   names no program, field or extent, so programs that differ only in
+//!   those share one module) and quarantines the `dlopen` boundary;
+//! * this module holds the lazily probed process-wide engine and resolves,
+//!   once per compiled program, the per-stage sweep symbols it runs on.
 //!
 //! The fallback ladder lives in
 //! [`crate::ReferenceExecutor::execute`]: statically ineligible programs
@@ -30,10 +31,16 @@ use stencilflow_program::{ProgramError, Result};
 /// and loading happen lazily on the first JIT run.
 #[derive(Debug)]
 pub(crate) struct JitUnit {
-    /// The complete C source (one `sf_stage_{i}` function per live stage).
+    /// The complete C source (one exported `sf_stage_{i}` per live stage,
+    /// one sweep body per distinct stage).
     pub source: String,
     /// Symbol per fuse-plan stage index (`None` for dead stages).
     pub symbols: Vec<Option<String>>,
+    /// Distinct sweep bodies in `source`.
+    pub bodies: usize,
+    /// The loaded stage functions, indexed like `symbols`; filled by the
+    /// first successful [`stage_fns`], so a warm run never asks the engine.
+    pub resolved: OnceLock<Vec<Option<StageFn>>>,
 }
 
 /// The process-wide engine, probed once: `Ok` holds the engine, `Err` the
@@ -73,12 +80,15 @@ pub(crate) fn jit_salt() -> Option<String> {
 ///   bytecode sweeps of the fused tier.
 /// * `Err` — eligible but the emitted unit failed to compile, load, or
 ///   resolve: an emitter bug to surface, not to swallow.
-pub(crate) fn stage_fns(compiled: &CompiledProgram) -> Result<Option<Vec<Option<StageFn>>>> {
+pub(crate) fn stage_fns(compiled: &CompiledProgram) -> Result<Option<&[Option<StageFn>]>> {
     let (Ok(unit), Ok(engine)) = (compiled.jit_unit(), engine()) else {
         return Ok(None);
     };
-    let load = || -> std::result::Result<_, String> {
-        let module = engine.load(&compiled.fingerprint_hex(), &unit.source)?;
+    if let Some(fns) = unit.resolved.get() {
+        return Ok(Some(fns));
+    }
+    let load = || -> std::result::Result<Vec<Option<StageFn>>, String> {
+        let module = engine.load(compiled.name(), &unit.source)?;
         let resolve = |symbol: &Option<String>| {
             symbol
                 .as_ref()
@@ -87,10 +97,11 @@ pub(crate) fn stage_fns(compiled: &CompiledProgram) -> Result<Option<Vec<Option<
         };
         unit.symbols.iter().map(resolve).collect()
     };
-    load().map(Some).map_err(|message| ProgramError::Invalid {
+    let fns = load().map_err(|message| ProgramError::Invalid {
         message: format!(
             "native JIT failed for eligible program `{}`: {message}",
             compiled.name()
         ),
-    })
+    })?;
+    Ok(Some(unit.resolved.get_or_init(|| fns)))
 }

@@ -66,6 +66,36 @@ fn jit_matches_on_chains_and_membench() {
 }
 
 #[test]
+fn stages_sharing_one_body_are_swept_with_their_own_slots() {
+    // A reconvergent DAG whose two branches are the same kernel over
+    // different producers (a stage's ring, an input's ring) at different
+    // outermost offsets: one compiled body runs twice per tick with
+    // different slot pointers, ring depths and lags.
+    let program = StencilProgramBuilder::new("reconverge", &[11, 6, 9])
+        .input("a", DataType::Float32, &["i", "j", "k"])
+        .input("b", DataType::Float32, &["i", "j", "k"])
+        .stencil("pre", "a[i,j,k] * 2.0 + a[i,j-1,k]")
+        .stencil("left", "0.5 * pre[i-2,j,k] + 0.25")
+        .stencil("right", "0.5 * b[i+3,j,k] + 0.25")
+        .boundary("right", "b", BoundaryCondition::Constant(1.5))
+        .stencil("out", "left[i,j,k-1] - right[i+1,j,k]")
+        .output("out")
+        .build()
+        .unwrap();
+    assert_eligible(&program);
+    let compiled = ReferenceExecutor::new().prepare(&program).unwrap();
+    assert_eq!(compiled.jit_stage_census(), Some((4, 3)));
+    assert_tiers_bit_identical(&program, 31);
+
+    // A chain is the extreme: every stage one body, every symbol its own.
+    let chain = chain_program(&ChainSpec::new(8, 8).with_shape(&[6, 5, 7]));
+    let compiled = ReferenceExecutor::new().prepare(&chain).unwrap();
+    assert_eq!(compiled.jit_stage_census(), Some((8, 1)));
+    let source = compiled.jit_source().unwrap();
+    assert_eq!(source.matches("\nSF_STAGE(sf_stage_").count(), 8);
+}
+
+#[test]
 fn jit_matches_on_branchy_division_and_clamp_kernels() {
     // Upwind kernels are ternary-heavy: typed if-conversion must leave
     // them branch-free, the emitter turns the selects into C ternaries

@@ -6,6 +6,12 @@
 //! same round flags, same declared stack bound and local count — or the
 //! FNV pins, JIT cache keys and simulator goldens downstream would move.
 //!
+//! The emitted C carries two pins per workload: the unit as it is emitted
+//! now (one body per distinct stage, one `SF_STAGE` line per live stage), and the
+//! unit rewritten into the form that binary emitted — every live stage's
+//! body under its own exported name — whose hashes are still that binary's.
+//! Sharing bodies therefore changed no byte of any body.
+//!
 //! On a mismatch the failure message prints the table as this binary
 //! computes it.
 
@@ -89,6 +95,28 @@ fn typed_streams_reproduce_the_parent_pins() {
     assert_table("typed streams", &rows, TYPED_STREAMS);
 }
 
+/// A unit with its sharing undone, as that binary emitted it: the comment
+/// and the includes, then for every `SF_STAGE(stage, body)` line, in
+/// order, the body under the stage's own exported name.
+fn one_body_per_stage(source: &str) -> String {
+    let (head, rest) = source.split_once("#ifdef __ELF__").unwrap();
+    let mut unit = head.to_string();
+    let mut parts: Vec<&str> = rest.trim_end().split("\n\n").collect();
+    let stages = parts.pop().unwrap();
+    for stage in stages.lines() {
+        let (symbol, body) = stage
+            .strip_prefix("SF_STAGE(")
+            .and_then(|s| s.strip_suffix(')'))
+            .and_then(|s| s.split_once(", "))
+            .unwrap();
+        let k: usize = body.strip_prefix("sf_body_").unwrap().parse().unwrap();
+        // parts[0] is the `SF_STAGE` definition; the bodies follow it.
+        let (_, text) = parts[1 + k].split_once(body).unwrap();
+        unit.push_str(&format!("\nvoid {symbol}{text}\n"));
+    }
+    unit
+}
+
 #[test]
 fn jit_sources_reproduce_the_parent_pins() {
     let executor = ReferenceExecutor::new();
@@ -97,7 +125,12 @@ fn jit_sources_reproduce_the_parent_pins() {
         .map(|program| {
             let compiled = executor.prepare(program).unwrap();
             match compiled.jit_source() {
-                Some(source) => format!("{} {:016x}", program.name(), fnv1a(source)),
+                Some(source) => format!(
+                    "{} {:016x} {:016x}",
+                    program.name(),
+                    fnv1a(source),
+                    fnv1a(&one_body_per_stage(source))
+                ),
                 None => format!("{} fallback", program.name()),
             }
         })
@@ -184,15 +217,17 @@ const TYPED_STREAMS: &[&str] = &[
     "bench:horizontal_diffusion/w_out 1c86f072f4a8b7bc 4 1",
 ];
 
+/// `name fnv(unit) fnv(unit with one body per stage)`; the second column
+/// is the parent pins, unmoved.
 const JIT_SOURCES: &[&str] = &[
     "listing1 fallback",
-    "jacobi2d 08a088cf3ed08761",
-    "jacobi3d c672d44779c339d0",
-    "jacobi3d 74ddc5929abf1cd2",
-    "diffusion2d aa0e703917f7b4d3",
-    "diffusion3d 4634aa31617eb2de",
-    "chain8x8op 04bed67bf5b4b260",
-    "membench8x1 7d3cc474490f3f80",
+    "jacobi2d 28c92bc7ed87dda0 08a088cf3ed08761",
+    "jacobi3d 9cd451e3c298ca73 c672d44779c339d0",
+    "jacobi3d 1f37278d41f4d729 74ddc5929abf1cd2",
+    "diffusion2d e950594525c8e946 aa0e703917f7b4d3",
+    "diffusion3d 3fa3c1ec63d6a015 4634aa31617eb2de",
+    "chain8x8op 9a1ac09afe8848b8 04bed67bf5b4b260",
+    "membench8x1 50489111a5b26eb3 7d3cc474490f3f80",
     "horizontal_diffusion fallback",
-    "upwind3d fc1e94fdb3c17dff",
+    "upwind3d 2d04dc99c5119778 fc1e94fdb3c17dff",
 ];
