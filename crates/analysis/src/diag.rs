@@ -23,7 +23,7 @@ pub enum Severity {
 
 impl Severity {
     /// Lowercase label used in rendered text and JSON.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Severity::Info => "info",
             Severity::Warning => "warning",
@@ -45,7 +45,7 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    pub fn new(
+    pub(crate) fn new(
         severity: Severity,
         code: &'static str,
         location: impl Into<String>,
@@ -72,7 +72,7 @@ impl Diagnostic {
     }
 
     /// JSON form used by the `analyze` binary's artifact.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::Object(vec![
             (
                 "severity".into(),
@@ -96,7 +96,7 @@ pub struct AnalysisReport {
 
 impl AnalysisReport {
     /// Worst severity present, or `None` for a clean report.
-    pub fn max_severity(&self) -> Option<Severity> {
+    pub(crate) fn max_severity(&self) -> Option<Severity> {
         self.diagnostics.iter().map(|d| d.severity).max()
     }
 

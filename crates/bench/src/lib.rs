@@ -14,7 +14,7 @@ pub mod serve;
 
 pub use serve::{check_serve_floors, format_serve, run_serve_bench, serve_json, ServeBenchReport};
 
-use stencilflow_core::{AnalysisConfig, HardwareMapping, MultiDevicePlan, PartitionConfig};
+use stencilflow_core::{AnalysisConfig, HardwareMapping};
 use stencilflow_hwmodel::{
     comparator_estimate, estimate_resources, silicon_efficiency, BandwidthModel, Device,
     FrequencyModel, Roofline,
@@ -29,7 +29,7 @@ use stencilflow_workloads::{
 /// Efficiency factor of multi-device designs relative to single-device peak,
 /// calibrated on Fig. 14/15 (network/shell logic reduces the per-device fill
 /// to roughly 73 % of the single-device maximum).
-pub const MULTI_DEVICE_EFFICIENCY: f64 = 0.73;
+pub(crate) const MULTI_DEVICE_EFFICIENCY: f64 = 0.73;
 
 /// One point of the Fig. 14 / Fig. 15 scaling series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -510,15 +510,16 @@ pub struct ThroughputRow {
     /// its own expression compiles to, lane-batched where it is
     /// branch-free).
     pub simd_cells_per_s: f64,
-    /// Tile-fused tier throughput in cells/second
-    /// (`ReferenceExecutor::execute` pinned to `Tier::Fused`, stepped for
-    /// the time-stepping rows); cells are counted identically to the other
-    /// tiers (iteration-space cells × stencils × steps), so overlapped
-    /// tile recompute shows up as cost, not as extra cells.
+    /// Fused tier throughput in cells/second (`ReferenceExecutor::execute`
+    /// pinned to `Tier::Fused`, stepped for the time-stepping rows): the
+    /// wavefront over per-field ring buffers of planes. Cells are counted
+    /// identically to the other tiers (iteration-space cells × stencils ×
+    /// steps), which is also what the wavefront evaluates on one worker.
     pub fused_cells_per_s: f64,
     /// Tier-4 native-JIT throughput in cells/second
-    /// (`ReferenceExecutor::execute` pinned to `Tier::Jit`): the fused schedule with the per-stencil
-    /// kernel sweeps compiled to machine code by the system C compiler.
+    /// (`ReferenceExecutor::execute` pinned to `Tier::Jit`): the fused
+    /// schedule with the per-stencil kernel sweeps compiled to machine code
+    /// by the system C compiler.
     /// Falls back to the fused tier when the program is ineligible, so an
     /// ineligible workload records a jit ≈ fused measurement rather than
     /// a hole.
@@ -527,19 +528,19 @@ pub struct ThroughputRow {
 
 impl ThroughputRow {
     /// Speedup of the materializing compiled sweep over the interpreter.
-    pub fn simd_speedup(&self) -> f64 {
+    pub(crate) fn simd_speedup(&self) -> f64 {
         self.simd_cells_per_s / self.interpreted_cells_per_s
     }
 
-    /// Speedup of the tile-fused tier over the materializing lane-batched
+    /// Speedup of the fused tier over the materializing lane-batched
     /// path (the default `run` / `run_steps`).
-    pub fn fused_speedup(&self) -> f64 {
+    pub(crate) fn fused_speedup(&self) -> f64 {
         self.fused_cells_per_s / self.simd_cells_per_s
     }
 
-    /// Additional speedup of the native-JIT tier over the tile-fused
+    /// Additional speedup of the native-JIT tier over the fused tier's
     /// bytecode sweep it replaces.
-    pub fn jit_speedup(&self) -> f64 {
+    pub(crate) fn jit_speedup(&self) -> f64 {
         self.jit_cells_per_s / self.fused_cells_per_s
     }
 }
@@ -775,14 +776,14 @@ pub struct ShardedThroughput {
 impl ShardedThroughput {
     /// Zero-fault overhead of the sharded runtime at 1 shard, as a
     /// fraction of the single-process fused tier on the same single thread.
-    pub fn sharded1_ratio(&self) -> f64 {
+    pub(crate) fn sharded1_ratio(&self) -> f64 {
         self.sharded1_cells_per_s / self.fused_cells_per_s
     }
 
     /// 4-shard throughput as a fraction of the single-thread fused tier
     /// (> 1 means the shards scale; < 1 on hosts without 4 cores, where
     /// the shards time-slice and pay the halo/dilation tax).
-    pub fn sharded4_ratio(&self) -> f64 {
+    pub(crate) fn sharded4_ratio(&self) -> f64 {
         self.sharded4_cells_per_s / self.fused_cells_per_s
     }
 }
@@ -1216,16 +1217,6 @@ pub fn deadlock_demo() -> (bool, bool) {
     )
 }
 
-/// Multi-device scaling summary used by Fig. 14/15 and the examples: ops per
-/// device and network feasibility for a chain split over `devices` FPGAs.
-pub fn multi_device_summary(devices: usize) -> (Vec<u64>, bool) {
-    let spec = ChainSpec::new(devices * 16, 8).with_shape(&[1 << 11, 32, 32]);
-    let program = chain_program(&spec);
-    let plan = MultiDevicePlan::partition(&program, &PartitionConfig::devices(devices))
-        .expect("partitioning succeeds");
-    (plan.ops_per_device(&program), plan.network_feasible())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1516,7 +1507,7 @@ mod tests {
 
     #[test]
     fn fused_chain_speedup_floor_holds() {
-        // Acceptance floor of the tile-fused tier on the §VIII-C chain
+        // Acceptance floor of the fused tier on the §VIII-C chain
         // workload: the fused sweep must beat the per-stencil
         // materializing path. The BENCH_eval.json baseline records the
         // full >= 2x criterion on the benchmark domain; this in-crate

@@ -22,7 +22,7 @@ use stencilflow_expr::{CompiledKernel, DataType, Op, Value};
 
 /// How [`kernel_to_c`] renders an [`Op::Select`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SelectStyle {
+pub(crate) enum SelectStyle {
     /// A C conditional expression, `(c ? t : e)`.
     #[default]
     Ternary,
@@ -84,7 +84,7 @@ pub(crate) fn mathfn_c(func: MathFn, dtype: DataType) -> String {
 ///
 /// Prefer [`kernel_to_c`], which emits from the optimized bytecode; this
 /// walk remains for kernels whose control flow resists if-conversion.
-pub fn program_to_c(
+pub(crate) fn program_to_c(
     program: &Program,
     access: &impl Fn(&str, &[i64]) -> String,
     dtype: DataType,
@@ -103,7 +103,11 @@ pub fn program_to_c(
 }
 
 /// Translate one expression to C (see [`program_to_c`]).
-pub fn expr_to_c(expr: &Expr, access: &impl Fn(&str, &[i64]) -> String, dtype: DataType) -> String {
+pub(crate) fn expr_to_c(
+    expr: &Expr,
+    access: &impl Fn(&str, &[i64]) -> String,
+    dtype: DataType,
+) -> String {
     match expr {
         Expr::IntLit(v) => format!("{v}"),
         Expr::FloatLit(v) => float_literal(*v, dtype),
@@ -245,7 +249,7 @@ pub(crate) fn fuse_clamp(
 /// `fuse_clamp` helper). Returns `None` when the kernel
 /// still carries control flow (jump diamonds that resisted if-conversion
 /// need the lazy AST walk, [`program_to_c`]).
-pub fn kernel_to_c(
+pub(crate) fn kernel_to_c(
     kernel: &CompiledKernel,
     access: &impl Fn(&str, &[i64]) -> String,
     dtype: DataType,

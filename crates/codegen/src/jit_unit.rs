@@ -1,6 +1,6 @@
 //! Whole-program C emission for the Tier-4 native backend.
 //!
-//! Where [`crate::expr_c::kernel_to_c`] emits one kernel body in the
+//! Where `expr_c::kernel_to_c` emits one kernel body in the
 //! kernel's *element type* (used for the OpenCL host scaffolding and text
 //! pins), this module emits from the **typed** instruction stream
 //! ([`TypedOp`]) the interpreter's fast tiers actually execute: all
@@ -60,7 +60,8 @@ pub struct JitStageSpec<'a> {
 /// `s` at `(i0, i1)` starts at `sf_slots[s] + i0*sf_ss0[s] + i1*sf_ss1[s]`,
 /// the output row at `sf_out + i0*sf_os0 + i1*sf_os1`; the sweep touches
 /// indices `[0, sf_nk)` of each row and nothing else.
-pub const JIT_STAGE_PARAMS: &str = "(const double *const *sf_slots, const double *sf_scalars, \
+pub(crate) const JIT_STAGE_PARAMS: &str =
+    "(const double *const *sf_slots, const double *sf_scalars, \
      const int64_t *sf_ss0, const int64_t *sf_ss1, \
      double *restrict sf_out, int64_t sf_os0, int64_t sf_os1, \
      int64_t sf_n0, int64_t sf_n1, int64_t sf_nk)";

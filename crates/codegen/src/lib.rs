@@ -3,43 +3,35 @@
 //! The paper's backend emits annotated OpenCL for the Intel FPGA SDK (an HLS
 //! compiler), plus host code and, for multi-device designs, SMI networking
 //! kernels (§VI). No HLS toolchain is available in this reproduction, so the
-//! generated code is never synthesized; it is still produced in full so that
-//! the structure of the emitted architecture — channel declarations with
-//! buffer depths, shift-register internal buffers with tap points, boundary
-//! predication, autorun compute kernels, reader/writer kernels, and remote
-//! streams — can be inspected, diffed, and tested against the analysis.
+//! generated code is never synthesized; the single-device kernel file is
+//! still produced in full so that the structure of the emitted architecture
+//! — channel declarations with buffer depths, shift-register internal
+//! buffers with tap points, boundary predication, autorun compute kernels,
+//! reader/writer kernels — can be inspected, diffed, and tested against the
+//! analysis. Host code and per-device SMI kernel files are not emitted.
 //!
 //! * [`opencl`] — Intel-FPGA-OpenCL-style kernel emission for a single
-//!   device, and SMI-style remote channels for multi-device plans.
-//! * [`host`] — host-program pseudo-code (buffer allocation, kernel launch
-//!   order, result collection).
-//! * [`expr_c`] — translation of stencil expressions to C, preferring the
+//!   device.
+//! * `expr_c` — translation of stencil expressions to C, preferring the
 //!   optimized-bytecode emitter (if-converted selects, CSE temporaries)
 //!   with the raw AST walk as the fallback for lazy control flow.
-//! * [`report`] — a human-readable mapping report used by the benchmark
-//!   binaries.
 //! * [`jit_unit`] — whole-program C emission for the Tier-4 native
 //!   backend: per-stage sweep functions in `double` with explicit
 //!   `f32`-round wraps, bit-identical to the typed bytecode tiers.
 
 #![forbid(unsafe_code)]
 
-pub mod expr_c;
-pub mod host;
+mod expr_c;
 pub mod jit_unit;
 pub mod opencl;
-pub mod report;
 
-pub use expr_c::{expr_to_c, kernel_to_c, program_to_c, SelectStyle};
-pub use host::generate_host_code;
 pub use jit_unit::{jit_eval_unit, jit_translation_unit, JitSlotKind, JitStageSpec};
-pub use opencl::{generate_kernels, generate_multi_device_kernels};
-pub use report::mapping_report;
+pub use opencl::generate_kernels;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stencilflow_core::{AnalysisConfig, HardwareMapping, MultiDevicePlan, PartitionConfig};
+    use stencilflow_core::{AnalysisConfig, HardwareMapping};
     use stencilflow_workloads::listing1;
 
     #[test]
@@ -64,32 +56,5 @@ mod tests {
         // Shift-register buffers and boundary predication.
         assert!(code.contains("shift register"));
         assert!(code.contains("boundary"));
-    }
-
-    #[test]
-    fn multi_device_kernels_use_remote_streams() {
-        let program = listing1();
-        let config = AnalysisConfig::paper_defaults();
-        let plan = MultiDevicePlan::partition(&program, &PartitionConfig::devices(2)).unwrap();
-        let mapping = HardwareMapping::build(&program, &config).unwrap();
-        let per_device = generate_multi_device_kernels(&program, &mapping, &plan);
-        assert_eq!(per_device.len(), 2);
-        let all = per_device.join("\n");
-        assert!(all.contains("SMI_Channel"));
-        assert!(all.contains("remote stream"));
-    }
-
-    #[test]
-    fn host_code_and_report() {
-        let program = listing1();
-        let config = AnalysisConfig::paper_defaults();
-        let mapping = HardwareMapping::build(&program, &config).unwrap();
-        let host = generate_host_code(&program, &mapping);
-        assert!(host.contains("clCreateBuffer"));
-        assert!(host.contains("a0"));
-        assert!(host.contains("b4"));
-        let report = mapping_report(&program, &mapping);
-        assert!(report.contains("stencil units"));
-        assert!(report.contains("channels"));
     }
 }

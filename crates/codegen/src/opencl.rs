@@ -1,9 +1,8 @@
 //! Intel-FPGA-OpenCL-style kernel emission.
 
 use crate::expr_c::{kernel_to_c, program_to_c, SelectStyle};
-use std::collections::HashSet;
 use std::fmt::Write as _;
-use stencilflow_core::{ChannelEndpoint, HardwareMapping, MemoryAccessKind, MultiDevicePlan};
+use stencilflow_core::{ChannelEndpoint, HardwareMapping, MemoryAccessKind};
 use stencilflow_expr::CompiledKernel;
 use stencilflow_program::{StencilNode, StencilProgram};
 
@@ -169,65 +168,10 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
     out
 }
 
-/// Generate one kernel file per device for a multi-device plan. Channels
-/// crossing device boundaries are emitted as SMI-style remote streams.
-pub fn generate_multi_device_kernels(
-    program: &StencilProgram,
-    mapping: &HardwareMapping,
-    plan: &MultiDevicePlan,
-) -> Vec<String> {
-    let base = generate_kernels(program, mapping);
-    plan.devices
-        .iter()
-        .map(|device| {
-            let local: HashSet<&str> = device.stencils.iter().map(String::as_str).collect();
-            let mut out = String::new();
-            let _ = writeln!(
-                out,
-                "// Device {} of {}: stencils {:?}",
-                device.index,
-                plan.device_count(),
-                device.stencils
-            );
-            let _ = writeln!(out, "#include \"smi.h\" // Streaming Message Interface\n");
-            for remote in &device.remote_inputs {
-                let _ = writeln!(
-                    out,
-                    "SMI_Channel {}_in = SMI_Open_receive_channel(/* remote stream */ {}, SMI_FLOAT, {}, {});",
-                    remote.field, remote.from_device, remote.to_device, device.index
-                );
-            }
-            for remote in &device.remote_outputs {
-                let _ = writeln!(
-                    out,
-                    "SMI_Channel {}_out = SMI_Open_send_channel(/* remote stream */ {}, SMI_FLOAT, {}, {});",
-                    remote.field, remote.to_device, remote.from_device, device.index
-                );
-            }
-            let _ = writeln!(out, "\n// Local subset of the single-device design:\n");
-            // Emit only the kernels whose stencil lives on this device, plus
-            // all shared declarations (kept simple: include the full file and
-            // annotate ownership).
-            for line in base.lines() {
-                let foreign = line
-                    .strip_prefix("__kernel void stencil_")
-                    .and_then(|rest| rest.split_once('('))
-                    .is_some_and(|(stencil, _)| !local.contains(stencil));
-                if foreign {
-                    let _ = writeln!(out, "// [other device] {line}");
-                } else {
-                    let _ = writeln!(out, "{line}");
-                }
-            }
-            out
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stencilflow_core::{AnalysisConfig, PartitionConfig};
+    use stencilflow_core::AnalysisConfig;
     use stencilflow_workloads::{chain_program, ChainSpec};
 
     #[test]
@@ -242,47 +186,5 @@ mod tests {
             code.matches("__attribute__((autorun))").count(),
             mapping.unit_count()
         );
-    }
-
-    #[test]
-    fn multi_device_files_mark_foreign_kernels() {
-        let program = chain_program(&ChainSpec::new(4, 8).with_shape(&[64, 8, 8]));
-        let mapping = HardwareMapping::build(&program, &AnalysisConfig::paper_defaults()).unwrap();
-        let plan = MultiDevicePlan::partition(&program, &PartitionConfig::devices(2)).unwrap();
-        let files = generate_multi_device_kernels(&program, &mapping, &plan);
-        assert_eq!(files.len(), 2);
-        assert!(files[0].contains("// [other device]"));
-        assert!(files[1].contains("// [other device]"));
-    }
-
-    /// The per-device name set marks exactly the kernel lines that the scan
-    /// it replaced did: a `stencil_<name>(` header of no local stencil.
-    #[test]
-    fn foreign_kernels_are_the_headers_of_non_local_stencils() {
-        let program = chain_program(&ChainSpec::new(12, 8).with_shape(&[64, 8, 8]));
-        let mapping = HardwareMapping::build(&program, &AnalysisConfig::paper_defaults()).unwrap();
-        let plan = MultiDevicePlan::partition(&program, &PartitionConfig::devices(3)).unwrap();
-        let base = generate_kernels(&program, &mapping);
-        let files = generate_multi_device_kernels(&program, &mapping, &plan);
-        for (device, file) in plan.devices.iter().zip(&files) {
-            let (_, body) = file.split_once("design:\n\n").unwrap();
-            let expected: String = base
-                .lines()
-                .map(|line| {
-                    let local = device
-                        .stencils
-                        .iter()
-                        .any(|s| line.contains(&format!("stencil_{s}(")));
-                    if line.starts_with("__kernel void stencil_") && !local {
-                        format!("// [other device] {line}\n")
-                    } else {
-                        format!("{line}\n")
-                    }
-                })
-                .collect();
-            assert_eq!(body, expected, "device {}", device.index);
-            let marked = body.matches("// [other device]").count();
-            assert_eq!(marked, 12 - device.stencils.len());
-        }
     }
 }

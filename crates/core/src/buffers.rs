@@ -51,16 +51,11 @@ pub struct FieldBuffer {
 }
 
 impl FieldBuffer {
-    /// Whether this field needs a buffer at all (more than one access).
-    pub fn is_buffered(&self) -> bool {
-        self.size_elements > 0
-    }
-
     /// The delay (in elements) this field imposes between the producer's
     /// stream and the consumer's first output: the buffer-fill distance, or
     /// the forward lookahead plus one vector word for fields read ahead of
     /// the center without a buffer.
-    pub fn required_delay_elements(&self, vector_width: u64) -> u64 {
+    pub(crate) fn required_delay_elements(&self, vector_width: u64) -> u64 {
         let lookahead = if self.lookahead_elements > 0 {
             self.lookahead_elements + vector_width.max(1)
         } else {
@@ -71,7 +66,7 @@ impl FieldBuffer {
 
     /// [`FieldBuffer::required_delay_elements`] expressed in vector words
     /// (pipeline iterations).
-    pub fn required_delay_words(&self, vector_width: u64) -> u64 {
+    pub(crate) fn required_delay_words(&self, vector_width: u64) -> u64 {
         self.required_delay_elements(vector_width)
             .div_ceil(vector_width.max(1))
     }
@@ -94,7 +89,7 @@ impl StencilBuffers {
 
     /// Largest buffer size of this stencil, in elements: the length of the
     /// initialization phase (§IV-A).
-    pub fn max_buffer_size(&self) -> u64 {
+    pub(crate) fn max_buffer_size(&self) -> u64 {
         self.fields
             .values()
             .map(|b| b.size_elements)
@@ -104,7 +99,7 @@ impl StencilBuffers {
 
     /// Initialization phase in *iterations* (cycles at initiation interval
     /// 1): the largest per-field delay divided by the vectorization width.
-    pub fn init_iterations(&self) -> u64 {
+    pub(crate) fn init_iterations(&self) -> u64 {
         self.fields
             .values()
             .map(|b| b.required_delay_words(self.vector_width))
@@ -114,7 +109,7 @@ impl StencilBuffers {
 
     /// Per-field delay contribution in vector words, used as the per-edge
     /// initialization term of the delay-buffer analysis (§IV-B).
-    pub fn field_delay_words(&self, field: &str) -> u64 {
+    pub(crate) fn field_delay_words(&self, field: &str) -> u64 {
         self.fields
             .get(field)
             .map(|b| b.required_delay_words(self.vector_width))
@@ -122,13 +117,8 @@ impl StencilBuffers {
     }
 
     /// Total buffered elements across all fields of this stencil.
-    pub fn total_elements(&self) -> u64 {
+    pub(crate) fn total_elements(&self) -> u64 {
         self.fields.values().map(|b| b.size_elements).sum()
-    }
-
-    /// Number of fields that actually get a buffer.
-    pub fn buffered_field_count(&self) -> usize {
-        self.fields.values().filter(|b| b.is_buffered()).count()
     }
 }
 
@@ -221,14 +211,9 @@ impl InternalBufferAnalysis {
         self.stencils.get(name)
     }
 
-    /// Iterate over `(stencil, buffers)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &StencilBuffers)> {
-        self.stencils.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
     /// Initialization phase of one stencil in iterations (0 for unknown
     /// names, which only happens for memory nodes).
-    pub fn init_iterations(&self, stencil: &str) -> u64 {
+    pub(crate) fn init_iterations(&self, stencil: &str) -> u64 {
         self.stencils
             .get(stencil)
             .map(|b| b.init_iterations())
@@ -237,7 +222,7 @@ impl InternalBufferAnalysis {
 
     /// Total on-chip elements consumed by internal buffers across the whole
     /// program.
-    pub fn total_elements(&self) -> u64 {
+    pub(crate) fn total_elements(&self) -> u64 {
         self.stencils.values().map(|b| b.total_elements()).sum()
     }
 }
@@ -290,7 +275,6 @@ mod tests {
     fn single_access_needs_no_buffer() {
         let buffers = analysis_for("a[i,j,k] * 2.0", &[8, 8, 8], 1);
         let field = buffers.field("a").unwrap();
-        assert!(!field.is_buffered());
         assert_eq!(field.size_elements, 0);
         assert_eq!(buffers.init_iterations(), 0);
     }

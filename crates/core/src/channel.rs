@@ -104,7 +104,6 @@ pub struct Fifo {
     queue: VecDeque<(u64, f64)>,
     credits: f64,
     pushed_total: u64,
-    popped_total: u64,
     high_watermark: usize,
 }
 
@@ -123,7 +122,6 @@ impl Fifo {
             queue: VecDeque::with_capacity(capacity.clamp(1, 4096)),
             credits: f64::INFINITY,
             pushed_total: 0,
-            popped_total: 0,
             high_watermark: 0,
         }
     }
@@ -237,21 +235,13 @@ impl Fifo {
                 now,
                 ready_at,
             }),
-            Some(_) => {
-                self.popped_total += 1;
-                Ok(self.queue.pop_front().expect("checked above").1)
-            }
+            Some(_) => Ok(self.queue.pop_front().expect("checked above").1),
         }
     }
 
     /// Total words pushed over the run.
     pub fn pushed_total(&self) -> u64 {
         self.pushed_total
-    }
-
-    /// Total words popped over the run.
-    pub fn popped_total(&self) -> u64 {
-        self.popped_total
     }
 
     /// Highest occupancy observed (words).
@@ -275,7 +265,6 @@ mod tests {
         assert_eq!(fifo.pop(0).unwrap(), 2.0);
         assert!(fifo.is_empty());
         assert_eq!(fifo.pushed_total(), 2);
-        assert_eq!(fifo.popped_total(), 2);
     }
 
     #[test]

@@ -39,8 +39,9 @@ impl AnalysisConfig {
     }
 
     /// A configuration with unit operation latencies and no minimum channel
-    /// depth, isolating initialization-phase effects in tests and ablations.
-    pub fn unit_latencies() -> Self {
+    /// depth, isolating initialization-phase effects in the crate's tests.
+    #[cfg(test)]
+    pub(crate) fn unit_latencies() -> Self {
         AnalysisConfig {
             latencies: LatencyTable::unit(),
             min_channel_depth: 0,
@@ -55,14 +56,8 @@ impl AnalysisConfig {
         self
     }
 
-    /// Set the minimum channel depth (builder style).
-    pub fn with_min_channel_depth(mut self, depth: u64) -> Self {
-        self.min_channel_depth = depth;
-        self
-    }
-
     /// The effective vectorization width for a program-declared width.
-    pub fn effective_vectorization(&self, program_width: usize) -> usize {
+    pub(crate) fn effective_vectorization(&self, program_width: usize) -> usize {
         self.vectorization_override.unwrap_or(program_width).max(1)
     }
 }
@@ -87,11 +82,8 @@ mod tests {
 
     #[test]
     fn builders_and_effective_vectorization() {
-        let config = AnalysisConfig::default()
-            .with_vectorization(8)
-            .with_min_channel_depth(4);
+        let config = AnalysisConfig::default().with_vectorization(8);
         assert_eq!(config.effective_vectorization(1), 8);
-        assert_eq!(config.min_channel_depth, 4);
         let config = AnalysisConfig::default();
         assert_eq!(config.effective_vectorization(4), 4);
         assert_eq!(config.effective_vectorization(0), 1);

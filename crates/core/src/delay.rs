@@ -59,7 +59,6 @@ pub struct DelayBufferAnalysis {
     arrival: BTreeMap<String, u64>,
     node_delay: BTreeMap<String, u64>,
     vector_width: u64,
-    min_depth: u64,
 }
 
 impl DelayBufferAnalysis {
@@ -156,18 +155,12 @@ impl DelayBufferAnalysis {
             arrival,
             node_delay,
             vector_width: width,
-            min_depth: config.min_channel_depth,
         })
     }
 
     /// All channels with their computed depths.
     pub fn channels(&self) -> &[ChannelDepth] {
         &self.channels
-    }
-
-    /// The channel between two nodes, if it exists.
-    pub fn channel(&self, from: &str, to: &str) -> Option<&ChannelDepth> {
-        self.incoming(to).iter().find(|c| c.from == from)
     }
 
     /// The channels entering `node` (none for a source or an unknown node).
@@ -177,37 +170,13 @@ impl DelayBufferAnalysis {
             .map_or(&[], |range| &self.channels[range.clone()])
     }
 
-    /// Required depth (words, including minimum slack) of one channel; the
-    /// configured minimum for channels that do not exist in the DAG.
-    pub fn depth_words(&self, from: &str, to: &str) -> u64 {
-        self.channel(from, to)
-            .map(|c| c.depth_words)
-            .unwrap_or(self.min_depth)
-    }
-
-    /// Largest delay component across all channels (words, excluding the
-    /// minimum slack).
-    pub fn max_channel_depth(&self) -> u64 {
-        self.channels
-            .iter()
-            .map(|c| c.delay_words)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Total channel capacity in elements (words × vector width), the
     /// delay-buffer contribution to on-chip memory usage.
-    pub fn total_elements(&self) -> u64 {
+    pub(crate) fn total_elements(&self) -> u64 {
         self.channels
             .iter()
             .map(|c| c.depth_words * self.vector_width)
             .sum()
-    }
-
-    /// Longest accumulated delay from any source up to and including `node`:
-    /// the initialization latency visible at that point of the pipeline.
-    pub fn arrival_delay(&self, node: &str) -> u64 {
-        self.arrival.get(node).copied().unwrap_or(0)
     }
 
     /// Per-node delay contribution (init phase + compute critical path).
@@ -259,6 +228,11 @@ mod tests {
         DelayBufferAnalysis::compute(program, &internal, config).unwrap()
     }
 
+    fn channel<'a>(analysis: &'a DelayBufferAnalysis, from: &str, to: &str) -> &'a ChannelDepth {
+        let mut channels = analysis.channels().iter();
+        channels.find(|c| c.from == from && c.to == to).unwrap()
+    }
+
     /// Fig. 4: A feeds B and C, B feeds C. The direct A->C edge must buffer
     /// B's delay.
     #[test]
@@ -280,8 +254,8 @@ mod tests {
         let delay_b = analysis.node_delay("b");
         assert_eq!(delay_b, 3 + 1);
         // The a->c channel must absorb exactly b's delay.
-        let direct = analysis.channel("a", "c").unwrap();
-        let through = analysis.channel("b", "c").unwrap();
+        let direct = channel(&analysis, "a", "c");
+        let through = channel(&analysis, "b", "c");
         assert_eq!(through.delay_words, 0);
         assert_eq!(direct.delay_words, delay_b);
     }
@@ -308,9 +282,9 @@ mod tests {
         assert_eq!(delay_ka, 10);
         assert_eq!(delay_kb, 6);
         // The src->kc edge bypasses both kernels.
-        let bypass = analysis.channel("src", "kc").unwrap();
+        let bypass = channel(&analysis, "src", "kc");
         assert_eq!(bypass.delay_words, delay_ka + delay_kb);
-        let through = analysis.channel("kb", "kc").unwrap();
+        let through = channel(&analysis, "kb", "kc");
         assert_eq!(through.delay_words, 0);
     }
 
@@ -329,7 +303,6 @@ mod tests {
             assert_eq!(channel.delay_words, 0, "chain edges need no delay buffer");
             assert_eq!(channel.depth_words, config.min_channel_depth);
         }
-        assert_eq!(analysis.max_channel_depth(), 0);
     }
 
     #[test]
@@ -339,28 +312,6 @@ mod tests {
         let analysis = analyze(&program, &config);
         let dag = program.dag().unwrap();
         analysis.check_invariants(&dag).unwrap();
-    }
-
-    #[test]
-    fn channel_lookup_agrees_with_a_scan_of_all_channels() {
-        let program = crate::tests_support::listing1();
-        let config = AnalysisConfig::paper_defaults();
-        let analysis = analyze(&program, &config);
-        let dag = program.dag().unwrap();
-        let names: Vec<String> = dag.nodes().map(|n| n.name).collect();
-        for from in &names {
-            for to in &names {
-                let scanned = analysis
-                    .channels()
-                    .iter()
-                    .find(|c| &c.from == from && &c.to == to);
-                assert_eq!(analysis.channel(from, to), scanned, "{from} -> {to}");
-                assert_eq!(scanned.is_some(), dag.has_edge(from, to));
-                let depth = scanned.map_or(config.min_channel_depth, |c| c.depth_words);
-                assert_eq!(analysis.depth_words(from, to), depth);
-            }
-        }
-        assert!(analysis.channel("b0", "nowhere").is_none());
     }
 
     #[test]
@@ -376,9 +327,6 @@ mod tests {
         let analysis = analyze(&program, &config);
         // Each stencil: init 3 + one add = 4; two stencils chained = 8.
         assert_eq!(analysis.pipeline_latency(), 8);
-        assert_eq!(analysis.arrival_delay("b"), 4);
-        assert_eq!(analysis.arrival_delay("c"), 8);
-        assert_eq!(analysis.arrival_delay("c__out"), 8);
     }
 
     #[test]
@@ -396,8 +344,8 @@ mod tests {
         let config = AnalysisConfig::unit_latencies();
         let narrow = analyze(&build(1), &config);
         let wide = analyze(&build(4), &config);
-        let narrow_depth = narrow.channel("a", "c").unwrap().delay_words;
-        let wide_depth = wide.channel("a", "c").unwrap().delay_words;
+        let narrow_depth = channel(&narrow, "a", "c").delay_words;
+        let wide_depth = channel(&wide, "a", "c").delay_words;
         assert!(wide_depth < narrow_depth);
     }
 
@@ -405,10 +353,11 @@ mod tests {
     fn total_elements_scale_with_width_and_min_depth() {
         let program = crate::tests_support::listing1();
         let base = analyze(&program, &AnalysisConfig::unit_latencies());
-        let slack = analyze(
-            &program,
-            &AnalysisConfig::unit_latencies().with_min_channel_depth(8),
-        );
+        let with_slack = AnalysisConfig {
+            min_channel_depth: 8,
+            ..AnalysisConfig::unit_latencies()
+        };
+        let slack = analyze(&program, &with_slack);
         assert!(slack.total_elements() > base.total_elements());
         assert_eq!(base.vector_width(), 1);
     }

@@ -44,10 +44,10 @@
 //!     .build()
 //!     .unwrap();
 //! let analysis = analyze(&program, &AnalysisConfig::default()).unwrap();
-//! // Each stencil buffers 2 elements + vector width for its 3-point access.
-//! assert_eq!(analysis.internal.stencil("b").unwrap().max_buffer_size(), 3);
-//! // The mapped design is deadlock free by construction.
-//! assert!(analysis.delay.max_channel_depth() >= 0);
+//! // Each stencil buffers 2 elements + vector width for its 3-point access;
+//! // a chain needs no delay buffers, so its three channels keep the minimum
+//! // depth of 16.
+//! assert_eq!(analysis.total_buffer_elements(), 2 * 3 + 3 * 16);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -69,11 +69,10 @@ pub use config::AnalysisConfig;
 pub use delay::{ChannelDepth, DelayBufferAnalysis};
 pub use error::{CoreError, Result};
 pub use mapping::{Channel, ChannelEndpoint, HardwareMapping, MemoryAccessKind, StencilUnit};
-pub use partition::{DevicePartition, MultiDevicePlan, PartitionConfig, SlabPartition, SlabRange};
-pub use perf::{expected_cycles, expected_runtime_seconds, PerformanceEstimate};
+pub use partition::{DevicePartition, MultiDevicePlan, PartitionConfig, SlabRange};
+pub use perf::{expected_cycles, PerformanceEstimate};
 pub use shardlink::{
-    analyze_shard_links, halo_radius, minimum_link_depth_words, ShardLinkRequirement,
-    ShardLinkSpec, FRAME_HEADER_WORDS,
+    analyze_shard_links, halo_radius, ShardLinkRequirement, ShardLinkSpec, FRAME_HEADER_WORDS,
 };
 pub use vectorization::VectorizationInfo;
 
@@ -116,10 +115,12 @@ impl ProgramAnalysis {
 ///
 /// Returns an error if the program's DAG is cyclic or otherwise invalid.
 pub fn analyze(program: &StencilProgram, config: &AnalysisConfig) -> Result<ProgramAnalysis> {
-    let vectorization = VectorizationInfo::of(program, config);
+    // One walk over the stencils' code serves both consumers of the count.
+    let flops_per_cell = program.ops_per_cell().flops();
+    let vectorization = VectorizationInfo::of(program, config, flops_per_cell);
     let internal = InternalBufferAnalysis::compute(program, config)?;
     let delay = DelayBufferAnalysis::compute(program, &internal, config)?;
-    let performance = PerformanceEstimate::compute(program, &internal, &delay, config)?;
+    let performance = PerformanceEstimate::compute(program, &delay, config, flops_per_cell);
     Ok(ProgramAnalysis {
         internal,
         delay,

@@ -7,14 +7,13 @@
 //! memory is accessed by dedicated reader units (prefetchers) at source nodes
 //! and writer units at sink nodes.
 
-use crate::buffers::InternalBufferAnalysis;
 use crate::config::AnalysisConfig;
-use crate::delay::DelayBufferAnalysis;
 use crate::error::Result;
 use crate::perf::PerformanceEstimate;
+use crate::ProgramAnalysis;
 use std::collections::{BTreeMap, HashMap};
 use stencilflow_expr::OpCount;
-use stencilflow_program::{NodeKind, StencilDag, StencilProgram};
+use stencilflow_program::{NodeKind, StencilProgram};
 
 /// One stencil unit of the mapped design.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,14 +53,6 @@ impl ChannelEndpoint {
             | ChannelEndpoint::MemoryWrite(n)
             | ChannelEndpoint::Stencil(n) => n,
         }
-    }
-
-    /// Whether the endpoint touches off-chip memory.
-    pub fn is_memory(&self) -> bool {
-        matches!(
-            self,
-            ChannelEndpoint::MemoryRead(_) | ChannelEndpoint::MemoryWrite(_)
-        )
     }
 }
 
@@ -129,31 +120,27 @@ pub struct HardwareMapping {
 }
 
 impl HardwareMapping {
-    /// Build the mapping of a program from its buffering analysis.
+    /// Analyze a program and build its mapping.
     ///
     /// # Errors
     ///
     /// Returns an error if the program DAG is invalid.
     pub fn build(program: &StencilProgram, config: &AnalysisConfig) -> Result<Self> {
-        let internal = InternalBufferAnalysis::compute(program, config)?;
-        let delay = DelayBufferAnalysis::compute(program, &internal, config)?;
-        let performance = PerformanceEstimate::compute(program, &internal, &delay, config)?;
-        Self::from_analysis(program, &internal, &delay, performance, config)
+        Self::from_analysis(program, &crate::analyze(program, config)?, config)
     }
 
-    /// Build the mapping from precomputed analyses (used by the end-to-end
-    /// pipeline to avoid repeating the analysis).
+    /// Build the mapping of a program from the buffering analysis
+    /// [`analyze`](crate::analyze) computed for it under the same `config`.
     ///
     /// # Errors
     ///
     /// Returns an error if the program DAG is invalid.
     pub fn from_analysis(
         program: &StencilProgram,
-        internal: &InternalBufferAnalysis,
-        delay: &DelayBufferAnalysis,
-        performance: PerformanceEstimate,
+        analysis: &ProgramAnalysis,
         config: &AnalysisConfig,
     ) -> Result<Self> {
+        let (internal, delay) = (&analysis.internal, &analysis.delay);
         let dag = program.dag()?;
         let width = config.effective_vectorization(program.vectorization());
         let full_rank = program.space().rank();
@@ -172,12 +159,11 @@ impl HardwareMapping {
             });
         }
 
-        let endpoint = |name: &str, dag: &StencilDag| -> ChannelEndpoint {
+        // An edge into an output memory carries the field that memory holds.
+        let endpoint = |name: &str, field: &str| -> ChannelEndpoint {
             match dag.node_kind(name) {
                 Some(NodeKind::Input) => ChannelEndpoint::MemoryRead(name.to_string()),
-                Some(NodeKind::Output) => ChannelEndpoint::MemoryWrite(
-                    name.strip_suffix("__out").unwrap_or(name).to_string(),
-                ),
+                Some(NodeKind::Output) => ChannelEndpoint::MemoryWrite(field.to_string()),
                 _ => ChannelEndpoint::Stencil(name.to_string()),
             }
         };
@@ -185,8 +171,8 @@ impl HardwareMapping {
         let mut channels = Vec::new();
         for depth in delay.channels() {
             channels.push(Channel {
-                from: endpoint(&depth.from, &dag),
-                to: endpoint(&depth.to, &dag),
+                from: endpoint(&depth.from, &depth.field),
+                to: endpoint(&depth.to, &depth.field),
                 field: depth.field.clone(),
                 depth_words: depth.depth_words,
                 depth_elements: depth.depth_words * width as u64,
@@ -252,7 +238,7 @@ impl HardwareMapping {
             channels,
             memory_units,
             vector_width: width,
-            performance,
+            performance: analysis.performance,
             unit_index,
             unit_channels,
             memory_channels,
@@ -329,6 +315,10 @@ mod tests {
     use super::*;
     use crate::tests_support::listing1;
 
+    fn is_memory(end: &ChannelEndpoint) -> bool {
+        !matches!(end, ChannelEndpoint::Stencil(_))
+    }
+
     #[test]
     fn listing1_mapping_structure() {
         let program = listing1();
@@ -353,7 +343,7 @@ mod tests {
                     MemoryAccessKind::Read => &channel.from,
                     MemoryAccessKind::Write => &channel.to,
                 };
-                assert!(end.is_memory() && end.name() == unit.field);
+                assert!(is_memory(end) && end.name() == unit.field);
             }
         }
         let b0 = mapping.unit("b0").unwrap();
@@ -402,17 +392,17 @@ mod tests {
         let from_memory = mapping
             .channels
             .iter()
-            .filter(|c| c.from.is_memory())
+            .filter(|c| is_memory(&c.from))
             .count();
         // a0->b0, a1->b0, a2->b1, a2->b2 come from memory readers.
         assert_eq!(from_memory, 4);
-        let to_memory = mapping.channels.iter().filter(|c| c.to.is_memory()).count();
+        let to_memory = mapping.channels.iter().filter(|c| is_memory(&c.to)).count();
         assert_eq!(to_memory, 1);
         assert_eq!(
             mapping
                 .channels
                 .iter()
-                .find(|c| c.to.is_memory())
+                .find(|c| is_memory(&c.to))
                 .unwrap()
                 .to
                 .name(),

@@ -7,9 +7,7 @@
 //! stencils on several devices must be present in each of those devices'
 //! DRAM (replication).
 
-use crate::config::AnalysisConfig;
 use crate::error::{CoreError, Result};
-use crate::mapping::HardwareMapping;
 use std::collections::{BTreeMap, BTreeSet};
 use stencilflow_program::StencilProgram;
 
@@ -279,34 +277,6 @@ impl MultiDevicePlan {
         let capacity = self.config.link_words_per_cycle * self.config.links_between_devices as f64;
         self.peak_link_words_per_cycle <= capacity
     }
-
-    /// The fraction of full pipeline rate the network can sustain (1.0 when
-    /// not network bound).
-    pub fn network_efficiency(&self) -> f64 {
-        if self.peak_link_words_per_cycle == 0.0 {
-            return 1.0;
-        }
-        let capacity = self.config.link_words_per_cycle * self.config.links_between_devices as f64;
-        (capacity / self.peak_link_words_per_cycle).min(1.0)
-    }
-
-    /// Build the single-device hardware mappings of each partition's induced
-    /// sub-program is out of scope here; instead this helper reports the
-    /// aggregate ops per cycle hosted by each device, used by the multi-node
-    /// scaling benchmarks.
-    pub fn ops_per_device(&self, program: &StencilProgram) -> Vec<u64> {
-        self.devices
-            .iter()
-            .map(|d| {
-                d.stencils
-                    .iter()
-                    .filter_map(|s| program.stencil(s))
-                    .map(|s| s.op_count().flops())
-                    .sum::<u64>()
-                    * program.vectorization().max(1) as u64
-            })
-            .collect()
-    }
 }
 
 /// One shard's contiguous slab of the outermost iteration-space dimension.
@@ -320,13 +290,6 @@ pub struct SlabRange {
     pub end: usize,
 }
 
-impl SlabRange {
-    /// Number of rows owned by this shard.
-    pub fn rows(&self) -> usize {
-        self.end - self.start
-    }
-}
-
 /// A contiguous, balanced split of the outermost iteration-space dimension
 /// across worker shards.
 ///
@@ -336,7 +299,7 @@ impl SlabRange {
 /// exchanges halo rows between neighboring shards. Both are contiguous in
 /// their respective order, so all communication stays between neighbors.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlabPartition {
+pub(crate) struct SlabPartition {
     /// Extent of the partitioned (outermost) dimension.
     pub extent: usize,
     /// Per-shard row ranges, in order; they tile `0..extent` exactly.
@@ -352,7 +315,7 @@ impl SlabPartition {
     /// Returns [`CoreError::Partition`] when `shards` is zero or the extent
     /// cannot give every shard its `min_rows` floor (callers reduce the
     /// shard count and retry).
-    pub fn split(extent: usize, shards: usize, min_rows: usize) -> Result<Self> {
+    pub(crate) fn split(extent: usize, shards: usize, min_rows: usize) -> Result<Self> {
         if shards == 0 {
             return Err(CoreError::Partition {
                 message: "cannot shard onto zero workers".into(),
@@ -382,32 +345,6 @@ impl SlabPartition {
         }
         Ok(SlabPartition { extent, ranges })
     }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// Rows owned by shard `shard`.
-    pub fn range(&self, shard: usize) -> SlabRange {
-        self.ranges[shard]
-    }
-}
-
-/// Convenience: partition a program and return the plan alongside the
-/// single-device mapping (useful for reporting).
-///
-/// # Errors
-///
-/// Propagates analysis and partitioning errors.
-pub fn partition_with_mapping(
-    program: &StencilProgram,
-    analysis_config: &AnalysisConfig,
-    partition_config: &PartitionConfig,
-) -> Result<(HardwareMapping, MultiDevicePlan)> {
-    let mapping = HardwareMapping::build(program, analysis_config)?;
-    let plan = MultiDevicePlan::partition(program, partition_config)?;
-    Ok((mapping, plan))
 }
 
 #[cfg(test)]
@@ -519,7 +456,6 @@ mod tests {
         };
         let plan = MultiDevicePlan::partition(&program, &generous).unwrap();
         assert!(plan.network_feasible());
-        assert_eq!(plan.network_efficiency(), 1.0);
 
         let tight = PartitionConfig {
             num_devices: 2,
@@ -530,7 +466,6 @@ mod tests {
         let plan = MultiDevicePlan::partition(&program, &tight).unwrap();
         if plan.peak_link_words_per_cycle > 0.25 {
             assert!(!plan.network_feasible());
-            assert!(plan.network_efficiency() < 1.0);
         }
     }
 
@@ -541,19 +476,18 @@ mod tests {
         assert_eq!(plan.device_count(), 1);
         assert!(plan.remote_channels.is_empty());
         assert!(plan.replicated_inputs.is_empty());
-        assert_eq!(plan.network_efficiency(), 1.0);
     }
 
     #[test]
     fn slab_partition_tiles_the_extent_balanced() {
         let slabs = SlabPartition::split(67, 4, 1).unwrap();
-        assert_eq!(slabs.shard_count(), 4);
+        assert_eq!(slabs.ranges.len(), 4);
         assert_eq!(slabs.ranges[0].start, 0);
         assert_eq!(slabs.ranges[3].end, 67);
         for pair in slabs.ranges.windows(2) {
             assert_eq!(pair[0].end, pair[1].start);
         }
-        let rows: Vec<usize> = slabs.ranges.iter().map(SlabRange::rows).collect();
+        let rows: Vec<usize> = slabs.ranges.iter().map(|r| r.end - r.start).collect();
         assert_eq!(rows.iter().sum::<usize>(), 67);
         assert!(rows.iter().max().unwrap() - rows.iter().min().unwrap() <= 1);
     }
@@ -567,14 +501,5 @@ mod tests {
             Err(CoreError::Partition { .. })
         ));
         assert!(SlabPartition::split(64, 8, 8).is_ok());
-    }
-
-    #[test]
-    fn ops_per_device_sums_to_program_total() {
-        let program = listing1();
-        let plan = MultiDevicePlan::partition(&program, &PartitionConfig::devices(2)).unwrap();
-        let per_device = plan.ops_per_device(&program);
-        let total: u64 = per_device.iter().sum();
-        assert_eq!(total, program.ops_per_cell().flops());
     }
 }

@@ -15,7 +15,6 @@
 //! not yet feeding downstream consumers. L is proportional to (D−1)-
 //! dimensional slices only, so it becomes negligible for large domains.
 
-use crate::buffers::InternalBufferAnalysis;
 use crate::config::AnalysisConfig;
 use crate::delay::DelayBufferAnalysis;
 use crate::error::Result;
@@ -37,42 +36,34 @@ pub struct PerformanceEstimate {
 }
 
 impl PerformanceEstimate {
-    /// Compute the estimate from the buffering analyses.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DAG errors from the underlying analyses (none are raised
-    /// for validated programs).
-    pub fn compute(
+    /// Compute the estimate from the delay-buffer analysis of a program
+    /// that evaluates `flops_per_cell` floating-point operations per cell.
+    pub(crate) fn compute(
         program: &StencilProgram,
-        _internal: &InternalBufferAnalysis,
         delay: &DelayBufferAnalysis,
         config: &AnalysisConfig,
-    ) -> Result<Self> {
+        flops_per_cell: u64,
+    ) -> Self {
         let width = config.effective_vectorization(program.vectorization()) as u64;
-        let iterations = (program.space().num_cells() as u64).div_ceil(width);
+        let cells = program.space().num_cells() as u64;
+        let iterations = cells.div_ceil(width);
         let pipeline_latency = delay.pipeline_latency();
-        Ok(PerformanceEstimate {
+        PerformanceEstimate {
             iterations,
             pipeline_latency,
             expected_cycles: pipeline_latency + iterations,
-            total_ops: program.total_flops(),
+            total_ops: flops_per_cell * cells,
             frequency_hz: config.default_frequency_hz,
-        })
+        }
     }
 
     /// Expected runtime in seconds at the configured frequency.
-    pub fn runtime_seconds(&self) -> f64 {
+    pub(crate) fn runtime_seconds(&self) -> f64 {
         self.expected_cycles as f64 / self.frequency_hz
     }
 
-    /// Expected runtime in microseconds.
-    pub fn runtime_microseconds(&self) -> f64 {
-        self.runtime_seconds() * 1e6
-    }
-
     /// Expected sustained throughput in Op/s.
-    pub fn ops_per_second(&self) -> f64 {
+    pub(crate) fn ops_per_second(&self) -> f64 {
         self.total_ops as f64 / self.runtime_seconds()
     }
 
@@ -102,21 +93,7 @@ impl PerformanceEstimate {
 ///
 /// Returns an error if the program DAG is invalid.
 pub fn expected_cycles(program: &StencilProgram, config: &AnalysisConfig) -> Result<u64> {
-    let internal = InternalBufferAnalysis::compute(program, config)?;
-    let delay = DelayBufferAnalysis::compute(program, &internal, config)?;
-    Ok(PerformanceEstimate::compute(program, &internal, &delay, config)?.expected_cycles)
-}
-
-/// Compute the expected runtime of a program in seconds at the configured
-/// frequency.
-///
-/// # Errors
-///
-/// Returns an error if the program DAG is invalid.
-pub fn expected_runtime_seconds(program: &StencilProgram, config: &AnalysisConfig) -> Result<f64> {
-    let internal = InternalBufferAnalysis::compute(program, config)?;
-    let delay = DelayBufferAnalysis::compute(program, &internal, config)?;
-    Ok(PerformanceEstimate::compute(program, &internal, &delay, config)?.runtime_seconds())
+    Ok(crate::analyze(program, config)?.performance.expected_cycles)
 }
 
 #[cfg(test)]
@@ -147,9 +124,7 @@ mod tests {
     fn cycles_equal_latency_plus_iterations() {
         let program = chain(4, &[64, 64], 1);
         let config = AnalysisConfig::unit_latencies();
-        let internal = InternalBufferAnalysis::compute(&program, &config).unwrap();
-        let delay = DelayBufferAnalysis::compute(&program, &internal, &config).unwrap();
-        let perf = PerformanceEstimate::compute(&program, &internal, &delay, &config).unwrap();
+        let perf = crate::analyze(&program, &config).unwrap().performance;
         assert_eq!(perf.iterations, 64 * 64);
         assert_eq!(
             perf.expected_cycles,
@@ -169,33 +144,27 @@ mod tests {
         assert!(deep > shallow);
         // §VIII-A: latency is proportional to (D-1)-dimensional slices, so it
         // is small relative to the domain for realistic sizes.
-        let perf_deep = {
-            let program = chain(8, &[128, 128], 1);
-            let internal = InternalBufferAnalysis::compute(&program, &config).unwrap();
-            let delay = DelayBufferAnalysis::compute(&program, &internal, &config).unwrap();
-            PerformanceEstimate::compute(&program, &internal, &delay, &config).unwrap()
-        };
+        let perf_deep = crate::analyze(&chain(8, &[128, 128], 1), &config)
+            .unwrap()
+            .performance;
         assert!(perf_deep.init_fraction() < 0.1);
     }
 
     #[test]
     fn vectorization_divides_iterations_and_runtime() {
         let config = AnalysisConfig::paper_defaults();
-        let scalar = expected_runtime_seconds(&chain(4, &[64, 64], 1), &config).unwrap();
-        let vectorized = expected_runtime_seconds(&chain(4, &[64, 64], 4), &config).unwrap();
+        let scalar = expected_cycles(&chain(4, &[64, 64], 1), &config).unwrap();
+        let vectorized = expected_cycles(&chain(4, &[64, 64], 4), &config).unwrap();
         assert!(vectorized < scalar);
-        assert!(vectorized > scalar / 5.0);
+        assert!(vectorized > scalar / 5);
     }
 
     #[test]
     fn throughput_metrics_are_consistent() {
         let program = chain(4, &[64, 64], 1);
         let config = AnalysisConfig::paper_defaults();
-        let internal = InternalBufferAnalysis::compute(&program, &config).unwrap();
-        let delay = DelayBufferAnalysis::compute(&program, &internal, &config).unwrap();
-        let perf = PerformanceEstimate::compute(&program, &internal, &delay, &config).unwrap();
+        let perf = crate::analyze(&program, &config).unwrap().performance;
         assert!((perf.gops() - perf.ops_per_second() / 1e9).abs() < 1e-9);
-        assert!((perf.runtime_microseconds() - perf.runtime_seconds() * 1e6).abs() < 1e-9);
         let faster = perf.at_frequency(600e6);
         assert!(faster.runtime_seconds() < perf.runtime_seconds());
     }

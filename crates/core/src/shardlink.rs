@@ -41,7 +41,7 @@ pub const FRAME_HEADER_WORDS: usize = 6;
 /// one whole frame (header plus payload), or the sender can never complete
 /// a push and the receiver starves — the sharded analogue of the paper's
 /// undersized delay-buffer deadlock (Fig. 4).
-pub fn minimum_link_depth_words(payload_words: usize) -> usize {
+pub(crate) fn minimum_link_depth_words(payload_words: usize) -> usize {
     FRAME_HEADER_WORDS + payload_words
 }
 
@@ -161,7 +161,7 @@ pub struct ShardLinkRequirement {
     /// Payload words of one halo frame.
     pub payload_words: usize,
     /// Minimum link capacity that can drain one frame
-    /// ([`minimum_link_depth_words`]).
+    /// (`minimum_link_depth_words`).
     pub required_frame_words: usize,
     /// Capacity the runtime would actually configure.
     pub configured_capacity_words: usize,
@@ -300,6 +300,6 @@ mod tests {
         // The slabs it hands the runtime are the shrunk geometry's.
         assert_eq!(req.slabs.len(), req.shards);
         assert_eq!((req.slabs[0].start, req.slabs[req.shards - 1].end), (0, 8));
-        assert!(req.slabs.iter().all(|s| s.rows() >= req.halo_rows));
+        assert!(req.slabs.iter().all(|s| s.end - s.start >= req.halo_rows));
     }
 }

@@ -31,12 +31,17 @@ pub struct VectorizationInfo {
 }
 
 impl VectorizationInfo {
-    /// Compute the vectorization-derived quantities of a program.
-    pub fn of(program: &StencilProgram, config: &AnalysisConfig) -> Self {
+    /// Compute the vectorization-derived quantities of a program that
+    /// evaluates `flops_per_cell` floating-point operations per cell.
+    pub(crate) fn of(
+        program: &StencilProgram,
+        config: &AnalysisConfig,
+        flops_per_cell: u64,
+    ) -> Self {
         let width = config.effective_vectorization(program.vectorization());
         let cells = program.space().num_cells() as u64;
         let iterations = cells.div_ceil(width as u64);
-        let ops_per_cycle = program.ops_per_cell().flops() * width as u64;
+        let ops_per_cycle = flops_per_cell * width as u64;
 
         let full_rank = program.space().rank();
         let mut operand_count = 0u64;
@@ -62,18 +67,6 @@ impl VectorizationInfo {
             memory_bytes_per_cycle: bytes * width as u64,
         }
     }
-
-    /// Off-chip bandwidth (bytes/s) required to stream at the given clock
-    /// frequency without stalling.
-    pub fn required_bandwidth(&self, frequency_hz: f64) -> f64 {
-        self.memory_bytes_per_cycle as f64 * frequency_hz
-    }
-
-    /// Compute throughput (Op/s) at the given clock frequency, ignoring
-    /// initialization latency.
-    pub fn peak_ops_per_second(&self, frequency_hz: f64) -> f64 {
-        self.ops_per_cycle as f64 * frequency_hz
-    }
 }
 
 #[cfg(test)]
@@ -94,10 +87,15 @@ mod tests {
             .unwrap()
     }
 
+    fn info(width: usize, config: &AnalysisConfig) -> VectorizationInfo {
+        let program = program(width);
+        VectorizationInfo::of(&program, config, program.ops_per_cell().flops())
+    }
+
     #[test]
     fn iterations_shrink_with_width() {
-        let info1 = VectorizationInfo::of(&program(1), &AnalysisConfig::default());
-        let info4 = VectorizationInfo::of(&program(4), &AnalysisConfig::default());
+        let info1 = info(1, &AnalysisConfig::default());
+        let info4 = info(4, &AnalysisConfig::default());
         assert_eq!(info1.iterations, 32 * 32 * 32);
         assert_eq!(info4.iterations, 32 * 32 * 32 / 4);
         assert_eq!(info4.width, 4);
@@ -105,8 +103,8 @@ mod tests {
 
     #[test]
     fn per_cycle_quantities_scale_with_width() {
-        let info1 = VectorizationInfo::of(&program(1), &AnalysisConfig::default());
-        let info4 = VectorizationInfo::of(&program(4), &AnalysisConfig::default());
+        let info1 = info(1, &AnalysisConfig::default());
+        let info4 = info(4, &AnalysisConfig::default());
         assert_eq!(info1.ops_per_cycle * 4, info4.ops_per_cycle);
         // 2 full-rank inputs + 1 output = 3 operands/cycle at W=1.
         assert_eq!(info1.memory_operands_per_cycle, 3);
@@ -116,18 +114,7 @@ mod tests {
 
     #[test]
     fn config_override_takes_precedence() {
-        let info = VectorizationInfo::of(
-            &program(1),
-            &AnalysisConfig::default().with_vectorization(8),
-        );
+        let info = info(1, &AnalysisConfig::default().with_vectorization(8));
         assert_eq!(info.width, 8);
-    }
-
-    #[test]
-    fn bandwidth_and_peak_ops() {
-        let info = VectorizationInfo::of(&program(1), &AnalysisConfig::default());
-        let f = 300e6;
-        assert_eq!(info.required_bandwidth(f), 12.0 * f);
-        assert_eq!(info.peak_ops_per_second(f), info.ops_per_cycle as f64 * f);
     }
 }

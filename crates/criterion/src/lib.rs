@@ -3,7 +3,7 @@
 //! The build environment has no access to crates.io, so this workspace ships
 //! a small wall-clock benchmarking harness exposing the subset of the
 //! criterion API used by `crates/bench`: [`Criterion`], benchmark groups,
-//! [`Bencher::iter`], [`black_box`], and the [`criterion_group!`] macro.
+//! [`Bencher::iter`], `black_box`, and the [`criterion_group!`] macro.
 //! Each benchmark is warmed up, then timed over a fixed number of samples;
 //! the mean, minimum, and median per-iteration times are printed. There are
 //! no statistical comparisons against saved baselines.
@@ -13,7 +13,7 @@
 use std::time::{Duration, Instant};
 
 /// Prevent the optimizer from deleting a computation whose result is unused.
-pub fn black_box<T>(value: T) -> T {
+pub(crate) fn black_box<T>(value: T) -> T {
     std::hint::black_box(value)
 }
 
@@ -44,13 +44,6 @@ impl Criterion {
                 self.default_sample_size
             },
         }
-    }
-
-    /// Benchmark a function outside any group.
-    pub fn bench_function(&mut self, name: &str, f: impl FnMut(&mut Bencher)) {
-        let mut group = self.benchmark_group("");
-        group.bench_function(name, f);
-        group.finish();
     }
 }
 
@@ -109,7 +102,7 @@ pub struct Bencher {
 }
 
 impl Bencher {
-    /// Time `routine`, discarding its output (through [`black_box`]).
+    /// Time `routine`, discarding its output (through `black_box`).
     pub fn iter<O>(&mut self, mut routine: impl FnMut() -> O) {
         // Warm-up and batch-size calibration: aim for samples of at least
         // ~2 ms so fast routines are timed over many iterations.
@@ -149,17 +142,6 @@ macro_rules! criterion_group {
     };
 }
 
-/// Run benchmark groups from `main` (API compatibility).
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-            $crate::Criterion::default().configure_from_args().final_summary();
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,7 +163,9 @@ mod tests {
     #[test]
     fn bench_without_iter_does_not_panic() {
         let mut c = Criterion::default();
-        c.bench_function("noop", |_b| {});
+        let mut group = c.benchmark_group("");
+        group.bench_function("noop", |_b| {});
+        group.finish();
         c.final_summary();
     }
 

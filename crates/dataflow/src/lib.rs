@@ -1,50 +1,37 @@
-//! Data-centric dataflow IR substrate and program transformations.
+//! Stencil fusion: the domain-specific program transformation of §V-B.
 //!
-//! The paper lowers stencil programs onto the DaCe framework's Stateful
-//! DataFlow multiGraph (SDFG) representation and extends it with a `Stencil`
-//! library node, pipeline scopes, and three transformations (§V). DaCe itself
-//! is a large Python framework that is not available here, so this crate
-//! provides the subset of that substrate the StencilFlow stack actually
-//! needs:
+//! The paper applies "aggressive stencil fusion" to its input programs before
+//! mapping them: two dependent stencils are scheduled as one stencil with
+//! several statements. On a spatial architecture this does not change the
+//! (already fully parallel) schedule; it merges initialization phases and
+//! internal buffers, coarsens the stencil units, and exposes common
+//! subexpressions to the backend compiler.
 //!
-//! * [`sdfg`] — a small SDFG-like IR: states containing access nodes,
-//!   tasklets, streams, and library nodes, connected by memlets that carry
-//!   explicit data-movement volumes (the data-centric property).
-//! * [`library`] — the `Stencil` library node and its expansion into the
-//!   shift / update / compute structure of Fig. 12.
-//! * [`lower`] — lowering a `StencilProgram` into an SDFG with one stencil
-//!   library node per DAG node, and extracting a `StencilProgram` back out of
-//!   such an SDFG (the "stencil extraction" canonicalization of Fig. 13).
-//! * [`transforms`] — `StencilFusion` (§V-B, with the paper's legality
-//!   heuristics), `NestDim`, and `MapFission`.
+//! A producer is fused into its consumer when the legality conditions of
+//! §V-B hold:
+//!
+//! 1. both operate on the same iteration space (always true within one
+//!    program);
+//! 2. they have the same boundary-condition behaviour;
+//! 3. the producer's field is read by this consumer only;
+//! 4. it is not a program output, so removing it adds no off-chip traffic;
+//! 5. (restriction of this implementation) the consumer reads it at the
+//!    centre offset only, so nothing is recomputed.
+//!
+//! [`fuse_all`] applies the rewrite until no pair qualifies;
+//! [`transforms::fuse_all_with_report`] also says which pairs were fused.
 
 #![forbid(unsafe_code)]
 
-pub mod library;
-pub mod lower;
-pub mod sdfg;
 pub mod transforms;
 
-pub use library::{ExpandedStencil, StencilLibraryNode};
-pub use lower::{extract_program, lower_to_sdfg};
-pub use sdfg::{Memlet, Sdfg, SdfgNode, SdfgState};
-pub use transforms::{fuse_all, map_fission, nest_dim, try_fuse, FusionOutcome};
+pub use transforms::fuse_all;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use stencilflow_reference::{generate_inputs, ReferenceExecutor};
     use stencilflow_workloads::{horizontal_diffusion, HorizontalDiffusionSpec};
-
-    #[test]
-    fn lower_and_extract_round_trip() {
-        let program = stencilflow_workloads::listing1();
-        let sdfg = lower_to_sdfg(&program);
-        assert_eq!(sdfg.library_nodes().count(), program.stencil_count());
-        let extracted = extract_program(&sdfg).unwrap();
-        assert_eq!(extracted.stencil_count(), program.stencil_count());
-        assert_eq!(extracted.outputs(), program.outputs());
-    }
 
     #[test]
     fn aggressive_fusion_preserves_horizontal_diffusion_semantics() {

@@ -1,17 +1,6 @@
-//! Program and SDFG transformations (§V-A/B, Fig. 10).
-//!
-//! * `StencilFusion` (domain-specific): schedule two dependent stencils as
-//!   one stencil with multiple statements. On spatial architectures this does
-//!   not change the (already fully parallel) schedule; it shortens the
-//!   critical path by merging initialization phases, merges internal buffers,
-//!   coarsens stencil nodes (improving the useful-logic ratio), and exposes
-//!   common subexpressions (§V-B).
-//! * `NestDim` (domain-specific): subsume an outer parametric dimension into
-//!   the stencil nodes.
-//! * `MapFission` (general-purpose): split a parallel subgraph scope into
-//!   multiple scopes with temporary storage in between.
+//! `StencilFusion` (§V-B, Fig. 10): the greedy search for fusable
+//! producer/consumer pairs and the rewrite that merges a pair's code.
 
-use crate::sdfg::{Sdfg, SdfgNode};
 use std::collections::{HashMap, HashSet};
 use stencilflow_expr::ast::{Expr, Program, Stmt};
 use stencilflow_program::{Result, StencilNode, StencilProgram};
@@ -25,24 +14,11 @@ pub struct FusionOutcome {
     pub fused: Vec<(String, String)>,
 }
 
-/// Check the fusion legality conditions of §V-B for fusing `producer` into
-/// `consumer` and return the fused program if they hold:
-///
-/// 1. both stencils operate on the same iteration space (always true within
-///    one program);
-/// 2. they have the same boundary-condition behaviour;
-/// 3. they are connected by one data container with degree 2, i.e. the
-///    producer's output is consumed *only* by this consumer;
-/// 4. the container is not used elsewhere (not a program output), so removing
-///    it adds no off-chip traffic;
-/// 5. (implementation restriction) the consumer reads the producer only at
-///    the center offset, so no recomputation is introduced.
-///
-/// # Errors
-///
-/// Returns an error only if re-validation of the fused program fails, which
-/// would indicate a bug in the rewriting.
-pub fn try_fuse(
+/// The single-pair form of the rewrite, with conditions 3 and 4 checked by
+/// scanning the program: the reference [`fuse_all_with_report`]'s indexed
+/// search is tested against.
+#[cfg(test)]
+fn try_fuse(
     program: &StencilProgram,
     producer: &str,
     consumer: &str,
@@ -72,8 +48,8 @@ pub fn try_fuse(
     Ok(Some(fused))
 }
 
-/// Conditions 2 and 5 for fusing `prod` into `cons`; [`try_fuse`] and
-/// [`fuse_all_with_report`] establish conditions 3 and 4 their own ways.
+/// Conditions 2 and 5 for fusing `prod` into `cons`; the caller establishes
+/// conditions 3 and 4.
 fn absorbs(prod: &StencilNode, cons: &StencilNode) -> bool {
     // Condition 2: identical boundary behaviour.
     prod.boundary.behaviour_eq(&cons.boundary)
@@ -248,82 +224,9 @@ pub fn fuse_all_with_report(program: &StencilProgram) -> Result<FusionOutcome> {
     })
 }
 
-/// `NestDim`: subsume the named outer dimension into every stencil library
-/// node of the SDFG (removing it from the pipeline scope). Returns the number
-/// of library nodes affected.
-pub fn nest_dim(sdfg: &mut Sdfg, dim: &str) -> usize {
-    let mut affected = 0;
-    for state in &mut sdfg.states {
-        for node in &mut state.nodes {
-            match node {
-                SdfgNode::PipelineScope { domain, .. } => {
-                    domain.retain(|(d, _)| d != dim);
-                }
-                SdfgNode::Library(_) => affected += 1,
-                _ => {}
-            }
-        }
-    }
-    affected
-}
-
-/// `MapFission`: split a state containing several library nodes into one
-/// state per library node, introducing the producing container as temporary
-/// storage between them. Returns the number of states after fission.
-pub fn map_fission(sdfg: &mut Sdfg, state_index: usize) -> usize {
-    if state_index >= sdfg.states.len() {
-        return sdfg.states.len();
-    }
-    let original = sdfg.states[state_index].clone();
-    let libraries: Vec<SdfgNode> = original
-        .nodes
-        .iter()
-        .filter(|n| matches!(n, SdfgNode::Library(_)))
-        .cloned()
-        .collect();
-    if libraries.len() <= 1 {
-        return sdfg.states.len();
-    }
-    let scope = original
-        .nodes
-        .iter()
-        .find(|n| matches!(n, SdfgNode::PipelineScope { .. }))
-        .cloned();
-    let mut new_states = Vec::new();
-    for (idx, library) in libraries.into_iter().enumerate() {
-        let mut state = crate::sdfg::SdfgState::new(&format!("{}_{idx}", original.name));
-        if let Some(scope) = &scope {
-            state.add_node(scope.clone());
-        }
-        if let SdfgNode::Library(lib) = &library {
-            // Temporary containers: one access node per consumed field and
-            // one for the produced field.
-            let mut producers = Vec::new();
-            for (field, info) in lib.stencil.accesses.iter() {
-                let node = state.add_node(SdfgNode::Access {
-                    data: field.to_string(),
-                });
-                producers.push((node, field.to_string(), info.access_count() as u64));
-            }
-            let library_index = state.add_node(library.clone());
-            for (node, field, accesses) in producers {
-                state.add_memlet(node, library_index, &field, accesses);
-            }
-            let out = state.add_node(SdfgNode::Access {
-                data: lib.name.clone(),
-            });
-            state.add_memlet(library_index, out, &lib.name, 1);
-        }
-        new_states.push(state);
-    }
-    sdfg.states.splice(state_index..=state_index, new_states);
-    sdfg.states.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower::lower_to_sdfg;
     use proptest::TestRng;
     use stencilflow_expr::DataType;
     use stencilflow_program::{to_json, BoundaryCondition, StencilProgramBuilder};
@@ -584,44 +487,5 @@ mod tests {
         }
         // The generator must keep exercising the rewrite, not just the search.
         assert!(fusions > 200 && multi_round > 50, "{fusions} {multi_round}");
-    }
-
-    #[test]
-    fn nest_dim_removes_dimension_from_scope() {
-        let program = chainable();
-        let mut sdfg = lower_to_sdfg(&program);
-        let affected = nest_dim(&mut sdfg, "j");
-        assert_eq!(affected, 2);
-        let scope_dims: Vec<String> = sdfg
-            .states
-            .iter()
-            .flat_map(|s| s.nodes.iter())
-            .find_map(|n| match n {
-                SdfgNode::PipelineScope { domain, .. } => {
-                    Some(domain.iter().map(|(d, _)| d.clone()).collect())
-                }
-                _ => None,
-            })
-            .unwrap();
-        assert_eq!(scope_dims, vec!["i".to_string()]);
-    }
-
-    #[test]
-    fn map_fission_splits_states() {
-        let program = chainable();
-        let mut sdfg = lower_to_sdfg(&program);
-        assert_eq!(sdfg.states.len(), 1);
-        let states = map_fission(&mut sdfg, 0);
-        assert_eq!(states, 2);
-        assert_eq!(sdfg.states.len(), 2);
-        // Each new state holds exactly one library node.
-        for state in &sdfg.states {
-            let libs = state
-                .nodes
-                .iter()
-                .filter(|n| matches!(n, SdfgNode::Library(_)))
-                .count();
-            assert_eq!(libs, 1);
-        }
     }
 }

@@ -9,7 +9,7 @@
 //!   at constant offsets along the listed iteration variables;
 //! * bare identifiers that are not locals, e.g. `dt` — scalar ("0D") inputs.
 
-use crate::ast::{Expr, Index, Program};
+use crate::ast::{Expr, Program};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// All accesses a code segment performs on one field.
@@ -62,26 +62,13 @@ pub struct FieldAccesses {
 
 impl FieldAccesses {
     /// Create an empty access pattern.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Iterate over the names of all accessed fields (sorted).
     pub fn fields(&self) -> impl Iterator<Item = &str> {
         self.accesses.keys().map(String::as_str)
-    }
-
-    /// Number of distinct fields accessed.
-    pub fn field_count(&self) -> usize {
-        self.accesses.len()
-    }
-
-    /// Total number of distinct (field, offset) access points.
-    pub fn total_accesses(&self) -> usize {
-        self.accesses
-            .values()
-            .map(|a| a.access_count().max(1))
-            .sum()
     }
 
     /// Access information for one field, if it is accessed at all.
@@ -101,7 +88,7 @@ impl FieldAccesses {
 
     /// Record an access (used by the extractor and by tests that construct
     /// access patterns directly).
-    pub fn record(&mut self, field: &str, index_vars: &[String], offsets: Vec<i64>) {
+    pub(crate) fn record(&mut self, field: &str, index_vars: &[String], offsets: Vec<i64>) {
         let entry = self.accesses.entry(field.to_string()).or_default();
         if entry.index_vars.is_empty() && !index_vars.is_empty() {
             entry.index_vars = index_vars.to_vec();
@@ -110,15 +97,9 @@ impl FieldAccesses {
     }
 
     /// Record a scalar (0D) access.
-    pub fn record_scalar(&mut self, field: &str) {
+    fn record_scalar(&mut self, field: &str) {
         let entry = self.accesses.entry(field.to_string()).or_default();
         entry.offsets.insert(Vec::new());
-    }
-
-    /// Remove a field from the pattern (used when a symbol turns out to be a
-    /// named constant rather than a field).
-    pub fn remove(&mut self, field: &str) -> Option<FieldAccessInfo> {
-        self.accesses.remove(field)
     }
 }
 
@@ -166,12 +147,6 @@ impl AccessExtractor {
     }
 }
 
-/// Convenience: extract the index variables used by a list of [`Index`]
-/// expressions.
-pub fn index_vars(indices: &[Index]) -> Vec<String> {
-    indices.iter().map(|ix| ix.var.clone()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,7 +184,7 @@ mod tests {
         let acc = AccessExtractor::extract(&prog);
         assert!(acc.get("dt").unwrap().is_scalar());
         assert!(acc.get("eps").unwrap().is_scalar());
-        assert_eq!(acc.field_count(), 3);
+        assert_eq!(acc.fields().count(), 3);
     }
 
     #[test]
@@ -224,7 +199,8 @@ mod tests {
     fn total_accesses_counts_access_points() {
         let prog = parse_program("u[i-1,j,k] + u[i+1,j,k] + v[i,j,k] + dt").unwrap();
         let acc = AccessExtractor::extract(&prog);
-        assert_eq!(acc.total_accesses(), 4);
+        let points: usize = acc.iter().map(|(_, a)| a.access_count().max(1)).sum();
+        assert_eq!(points, 4);
     }
 
     #[test]

@@ -16,15 +16,6 @@ pub struct Program {
 }
 
 impl Program {
-    /// The expression producing the stencil output (the last statement).
-    pub fn output_expr(&self) -> &Expr {
-        &self
-            .statements
-            .last()
-            .expect("a Program always contains at least one statement")
-            .value
-    }
-
     /// Names of all local variables assigned before the output statement.
     pub fn local_names(&self) -> Vec<&str> {
         self.statements
@@ -34,7 +25,7 @@ impl Program {
     }
 
     /// Visit every expression (statement right-hand sides), in order.
-    pub fn exprs(&self) -> impl Iterator<Item = &Expr> {
+    pub(crate) fn exprs(&self) -> impl Iterator<Item = &Expr> {
         self.statements.iter().map(|s| &s.value)
     }
 }
@@ -101,21 +92,11 @@ pub enum BinOp {
 
 impl BinOp {
     /// Whether the operator produces a boolean result.
-    pub fn is_comparison(self) -> bool {
+    fn is_comparison(self) -> bool {
         matches!(
             self,
             BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge | BinOp::Eq | BinOp::Ne
         )
-    }
-
-    /// Whether the operator is a logical connective (`&&`, `||`).
-    pub fn is_logical(self) -> bool {
-        matches!(self, BinOp::And | BinOp::Or)
-    }
-
-    /// Whether the operator is an arithmetic operation.
-    pub fn is_arithmetic(self) -> bool {
-        matches!(self, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div)
     }
 
     /// Source-level symbol of the operator.
@@ -193,7 +174,7 @@ pub enum MathFn {
 
 impl MathFn {
     /// Number of arguments the function takes.
-    pub fn arity(self) -> usize {
+    pub(crate) fn arity(self) -> usize {
         match self {
             MathFn::Min | MathFn::Max | MathFn::Pow => 2,
             _ => 1,
@@ -201,7 +182,7 @@ impl MathFn {
     }
 
     /// Look up a function by its source-level name.
-    pub fn from_name(name: &str) -> Option<MathFn> {
+    pub(crate) fn from_name(name: &str) -> Option<MathFn> {
         Some(match name {
             "sqrt" | "sqrtf" => MathFn::Sqrt,
             "abs" | "fabs" | "fabsf" => MathFn::Abs,
@@ -220,7 +201,7 @@ impl MathFn {
     }
 
     /// Canonical source-level name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             MathFn::Sqrt => "sqrt",
             MathFn::Abs => "abs",
@@ -345,13 +326,8 @@ impl Expr {
         }
     }
 
-    /// Whether the expression is a literal constant.
-    pub fn is_literal(&self) -> bool {
-        matches!(self, Expr::IntLit(_) | Expr::FloatLit(_))
-    }
-
     /// Recursively visit this expression and all sub-expressions (pre-order).
-    pub fn visit<'a>(&'a self, visitor: &mut impl FnMut(&'a Expr)) {
+    pub(crate) fn visit<'a>(&'a self, visitor: &mut impl FnMut(&'a Expr)) {
         visitor(self);
         match self {
             Expr::IntLit(_) | Expr::FloatLit(_) | Expr::Var(_) | Expr::FieldAccess { .. } => {}
@@ -375,13 +351,6 @@ impl Expr {
                 }
             }
         }
-    }
-
-    /// Count the total number of nodes in the expression tree.
-    pub fn node_count(&self) -> usize {
-        let mut count = 0;
-        self.visit(&mut |_| count += 1);
-        count
     }
 
     fn precedence(&self) -> u8 {
@@ -533,12 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn node_count_counts_all_nodes() {
-        let e = Expr::binary(BinOp::Add, Expr::IntLit(1), Expr::IntLit(2));
-        assert_eq!(e.node_count(), 3);
-    }
-
-    #[test]
     fn mathfn_lookup() {
         assert_eq!(MathFn::from_name("sqrt"), Some(MathFn::Sqrt));
         assert_eq!(MathFn::from_name("fmaxf"), Some(MathFn::Max));
@@ -561,7 +524,7 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(prog.output_expr(), &Expr::Var("t".into()));
+        assert_eq!(prog.statements[1].value, Expr::Var("t".into()));
         assert_eq!(prog.local_names(), vec!["t"]);
     }
 }

@@ -95,7 +95,7 @@ pub enum Op {
     /// Branch-free conditional: pop `otherwise`, `then`, `cond` (in that
     /// order) and push `then` when `cond` is truthy, `otherwise` when it is
     /// not. Produced only by the if-conversion pass
-    /// ([`crate::opt::IfConversion`]), which proves both arms side-effect
+    /// (`crate::opt::IfConversion`), which proves both arms side-effect
     /// free before rewriting a jump diamond into this form.
     Select,
 }
@@ -144,25 +144,10 @@ impl CompiledKernel {
     /// # Errors
     ///
     /// Same failure modes as [`CompiledKernel::compile`].
-    pub fn compile_with(
+    pub(crate) fn compile_with(
         program: &Program,
         config: &crate::opt::OptConfig,
     ) -> Result<CompiledKernel> {
-        let (kernel, _) = Self::compile_traced(program, config)?;
-        Ok(kernel)
-    }
-
-    /// [`CompiledKernel::compile_with`], additionally returning the per-pass
-    /// effect report (and, when `config.debug` is set, bytecode dumps after
-    /// each pass that changed the kernel).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`CompiledKernel::compile`].
-    pub fn compile_traced(
-        program: &Program,
-        config: &crate::opt::OptConfig,
-    ) -> Result<(CompiledKernel, Vec<crate::opt::PassEffect>)> {
         if program.statements.is_empty() {
             return Err(ExprError::EmptyProgram);
         }
@@ -173,7 +158,7 @@ impl CompiledKernel {
             compiler.lower_stmt(stmt, idx == last);
         }
         let mut ops = compiler.ops;
-        let report = crate::opt::PassManager::standard(config).run(&mut ops);
+        crate::opt::PassManager::standard(config).run(&mut ops);
         let max_stack = max_stack_of(&ops);
         let local_count = local_count_of(&ops);
         let kernel = CompiledKernel {
@@ -189,7 +174,7 @@ impl CompiledKernel {
         if let Err(e) = crate::verify::verify_kernel(&kernel, None) {
             panic!("compiled kernel failed verification: {e}");
         }
-        Ok((kernel, report))
+        Ok(kernel)
     }
 
     /// Lower a parsed code segment without running any optimization pass:
@@ -219,7 +204,7 @@ impl CompiledKernel {
     }
 
     /// Maximum operand-stack depth, statically determined.
-    pub fn max_stack(&self) -> usize {
+    pub(crate) fn max_stack(&self) -> usize {
         self.max_stack
     }
 
@@ -1492,7 +1477,7 @@ mod tests {
             let v = resolver
                 .resolve(&slot.field, &slot.offsets)
                 .unwrap_or_else(|| panic!("missing resolver entry for `{}`", slot.field));
-            let v = v.cast(dtype);
+            let v = Value::from_f64(v.as_f64(), dtype);
             raw.push(v.as_f64());
             values.push(v);
         }

@@ -112,7 +112,7 @@ impl<'a, R: AccessResolver + ?Sized> Evaluator<'a, R> {
     }
 
     /// Evaluate a single expression with the given local-variable bindings.
-    pub fn eval_expr(&self, expr: &Expr, locals: &BTreeMap<&str, Value>) -> Result<Value> {
+    pub(crate) fn eval_expr(&self, expr: &Expr, locals: &BTreeMap<&str, Value>) -> Result<Value> {
         match expr {
             Expr::IntLit(v) => Ok(Value::I64(*v)),
             Expr::FloatLit(v) => Ok(Value::F64(*v)),
@@ -202,7 +202,7 @@ impl<'a, R: AccessResolver + ?Sized> Evaluator<'a, R> {
 /// The result type follows the promoted type of the arguments, so `sqrt` of
 /// an `f32` pipeline value stays `f32` (matching what the generated hardware
 /// would compute).
-pub fn eval_math_fn(func: MathFn, args: &[Value]) -> Value {
+pub(crate) fn eval_math_fn(func: MathFn, args: &[Value]) -> Value {
     let dtype = args
         .iter()
         .map(|v| v.data_type())
@@ -222,7 +222,7 @@ pub fn eval_math_fn(func: MathFn, args: &[Value]) -> Value {
 /// Raw `f64` math-function evaluation shared by [`eval_math_fn`] and the
 /// type-specialized kernels ([`crate::compile::TypedKernel`]). Unary
 /// functions ignore `b`. Callers apply the result-type rounding themselves.
-pub fn math_fn_raw(func: MathFn, a: f64, b: f64) -> f64 {
+pub(crate) fn math_fn_raw(func: MathFn, a: f64, b: f64) -> f64 {
     match func {
         MathFn::Sqrt => a.sqrt(),
         MathFn::Abs => a.abs(),

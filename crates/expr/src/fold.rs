@@ -6,7 +6,7 @@
 //! which keeps latency estimates and operation counts honest for fused
 //! programs with literal coefficients.
 
-use crate::ast::{BinOp, Expr, MathFn, Program, Stmt, UnOp};
+use crate::ast::{BinOp, Expr, Program, Stmt, UnOp};
 use crate::eval::eval_math_fn;
 use crate::value::{CompareOp, Value};
 
@@ -27,7 +27,7 @@ pub fn fold_program(program: &Program) -> Program {
 /// the simplified `x_f32` stays `f32` and is rounded on every subsequent
 /// operation. The compiled-kernel path ([`crate::compile`]) must agree with
 /// the tree-walking evaluator bit for bit, so it folds with this variant.
-pub fn fold_program_exact(program: &Program) -> Program {
+pub(crate) fn fold_program_exact(program: &Program) -> Program {
     fold_program_impl(program, true)
 }
 
@@ -42,16 +42,6 @@ fn fold_program_impl(program: &Program, exact: bool) -> Program {
             })
             .collect(),
     }
-}
-
-/// Constant-fold a single expression.
-pub fn fold_expr(expr: &Expr) -> Expr {
-    fold_expr_impl(expr, false)
-}
-
-/// Bit-exact variant of [`fold_expr`]; see [`fold_program_exact`].
-pub fn fold_expr_exact(expr: &Expr) -> Expr {
-    fold_expr_impl(expr, true)
 }
 
 fn fold_expr_impl(expr: &Expr, exact: bool) -> Expr {
@@ -183,24 +173,18 @@ fn fold_binary(op: BinOp, l: Value, r: Value) -> Option<Value> {
     })
 }
 
-/// Returns `true` if the expression contains a call to `func`. Helper used by
-/// op-count sanity checks and tests.
-pub fn contains_call(expr: &Expr, func: MathFn) -> bool {
-    let mut found = false;
-    expr.visit(&mut |node| {
-        if let Expr::Call { func: f, .. } = node {
-            if *f == func {
-                found = true;
-            }
-        }
-    });
-    found
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::{parse_expr, parse_program};
+
+    fn fold_expr(expr: &Expr) -> Expr {
+        fold_expr_impl(expr, false)
+    }
+
+    fn fold_expr_exact(expr: &Expr) -> Expr {
+        fold_expr_impl(expr, true)
+    }
 
     #[test]
     fn folds_constant_arithmetic() {
@@ -260,12 +244,5 @@ mod tests {
         assert!(matches!(e, Expr::Binary { .. }));
         let e = fold_expr_exact(&parse_expr("1.0 * a[i]").unwrap());
         assert!(matches!(e, Expr::Binary { .. }));
-    }
-
-    #[test]
-    fn contains_call_helper() {
-        let e = parse_expr("sqrt(a[i]) + 1.0").unwrap();
-        assert!(contains_call(&e, MathFn::Sqrt));
-        assert!(!contains_call(&e, MathFn::Min));
     }
 }

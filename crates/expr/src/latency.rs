@@ -72,7 +72,7 @@ impl LatencyTable {
     }
 
     /// Latency of a binary operator.
-    pub fn binop(&self, op: BinOp) -> u64 {
+    fn binop(&self, op: BinOp) -> u64 {
         match op {
             BinOp::Add | BinOp::Sub => self.add,
             BinOp::Mul => self.mul,
@@ -83,7 +83,7 @@ impl LatencyTable {
     }
 
     /// Latency of a unary operator.
-    pub fn unop(&self, op: UnOp) -> u64 {
+    fn unop(&self, op: UnOp) -> u64 {
         match op {
             UnOp::Neg => self.select,
             UnOp::Not => self.logic,
@@ -91,7 +91,7 @@ impl LatencyTable {
     }
 
     /// Latency of a math function.
-    pub fn math_fn(&self, func: MathFn) -> u64 {
+    fn math_fn(&self, func: MathFn) -> u64 {
         match func {
             MathFn::Sqrt => self.sqrt,
             MathFn::Abs | MathFn::Min | MathFn::Max | MathFn::Floor | MathFn::Ceil => self.select,
@@ -105,36 +105,6 @@ impl LatencyTable {
 impl Default for LatencyTable {
     fn default() -> Self {
         LatencyTable::stratix10_defaults()
-    }
-}
-
-/// Critical-path latency (in cycles) of one expression: the longest chain of
-/// dependent operations from any leaf to the root.
-pub fn expr_critical_path(expr: &Expr, table: &LatencyTable) -> u64 {
-    match expr {
-        Expr::IntLit(_) | Expr::FloatLit(_) | Expr::Var(_) | Expr::FieldAccess { .. } => 0,
-        Expr::Unary { op, operand } => table.unop(*op) + expr_critical_path(operand, table),
-        Expr::Binary { op, lhs, rhs } => {
-            table.binop(*op) + expr_critical_path(lhs, table).max(expr_critical_path(rhs, table))
-        }
-        Expr::Ternary {
-            cond,
-            then,
-            otherwise,
-        } => {
-            table.mux
-                + expr_critical_path(cond, table)
-                    .max(expr_critical_path(then, table))
-                    .max(expr_critical_path(otherwise, table))
-        }
-        Expr::Call { func, args } => {
-            table.math_fn(*func)
-                + args
-                    .iter()
-                    .map(|a| expr_critical_path(a, table))
-                    .max()
-                    .unwrap_or(0)
-        }
     }
 }
 
@@ -157,65 +127,6 @@ pub fn critical_path_latency(program: &Program, table: &LatencyTable) -> u64 {
         last = latency;
     }
     last
-}
-
-/// Critical-path latency of a compiled kernel's instruction stream — the
-/// bytecode-level counterpart of [`critical_path_latency`], evaluated on
-/// the *optimized* form (CSE shortens nothing here, but never lengthens it;
-/// if-converted selects cost one [`LatencyTable::mux`] above their longest
-/// input, exactly like the ternaries they replace).
-///
-/// Returns `None` when the kernel still carries control flow (jump-based
-/// diamonds have no single static dataflow DAG to walk).
-pub fn kernel_critical_path(
-    kernel: &crate::compile::CompiledKernel,
-    table: &LatencyTable,
-) -> Option<u64> {
-    use crate::compile::Op;
-    let mut stack: Vec<u64> = Vec::new();
-    let mut locals: Vec<u64> = vec![0; kernel.local_count()];
-    for op in kernel.ops() {
-        match op {
-            Op::Const(_) | Op::Slot(_) => stack.push(0),
-            Op::Local(ix) => stack.push(locals[*ix as usize]),
-            Op::Store(ix) => locals[*ix as usize] = stack.pop()?,
-            Op::Pop => {
-                stack.pop()?;
-            }
-            Op::Unary(op) => {
-                let a = stack.pop()?;
-                stack.push(table.unop(*op) + a);
-            }
-            Op::Binary(op) => {
-                let b = stack.pop()?;
-                let a = stack.pop()?;
-                stack.push(table.binop(*op) + a.max(b));
-            }
-            Op::Call1(func) => {
-                let a = stack.pop()?;
-                stack.push(table.math_fn(*func) + a);
-            }
-            Op::Call2(func) => {
-                let b = stack.pop()?;
-                let a = stack.pop()?;
-                stack.push(table.math_fn(*func) + a.max(b));
-            }
-            Op::ToBool => {
-                let a = stack.pop()?;
-                stack.push(table.logic + a);
-            }
-            Op::Select => {
-                let otherwise = stack.pop()?;
-                let then = stack.pop()?;
-                let cond = stack.pop()?;
-                stack.push(table.mux + cond.max(then).max(otherwise));
-            }
-            Op::Jump(_) | Op::JumpIfFalse(_) | Op::AndShortCircuit(_) | Op::OrShortCircuit(_) => {
-                return None;
-            }
-        }
-    }
-    stack.pop()
 }
 
 fn expr_latency_with_locals(
@@ -258,30 +169,33 @@ fn expr_latency_with_locals(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::{parse_expr, parse_program};
+    use crate::parser::parse_program;
 
     #[test]
     fn leaf_latency_is_zero() {
         let t = LatencyTable::default();
-        assert_eq!(expr_critical_path(&parse_expr("a[i]").unwrap(), &t), 0);
-        assert_eq!(expr_critical_path(&parse_expr("1.5").unwrap(), &t), 0);
+        assert_eq!(
+            critical_path_latency(&parse_program("a[i]").unwrap(), &t),
+            0
+        );
+        assert_eq!(critical_path_latency(&parse_program("1.5").unwrap(), &t), 0);
     }
 
     #[test]
     fn chain_of_adds_accumulates() {
         let t = LatencyTable::unit();
         // ((a + b) + c) + d -> three dependent adds.
-        let e = parse_expr("a[i] + b[i] + c[i] + d[i]").unwrap();
-        assert_eq!(expr_critical_path(&e, &t), 3);
+        let e = parse_program("a[i] + b[i] + c[i] + d[i]").unwrap();
+        assert_eq!(critical_path_latency(&e, &t), 3);
     }
 
     #[test]
     fn balanced_tree_is_shorter_than_chain() {
         let t = LatencyTable::unit();
-        let chain = parse_expr("a[i] + b[i] + c[i] + d[i]").unwrap();
-        let tree = parse_expr("(a[i] + b[i]) + (c[i] + d[i])").unwrap();
-        assert!(expr_critical_path(&tree, &t) < expr_critical_path(&chain, &t));
-        assert_eq!(expr_critical_path(&tree, &t), 2);
+        let chain = parse_program("a[i] + b[i] + c[i] + d[i]").unwrap();
+        let tree = parse_program("(a[i] + b[i]) + (c[i] + d[i])").unwrap();
+        assert!(critical_path_latency(&tree, &t) < critical_path_latency(&chain, &t));
+        assert_eq!(critical_path_latency(&tree, &t), 2);
     }
 
     #[test]
@@ -291,8 +205,8 @@ mod tests {
         assert!(t.sqrt >= t.mul);
         assert!(t.add > 0);
         // Paper: delays typically small, < 100 cycles for realistic stencils.
-        let e = parse_expr("0.5 * (a[i-1] + a[i+1]) - a[i] / 4.0").unwrap();
-        assert!(expr_critical_path(&e, &t) < 100);
+        let e = parse_program("0.5 * (a[i-1] + a[i+1]) - a[i] / 4.0").unwrap();
+        assert!(critical_path_latency(&e, &t) < 100);
     }
 
     #[test]
@@ -306,38 +220,26 @@ mod tests {
     #[test]
     fn math_function_latencies() {
         let t = LatencyTable::stratix10_defaults();
-        let e = parse_expr("sqrt(a[i])").unwrap();
-        assert_eq!(expr_critical_path(&e, &t), t.sqrt);
-        let e = parse_expr("min(a[i], b[i])").unwrap();
-        assert_eq!(expr_critical_path(&e, &t), t.select);
+        let e = parse_program("sqrt(a[i])").unwrap();
+        assert_eq!(critical_path_latency(&e, &t), t.sqrt);
+        let e = parse_program("min(a[i], b[i])").unwrap();
+        assert_eq!(critical_path_latency(&e, &t), t.select);
     }
 
     #[test]
     fn kernel_critical_path_matches_select_semantics() {
-        use crate::compile::CompiledKernel;
         let t = LatencyTable::unit();
-        // If-converted ternary: compare (1) and arms (then: 1 add, else: 0)
-        // feed a mux (+1) -> critical path 2, same as the AST walk.
+        // Compare (1) and arms (then: 1 add, else: 0) feed a mux (+1): the
+        // ternary costs what the select it if-converts to costs.
         let program = parse_program("c[i] > 0.0 ? a[i] + b[i] : b[i]").unwrap();
-        let kernel = CompiledKernel::compile(&program).unwrap();
-        assert_eq!(kernel_critical_path(&kernel, &t), Some(2));
         assert_eq!(critical_path_latency(&program, &t), 2);
-        // CSE never lengthens the path: sharing the add keeps depth 2.
-        let program = parse_program("(a[i] + b[i]) * (a[i] + b[i])").unwrap();
-        let kernel = CompiledKernel::compile(&program).unwrap();
-        assert_eq!(kernel_critical_path(&kernel, &t), Some(2));
-        // Jump-carrying kernels (a division blocks if-conversion) have no
-        // static dataflow DAG.
-        let program = parse_program("c[i] > 0.0 ? a[i] / b[i] : b[i]").unwrap();
-        let kernel = CompiledKernel::compile(&program).unwrap();
-        assert_eq!(kernel_critical_path(&kernel, &t), None);
     }
 
     #[test]
     fn ternary_uses_longest_branch() {
         let t = LatencyTable::unit();
-        let e = parse_expr("c[i] > 0.0 ? a[i] + b[i] + a[i] : b[i]").unwrap();
+        let e = parse_program("c[i] > 0.0 ? a[i] + b[i] + a[i] : b[i]").unwrap();
         // compare (1) vs then-branch (2 adds) vs else (0); mux adds 1.
-        assert_eq!(expr_critical_path(&e, &t), 3);
+        assert_eq!(critical_path_latency(&e, &t), 3);
     }
 }

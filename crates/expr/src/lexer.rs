@@ -4,7 +4,7 @@ use crate::error::{ExprError, Result};
 
 /// A lexical token together with its byte position in the source string.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpannedToken {
+pub(crate) struct SpannedToken {
     /// The token itself.
     pub token: Token,
     /// Byte offset of the first character of the token.
@@ -13,7 +13,7 @@ pub struct SpannedToken {
 
 /// Lexical tokens of the stencil expression language.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub(crate) enum Token {
     /// Identifier (field name, index variable, local variable, function name).
     Ident(String),
     /// Integer literal.
@@ -68,7 +68,7 @@ pub enum Token {
 
 impl Token {
     /// Short human-readable description used in parse error messages.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             Token::Ident(name) => format!("identifier `{name}`"),
             Token::Int(v) => format!("integer `{v}`"),
@@ -111,16 +111,7 @@ impl Token {
 /// # Errors
 ///
 /// Returns [`ExprError::Lex`] if an unexpected character is encountered.
-///
-/// # Example
-///
-/// ```
-/// # use stencilflow_expr::lexer::{tokenize, Token};
-/// let tokens = tokenize("a[i, j] + 1.5").unwrap();
-/// assert_eq!(tokens[0].token, Token::Ident("a".into()));
-/// assert_eq!(tokens.last().unwrap().token, Token::Float(1.5));
-/// ```
-pub fn tokenize(input: &str) -> Result<Vec<SpannedToken>> {
+pub(crate) fn tokenize(input: &str) -> Result<Vec<SpannedToken>> {
     let bytes = input.as_bytes();
     let mut tokens = Vec::new();
     let mut pos = 0usize;

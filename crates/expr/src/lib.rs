@@ -24,7 +24,7 @@
 //! structures or functions are allowed. This crate implements exactly that
 //! restriction:
 //!
-//! * [`lexer`] / [`parser`] — turn source text into an [`ast::Program`].
+//! * `lexer` / [`parser`] — turn source text into an [`ast::Program`].
 //! * [`ast`] — expression / statement tree, with pretty-printing that
 //!   round-trips through the parser.
 //! * [`types`] — the scalar data types supported by the stack and a simple
@@ -79,7 +79,7 @@ pub mod error;
 pub mod eval;
 pub mod fold;
 pub mod latency;
-pub mod lexer;
+mod lexer;
 pub mod opcount;
 pub mod opt;
 pub mod parser;
@@ -95,17 +95,14 @@ pub use compile::{
 };
 pub use error::{ExprError, Result};
 pub use eval::{AccessResolver, Evaluator, MapResolver};
-pub use fold::{fold_program, fold_program_exact};
-pub use latency::{critical_path_latency, kernel_critical_path, LatencyTable};
-pub use lexer::{tokenize, Token};
-pub use opcount::{count_kernel_ops, count_ops, OpCount};
-pub use opt::{dump_ops, Cse, Dce, IfConversion, OptConfig, Pass, PassEffect, PassManager};
-pub use parser::{parse_expr, parse_program};
+pub use fold::fold_program;
+pub use latency::{critical_path_latency, LatencyTable};
+pub use opcount::{count_ops, OpCount};
+pub use parser::parse_program;
 pub use types::DataType;
 pub use value::Value;
 pub use verify::{
-    verify_kernel, verify_ops, verify_typed, verify_typed_ops, AbstractType, KernelJudgment,
-    TypedJudgment, VerifyError,
+    verify_kernel, verify_typed, AbstractType, KernelJudgment, TypedJudgment, VerifyError,
 };
 
 #[cfg(test)]

@@ -58,23 +58,6 @@ impl OpCount {
             + self.branches
             + self.logical
     }
-
-    /// Scale every count by a constant factor (e.g. iteration count or
-    /// vectorization width).
-    pub fn scaled(&self, factor: u64) -> OpCount {
-        OpCount {
-            additions: self.additions * factor,
-            multiplications: self.multiplications * factor,
-            divisions: self.divisions * factor,
-            square_roots: self.square_roots * factor,
-            minimums: self.minimums * factor,
-            maximums: self.maximums * factor,
-            other_math: self.other_math * factor,
-            comparisons: self.comparisons * factor,
-            branches: self.branches * factor,
-            logical: self.logical * factor,
-        }
-    }
 }
 
 impl Add for OpCount {
@@ -131,47 +114,8 @@ pub fn count_ops(program: &Program) -> OpCount {
     count
 }
 
-/// Count the operations of a compiled kernel's instruction stream.
-///
-/// This is the bytecode-level counterpart of [`count_ops`]: it sees the
-/// kernel *after* the optimization pipeline, so common-subexpression
-/// elimination and dead-code elimination reduce these counts while the
-/// AST-level counts (which drive the paper's hardware-cost model, where
-/// both ternary arms are instantiated) are unchanged. If-converted
-/// selects are counted as branches, exactly like the ternaries they came
-/// from; control-flow instructions (jumps) and data movement (slot reads,
-/// register traffic) count as nothing.
-pub fn count_kernel_ops(kernel: &crate::compile::CompiledKernel) -> OpCount {
-    use crate::compile::Op;
-    let mut count = OpCount::default();
-    for op in kernel.ops() {
-        match op {
-            Op::Binary(op) => match op {
-                BinOp::Add | BinOp::Sub => count.additions += 1,
-                BinOp::Mul => count.multiplications += 1,
-                BinOp::Div => count.divisions += 1,
-                BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge | BinOp::Eq | BinOp::Ne => {
-                    count.comparisons += 1
-                }
-                BinOp::And | BinOp::Or => count.logical += 1,
-            },
-            Op::Unary(_) | Op::ToBool => count.logical += 1,
-            Op::Select | Op::JumpIfFalse(_) => count.branches += 1,
-            Op::AndShortCircuit(_) | Op::OrShortCircuit(_) => count.logical += 1,
-            Op::Call1(func) | Op::Call2(func) => match func {
-                MathFn::Sqrt => count.square_roots += 1,
-                MathFn::Min => count.minimums += 1,
-                MathFn::Max => count.maximums += 1,
-                _ => count.other_math += 1,
-            },
-            Op::Const(_) | Op::Slot(_) | Op::Local(_) | Op::Store(_) | Op::Pop | Op::Jump(_) => {}
-        }
-    }
-    count
-}
-
 /// Count the operations of a single expression.
-pub fn count_expr(expr: &Expr) -> OpCount {
+fn count_expr(expr: &Expr) -> OpCount {
     let mut count = OpCount::default();
     expr.visit(&mut |node| match node {
         Expr::Binary { op, .. } => match op {
@@ -249,33 +193,13 @@ mod tests {
     }
 
     #[test]
-    fn kernel_counts_reflect_optimization() {
-        use crate::compile::CompiledKernel;
-        // The AST counts both adds; the optimized bytecode shares one.
-        let program = parse_program("(a[i-1] + a[i+1]) * (a[i-1] + a[i+1])").unwrap();
-        assert_eq!(count_ops(&program).additions, 2);
-        let optimized = CompiledKernel::compile(&program).unwrap();
-        let counts = count_kernel_ops(&optimized);
-        assert_eq!(counts.additions, 1);
-        assert_eq!(counts.multiplications, 1);
-        // An if-converted ternary still counts as one branch.
-        let program = parse_program("a[i] > 0.0 ? a[i] : -a[i]").unwrap();
-        let optimized = CompiledKernel::compile(&program).unwrap();
-        let counts = count_kernel_ops(&optimized);
-        assert_eq!(counts.branches, 1);
-        assert_eq!(counts.comparisons, 1);
-    }
-
-    #[test]
     fn opcount_addition_and_scaling() {
         let a = count_ops(&parse_program("a[i] + b[i]").unwrap());
         let b = count_ops(&parse_program("a[i] * b[i]").unwrap());
         let sum = a + b;
         assert_eq!(sum.additions, 1);
         assert_eq!(sum.multiplications, 1);
-        let scaled = sum.scaled(10);
-        assert_eq!(scaled.additions, 10);
-        assert_eq!(scaled.flops(), 20);
+        assert_eq!(sum.flops(), 2);
 
         let total: OpCount = vec![a, b, a].into_iter().sum();
         assert_eq!(total.additions, 2);

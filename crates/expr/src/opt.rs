@@ -9,20 +9,20 @@
 //! every consumer automatically evaluates (and emits code for) the
 //! optimized form.
 //!
-//! Three passes are provided, orchestrated by a [`PassManager`] with
-//! per-pass enable flags ([`OptConfig`]) and optional bytecode dumps:
+//! Three passes are provided, orchestrated by a `PassManager` with
+//! per-pass enable flags (`OptConfig`):
 //!
-//! * [`IfConversion`] — rewrites the jump diamonds produced by ternaries
+//! * `IfConversion` — rewrites the jump diamonds produced by ternaries
 //!   (and the conditional skips produced by short-circuit `&&`/`||`) into
 //!   the branch-free [`Op::Select`] opcode, evaluating both arms
 //!   unconditionally and selecting one result. A [`TypedKernel`](crate::TypedKernel)
 //!   is built only from a stream this rewrite has left jump-free, which is
 //!   what makes every typed kernel lane-batchable.
-//! * [`Cse`] — common-subexpression elimination over pure operations
+//! * `Cse` — common-subexpression elimination over pure operations
 //!   (taps, arithmetic, math functions): the bytecode is value-numbered
 //!   into a DAG and re-emitted with shared subcomputations held in local
 //!   registers.
-//! * [`Dce`] — dead-code elimination of unreferenced locals and discarded
+//! * `Dce` — dead-code elimination of unreferenced locals and discarded
 //!   statement results (the same DAG machinery without value numbering).
 //!
 //! # Legality and bit-identity
@@ -65,20 +65,16 @@ use crate::types::DataType;
 use crate::value::Value;
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
-/// Per-pass enable flags (and debug dumping) for the standard pipeline.
+/// Per-pass enable flags for the standard pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OptConfig {
+pub(crate) struct OptConfig {
     /// Lower ternary / short-circuit jump diamonds to [`Op::Select`].
     pub if_conversion: bool,
     /// Value-number pure operations and share them through registers.
     pub cse: bool,
     /// Drop unreferenced locals and discarded pure computations.
     pub dce: bool,
-    /// Capture a bytecode dump after every pass that changed the kernel
-    /// (returned in [`PassEffect::dump`]).
-    pub debug: bool,
 }
 
 impl Default for OptConfig {
@@ -87,7 +83,6 @@ impl Default for OptConfig {
             if_conversion: true,
             cse: true,
             dce: true,
-            debug: false,
         }
     }
 }
@@ -95,12 +90,11 @@ impl Default for OptConfig {
 impl OptConfig {
     /// Every pass disabled: [`CompiledKernel::compile_with`](crate::CompiledKernel::compile_with) yields the raw
     /// jump-based lowering.
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         OptConfig {
             if_conversion: false,
             cse: false,
             dce: false,
-            debug: false,
         }
     }
 }
@@ -108,49 +102,29 @@ impl OptConfig {
 /// One transformation over the compiled instruction stream. Implementations
 /// must preserve kernel semantics bit for bit (see the module docs for the
 /// legality obligations this entails).
-pub trait Pass {
+pub(crate) trait Pass {
     /// Stable pass name used in reports and dumps.
     fn name(&self) -> &'static str;
     /// Transform `ops` in place; return whether anything changed.
     fn run(&self, ops: &mut Vec<Op>) -> bool;
 }
 
-/// What one pass did to the kernel, as reported by [`PassManager::run`].
-#[derive(Debug, Clone)]
-pub struct PassEffect {
-    /// Name of the pass.
-    pub name: &'static str,
-    /// Whether the pass changed the instruction stream.
-    pub changed: bool,
-    /// Instruction count before the pass.
-    pub ops_before: usize,
-    /// Instruction count after the pass.
-    pub ops_after: usize,
-    /// Bytecode dump after the pass, when debug dumping is enabled and the
-    /// pass changed something.
-    pub dump: Option<String>,
-}
-
 /// Ordered pipeline of [`Pass`]es over a kernel's instruction stream.
-pub struct PassManager {
+pub(crate) struct PassManager {
     passes: Vec<Box<dyn Pass>>,
-    debug: bool,
 }
 
 impl PassManager {
     /// An empty pipeline; add passes with [`PassManager::with_pass`].
-    pub fn new(debug: bool) -> Self {
-        PassManager {
-            passes: Vec::new(),
-            debug,
-        }
+    pub(crate) fn new() -> Self {
+        PassManager { passes: Vec::new() }
     }
 
     /// The standard pipeline in its canonical order — if-conversion first
     /// (selects expose the arms to value numbering), then CSE, then DCE
     /// (cleaning up what CSE left dead) — honoring the per-pass flags.
-    pub fn standard(config: &OptConfig) -> Self {
-        let mut manager = PassManager::new(config.debug);
+    pub(crate) fn standard(config: &OptConfig) -> Self {
+        let mut manager = PassManager::new();
         if config.if_conversion {
             manager = manager.with_pass(Box::new(IfConversion));
         }
@@ -164,25 +138,22 @@ impl PassManager {
     }
 
     /// Append a pass to the pipeline.
-    pub fn with_pass(mut self, pass: Box<dyn Pass>) -> Self {
+    pub(crate) fn with_pass(mut self, pass: Box<dyn Pass>) -> Self {
         self.passes.push(pass);
         self
     }
 
-    /// Run every pass in order, returning one [`PassEffect`] per pass.
+    /// Run every pass in order.
     ///
     /// In debug builds every pass that changed the stream is immediately
     /// re-verified by the bytecode verifier ([`crate::verify`]): a pass
     /// that breaks stack discipline, jump targets, or init-before-use
     /// panics here, at the pass that produced the bad stream, instead of
     /// corrupting evaluation later.
-    pub fn run(&self, ops: &mut Vec<Op>) -> Vec<PassEffect> {
-        let mut effects = Vec::with_capacity(self.passes.len());
+    pub(crate) fn run(&self, ops: &mut Vec<Op>) {
         for pass in &self.passes {
-            let ops_before = ops.len();
             let changed = pass.run(ops);
-            #[cfg(debug_assertions)]
-            if changed {
+            if cfg!(debug_assertions) && changed {
                 if let Err(e) = crate::verify::verify_ops(
                     ops,
                     crate::verify::slot_count_of(ops),
@@ -192,25 +163,8 @@ impl PassManager {
                     panic!("pass `{}` produced an invalid stream: {e}", pass.name());
                 }
             }
-            effects.push(PassEffect {
-                name: pass.name(),
-                changed,
-                ops_before,
-                ops_after: ops.len(),
-                dump: (self.debug && changed).then(|| dump_ops(ops)),
-            });
         }
-        effects
     }
-}
-
-/// Render an instruction stream for debugging (one indexed line per op).
-pub fn dump_ops(ops: &[Op]) -> String {
-    let mut out = String::new();
-    for (ix, op) in ops.iter().enumerate() {
-        let _ = writeln!(out, "{ix:>4}: {op:?}");
-    }
-    out
 }
 
 /// What if-conversion may assume about a division it would speculate.
@@ -304,7 +258,7 @@ fn produces_one_pure_value(ops: &[Op], division: Division) -> bool {
 /// division in an arm keeps its jumps in the `Value` bytecode; the typed
 /// specialization of the kernel converts it all the same (see
 /// `speculate_division`).
-pub struct IfConversion;
+pub(crate) struct IfConversion;
 
 /// One applicable rewrite found by the candidate scan.
 enum Rewrite {
@@ -480,7 +434,7 @@ fn apply_rewrite(ops: &mut Vec<Op>, rewrite: Rewrite) {
 /// by its opcode and operand value numbers, constants by their exact bit
 /// pattern — and re-emitted with multiply-used interior nodes held in
 /// local registers. Streams still containing jumps are left untouched.
-pub struct Cse;
+pub(crate) struct Cse;
 
 impl Pass for Cse {
     fn name(&self) -> &'static str {
@@ -497,7 +451,7 @@ impl Pass for Cse {
 /// which are kept as explicit evaluate-and-discard statements. Same DAG
 /// machinery as [`Cse`], without the value numbering; jump-carrying
 /// streams are left untouched.
-pub struct Dce;
+pub(crate) struct Dce;
 
 impl Pass for Dce {
     fn name(&self) -> &'static str {
@@ -877,8 +831,8 @@ mod tests {
         assert_eq!(
             adds,
             1,
-            "CSE should share the repeated add:\n{}",
-            dump_ops(kernel.ops())
+            "CSE should share the repeated add:\n{:#?}",
+            kernel.ops()
         );
         check_all_paths_agree(redundant);
         // Disabling CSE keeps both adds.
@@ -964,24 +918,6 @@ mod tests {
     }
 
     #[test]
-    fn pass_manager_reports_effects_and_dumps() {
-        let program = parse_program("a[i] > 0.0 ? a[i] + dt : a[i] - dt").unwrap();
-        let config = OptConfig {
-            debug: true,
-            ..OptConfig::default()
-        };
-        let (kernel, report) = CompiledKernel::compile_traced(&program, &config).unwrap();
-        assert!(!has_jumps(&kernel));
-        assert_eq!(report.len(), 3);
-        assert_eq!(report[0].name, "if-conversion");
-        assert!(report[0].changed);
-        assert!(report[0].dump.as_deref().unwrap().contains("Select"));
-        // DCE after CSE finds nothing on an already-clean kernel.
-        assert_eq!(report[2].name, "dce");
-        assert!(!report[2].changed);
-    }
-
-    #[test]
     fn disabled_config_is_the_raw_lowering() {
         let program = parse_program("a[i] > 0.0 ? a[i] : -a[i]").unwrap();
         let raw = CompiledKernel::compile_with(&program, &OptConfig::disabled()).unwrap();
@@ -999,11 +935,8 @@ mod tests {
         ] {
             let kernel = optimized(code);
             let mut ops = kernel.ops().to_vec();
-            let report = PassManager::standard(&OptConfig::default()).run(&mut ops);
-            assert!(
-                report.iter().all(|effect| !effect.changed),
-                "second pipeline run changed `{code}`"
-            );
+            PassManager::standard(&OptConfig::default()).run(&mut ops);
+            assert_eq!(ops, kernel.ops(), "second pipeline run changed `{code}`");
         }
     }
 

@@ -47,13 +47,10 @@ pub fn parse_program(input: &str) -> Result<Program> {
     Ok(program)
 }
 
-/// Parse a single expression (no statements, no trailing tokens).
-///
-/// # Errors
-///
-/// Returns [`ExprError`] if the input is not exactly one well-formed
-/// expression.
-pub fn parse_expr(input: &str) -> Result<Expr> {
+/// Parse a single expression (no statements, no trailing tokens): how the
+/// crate's unit tests reach the expression grammar without a statement list.
+#[cfg(test)]
+pub(crate) fn parse_expr(input: &str) -> Result<Expr> {
     let tokens = tokenize(input)?;
     let mut parser = Parser::new(&tokens);
     let expr = parser.parse_expr()?;

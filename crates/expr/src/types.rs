@@ -39,12 +39,12 @@ impl DataType {
     }
 
     /// Whether this is a floating-point type.
-    pub fn is_float(self) -> bool {
+    pub(crate) fn is_float(self) -> bool {
         matches!(self, DataType::Float32 | DataType::Float64)
     }
 
     /// Whether this is an integer type.
-    pub fn is_integer(self) -> bool {
+    pub(crate) fn is_integer(self) -> bool {
         matches!(self, DataType::Int32 | DataType::Int64)
     }
 
@@ -70,17 +70,6 @@ impl DataType {
             DataType::Float64 => "float64",
             DataType::Int32 => "int32",
             DataType::Int64 => "int64",
-            DataType::Bool => "bool",
-        }
-    }
-
-    /// OpenCL scalar type name used by the code generator.
-    pub fn opencl_name(self) -> &'static str {
-        match self {
-            DataType::Float32 => "float",
-            DataType::Float64 => "double",
-            DataType::Int32 => "int",
-            DataType::Int64 => "long",
             DataType::Bool => "bool",
         }
     }
@@ -163,11 +152,5 @@ mod tests {
     fn display_matches_json_names() {
         assert_eq!(DataType::Float32.to_string(), "float32");
         assert_eq!(DataType::Float64.to_string(), "float64");
-    }
-
-    #[test]
-    fn opencl_names() {
-        assert_eq!(DataType::Float32.opencl_name(), "float");
-        assert_eq!(DataType::Float64.opencl_name(), "double");
     }
 }

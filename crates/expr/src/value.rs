@@ -58,13 +58,8 @@ impl Value {
         }
     }
 
-    /// Convert to `f32` (may lose precision).
-    pub fn as_f32(self) -> f32 {
-        self.as_f64() as f32
-    }
-
     /// Interpret this value as a boolean (non-zero is true).
-    pub fn as_bool(self) -> bool {
+    pub(crate) fn as_bool(self) -> bool {
         match self {
             Value::Bool(v) => v,
             Value::F32(v) => v != 0.0,
@@ -85,35 +80,25 @@ impl Value {
         }
     }
 
-    /// Cast this value to a (possibly different) data type.
-    pub fn cast(self, dtype: DataType) -> Value {
-        Value::from_f64(self.as_f64(), dtype)
-    }
-
-    /// Zero of the given type.
-    pub fn zero(dtype: DataType) -> Value {
-        Value::from_f64(0.0, dtype)
-    }
-
     fn promote_pair(self, other: Value) -> (f64, f64, DataType) {
         let dtype = self.data_type().promote(other.data_type());
         (self.as_f64(), other.as_f64(), dtype)
     }
 
     /// Add two values with type promotion.
-    pub fn add(self, other: Value) -> Value {
+    pub(crate) fn add(self, other: Value) -> Value {
         let (a, b, t) = self.promote_pair(other);
         Value::from_f64(a + b, t)
     }
 
     /// Subtract with type promotion.
-    pub fn sub(self, other: Value) -> Value {
+    pub(crate) fn sub(self, other: Value) -> Value {
         let (a, b, t) = self.promote_pair(other);
         Value::from_f64(a - b, t)
     }
 
     /// Multiply with type promotion.
-    pub fn mul(self, other: Value) -> Value {
+    pub(crate) fn mul(self, other: Value) -> Value {
         let (a, b, t) = self.promote_pair(other);
         Value::from_f64(a * b, t)
     }
@@ -124,7 +109,7 @@ impl Value {
     ///
     /// Integer division by zero returns [`ExprError::Arithmetic`]. Float
     /// division by zero follows IEEE-754 (yields ±inf / NaN).
-    pub fn div(self, other: Value) -> Result<Value> {
+    pub(crate) fn div(self, other: Value) -> Result<Value> {
         let (a, b, t) = self.promote_pair(other);
         if t.is_integer() && b == 0.0 {
             return Err(ExprError::Arithmetic {
@@ -138,7 +123,7 @@ impl Value {
     ///
     /// Booleans are promoted to integers first (C-style), so `-(a > b)`
     /// evaluates to `0` or `-1` rather than remaining a boolean.
-    pub fn neg(self) -> Value {
+    pub(crate) fn neg(self) -> Value {
         let dtype = if self.data_type() == DataType::Bool {
             DataType::Int64
         } else {
@@ -148,24 +133,12 @@ impl Value {
     }
 
     /// Logical negation.
-    pub fn not(self) -> Value {
+    pub(crate) fn not(self) -> Value {
         Value::Bool(!self.as_bool())
     }
 
-    /// Minimum with type promotion.
-    pub fn min(self, other: Value) -> Value {
-        let (a, b, t) = self.promote_pair(other);
-        Value::from_f64(a.min(b), t)
-    }
-
-    /// Maximum with type promotion.
-    pub fn max(self, other: Value) -> Value {
-        let (a, b, t) = self.promote_pair(other);
-        Value::from_f64(a.max(b), t)
-    }
-
     /// Comparison producing a boolean value.
-    pub fn compare(self, other: Value, op: CompareOp) -> Value {
+    pub(crate) fn compare(self, other: Value, op: CompareOp) -> Value {
         let a = self.as_f64();
         let b = other.as_f64();
         let result = match op {
@@ -195,7 +168,7 @@ impl Value {
     }
 }
 
-/// Comparison operators used by [`Value::compare`].
+/// Comparison operators used by `Value::compare`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompareOp {
     /// `<`
@@ -285,12 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn min_max() {
-        assert_eq!(Value::F32(1.0).min(Value::F32(2.0)).as_f64(), 1.0);
-        assert_eq!(Value::F32(1.0).max(Value::F32(2.0)).as_f64(), 2.0);
-    }
-
-    #[test]
     fn approx_eq_tolerates_f32_rounding() {
         let a = Value::F64(1.0 / 3.0);
         let b = Value::F32(1.0 / 3.0);
@@ -303,7 +270,6 @@ mod tests {
     fn conversions() {
         assert_eq!(Value::from(1.0f32), Value::F32(1.0));
         assert_eq!(Value::from(true), Value::Bool(true));
-        assert_eq!(Value::zero(DataType::Float32), Value::F32(0.0));
-        assert_eq!(Value::F64(3.7).cast(DataType::Int32), Value::I32(3));
+        assert_eq!(Value::from_f64(3.7, DataType::Int32), Value::I32(3));
     }
 }

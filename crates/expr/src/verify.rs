@@ -35,7 +35,7 @@
 //! trusting optimizer bookkeeping.
 //!
 //! The verifier runs automatically in debug builds: after every optimizer
-//! pass ([`crate::opt::PassManager::run`]), after lowering
+//! pass (`crate::opt::PassManager::run`), after lowering
 //! ([`crate::CompiledKernel::compile`]), and after typed specialization —
 //! so a miscompiled stream is caught at the pass that produced it, not
 //! cells later in an eval loop.
@@ -71,7 +71,7 @@ pub enum AbstractType {
 
 impl AbstractType {
     /// Abstract the concrete type of a slot or literal.
-    pub fn from_data_type(dtype: DataType) -> AbstractType {
+    pub(crate) fn from_data_type(dtype: DataType) -> AbstractType {
         match dtype {
             DataType::Int32 => AbstractType::I32,
             DataType::Int64 => AbstractType::I64,
@@ -82,7 +82,7 @@ impl AbstractType {
     }
 
     /// Least upper bound of two abstract types.
-    pub fn join(self, other: AbstractType) -> AbstractType {
+    pub(crate) fn join(self, other: AbstractType) -> AbstractType {
         if self == other {
             self
         } else {
@@ -91,12 +91,12 @@ impl AbstractType {
     }
 
     /// Whether this type is definitely a float.
-    pub fn is_float(self) -> bool {
+    pub(crate) fn is_float(self) -> bool {
         matches!(self, AbstractType::F32 | AbstractType::F64)
     }
 
     /// Whether this type may be an integer (`Any` may).
-    pub fn may_be_integer(self) -> bool {
+    pub(crate) fn may_be_integer(self) -> bool {
         matches!(
             self,
             AbstractType::I32 | AbstractType::I64 | AbstractType::Any
@@ -107,7 +107,7 @@ impl AbstractType {
     /// dominate (widest first), booleans are transparent, two booleans stay
     /// boolean, and anything involving `Any` that a float does not pin down
     /// widens to `Any`.
-    pub fn arithmetic(l: AbstractType, r: AbstractType) -> AbstractType {
+    pub(crate) fn arithmetic(l: AbstractType, r: AbstractType) -> AbstractType {
         use AbstractType::*;
         match (l, r) {
             (F64, _) | (_, F64) => F64,
@@ -123,14 +123,14 @@ impl AbstractType {
     /// Whether a division of these operands may raise the integer
     /// division-by-zero error (the language's only runtime error). A float
     /// operand makes the promoted division IEEE-total.
-    pub fn division_may_fail(l: AbstractType, r: AbstractType) -> bool {
+    pub(crate) fn division_may_fail(l: AbstractType, r: AbstractType) -> bool {
         !(l.is_float() || r.is_float()) && (l.may_be_integer() || r.may_be_integer())
     }
 
     /// Result type of a math-function call, mirroring
     /// [`crate::eval::eval_math_fn`]: the promoted argument type when it is
     /// a float, otherwise `f64` (math functions always produce floats).
-    pub fn math_result(a: AbstractType, b: Option<AbstractType>) -> AbstractType {
+    pub(crate) fn math_result(a: AbstractType, b: Option<AbstractType>) -> AbstractType {
         let promoted = match b {
             None => a,
             Some(b) => AbstractType::arithmetic(a, b),
@@ -397,7 +397,7 @@ impl AbsState {
 }
 
 /// Slot count an instruction stream requires (highest slot index + 1).
-pub fn slot_count_of(ops: &[Op]) -> usize {
+pub(crate) fn slot_count_of(ops: &[Op]) -> usize {
     ops.iter()
         .map(|op| match op {
             Op::Slot(ix) => *ix as usize + 1,
@@ -419,7 +419,7 @@ pub fn slot_count_of(ops: &[Op]) -> usize {
 ///
 /// Returns the first [`VerifyError`] proving the stream unsafe for the
 /// unchecked eval loop; see the module docs for the properties checked.
-pub fn verify_ops(
+pub(crate) fn verify_ops(
     ops: &[Op],
     slot_count: usize,
     local_count: usize,
@@ -670,14 +670,14 @@ pub fn verify_ops(
     })
 }
 
-/// Verify a compiled kernel end to end: run [`verify_ops`] over its stream
+/// Verify a compiled kernel end to end: run `verify_ops` over its stream
 /// and additionally check the declared `max_stack` / `local_count` bounds
 /// cover every reachable state (the eval loops size their scratch from
 /// those declarations).
 ///
 /// # Errors
 ///
-/// Same failure modes as [`verify_ops`], plus the declared-bound checks.
+/// Same failure modes as `verify_ops`, plus the declared-bound checks.
 pub fn verify_kernel(
     kernel: &crate::CompiledKernel,
     slot_types: Option<&[DataType]>,
@@ -717,7 +717,7 @@ pub struct TypedJudgment {
 /// # Errors
 ///
 /// Returns the first [`VerifyError`] proving the stream unsafe.
-pub fn verify_typed_ops(
+pub(crate) fn verify_typed_ops(
     ops: &[TypedOp],
     slot_count: usize,
     local_count: usize,
@@ -761,7 +761,7 @@ pub fn verify_typed_ops(
 ///
 /// # Errors
 ///
-/// Same failure modes as [`verify_typed_ops`], plus the declared-bound
+/// Same failure modes as `verify_typed_ops`, plus the declared-bound
 /// check.
 pub fn verify_typed(kernel: &crate::TypedKernel) -> Result<TypedJudgment, VerifyError> {
     let judgment = verify_typed_ops(kernel.ops(), kernel.slot_count(), kernel.local_count())?;

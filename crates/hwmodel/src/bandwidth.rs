@@ -11,8 +11,6 @@
 //!   more data each, and the achievable bandwidth flattens at ~58.3 GB/s
 //!   (76 % of peak).
 
-use crate::device::Device;
-
 /// Calibrated effective-bandwidth model for a device.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandwidthModel {
@@ -41,21 +39,8 @@ impl BandwidthModel {
         }
     }
 
-    /// A model for an arbitrary device, assuming the same relative crossbar
-    /// behaviour as the Stratix 10.
-    pub fn for_device(device: &Device) -> Self {
-        let scale = device.peak_bandwidth_bytes() / 76.8e9;
-        let base = Self::stratix10();
-        BandwidthModel {
-            peak_bytes_per_s: device.peak_bandwidth_bytes(),
-            scalar_saturation_bytes_per_s: base.scalar_saturation_bytes_per_s * scale,
-            vector_saturation_bytes_per_s: base.vector_saturation_bytes_per_s * scale,
-            ..base
-        }
-    }
-
     /// The saturation bandwidth for a given access-point vector width.
-    pub fn saturation_bytes_per_s(&self, vector_width: usize) -> f64 {
+    fn saturation_bytes_per_s(&self, vector_width: usize) -> f64 {
         if vector_width >= 4 {
             self.vector_saturation_bytes_per_s
         } else if vector_width <= 1 {
@@ -129,14 +114,6 @@ mod tests {
         let model = BandwidthModel::stratix10();
         assert!((model.efficiency(2, 1, F) - 1.0).abs() < 1e-9);
         assert_eq!(model.efficiency(0, 1, F), 1.0);
-    }
-
-    #[test]
-    fn device_scaled_model() {
-        let v100 = Device::tesla_v100();
-        let model = BandwidthModel::for_device(&v100);
-        assert!(model.peak_bytes_per_s > 800e9);
-        assert!(model.vector_saturation_bytes_per_s > model.scalar_saturation_bytes_per_s);
     }
 
     #[test]

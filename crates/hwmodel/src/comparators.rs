@@ -32,7 +32,7 @@ pub struct ComparatorResult {
 
 /// The fraction of its own roofline a platform achieves on the multi-kernel
 /// horizontal-diffusion program (calibrated on Tab. II).
-pub fn stencil_efficiency(device: &Device) -> f64 {
+fn stencil_efficiency(device: &Device) -> f64 {
     match device.kind {
         DeviceKind::Cpu => 0.13,
         DeviceKind::Gpu => {

@@ -131,34 +131,9 @@ impl Device {
         }
     }
 
-    /// The Arria 10 GX 1150 used by some of the related-work comparisons in
-    /// Tab. I.
-    pub fn arria10_gx1150() -> Self {
-        Device {
-            name: "Arria 10 GX 1150".to_string(),
-            kind: DeviceKind::Fpga,
-            resources: ResourcePool {
-                alm: 427_200,
-                ff: 1_708_800,
-                m20k: 2_713,
-                dsp: 1_518,
-            },
-            peak_bandwidth_gbs: 34.1,
-            peak_compute_gops: 630.0,
-            frequency_hz: 300e6,
-            die_area_mm2: 560.0,
-            network_ports: 0,
-        }
-    }
-
     /// Peak off-chip bandwidth in bytes per second.
     pub fn peak_bandwidth_bytes(&self) -> f64 {
         self.peak_bandwidth_gbs * 1e9
-    }
-
-    /// Aggregate network bandwidth in Gbit/s (FPGA only).
-    pub fn network_gbits(&self) -> f64 {
-        self.network_ports as f64 * 40.0
     }
 }
 
@@ -191,8 +166,7 @@ mod tests {
     fn network_capacity() {
         let s10 = Device::stratix10_gx2800();
         assert_eq!(s10.network_ports, 4);
-        assert_eq!(s10.network_gbits(), 160.0);
-        assert_eq!(Device::tesla_v100().network_gbits(), 0.0);
+        assert_eq!(Device::tesla_v100().network_ports, 0);
     }
 
     #[test]

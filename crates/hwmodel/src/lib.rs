@@ -34,7 +34,7 @@ pub use comparators::{comparator_estimate, ComparatorResult};
 pub use device::{Device, DeviceKind, ResourcePool};
 pub use frequency::FrequencyModel;
 pub use resources::{estimate_resources, ResourceEstimate};
-pub use roofline::{Roofline, RooflinePoint};
+pub use roofline::Roofline;
 pub use silicon::silicon_efficiency;
 
 #[cfg(test)]

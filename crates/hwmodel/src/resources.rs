@@ -52,7 +52,7 @@ impl ResourceEstimate {
     }
 
     /// The binding (largest) utilization fraction.
-    pub fn max_utilization(&self, device: &Device) -> f64 {
+    pub(crate) fn max_utilization(&self, device: &Device) -> f64 {
         let (alm, ff, m20k, dsp) = self.utilization(device);
         alm.max(ff).max(m20k).max(dsp)
     }

@@ -9,17 +9,6 @@ pub struct Roofline {
     pub compute_gops: f64,
 }
 
-/// One evaluated point under a roofline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RooflinePoint {
-    /// Arithmetic intensity in operations per byte.
-    pub intensity: f64,
-    /// Attainable performance in GOp/s.
-    pub attainable_gops: f64,
-    /// Whether the bound is set by memory bandwidth (as opposed to compute).
-    pub memory_bound: bool,
-}
-
 impl Roofline {
     /// Create a roofline from a bandwidth (bytes/s) and a compute roof
     /// (GOp/s).
@@ -35,25 +24,6 @@ impl Roofline {
     pub fn attainable_gops(&self, intensity: f64) -> f64 {
         let memory_roof = intensity * self.bandwidth_bytes_per_s / 1e9;
         memory_roof.min(self.compute_gops)
-    }
-
-    /// Evaluate a point, recording which roof binds.
-    pub fn evaluate(&self, intensity: f64) -> RooflinePoint {
-        let memory_roof = intensity * self.bandwidth_bytes_per_s / 1e9;
-        RooflinePoint {
-            intensity,
-            attainable_gops: memory_roof.min(self.compute_gops),
-            memory_bound: memory_roof < self.compute_gops,
-        }
-    }
-
-    /// The arithmetic intensity at which the model transitions from memory-
-    /// to compute-bound (the "ridge point").
-    pub fn ridge_intensity(&self) -> f64 {
-        if self.bandwidth_bytes_per_s == 0.0 {
-            return f64::INFINITY;
-        }
-        self.compute_gops * 1e9 / self.bandwidth_bytes_per_s
     }
 
     /// The bandwidth (bytes/s) needed to sustain `gops` at the given
@@ -74,9 +44,7 @@ mod tests {
     fn eq3_bandwidth_bound() {
         // 65/18 Op/B × 58.3 GB/s = 210.5 GOp/s.
         let r = Roofline::new(58.3e9, 1_313.0);
-        let p = r.evaluate(HD_INTENSITY);
-        assert!((p.attainable_gops - 210.5).abs() < 1.0);
-        assert!(p.memory_bound);
+        assert!((r.attainable_gops(HD_INTENSITY) - 210.5).abs() < 1.0);
         // At the data-sheet bandwidth of 76.8 GB/s the bound is 277.3 GOp/s.
         let r = Roofline::new(76.8e9, 1_313.0);
         assert!((r.attainable_gops(HD_INTENSITY) - 277.3).abs() < 1.0);
@@ -92,10 +60,9 @@ mod tests {
     #[test]
     fn ridge_point_and_compute_bound_region() {
         let r = Roofline::new(76.8e9, 1_313.0);
-        let ridge = r.ridge_intensity();
-        assert!((ridge - 1_313.0 / 76.8).abs() < 0.1);
-        let p = r.evaluate(ridge * 2.0);
-        assert!(!p.memory_bound);
-        assert_eq!(p.attainable_gops, 1_313.0);
+        // The ridge point: where the memory roof meets the compute roof.
+        let ridge = 1_313.0 / 76.8;
+        assert!(r.attainable_gops(ridge * 0.5) < 1_313.0);
+        assert_eq!(r.attainable_gops(ridge * 2.0), 1_313.0);
     }
 }

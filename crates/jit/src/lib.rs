@@ -51,7 +51,7 @@ use std::time::SystemTime;
 /// * no `-march=native`, no `-ffast-math`: value-changing optimization is
 ///   out of the question, and host-specific code would poison a cache
 ///   shared between machines.
-pub const BASE_CFLAGS: &[&str] = &[
+pub(crate) const BASE_CFLAGS: &[&str] = &[
     "-std=c11",
     "-O3",
     "-fPIC",
@@ -61,7 +61,7 @@ pub const BASE_CFLAGS: &[&str] = &[
 ];
 
 /// Default cap on the on-disk cache (sources, objects, sidecars, logs).
-pub const DEFAULT_MAX_CACHE_BYTES: u64 = 256 * 1024 * 1024;
+pub(crate) const DEFAULT_MAX_CACHE_BYTES: u64 = 256 * 1024 * 1024;
 
 /// In-process loaded-module cache capacity; mirrors the executor's
 /// compiled-program cache discipline (clear on overflow, no LRU churn).
@@ -93,7 +93,7 @@ pub struct JitConfig {
     pub max_cache_bytes: u64,
     /// The C compiler to drive (a name resolved via `PATH` or a path).
     pub cc: String,
-    /// Extra flags appended after [`BASE_CFLAGS`]; they participate in the
+    /// Extra flags appended after `BASE_CFLAGS`; they participate in the
     /// cache salt, so changing them invalidates prior entries.
     pub extra_flags: Vec<String>,
 }
@@ -197,7 +197,7 @@ impl JitEngine {
 
     /// The cache entry hash of `source` under this engine's salt; stable
     /// across processes, names the module-table entry and the disk entry.
-    pub fn entry_hash(&self, source: &str) -> String {
+    pub(crate) fn entry_hash(&self, source: &str) -> String {
         // Two independently seeded FNV-1a-64 passes give a 128-bit name; a
         // disk hit is still compared against the stored source.
         let lane = |basis| {

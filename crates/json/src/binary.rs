@@ -35,11 +35,11 @@
 use crate::{parse, Json, JsonError};
 
 /// Magic prefix of a single binary grid frame.
-pub const GRID_MAGIC: &[u8; 4] = b"SFGB";
+pub(crate) const GRID_MAGIC: &[u8; 4] = b"SFGB";
 /// Magic prefix of a binary grid-set container.
-pub const GRID_SET_MAGIC: &[u8; 4] = b"SFGS";
+pub(crate) const GRID_SET_MAGIC: &[u8; 4] = b"SFGS";
 /// Framing version emitted by this module.
-pub const FRAME_VERSION: u8 = 1;
+pub(crate) const FRAME_VERSION: u8 = 1;
 
 /// How a byte payload is encoded, as sniffed by [`detect`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -405,7 +405,7 @@ impl GridFrame {
 /// Cells a single frame may declare (1 GiB of f64 payload); extents that
 /// multiply past this are rejected before any allocation happens, so a
 /// corrupt length field cannot OOM the decoder.
-pub const MAX_FRAME_CELLS: usize = 1 << 27;
+pub(crate) const MAX_FRAME_CELLS: usize = 1 << 27;
 
 /// Serialize a named grid set to the `SFGS` container layout. Entries keep
 /// their given order.

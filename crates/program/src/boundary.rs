@@ -24,11 +24,11 @@ pub enum BoundaryCondition {
 impl BoundaryCondition {
     /// Wire representation in the JSON program description:
     /// `{"type": "constant", "value": 1}` or `{"type": "copy"}`.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(self) -> Json {
         match self {
             BoundaryCondition::Constant(v) => Json::Object(vec![
                 ("type".to_string(), Json::String("constant".to_string())),
-                ("value".to_string(), Json::Number(*v)),
+                ("value".to_string(), Json::Number(v)),
             ]),
             BoundaryCondition::Copy => {
                 Json::Object(vec![("type".to_string(), Json::String("copy".to_string()))])
@@ -38,7 +38,7 @@ impl BoundaryCondition {
 
     /// Parse the wire representation. Returns a human-readable message on
     /// schema violations.
-    pub fn from_json(value: &Json) -> Result<Self, String> {
+    pub(crate) fn from_json(value: &Json) -> Result<Self, String> {
         let kind = value
             .get("type")
             .and_then(Json::as_str)
@@ -86,22 +86,16 @@ pub struct BoundarySpec {
 
 impl BoundarySpec {
     /// A specification with no per-field entries and no shrink.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// A specification marking the output as shrunk.
-    pub fn shrink() -> Self {
+    pub(crate) fn shrink() -> Self {
         BoundarySpec {
             per_field: BTreeMap::new(),
             shrink: true,
         }
-    }
-
-    /// Set the condition for one input field (builder style).
-    pub fn with_field(mut self, field: &str, condition: BoundaryCondition) -> Self {
-        self.per_field.insert(field.to_string(), condition);
-        self
     }
 
     /// The condition applied to `field` (falling back to the default).
@@ -123,6 +117,13 @@ impl BoundarySpec {
 mod tests {
     use super::*;
 
+    fn spec(field: &str, condition: BoundaryCondition) -> BoundarySpec {
+        BoundarySpec {
+            per_field: BTreeMap::from([(field.to_string(), condition)]),
+            shrink: false,
+        }
+    }
+
     #[test]
     fn default_is_zero_constant() {
         assert_eq!(
@@ -139,9 +140,9 @@ mod tests {
 
     #[test]
     fn builder_and_lookup() {
-        let spec = BoundarySpec::new()
-            .with_field("a0", BoundaryCondition::Constant(1.0))
-            .with_field("a1", BoundaryCondition::Copy);
+        let mut spec = spec("a0", BoundaryCondition::Constant(1.0));
+        spec.per_field
+            .insert("a1".to_string(), BoundaryCondition::Copy);
         assert_eq!(spec.condition_for("a0"), BoundaryCondition::Constant(1.0));
         assert_eq!(spec.condition_for("a1"), BoundaryCondition::Copy);
     }
@@ -155,9 +156,9 @@ mod tests {
 
     #[test]
     fn behaviour_equality() {
-        let a = BoundarySpec::new().with_field("x", BoundaryCondition::Copy);
-        let b = BoundarySpec::new().with_field("x", BoundaryCondition::Copy);
-        let c = BoundarySpec::new().with_field("x", BoundaryCondition::Constant(2.0));
+        let a = spec("x", BoundaryCondition::Copy);
+        let b = spec("x", BoundaryCondition::Copy);
+        let c = spec("x", BoundaryCondition::Constant(2.0));
         assert!(a.behaviour_eq(&b));
         assert!(!a.behaviour_eq(&c));
         assert!(!a.behaviour_eq(&BoundarySpec::shrink()));

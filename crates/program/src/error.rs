@@ -34,6 +34,14 @@ pub enum ProgramError {
         /// The missing output name.
         name: String,
     },
+    /// A field is named like the DAG's memory node of a program output
+    /// (`b__out` next to an output `b`), so the two would share one node.
+    OutputMemoryName {
+        /// The program output whose memory node is shadowed.
+        output: String,
+        /// The input or stencil that carries the memory node's name.
+        field: String,
+    },
     /// The dependency graph contains a cycle.
     Cycle {
         /// A node involved in the cycle.
@@ -98,6 +106,10 @@ impl fmt::Display for ProgramError {
             ProgramError::UnknownOutput { name } => {
                 write!(f, "output `{name}` does not correspond to any stencil")
             }
+            ProgramError::OutputMemoryName { output, field } => write!(
+                f,
+                "field `{field}` has the name of the output memory of `{output}`; rename it"
+            ),
             ProgramError::Cycle { node } => {
                 write!(f, "dependency graph contains a cycle through `{node}`")
             }

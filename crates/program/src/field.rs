@@ -32,7 +32,7 @@ impl From<DataType> for DataTypeRepr {
 
 impl FieldDecl {
     /// Create a new field declaration.
-    pub fn new(dtype: DataType, dims: &[&str]) -> Self {
+    pub(crate) fn new(dtype: DataType, dims: &[&str]) -> Self {
         FieldDecl {
             dtype: DataTypeRepr(dtype),
             dims: dims.iter().map(|d| d.to_string()).collect(),
@@ -121,11 +121,6 @@ impl IterationSpace {
         })
     }
 
-    /// Default 3D iteration space with dimensions `i, j, k` (k fastest).
-    pub fn default_3d(shape: &[usize; 3]) -> Self {
-        IterationSpace::new(&["i", "j", "k"], shape).expect("static shape is valid")
-    }
-
     /// Number of dimensions.
     pub fn rank(&self) -> usize {
         self.dims.len()
@@ -148,25 +143,10 @@ impl IterationSpace {
 
     /// Row-major strides (elements) of each dimension, fastest dimension
     /// having stride 1.
-    pub fn strides(&self) -> Vec<usize> {
+    pub(crate) fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1usize; self.shape.len()];
         for d in (0..self.shape.len().saturating_sub(1)).rev() {
             strides[d] = strides[d + 1] * self.shape[d + 1];
-        }
-        strides
-    }
-
-    /// Strides restricted to a subset of dimensions (for lower-dimensional
-    /// fields): the stride of each listed dimension within a dense array
-    /// spanning only those dimensions.
-    pub fn strides_for_dims(&self, dims: &[String]) -> Vec<usize> {
-        let extents: Vec<usize> = dims
-            .iter()
-            .map(|d| self.dim_index(d).map(|ix| self.shape[ix]).unwrap_or(1))
-            .collect();
-        let mut strides = vec![1usize; extents.len()];
-        for d in (0..extents.len().saturating_sub(1)).rev() {
-            strides[d] = strides[d + 1] * extents[d + 1];
         }
         strides
     }
@@ -217,7 +197,7 @@ impl IterationSpace {
     }
 
     /// Bytes occupied by one full-domain field of the given data type.
-    pub fn field_bytes(&self, dtype: DataType) -> usize {
+    pub(crate) fn field_bytes(&self, dtype: DataType) -> usize {
         self.num_cells() * dtype.size_bytes()
     }
 }
@@ -323,17 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn strides_for_subset_dims() {
-        let space = IterationSpace::new(&["i", "j", "k"], &[10, 20, 30]).unwrap();
-        // A 2D field over (i, k) is dense over those dims only.
-        assert_eq!(
-            space.strides_for_dims(&["i".into(), "k".into()]),
-            vec![30, 1]
-        );
-        assert_eq!(space.strides_for_dims(&["j".into()]), vec![1]);
-    }
-
-    #[test]
     fn field_decl_basics() {
         let f = FieldDecl::new(DataType::Float32, &["i", "j", "k"]);
         assert_eq!(f.rank(), 3);
@@ -345,13 +314,13 @@ mod tests {
 
     #[test]
     fn field_bytes() {
-        let space = IterationSpace::default_3d(&[128, 128, 80]);
+        let space = IterationSpace::new(&["i", "j", "k"], &[128, 128, 80]).unwrap();
         assert_eq!(space.field_bytes(DataType::Float32), 128 * 128 * 80 * 4);
     }
 
     #[test]
     fn display_shows_dims() {
-        let space = IterationSpace::default_3d(&[2, 3, 4]);
+        let space = IterationSpace::new(&["i", "j", "k"], &[2, 3, 4]).unwrap();
         assert_eq!(space.to_string(), "[i=2, j=3, k=4]");
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::error::{ProgramError, Result};
 use crate::program::StencilProgram;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// The role of a DAG node.
@@ -73,7 +73,7 @@ impl StencilDag {
     ///
     /// Returns [`ProgramError::UnknownField`] if a stencil reads a symbol
     /// that is neither an input nor a stencil.
-    pub fn from_program(program: &StencilProgram) -> Result<Self> {
+    pub(crate) fn from_program(program: &StencilProgram) -> Result<Self> {
         let mut dag = StencilDag::default();
         for (name, _) in program.inputs() {
             dag.add_node(name, NodeKind::Input);
@@ -136,16 +136,6 @@ impl StencilDag {
             .push(index);
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Iterate over all nodes.
     pub fn nodes(&self) -> impl Iterator<Item = DagNode> + '_ {
         self.nodes.iter().map(|(name, kind)| DagNode {
@@ -159,11 +149,6 @@ impl StencilDag {
         self.nodes.get(name).copied()
     }
 
-    /// Iterate over all edges.
-    pub fn edges(&self) -> impl Iterator<Item = &DagEdge> {
-        self.edges.iter()
-    }
-
     /// Whether an edge from `from` to `to` exists.
     pub fn has_edge(&self, from: &str, to: &str) -> bool {
         self.successors
@@ -173,7 +158,7 @@ impl StencilDag {
     }
 
     /// Edges leaving `node`.
-    pub fn out_edges(&self, node: &str) -> Vec<&DagEdge> {
+    fn out_edges(&self, node: &str) -> Vec<&DagEdge> {
         self.successors
             .get(node)
             .map(|edges| edges.iter().map(|&e| &self.edges[e]).collect())
@@ -189,13 +174,8 @@ impl StencilDag {
     }
 
     /// Names of the direct successors of `node`.
-    pub fn successors(&self, node: &str) -> Vec<String> {
+    fn successors(&self, node: &str) -> Vec<String> {
         self.out_edges(node).iter().map(|e| e.to.clone()).collect()
-    }
-
-    /// Names of the direct predecessors of `node`.
-    pub fn predecessors(&self, node: &str) -> Vec<String> {
-        self.in_edges(node).iter().map(|e| e.from.clone()).collect()
     }
 
     /// In-degree of a node.
@@ -206,29 +186,6 @@ impl StencilDag {
     /// Out-degree of a node.
     pub fn out_degree(&self, node: &str) -> usize {
         self.successors.get(node).map(Vec::len).unwrap_or(0)
-    }
-
-    /// Total degree (in + out) of a node.
-    pub fn degree(&self, node: &str) -> usize {
-        self.in_degree(node) + self.out_degree(node)
-    }
-
-    /// Source nodes (no predecessors).
-    pub fn sources(&self) -> Vec<String> {
-        self.nodes
-            .keys()
-            .filter(|n| self.in_degree(n) == 0)
-            .cloned()
-            .collect()
-    }
-
-    /// Sink nodes (no successors).
-    pub fn sinks(&self) -> Vec<String> {
-        self.nodes
-            .keys()
-            .filter(|n| self.out_degree(n) == 0)
-            .cloned()
-            .collect()
     }
 
     /// Kahn's algorithm: the nodes in the order their last predecessor was
@@ -273,29 +230,6 @@ impl StencilDag {
             });
         }
         Ok(order.into_iter().map(str::to_string).collect())
-    }
-
-    /// All nodes reachable from `start` (excluding `start` itself unless it
-    /// lies on a cycle).
-    pub fn reachable_from(&self, start: &str) -> BTreeSet<String> {
-        let mut visited = BTreeSet::new();
-        let mut stack: Vec<String> = self.successors(start);
-        while let Some(node) = stack.pop() {
-            if visited.insert(node.clone()) {
-                stack.extend(self.successors(&node));
-            }
-        }
-        visited
-    }
-
-    /// Whether there is more than one distinct directed path from `from` to
-    /// `to`.
-    ///
-    /// Reconvergent paths are exactly the situation in which insufficient
-    /// channel capacities can deadlock the design (Fig. 4): data flowing
-    /// along the short path must be buffered until the long path catches up.
-    pub fn has_reconvergent_paths(&self, from: &str, to: &str) -> bool {
-        self.count_paths(from, to, &mut BTreeMap::new()) > 1
     }
 
     /// Whether any pair of nodes in the graph has reconvergent paths, i.e.
@@ -368,10 +302,10 @@ impl StencilDag {
 /// accesses to that field — the halo the consumer needs around any region
 /// of the producer. This is the geometric core of the paper's buffering
 /// analysis (§IV) expressed in iteration-space coordinates, and it drives
-/// the reference executor's tile-fused tier: a tile of a consumer's output
-/// requires each producer over the tile *dilated* by this footprint, and
-/// chaining the dilation along the DAG yields the per-stage halo growth of
-/// a fused tile sweep.
+/// the reference executor's fused tier: a plane of a consumer's output
+/// requires each producer over the plane *dilated* by this footprint, and
+/// chaining the footprints along the DAG yields each stage's lag behind the
+/// wavefront and the depth of each field's ring buffer.
 ///
 /// Dimensions a field access does not index contribute `(0, 0)` (reading a
 /// lower-dimensional field broadcasts along the missing dimensions).
@@ -410,11 +344,6 @@ impl AccessFootprints {
         AccessFootprints { extents, rank }
     }
 
-    /// Iteration-space rank the footprints are expressed in.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
     /// The `(min, max)` offset extent per space dimension of `consumer`'s
     /// accesses to `field`, or `None` if the consumer does not read it.
     pub fn extent(&self, consumer: &str, field: &str) -> Option<&[(i64, i64)]> {
@@ -428,16 +357,6 @@ impl AccessFootprints {
         self.extents
             .iter()
             .map(|((consumer, field), ext)| (consumer.as_str(), field.as_str(), ext.as_slice()))
-    }
-
-    /// All consumers of `field` with their extents.
-    pub fn consumers_of<'a>(
-        &'a self,
-        field: &'a str,
-    ) -> impl Iterator<Item = (&'a str, &'a [(i64, i64)])> + 'a {
-        self.extents.iter().filter_map(move |((consumer, f), ext)| {
-            (f == field).then_some((consumer.as_str(), ext.as_slice()))
-        })
     }
 }
 
@@ -462,13 +381,10 @@ mod tests {
     #[test]
     fn degrees_and_queries() {
         let dag = fork_join();
-        assert_eq!(dag.node_count(), 4);
-        assert_eq!(dag.edge_count(), 4);
+        assert_eq!(dag.nodes().count(), 4);
+        assert_eq!(dag.edges.len(), 4);
         assert_eq!(dag.in_degree("C"), 2);
         assert_eq!(dag.out_degree("A"), 2);
-        assert_eq!(dag.degree("A"), 3);
-        assert_eq!(dag.sources(), vec!["in".to_string()]);
-        assert_eq!(dag.sinks(), vec!["C".to_string()]);
         assert!(dag.has_edge("A", "B"));
         assert!(!dag.has_edge("B", "A"));
     }
@@ -521,8 +437,6 @@ mod tests {
     fn reconvergent_paths_detected() {
         let dag = fork_join();
         // A -> C directly and A -> B -> C: two paths.
-        assert!(dag.has_reconvergent_paths("A", "C"));
-        assert!(!dag.has_reconvergent_paths("B", "C"));
         assert!(dag.requires_delay_buffers());
     }
 
@@ -542,10 +456,6 @@ mod tests {
         assert_eq!(dag.depth_of("A"), 1);
         assert_eq!(dag.depth_of("C"), 3);
         assert_eq!(dag.max_depth(), 3);
-        let reach = dag.reachable_from("A");
-        assert!(reach.contains("B"));
-        assert!(reach.contains("C"));
-        assert!(!reach.contains("in"));
     }
 
     /// The recursive definition the one-pass `depths` replaced.
@@ -618,7 +528,6 @@ mod tests {
             .build()
             .unwrap();
         let footprints = AccessFootprints::of_program(&program);
-        assert_eq!(footprints.rank(), 3);
         // `s` reads `u` at i in [-2, 1], j exactly 0, k in [-3, 0].
         assert_eq!(
             footprints.extent("s", "u").unwrap(),
@@ -638,9 +547,6 @@ mod tests {
             &[(0, 0), (-1, 2), (0, 0)]
         );
         assert!(footprints.extent("t", "u").is_none());
-        // Consumers-of view inverts the edge map.
-        let consumers: Vec<&str> = footprints.consumers_of("s").map(|(c, _)| c).collect();
-        assert_eq!(consumers, vec!["t"]);
         assert_eq!(footprints.edges().count(), 3);
     }
 }

@@ -6,7 +6,7 @@ use crate::field::{FieldDecl, IterationSpace};
 use crate::graph::StencilDag;
 use crate::stencil::StencilNode;
 use std::collections::BTreeMap;
-use stencilflow_expr::{DataType, LatencyTable, OpCount};
+use stencilflow_expr::{DataType, OpCount};
 
 /// A complete stencil program: iteration space, input fields, stencil nodes,
 /// and designated outputs (§II of the paper).
@@ -129,20 +129,9 @@ impl StencilProgram {
         self.ops_per_cell().flops() * self.space.num_cells() as u64
     }
 
-    /// Sum of compute critical-path latencies along the deepest chain of
-    /// stencils (a loose upper bound used in reporting; the precise
-    /// initialization latency is computed by `stencilflow-core`).
-    pub fn max_compute_latency(&self, table: &LatencyTable) -> u64 {
-        self.stencils
-            .values()
-            .map(|s| s.compute_latency(table))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Bytes read from off-chip memory if every input is read exactly once
     /// (the "perfect reuse" assumption of the paper).
-    pub fn input_bytes(&self) -> usize {
+    pub(crate) fn input_bytes(&self) -> usize {
         self.inputs
             .values()
             .map(|decl| {
@@ -162,7 +151,7 @@ impl StencilProgram {
     }
 
     /// Bytes written to off-chip memory for all program outputs.
-    pub fn output_bytes(&self) -> usize {
+    pub(crate) fn output_bytes(&self) -> usize {
         self.outputs
             .iter()
             .map(|name| {
@@ -183,12 +172,6 @@ impl StencilProgram {
         self.total_flops() as f64 / self.total_memory_bytes() as f64
     }
 
-    /// Mutable access to a stencil node, used by program-level transforms
-    /// (fusion) in downstream crates.
-    pub fn stencil_mut(&mut self, name: &str) -> Option<&mut StencilNode> {
-        self.stencils.get_mut(name)
-    }
-
     /// Remove a stencil node (used by fusion). The caller is responsible for
     /// re-validating afterwards.
     pub fn remove_stencil(&mut self, name: &str) -> Option<StencilNode> {
@@ -198,29 +181,6 @@ impl StencilProgram {
     /// Insert or replace a stencil node (used by fusion and generators).
     pub fn insert_stencil(&mut self, node: StencilNode) {
         self.stencils.insert(node.name.clone(), node);
-    }
-
-    /// Replace the output list (used by program transforms).
-    pub fn set_outputs(&mut self, outputs: Vec<String>) {
-        self.outputs = outputs;
-    }
-
-    /// Set the vectorization width.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProgramError::InvalidVectorization`] if the width does not
-    /// divide the innermost dimension extent.
-    pub fn set_vectorization(&mut self, width: usize) -> Result<()> {
-        let inner = self.space.inner_extent();
-        if width == 0 || !inner.is_multiple_of(width) {
-            return Err(ProgramError::InvalidVectorization {
-                width,
-                inner_extent: inner,
-            });
-        }
-        self.vectorization = width;
-        Ok(())
     }
 
     /// Validate the program: name uniqueness, resolvable accesses, access
@@ -243,6 +203,16 @@ impl StencilProgram {
             if !self.stencils.contains_key(output) {
                 return Err(ProgramError::UnknownOutput {
                     name: output.clone(),
+                });
+            }
+        }
+        // No field may take the name of an output's memory node in the DAG.
+        for output in &self.outputs {
+            let memory = StencilDag::output_node_name(output);
+            if self.is_input(&memory) || self.is_stencil(&memory) {
+                return Err(ProgramError::OutputMemoryName {
+                    output: output.clone(),
+                    field: memory,
                 });
             }
         }
@@ -511,6 +481,25 @@ mod tests {
             .output("c")
             .build();
         assert!(matches!(result, Err(ProgramError::UnknownOutput { .. })));
+    }
+
+    #[test]
+    fn rejects_a_field_named_like_an_output_memory() {
+        // The DAG would hold one node for both the stencil `b__out` and the
+        // output memory of `b`, with the edge `b -> b__out` twice.
+        let builder = StencilProgramBuilder::new("p", &[8, 8])
+            .input("a", DataType::Float32, &["i", "j"])
+            .stencil("b", "a[i,j] + 1.0")
+            .stencil("b__out", "b[i,j] * 2.0");
+        match builder.clone().output("b").output("b__out").build() {
+            Err(ProgramError::OutputMemoryName { output, field }) => {
+                assert_eq!((output.as_str(), field.as_str()), ("b", "b__out"));
+            }
+            other => panic!("expected OutputMemoryName, got {other:?}"),
+        }
+        // The name alone is fine as long as `b` is not an output.
+        let program = builder.output("b__out").build().unwrap();
+        assert_eq!(program.dag().unwrap().nodes().count(), 4);
     }
 
     #[test]

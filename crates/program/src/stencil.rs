@@ -71,18 +71,6 @@ impl StencilNode {
     pub fn compute_latency(&self, table: &LatencyTable) -> u64 {
         critical_path_latency(&self.program, table)
     }
-
-    /// Maximum absolute offset used by any access of this stencil, per
-    /// accessed dimension name. Used by validation and by the shrink
-    /// boundary handling.
-    pub fn max_abs_offset(&self) -> i64 {
-        self.accesses
-            .iter()
-            .flat_map(|(_, info)| info.offsets.iter())
-            .flat_map(|offsets| offsets.iter().map(|o| o.abs()))
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -96,7 +84,6 @@ mod tests {
         assert_eq!(node.read_fields(), vec!["b1"]);
         assert!(node.reads("b1"));
         assert!(!node.reads("b2"));
-        assert_eq!(node.max_abs_offset(), 1);
         assert_eq!(node.op_count().additions, 1);
     }
 
@@ -116,7 +103,9 @@ mod tests {
             node.boundary.condition_for("a0"),
             BoundaryCondition::Constant(0.0)
         );
-        node.boundary = BoundarySpec::new().with_field("a0", BoundaryCondition::Copy);
+        node.boundary
+            .per_field
+            .insert("a0".to_string(), BoundaryCondition::Copy);
         assert_eq!(node.boundary.condition_for("a0"), BoundaryCondition::Copy);
     }
 

@@ -97,6 +97,7 @@ fn never_panics(text: &str) -> std::result::Result<(), TestCaseError> {
             | ProgramError::UnknownField { .. }
             | ProgramError::DuplicateName { .. }
             | ProgramError::UnknownOutput { .. }
+            | ProgramError::OutputMemoryName { .. }
             | ProgramError::Cycle { .. }
             | ProgramError::InvalidShape { .. }
             | ProgramError::InvalidAccess { .. }

@@ -50,7 +50,7 @@ impl TestRng {
     }
 
     /// Uniform `f64` in `[0, 1)`.
-    pub fn unit_f64(&mut self) -> f64 {
+    fn unit_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
@@ -255,17 +255,6 @@ pub fn any<T: Arbitrary>() -> AnyStrategy<T> {
     AnyStrategy(std::marker::PhantomData)
 }
 
-/// A strategy that always produces a clone of the same value.
-#[derive(Debug, Clone)]
-pub struct Just<T: Clone>(pub T);
-
-impl<T: Clone> Strategy for Just<T> {
-    type Value = T;
-    fn generate(&self, _rng: &mut TestRng) -> T {
-        self.0.clone()
-    }
-}
-
 macro_rules! range_strategy {
     ($($t:ty),*) => {$(
         impl Strategy for Range<$t> {
@@ -311,7 +300,7 @@ tuple_strategy! {
 
 /// Collection strategies (`proptest::collection`).
 pub mod collection {
-    use super::{BoxedStrategy, Strategy, TestRng};
+    use super::{Strategy, TestRng};
     use std::ops::Range;
 
     /// Strategy for vectors with random length in `len` and elements drawn
@@ -333,22 +322,14 @@ pub mod collection {
     pub fn vec<S: Strategy>(element: S, len: Range<usize>) -> VecStrategy<S> {
         VecStrategy { element, len }
     }
-
-    /// Boxed variant used when storing heterogeneous strategies.
-    pub fn vec_boxed<T: 'static>(
-        element: BoxedStrategy<T>,
-        len: Range<usize>,
-    ) -> VecStrategy<BoxedStrategy<T>> {
-        VecStrategy { element, len }
-    }
 }
 
 /// The proptest prelude: everything the test files need.
 pub mod prelude {
     pub use crate::collection;
     pub use crate::{
-        any, prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest, Arbitrary,
-        BoxedStrategy, Just, ProptestConfig, Strategy, TestCaseError, TestRng, Union,
+        any, prop_assert, prop_assert_eq, prop_oneof, proptest, BoxedStrategy, ProptestConfig,
+        Strategy, TestCaseError, TestRng,
     };
 }
 
@@ -388,21 +369,6 @@ macro_rules! prop_assert_eq {
         if left != right {
             return Err($crate::TestCaseError::fail(format!(
                 "assertion failed: `{:?}` != `{:?}`",
-                left, right
-            )));
-        }
-    }};
-}
-
-/// Assert inequality inside a property.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr $(,)?) => {{
-        let left = $left;
-        let right = $right;
-        if left == right {
-            return Err($crate::TestCaseError::fail(format!(
-                "assertion failed: `{:?}` == `{:?}`",
                 left, right
             )));
         }
@@ -528,7 +494,6 @@ mod tests {
             prop_assert!(v >= 0);
             prop_assert!((0..100).contains(&v), "out of range: {v}");
             prop_assert_eq!(v, v);
-            prop_assert_ne!(v, v + 1);
         }
     }
 

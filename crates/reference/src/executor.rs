@@ -180,7 +180,7 @@ impl std::fmt::Debug for CompiledProgram {
 
 impl CompiledProgram {
     /// Name of the source program.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -211,9 +211,10 @@ impl CompiledProgram {
 
     /// Whether the Tier-4 native backend can execute this program: the
     /// fused tier supports it, and every live stage's optimized bytecode
-    /// passed the static verifier and its typed kernel emitted cleanly as C (see `docs/evaluation.md`). Note this is *static*
-    /// eligibility — a machine without a working `cc` still falls back at
-    /// run time ([`crate::jit_available`]).
+    /// passed the static verifier and its typed kernel emitted cleanly as
+    /// C (see `docs/evaluation.md`). Note this is *static* eligibility — a
+    /// machine without a working `cc` still falls back at run time
+    /// ([`crate::jit_available`]).
     pub fn jit_supported(&self) -> bool {
         self.jit.is_ok()
     }
@@ -586,7 +587,7 @@ impl ReferenceExecutor {
     /// The service tier keeps many jobs' grids, masks and stepping state in
     /// flight concurrently and sets this high enough that sustained mixed
     /// traffic never drops a released buffer.
-    pub fn with_pool_capacity(mut self, capacity: usize) -> Self {
+    pub(crate) fn with_pool_capacity(mut self, capacity: usize) -> Self {
         let capacity = capacity.max(1);
         self.pool.get_mut().expect("buffer pool poisoned").capacity = capacity;
         self.mask_pool
@@ -644,12 +645,12 @@ impl ReferenceExecutor {
     /// Number of validity-mask buffer allocations (mask-pool misses). Only
     /// moves when result pooling is on; the service tier folds it into its
     /// zero-steady-state-allocation assertion.
-    pub fn mask_pool_miss_count(&self) -> usize {
+    pub(crate) fn mask_pool_miss_count(&self) -> usize {
         self.mask_pool.lock().expect("mask pool poisoned").misses
     }
 
     /// Number of validity-mask buffer acquisitions (hits and misses).
-    pub fn mask_pool_acquire_count(&self) -> usize {
+    pub(crate) fn mask_pool_acquire_count(&self) -> usize {
         self.mask_pool.lock().expect("mask pool poisoned").acquires
     }
 

@@ -23,7 +23,7 @@ impl Grid {
     /// # Panics
     ///
     /// Panics if `dims` and `shape` have different lengths, or if the
-    /// dimension product overflows `usize` (see [`Grid::try_zeros`] for the
+    /// dimension product overflows `usize` (see `Grid::try_zeros` for the
     /// non-panicking ingest-path variant).
     pub fn zeros(dims: &[&str], shape: &[usize], dtype: DataType) -> Self {
         match Grid::try_zeros(dims, shape, dtype) {
@@ -47,7 +47,11 @@ impl Grid {
     /// disagree in rank, or when the element count (dimension product,
     /// including the byte size of the backing `f64` storage) overflows
     /// `usize`.
-    pub fn try_zeros(dims: &[&str], shape: &[usize], dtype: DataType) -> Result<Self, String> {
+    pub(crate) fn try_zeros(
+        dims: &[&str],
+        shape: &[usize],
+        dtype: DataType,
+    ) -> Result<Self, String> {
         if dims.len() != shape.len() {
             return Err(format!(
                 "dims/shape rank mismatch: {} dimension names for shape of rank {}",
@@ -200,13 +204,8 @@ impl Grid {
     }
 
     /// Number of elements.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len()
-    }
-
-    /// Whether the grid has zero elements (never true: scalars have one).
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Rank (number of dimensions).
@@ -222,7 +221,7 @@ impl Grid {
     /// Mutable raw data slice (row-major). Values written here bypass the
     /// element-type rounding of [`Grid::set`]; callers (the compiled
     /// execution plan) must round through [`Value::from_f64`] themselves.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
     }
 
@@ -236,7 +235,7 @@ impl Grid {
     /// # Panics
     ///
     /// Panics on rank mismatch or out-of-bounds indices.
-    pub fn flat_index(&self, index: &[usize]) -> usize {
+    pub(crate) fn flat_index(&self, index: &[usize]) -> usize {
         assert_eq!(index.len(), self.rank(), "index rank mismatch");
         index
             .iter()
@@ -255,7 +254,7 @@ impl Grid {
     }
 
     /// Read the value at `index` as a typed [`Value`].
-    pub fn get_value(&self, index: &[usize]) -> Value {
+    pub(crate) fn get_value(&self, index: &[usize]) -> Value {
         Value::from_f64(self.get(index), self.dtype)
     }
 
@@ -267,7 +266,7 @@ impl Grid {
 
     /// Read at a signed index; returns `None` when any coordinate falls
     /// outside the grid (the caller applies the boundary condition).
-    pub fn get_checked(&self, index: &[i64]) -> Option<f64> {
+    pub(crate) fn get_checked(&self, index: &[i64]) -> Option<f64> {
         if index.len() != self.rank() {
             return None;
         }
@@ -285,7 +284,7 @@ impl Grid {
 
     /// Iterate over all indices of the grid in row-major order. Rank-0 grids
     /// yield a single empty index.
-    pub fn indices(&self) -> Box<dyn Iterator<Item = Vec<usize>>> {
+    pub(crate) fn indices(&self) -> Box<dyn Iterator<Item = Vec<usize>>> {
         if self.rank() == 0 {
             return Box::new(std::iter::once(Vec::new()));
         }

@@ -37,8 +37,6 @@ impl SplitMix64 {
 #[derive(Debug, Clone)]
 pub struct InputGenerator {
     seed: u64,
-    low: f64,
-    high: f64,
 }
 
 impl InputGenerator {
@@ -46,18 +44,7 @@ impl InputGenerator {
     /// `[0.1, 1.0)` (strictly positive, which keeps divisions and square
     /// roots in stencil codes well-defined).
     pub fn new(seed: u64) -> Self {
-        InputGenerator {
-            seed,
-            low: 0.1,
-            high: 1.0,
-        }
-    }
-
-    /// Override the value range.
-    pub fn with_range(mut self, low: f64, high: f64) -> Self {
-        self.low = low;
-        self.high = high;
-        self
+        InputGenerator { seed }
     }
 
     /// Generate one grid per program input, shaped per its declaration.
@@ -72,9 +59,7 @@ impl InputGenerator {
                 .iter()
                 .map(|d| space.dim_index(d).map(|ix| space.shape[ix]).unwrap_or(1))
                 .collect();
-            let grid = Grid::from_fn(&dims, &shape, decl.data_type(), |_| {
-                rng.gen_range(self.low, self.high)
-            });
+            let grid = Grid::from_fn(&dims, &shape, decl.data_type(), |_| rng.gen_range(0.1, 1.0));
             grids.insert(name.to_string(), grid);
         }
         grids
@@ -122,11 +107,9 @@ mod tests {
 
     #[test]
     fn values_respect_range() {
-        let inputs = InputGenerator::new(1)
-            .with_range(2.0, 3.0)
-            .generate(&program());
+        let inputs = InputGenerator::new(1).generate(&program());
         for v in inputs["a"].as_slice() {
-            assert!((2.0..3.0).contains(v));
+            assert!((0.1..1.0).contains(v));
         }
     }
 }

@@ -124,7 +124,7 @@ impl CompiledStencil {
     /// Returns [`ExprError::UnresolvedSymbol`] if an access refers to a
     /// field the program does not declare (indicates a validation bug
     /// upstream), and propagates kernel compilation failures.
-    pub fn build(
+    pub(crate) fn build(
         program: &StencilProgram,
         stencil: &StencilNode,
     ) -> Result<CompiledStencil, ExprError> {
@@ -281,28 +281,28 @@ impl CompiledStencil {
     }
 
     /// Stencil name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// Output element type of the stencil.
-    pub fn out_dtype(&self) -> DataType {
+    pub(crate) fn out_dtype(&self) -> DataType {
         self.out_dtype
     }
 
     /// Whether this stencil carries a type-specialized kernel.
-    pub fn is_typed(&self) -> bool {
+    pub(crate) fn is_typed(&self) -> bool {
         self.typed.is_some()
     }
 
     /// Number of per-cell field reads of the sweep (scalar slots excluded);
     /// at least 1. Drives the parallelization threshold.
-    pub fn accesses_per_cell(&self) -> usize {
+    pub(crate) fn accesses_per_cell(&self) -> usize {
         self.slots.iter().filter(|s| !s.scalar).count().max(1)
     }
 
     /// Number of rows (runs of the innermost dimension) in the sweep.
-    pub fn row_count(&self) -> usize {
+    pub(crate) fn row_count(&self) -> usize {
         self.shape[..self.shape.len() - 1]
             .iter()
             .product::<usize>()
@@ -310,7 +310,7 @@ impl CompiledStencil {
     }
 
     /// Length of one row (innermost extent).
-    pub fn row_len(&self) -> usize {
+    pub(crate) fn row_len(&self) -> usize {
         *self.shape.last().expect("iteration spaces are never empty")
     }
 
@@ -323,7 +323,7 @@ impl CompiledStencil {
     /// # Errors
     ///
     /// Returns [`ExprError::UnresolvedSymbol`] if a field has no grid.
-    pub fn bind<'g, 'p>(
+    pub(crate) fn bind<'g, 'p>(
         &'p self,
         grid_of: impl Fn(&str) -> Option<&'g Grid>,
     ) -> Result<BoundStencil<'g, 'p>, ExprError> {
@@ -361,7 +361,7 @@ impl CompiledStencil {
     /// Lane width the batched sweep dispatches to for this stencil (one of
     /// [`KERNEL_LANES`] / [`KERNEL_LANES_WIDE`]; meaningful only when the
     /// stencil is typed).
-    pub fn lane_width(&self) -> usize {
+    pub(crate) fn lane_width(&self) -> usize {
         self.lane_width
     }
 
@@ -512,7 +512,7 @@ impl BoundStencil<'_, '_> {
     ///
     /// Propagates evaluation failures (e.g. integer division by zero; only
     /// reachable on the `Value` kernel — typed kernels are infallible).
-    pub fn run_rows(
+    pub(crate) fn run_rows(
         &self,
         row_start: usize,
         row_end: usize,

@@ -59,8 +59,11 @@ pub mod daemon;
 pub struct ServeConfig {
     workers: usize,
     policy: TierPolicy,
-    pool_capacity: usize,
 }
+
+/// Buffers the shared pools retain between jobs: deep enough that sustained
+/// mixed traffic never drops a released buffer and reallocates it.
+const POOL_CAPACITY: usize = 1024;
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -69,7 +72,6 @@ impl Default for ServeConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             policy: TierPolicy::Auto,
-            pool_capacity: 1024,
         }
     }
 }
@@ -92,14 +94,6 @@ impl ServeConfig {
     /// override knob.
     pub fn with_tier_policy(mut self, policy: TierPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Buffers the shared pools retain between jobs (default 1024). Too
-    /// small a cap drops released buffers and reintroduces steady-state
-    /// allocation under mixed traffic.
-    pub fn with_pool_capacity(mut self, capacity: usize) -> Self {
-        self.pool_capacity = capacity.max(1);
         self
     }
 }
@@ -125,7 +119,7 @@ impl CancelToken {
     }
 
     /// Whether the token has fired.
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::Acquire)
     }
 }
@@ -326,13 +320,12 @@ pub struct ServeExecutor {
 impl ServeExecutor {
     /// Create a service executor. The internal [`ReferenceExecutor`] is
     /// pinned to one thread per sweep (parallelism comes from the worker
-    /// pool, never from nested thread scopes) with pooled results at the
-    /// configured retention capacity.
+    /// pool, never from nested thread scopes) with pooled results.
     pub fn new(config: ServeConfig) -> ServeExecutor {
         ServeExecutor {
             executor: ReferenceExecutor::new()
                 .with_max_threads(1)
-                .with_pool_capacity(config.pool_capacity)
+                .with_pool_capacity(POOL_CAPACITY)
                 .with_pooled_results(true),
             workers: config.workers.max(1),
             policy: config.policy,

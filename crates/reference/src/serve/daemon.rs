@@ -12,7 +12,7 @@
 //!   bound. Oversized requests are measured (cells × steps) *before* any
 //!   allocation and rejected at the door.
 //! * **Per-tenant quotas** — each tenant id carries an in-flight cap and
-//!   an optional cell budget with a refill rate ([`TenantQuota`]); a
+//!   an optional fixed cell budget ([`TenantQuota`]); a
 //!   quota-busting tenant is rejected per job while everyone else keeps
 //!   flowing.
 //! * **Deadlines replace pure FIFO** — every admitted job gets an
@@ -59,11 +59,9 @@ use stencilflow_program::ProgramError;
 pub struct TenantQuota {
     /// Jobs a tenant may have queued or running at once.
     pub max_in_flight: usize,
-    /// Burst budget in cell·steps; `None` = unlimited.
+    /// Allowance in cell·steps, fixed for the daemon's lifetime; `None` =
+    /// unlimited.
     pub cell_budget: Option<u64>,
-    /// Budget refill rate in cell·steps per second; `None` = the budget
-    /// never refills (a fixed allowance — what deterministic tests use).
-    pub cells_per_sec: Option<f64>,
 }
 
 impl Default for TenantQuota {
@@ -71,7 +69,6 @@ impl Default for TenantQuota {
         TenantQuota {
             max_in_flight: 64,
             cell_budget: None,
-            cells_per_sec: None,
         }
     }
 }
@@ -88,16 +85,9 @@ impl TenantQuota {
         self
     }
 
-    /// Burst budget in cell·steps.
+    /// Allowance in cell·steps.
     pub fn with_cell_budget(mut self, budget: u64) -> Self {
         self.cell_budget = Some(budget);
-        self
-    }
-
-    /// Refill rate in cell·steps per second (token-bucket semantics,
-    /// capped at the burst budget).
-    pub fn with_cells_per_sec(mut self, rate: f64) -> Self {
-        self.cells_per_sec = Some(rate.max(0.0));
         self
     }
 }
@@ -459,8 +449,7 @@ struct Queued {
 struct TenantState {
     in_flight: usize,
     /// Remaining cell·steps; `None` = unlimited.
-    budget: Option<f64>,
-    last_refill: Option<Instant>,
+    budget: Option<u64>,
 }
 
 #[derive(Debug, Default)]
@@ -521,14 +510,9 @@ impl Daemon {
             .len()
     }
 
-    /// Whether admission has been closed.
-    pub fn is_draining(&self) -> bool {
-        self.state.lock().expect("daemon state poisoned").draining
-    }
-
     /// Close admission: every later `submit` is rejected with
     /// [`RejectReason::Draining`]. Idempotent.
-    pub fn begin_drain(&self) {
+    fn begin_drain(&self) {
         self.state.lock().expect("daemon state poisoned").draining = true;
     }
 
@@ -591,21 +575,9 @@ impl Daemon {
             .clone();
         let now = Instant::now();
         let tenant = state.tenants.entry(request.tenant.clone()).or_default();
-        // Token-bucket refill, capped at the burst budget. A rate of
-        // `None` leaves the allowance fixed (deterministic tests).
         if tenant.budget.is_none() {
-            tenant.budget = quota.cell_budget.map(|b| b as f64);
+            tenant.budget = quota.cell_budget;
         }
-        if let (Some(budget), Some(rate), Some(cap), Some(last)) = (
-            tenant.budget,
-            quota.cells_per_sec,
-            quota.cell_budget,
-            tenant.last_refill,
-        ) {
-            let refilled = budget + now.duration_since(last).as_secs_f64() * rate;
-            tenant.budget = Some(refilled.min(cap as f64));
-        }
-        tenant.last_refill = Some(now);
         if tenant.in_flight >= quota.max_in_flight {
             return Err(RejectReason::TenantInFlight {
                 tenant: request.tenant.clone(),
@@ -613,14 +585,14 @@ impl Daemon {
             });
         }
         if let Some(budget) = tenant.budget {
-            if (cost as f64) > budget {
+            if cost > budget {
                 return Err(RejectReason::TenantBudget {
                     tenant: request.tenant.clone(),
                     needed: cost,
-                    available: budget.max(0.0) as u64,
+                    available: budget,
                 });
             }
-            tenant.budget = Some(budget - cost as f64);
+            tenant.budget = Some(budget - cost);
         }
         tenant.in_flight += 1;
         state.live_ids.insert(request.id.clone());

@@ -7,7 +7,7 @@
 //! The paper maps one stencil DAG across a chain of devices; this module is
 //! the reproduction's data-parallel analogue on one host: the iteration
 //! space is split along the outermost dimension into contiguous slabs
-//! ([`stencilflow_core::SlabPartition`]), each slab is driven by a worker
+//! (`stencilflow_core::SlabPartition`), each slab is driven by a worker
 //! thread through the fused tier, and neighbors exchange halo slabs
 //! between temporal windows over bounded links. Shards, window, slab
 //! ranges and link capacity are the ones

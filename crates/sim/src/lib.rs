@@ -41,7 +41,7 @@
 
 mod channel;
 pub mod config;
-pub mod memory;
+mod memory;
 #[cfg(test)]
 mod oracle;
 pub mod report;
@@ -49,7 +49,6 @@ pub mod simulator;
 mod unit;
 
 pub use config::{NetworkParams, SimConfig};
-pub use memory::MemoryModel;
 pub use report::{SimOutcome, SimReport};
 pub use simulator::Simulator;
 

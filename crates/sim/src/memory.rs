@@ -18,7 +18,7 @@ use stencilflow_reference::Grid;
 /// on-chip copies after an initial load and do not draw from the budget,
 /// matching how the analysis counts "operands per cycle" (§VIII-D, §IX-A).
 #[derive(Debug, Clone)]
-pub struct MemoryModel {
+pub(crate) struct MemoryModel {
     words_per_cycle: Option<f64>,
     credits: f64,
     total_words: u64,
@@ -27,7 +27,7 @@ pub struct MemoryModel {
 
 impl MemoryModel {
     /// Create a memory model; `None` means unlimited bandwidth.
-    pub fn new(words_per_cycle: Option<f64>) -> Self {
+    pub(crate) fn new(words_per_cycle: Option<f64>) -> Self {
         MemoryModel {
             words_per_cycle,
             credits: 0.0,
@@ -37,7 +37,7 @@ impl MemoryModel {
     }
 
     /// Grant this cycle's budget.
-    pub fn begin_cycle(&mut self) {
+    pub(crate) fn begin_cycle(&mut self) {
         match self.words_per_cycle {
             Some(budget) => {
                 // Credits do not accumulate beyond one cycle's worth plus one
@@ -49,7 +49,7 @@ impl MemoryModel {
     }
 
     /// Try to reserve one word of bandwidth.
-    pub fn request_word(&mut self) -> bool {
+    pub(crate) fn request_word(&mut self) -> bool {
         if self.credits >= 1.0 {
             self.credits -= 1.0;
             self.total_words += 1;
@@ -61,12 +61,12 @@ impl MemoryModel {
     }
 
     /// Total words transferred.
-    pub fn total_words(&self) -> u64 {
+    pub(crate) fn total_words(&self) -> u64 {
         self.total_words
     }
 
     /// Number of requests that had to wait for bandwidth.
-    pub fn stalled_requests(&self) -> u64 {
+    pub(crate) fn stalled_requests(&self) -> u64 {
         self.stalled_requests
     }
 }

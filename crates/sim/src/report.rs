@@ -71,30 +71,6 @@ impl SimReport {
     pub fn completed(&self) -> bool {
         self.outcome == SimOutcome::Completed
     }
-
-    /// Effective throughput in output cells per cycle (counting one output
-    /// field; 1.0 means perfect pipelining).
-    pub fn cells_per_cycle(&self, total_cells: usize) -> f64 {
-        if self.cycles == 0 {
-            return 0.0;
-        }
-        total_cells as f64 / self.cycles as f64
-    }
-
-    /// Statistics of one unit, if present.
-    pub fn unit(&self, name: &str) -> Option<&UnitStats> {
-        self.unit_stats.iter().find(|u| u.name == name)
-    }
-
-    /// The largest observed occupancy across all channels, as a fraction of
-    /// capacity — useful to confirm that the computed delay buffers are
-    /// actually exercised.
-    pub fn peak_channel_utilization(&self) -> f64 {
-        self.channel_stats
-            .iter()
-            .map(|c| c.high_watermark as f64 / c.capacity.max(1) as f64)
-            .fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -123,10 +99,6 @@ mod tests {
             memory_stalls: 0,
         };
         assert!(report.completed());
-        assert_eq!(report.cells_per_cycle(50), 0.5);
-        assert_eq!(report.unit("s").unwrap().produced, 50);
-        assert!(report.unit("missing").is_none());
-        assert_eq!(report.peak_channel_utilization(), 0.5);
         assert!(report.output("x").is_none());
     }
 

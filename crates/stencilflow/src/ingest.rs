@@ -87,7 +87,7 @@ pub fn load_program(path: &Path) -> Result<Arc<StencilProgram>, IngestError> {
 /// (the only payloads the framing defines); values are rounded through
 /// that type exactly as [`Grid::from_values_typed`] does, so a
 /// `float32` frame loads bit-identically to a grid built in process.
-pub fn frame_to_grid(name: &str, frame: &GridFrame) -> Result<Grid, IngestError> {
+pub(crate) fn frame_to_grid(name: &str, frame: &GridFrame) -> Result<Grid, IngestError> {
     let dtype: DataType = frame.dtype.parse().map_err(|_| {
         IngestError::Schema(format!(
             "grid `{name}`: unsupported dtype `{}`",

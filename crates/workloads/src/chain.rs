@@ -50,11 +50,6 @@ impl ChainSpec {
         self.vectorization = width;
         self
     }
-
-    /// Total floating-point operations per cell over the whole chain.
-    pub fn total_ops_per_cell(&self) -> usize {
-        self.stages * self.ops_per_stencil
-    }
 }
 
 /// Generate a chain program per `spec`.
@@ -169,7 +164,6 @@ mod tests {
         let program = chain_program(&spec);
         assert_eq!(program.vectorization(), 4);
         assert_eq!(program.space().shape, vec![128, 16, 16]);
-        assert_eq!(spec.total_ops_per_cell(), 32);
     }
 
     #[test]

@@ -76,24 +76,6 @@ impl JobMixSpec {
         }
     }
 
-    /// Override the total job count.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
-        self
-    }
-
-    /// Override the large-job count.
-    pub fn with_large_jobs(mut self, large_jobs: usize) -> Self {
-        self.large_jobs = large_jobs;
-        self
-    }
-
-    /// Override the mix seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Generate the mix. Deterministic in the spec: same spec, same
     /// stream. Large jobs are placed early in the stream so small jobs
     /// queued behind them make the fairness property observable (their
@@ -173,7 +155,11 @@ mod tests {
 
     #[test]
     fn mixes_are_deterministic_and_shaped() {
-        let spec = JobMixSpec::new().with_jobs(100).with_large_jobs(3);
+        let spec = JobMixSpec {
+            jobs: 100,
+            large_jobs: 3,
+            ..JobMixSpec::new()
+        };
         let a = spec.generate();
         let b = spec.generate();
         assert_eq!(a.len(), 100);
@@ -200,10 +186,12 @@ mod tests {
 
     #[test]
     fn large_count_is_clamped() {
-        let mix = JobMixSpec::new()
-            .with_jobs(2)
-            .with_large_jobs(10)
-            .generate();
+        let spec = JobMixSpec {
+            jobs: 2,
+            large_jobs: 10,
+            ..JobMixSpec::new()
+        };
+        let mix = spec.generate();
         assert_eq!(mix.len(), 2);
     }
 }

@@ -23,9 +23,6 @@ pub struct MembenchSpec {
     pub vectorization: usize,
     /// Iteration-space shape; defaults to the paper's 2¹⁵×32×32 domain.
     pub shape: Vec<usize>,
-    /// Whether each path also writes its result back to memory (true for the
-    /// paper's benchmark; reads-only variants are useful for ablations).
-    pub write_back: bool,
 }
 
 impl MembenchSpec {
@@ -35,7 +32,6 @@ impl MembenchSpec {
             read_access_points,
             vectorization: w,
             shape: vec![1 << 15, 32, 32],
-            write_back: true,
         }
     }
 
@@ -45,16 +41,9 @@ impl MembenchSpec {
         self
     }
 
-    /// Disable write-back (reads only).
-    pub fn reads_only(mut self) -> Self {
-        self.write_back = false;
-        self
-    }
-
     /// Total 32-bit operands requested per cycle (reads + writes).
     pub fn operands_per_cycle(&self) -> usize {
-        let per_path = if self.write_back { 2 } else { 1 };
-        self.read_access_points * per_path * self.vectorization
+        self.read_access_points * 2 * self.vectorization
     }
 }
 
@@ -81,18 +70,8 @@ pub fn membench_program(spec: &MembenchSpec) -> StencilProgram {
         let output = format!("out{path}");
         builder = builder
             .input(&input, DataType::Float32, &dims)
-            .stencil(&output, &format!("{input}[{index}] * 0.5 + 0.25"));
-        if spec.write_back {
-            builder = builder.output(&output);
-        }
-    }
-    if !spec.write_back {
-        // A program must have at least one output; reduce all paths into one.
-        let sum = (0..spec.read_access_points)
-            .map(|p| format!("out{p}[{index}]"))
-            .collect::<Vec<_>>()
-            .join(" + ");
-        builder = builder.stencil("sink", &sum).output("sink");
+            .stencil(&output, &format!("{input}[{index}] * 0.5 + 0.25"))
+            .output(&output);
     }
     builder
         .build()
@@ -115,15 +94,6 @@ mod tests {
     fn operands_per_cycle_accounting() {
         assert_eq!(MembenchSpec::new(8, 1).operands_per_cycle(), 16);
         assert_eq!(MembenchSpec::new(12, 4).operands_per_cycle(), 96);
-        assert_eq!(MembenchSpec::new(8, 1).reads_only().operands_per_cycle(), 8);
-    }
-
-    #[test]
-    fn reads_only_variant_has_single_output() {
-        let program =
-            membench_program(&MembenchSpec::new(4, 1).reads_only().with_shape(&[64, 8, 8]));
-        assert_eq!(program.outputs().len(), 1);
-        assert_eq!(program.stencil_count(), 5);
     }
 
     #[test]

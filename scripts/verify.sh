@@ -10,8 +10,11 @@
 #                                  (a workspace of its own that compiles
 #                                  against the crates' public API and that
 #                                  nothing else here builds)
-#   3. cargo test -q             — tier-1 tests (incl. golden equivalence
-#                                  and the in-crate speedup floors)
+#   3. cargo test -q             — tier-1 tests (incl. golden equivalence,
+#                                  the in-crate speedup floors and the
+#                                  `pub`-surface census, tests/pub_surface.rs:
+#                                  every `pub` name of a crate's library has
+#                                  a user outside it)
 #   4. cargo clippy -D warnings  — lints
 #   5. cargo doc -D warnings     — documentation (intra-doc links included)
 #   6. analyze --check           — the static-analysis gate: every workload

@@ -1,13 +1,17 @@
 //! Cross-crate integration tests: the full pipeline from program description
 //! to simulated spatial execution, validated against the reference executor.
 
-use stencilflow::core::{AnalysisConfig, MultiDevicePlan, PartitionConfig};
+use stencilflow::core::{
+    analyze, AnalysisConfig, HardwareMapping, MultiDevicePlan, PartitionConfig,
+};
+use stencilflow::expr::DataType;
+use stencilflow::program::ProgramError;
 use stencilflow::reference::{generate_inputs, ReferenceExecutor};
 use stencilflow::sim::{SimConfig, SimOutcome, Simulator};
 use stencilflow::workloads::{
     self, chain_program, horizontal_diffusion, jacobi2d, ChainSpec, HorizontalDiffusionSpec,
 };
-use stencilflow::Pipeline;
+use stencilflow::{Pipeline, StencilProgramBuilder};
 
 #[test]
 fn json_round_trip_through_the_whole_stack() {
@@ -118,4 +122,49 @@ fn vectorization_reduces_expected_runtime() {
     .unwrap();
     assert!(wide.performance.expected_cycles < narrow.performance.expected_cycles);
     assert!(wide.performance.gops() > narrow.performance.gops() * 2.0);
+}
+
+/// The DAG names the output memory of `b` `b__out`. A stencil of that name
+/// next to the output `b` used to share its node: the program built, and its
+/// simulation never completed.
+#[test]
+fn a_field_named_like_an_output_memory_is_rejected_not_simulated_forever() {
+    let builder = StencilProgramBuilder::new("shadow", &[8, 8])
+        .input("a", DataType::Float32, &["i", "j"])
+        .stencil("b", "a[i,j] + 1.0")
+        .stencil("b__out", "b[i,j] * 2.0");
+    let colliding = builder.clone().output("b").output("b__out").build();
+    assert_eq!(
+        colliding.unwrap_err(),
+        ProgramError::OutputMemoryName {
+            output: "b".into(),
+            field: "b__out".into(),
+        }
+    );
+    // The name is only reserved next to the output it shadows.
+    let program = builder.output("b__out").build().unwrap();
+    let result = Pipeline::new(program).execute(3).unwrap();
+    assert_eq!(result.simulation.outcome, SimOutcome::Completed);
+    assert_eq!(result.max_error_vs_reference, 0.0);
+}
+
+#[test]
+fn mapping_from_an_analysis_equals_mapping_from_the_program() {
+    let hdiff = horizontal_diffusion(&HorizontalDiffusionSpec::small());
+    let programs = [
+        workloads::listing1(),
+        chain_program(&ChainSpec::new(6, 8).with_shape(&[32, 8, 8])),
+        stencilflow::dataflow::fuse_all(&hdiff).unwrap(),
+    ];
+    let config = AnalysisConfig::paper_defaults();
+    for program in &programs {
+        let analysis = analyze(program, &config).unwrap();
+        let from_analysis = HardwareMapping::from_analysis(program, &analysis, &config).unwrap();
+        let built = HardwareMapping::build(program, &config).unwrap();
+        assert_eq!(from_analysis.units, built.units, "{}", program.name());
+        assert_eq!(from_analysis.channels, built.channels);
+        assert_eq!(from_analysis.memory_units, built.memory_units);
+        assert_eq!(from_analysis.performance, built.performance);
+        assert_eq!(from_analysis.performance, analysis.performance);
+    }
 }

@@ -1,0 +1,235 @@
+//! Every `pub` has a caller: the census of each crate's public surface.
+//!
+//! Every crate in the workspace is `publish = false`, so `pub` on an item
+//! only ever means "named by another crate, a `src/bin` binary, a test, a
+//! bench, an example or the benchmark adapter". This test collects every
+//! `pub fn|struct|enum|trait|type|const|static` name declared in a crate's
+//! library sources (`crates/<c>/src` outside `src/bin`) and fails on each
+//! one that has no user outside those sources. A user is
+//!
+//! - a whole-word mention in any other Rust file of the repository (comments
+//!   do not count), or in the body of a `macro_rules!` of the crate itself,
+//!   which expands in the caller's crate; or
+//! - for a type or constant, a mention in the signature, fields or variants
+//!   of a `pub` item of the same crate that itself has a user, or in an
+//!   associated type of a trait that item implements: the compiler insists
+//!   that what a public interface names is public.
+//!
+//! The scan is by name, so it is a floor: once an item is private, the
+//! compiler's dead-code lint decides whether it is used at all.
+
+use std::collections::HashSet;
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// Owner of the files no crate's library claims (tests, binaries, examples,
+/// the benchmark adapter) and of what a crate's macros expand to.
+const NO_CRATE: usize = usize::MAX;
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            let name = entry.file_name();
+            if name != "target" && !name.to_string_lossy().starts_with('.') {
+                rust_files(&path, out);
+            }
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The code on a line: everything before a `//` comment.
+fn code_of(line: &str) -> &str {
+    line.find("//").map_or(line, |at| &line[..at]).trim_end()
+}
+
+fn words(code: &str) -> impl Iterator<Item = &str> {
+    code.split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+        .filter(|word| !word.is_empty())
+}
+
+/// The capitalised words of a line: the types and constants it names.
+fn type_names(code: &str) -> impl Iterator<Item = String> + '_ {
+    words(code)
+        .filter(|word| word.starts_with(|c: char| c.is_ascii_uppercase()))
+        .map(str::to_owned)
+}
+
+/// The keyword and name a line declares with a bare `pub` (not
+/// `pub(crate)`), if any.
+fn declared_pub_item(code: &str) -> Option<(&str, &str)> {
+    let mut parts = code.trim_start().strip_prefix("pub ")?.split(' ');
+    let mut keyword = parts.next()?;
+    let mut after = parts.next()?;
+    if matches!(keyword, "const" | "async" | "unsafe") && after == "fn" {
+        keyword = after;
+        after = parts.next()?;
+    }
+    let name = words(after).next()?;
+    matches!(
+        keyword,
+        "fn" | "struct" | "enum" | "trait" | "type" | "const" | "static"
+    )
+    .then_some((keyword, name))
+}
+
+/// Where the lines that belong to the item being declared stop.
+enum Until {
+    /// A signature: the first line ending in `{`, `;` or `}`.
+    SignatureEnd,
+    /// A braced body: this closing line.
+    Closing(String),
+}
+
+/// What the library sources of the workspace declare.
+#[derive(Default)]
+struct Census {
+    /// `pub` declarations: crate, name and `file:line`.
+    declared: Vec<(usize, String, String)>,
+    /// Per item (crate, name), the types and constants its interface names.
+    carried: Vec<(usize, String, HashSet<String>)>,
+    /// Words inside `macro_rules!` bodies.
+    exported: HashSet<String>,
+}
+
+impl Census {
+    fn scan(&mut self, owner: usize, text: &str, place: &str) {
+        let mut open: Option<Until> = None;
+        let mut in_macro = false;
+        let mut implementor: Option<String> = None;
+        for (number, line) in text.lines().enumerate() {
+            let code = code_of(line);
+            if in_macro {
+                self.exported.extend(words(code).map(str::to_owned));
+                in_macro = code != "}";
+                continue;
+            }
+            if open.is_none() {
+                if code.starts_with("macro_rules!") {
+                    in_macro = true;
+                } else if code == "}" {
+                    implementor = None;
+                } else if code.starts_with("impl") {
+                    implementor = code
+                        .split_once(" for ")
+                        .and_then(|(_, rest)| words(rest).next())
+                        .map(str::to_owned);
+                } else if let (Some(name), true) =
+                    (&implementor, code.trim_start().starts_with("type "))
+                {
+                    let names = type_names(code).collect();
+                    self.carried.push((owner, name.clone(), names));
+                }
+                let Some((keyword, name)) = declared_pub_item(code) else {
+                    continue;
+                };
+                let place = format!("{place}:{}", number + 1);
+                self.declared.push((owner, name.to_owned(), place));
+                self.carried.push((owner, name.to_owned(), HashSet::new()));
+                open = Some(Until::SignatureEnd);
+                if matches!(keyword, "struct" | "enum" | "trait") && code.ends_with('{') {
+                    let indent = &code[..code.len() - code.trim_start().len()];
+                    open = Some(Until::Closing(format!("{indent}}}")));
+                }
+            }
+            let (.., carried) = self.carried.last_mut().expect("an item is open");
+            carried.extend(type_names(code));
+            let closed = match open.as_ref().expect("an item is open") {
+                Until::SignatureEnd => code.ends_with(['{', ';', '}']),
+                Until::Closing(brace) => code == brace,
+            };
+            if closed {
+                open = None;
+            }
+        }
+    }
+}
+
+#[test]
+fn every_pub_name_has_a_user_outside_its_crate() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut crates: Vec<PathBuf> = fs::read_dir(root.join("crates"))
+        .expect("crates/ is readable")
+        .flatten()
+        .map(|entry| entry.path().join("src"))
+        .filter(|src| src.is_dir())
+        .collect();
+    crates.sort();
+
+    let mut paths = Vec::new();
+    for dir in ["crates", "tests", "examples", "src", "benchmark/src"] {
+        rust_files(&root.join(dir), &mut paths);
+    }
+    let mut census = Census::default();
+    // Per file, the crate whose library it belongs to and the words in it.
+    let mut files: Vec<(usize, HashSet<String>)> = Vec::new();
+    for path in &paths {
+        let owner = crates
+            .iter()
+            .position(|src| path.starts_with(src) && !path.starts_with(src.join("bin")))
+            .unwrap_or(NO_CRATE);
+        let text = fs::read_to_string(path).expect("source file is UTF-8");
+        if owner != NO_CRATE {
+            let place = path.strip_prefix(root).unwrap_or(path).display();
+            census.scan(owner, &text, &place.to_string());
+        }
+        let code = text.lines().flat_map(|line| words(code_of(line)));
+        files.push((owner, code.map(str::to_owned).collect()));
+    }
+    files.push((NO_CRATE, std::mem::take(&mut census.exported)));
+
+    let mut used: HashSet<(usize, &str)> = census
+        .declared
+        .iter()
+        .filter(|(owner, name, _)| {
+            files
+                .iter()
+                .any(|(file_owner, words)| file_owner != owner && words.contains(name))
+        })
+        .map(|(owner, name, _)| (*owner, name.as_str()))
+        .collect();
+    // A public item with a user carries the types and constants it names.
+    loop {
+        let newly: Vec<(usize, &str)> = census
+            .carried
+            .iter()
+            .filter(|(owner, carrier, _)| used.contains(&(*owner, carrier.as_str())))
+            .flat_map(|(owner, _, names)| names.iter().map(|name| (*owner, name.as_str())))
+            .filter(|key| !used.contains(key))
+            .collect();
+        if newly.is_empty() {
+            break;
+        }
+        used.extend(newly);
+    }
+
+    let unused: Vec<String> = census
+        .declared
+        .iter()
+        .filter(|(owner, name, _)| !used.contains(&(*owner, name.as_str())))
+        .map(|(_, name, place)| format!("  {place}: {name}"))
+        .collect();
+    let names: HashSet<(usize, &str)> = census
+        .declared
+        .iter()
+        .map(|(owner, name, _)| (*owner, name.as_str()))
+        .collect();
+    println!(
+        "pub surface: {} names in {} crates, {} without an outside user",
+        names.len(),
+        crates.len(),
+        unused.len()
+    );
+    assert!(
+        unused.is_empty(),
+        "{} `pub` items have no user outside their crate's library (drop the \
+         `pub`, then delete what the compiler reports dead):\n{}",
+        unused.len(),
+        unused.join("\n")
+    );
+}
