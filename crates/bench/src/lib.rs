@@ -22,8 +22,8 @@ use stencilflow_hwmodel::{
 use stencilflow_program::StencilProgram;
 use stencilflow_reference::Tier;
 use stencilflow_workloads::{
-    chain_program, diffusion2d, diffusion3d, horizontal_diffusion, jacobi3d, upwind3d, ChainSpec,
-    HorizontalDiffusionSpec, MembenchSpec,
+    chain_program, diffusion2d, diffusion3d, horizontal_diffusion, jacobi3d, listing1, upwind3d,
+    ChainSpec, HorizontalDiffusionSpec, MembenchSpec,
 };
 
 /// Efficiency factor of multi-device designs relative to single-device peak,
@@ -666,6 +666,12 @@ pub fn eval_throughput(quick: bool) -> Vec<ThroughputRow> {
             ),
             chain_program(&chain_spec),
         ),
+        (
+            // The paper's running example at the size the service mix sends
+            // it: its lower-rank `a2[i,k]` streams as a broadcast tap.
+            "listing1 32^3".to_string(),
+            listing1::listing1(),
+        ),
     ];
     // The executor caches its compilation across the repeated measurement
     // runs. The fused and JIT rows pin their tier so they measure it, not
@@ -1040,7 +1046,10 @@ pub fn throughput_json(
 /// temporal-blocking factor. The `jacobi3d*` rows additionally gate the
 /// Tier-4 native JIT: the compiled-C sweep must not lose to the fused
 /// bytecode sweep it replaces (`jit_speedup` >= 1.0x on full-mode
-/// baselines). The small-domain `horizontal_diffusion` row carries no
+/// baselines). The `listing1*` row gates its streamed tiers: the better of
+/// fused and JIT (`streamed_speedup`) over the materializing sweep, so
+/// Listing 1 falling back to the materializing rung trips it. The
+/// small-domain `horizontal_diffusion` row carries no
 /// floor: it is structurally lane-hostile and documents why. Quick-mode
 /// documents (small domains on noisy shared CI runners) use looser floors
 /// than full-mode baselines.
@@ -1081,6 +1090,11 @@ pub fn check_floors(json_text: &str) -> Result<String, String> {
     // jacobi3d rows (>= 1.0x full mode; the quick floor absorbs the
     // small-domain FFI-call overhead and shared-runner jitter).
     let jit_floor = if quick { 0.7 } else { 1.0 };
+    // Listing 1 streams through the fused tiers (its lower-rank input is a
+    // broadcast tap): the better of them must beat the materializing sweep
+    // it would fall back to (~1.0x). 32^3 in both modes; the one-thread
+    // baseline reads 1.5x fused and 4.7x jit.
+    let listing_floor = 1.2;
     let rows = parsed
         .get("rows")
         .and_then(|v| v.as_array())
@@ -1091,6 +1105,7 @@ pub fn check_floors(json_text: &str) -> Result<String, String> {
     let mut branchy_checked = 0usize;
     let mut fused_checked = 0usize;
     let mut hdiff_checked = 0usize;
+    let mut listing_checked = 0usize;
     let mut check_gate = |workload: &str, key: &str, value: Option<f64>, floor: f64| match value {
         Some(value) if value >= floor => {
             summary.push_str(&format!("ok: {workload}: {key} {value:.2} >= {floor:.2}\n"));
@@ -1107,26 +1122,35 @@ pub fn check_floors(json_text: &str) -> Result<String, String> {
             .unwrap_or("<unnamed>")
             .to_string();
         let field = |key: &str| row.get(key).and_then(|v| v.as_f64());
-        let mut gates = vec![("simd_speedup", kernel_floor)];
+        let gate = |key, floor| (key, field(key), floor);
+        let mut gates = vec![gate("simd_speedup", kernel_floor)];
         if workload.starts_with("horizontal_diffusion ") {
             hdiff_checked += 1;
         } else if workload.starts_with("jacobi3d") {
             checked += 1;
-            gates.push(("jit_speedup", jit_floor));
+            gates.push(gate("jit_speedup", jit_floor));
             if workload.contains("steps") {
                 fused_checked += 1;
-                gates.push(("fused_speedup", steps_fused_floor));
+                gates.push(gate("fused_speedup", steps_fused_floor));
             }
         } else if workload.starts_with("upwind3d") {
             branchy_checked += 1;
         } else if workload.starts_with("chain") {
             fused_checked += 1;
-            gates.push(("fused_speedup", chain_fused_floor));
+            gates.push(gate("fused_speedup", chain_fused_floor));
+        } else if workload.starts_with("listing1") {
+            listing_checked += 1;
+            // Without `cc` the JIT rung runs the fused sweep, so the
+            // better of the two is what must stream.
+            let streamed = field("fused_speedup")
+                .zip(field("jit_speedup"))
+                .map(|(fused, jit)| fused.max(fused * jit));
+            gates.push(("streamed_speedup", streamed, listing_floor));
         } else {
             continue;
         }
-        for (key, floor) in gates {
-            check_gate(&workload, key, field(key), floor);
+        for (key, value, floor) in gates {
+            check_gate(&workload, key, value, floor);
         }
     }
     if checked == 0 {
@@ -1142,6 +1166,9 @@ pub fn check_floors(json_text: &str) -> Result<String, String> {
         return Err(
             "no benchmark-domain horizontal_diffusion row to check in benchmark JSON".to_string(),
         );
+    }
+    if listing_checked == 0 {
+        return Err("no listing1 row to check in benchmark JSON".to_string());
     }
     // The sharded-runtime zero-fault overhead gates.
     let sharded = parsed
@@ -1392,12 +1419,32 @@ mod tests {
                 row("jacobi3d 32^3 f32", jacobi_simd, 1.0, jacobi_jit),
                 row("upwind3d 32^3 f32", upwind_simd, 1.0, 1.0),
                 row("chain 8x8op [96,32,32]", 40.0, chain_fused, 1.0),
+                row("listing1 32^3", 100.0, 1.5, 3.0),
                 row("jacobi3d 32^3 x4 steps", 40.0, steps_fused, jacobi_jit),
                 row("horizontal_diffusion 24x24x64", hdiff_simd, 1.0, 1.0),
             ];
             throughput_json(&rows, Some(&healthy_sharded), true)
         };
         assert!(check_floors(&document(40.0, 40.0, 1.6, 1.3, 1.2, 60.0)).is_ok());
+        // Listing 1 back on the materializing rung trips its gate; the
+        // fused tier alone (no `cc`) clears it.
+        let listing = |fused: f64, jit: f64| {
+            let rows = [
+                row("jacobi3d 32^3 f32", 40.0, 1.0, 1.2),
+                row("upwind3d 32^3 f32", 40.0, 1.0, 1.0),
+                row("chain 8x8op [96,32,32]", 40.0, 1.6, 1.0),
+                row("listing1 32^3", 100.0, fused, jit),
+                row("jacobi3d 32^3 x4 steps", 40.0, 1.3, 1.2),
+                row("horizontal_diffusion 24x24x64", 60.0, 1.0, 1.0),
+            ];
+            check_floors(&throughput_json(&rows, Some(&healthy_sharded), true))
+        };
+        let err = listing(1.0, 1.02).unwrap_err();
+        assert!(
+            err.contains("listing1") && err.contains("streamed_speedup"),
+            "unexpected error: {err}"
+        );
+        assert!(listing(1.5, 1.0).is_ok());
         // A jacobi row that left the lane-batched sweep trips the kernel gate.
         let err = check_floors(&document(14.0, 40.0, 1.6, 1.3, 1.2, 60.0)).unwrap_err();
         assert!(
@@ -1453,6 +1500,7 @@ mod tests {
             row("jacobi3d 32^3 f32", 40.0, 1.0, 1.25),
             row("upwind3d 32^3 f32", 40.0, 1.0, 1.0),
             row("chain 8x8op [96,32,32]", 40.0, 1.6, 1.0),
+            row("listing1 32^3", 100.0, 1.5, 3.0),
             row("jacobi3d 32^3 x4 steps", 40.0, 1.3, 1.2),
             row("horizontal_diffusion 24x24x64", 60.0, 1.0, 1.0),
         ];

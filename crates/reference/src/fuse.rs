@@ -63,14 +63,26 @@
 //! * every stencil carries a type-specialized kernel (branch-free by type:
 //!   specialization speculates even division-carrying ternaries into
 //!   selects);
-//! * every non-scalar field spans the full iteration space, indexed in
-//!   iteration-space dimension order (scratch planes are laid out in space
-//!   order, so transposed accesses cannot be expressed as constant flat
-//!   offsets);
+//! * every non-scalar field is indexed in iteration-space dimension order
+//!   (scratch planes are laid out in space order, so transposed accesses
+//!   cannot be expressed as constant flat offsets) and spans at least the
+//!   innermost, contiguous dimension. A lower-rank input that misses the
+//!   plane and/or the row axis is a **broadcast tap**: it is copied once
+//!   per run into one padded buffer of its own shape, which every worker
+//!   and window reads, with stride 0 along each axis it misses — the same
+//!   per-tap plane and row strides a ring tap carries, so neither sweep
+//!   has a second loop and the native ABI is unchanged. It has no ring and
+//!   no lag: all of it exists before the first tick. An input missing the
+//!   innermost axis (horizontal diffusion's `crlato[j]`) would need a
+//!   broadcast across the lanes, which neither sweep has;
 //! * every out-of-domain access resolves to a `Constant` boundary
 //!   condition, and all consumers of a field agree on the constant (a
 //!   `Copy` boundary reads the *accessing cell's* center, which a
 //!   position-indexed pad cell cannot represent).
+//!
+//! Only live fields and stages are judged: an input or a stencil no
+//! program output depends on is never read or swept, so it cannot keep a
+//! program off this path.
 //!
 //! Ineligible programs transparently fall back to the materializing path
 //! (the ladder in `ReferenceExecutor::execute`); the result is restricted to
@@ -106,7 +118,7 @@ use crate::executor::{CompiledProgram, ExecutionResult};
 use crate::grid::Grid;
 use crate::plan::round_lanes;
 use crate::ReferenceExecutor;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use stencilflow_codegen::{jit_translation_unit, JitSlotKind, JitStageSpec};
 use stencilflow_expr::{DataType, LaneScratch, Value};
 use stencilflow_jit::{SlotArg, StageFn, SweepArgs};
@@ -143,6 +155,35 @@ fn axis(dim: usize, rank: usize) -> usize {
     }
 }
 
+/// The scratch axes an input indexed by `dims` spans (an axis the space
+/// lacks counts as spanned), or why its taps cannot be constant-stride
+/// reads of one buffer: `dims` must be an ordered subsequence of the space
+/// dimensions that keeps the innermost, contiguous one. Reading a field
+/// that misses it would take a lane broadcast, which neither the lane
+/// sweep nor the emitted C has.
+fn input_span(space: &[String], dims: &[String]) -> std::result::Result<[bool; 3], String> {
+    let rank = space.len();
+    let mut span = [true; 3];
+    for d in 0..rank {
+        span[axis(d, rank)] = false;
+    }
+    let mut next = 0;
+    for dim in dims {
+        let Some(at) = space[next..].iter().position(|d| d == dim) else {
+            return Err("indexes the iteration space out of order".to_string());
+        };
+        span[axis(next + at, rank)] = true;
+        next += at + 1;
+    }
+    if next < rank {
+        return Err(format!(
+            "does not span the innermost axis `{}`",
+            space[rank - 1]
+        ));
+    }
+    Ok(span)
+}
+
 /// One field (program input or stencil output) of a fuse plan, with the
 /// layout of one scratch plane of it.
 #[derive(Debug)]
@@ -155,6 +196,10 @@ struct FusedField {
     input: bool,
     /// Whether the field is read by any live stage (or is an output).
     live: bool,
+    /// Scratch axes the field spans. A lower-rank input misses the plane
+    /// and/or the row axis; it is a *broadcast* field, read through one
+    /// buffer of its own shape with stride 0 along the axes it misses.
+    span: [bool; 3],
     /// Pad fill value: the consumers' shared boundary constant, rounded
     /// through the field's element type.
     pad_constant: f64,
@@ -170,6 +215,28 @@ struct FusedField {
     /// cover, in planes relative to its chunk (seams only).
     grow_lo: usize,
     grow_hi: usize,
+}
+
+impl FusedField {
+    /// A lower-rank input: copied once per run into a buffer every worker
+    /// and window reads, instead of streaming through rings.
+    fn broadcast(&self) -> bool {
+        self.span != [true; 3]
+    }
+
+    /// Plane and row strides of a tap into the field's buffer: 0 along an
+    /// axis the field does not span.
+    fn strides(&self) -> (usize, usize) {
+        let stride = |a: usize, s| if self.span[a] { s } else { 0 };
+        (stride(0, self.plane), stride(1, self.row))
+    }
+
+    /// Positions along scratch axis `a` the field's buffer holds, pads
+    /// included (one in-domain position along an axis it does not span).
+    fn padded(&self, a: usize, ext: &[usize; 3]) -> usize {
+        let n = if self.span[a] { ext[a] } else { 1 };
+        self.pad_lo[a] + n + self.pad_hi[a]
+    }
 }
 
 /// How one kernel slot of a fused stage reads its field.
@@ -262,25 +329,37 @@ impl FusePlan {
             ext[axis(d, rank)] = n;
         }
 
+        // Liveness: the program outputs, then backward through the reads of
+        // every live stencil (reverse topological order visits each consumer
+        // before its producers). Eligibility is judged on live fields and
+        // stages only: nothing else is ever read or swept.
+        let plans = compiled.stencil_plans();
+        let mut live: BTreeSet<&str> = program.outputs().iter().map(String::as_str).collect();
+        for plan in plans.iter().rev() {
+            if live.contains(plan.name()) {
+                live.extend(
+                    plan.compiled_kernel()
+                        .slots()
+                        .iter()
+                        .map(|s| s.field.as_str()),
+                );
+            }
+        }
+
         // Field table: program inputs first, then stage outputs in
         // topological (compiled) order.
         let mut fields: Vec<FusedField> = Vec::new();
         let mut field_ids: BTreeMap<String, usize> = BTreeMap::new();
         let mut dtypes: Vec<DataType> = Vec::new();
-        let new_field = |fields: &mut Vec<FusedField>,
-                         dtypes: &mut Vec<DataType>,
-                         field_ids: &mut BTreeMap<String, usize>,
-                         name: &str,
-                         dtype: DataType,
-                         scalar: bool,
-                         input: bool| {
+        let mut new_field = |name: &str, dtype: DataType, scalar: bool, input: bool, span| {
             field_ids.insert(name.to_string(), fields.len());
             dtypes.push(dtype);
             fields.push(FusedField {
                 name: name.to_string(),
                 scalar,
                 input,
-                live: false,
+                live: live.contains(name),
+                span,
                 pad_constant: 0.0,
                 pad_lo: [0; 3],
                 pad_hi: [0; 3],
@@ -293,38 +372,25 @@ impl FusePlan {
         };
         for (name, decl) in program.inputs() {
             let scalar = decl.is_scalar();
-            if !scalar && decl.dims != space.dims {
-                return Err(format!(
-                    "input `{name}` does not span the full iteration space"
-                ));
-            }
-            new_field(
-                &mut fields,
-                &mut dtypes,
-                &mut field_ids,
-                name,
-                decl.data_type(),
-                scalar,
-                true,
-            );
+            let span = match input_span(&space.dims, &decl.dims) {
+                Ok(span) => span,
+                Err(why) if !scalar && live.contains(name) => {
+                    return Err(format!("input `{name}` {why}"));
+                }
+                Err(_) => [true; 3],
+            };
+            new_field(name, decl.data_type(), scalar, true, span);
         }
-        let plans = compiled.stencil_plans();
         for plan in plans {
-            new_field(
-                &mut fields,
-                &mut dtypes,
-                &mut field_ids,
-                plan.name(),
-                plan.out_dtype(),
-                false,
-                false,
-            );
+            new_field(plan.name(), plan.out_dtype(), false, false, [true; 3]);
         }
 
-        // Stages: typed kernels with space-ordered taps.
+        // Stages: typed kernels with taps at constant per-axis offsets.
         let mut stages: Vec<FusedStage> = Vec::with_capacity(plans.len());
         for (ix, plan) in plans.iter().enumerate() {
-            if plan.typed_kernel().is_none() {
+            let field = field_ids[plan.name()];
+            let live = fields[field].live;
+            if live && plan.typed_kernel().is_none() {
                 return Err(format!("stencil `{}` has no typed kernel", plan.name()));
             }
             let mut slots = Vec::with_capacity(plan.compiled_kernel().slots().len());
@@ -336,15 +402,11 @@ impl FusePlan {
                     slots.push(FusedSlot::Scalar(field));
                     continue;
                 }
-                if slot.index_vars != space.dims {
-                    return Err(format!(
-                        "stencil `{}` accesses `{}` with transposed indices",
-                        plan.name(),
-                        slot.field
-                    ));
-                }
                 let mut off = [0i64; 3];
-                for (d, &o) in slot.offsets.iter().enumerate() {
+                for (var, &o) in slot.index_vars.iter().zip(&slot.offsets) {
+                    let d = space
+                        .dim_index(var)
+                        .expect("program validation resolves index variables");
                     off[axis(d, rank)] = o;
                 }
                 slots.push(FusedSlot::Tap { field, off });
@@ -363,8 +425,8 @@ impl FusePlan {
             }
             stages.push(FusedStage {
                 stencil: ix,
-                field: field_ids[plan.name()],
-                live: false,
+                field,
+                live,
                 slots,
                 out_dtype: plan.out_dtype(),
                 shrink: plan.is_shrink(),
@@ -372,41 +434,18 @@ impl FusePlan {
                 mask_hi,
             });
         }
-
-        // Liveness: outputs backward through the taps.
-        let mut outputs = Vec::with_capacity(program.outputs().len());
-        for output in program.outputs() {
-            let field = field_ids[output];
-            let stage = stages
-                .iter()
-                .position(|s| s.field == field)
-                .expect("program outputs are stencils");
-            stages[stage].live = true;
-            fields[field].live = true;
-            outputs.push((stage, field));
-        }
-        for s in (0..stages.len()).rev() {
-            if !stages[s].live {
-                continue;
-            }
-            let slot_fields: Vec<usize> = stages[s]
-                .slots
-                .iter()
-                .map(|slot| match slot {
-                    FusedSlot::Scalar(f) | FusedSlot::Tap { field: f, .. } => *f,
-                })
-                .collect();
-            for field in slot_fields {
-                fields[field].live = true;
-                if !fields[field].input {
-                    let producer = stages
-                        .iter()
-                        .position(|p| p.field == field)
-                        .expect("non-input fields are stage outputs");
-                    stages[producer].live = true;
-                }
-            }
-        }
+        let outputs: Vec<(usize, usize)> = program
+            .outputs()
+            .iter()
+            .map(|output| {
+                let field = field_ids[output];
+                let stage = stages
+                    .iter()
+                    .position(|s| s.field == field)
+                    .expect("program outputs are stencils");
+                (stage, field)
+            })
+            .collect();
 
         // Footprints drive boundary-constant collection, pads, and the
         // backward dilation chain.
@@ -542,11 +581,12 @@ impl FusePlan {
 
         // Plane layout. Rows hold whole lane batches: the last batch's
         // over-compute writes (and reads) up to `batches * lanes`, which
-        // also covers the in-domain extent and the tail pad.
+        // also covers the in-domain extent and the tail pad. A broadcast
+        // field's plane holds one row if it misses the row axis.
         let lanes = fused_lane_width(ext[2]);
         for f in fields.iter_mut().filter(|f| f.live && !f.scalar) {
             f.row = f.pad_lo[2] + ext[2].div_ceil(lanes) * lanes + f.pad_hi[2];
-            f.plane = (f.pad_lo[1] + ext[1] + f.pad_hi[1]) * f.row;
+            f.plane = f.padded(1, &ext) * f.row;
             f.origin = f.pad_lo[1] * f.row + f.pad_lo[2];
         }
 
@@ -679,7 +719,7 @@ impl FusePlan {
         // The ring each field is read from at the current step.
         let mut holder = vec![usize::MAX; self.fields.len()];
         for (f, field) in self.fields.iter().enumerate() {
-            if field.live && !field.scalar && field.input {
+            if field.live && !field.scalar && field.input && !field.broadcast() {
                 holder[f] = rings.len();
                 rings.push(new_ring(f, None, 0, 0, Vec::new()));
             }
@@ -698,6 +738,19 @@ impl FusePlan {
                     .iter()
                     .map(|slot| match slot {
                         FusedSlot::Scalar(field) => Tap::Scalar(*field),
+                        FusedSlot::Tap { field, off } if self.fields[*field].broadcast() => {
+                            // Copied in whole before the first tick: no lag.
+                            let f = &self.fields[*field];
+                            let (s0, s1) = f.strides();
+                            let first = (f.pad_lo[0] * s0 + f.origin) as i64;
+                            let inner = first + off[0] * s0 as i64 + off[1] * s1 as i64 + off[2];
+                            Tap::Broadcast {
+                                field: *field,
+                                inner: inner as usize,
+                                s0,
+                                s1,
+                            }
+                        }
                         FusedSlot::Tap { field, off } => {
                             let ring = holder[*field];
                             let r = &rings[ring];
@@ -820,6 +873,16 @@ enum Tap {
         off0: i64,
         inner: usize,
     },
+    /// The broadcast buffer of input `field`: in plane `pos` (never
+    /// negative, a stage only sweeps in-domain planes) the tap reads the
+    /// row at `inner + pos * s0`, and the rows after it `s1` apart. A
+    /// stride is 0 along an axis the input does not span.
+    Broadcast {
+        field: usize,
+        inner: usize,
+        s0: usize,
+        s1: usize,
+    },
 }
 
 /// The wavefront of one `execute` call; a window shorter than the one it
@@ -858,6 +921,8 @@ struct WindowCtx<'a> {
     sources: Vec<Option<&'a [f64]>>,
     /// Scalar values per field (scalar inputs only).
     scalars: &'a [f64],
+    /// Broadcast buffers per field (broadcast inputs only).
+    broadcasts: &'a [Vec<f64>],
     /// Steps in this window.
     w: usize,
     /// Whether this is the final window (masks are written).
@@ -930,6 +995,22 @@ pub(crate) fn execute(
     let sched = plan.schedule(w_max, executor.fusion_tile_rows, |stage| {
         jit.is_some_and(|fns| fns[stage].is_some())
     });
+
+    // Lower-rank inputs are never state, so one copy serves every window
+    // and every worker.
+    let broadcasts: Vec<Vec<f64>> = plan
+        .fields
+        .iter()
+        .zip(&user_sources)
+        .map(|(field, src)| match src {
+            Some(src) if field.broadcast() => {
+                let mut buf = executor.pool_acquire(field.padded(0, &plan.ext) * field.plane);
+                fill_broadcast(plan, field, src, &mut buf);
+                buf
+            }
+            _ => Vec::new(),
+        })
+        .collect();
 
     // Result grids and masks for the program outputs. Under the service
     // tier (pooled results) these buffers come from the executor pools —
@@ -1048,6 +1129,7 @@ pub(crate) fn execute(
             sched: &sched,
             sources,
             scalars: &scalars,
+            broadcasts: &broadcasts,
             w,
             last,
             jit,
@@ -1072,7 +1154,13 @@ pub(crate) fn execute(
         };
     }
 
-    for buf in arenas.into_iter().chain(state_a).chain(state_b) {
+    // (The pool drops the empty placeholders.)
+    for buf in arenas
+        .into_iter()
+        .chain(state_a)
+        .chain(state_b)
+        .chain(broadcasts)
+    {
         executor.pool_release(buf);
     }
 
@@ -1123,6 +1211,18 @@ fn fill_pads(plan: &FusePlan, ring: &Ring, buf: &mut [f64]) {
             row[..cells_lo].fill(c);
             row[cells_hi..].fill(c);
         }
+    }
+}
+
+/// Copy a lower-rank input into its broadcast buffer: its grid in the
+/// in-domain cells, the boundary constant everywhere else.
+fn fill_broadcast(plan: &FusePlan, field: &FusedField, src: &[f64], buf: &mut [f64]) {
+    let nk = plan.ext[2];
+    let rows = if field.span[1] { plan.ext[1] } else { 1 };
+    buf.fill(field.pad_constant);
+    for (ix, cells) in src.chunks_exact(nk).enumerate() {
+        let at = (field.pad_lo[0] + ix / rows) * field.plane + field.origin + ix % rows * field.row;
+        buf[at..at + nk].copy_from_slice(cells);
     }
 }
 
@@ -1185,6 +1285,7 @@ fn run_worker_lanes<const L: usize>(ctx: &WindowCtx<'_>, worker: Worker<'_>) -> 
     let max_taps = sched.rings.iter().map(|r| r.taps.len()).max().unwrap_or(0);
     let mut lanes = LaneState::<L> {
         bases: vec![0; max_taps],
+        strides: vec![0; max_taps],
         scratch: LaneScratch::default(),
     };
 
@@ -1322,8 +1423,9 @@ struct Span {
 
 /// Per-worker scratch of the bytecode sweep.
 struct LaneState<const L: usize> {
-    /// Flat offset of each tap's current row.
+    /// Flat offset of each tap's current row, and its row stride.
     bases: Vec<usize>,
+    strides: Vec<usize>,
     scratch: LaneScratch<L>,
 }
 
@@ -1348,12 +1450,32 @@ fn sweep_lanes<const L: usize>(
     let pad_hi_k = field.pad_hi[2];
     let refill_tail = pad_hi_k > 0 && batches * L > nk;
     let (out_base, out_s0, out_s1) = span.layout;
-    let LaneState { bases, scratch } = state;
+    let LaneState {
+        bases,
+        strides,
+        scratch,
+    } = state;
+    for (stride, tap) in strides.iter_mut().zip(&target.taps) {
+        *stride = match tap {
+            Tap::Ring { ring, .. } => ctx.sched.rings[*ring].row,
+            Tap::Broadcast { s1, .. } => *s1,
+            Tap::Scalar(_) => 0,
+        };
+    }
+    let load = |buf: &[f64], at: usize| -> [f64; L] {
+        let mut batch = [0.0; L];
+        batch.copy_from_slice(&buf[at..at + L]);
+        batch
+    };
     for p in 0..span.n {
         let pos = span.x + p as i64;
         for (base, tap) in bases.iter_mut().zip(&target.taps) {
-            if let Tap::Ring { ring, off0, inner } = tap {
-                *base = ctx.sched.rings[*ring].at(pos + off0) + inner;
+            match tap {
+                Tap::Ring { ring, off0, inner } => {
+                    *base = ctx.sched.rings[*ring].at(pos + off0) + inner;
+                }
+                Tap::Broadcast { inner, s0, .. } => *base = inner + pos as usize * s0,
+                Tap::Scalar(_) => {}
             }
         }
         let mut out_row = out_base + p * out_s0;
@@ -1361,14 +1483,12 @@ fn sweep_lanes<const L: usize>(
             for b in 0..batches {
                 let k0 = b * L;
                 // Each slot batch is built directly on the operand stack
-                // from its contiguous ring row (scalars broadcast).
+                // from its contiguous row (scalars broadcast).
                 let result = typed.eval_lanes_with(
                     |s| match &target.taps[s] {
-                        Tap::Ring { ring, .. } => {
-                            let mut batch = [0.0; L];
-                            let base = bases[s] + k0;
-                            batch.copy_from_slice(&rings[*ring][base..base + L]);
-                            batch
+                        Tap::Ring { ring, .. } => load(rings[*ring], bases[s] + k0),
+                        Tap::Broadcast { field, .. } => {
+                            load(&ctx.broadcasts[*field], bases[s] + k0)
                         }
                         Tap::Scalar(field) => [ctx.scalars[*field]; L],
                     },
@@ -1385,10 +1505,8 @@ fn sweep_lanes<const L: usize>(
                 out[out_row + nk..out_row + nk + pad_hi_k].fill(field.pad_constant);
             }
             out_row += out_s1;
-            for (base, tap) in bases.iter_mut().zip(&target.taps) {
-                if let Tap::Ring { ring, .. } = tap {
-                    *base += ctx.sched.rings[*ring].row;
-                }
+            for (base, stride) in bases.iter_mut().zip(strides.iter()) {
+                *base += stride;
             }
         }
     }
@@ -1423,6 +1541,17 @@ fn sweep_native(
                     s1: r.row,
                 }
             }
+            Tap::Broadcast {
+                field,
+                inner,
+                s0,
+                s1,
+            } => SlotArg::Tap {
+                buf: &ctx.broadcasts[*field][..],
+                base: inner + span.x as usize * s0,
+                s0: *s0,
+                s1: *s1,
+            },
         })
         .collect();
     let (out_base, out_s0, out_s1) = span.layout;
@@ -1550,6 +1679,6 @@ mod tests {
                 assert!(cells <= most, "{label}: {cells} > {edge} + plane + block");
             }
         }
-        assert_eq!(fusible, 8);
+        assert_eq!(fusible, 9);
     }
 }

@@ -224,15 +224,176 @@ fn fused_steps_match_materializing_steps() {
     assert_tier_steps_bit_identical(&coupled, 65, 5);
 }
 
+/// A 3-D field missing the plane axis, read at row offsets under a
+/// `Constant` boundary into shrink stages: pads, the dilation chain and the
+/// shrink box must all be indexed by space axis, not by field dimension.
+fn row_broadcast(shape: &[usize]) -> StencilProgram {
+    StencilProgramBuilder::new("row_broadcast", shape)
+        .input("u", DataType::Float32, &["i", "j", "k"])
+        .input("c", DataType::Float64, &["j", "k"])
+        .stencil("a", "u[i,j,k] * c[j-1,k] + c[j,k+1]")
+        .boundary("a", "c", BoundaryCondition::Constant(0.5))
+        .shrink("a")
+        .stencil("b", "a[i-1,j,k] + 0.25 * a[i+1,j,k] - c[j+1,k]")
+        .boundary("b", "a", BoundaryCondition::Constant(-1.0))
+        .boundary("b", "c", BoundaryCondition::Constant(0.5))
+        .shrink("b")
+        .output("b")
+        .build()
+        .unwrap()
+}
+
+/// A 3-D `[i,k]` field read at plane offsets (stride 0 along rows) and a
+/// `[k]` field (stride 0 along planes and rows).
+fn plane_broadcast(shape: &[usize]) -> StencilProgram {
+    StencilProgramBuilder::new("plane_broadcast", shape)
+        .input("u", DataType::Float32, &["i", "j", "k"])
+        .input("w", DataType::Float64, &["i", "k"])
+        .input("z", DataType::Float32, &["k"])
+        .stencil("s", "u[i,j-1,k] + w[i-1,k] * w[i+2,k-1] - z[k+1]")
+        .boundary("s", "w", BoundaryCondition::Constant(2.0))
+        .boundary("s", "z", BoundaryCondition::Constant(-3.0))
+        .shrink("s")
+        .stencil("t", "s[i+1,j,k] - w[i,k]")
+        .output("t")
+        .build()
+        .unwrap()
+}
+
+/// Programs whose lower-rank inputs keep the innermost axis, so they stream
+/// through the fused and JIT tiers as broadcast taps: the paper's Listing 1
+/// (`a2[i,k]` misses the row axis; its copy boundary sits on centre-only
+/// accesses, which never leave the domain), the two above, and a 2-D
+/// `[j]` field.
+fn broadcast_programs() -> Vec<StencilProgram> {
+    let vector = StencilProgramBuilder::new("vector_broadcast", &[9, 13])
+        .input("u", DataType::Float32, &["i", "j"])
+        .input("c", DataType::Float32, &["j"])
+        .stencil("s", "u[i-1,j] * c[j-1] + c[j+2]")
+        .boundary("s", "c", BoundaryCondition::Constant(-0.5))
+        .shrink("s")
+        .output("s")
+        .build()
+        .unwrap();
+    vec![
+        listing1_with_shape(&[6, 7, 5]),
+        row_broadcast(&[7, 6, 9]),
+        plane_broadcast(&[7, 5, 11]),
+        vector,
+    ]
+}
+
+#[test]
+fn broadcast_taps_match_on_lower_rank_inputs() {
+    for (program, seed) in broadcast_programs().into_iter().zip(76..) {
+        // Both fused tiers stream it: the JIT leg of the loop runs native.
+        let compiled = ReferenceExecutor::new().prepare(&program).unwrap();
+        assert_eq!(compiled.jit_fallback_reason(), None, "{}", program.name());
+        assert_tiers_bit_identical(&program, seed);
+    }
+
+    // A broadcast input next to the state: one copy serves every window.
+    let forced = StencilProgramBuilder::new("forced", &[10, 12])
+        .input("h", DataType::Float32, &["i", "j"])
+        .input("f", DataType::Float32, &["j"])
+        .stencil("h_next", "0.5 * (h[i-1,j] + h[i+1,j]) + f[j-1]")
+        .boundary("h_next", "f", BoundaryCondition::Constant(0.25))
+        .output("h_next")
+        .build()
+        .unwrap();
+    assert!(ReferenceExecutor::new()
+        .prepare(&forced)
+        .unwrap()
+        .fused_steps_supported());
+    assert_tier_steps_bit_identical(&forced, 79, 5);
+}
+
+#[test]
+fn broadcast_taps_match_across_worker_seams() {
+    // Two workers share each broadcast buffer read-only; only the rings
+    // are per worker, and only full-rank stages recompute at the seam:
+    // Listing 1's `b3` reads `b1[i±1]`, dilating `b1` and `b0` by one plane
+    // on each side; `t` reads `s[i+1]`, dilating `s` by one; `b` reads
+    // `a[i±1]`, dilating `a` by one on each side.
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(2));
+    let plane = 32 * 32;
+    let cases = [
+        (listing1_with_shape(&[64, 32, 32]), 4),
+        (plane_broadcast(&[64, 32, 32]), 1),
+        (row_broadcast(&[64, 32, 32]), 2),
+    ];
+    for (program, seam_planes) in cases {
+        let inputs = generate_inputs(&program, 102);
+        let interpreted = ReferenceExecutor::new()
+            .run_interpreted(&program, &inputs)
+            .unwrap();
+        for tier in [Tier::Fused, Tier::Jit] {
+            for block in [0, 1, 3] {
+                let label = format!("{tier} block={block}");
+                let run = |threads| {
+                    let executor = ReferenceExecutor::new()
+                        .with_max_threads(threads)
+                        .with_fusion_tile_rows(block);
+                    run_pinned(&executor, &program, &inputs, None, tier).unwrap()
+                };
+                let (sequential, parallel) = (run(1), run(2));
+                assert_outputs_match(&program, &label, &parallel, &interpreted);
+                assert_outputs_match(&program, &label, &sequential, &interpreted);
+                assert_eq!(
+                    parallel.cells_evaluated(),
+                    sequential.cells_evaluated() + (workers - 1) * seam_planes * plane,
+                    "{} {label}: seam recompute",
+                    program.name()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn eligibility_is_judged_on_live_fields_and_stages() {
+    // Inputs no output depends on — one missing the innermost axis, one
+    // transposed, one read by nobody — and the dead stage reading two of
+    // them: none of them is ever swept, so none may block the fused tier.
+    let program = StencilProgramBuilder::new("dead_ineligible", &[6, 5, 9])
+        .input("u", DataType::Float32, &["i", "j", "k"])
+        .input("col", DataType::Float32, &["i"])
+        .input("t", DataType::Float32, &["k", "j", "i"])
+        .input("unused", DataType::Float32, &["j"])
+        .stencil("out", "u[i-1,j,k] + u[i,j,k+1]")
+        .stencil("dead", "col[i] + t[k,j,i]")
+        .output("out")
+        .build()
+        .unwrap();
+    let compiled = ReferenceExecutor::new().prepare(&program).unwrap();
+    assert_eq!(compiled.fused_fallback_reason(), None);
+    assert!(
+        compiled.jit_supported(),
+        "{:?}",
+        compiled.jit_fallback_reason()
+    );
+    assert_tiers_bit_identical(&program, 80);
+
+    // The same reads from a live stage keep the program on the fallback,
+    // with the reason naming the field.
+    let live = StencilProgramBuilder::new("live_ineligible", &[6, 5, 9])
+        .input("u", DataType::Float32, &["i", "j", "k"])
+        .input("t", DataType::Float32, &["k", "j", "i"])
+        .stencil("out", "u[i-1,j,k] + t[k,j,i]")
+        .output("out")
+        .build()
+        .unwrap();
+    let compiled = ReferenceExecutor::new().prepare(&live).unwrap();
+    assert_eq!(
+        compiled.fused_fallback_reason(),
+        Some("input `t` indexes the iteration space out of order")
+    );
+    assert_tiers_bit_identical(&live, 81);
+}
+
 #[test]
 fn ineligible_programs_fall_back_bit_identically() {
-    // Listing 1 combines a lower-dimensional input with copy boundaries;
-    // both keep it on the materializing path.
-    let listing = listing1_with_shape(&[6, 7, 5]);
     let executor = ReferenceExecutor::new();
-    let compiled = executor.prepare(&listing).unwrap();
-    assert!(!compiled.fused_tier_supported());
-    assert_tiers_bit_identical(&listing, 71);
 
     // Copy boundaries cannot be expressed as position-indexed pads.
     let copy = StencilProgramBuilder::new("copyb", &[6, 8])
@@ -250,11 +411,15 @@ fn ineligible_programs_fall_back_bit_identically() {
         .contains("copy boundary"));
     assert_tiers_bit_identical(&copy, 74);
 
-    // Lower-dimensional parameter fields keep horizontal diffusion on the
-    // materializing path (for now).
+    // Horizontal diffusion's parameter fields miss the innermost axis: a
+    // broadcast along the lanes, which neither sweep has yet.
     let hd = horizontal_diffusion(&HorizontalDiffusionSpec::small());
     let compiled = executor.prepare(&hd).unwrap();
     assert!(!compiled.fused_tier_supported());
+    assert!(compiled
+        .fused_fallback_reason()
+        .unwrap()
+        .contains("does not span the innermost axis `k`"));
     assert_tiers_bit_identical(&hd, 72);
 
     // Consumers disagreeing on a field's boundary constant.
@@ -324,6 +489,22 @@ fn fused_steady_state_allocates_nothing_from_the_pool() {
     let after_single = executor.pool_miss_count();
     fused(None);
     assert_eq!(executor.pool_miss_count(), after_single);
+
+    // Broadcast buffers come from the same pool and go back to it, and a
+    // run rejected at validation takes nothing from it.
+    let listing = listing1_with_shape(&[8, 6, 9]);
+    let inputs = generate_inputs(&listing, 92);
+    let mut missing = inputs.clone();
+    missing.remove("a2");
+    for tier in [Tier::Fused, Tier::Jit] {
+        run_pinned(&executor, &listing, &inputs, None, tier).unwrap();
+        let (misses, acquires) = (executor.pool_miss_count(), executor.pool_acquire_count());
+        run_pinned(&executor, &listing, &missing, None, tier).unwrap_err();
+        assert_eq!(executor.pool_acquire_count(), acquires, "{tier}");
+        run_pinned(&executor, &listing, &inputs, None, tier).unwrap();
+        assert_eq!(executor.pool_miss_count(), misses, "{tier}");
+        assert!(executor.pool_acquire_count() > acquires, "{tier}");
+    }
 }
 
 #[test]
@@ -411,23 +592,33 @@ fn rings_match_on_lags_depths_and_extents() {
 
 #[test]
 fn rings_match_on_random_dags() {
-    // The shared generator (its lower-rank `coef` keeps these on the
-    // fallback), one plane per tick.
+    // The shared generator, one plane per tick. Its lower-rank `coef`
+    // streams as a broadcast tap when it keeps the innermost axis (or is
+    // dead); copy boundaries and a `coef` that misses the innermost axis
+    // keep the rest on the fallback. The counts pin how many seeds reach
+    // each tier, so the loop cannot silently go back to comparing the
+    // fallback with itself.
+    let (mut fused, mut native) = (0, 0);
     for seed in 0..64u64 {
         let program = random_dag(seed);
         let inputs = generate_inputs(&program, seed);
         let executor = ReferenceExecutor::new().with_fusion_tile_rows(1);
+        let compiled = executor.prepare(&program).unwrap();
+        fused += usize::from(compiled.fused_tier_supported());
+        native += usize::from(compiled.jit_supported());
         let interpreted = executor.run_interpreted(&program, &inputs).unwrap();
         for tier in [Tier::Fused, Tier::Jit] {
             let result = run_pinned(&executor, &program, &inputs, None, tier).unwrap();
-            assert_outputs_match(
-                &program,
-                &format!("{tier} seed={seed}"),
-                &result,
-                &interpreted,
-            );
+            let label = format!("{tier} seed={seed}");
+            assert_outputs_match(&program, &label, &result, &interpreted);
+            assert_no_redundant_compute(&executor, &program, &result, 1, &label);
         }
     }
+    assert_eq!(
+        (fused, native),
+        (19, 19),
+        "random_dag seeds on the fused / JIT tier"
+    );
     // The same shapes made fusible: full-rank inputs, constant or shrink
     // boundaries, plane offsets in -3..=3, reconvergent reads.
     let mut fused = 0;
@@ -572,8 +763,9 @@ fn fused_handles_explicit_values() {
     assert_eq!(result.field("s").unwrap().as_slice(), &[2.0, 4.0, 6.0, 3.0]);
 }
 
-/// Horizontal diffusion does not fuse yet (lower-rank parameter fields),
-/// but its DAG already fixes what a wavefront over it would hold: the lag
+/// Horizontal diffusion does not fuse yet (its parameter fields miss the
+/// innermost axis), but its DAG already fixes what a wavefront over it
+/// would hold: the lag
 /// and ring recurrence of `fuse.rs`, evaluated on the program's access
 /// footprints. Printed (`--nocapture`) for ROADMAP item 2 and pinned.
 #[test]

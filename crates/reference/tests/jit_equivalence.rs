@@ -96,6 +96,21 @@ fn stages_sharing_one_body_are_swept_with_their_own_slots() {
 }
 
 #[test]
+fn jit_sweeps_broadcast_taps_natively() {
+    // Lower-rank inputs that keep the innermost axis reach the native
+    // sweep through the same tap ABI, with stride 0 along the axes they
+    // miss (`fused_equivalence.rs` runs the all-tier loop and the worker
+    // seams over Listing 1 and the other broadcast programs, and asserts
+    // they are eligible).
+    // Listing 1 is five stages over three distinct bodies: `b0`, `b3` and
+    // `b4` are one sum of two taps.
+    let listing = listing1_with_shape(&[6, 7, 5]);
+    assert_eligible(&listing);
+    let compiled = ReferenceExecutor::new().prepare(&listing).unwrap();
+    assert_eq!(compiled.jit_stage_census(), Some((5, 3)));
+}
+
+#[test]
 fn jit_matches_on_branchy_division_and_clamp_kernels() {
     // Upwind kernels are ternary-heavy: typed if-conversion must leave
     // them branch-free, the emitter turns the selects into C ternaries
@@ -210,19 +225,18 @@ fn ineligible_programs_fall_back_bit_identically() {
     let executor = ReferenceExecutor::new();
 
     // Fusion-ineligible programs fall all the way to the materializing
-    // path, and the JIT fallback reason names the fused tier's reason.
-    let listing = listing1_with_shape(&[6, 7, 5]);
-    let compiled = executor.prepare(&listing).unwrap();
-    assert!(!compiled.jit_supported());
-    assert!(compiled
-        .jit_fallback_reason()
-        .unwrap()
-        .contains("fused tier unavailable"));
-    assert!(compiled.jit_source().is_none());
-
+    // path, and the JIT fallback reason names the fused tier's reason:
+    // horizontal diffusion's parameter fields miss the innermost axis.
     let hd = horizontal_diffusion(&HorizontalDiffusionSpec::small());
     let compiled = executor.prepare(&hd).unwrap();
     assert!(!compiled.jit_supported());
+    let reason = compiled.jit_fallback_reason().unwrap();
+    assert!(
+        reason.starts_with("fused tier unavailable: input `")
+            && reason.contains("does not span the innermost axis `k`"),
+        "{reason}"
+    );
+    assert!(compiled.jit_source().is_none());
 
     // Copy boundaries: fused-ineligible, same ladder.
     let copy = StencilProgramBuilder::new("copyb", &[6, 8])

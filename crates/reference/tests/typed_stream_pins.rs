@@ -218,9 +218,11 @@ const TYPED_STREAMS: &[&str] = &[
 ];
 
 /// `name fnv(unit) fnv(unit with one body per stage)`; the second column
-/// is the parent pins, unmoved.
+/// is the parent pins, unmoved. `listing1` joined the native programs when
+/// its lower-rank `a2[i,k]` became a broadcast tap; both of its columns
+/// were taken then.
 const JIT_SOURCES: &[&str] = &[
-    "listing1 fallback",
+    "listing1 de2257cb213f3653 3f7cb164ff55be0e",
     "jacobi2d 28c92bc7ed87dda0 08a088cf3ed08761",
     "jacobi3d 9cd451e3c298ca73 c672d44779c339d0",
     "jacobi3d 1f37278d41f4d729 74ddc5929abf1cd2",
