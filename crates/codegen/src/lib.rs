@@ -10,18 +10,17 @@
 //! reader/writer kernels — can be inspected, diffed, and tested against the
 //! analysis. Host code and per-device SMI kernel files are not emitted.
 //!
+//! Both outputs print their arithmetic through one emitter:
+//!
+//! * [`jit_unit`] — the C expression emitter, which renders a stencil's
+//!   type-specialized kernel in `double` with explicit `f32`-round wraps,
+//!   bit-identical to the typed bytecode tiers; and the whole-program
+//!   translation units of the Tier-4 native backend built from it.
 //! * [`opencl`] — Intel-FPGA-OpenCL-style kernel emission for a single
-//!   device.
-//! * `expr_c` — translation of stencil expressions to C, preferring the
-//!   optimized-bytecode emitter (if-converted selects, CSE temporaries)
-//!   with the raw AST walk as the fallback for lazy control flow.
-//! * [`jit_unit`] — whole-program C emission for the Tier-4 native
-//!   backend: per-stage sweep functions in `double` with explicit
-//!   `f32`-round wraps, bit-identical to the typed bytecode tiers.
+//!   device, whose compute phases are those same typed bodies.
 
 #![forbid(unsafe_code)]
 
-mod expr_c;
 pub mod jit_unit;
 pub mod opencl;
 

@@ -1,38 +1,84 @@
 //! Intel-FPGA-OpenCL-style kernel emission.
 
-use crate::expr_c::{kernel_to_c, program_to_c, SelectStyle};
+use crate::jit_unit::emit_kernel;
 use std::fmt::Write as _;
 use stencilflow_core::{ChannelEndpoint, HardwareMapping, MemoryAccessKind};
-use stencilflow_expr::CompiledKernel;
+use stencilflow_expr::{AccessSlot, CompiledKernel, DataType};
 use stencilflow_program::{StencilNode, StencilProgram};
 
 fn channel_name(from: &ChannelEndpoint, to: &ChannelEndpoint) -> String {
     format!("ch_{}_{}", from.name(), to.name())
 }
 
-/// Compute-phase statements for one stencil unit, emitted from the
-/// **optimized** bytecode (shared pass pipeline: if-converted selects
-/// rendered through the OpenCL `select` builtin, CSE temporaries, dead
-/// code already gone). Kernels whose control flow resisted if-conversion
-/// (an arm that must stay lazy) fall back to the raw AST walk with native
-/// C ternaries.
-fn compute_phase_lines(
-    stencil: &StencilNode,
-    access: &impl Fn(&str, &[i64]) -> String,
-) -> Vec<String> {
-    let dtype = stencil.output_type;
-    if let Ok(kernel) = CompiledKernel::compile(&stencil.program) {
-        if let Some(lines) = kernel_to_c(&kernel, access, dtype, SelectStyle::OpenClSelect) {
-            return lines;
-        }
+/// OpenCL C spelling of an element type: what a channel, shift register
+/// or buffer carrying a field of that type is declared as.
+fn cl_type(dtype: DataType) -> &'static str {
+    match dtype {
+        DataType::Float32 => "float",
+        DataType::Float64 => "double",
+        DataType::Int32 => "int",
+        DataType::Int64 => "long",
+        DataType::Bool => "bool",
     }
-    program_to_c(&stencil.program, access, dtype)
+}
+
+/// How the compute phase reads a kernel slot: a scalar symbol is a bare
+/// parameter name, a field access a boundary-checked shift-register tap.
+fn slot_c(slot: &AccessSlot) -> String {
+    if slot.is_scalar() {
+        return slot.field.clone();
+    }
+    let flat: String = slot.offsets.iter().map(|o| format!("{o:+}")).collect();
+    format!("tap(/* boundary-checked */ buf_{}, i {flat})", slot.field)
+}
+
+/// Compute-phase statements for one stencil unit: the stencil's typed
+/// kernel — specialized to the element types of the fields it reads —
+/// rendered by the same [`emit_kernel`] whose native code is checked bit
+/// for bit against the interpreter, and stored with the native store's
+/// `f32` rounding. Fails for a stencil without a typed kernel (integer
+/// operands) or with a non-float output.
+fn compute_phase_lines(
+    program: &StencilProgram,
+    stencil: &StencilNode,
+) -> Result<Vec<String>, String> {
+    let round = match stencil.output_type {
+        DataType::Float32 => true,
+        DataType::Float64 => false,
+        other => return Err(format!("output type {other} is not a float type")),
+    };
+    let kernel = CompiledKernel::compile(&stencil.program).map_err(|e| e.to_string())?;
+    let slot_types: Vec<DataType> = kernel
+        .slots()
+        .iter()
+        .map(|slot| {
+            program
+                .field_type(&slot.field)
+                .expect("validated programs declare every field they read")
+        })
+        .collect();
+    let typed = kernel
+        .specialize(&slot_types)
+        .ok_or("kernel does not type-specialize (integer or boolean operands)")?;
+    let body = emit_kernel(&typed, &|ix| slot_c(&kernel.slots()[ix]))?;
+    let result = format!("result = {};", body.stored(round));
+    let mut lines = body.statements;
+    lines.push(result);
+    Ok(lines)
 }
 
 /// Generate the single-device kernel file: channel declarations, reader and
 /// writer kernels, and one autorun compute kernel per stencil unit with its
-/// shift-register internal buffers and boundary predication.
+/// shift-register internal buffers and boundary predication. Every
+/// declaration takes the element type of the field it carries.
 pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> String {
+    let field_type = |field: &str| {
+        cl_type(
+            program
+                .field_type(field)
+                .expect("mapped fields are program fields"),
+        )
+    };
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -43,13 +89,16 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
         out,
         "// Target: Intel FPGA SDK for OpenCL (never synthesized in this reproduction).\n"
     );
-    let _ = writeln!(out, "#pragma OPENCL EXTENSION cl_intel_channels : enable\n");
+    let _ = writeln!(out, "#pragma OPENCL EXTENSION cl_intel_channels : enable");
+    // Compute phases are double arithmetic with explicit `f32` rounds.
+    let _ = writeln!(out, "#pragma OPENCL EXTENSION cl_khr_fp64 : enable\n");
 
     // Channel declarations with the analysis-computed depths.
     for channel in &mapping.channels {
         let _ = writeln!(
             out,
-            "channel float {} __attribute__((depth({})));",
+            "channel {} {} __attribute__((depth({})));",
+            field_type(&channel.field),
             channel_name(&channel.from, &channel.to),
             channel.depth_words
         );
@@ -61,13 +110,14 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
         if unit.kind != MemoryAccessKind::Read {
             continue;
         }
+        let ty = field_type(&unit.field);
         let _ = writeln!(
             out,
-            "__kernel void read_{}(__global const float* restrict data, const long n) {{",
+            "__kernel void read_{}(__global const {ty}* restrict data, const long n) {{",
             unit.field
         );
         let _ = writeln!(out, "  for (long i = 0; i < n; ++i) {{");
-        let _ = writeln!(out, "    const float value = data[i];");
+        let _ = writeln!(out, "    const {ty} value = data[i];");
         for consumer in mapping.memory_channels(index) {
             let _ = writeln!(
                 out,
@@ -94,7 +144,8 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
                 );
                 let _ = writeln!(
                     out,
-                    "  float buf_{field}[{}];",
+                    "  {} buf_{field}[{}];",
+                    field_type(field),
                     unit.internal_buffer_elements.max(1)
                 );
             }
@@ -104,7 +155,8 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
         for channel in mapping.input_channels(&unit.name) {
             let _ = writeln!(
                 out,
-                "    const float in_{} = read_channel_intel({});",
+                "    const {} in_{} = read_channel_intel({});",
+                field_type(&channel.field),
                 channel.field,
                 channel_name(&channel.from, &channel.to)
             );
@@ -114,16 +166,12 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
             out,
             "    // compute phase (boundary handling is predicated per access)"
         );
-        let _ = writeln!(out, "    float result;");
-        let access = |field: &str, offsets: &[i64]| -> String {
-            let flat: String = offsets
-                .iter()
-                .map(|o| format!("{o:+}"))
-                .collect::<Vec<_>>()
-                .join("");
-            format!("tap(/* boundary-checked */ buf_{field}, i {flat})")
-        };
-        for line in compute_phase_lines(stencil, &access) {
+        let _ = writeln!(out, "    {} result;", cl_type(stencil.output_type));
+        // A stencil the typed body cannot express gets an `#error` line:
+        // the file fails closed rather than carry code its channels cannot.
+        let lines = compute_phase_lines(program, stencil)
+            .unwrap_or_else(|e| vec![format!("#error \"stencil `{}`: {e}\"", unit.name)]);
+        for line in lines {
             let _ = writeln!(out, "    {line}");
         }
         // Conditional write (suppressed during initialization).
@@ -152,8 +200,9 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
         let producer = mapping.memory_channels(index).next();
         let _ = writeln!(
             out,
-            "__kernel void write_{}(__global float* restrict data, const long n) {{",
-            unit.field
+            "__kernel void write_{}(__global {}* restrict data, const long n) {{",
+            unit.field,
+            field_type(&unit.field)
         );
         let _ = writeln!(out, "  for (long i = 0; i < n; ++i) {{");
         if let Some(channel) = producer {
@@ -171,8 +220,46 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jit_eval_unit;
     use stencilflow_core::AnalysisConfig;
-    use stencilflow_workloads::{chain_program, ChainSpec};
+    use stencilflow_dataflow::fuse_all;
+    use stencilflow_program::StencilProgramBuilder;
+    use stencilflow_workloads::{
+        chain_program, horizontal_diffusion, jacobi3d_typed, listing1, ChainSpec,
+        HorizontalDiffusionSpec,
+    };
+
+    fn kernels_of(program: &StencilProgram) -> String {
+        let mapping = HardwareMapping::build(program, &AnalysisConfig::paper_defaults()).unwrap();
+        generate_kernels(program, &mapping)
+    }
+
+    /// The compute-phase lines of stencil `name`'s kernel in `code`.
+    fn compute_phase<'a>(code: &'a str, name: &str) -> Vec<&'a str> {
+        let (_, kernel) = code
+            .split_once(&format!("__kernel void stencil_{name}() {{\n"))
+            .unwrap();
+        kernel
+            .lines()
+            .skip_while(|line| !line.ends_with(" result;"))
+            .skip(1)
+            .take_while(|line| !line.starts_with("    if (i >= INIT_"))
+            .map(str::trim_start)
+            .collect()
+    }
+
+    /// A one-stencil program `b = {code}` over inputs `a` (of type `a`) and
+    /// `a2` (`f32`), and `f32` scalar `dt`.
+    fn one_stencil(code: &str, a: DataType) -> StencilProgram {
+        StencilProgramBuilder::new("one", &[8, 8, 8])
+            .input("a", a, &["i", "j", "k"])
+            .input("a2", DataType::Float32, &["i", "j", "k"])
+            .scalar("dt", DataType::Float32)
+            .stencil("b", code)
+            .output("b")
+            .build()
+            .unwrap()
+    }
 
     #[test]
     fn channel_depths_appear_in_generated_code() {
@@ -186,5 +273,94 @@ mod tests {
             code.matches("__attribute__((autorun))").count(),
             mapping.unit_count()
         );
+    }
+
+    #[test]
+    fn compute_phases_are_the_jit_eval_bodies() {
+        // Every stencil's compute phase is, slot reads aside, exactly the
+        // statements and result of the native eval unit of its typed
+        // kernel, stored with the `f32` round of an `f32` output.
+        let hdiff = horizontal_diffusion(&HorizontalDiffusionSpec::production(1));
+        for program in [
+            listing1(),
+            chain_program(&ChainSpec::new(8, 8)),
+            fuse_all(&hdiff).unwrap(),
+        ] {
+            let code = kernels_of(&program);
+            assert!(!code.contains("#error"), "{}", program.name());
+            for stencil in program.stencils() {
+                let kernel = CompiledKernel::compile(&stencil.program).unwrap();
+                let types: Vec<DataType> = (kernel.slots().iter())
+                    .map(|slot| program.field_type(&slot.field).unwrap())
+                    .collect();
+                let mut unit = jit_eval_unit(&kernel.specialize(&types).unwrap(), "f").unwrap();
+                for (ix, slot) in kernel.slots().iter().enumerate() {
+                    unit = unit.replace(&format!("sf_slots[{ix}]"), &slot_c(slot));
+                }
+                let (_, body) = unit.split_once("*sf_slots) {\n").unwrap();
+                let mut expected: Vec<String> =
+                    body.lines().map(|l| l.trim().to_string()).collect();
+                assert_eq!(expected.pop().unwrap(), "}");
+                let result = expected.pop().unwrap();
+                let result = &result["return ".len()..result.len() - 1];
+                expected.push(match stencil.output_type {
+                    DataType::Float32 => format!("result = (double)(float)({result});"),
+                    _ => format!("result = {result};"),
+                });
+                assert_eq!(compute_phase(&code, &stencil.name), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn guarded_division_emits_through_the_typed_body() {
+        // The division keeps the `Value` bytecode's jump diamond; the typed
+        // kernel speculates it, so the compute phase is one select.
+        let code = kernels_of(&one_stencil(
+            "a[i,j,k] > 0.0 ? a[i,j,k] / a2[i,j,k] : a[i,j,k]",
+            DataType::Float32,
+        ));
+        let phase = compute_phase(&code, "b");
+        assert_eq!(phase.len(), 1, "{phase:?}");
+        assert!(phase[0].starts_with("result = (double)(float)(("));
+        assert!(phase[0].contains(" ? ") && phase[0].contains(" / "));
+    }
+
+    #[test]
+    fn scalar_slots_render_as_bare_names() {
+        let code = kernels_of(&one_stencil(
+            "a[i,j,k] * dt + a[i-1,j,k]",
+            DataType::Float32,
+        ));
+        let phase = compute_phase(&code, "b").join("\n");
+        assert!(phase.contains("+0+0) * dt)") && !phase.contains("buf_dt"));
+    }
+
+    #[test]
+    fn integer_stencils_fail_closed() {
+        let code = kernels_of(&one_stencil("a[i,j,k] + a2[i,j,k]", DataType::Int32));
+        assert!(code.contains("channel int ch_a_b "), "{code}");
+        assert_eq!(
+            compute_phase(&code, "b"),
+            ["#error \"stencil `b`: kernel does not type-specialize (integer or boolean operands)\""]
+        );
+    }
+
+    #[test]
+    fn declarations_take_the_element_type_of_their_field() {
+        let code = kernels_of(&jacobi3d_typed(1, &[16, 16, 8], 1, DataType::Float64));
+        assert!(code.contains("#pragma OPENCL EXTENSION cl_khr_fp64 : enable"));
+        for decl in [
+            "channel double ",
+            "__global const double* restrict data",
+            "const double value",
+            "double buf_f0[",
+            "const double in_f0",
+            "double result;",
+            "__global double* restrict data",
+        ] {
+            assert!(code.contains(decl), "no `{decl}` in:\n{code}");
+        }
+        assert!(!code.contains("float "), "{code}");
     }
 }

@@ -355,6 +355,8 @@ fn locals_comparisons_and_logic_round_trip() {
         "(a[i] < b[i]) + (a[i] > b[i]) * 2.0",
         // Select on a NaN condition takes the else arm, like JumpIfFalse.
         "a[i] == a[i] ? 1.0 : 2.0",
+        // A raw float condition is true when non-zero, NaN included.
+        "a[i] ? b[i] : 2.5",
         "a[i] < b[i] ? a[i] - b[i] : b[i] - a[i]",
         // Short-circuit logic if-converts to selects; NaN is falsy in
         // comparisons and truthy nowhere here.

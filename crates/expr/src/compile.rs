@@ -199,7 +199,7 @@ impl CompiledKernel {
     }
 
     /// Number of local registers the kernel uses.
-    pub fn local_count(&self) -> usize {
+    pub(crate) fn local_count(&self) -> usize {
         self.local_count
     }
 
