@@ -3,7 +3,9 @@
 //! compiler-style, and write a JSON artifact of every diagnostic. The
 //! sweep also takes the census of kernel forms — how many stencils the
 //! executor sweeps on a typed (lane-batched) kernel and how many on the
-//! boxed `Value` kernel — per program and in total.
+//! boxed `Value` kernel — per program and in total, and of fuse plans: how
+//! many programs the fused tier takes and how many fall back to the
+//! materializing sweep.
 //!
 //! With `--check`, exits non-zero if any workload produces an
 //! error-severity diagnostic — the CI gate that keeps the whole workload
@@ -14,13 +16,14 @@
 use stencilflow_analysis::{analyze_program, analyze_sharding, AnalysisReport, Severity};
 use stencilflow_core::ShardLinkSpec;
 use stencilflow_json::Json;
-use stencilflow_reference::ReferenceExecutor;
+use stencilflow_reference::{ReferenceExecutor, Tier};
 use stencilflow_workloads::analyze_suite;
 
-fn kernel_forms_json((typed, boxed): (usize, usize)) -> Json {
+/// A census pair as a JSON object with the two given member names.
+fn pair_json(names: [&str; 2], (a, b): (usize, usize)) -> Json {
     Json::Object(vec![
-        ("typed".into(), Json::Number(typed as f64)),
-        ("boxed".into(), Json::Number(boxed as f64)),
+        (names[0].into(), Json::Number(a as f64)),
+        (names[1].into(), Json::Number(b as f64)),
     ])
 }
 
@@ -47,6 +50,7 @@ fn main() {
 
     let mut reports: Vec<AnalysisReport> = Vec::new();
     let mut kernel_forms: Vec<(usize, usize)> = Vec::new();
+    let mut fuse_plans = (0usize, 0usize);
     let executor = ReferenceExecutor::new();
     let mut errors = 0usize;
     let mut warnings = 0usize;
@@ -72,6 +76,10 @@ fn main() {
             .expect("the suite's programs compile");
         let typed = compiled.typed_stencil_count();
         kernel_forms.push((typed, compiled.stencil_count() - typed));
+        match compiled.tier_trace().reason(Tier::Fused, None) {
+            None => fuse_plans.0 += 1,
+            Some(_) => fuse_plans.1 += 1,
+        }
     }
 
     let clean = reports.iter().filter(|r| r.diagnostics.is_empty()).count();
@@ -86,6 +94,10 @@ fn main() {
         .iter()
         .fold((0, 0), |(t, b), (typed, boxed)| (t + typed, b + boxed));
     println!("kernel forms: {} typed, {} boxed", total.0, total.1);
+    println!(
+        "fuse plans: {} fused, {} fallback",
+        fuse_plans.0, fuse_plans.1
+    );
 
     if let Some(path) = out {
         let json = Json::Object(vec![
@@ -99,13 +111,20 @@ fn main() {
                             let Json::Object(mut members) = report.to_json() else {
                                 unreachable!("reports render as objects");
                             };
-                            members.push(("kernel_forms".into(), kernel_forms_json(forms)));
+                            members.push((
+                                "kernel_forms".into(),
+                                pair_json(["typed", "boxed"], forms),
+                            ));
                             Json::Object(members)
                         })
                         .collect(),
                 ),
             ),
-            ("kernel_forms".into(), kernel_forms_json(total)),
+            ("kernel_forms".into(), pair_json(["typed", "boxed"], total)),
+            (
+                "fuse_plans".into(),
+                pair_json(["fused", "fallback"], fuse_plans),
+            ),
             ("errors".into(), Json::Number(errors as f64)),
             ("warnings".into(), Json::Number(warnings as f64)),
         ]);

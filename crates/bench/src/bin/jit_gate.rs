@@ -29,7 +29,9 @@
 use stencilflow_expr::DataType;
 use stencilflow_json::Json;
 use stencilflow_program::StencilProgram;
-use stencilflow_reference::{generate_inputs, ReferenceExecutor, RunSpec, Tier, TierPolicy};
+use stencilflow_reference::{
+    generate_inputs, ReferenceExecutor, RunSpec, Tier, TierPolicy, TierTrace,
+};
 use stencilflow_workloads::{
     chain_program, diffusion2d, diffusion3d, horizontal_diffusion, jacobi2d, jacobi3d,
     jacobi3d_typed, listing1, membench_program, upwind3d, ChainSpec, HorizontalDiffusionSpec,
@@ -108,6 +110,18 @@ struct Census {
     bodies: usize,
 }
 
+/// Why a single run pinned to the JIT tier landed below it: the JIT rung's
+/// reason, and the fused rung's when that is what the JIT rung needs.
+fn fallback_reason(trace: &TierTrace) -> String {
+    let jit = trace
+        .reason(Tier::Jit, None)
+        .expect("the gate probed the compiler up front");
+    match trace.reason(Tier::Fused, None) {
+        Some(fused) => format!("{jit}: {fused}"),
+        None => jit.to_string(),
+    }
+}
+
 /// The gate pins the JIT tier (ineligible workloads take its transparent
 /// fallback rungs).
 fn jit_spec(steps: Option<usize>) -> RunSpec {
@@ -174,8 +188,8 @@ fn main() {
             sources.push((format!("{ix:02}-{}", program.name()), source.to_string()));
         }
         let baseline = executor.run_interpreted(&program, &inputs).unwrap();
-        let jit = match executor.execute(&compiled, &inputs, &jit_spec(None)) {
-            Ok((result, _)) => result,
+        let (jit, ran) = match executor.execute(&compiled, &inputs, &jit_spec(None)) {
+            Ok(run) => run,
             Err(e) => {
                 eprintln!("FAIL {}: the JIT tier errored: {e}", program.name());
                 failures += 1;
@@ -183,15 +197,13 @@ fn main() {
             }
         };
         let cells = program.space().num_cells() * program.stencil_count();
+        let native = ran == Tier::Jit;
+        let fallback_reason = (!native).then(|| fallback_reason(compiled.tier_trace()));
         match diff_outputs(&program, &jit, &baseline) {
             Ok(()) => {
-                let tier = if compiled.jit_supported() {
-                    "native".to_string()
-                } else {
-                    format!(
-                        "fallback ({})",
-                        compiled.jit_fallback_reason().unwrap_or("unknown")
-                    )
+                let tier = match &fallback_reason {
+                    None => "native".to_string(),
+                    Some(reason) => format!("fallback ({reason})"),
                 };
                 println!(
                     "ok: {:<24} {tier}, bitwise identical over {cells} cells",
@@ -205,8 +217,8 @@ fn main() {
         }
         outcomes.push(WorkloadOutcome {
             name: program.name().to_string(),
-            native: compiled.jit_supported(),
-            fallback_reason: compiled.jit_fallback_reason().map(str::to_string),
+            native,
+            fallback_reason,
             cells,
         });
     }
@@ -220,7 +232,11 @@ fn main() {
         .prepare(&stepped)
         .and_then(|compiled| executor.execute(&compiled, &inputs, &jit_spec(Some(4))));
     match stepped_run {
-        Ok((jit, _)) => match diff_outputs(&stepped, &jit, &baseline) {
+        Ok((jit, ran)) => match diff_outputs(&stepped, &jit, &baseline) {
+            Ok(()) if ran != Tier::Jit => {
+                eprintln!("FAIL {} x4 steps: ran on {ran}", stepped.name());
+                failures += 1;
+            }
             Ok(()) => println!(
                 "ok: {:<24} native x4 steps, bitwise identical",
                 stepped.name()

@@ -1566,11 +1566,7 @@ mod tests {
         let inputs = generate_inputs(&chain, 17);
         let executor = ReferenceExecutor::new().with_max_threads(1);
         let compiled = executor.prepare(&chain).unwrap();
-        assert!(
-            compiled.fused_tier_supported(),
-            "{:?}",
-            compiled.fused_fallback_reason()
-        );
+        assert_eq!(compiled.tier_trace().reason(Tier::Fused, None), None);
         let speedup = median_paired_speedup(
             std::time::Duration::from_millis(1500),
             || {
@@ -1596,7 +1592,8 @@ mod tests {
         let program = jacobi3d(1, &[64, 64, 64], 1);
         let inputs = generate_inputs(&program, 17);
         let executor = ReferenceExecutor::new().with_max_threads(1);
-        assert!(executor.prepare(&program).unwrap().fused_steps_supported());
+        let compiled = executor.prepare(&program).unwrap();
+        assert_eq!(compiled.tier_trace().reason(Tier::Fused, Some(8)), None);
         let speedup = median_paired_speedup(
             std::time::Duration::from_millis(1500),
             || {

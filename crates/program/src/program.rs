@@ -118,6 +118,82 @@ impl StencilProgram {
             .collect())
     }
 
+    /// The output-to-input feedback pairing of time stepping, `(output,
+    /// input)` in output order. A single-output program pairs with its
+    /// single full-rank input directly. A multi-field system must *name*
+    /// the correspondence: each output pairs with the full-rank input whose
+    /// name is the longest prefix of the output's name (`h -> h_next`,
+    /// `h2 -> h2_next`), so no declaration or sort order can silently
+    /// transpose coupled state.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProgramError::Invalid`] if the program does not have exactly
+    /// one full-rank input per output, if a multi-field pairing is not
+    /// derivable by prefix (or two outputs claim the same input), or if an
+    /// output's element type differs from the input it would feed.
+    pub fn feedback_pairs(&self) -> Result<Vec<(String, String)>> {
+        let (name, outputs) = (&self.name, &self.outputs);
+        let full_rank = |(_, decl): &(&str, &FieldDecl)| decl.dims == self.space.dims;
+        let feedback: Vec<(&str, &FieldDecl)> = self.inputs().filter(full_rank).collect();
+        if feedback.len() != outputs.len() {
+            return Err(ProgramError::Invalid {
+                message: format!(
+                    "time stepping requires one full-rank input per program output, \
+                     but `{name}` has {} output(s) and {} full-rank input(s)",
+                    outputs.len(),
+                    feedback.len()
+                ),
+            });
+        }
+        let mut pairs = Vec::with_capacity(outputs.len());
+        let mut used: Vec<Option<&str>> = vec![None; feedback.len()];
+        for output in outputs {
+            let target = if feedback.len() == 1 {
+                0
+            } else {
+                let mut best: Option<usize> = None;
+                for (ix, &(input, _)) in feedback.iter().enumerate() {
+                    let longer = match best {
+                        None => true,
+                        Some(b) => input.len() > feedback[b].0.len(),
+                    };
+                    if longer && output.starts_with(input) {
+                        best = Some(ix);
+                    }
+                }
+                best.ok_or_else(|| ProgramError::Invalid {
+                    message: format!(
+                        "cannot pair output `{output}` with a state input: no full-rank \
+                         input name is a prefix of it — name coupled-system outputs \
+                         after their state fields (e.g. `h` -> `h_next`)"
+                    ),
+                })?
+            };
+            if let Some(previous) = used[target] {
+                return Err(ProgramError::Invalid {
+                    message: format!(
+                        "outputs `{previous}` and `{output}` would both feed input `{}`",
+                        feedback[target].0
+                    ),
+                });
+            }
+            used[target] = Some(output);
+            let (input, dtype) = (feedback[target].0, feedback[target].1.data_type());
+            let out_dtype = self.stencils[output].output_type;
+            if out_dtype != dtype {
+                return Err(ProgramError::Invalid {
+                    message: format!(
+                        "output `{output}` has element type {out_dtype} but would feed \
+                         input `{input}` of type {dtype}"
+                    ),
+                });
+            }
+            pairs.push((output.clone(), input.to_string()));
+        }
+        Ok(pairs)
+    }
+
     /// Total operation count per iteration-space cell, summed over all
     /// stencils (the "Op/cycle" figure of the paper's scaling plots).
     pub fn ops_per_cell(&self) -> OpCount {

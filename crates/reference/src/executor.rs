@@ -25,7 +25,7 @@
 
 use crate::grid::Grid;
 use crate::plan::CompiledStencil;
-use crate::tier::{Tier, TierPolicy, TierRouter};
+use crate::tier::{Ineligible, Tier, TierPolicy, TierRouter, TierTrace};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -131,9 +131,6 @@ struct InputSpec {
     name: String,
     shape: Vec<usize>,
     dtype: DataType,
-    /// Whether the input spans the full iteration space (and is therefore
-    /// eligible as a time-stepping feedback target).
-    full_rank: bool,
 }
 
 /// A stencil program compiled for repeated execution: slot-resolved (and,
@@ -149,9 +146,12 @@ pub struct CompiledProgram {
     inputs: Vec<InputSpec>,
     outputs: Vec<String>,
     stencils: Vec<CompiledStencil>,
-    /// Fusion analysis: the fused tier's plan, or the reason the
-    /// program stays on the materializing path.
-    fuse: std::result::Result<crate::fuse::FusePlan, String>,
+    /// The time-stepping feedback pairs `(output, input)`, or why there
+    /// are none.
+    pairs: Result<Vec<(String, String)>>,
+    /// The tier ladder: the fused rung's plan and the JIT rung's unit, or
+    /// why the program cannot take them.
+    trace: TierTrace,
     /// Hashed structural fingerprint of the source program (the executor
     /// cache key): FNV-1a streamed over the program's `Debug` rendering, so
     /// computing it allocates nothing. (A 64-bit collision between
@@ -161,10 +161,6 @@ pub struct CompiledProgram {
     /// small jobs hashing on every submit — must not pay an O(program-size)
     /// `String` render per hit.)
     fingerprint: u64,
-    /// Tier-4 analysis: the emitted C translation unit for the fused
-    /// plan's live stages, or the reason native execution falls back to
-    /// the fused tier.
-    jit: std::result::Result<crate::jit::JitUnit, String>,
 }
 
 impl std::fmt::Debug for CompiledProgram {
@@ -196,47 +192,25 @@ impl CompiledProgram {
         self.stencils.iter().filter(|s| s.is_typed()).count()
     }
 
-    /// Whether the fused tier can execute this program directly
-    /// (see `docs/evaluation.md`; ineligible programs transparently fall
-    /// back to the materializing path).
-    pub fn fused_tier_supported(&self) -> bool {
-        self.fuse.is_ok()
-    }
-
-    /// Why the fused tier falls back to the materializing path, if it
-    /// does.
-    pub fn fused_fallback_reason(&self) -> Option<&str> {
-        self.fuse.as_ref().err().map(String::as_str)
-    }
-
-    /// Whether the Tier-4 native backend can execute this program: the
-    /// fused tier supports it, and every live stage's optimized bytecode
-    /// passed the static verifier and its typed kernel emitted cleanly as
-    /// C (see `docs/evaluation.md`). Note this is *static* eligibility — a
-    /// machine without a working `cc` still falls back at run time
-    /// ([`crate::jit_available`]).
-    pub fn jit_supported(&self) -> bool {
-        self.jit.is_ok()
-    }
-
-    /// Why [`Tier::Jit`] falls back to the fused tier, if the program is
-    /// statically ineligible.
-    pub fn jit_fallback_reason(&self) -> Option<&str> {
-        self.jit.as_ref().err().map(String::as_str)
+    /// The tier ladder: which rung each request lands on, and why a rung
+    /// cannot take it (see `docs/evaluation.md`).
+    pub fn tier_trace(&self) -> &TierTrace {
+        &self.trace
     }
 
     /// The emitted C translation unit for this program's live stages
     /// (`None` when Tier-4 is ineligible). Exposed so CI can archive the
     /// exact sources it compiled next to the bitwise-diff results.
     pub fn jit_source(&self) -> Option<&str> {
-        self.jit.as_ref().ok().map(|unit| unit.source.as_str())
+        let unit = self.trace.jit.as_ref().ok()?;
+        Some(unit.source.as_str())
     }
 
     /// `(live stages, distinct sweep bodies)` of [`Self::jit_source`]: every
     /// live stage exports a symbol, stages whose emitted sweeps are the same
     /// text share one body (a chain of identical stencils has one).
     pub fn jit_stage_census(&self) -> Option<(usize, usize)> {
-        let unit = self.jit.as_ref().ok()?;
+        let unit = self.trace.jit.as_ref().ok()?;
         Some((unit.symbols.iter().flatten().count(), unit.bodies))
     }
 
@@ -249,20 +223,6 @@ impl CompiledProgram {
     /// Number of cells of the full iteration space (service-tier internal).
     pub(crate) fn cell_count(&self) -> usize {
         self.num_cells
-    }
-
-    /// The Tier-4 emission result (JIT-internal).
-    pub(crate) fn jit_unit(&self) -> &std::result::Result<crate::jit::JitUnit, String> {
-        &self.jit
-    }
-
-    /// Whether the fused *time stepper* can run (fused-tier eligibility
-    /// plus a derivable feedback pairing with compatible pad constants).
-    pub fn fused_steps_supported(&self) -> bool {
-        self.fuse
-            .as_ref()
-            .map(|plan| plan.supports_steps())
-            .unwrap_or(false)
     }
 
     /// The compiled stencils in topological order (fused-tier internal).
@@ -280,84 +240,9 @@ impl CompiledProgram {
             .count()
     }
 
-    /// The output-to-input feedback pairing used by time stepping. A
-    /// single-output program pairs with its single full-rank input
-    /// directly. A multi-field system must *name* the correspondence: each
-    /// output pairs with the full-rank input whose name is the longest
-    /// prefix of the output's name (`h -> h_next`, `h2 -> h2_next`), so no
-    /// declaration or sort order can silently transpose coupled state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProgramError::Invalid`] if the program does not have
-    /// exactly one full-rank input per output, if a multi-field pairing is
-    /// not derivable by prefix (or two outputs claim the same input), or
-    /// if an output's element type differs from the input it would feed.
-    pub(crate) fn feedback_pairs(&self) -> Result<Vec<(String, String)>> {
-        let feedback: Vec<&InputSpec> = self.inputs.iter().filter(|i| i.full_rank).collect();
-        if feedback.len() != self.outputs.len() {
-            return Err(ProgramError::Invalid {
-                message: format!(
-                    "time stepping requires one full-rank input per program output, \
-                     but `{}` has {} output(s) and {} full-rank input(s)",
-                    self.name,
-                    self.outputs.len(),
-                    feedback.len()
-                ),
-            });
-        }
-        let mut pairs = Vec::with_capacity(self.outputs.len());
-        let mut used: Vec<Option<&str>> = vec![None; feedback.len()];
-        for output in &self.outputs {
-            let target = if feedback.len() == 1 {
-                0
-            } else {
-                let mut best: Option<usize> = None;
-                for (ix, spec) in feedback.iter().enumerate() {
-                    let longer = match best {
-                        None => true,
-                        Some(b) => spec.name.len() > feedback[b].name.len(),
-                    };
-                    if longer && output.starts_with(spec.name.as_str()) {
-                        best = Some(ix);
-                    }
-                }
-                best.ok_or_else(|| ProgramError::Invalid {
-                    message: format!(
-                        "cannot pair output `{output}` with a state input: no full-rank \
-                         input name is a prefix of it — name coupled-system outputs \
-                         after their state fields (e.g. `h` -> `h_next`)"
-                    ),
-                })?
-            };
-            if let Some(previous) = used[target] {
-                return Err(ProgramError::Invalid {
-                    message: format!(
-                        "outputs `{previous}` and `{output}` would both feed input `{}`",
-                        feedback[target].name
-                    ),
-                });
-            }
-            used[target] = Some(output);
-            let spec = feedback[target];
-            let out_dtype = self
-                .stencils
-                .iter()
-                .find(|s| s.name() == output)
-                .expect("program outputs are stencils")
-                .out_dtype();
-            if out_dtype != spec.dtype {
-                return Err(ProgramError::Invalid {
-                    message: format!(
-                        "output `{output}` has element type {out_dtype} but would feed \
-                         input `{}` of type {}",
-                        spec.name, spec.dtype
-                    ),
-                });
-            }
-            pairs.push((output.clone(), spec.name.clone()));
-        }
-        Ok(pairs)
+    /// The output-to-input feedback pairing used by time stepping.
+    pub(crate) fn feedback_pairs(&self) -> Result<&[(String, String)]> {
+        self.pairs.as_deref().map_err(Clone::clone)
     }
 }
 
@@ -799,10 +684,16 @@ impl ReferenceExecutor {
                 name: name.to_string(),
                 shape: crate::plan::declared_shape(space, &decl.dims),
                 dtype: decl.data_type(),
-                full_rank: decl.dims == space.dims,
             })
             .collect();
-        let mut compiled = CompiledProgram {
+        let pairs = program.feedback_pairs();
+        // The ladder: the JIT rung runs the fused schedule.
+        let fused = crate::fuse::FusePlan::build(program, &stencils, pairs.as_deref().ok());
+        let jit = match &fused {
+            Ok(plan) => plan.jit_unit(&stencils),
+            Err(_) => Err(Ineligible::NeedsFused),
+        };
+        Ok(CompiledProgram {
             name: program.name().to_string(),
             dims: space.dims.clone(),
             shape: space.shape.clone(),
@@ -810,16 +701,10 @@ impl ReferenceExecutor {
             inputs,
             outputs: program.outputs().to_vec(),
             stencils,
-            fuse: Err("fusion analysis pending".to_string()),
+            pairs,
+            trace: TierTrace { fused, jit },
             fingerprint,
-            jit: Err("jit analysis pending".to_string()),
-        };
-        compiled.fuse = crate::fuse::FusePlan::build(program, &compiled);
-        compiled.jit = match &compiled.fuse {
-            Ok(plan) => plan.jit_unit(&compiled),
-            Err(reason) => Err(format!("fused tier unavailable: {reason}")),
-        };
-        Ok(compiled)
+        })
     }
 
     /// Run `program` on the given input grids through compiled execution
@@ -996,7 +881,7 @@ impl ReferenceExecutor {
                 result.cells_evaluated = total_cells;
                 return Ok(result);
             }
-            for (output, input) in &pairs {
+            for (output, input) in pairs {
                 let grid = result
                     .fields
                     .remove(output)
@@ -1010,19 +895,14 @@ impl ReferenceExecutor {
 
     /// Run an already-compiled program and return **only the program
     /// outputs** (plus their validity masks) together with the tier the
-    /// run was scheduled on — intermediates are never part of the result,
-    /// and every output cell is bit-identical to
+    /// run ran on — intermediates are never part of the result, and every
+    /// output cell is bit-identical to
     /// [`ReferenceExecutor::run_interpreted`] on every tier.
     ///
-    /// [`TierPolicy::Fixed`] pins a [`Tier`]. A pinned tier the program
-    /// cannot take falls down the ladder transparently — JIT to fused when
-    /// the program is statically ineligible
-    /// ([`CompiledProgram::jit_fallback_reason`]) or the machine has no
-    /// working compiler ([`crate::jit_available`]), fused to materializing
-    /// when the fuse plan is missing
-    /// ([`CompiledProgram::fused_fallback_reason`]) — and the pinned tier
-    /// is what is reported back. [`TierPolicy::Auto`] runs the measured
-    /// tier (see [`crate::tier`]).
+    /// [`TierPolicy::Fixed`] pins a [`Tier`]: a run it cannot take lands on
+    /// the highest rung below it that can ([`CompiledProgram::tier_trace`]
+    /// says why), and that rung is reported. [`TierPolicy::Auto`] runs the
+    /// measured tier (see [`crate::tier`]).
     ///
     /// # Errors
     ///
@@ -1049,9 +929,9 @@ impl ReferenceExecutor {
         result.map(|result| (result, tier))
     }
 
-    /// The one fallback ladder, outputs only: the fused schedule (with
-    /// native stage sweeps for [`Tier::Jit`]) when `tier` asks for it and
-    /// the plan can express the run, the materializing sweep otherwise.
+    /// One run on the rung `tier` resolves to, outputs only: the fused
+    /// schedule (with native stage sweeps on the JIT rung), or the
+    /// materializing sweep on the floor.
     pub(crate) fn run_tier<E: From<ProgramError>>(
         &self,
         compiled: &CompiledProgram,
@@ -1060,9 +940,9 @@ impl ReferenceExecutor {
         tier: Tier,
         probe: &dyn Fn() -> std::result::Result<(), E>,
     ) -> std::result::Result<ExecutionResult, E> {
-        let count = steps.unwrap_or(1);
-        let plan = match &compiled.fuse {
-            Ok(plan) if tier != Tier::Simd && (count == 1 || plan.supports_steps()) => plan,
+        let rung = compiled.trace.rung(tier, steps);
+        let plan = match &compiled.trace.fused {
+            Ok(plan) if rung != Tier::Simd => plan,
             _ => {
                 let mut result = match steps {
                     Some(steps) => self.run_steps_compiled(compiled, inputs, steps, probe)?,
@@ -1081,8 +961,8 @@ impl ReferenceExecutor {
             }
         };
         Self::check_inputs(compiled, inputs)?;
-        let native = match tier {
-            Tier::Jit => crate::jit::stage_fns(compiled)?,
+        let native = match &compiled.trace.jit {
+            Ok(unit) if rung == Tier::Jit => Some(crate::jit::stage_fns(&compiled.name, unit)?),
             _ => None,
         };
         if steps.is_some() {
@@ -1091,7 +971,9 @@ impl ReferenceExecutor {
             // rejected, never silently fused).
             compiled.feedback_pairs()?;
         }
-        crate::fuse::execute(self, compiled, plan, inputs, count, native).map_err(E::from)
+        let count = steps.unwrap_or(1);
+        let result = crate::fuse::execute(self, compiled, plan, inputs, count, native);
+        Ok(result)
     }
 
     /// Apply `program` once through the fault-tolerant sharded runtime:

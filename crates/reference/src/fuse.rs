@@ -85,7 +85,7 @@
 //! program off this path.
 //!
 //! Ineligible programs transparently fall back to the materializing path
-//! (the ladder in `ReferenceExecutor::execute`); the result is restricted to
+//! (the ladder of [`crate::tier::TierTrace`]); the result is restricted to
 //! the program outputs either way, which is the fused tier's contract —
 //! intermediates are deliberately *not* materialized (this is where the
 //! speed comes from, and it matches the simulator's unused-intermediate
@@ -116,15 +116,14 @@
 
 use crate::executor::{CompiledProgram, ExecutionResult};
 use crate::grid::Grid;
-use crate::plan::round_lanes;
+use crate::plan::{round_lanes, CompiledStencil};
+use crate::tier::Ineligible;
 use crate::ReferenceExecutor;
 use std::collections::{BTreeMap, BTreeSet};
 use stencilflow_codegen::{jit_translation_unit, JitSlotKind, JitStageSpec};
 use stencilflow_expr::{DataType, LaneScratch, Value};
 use stencilflow_jit::{SlotArg, StageFn, SweepArgs};
-use stencilflow_program::{
-    AccessFootprints, BoundaryCondition, ProgramError, Result, StencilProgram,
-};
+use stencilflow_program::{AccessFootprints, BoundaryCondition, StencilProgram};
 
 /// Default number of time steps chained into one window. Nothing is
 /// recomputed at any window length, so throughput is flat from 2 to 16
@@ -155,13 +154,13 @@ fn axis(dim: usize, rank: usize) -> usize {
     }
 }
 
-/// The scratch axes an input indexed by `dims` spans (an axis the space
-/// lacks counts as spanned), or why its taps cannot be constant-stride
-/// reads of one buffer: `dims` must be an ordered subsequence of the space
-/// dimensions that keeps the innermost, contiguous one. Reading a field
-/// that misses it would take a lane broadcast, which neither the lane
-/// sweep nor the emitted C has.
-fn input_span(space: &[String], dims: &[String]) -> std::result::Result<[bool; 3], String> {
+/// The scratch axes input `name`, indexed by `dims`, spans (an axis the
+/// space lacks counts as spanned), or why its taps cannot be
+/// constant-stride reads of one buffer: `dims` must be an ordered
+/// subsequence of the space dimensions that keeps the innermost,
+/// contiguous one. Reading a field that misses it would take a lane
+/// broadcast, which neither the lane sweep nor the emitted C has.
+fn input_span(space: &[String], name: &str, dims: &[String]) -> Result<[bool; 3], Ineligible> {
     let rank = space.len();
     let mut span = [true; 3];
     for d in 0..rank {
@@ -170,16 +169,15 @@ fn input_span(space: &[String], dims: &[String]) -> std::result::Result<[bool; 3
     let mut next = 0;
     for dim in dims {
         let Some(at) = space[next..].iter().position(|d| d == dim) else {
-            return Err("indexes the iteration space out of order".to_string());
+            let input = name.to_string();
+            return Err(Ineligible::InputOutOfOrder { input });
         };
         span[axis(next + at, rank)] = true;
         next += at + 1;
     }
     if next < rank {
-        return Err(format!(
-            "does not span the innermost axis `{}`",
-            space[rank - 1]
-        ));
+        let (input, axis) = (name.to_string(), space[rank - 1].clone());
+        return Err(Ineligible::InputMissesInnermost { input, axis });
     }
     Ok(span)
 }
@@ -316,12 +314,14 @@ fn fused_lane_width(row_len: usize) -> usize {
 }
 
 impl FusePlan {
-    /// Analyze `program` for fused execution. Returns a human-readable
-    /// reason when the program must stay on the materializing path.
+    /// Analyze `program`, compiled to `plans` (topological order), for
+    /// fused execution; `pairs` are its time-stepping feedback pairs, if
+    /// they derive. The error is why the fused rung cannot take it.
     pub(crate) fn build(
         program: &StencilProgram,
-        compiled: &CompiledProgram,
-    ) -> std::result::Result<FusePlan, String> {
+        plans: &[CompiledStencil],
+        pairs: Option<&[(String, String)]>,
+    ) -> Result<FusePlan, Ineligible> {
         let space = program.space();
         let rank = space.rank();
         let mut ext = [1usize; 3];
@@ -333,7 +333,6 @@ impl FusePlan {
         // every live stencil (reverse topological order visits each consumer
         // before its producers). Eligibility is judged on live fields and
         // stages only: nothing else is ever read or swept.
-        let plans = compiled.stencil_plans();
         let mut live: BTreeSet<&str> = program.outputs().iter().map(String::as_str).collect();
         for plan in plans.iter().rev() {
             if live.contains(plan.name()) {
@@ -372,11 +371,9 @@ impl FusePlan {
         };
         for (name, decl) in program.inputs() {
             let scalar = decl.is_scalar();
-            let span = match input_span(&space.dims, &decl.dims) {
+            let span = match input_span(&space.dims, name, &decl.dims) {
                 Ok(span) => span,
-                Err(why) if !scalar && live.contains(name) => {
-                    return Err(format!("input `{name}` {why}"));
-                }
+                Err(why) if !scalar && live.contains(name) => return Err(why),
                 Err(_) => [true; 3],
             };
             new_field(name, decl.data_type(), scalar, true, span);
@@ -391,13 +388,13 @@ impl FusePlan {
             let field = field_ids[plan.name()];
             let live = fields[field].live;
             if live && plan.typed_kernel().is_none() {
-                return Err(format!("stencil `{}` has no typed kernel", plan.name()));
+                let stencil = plan.name().to_string();
+                return Err(Ineligible::Untyped { stencil });
             }
             let mut slots = Vec::with_capacity(plan.compiled_kernel().slots().len());
             for slot in plan.compiled_kernel().slots() {
-                let field = *field_ids
-                    .get(&slot.field)
-                    .ok_or_else(|| format!("unknown field `{}`", slot.field))?;
+                // Program validation resolves every read to a declared field.
+                let field = field_ids[&slot.field];
                 if slot.is_scalar() {
                     slots.push(FusedSlot::Scalar(field));
                     continue;
@@ -477,19 +474,17 @@ impl FusePlan {
                         let rounded = Value::from_f64(c, dtypes[*field]).as_f64();
                         match constants[*field] {
                             Some(previous) if previous.to_bits() != rounded.to_bits() => {
-                                return Err(format!(
-                                    "consumers of `{}` disagree on the boundary constant",
-                                    fields[*field].name
-                                ));
+                                let field = fields[*field].name.clone();
+                                return Err(Ineligible::ConstantConflict { field });
                             }
                             _ => constants[*field] = Some(rounded),
                         }
                     }
                     BoundaryCondition::Copy => {
-                        return Err(format!(
-                            "stencil `{}` reads `{}` with a copy boundary",
-                            stencil.name, fields[*field].name
-                        ));
+                        return Err(Ineligible::CopyBoundary {
+                            stencil: stencil.name.clone(),
+                            field: fields[*field].name.clone(),
+                        });
                     }
                 }
             }
@@ -530,11 +525,11 @@ impl FusePlan {
         // constants lets step `t + 1` read its state straight from the
         // ring step `t` wrote. Failure here only disables the *fused* time
         // stepper — single runs stay fused, and stepped runs fall back.
-        let steps = compiled.feedback_pairs().ok().and_then(|pairs| {
+        let steps = pairs.and_then(|pairs| {
             let mut step_lo = 0usize;
             let mut step_hi = 0usize;
             let mut mapped = Vec::with_capacity(pairs.len());
-            for (output, input) in &pairs {
+            for (output, input) in pairs {
                 let o = field_ids[output];
                 let i = field_ids[input];
                 // A ring holds one pad constant: both sides must agree
@@ -620,12 +615,11 @@ impl FusePlan {
     ///   mirrors `round_lanes`, which has no third arm in C);
     /// * emission itself succeeds (no NaN constants).
     ///
-    /// The returned error doubles as the program's JIT fallback reason.
+    /// The error is why the JIT rung cannot take the program.
     pub(crate) fn jit_unit(
         &self,
-        compiled: &CompiledProgram,
-    ) -> std::result::Result<crate::jit::JitUnit, String> {
-        let plans = compiled.stencil_plans();
+        plans: &[CompiledStencil],
+    ) -> Result<crate::jit::JitUnit, Ineligible> {
         let mut specs = Vec::new();
         let mut symbols: Vec<Option<String>> = vec![None; self.stages.len()];
         for (ix, stage) in self.stages.iter().enumerate() {
@@ -634,19 +628,17 @@ impl FusePlan {
             }
             let plan = &plans[stage.stencil];
             if !matches!(stage.out_dtype, DataType::Float32 | DataType::Float64) {
-                return Err(format!(
-                    "stage `{}` output type {} is not a float type",
-                    plan.name(),
-                    stage.out_dtype
-                ));
+                let (stage, dtype) = (plan.name().to_string(), stage.out_dtype);
+                return Err(Ineligible::NonFloatOutput { stage, dtype });
             }
             stencilflow_expr::verify_kernel(plan.compiled_kernel(), Some(&plan.slot_dtypes()))
-                .map_err(|e| {
-                    format!("stage `{}` failed bytecode verification: {e}", plan.name())
+                .map_err(|error| {
+                    let stage = plan.name().to_string();
+                    Ineligible::Unverified { stage, error }
                 })?;
             let typed = plan
                 .typed_kernel()
-                .ok_or_else(|| format!("stage `{}` has no type-specialized kernel", plan.name()))?;
+                .expect("the fuse plan requires typed kernels");
             let slot_kinds = stage
                 .slots
                 .iter()
@@ -664,7 +656,7 @@ impl FusePlan {
             });
             symbols[ix] = Some(symbol);
         }
-        let (source, bodies) = jit_translation_unit(&specs)?;
+        let (source, bodies) = jit_translation_unit(&specs).map_err(Ineligible::Emission)?;
         Ok(crate::jit::JitUnit {
             source,
             symbols,
@@ -941,7 +933,8 @@ impl WindowCtx<'_> {
 
 /// Execute `compiled` through the fused tier for `steps` time steps
 /// (`steps == 1` is a plain fused run; callers have already validated the
-/// inputs and, for `steps > 1`, that the plan supports stepping).
+/// inputs and, for `steps > 1`, that the plan supports stepping), so
+/// nothing here can fail.
 ///
 /// When `jit` provides a Tier-4 native function for a stage, its sweeps
 /// run through the compiled `.so` instead of the bytecode lane interpreter
@@ -959,7 +952,7 @@ pub(crate) fn execute(
     inputs: &BTreeMap<String, Grid>,
     steps: usize,
     jit: Option<&[Option<StageFn>]>,
-) -> Result<ExecutionResult> {
+) -> ExecutionResult {
     let w_max = executor.fusion_window.clamp(1, steps);
     let [n0, n1, nk] = plan.ext;
     let num_cells = n0 * n1 * nk;
@@ -978,11 +971,7 @@ pub(crate) fn execute(
         if !field.input || !field.live {
             continue;
         }
-        let grid = inputs
-            .get(&field.name)
-            .ok_or_else(|| ProgramError::Invalid {
-                message: format!("missing input grid `{}`", field.name),
-            })?;
+        let grid = &inputs[&field.name];
         if field.scalar {
             scalars[ix] = grid.as_slice()[0];
         } else {
@@ -990,8 +979,7 @@ pub(crate) fn execute(
         }
     }
 
-    // Nothing below can fail, so every pooled buffer acquired from here on
-    // is released at the end.
+    // Every pooled buffer acquired from here on is released at the end.
     let sched = plan.schedule(w_max, executor.fusion_tile_rows, |stage| {
         jit.is_some_and(|fns| fns[stage].is_some())
     });
@@ -1173,11 +1161,7 @@ pub(crate) fn execute(
         result_fields.insert(name.clone(), grid);
         result_masks.insert(name, mask);
     }
-    Ok(ExecutionResult::from_parts(
-        result_fields,
-        result_masks,
-        cells_evaluated,
-    ))
+    ExecutionResult::from_parts(result_fields, result_masks, cells_evaluated)
 }
 
 /// Split a full-grid buffer into per-worker slabs along the chunk bounds.
@@ -1649,7 +1633,7 @@ mod tests {
         let mut fusible = 0;
         for program in stencilflow_workloads::analyze_suite() {
             let compiled = executor.prepare(&program).unwrap();
-            let Ok(plan) = FusePlan::build(&program, &compiled) else {
+            let Ok(plan) = &compiled.tier_trace().fused else {
                 continue;
             };
             fusible += 1;

@@ -5,8 +5,8 @@
 //!
 //! * `stencilflow-codegen` emits the C translation unit (from the typed,
 //!   verified bytecode — see [`crate::fuse::FusePlan::jit_unit`], which
-//!   runs the eligibility judgment and builds the [`JitUnit`] stored on
-//!   every [`crate::CompiledProgram`]);
+//!   judges the JIT rung and builds the [`JitUnit`] every program's
+//!   [`crate::tier::TierTrace`] holds);
 //! * `stencilflow-jit` compiles and caches it (system `cc`, disk-backed
 //!   code cache keyed by the emitted text plus a compiler salt — the unit
 //!   names no program, field or extent, so programs that differ only in
@@ -14,20 +14,19 @@
 //! * this module holds the lazily probed process-wide engine and resolves,
 //!   once per compiled program, the per-stage sweep symbols it runs on.
 //!
-//! The fallback ladder lives in
-//! [`crate::ReferenceExecutor::execute`]: statically ineligible programs
-//! and machines without a working `cc` fall back to the fused tier
-//! transparently; a *failing* compile or load of an eligible program is
+//! The ladder is decided in one place, the program's
+//! [`crate::tier::TierTrace`]: a JIT request on an ineligible program, or
+//! on a machine without a working `cc`, lands on the fused rung (or below)
+//! and reports it; a *failing* compile or load of an eligible program is
 //! surfaced as an error (it indicates an emitter bug, and hiding it would
 //! mask codegen regressions from CI).
 
-use crate::executor::CompiledProgram;
 use std::sync::{Arc, OnceLock};
 use stencilflow_jit::{CacheStats, JitConfig, JitEngine, StageFn};
 use stencilflow_program::{ProgramError, Result};
 
 /// The emitted translation unit for one compiled program, plus the symbol
-/// each fused stage exports. Built once per [`CompiledProgram`]; compiling
+/// each fused stage exports. Built once per compiled program; compiling
 /// and loading happen lazily on the first JIT run.
 #[derive(Debug)]
 pub(crate) struct JitUnit {
@@ -72,23 +71,18 @@ pub(crate) fn jit_salt() -> Option<String> {
     engine().as_ref().ok().map(|e| e.salt().to_string())
 }
 
-/// Resolve the loaded stage functions for a compiled program.
-///
-/// * `Ok(Some(fns))` — the program is statically eligible and the module
-///   is loaded; `fns` is indexed by fuse-plan stage (dead stages `None`).
-/// * `Ok(None)` — ineligible, or no working compiler: fall back to the
-///   bytecode sweeps of the fused tier.
-/// * `Err` — eligible but the emitted unit failed to compile, load, or
-///   resolve: an emitter bug to surface, not to swallow.
-pub(crate) fn stage_fns(compiled: &CompiledProgram) -> Result<Option<&[Option<StageFn>]>> {
-    let (Ok(unit), Ok(engine)) = (compiled.jit_unit(), engine()) else {
-        return Ok(None);
-    };
+/// The loaded stage functions of program `program`'s unit, indexed by
+/// fuse-plan stage (dead stages `None`). Only the JIT rung asks, so the
+/// program is eligible and the engine probed: an `Err` is an emitted unit
+/// that failed to compile, load, or resolve — an emitter bug to surface,
+/// not to swallow.
+pub(crate) fn stage_fns<'a>(program: &str, unit: &'a JitUnit) -> Result<&'a [Option<StageFn>]> {
     if let Some(fns) = unit.resolved.get() {
-        return Ok(Some(fns));
+        return Ok(fns);
     }
     let load = || -> std::result::Result<Vec<Option<StageFn>>, String> {
-        let module = engine.load(compiled.name(), &unit.source)?;
+        let engine = engine().as_ref().map_err(String::clone)?;
+        let module = engine.load(program, &unit.source)?;
         let resolve = |symbol: &Option<String>| {
             symbol
                 .as_ref()
@@ -98,10 +92,7 @@ pub(crate) fn stage_fns(compiled: &CompiledProgram) -> Result<Option<&[Option<St
         unit.symbols.iter().map(resolve).collect()
     };
     let fns = load().map_err(|message| ProgramError::Invalid {
-        message: format!(
-            "native JIT failed for eligible program `{}`: {message}",
-            compiled.name()
-        ),
+        message: format!("native JIT failed for eligible program `{program}`: {message}"),
     })?;
-    Ok(Some(unit.resolved.get_or_init(|| fns)))
+    Ok(unit.resolved.get_or_init(|| fns))
 }

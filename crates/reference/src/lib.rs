@@ -48,7 +48,7 @@ pub use serve::{
 };
 pub use shard::{FaultPlan, ShardConfig, ShardReport, ShardStats, ShardedOutcome, WatchdogReport};
 pub use stencilflow_jit::CacheStats as JitCacheStats;
-pub use tier::{Tier, TierCacheLoad, TierChoice, TierPolicy};
+pub use tier::{Ineligible, Tier, TierCacheLoad, TierChoice, TierPolicy, TierTrace};
 
 #[cfg(test)]
 mod tests {

@@ -26,17 +26,12 @@
 //!   buffer it drew. (Control-plane allocations — a handful of
 //!   `Vec`/`BTreeMap` nodes per job, O(stencils), not O(cells) — are
 //!   outside this discipline and bounded per job.)
-//! * **Automatic tier selection** — on first sight of a `(fingerprint,
-//!   stepped?)` key under [`TierPolicy::Auto`], the service measures every
-//!   eligible tier (SIMD always; fused and native JIT when the program
-//!   supports them) on the job itself and caches the winner — through the
-//!   executor's one [`crate::tier`] router and the executor's own per-tier
-//!   runners, the materializing sweep included — so known regressions
-//!   like fused-vs-SIMD on upwind3d can never recur: repeated traffic
-//!   always runs each program's fastest tier. All tiers are bit-identical,
-//!   so the measurement runs *are* the job — no work is wasted.
-//!   [`TierPolicy::Fixed`] and the per-job [`JobSpec::tier`] override
-//!   knob pin a tier explicitly.
+//! * **Automatic tier selection** — through the executor's one
+//!   [`crate::tier`] router and per-tier runners: under
+//!   [`TierPolicy::Auto`] each program runs its measured fastest tier, so
+//!   known regressions like fused-vs-SIMD on upwind3d can never recur.
+//!   [`TierPolicy::Fixed`] and the per-job [`JobSpec::tier`] override knob
+//!   pin a tier; an outcome reports the rung the job ran on.
 //!
 //! Results contain the program outputs only (the fused tier's contract),
 //! bit-identical to [`ReferenceExecutor::run_interpreted`] on every tier.
@@ -554,6 +549,7 @@ mod tests {
     use crate::input_data::generate_inputs;
     use stencilflow_expr::DataType;
     use stencilflow_program::StencilProgramBuilder;
+    use stencilflow_workloads::{horizontal_diffusion, HorizontalDiffusionSpec};
 
     fn jacobi_like(shape: &[usize]) -> Arc<StencilProgram> {
         Arc::new(
@@ -718,13 +714,21 @@ mod tests {
                 .with_workers(1)
                 .with_tier_policy(TierPolicy::Fixed(Tier::Fused)),
         );
-        let outcome = serve.run_one(job_for(&program, 1));
-        assert_eq!(outcome.tier, Tier::Fused);
-        serve.recycle(outcome.result.unwrap());
-        // Per-job override beats the policy.
-        let outcome = serve.run_one(job_for(&program, 2).with_tier(Tier::Simd));
-        assert_eq!(outcome.tier, Tier::Simd);
-        serve.recycle(outcome.result.unwrap());
+        // The policy pins fused, a per-job pin beats it, and an outcome
+        // reports the rung that ran: hdiff has no fuse plan.
+        let hdiff = Arc::new(horizontal_diffusion(&HorizontalDiffusionSpec::bench()));
+        let jit = crate::jit_available().map_or(Tier::Fused, |()| Tier::Jit);
+        for (job, want) in [
+            (job_for(&program, 1), Tier::Fused),
+            (job_for(&program, 2).with_tier(Tier::Simd), Tier::Simd),
+            (job_for(&program, 3).with_tier(Tier::Jit), jit),
+            (job_for(&hdiff, 4).with_tier(Tier::Jit), Tier::Simd),
+            (job_for(&hdiff, 4).with_tier(Tier::Fused), Tier::Simd),
+        ] {
+            let outcome = serve.run_one(job);
+            assert_eq!(outcome.tier, want);
+            serve.recycle(outcome.result.unwrap());
+        }
     }
 
     #[test]

@@ -721,7 +721,7 @@ fn plan_run(
     let extent = program.space().shape[0];
     let total_steps = steps.unwrap_or(1);
     let pairs = match steps {
-        Some(_) => compiled.feedback_pairs()?,
+        Some(_) => compiled.feedback_pairs()?.to_vec(),
         None => Vec::new(),
     };
     let requested = config

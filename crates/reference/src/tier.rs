@@ -1,21 +1,26 @@
-//! Execution-tier selection: the tier names, the pinned-or-measured
-//! policy, and the one `TierRouter` that times tiers against each other.
+//! Execution-tier selection: the tier names, the ladder of one compiled
+//! program ([`TierTrace`]), the pinned-or-measured policy, and the one
+//! `TierRouter` that times tiers against each other.
 //!
 //! All tiers are bit-identical, so which one runs is purely a performance
-//! decision. Under [`TierPolicy::Auto`] the first sight of a `(program
-//! fingerprint, stepped?)` key runs every eligible tier on the job's real
-//! inputs — the measurement runs *are* the job — and caches the winner;
-//! repeat traffic pays one lock and one map lookup. Both
+//! decision; which rungs a run *can* take, [`TierTrace`] decides. Under
+//! [`TierPolicy::Auto`] the first sight of a `(program fingerprint,
+//! stepped?)` key runs every rung on the job's real inputs — the
+//! measurement runs *are* the job — and caches the winner; repeat traffic
+//! pays one lock and one map lookup. Both
 //! [`ReferenceExecutor::execute`](crate::ReferenceExecutor::execute) and
 //! the service layer route through `TierRouter::route`, and both hand it
 //! the executor's one per-tier runner (the service wraps it in its panic
 //! boundary and gives the materializing sweep a cancellation probe).
 
 use crate::executor::CompiledProgram;
+use crate::fuse::FusePlan;
+use crate::jit::JitUnit;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+use stencilflow_expr::{DataType, VerifyError};
 use stencilflow_json::Json;
 use stencilflow_program::ProgramError;
 
@@ -48,10 +53,13 @@ impl std::fmt::Display for Tier {
     }
 }
 
+/// The ladder, floor first: a rung takes every run a rung above it takes.
+static LADDER: [Tier; 3] = [Tier::Simd, Tier::Fused, Tier::Jit];
+
 impl std::str::FromStr for Tier {
     type Err = String;
     fn from_str(s: &str) -> std::result::Result<Tier, String> {
-        [Tier::Simd, Tier::Fused, Tier::Jit]
+        LADDER
             .into_iter()
             .find(|tier| tier.as_str() == s)
             .ok_or_else(|| format!("unknown tier `{s}` (expected `simd`, `fused`, or `jit`)"))
@@ -64,9 +72,121 @@ pub enum TierPolicy {
     /// Measure the eligible tiers on first sight of a program fingerprint
     /// and cache the winner (the default).
     Auto,
-    /// Pin one tier (ineligible programs fall back down the executor's
-    /// usual ladder: jit → fused → materializing).
+    /// Pin one tier (a run the tier cannot take lands on the highest rung
+    /// below it that can — jit → fused → materializing — and reports it).
     Fixed(Tier),
+}
+
+/// Why a rung cannot take a run: one variant per reason the fuse plan
+/// ([`Tier::Fused`], see `fuse.rs`) or the native unit ([`Tier::Jit`])
+/// gives. Only live fields and stages are judged.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Ineligible {
+    /// An input indexes the iteration space out of order.
+    InputOutOfOrder { input: String },
+    /// A lower-rank input misses the innermost axis `axis`.
+    InputMissesInnermost { input: String, axis: String },
+    /// A stencil has no type-specialized kernel.
+    Untyped { stencil: String },
+    /// The consumers of `field` disagree on its boundary constant.
+    ConstantConflict { field: String },
+    /// `stencil` reads `field` out of domain under a `Copy` boundary.
+    CopyBoundary { stencil: String, field: String },
+    /// More than one step, and the feedback pairing does not derive or its
+    /// two sides disagree on a boundary constant.
+    NoStepPlan,
+    /// A stage's output type is not `f32`/`f64`.
+    NonFloatOutput { stage: String, dtype: DataType },
+    /// A stage's bytecode failed the verifier against its slot types.
+    Unverified { stage: String, error: VerifyError },
+    /// The C emitter refused the unit.
+    Emission(String),
+    /// The JIT rung runs the fused schedule, which cannot take the run.
+    NeedsFused,
+}
+
+impl std::fmt::Display for Ineligible {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Ineligible::InputOutOfOrder { input } => {
+                write!(
+                    f,
+                    "input `{input}` indexes the iteration space out of order"
+                )
+            }
+            Ineligible::InputMissesInnermost { input, axis } => {
+                write!(
+                    f,
+                    "input `{input}` does not span the innermost axis `{axis}`"
+                )
+            }
+            Ineligible::Untyped { stencil } => write!(f, "stencil `{stencil}` has no typed kernel"),
+            Ineligible::ConstantConflict { field } => {
+                write!(
+                    f,
+                    "consumers of `{field}` disagree on the boundary constant"
+                )
+            }
+            Ineligible::CopyBoundary { stencil, field } => {
+                write!(
+                    f,
+                    "stencil `{stencil}` reads `{field}` with a copy boundary"
+                )
+            }
+            Ineligible::NoStepPlan => f.write_str("no fused step plan for the feedback pairing"),
+            Ineligible::NonFloatOutput { stage, dtype } => {
+                write!(f, "stage `{stage}` output type {dtype} is not a float type")
+            }
+            Ineligible::Unverified { stage, error } => {
+                write!(f, "stage `{stage}` failed bytecode verification: {error}")
+            }
+            Ineligible::Emission(message) => f.write_str(message),
+            Ineligible::NeedsFused => f.write_str("needs the fused rung"),
+        }
+    }
+}
+
+/// The tier ladder of one compiled program, judged once by `prepare`: the
+/// fused rung's plan and the JIT rung's unit, or why there is none (the
+/// SIMD floor takes every run). Every run — pinned, measured, sharded or
+/// served — lands on the rung its request resolves to here, and reports it.
+#[derive(Debug)]
+pub struct TierTrace {
+    pub(crate) fused: Result<FusePlan, Ineligible>,
+    pub(crate) jit: Result<JitUnit, Ineligible>,
+}
+
+impl TierTrace {
+    /// Why `tier` cannot take a run of `steps`, or `None` when it can (a
+    /// program fact: without a working compiler, [`crate::jit_available`],
+    /// a JIT run still lands on the fused rung).
+    pub fn reason(&self, tier: Tier, steps: Option<usize>) -> Option<&Ineligible> {
+        let fused = match &self.fused {
+            // One step never reads a ring another step wrote.
+            Ok(plan) if steps.unwrap_or(1) > 1 && !plan.supports_steps() => {
+                Some(&Ineligible::NoStepPlan)
+            }
+            fused => fused.as_ref().err(),
+        };
+        match tier {
+            Tier::Simd => None,
+            Tier::Fused => fused,
+            Tier::Jit if fused.is_some() => Some(&Ineligible::NeedsFused),
+            Tier::Jit => self.jit.as_ref().err(),
+        }
+    }
+
+    /// The rung a run of `steps` asking for `tier` lands on: the highest
+    /// at or below `tier` that takes it. The JIT rung also needs a working
+    /// compiler, probed here, and only once the program is eligible.
+    pub(crate) fn rung(&self, tier: Tier, steps: Option<usize>) -> Tier {
+        let takes = |rung: &Tier| {
+            *rung <= tier
+                && self.reason(*rung, steps).is_none()
+                && (*rung != Tier::Jit || crate::jit::jit_available().is_ok())
+        };
+        LADDER.into_iter().rev().find(takes).unwrap_or(Tier::Simd)
+    }
 }
 
 /// One cached tier decision (reporting snapshot).
@@ -124,24 +244,6 @@ fn build_fingerprint() -> String {
     )
 }
 
-/// The tiers eligible for a run, floor first: SIMD always; fused when the
-/// plan (and, for stepped runs, the feedback pairing) supports it; JIT
-/// additionally when the emitted unit exists and a compiler is reachable.
-fn eligible_tiers(compiled: &CompiledProgram, stepped: bool) -> &'static [Tier] {
-    let fused_ok = if stepped {
-        compiled.fused_steps_supported()
-    } else {
-        compiled.fused_tier_supported()
-    };
-    if !fused_ok {
-        &[Tier::Simd]
-    } else if compiled.jit_supported() && crate::jit::jit_available().is_ok() {
-        &[Tier::Simd, Tier::Fused, Tier::Jit]
-    } else {
-        &[Tier::Simd, Tier::Fused]
-    }
-}
-
 /// Identity of one routing decision: the `(fingerprint, stepped)` cache
 /// key plus the program name recorded next to the winner for reporting.
 #[derive(Debug, Clone, Copy)]
@@ -169,7 +271,9 @@ impl TierRouter {
     }
 
     /// [`TierRouter::route`] for one job of `compiled` (`steps: None` is a
-    /// single application) under `policy`. The only tier with anything to
+    /// single application) under `policy`; returns the rung that ran. A
+    /// pinned tier runs the rung it resolves to, and a first sight measures
+    /// every rung a JIT request reaches. The only rung with anything to
     /// prepare is JIT, which compiles (or loads from the disk cache) and
     /// `dlopen`s its module.
     pub(crate) fn dispatch<R, E: From<ProgramError>>(
@@ -180,21 +284,25 @@ impl TierRouter {
         mut run: impl FnMut(Tier) -> Result<R, E>,
         discard: impl FnMut(R),
     ) -> (Result<R, E>, Tier) {
+        let trace = compiled.tier_trace();
         if let TierPolicy::Fixed(tier) = policy {
+            let tier = trace.rung(tier, steps);
             return (run(tier), tier);
         }
         let key = RouteKey {
             fingerprint: compiled.fingerprint(),
-            stepped: steps.is_some(),
+            stepped: steps.unwrap_or(1) > 1,
             program: compiled.name(),
         };
         let first_sight = || {
             let work = compiled.cell_count().saturating_mul(steps.unwrap_or(1));
             let warm = work <= MEASURE_WARMUP_MAX_CELLS;
-            (eligible_tiers(compiled, key.stepped), warm)
+            (&LADDER[..=trace.rung(Tier::Jit, steps) as usize], warm)
         };
-        let prepare = |tier| match tier {
-            Tier::Jit => crate::jit::stage_fns(compiled).map(drop).map_err(E::from),
+        let prepare = |tier| match &trace.jit {
+            Ok(unit) if tier == Tier::Jit => crate::jit::stage_fns(compiled.name(), unit)
+                .map(drop)
+                .map_err(E::from),
             _ => Ok(()),
         };
         self.route(key, first_sight, prepare, run, discard)
@@ -370,8 +478,6 @@ mod tests {
     use super::*;
     use std::cell::Cell;
 
-    static ALL: [Tier; 3] = [Tier::Simd, Tier::Fused, Tier::Jit];
-
     /// Closure fakes for one `route` call: per-tier prepare and run times
     /// in milliseconds (indexed by `Tier as usize`) and the tiers whose
     /// prepare / run fail. Counts runs and discards.
@@ -402,7 +508,7 @@ mod tests {
             };
             let (result, tier) = router.route(
                 key,
-                || (&ALL, warm),
+                || (&LADDER, warm),
                 |tier| outcome(self.prepare_fails, &self.prepare_ms, tier).map(drop),
                 |tier| {
                     self.runs.set(self.runs.get() + 1);

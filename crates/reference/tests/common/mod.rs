@@ -100,7 +100,12 @@ pub fn assert_no_redundant_compute(
     steps: usize,
     label: &str,
 ) {
-    if executor.prepare(program).unwrap().fused_tier_supported() {
+    let compiled = executor.prepare(program).unwrap();
+    if compiled
+        .tier_trace()
+        .reason(Tier::Fused, Some(steps))
+        .is_none()
+    {
         assert_eq!(
             result.cells_evaluated(),
             program.space().num_cells() * live_stages(program) * steps,

@@ -20,7 +20,8 @@ use std::sync::Arc;
 use stencilflow_expr::DataType;
 use stencilflow_program::{BoundaryCondition, StencilProgram, StencilProgramBuilder};
 use stencilflow_reference::{
-    generate_inputs, Grid, JobSpec, ReferenceExecutor, ServeConfig, ServeExecutor, Tier, TierPolicy,
+    generate_inputs, Grid, Ineligible, JobSpec, ReferenceExecutor, ServeConfig, ServeExecutor,
+    Tier, TierPolicy,
 };
 use stencilflow_workloads::{
     chain_program, diffusion2d, diffusion3d, horizontal_diffusion, jacobi2d, jacobi3d,
@@ -84,10 +85,10 @@ fn fused_matches_on_chains() {
         let chain = chain_program(&ChainSpec::new(stages, 8).with_shape(&[6, 5, 7]));
         let executor = ReferenceExecutor::new();
         let compiled = executor.prepare(&chain).unwrap();
-        assert!(
-            compiled.fused_tier_supported(),
-            "chains must take the fused fast path: {:?}",
-            compiled.fused_fallback_reason()
+        assert_eq!(
+            compiled.tier_trace().reason(Tier::Fused, None),
+            None,
+            "chains must take the fused fast path"
         );
         assert_tiers_bit_identical(&chain, 6 + stages as u64);
     }
@@ -102,7 +103,7 @@ fn fused_matches_on_branchy_and_division_kernels() {
         let program = upwind3d_typed(2, &[7, 9, 11], 1, dtype);
         let executor = ReferenceExecutor::new();
         let compiled = executor.prepare(&program).unwrap();
-        assert!(compiled.fused_tier_supported());
+        assert_eq!(compiled.tier_trace().reason(Tier::Fused, None), None);
         assert_tiers_bit_identical(&program, 21);
     }
     // Division inside a ternary arm: only the statically-typed
@@ -117,10 +118,10 @@ fn fused_matches_on_branchy_and_division_kernels() {
         .build()
         .unwrap();
     let compiled = ReferenceExecutor::new().prepare(&program).unwrap();
-    assert!(
-        compiled.fused_tier_supported(),
-        "typed if-conversion should make division ternaries fusible: {:?}",
-        compiled.fused_fallback_reason()
+    assert_eq!(
+        compiled.tier_trace().reason(Tier::Fused, None),
+        None,
+        "typed if-conversion should make division ternaries fusible"
     );
     assert_tiers_bit_identical(&program, 22);
 }
@@ -147,11 +148,7 @@ fn fused_matches_on_boundary_and_geometry_variety() {
         .build()
         .unwrap();
     let compiled = ReferenceExecutor::new().prepare(&program).unwrap();
-    assert!(
-        compiled.fused_tier_supported(),
-        "{:?}",
-        compiled.fused_fallback_reason()
-    );
+    assert_eq!(compiled.tier_trace().reason(Tier::Fused, None), None);
     assert_tiers_bit_identical(&program, 31);
 
     // One-dimensional domain: a single plane of a single row.
@@ -220,7 +217,7 @@ fn fused_steps_match_materializing_steps() {
         .build()
         .unwrap();
     let compiled = ReferenceExecutor::new().prepare(&coupled).unwrap();
-    assert!(compiled.fused_steps_supported());
+    assert_eq!(compiled.tier_trace().reason(Tier::Fused, Some(5)), None);
     assert_tier_steps_bit_identical(&coupled, 65, 5);
 }
 
@@ -288,7 +285,8 @@ fn broadcast_taps_match_on_lower_rank_inputs() {
     for (program, seed) in broadcast_programs().into_iter().zip(76..) {
         // Both fused tiers stream it: the JIT leg of the loop runs native.
         let compiled = ReferenceExecutor::new().prepare(&program).unwrap();
-        assert_eq!(compiled.jit_fallback_reason(), None, "{}", program.name());
+        let reason = compiled.tier_trace().reason(Tier::Jit, None);
+        assert_eq!(reason, None, "{}", program.name());
         assert_tiers_bit_identical(&program, seed);
     }
 
@@ -301,10 +299,8 @@ fn broadcast_taps_match_on_lower_rank_inputs() {
         .output("h_next")
         .build()
         .unwrap();
-    assert!(ReferenceExecutor::new()
-        .prepare(&forced)
-        .unwrap()
-        .fused_steps_supported());
+    let compiled = ReferenceExecutor::new().prepare(&forced).unwrap();
+    assert_eq!(compiled.tier_trace().reason(Tier::Fused, Some(5)), None);
     assert_tier_steps_bit_identical(&forced, 79, 5);
 }
 
@@ -366,12 +362,7 @@ fn eligibility_is_judged_on_live_fields_and_stages() {
         .build()
         .unwrap();
     let compiled = ReferenceExecutor::new().prepare(&program).unwrap();
-    assert_eq!(compiled.fused_fallback_reason(), None);
-    assert!(
-        compiled.jit_supported(),
-        "{:?}",
-        compiled.jit_fallback_reason()
-    );
+    assert_eq!(compiled.tier_trace().reason(Tier::Jit, None), None);
     assert_tiers_bit_identical(&program, 80);
 
     // The same reads from a live stage keep the program on the fallback,
@@ -384,9 +375,12 @@ fn eligibility_is_judged_on_live_fields_and_stages() {
         .build()
         .unwrap();
     let compiled = ReferenceExecutor::new().prepare(&live).unwrap();
+    let reason = compiled.tier_trace().reason(Tier::Fused, None);
+    let input = "t".to_string();
+    assert_eq!(reason, Some(&Ineligible::InputOutOfOrder { input }));
     assert_eq!(
-        compiled.fused_fallback_reason(),
-        Some("input `t` indexes the iteration space out of order")
+        reason.unwrap().to_string(),
+        "input `t` indexes the iteration space out of order"
     );
     assert_tiers_bit_identical(&live, 81);
 }
@@ -404,21 +398,25 @@ fn ineligible_programs_fall_back_bit_identically() {
         .build()
         .unwrap();
     let compiled = executor.prepare(&copy).unwrap();
-    assert!(!compiled.fused_tier_supported());
-    assert!(compiled
-        .fused_fallback_reason()
-        .unwrap()
-        .contains("copy boundary"));
+    let reason = compiled.tier_trace().reason(Tier::Fused, None).unwrap();
+    assert!(
+        matches!(reason, Ineligible::CopyBoundary { .. }),
+        "{reason}"
+    );
+    assert!(reason.to_string().contains("copy boundary"));
     assert_tiers_bit_identical(&copy, 74);
 
     // Horizontal diffusion's parameter fields miss the innermost axis: a
     // broadcast along the lanes, which neither sweep has yet.
     let hd = horizontal_diffusion(&HorizontalDiffusionSpec::small());
     let compiled = executor.prepare(&hd).unwrap();
-    assert!(!compiled.fused_tier_supported());
-    assert!(compiled
-        .fused_fallback_reason()
-        .unwrap()
+    let reason = compiled.tier_trace().reason(Tier::Fused, None).unwrap();
+    assert!(
+        matches!(reason, Ineligible::InputMissesInnermost { .. }),
+        "{reason}"
+    );
+    assert!(reason
+        .to_string()
         .contains("does not span the innermost axis `k`"));
     assert_tiers_bit_identical(&hd, 72);
 
@@ -433,7 +431,11 @@ fn ineligible_programs_fall_back_bit_identically() {
         .build()
         .unwrap();
     let compiled = executor.prepare(&conflict).unwrap();
-    assert!(!compiled.fused_tier_supported());
+    let field = "a".to_string();
+    assert_eq!(
+        compiled.tier_trace().reason(Tier::Fused, None),
+        Some(&Ineligible::ConstantConflict { field })
+    );
     assert_tiers_bit_identical(&conflict, 73);
 
     // Stepping on unpairable programs errors exactly like the
@@ -584,7 +586,7 @@ fn rings_match_on_lags_depths_and_extents() {
     for (extent, seed) in [(1usize, 200u64), (2, 201), (7, 202), (13, 203)] {
         for program in [reconvergent(&[extent, 4, 9]), one_sided(&[extent, 11])] {
             let compiled = ReferenceExecutor::new().prepare(&program).unwrap();
-            assert_eq!(compiled.fused_fallback_reason(), None);
+            assert_eq!(compiled.tier_trace().reason(Tier::Fused, None), None);
             assert_tiers_bit_identical(&program, seed);
         }
     }
@@ -604,8 +606,9 @@ fn rings_match_on_random_dags() {
         let inputs = generate_inputs(&program, seed);
         let executor = ReferenceExecutor::new().with_fusion_tile_rows(1);
         let compiled = executor.prepare(&program).unwrap();
-        fused += usize::from(compiled.fused_tier_supported());
-        native += usize::from(compiled.jit_supported());
+        let trace = compiled.tier_trace();
+        fused += usize::from(trace.reason(Tier::Fused, None).is_none());
+        native += usize::from(trace.reason(Tier::Jit, None).is_none());
         let interpreted = executor.run_interpreted(&program, &inputs).unwrap();
         for tier in [Tier::Fused, Tier::Jit] {
             let result = run_pinned(&executor, &program, &inputs, None, tier).unwrap();
@@ -666,7 +669,7 @@ fn rings_match_on_random_dags() {
         }
         let program = builder.build().unwrap();
         let compiled = ReferenceExecutor::new().prepare(&program).unwrap();
-        fused += usize::from(compiled.fused_tier_supported());
+        fused += usize::from(compiled.tier_trace().reason(Tier::Fused, None).is_none());
         assert_tiers_bit_identical(&program, seed);
     }
     assert_eq!(fused, 64, "the fusible generator must stay fusible");

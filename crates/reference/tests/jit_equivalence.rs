@@ -15,7 +15,7 @@ use common::{assert_tiers_bit_identical, run_pinned};
 use std::collections::BTreeMap;
 use stencilflow_expr::DataType;
 use stencilflow_program::{BoundaryCondition, StencilProgram, StencilProgramBuilder};
-use stencilflow_reference::{generate_inputs, Grid, ReferenceExecutor, Tier};
+use stencilflow_reference::{generate_inputs, Grid, Ineligible, ReferenceExecutor, Tier};
 use stencilflow_workloads::{
     chain_program, diffusion2d, diffusion3d, horizontal_diffusion, jacobi2d, jacobi3d,
     jacobi3d_typed, listing1::listing1_with_shape, membench_program, upwind3d_typed, ChainSpec,
@@ -24,11 +24,11 @@ use stencilflow_workloads::{
 
 fn assert_eligible(program: &StencilProgram) {
     let compiled = ReferenceExecutor::new().prepare(program).unwrap();
-    assert!(
-        compiled.jit_supported(),
-        "`{}` should be Tier-4 eligible: {:?}",
-        program.name(),
-        compiled.jit_fallback_reason()
+    assert_eq!(
+        compiled.tier_trace().reason(Tier::Jit, None),
+        None,
+        "`{}` should be Tier-4 eligible",
+        program.name()
     );
     let source = compiled.jit_source().unwrap();
     assert!(
@@ -225,15 +225,18 @@ fn ineligible_programs_fall_back_bit_identically() {
     let executor = ReferenceExecutor::new();
 
     // Fusion-ineligible programs fall all the way to the materializing
-    // path, and the JIT fallback reason names the fused tier's reason:
+    // path: the JIT rung needs the fused rung, whose reason is that
     // horizontal diffusion's parameter fields miss the innermost axis.
     let hd = horizontal_diffusion(&HorizontalDiffusionSpec::small());
     let compiled = executor.prepare(&hd).unwrap();
-    assert!(!compiled.jit_supported());
-    let reason = compiled.jit_fallback_reason().unwrap();
+    let trace = compiled.tier_trace();
+    assert_eq!(trace.reason(Tier::Jit, None), Some(&Ineligible::NeedsFused));
+    let reason = trace.reason(Tier::Fused, None).unwrap();
     assert!(
-        reason.starts_with("fused tier unavailable: input `")
-            && reason.contains("does not span the innermost axis `k`"),
+        matches!(reason, Ineligible::InputMissesInnermost { .. })
+            && reason
+                .to_string()
+                .contains("does not span the innermost axis `k`"),
         "{reason}"
     );
     assert!(compiled.jit_source().is_none());
@@ -247,7 +250,8 @@ fn ineligible_programs_fall_back_bit_identically() {
         .build()
         .unwrap();
     let compiled = executor.prepare(&copy).unwrap();
-    assert!(!compiled.jit_supported());
+    let reason = compiled.tier_trace().reason(Tier::Jit, None);
+    assert_eq!(reason, Some(&Ineligible::NeedsFused));
 
     // The middle rung of the ladder: *fused*-supported, but the int32
     // output keeps Tier-4 off (the native sweep stores raw doubles; only
@@ -261,12 +265,14 @@ fn ineligible_programs_fall_back_bit_identically() {
         .build()
         .unwrap();
     let compiled = executor.prepare(&intout).unwrap();
-    assert!(compiled.fused_tier_supported());
-    assert!(!compiled.jit_supported());
-    assert!(compiled
-        .jit_fallback_reason()
-        .unwrap()
-        .contains("not a float type"));
+    let trace = compiled.tier_trace();
+    assert_eq!(trace.reason(Tier::Fused, None), None);
+    let reason = trace.reason(Tier::Jit, None).unwrap();
+    assert!(
+        matches!(reason, Ineligible::NonFloatOutput { .. }),
+        "{reason}"
+    );
+    assert!(reason.to_string().contains("not a float type"));
     assert_tiers_bit_identical(&intout, 75);
 }
 

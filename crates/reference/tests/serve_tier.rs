@@ -5,6 +5,8 @@
 //!   on the first job (where the tiers are being measured) and on the
 //!   cached decision afterwards. Auto may pick any tier; it may never
 //!   change a bit.
+//! * **Agreement**: the tiers a first sight measures are exactly the tiers
+//!   a pinned run lands on and reports, single and stepped.
 //! * **Floor**: on the two historical regression workloads — `upwind3d`
 //!   (fused ran 0.89x the SIMD tier) and the 24x24x64
 //!   `horizontal_diffusion` domain (0.94x) — the auto policy must run
@@ -17,9 +19,10 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 use stencilflow_expr::DataType;
-use stencilflow_program::StencilProgram;
+use stencilflow_program::{BoundaryCondition, StencilProgram, StencilProgramBuilder};
 use stencilflow_reference::{
-    generate_inputs, Grid, JobSpec, ReferenceExecutor, ServeConfig, ServeExecutor, Tier,
+    generate_inputs, jit_cache_stats, Grid, Ineligible, JobSpec, ReferenceExecutor, RunSpec,
+    ServeConfig, ServeExecutor, Tier, TierPolicy,
 };
 use stencilflow_workloads::{
     chain_program, diffusion2d, diffusion3d, horizontal_diffusion, jacobi2d, jacobi3d,
@@ -132,6 +135,84 @@ fn auto_tier_matches_run_steps_bitwise_when_stepping() {
             .unwrap_or_else(|e| panic!("stepped round {round}: {e}"));
         assert_outputs_bitwise(&program, &result, &expected);
         serve.recycle(result);
+    }
+}
+
+/// Fuses, but cannot fuse its time steps: `h_next` reads its state `h` out
+/// of domain under 1.0 and `g_next` reads `h_next` under 2.0, while step
+/// `t + 1` would read `h` from the ring step `t` wrote `h_next` to, which
+/// holds one pad constant.
+fn unsteppable() -> StencilProgram {
+    StencilProgramBuilder::new("unsteppable", &[24])
+        .input("h", DataType::Float32, &["i"])
+        .input("g", DataType::Float32, &["i"])
+        .stencil("h_next", "0.5 * (h[i-1] + h[i+1])")
+        .boundary("h_next", "h", BoundaryCondition::Constant(1.0))
+        .stencil("g_next", "g[i] + h_next[i-1]")
+        .boundary("g_next", "h_next", BoundaryCondition::Constant(2.0))
+        .output("h_next")
+        .output("g_next")
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn auto_measures_exactly_the_tiers_a_pin_lands_on() {
+    let _guard = serial();
+    let compiled = ReferenceExecutor::new().prepare(&unsteppable()).unwrap();
+    let trace = compiled.tier_trace();
+    assert_eq!(trace.reason(Tier::Fused, Some(1)), None);
+    assert_eq!(
+        trace.reason(Tier::Fused, Some(4)),
+        Some(&Ineligible::NoStepPlan)
+    );
+    assert_eq!(
+        trace.reason(Tier::Jit, Some(4)),
+        Some(&Ineligible::NeedsFused)
+    );
+
+    // What a first sight measured, read off a fresh executor: the floor
+    // always; the fused schedule (either fused tier) draws from the pool,
+    // which the unpooled SIMD sweep never does; the JIT tier loads a module.
+    let jit_loads = || jit_cache_stats().map_or(0, |s| s.hits + s.misses);
+    let mut programs = suite();
+    programs.push(unsteppable());
+    for program in &programs {
+        let inputs = generate_inputs(program, 5);
+        for steps in [None, Some(1), Some(4)] {
+            let label = format!("{} steps={steps:?}", program.name());
+            let run = |tier| {
+                let executor = ReferenceExecutor::new();
+                let compiled = executor.prepare(program).unwrap();
+                let spec = RunSpec { steps, tier };
+                let ran = executor
+                    .execute(&compiled, &inputs, &spec)
+                    .map(|(_, ran)| ran);
+                (ran, executor)
+            };
+            if run(TierPolicy::Fixed(Tier::Simd)).0.is_err() {
+                // Unpairable for stepping: every tier rejects it.
+                assert!(run(TierPolicy::Auto).0.is_err(), "{label}");
+                continue;
+            }
+            let pinned: Vec<Tier> = [Tier::Simd, Tier::Fused, Tier::Jit]
+                .into_iter()
+                .filter(|&tier| run(TierPolicy::Fixed(tier)).0.unwrap() == tier)
+                .collect();
+            let loads = jit_loads();
+            let (auto, executor) = run(TierPolicy::Auto);
+            let mut measured = vec![Tier::Simd];
+            if executor.pool_acquire_count() > 0 {
+                measured.push(Tier::Fused);
+            }
+            if jit_loads() > loads {
+                measured.push(Tier::Jit);
+            }
+            assert_eq!(measured, pinned, "{label}");
+            assert!(pinned.contains(&auto.unwrap()), "{label}");
+            let measurements = usize::from(pinned.len() > 1);
+            assert_eq!(executor.tier_measure_count(), measurements, "{label}");
+        }
     }
 }
 
