@@ -17,6 +17,9 @@
 //! unit census and cache statistics — the bundle CI uploads next to
 //! `BENCH_eval.json`.
 //!
+//! The first line (`jit target: ...`) names the compiler, the flag set and
+//! the `-march` those flags resolve to on this host: the engine's salt.
+//!
 //! The census (`jit units: P programs, M modules, S live stages, B
 //! bodies`) says what the native programs share: a module is a distinct
 //! emitted text (what `cc` is paid for), a body a distinct sweep function
@@ -156,9 +159,12 @@ fn main() {
 
     // The gate is only meaningful with a working compiler; `verify.sh`
     // probes up front and decides whether a missing `cc` skips or fails.
-    if let Err(probe) = stencilflow_reference::jit_available() {
-        eprintln!("jit gate: no usable C compiler: {probe}");
-        std::process::exit(1);
+    match stencilflow_reference::jit_available() {
+        Ok(salt) => println!("jit target: {salt}"),
+        Err(probe) => {
+            eprintln!("jit gate: no usable C compiler: {probe}");
+            std::process::exit(1);
+        }
     }
 
     let executor = ReferenceExecutor::new();

@@ -3,13 +3,13 @@
 //! and load them through a quarantined `dlopen` boundary.
 //!
 //! The crate deliberately knows nothing about stencils: it accepts C
-//! *source* — whose text, salted here with the compiler version and flags,
-//! *is* the identity of a module; the label passed along is provenance for
-//! the build log only — and returns a loaded module from which typed
-//! symbols can be resolved. All policy — which programs are eligible, what
-//! the C looks like, how sweeps map onto the emitted ABI — lives in
-//! `stencilflow-codegen` and `stencilflow-reference`; this crate only
-//! guarantees that
+//! *source* — whose text, salted here with the compiler version, the flags
+//! and the host target they resolve to, *is* the identity of a module; the
+//! label passed along is provenance for the build log only — and returns a
+//! loaded module from which typed symbols can be resolved. All policy —
+//! which programs are eligible, what the C looks like, how sweeps map onto
+//! the emitted ABI — lives in `stencilflow-codegen` and
+//! `stencilflow-reference`; this crate only guarantees that
 //!
 //! * identical `(salt, source)` pairs never invoke `cc` twice, even
 //!   across processes and labels (the disk cache is the source of truth;
@@ -18,9 +18,9 @@
 //! * a disk entry is served only if its `.c` equals the source and its
 //!   `.so` has the length and hash its sidecar recorded; a torn, truncated
 //!   or unloadable entry is one rebuild, never an error or wrong code;
-//! * entries built under a different compiler version or flag set are
-//!   evicted at engine start, and the cache stays under a byte bound via
-//!   least-recently-used eviction;
+//! * entries built under a different compiler version, flag set or host
+//!   target are evicted at engine start, and the cache stays under a byte
+//!   bound via least-recently-used eviction;
 //! * everything `unsafe` stays inside [`ffi`], each block justified
 //!   against the verifier judgment the emitted code was derived from (the
 //!   rest of the workspace keeps `#![forbid(unsafe_code)]`).
@@ -40,20 +40,31 @@ use std::sync::{Arc, Mutex};
 use std::time::SystemTime;
 
 /// Compiler flags every JIT translation unit is built with. The set is part
-/// of the cache salt and is chosen for *bit-identity with the interpreter*,
-/// not peak speed:
+/// of the cache salt; *bit-identity with the interpreter* rules out every
+/// value-changing flag, and within that the level was measured
+/// (`docs/evaluation.md`, Tier 4):
 ///
+/// * `-O2 -fvect-cost-model=cheap` — the stage loops vectorize as at `-O3`
+///   (plain `-O2`'s very-cheap cost model leaves them scalar) for less `cc`
+///   time per cold unit.
+/// * `-march=native` — units use the host's vector ISA. A cache directory
+///   shared between machines stays safe because the salt carries what
+///   `native` resolved to here (the `-march=` value and a hash of the
+///   compiler's whole target report, probed under these flags): an engine
+///   on a CPU that resolves differently finds every entry built here stale
+///   and evicts it, instead of loading code that could fault with `SIGILL`.
 /// * `-ffp-contract=off` — GCC's GNU-C default is `fast`, which fuses
 ///   `a*b + c` into FMA and changes results by one rounding; the
-///   interpreter performs two roundings, so contraction must be off.
+///   interpreter performs two roundings, so contraction must be off (it
+///   stays off whatever FMA units `-march=native` enables).
 /// * `-fno-math-errno` — frees the compiler from materializing `errno`
 ///   stores around libm calls without changing any computed value.
-/// * no `-march=native`, no `-ffast-math`: value-changing optimization is
-///   out of the question, and host-specific code would poison a cache
-///   shared between machines.
+/// * no `-ffast-math`: value-changing optimization is out of the question.
 pub(crate) const BASE_CFLAGS: &[&str] = &[
     "-std=c11",
-    "-O3",
+    "-O2",
+    "-fvect-cost-model=cheap",
+    "-march=native",
     "-fPIC",
     "-shared",
     "-ffp-contract=off",
@@ -126,23 +137,25 @@ impl JitConfig {
 #[derive(Debug)]
 pub struct JitEngine {
     config: JitConfig,
-    /// First line of `cc --version` plus the full flag set; keys every
-    /// cache entry so a toolchain change can never serve stale code.
+    /// First line of `cc --version`, the full flag set, and the target
+    /// those flags resolve to on this host ([`resolve_target`]); keys every
+    /// cache entry so a toolchain, flag or CPU change can never serve stale
+    /// code.
     salt: String,
     stats: Mutex<CacheStats>,
     modules: Mutex<HashMap<String, Arc<ModuleHandle>>>,
 }
 
 impl JitEngine {
-    /// Probe the configured compiler, prepare the cache directory, and
-    /// evict entries built under a different salt.
+    /// Probe the configured compiler and the target it builds for, prepare
+    /// the cache directory, and evict entries built under a different salt.
     ///
     /// # Errors
     ///
     /// Fails when the compiler cannot be spawned (the usual "no `cc` on
     /// this machine" case — callers surface this as the JIT-unavailable
-    /// reason and fall back to the fused tier) or the cache directory
-    /// cannot be created.
+    /// reason and fall back to the fused tier), cannot say which `-march`
+    /// the flags resolve to, or the cache directory cannot be created.
     pub fn new(config: JitConfig) -> Result<JitEngine, String> {
         let probe = Command::new(&config.cc)
             .arg("--version")
@@ -167,7 +180,8 @@ impl JitEngine {
         }
         let mut flags: Vec<String> = BASE_CFLAGS.iter().map(|f| f.to_string()).collect();
         flags.extend(config.extra_flags.iter().cloned());
-        let salt = format!("{version_line} | {}", flags.join(" "));
+        let target = resolve_target(&config.cc, &flags)?;
+        let salt = format!("{version_line} | {} | {target}", flags.join(" "));
         fs::create_dir_all(&config.cache_dir).map_err(|e| {
             format!(
                 "cannot create JIT cache dir {}: {e}",
@@ -346,7 +360,8 @@ impl JitEngine {
     }
 
     /// Remove every entry whose sidecar was written under a different
-    /// salt (compiler upgrade, flag change). Runs once at engine start.
+    /// salt (compiler upgrade, flag change, a host whose target resolves
+    /// differently). Runs once at engine start.
     fn evict_stale_salt(&self) {
         let mut evicted = 0u64;
         for (hash, key_path) in self.cache_keys() {
@@ -450,6 +465,36 @@ fn fnv1a64(basis: u64, bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// The target `flags` make `cc` build for on this host, as `-march=<cpu>`
+/// plus a hash of the compiler's whole target-option report (`-Q
+/// --help=target` under the same flags: ISA extensions, tuning, cache
+/// sizes), so two hosts that name the same CPU but enable different
+/// extensions still resolve differently. Probed once per engine.
+fn resolve_target(cc: &str, flags: &[String]) -> Result<String, String> {
+    let probe = Command::new(cc)
+        .args(flags)
+        .args(["-Q", "--help=target"])
+        .output()
+        .map_err(|e| format!("cannot run `{cc} -Q --help=target`: {e}"))?;
+    let report = String::from_utf8_lossy(&probe.stdout);
+    let march = report
+        .lines()
+        .find_map(|line| line.trim_start().strip_prefix("-march="))
+        .map(str::trim)
+        .filter(|march| probe.status.success() && !march.is_empty())
+        .ok_or_else(|| {
+            format!(
+                "`{cc} -Q --help=target` does not say which -march {} resolves to: {}",
+                flags.join(" "),
+                String::from_utf8_lossy(&probe.stderr).trim()
+            )
+        })?;
+    Ok(format!(
+        "-march={march} {:016x}",
+        fnv1a64(FNV_BASIS, &probe.stdout)
+    ))
 }
 
 /// A scratch name beside `path` that no other build of the same entry —
@@ -727,6 +772,48 @@ mod tests {
         assert!(stats.evictions >= 1);
         assert_eq!(stats.cc_invocations, 1);
         assert_eq!(stats.hits, 0);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    /// The `-march=` value the salt records, `None` if it records none.
+    fn resolved_march(engine: &JitEngine) -> Option<&str> {
+        let target = engine.salt().rsplit(" | ").next()?;
+        target.strip_prefix("-march=")?.split(' ').next()
+    }
+
+    #[test]
+    fn salt_carries_the_resolved_target_not_the_literal_native() {
+        let config = test_config();
+        let dir = config.cache_dir.clone();
+        let engine = JitEngine::new(config).expect("engine");
+        assert!(engine.salt().contains("-march=native"), "{}", engine.salt());
+        let march = resolved_march(&engine).expect("the salt names the resolved target");
+        assert!(!march.is_empty() && march != "native", "{}", engine.salt());
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn another_target_resolves_differently_and_evicts_as_stale() {
+        let config = test_config();
+        let dir = config.cache_dir.clone();
+        let native = JitEngine::new(config.clone()).expect("engine");
+        native.load("host-isa", EVAL_SOURCE).expect("load");
+        let native_march = resolved_march(&native).unwrap().to_string();
+        drop(native);
+
+        // What another CPU sharing the directory looks like: the probe runs
+        // under the full flag set, so the appended `-march` wins.
+        let mut baseline = config;
+        baseline.extra_flags = vec!["-march=x86-64".to_string()];
+        let engine = JitEngine::new(baseline).expect("engine");
+        assert_eq!(resolved_march(&engine), Some("x86-64"));
+        assert_ne!(native_march, "x86-64");
+        assert_eq!(engine.stats().evictions, 1, "the host-ISA entry is stale");
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
+        let module = engine.load("host-isa", EVAL_SOURCE).expect("load");
+        let eval = engine.eval_fn(&module, "sf_eval", 2).expect("symbol");
+        assert_eq!(eval.call(&[3.0, 0.5]).unwrap(), 6.5);
+        assert_eq!(engine.stats().cc_invocations, 1);
         let _ = fs::remove_dir_all(dir);
     }
 

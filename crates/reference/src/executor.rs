@@ -345,6 +345,11 @@ const COMPILED_CACHE_CAPACITY: usize = 64;
 /// grids in flight at once.
 const BUFFER_POOL_CAPACITY: usize = 64;
 
+/// The NaN unit tests fill every released cell buffer with: a payload no
+/// arithmetic on the generated inputs produces.
+#[cfg(test)]
+pub(crate) const POISON_BITS: u64 = 0x7ff8_dead_beef_0001;
+
 /// A best-fit pool of reusable buffers. The executor keeps two: `f64`
 /// cells backing the fused tier's ring buffers, window-boundary state
 /// grids and pooled results, and `bool` validity masks — every result
@@ -524,6 +529,15 @@ impl ReferenceExecutor {
     }
 
     pub(crate) fn pool_release(&self, buf: Vec<f64>) {
+        // Unit tests poison what comes back, so a cell read before anything
+        // wrote it (a result cell no sweep stored, a ring plane read before
+        // it was produced) shows up as this NaN, not a plausible stale value.
+        #[cfg(test)]
+        let buf = {
+            let mut buf = buf;
+            buf.fill(f64::from_bits(POISON_BITS));
+            buf
+        };
         self.pool.lock().expect("buffer pool poisoned").release(buf);
     }
 
@@ -539,33 +553,34 @@ impl ReferenceExecutor {
         self.mask_pool.lock().expect("mask pool poisoned").acquires
     }
 
-    /// A zeroed cell buffer for a result grid: pooled when result pooling
-    /// is on, freshly allocated otherwise.
+    /// A cell buffer for a result grid: pooled when result pooling is on,
+    /// as its last user left it, freshly allocated otherwise. Every tier
+    /// stores every cell of a result (the materializing sweep full batches
+    /// plus the row remainder, the fused sinks every owned plane), so a
+    /// reset would only be overwritten.
     pub(crate) fn alloc_result_cells(&self, len: usize) -> Vec<f64> {
-        self.alloc_result(&self.pool, 0.0, len)
+        if self.pool_results {
+            self.pool_acquire(len)
+        } else {
+            vec![0.0; len]
+        }
     }
 
     /// An all-`true` validity mask for a result: pooled when result
-    /// pooling is on, freshly allocated otherwise.
+    /// pooling is on, freshly allocated otherwise. Unlike cells, a pooled
+    /// mask is reset: the sweeps write only the cells a halo or the shrink
+    /// box invalidates.
     pub(crate) fn alloc_result_mask(&self, len: usize) -> Vec<bool> {
-        self.alloc_result(&self.mask_pool, true, len)
-    }
-
-    /// Either way the caller sees exactly the `vec![fill; len]` the result
-    /// sweeps were written against; a pooled buffer is reset after the
-    /// pool lock is released.
-    fn alloc_result<T: Copy + Default>(
-        &self,
-        pool: &Mutex<Pool<T>>,
-        fill: T,
-        len: usize,
-    ) -> Vec<T> {
         if !self.pool_results {
-            return vec![fill; len];
+            return vec![true; len];
         }
-        let mut buf = pool.lock().expect("buffer pool poisoned").acquire(len);
-        buf.fill(fill);
-        buf
+        let mut mask = self
+            .mask_pool
+            .lock()
+            .expect("mask pool poisoned")
+            .acquire(len);
+        mask.fill(true);
+        mask
     }
 
     /// Return a mask buffer to the mask pool.

@@ -19,7 +19,7 @@
 //! A scratch plane is one outermost-dimension slice (rows × cells; a 2-D
 //! space has one row per plane, a 1-D space is a single plane of a single
 //! row). [`FusePlan::schedule`] chains **forward** along the DAG and
-//! through the `w` steps of a window: copied-in inputs have **lag** 0, a
+//! through the `w` steps of a window: inputs have **lag** 0, a
 //! stage the maximum over its taps of `lag(producer) + max(offset₀, 0)`;
 //! a state input at step `t > 1` *is* the ring its paired output wrote at
 //! step `t - 1`. Every ring gets a **depth** — the maximum over its
@@ -55,6 +55,17 @@
 //! (typed kernels are total, so evaluating garbage lanes is safe), and the
 //! clobbered tail pad is re-filled after each row.
 //!
+//! An input every live tap reads at offset 0 on every axis never reads a
+//! pad, so it is **read in place**: no ring, no copy-in, no pads. Its taps
+//! read the caller's grid — or, at the first step of a later window, the
+//! previous window's pooled state grid — at that grid's own plane and row
+//! strides (0 along an axis a lower-rank input misses), through the
+//! per-tap base and strides every tap carries, so the native ABI and the
+//! emitted C are unchanged; like a broadcast copy (below) it has no lag.
+//! A grid has no write slack after its last row, so the one lane batch that
+//! would load past its end is loaded short (its surplus lanes are
+//! over-computed like any other and never read).
+//!
 //! # Eligibility and the fallback
 //!
 //! The padded-scratch fast path requires (checked once at
@@ -67,12 +78,13 @@
 //!   (scratch planes are laid out in space order, so transposed accesses
 //!   cannot be expressed as constant flat offsets) and spans at least the
 //!   innermost, contiguous dimension. A lower-rank input that misses the
-//!   plane and/or the row axis is a **broadcast tap**: it is copied once
-//!   per run into one padded buffer of its own shape, which every worker
-//!   and window reads, with stride 0 along each axis it misses — the same
-//!   per-tap plane and row strides a ring tap carries, so neither sweep
-//!   has a second loop and the native ABI is unchanged. It has no ring and
-//!   no lag: all of it exists before the first tick. An input missing the
+//!   plane and/or the row axis is a **broadcast tap**: unless it is read
+//!   in place, it is copied once per run into one padded buffer of its own
+//!   shape, which every worker and window reads, with stride 0 along each
+//!   axis it misses — the same per-tap plane and row strides a ring tap
+//!   carries, so neither sweep has a second loop and the native ABI is
+//!   unchanged. It has no ring and no lag: all of it exists before the
+//!   first tick. An input missing the
 //!   innermost axis (horizontal diffusion's `crlato[j]`) would need a
 //!   broadcast across the lanes, which neither sweep has;
 //! * every out-of-domain access resolves to a `Constant` boundary
@@ -98,12 +110,12 @@
 //!
 //! * every cell is evaluated once, through the same `TypedKernel` lane
 //!   interpreter as the materializing tier, on loads that are raw grid
-//!   payloads (inputs are copied in verbatim, stage results are rounded
-//!   through the stencil's output type before the store — exactly the
-//!   store rounding of the full-grid sweep), so each cell performs the
-//!   identical operation sequence on identical bits; the lag recurrence
-//!   guarantees every plane a tap reads was produced, and the depth
-//!   recurrence that it has not been overwritten yet;
+//!   payloads (inputs are read in place or copied in verbatim, stage
+//!   results are rounded through the stencil's output type before the
+//!   store — exactly the store rounding of the full-grid sweep), so each
+//!   cell performs the identical operation sequence on identical bits; the
+//!   lag recurrence guarantees every plane a tap reads was produced, and
+//!   the depth recurrence that it has not been overwritten yet;
 //! * out-of-domain loads read pad cells holding the boundary constant
 //!   pre-rounded through the field's element type — exactly the value the
 //!   materializing halo pass computes per access;
@@ -189,15 +201,19 @@ struct FusedField {
     name: String,
     /// Scalar program input: broadcast into the lanes, no buffer.
     scalar: bool,
-    /// Program input (copied into its ring) vs. stage output (computed
-    /// into it).
+    /// Program input (read in place, or copied into its ring or padded
+    /// buffer) vs. stage output (computed into its ring).
     input: bool,
     /// Whether the field is read by any live stage (or is an output).
     live: bool,
     /// Scratch axes the field spans. A lower-rank input misses the plane
-    /// and/or the row axis; it is a *broadcast* field, read through one
-    /// buffer of its own shape with stride 0 along the axes it misses.
+    /// and/or the row axis; it is read through one buffer of its own shape
+    /// with stride 0 along the axes it misses.
     span: [bool; 3],
+    /// An input every live tap reads at offset 0 on every axis: it never
+    /// reads a pad, so its taps read the source grid in place (no ring, no
+    /// copy, no pads).
+    in_place: bool,
     /// Pad fill value: the consumers' shared boundary constant, rounded
     /// through the field's element type.
     pad_constant: f64,
@@ -216,14 +232,15 @@ struct FusedField {
 }
 
 impl FusedField {
-    /// A lower-rank input: copied once per run into a buffer every worker
-    /// and window reads, instead of streaming through rings.
+    /// A lower-rank input read off-center: copied once per run into a
+    /// padded buffer every worker and window reads.
     fn broadcast(&self) -> bool {
-        self.span != [true; 3]
+        !self.in_place && self.span != [true; 3]
     }
 
-    /// Plane and row strides of a tap into the field's buffer: 0 along an
-    /// axis the field does not span.
+    /// Plane and row strides of a tap into the field's buffer (its padded
+    /// copy, or the grid read in place): 0 along an axis the field does not
+    /// span.
     fn strides(&self) -> (usize, usize) {
         let stride = |a: usize, s| if self.span[a] { s } else { 0 };
         (stride(0, self.plane), stride(1, self.row))
@@ -359,6 +376,7 @@ impl FusePlan {
                 input,
                 live: live.contains(name),
                 span,
+                in_place: false,
                 pad_constant: 0.0,
                 pad_lo: [0; 3],
                 pad_hi: [0; 3],
@@ -430,6 +448,19 @@ impl FusePlan {
                 mask_lo,
                 mask_hi,
             });
+        }
+        // An input no live tap reads off-center never reads a pad.
+        let off_center: BTreeSet<usize> = stages
+            .iter()
+            .filter(|s| s.live)
+            .flat_map(|s| &s.slots)
+            .filter_map(|slot| match slot {
+                FusedSlot::Tap { field, off } if *off != [0; 3] => Some(*field),
+                _ => None,
+            })
+            .collect();
+        for (f, field) in fields.iter_mut().enumerate() {
+            field.in_place = field.input && !field.scalar && !off_center.contains(&f);
         }
         let outputs: Vec<(usize, usize)> = program
             .outputs()
@@ -576,11 +607,18 @@ impl FusePlan {
 
         // Plane layout. Rows hold whole lane batches: the last batch's
         // over-compute writes (and reads) up to `batches * lanes`, which
-        // also covers the in-domain extent and the tail pad. A broadcast
-        // field's plane holds one row if it misses the row axis.
+        // also covers the in-domain extent and the tail pad. A lower-rank
+        // field's plane holds one row if it misses the row axis. A field
+        // read in place has its grid's layout, and no pads even where its
+        // feedback pair unified them: its readers never reach one.
         let lanes = fused_lane_width(ext[2]);
         for f in fields.iter_mut().filter(|f| f.live && !f.scalar) {
-            f.row = f.pad_lo[2] + ext[2].div_ceil(lanes) * lanes + f.pad_hi[2];
+            if f.in_place {
+                (f.pad_lo, f.pad_hi) = ([0; 3], [0; 3]);
+                f.row = ext[2];
+            } else {
+                f.row = f.pad_lo[2] + ext[2].div_ceil(lanes) * lanes + f.pad_hi[2];
+            }
             f.plane = f.padded(1, &ext) * f.row;
             f.origin = f.pad_lo[1] * f.row + f.pad_lo[2];
         }
@@ -708,11 +746,13 @@ impl FusePlan {
             }
         };
         let mut rings: Vec<Ring> = Vec::new();
-        // The ring each field is read from at the current step.
-        let mut holder = vec![usize::MAX; self.fields.len()];
+        // The ring each field is read from at the current step; an input
+        // has none when it is read whole (in place, or a lower-rank copy).
+        let mut holder = vec![None; self.fields.len()];
         for (f, field) in self.fields.iter().enumerate() {
-            if field.live && !field.scalar && field.input && !field.broadcast() {
-                holder[f] = rings.len();
+            let whole = field.in_place || field.broadcast();
+            if field.live && !field.scalar && field.input && !whole {
+                holder[f] = Some(rings.len());
                 rings.push(new_ring(f, None, 0, 0, Vec::new()));
             }
         }
@@ -728,32 +768,34 @@ impl FusePlan {
                 let taps: Vec<Tap> = stage
                     .slots
                     .iter()
-                    .map(|slot| match slot {
-                        FusedSlot::Scalar(field) => Tap::Scalar(*field),
-                        FusedSlot::Tap { field, off } if self.fields[*field].broadcast() => {
-                            // Copied in whole before the first tick: no lag.
-                            let f = &self.fields[*field];
-                            let (s0, s1) = f.strides();
-                            let first = (f.pad_lo[0] * s0 + f.origin) as i64;
-                            let inner = first + off[0] * s0 as i64 + off[1] * s1 as i64 + off[2];
-                            Tap::Broadcast {
-                                field: *field,
-                                inner: inner as usize,
-                                s0,
-                                s1,
+                    .map(|slot| match *slot {
+                        FusedSlot::Scalar(field) => Tap::Scalar(field),
+                        FusedSlot::Tap { field, ref off } => match holder[field] {
+                            // Whole before the first tick: no lag.
+                            None => {
+                                let f = &self.fields[field];
+                                let (s0, s1) = f.strides();
+                                let first = (f.pad_lo[0] * s0 + f.origin) as i64;
+                                let inner =
+                                    first + off[0] * s0 as i64 + off[1] * s1 as i64 + off[2];
+                                Tap::Source {
+                                    field,
+                                    inner: inner as usize,
+                                    s0,
+                                    s1,
+                                }
                             }
-                        }
-                        FusedSlot::Tap { field, off } => {
-                            let ring = holder[*field];
-                            let r = &rings[ring];
-                            lag = lag.max(r.lag + off[0].max(0) as usize);
-                            let inner = r.origin as i64 + off[1] * r.row as i64 + off[2];
-                            Tap::Ring {
-                                ring,
-                                off0: off[0],
-                                inner: inner as usize,
+                            Some(ring) => {
+                                let r = &rings[ring];
+                                lag = lag.max(r.lag + off[0].max(0) as usize);
+                                let inner = r.origin as i64 + off[1] * r.row as i64 + off[2];
+                                Tap::Ring {
+                                    ring,
+                                    off0: off[0],
+                                    inner: inner as usize,
+                                }
                             }
-                        }
+                        },
                     })
                     .collect();
                 for tap in &taps {
@@ -763,7 +805,7 @@ impl FusePlan {
                         r.read_in_step |= r.step == t;
                     }
                 }
-                holder[stage.field] = rings.len();
+                holder[stage.field] = Some(rings.len());
                 rings.push(new_ring(stage.field, Some(s), t, lag, taps));
             }
         }
@@ -865,11 +907,12 @@ enum Tap {
         off0: i64,
         inner: usize,
     },
-    /// The broadcast buffer of input `field`: in plane `pos` (never
-    /// negative, a stage only sweeps in-domain planes) the tap reads the
-    /// row at `inner + pos * s0`, and the rows after it `s1` apart. A
-    /// stride is 0 along an axis the input does not span.
-    Broadcast {
+    /// The buffer input `field` is read from whole (its grid in place, or
+    /// its padded lower-rank copy): in plane `pos` (never negative, a stage
+    /// only sweeps in-domain planes) the tap reads the row at
+    /// `inner + pos * s0`, and the rows after it `s1` apart. A stride is 0
+    /// along an axis the input does not span.
+    Source {
         field: usize,
         inner: usize,
         s0: usize,
@@ -908,13 +951,12 @@ struct WindowCtx<'a> {
     plan: &'a FusePlan,
     compiled: &'a CompiledProgram,
     sched: &'a Schedule,
-    /// Raw source data per input field (user grids, or the pooled state
-    /// grids of the previous window).
-    sources: Vec<Option<&'a [f64]>>,
+    /// What each live input field is read from (empty for the rest): the
+    /// caller's grid or the previous window's pooled state grid (read in
+    /// place or copied into a ring), or a lower-rank input's padded copy.
+    sources: Vec<&'a [f64]>,
     /// Scalar values per field (scalar inputs only).
     scalars: &'a [f64],
-    /// Broadcast buffers per field (broadcast inputs only).
-    broadcasts: &'a [Vec<f64>],
     /// Steps in this window.
     w: usize,
     /// Whether this is the final window (masks are written).
@@ -964,45 +1006,47 @@ pub(crate) fn execute(
         .map(|ix| (ix * chunk_h, ((ix + 1) * chunk_h).min(n0)))
         .collect();
 
-    // Scalar values and input sources.
-    let mut scalars = vec![0.0f64; plan.fields.len()];
-    let mut user_sources: Vec<Option<&[f64]>> = vec![None; plan.fields.len()];
-    for (ix, field) in plan.fields.iter().enumerate() {
-        if !field.input || !field.live {
-            continue;
-        }
-        let grid = &inputs[&field.name];
-        if field.scalar {
-            scalars[ix] = grid.as_slice()[0];
-        } else {
-            user_sources[ix] = Some(grid.as_slice());
-        }
-    }
-
-    // Every pooled buffer acquired from here on is released at the end.
     let sched = plan.schedule(w_max, executor.fusion_tile_rows, |stage| {
         jit.is_some_and(|fns| fns[stage].is_some())
     });
 
-    // Lower-rank inputs are never state, so one copy serves every window
-    // and every worker.
+    // Every pooled buffer acquired from here on is released at the end.
+    // Lower-rank inputs are never state, so one padded copy of one read
+    // off-center serves every window and every worker.
     let broadcasts: Vec<Vec<f64>> = plan
         .fields
         .iter()
-        .zip(&user_sources)
-        .map(|(field, src)| match src {
-            Some(src) if field.broadcast() => {
-                let mut buf = executor.pool_acquire(field.padded(0, &plan.ext) * field.plane);
-                fill_broadcast(plan, field, src, &mut buf);
-                buf
+        .map(|field| {
+            if !(field.input && field.live && field.broadcast()) {
+                return Vec::new();
             }
-            _ => Vec::new(),
+            let mut buf = executor.pool_acquire(field.padded(0, &plan.ext) * field.plane);
+            fill_broadcast(plan, field, inputs[&field.name].as_slice(), &mut buf);
+            buf
         })
         .collect();
 
+    // Scalar values and what each input is read from.
+    let mut scalars = vec![0.0f64; plan.fields.len()];
+    let mut user_sources: Vec<&[f64]> = vec![&[]; plan.fields.len()];
+    for (ix, field) in plan.fields.iter().enumerate() {
+        if !field.input || !field.live {
+            continue;
+        }
+        let grid = inputs[&field.name].as_slice();
+        if field.scalar {
+            scalars[ix] = grid[0];
+        } else if field.broadcast() {
+            user_sources[ix] = &broadcasts[ix];
+        } else {
+            user_sources[ix] = grid;
+        }
+    }
+
     // Result grids and masks for the program outputs. Under the service
-    // tier (pooled results) these buffers come from the executor pools —
-    // zero-filled / all-true exactly like fresh allocations.
+    // tier (pooled results) these buffers come from the executor pools:
+    // the cells as their last user left them (the sinks store every owned
+    // plane), the masks all-true like fresh allocations.
     let dim_refs: Vec<&str> = plan.dims.iter().map(String::as_str).collect();
     let mut out_grids: Vec<Grid> = plan
         .outputs
@@ -1075,7 +1119,7 @@ pub(crate) fn execute(
         if wix > 0 {
             let pairs = &plan.steps.as_ref().expect("several windows step").pairs;
             for (state, &(_, input)) in read_set.iter().zip(pairs) {
-                sources[input] = Some(state.as_slice());
+                sources[input] = state;
             }
         }
 
@@ -1117,7 +1161,6 @@ pub(crate) fn execute(
             sched: &sched,
             sources,
             scalars: &scalars,
-            broadcasts: &broadcasts,
             w,
             last,
             jit,
@@ -1354,8 +1397,7 @@ fn run_worker_lanes<const L: usize>(ctx: &WindowCtx<'_>, worker: Worker<'_>) -> 
                 let span_x = x;
                 x += n as i64;
                 if ring.stage.is_none() {
-                    let src = ctx.sources[ring.field].expect("live inputs have sources");
-                    copy_in(plan, ring, src, rings[ix], span_x, n);
+                    copy_in(plan, ring, ctx.sources[ring.field], rings[ix], span_x, n);
                     continue;
                 }
                 // Detach the write target so the taps can borrow the
@@ -1442,13 +1484,19 @@ fn sweep_lanes<const L: usize>(
     for (stride, tap) in strides.iter_mut().zip(&target.taps) {
         *stride = match tap {
             Tap::Ring { ring, .. } => ctx.sched.rings[*ring].row,
-            Tap::Broadcast { s1, .. } => *s1,
+            Tap::Source { s1, .. } => *s1,
             Tap::Scalar(_) => 0,
         };
     }
     let load = |buf: &[f64], at: usize| -> [f64; L] {
         let mut batch = [0.0; L];
-        batch.copy_from_slice(&buf[at..at + L]);
+        match buf.get(at..at + L) {
+            Some(cells) => batch.copy_from_slice(cells),
+            // Only a grid read in place can end inside a batch: the last
+            // one of its last row, whose lanes past the row end are
+            // over-computed and never read.
+            None => batch[..buf.len() - at].copy_from_slice(&buf[at..]),
+        }
         batch
     };
     for p in 0..span.n {
@@ -1458,7 +1506,7 @@ fn sweep_lanes<const L: usize>(
                 Tap::Ring { ring, off0, inner } => {
                     *base = ctx.sched.rings[*ring].at(pos + off0) + inner;
                 }
-                Tap::Broadcast { inner, s0, .. } => *base = inner + pos as usize * s0,
+                Tap::Source { inner, s0, .. } => *base = inner + pos as usize * s0,
                 Tap::Scalar(_) => {}
             }
         }
@@ -1471,9 +1519,7 @@ fn sweep_lanes<const L: usize>(
                 let result = typed.eval_lanes_with(
                     |s| match &target.taps[s] {
                         Tap::Ring { ring, .. } => load(rings[*ring], bases[s] + k0),
-                        Tap::Broadcast { field, .. } => {
-                            load(&ctx.broadcasts[*field], bases[s] + k0)
-                        }
+                        Tap::Source { field, .. } => load(ctx.sources[*field], bases[s] + k0),
                         Tap::Scalar(field) => [ctx.scalars[*field]; L],
                     },
                     scratch,
@@ -1525,13 +1571,13 @@ fn sweep_native(
                     s1: r.row,
                 }
             }
-            Tap::Broadcast {
+            Tap::Source {
                 field,
                 inner,
                 s0,
                 s1,
             } => SlotArg::Tap {
-                buf: &ctx.broadcasts[*field][..],
+                buf: ctx.sources[*field],
                 base: inner + span.x as usize * s0,
                 s0: *s0,
                 s1: *s1,
@@ -1664,5 +1710,40 @@ mod tests {
             }
         }
         assert_eq!(fusible, 9);
+    }
+
+    /// The inputs of the `analyze` suite read in place — exactly those no
+    /// live tap reads off-center — get no ring (they left the enumeration
+    /// above); every other full-rank input keeps one.
+    #[test]
+    fn center_only_inputs_are_read_in_place() {
+        let executor = ReferenceExecutor::new();
+        let mut in_place = Vec::new();
+        for program in stencilflow_workloads::analyze_suite() {
+            let compiled = executor.prepare(&program).unwrap();
+            let Ok(plan) = &compiled.tier_trace().fused else {
+                continue;
+            };
+            let sched = plan.schedule(1, Some(1), |_| false);
+            let live_inputs = plan.fields.iter().enumerate();
+            for (f, field) in live_inputs.filter(|(_, f)| f.live && f.input && !f.scalar) {
+                let ringed = sched.rings.iter().any(|r| r.field == f);
+                assert_eq!(
+                    ringed,
+                    !field.in_place && !field.broadcast(),
+                    "{}",
+                    field.name
+                );
+                if field.in_place {
+                    in_place.push(format!("{}.{}", program.name(), field.name));
+                }
+            }
+        }
+        // Listing 1's three inputs, membench's eight copy sources, and
+        // upwind's velocity (its tracer is read upwind, off-center).
+        let mut want: Vec<String> = ["a0", "a1", "a2"].map(|f| format!("listing1.{f}")).into();
+        want.extend((0..8).map(|i| format!("membench8x1.in{i}")));
+        want.push("upwind3d.u".to_string());
+        assert_eq!(in_place, want);
     }
 }

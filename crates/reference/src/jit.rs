@@ -50,25 +50,21 @@ fn engine() -> &'static std::result::Result<Arc<JitEngine>, String> {
     ENGINE.get_or_init(|| JitEngine::new(JitConfig::from_env()).map(Arc::new))
 }
 
-/// Whether native execution can run at all on this machine; `Err` carries
-/// the probe failure (the JIT tier falls back to the fused tier in that
-/// case, and `verify.sh` refuses to skip it on CI).
-pub fn jit_available() -> std::result::Result<(), String> {
-    engine().as_ref().map(|_| ()).map_err(String::clone)
+/// Whether native execution can run at all on this machine. `Ok` carries
+/// the engine's salt — compiler identity, flags, and the `-march` they
+/// resolve to on this host — which is also folded into the build
+/// fingerprint that keys persisted tier decisions (another compiler or CPU
+/// can rank the JIT tier differently). `Err` carries the probe failure
+/// (the JIT tier falls back to the fused tier in that case, and
+/// `verify.sh` refuses to skip it on CI).
+pub fn jit_available() -> std::result::Result<&'static str, String> {
+    engine().as_ref().map(|e| e.salt()).map_err(String::clone)
 }
 
 /// Cache counters of the process-wide engine (`None` before the first
 /// probe attempt or when the engine failed to initialize).
 pub fn jit_cache_stats() -> Option<CacheStats> {
     engine().as_ref().ok().map(|e| e.stats())
-}
-
-/// The engine's compiler salt (compiler identity + flags), or `None` when
-/// native execution is unavailable. Folded into the build fingerprint
-/// that keys persisted tier decisions: a different compiler can rank the
-/// JIT tier differently, so its decisions must not survive the swap.
-pub(crate) fn jit_salt() -> Option<String> {
-    engine().as_ref().ok().map(|e| e.salt().to_string())
 }
 
 /// The loaded stage functions of program `program`'s unit, indexed by

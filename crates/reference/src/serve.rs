@@ -399,7 +399,8 @@ impl ServeExecutor {
         Ok(())
     }
 
-    /// Run one job to completion (a single-job batch).
+    /// Run one job to completion (a single-job batch, which runs on the
+    /// calling thread).
     pub fn run_one(&self, job: JobSpec) -> JobOutcome {
         self.run_batch(vec![job])
             .pop()
@@ -432,8 +433,9 @@ impl ServeExecutor {
     /// [`run_batch`](ServeExecutor::run_batch) with a streaming completion
     /// sink: the worker that finishes a job calls `sink` with its outcome
     /// immediately, so the caller can respond and recycle while the rest
-    /// of the batch is still running. The sink runs on worker threads and
-    /// may be called concurrently.
+    /// of the batch is still running. The sink runs on the workers — the
+    /// calling thread and `min(workers, jobs) - 1` spawned ones — and may
+    /// be called concurrently.
     pub fn run_batch_with<F: Fn(JobOutcome) + Sync>(&self, jobs: Vec<JobSpec>, sink: F) {
         if jobs.is_empty() {
             return;
@@ -461,14 +463,19 @@ impl ServeExecutor {
                 });
             }
         };
+        // The calling thread is worker 0, so a one-job batch (`run_one`)
+        // spawns no thread at all.
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.workers.min(count))
+            let handles: Vec<_> = (1..self.workers.min(count))
                 .map(|_| scope.spawn(worker))
                 .collect();
+            worker();
             // Job panics are isolated per job inside the workers, so the
-            // only panic that can reach a join is one thrown by the
-            // caller's own sink — that is the caller's bug, and it
-            // propagates after the other workers have drained the queue.
+            // only panic that can reach a join (or leave `worker()` above,
+            // after which the scope still joins every spawned worker) is
+            // one thrown by the caller's own sink — that is the caller's
+            // bug, and it propagates after the other workers have drained
+            // the queue.
             let mut sink_panic = None;
             for handle in handles {
                 if let Err(payload) = handle.join() {
@@ -717,7 +724,7 @@ mod tests {
         // The policy pins fused, a per-job pin beats it, and an outcome
         // reports the rung that ran: hdiff has no fuse plan.
         let hdiff = Arc::new(horizontal_diffusion(&HorizontalDiffusionSpec::bench()));
-        let jit = crate::jit_available().map_or(Tier::Fused, |()| Tier::Jit);
+        let jit = crate::jit_available().map_or(Tier::Fused, |_| Tier::Jit);
         for (job, want) in [
             (job_for(&program, 1), Tier::Fused),
             (job_for(&program, 2).with_tier(Tier::Simd), Tier::Simd),
@@ -823,5 +830,72 @@ mod tests {
         // A failing job does not poison the batch: the next one succeeds.
         let ok = serve.run_one(job_for(&program, 1));
         serve.recycle(ok.result.unwrap());
+    }
+
+    #[test]
+    fn recycled_result_buffers_never_leak_a_stale_cell() {
+        // Pooled result cells are handed out as their last user left them,
+        // and in unit tests every released cell buffer is filled with a
+        // NaN sentinel (`POISON_BITS`): a cell some tier failed to store
+        // would read as that NaN in the round that runs in recycled
+        // buffers. The golden workloads (at `jit_gate`'s shapes), and
+        // several windows of pooled state on the steppable ones.
+        use stencilflow_workloads::{
+            chain_program, diffusion2d, diffusion3d, jacobi2d, jacobi3d, jacobi3d_typed,
+            listing1::listing1_with_shape, membench_program, upwind3d, ChainSpec, MembenchSpec,
+        };
+        let programs = [
+            (listing1_with_shape(&[8, 8, 8]), 1),
+            (jacobi2d(1, &[32, 31], 1), 6),
+            (jacobi3d(1, &[16, 16, 8], 1), 6),
+            (jacobi3d_typed(1, &[16, 16, 9], 1, DataType::Float64), 6),
+            (diffusion2d(1, &[32, 29], 1), 6),
+            (diffusion3d(1, &[16, 16, 8], 1), 1),
+            (
+                chain_program(&ChainSpec::new(8, 8).with_shape(&[32, 16, 16])),
+                1,
+            ),
+            (
+                membench_program(&MembenchSpec::new(8, 1).with_shape(&[16, 8, 8])),
+                1,
+            ),
+            (horizontal_diffusion(&HorizontalDiffusionSpec::small()), 1),
+            (upwind3d(2, &[8, 8, 8], 1), 1),
+        ];
+        let serve = ServeExecutor::new(ServeConfig::new().with_workers(1));
+        let reference = ReferenceExecutor::new();
+        for (program, steps) in programs {
+            let program = Arc::new(program);
+            let inputs = Arc::new(generate_inputs(&program, 5));
+            let expected = match steps {
+                1 => reference.run_interpreted(&program, &inputs),
+                steps => reference.run_steps(&program, &inputs, steps),
+            }
+            .unwrap();
+            for tier in [Tier::Simd, Tier::Fused, Tier::Jit] {
+                for round in 0..2 {
+                    let job = JobSpec::new(Arc::clone(&program), Arc::clone(&inputs))
+                        .with_steps(steps)
+                        .with_tier(tier);
+                    let result = serve.run_one(job).result.unwrap();
+                    for output in program.outputs() {
+                        let label = format!("{} {tier} round {round}", program.name());
+                        let got = result.field(output).unwrap().as_slice();
+                        let want = expected.field(output).unwrap().as_slice();
+                        let same = got
+                            .iter()
+                            .zip(want)
+                            .all(|(a, b)| a.to_bits() == b.to_bits());
+                        assert!(same, "{label}: `{output}` differs");
+                        let mask = result.valid_mask(output);
+                        assert_eq!(mask, expected.valid_mask(output), "{label}");
+                    }
+                    serve.recycle(result);
+                }
+            }
+        }
+        // The rounds did run in recycled buffers.
+        let stats = serve.stats();
+        assert!(stats.pool_acquires > 2 * stats.pool_misses);
     }
 }

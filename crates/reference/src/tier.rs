@@ -228,9 +228,9 @@ const MEASURE_WARMUP_MAX_CELLS: usize = 1 << 20;
 /// The bench-relevant build fingerprint that salts persisted tier
 /// decisions: anything that can shift the measured tier ranking — crate
 /// version, kernel lane widths, debug vs release codegen, and the native
-/// compiler behind the JIT tier — invalidates the cache.
+/// compiler and target behind the JIT tier — invalidates the cache.
 fn build_fingerprint() -> String {
-    let jit = crate::jit::jit_salt().unwrap_or_else(|| "jit-unavailable".to_string());
+    let jit = crate::jit::jit_available().unwrap_or("jit-unavailable");
     format!(
         "v{} lanes{}/{} {} [{jit}]",
         env!("CARGO_PKG_VERSION"),

@@ -346,6 +346,103 @@ fn broadcast_taps_match_across_worker_seams() {
     }
 }
 
+/// An input every live tap reads at the center is read in place from the
+/// caller's grid, or between windows from the pooled state grid: no ring,
+/// no copy, no pads. Rows of 29 and 37 cells end inside a lane batch, so
+/// the bytecode sweep's last batch of a grid's last row reaches past the
+/// grid.
+#[test]
+fn in_place_taps_match_on_both_sweeps_and_workers() {
+    // `w` is read at the center only; `u` at the center by `s` and off it
+    // by `t`, so it keeps its ring.
+    let shared = |shape: &[usize]| {
+        StencilProgramBuilder::new("shared_input", shape)
+            .input("u", DataType::Float32, &["i", "j", "k"])
+            .input("w", DataType::Float64, &["i", "j", "k"])
+            .stencil("s", "u[i,j,k] * 2.0 + w[i,j,k]")
+            .stencil("t", "s[i,j,k] + u[i-1,j,k+1] * w[i,j,k]")
+            .boundary("t", "u", BoundaryCondition::Constant(0.5))
+            .shrink("t")
+            .output("t")
+            .build()
+            .unwrap()
+    };
+    // Radius 0 with a center-only `[k]` forcing: the state is read in
+    // place at every window's first step.
+    let relax = |shape: &[usize]| {
+        StencilProgramBuilder::new("relax", shape)
+            .input("h", DataType::Float32, &["i", "j", "k"])
+            .input("f", DataType::Float32, &["k"])
+            .stencil("h_next", "0.5 * h[i,j,k] + f[k]")
+            .output("h_next")
+            .build()
+            .unwrap()
+    };
+    let small: [(StencilProgram, Option<usize>); 3] = [
+        (listing1_with_shape(&[5, 3, 29]), None),
+        (shared(&[5, 3, 29]), None),
+        (relax(&[5, 3, 29]), Some(7)),
+    ];
+    for ((program, steps), seed) in small.into_iter().zip(400..) {
+        let compiled = ReferenceExecutor::new().prepare(&program).unwrap();
+        assert_eq!(compiled.tier_trace().reason(Tier::Jit, steps), None);
+        match steps {
+            None => assert_tiers_bit_identical(&program, seed),
+            Some(steps) => assert_tier_steps_bit_identical(&program, seed, steps),
+        }
+    }
+
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(2));
+    // Big enough for two workers. (program, steps, pooled state sets: a
+    // repeat draws those and one arena per worker, nothing else — every
+    // input is in place or ringed, none a lower-rank copy).
+    let large = [
+        (listing1_with_shape(&[64, 32, 37]), None, 0),
+        (shared(&[64, 32, 37]), None, 0),
+        (relax(&[64, 32, 37]), Some(7), 2),
+    ];
+    for ((program, steps, state_sets), seed) in large.into_iter().zip(410..) {
+        let inputs = generate_inputs(&program, seed);
+        let baseline = match steps {
+            None => ReferenceExecutor::new().run_interpreted(&program, &inputs),
+            Some(steps) => ReferenceExecutor::new().run_steps(&program, &inputs, steps),
+        }
+        .unwrap();
+        for tier in [Tier::Fused, Tier::Jit] {
+            for threads in [1, 2] {
+                let label = format!("{} {tier} threads={threads}", program.name());
+                let executor = ReferenceExecutor::new()
+                    .with_max_threads(threads)
+                    .with_fusion_window(3);
+                let run = || run_pinned(&executor, &program, &inputs, steps, tier).unwrap();
+                let result = run();
+                assert_outputs_match(&program, &label, &result, &baseline);
+                if threads == 1 {
+                    assert_no_redundant_compute(
+                        &executor,
+                        &program,
+                        &result,
+                        steps.unwrap_or(1),
+                        &label,
+                    );
+                }
+                // Balance: a repeat hands every buffer back.
+                let (misses, acquires) =
+                    (executor.pool_miss_count(), executor.pool_acquire_count());
+                assert_outputs_match(&program, &label, &run(), &baseline);
+                assert_eq!(executor.pool_miss_count(), misses, "{label}");
+                let arenas = if threads == 1 { 1 } else { workers };
+                let outputs = program.outputs().len();
+                assert_eq!(
+                    executor.pool_acquire_count() - acquires,
+                    arenas + state_sets * outputs,
+                    "{label}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn eligibility_is_judged_on_live_fields_and_stages() {
     // Inputs no output depends on — one missing the innermost axis, one
