@@ -1,5 +1,6 @@
-//! Tier-4 native-JIT CI gate: sweep the whole workload suite through the
-//! compiled `.so` backend and diff every run **bitwise** against the
+//! Tier-4 native-JIT CI gate: sweep the workload suite
+//! (`stencilflow_workloads::execution_suite`) through the compiled `.so`
+//! backend and diff every run **bitwise** against the
 //! tree-walking interpreter — values and shrink masks. Ineligible
 //! programs must fall back transparently and still match, so the gate
 //! covers the full ladder: native, fused fallback, materializing
@@ -29,35 +30,12 @@
 //!
 //! Usage: `jit_gate [--assert-cached] [--artifacts DIR]`
 
-use stencilflow_expr::DataType;
 use stencilflow_json::Json;
 use stencilflow_program::StencilProgram;
 use stencilflow_reference::{
     generate_inputs, ReferenceExecutor, RunSpec, Tier, TierPolicy, TierTrace,
 };
-use stencilflow_workloads::{
-    chain_program, diffusion2d, diffusion3d, horizontal_diffusion, jacobi2d, jacobi3d,
-    jacobi3d_typed, listing1, membench_program, upwind3d, ChainSpec, HorizontalDiffusionSpec,
-    MembenchSpec,
-};
-
-/// The canonical ten-workload suite (the same list the static-analysis
-/// gate sweeps), at execution-sized shapes: the gate runs every program
-/// through the interpreter too, so the domains stay small.
-fn workloads() -> Vec<StencilProgram> {
-    vec![
-        listing1::listing1_with_shape(&[8, 8, 8]),
-        jacobi2d(1, &[32, 32], 1),
-        jacobi3d(1, &[16, 16, 8], 1),
-        jacobi3d_typed(1, &[16, 16, 8], 1, DataType::Float64),
-        diffusion2d(1, &[32, 32], 1),
-        diffusion3d(1, &[16, 16, 8], 1),
-        chain_program(&ChainSpec::new(8, 8).with_shape(&[32, 16, 16])),
-        membench_program(&MembenchSpec::new(8, 1).with_shape(&[16, 8, 8])),
-        horizontal_diffusion(&HorizontalDiffusionSpec::small()),
-        upwind3d(2, &[8, 8, 8], 1),
-    ]
-}
+use stencilflow_workloads::{execution_suite, jacobi3d};
 
 /// Bitwise comparison of the program outputs of two execution results,
 /// shrink masks included. Returns a description of the first mismatch.
@@ -172,7 +150,7 @@ fn main() {
     let mut sources: Vec<(String, String)> = Vec::new();
     let mut census = Census::default();
     let mut failures = 0usize;
-    for (ix, program) in workloads().into_iter().enumerate() {
+    for (ix, program) in execution_suite().into_iter().enumerate() {
         let inputs = generate_inputs(&program, 17);
         let compiled = match executor.prepare(&program) {
             Ok(compiled) => compiled,

@@ -1,6 +1,7 @@
-//! Prints every table and figure of the evaluation in one run, plus the
-//! Fig. 4 deadlock demonstration. Pass `--quick` for the shortened domains
-//! used by the CI smoke step.
+//! Prints every table and figure of the paper's evaluation in one run,
+//! plus the Fig. 4 deadlock demonstration. Pass `--quick` for the
+//! shortened Fig. 14/15 and Tab. I domains used by the CI smoke step.
+//! Tier throughput is `bench_eval`'s; end-to-end numbers are `benchmark/`'s.
 
 fn main() {
     let quick = std::env::args().skip(1).any(|arg| arg == "--quick");
@@ -29,13 +30,5 @@ fn main() {
     println!("== Figure 4: deadlock demonstration ==");
     println!(
         "unit-depth channels deadlock: {deadlocked}; analysis-computed depths stream: {completed}"
-    );
-    print!(
-        "{}",
-        stencilflow_bench::format_throughput(&stencilflow_bench::eval_throughput(quick))
-    );
-    print!(
-        "{}",
-        stencilflow_bench::format_sharded(&stencilflow_bench::sharded_throughput(quick))
     );
 }

@@ -1,12 +1,15 @@
-//! Benchmark harnesses regenerating the paper's tables and figures.
+//! Benchmark harnesses: the paper's tables and figures, and the CI speed
+//! floors. Every measurement question has one home:
 //!
-//! Each function computes the data series of one evaluation artifact
-//! (Fig. 14, Fig. 15, Tab. I, Fig. 16, Tab. II) from the analytical models
-//! and the simulator, and renders it in the same shape as the paper reports
-//! it. The `benches/` targets print these tables as part of `cargo bench`
-//! (and additionally time the framework itself with Criterion); the
-//! `src/bin/` binaries print them standalone. `EXPERIMENTS.md` records the
-//! paper-vs-measured comparison for every row.
+//! * **Paper artifacts** (Fig. 4, Fig. 14–16, Tab. I–II): the `report`
+//!   binary prints them all, computed here from the analytical models and
+//!   the simulator in the shape the paper reports them.
+//! * **Tier speed floors**: `bench_eval` measures the evaluation
+//!   throughput ([`eval_throughput`], [`sharded_throughput`]) and
+//!   `bench_eval --check-floors` gates its ratios ([`check_floors`]); the
+//!   service layer has `bench_serve` ([`serve`]).
+//! * **End-to-end numbers**: the frozen `benchmark/` workspace, not this
+//!   crate.
 
 #![forbid(unsafe_code)]
 
@@ -546,9 +549,8 @@ impl ThroughputRow {
 }
 
 /// Seconds per iteration of `run` — one warm-up call, then repetition until
-/// at least `budget` of wall clock has elapsed. The single measurement
-/// methodology behind both the reported throughput numbers and the
-/// acceptance-floor tests.
+/// at least `budget` of wall clock has elapsed: how every per-tier
+/// throughput cell of the `bench_eval` table is measured.
 fn secs_per_iter(budget: std::time::Duration, mut run: impl FnMut()) -> f64 {
     use std::time::Instant;
     run();
@@ -612,15 +614,10 @@ fn measure_cells_per_s(cells: usize, run: impl FnMut()) -> f64 {
     cells as f64 / secs_per_iter(std::time::Duration::from_millis(200), run)
 }
 
-/// Measure reference-execution throughput (cells/second) of the
-/// tree-walking evaluator against the compiled execution plan, on
-/// the Jacobi 3D 64³ workload (all-f32 and all-f64), horizontal diffusion,
-/// and an iterative Jacobi time loop driven by
-/// `ReferenceExecutor::run_steps` (one compilation for all steps). `quick`
-/// shrinks the domains for CI runs.
-pub fn eval_throughput(quick: bool) -> Vec<ThroughputRow> {
+/// The single-run rows of [`eval_throughput`], named as the table and
+/// [`check_floors`] know them.
+fn throughput_workloads(quick: bool) -> Vec<(String, StencilProgram)> {
     use stencilflow_expr::DataType;
-    use stencilflow_reference::{generate_inputs, ReferenceExecutor};
     use stencilflow_workloads::jacobi3d_typed;
     let jacobi_shape: [usize; 3] = if quick { [32, 32, 32] } else { [64, 64, 64] };
     // §VIII-C-style linear chain: 8 stages of 8 operations on a domain
@@ -629,7 +626,7 @@ pub fn eval_throughput(quick: bool) -> Vec<ThroughputRow> {
     // the interpreted baseline measurable).
     let chain_shape: [usize; 3] = if quick { [96, 32, 32] } else { [384, 32, 32] };
     let chain_spec = ChainSpec::new(8, 8).with_shape(&chain_shape);
-    let workloads: Vec<(String, StencilProgram)> = vec![
+    vec![
         (
             format!("jacobi3d {0}^3 f32", jacobi_shape[0]),
             jacobi3d(2, &jacobi_shape, 1),
@@ -672,12 +669,24 @@ pub fn eval_throughput(quick: bool) -> Vec<ThroughputRow> {
             "listing1 32^3".to_string(),
             listing1::listing1(),
         ),
-    ];
+    ]
+}
+
+/// Measure reference-execution throughput (cells/second) of the
+/// tree-walking evaluator against the compiled execution plan and the
+/// fused and JIT tiers, on Jacobi 3D (all-f32 and all-f64), horizontal
+/// diffusion, upwind, the 8-stage chain, Listing 1, and an iterative
+/// Jacobi time loop driven by `ReferenceExecutor::run_steps`
+/// (one compilation for all steps). `quick` shrinks the domains for CI
+/// runs.
+pub fn eval_throughput(quick: bool) -> Vec<ThroughputRow> {
+    use stencilflow_reference::{generate_inputs, ReferenceExecutor};
+    let jacobi_shape: [usize; 3] = if quick { [32, 32, 32] } else { [64, 64, 64] };
     // The executor caches its compilation across the repeated measurement
     // runs. The fused and JIT rows pin their tier so they measure it, not
     // the router's pick.
     let executor = ReferenceExecutor::new();
-    let mut rows: Vec<ThroughputRow> = workloads
+    let mut rows: Vec<ThroughputRow> = throughput_workloads(quick)
         .into_iter()
         .map(|(workload, program)| {
             let inputs = generate_inputs(&program, 17);
@@ -1319,67 +1328,6 @@ mod tests {
         assert!(completed);
     }
 
-    /// The shared measurement methodology with a slightly longer window for
-    /// the acceptance-floor ratios.
-    fn measure_secs_per_iter(run: &dyn Fn()) -> f64 {
-        secs_per_iter(std::time::Duration::from_millis(300), run)
-    }
-
-    /// Single-threaded speedup of the default `run` over the tree-walking
-    /// interpreter on `program`, which must sweep every stencil
-    /// lane-batched: the one kernel-tier ratio the in-crate floors gate.
-    fn default_over_interpreter(program: &StencilProgram) -> f64 {
-        use stencilflow_reference::{generate_inputs, ReferenceExecutor};
-        let inputs = generate_inputs(program, 17);
-        let executor = ReferenceExecutor::new().with_max_threads(1);
-        let compiled = executor.prepare(program).unwrap();
-        assert_eq!(compiled.typed_stencil_count(), compiled.stencil_count());
-        let interpreted = measure_secs_per_iter(&|| {
-            std::hint::black_box(executor.run_interpreted(program, &inputs).unwrap());
-        });
-        let default = measure_secs_per_iter(&|| {
-            std::hint::black_box(executor.run(program, &inputs).unwrap());
-        });
-        interpreted / default
-    }
-
-    // Each floor below guards against a stencil falling to the boxed
-    // `Value` kernel. It sits under what the lane-batched sweep measures
-    // over the interpreter under the opt-level-2 test profile (36x on
-    // jacobi3d 32^3, 61x on 64^3, 77x on upwind3d 64^3) and over what even
-    // the scalar typed kernel reached when PR 17 could still pin it (13x,
-    // 17x, 19x; the boxed kernel is slower still): a kernel that silently
-    // stops specializing trips it, CI contention does not.
-
-    #[test]
-    fn kernel_tier_speedup_floors_hold() {
-        let speedup = default_over_interpreter(&jacobi3d(2, &[32, 32, 32], 1));
-        assert!(
-            speedup >= 20.0,
-            "default run path only {speedup:.1}x faster than the interpreter"
-        );
-    }
-
-    #[test]
-    fn lane_tier_speedup_floor_holds() {
-        let speedup = default_over_interpreter(&jacobi3d(2, &[64, 64, 64], 1));
-        assert!(
-            speedup >= 28.0,
-            "lane-batched sweep only {speedup:.1}x faster than the interpreter"
-        );
-    }
-
-    #[test]
-    fn branchy_lane_tier_speedup_floor_holds() {
-        // The if-conversion work: before the pass pipeline this kernel's
-        // ternaries lowered to jumps and could not lane-batch at all.
-        let speedup = default_over_interpreter(&upwind3d(2, &[64, 64, 64], 1));
-        assert!(
-            speedup >= 30.0,
-            "lane-batched branchy sweep only {speedup:.1}x faster than the interpreter"
-        );
-    }
-
     /// A throughput row at 1e6 interpreted cells/s: `simd` over the
     /// interpreter, `fused` over that, `jit` over the fused tier.
     fn row(workload: &str, simd: f64, fused: f64, jit: f64) -> ThroughputRow {
@@ -1523,98 +1471,6 @@ mod tests {
         assert!(check_floors(&document(&sharded(8, 0.95, 1.4))).is_ok());
     }
 
-    /// Median ratio of interleaved paired measurements (baseline time /
-    /// candidate time): robust against the load swings of shared CI
-    /// runners, which a single sequential pair is not.
-    fn median_paired_speedup(
-        budget: std::time::Duration,
-        mut fast: impl FnMut(),
-        mut slow: impl FnMut(),
-    ) -> f64 {
-        use std::time::Instant;
-        fast();
-        slow();
-        let once = |f: &mut dyn FnMut()| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        };
-        let mut ratios = Vec::new();
-        let start = Instant::now();
-        loop {
-            let tf = once(&mut fast);
-            let ts = once(&mut slow);
-            ratios.push(ts / tf);
-            if start.elapsed() >= budget && ratios.len() >= 5 {
-                break;
-            }
-        }
-        ratios.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-        ratios[ratios.len() / 2]
-    }
-
-    #[test]
-    fn fused_chain_speedup_floor_holds() {
-        // Acceptance floor of the fused tier on the §VIII-C chain
-        // workload: the fused sweep must beat the per-stencil
-        // materializing path. The BENCH_eval.json baseline records the
-        // full >= 2x criterion on the benchmark domain; this in-crate
-        // floor uses a reduced domain and a conservative bound so shared
-        // CI runners do not flake.
-        use stencilflow_reference::{generate_inputs, ReferenceExecutor};
-        let chain = chain_program(&ChainSpec::new(8, 8).with_shape(&[192, 32, 32]));
-        let inputs = generate_inputs(&chain, 17);
-        let executor = ReferenceExecutor::new().with_max_threads(1);
-        let compiled = executor.prepare(&chain).unwrap();
-        assert_eq!(compiled.tier_trace().reason(Tier::Fused, None), None);
-        let speedup = median_paired_speedup(
-            std::time::Duration::from_millis(1500),
-            || {
-                std::hint::black_box(run_pinned(&executor, &chain, &inputs, None, Tier::Fused));
-            },
-            || {
-                std::hint::black_box(executor.run(&chain, &inputs).unwrap());
-            },
-        );
-        assert!(
-            speedup >= 1.5,
-            "fused chain sweep only {speedup:.2}x over the materializing path"
-        );
-    }
-
-    #[test]
-    fn fused_steps_speedup_floor_holds() {
-        // Acceptance floor of temporal blocking: fused time stepping must
-        // beat the materializing ping-pong stepper on the jacobi3d time
-        // loop (full criterion >= 1.5x on the 64^3 x8 baseline; reduced
-        // domain and conservative bound here, as above).
-        use stencilflow_reference::{generate_inputs, ReferenceExecutor};
-        let program = jacobi3d(1, &[64, 64, 64], 1);
-        let inputs = generate_inputs(&program, 17);
-        let executor = ReferenceExecutor::new().with_max_threads(1);
-        let compiled = executor.prepare(&program).unwrap();
-        assert_eq!(compiled.tier_trace().reason(Tier::Fused, Some(8)), None);
-        let speedup = median_paired_speedup(
-            std::time::Duration::from_millis(1500),
-            || {
-                std::hint::black_box(run_pinned(
-                    &executor,
-                    &program,
-                    &inputs,
-                    Some(8),
-                    Tier::Fused,
-                ));
-            },
-            || {
-                std::hint::black_box(executor.run_steps(&program, &inputs, 8).unwrap());
-            },
-        );
-        assert!(
-            speedup >= 1.2,
-            "fused time stepping only {speedup:.2}x over the materializing stepper"
-        );
-    }
-
     #[test]
     fn repeated_time_stepping_compiles_exactly_once() {
         use stencilflow_reference::{generate_inputs, ReferenceExecutor};
@@ -1625,6 +1481,20 @@ mod tests {
         executor.run(&program, &inputs).unwrap();
         executor.run_steps(&program, &inputs, 3).unwrap();
         assert_eq!(executor.compile_count(), 1);
+    }
+
+    #[test]
+    fn a_quick_kernel_floor_row_runs_the_wide_lanes() {
+        // The 16-lane kernel takes all-`f32` stencils on rows of at least
+        // 64 cells: the quick document's kernel-tier floor must cover it
+        // (the small `horizontal_diffusion` row carries no floor).
+        use stencilflow_reference::ReferenceExecutor;
+        let executor = ReferenceExecutor::new();
+        let wide = throughput_workloads(true).iter().any(|(name, program)| {
+            name != "horizontal_diffusion"
+                && executor.prepare(program).unwrap().wide_lane_stencil_count() > 0
+        });
+        assert!(wide, "no quick kernel-floor row reaches the 16-lane kernel");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! scheduling overhead, and limited occupancy. We cannot run CUDA or the
 //! Dawn toolchain here, so the comparator model combines each device's
 //! roofline with a calibrated *stencil efficiency* factor encoding exactly
-//! those effects; the factors are taken from the paper's own measurements and
-//! recorded in `EXPERIMENTS.md` as calibrated constants.
+//! those effects; the factors are taken from the paper's own measurements,
+//! and `report` prints the rows they give under `Table II`.
 
 use crate::device::{Device, DeviceKind};
 use crate::roofline::Roofline;

@@ -7,8 +7,8 @@
 //! per-vector-lane discount (vectorization amortizes control logic — the
 //! coarsening effect of §IV-C), and M20K usage follows the buffered bytes
 //! plus per-unit and per-memory-interface overheads. The coefficients are
-//! calibrated against the Jacobi 3D rows of Tab. I and documented in
-//! `EXPERIMENTS.md`.
+//! calibrated against the Jacobi 3D rows of Tab. I; `report` prints the
+//! estimates under `Table I`.
 
 use crate::device::Device;
 use stencilflow_core::HardwareMapping;

@@ -94,13 +94,17 @@ impl ServeConfig {
 }
 
 /// A cooperative cancellation handle shared between a job and whoever may
-/// need to stop it (the daemon's deadline watchdog, a draining caller).
-/// Cancellation is checked before a job starts and, on the materializing
-/// sweep, before every stencil of every step, so a cancelled job stops
-/// there and its pooled buffers flow back through the normal error path —
-/// cancel + pool recycle, never a leak.
+/// need to stop it (a draining caller), optionally with a deadline past
+/// which it reads as fired (the daemon's hard timeout). Cancellation is
+/// checked before a job starts and, on the materializing sweep, before
+/// every stencil of every step, so a cancelled job stops there and its
+/// pooled buffers flow back through the normal error path — cancel + pool
+/// recycle, never a leak.
 #[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
+pub struct CancelToken {
+    fired: Arc<AtomicBool>,
+    deadline: Option<Instant>,
+}
 
 impl CancelToken {
     /// A fresh, un-fired token.
@@ -110,12 +114,19 @@ impl CancelToken {
 
     /// Fire the token. Idempotent; visible to every clone.
     pub fn cancel(&self) {
-        self.0.store(true, Ordering::Release);
+        self.fired.store(true, Ordering::Release);
     }
 
-    /// Whether the token has fired.
+    /// This token, also fired from `deadline` on (this copy only; clones
+    /// made earlier keep their own deadline).
+    pub(crate) fn with_deadline(mut self, deadline: Instant) -> CancelToken {
+        self.deadline = Some(deadline);
+        self
+    }
+
+    /// Whether the token has fired or its deadline has passed.
     pub(crate) fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
+        self.fired.load(Ordering::Acquire) || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -129,8 +140,8 @@ pub enum JobFault {
     /// back as [`JobError::Panicked`] while the pool, scratch buffers, and
     /// the rest of the batch keep running.
     Poison,
-    /// Sleep this long before doing the work — long enough for a
-    /// hard-timeout watchdog to fire, so mid-run cancellation is testable
+    /// Sleep this long before doing the work — long enough for a hard
+    /// timeout to lapse, so mid-run cancellation is testable
     /// without wall-clock races.
     Stall(Duration),
 }

@@ -22,8 +22,9 @@
 //!   deadline nears, and no job starves because its deadline eventually
 //!   becomes the earliest. A hard timeout cancels the job — before it
 //!   starts if it lapsed in the queue, or mid-run through its
-//!   [`CancelToken`], which the materializing sweep checks before every
-//!   stencil of every step, so pooled buffers recycle on cancellation.
+//!   [`CancelToken`](super::CancelToken), which carries the deadline and
+//!   which the materializing sweep checks before every stencil of every
+//!   step, so pooled buffers recycle on cancellation.
 //! * **Panic isolation** — inherited from the batch layer: a poison job
 //!   comes back as [`JobStatus::Panicked`] while the pool, scratch, and
 //!   the rest of the traffic keep running.
@@ -44,10 +45,9 @@
 //! All admitted jobs that complete are bit-identical to the tree-walking
 //! interpreter: the daemon only schedules; execution is the batch layer's.
 
-use super::{CancelToken, JobError, JobSpec, ServeConfig, ServeExecutor, ServeStats, Tier};
+use super::{JobError, JobSpec, ServeConfig, ServeExecutor, ServeStats, Tier};
 use crate::executor::ExecutionResult;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use stencilflow_program::ProgramError;
@@ -102,7 +102,6 @@ pub struct DaemonConfig {
     tenant_quotas: BTreeMap<String, TenantQuota>,
     default_soft_deadline: Duration,
     default_hard_timeout: Option<Duration>,
-    watchdog_tick: Duration,
     drain_timeout: Option<Duration>,
     batch_size: usize,
 }
@@ -117,7 +116,6 @@ impl Default for DaemonConfig {
             tenant_quotas: BTreeMap::new(),
             default_soft_deadline: Duration::from_secs(1),
             default_hard_timeout: None,
-            watchdog_tick: Duration::from_millis(1),
             drain_timeout: None,
             batch_size: 0,
         }
@@ -174,12 +172,6 @@ impl DaemonConfig {
     /// admitted jobs may run to completion).
     pub fn with_default_hard_timeout(mut self, timeout: Duration) -> Self {
         self.default_hard_timeout = Some(timeout);
-        self
-    }
-
-    /// How often the in-batch watchdog checks hard deadlines.
-    pub fn with_watchdog_tick(mut self, tick: Duration) -> Self {
-        self.watchdog_tick = tick.max(Duration::from_micros(100));
         self
     }
 
@@ -442,7 +434,6 @@ struct Queued {
     submitted: Instant,
     soft_deadline: Instant,
     hard_deadline: Option<Instant>,
-    token: CancelToken,
 }
 
 #[derive(Debug, Default)]
@@ -597,8 +588,17 @@ impl Daemon {
         tenant.in_flight += 1;
         state.live_ids.insert(request.id.clone());
         state.seq += 1;
-        let token = request.job.cancel.clone().unwrap_or_default();
-        let job = request.job.clone().with_cancel_token(token.clone());
+        let hard_deadline = request
+            .hard_timeout
+            .or(self.config.default_hard_timeout)
+            .map(|t| now + t);
+        // The job's token carries the hard deadline, so every cancellation
+        // check the job passes mid-run also reads the clock.
+        let mut job = request.job.clone();
+        if let Some(deadline) = hard_deadline {
+            let token = job.cancel.take().unwrap_or_default();
+            job.cancel = Some(token.with_deadline(deadline));
+        }
         state.queue.push(Queued {
             seq: state.seq,
             id: request.id.clone(),
@@ -609,19 +609,15 @@ impl Daemon {
                 + request
                     .soft_deadline
                     .unwrap_or(self.config.default_soft_deadline),
-            hard_deadline: request
-                .hard_timeout
-                .or(self.config.default_hard_timeout)
-                .map(|t| now + t),
-            token,
+            hard_deadline,
         });
         Ok(())
     }
 
     /// Run one dispatch round: cancel queued jobs whose hard deadline has
-    /// lapsed, then execute the earliest-deadline micro-batch with a
-    /// watchdog that fires hard timeouts mid-run. Returns the number of
-    /// jobs that reached an outcome this round (0 = queue empty).
+    /// lapsed, then execute the earliest-deadline micro-batch, whose jobs
+    /// stop mid-run once their token's hard deadline passes. Returns the
+    /// number of jobs that reached an outcome this round (0 = queue empty).
     ///
     /// The sink runs on worker threads and may be called concurrently.
     pub fn dispatch<F: Fn(DaemonOutcome) + Sync>(&self, sink: F) -> usize {
@@ -664,12 +660,6 @@ impl Daemon {
         }
         settled += batch.len();
         let dispatch_start = Instant::now();
-        // The watchdog needs (deadline, token) pairs; the metadata stays
-        // behind to label outcomes as workers land them.
-        let watched: Vec<(Option<Instant>, CancelToken)> = batch
-            .iter()
-            .map(|q| (q.hard_deadline, q.token.clone()))
-            .collect();
         let mut meta: Vec<Option<Queued>> = Vec::with_capacity(batch.len());
         let mut jobs: Vec<JobSpec> = Vec::with_capacity(batch.len());
         for entry in batch {
@@ -677,42 +667,24 @@ impl Daemon {
             meta.push(Some(entry));
         }
         let meta = Mutex::new(meta);
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let watchdog = scope.spawn(|| {
-                while !stop.load(Ordering::Acquire) {
-                    let now = Instant::now();
-                    for (deadline, token) in &watched {
-                        if deadline.is_some_and(|d| d <= now) {
-                            token.cancel();
-                        }
-                    }
-                    std::thread::park_timeout(self.config.watchdog_tick);
-                }
-            });
-            self.serve.run_batch_with(jobs, |outcome| {
-                let entry = meta.lock().expect("dispatch metadata poisoned")[outcome.job]
-                    .take()
-                    .expect("each job completes exactly once");
-                let status = match outcome.result {
-                    Ok(result) => JobStatus::Done {
-                        tier: outcome.tier,
-                        result,
-                    },
-                    Err(JobError::Program(e)) => JobStatus::Failed(e),
-                    Err(JobError::Panicked(msg)) => JobStatus::Panicked(msg),
-                    // Mid-run cancellation only ever comes from the hard-
-                    // timeout watchdog (drain cancels jobs in the queue,
-                    // never in flight).
-                    Err(JobError::Cancelled) => JobStatus::Cancelled(CancelReason::HardTimeout),
-                };
-                let wait = dispatch_start.saturating_duration_since(entry.submitted);
-                self.finalize(entry, status, wait, &sink);
-            });
-            // Wake the watchdog out of its tick: the round is over now, not
-            // at the next tick.
-            stop.store(true, Ordering::Release);
-            watchdog.thread().unpark();
+        self.serve.run_batch_with(jobs, |outcome| {
+            let entry = meta.lock().expect("dispatch metadata poisoned")[outcome.job]
+                .take()
+                .expect("each job completes exactly once");
+            let status = match outcome.result {
+                Ok(result) => JobStatus::Done {
+                    tier: outcome.tier,
+                    result,
+                },
+                Err(JobError::Program(e)) => JobStatus::Failed(e),
+                Err(JobError::Panicked(msg)) => JobStatus::Panicked(msg),
+                // Mid-run cancellation only ever comes from the hard
+                // deadline on the job's token (drain cancels jobs in the
+                // queue, never in flight).
+                Err(JobError::Cancelled) => JobStatus::Cancelled(CancelReason::HardTimeout),
+            };
+            let wait = dispatch_start.saturating_duration_since(entry.submitted);
+            self.finalize(entry, status, wait, &sink);
         });
         settled
     }

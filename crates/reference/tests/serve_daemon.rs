@@ -8,7 +8,7 @@
 //!   bound, per-tenant in-flight caps and cell budgets, per-job size
 //!   bound, duplicate ids, draining);
 //! * deadlines replace FIFO: dispatch is earliest-deadline-first, lapsed
-//!   hard timeouts cancel before start, the watchdog cancels mid-run;
+//!   hard timeouts cancel before start, the job's token cancels mid-run;
 //! * graceful drain settles everything (the seeded chaos test runs
 //!   poison + over-quota + hard-timeout + mid-stream shutdown in one
 //!   daemon lifetime);
@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use stencilflow_expr::DataType;
 use stencilflow_json::Json;
 use stencilflow_program::{ProgramError, StencilProgram, StencilProgramBuilder};
@@ -368,7 +368,7 @@ fn oversized_jobs_are_rejected_before_any_allocation() {
 
 // ---------------------------------------------------------------------
 // Deadlines: EDF ordering, lapsed-in-queue cancellation, mid-run
-// watchdog cancellation.
+// cancellation through the token's deadline.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -430,16 +430,11 @@ fn lapsed_hard_timeout_cancels_before_start() {
 
 #[test]
 fn watchdog_cancels_a_stalled_job_mid_run() {
-    let daemon = Daemon::new(
-        DaemonConfig::new()
-            .with_serve(ServeConfig::new().with_workers(1))
-            .with_watchdog_tick(Duration::from_millis(1)),
-    );
+    let daemon = Daemon::new(DaemonConfig::new().with_serve(ServeConfig::new().with_workers(1)));
     let program = Arc::new(jacobi2d(1, &[8, 8], 1));
     let inputs = Arc::new(generate_inputs(&program, 6));
-    // The stall holds the job long enough for the watchdog to fire the
-    // 25 ms hard timeout; the check after the stall then observes the
-    // token.
+    // The stall holds the job past its 25 ms hard timeout; the check after
+    // the stall then finds the token's deadline lapsed.
     daemon
         .submit(
             DaemonRequest::new(
@@ -457,45 +452,6 @@ fn watchdog_cancels_a_stalled_job_mid_run() {
         JobStatus::Cancelled(CancelReason::HardTimeout) => {}
         other => panic!("expected mid-run Cancelled(HardTimeout), got {other:?}"),
     }
-}
-
-#[test]
-fn a_dispatch_round_does_not_wait_out_the_watchdog_tick() {
-    // The round's watchdog sleeps a tick at a time; the end of the round
-    // has to wake it. Ratio-based: rounds under a 200 ms tick against the
-    // same rounds under a 100 us tick (a round that waited out one slow
-    // tick would read in the hundreds).
-    let program = Arc::new(jacobi2d(1, &[8, 8], 1));
-    let inputs = Arc::new(generate_inputs(&program, 3));
-    let fastest_round = |tick: Duration| {
-        let daemon = Daemon::new(
-            DaemonConfig::new()
-                .with_serve(ServeConfig::new().with_workers(2))
-                .with_watchdog_tick(tick),
-        );
-        let round = |n: usize| {
-            for ix in 0..4 {
-                let id = format!("r{n}-{ix}");
-                let request = DaemonRequest::new(id, "t", job(&program, &inputs));
-                daemon.submit(request).unwrap();
-            }
-            let started = Instant::now();
-            let settled = daemon.dispatch(|outcome| match outcome.status {
-                JobStatus::Done { result, .. } => daemon.serve().recycle(result),
-                other => panic!("trivial job did not complete: {other:?}"),
-            });
-            assert_eq!(settled, 4);
-            started.elapsed()
-        };
-        round(0); // compiles and measures tiers
-        (1..=5).map(round).min().expect("five rounds")
-    };
-    let fast = fastest_round(Duration::from_micros(100));
-    let slow = fastest_round(Duration::from_millis(200));
-    assert!(
-        slow < fast * 100,
-        "a round under a 200 ms watchdog tick took {slow:?}, {fast:?} under a 100 us tick"
-    );
 }
 
 #[test]

@@ -25,9 +25,7 @@ use stencilflow_reference::{
     ServeConfig, ServeExecutor, Tier, TierPolicy,
 };
 use stencilflow_workloads::{
-    chain_program, diffusion2d, diffusion3d, horizontal_diffusion, jacobi2d, jacobi3d,
-    jacobi3d_typed, listing1, membench_program, upwind3d, ChainSpec, HorizontalDiffusionSpec,
-    MembenchSpec,
+    execution_suite, horizontal_diffusion, jacobi3d, upwind3d, HorizontalDiffusionSpec,
 };
 
 /// Serializes the tests in this file: the floor test times wall-clock
@@ -39,24 +37,6 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// The analyze-suite workloads, at the execution-sized domains the jit
-/// gate uses (chain and membench default to bandwidth-benchmark shapes
-/// that take minutes through the tree-walking interpreter).
-fn suite() -> Vec<StencilProgram> {
-    vec![
-        listing1(),
-        jacobi2d(1, &[32, 32], 1),
-        jacobi3d(1, &[16, 16, 8], 1),
-        jacobi3d_typed(1, &[16, 16, 8], 1, DataType::Float64),
-        diffusion2d(1, &[32, 32], 1),
-        diffusion3d(1, &[16, 16, 8], 1),
-        chain_program(&ChainSpec::new(8, 8).with_shape(&[32, 16, 16])),
-        membench_program(&MembenchSpec::new(8, 1).with_shape(&[16, 8, 8])),
-        horizontal_diffusion(&HorizontalDiffusionSpec::small()),
-        upwind3d(2, &[8, 8, 8], 1),
-    ]
 }
 
 fn assert_outputs_bitwise(
@@ -99,7 +79,7 @@ fn auto_tier_matches_the_interpreter_bitwise_on_the_analyze_suite() {
     let _guard = serial();
     let serve = ServeExecutor::new(ServeConfig::new().with_workers(2));
     let reference = ReferenceExecutor::new();
-    for program in suite() {
+    for program in execution_suite() {
         let program = Arc::new(program);
         let inputs = Arc::new(generate_inputs(&program, 42));
         let expected = reference.run_interpreted(&program, &inputs).unwrap();
@@ -116,7 +96,7 @@ fn auto_tier_matches_the_interpreter_bitwise_on_the_analyze_suite() {
     }
     // Every workload got exactly one cached decision (measured once, or
     // single-candidate fast path).
-    assert_eq!(serve.tier_choices().len(), suite().len());
+    assert_eq!(serve.tier_choices().len(), execution_suite().len());
 }
 
 #[test]
@@ -175,7 +155,7 @@ fn auto_measures_exactly_the_tiers_a_pin_lands_on() {
     // always; the fused schedule (either fused tier) draws from the pool,
     // which the unpooled SIMD sweep never does; the JIT tier loads a module.
     let jit_loads = || jit_cache_stats().map_or(0, |s| s.hits + s.misses);
-    let mut programs = suite();
+    let mut programs = execution_suite();
     programs.push(unsteppable());
     for program in &programs {
         let inputs = generate_inputs(program, 5);

@@ -19,9 +19,7 @@ use stencilflow_expr::{CompiledKernel, DataType};
 use stencilflow_program::StencilProgram;
 use stencilflow_reference::ReferenceExecutor;
 use stencilflow_workloads::{
-    analyze_suite, chain_program, diffusion2d, diffusion3d, horizontal_diffusion, jacobi2d,
-    jacobi3d, jacobi3d_typed, listing1::listing1_with_shape, membench_program, upwind3d, ChainSpec,
-    HorizontalDiffusionSpec, MembenchSpec,
+    analyze_suite, execution_suite, horizontal_diffusion, HorizontalDiffusionSpec,
 };
 
 fn fnv1a(text: &str) -> u64 {
@@ -53,22 +51,6 @@ fn typed_stream_rows(program: &StencilProgram) -> Vec<String> {
         rows.push(format!("{}/{} {form}", program.name(), stencil.name));
     }
     rows
-}
-
-/// `jit_gate`'s workload list (the analyze suite at execution-sized shapes).
-fn jit_gate_workloads() -> Vec<StencilProgram> {
-    vec![
-        listing1_with_shape(&[8, 8, 8]),
-        jacobi2d(1, &[32, 32], 1),
-        jacobi3d(1, &[16, 16, 8], 1),
-        jacobi3d_typed(1, &[16, 16, 8], 1, DataType::Float64),
-        diffusion2d(1, &[32, 32], 1),
-        diffusion3d(1, &[16, 16, 8], 1),
-        chain_program(&ChainSpec::new(8, 8).with_shape(&[32, 16, 16])),
-        membench_program(&MembenchSpec::new(8, 1).with_shape(&[16, 8, 8])),
-        horizontal_diffusion(&HorizontalDiffusionSpec::small()),
-        upwind3d(2, &[8, 8, 8], 1),
-    ]
 }
 
 fn assert_table(what: &str, actual: &[String], pinned: &[&str]) {
@@ -120,7 +102,7 @@ fn one_body_per_stage(source: &str) -> String {
 #[test]
 fn jit_sources_reproduce_the_parent_pins() {
     let executor = ReferenceExecutor::new();
-    let rows: Vec<String> = jit_gate_workloads()
+    let rows: Vec<String> = execution_suite()
         .iter()
         .map(|program| {
             let compiled = executor.prepare(program).unwrap();

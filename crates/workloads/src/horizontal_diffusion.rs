@@ -19,8 +19,8 @@
 //! produces the final `u_out` / `v_out`. The resulting operation counts
 //! (≈84 additions, ≈40 multiplications, 2 square roots, 2 min, 2 max, 20
 //! data-dependent branches per output point) closely track the paper's
-//! 87 / 41 / 2 / 2 / 2 / 20 inventory; the exact measured numbers are
-//! recorded in `EXPERIMENTS.md`.
+//! 87 / 41 / 2 / 2 / 2 / 20 inventory; `report` prints the exact numbers
+//! under `§IX-A horizontal diffusion analysis`.
 
 use stencilflow_expr::DataType;
 use stencilflow_program::{StencilProgram, StencilProgramBuilder};
@@ -254,7 +254,8 @@ mod tests {
         let ops = program.ops_per_cell();
         // Paper: 87 additions, 41 multiplications, 2 sqrt, 2 min, 2 max, 20
         // data-dependent branches. Our reconstruction is within a few
-        // operations of those counts (see EXPERIMENTS.md).
+        // operations of those counts (`report`'s `§IX-A horizontal
+        // diffusion analysis` prints ours).
         assert!(
             (75..=95).contains(&ops.additions),
             "adds = {}",

@@ -60,6 +60,27 @@ pub fn analyze_suite() -> Vec<stencilflow_program::StencilProgram> {
     ]
 }
 
+/// [`analyze_suite`] at execution-sized shapes, the one list the
+/// equivalence suites and the jit gate run through the tree-walking
+/// interpreter: Listing 1 at 8³, and the chain and membench programs
+/// (whose default shapes are bandwidth-benchmark domains) cut to a few
+/// thousand cells.
+pub fn execution_suite() -> Vec<stencilflow_program::StencilProgram> {
+    use stencilflow_expr::DataType;
+    vec![
+        listing1::listing1_with_shape(&[8, 8, 8]),
+        jacobi2d(1, &[32, 32], 1),
+        jacobi3d(1, &[16, 16, 8], 1),
+        jacobi3d_typed(1, &[16, 16, 8], 1, DataType::Float64),
+        diffusion2d(1, &[32, 32], 1),
+        diffusion3d(1, &[16, 16, 8], 1),
+        chain_program(&ChainSpec::new(8, 8).with_shape(&[32, 16, 16])),
+        membench_program(&MembenchSpec::new(8, 1).with_shape(&[16, 8, 8])),
+        horizontal_diffusion(&HorizontalDiffusionSpec::small()),
+        upwind3d(2, &[8, 8, 8], 1),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,11 +10,12 @@
 #                                  (a workspace of its own that compiles
 #                                  against the crates' public API and that
 #                                  nothing else here builds)
-#   3. cargo test -q             — tier-1 tests (incl. golden equivalence,
-#                                  the in-crate speedup floors and the
-#                                  `pub`-surface census, tests/pub_surface.rs:
-#                                  every `pub` name of a crate's library has
-#                                  a user outside it)
+#   3. cargo test -q             — tier-1 tests (incl. golden equivalence
+#                                  and the `pub`-surface census,
+#                                  tests/pub_surface.rs: every `pub` name of
+#                                  a crate's library has a user outside it;
+#                                  no timing floor — speed floors live in
+#                                  gate 11 only)
 #   4. cargo clippy -D warnings  — lints
 #   5. cargo doc -D warnings     — documentation (intra-doc links included)
 #   6. analyze --check           — the static-analysis gate: every workload
@@ -54,17 +55,25 @@
 #                                  SF_JIT_ALLOW_MISSING_CC=1 to downgrade
 #                                  a missing compiler to a skip.
 #  10. bench_eval --quick + report --quick
-#                                — the benchmark smoke run; writes the JSON
-#                                  document the floor gate checks
-#  11. bench_eval --check-floors — speedup floors: one kernel-tier gate
-#                                  per row (the default `run` over the
+#                                — the benchmark smoke run: bench_eval
+#                                  measures the tier throughput and writes
+#                                  the JSON document the floor gate checks;
+#                                  report prints the paper's tables and
+#                                  figures only (no measurement, < 1 s)
+#  11. bench_eval --check-floors — the one home of the speed floors (the
+#                                  tier-1 tests carry none): one
+#                                  kernel-tier gate per row (the default
+#                                  `run` over the
 #                                  tree-walking interpreter on jacobi3d,
-#                                  upwind3d, chain and benchmark-domain
-#                                  horizontal diffusion, set so that a
+#                                  upwind3d, chain, listing1 and
+#                                  benchmark-domain horizontal diffusion,
+#                                  the last reaching the 16-lane kernel in
+#                                  quick mode, set so that a
 #                                  stencil silently falling to the boxed
 #                                  `Value` kernel trips it),
 #                                  the fused-tier floors on the chain
-#                                  and time-stepping rows, the Tier-4
+#                                  and time-stepping rows, the streamed
+#                                  floor on listing1, the Tier-4
 #                                  jit-vs-fused floor on the jacobi3d
 #                                  rows, and the sharded zero-fault
 #                                  overhead floors conditioned on the
@@ -175,7 +184,7 @@ echo "==> bench smoke run (quick mode) -> ${BENCH_JSON}"
 cargo run --release --bin bench_eval -- --quick "${BENCH_JSON}"
 cargo run --release --bin report -- --quick
 
-echo "==> kernel-tier speedup floors"
+echo "==> speed floors (kernel, fused, jit and sharded tiers)"
 cargo run --release --bin bench_eval -- --check-floors "${BENCH_JSON}"
 
 echo "==> service-layer smoke run (quick mode) -> ${SERVE_JSON}"
