@@ -25,8 +25,7 @@
 //! bodies`) says what the native programs share: a module is a distinct
 //! emitted text (what `cc` is paid for), a body a distinct sweep function
 //! inside one. The gate fails unless `B < S` — the suite's chain alone is
-//! eight stages over one body — and when any workload but horizontal
-//! diffusion (whose parameter fields miss the innermost axis) falls back.
+//! eight stages over one body — and when any workload falls back.
 //!
 //! Usage: `jit_gate [--assert-cached] [--artifacts DIR]`
 
@@ -246,13 +245,8 @@ fn main() {
         native,
         outcomes.len() - native
     );
-    // Horizontal diffusion's parameter fields miss the innermost axis, the
-    // one lower-rank layout the fused tiers cannot stream; everything else
-    // in the suite must run native.
-    for o in outcomes
-        .iter()
-        .filter(|o| !o.native && o.name != "horizontal_diffusion")
-    {
+    // Every workload of the suite must run native.
+    for o in outcomes.iter().filter(|o| !o.native) {
         eprintln!(
             "jit gate failed: `{}` fell back ({})",
             o.name,

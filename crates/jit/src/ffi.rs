@@ -20,11 +20,59 @@
 //!   `&mut` borrow while every tap is a shared borrow, which the borrow
 //!   checker enforces at the call site (the emitted C declares the output
 //!   pointer `restrict`, matching that guarantee).
+//!
+//! It also arms the compiler child process (`demote`): two system calls
+//! between `fork` and `exec`.
 #![allow(unsafe_code)]
 
 use std::ffi::{c_char, c_int, c_void, CStr, CString};
 use std::path::Path;
+use std::process::Command;
 use std::sync::Arc;
+
+/// The lowest scheduling priority (`nice 19`): a background compile only
+/// takes CPU time the service's workers leave idle.
+const BACKGROUND_NICE: c_int = 19;
+
+#[cfg(target_os = "linux")]
+extern "C" {
+    fn setpriority(which: c_int, who: u32, prio: c_int) -> c_int;
+    fn prctl(option: c_int, ...) -> c_int;
+    fn getppid() -> c_int;
+}
+
+/// Have `cmd`'s child run at [`BACKGROUND_NICE`], and be killed by the
+/// kernel (`PR_SET_PDEATHSIG`, `SIGKILL`) when the thread that spawns it
+/// exits — with the process, say — so no compiler outlives the engine that
+/// started it. Elsewhere than Linux the child runs as it is.
+pub(crate) fn demote(cmd: &mut Command) {
+    #[cfg(target_os = "linux")]
+    {
+        use std::os::unix::process::CommandExt;
+        const PRIO_PROCESS: c_int = 0;
+        const PR_SET_PDEATHSIG: c_int = 1;
+        const SIGKILL: std::ffi::c_ulong = 9;
+        let parent = std::process::id() as c_int;
+        // SAFETY: the hook runs in the forked child before `exec`, where
+        // only async-signal-safe calls are allowed: `setpriority`, `prctl`
+        // and `getppid` are plain system calls that allocate nothing and
+        // take no lock. A parent that died before the death signal was
+        // armed fails the spawn instead of leaving an orphan.
+        unsafe {
+            cmd.pre_exec(move || {
+                if setpriority(PRIO_PROCESS, 0, BACKGROUND_NICE) != 0
+                    || prctl(PR_SET_PDEATHSIG, SIGKILL) != 0
+                    || getppid() != parent
+                {
+                    return Err(std::io::Error::last_os_error());
+                }
+                Ok(())
+            });
+        }
+    }
+    #[cfg(not(target_os = "linux"))]
+    let _ = (cmd, BACKGROUND_NICE);
+}
 
 // `dlopen`/`dlsym`/`dlclose`/`dlerror` live in libc proper on every glibc
 // ≥ 2.34 (and in libSystem on macOS), both of which the Rust runtime

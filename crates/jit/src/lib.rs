@@ -21,6 +21,11 @@
 //! * entries built under a different compiler version, flag set or host
 //!   target are evicted at engine start, and the cache stays under a byte
 //!   bound via least-recently-used eviction;
+//! * every build runs on the engine's one compile thread, which a caller
+//!   may wait for or not ([`JitEngine::wait`], [`JitEngine::request`]); the
+//!   compiler runs at the lowest CPU priority, dies with that thread, and
+//!   is killed at a fixed deadline, and every way a build can fail is one
+//!   [`JitError`] variant, kept so the unit is never built again;
 //! * everything `unsafe` stays inside [`ffi`], each block justified
 //!   against the verifier judgment the emitted code was derived from (the
 //!   rest of the workspace keeps `#![forbid(unsafe_code)]`).
@@ -31,13 +36,14 @@ pub mod ffi;
 
 pub use ffi::{EvalFn, ModuleHandle, SlotArg, StageFn, SweepArgs};
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::process::Command;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::SystemTime;
+use std::process::{Command, ExitStatus, Stdio};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant, SystemTime};
 
 /// Compiler flags every JIT translation unit is built with. The set is part
 /// of the cache salt; *bit-identity with the interpreter* rules out every
@@ -78,6 +84,14 @@ pub(crate) const DEFAULT_MAX_CACHE_BYTES: u64 = 256 * 1024 * 1024;
 /// compiled-program cache discipline (clear on overflow, no LRU churn).
 const MODULE_CACHE_CAPACITY: usize = 64;
 
+/// How long one compiler run may take before it is killed and its unit
+/// fails closed ([`JitError::Timeout`]). The largest unit the workloads
+/// emit builds in well under a second.
+const CC_DEADLINE: Duration = Duration::from_secs(60);
+
+/// How often the compile thread looks at a running compiler.
+const CC_POLL: Duration = Duration::from_millis(2);
+
 /// Counters for the disk cache and compiler driver, exported into the CI
 /// artifact bundle by the `jit_gate` binary.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -93,6 +107,74 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Total bytes currently held by the on-disk cache.
     pub cache_bytes: u64,
+}
+
+/// Why a unit's module could not be built or loaded: one variant per
+/// cause. The engine keeps it, so a failed unit is never built again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JitError {
+    /// `program` (the compiler, or the engine's compile thread) could not
+    /// be started.
+    Spawn {
+        /// What was started.
+        program: String,
+        /// Why the operating system refused.
+        kind: std::io::ErrorKind,
+    },
+    /// The compiler was still running at the deadline and was killed.
+    Timeout {
+        /// How long it had run.
+        after: Duration,
+    },
+    /// The compiler rejected the unit.
+    Compile {
+        /// Its exit status.
+        status: ExitStatus,
+        /// What it wrote to standard error (also kept in the entry's
+        /// `.log`).
+        log: String,
+    },
+    /// The built object does not load, or lacks a symbol the unit exports.
+    Load {
+        /// The loader's message.
+        message: String,
+    },
+    /// A file of the cache entry could not be written, read or renamed.
+    Cache {
+        /// The file.
+        path: PathBuf,
+        /// Why the operating system refused.
+        kind: std::io::ErrorKind,
+    },
+}
+
+impl std::fmt::Display for JitError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JitError::Spawn { program, kind } => write!(f, "cannot run `{program}`: {kind}"),
+            JitError::Timeout { after } => {
+                write!(f, "the compiler was killed after {after:?} (deadline)")
+            }
+            JitError::Compile { status, log } => {
+                write!(f, "the compiler failed with {status}:\n{log}")
+            }
+            JitError::Load { message } => write!(f, "the built module does not load: {message}"),
+            JitError::Cache { path, kind } => write!(f, "cache file {}: {kind}", path.display()),
+        }
+    }
+}
+
+impl std::error::Error for JitError {}
+
+/// Where the module of a unit stands in a [`JitEngine`].
+#[derive(Debug, Clone)]
+pub enum ModuleStatus {
+    /// Loaded: in the engine's in-memory table.
+    Ready(Arc<ModuleHandle>),
+    /// Queued for, or being built by, the engine's compile thread.
+    Queued,
+    /// Its build failed (see [`JitError`]).
+    Failed(JitError),
 }
 
 /// Construction parameters for a [`JitEngine`].
@@ -132,18 +214,58 @@ impl JitConfig {
     }
 }
 
-/// A compiler driver plus disk-backed code cache. Cheap to share behind an
-/// `Arc`; all interior state is mutex-guarded.
+/// A compiler driver plus disk-backed code cache, with one compile queue
+/// drained by one background thread (started by the first unit it builds).
+/// Cheap to share behind an `Arc`; all interior state is mutex-guarded.
+///
+/// Every build goes through the queue, whoever asks: [`JitEngine::request`]
+/// never waits for it, [`JitEngine::wait`] (and [`JitEngine::load`]) does.
+/// The compiler runs at the lowest CPU priority, under a deadline, and dies
+/// with the thread that started it; dropping the engine kills a running
+/// compiler instead of waiting for it.
 #[derive(Debug)]
 pub struct JitEngine {
+    shared: Arc<Shared>,
+}
+
+/// What the engine and its compile thread share.
+#[derive(Debug)]
+struct Shared {
     config: JitConfig,
     /// First line of `cc --version`, the full flag set, and the target
     /// those flags resolve to on this host ([`resolve_target`]); keys every
     /// cache entry so a toolchain, flag or CPU change can never serve stale
     /// code.
     salt: String,
+    /// How long one compiler run may take ([`CC_DEADLINE`]).
+    deadline: Duration,
+    /// Set (under the `units` lock) when the engine is dropped.
+    closed: AtomicBool,
     stats: Mutex<CacheStats>,
-    modules: Mutex<HashMap<String, Arc<ModuleHandle>>>,
+    units: Mutex<Units>,
+    /// Signalled when a unit is queued, a build ends, or the engine closes.
+    changed: Condvar,
+}
+
+/// The engine's units by entry hash.
+#[derive(Debug, Default)]
+struct Units {
+    /// Loaded modules.
+    modules: HashMap<String, Arc<ModuleHandle>>,
+    /// Units not loaded: `None` while queued or building, the error once
+    /// their build failed.
+    builds: HashMap<String, Option<JitError>>,
+    /// Queued builds, oldest first: hash, label and source (never a
+    /// program: the source is all a build needs).
+    queue: VecDeque<(String, String, String)>,
+    /// Whether the compile thread has been started.
+    worker: bool,
+}
+
+/// `mutex`, locked; a holder's panic leaves no half-made change behind in
+/// the engine's tables, so a poisoned lock is taken over.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl JitEngine {
@@ -157,6 +279,11 @@ impl JitEngine {
     /// reason and fall back to the fused tier), cannot say which `-march`
     /// the flags resolve to, or the cache directory cannot be created.
     pub fn new(config: JitConfig) -> Result<JitEngine, String> {
+        JitEngine::with_deadline(config, CC_DEADLINE)
+    }
+
+    /// [`JitEngine::new`] with another compiler deadline (tests only).
+    fn with_deadline(config: JitConfig, deadline: Duration) -> Result<JitEngine, String> {
         let probe = Command::new(&config.cc)
             .arg("--version")
             .output()
@@ -188,50 +315,75 @@ impl JitEngine {
                 config.cache_dir.display()
             )
         })?;
-        let engine = JitEngine {
+        let shared = Shared {
             config,
             salt,
+            deadline,
+            closed: AtomicBool::new(false),
             stats: Mutex::new(CacheStats::default()),
-            modules: Mutex::new(HashMap::new()),
+            units: Mutex::new(Units::default()),
+            changed: Condvar::new(),
         };
-        engine.evict_stale_salt();
-        engine.refresh_cache_bytes();
-        Ok(engine)
+        shared.evict_stale_salt();
+        shared.refresh_cache_bytes();
+        Ok(JitEngine {
+            shared: Arc::new(shared),
+        })
     }
 
     /// The compiler-identity salt mixed into every cache key.
     pub fn salt(&self) -> &str {
-        &self.salt
+        &self.shared.salt
     }
 
     /// A snapshot of the cache counters.
     pub fn stats(&self) -> CacheStats {
-        self.stats.lock().unwrap().clone()
+        lock(&self.shared.stats).clone()
     }
 
-    /// The cache entry hash of `source` under this engine's salt; stable
-    /// across processes, names the module-table entry and the disk entry.
-    pub(crate) fn entry_hash(&self, source: &str) -> String {
-        // Two independently seeded FNV-1a-64 passes give a 128-bit name; a
-        // disk hit is still compared against the stored source.
-        let lane = |basis| {
-            let salted = fnv1a64(fnv1a64(basis, self.salt.as_bytes()), b"\n");
-            fnv1a64(salted, source.as_bytes())
-        };
-        let (a, b) = (lane(FNV_BASIS), lane(FNV_BASIS ^ 0x9e37_79b9_7f4a_7c15));
-        format!("{a:016x}{b:016x}")
+    /// Where the module for `source` stands, without waiting: loaded (an
+    /// in-memory hit), failed, or queued — a unit the engine has not seen
+    /// is queued by this call for the compile thread, which serves it from
+    /// the disk cache or builds it, at most once per `(salt, source)` across
+    /// all processes sharing the cache directory. `label` heads the entry's
+    /// `.log` and is not part of the key.
+    pub fn request(&self, label: &str, source: &str) -> ModuleStatus {
+        let hash = self.shared.entry_hash(source);
+        self.status(&mut lock(&self.shared.units), &hash, label, source)
     }
 
-    /// The `.key` sidecar of an entry whose object is `so`: the salt (read
-    /// back by [`Self::evict_stale_salt`]) and the object's length and hash.
-    fn key_material(&self, so: &[u8]) -> String {
-        let hash = fnv1a64(FNV_BASIS, so);
-        format!("{}\n{} {hash:016x}\n", self.salt, so.len())
+    /// [`JitEngine::request`], then wait for the compile thread.
+    ///
+    /// # Errors
+    ///
+    /// Why the module could not be built or loaded; the compiler's stderr
+    /// is in [`JitError::Compile`] and in the entry's `.log`.
+    pub fn wait(&self, label: &str, source: &str) -> Result<Arc<ModuleHandle>, JitError> {
+        let hash = self.shared.entry_hash(source);
+        let mut units = lock(&self.shared.units);
+        let mut status = self.status(&mut units, &hash, label, source);
+        loop {
+            match status {
+                ModuleStatus::Ready(module) => return Ok(module),
+                ModuleStatus::Failed(error) => return Err(error),
+                ModuleStatus::Queued => {}
+            }
+            units = self
+                .shared
+                .changed
+                .wait(units)
+                .unwrap_or_else(PoisonError::into_inner);
+            status = match (units.modules.get(&hash), units.builds.get(&hash)) {
+                (Some(module), _) => ModuleStatus::Ready(Arc::clone(module)),
+                (None, Some(Some(error))) => ModuleStatus::Failed(error.clone()),
+                (None, Some(None)) => ModuleStatus::Queued,
+                // Built, then evicted before this thread woke.
+                (None, None) => self.status(&mut units, &hash, label, source),
+            };
+        }
     }
 
-    /// Load the module for `source`, compiling at most once per `(salt,
-    /// source)` across all processes sharing the cache directory. `label`
-    /// heads the entry's `.log` and is not part of the key.
+    /// [`JitEngine::wait`] with the error rendered as text.
     ///
     /// # Errors
     ///
@@ -239,34 +391,40 @@ impl JitEngine {
     /// and persisted to the entry's `.log`) or the freshly built object
     /// cannot be loaded.
     pub fn load(&self, label: &str, source: &str) -> Result<Arc<ModuleHandle>, String> {
-        let hash = self.entry_hash(source);
-        if let Some(module) = self.modules.lock().unwrap().get(&hash) {
-            self.stats.lock().unwrap().hits += 1;
-            return Ok(Arc::clone(module));
+        self.wait(label, source).map_err(|e| e.to_string())
+    }
+
+    /// The status of unit `hash`, queueing it if it is new.
+    fn status(&self, units: &mut Units, hash: &str, label: &str, source: &str) -> ModuleStatus {
+        if let Some(module) = units.modules.get(hash) {
+            lock(&self.shared.stats).hits += 1;
+            return ModuleStatus::Ready(Arc::clone(module));
         }
-        let module = match self.open_cached(&hash, source) {
-            Some(module) => {
-                self.stats.lock().unwrap().hits += 1;
-                // Touch the hit marker so LRU eviction sees recent use.
-                let _ = fs::OpenOptions::new()
-                    .write(true)
-                    .open(self.entry_path(&hash, "key"))
-                    .and_then(|f| f.set_modified(SystemTime::now()));
-                module
-            }
-            None => {
-                self.build_entry(&hash, label, source)?;
-                ModuleHandle::open(&self.entry_path(&hash, "so"))
-                    .map_err(|e| format!("freshly built module failed to load: {e}"))?
-            }
-        };
-        let module = Arc::new(module);
-        let mut modules = self.modules.lock().unwrap();
-        if modules.len() >= MODULE_CACHE_CAPACITY {
-            modules.clear();
+        match units.builds.get(hash) {
+            Some(Some(error)) => return ModuleStatus::Failed(error.clone()),
+            Some(None) => return ModuleStatus::Queued,
+            None => {}
         }
-        modules.insert(hash, Arc::clone(&module));
-        Ok(module)
+        if !units.worker {
+            let shared = Arc::clone(&self.shared);
+            let started = std::thread::Builder::new()
+                .name("sf-jit-compile".to_string())
+                .spawn(move || shared.compile_loop());
+            if let Err(e) = started {
+                let error = JitError::Spawn {
+                    program: "the compile thread".to_string(),
+                    kind: e.kind(),
+                };
+                units.builds.insert(hash.to_string(), Some(error.clone()));
+                return ModuleStatus::Failed(error);
+            }
+            units.worker = true;
+        }
+        units.builds.insert(hash.to_string(), None);
+        let queued = (hash.to_string(), label.to_string(), source.to_string());
+        units.queue.push_back(queued);
+        self.shared.changed.notify_all();
+        ModuleStatus::Queued
     }
 
     /// Resolve a stage-sweep symbol from a loaded module.
@@ -292,6 +450,93 @@ impl JitEngine {
     ) -> Result<EvalFn, String> {
         EvalFn::resolve(module, symbol, arity)
     }
+}
+
+impl Drop for JitEngine {
+    /// Closes the queue without waiting: the compile thread kills a running
+    /// compiler and ends.
+    fn drop(&mut self) {
+        let _units = lock(&self.shared.units);
+        self.shared.closed.store(true, Ordering::Release);
+        self.shared.changed.notify_all();
+    }
+}
+
+impl Shared {
+    /// The compile thread: build queued units one at a time, oldest first,
+    /// until the engine closes.
+    fn compile_loop(&self) {
+        loop {
+            let (hash, label, source) = {
+                let mut units = lock(&self.units);
+                loop {
+                    if self.closed.load(Ordering::Acquire) {
+                        return;
+                    }
+                    if let Some(next) = units.queue.pop_front() {
+                        break next;
+                    }
+                    units = self
+                        .changed
+                        .wait(units)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+            };
+            let built = self.module(&hash, &label, &source);
+            let mut units = lock(&self.units);
+            match built {
+                Ok(module) => {
+                    units.builds.remove(&hash);
+                    if units.modules.len() >= MODULE_CACHE_CAPACITY {
+                        units.modules.clear();
+                    }
+                    units.modules.insert(hash, module);
+                }
+                Err(error) => {
+                    units.builds.insert(hash, Some(error));
+                }
+            }
+            drop(units);
+            self.changed.notify_all();
+        }
+    }
+
+    /// The module of one queued unit: its disk entry if intact, else built.
+    fn module(&self, hash: &str, label: &str, source: &str) -> Result<Arc<ModuleHandle>, JitError> {
+        if let Some(module) = self.open_cached(hash, source) {
+            lock(&self.stats).hits += 1;
+            // Touch the hit marker so LRU eviction sees recent use.
+            let _ = fs::OpenOptions::new()
+                .write(true)
+                .open(self.entry_path(hash, "key"))
+                .and_then(|f| f.set_modified(SystemTime::now()));
+            return Ok(Arc::new(module));
+        }
+        self.build_entry(hash, label, source)?;
+        ModuleHandle::open(&self.entry_path(hash, "so"))
+            .map(Arc::new)
+            .map_err(|message| JitError::Load { message })
+    }
+
+    /// The cache entry hash of `source` under this engine's salt; stable
+    /// across processes, names the module-table entry and the disk entry.
+    fn entry_hash(&self, source: &str) -> String {
+        // Two independently seeded FNV-1a-64 passes give a 128-bit name; a
+        // disk hit is still compared against the stored source.
+        let lane = |basis| {
+            let salted = fnv1a64(fnv1a64(basis, self.salt.as_bytes()), b"\n");
+            fnv1a64(salted, source.as_bytes())
+        };
+        let (a, b) = (lane(FNV_BASIS), lane(FNV_BASIS ^ 0x9e37_79b9_7f4a_7c15));
+        format!("{a:016x}{b:016x}")
+    }
+
+    /// The `.key` sidecar of an entry whose object is `so`: the salt (read
+    /// back by [`Self::evict_stale_salt`]) and the object's length and hash.
+    fn key_material(&self, so: &[u8]) -> String {
+        let hash = fnv1a64(FNV_BASIS, so);
+        format!("{}\n{} {hash:016x}\n", self.salt, so.len())
+    }
 
     fn entry_path(&self, hash: &str, ext: &str) -> PathBuf {
         self.config.cache_dir.join(format!("{hash}.{ext}"))
@@ -312,7 +557,7 @@ impl JitEngine {
         ModuleHandle::open(&so_path).ok()
     }
 
-    fn build_entry(&self, hash: &str, label: &str, source: &str) -> Result<(), String> {
+    fn build_entry(&self, hash: &str, label: &str, source: &str) -> Result<(), JitError> {
         let c_path = self.entry_path(hash, "c");
         let so_path = self.entry_path(hash, "so");
         let key_path = self.entry_path(hash, "key");
@@ -321,6 +566,10 @@ impl JitEngine {
         // marker, so a crash mid-build leaves a miss, never a wrong hit.
         let _ = fs::remove_file(&key_path);
         write_atomic(&c_path, source.as_bytes())?;
+        // The compiler writes its diagnostics straight into the log, after
+        // the line that says who caused the build.
+        let mut log = fs::File::create(&log_path).map_err(cache_error(&log_path))?;
+        writeln!(log, "built for `{label}`").map_err(cache_error(&log_path))?;
         let so_tmp = unique_tmp(&so_path);
         let mut cmd = Command::new(&self.config.cc);
         cmd.args(BASE_CFLAGS.iter())
@@ -328,35 +577,56 @@ impl JitEngine {
             .arg("-o")
             .arg(&so_tmp)
             .arg(&c_path)
-            .arg("-lm");
+            .arg("-lm")
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(log);
+        ffi::demote(&mut cmd);
         {
-            let mut stats = self.stats.lock().unwrap();
+            let mut stats = lock(&self.stats);
             stats.misses += 1;
             stats.cc_invocations += 1;
         }
-        let output = cmd
-            .output()
-            .map_err(|e| format!("cannot run `{}`: {e}", self.config.cc))?;
-        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
-        let _ = fs::write(&log_path, format!("built for `{label}`\n{stderr}"));
-        if !output.status.success() {
+        let status = self.run_to_deadline(cmd);
+        if !status.as_ref().is_ok_and(ExitStatus::success) {
             let _ = fs::remove_file(&so_tmp);
-            return Err(format!(
-                "`{}` failed with {} on {}:\n{}",
-                self.config.cc,
-                output.status,
-                c_path.display(),
-                stderr.trim()
-            ));
+            let text = fs::read_to_string(&log_path).unwrap_or_default();
+            let log = text.split_once('\n').map_or("", |(_, rest)| rest);
+            let log = log.trim().to_string();
+            return Err(status.map_or_else(|e| e, |status| JitError::Compile { status, log }));
         }
-        let so = fs::read(&so_tmp).map_err(|e| format!("cannot read {}: {e}", so_tmp.display()))?;
-        fs::rename(&so_tmp, &so_path)
-            .map_err(|e| format!("cannot finalize {}: {e}", so_path.display()))?;
+        let so = fs::read(&so_tmp).map_err(cache_error(&so_tmp))?;
+        fs::rename(&so_tmp, &so_path).map_err(cache_error(&so_path))?;
         // The `.key` sidecar is the commit point: written last, atomically.
         write_atomic(&key_path, self.key_material(&so).as_bytes())?;
         self.enforce_byte_bound(hash);
         self.refresh_cache_bytes();
         Ok(())
+    }
+
+    /// Run the compiler to its end, looking at it every [`CC_POLL`]; at the
+    /// deadline, or when the engine closes, it is killed.
+    fn run_to_deadline(&self, mut cmd: Command) -> Result<ExitStatus, JitError> {
+        let refused = |e: std::io::Error| JitError::Spawn {
+            program: self.config.cc.clone(),
+            kind: e.kind(),
+        };
+        let mut child = cmd.spawn().map_err(refused)?;
+        let started = Instant::now();
+        loop {
+            let exited = child.try_wait();
+            let after = started.elapsed();
+            if let Ok(Some(status)) = exited {
+                return Ok(status);
+            }
+            let over = after >= self.deadline || self.closed.load(Ordering::Acquire);
+            if over || exited.is_err() {
+                let _ = child.kill();
+                let _ = child.wait();
+                return Err(exited.map_or_else(refused, |_| JitError::Timeout { after }));
+            }
+            std::thread::sleep(CC_POLL);
+        }
     }
 
     /// Remove every entry whose sidecar was written under a different
@@ -375,7 +645,7 @@ impl JitEngine {
             }
         }
         if evicted > 0 {
-            self.stats.lock().unwrap().evictions += evicted;
+            lock(&self.stats).evictions += evicted;
         }
     }
 
@@ -405,7 +675,7 @@ impl JitEngine {
             evicted += 1;
         }
         if evicted > 0 {
-            self.stats.lock().unwrap().evictions += evicted;
+            lock(&self.stats).evictions += evicted;
         }
     }
 
@@ -440,7 +710,7 @@ impl JitEngine {
         for ext in ["key", "so", "c", "log"] {
             let _ = fs::remove_file(self.entry_path(hash, ext));
         }
-        self.modules.lock().unwrap().remove(hash);
+        lock(&self.units).modules.remove(hash);
     }
 
     fn refresh_cache_bytes(&self) {
@@ -449,7 +719,15 @@ impl JitEngine {
             .iter()
             .map(|(hash, _)| self.entry_bytes(hash))
             .sum();
-        self.stats.lock().unwrap().cache_bytes = total;
+        lock(&self.stats).cache_bytes = total;
+    }
+}
+
+/// The [`JitError::Cache`] of an I/O failure on `path`.
+fn cache_error(path: &Path) -> impl FnOnce(std::io::Error) -> JitError + '_ {
+    move |e| JitError::Cache {
+        path: path.to_path_buf(),
+        kind: e.kind(),
     }
 }
 
@@ -508,10 +786,10 @@ fn unique_tmp(path: &Path) -> PathBuf {
 /// Write `bytes` to `path` atomically (a scratch file, then rename), so a
 /// concurrent reader sees either the old content or the new, never a torn
 /// file.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
+fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), JitError> {
     let tmp = unique_tmp(path);
-    fs::write(&tmp, bytes).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-    fs::rename(&tmp, path).map_err(|e| format!("cannot finalize {}: {e}", path.display()))
+    fs::write(&tmp, bytes).map_err(cache_error(&tmp))?;
+    fs::rename(&tmp, path).map_err(cache_error(path))
 }
 
 #[cfg(test)]
@@ -663,8 +941,8 @@ mod tests {
         assert_eq!(eval(&b).call(&[3.0, 0.5]).unwrap(), 9.5);
         assert_eq!(engine.stats().cc_invocations, 2);
         assert_ne!(
-            engine.entry_hash(EVAL_SOURCE),
-            engine.entry_hash(EVAL_SOURCE_B)
+            engine.shared.entry_hash(EVAL_SOURCE),
+            engine.shared.entry_hash(EVAL_SOURCE_B)
         );
         let _ = fs::remove_dir_all(dir);
     }
@@ -684,7 +962,7 @@ mod tests {
         engine.load("third-label", EVAL_SOURCE).expect("load");
         assert_eq!(engine.stats().cc_invocations, 0);
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 4, "one c/so/key/log");
-        let log = dir.join(format!("{}.log", engine.entry_hash(EVAL_SOURCE)));
+        let log = dir.join(format!("{}.log", engine.shared.entry_hash(EVAL_SOURCE)));
         assert!(
             fs::read_to_string(log).unwrap().contains("first-label"),
             "the log names who caused the build"
@@ -698,7 +976,7 @@ mod tests {
         let dir = config.cache_dir.clone();
         let engine = JitEngine::new(config.clone()).expect("engine");
         engine.load("damaged", EVAL_SOURCE).expect("load");
-        let hash = engine.entry_hash(EVAL_SOURCE);
+        let hash = engine.shared.entry_hash(EVAL_SOURCE);
         drop(engine);
         let path = |ext: &str| dir.join(format!("{hash}.{ext}"));
         let intact = fs::read(path("so")).unwrap();
@@ -715,7 +993,7 @@ mod tests {
         // A sidecar that vouches for an object `dlopen` refuses.
         let unloadable: Damage = &|engine| {
             fs::write(path("so"), b"not an object").unwrap();
-            fs::write(path("key"), engine.key_material(b"not an object")).unwrap();
+            fs::write(path("key"), engine.shared.key_material(b"not an object")).unwrap();
         };
         // As if another source had hashed into this entry, or the `.c`
         // write was torn.
@@ -733,7 +1011,7 @@ mod tests {
             assert_eq!((stats.hits, stats.cc_invocations), (0, 1));
             assert_eq!(
                 fs::read_to_string(path("key")).unwrap(),
-                engine.key_material(&fs::read(path("so")).unwrap()),
+                engine.shared.key_material(&fs::read(path("so")).unwrap()),
                 "the rebuild must leave a committed, self-consistent entry"
             );
             assert_eq!(fs::read(path("c")).unwrap(), EVAL_SOURCE.as_bytes());
@@ -826,9 +1104,9 @@ mod tests {
         config.max_cache_bytes = 1;
         let engine = JitEngine::new(config).expect("engine");
         engine.load("lru-a", EVAL_SOURCE).expect("load");
-        let hash_a = engine.entry_hash(EVAL_SOURCE);
+        let hash_a = engine.shared.entry_hash(EVAL_SOURCE);
         engine.load("lru-b", STAGE_SOURCE).expect("load");
-        let hash_b = engine.entry_hash(STAGE_SOURCE);
+        let hash_b = engine.shared.entry_hash(STAGE_SOURCE);
         assert!(
             !dir.join(format!("{hash_a}.key")).exists(),
             "oldest entry must be evicted when over the byte bound"
@@ -857,6 +1135,100 @@ mod tests {
             "compiler stderr must be surfaced, got: {err}"
         );
         let _ = fs::remove_dir_all(dir);
+    }
+
+    /// A stand-in compiler in `dir`: it answers the version and target
+    /// probes like `cc`, and runs the shell command `build` when asked to
+    /// compile.
+    fn fake_cc(dir: &Path, build: &str) -> String {
+        use std::os::unix::fs::PermissionsExt;
+        fs::create_dir_all(dir).unwrap();
+        let path = dir.join("fake-cc");
+        let script = format!(
+            "#!/bin/sh\ncase \"$*\" in\n\
+             *--version*) echo 'fake-cc 1.0' ;;\n\
+             *--help=target*) echo '  -march=                fake' ;;\n\
+             *) {build} ;;\nesac\n"
+        );
+        fs::write(&path, script).unwrap();
+        fs::set_permissions(&path, fs::Permissions::from_mode(0o755)).unwrap();
+        path.display().to_string()
+    }
+
+    /// A private engine over a fresh cache directory driving a fake
+    /// compiler, with a short deadline.
+    fn fake_engine(build: &str) -> (JitEngine, PathBuf) {
+        let mut config = test_config();
+        let dir = config.cache_dir.clone();
+        config.cc = fake_cc(&dir.with_extension("bin"), build);
+        // A child another test thread forks while the script is being
+        // written inherits its write handle until that child's `exec`, and
+        // running the script meanwhile fails with "text file busy".
+        for _ in 0..100 {
+            match JitEngine::with_deadline(config.clone(), Duration::from_millis(300)) {
+                Ok(engine) => return (engine, dir),
+                Err(e) if e.contains("busy") => std::thread::sleep(Duration::from_millis(10)),
+                Err(e) => panic!("the fake answers both probes: {e}"),
+            }
+        }
+        panic!("the fake compiler stayed busy")
+    }
+
+    fn remove_fake(dir: PathBuf) {
+        let _ = fs::remove_dir_all(dir.with_extension("bin"));
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_compiler_past_the_deadline_is_killed_and_the_unit_fails_closed() {
+        let (engine, dir) = fake_engine("exec sleep 30");
+        assert!(matches!(
+            engine.request("slow", EVAL_SOURCE),
+            ModuleStatus::Queued
+        ));
+        let started = Instant::now();
+        let err = engine.wait("slow", EVAL_SOURCE).expect_err("killed");
+        assert!(matches!(err, JitError::Timeout { .. }), "{err}");
+        assert!(started.elapsed() < Duration::from_secs(10));
+        // The failure is kept: asking again starts no second compiler.
+        assert!(matches!(
+            engine.request("slow", EVAL_SOURCE),
+            ModuleStatus::Failed(JitError::Timeout { .. })
+        ));
+        assert_eq!(engine.stats().cc_invocations, 1);
+        remove_fake(dir);
+    }
+
+    #[test]
+    fn a_failing_compiler_is_a_typed_error_carrying_its_log() {
+        let (engine, dir) = fake_engine("echo 'fake-cc: refused' >&2; exit 3");
+        match engine.wait("refused", EVAL_SOURCE) {
+            Err(JitError::Compile { status, log }) => {
+                assert_eq!(status.code(), Some(3));
+                assert_eq!(log, "fake-cc: refused");
+            }
+            other => panic!("expected a compile error, got {other:?}"),
+        }
+        let hash = engine.shared.entry_hash(EVAL_SOURCE);
+        assert!(
+            !dir.join(format!("{hash}.key")).exists(),
+            "nothing committed"
+        );
+        remove_fake(dir);
+    }
+
+    #[test]
+    fn dropping_an_engine_does_not_wait_for_its_compiler() {
+        let (engine, dir) = fake_engine("exec sleep 30");
+        engine.request("in-flight", EVAL_SOURCE);
+        // Let the compile thread start the compiler.
+        while engine.stats().cc_invocations == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let started = Instant::now();
+        drop(engine);
+        assert!(started.elapsed() < Duration::from_millis(100));
+        remove_fake(dir);
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! [`RunSpec`].
 
 use crate::grid::Grid;
+use crate::jit::TierUp;
 use crate::plan::CompiledStencil;
 use crate::tier::{Ineligible, Tier, TierPolicy, TierRouter, TierTrace};
 use std::collections::BTreeMap;
@@ -917,7 +918,8 @@ impl ReferenceExecutor {
     /// [`TierPolicy::Fixed`] pins a [`Tier`]: a run it cannot take lands on
     /// the highest rung below it that can ([`CompiledProgram::tier_trace`]
     /// says why), and that rung is reported. [`TierPolicy::Auto`] runs the
-    /// measured tier (see [`crate::tier`]).
+    /// decided tier (see [`crate::tier`]). A run on the JIT rung waits for
+    /// its module, so the result does not depend on when `cc` finishes.
     ///
     /// # Errors
     ///
@@ -937,24 +939,27 @@ impl ReferenceExecutor {
                 message: "run_steps requires at least one time step".into(),
             });
         }
-        let run = |tier| self.run_tier(compiled, inputs, spec.steps, tier, &|| Ok(()));
+        let run =
+            |tier| self.run_tier(compiled, inputs, spec.steps, tier, TierUp::Wait, &|| Ok(()));
         let (result, tier) = self
             .router
             .dispatch(compiled, spec.steps, spec.tier, run, drop);
         result.map(|result| (result, tier))
     }
 
-    /// One run on the rung `tier` resolves to, outputs only: the fused
-    /// schedule (with native stage sweeps on the JIT rung), or the
-    /// materializing sweep on the floor.
+    /// One run on the rung `tier` resolves to, outputs only, and the rung
+    /// it ran on: the fused schedule (with native stage sweeps on the JIT
+    /// rung, once `tier_up` has the module), or the materializing sweep on
+    /// the floor.
     pub(crate) fn run_tier<E: From<ProgramError>>(
         &self,
         compiled: &CompiledProgram,
         inputs: &BTreeMap<String, Grid>,
         steps: Option<usize>,
         tier: Tier,
+        tier_up: TierUp,
         probe: &dyn Fn() -> std::result::Result<(), E>,
-    ) -> std::result::Result<ExecutionResult, E> {
+    ) -> std::result::Result<(ExecutionResult, Tier), E> {
         let rung = compiled.trace.rung(tier, steps);
         let plan = match &compiled.trace.fused {
             Ok(plan) if rung != Tier::Simd => plan,
@@ -972,12 +977,12 @@ impl ReferenceExecutor {
                         result.valid_masks.remove(&name),
                     );
                 }
-                return Ok(result);
+                return Ok((result, Tier::Simd));
             }
         };
         Self::check_inputs(compiled, inputs)?;
         let native = match &compiled.trace.jit {
-            Ok(unit) if rung == Tier::Jit => Some(crate::jit::stage_fns(&compiled.name, unit)?),
+            Ok(unit) if rung == Tier::Jit => crate::jit::stage_fns(&compiled.name, unit, tier_up)?,
             _ => None,
         };
         if steps.is_some() {
@@ -988,7 +993,14 @@ impl ReferenceExecutor {
         }
         let count = steps.unwrap_or(1);
         let result = crate::fuse::execute(self, compiled, plan, inputs, count, native);
-        Ok(result)
+        Ok((
+            result,
+            if native.is_some() {
+                Tier::Jit
+            } else {
+                Tier::Fused
+            },
+        ))
     }
 
     /// Apply `program` once through the fault-tolerant sharded runtime:

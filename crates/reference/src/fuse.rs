@@ -76,17 +76,17 @@
 //!   selects);
 //! * every non-scalar field is indexed in iteration-space dimension order
 //!   (scratch planes are laid out in space order, so transposed accesses
-//!   cannot be expressed as constant flat offsets) and spans at least the
-//!   innermost, contiguous dimension. A lower-rank input that misses the
-//!   plane and/or the row axis is a **broadcast tap**: unless it is read
-//!   in place, it is copied once per run into one padded buffer of its own
-//!   shape, which every worker and window reads, with stride 0 along each
-//!   axis it misses — the same per-tap plane and row strides a ring tap
-//!   carries, so neither sweep has a second loop and the native ABI is
-//!   unchanged. It has no ring and no lag: all of it exists before the
-//!   first tick. An input missing the
-//!   innermost axis (horizontal diffusion's `crlato[j]`) would need a
-//!   broadcast across the lanes, which neither sweep has;
+//!   cannot be expressed as constant flat offsets). A lower-rank input is
+//!   a **broadcast tap**: unless it is read in place, it is copied once
+//!   per run into one padded buffer of its own shape, which every worker
+//!   and window reads, with stride 0 along each plane or row axis it
+//!   misses — the same per-tap plane and row strides a ring tap carries,
+//!   so neither sweep has a second loop and the native ABI is unchanged.
+//!   An input that misses the innermost, contiguous axis (horizontal
+//!   diffusion's `crlato[j]`) is **replicated** along it by that copy:
+//!   each of its values fills a whole row, so its buffer reads like any
+//!   other (and it is never read in place). A broadcast tap has no ring
+//!   and no lag: all of it exists before the first tick;
 //! * every out-of-domain access resolves to a `Constant` boundary
 //!   condition, and all consumers of a field agree on the constant (a
 //!   `Copy` boundary reads the *accessing cell's* center, which a
@@ -167,12 +167,15 @@ fn axis(dim: usize, rank: usize) -> usize {
 }
 
 /// The scratch axes input `name`, indexed by `dims`, spans (an axis the
-/// space lacks counts as spanned), or why its taps cannot be
-/// constant-stride reads of one buffer: `dims` must be an ordered
-/// subsequence of the space dimensions that keeps the innermost,
-/// contiguous one. Reading a field that misses it would take a lane
-/// broadcast, which neither the lane sweep nor the emitted C has.
-fn input_span(space: &[String], name: &str, dims: &[String]) -> Result<[bool; 3], Ineligible> {
+/// space lacks counts as spanned) and whether it misses the innermost,
+/// contiguous one — then its copy is replicated along it, and its buffer
+/// spans it too — or why its taps cannot be constant-stride reads of one
+/// buffer: `dims` must be an ordered subsequence of the space dimensions.
+fn input_span(
+    space: &[String],
+    name: &str,
+    dims: &[String],
+) -> Result<([bool; 3], bool), Ineligible> {
     let rank = space.len();
     let mut span = [true; 3];
     for d in 0..rank {
@@ -187,11 +190,9 @@ fn input_span(space: &[String], name: &str, dims: &[String]) -> Result<[bool; 3]
         span[axis(next + at, rank)] = true;
         next += at + 1;
     }
-    if next < rank {
-        let (input, axis) = (name.to_string(), space[rank - 1].clone());
-        return Err(Ineligible::InputMissesInnermost { input, axis });
-    }
-    Ok(span)
+    let replicate = next < rank;
+    span[2] = true;
+    Ok((span, replicate))
 }
 
 /// One field (program input or stencil output) of a fuse plan, with the
@@ -210,6 +211,9 @@ struct FusedField {
     /// and/or the row axis; it is read through one buffer of its own shape
     /// with stride 0 along the axes it misses.
     span: [bool; 3],
+    /// An input that misses the innermost axis: its copy holds each of its
+    /// values across a whole row.
+    replicate: bool,
     /// An input every live tap reads at offset 0 on every axis: it never
     /// reads a pad, so its taps read the source grid in place (no ring, no
     /// copy, no pads).
@@ -232,10 +236,10 @@ struct FusedField {
 }
 
 impl FusedField {
-    /// A lower-rank input read off-center: copied once per run into a
+    /// A lower-rank input not read in place: copied once per run into a
     /// padded buffer every worker and window reads.
     fn broadcast(&self) -> bool {
-        !self.in_place && self.span != [true; 3]
+        !self.in_place && (self.replicate || self.span != [true; 3])
     }
 
     /// Plane and row strides of a tap into the field's buffer (its padded
@@ -367,7 +371,7 @@ impl FusePlan {
         let mut fields: Vec<FusedField> = Vec::new();
         let mut field_ids: BTreeMap<String, usize> = BTreeMap::new();
         let mut dtypes: Vec<DataType> = Vec::new();
-        let mut new_field = |name: &str, dtype: DataType, scalar: bool, input: bool, span| {
+        let mut new_field = |name: &str, dtype: DataType, scalar, input, (span, replicate)| {
             field_ids.insert(name.to_string(), fields.len());
             dtypes.push(dtype);
             fields.push(FusedField {
@@ -376,6 +380,7 @@ impl FusePlan {
                 input,
                 live: live.contains(name),
                 span,
+                replicate,
                 in_place: false,
                 pad_constant: 0.0,
                 pad_lo: [0; 3],
@@ -390,14 +395,20 @@ impl FusePlan {
         for (name, decl) in program.inputs() {
             let scalar = decl.is_scalar();
             let span = match input_span(&space.dims, name, &decl.dims) {
-                Ok(span) => span,
+                Ok(span) if !scalar => span,
                 Err(why) if !scalar && live.contains(name) => return Err(why),
-                Err(_) => [true; 3],
+                _ => ([true; 3], false),
             };
             new_field(name, decl.data_type(), scalar, true, span);
         }
         for plan in plans {
-            new_field(plan.name(), plan.out_dtype(), false, false, [true; 3]);
+            new_field(
+                plan.name(),
+                plan.out_dtype(),
+                false,
+                false,
+                ([true; 3], false),
+            );
         }
 
         // Stages: typed kernels with taps at constant per-axis offsets.
@@ -449,7 +460,8 @@ impl FusePlan {
                 mask_hi,
             });
         }
-        // An input no live tap reads off-center never reads a pad.
+        // An input no live tap reads off-center never reads a pad (but a
+        // replicated one has no rows to read in place).
         let off_center: BTreeSet<usize> = stages
             .iter()
             .filter(|s| s.live)
@@ -460,7 +472,8 @@ impl FusePlan {
             })
             .collect();
         for (f, field) in fields.iter_mut().enumerate() {
-            field.in_place = field.input && !field.scalar && !off_center.contains(&f);
+            field.in_place =
+                field.input && !field.scalar && !field.replicate && !off_center.contains(&f);
         }
         let outputs: Vec<(usize, usize)> = program
             .outputs()
@@ -1242,14 +1255,21 @@ fn fill_pads(plan: &FusePlan, ring: &Ring, buf: &mut [f64]) {
 }
 
 /// Copy a lower-rank input into its broadcast buffer: its grid in the
-/// in-domain cells, the boundary constant everywhere else.
+/// in-domain cells (each value across its whole row if the input is
+/// replicated), the boundary constant everywhere else.
 fn fill_broadcast(plan: &FusePlan, field: &FusedField, src: &[f64], buf: &mut [f64]) {
     let nk = plan.ext[2];
     let rows = if field.span[1] { plan.ext[1] } else { 1 };
+    let per_row = if field.replicate { 1 } else { nk };
     buf.fill(field.pad_constant);
-    for (ix, cells) in src.chunks_exact(nk).enumerate() {
+    for (ix, cells) in src.chunks_exact(per_row).enumerate() {
         let at = (field.pad_lo[0] + ix / rows) * field.plane + field.origin + ix % rows * field.row;
-        buf[at..at + nk].copy_from_slice(cells);
+        let row = &mut buf[at..at + nk];
+        if field.replicate {
+            row.fill(cells[0]);
+        } else {
+            row.copy_from_slice(cells);
+        }
     }
 }
 
@@ -1673,6 +1693,9 @@ mod tests {
     /// (`upwind3d`'s `u`: 3 planes against 4 and a bit): `core` delays a
     /// stage by its whole shift register (`hi - lo`) and its compute
     /// latency, a ring's consumer trails by its look-ahead (`hi`) only.
+    /// And on horizontal diffusion's `sqr_s` it holds *more*: the two
+    /// recurrences disagree in both directions, so that ring is pinned to
+    /// its exact numbers, and a change on either side fails here.
     #[test]
     fn ring_depths_track_the_internal_and_delay_buffers() {
         let executor = ReferenceExecutor::new();
@@ -1705,16 +1728,26 @@ mod tests {
                 }
                 let label = format!("`{}` in `{}`", name, program.name());
                 assert!(cells >= internal, "{label}: {cells} < internal {internal}");
+                if (program.name(), name.as_str()) == ("horizontal_diffusion", "sqr_s") {
+                    let numbers = (cells, edge, plane, sched.block);
+                    assert_eq!(
+                        numbers,
+                        (240, 72, 80, 1),
+                        "{label}: ring, edge, plane, block"
+                    );
+                    continue;
+                }
                 let most = edge + plane + sched.block as u64 * plane;
                 assert!(cells <= most, "{label}: {cells} > {edge} + plane + block");
             }
         }
-        assert_eq!(fusible, 9);
+        assert_eq!(fusible, 10);
     }
 
     /// The inputs of the `analyze` suite read in place — exactly those no
-    /// live tap reads off-center — get no ring (they left the enumeration
-    /// above); every other full-rank input keeps one.
+    /// live tap reads off-center, and that span the innermost axis — get
+    /// no ring (they left the enumeration above); every other full-rank
+    /// input keeps one.
     #[test]
     fn center_only_inputs_are_read_in_place() {
         let executor = ReferenceExecutor::new();
@@ -1739,10 +1772,13 @@ mod tests {
                 }
             }
         }
-        // Listing 1's three inputs, membench's eight copy sources, and
-        // upwind's velocity (its tracer is read upwind, off-center).
+        // Listing 1's three inputs, membench's eight copy sources,
+        // horizontal diffusion's mask (its coefficients miss `k`: they are
+        // replicated), and upwind's velocity (its tracer is read upwind,
+        // off-center).
         let mut want: Vec<String> = ["a0", "a1", "a2"].map(|f| format!("listing1.{f}")).into();
         want.extend((0..8).map(|i| format!("membench8x1.in{i}")));
+        want.push("horizontal_diffusion.hdmask".to_string());
         want.push("upwind3d.u".to_string());
         assert_eq!(in_place, want);
     }

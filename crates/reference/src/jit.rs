@@ -17,17 +17,25 @@
 //! The ladder is decided in one place, the program's
 //! [`crate::tier::TierTrace`]: a JIT request on an ineligible program, or
 //! on a machine without a working `cc`, lands on the fused rung (or below)
-//! and reports it; a *failing* compile or load of an eligible program is
-//! surfaced as an error (it indicates an emitter bug, and hiding it would
-//! mask codegen regressions from CI).
+//! and reports it. Every module is built on the engine's one compile
+//! thread, with two waiting policies ([`TierUp`]): the service never waits
+//! — its runs take the fused rung until the module is loaded, and a unit
+//! whose build failed stays there, the typed failure kept on its trace —
+//! while [`crate::ReferenceExecutor::execute`] waits, and surfaces a
+//! *failing* compile or load of an eligible program as an error (it
+//! indicates an emitter bug, and hiding it would mask codegen regressions
+//! from CI).
 
+use crate::tier::Ineligible;
 use std::sync::{Arc, OnceLock};
-use stencilflow_jit::{CacheStats, JitConfig, JitEngine, StageFn};
+use stencilflow_jit::{
+    CacheStats, JitConfig, JitEngine, JitError, ModuleHandle, ModuleStatus, StageFn,
+};
 use stencilflow_program::{ProgramError, Result};
 
 /// The emitted translation unit for one compiled program, plus the symbol
 /// each fused stage exports. Built once per compiled program; compiling
-/// and loading happen lazily on the first JIT run.
+/// and loading happen on the engine's compile thread.
 #[derive(Debug)]
 pub(crate) struct JitUnit {
     /// The complete C source (one exported `sf_stage_{i}` per live stage,
@@ -37,9 +45,29 @@ pub(crate) struct JitUnit {
     pub symbols: Vec<Option<String>>,
     /// Distinct sweep bodies in `source`.
     pub bodies: usize,
-    /// The loaded stage functions, indexed like `symbols`; filled by the
-    /// first successful [`stage_fns`], so a warm run never asks the engine.
-    pub resolved: OnceLock<Vec<Option<StageFn>>>,
+    /// The loaded stage functions, indexed like `symbols`, or why the
+    /// module could not be built ([`Ineligible::Native`]); settled by the
+    /// first run that finds the build finished, so later runs never ask
+    /// the engine.
+    pub resolved: OnceLock<std::result::Result<Vec<Option<StageFn>>, Ineligible>>,
+}
+
+impl JitUnit {
+    /// Why the unit's module failed to build, once a run has seen it fail.
+    pub(crate) fn failure(&self) -> Option<&Ineligible> {
+        self.resolved.get()?.as_ref().err()
+    }
+}
+
+/// How a run that lands on the JIT rung gets its module.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TierUp {
+    /// Wait for the compile thread: the run is native, or fails with the
+    /// build's error ([`crate::ReferenceExecutor::execute`]).
+    Wait,
+    /// Never wait: until the module is loaded the run takes the fused rung
+    /// (the service).
+    Background,
 }
 
 /// The process-wide engine, probed once: `Ok` holds the engine, `Err` the
@@ -68,27 +96,58 @@ pub fn jit_cache_stats() -> Option<CacheStats> {
 }
 
 /// The loaded stage functions of program `program`'s unit, indexed by
-/// fuse-plan stage (dead stages `None`). Only the JIT rung asks, so the
-/// program is eligible and the engine probed: an `Err` is an emitted unit
-/// that failed to compile, load, or resolve — an emitter bug to surface,
-/// not to swallow.
-pub(crate) fn stage_fns<'a>(program: &str, unit: &'a JitUnit) -> Result<&'a [Option<StageFn>]> {
-    if let Some(fns) = unit.resolved.get() {
-        return Ok(fns);
-    }
-    let load = || -> std::result::Result<Vec<Option<StageFn>>, String> {
-        let engine = engine().as_ref().map_err(String::clone)?;
-        let module = engine.load(program, &unit.source)?;
-        let resolve = |symbol: &Option<String>| {
-            symbol
-                .as_ref()
-                .map(|name| engine.stage_fn(&module, name))
-                .transpose()
-        };
-        unit.symbols.iter().map(resolve).collect()
+/// fuse-plan stage (dead stages `None`), as `tier_up` gets them: `None`
+/// while a [`TierUp::Background`] run finds the module still queued, or
+/// its build failed (kept as the unit's [`JitUnit::failure`]). Only the
+/// JIT rung asks, so the program is eligible and the engine probed: an
+/// `Err` is a [`TierUp::Wait`] run whose unit failed to compile, load, or
+/// resolve — an emitter bug to surface, not to swallow.
+pub(crate) fn stage_fns<'a>(
+    program: &str,
+    unit: &'a JitUnit,
+    tier_up: TierUp,
+) -> Result<Option<&'a [Option<StageFn>]>> {
+    let resolved = match (unit.resolved.get(), engine()) {
+        (Some(resolved), _) => resolved,
+        (None, Ok(engine)) => {
+            let built = match tier_up {
+                TierUp::Wait => engine.wait(program, &unit.source),
+                TierUp::Background => match engine.request(program, &unit.source) {
+                    ModuleStatus::Queued => return Ok(None),
+                    ModuleStatus::Ready(module) => Ok(module),
+                    ModuleStatus::Failed(error) => Err(error),
+                },
+            };
+            unit.resolved.get_or_init(|| resolve(engine, unit, built))
+        }
+        (None, Err(probe)) => {
+            return Err(ProgramError::Invalid {
+                message: format!("native JIT unavailable for `{program}`: {probe}"),
+            })
+        }
     };
-    let fns = load().map_err(|message| ProgramError::Invalid {
-        message: format!("native JIT failed for eligible program `{program}`: {message}"),
-    })?;
-    Ok(unit.resolved.get_or_init(|| fns))
+    match (resolved, tier_up) {
+        (Ok(fns), _) => Ok(Some(fns)),
+        (Err(_), TierUp::Background) => Ok(None),
+        (Err(why), TierUp::Wait) => Err(ProgramError::Invalid {
+            message: format!("native JIT failed for eligible program `{program}`: {why}"),
+        }),
+    }
+}
+
+/// The stage functions of `unit` in its built module.
+fn resolve(
+    engine: &JitEngine,
+    unit: &JitUnit,
+    built: std::result::Result<Arc<ModuleHandle>, JitError>,
+) -> std::result::Result<Vec<Option<StageFn>>, Ineligible> {
+    let module = built.map_err(Ineligible::Native)?;
+    let symbol = |name: &String| {
+        let fail = |message| Ineligible::Native(JitError::Load { message });
+        engine.stage_fn(&module, name).map_err(fail)
+    };
+    unit.symbols
+        .iter()
+        .map(|name| name.as_ref().map(symbol).transpose())
+        .collect()
 }

@@ -28,10 +28,17 @@
 //!   outside this discipline and bounded per job.)
 //! * **Automatic tier selection** — through the executor's one
 //!   [`crate::tier`] router and per-tier runners: under
-//!   [`TierPolicy::Auto`] each program runs its measured fastest tier, so
-//!   known regressions like fused-vs-SIMD on upwind3d can never recur.
+//!   [`TierPolicy::Auto`] a program the JIT rung takes runs native by
+//!   rule, and any other its measured fastest tier, so known regressions
+//!   like fused-vs-SIMD on upwind3d can never recur.
 //!   [`TierPolicy::Fixed`] and the per-job [`JobSpec::tier`] override knob
-//!   pin a tier; an outcome reports the rung the job ran on.
+//!   pin a tier, which is a ceiling; an outcome reports the rung the job
+//!   ran on.
+//! * **No job waits for `cc`** — a job on the JIT rung whose module is not
+//!   loaded queues its unit for the engine's one background compile thread
+//!   and runs on the fused rung; the jobs after the module lands run
+//!   native. A unit whose build fails (or runs past its deadline) stays
+//!   fused, the typed failure kept on the program's trace.
 //!
 //! Results contain the program outputs only (the fused tier's contract),
 //! bit-identical to [`ReferenceExecutor::run_interpreted`] on every tier.
@@ -39,6 +46,7 @@
 
 use crate::executor::{CompiledProgram, ExecutionResult, ReferenceExecutor};
 use crate::grid::Grid;
+use crate::jit::TierUp;
 pub use crate::tier::{Tier, TierCacheLoad, TierChoice, TierPolicy};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -391,9 +399,11 @@ impl ServeExecutor {
     /// Warm the service for the kinds of job in `jobs`, deterministically.
     ///
     /// The jobs run once each, one at a time, and are recycled, so every
-    /// fingerprint is compiled and has its tier measured with nothing else
-    /// running, and what the pools hold afterwards is a function of the
-    /// jobs, not of how worker threads happened to interleave. The pools
+    /// fingerprint is compiled and has its tier decided with nothing else
+    /// running — a job on the JIT rung waits for its module here, so it
+    /// runs native — and what the pools hold afterwards is a function of the
+    /// jobs, not of how worker threads happened to interleave or when `cc`
+    /// finished. The pools
     /// then reserve room for `workers` such jobs at once (see
     /// `Pool::reserve`), so traffic of these kinds that recycles from the
     /// [`run_batch_with`](ServeExecutor::run_batch_with) sink misses no
@@ -404,7 +414,9 @@ impl ServeExecutor {
     /// warm-up with its error.
     pub fn warm(&self, jobs: Vec<JobSpec>) -> std::result::Result<(), JobError> {
         for job in jobs {
-            self.recycle(self.run_one(job).result?);
+            let (result, _) = isolated(|| self.execute_job(&job, TierUp::Wait))?;
+            self.jobs.fetch_add(1, Ordering::Relaxed);
+            self.recycle(result?);
         }
         self.executor.reserve_pools(self.workers);
         Ok(())
@@ -464,7 +476,7 @@ impl ServeExecutor {
                 // covers execution; this catch guarantees that even a
                 // panic in the scheduler glue around it downgrades to a
                 // per-job outcome instead of aborting the batch.
-                let (result, tier) = isolated(|| self.execute_job(&job))
+                let (result, tier) = isolated(|| self.execute_job(&job, TierUp::Background))
                     .unwrap_or_else(|err| (Err(err), Tier::Simd));
                 sink(JobOutcome {
                     job: ix,
@@ -502,7 +514,11 @@ impl ServeExecutor {
 
     /// One job, start to finish. `Err` is a job rejected before it reached
     /// a tier (reported as [`Tier::Simd`], like a panic in the glue).
-    fn execute_job(&self, job: &JobSpec) -> std::result::Result<(JobResult, Tier), JobError> {
+    fn execute_job(
+        &self,
+        job: &JobSpec,
+        tier_up: TierUp,
+    ) -> std::result::Result<(JobResult, Tier), JobError> {
         if job.is_cancelled() {
             return Err(JobError::Cancelled);
         }
@@ -515,14 +531,13 @@ impl ServeExecutor {
         }
         // One step is a single application (no feedback pairing is
         // validated), more is a stepped run. Under `Auto`, first sight of
-        // a fingerprint measures every eligible tier on the job itself and
-        // caches the fastest.
+        // a fingerprint decides its tier (see `crate::tier`) and caches it.
         let steps = (job.steps > 1).then_some(job.steps);
         Ok(self.executor.router.dispatch(
             &compiled,
             steps,
             job.tier.map_or(self.policy, TierPolicy::Fixed),
-            |tier| self.run_tier(&compiled, job, steps, tier),
+            |tier| self.run_tier(&compiled, job, steps, tier, tier_up),
             |result| self.recycle(result),
         ))
     }
@@ -539,7 +554,8 @@ impl ServeExecutor {
         job: &JobSpec,
         steps: Option<usize>,
         tier: Tier,
-    ) -> JobResult {
+        tier_up: TierUp,
+    ) -> std::result::Result<(ExecutionResult, Tier), JobError> {
         isolated(|| {
             match job.fault {
                 Some(JobFault::Poison) => panic!("injected poison-job fault"),
@@ -556,7 +572,7 @@ impl ServeExecutor {
             };
             probe()?;
             self.executor
-                .run_tier(compiled, &job.inputs, steps, tier, &probe)
+                .run_tier(compiled, &job.inputs, steps, tier, tier_up, &probe)
         })
     }
 }
@@ -586,6 +602,33 @@ mod tests {
     fn job_for(program: &Arc<StencilProgram>, seed: u64) -> JobSpec {
         let inputs = Arc::new(generate_inputs(program, seed));
         JobSpec::new(Arc::clone(program), inputs)
+    }
+
+    /// Wait until `program`'s native module is loaded, if the JIT rung
+    /// takes the program on this machine: the jobs after it run native.
+    fn land(serve: &ServeExecutor, program: &StencilProgram) {
+        let compiled = serve.executor.prepare(program).unwrap();
+        if let (Ok(unit), Ok(_)) = (&compiled.tier_trace().jit, crate::jit_available()) {
+            crate::jit::stage_fns(compiled.name(), unit, TierUp::Wait).unwrap();
+        }
+    }
+
+    /// `outcome` ran on `tier` and matches the interpreter bit for bit.
+    fn assert_ran(serve: &ServeExecutor, outcome: JobOutcome, tier: Tier, job: &JobSpec) {
+        assert_eq!(outcome.tier, tier);
+        let want = ReferenceExecutor::new()
+            .run_interpreted(&job.program, &job.inputs)
+            .unwrap();
+        let result = outcome.result.unwrap();
+        for output in job.program.outputs() {
+            let got = result.field(output).unwrap().as_slice();
+            let want = want.field(output).unwrap().as_slice();
+            assert!(got
+                .iter()
+                .zip(want)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+        serve.recycle(result);
     }
 
     #[test]
@@ -733,15 +776,27 @@ mod tests {
                 .with_tier_policy(TierPolicy::Fixed(Tier::Fused)),
         );
         // The policy pins fused, a per-job pin beats it, and an outcome
-        // reports the rung that ran: hdiff has no fuse plan.
+        // reports the rung that ran: hdiff streams, a copy boundary has no
+        // fuse plan.
         let hdiff = Arc::new(horizontal_diffusion(&HorizontalDiffusionSpec::bench()));
+        let copy = StencilProgramBuilder::new("copyb", &[6, 8])
+            .input("a", DataType::Float32, &["i", "j"])
+            .stencil("s", "a[i-1,j] + a[i+1,j]")
+            .boundary("s", "a", stencilflow_program::BoundaryCondition::Copy)
+            .output("s")
+            .build()
+            .unwrap();
+        let copy = Arc::new(copy);
+        land(&serve, &program);
+        land(&serve, &hdiff);
         let jit = crate::jit_available().map_or(Tier::Fused, |_| Tier::Jit);
         for (job, want) in [
             (job_for(&program, 1), Tier::Fused),
             (job_for(&program, 2).with_tier(Tier::Simd), Tier::Simd),
             (job_for(&program, 3).with_tier(Tier::Jit), jit),
-            (job_for(&hdiff, 4).with_tier(Tier::Jit), Tier::Simd),
-            (job_for(&hdiff, 4).with_tier(Tier::Fused), Tier::Simd),
+            (job_for(&hdiff, 4).with_tier(Tier::Jit), jit),
+            (job_for(&hdiff, 4).with_tier(Tier::Fused), Tier::Fused),
+            (job_for(&copy, 5).with_tier(Tier::Jit), Tier::Simd),
         ] {
             let outcome = serve.run_one(job);
             assert_eq!(outcome.tier, want);
@@ -751,19 +806,89 @@ mod tests {
 
     #[test]
     fn auto_policy_measures_once_per_fingerprint() {
-        let program = jacobi_like(&[16, 16]);
+        // The JIT rung takes the float program: native by rule, nothing
+        // timed. The int output keeps the other off it: its first sight
+        // measures the SIMD and fused rungs, once.
+        let float = jacobi_like(&[16, 16]);
+        let int = StencilProgramBuilder::new("serve_int", &[16, 16])
+            .input("u", DataType::Float32, &["i", "j"])
+            .stencil("v", "u[i-1,j] + u[i+1,j]")
+            .output_type("v", DataType::Int32)
+            .output("v")
+            .build()
+            .unwrap();
         let serve = ServeExecutor::new(ServeConfig::new().with_workers(1));
-        for seed in 0..6 {
-            let outcome = serve.run_one(job_for(&program, seed));
-            serve.recycle(outcome.result.unwrap());
+        for program in [&float, &Arc::new(int)] {
+            for seed in 0..6 {
+                let outcome = serve.run_one(job_for(program, seed));
+                serve.recycle(outcome.result.unwrap());
+            }
         }
+        let native = crate::jit_available().is_ok();
         let stats = serve.stats();
-        assert_eq!(stats.tier_measurements, 1);
-        assert_eq!(stats.compiles, 1);
+        assert_eq!(stats.tier_measurements, if native { 1 } else { 2 });
+        assert_eq!(stats.compiles, 2);
         let choices = serve.tier_choices();
-        assert_eq!(choices.len(), 1);
-        assert_eq!(choices[0].program, "serve_jacobi");
-        assert!(!choices[0].stepped);
+        let jacobi = choices
+            .iter()
+            .find(|c| c.program == "serve_jacobi")
+            .unwrap();
+        assert!(!jacobi.stepped);
+        if native {
+            assert_eq!(jacobi.tier, Tier::Jit);
+        }
+        assert_eq!(choices.len(), 2);
+    }
+
+    #[test]
+    fn a_service_job_runs_fused_until_its_module_lands() {
+        if crate::jit_available().is_err() {
+            return;
+        }
+        // Literals no other program here emits: no other test loads this
+        // unit, so its first job finds it queued.
+        let program = StencilProgramBuilder::new("flip", &[12, 10])
+            .input("u", DataType::Float32, &["i", "j"])
+            .stencil("v", "0.3125 * u[i-1,j] + u[i,j+1] * 0.6875 - 0.0078125")
+            .output("v")
+            .build()
+            .unwrap();
+        let program = Arc::new(program);
+        let serve = ServeExecutor::new(ServeConfig::new().with_workers(1));
+        let job = job_for(&program, 3);
+        assert_ran(&serve, serve.run_one(job.clone()), Tier::Fused, &job);
+        assert_eq!(serve.stats().tier_measurements, 0);
+        assert_eq!(serve.tier_choices()[0].tier, Tier::Jit);
+        land(&serve, &program);
+        assert_ran(&serve, serve.run_one(job.clone()), Tier::Jit, &job);
+        // A pin is a ceiling.
+        for tier in [Tier::Simd, Tier::Fused, Tier::Jit] {
+            let outcome = serve.run_one(job.clone().with_tier(tier));
+            assert_ran(&serve, outcome, tier, &job);
+        }
+    }
+
+    #[test]
+    fn dropping_the_service_does_not_wait_for_a_compile() {
+        // A literal from the clock: no cache entry holds this unit, so
+        // the compiler is still running when the service goes.
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .subsec_nanos();
+        let program = StencilProgramBuilder::new("dropped", &[8, 8])
+            .input("u", DataType::Float32, &["i", "j"])
+            .stencil("v", &format!("u[i-1,j] * {nanos}.5"))
+            .output("v")
+            .build()
+            .unwrap();
+        let serve = ServeExecutor::new(ServeConfig::new().with_workers(1));
+        let outcome = serve.run_one(job_for(&Arc::new(program), 1));
+        assert_ne!(outcome.tier, Tier::Jit);
+        serve.recycle(outcome.result.unwrap());
+        let started = Instant::now();
+        drop(serve);
+        assert!(started.elapsed() < Duration::from_millis(100));
     }
 
     #[test]
@@ -877,6 +1002,7 @@ mod tests {
         let reference = ReferenceExecutor::new();
         for (program, steps) in programs {
             let program = Arc::new(program);
+            land(&serve, &program);
             let inputs = Arc::new(generate_inputs(&program, 5));
             let expected = match steps {
                 1 => reference.run_interpreted(&program, &inputs),

@@ -5,13 +5,16 @@
 //! All tiers are bit-identical, so which one runs is purely a performance
 //! decision; which rungs a run *can* take, [`TierTrace`] decides. Under
 //! [`TierPolicy::Auto`] the first sight of a `(program fingerprint,
-//! stepped?)` key runs every rung on the job's real inputs — the
-//! measurement runs *are* the job — and caches the winner; repeat traffic
-//! pays one lock and one map lookup. Both
+//! stepped?)` key decides the tier and caches it; repeat traffic pays one
+//! lock and one map lookup. A program the JIT rung takes is decided by
+//! rule, with nothing timed; any other runs every rung it reaches on the
+//! job's real inputs — the measurement runs *are* the job — and the
+//! fastest wins. Both
 //! [`ReferenceExecutor::execute`](crate::ReferenceExecutor::execute) and
 //! the service layer route through `TierRouter::route`, and both hand it
-//! the executor's one per-tier runner (the service wraps it in its panic
-//! boundary and gives the materializing sweep a cancellation probe).
+//! the executor's one per-tier runner, which reports the rung that ran
+//! (the service wraps it in its panic boundary, gives the materializing
+//! sweep a cancellation probe, and never waits for a native module).
 
 use crate::executor::CompiledProgram;
 use crate::fuse::FusePlan;
@@ -21,8 +24,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use stencilflow_expr::{DataType, VerifyError};
+use stencilflow_jit::JitError;
 use stencilflow_json::Json;
-use stencilflow_program::ProgramError;
 
 /// Execution tiers a run can be scheduled on (the interpreter and the
 /// plain bytecode tiers exist for reference/testing, not for routing).
@@ -84,8 +87,6 @@ pub enum TierPolicy {
 pub enum Ineligible {
     /// An input indexes the iteration space out of order.
     InputOutOfOrder { input: String },
-    /// A lower-rank input misses the innermost axis `axis`.
-    InputMissesInnermost { input: String, axis: String },
     /// A stencil has no type-specialized kernel.
     Untyped { stencil: String },
     /// The consumers of `field` disagree on its boundary constant.
@@ -103,6 +104,9 @@ pub enum Ineligible {
     Emission(String),
     /// The JIT rung runs the fused schedule, which cannot take the run.
     NeedsFused,
+    /// The unit's module could not be built or loaded (seen by a run once
+    /// the engine's compile thread gave up on it).
+    Native(JitError),
 }
 
 impl std::fmt::Display for Ineligible {
@@ -112,12 +116,6 @@ impl std::fmt::Display for Ineligible {
                 write!(
                     f,
                     "input `{input}` indexes the iteration space out of order"
-                )
-            }
-            Ineligible::InputMissesInnermost { input, axis } => {
-                write!(
-                    f,
-                    "input `{input}` does not span the innermost axis `{axis}`"
                 )
             }
             Ineligible::Untyped { stencil } => write!(f, "stencil `{stencil}` has no typed kernel"),
@@ -142,6 +140,7 @@ impl std::fmt::Display for Ineligible {
             }
             Ineligible::Emission(message) => f.write_str(message),
             Ineligible::NeedsFused => f.write_str("needs the fused rung"),
+            Ineligible::Native(error) => write!(f, "the native module failed: {error}"),
         }
     }
 }
@@ -157,10 +156,20 @@ pub struct TierTrace {
 }
 
 impl TierTrace {
-    /// Why `tier` cannot take a run of `steps`, or `None` when it can (a
-    /// program fact: without a working compiler, [`crate::jit_available`],
-    /// a JIT run still lands on the fused rung).
+    /// Why `tier` cannot take a run of `steps`, or `None` when it can: a
+    /// program fact, or — on the JIT rung — a module whose build a run has
+    /// seen fail. (Without a working compiler, [`crate::jit_available`], a
+    /// JIT run also lands on the fused rung.)
     pub fn reason(&self, tier: Tier, steps: Option<usize>) -> Option<&Ineligible> {
+        let built = match (&self.jit, tier) {
+            (Ok(unit), Tier::Jit) => unit.failure(),
+            _ => None,
+        };
+        self.fact(tier, steps).or(built)
+    }
+
+    /// [`TierTrace::reason`] without the build: what the program allows.
+    fn fact(&self, tier: Tier, steps: Option<usize>) -> Option<&Ineligible> {
         let fused = match &self.fused {
             // One step never reads a ring another step wrote.
             Ok(plan) if steps.unwrap_or(1) > 1 && !plan.supports_steps() => {
@@ -177,15 +186,25 @@ impl TierTrace {
     }
 
     /// The rung a run of `steps` asking for `tier` lands on: the highest
-    /// at or below `tier` that takes it. The JIT rung also needs a working
-    /// compiler, probed here, and only once the program is eligible.
+    /// at or below `tier` the program allows. The JIT rung also needs a
+    /// working compiler, probed here, and only once the program is
+    /// eligible; whether its module is loaded is the runner's business
+    /// ([`crate::jit::TierUp`]).
     pub(crate) fn rung(&self, tier: Tier, steps: Option<usize>) -> Tier {
         let takes = |rung: &Tier| {
             *rung <= tier
-                && self.reason(*rung, steps).is_none()
+                && self.fact(*rung, steps).is_none()
                 && (*rung != Tier::Jit || crate::jit::jit_available().is_ok())
         };
         LADDER.into_iter().rev().find(takes).unwrap_or(Tier::Simd)
+    }
+}
+
+/// A run's result and the rung it ran on; a failed run reports `asked`.
+fn ran<R, E>(run: Result<(R, Tier), E>, asked: Tier) -> (Result<R, E>, Tier) {
+    match run {
+        Ok((result, tier)) => (Ok(result), tier),
+        Err(err) => (Err(err), asked),
     }
 }
 
@@ -271,23 +290,24 @@ impl TierRouter {
     }
 
     /// [`TierRouter::route`] for one job of `compiled` (`steps: None` is a
-    /// single application) under `policy`; returns the rung that ran. A
-    /// pinned tier runs the rung it resolves to, and a first sight measures
-    /// every rung a JIT request reaches. The only rung with anything to
-    /// prepare is JIT, which compiles (or loads from the disk cache) and
-    /// `dlopen`s its module.
-    pub(crate) fn dispatch<R, E: From<ProgramError>>(
+    /// single application) under `policy`; returns the rung that ran, as
+    /// `run` reports it (a run asking for the JIT rung runs fused until its
+    /// module is loaded, if it does not wait for it). A pinned tier is a
+    /// ceiling. On a first sight, a program the JIT rung takes is decided
+    /// by rule — native is the fused plan, schedule and bits with compiled
+    /// sweeps, faster on every measured row — and nothing is timed; the
+    /// rest measure the rungs they reach.
+    pub(crate) fn dispatch<R, E>(
         &self,
         compiled: &CompiledProgram,
         steps: Option<usize>,
         policy: TierPolicy,
-        mut run: impl FnMut(Tier) -> Result<R, E>,
+        mut run: impl FnMut(Tier) -> Result<(R, Tier), E>,
         discard: impl FnMut(R),
     ) -> (Result<R, E>, Tier) {
         let trace = compiled.tier_trace();
         if let TierPolicy::Fixed(tier) = policy {
-            let tier = trace.rung(tier, steps);
-            return (run(tier), tier);
+            return ran(run(tier), trace.rung(tier, steps));
         }
         let key = RouteKey {
             fingerprint: compiled.fingerprint(),
@@ -295,38 +315,32 @@ impl TierRouter {
             program: compiled.name(),
         };
         let first_sight = || {
+            let top = trace.rung(Tier::Jit, steps);
+            if top == Tier::Jit {
+                return (&LADDER[Tier::Jit as usize..], false);
+            }
             let work = compiled.cell_count().saturating_mul(steps.unwrap_or(1));
-            let warm = work <= MEASURE_WARMUP_MAX_CELLS;
-            (&LADDER[..=trace.rung(Tier::Jit, steps) as usize], warm)
+            (&LADDER[..=top as usize], work <= MEASURE_WARMUP_MAX_CELLS)
         };
-        let prepare = |tier| match &trace.jit {
-            Ok(unit) if tier == Tier::Jit => crate::jit::stage_fns(compiled.name(), unit)
-                .map(drop)
-                .map_err(E::from),
-            _ => Ok(()),
-        };
-        self.route(key, first_sight, prepare, run, discard)
+        self.route(key, first_sight, run, discard)
     }
 
     /// Run one job on its cached tier, deciding the tier first if `key`
     /// has never been seen — the hit path is one lock and one map lookup.
     ///
-    /// Only a miss asks `first_sight` for the eligible tiers (floor first,
-    /// never empty) and whether to warm up. Every candidate is then
-    /// `prepare`d *outside* its timer (so `cc` time never enters a
-    /// decision), warmed up once if asked, and `run` once under the clock;
+    /// Only a miss asks `first_sight` for the candidate tiers (floor first,
+    /// never empty) and whether to warm up. A single candidate is recorded
+    /// and run, and is not counted as a measurement. Otherwise every
+    /// candidate is warmed up once if asked and `run` once under the clock;
     /// the fastest wins, is cached, and its result is the job's result —
-    /// all tiers are bit-identical, so no work is wasted. Losing results
-    /// go to `discard`. The floor's failure is the call's failure; any
-    /// other candidate that fails to prepare or run is merely excluded
-    /// from this decision. A single candidate is recorded without being
-    /// counted as a measurement.
+    /// all tiers are bit-identical, so no work is wasted. Losing results go
+    /// to `discard`. The floor's failure is the call's failure; any other
+    /// candidate that fails is merely excluded from this decision.
     fn route<R, E>(
         &self,
         key: RouteKey<'_>,
         first_sight: impl FnOnce() -> (&'static [Tier], bool),
-        mut prepare: impl FnMut(Tier) -> Result<(), E>,
-        mut run: impl FnMut(Tier) -> Result<R, E>,
+        mut run: impl FnMut(Tier) -> Result<(R, Tier), E>,
         mut discard: impl FnMut(R),
     ) -> (Result<R, E>, Tier) {
         let cached = self
@@ -336,28 +350,26 @@ impl TierRouter {
             .get(&(key.fingerprint, key.stepped))
             .map(|&(tier, _)| tier);
         if let Some(tier) = cached {
-            return (run(tier), tier);
+            return ran(run(tier), tier);
         }
         let (candidates, warm) = first_sight();
         let floor = candidates[0];
         if candidates.len() == 1 {
             self.record(key, floor);
-            return (run(floor), floor);
+            return ran(run(floor), floor);
         }
         let mut best: Option<(Duration, Tier, R)> = None;
         for &tier in candidates {
-            let timed = prepare(tier).and_then(|()| {
-                if warm {
-                    // Warmup errors surface in the timed run below.
-                    if let Ok(result) = run(tier) {
-                        discard(result);
-                    }
+            if warm {
+                // Warmup errors surface in the timed run below.
+                if let Ok((result, _)) = run(tier) {
+                    discard(result);
                 }
-                let t0 = Instant::now();
-                run(tier).map(|result| (t0.elapsed(), result))
-            });
-            match timed {
-                Ok((elapsed, result)) => {
+            }
+            let t0 = Instant::now();
+            match run(tier) {
+                Ok((result, _)) => {
+                    let elapsed = t0.elapsed();
                     if best.as_ref().is_some_and(|(b, _, _)| elapsed >= *b) {
                         discard(result);
                     } else if let Some((_, _, previous)) = best.replace((elapsed, tier, result)) {
@@ -476,16 +488,14 @@ impl TierRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
 
-    /// Closure fakes for one `route` call: per-tier prepare and run times
-    /// in milliseconds (indexed by `Tier as usize`) and the tiers whose
-    /// prepare / run fail. Counts runs and discards.
+    /// Closure fakes for one `route` call: per-tier run times in
+    /// milliseconds (indexed by `Tier as usize`) and the tier whose run
+    /// fails. Counts runs and discards.
     #[derive(Default)]
     struct Fake {
-        prepare_ms: [u64; 3],
         run_ms: [u64; 3],
-        prepare_fails: Option<Tier>,
         run_fails: Option<Tier>,
         runs: Cell<usize>,
         discards: Cell<usize>,
@@ -498,21 +508,17 @@ mod tests {
                 stepped,
                 program: "fake",
             };
-            let outcome = |fails: Option<Tier>, ms: &[u64; 3], tier: Tier| {
-                std::thread::sleep(Duration::from_millis(ms[tier as usize]));
-                if fails == Some(tier) {
-                    Err(format!("{tier} exploded"))
-                } else {
-                    Ok(tier)
-                }
-            };
             let (result, tier) = router.route(
                 key,
                 || (&LADDER, warm),
-                |tier| outcome(self.prepare_fails, &self.prepare_ms, tier).map(drop),
                 |tier| {
                     self.runs.set(self.runs.get() + 1);
-                    outcome(self.run_fails, &self.run_ms, tier)
+                    std::thread::sleep(Duration::from_millis(self.run_ms[tier as usize]));
+                    if self.run_fails == Some(tier) {
+                        Err(format!("{tier} exploded"))
+                    } else {
+                        Ok((tier, tier))
+                    }
                 },
                 |_| self.discards.set(self.discards.get() + 1),
             );
@@ -525,32 +531,48 @@ mod tests {
     }
 
     #[test]
-    fn prepare_time_never_enters_the_decision() {
-        // The JIT fake "compiles" for far longer than any run takes, but
-        // its run is the fastest: it must win.
+    fn a_jit_eligible_program_is_decided_with_zero_measurements() {
+        // First sight of a program the JIT rung takes: the one run asks for
+        // the JIT rung, nothing is timed, and the rung reported is the one
+        // the runner says it ran (here: fused, as while `cc` is busy).
+        let program = stencilflow_program::StencilProgramBuilder::new("rule", &[8, 8])
+            .input("u", DataType::Float32, &["i", "j"])
+            .stencil("v", "u[i-1,j] + u[i,j+1]")
+            .output("v")
+            .build()
+            .unwrap();
+        let compiled = crate::ReferenceExecutor::new().prepare(&program).unwrap();
+        let top = compiled.tier_trace().rung(Tier::Jit, None);
         let router = TierRouter::default();
-        let fake = Fake {
-            prepare_ms: [0, 0, 120],
-            run_ms: [30, 20, 2],
-            ..Fake::default()
+        let asked = RefCell::new(Vec::new());
+        let run = |tier: Tier| {
+            asked.borrow_mut().push(tier);
+            Ok::<_, String>(((), tier.min(Tier::Fused)))
         };
-        assert_eq!(fake.route(&router, 1, false, false), Tier::Jit);
-        assert_eq!((fake.runs.get(), fake.discards.get()), (3, 2));
-        assert_eq!(router.measure_count(), 1);
+        let (result, ran) = router.dispatch(&compiled, None, TierPolicy::Auto, run, drop);
+        assert!(result.is_ok());
+        if top == Tier::Jit {
+            assert_eq!(*asked.borrow(), [Tier::Jit]);
+            assert_eq!(ran, Tier::Fused);
+            assert_eq!(router.measure_count(), 0);
+            assert_eq!(router.choices()[0].tier, Tier::Jit);
+        } else {
+            // No compiler on this machine: simd and fused are measured.
+            assert_eq!(router.measure_count(), 1);
+        }
     }
 
     #[test]
     fn a_failing_non_floor_candidate_is_excluded() {
-        // Fused fails to run, JIT fails to prepare: SIMD is all that is left.
+        // Fused fails to run: SIMD is all that is left once JIT is slower.
         let router = TierRouter::default();
         let fake = Fake {
-            run_ms: [20, 0, 0],
-            prepare_fails: Some(Tier::Jit),
+            run_ms: [20, 0, 40],
             run_fails: Some(Tier::Fused),
             ..Fake::default()
         };
         assert_eq!(fake.route(&router, 2, false, true), Tier::Simd);
-        assert_eq!(fake.discards.get(), 1, "only SIMD's warm-up result");
+        assert_eq!(fake.discards.get(), 3, "two warm-ups and JIT's result");
         assert_eq!(router.choices()[0].tier, Tier::Simd);
     }
 
@@ -576,12 +598,8 @@ mod tests {
         };
         assert_eq!(fake.route(&router, 4, false, false), Tier::Simd);
         assert_eq!(fake.runs.get(), 3);
-        // The hit path runs the cached tier once: no prepare (it would
-        // fail), no warm-up, no discard.
-        let hit = Fake {
-            prepare_fails: Some(Tier::Simd),
-            ..Fake::default()
-        };
+        // The hit path runs the cached tier once: no warm-up, no discard.
+        let hit = Fake::default();
         assert_eq!(hit.route(&router, 4, false, true), Tier::Simd);
         assert_eq!((hit.runs.get(), hit.discards.get()), (1, 0));
         assert_eq!(router.measure_count(), 1);

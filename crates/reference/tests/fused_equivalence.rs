@@ -503,20 +503,6 @@ fn ineligible_programs_fall_back_bit_identically() {
     assert!(reason.to_string().contains("copy boundary"));
     assert_tiers_bit_identical(&copy, 74);
 
-    // Horizontal diffusion's parameter fields miss the innermost axis: a
-    // broadcast along the lanes, which neither sweep has yet.
-    let hd = horizontal_diffusion(&HorizontalDiffusionSpec::small());
-    let compiled = executor.prepare(&hd).unwrap();
-    let reason = compiled.tier_trace().reason(Tier::Fused, None).unwrap();
-    assert!(
-        matches!(reason, Ineligible::InputMissesInnermost { .. }),
-        "{reason}"
-    );
-    assert!(reason
-        .to_string()
-        .contains("does not span the innermost axis `k`"));
-    assert_tiers_bit_identical(&hd, 72);
-
     // Consumers disagreeing on a field's boundary constant.
     let conflict = StencilProgramBuilder::new("conflict", &[6, 8])
         .input("a", DataType::Float32, &["i", "j"])
@@ -546,6 +532,47 @@ fn ineligible_programs_fall_back_bit_identically() {
         .build()
         .unwrap();
     assert_stepping_rejections_match(&unpairable);
+}
+
+#[test]
+fn inputs_missing_the_innermost_axis_are_replicated_at_copy_in() {
+    // Horizontal diffusion's coefficient fields (`crlato[j]`, ...) miss
+    // `k`: each value is copied across its row once per run, so the
+    // program streams.
+    let executor = ReferenceExecutor::new();
+    let hd = horizontal_diffusion(&HorizontalDiffusionSpec::small());
+    let compiled = executor.prepare(&hd).unwrap();
+    assert_eq!(compiled.tier_trace().reason(Tier::Jit, None), None);
+    assert_tiers_bit_identical(&hd, 72);
+
+    // Every layout that misses `k`: a column along the plane axis read
+    // off-center, a plane-and-row face read at the center (a replicated
+    // input is never read in place), a row field read ahead; then the
+    // same on a 2-D space.
+    let program = StencilProgramBuilder::new("replicated", &[7, 5, 11])
+        .input("u", DataType::Float32, &["i", "j", "k"])
+        .input("col", DataType::Float64, &["i"])
+        .input("face", DataType::Float32, &["i", "j"])
+        .input("row", DataType::Float32, &["j"])
+        .stencil(
+            "out",
+            "u[i,j,k-1] * col[i-1] + face[i,j] - row[j+1] * u[i+1,j,k]",
+        )
+        .output("out")
+        .build()
+        .unwrap();
+    let compiled = executor.prepare(&program).unwrap();
+    assert_eq!(compiled.tier_trace().reason(Tier::Jit, None), None);
+    assert_tiers_bit_identical(&program, 76);
+    let flat = StencilProgramBuilder::new("replicated2d", &[9, 13])
+        .input("u", DataType::Float32, &["i", "j"])
+        .input("c", DataType::Float32, &["i"])
+        .stencil("s", "u[i,j+1] + c[i+2] * u[i-1,j]")
+        .boundary("s", "c", BoundaryCondition::Constant(0.5))
+        .output("s")
+        .build()
+        .unwrap();
+    assert_tiers_bit_identical(&flat, 77);
 }
 
 #[test]
@@ -692,9 +719,9 @@ fn rings_match_on_lags_depths_and_extents() {
 #[test]
 fn rings_match_on_random_dags() {
     // The shared generator, one plane per tick. Its lower-rank `coef`
-    // streams as a broadcast tap when it keeps the innermost axis (or is
-    // dead); copy boundaries and a `coef` that misses the innermost axis
-    // keep the rest on the fallback. The counts pin how many seeds reach
+    // streams as a broadcast tap (replicated along the innermost axis if
+    // it misses it); copy boundaries and conflicting constants keep the
+    // rest on the fallback. The counts pin how many seeds reach
     // each tier, so the loop cannot silently go back to comparing the
     // fallback with itself.
     let (mut fused, mut native) = (0, 0);
@@ -716,7 +743,7 @@ fn rings_match_on_random_dags() {
     }
     assert_eq!(
         (fused, native),
-        (19, 19),
+        (22, 22),
         "random_dag seeds on the fused / JIT tier"
     );
     // The same shapes made fusible: full-rank inputs, constant or shrink
@@ -804,21 +831,30 @@ fn rings_match_through_the_pooled_service() {
 
 #[test]
 fn measured_routing_stays_bit_identical_and_caches_the_decision() {
-    // `TierPolicy::Auto` measures the eligible tiers on first sight (the
-    // service layer's automatic tier selection routes through the same
-    // code). Whatever wins, the result must stay bit-identical to the
-    // interpreter, and repeat traffic must hit the cached decision.
-    let program = jacobi2d(2, &[14, 11], 1);
+    // `TierPolicy::Auto` measures the rungs a program reaches on first
+    // sight (the service layer's automatic tier selection routes through
+    // the same code) — here the SIMD and fused ones: an `int` output keeps
+    // the JIT rung off. Whatever wins, the result must stay bit-identical
+    // to the interpreter, and repeat traffic must hit the cached decision.
+    let program = StencilProgramBuilder::new("measured", &[14, 11])
+        .input("u", DataType::Float32, &["i", "j"])
+        .stencil("v", "u[i-1,j] + 0.5 * u[i,j+1]")
+        .output_type("v", DataType::Int32)
+        .output("v")
+        .build()
+        .unwrap();
     let inputs = generate_inputs(&program, 111);
     let executor = ReferenceExecutor::new();
-    let auto = |steps| run_on(&executor, &program, &inputs, steps, TierPolicy::Auto).unwrap();
+    let auto = |program, inputs, steps| {
+        run_on(&executor, program, inputs, steps, TierPolicy::Auto).unwrap()
+    };
     let interpreted = executor.run_interpreted(&program, &inputs).unwrap();
     assert_eq!(executor.tier_measure_count(), 0);
-    let first = auto(None);
+    let first = auto(&program, &inputs, None);
     assert_outputs_match(&program, "measured single", &first, &interpreted);
     assert_eq!(executor.tier_measure_count(), 1);
     for _ in 0..3 {
-        let repeat = auto(None);
+        let repeat = auto(&program, &inputs, None);
         assert_outputs_match(&program, "measured repeat", &repeat, &interpreted);
     }
     assert_eq!(
@@ -827,14 +863,19 @@ fn measured_routing_stays_bit_identical_and_caches_the_decision() {
         "repeat traffic must reuse the measured decision"
     );
 
-    // Stepped traffic is a distinct decision key, whatever the step count.
-    let stepped = auto(Some(4));
-    let baseline = executor.run_steps(&program, &inputs, 4).unwrap();
-    assert_outputs_match(&program, "measured stepped", &stepped, &baseline);
-    assert_eq!(executor.tier_measure_count(), 2);
-    auto(Some(4));
-    auto(Some(2));
-    assert_eq!(executor.tier_measure_count(), 2);
+    // A program the JIT rung takes is decided by rule, single and stepped
+    // alike (stepped traffic is a distinct decision key): nothing timed.
+    let jacobi = jacobi2d(2, &[14, 11], 1);
+    let jacobi_inputs = generate_inputs(&jacobi, 112);
+    let baseline = executor.run_interpreted(&jacobi, &jacobi_inputs).unwrap();
+    let single = auto(&jacobi, &jacobi_inputs, None);
+    assert_outputs_match(&jacobi, "ruled single", &single, &baseline);
+    let stepped = auto(&jacobi, &jacobi_inputs, Some(4));
+    let baseline = executor.run_steps(&jacobi, &jacobi_inputs, 4).unwrap();
+    assert_outputs_match(&jacobi, "ruled stepped", &stepped, &baseline);
+    auto(&jacobi, &jacobi_inputs, Some(2));
+    let ruled = usize::from(stencilflow_reference::jit_available().is_ok());
+    assert_eq!(executor.tier_measure_count(), 1 + 2 * (1 - ruled));
 
     // A pinned tier never measures.
     let pinned = ReferenceExecutor::new();
@@ -863,11 +904,9 @@ fn fused_handles_explicit_values() {
     assert_eq!(result.field("s").unwrap().as_slice(), &[2.0, 4.0, 6.0, 3.0]);
 }
 
-/// Horizontal diffusion does not fuse yet (its parameter fields miss the
-/// innermost axis), but its DAG already fixes what a wavefront over it
-/// would hold: the lag
-/// and ring recurrence of `fuse.rs`, evaluated on the program's access
-/// footprints. Printed (`--nocapture`) for ROADMAP item 2 and pinned.
+/// What the wavefront over horizontal diffusion's DAG holds: the lag and
+/// ring recurrence of `fuse.rs`, evaluated on the program's access
+/// footprints. Printed (`--nocapture`) and pinned.
 #[test]
 fn hdiff_wavefront_lags_and_depths() {
     use stencilflow_program::AccessFootprints;

@@ -63,6 +63,11 @@ fn jit_matches_on_chains_and_membench() {
     assert_eligible(&chain);
     let mem = membench_program(&MembenchSpec::new(8, 1).with_shape(&[16, 8, 8]));
     assert_tiers_bit_identical(&mem, 12);
+    // Horizontal diffusion: its coefficients miss `k` and are replicated
+    // at copy-in, so it runs native too.
+    let hd = horizontal_diffusion(&HorizontalDiffusionSpec::small());
+    assert_eligible(&hd);
+    assert_tiers_bit_identical(&hd, 13);
 }
 
 #[test]
@@ -225,23 +230,8 @@ fn ineligible_programs_fall_back_bit_identically() {
     let executor = ReferenceExecutor::new();
 
     // Fusion-ineligible programs fall all the way to the materializing
-    // path: the JIT rung needs the fused rung, whose reason is that
-    // horizontal diffusion's parameter fields miss the innermost axis.
-    let hd = horizontal_diffusion(&HorizontalDiffusionSpec::small());
-    let compiled = executor.prepare(&hd).unwrap();
-    let trace = compiled.tier_trace();
-    assert_eq!(trace.reason(Tier::Jit, None), Some(&Ineligible::NeedsFused));
-    let reason = trace.reason(Tier::Fused, None).unwrap();
-    assert!(
-        matches!(reason, Ineligible::InputMissesInnermost { .. })
-            && reason
-                .to_string()
-                .contains("does not span the innermost axis `k`"),
-        "{reason}"
-    );
-    assert!(compiled.jit_source().is_none());
-
-    // Copy boundaries: fused-ineligible, same ladder.
+    // path: the JIT rung needs the fused rung, whose reason is that a copy
+    // boundary cannot be a position-indexed pad.
     let copy = StencilProgramBuilder::new("copyb", &[6, 8])
         .input("a", DataType::Float32, &["i", "j"])
         .stencil("s", "a[i-1,j] + a[i+1,j]")
@@ -250,8 +240,16 @@ fn ineligible_programs_fall_back_bit_identically() {
         .build()
         .unwrap();
     let compiled = executor.prepare(&copy).unwrap();
-    let reason = compiled.tier_trace().reason(Tier::Jit, None);
-    assert_eq!(reason, Some(&Ineligible::NeedsFused));
+    let trace = compiled.tier_trace();
+    assert_eq!(trace.reason(Tier::Jit, None), Some(&Ineligible::NeedsFused));
+    let reason = trace.reason(Tier::Fused, None).unwrap();
+    assert!(
+        matches!(reason, Ineligible::CopyBoundary { .. })
+            && reason.to_string().contains("copy boundary"),
+        "{reason}"
+    );
+    assert!(compiled.jit_source().is_none());
+    assert_tiers_bit_identical(&copy, 74);
 
     // The middle rung of the ladder: *fused*-supported, but the int32
     // output keeps Tier-4 off (the native sweep stores raw doubles; only

@@ -212,6 +212,6 @@ const JIT_SOURCES: &[&str] = &[
     "diffusion3d 3fa3c1ec63d6a015 4634aa31617eb2de",
     "chain8x8op 9a1ac09afe8848b8 04bed67bf5b4b260",
     "membench8x1 50489111a5b26eb3 7d3cc474490f3f80",
-    "horizontal_diffusion fallback",
+    "horizontal_diffusion dfa7f36553af71a2 36e8166be1871dec",
     "upwind3d 2d04dc99c5119778 fc1e94fdb3c17dff",
 ];

@@ -170,6 +170,18 @@ mod tests {
         const ROWS: usize = 64;
         let mut rng = jobmix::SplitMix64::new(0x5eed);
 
+        /// Whether `got` is `want` for a kernel evaluated on `row`: the same
+        /// bits, except that a row carrying a NaN input may yield any NaN.
+        /// Which NaN an operation on two of them returns depends on the
+        /// operand order the compiler picks (`inf - inf` makes the x86
+        /// default NaN, `0xFFF8…`, and meeting the input's `0x7FF8…` in a
+        /// commuted `fadd` returns the other); a row without a NaN input
+        /// must match bit for bit, NaNs it makes included.
+        fn same(row: &[f64], want: f64, got: f64) -> bool {
+            want.to_bits() == got.to_bits()
+                || (want.is_nan() && got.is_nan() && row.iter().any(|v| v.is_nan()))
+        }
+
         /// Lane `l` of every `L`-wide batch of `rows` (`ROWS` is a multiple
         /// of both widths) against `expected[l]`.
         fn assert_lanes<const L: usize>(typed: &TypedKernel, rows: &[Vec<f64>], expected: &[f64]) {
@@ -180,7 +192,7 @@ mod tests {
                     .collect();
                 let batched = typed.eval_lanes(&taps, &mut scratch);
                 for ((row, want), got) in batch.iter().zip(expected).zip(batched) {
-                    assert_eq!(want.to_bits(), got.to_bits(), "{L} lanes on {row:?}");
+                    assert!(same(row, *want, got), "{L} lanes on {row:?}");
                 }
             }
         }
@@ -222,9 +234,8 @@ mod tests {
                         .collect();
                     let value = kernel.eval_slots(&values, &mut eval).unwrap().as_f64();
                     let typed = typed.eval_slots(row, &mut scalar);
-                    assert_eq!(
-                        value.to_bits(),
-                        typed.to_bits(),
+                    assert!(
+                        same(row, value, typed),
                         "{what} on {row:?}: Value {value:?}, typed {typed:?}"
                     );
                     value
