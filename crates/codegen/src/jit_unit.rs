@@ -3,40 +3,59 @@
 //!
 //! Every kernel body this crate prints comes from `emit_kernel`, which
 //! emits from the **typed** instruction stream ([`TypedOp`]) the
-//! interpreter's fast tiers actually execute: all arithmetic in `double`
-//! with explicit `(double)(float)` wraps exactly where the typed kernel
-//! carries a static `round` flag. That makes the compiled code
-//! bit-identical to `TypedKernel::eval_slots` / `eval_lanes` by
-//! construction — the same operations in the same order with the same
-//! roundings, every math function but `min`/`max` lowered to the libm
-//! symbol the typed tiers call — which is the foundation of the Tier-4
-//! golden pins. The OpenCL kernel file ([`crate::opencl`]) prints the same
-//! body as each stencil's compute phase; only how a slot is read differs,
-//! and `min`/`max` stay the OpenCL builtins.
+//! interpreter's fast tiers actually execute. Its `double` spelling — the
+//! OpenCL compute phase, and every `f64` kernel — does all arithmetic in
+//! `double` with explicit `(double)(float)` wraps exactly where the typed
+//! kernel carries a static `round` flag. The native spelling computes an
+//! operation in `float` where that gives the same bits: `+`, `-`, `*`,
+//! `/` and `sqrt` whose every operand is a binary32 value (a `float32`
+//! slot, a rounded result, a literal binary32 represents) and whose result
+//! rounds to binary32 (by its flag, or by an `f32` store). Doing such an
+//! operation in `double` and rounding once gives the correctly rounded
+//! binary32 result, because 53 ≥ 2·24 + 2 (S. A. Figueroa, "When is double
+//! rounding innocuous?", SIGNUM Newsletter 30(3), 1995); `fabs`, `min`,
+//! `max`, negation and selects of binary32 values are exact in either
+//! type. Every other operation stays `double` with its wrap. Either way the
+//! compiled code is bit-identical to `TypedKernel::eval_slots` /
+//! `eval_lanes` by construction — the same operations in the same order
+//! with the same roundings, every math function but `min`/`max` lowered to
+//! the libm symbol the typed tiers call — which is the foundation of the
+//! Tier-4 golden pins. The OpenCL kernel file ([`crate::opencl`]) prints
+//! the `double` body as each stencil's compute phase; only how a slot is
+//! read differs, and `min`/`max` stay the OpenCL builtins.
+//!
+//! A stage body reads each tap from `float` or `double` cells and stores
+//! to either, as its [`JitStageSpec`] says: a `float32` field's rings hold
+//! `f32`. A unit with any `float` buffer or value takes untyped pointers,
+//! which each body casts; a unit of `double`s only (every `f64` program's)
+//! keeps the `double` pointer spelling of the same ABI.
 //!
 //! The native forms are chosen so that GCC vectorizes every stage loop
 //! (built with `-fno-trapping-math`, which changes no value):
 //!
-//! * a `Select` binds both arms and its result to `const double`
-//!   temporaries and tests `cond != 0.0` — it evaluates both arms, as the
-//!   typed lane kernels do, so the loop has no control flow left;
+//! * a `Select` binds both arms and its result to `const` temporaries and
+//!   tests `cond != 0.0` — it evaluates both arms, as the typed lane
+//!   kernels do, so the loop has no control flow left;
 //! * `Compare`, `ToBool` and `Not` yield the typed tiers' `double`
-//!   `1.0`/`0.0`, never a C `int` mixed into `double` code;
+//!   `1.0`/`0.0`, never a C `int` mixed into floating-point code;
 //! * `min`/`max` (and the clamps fused into them) call the unit prelude's
-//!   `static inline` selects `sf_min`/`sf_max`, which copy Rust's
-//!   `f64::min`/`max` tie and NaN rules, instead of a per-cell libm
-//!   `fmin`/`fmax`. Only a unit that uses them carries the prelude, so
-//!   every other unit's text does not depend on it.
+//!   `static inline` selects `sf_min`/`sf_max` (`sf_minf`/`sf_maxf` on
+//!   `float`s), which copy Rust's `f64::min`/`max` tie and NaN rules,
+//!   instead of a per-cell libm `fmin`/`fmax`. Only a unit that uses them
+//!   carries the prelude, so every other unit's text does not depend on
+//!   it.
 //!
 //! Two entry points here:
 //!
 //! * [`jit_translation_unit`] — the real backend: one exported
-//!   `sf_stage_{i}` per fused stage, each a name for one of the unit's
-//!   *distinct* sweep bodies (a chain of identical stencils has one), all
-//!   in a single translation unit compiled once per distinct text.
+//!   `sf_stage_{i}` (and `sf_stage_{i}_d` for a second store width) per
+//!   fused stage, each a name for one of the unit's *distinct* sweep bodies
+//!   (a chain of identical stencils has one), all in a single translation
+//!   unit compiled once per distinct text.
 //! * [`jit_eval_unit`] — a single `double f(const double *slots)` wrapper
-//!   around one kernel, used by the execution-level round-trip tests to
-//!   compare compiled C against the bytecode one value vector at a time.
+//!   around one kernel, in either spelling, used by the execution-level
+//!   round-trip tests to compare compiled C against the bytecode one value
+//!   vector at a time.
 //!
 //! A typed kernel is a straight-line expression DAG by type (`TypedOp`
 //! has no jumps; conditionals are `Select`s), so emission fails only on a
@@ -62,6 +81,8 @@ pub enum EmitError {
     NanConstant,
     /// A stage's slot kinds do not match its kernel's slots.
     SlotKinds { kinds: usize, slots: usize },
+    /// A stage stores an unrounded (`f64`) result into `float` cells.
+    NarrowStore,
     /// A stencil's output type is not `f32`/`f64`: the stored result
     /// rounds through `f32` or not at all.
     NonFloatOutput { dtype: DataType },
@@ -89,6 +110,7 @@ impl std::fmt::Display for EmitError {
                     "slot kinds ({kinds}) do not match kernel slots ({slots})"
                 )
             }
+            EmitError::NarrowStore => f.write_str("an unrounded result cannot be stored as float"),
             EmitError::NonFloatOutput { dtype } => {
                 write!(f, "output type {dtype} is not a float type")
             }
@@ -108,8 +130,9 @@ pub enum JitSlotKind {
     /// A program scalar: hoisted once from the scalar table, loop-invariant.
     Scalar,
     /// A grid tap: read through the slot's per-row pointer at the sweep
-    /// index.
-    Tap,
+    /// index, from a buffer of this element type (`Float32`: C `float`,
+    /// anything else `double`).
+    Tap(DataType),
 }
 
 /// One fused stage to emit into the translation unit.
@@ -121,19 +144,34 @@ pub struct JitStageSpec<'a> {
     pub kernel: &'a TypedKernel,
     /// One entry per kernel slot, in slot order.
     pub slot_kinds: Vec<JitSlotKind>,
+    /// The slot types the kernel was specialized to: a `Float32` slot's
+    /// values are binary32 values, whatever buffer holds them.
+    pub slot_types: &'a [DataType],
     /// Round the stored result through `f32` (the stage's output grid is
     /// `Float32`), mirroring the executor's `round_lanes`.
     pub round_output: bool,
+    /// Element type of the cells the result is stored into (`Float32`:
+    /// C `float`, which needs `round_output`; anything else `double`).
+    pub store: DataType,
 }
 
-/// The C signature every emitted stage function has. Row pointers: slot
-/// `s` at `(i0, i1)` starts at `sf_slots[s] + i0*sf_ss0[s] + i1*sf_ss1[s]`,
-/// the output row at `sf_out + i0*sf_os0 + i1*sf_os1`; the sweep touches
-/// indices `[0, sf_nk)` of each row and nothing else.
-pub(crate) const JIT_STAGE_PARAMS: &str =
-    "(const double *const *sf_slots, const double *sf_scalars, \
+/// The C signature of every stage function of a unit whose buffers are all
+/// `double`. Row pointers: slot `s` at `(i0, i1)` starts at
+/// `sf_slots[s] + i0*sf_ss0[s] + i1*sf_ss1[s]`, the output row at
+/// `sf_out + i0*sf_os0 + i1*sf_os1`; the sweep touches indices `[0, sf_nk)`
+/// of each row and nothing else.
+const JIT_STAGE_PARAMS: &str = "(const double *const *sf_slots, const double *sf_scalars, \
      const int64_t *sf_ss0, const int64_t *sf_ss1, \
      double *restrict sf_out, int64_t sf_os0, int64_t sf_os1, \
+     int64_t sf_n0, int64_t sf_n1, int64_t sf_nk)";
+
+/// The same signature with untyped slot and output pointers, for a unit
+/// that computes or stores anything in `float`: each body casts every
+/// pointer to the element type it was emitted for (strides count elements
+/// of that type). Both spellings pass the same pointers.
+const JIT_STAGE_PARAMS_UNTYPED: &str = "(const void *const *sf_slots, const double *sf_scalars, \
+     const int64_t *sf_ss0, const int64_t *sf_ss1, \
+     void *restrict sf_out, int64_t sf_os0, int64_t sf_os1, \
      int64_t sf_n0, int64_t sf_n1, int64_t sf_nk)";
 
 /// The inline `min`/`max` of native units, spelled as the selects LLVM
@@ -146,6 +184,12 @@ const MIN_MAX_PRELUDE: &str = "\
  * evaluates both arms (build with -fno-trapping-math). */\n\
 static inline double sf_min(double a, double b) { return (a != a || b < a) ? b : a; }\n\
 static inline double sf_max(double a, double b) { return (a != a || b > a) ? b : a; }\n";
+
+/// [`MIN_MAX_PRELUDE`] on binary32 operands: the same selects, so the
+/// same pick, on `float`s.
+const MIN_MAX_F32_PRELUDE: &str = "\
+static inline float sf_minf(float a, float b) { return (a != a || b < a) ? b : a; }\n\
+static inline float sf_maxf(float a, float b) { return (a != a || b > a) ? b : a; }\n";
 
 /// How an emitted kernel spells `min`/`max`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,6 +204,15 @@ pub(crate) enum MinMax {
 const JIT_STAGE_ARGS: &str =
     "(sf_slots, sf_scalars, sf_ss0, sf_ss1, sf_out, sf_os0, sf_os1, sf_n0, sf_n1, sf_nk)";
 
+/// The C type a buffer of element type `dtype` is read or written as.
+fn c_type(dtype: DataType) -> CType {
+    if dtype == DataType::Float32 {
+        CType::Float
+    } else {
+        CType::Double
+    }
+}
+
 /// Emit a whole fused program — every live stage — as one C translation
 /// unit, and say how many distinct sweep bodies it holds.
 ///
@@ -171,6 +224,10 @@ const JIT_STAGE_ARGS: &str =
 /// judged on the text, not on the specs — `0.0 == -0.0` for a derived
 /// `PartialEq`, not for a stencil.
 ///
+/// A unit with no `float` buffer and no `float` operation (every `f64`
+/// program's) keeps the `double` pointer spelling of the same ABI;
+/// any other takes untyped pointers, cast in each body.
+///
 /// # Errors
 ///
 /// Fails when any stage's kernel does not emit (see [`EmitError`]), with
@@ -179,37 +236,66 @@ const JIT_STAGE_ARGS: &str =
 pub fn jit_translation_unit(
     stages: &[JitStageSpec<'_>],
 ) -> Result<(String, usize), (usize, EmitError)> {
+    let kernels = stages
+        .iter()
+        .enumerate()
+        .map(|(ix, stage)| stage_kernel(stage).map_err(|e| (ix, e)))
+        .collect::<Result<Vec<_>, _>>()?;
+    let narrow = stages.iter().zip(&kernels).any(|(stage, kernel)| {
+        kernel.uses_float
+            || c_type(stage.store) == CType::Float
+            || stage
+                .slot_kinds
+                .contains(&JitSlotKind::Tap(DataType::Float32))
+    });
+    let params = if narrow {
+        JIT_STAGE_PARAMS_UNTYPED
+    } else {
+        JIT_STAGE_PARAMS
+    };
     let mut unit = format!(
         "#ifdef __ELF__\n\
          #define SF_STAGE(stage, body) \
-         void stage{JIT_STAGE_PARAMS} __attribute__((alias(#body)));\n\
+         void stage{params} __attribute__((alias(#body)));\n\
          #else\n\
          #define SF_STAGE(stage, body) \
-         void stage{JIT_STAGE_PARAMS} {{ body{JIT_STAGE_ARGS}; }}\n\
+         void stage{params} {{ body{JIT_STAGE_ARGS}; }}\n\
          #endif\n"
     );
     let mut bodies: HashMap<String, usize> = HashMap::new();
     let mut exports = String::from("\n");
-    let mut min_max = false;
-    for (ix, stage) in stages.iter().enumerate() {
-        let (body, uses_min_max) = emit_stage(stage).map_err(|e| (ix, e))?;
-        min_max |= uses_min_max;
+    for (stage, kernel) in stages.iter().zip(&kernels) {
+        let body = stage_body(stage, kernel, narrow);
         let fresh = bodies.len();
         let k = *bodies.entry(body).or_insert_with_key(|body| {
-            unit.push_str(&format!(
-                "\nstatic void sf_body_{fresh}{JIT_STAGE_PARAMS} {body}"
-            ));
+            unit.push_str(&format!("\nstatic void sf_body_{fresh}{params} {body}"));
             fresh
         });
         exports.push_str(&format!("SF_STAGE({}, sf_body_{k})\n", stage.symbol));
     }
     unit.push_str(&exports);
-    let head = "/* Generated by stencilflow-codegen (Tier-4 native backend). Do not edit.\n\
-                * Arithmetic is double with explicit (double)(float) rounds, matching the\n\
-                * typed bytecode tiers bit for bit; compile with -ffp-contract=off. */\n\
-                #include <stdint.h>\n\
-                #include <math.h>\n";
-    let prelude = if min_max { MIN_MAX_PRELUDE } else { "" };
+    let head = if narrow {
+        "/* Generated by stencilflow-codegen (Tier-4 native backend). Do not edit.\n\
+         * Operations on binary32 operands whose result rounds to binary32 run in\n\
+         * float (+ - * / sqrt: double rounding is innocuous, Figueroa 1995), the\n\
+         * rest in double with explicit (double)(float) rounds, matching the typed\n\
+         * bytecode tiers bit for bit; compile with -ffp-contract=off. */\n\
+         #include <stdint.h>\n\
+         #include <math.h>\n"
+    } else {
+        "/* Generated by stencilflow-codegen (Tier-4 native backend). Do not edit.\n\
+         * Arithmetic is double with explicit (double)(float) rounds, matching the\n\
+         * typed bytecode tiers bit for bit; compile with -ffp-contract=off. */\n\
+         #include <stdint.h>\n\
+         #include <math.h>\n"
+    };
+    let mut prelude = String::new();
+    if kernels.iter().any(|k| k.uses_min_max) {
+        prelude.push_str(MIN_MAX_PRELUDE);
+    }
+    if kernels.iter().any(|k| k.uses_min_max_f32) {
+        prelude.push_str(MIN_MAX_F32_PRELUDE);
+    }
     Ok((format!("{head}{prelude}{unit}"), bodies.len()))
 }
 
@@ -217,11 +303,27 @@ pub fn jit_translation_unit(
 /// slot read straight from the argument vector), for the execution-level
 /// round-trip tests.
 ///
+/// With the kernel's slot types, a `Float32` slot is read as `float` (its
+/// value must be a binary32 value) and the body computes exactly as a
+/// stage body whose taps of that slot read `float` cells. With `None`
+/// every operation is `double`, rounded by `(double)(float)` wraps: the
+/// spelling of the OpenCL compute phase.
+///
 /// # Errors
 ///
 /// Same conditions as [`jit_translation_unit`].
-pub fn jit_eval_unit(kernel: &TypedKernel, symbol: &str) -> Result<String, EmitError> {
-    let body = emit_kernel(kernel, MinMax::Inline, &|ix| format!("sf_slots[{ix}]"))?;
+pub fn jit_eval_unit(
+    kernel: &TypedKernel,
+    slot_types: Option<&[DataType]>,
+    symbol: &str,
+) -> Result<String, EmitError> {
+    let slot = |ix: usize| match slot_types {
+        Some(types) if types[ix] == DataType::Float32 => {
+            Operand::value(format!("(float)sf_slots[{ix}]"), CType::Float, true)
+        }
+        _ => Operand::value(format!("sf_slots[{ix}]"), CType::Double, false),
+    };
+    let body = emit_kernel(kernel, MinMax::Inline, slot_types.is_some(), false, &slot)?;
     let mut unit = String::new();
     unit.push_str(
         "/* Generated by stencilflow-codegen (Tier-4 native backend). Do not edit. */\n\
@@ -231,69 +333,168 @@ pub fn jit_eval_unit(kernel: &TypedKernel, symbol: &str) -> Result<String, EmitE
     if body.uses_min_max {
         unit.push_str(MIN_MAX_PRELUDE);
     }
+    if body.uses_min_max_f32 {
+        unit.push_str(MIN_MAX_F32_PRELUDE);
+    }
     unit.push('\n');
     unit.push_str(&format!("double {symbol}(const double *sf_slots) {{\n"));
     for stmt in &body.statements {
         unit.push_str(&format!("    {stmt}\n"));
     }
-    unit.push_str(&format!("    return {};\n}}\n", body.result));
+    unit.push_str(&format!(
+        "    return {};\n}}\n",
+        body.stored(false, CType::Double)
+    ));
     Ok(unit)
+}
+
+/// The C type of a value in an emitted body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CType {
+    Float,
+    Double,
+}
+
+impl CType {
+    fn name(self) -> &'static str {
+        match self {
+            CType::Float => "float",
+            CType::Double => "double",
+        }
+    }
+}
+
+/// One value on the emitter's stack: its C expression and C type, whether
+/// it is a binary32 value (a `float` always is; a `double` is when it is a
+/// `Float32` slot, a rounded result, a literal binary32 represents, or a
+/// pick among such values), and its shape for clamp fusion.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Operand {
+    text: String,
+    ty: CType,
+    exact: bool,
+    shape: Shape,
+}
+
+impl Operand {
+    pub(crate) fn value(text: String, ty: CType, exact: bool) -> Operand {
+        Operand {
+            text,
+            ty,
+            exact,
+            shape: Shape::Other,
+        }
+    }
+
+    /// The value as a `double` expression (widening a `float` is exact).
+    fn double(&self) -> String {
+        match self.ty {
+            CType::Float => format!("(double){}", self.text),
+            CType::Double => self.text.clone(),
+        }
+    }
+
+    /// The value as a `float` expression; exact only for an exact operand.
+    fn float(&self) -> String {
+        match (self.ty, &self.shape) {
+            (CType::Float, _) => self.text.clone(),
+            // `{v:?}` of the `f32` prints its shortest round-trip decimal.
+            (CType::Double, Shape::Literal(v)) => format!("{:?}f", *v as f32),
+            (CType::Double, _) => format!("(float){}", self.text),
+        }
+    }
+
+    /// The value in type `ty`.
+    fn as_type(&self, ty: CType) -> String {
+        match ty {
+            CType::Float => self.float(),
+            CType::Double => self.double(),
+        }
+    }
+
+    /// `0.0` of the operand's type: what its truth test compares against.
+    fn zero(&self) -> &'static str {
+        match self.ty {
+            CType::Float => "0.0f",
+            CType::Double => "0.0",
+        }
+    }
 }
 
 /// Statements plus final expression produced by symbolically executing a
 /// typed kernel.
 pub(crate) struct EmittedKernel {
     pub(crate) statements: Vec<String>,
-    result: String,
-    /// Whether the kernel calls `min`/`max` (it needs [`MIN_MAX_PRELUDE`]
-    /// when spelled [`MinMax::Inline`]).
+    result: Operand,
+    /// Whether the kernel calls `min`/`max` on `double`s (it needs
+    /// [`MIN_MAX_PRELUDE`] when spelled [`MinMax::Inline`]) or on `float`s
+    /// ([`MIN_MAX_F32_PRELUDE`]).
     uses_min_max: bool,
+    uses_min_max_f32: bool,
+    /// Whether any value of the kernel is a `float`.
+    uses_float: bool,
 }
 
 impl EmittedKernel {
-    /// The result as stored to an output grid. Storing mirrors the
-    /// executor's `round_lanes`: `Float32` outputs (`round`) round the
-    /// final double through `f32`, `Float64` stores as-is.
-    pub(crate) fn stored(&self, round: bool) -> String {
-        if round {
-            format!("(double)(float)({})", self.result)
-        } else {
-            self.result.clone()
+    /// The result as stored into a cell of type `store`. Storing mirrors
+    /// the executor's `round_lanes`: `Float32` outputs (`round`) round the
+    /// result through `f32`, `Float64` stores it as-is.
+    pub(crate) fn stored(&self, round: bool, store: CType) -> String {
+        let result = &self.result;
+        match (store, result.ty) {
+            (CType::Float, CType::Float) => result.text.clone(),
+            (CType::Float, CType::Double) => format!("(float)({})", result.text),
+            (CType::Double, CType::Float) => result.double(),
+            (CType::Double, CType::Double) if round => format!("(double)(float)({})", result.text),
+            (CType::Double, CType::Double) => result.text.clone(),
         }
     }
 }
 
-/// The braces of one stage's sweep function and everything between them,
-/// and whether they call `min`/`max`.
-fn emit_stage(stage: &JitStageSpec<'_>) -> Result<(String, bool), EmitError> {
-    if stage.slot_kinds.len() != stage.kernel.slot_count() {
+/// The typed kernel of one stage, emitted with its slots as the stage body
+/// reads them.
+fn stage_kernel(stage: &JitStageSpec<'_>) -> Result<EmittedKernel, EmitError> {
+    if stage.slot_kinds.len() != stage.kernel.slot_count()
+        || stage.slot_types.len() != stage.kernel.slot_count()
+    {
         return Err(EmitError::SlotKinds {
             kinds: stage.slot_kinds.len(),
             slots: stage.kernel.slot_count(),
         });
     }
-    let body = emit_kernel(
+    if c_type(stage.store) == CType::Float && !stage.round_output {
+        return Err(EmitError::NarrowStore);
+    }
+    let slot = |ix: usize| {
+        let binary32 = stage.slot_types[ix] == DataType::Float32;
+        match stage.slot_kinds[ix] {
+            JitSlotKind::Scalar => Operand::value(format!("sf_s{ix}"), CType::Double, binary32),
+            JitSlotKind::Tap(dtype) => {
+                let ty = c_type(dtype);
+                let exact = binary32 || ty == CType::Float;
+                Operand::value(format!("sf_p{ix}[sf_k]"), ty, exact)
+            }
+        }
+    };
+    emit_kernel(
         stage.kernel,
         MinMax::Inline,
-        &|ix| match stage.slot_kinds[ix] {
-            JitSlotKind::Scalar => format!("sf_s{ix}"),
-            JitSlotKind::Tap => format!("sf_p{ix}[sf_k]"),
-        },
-    )?;
-    let taps: Vec<usize> = stage
-        .slot_kinds
-        .iter()
-        .enumerate()
-        .filter(|(_, k)| **k == JitSlotKind::Tap)
-        .map(|(ix, _)| ix)
-        .collect();
-    let scalars: Vec<usize> = stage
-        .slot_kinds
-        .iter()
-        .enumerate()
-        .filter(|(_, k)| **k == JitSlotKind::Scalar)
-        .map(|(ix, _)| ix)
-        .collect();
+        true,
+        stage.round_output,
+        &slot,
+    )
+}
+
+/// The braces of one stage's sweep function and everything between them;
+/// `untyped`: the unit passes untyped pointers, which the body casts.
+fn stage_body(stage: &JitStageSpec<'_>, body: &EmittedKernel, untyped: bool) -> String {
+    let of_kind = |scalar: bool| -> Vec<usize> {
+        (stage.slot_kinds.iter().enumerate())
+            .filter(|(_, k)| (**k == JitSlotKind::Scalar) == scalar)
+            .map(|(ix, _)| ix)
+            .collect()
+    };
+    let (taps, scalars) = (of_kind(false), of_kind(true));
 
     let mut f = String::from("{\n");
     // Silence unused-parameter warnings for stages without scalars/taps;
@@ -309,32 +510,51 @@ fn emit_stage(stage: &JitStageSpec<'_>) -> Result<(String, bool), EmitError> {
     }
     f.push_str("    for (int64_t sf_i0 = 0; sf_i0 < sf_n0; ++sf_i0) {\n");
     f.push_str("        for (int64_t sf_i1 = 0; sf_i1 < sf_n1; ++sf_i1) {\n");
-    for ix in &taps {
+    for &ix in &taps {
+        let JitSlotKind::Tap(dtype) = stage.slot_kinds[ix] else {
+            unreachable!("taps are taps");
+        };
+        let ty = c_type(dtype).name();
+        let cast = if untyped {
+            format!("(const {ty} *)")
+        } else {
+            String::new()
+        };
         f.push_str(&format!(
-            "            const double *sf_p{ix} = sf_slots[{ix}] \
+            "            const {ty} *sf_p{ix} = {cast}sf_slots[{ix}] \
              + sf_i0 * sf_ss0[{ix}] + sf_i1 * sf_ss1[{ix}];\n"
         ));
     }
-    f.push_str("            double *sf_o = sf_out + sf_i0 * sf_os0 + sf_i1 * sf_os1;\n");
+    let store = c_type(stage.store);
+    let ty = store.name();
+    let cast = if untyped {
+        format!("({ty} *)")
+    } else {
+        String::new()
+    };
+    f.push_str(&format!(
+        "            {ty} *sf_o = {cast}sf_out + sf_i0 * sf_os0 + sf_i1 * sf_os1;\n"
+    ));
     f.push_str("            for (int64_t sf_k = 0; sf_k < sf_nk; ++sf_k) {\n");
     for stmt in &body.statements {
         f.push_str(&format!("                {stmt}\n"));
     }
     f.push_str(&format!(
         "                sf_o[sf_k] = {};\n",
-        body.stored(stage.round_output)
+        body.stored(stage.round_output, store)
     ));
     f.push_str("            }\n        }\n    }\n}\n");
-    Ok((f, body.uses_min_max))
+    f
 }
 
 /// Wrap `expr` in the typed tiers' `finish(v, round)`: an `f64 → f32 →
-/// f64` round-trip when the instruction carries the static round flag.
-fn finish(expr: String, round: bool) -> String {
+/// f64` round-trip when the instruction carries the static round flag. A
+/// rounded result is a binary32 value.
+fn finish(expr: String, round: bool) -> Operand {
     if round {
-        format!("(double)(float){expr}")
+        Operand::value(format!("(double)(float){expr}"), CType::Double, true)
     } else {
-        expr
+        Operand::value(expr, CType::Double, false)
     }
 }
 
@@ -370,27 +590,46 @@ fn mathfn_c(func: MathFn, min_max: MinMax) -> &'static str {
     }
 }
 
+/// The `float` flavor of the math functions that may run in `float` (see
+/// [`emit_kernel`]): `sqrt` (correctly rounded, so innocuous under double
+/// rounding), and the exact `fabs`, `min` and `max`.
+fn mathfn_f32(func: MathFn) -> Option<&'static str> {
+    match func {
+        MathFn::Sqrt => Some("sqrtf"),
+        MathFn::Abs => Some("fabsf"),
+        MathFn::Min => Some("sf_minf"),
+        MathFn::Max => Some("sf_maxf"),
+        _ => None,
+    }
+}
+
 /// Structural summary of a stack entry tracked by [`emit_kernel`] to
 /// recognize clamp patterns at `Select` sites.
 #[derive(Debug, Clone, PartialEq)]
 enum Shape {
     /// A finite floating-point literal.
     Literal(f64),
-    /// An ordering comparison with its operands' rendered C expressions
-    /// (and, when literal, their values).
+    /// An ordering comparison with its operands.
     Compare {
         op: BinOp,
-        lhs: String,
-        rhs: String,
-        lhs_literal: Option<f64>,
-        rhs_literal: Option<f64>,
+        lhs: Box<Operand>,
+        rhs: Box<Operand>,
     },
     /// Anything else.
     Other,
 }
 
-/// Try to fuse `cond ? then : otherwise` into `min` / `max`, spelled as
-/// `min_max` says.
+impl Shape {
+    fn literal(&self) -> Option<f64> {
+        match self {
+            Shape::Literal(v) => Some(*v),
+            _ => None,
+        }
+    }
+}
+
+/// Try to fuse `cond ? then : otherwise` into `min` / `max`: the picked
+/// operands `(x, c)` and the function.
 ///
 /// Only the bit-faithful orientations fuse: the *else* arm must be a
 /// finite **non-zero** literal `c` and the *then* arm the other compared
@@ -405,39 +644,31 @@ enum Shape {
 /// fixed by the comparison. The mirrored orientation with the literal in
 /// the then-arm (`x > c ? c : x`) propagates a NaN where `fmin` would
 /// return `c`, so it deliberately stays a select.
-fn fuse_clamp(
-    cond: &Shape,
-    then: &str,
-    otherwise: &Shape,
-    otherwise_str: &str,
-    min_max: MinMax,
-) -> Option<String> {
-    let Shape::Compare {
-        op,
-        lhs,
-        rhs,
-        lhs_literal,
-        rhs_literal,
-    } = cond
-    else {
+fn fuse_clamp<'a>(
+    cond: &'a Shape,
+    then: &Operand,
+    otherwise: &'a Operand,
+) -> Option<(&'a Operand, &'a Operand, MathFn)> {
+    let Shape::Compare { op, lhs, rhs } = cond else {
         return None;
     };
-    let Shape::Literal(c) = otherwise else {
-        return None;
-    };
-    if !c.is_finite() || *c == 0.0 {
+    let c = otherwise.shape.literal()?;
+    if !c.is_finite() || c == 0.0 {
         return None;
     }
     // `x` is whichever compared operand the then-arm repeats; the else
     // arm must be the other (literal) operand.
-    let (x, pick_smaller) = if then == lhs && otherwise_str == rhs && rhs_literal.is_some() {
+    let (x, pick_smaller) = if then.text == lhs.text
+        && otherwise.text == rhs.text
+        && rhs.shape.literal().is_some()
+    {
         // x OP c ? x : c
         match op {
             BinOp::Lt | BinOp::Le => (lhs, true),
             BinOp::Gt | BinOp::Ge => (lhs, false),
             _ => return None,
         }
-    } else if then == rhs && otherwise_str == lhs && lhs_literal.is_some() {
+    } else if then.text == rhs.text && otherwise.text == lhs.text && lhs.shape.literal().is_some() {
         // c OP x ? x : c
         match op {
             BinOp::Lt | BinOp::Le => (rhs, false),
@@ -452,38 +683,66 @@ fn fuse_clamp(
     } else {
         MathFn::Max
     };
-    Some(format!("{}({x}, {otherwise_str})", mathfn_c(func, min_max)))
+    Some((x, otherwise, func))
 }
 
 /// Symbolically execute a typed kernel into C statements plus a result
-/// expression, rendering slot `ix` through `slot_expr`.
+/// expression, rendering slot `ix` through `slot`.
 ///
 /// The value forms exactly mirror `TypedKernel::eval_slots`: comparisons
 /// and logical ops produce the `double` `1.0`/`0.0`, a `Select` evaluates
 /// both arms into temporaries and tests `cond != 0.0` (NaN is true, as in
 /// the typed tiers), and clamp-shaped selects fuse to `min`/`max` only
 /// when bit-faithful (see [`fuse_clamp`]).
+///
+/// With `floats`, an operation runs in `float` where that gives the typed
+/// tiers' bits: `+`, `-`, `*`, `/` and `sqrt` when every operand is a
+/// binary32 value and the result is rounded to binary32 — by the op's own
+/// round flag, or (`round_result`) by the store of a result the last op
+/// produces. Computing such an op in `double` and rounding gives the
+/// `float` op's result, since 53 ≥ 2·24 + 2 (Figueroa, "When is double
+/// rounding innocuous?", 1995). `fabs`, `min`/`max`, negation, selects and
+/// comparisons pick or flip binary32 values exactly, so on binary32
+/// operands at least one of which is already a `float` they stay `float`
+/// too. Everything else is `double`, wrapped in `(double)(float)` where
+/// the typed kernel rounds. Without a `float` slot or a round flag (an
+/// `f64` kernel) no value becomes a `float`, so the text is the
+/// `double` spelling `floats: false` gives.
 pub(crate) fn emit_kernel(
     kernel: &TypedKernel,
     min_max: MinMax,
-    slot_expr: &dyn Fn(usize) -> String,
+    floats: bool,
+    round_result: bool,
+    slot: &dyn Fn(usize) -> Operand,
 ) -> Result<EmittedKernel, EmitError> {
     let mut statements = Vec::new();
-    let mut stack: Vec<(String, Shape)> = Vec::new();
-    let mut locals: Vec<Option<String>> = vec![None; kernel.local_count()];
+    let mut stack: Vec<Operand> = Vec::new();
+    let mut locals: Vec<Option<Operand>> = vec![None; kernel.local_count()];
     let mut next_temp = 0usize;
     let mut uses_min_max = false;
-    // A fresh `const double` temporary holding `value`.
-    let mut bind = |value: String| {
+    let mut uses_min_max_f32 = false;
+    let mut uses_float = false;
+    // A fresh `const` temporary holding `value` as type `ty`.
+    let mut bind = |value: String, ty: CType, exact: bool| {
         let name = format!("sf_t{next_temp}");
         next_temp += 1;
-        statements.push(format!("const double {name} = {value};"));
-        name
+        statements.push(format!("const {} {name} = {value};", ty.name()));
+        Operand::value(name, ty, exact)
     };
-    let pop = |stack: &mut Vec<(String, Shape)>, op: &'static str| {
+    let pop = |stack: &mut Vec<Operand>, op: &'static str| {
         stack.pop().ok_or(EmitError::StackUnderflow { op })
     };
-    for op in kernel.ops() {
+    // Whether an op on `operands` runs in `float`: all binary32 values,
+    // and a rounded result or a `float` among them.
+    let in_float = |operands: &[&Operand], rounded: bool| {
+        floats
+            && operands.iter().all(|o| o.exact)
+            && (rounded || operands.iter().any(|o| o.ty == CType::Float))
+    };
+    let last = kernel.ops().len().saturating_sub(1);
+    for (at, op) in kernel.ops().iter().enumerate() {
+        // The store rounds what the last op pushes.
+        let stored_round = round_result && at == last;
         match op {
             TypedOp::Const(v) => {
                 if v.is_nan() {
@@ -498,23 +757,23 @@ pub(crate) fn emit_kernel(
                     // to `v` exactly; `{v}` does not guarantee that.
                     format!("{v:?}")
                 };
-                let shape = if v.is_finite() {
-                    Shape::Literal(*v)
-                } else {
-                    Shape::Other
-                };
-                stack.push((rendered, shape));
+                let exact = f64::from(*v as f32) == *v;
+                let mut operand = Operand::value(rendered, CType::Double, exact);
+                if v.is_finite() {
+                    operand.shape = Shape::Literal(*v);
+                }
+                stack.push(operand);
             }
-            TypedOp::Slot(ix) => stack.push((slot_expr(*ix as usize), Shape::Other)),
+            TypedOp::Slot(ix) => stack.push(slot(*ix as usize)),
             TypedOp::Local(ix) => {
-                let name = locals[*ix as usize]
+                let local = locals[*ix as usize]
                     .clone()
                     .ok_or(EmitError::UninitializedLocal { local: *ix })?;
-                stack.push((name, Shape::Other));
+                stack.push(local);
             }
             TypedOp::Store(ix) => {
-                let (value, _) = pop(&mut stack, "Store")?;
-                locals[*ix as usize] = Some(bind(value));
+                let value = pop(&mut stack, "Store")?;
+                locals[*ix as usize] = Some(bind(value.text, value.ty, value.exact));
             }
             TypedOp::Pop => {
                 // Typed instructions are side-effect free; a popped value
@@ -522,93 +781,147 @@ pub(crate) fn emit_kernel(
                 pop(&mut stack, "Pop")?;
             }
             TypedOp::Neg { round } => {
-                let (v, _) = pop(&mut stack, "Neg")?;
-                stack.push((finish(format!("(-{v})"), *round), Shape::Other));
+                let v = pop(&mut stack, "Neg")?;
+                stack.push(if floats && v.exact {
+                    // The negative of a binary32 value is one: the round
+                    // changes nothing.
+                    Operand::value(format!("(-{})", v.text), v.ty, true)
+                } else {
+                    finish(format!("(-{})", v.double()), *round)
+                });
             }
-            TypedOp::Not => {
-                let (v, _) = pop(&mut stack, "Not")?;
-                stack.push((format!("(({v} != 0.0) ? 0.0 : 1.0)"), Shape::Other));
+            TypedOp::Not | TypedOp::ToBool => {
+                let (name, yes, no) = if matches!(op, TypedOp::Not) {
+                    ("Not", "0.0", "1.0")
+                } else {
+                    ("ToBool", "1.0", "0.0")
+                };
+                let v = pop(&mut stack, name)?;
+                let text = format!("(({} != {}) ? {yes} : {no})", v.text, v.zero());
+                stack.push(Operand::value(text, CType::Double, true));
             }
-            TypedOp::Add { round } => {
-                let (r, _) = pop(&mut stack, "Add rhs")?;
-                let (l, _) = pop(&mut stack, "Add lhs")?;
-                stack.push((finish(format!("({l} + {r})"), *round), Shape::Other));
-            }
-            TypedOp::Sub { round } => {
-                let (r, _) = pop(&mut stack, "Sub rhs")?;
-                let (l, _) = pop(&mut stack, "Sub lhs")?;
-                stack.push((finish(format!("({l} - {r})"), *round), Shape::Other));
-            }
-            TypedOp::Mul { round } => {
-                let (r, _) = pop(&mut stack, "Mul rhs")?;
-                let (l, _) = pop(&mut stack, "Mul lhs")?;
-                stack.push((finish(format!("({l} * {r})"), *round), Shape::Other));
-            }
-            TypedOp::Div { round } => {
-                let (r, _) = pop(&mut stack, "Div rhs")?;
-                let (l, _) = pop(&mut stack, "Div lhs")?;
-                stack.push((finish(format!("({l} / {r})"), *round), Shape::Other));
+            TypedOp::Add { round }
+            | TypedOp::Sub { round }
+            | TypedOp::Mul { round }
+            | TypedOp::Div { round } => {
+                let (symbol, rhs, lhs) = match op {
+                    TypedOp::Add { .. } => ("+", "Add rhs", "Add lhs"),
+                    TypedOp::Sub { .. } => ("-", "Sub rhs", "Sub lhs"),
+                    TypedOp::Mul { .. } => ("*", "Mul rhs", "Mul lhs"),
+                    _ => ("/", "Div rhs", "Div lhs"),
+                };
+                let r = pop(&mut stack, rhs)?;
+                let l = pop(&mut stack, lhs)?;
+                let rounded = *round || stored_round;
+                stack.push(if rounded && in_float(&[&l, &r], true) {
+                    let text = format!("({} {symbol} {})", l.float(), r.float());
+                    Operand::value(text, CType::Float, true)
+                } else {
+                    finish(format!("({} {symbol} {})", l.double(), r.double()), *round)
+                });
             }
             TypedOp::Compare(op) => {
-                let (r, r_shape) = pop(&mut stack, "Compare rhs")?;
-                let (l, l_shape) = pop(&mut stack, "Compare lhs")?;
+                let r = pop(&mut stack, "Compare rhs")?;
+                let l = pop(&mut stack, "Compare lhs")?;
                 let bin = compare_binop(*op);
-                let rendered = format!("(({l} {} {r}) ? 1.0 : 0.0)", bin.symbol());
-                // Only ordering comparisons can seed a clamp fusion.
-                let shape = match bin {
-                    BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge => Shape::Compare {
-                        op: bin,
-                        lhs_literal: match l_shape {
-                            Shape::Literal(v) => Some(v),
-                            _ => None,
-                        },
-                        rhs_literal: match r_shape {
-                            Shape::Literal(v) => Some(v),
-                            _ => None,
-                        },
-                        lhs: l,
-                        rhs: r,
-                    },
-                    _ => Shape::Other,
+                let ty = if in_float(&[&l, &r], false) {
+                    CType::Float
+                } else {
+                    CType::Double
                 };
-                stack.push((rendered, shape));
+                let rendered = format!(
+                    "(({} {} {}) ? 1.0 : 0.0)",
+                    l.as_type(ty),
+                    bin.symbol(),
+                    r.as_type(ty)
+                );
+                let mut operand = Operand::value(rendered, CType::Double, true);
+                // Only ordering comparisons can seed a clamp fusion.
+                if matches!(bin, BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge) {
+                    operand.shape = Shape::Compare {
+                        op: bin,
+                        lhs: Box::new(l),
+                        rhs: Box::new(r),
+                    };
+                }
+                stack.push(operand);
             }
-            TypedOp::Call1(func, round) => {
-                let (a, _) = pop(&mut stack, "Call1")?;
-                let call = format!("{}({a})", mathfn_c(*func, min_max));
-                stack.push((finish(call, *round), Shape::Other));
-            }
-            TypedOp::Call2(func, round) => {
-                let (b, _) = pop(&mut stack, "Call2 arg 2")?;
-                let (a, _) = pop(&mut stack, "Call2 arg 1")?;
-                uses_min_max |= matches!(func, MathFn::Min | MathFn::Max);
-                let call = format!("{}({a}, {b})", mathfn_c(*func, min_max));
-                stack.push((finish(call, *round), Shape::Other));
-            }
-            TypedOp::ToBool => {
-                let (v, _) = pop(&mut stack, "ToBool")?;
-                stack.push((format!("(({v} != 0.0) ? 1.0 : 0.0)"), Shape::Other));
+            TypedOp::Call1(func, round) | TypedOp::Call2(func, round) => {
+                let mut args = match op {
+                    TypedOp::Call1(..) => vec![pop(&mut stack, "Call1")?],
+                    _ => vec![pop(&mut stack, "Call2 arg 2")?],
+                };
+                if matches!(op, TypedOp::Call2(..)) {
+                    args.insert(0, pop(&mut stack, "Call2 arg 1")?);
+                }
+                let arg_refs: Vec<&Operand> = args.iter().collect();
+                // `sqrt` rounds correctly, so it needs the rounded result;
+                // the rest pick or flip an operand exactly.
+                let rounded = *round || stored_round;
+                let float_form = mathfn_f32(*func)
+                    .filter(|_| in_float(&arg_refs, rounded) && (rounded || *func != MathFn::Sqrt));
+                let is_min_max = matches!(func, MathFn::Min | MathFn::Max);
+                stack.push(match float_form {
+                    Some(name) => {
+                        uses_min_max_f32 |= is_min_max;
+                        let args: Vec<String> = args.iter().map(Operand::float).collect();
+                        let text = format!("{name}({})", args.join(", "));
+                        Operand::value(text, CType::Float, true)
+                    }
+                    None => {
+                        uses_min_max |= is_min_max;
+                        let args: Vec<String> = args.iter().map(Operand::double).collect();
+                        let call = format!("{}({})", mathfn_c(*func, min_max), args.join(", "));
+                        let exact = is_min_max && arg_refs.iter().all(|a| a.exact);
+                        let mut result = finish(call, *round);
+                        result.exact |= exact;
+                        result
+                    }
+                });
             }
             TypedOp::Select => {
-                let (otherwise, otherwise_shape) = pop(&mut stack, "Select otherwise")?;
-                let (then, _) = pop(&mut stack, "Select then")?;
-                let (cond, cond_shape) = pop(&mut stack, "Select cond")?;
-                if let Some(fused) =
-                    fuse_clamp(&cond_shape, &then, &otherwise_shape, &otherwise, min_max)
-                {
-                    uses_min_max = true;
-                    stack.push((fused, Shape::Other));
+                let otherwise = pop(&mut stack, "Select otherwise")?;
+                let then = pop(&mut stack, "Select then")?;
+                let cond = pop(&mut stack, "Select cond")?;
+                if let Some((x, c, func)) = fuse_clamp(&cond.shape, &then, &otherwise) {
+                    let exact = x.exact && c.exact;
+                    stack.push(if in_float(&[x, c], false) {
+                        uses_min_max_f32 = true;
+                        let name = mathfn_f32(func).expect("min/max have a float form");
+                        let text = format!("{name}({}, {})", x.float(), c.float());
+                        Operand::value(text, CType::Float, true)
+                    } else {
+                        uses_min_max = true;
+                        let name = mathfn_c(func, min_max);
+                        let text = format!("{name}({}, {})", x.double(), c.double());
+                        Operand::value(text, CType::Double, exact)
+                    });
                     continue;
                 }
                 // Both arms are evaluated, so the select is a blend.
-                let then = bind(then);
-                let otherwise = bind(otherwise);
-                let select = bind(format!("({cond} != 0.0) ? {then} : {otherwise}"));
-                stack.push((select, Shape::Other));
+                let ty = if in_float(&[&then, &otherwise], false) {
+                    CType::Float
+                } else {
+                    CType::Double
+                };
+                let exact = then.exact && otherwise.exact;
+                let then = bind(then.as_type(ty), ty, exact);
+                let otherwise = bind(otherwise.as_type(ty), ty, exact);
+                let select = format!(
+                    "({} != {}) ? {} : {}",
+                    cond.text,
+                    cond.zero(),
+                    then.text,
+                    otherwise.text
+                );
+                stack.push(bind(select, ty, exact));
             }
         }
+        if let Some(top) = stack.last() {
+            uses_float |= top.ty == CType::Float;
+        }
     }
-    let (result, _) = pop(&mut stack, "result")?;
+    let result = pop(&mut stack, "result")?;
     if !stack.is_empty() {
         let values = stack.len();
         return Err(EmitError::StackLeftover { values });
@@ -617,6 +930,8 @@ pub(crate) fn emit_kernel(
         statements,
         result,
         uses_min_max,
+        uses_min_max_f32,
+        uses_float,
     })
 }
 
@@ -634,25 +949,81 @@ mod tests {
     fn f64_unit(code: &str) -> String {
         let program = parse_program(code).unwrap();
         let slots = CompiledKernel::compile(&program).unwrap().slots().len();
-        jit_eval_unit(&typed(code, &vec![DataType::Float64; slots]), "sf_eval").unwrap()
+        let types = vec![DataType::Float64; slots];
+        jit_eval_unit(&typed(code, &types), Some(&types), "sf_eval").unwrap()
     }
 
     #[test]
     fn eval_unit_emits_double_arithmetic_with_round_wraps() {
-        let kernel = typed(
-            "0.5 * (a[i-1] + a[i+1])",
-            &[DataType::Float32, DataType::Float32],
-        );
-        let unit = jit_eval_unit(&kernel, "sf_eval").unwrap();
+        let types = [DataType::Float32, DataType::Float32];
+        let kernel = typed("0.5 * (a[i-1] + a[i+1])", &types);
+        // Without slot types (the OpenCL spelling): the f32 add rounds
+        // through float, the f64 product and its literal stay double.
+        let unit = jit_eval_unit(&kernel, None, "sf_eval").unwrap();
         assert!(unit.contains("double sf_eval(const double *sf_slots)"));
-        // f32 kernel: adds and muls round through float, literals stay
-        // double (the typed stream computes in f64).
         assert!(
-            unit.contains("(double)(float)"),
-            "missing round wrap:\n{unit}"
+            unit.contains("return (0.5 * (double)(float)(sf_slots[0] + sf_slots[1]));"),
+            "{unit}"
         );
-        assert!(unit.contains("0.5"));
-        assert!(!unit.contains("0.5f"), "literal must be double:\n{unit}");
+        // With them, the add of two binary32 operands whose result rounds
+        // runs in float; the product does not round, so it stays double.
+        let unit = jit_eval_unit(&kernel, Some(&types), "sf_eval").unwrap();
+        assert!(
+            unit.contains("return (0.5 * (double)((float)sf_slots[0] + (float)sf_slots[1]));"),
+            "{unit}"
+        );
+        assert!(
+            !unit.contains("0.5f"),
+            "the f64 literal stays double:\n{unit}"
+        );
+    }
+
+    #[test]
+    fn float_forms_need_binary32_operands_and_a_rounded_result() {
+        for (code, expected) in [
+            // Rounded ops on binary32 operands: float.
+            (
+                "a[i] * b[i] - a[i]",
+                "return (double)(((float)sf_slots[0] * (float)sf_slots[1]) - (float)sf_slots[0]);",
+            ),
+            (
+                "sqrt(a[i]) / b[i]",
+                "return (double)(sqrtf((float)sf_slots[0]) / (float)sf_slots[1]);",
+            ),
+            (
+                "x = a[i] + b[i]; x * x",
+                "const float sf_t0 = ((float)sf_slots[0] + (float)sf_slots[1]);",
+            ),
+            // `fabs` and `min`/`max` of binary32 values are exact.
+            (
+                "min(abs(a[i]), b[i])",
+                "return (double)sf_minf(fabsf((float)sf_slots[0]), (float)sf_slots[1]);",
+            ),
+            // `0.1` is no binary32 value: the rounded product stays double.
+            ("0.1 * a[i]", "return (0.1 * (double)(float)sf_slots[0]);"),
+            // `0.125` is one, but the f64 product does not round.
+            (
+                "0.125 * a[i]",
+                "return (0.125 * (double)(float)sf_slots[0]);",
+            ),
+        ] {
+            let slots = if code.contains("b[i]") { 2 } else { 1 };
+            let f32s = &[DataType::Float32; 2][..slots];
+            let kernel = typed(code, f32s);
+            let unit = jit_eval_unit(&kernel, Some(f32s), "sf_eval").unwrap();
+            assert!(
+                unit.contains(expected),
+                "`{code}`: no `{expected}` in:\n{unit}"
+            );
+        }
+        // A rounded op on an f64 operand stays double.
+        let mixed = [DataType::Float32, DataType::Float64];
+        let kernel = typed("a[i] * b[i]", &mixed);
+        let unit = jit_eval_unit(&kernel, Some(&mixed), "sf_eval").unwrap();
+        assert!(
+            unit.contains("return ((double)(float)sf_slots[0] * sf_slots[1]);"),
+            "{unit}"
+        );
     }
 
     #[test]
@@ -809,35 +1180,82 @@ mod tests {
             &[DataType::Float32, DataType::Float32, DataType::Float32],
         );
         // Kernel slots are in first-use order: `dt` is slot 1.
-        let mut kinds = vec![JitSlotKind::Tap; kernel.slot_count()];
+        let mut kinds = vec![JitSlotKind::Tap(DataType::Float32); kernel.slot_count()];
         kinds[1] = JitSlotKind::Scalar;
         let spec = JitStageSpec {
             symbol: "sf_stage_0".to_string(),
             kernel: &kernel,
             slot_kinds: kinds,
+            slot_types: &[DataType::Float32; 3],
             round_output: true,
+            store: DataType::Float32,
         };
         let (unit, _) = jit_translation_unit(&[spec]).unwrap();
-        assert!(unit.contains("static void sf_body_0(const double *const *sf_slots"));
+        // `float` cells: untyped pointers, cast in the body.
+        assert!(unit.contains("static void sf_body_0(const void *const *sf_slots"));
         assert!(unit.contains("\nSF_STAGE(sf_stage_0, sf_body_0)\n"));
         assert!(
             unit.contains("const double sf_s1 = sf_scalars[1];"),
             "{unit}"
         );
-        assert!(unit.contains("sf_p0[sf_k]"), "{unit}");
         assert!(
-            unit.contains("sf_o[sf_k] = (double)(float)("),
-            "f32 output must round on store:\n{unit}"
+            unit.contains("const float *sf_p0 = (const float *)sf_slots[0] + "),
+            "{unit}"
+        );
+        assert!(unit.contains("float *sf_o = (float *)sf_out + "), "{unit}");
+        // Both ops round: float arithmetic, stored as it is.
+        assert!(
+            unit.contains("sf_o[sf_k] = ((sf_p0[sf_k] * (float)sf_s1) + sf_p2[sf_k]);"),
+            "{unit}"
         );
         assert!(unit.contains("#include <math.h>"));
+        // The same stage storing to `double` cells widens the float result.
+        let spec = JitStageSpec {
+            symbol: "sf_stage_0".to_string(),
+            kernel: &kernel,
+            slot_kinds: vec![JitSlotKind::Scalar; 3],
+            slot_types: &[DataType::Float32; 3],
+            round_output: true,
+            store: DataType::Float64,
+        };
+        let (unit, _) = jit_translation_unit(&[spec]).unwrap();
+        assert!(
+            unit.contains("sf_o[sf_k] = (double)(((float)sf_s0 * (float)sf_s1) + (float)sf_s2);"),
+            "{unit}"
+        );
+        assert!(
+            unit.contains("double *sf_o = (double *)sf_out + "),
+            "{unit}"
+        );
     }
+
+    #[test]
+    fn unrounded_results_are_never_stored_as_float() {
+        let kernel = typed("a[i] + a[i-1]", &[DataType::Float64; 2]);
+        let spec = JitStageSpec {
+            symbol: "sf_stage_0".to_string(),
+            kernel: &kernel,
+            slot_kinds: vec![JitSlotKind::Tap(DataType::Float64); 2],
+            slot_types: &[DataType::Float64; 2],
+            round_output: false,
+            store: DataType::Float32,
+        };
+        assert_eq!(
+            jit_translation_unit(&[spec]).unwrap_err(),
+            (0, EmitError::NarrowStore)
+        );
+    }
+
+    /// A tap of `f64` cells.
+    const TAP: JitSlotKind = JitSlotKind::Tap(DataType::Float64);
 
     /// `(unit text, bodies the emitter reports)` for stages `sf_stage_{i}`
     /// of `(source, slot kinds, round_output)`, all slots `f64`.
     fn unit_of(stages: &[(&str, &[JitSlotKind], bool)]) -> (String, usize) {
+        let types = [DataType::Float64; 8];
         let kernels: Vec<TypedKernel> = stages
             .iter()
-            .map(|(source, kinds, _)| typed(source, &vec![DataType::Float64; kinds.len()]))
+            .map(|(source, kinds, _)| typed(source, &types[..kinds.len()]))
             .collect();
         let specs: Vec<JitStageSpec<'_>> = stages
             .iter()
@@ -847,7 +1265,9 @@ mod tests {
                 symbol: format!("sf_stage_{ix}"),
                 kernel,
                 slot_kinds: kinds.to_vec(),
+                slot_types: &types[..kinds.len()],
                 round_output: *round_output,
+                store: DataType::Float64,
             })
             .collect();
         let (unit, bodies) = jit_translation_unit(&specs).unwrap();
@@ -858,8 +1278,8 @@ mod tests {
 
     #[test]
     fn equal_stages_share_one_body_and_keep_their_own_symbols() {
-        use JitSlotKind::{Scalar, Tap};
-        let stage = ("a[i] * c + a[i-1]", &[Tap, Scalar, Tap][..], false);
+        use JitSlotKind::Scalar;
+        let stage = ("a[i] * c + a[i-1]", &[TAP, Scalar, TAP][..], false);
         let (unit, bodies) = unit_of(&[stage, stage]);
         assert_eq!(bodies, 1);
         assert!(
@@ -877,14 +1297,14 @@ mod tests {
 
     #[test]
     fn stages_that_differ_anywhere_keep_separate_bodies() {
-        use JitSlotKind::{Scalar, Tap};
-        let base = ("a[i] * c + 0.0", &[Tap, Scalar][..], false);
+        use JitSlotKind::Scalar;
+        let base = ("a[i] * c + 0.0", &[TAP, Scalar][..], false);
         for other in [
-            ("a[i] * c + 0.0", &[Tap, Scalar][..], true),
-            ("a[i] * c + 0.0", &[Tap, Tap][..], false),
-            ("a[i] * c + 0.5", &[Tap, Scalar][..], false),
+            ("a[i] * c + 0.0", &[TAP, Scalar][..], true),
+            ("a[i] * c + 0.0", &[TAP, TAP][..], false),
+            ("a[i] * c + 0.5", &[TAP, Scalar][..], false),
             // Equal under `f64`'s `==`, one rounding apart at `a[i]*c = -0.0`.
-            ("a[i] * c + (-0.0)", &[Tap, Scalar][..], false),
+            ("a[i] * c + (-0.0)", &[TAP, Scalar][..], false),
         ] {
             let (unit, bodies) = unit_of(&[base, other, base]);
             assert_eq!(bodies, 2, "{other:?} must not share `base`'s body:\n{unit}");
@@ -898,7 +1318,7 @@ mod tests {
     #[test]
     fn nan_constants_are_rejected() {
         let kernel = typed("a[i] + (0.0 / 0.0)", &[DataType::Float64]);
-        let err = jit_eval_unit(&kernel, "sf_eval");
+        let err = jit_eval_unit(&kernel, None, "sf_eval");
         // Constant folding may or may not have produced a NaN literal; if
         // it did, emission must refuse rather than emit `NaN`.
         if let Ok(unit) = err {
@@ -908,9 +1328,19 @@ mod tests {
 
     #[test]
     fn infinity_constants_render_as_division_forms() {
-        let unit = f64_unit("min(a[i], 1.0 / 0.0)");
-        if unit.contains("inf") {
-            panic!("bare inf literal leaked:\n{unit}");
+        // An `inf` token, not a substring: the float prelude names
+        // `sf_minf`.
+        let bare_inf = |unit: &str| {
+            unit.split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+                .any(|token| token == "inf")
+        };
+        let f32s = [DataType::Float32];
+        let kernel = typed("min(a[i], 1.0 / 0.0)", &f32s);
+        for unit in [
+            f64_unit("min(a[i], 1.0 / 0.0)"),
+            jit_eval_unit(&kernel, Some(&f32s), "sf_eval").unwrap(),
+        ] {
+            assert!(!bare_inf(&unit), "bare inf literal leaked:\n{unit}");
         }
     }
 }

@@ -13,9 +13,11 @@
 //! Both outputs print their arithmetic through one emitter:
 //!
 //! * [`jit_unit`] — the C expression emitter, which renders a stencil's
-//!   type-specialized kernel in `double` with explicit `f32`-round wraps,
-//!   bit-identical to the typed bytecode tiers; and the whole-program
-//!   translation units of the Tier-4 native backend built from it.
+//!   type-specialized kernel bit-identically to the typed bytecode tiers:
+//!   in `double` with explicit `f32`-round wraps, or, in the native units,
+//!   in `float` wherever double rounding is innocuous; and the
+//!   whole-program translation units of the Tier-4 native backend built
+//!   from it.
 //! * [`opencl`] — Intel-FPGA-OpenCL-style kernel emission for a single
 //!   device, whose compute phases are those same typed bodies.
 

@@ -1,6 +1,6 @@
 //! Intel-FPGA-OpenCL-style kernel emission.
 
-use crate::jit_unit::{emit_kernel, EmitError, MinMax};
+use crate::jit_unit::{emit_kernel, CType, EmitError, MinMax, Operand};
 use std::fmt::Write as _;
 use stencilflow_core::{ChannelEndpoint, HardwareMapping, MemoryAccessKind};
 use stencilflow_expr::{AccessSlot, CompiledKernel, DataType};
@@ -58,8 +58,10 @@ fn compute_phase_lines(
         })
         .collect();
     let typed = kernel.specialize(&slot_types).ok_or(EmitError::Untyped)?;
-    let body = emit_kernel(&typed, MinMax::Builtin, &|ix| slot_c(&kernel.slots()[ix]))?;
-    let result = format!("result = {};", body.stored(round));
+    // Every value `double`, rounded by `(double)(float)` wraps.
+    let slot = |ix| Operand::value(slot_c(&kernel.slots()[ix]), CType::Double, false);
+    let body = emit_kernel(&typed, MinMax::Builtin, false, false, &slot)?;
+    let result = format!("result = {};", body.stored(round, CType::Double));
     let mut lines = body.statements;
     lines.push(result);
     Ok(lines)
@@ -293,7 +295,7 @@ mod tests {
                 let types: Vec<DataType> = (kernel.slots().iter())
                     .map(|slot| program.field_type(&slot.field).unwrap())
                     .collect();
-                let mut unit = jit_eval_unit(&kernel.specialize(&types).unwrap(), "f")
+                let mut unit = jit_eval_unit(&kernel.specialize(&types).unwrap(), None, "f")
                     .unwrap()
                     .replace("sf_min(", "fmin(")
                     .replace("sf_max(", "fmax(");

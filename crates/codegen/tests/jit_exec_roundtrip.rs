@@ -6,19 +6,31 @@
 //! Text pins (in the unit tests) say what the emitter wrote; these tests
 //! say what the compiled code *does*.
 //!
-//! The f32 cases deliberately use only operations for which
-//! round-to-double-then-to-float equals direct float rounding (`+`, `-`,
-//! `*`, `/`, `sqrt`, `min`, `max`, `fabs`, `floor`, `ceil`): that
-//! exactness is what makes the emitted `(double)(float)(...)` wrap a
-//! faithful image of the typed tier's `finish(v, round)`, and it does NOT
-//! hold for the transcendental calls, which the emitter forwards to the
-//! same libm the interpreter uses.
+//! Every kernel is run in both spellings the emitter has: the one stage
+//! bodies use, where an operation on binary32 operands whose result
+//! rounds to binary32 runs in `float` (`+`, `-`, `*`, `/`, `sqrt`, and the
+//! exact `fabs`, `min`, `max`, negation and selects), and the all-`double`
+//! one of the OpenCL compute phase. For the first five, rounding the
+//! `double` result to binary32 equals the `float` operation (Figueroa,
+//! "When is double rounding innocuous?", 1995: 53 ≥ 2·24 + 2), which is
+//! also what makes the `(double)(float)(...)` wrap a faithful image of the
+//! typed tier's `finish(v, round)`. It does NOT hold for the
+//! transcendental calls, which the emitter forwards to the same libm the
+//! interpreter uses, in `double`.
 
 use stencilflow_codegen::{jit_eval_unit, jit_translation_unit, JitSlotKind, JitStageSpec};
 use stencilflow_expr::{parse_program, CompiledKernel, DataType, TypedKernel, TypedScratch};
-use stencilflow_jit::{JitConfig, JitEngine, SlotArg, SweepArgs, SweepBuffers};
+use stencilflow_jit::{
+    Cells, CellsMut, JitConfig, JitEngine, SlotArg, SweepArgs, SweepBuffers, Width,
+};
 
 fn typed(source: &str, slots: &[DataType]) -> TypedKernel {
+    typed_with_slots(source, slots).0
+}
+
+/// The kernel of `source` specialized to `slots` (cycled over its slots),
+/// with the slot types it was specialized to.
+fn typed_with_slots(source: &str, slots: &[DataType]) -> (TypedKernel, Vec<DataType>) {
     let program = parse_program(source).expect("test kernels parse");
     let kernel = CompiledKernel::compile(&program).expect("test kernels compile");
     let slot_types: Vec<DataType> = kernel
@@ -27,9 +39,10 @@ fn typed(source: &str, slots: &[DataType]) -> TypedKernel {
         .zip(slots.iter().cycle())
         .map(|(_, t)| *t)
         .collect();
-    kernel
+    let typed = kernel
         .specialize(&slot_types)
-        .unwrap_or_else(|| panic!("`{source}` should specialize"))
+        .unwrap_or_else(|| panic!("`{source}` should specialize"));
+    (typed, slot_types)
 }
 
 fn engine() -> JitEngine {
@@ -39,31 +52,67 @@ fn engine() -> JitEngine {
     JitEngine::new(config).expect("system cc must be available for round-trip tests")
 }
 
-/// Evaluate `source` both ways over every row of `cases` (each row is one
-/// slot assignment) and require bitwise agreement.
-fn assert_roundtrip(engine: &JitEngine, source: &str, slots: &[DataType], cases: &[&[f64]]) {
-    let kernel = typed(source, slots);
-    let unit = jit_eval_unit(&kernel, "sf_eval").expect("eligible kernels emit");
-    let module = engine.load(source, &unit).expect("emitted unit compiles");
-    let eval = engine
-        .eval_fn(&module, "sf_eval", kernel.slot_count())
-        .expect("eval symbol resolves");
+/// Evaluate `source` natively — in the stage bodies' spelling and in the
+/// all-`double` one — and through the bytecode over every row of `cases`
+/// (each row is one slot assignment), and require bitwise agreement.
+/// Returns the stage-body spelling's unit.
+fn assert_roundtrip(
+    engine: &JitEngine,
+    source: &str,
+    slots: &[DataType],
+    cases: &[&[f64]],
+) -> String {
+    roundtrip(engine, source, slots, cases, same_bits)
+}
+
+/// Bitwise equality.
+fn same_bits(_: &[f64], got: f64, want: f64) -> bool {
+    got.to_bits() == want.to_bits()
+}
+
+/// The NaN contract of `kernel_tiers_agree_on_the_analyze_suite`: a NaN
+/// equals a NaN only on a row that carries a NaN input — which NaN of two
+/// survives an operation is unspecified — and bits match everywhere else.
+fn nan_contract(case: &[f64], got: f64, want: f64) -> bool {
+    same_bits(case, got, want) || (got.is_nan() && want.is_nan() && case.iter().any(|v| v.is_nan()))
+}
+
+/// [`assert_roundtrip`] with agreement judged by `agree(case, native,
+/// bytecode)`.
+fn roundtrip(
+    engine: &JitEngine,
+    source: &str,
+    slots: &[DataType],
+    cases: &[&[f64]],
+    agree: fn(&[f64], f64, f64) -> bool,
+) -> String {
+    let (kernel, slot_types) = typed_with_slots(source, slots);
+    let units = [Some(&slot_types[..]), None]
+        .map(|types| jit_eval_unit(&kernel, types, "sf_eval").expect("eligible kernels emit"));
     let mut scratch = TypedScratch::default();
-    for full in cases {
-        assert!(
-            full.len() >= kernel.slot_count(),
-            "bad case arity for `{source}`"
-        );
-        let case = &full[..kernel.slot_count()];
-        let want = kernel.eval_slots(case, &mut scratch);
-        let got = eval.call(case).expect("native eval runs");
-        assert!(
-            got.to_bits() == want.to_bits(),
-            "`{source}` on {case:?}: native {got:?} ({:#x}) != bytecode {want:?} ({:#x})",
-            got.to_bits(),
-            want.to_bits()
-        );
+    for unit in &units {
+        let module = engine.load(source, unit).expect("emitted unit compiles");
+        let eval = engine
+            .eval_fn(&module, "sf_eval", kernel.slot_count())
+            .expect("eval symbol resolves");
+        for full in cases {
+            assert!(
+                full.len() >= kernel.slot_count(),
+                "bad case arity for `{source}`"
+            );
+            let case = &full[..kernel.slot_count()];
+            let want = kernel.eval_slots(case, &mut scratch);
+            let got = eval.call(case).expect("native eval runs");
+            assert!(
+                agree(case, got, want),
+                "`{source}` on {case:?}: native {got:?} ({:#x}) != bytecode {want:?} ({:#x})\n{unit}",
+                got.to_bits(),
+                want.to_bits()
+            );
+        }
     }
+    let [typed, _] = units;
+    typed
 }
 
 /// Adversarial f64 operand pairs: NaN, signed zeros, subnormals, the
@@ -423,8 +472,10 @@ fn stage_symbols_sweep_alike_as_aliases_and_as_forwarders() {
         .map(|(ix, kernel)| JitStageSpec {
             symbol: format!("sf_stage_{ix}"),
             kernel,
-            slot_kinds: vec![JitSlotKind::Tap; 2],
+            slot_kinds: vec![JitSlotKind::Tap(DataType::Float64); 2],
+            slot_types: &[DataType::Float64; 2],
             round_output: false,
+            store: DataType::Float64,
         })
         .collect();
     let (unit, bodies) = jit_translation_unit(&specs).expect("eligible stages emit");
@@ -433,7 +484,7 @@ fn stage_symbols_sweep_alike_as_aliases_and_as_forwarders() {
     let a: Vec<f64> = (0..24).map(|i| f64::from(i) * 0.37 - 3.0).collect();
     let b: Vec<f64> = (0..24).map(|i| 1.0 / (f64::from(i) + 0.5)).collect();
     let tap = |buf| SlotArg::Tap {
-        buf,
+        buf: Cells::F64(buf),
         base: 0,
         s0: 12,
         s1: 4,
@@ -451,12 +502,13 @@ fn stage_symbols_sweep_alike_as_aliases_and_as_forwarders() {
         let engine = JitEngine::new(config).expect("system cc must be available");
         let module = engine.load(form, &unit).expect("emitted unit compiles");
         for (ix, kernel) in stages.iter().enumerate() {
+            let widths = [Some(Width::F64); 2];
             let stage = engine
-                .stage_fn(&module, &format!("sf_stage_{ix}"))
+                .stage_fn(&module, &format!("sf_stage_{ix}"), &widths, Width::F64)
                 .expect("every stage exports its own symbol");
             let mut out = vec![0.0; 24];
             let mut args = SweepArgs {
-                out: &mut out,
+                out: CellsMut::F64(&mut out),
                 out_base: 0,
                 out_s0: 12,
                 out_s1: 4,
@@ -477,5 +529,134 @@ fn stage_symbols_sweep_alike_as_aliases_and_as_forwarders() {
             }
         }
         let _ = std::fs::remove_dir_all(cache_dir);
+    }
+}
+
+#[test]
+fn binary32_operations_run_in_float_and_round_trip_on_special_values() {
+    // Every operation the emitter moves to `float` on binary32 operands
+    // (±0, subnormals, the largest finite values, ±inf and the default
+    // NaN, which the NaN contract of `f64_pairs` admits), in the spelling
+    // a stage body over `float` cells gets — `assert_roundtrip` also runs
+    // the all-`double` one.
+    let engine = engine();
+    let pairs = f32_pairs();
+    let cases: Vec<&[f64]> = pairs.iter().map(|p| p.as_slice()).collect();
+    for (source, form) in [
+        ("a[i] + b[i]", "((float)sf_slots[0] + (float)sf_slots[1])"),
+        ("a[i] - b[i]", "((float)sf_slots[0] - (float)sf_slots[1])"),
+        ("a[i] * b[i]", "((float)sf_slots[0] * (float)sf_slots[1])"),
+        ("a[i] / b[i]", "((float)sf_slots[0] / (float)sf_slots[1])"),
+        (
+            "sqrt(a[i]) + b[i]",
+            "(sqrtf((float)sf_slots[0]) + (float)sf_slots[1])",
+        ),
+        (
+            "abs(a[i]) - b[i]",
+            "(fabsf((float)sf_slots[0]) - (float)sf_slots[1])",
+        ),
+        (
+            "min(a[i], b[i])",
+            "sf_minf((float)sf_slots[0], (float)sf_slots[1])",
+        ),
+        (
+            "max(a[i], b[i])",
+            "sf_maxf((float)sf_slots[0], (float)sf_slots[1])",
+        ),
+        ("a[i] < b[i] ? a[i] : b[i]", "const float sf_t2 = "),
+        (
+            "(a[i] + b[i]) * (a[i] - b[i]) / (a[i] * b[i])",
+            "return (double)((((float)sf_slots[0] + (float)sf_slots[1]) * ((float)sf_slots[0] \
+             - (float)sf_slots[1])) / ((float)sf_slots[0] * (float)sf_slots[1]));",
+        ),
+    ] {
+        let unit = roundtrip(&engine, source, &[DataType::Float32], &cases, nan_contract);
+        assert!(unit.contains(form), "`{source}`: no `{form}` in:\n{unit}");
+    }
+}
+
+/// A stage over `float` cells of `a` and `b` storing `float` cells, swept
+/// natively over every pair of `f32_pairs`, against the bytecode rounded
+/// on store; returns the unit.
+fn assert_f32_stage_roundtrip(engine: &JitEngine, source: &str) -> String {
+    let (kernel, slot_types) = typed_with_slots(source, &[DataType::Float32]);
+    let spec = JitStageSpec {
+        symbol: "sf_stage_0".to_string(),
+        kernel: &kernel,
+        slot_kinds: vec![JitSlotKind::Tap(DataType::Float32); slot_types.len()],
+        slot_types: &slot_types,
+        round_output: true,
+        store: DataType::Float32,
+    };
+    let (unit, _) = jit_translation_unit(&[spec]).expect("eligible stages emit");
+    let module = engine.load(source, &unit).expect("emitted unit compiles");
+    let widths = vec![Some(Width::F32); slot_types.len()];
+    let stage = engine
+        .stage_fn(&module, "sf_stage_0", &widths, Width::F32)
+        .expect("the stage symbol resolves");
+    let pairs = f32_pairs();
+    let a: Vec<f32> = pairs.iter().map(|p| p[0] as f32).collect();
+    let b: Vec<f32> = pairs.iter().map(|p| p[1] as f32).collect();
+    let n = pairs.len();
+    let tap = |buf| SlotArg::Tap {
+        buf: Cells::F32(buf),
+        base: 0,
+        s0: n,
+        s1: n,
+    };
+    let mut out = vec![0.0f32; n];
+    let mut args = SweepArgs {
+        out: CellsMut::F32(&mut out),
+        out_base: 0,
+        out_s0: n,
+        out_s1: n,
+        n0: 1,
+        n1: 1,
+        nk: n,
+    };
+    let taps = [tap(&a), tap(&b)];
+    let slots = slot_types.len();
+    stage
+        .sweep(
+            taps[..slots].iter().copied(),
+            &mut args,
+            &mut SweepBuffers::default(),
+        )
+        .expect("sweep");
+    let mut scratch = TypedScratch::default();
+    for (cell, got) in out.iter().enumerate() {
+        let case = &pairs[cell][..slots];
+        let want = kernel.eval_slots(case, &mut scratch) as f32;
+        assert!(
+            nan_contract(case, f64::from(*got), f64::from(want)),
+            "`{source}` on {:?}: native {got:?} != bytecode {want:?}\n{unit}",
+            pairs[cell]
+        );
+    }
+    unit
+}
+
+#[test]
+fn a_stored_round_floats_the_last_op_only_over_binary32_literals() {
+    // The f64 product of an f32 field and a literal rounds only on the
+    // f32 store. `0.125` is a binary32 value, so the product runs in
+    // float; `0.1` is not, so it stays double and the store rounds.
+    let engine = engine();
+    for (source, store) in [
+        (
+            "0.125 * (a[i] + b[i])",
+            "sf_o[sf_k] = (0.125f * (sf_p0[sf_k] + sf_p1[sf_k]));",
+        ),
+        (
+            "0.1 * (a[i] + b[i])",
+            "sf_o[sf_k] = (float)((0.1 * (double)(sf_p0[sf_k] + sf_p1[sf_k])));",
+        ),
+        (
+            "0.1 * a[i]",
+            "sf_o[sf_k] = (float)((0.1 * (double)sf_p0[sf_k]));",
+        ),
+    ] {
+        let unit = assert_f32_stage_roundtrip(&engine, source);
+        assert!(unit.contains(store), "`{source}`: no `{store}` in:\n{unit}");
     }
 }

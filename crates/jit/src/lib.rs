@@ -34,7 +34,10 @@
 
 pub mod ffi;
 
-pub use ffi::{EvalFn, ModuleHandle, SlotArg, StageFn, SweepArgs, SweepBuffers, SweepError};
+pub use ffi::{
+    Cells, CellsMut, EvalFn, FfiError, ModuleHandle, SlotArg, StageFn, SweepArgs, SweepBuffers,
+    SweepError, Width,
+};
 
 use std::collections::{HashMap, VecDeque};
 use std::fs;
@@ -436,13 +439,21 @@ impl JitEngine {
         ModuleStatus::Queued
     }
 
-    /// Resolve a stage-sweep symbol from a loaded module.
+    /// Resolve a stage-sweep symbol from a loaded module, emitted to read
+    /// slot `s` at width `slots[s]` (`None`: a scalar) and to store `out`
+    /// cells; [`StageFn::sweep`] refuses any other.
     ///
     /// # Errors
     ///
     /// Fails when the symbol is absent from the module.
-    pub fn stage_fn(&self, module: &Arc<ModuleHandle>, symbol: &str) -> Result<StageFn, String> {
-        StageFn::resolve(module, symbol)
+    pub fn stage_fn(
+        &self,
+        module: &Arc<ModuleHandle>,
+        symbol: &str,
+        slots: &[Option<Width>],
+        out: Width,
+    ) -> Result<StageFn, FfiError> {
+        StageFn::resolve(module, symbol, slots, out)
     }
 
     /// Resolve a scalar-evaluation symbol (used by codegen round-trip
@@ -456,7 +467,7 @@ impl JitEngine {
         module: &Arc<ModuleHandle>,
         symbol: &str,
         arity: usize,
-    ) -> Result<EvalFn, String> {
+    ) -> Result<EvalFn, FfiError> {
         EvalFn::resolve(module, symbol, arity)
     }
 }
@@ -524,7 +535,9 @@ impl Shared {
         self.build_entry(hash, label, source)?;
         ModuleHandle::open(&self.entry_path(hash, "so"))
             .map(Arc::new)
-            .map_err(|message| JitError::Load { message })
+            .map_err(|e| JitError::Load {
+                message: e.to_string(),
+            })
     }
 
     /// The cache entry hash of `source` under this engine's salt; stable
@@ -826,20 +839,23 @@ mod tests {
         }\n";
 
     const STAGE_SOURCE: &str = "#include <stdint.h>\n\
-        void sf_stage_0(const double *const *sf_slots, const double *sf_scalars,\n\
+        void sf_stage_0(const void *const *sf_slots, const double *sf_scalars,\n\
                         const int64_t *sf_ss0, const int64_t *sf_ss1,\n\
-                        double *restrict sf_out, int64_t sf_os0, int64_t sf_os1,\n\
+                        void *restrict sf_out, int64_t sf_os0, int64_t sf_os1,\n\
                         int64_t sf_n0, int64_t sf_n1, int64_t sf_nk) {\n\
             for (int64_t i0 = 0; i0 < sf_n0; ++i0) {\n\
                 for (int64_t i1 = 0; i1 < sf_n1; ++i1) {\n\
-                    const double *sf_p0 = sf_slots[0] + i0 * sf_ss0[0] + i1 * sf_ss1[0];\n\
-                    double *sf_o = sf_out + i0 * sf_os0 + i1 * sf_os1;\n\
+                    const double *sf_p0 = (const double *)sf_slots[0] + i0 * sf_ss0[0] + i1 * sf_ss1[0];\n\
+                    double *sf_o = (double *)sf_out + i0 * sf_os0 + i1 * sf_os1;\n\
                     for (int64_t sf_k = 0; sf_k < sf_nk; ++sf_k) {\n\
                         sf_o[sf_k] = sf_p0[sf_k] * sf_scalars[1];\n\
                     }\n\
                 }\n\
             }\n\
         }\n";
+
+    /// [`STAGE_SOURCE`]'s slots: an `f64` tap, then a scalar.
+    const STAGE_SLOTS: [Option<Width>; 2] = [Some(Width::F64), None];
 
     #[test]
     fn compiles_loads_and_calls_an_eval_symbol() {
@@ -866,13 +882,15 @@ mod tests {
         let dir = config.cache_dir.clone();
         let engine = JitEngine::new(config).expect("engine");
         let module = engine.load("stage-basic", STAGE_SOURCE).expect("load");
-        let stage = engine.stage_fn(&module, "sf_stage_0").expect("symbol");
+        let stage = engine
+            .stage_fn(&module, "sf_stage_0", &STAGE_SLOTS, Width::F64)
+            .expect("symbol");
 
         let input: Vec<f64> = (0..24).map(f64::from).collect();
         let mut out = vec![0.0; 24];
         let slots = [
             SlotArg::Tap {
-                buf: &input,
+                buf: Cells::F64(&input),
                 base: 0,
                 s0: 12,
                 s1: 4,
@@ -880,7 +898,7 @@ mod tests {
             SlotArg::Scalar(3.0),
         ];
         let mut args = SweepArgs {
-            out: &mut out,
+            out: CellsMut::F64(&mut out),
             out_base: 0,
             out_s0: 12,
             out_s1: 4,
@@ -898,7 +916,7 @@ mod tests {
         // code, not dereferenced.
         let mut short = vec![0.0; 23];
         let mut bad = SweepArgs {
-            out: &mut short,
+            out: CellsMut::F64(&mut short),
             out_base: 0,
             out_s0: 12,
             out_s1: 4,
@@ -925,7 +943,7 @@ mod tests {
             .sweep(
                 [
                     SlotArg::Tap {
-                        buf: &input[..20],
+                        buf: Cells::F64(&input[..20]),
                         base: 0,
                         s0: 12,
                         s1: 4,
@@ -946,6 +964,152 @@ mod tests {
                 len: 20,
             }
         );
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    /// [`STAGE_SOURCE`] over `float` cells.
+    const STAGE_SOURCE_F32: &str = "#include <stdint.h>\n\
+        void sf_stage_0(const void *const *sf_slots, const double *sf_scalars,\n\
+                        const int64_t *sf_ss0, const int64_t *sf_ss1,\n\
+                        void *restrict sf_out, int64_t sf_os0, int64_t sf_os1,\n\
+                        int64_t sf_n0, int64_t sf_n1, int64_t sf_nk) {\n\
+            for (int64_t i0 = 0; i0 < sf_n0; ++i0) {\n\
+                for (int64_t i1 = 0; i1 < sf_n1; ++i1) {\n\
+                    const float *sf_p0 = (const float *)sf_slots[0] + i0 * sf_ss0[0] + i1 * sf_ss1[0];\n\
+                    float *sf_o = (float *)sf_out + i0 * sf_os0 + i1 * sf_os1;\n\
+                    for (int64_t sf_k = 0; sf_k < sf_nk; ++sf_k) {\n\
+                        sf_o[sf_k] = sf_p0[sf_k] * (float)sf_scalars[1];\n\
+                    }\n\
+                }\n\
+            }\n\
+        }\n";
+
+    #[test]
+    fn stage_sweep_refuses_buffers_of_another_width() {
+        let config = test_config();
+        let dir = config.cache_dir.clone();
+        let engine = JitEngine::new(config).expect("engine");
+        let narrow = engine.load("stage-f32", STAGE_SOURCE_F32).expect("load");
+        let wide = engine.load("stage-f64", STAGE_SOURCE).expect("load");
+        let f32_slots = [Some(Width::F32), None];
+        let narrow =
+            (engine.stage_fn(&narrow, "sf_stage_0", &f32_slots, Width::F32)).expect("symbol");
+        let wide =
+            (engine.stage_fn(&wide, "sf_stage_0", &STAGE_SLOTS, Width::F64)).expect("symbol");
+        let in32: Vec<f32> = (0..24).map(|i| i as f32).collect();
+        let in64: Vec<f64> = (0..24).map(f64::from).collect();
+        let tap = |buf| SlotArg::Tap {
+            buf,
+            base: 0,
+            s0: 12,
+            s1: 4,
+        };
+        fn geometry(out: CellsMut<'_>) -> SweepArgs<'_> {
+            SweepArgs {
+                out,
+                out_base: 0,
+                out_s0: 12,
+                out_s1: 4,
+                n0: 2,
+                n1: 3,
+                nk: 4,
+            }
+        }
+        let mut buffers = SweepBuffers::default();
+        // The sentinel survives every refusal: nothing was dereferenced,
+        // nothing stored.
+        let (mut out32, mut out64) = (vec![-1.0f32; 24], vec![-1.0f64; 24]);
+        let refusals = [
+            // An `f64` buffer to the `f32` slot, and the reverse.
+            (
+                narrow.sweep(
+                    [tap(Cells::F64(&in64)), SlotArg::Scalar(3.0)],
+                    &mut geometry(CellsMut::F32(&mut out32)),
+                    &mut buffers,
+                ),
+                SweepError::SlotWidth {
+                    slot: 0,
+                    expected: Some(Width::F32),
+                    found: Some(Width::F64),
+                },
+            ),
+            (
+                wide.sweep(
+                    [tap(Cells::F32(&in32)), SlotArg::Scalar(3.0)],
+                    &mut geometry(CellsMut::F64(&mut out64)),
+                    &mut buffers,
+                ),
+                SweepError::SlotWidth {
+                    slot: 0,
+                    expected: Some(Width::F64),
+                    found: Some(Width::F32),
+                },
+            ),
+            // A scalar where the body reads a tap.
+            (
+                wide.sweep(
+                    [SlotArg::Scalar(1.0), SlotArg::Scalar(3.0)],
+                    &mut geometry(CellsMut::F64(&mut out64)),
+                    &mut buffers,
+                ),
+                SweepError::SlotWidth {
+                    slot: 0,
+                    expected: Some(Width::F64),
+                    found: None,
+                },
+            ),
+            // Outputs of the other width, either way.
+            (
+                narrow.sweep(
+                    [tap(Cells::F32(&in32)), SlotArg::Scalar(3.0)],
+                    &mut geometry(CellsMut::F64(&mut out64)),
+                    &mut buffers,
+                ),
+                SweepError::OutputWidth {
+                    expected: Width::F32,
+                    found: Width::F64,
+                },
+            ),
+            (
+                wide.sweep(
+                    [tap(Cells::F64(&in64)), SlotArg::Scalar(3.0)],
+                    &mut geometry(CellsMut::F32(&mut out32)),
+                    &mut buffers,
+                ),
+                SweepError::OutputWidth {
+                    expected: Width::F64,
+                    found: Width::F32,
+                },
+            ),
+            // A slot short.
+            (
+                wide.sweep(
+                    [tap(Cells::F64(&in64))],
+                    &mut geometry(CellsMut::F64(&mut out64)),
+                    &mut buffers,
+                ),
+                SweepError::SlotCount {
+                    expected: 2,
+                    found: 1,
+                },
+            ),
+        ];
+        for (refused, want) in refusals {
+            assert_eq!(refused, Err(want));
+        }
+        assert!(out32.iter().all(|&v| v == -1.0));
+        assert!(out64.iter().all(|&v| v == -1.0));
+        // At its own widths the narrow stage sweeps.
+        narrow
+            .sweep(
+                [tap(Cells::F32(&in32)), SlotArg::Scalar(3.0)],
+                &mut geometry(CellsMut::F32(&mut out32)),
+                &mut buffers,
+            )
+            .expect("sweep");
+        for (i, v) in out32.iter().enumerate() {
+            assert_eq!(*v, i as f32 * 3.0, "cell {i}");
+        }
         let _ = fs::remove_dir_all(dir);
     }
 

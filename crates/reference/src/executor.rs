@@ -256,8 +256,10 @@ pub struct ReferenceExecutor {
     /// Number of program compilations performed (cache misses).
     compiles: AtomicUsize,
     /// Reusable scratch/state buffers for the fused tier: steady-state
-    /// fused stepping allocates nothing once the pool is warm.
+    /// fused stepping allocates nothing once the pool is warm. `f64` cells,
+    /// and the `f32` cells of `float32` fields' rings and copies.
     pool: Mutex<Pool<f64>>,
+    pool32: Mutex<Pool<f32>>,
     /// Reusable validity-mask buffers (only used when `pool_results` is
     /// set; see [`ReferenceExecutor::with_pooled_results`]).
     mask_pool: Mutex<Pool<bool>>,
@@ -277,6 +279,7 @@ impl Default for ReferenceExecutor {
             cache: Mutex::new(BTreeMap::new()),
             compiles: AtomicUsize::new(0),
             pool: Mutex::new(Pool::with_capacity(BUFFER_POOL_CAPACITY)),
+            pool32: Mutex::new(Pool::with_capacity(BUFFER_POOL_CAPACITY)),
             mask_pool: Mutex::new(Pool::with_capacity(BUFFER_POOL_CAPACITY)),
             pool_results: false,
         }
@@ -295,6 +298,9 @@ impl Clone for ReferenceExecutor {
             // (but keep the configured retention capacity).
             pool: Mutex::new(Pool::with_capacity(
                 self.pool.lock().expect("buffer pool poisoned").capacity,
+            )),
+            pool32: Mutex::new(Pool::with_capacity(
+                self.pool32.lock().expect("buffer pool poisoned").capacity,
             )),
             mask_pool: Mutex::new(Pool::with_capacity(
                 self.mask_pool.lock().expect("mask pool poisoned").capacity,
@@ -325,6 +331,32 @@ const BUFFER_POOL_CAPACITY: usize = 64;
 /// arithmetic on the generated inputs produces.
 #[cfg(test)]
 pub(crate) const POISON_BITS: u64 = 0x7ff8_dead_beef_0001;
+
+/// A cell type the executor pools: `f64`, and `f32` for the rings and
+/// copies of `float32` fields.
+pub(crate) trait Pooled: Copy + Default {
+    /// The executor's pool of this type.
+    fn pool(executor: &ReferenceExecutor) -> &Mutex<Pool<Self>>;
+    /// What unit tests fill a released buffer with (see [`POISON_BITS`]).
+    #[cfg(test)]
+    const POISON: Self;
+}
+
+impl Pooled for f64 {
+    fn pool(executor: &ReferenceExecutor) -> &Mutex<Pool<f64>> {
+        &executor.pool
+    }
+    #[cfg(test)]
+    const POISON: f64 = f64::from_bits(POISON_BITS);
+}
+
+impl Pooled for f32 {
+    fn pool(executor: &ReferenceExecutor) -> &Mutex<Pool<f32>> {
+        &executor.pool32
+    }
+    #[cfg(test)]
+    const POISON: f32 = f32::from_bits(0x7fde_adbe);
+}
 
 /// A best-fit pool of reusable buffers. The executor keeps two: `f64`
 /// cells backing the fused tier's ring buffers, window-boundary state
@@ -455,6 +487,10 @@ impl ReferenceExecutor {
     pub(crate) fn with_pool_capacity(mut self, capacity: usize) -> Self {
         let capacity = capacity.max(1);
         self.pool.get_mut().expect("buffer pool poisoned").capacity = capacity;
+        self.pool32
+            .get_mut()
+            .expect("buffer pool poisoned")
+            .capacity = capacity;
         self.mask_pool
             .get_mut()
             .expect("mask pool poisoned")
@@ -484,29 +520,37 @@ impl ReferenceExecutor {
     /// shapes reuse pooled buffers and do not increase this counter.
     pub fn pool_miss_count(&self) -> usize {
         self.pool.lock().expect("buffer pool poisoned").misses
+            + self.pool32.lock().expect("buffer pool poisoned").misses
     }
 
     /// Number of buffer acquisitions the fused tier has made (hits and
     /// misses).
     pub fn pool_acquire_count(&self) -> usize {
         self.pool.lock().expect("buffer pool poisoned").acquires
+            + self.pool32.lock().expect("buffer pool poisoned").acquires
     }
 
-    pub(crate) fn pool_acquire(&self, len: usize) -> Vec<f64> {
-        self.pool.lock().expect("buffer pool poisoned").acquire(len)
+    pub(crate) fn pool_acquire<T: Pooled>(&self, len: usize) -> Vec<T> {
+        T::pool(self)
+            .lock()
+            .expect("buffer pool poisoned")
+            .acquire(len)
     }
 
-    pub(crate) fn pool_release(&self, buf: Vec<f64>) {
+    pub(crate) fn pool_release<T: Pooled>(&self, buf: Vec<T>) {
         // Unit tests poison what comes back, so a cell read before anything
         // wrote it (a result cell no sweep stored, a ring plane read before
         // it was produced) shows up as this NaN, not a plausible stale value.
         #[cfg(test)]
         let buf = {
             let mut buf = buf;
-            buf.fill(f64::from_bits(POISON_BITS));
+            buf.fill(T::POISON);
             buf
         };
-        self.pool.lock().expect("buffer pool poisoned").release(buf);
+        T::pool(self)
+            .lock()
+            .expect("buffer pool poisoned")
+            .release(buf);
     }
 
     /// Number of validity-mask buffer allocations (mask-pool misses). Only
@@ -582,9 +626,13 @@ impl ReferenceExecutor {
         );
     }
 
-    /// [`Pool::reserve`] on the cell and the mask pool.
+    /// [`Pool::reserve`] on the cell and the mask pools.
     pub(crate) fn reserve_pools(&self, copies: usize) {
         self.pool
+            .lock()
+            .expect("buffer pool poisoned")
+            .reserve(copies);
+        self.pool32
             .lock()
             .expect("buffer pool poisoned")
             .reserve(copies);

@@ -65,6 +65,17 @@
 //! would load past its end is loaded short (its surplus lanes are
 //! over-computed like any other and never read).
 //!
+//! Storage follows the field's type: the rings and the padded copy of a
+//! `float32` field hold `f32` cells (the scratch budget counts every ring
+//! in its own element size), narrowed into at copy-in — exactly, since a
+//! `float32` grid holds binary32 values — and widened on every load by
+//! the lanes sweep, the edge pass and boxed stages, which compute in
+//! `f64`. The native sweep reads and stores them as `float` (see
+//! [`FusePlan::jit_unit`]). A grid read in place stays `f64`, and so do
+//! the rings of its stepping partner: one stage function reads a slot at
+//! every step, and at a later step of a window a state input is its
+//! output's ring. Result grids and window state are `f64` grids.
+//!
 //! # What every program gets
 //!
 //! Every program takes this path (the plan is built once at `prepare`);
@@ -118,7 +129,8 @@
 //!
 //! * every cell is evaluated once, through the stencil's typed kernel
 //!   (lanes or native) or its boxed `Value` kernel, on loads that are raw
-//!   grid payloads (inputs are read in place or copied in verbatim, stage
+//!   grid payloads (inputs are read in place or copied in verbatim — an
+//!   `f32` cell holds exactly the binary32 value its grid held — and stage
 //!   results are rounded through the stencil's output type before the
 //!   store, as the interpreter rounds on store), so each cell performs the
 //!   interpreter's operation sequence on identical bits; the lag
@@ -149,6 +161,7 @@
 
 use crate::executor::{CompiledProgram, ExecutionResult};
 use crate::grid::Grid;
+use crate::jit::{NativeStage, StageSymbols};
 use crate::plan::{round_lanes, CompiledStencil};
 use crate::tier::Ineligible;
 use crate::ReferenceExecutor;
@@ -157,7 +170,7 @@ use stencilflow_codegen::{jit_translation_unit, JitSlotKind, JitStageSpec};
 use stencilflow_expr::{
     DataType, EvalScratch, ExprError, LaneScratch, TypedKernel, TypedScratch, Value,
 };
-use stencilflow_jit::{SlotArg, StageFn, SweepArgs, SweepBuffers};
+use stencilflow_jit::{Cells, CellsMut, SlotArg, StageFn, SweepArgs, SweepBuffers, Width};
 use stencilflow_program::{
     AccessFootprints, BoundaryCondition, IterationSpace, ProgramError, StencilProgram,
 };
@@ -269,6 +282,9 @@ struct FusedField {
     /// Pad fill value: the consumers' shared boundary constant, rounded
     /// through the field's element type.
     pad_constant: f64,
+    /// The width of the cells its taps read: `f32` for the rings and copy
+    /// of a `float32` field, `f64` otherwise (see [`FusePlan::build`]).
+    width: Width,
     /// Per-axis pad extents (≥ the consumers' largest offsets).
     pad_lo: [usize; 3],
     pad_hi: [usize; 3],
@@ -462,6 +478,7 @@ impl FusePlan {
                 src: layout.src,
                 in_place: false,
                 pad_constant: 0.0,
+                width: Width::F64,
                 pad_lo: [0; 3],
                 pad_hi: [0; 3],
                 row: 0,
@@ -680,6 +697,23 @@ impl FusePlan {
             }
         });
 
+        // Storage follows the field's type: a `float32` field's rings and
+        // copy hold `f32` — every value it holds is a binary32 value — and
+        // widen on load. A tap of a grid read in place reads `f64` cells,
+        // and so must every tap of its slot: one stage function reads a
+        // slot at every step, and at a later step of a window a state
+        // input is its output's ring, so a state pair shares one width.
+        for (f, field) in fields.iter_mut().enumerate() {
+            let narrow = dtypes[f] == DataType::Float32 && !field.scalar && !field.in_place;
+            field.width = if narrow { Width::F32 } else { Width::F64 };
+        }
+        for &(o, i) in steps.iter().flat_map(|s| &s.pairs) {
+            if fields[o].width != fields[i].width {
+                fields[o].width = Width::F64;
+                fields[i].width = Width::F64;
+            }
+        }
+
         // Edge slots: a tap whose out-of-domain value is not its field's
         // pad. The clean box of a stage is where none of them leaves the
         // domain; the edge pass re-evaluates the stage's cells outside it.
@@ -741,10 +775,14 @@ impl FusePlan {
         }
     }
 
-    /// Build the Tier-4 native translation unit for this plan: one
-    /// exported `sf_stage_{i}` per live stage over one sweep body per
-    /// distinct stage, emitted from the typed bytecode (see
-    /// `stencilflow_codegen::jit_unit`). Eligibility:
+    /// Build the Tier-4 native translation unit for this plan: for every
+    /// live stage a symbol `sf_stage_{i}` over one sweep body per distinct
+    /// stage, emitted from the typed bytecode (see
+    /// `stencilflow_codegen::jit_unit`). Each body reads its taps at their
+    /// fields' widths and stores at its ring's; an output stage no stage of
+    /// its step reads also stores to `f64` output slabs, through the same
+    /// symbol when its ring is `f64` (or it has none), else through a
+    /// second one, `sf_stage_{i}_d`. Eligibility:
     ///
     /// * every live stage has a typed kernel (a boxed one has no C form);
     /// * stage output types are `f32`/`f64` (the native store rounding
@@ -758,11 +796,24 @@ impl FusePlan {
         &self,
         plans: &[CompiledStencil],
     ) -> Result<crate::jit::JitUnit, Ineligible> {
+        let dtype = |width| match width {
+            Width::F32 => DataType::Float32,
+            Width::F64 => DataType::Float64,
+        };
+        // Fields a live stage taps: read in the step that produces them.
+        let tapped: BTreeSet<usize> = (self.stages.iter().filter(|s| s.live))
+            .flat_map(|s| &s.slots)
+            .filter_map(|slot| match slot {
+                FusedSlot::Tap { field, .. } => Some(*field),
+                FusedSlot::Scalar(_) => None,
+            })
+            .collect();
         let mut specs = Vec::new();
         let mut names = Vec::new();
-        let mut symbols: Vec<Option<String>> = vec![None; self.stages.len()];
+        let mut symbols: Vec<Option<StageSymbols>> = Vec::with_capacity(self.stages.len());
         for (ix, stage) in self.stages.iter().enumerate() {
             if !stage.live {
+                symbols.push(None);
                 continue;
             }
             let plan = &plans[stage.stencil];
@@ -779,23 +830,47 @@ impl FusePlan {
                     let stage = plan.name().to_string();
                     Ineligible::Unverified { stage, error }
                 })?;
-            let slot_kinds = stage
-                .slots
-                .iter()
+            let slots: Vec<Option<Width>> = (stage.slots.iter())
                 .map(|s| match s {
-                    FusedSlot::Scalar(_) => JitSlotKind::Scalar,
-                    FusedSlot::Tap { .. } => JitSlotKind::Tap,
+                    FusedSlot::Scalar(_) => None,
+                    FusedSlot::Tap { field, .. } => Some(self.fields[*field].width),
                 })
                 .collect();
-            let symbol = format!("sf_stage_{ix}");
-            specs.push(JitStageSpec {
-                symbol: symbol.clone(),
-                kernel: typed,
-                slot_kinds,
-                round_output: stage.out_dtype == DataType::Float32,
-            });
-            names.push(plan.name());
-            symbols[ix] = Some(symbol);
+            let slot_kinds: Vec<JitSlotKind> = (slots.iter())
+                .map(|w| w.map_or(JitSlotKind::Scalar, |w| JitSlotKind::Tap(dtype(w))))
+                .collect();
+            // A stage stores into its ring unless it is an output no stage
+            // of its step reads, which stores to its slab in the last step
+            // of a window — the only step of a run that does not step.
+            let width = self.fields[stage.field].width;
+            let output = self.outputs.iter().any(|&(s, _)| s == ix);
+            let direct = output && !tapped.contains(&stage.field);
+            let ring = !direct || self.steps.is_some();
+            let base = format!("sf_stage_{ix}");
+            let mut exports = Vec::new();
+            if ring {
+                exports.push((base.clone(), width));
+            }
+            if direct && !(ring && width == Width::F64) {
+                let name = if ring { format!("{base}_d") } else { base };
+                exports.push((name, Width::F64));
+            }
+            for (symbol, store) in &exports {
+                specs.push(JitStageSpec {
+                    symbol: symbol.clone(),
+                    kernel: typed,
+                    slot_kinds: slot_kinds.clone(),
+                    slot_types: plan.slot_dtypes(),
+                    round_output: stage.out_dtype == DataType::Float32,
+                    store: dtype(*store),
+                });
+                names.push(plan.name());
+            }
+            symbols.push(Some(StageSymbols {
+                slots,
+                ring: ring.then(|| exports[0].clone()),
+                direct: direct.then(|| exports[exports.len() - 1].0.clone()),
+            }));
         }
         let (source, bodies) = jit_translation_unit(&specs).map_err(|(ix, error)| {
             let stage = names[ix].to_string();
@@ -845,6 +920,7 @@ impl FusePlan {
                 reach: 0,
                 read_in_step: false,
                 depth: 0,
+                width: f.width,
                 lead: f.pad_lo[0],
                 plane: f.plane,
                 row: f.row,
@@ -925,25 +1001,29 @@ impl FusePlan {
         let max_lag = rings.iter().map(|r| r.lag).max().unwrap_or(0);
         let max_pad_hi = self.fields.iter().map(|f| f.pad_hi[0]).max().unwrap_or(0);
         let one_tick = self.ext[0] + max_lag + max_pad_hi;
+        // The budget counts each ring's plane in its own element size.
         let block = pinned.unwrap_or_else(|| {
-            let budget = SCRATCH_BUDGET_BYTES / std::mem::size_of::<f64>();
             let (mut all, mut fixed, mut per_block) = (0usize, 0usize, 0usize);
             for r in rings.iter().filter(|r| needed(r)) {
-                all += whole(r) * r.plane;
-                fixed += r.reach * r.plane;
-                per_block += r.plane;
+                let plane = r.plane * r.bytes();
+                all += whole(r) * plane;
+                fixed += r.reach * plane;
+                per_block += plane;
             }
-            if all <= budget {
+            if all <= SCRATCH_BUDGET_BYTES {
                 one_tick
             } else {
-                (budget.saturating_sub(fixed) / per_block.max(1)).max(1)
+                (SCRATCH_BUDGET_BYTES.saturating_sub(fixed) / per_block.max(1)).max(1)
             }
         });
-        let mut arena_len = 0usize;
+        let mut arena_len = (0, 0);
         for r in rings.iter_mut() {
             if needed(r) {
                 r.depth = (r.reach + block).min(whole(r));
-                arena_len += r.depth * r.plane;
+                match r.width {
+                    Width::F32 => arena_len.0 += r.depth * r.plane,
+                    Width::F64 => arena_len.1 += r.depth * r.plane,
+                }
             }
         }
         Schedule {
@@ -975,6 +1055,8 @@ struct Ring {
     /// Planes held: `reach` plus the block height, capped at the whole
     /// padded field (0: never written, see [`FusePlan::schedule`]).
     depth: usize,
+    /// Its field's width.
+    width: Width,
     /// Pad planes below the domain (`pos + lead` is never negative).
     lead: usize,
     plane: usize,
@@ -983,6 +1065,14 @@ struct Ring {
 }
 
 impl Ring {
+    /// Bytes per cell.
+    fn bytes(&self) -> usize {
+        match self.width {
+            Width::F32 => std::mem::size_of::<f32>(),
+            Width::F64 => std::mem::size_of::<f64>(),
+        }
+    }
+
     /// Ring slot holding plane `pos`.
     #[inline]
     fn slot(&self, pos: i64) -> usize {
@@ -1034,19 +1124,30 @@ struct Schedule {
     rings: Vec<Ring>,
     /// Planes the front advances per tick.
     block: usize,
-    /// Cells of one worker's rings, back to back.
-    arena_len: usize,
+    /// Cells of one worker's `f32` and `f64` rings, each back to back in
+    /// one arena.
+    arena_len: (usize, usize),
 }
 
 impl Schedule {
-    /// Split a worker's arena into its rings.
-    fn carve<'a>(&self, mut arena: &'a mut [f64]) -> Vec<&'a mut [f64]> {
+    /// Split a worker's arenas into its rings.
+    fn carve<'a>(&self, mut f32s: &'a mut [f32], mut f64s: &'a mut [f64]) -> Vec<CellsMut<'a>> {
         self.rings
             .iter()
             .map(|r| {
-                let (ring, rest) = std::mem::take(&mut arena).split_at_mut(r.depth * r.plane);
-                arena = rest;
-                ring
+                let len = r.depth * r.plane;
+                match r.width {
+                    Width::F32 => {
+                        let (ring, rest) = std::mem::take(&mut f32s).split_at_mut(len);
+                        f32s = rest;
+                        CellsMut::F32(ring)
+                    }
+                    Width::F64 => {
+                        let (ring, rest) = std::mem::take(&mut f64s).split_at_mut(len);
+                        f64s = rest;
+                        CellsMut::F64(ring)
+                    }
+                }
             })
             .collect()
     }
@@ -1060,7 +1161,7 @@ struct WindowCtx<'a> {
     /// What each live input field is read from (empty for the rest): the
     /// caller's grid or the previous window's pooled state grid (read in
     /// place or copied into a ring), or a lower-rank input's padded copy.
-    sources: Vec<&'a [f64]>,
+    sources: Vec<Cells<'a>>,
     /// Scalar values per field (scalar inputs only).
     scalars: &'a [f64],
     /// Steps in this window.
@@ -1069,13 +1170,49 @@ struct WindowCtx<'a> {
     last: bool,
     /// Tier-4 native stage functions, indexed like `plan.stages` (`None`
     /// entries and `None` overall both mean "sweep through the bytecode").
-    jit: Option<&'a [Option<StageFn>]>,
+    jit: Option<&'a [Option<NativeStage>]>,
 }
 
 impl WindowCtx<'_> {
-    /// The native function of `stage`, if it sweeps through one.
-    fn native(&self, stage: Option<usize>) -> Option<&StageFn> {
+    /// The native functions of `stage`, if it sweeps through them.
+    fn native(&self, stage: Option<usize>) -> Option<&NativeStage> {
         self.jit.and_then(|fns| fns[stage?].as_ref())
+    }
+}
+
+/// A pooled cell buffer of either width.
+enum Buffer {
+    F32(Vec<f32>),
+    F64(Vec<f64>),
+}
+
+impl Buffer {
+    fn acquire(executor: &ReferenceExecutor, width: Width, len: usize) -> Buffer {
+        match width {
+            Width::F32 => Buffer::F32(executor.pool_acquire(len)),
+            Width::F64 => Buffer::F64(executor.pool_acquire(len)),
+        }
+    }
+
+    fn cells(&self) -> Cells<'_> {
+        match self {
+            Buffer::F32(cells) => Cells::F32(cells),
+            Buffer::F64(cells) => Cells::F64(cells),
+        }
+    }
+
+    fn cells_mut(&mut self) -> CellsMut<'_> {
+        match self {
+            Buffer::F32(cells) => CellsMut::F32(cells),
+            Buffer::F64(cells) => CellsMut::F64(cells),
+        }
+    }
+
+    fn release(self, executor: &ReferenceExecutor) {
+        match self {
+            Buffer::F32(cells) => executor.pool_release(cells),
+            Buffer::F64(cells) => executor.pool_release(cells),
+        }
     }
 }
 
@@ -1105,7 +1242,7 @@ pub(crate) fn execute<E: From<ProgramError>>(
     plan: &FusePlan,
     inputs: &BTreeMap<String, Grid>,
     steps: usize,
-    jit: Option<&[Option<StageFn>]>,
+    jit: Option<&[Option<NativeStage>]>,
     probe: &dyn Fn() -> Result<(), E>,
 ) -> Result<ExecutionResult, E> {
     let w_max = executor.fusion_window.clamp(1, steps);
@@ -1126,34 +1263,36 @@ pub(crate) fn execute<E: From<ProgramError>>(
     // Every pooled buffer acquired from here on is released at the end.
     // Lower-rank and transposed inputs are never state, so one padded copy
     // of each serves every window and every worker.
-    let copies: Vec<Vec<f64>> = plan
+    let copies: Vec<Option<Buffer>> = plan
         .fields
         .iter()
         .map(|field| {
             if !(field.input && field.live && field.copied()) {
-                return Vec::new();
+                return None;
             }
-            let mut buf = executor.pool_acquire(field.padded(0, &plan.ext) * field.plane);
-            fill_copy(plan, field, inputs[&field.name].as_slice(), &mut buf);
-            buf
+            let len = field.padded(0, &plan.ext) * field.plane;
+            let mut buf = Buffer::acquire(executor, field.width, len);
+            fill_copy(plan, field, inputs[&field.name].as_slice(), buf.cells_mut());
+            Some(buf)
         })
         .collect();
 
     // Scalar values and what each input is read from.
     let mut scalars = vec![0.0f64; plan.fields.len()];
-    let mut user_sources: Vec<&[f64]> = vec![&[]; plan.fields.len()];
+    let mut user_sources: Vec<Cells<'_>> = vec![Cells::F64(&[]); plan.fields.len()];
     for (ix, field) in plan.fields.iter().enumerate() {
         if !field.input || !field.live {
             continue;
         }
         let grid = inputs[&field.name].as_slice();
-        if field.scalar {
-            scalars[ix] = grid[0];
-        } else if field.copied() {
-            user_sources[ix] = &copies[ix];
-        } else {
-            user_sources[ix] = grid;
-        }
+        user_sources[ix] = match &copies[ix] {
+            _ if field.scalar => {
+                scalars[ix] = grid[0];
+                continue;
+            }
+            Some(copy) => copy.cells(),
+            None => Cells::F64(grid),
+        };
     }
 
     // Result grids and masks for the program outputs. Under the service
@@ -1198,18 +1337,28 @@ pub(crate) fn execute<E: From<ProgramError>>(
         }
     }
 
-    // One arena per worker holding all of its rings, acquired once for
-    // the whole call; the row and cell pads of every ring plane are filled
-    // here and never written again.
-    let mut arenas: Vec<Vec<f64>> = chunks
+    // Two arenas per worker holding all of its `f32` and `f64` rings,
+    // acquired once for the whole call; the row and cell pads of every
+    // ring plane are filled here and never written again.
+    let (len32, len64) = sched.arena_len;
+    let mut arenas: Vec<(Vec<f32>, Vec<f64>)> = chunks
         .iter()
-        .map(|_| match sched.arena_len {
-            0 => Vec::new(),
-            len => executor.pool_acquire(len),
+        .map(|_| {
+            let f32s = if len32 == 0 {
+                Vec::new()
+            } else {
+                executor.pool_acquire(len32)
+            };
+            let f64s = if len64 == 0 {
+                Vec::new()
+            } else {
+                executor.pool_acquire(len64)
+            };
+            (f32s, f64s)
         })
         .collect();
-    for arena in arenas.iter_mut() {
-        for (ring, buf) in sched.rings.iter().zip(sched.carve(arena)) {
+    for (f32s, f64s) in arenas.iter_mut() {
+        for (ring, buf) in sched.rings.iter().zip(sched.carve(f32s, f64s)) {
             fill_pads(plan, ring, buf);
         }
     }
@@ -1237,7 +1386,7 @@ pub(crate) fn execute<E: From<ProgramError>>(
         if wix > 0 {
             let pairs = &plan.steps.as_ref().expect("several windows step").pairs;
             for (state, &(_, input)) in read_set.iter().zip(pairs) {
-                sources[input] = state;
+                sources[input] = Cells::F64(state);
             }
         }
 
@@ -1245,11 +1394,12 @@ pub(crate) fn execute<E: From<ProgramError>>(
         let mut workers: Vec<Worker<'_>> = chunks
             .iter()
             .zip(arenas.iter_mut())
-            .map(|(&chunk, arena)| Worker {
+            .map(|(&chunk, (f32s, f64s))| Worker {
                 chunk,
                 slabs: Vec::new(),
                 masks: Vec::new(),
-                arena,
+                f32s,
+                f64s,
             })
             .collect();
         let targets: Vec<&mut [f64]> = if last {
@@ -1317,14 +1467,16 @@ pub(crate) fn execute<E: From<ProgramError>>(
         }
     }
 
-    // (The pool drops the empty placeholders.)
-    for buf in arenas
-        .into_iter()
-        .chain(state_a)
-        .chain(state_b)
-        .chain(copies)
-    {
+    // (The pools drop the empty placeholders.)
+    for (f32s, f64s) in arenas {
+        executor.pool_release(f32s);
+        executor.pool_release(f64s);
+    }
+    for buf in state_a.into_iter().chain(state_b) {
         executor.pool_release(buf);
+    }
+    for copy in copies.into_iter().flatten() {
+        copy.release(executor);
     }
     if let Err(error) = failure {
         executor.release_all(out_grids, out_masks);
@@ -1364,11 +1516,20 @@ fn split_slabs<'a, T>(
 }
 
 /// Fill the row and cell pads of every plane of a ring with its boundary
-/// constant. In-domain cells are left as they are: every one a tap reads
-/// was produced first (the lag recurrence).
-fn fill_pads(plan: &FusePlan, ring: &Ring, buf: &mut [f64]) {
+/// constant (already rounded through the field's type, so a binary32
+/// value in an `f32` ring). In-domain cells are left as they are: every
+/// one a tap reads was produced first (the lag recurrence).
+fn fill_pads(plan: &FusePlan, ring: &Ring, buf: CellsMut<'_>) {
+    let c = plan.fields[ring.field].pad_constant;
+    match buf {
+        CellsMut::F32(buf) => fill_pads_of(plan, ring, buf, narrow(c)),
+        CellsMut::F64(buf) => fill_pads_of(plan, ring, buf, c),
+    }
+}
+
+/// [`fill_pads`] on cells of one width.
+fn fill_pads_of<T: Copy>(plan: &FusePlan, ring: &Ring, buf: &mut [T], c: T) {
     let field = &plan.fields[ring.field];
-    let c = field.pad_constant;
     let (rows_lo, rows_hi) = (field.pad_lo[1], field.pad_lo[1] + plan.ext[1]);
     let (cells_lo, cells_hi) = (field.pad_lo[2], field.pad_lo[2] + plan.ext[2]);
     for plane in buf.chunks_exact_mut(ring.plane) {
@@ -1384,26 +1545,56 @@ fn fill_pads(plan: &FusePlan, ring: &Ring, buf: &mut [f64]) {
 /// Copy a lower-rank or transposed input into its padded, space-ordered
 /// buffer: its grid in the in-domain cells (each value across its whole
 /// row if the input is replicated), the boundary constant everywhere else.
-fn fill_copy(plan: &FusePlan, field: &FusedField, src: &[f64], buf: &mut [f64]) {
+fn fill_copy(plan: &FusePlan, field: &FusedField, src: &[f64], buf: CellsMut<'_>) {
+    match buf {
+        CellsMut::F32(buf) => fill_copy_of(plan, field, src, buf, narrow),
+        CellsMut::F64(buf) => fill_copy_of(plan, field, src, buf, |v| v),
+    }
+}
+
+/// [`fill_copy`] into cells of one width, each value converted by `cell`.
+fn fill_copy_of<T: Copy>(
+    plan: &FusePlan,
+    field: &FusedField,
+    src: &[f64],
+    buf: &mut [T],
+    cell: impl Fn(f64) -> T,
+) {
     let nk = plan.ext[2];
     let [s0, s1, sk] = field.src;
-    buf.fill(field.pad_constant);
+    buf.fill(cell(field.pad_constant));
     for p in 0..field.extent(0, &plan.ext) {
         for j in 0..field.extent(1, &plan.ext) {
             let at = (field.pad_lo[0] + p) * field.plane + field.origin + j * field.row;
             let from = p * s0 + j * s1;
             let row = &mut buf[at..at + nk];
             match sk {
-                1 => row.copy_from_slice(&src[from..from + nk]),
-                0 => row.fill(src[from]),
+                0 => row.fill(cell(src[from])),
+                1 => {
+                    for (to, &v) in row.iter_mut().zip(&src[from..from + nk]) {
+                        *to = cell(v);
+                    }
+                }
                 _ => {
-                    for (k, cell) in row.iter_mut().enumerate() {
-                        *cell = src[from + k * sk];
+                    for (k, to) in row.iter_mut().enumerate() {
+                        *to = cell(src[from + k * sk]);
                     }
                 }
             }
         }
     }
+}
+
+/// `v` as an `f32`: exact, because the grid of a `float32` field holds
+/// binary32 values (its stores round through `f32`), which the debug
+/// build checks — NaN excepted, whose payload need not survive.
+#[inline]
+fn narrow(v: f64) -> f32 {
+    debug_assert!(
+        v.is_nan() || f64::from(v as f32) == v,
+        "{v:e} is not a binary32 value"
+    );
+    v as f32
 }
 
 /// Where the planes a stage produces in this window end up.
@@ -1432,12 +1623,13 @@ struct RingRun {
 
 /// What one worker owns for one window: its chunk of planes, the slab of
 /// every output (and, in the final window, of every mask) over that chunk,
-/// and the arena its rings are carved from.
+/// and the arenas its rings are carved from.
 struct Worker<'a> {
     chunk: (usize, usize),
     slabs: Vec<&'a mut [f64]>,
     masks: Vec<&'a mut [bool]>,
-    arena: &'a mut [f64],
+    f32s: &'a mut [f32],
+    f64s: &'a mut [f64],
 }
 
 /// What one worker's window came to: the logical cells evaluated (seam
@@ -1462,12 +1654,13 @@ fn run_worker_lanes<const L: usize>(ctx: &WindowCtx<'_>, worker: Worker<'_>) -> 
         chunk,
         mut slabs,
         mut masks,
-        arena,
+        f32s,
+        f64s,
     } = worker;
     let plan = ctx.plan;
     let sched = ctx.sched;
     let [n0, n1, nk] = plan.ext;
-    let mut rings = sched.carve(arena);
+    let mut rings = sched.carve(f32s, f64s);
     let max_taps = sched.rings.iter().map(|r| r.taps.len()).max().unwrap_or(0);
     let mut lanes = LaneState::<L> {
         bases: vec![0; max_taps],
@@ -1475,7 +1668,7 @@ fn run_worker_lanes<const L: usize>(ctx: &WindowCtx<'_>, worker: Worker<'_>) -> 
         scratch: LaneScratch::default(),
     };
     let mut cell = CellState::default();
-    let mut native = SweepBuffers::default();
+    let mut buffers = SweepBuffers::default();
 
     if ctx.last {
         for (&(stage, _), mask) in plan.outputs.iter().zip(masks.iter_mut()) {
@@ -1545,7 +1738,7 @@ fn run_worker_lanes<const L: usize>(ctx: &WindowCtx<'_>, worker: Worker<'_>) -> 
             // Pad planes below and above the domain.
             for pos in (from..upto.min(run.lo)).chain(run.hi.max(from)..upto) {
                 let at = ring.at(pos);
-                rings[ix][at..at + ring.plane].fill(plan.fields[ring.field].pad_constant);
+                rings[ix].fill(at..at + ring.plane, plan.fields[ring.field].pad_constant);
             }
             // In-domain planes, in runs no ring wraps within.
             let mut x = from.max(run.lo);
@@ -1562,14 +1755,21 @@ fn run_worker_lanes<const L: usize>(ctx: &WindowCtx<'_>, worker: Worker<'_>) -> 
                 let span_x = x;
                 x += n as i64;
                 if ring.stage.is_none() {
-                    copy_in(plan, ring, ctx.sources[ring.field], rings[ix], span_x, n);
+                    copy_in(
+                        plan,
+                        ring,
+                        ctx.sources[ring.field],
+                        &mut rings[ix],
+                        span_x,
+                        n,
+                    );
                     continue;
                 }
                 // Detach the write target so the taps can borrow the
                 // rings (a stage never reads the ring it writes).
-                let (out, layout) = match run.sink {
+                let (mut out, layout) = match run.sink {
                     Sink::Direct(o) => (
-                        std::mem::take(&mut slabs[o]),
+                        CellsMut::F64(std::mem::take(&mut slabs[o])),
                         ((span_x as usize - chunk.0) * n1 * nk, n1 * nk, nk),
                     ),
                     _ => (
@@ -1587,27 +1787,35 @@ fn run_worker_lanes<const L: usize>(ctx: &WindowCtx<'_>, worker: Worker<'_>) -> 
                 let evaluated = match kernel.typed_kernel() {
                     Some(typed) => {
                         match ctx.native(ring.stage) {
-                            Some(func) => {
-                                sweep_native(ctx, func, ring, &rings, out, span, &mut native)
+                            Some(native) => {
+                                let func = match run.sink {
+                                    Sink::Direct(_) => native.direct.as_ref(),
+                                    Sink::Ring | Sink::Copy(_) => native.ring.as_ref(),
+                                };
+                                let func = func.expect("the unit exports every store a run makes");
+                                sweep_native(ctx, func, ring, &rings, &mut out, span, &mut buffers)
                             }
-                            None => sweep_lanes(ctx, ring, &rings, out, span, typed, &mut lanes),
+                            None => {
+                                sweep_lanes(ctx, ring, &rings, &mut out, span, typed, &mut lanes)
+                            }
                         }
                         // The edge pass re-evaluates cells counted below.
                         match stage.clean {
                             Some(clean) => {
-                                cell_pass(ctx, ring, &rings, out, span, clean, &mut cell)
+                                cell_pass(ctx, ring, &rings, &mut out, span, clean, &mut cell)
                             }
                             None => Ok(()),
                         }
                     }
                     // A boxed stage: every cell once, one at a time, as the
                     // edge pass evaluates its cells.
-                    None => cell_pass(ctx, ring, &rings, out, span, NOWHERE, &mut cell),
+                    None => cell_pass(ctx, ring, &rings, &mut out, span, NOWHERE, &mut cell),
                 };
                 cells += n * n1 * nk;
-                match run.sink {
-                    Sink::Direct(o) => slabs[o] = out,
-                    Sink::Ring | Sink::Copy(_) => rings[ix] = out,
+                match (run.sink, out) {
+                    (Sink::Direct(o), CellsMut::F64(slab)) => slabs[o] = slab,
+                    (Sink::Direct(_), CellsMut::F32(_)) => unreachable!("slabs hold f64"),
+                    (Sink::Ring | Sink::Copy(_), out) => rings[ix] = out,
                 }
                 if let Err(error) = evaluated {
                     failed = Some((ix, error));
@@ -1615,7 +1823,7 @@ fn run_worker_lanes<const L: usize>(ctx: &WindowCtx<'_>, worker: Worker<'_>) -> 
                 }
                 if let Sink::Copy(o) = run.sink {
                     let own = (span_x.max(chunk.0 as i64), x.min(chunk.1 as i64));
-                    copy_out(plan, ring, rings[ix], slabs[o], own, chunk.0);
+                    copy_out(plan, ring, rings[ix].as_cells(), slabs[o], own, chunk.0);
                 }
             }
         }
@@ -1641,13 +1849,49 @@ struct LaneState<const L: usize> {
     scratch: LaneScratch<L>,
 }
 
+/// `L` cells of `cells` from `at` on, widened to `f64` (exact). Only a
+/// grid read in place can end inside a batch: the last one of its last
+/// row, whose lanes past the row end are over-computed and never read.
+#[inline]
+fn load<const L: usize>(cells: Cells<'_>, at: usize) -> [f64; L] {
+    let mut batch = [0.0; L];
+    match cells {
+        Cells::F64(buf) => match buf.get(at..at + L) {
+            Some(cells) => batch.copy_from_slice(cells),
+            None => batch[..buf.len() - at].copy_from_slice(&buf[at..]),
+        },
+        Cells::F32(buf) => {
+            let cells = buf.get(at..at + L).unwrap_or(&buf[at..]);
+            for (lane, &v) in batch.iter_mut().zip(cells) {
+                *lane = f64::from(v);
+            }
+        }
+    }
+    batch
+}
+
+/// Store `values` from cell `at` of `out` on, rounded through `dtype` (as
+/// the interpreter stores): into `f32` cells — only a `float32` field's —
+/// that rounding is the narrowing.
+#[inline]
+fn store<const L: usize>(values: &[f64; L], dtype: DataType, out: &mut CellsMut<'_>, at: usize) {
+    match out {
+        CellsMut::F64(out) => round_lanes(values, dtype, &mut out[at..at + L]),
+        CellsMut::F32(out) => {
+            for (cell, &v) in out[at..at + L].iter_mut().zip(values) {
+                *cell = v as f32;
+            }
+        }
+    }
+}
+
 /// Sweep one typed stage over `span` through the lane interpreter, into
 /// its (detached) ring `out`.
 fn sweep_lanes<const L: usize>(
     ctx: &WindowCtx<'_>,
     target: &Ring,
-    rings: &[&mut [f64]],
-    out: &mut [f64],
+    rings: &[CellsMut<'_>],
+    out: &mut CellsMut<'_>,
     span: Span,
     typed: &TypedKernel,
     state: &mut LaneState<L>,
@@ -1672,17 +1916,6 @@ fn sweep_lanes<const L: usize>(
             Tap::Scalar(_) => 0,
         };
     }
-    let load = |buf: &[f64], at: usize| -> [f64; L] {
-        let mut batch = [0.0; L];
-        match buf.get(at..at + L) {
-            Some(cells) => batch.copy_from_slice(cells),
-            // Only a grid read in place can end inside a batch: the last
-            // one of its last row, whose lanes past the row end are
-            // over-computed and never read.
-            None => batch[..buf.len() - at].copy_from_slice(&buf[at..]),
-        }
-        batch
-    };
     for p in 0..span.n {
         let pos = span.x + p as i64;
         for (base, tap) in bases.iter_mut().zip(&target.taps) {
@@ -1702,21 +1935,17 @@ fn sweep_lanes<const L: usize>(
                 // from its contiguous row (scalars broadcast).
                 let result = typed.eval_lanes_with(
                     |s| match &target.taps[s] {
-                        Tap::Ring { ring, .. } => load(rings[*ring], bases[s] + k0),
+                        Tap::Ring { ring, .. } => load(rings[*ring].as_cells(), bases[s] + k0),
                         Tap::Source { field, .. } => load(ctx.sources[*field], bases[s] + k0),
                         Tap::Scalar(field) => [ctx.scalars[*field]; L],
                     },
                     scratch,
                 );
-                round_lanes(
-                    &result,
-                    stage.out_dtype,
-                    &mut out[out_row + k0..out_row + k0 + L],
-                );
+                store(&result, stage.out_dtype, out, out_row + k0);
             }
             // Restore the tail pad the over-computed last batch clobbered.
             if refill_tail {
-                out[out_row + nk..out_row + nk + pad_hi_k].fill(field.pad_constant);
+                out.fill(out_row + nk..out_row + nk + pad_hi_k, field.pad_constant);
             }
             out_row += out_s1;
             for (base, stride) in bases.iter_mut().zip(strides.iter()) {
@@ -1757,8 +1986,8 @@ struct CellState {
 fn cell_pass(
     ctx: &WindowCtx<'_>,
     target: &Ring,
-    rings: &[&mut [f64]],
-    out: &mut [f64],
+    rings: &[CellsMut<'_>],
+    out: &mut CellsMut<'_>,
     span: Span,
     (lo, hi): ([usize; 3], [usize; 3]),
     state: &mut CellState,
@@ -1770,11 +1999,11 @@ fn cell_pass(
     let ext = plan.ext.map(|e| e as i64);
     // The cell at `d` from `cell` of the buffer `tap` reads.
     let load = |tap: &Tap, cell: [i64; 3], d: [i64; 3]| -> f64 {
-        let (buf, at): (&[f64], i64) = match *tap {
+        let (buf, at): (Cells<'_>, i64) = match *tap {
             Tap::Ring { ring, .. } => {
                 let r = &ctx.sched.rings[ring];
                 let inner = r.origin as i64 + (cell[1] + d[1]) * r.row as i64 + cell[2] + d[2];
-                (rings[ring], r.at(cell[0] + d[0]) as i64 + inner)
+                (rings[ring].as_cells(), r.at(cell[0] + d[0]) as i64 + inner)
             }
             Tap::Source { field, s0, s1, .. } => {
                 let f = &plan.fields[field];
@@ -1785,7 +2014,7 @@ fn cell_pass(
             }
             Tap::Scalar(_) => unreachable!("a field slot reads a field"),
         };
-        buf[at as usize]
+        buf.get(at as usize)
     };
     let CellState {
         raw,
@@ -1838,7 +2067,7 @@ fn cell_pass(
                     }
                 };
                 let at = out_base + p * out_s0 + j * out_s1 + k;
-                round_lanes(&[result], stage.out_dtype, &mut out[at..at + 1]);
+                store(&[result], stage.out_dtype, out, at);
             }
         }
     }
@@ -1856,8 +2085,8 @@ fn sweep_native(
     ctx: &WindowCtx<'_>,
     func: &StageFn,
     target: &Ring,
-    rings: &[&mut [f64]],
-    out: &mut [f64],
+    rings: &[CellsMut<'_>],
+    out: &mut CellsMut<'_>,
     span: Span,
     buffers: &mut SweepBuffers,
 ) {
@@ -1867,7 +2096,7 @@ fn sweep_native(
         Tap::Ring { ring, off0, inner } => {
             let r = &ctx.sched.rings[*ring];
             SlotArg::Tap {
-                buf: &rings[*ring][..],
+                buf: rings[*ring].as_cells(),
                 base: r.at(span.x + off0) + inner,
                 s0: r.plane,
                 s1: r.row,
@@ -1887,7 +2116,7 @@ fn sweep_native(
     });
     let (out_base, out_s0, out_s1) = span.layout;
     let mut args = SweepArgs {
-        out,
+        out: out.reborrow(),
         out_base,
         out_s0,
         out_s1,
@@ -1895,23 +2124,44 @@ fn sweep_native(
         n1,
         nk,
     };
-    // The bounds validation inside `sweep` re-checks the geometry this
-    // function just derived; a failure is a planner bug, not a runtime
-    // condition to fall back from.
+    // The width and bounds validation inside `sweep` re-checks the widths
+    // and geometry this function just derived; a failure is a planner bug,
+    // not a runtime condition to fall back from.
     if let Err(e) = func.sweep(slots, &mut args, buffers) {
         panic!("jit sweep geometry rejected: {e}");
     }
 }
 
 /// Copy `n` planes from `x` of a full grid into the in-domain cells of
-/// their ring planes.
-fn copy_in(plan: &FusePlan, ring: &Ring, src: &[f64], dst: &mut [f64], x: i64, n: usize) {
+/// their ring planes (narrowing into an `f32` ring, see [`narrow`]).
+fn copy_in(plan: &FusePlan, ring: &Ring, src: Cells<'_>, dst: &mut CellsMut<'_>, x: i64, n: usize) {
+    let Cells::F64(src) = src else {
+        unreachable!("a ringed input is read from a grid");
+    };
+    match dst {
+        CellsMut::F32(dst) => copy_in_of(plan, ring, src, dst, x, n, narrow),
+        CellsMut::F64(dst) => copy_in_of(plan, ring, src, dst, x, n, |v| v),
+    }
+}
+
+/// [`copy_in`] into a ring of one width, each value converted by `cell`.
+fn copy_in_of<T>(
+    plan: &FusePlan,
+    ring: &Ring,
+    src: &[f64],
+    dst: &mut [T],
+    x: i64,
+    n: usize,
+    cell: impl Fn(f64) -> T,
+) {
     let [_, n1, nk] = plan.ext;
     for pos in x..x + n as i64 {
         let mut to = ring.at(pos) + ring.origin;
         let mut from = pos as usize * n1 * nk;
         for _ in 0..n1 {
-            dst[to..to + nk].copy_from_slice(&src[from..from + nk]);
+            for (d, &v) in dst[to..to + nk].iter_mut().zip(&src[from..from + nk]) {
+                *d = cell(v);
+            }
             to += ring.row;
             from += nk;
         }
@@ -1919,21 +2169,39 @@ fn copy_in(plan: &FusePlan, ring: &Ring, src: &[f64], dst: &mut [f64], x: i64, n
 }
 
 /// Copy the planes `own` of a ring into the worker's output slab (whose
-/// first plane is `row0`).
+/// first plane is `row0`), widening an `f32` ring.
 fn copy_out(
     plan: &FusePlan,
     ring: &Ring,
-    src: &[f64],
+    src: Cells<'_>,
     slab: &mut [f64],
     own: (i64, i64),
     row0: usize,
+) {
+    match src {
+        Cells::F32(src) => copy_out_of(plan, ring, src, slab, own, row0, f64::from),
+        Cells::F64(src) => copy_out_of(plan, ring, src, slab, own, row0, |v| v),
+    }
+}
+
+/// [`copy_out`] from a ring of one width, each value converted by `cell`.
+fn copy_out_of<T: Copy>(
+    plan: &FusePlan,
+    ring: &Ring,
+    src: &[T],
+    slab: &mut [f64],
+    own: (i64, i64),
+    row0: usize,
+    cell: impl Fn(T) -> f64,
 ) {
     let [_, n1, nk] = plan.ext;
     for pos in own.0..own.1 {
         let mut from = ring.at(pos) + ring.origin;
         let mut to = (pos as usize - row0) * n1 * nk;
         for _ in 0..n1 {
-            slab[to..to + nk].copy_from_slice(&src[from..from + nk]);
+            for (d, &v) in slab[to..to + nk].iter_mut().zip(&src[from..from + nk]) {
+                *d = cell(v);
+            }
             from += ring.row;
             to += nk;
         }
@@ -2037,14 +2305,26 @@ mod tests {
         assert_eq!(fusible, 10);
     }
 
+    #[test]
+    #[should_panic(expected = "is not a binary32 value")]
+    fn narrowing_a_value_binary32_cannot_hold_is_caught() {
+        assert!(narrow(f64::NAN).is_nan());
+        narrow(0.1);
+    }
+
     /// The inputs of the `analyze` suite read in place — exactly those no
     /// live tap reads off-center, and that span the innermost axis — get
     /// no ring (they left the enumeration above); every other full-rank
-    /// input keeps one.
+    /// input keeps one. An input read in place is read as `f64` cells, and
+    /// so is its stepping partner's ring, which its slot reads at the
+    /// later steps of a window: such a `float32` output would keep `f64`
+    /// rings (none here; `jit_equivalence.rs` steps one), every other
+    /// `float32` field has `f32` ones.
     #[test]
     fn center_only_inputs_are_read_in_place() {
         let executor = ReferenceExecutor::new();
         let mut in_place = Vec::new();
+        let mut wide_f32_outputs = Vec::new();
         for program in stencilflow_workloads::analyze_suite() {
             let compiled = executor.prepare(&program).unwrap();
             let plan = &compiled.tier_trace().fused;
@@ -2053,11 +2333,24 @@ mod tests {
             for (f, field) in live_inputs.filter(|(_, f)| f.live && f.input && !f.scalar) {
                 let ringed = sched.rings.iter().any(|r| r.field == f);
                 assert_eq!(ringed, !field.in_place && !field.copied(), "{}", field.name);
+                let dtype = program.field_type(&field.name).unwrap();
+                let narrow = dtype == DataType::Float32 && !field.in_place;
+                assert_eq!(field.width == Width::F32, narrow, "{}", field.name);
                 if field.in_place {
                     in_place.push(format!("{}.{}", program.name(), field.name));
                 }
             }
+            for ring in &sched.rings {
+                assert_eq!(ring.width, plan.fields[ring.field].width);
+            }
+            for stage in plan.stages.iter().filter(|s| s.live) {
+                let field = &plan.fields[stage.field];
+                if stage.out_dtype == DataType::Float32 && field.width == Width::F64 {
+                    wide_f32_outputs.push(format!("{}.{}", program.name(), field.name));
+                }
+            }
         }
+        assert_eq!(wide_f32_outputs, Vec::<String>::new());
         // Listing 1's three inputs, membench's eight copy sources,
         // horizontal diffusion's mask (its coefficients miss `k`: they are
         // replicated), and upwind's velocity (its tracer is read upwind,

@@ -29,27 +29,50 @@
 use crate::tier::Ineligible;
 use std::sync::{Arc, OnceLock};
 use stencilflow_jit::{
-    CacheStats, JitConfig, JitEngine, JitError, ModuleHandle, ModuleStatus, StageFn,
+    CacheStats, JitConfig, JitEngine, JitError, ModuleHandle, ModuleStatus, StageFn, Width,
 };
 use stencilflow_program::{ProgramError, Result};
 
-/// The emitted translation unit for one compiled program, plus the symbol
+/// The emitted translation unit for one compiled program, plus the symbols
 /// each fused stage exports. Built once per compiled program; compiling
 /// and loading happen on the engine's compile thread.
 #[derive(Debug)]
 pub(crate) struct JitUnit {
-    /// The complete C source (one exported `sf_stage_{i}` per live stage,
+    /// The complete C source (one or two exported symbols per live stage,
     /// one sweep body per distinct stage).
     pub source: String,
-    /// Symbol per fuse-plan stage index (`None` for dead stages).
-    pub symbols: Vec<Option<String>>,
+    /// Symbols per fuse-plan stage index (`None` for dead stages).
+    pub symbols: Vec<Option<StageSymbols>>,
     /// Distinct sweep bodies in `source`.
     pub bodies: usize,
     /// The loaded stage functions, indexed like `symbols`, or why the
     /// module could not be built ([`Ineligible::Native`]); settled by the
     /// first run that finds the build finished, so later runs never ask
     /// the engine.
-    pub resolved: OnceLock<std::result::Result<Vec<Option<StageFn>>, Ineligible>>,
+    pub resolved: OnceLock<std::result::Result<Vec<Option<NativeStage>>, Ineligible>>,
+}
+
+/// What one live stage exports, and the widths its bodies were emitted
+/// for. A stage stores either into its ring, at its field's width, or —
+/// an output no stage of its step reads, in the last step of a window —
+/// straight to an `f64` output slab; of a field held in `f64` one symbol
+/// does both.
+#[derive(Debug)]
+pub(crate) struct StageSymbols {
+    /// Per kernel slot: the width of the tap it reads, `None` for a scalar.
+    pub slots: Vec<Option<Width>>,
+    /// The symbol storing into the ring, and the ring's width, when some
+    /// run stores there.
+    pub ring: Option<(String, Width)>,
+    /// The symbol storing to an `f64` slab, when some run stores there.
+    pub direct: Option<String>,
+}
+
+/// The loaded functions of one live stage (see [`StageSymbols`]).
+#[derive(Debug)]
+pub(crate) struct NativeStage {
+    pub ring: Option<StageFn>,
+    pub direct: Option<StageFn>,
 }
 
 impl JitUnit {
@@ -104,7 +127,7 @@ pub(crate) fn stage_fns<'a>(
     program: &str,
     unit: &'a JitUnit,
     tier_up: TierUp,
-) -> Result<Option<&'a [Option<StageFn>]>> {
+) -> Result<Option<&'a [Option<NativeStage>]>> {
     let resolved = match (unit.resolved.get(), engine()) {
         (Some(resolved), _) => resolved,
         (None, Ok(engine)) => {
@@ -138,14 +161,28 @@ fn resolve(
     engine: &JitEngine,
     unit: &JitUnit,
     built: std::result::Result<Arc<ModuleHandle>, JitError>,
-) -> std::result::Result<Vec<Option<StageFn>>, Ineligible> {
+) -> std::result::Result<Vec<Option<NativeStage>>, Ineligible> {
     let module = built.map_err(Ineligible::Native)?;
-    let symbol = |name: &String| {
-        let fail = |message| Ineligible::Native(JitError::Load { message });
-        engine.stage_fn(&module, name).map_err(fail)
+    let stage = |symbols: &StageSymbols| {
+        let symbol = |name: &str, out| {
+            let fail = |e: stencilflow_jit::FfiError| {
+                let message = e.to_string();
+                Ineligible::Native(JitError::Load { message })
+            };
+            engine
+                .stage_fn(&module, name, &symbols.slots, out)
+                .map_err(fail)
+        };
+        let ring = symbols.ring.as_ref();
+        Ok(NativeStage {
+            ring: ring.map(|(name, out)| symbol(name, *out)).transpose()?,
+            direct: (symbols.direct.as_ref())
+                .map(|name| symbol(name, Width::F64))
+                .transpose()?,
+        })
     };
     unit.symbols
         .iter()
-        .map(|name| name.as_ref().map(symbol).transpose())
+        .map(|symbols| symbols.as_ref().map(stage).transpose())
         .collect()
 }

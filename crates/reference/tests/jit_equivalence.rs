@@ -11,7 +11,10 @@
 
 mod common;
 
-use common::{assert_rungs_match_interpreter, assert_tiers_bit_identical, run_pinned};
+use common::{
+    assert_outputs_match, assert_rungs_match_interpreter, assert_tiers_bit_identical, interpret,
+    run_pinned, TIERS,
+};
 use std::collections::BTreeMap;
 use stencilflow_expr::DataType;
 use stencilflow_program::{BoundaryCondition, StencilProgram, StencilProgramBuilder};
@@ -92,12 +95,15 @@ fn stages_sharing_one_body_are_swept_with_their_own_slots() {
     assert_eq!(compiled.jit_stage_census(), Some((4, 3)));
     assert_tiers_bit_identical(&program, 31);
 
-    // A chain is the extreme: every stage one body, every symbol its own.
+    // A chain is the extreme: every stage one body, every symbol its own —
+    // but for the output's store to its `f64` slab (`sf_stage_7_d`): the
+    // chain steps, so its output also stores into its `f32` ring.
     let chain = chain_program(&ChainSpec::new(8, 8).with_shape(&[6, 5, 7]));
     let compiled = ReferenceExecutor::new().prepare(&chain).unwrap();
-    assert_eq!(compiled.jit_stage_census(), Some((8, 1)));
+    assert_eq!(compiled.jit_stage_census(), Some((8, 2)));
     let source = compiled.jit_source().unwrap();
-    assert_eq!(source.matches("\nSF_STAGE(sf_stage_").count(), 8);
+    assert_eq!(source.matches("\nSF_STAGE(sf_stage_").count(), 9);
+    assert!(source.contains("\nSF_STAGE(sf_stage_7_d, sf_body_1)\n"));
 }
 
 #[test]
@@ -107,12 +113,14 @@ fn jit_sweeps_broadcast_taps_natively() {
     // miss (`fused_equivalence.rs` runs the all-tier loop and the worker
     // seams over Listing 1 and the other broadcast programs, and asserts
     // they are eligible).
-    // Listing 1 is five stages over three distinct bodies: `b0`, `b3` and
-    // `b4` are one sum of two taps.
+    // Listing 1 is five stages over five distinct bodies: `b0`, `b3` and
+    // `b4` are one sum of two taps, but `b0` reads its `f64` grids in
+    // place into an `f32` ring, `b3` reads and stores `f32` rings, and
+    // `b4` stores to its `f64` slab.
     let listing = listing1_with_shape(&[6, 7, 5]);
     assert_eligible(&listing);
     let compiled = ReferenceExecutor::new().prepare(&listing).unwrap();
-    assert_eq!(compiled.jit_stage_census(), Some((5, 3)));
+    assert_eq!(compiled.jit_stage_census(), Some((5, 5)));
 }
 
 #[test]
@@ -223,6 +231,65 @@ fn stepped_programs_are_native_eligible() {
         .build()
         .unwrap();
     assert_eligible(&coupled);
+}
+
+#[test]
+fn f32_state_keeps_one_width_per_slot_and_store_across_a_window() {
+    // The two places a native stage could meet two widths in one run,
+    // each run over windows that split the steps and one that does not:
+    // * `h` is read at its centre only, so at a window's first step its
+    //   grid is read in place (`f64`) and at the later ones its output's
+    //   ring: that ring stays `f64`, and `h_next` stores `double` only;
+    // * `u_next` stores into its `f32` ring at a window's early steps and
+    //   straight to its `f64` output slab at the last one: through two
+    //   symbols, one per store width.
+    let relax = StencilProgramBuilder::new("relax", &[7, 5, 13])
+        .input("h", DataType::Float32, &["i", "j", "k"])
+        .input("f", DataType::Float32, &["k"])
+        .stencil("h_next", "0.5 * h[i,j,k] + f[k]")
+        .output("h_next")
+        .build()
+        .unwrap();
+    let smooth = StencilProgramBuilder::new("smooth", &[7, 5, 13])
+        .input("u", DataType::Float32, &["i", "j", "k"])
+        .stencil(
+            "u_next",
+            "0.25 * (u[i-1,j,k] + u[i+1,j,k]) + 0.5 * u[i,j,k]",
+        )
+        .output("u_next")
+        .build()
+        .unwrap();
+    let source = |program| {
+        let compiled = ReferenceExecutor::new().prepare(program).unwrap();
+        compiled.jit_source().unwrap().to_string()
+    };
+    let relax_unit = source(&relax);
+    assert!(relax_unit.contains("    double *sf_o = "), "{relax_unit}");
+    assert!(!relax_unit.contains("float *sf_o"), "{relax_unit}");
+    assert!(relax_unit.ends_with("\nSF_STAGE(sf_stage_0, sf_body_0)\n"));
+    let smooth_unit = source(&smooth);
+    for line in [
+        "    float *sf_o = (float *)sf_out",
+        "    double *sf_o = (double *)sf_out",
+        "\nSF_STAGE(sf_stage_0, sf_body_0)\nSF_STAGE(sf_stage_0_d, sf_body_1)\n",
+    ] {
+        assert!(smooth_unit.contains(line), "no `{line}` in:\n{smooth_unit}");
+    }
+    for (program, seed) in [(relax, 71), (smooth, 72)] {
+        let inputs = generate_inputs(&program, seed);
+        let steps = 7;
+        let baseline = interpret(&program, &inputs, Some(steps)).unwrap();
+        for tier in TIERS {
+            for window in [1, 3, 7] {
+                let executor = ReferenceExecutor::new()
+                    .with_fusion_window(window)
+                    .with_fusion_tile_rows(2);
+                let result = run_pinned(&executor, &program, &inputs, Some(steps), tier).unwrap();
+                let label = format!("{tier} window={window}");
+                assert_outputs_match(&program, &label, &result, &baseline);
+            }
+        }
+    }
 }
 
 #[test]
