@@ -146,7 +146,6 @@ pub struct CompiledProgram {
     name: String,
     shape: Vec<usize>,
     inputs: Vec<InputSpec>,
-    stencils: Vec<CompiledStencil>,
     /// The time-stepping feedback pairs `(output, input)`, or why there
     /// are none.
     pairs: Result<Vec<(String, String)>>,
@@ -180,14 +179,14 @@ impl CompiledProgram {
 
     /// Number of compiled stencils.
     pub fn stencil_count(&self) -> usize {
-        self.stencils.len()
+        self.trace.stencils.len()
     }
 
     /// Number of stencils carrying a type-specialized (`Value`-free) kernel:
     /// the ones whose sweep runs lane-batched (or native). The rest run cell
     /// by cell on boxed `Value`s.
     pub fn typed_stencil_count(&self) -> usize {
-        self.stencils.iter().filter(|s| s.is_typed()).count()
+        self.trace.stencils.iter().filter(|s| s.is_typed()).count()
     }
 
     /// The tier ladder: which rung each request lands on, and why a rung
@@ -200,7 +199,7 @@ impl CompiledProgram {
     /// (`None` when Tier-4 is ineligible). Exposed so CI can archive the
     /// exact sources it compiled next to the bitwise-diff results.
     pub fn jit_source(&self) -> Option<&str> {
-        let unit = self.trace.jit.as_ref().ok()?;
+        let unit = self.trace.jit().ok()?;
         Some(unit.source.as_str())
     }
 
@@ -208,7 +207,7 @@ impl CompiledProgram {
     /// live stage exports a symbol, stages whose emitted sweeps are the same
     /// text share one body (a chain of identical stencils has one).
     pub fn jit_stage_census(&self) -> Option<(usize, usize)> {
-        let unit = self.trace.jit.as_ref().ok()?;
+        let unit = self.trace.jit().ok()?;
         Some((unit.symbols.iter().flatten().count(), unit.bodies))
     }
 
@@ -220,7 +219,7 @@ impl CompiledProgram {
 
     /// The compiled stencils in topological order (fused-tier internal).
     pub(crate) fn stencil_plans(&self) -> &[CompiledStencil] {
-        &self.stencils
+        &self.trace.stencils
     }
 
     /// The output-to-input feedback pairing used by time stepping.
@@ -719,14 +718,12 @@ impl ReferenceExecutor {
         let pairs = program.feedback_pairs();
         // The ladder: the JIT rung runs the fused schedule.
         let fused = crate::fuse::FusePlan::build(program, &stencils, pairs.as_deref().ok());
-        let jit = fused.jit_unit(&stencils);
         Ok(CompiledProgram {
             name: program.name().to_string(),
             shape: space.shape.clone(),
             inputs,
-            stencils,
             pairs,
-            trace: TierTrace { fused, jit },
+            trace: TierTrace::new(stencils, fused),
             fingerprint,
         })
     }
@@ -849,11 +846,12 @@ impl ReferenceExecutor {
             compiled.feedback_pairs()?;
         }
         Self::check_inputs(compiled, inputs)?;
-        let native = match &compiled.trace.jit {
-            Ok(unit) if compiled.trace.rung(tier) == Tier::Jit => {
-                crate::jit::stage_fns(&compiled.name, unit, tier_up)?
-            }
-            _ => None,
+        let native = match compiled.trace.rung(tier) {
+            Tier::Jit => match compiled.trace.jit() {
+                Ok(unit) => crate::jit::stage_fns(&compiled.name, unit, tier_up)?,
+                Err(_) => None,
+            },
+            Tier::Fused => None,
         };
         let plan = &compiled.trace.fused;
         let count = steps.unwrap_or(1);

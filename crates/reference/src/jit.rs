@@ -5,8 +5,8 @@
 //!
 //! * `stencilflow-codegen` emits the C translation unit (from the typed,
 //!   verified bytecode — see [`crate::fuse::FusePlan::jit_unit`], which
-//!   judges the JIT rung and builds the [`JitUnit`] every program's
-//!   [`crate::tier::TierTrace`] holds);
+//!   judges the JIT rung and builds the [`JitUnit`] a program's
+//!   [`crate::tier::TierTrace`] holds once the rung is first asked about);
 //! * `stencilflow-jit` compiles and caches it (system `cc`, disk-backed
 //!   code cache keyed by the emitted text plus a compiler salt — the unit
 //!   names no program, field or extent, so programs that differ only in

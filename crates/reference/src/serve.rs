@@ -630,7 +630,7 @@ mod tests {
     /// takes the program on this machine: the jobs after it run native.
     fn land(serve: &ServeExecutor, program: &StencilProgram) {
         let compiled = serve.executor.prepare(program).unwrap();
-        if let (Ok(unit), Ok(_)) = (&compiled.tier_trace().jit, crate::jit_available()) {
+        if let (Ok(unit), Ok(_)) = (compiled.tier_trace().jit(), crate::jit_available()) {
             crate::jit::stage_fns(compiled.name(), unit, TierUp::Wait).unwrap();
         }
     }

@@ -16,6 +16,8 @@
 
 use crate::fuse::FusePlan;
 use crate::jit::JitUnit;
+use crate::plan::CompiledStencil;
+use std::sync::OnceLock;
 use stencilflow_codegen::EmitError;
 use stencilflow_expr::{DataType, VerifyError};
 use stencilflow_jit::JitError;
@@ -118,23 +120,51 @@ impl std::fmt::Display for Ineligible {
     }
 }
 
-/// The tier ladder of one compiled program, judged once by `prepare`: the
-/// fused rung's plan, which takes every run, and the JIT rung's unit, or
-/// why there is none. Every run — pinned or not, sharded or served — lands
-/// on the rung its ceiling resolves to here, and reports it.
-#[derive(Debug)]
+/// The tier ladder of one compiled program: the stencils both rungs sweep,
+/// the fused rung's plan, which takes every run, and the JIT rung's unit,
+/// or why there is none. The unit is judged, and its C emitted, once, by
+/// the first question only the JIT rung raises — a run asking for the
+/// [`Tier::Jit`] ceiling, [`TierTrace::reason`], or the emitted source — so
+/// a program that only ever runs fused never emits C. Every run — pinned or
+/// not, sharded or served — lands on the rung its ceiling resolves to here,
+/// and reports it.
 pub struct TierTrace {
+    /// The compiled stencils, in topological order.
+    pub(crate) stencils: Vec<CompiledStencil>,
     pub(crate) fused: FusePlan,
-    pub(crate) jit: Result<JitUnit, Ineligible>,
+    jit: OnceLock<Result<JitUnit, Ineligible>>,
+}
+
+impl std::fmt::Debug for TierTrace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TierTrace")
+            .field("fused", &self.fused)
+            .field("jit", &self.jit.get())
+            .finish_non_exhaustive()
+    }
 }
 
 impl TierTrace {
+    pub(crate) fn new(stencils: Vec<CompiledStencil>, fused: FusePlan) -> Self {
+        TierTrace {
+            stencils,
+            fused,
+            jit: OnceLock::new(),
+        }
+    }
+
+    /// The JIT rung's unit, or why the program cannot take the rung.
+    pub(crate) fn jit(&self) -> Result<&JitUnit, &Ineligible> {
+        let unit = self.jit.get_or_init(|| self.fused.jit_unit(&self.stencils));
+        unit.as_ref()
+    }
+
     /// Why the JIT rung — the only rung that can refuse — cannot take a
     /// run, or `None` when it can: a program fact, or a module whose build
     /// a run has seen fail. (Without a working compiler,
     /// [`crate::jit_available`], a JIT run also lands on the fused rung.)
     pub fn reason(&self) -> Option<&Ineligible> {
-        match &self.jit {
+        match self.jit() {
             Ok(unit) => unit.failure(),
             Err(why) => Some(why),
         }
@@ -146,7 +176,7 @@ impl TierTrace {
     /// otherwise. Whether the module is loaded is the runner's business
     /// ([`crate::jit::TierUp`]).
     pub(crate) fn rung(&self, tier: Tier) -> Tier {
-        let native = tier == Tier::Jit && self.jit.is_ok() && crate::jit::jit_available().is_ok();
+        let native = tier == Tier::Jit && self.jit().is_ok() && crate::jit::jit_available().is_ok();
         if native {
             Tier::Jit
         } else {

@@ -1,5 +1,6 @@
 //! Count-based channels of the timing loop.
 
+use crate::forward;
 use std::collections::VecDeque;
 
 /// A bounded FIFO reduced to what a unit's control logic can observe: how
@@ -94,6 +95,103 @@ impl TokenChannel {
         }
         visible
     }
+
+    /// Append the state a jump compares across a cycle (see
+    /// [`crate::forward`]): occupancy, words pushed, watermark, credits.
+    pub(crate) fn save(&self, into: &mut Vec<u64>) {
+        let len = self.len as u64;
+        let watermark = self.high_watermark as u64;
+        into.extend([len, self.pushed_total, watermark, self.credits.to_bits()]);
+    }
+
+    /// For how many cycles from `now` on every question a unit asks of this
+    /// channel gets the answer it got in the last cycle, which started from
+    /// `saved`. Within a cycle the producer pushes before the consumer pops
+    /// (see `Machines::run`), so the producer sees the occupancy the cycle
+    /// started with and the consumer that plus this cycle's push.
+    pub(crate) fn horizon(&self, saved: &mut &[u64], now: u64) -> u64 {
+        let [len0, pushed0, watermark0, credits0] = forward::take(saved);
+        if self.credits.to_bits() != credits0 {
+            return 0;
+        }
+        let push = self.pushed_total - pushed0;
+        let len = self.len as i64;
+        let dlen = len - len0 as i64;
+        let watermark = self.high_watermark as i64;
+        let dwatermark = watermark - watermark0 as i64;
+        // Room for the producer's word.
+        let mut k = forward::holds_for(len, dlen, self.capacity as i64);
+        if push == 1 {
+            // Whether the push raises the watermark; while it does, the
+            // watermark follows the occupancy.
+            let over = len + 1 - watermark;
+            if over >= 1 && dwatermark != dlen {
+                return 0;
+            }
+            k = k.min(forward::holds_for(over, dlen - dwatermark, 1));
+        }
+        if self.latency == 0 {
+            // A word for the consumer: this cycle's push counts.
+            k.min(forward::holds_for(len + push as i64, dlen, 1))
+        } else {
+            let pop = push as i64 - dlen;
+            let visible = self.visible_for(pop == 1, push as usize, now);
+            k.min(forward::holds_for(len, dlen, 1)).min(visible)
+        }
+    }
+
+    /// For how many cycles from `now` on a network link's head word stays
+    /// visible or hidden as it was in the last cycle, which popped a word or
+    /// not and pushed `push`. A popping link needs its queue consecutive —
+    /// every word arriving the cycle after the one before it, tested on
+    /// front, back and length — so the next head is as visible as this one.
+    fn visible_for(&self, popping: bool, push: usize, now: u64) -> u64 {
+        let (Some(&front), Some(&back)) = (self.arrivals.front(), self.arrivals.back()) else {
+            // Empty, and stays so unless the occupancy says otherwise.
+            return u64::MAX;
+        };
+        let consecutive = back - front + 1 == self.len as u64;
+        if popping {
+            if consecutive && front <= now {
+                u64::MAX
+            } else {
+                0
+            }
+        } else if front > now {
+            // In flight: the head lands at cycle `front`.
+            front - now
+        } else if front < now && self.len > push {
+            // Landed before the last cycle, which held it already.
+            u64::MAX
+        } else {
+            0
+        }
+    }
+
+    /// Take the `k` cycles from `now` on, each like the last one, which
+    /// started from `saved`; [`TokenChannel::horizon`] allowed them.
+    pub(crate) fn advance(&mut self, saved: &mut &[u64], now: u64, k: u64) {
+        let [len0, pushed0, watermark0, _] = forward::take(saved);
+        let push = self.pushed_total - pushed0;
+        let dlen = self.len as i64 - len0 as i64;
+        let len = self.len as i64 + k as i64 * dlen;
+        if self.latency > 0 {
+            if push as i64 > dlen {
+                // Popping: the queue was consecutive and stays so.
+                if let Some(&front) = self.arrivals.front() {
+                    self.arrivals.clear();
+                    self.arrivals.extend(front + k..front + k + len as u64);
+                }
+            } else if push == 1 {
+                // Filling behind a head still in flight: at most capacity words.
+                let latency = self.latency;
+                self.arrivals.extend((now..now + k).map(|t| t + latency));
+            }
+        }
+        self.len = len as usize;
+        self.pushed_total += k * push;
+        self.high_watermark += (k * (self.high_watermark as u64 - watermark0)) as usize;
+    }
 }
 
 #[cfg(test)]
@@ -136,6 +234,28 @@ mod tests {
         assert_eq!(token.capacity, fifo.capacity());
         assert_eq!(token.pushed_total, fifo.pushed_total());
         assert_eq!(token.high_watermark, fifo.high_watermark());
+    }
+
+    #[test]
+    fn a_link_whose_credits_move_allows_no_jump() {
+        // Half a word per cycle: the link pushes every other cycle, and no
+        // cycle leaves the credits where it found them.
+        let mut link = TokenChannel::new(64, 3, 0.5);
+        let mut saved = Vec::new();
+        for now in 0..8 {
+            saved.clear();
+            link.save(&mut saved);
+            link.begin_cycle();
+            if link.can_push() {
+                link.push(now);
+            }
+            assert_eq!(
+                link.horizon(&mut saved.as_slice(), now + 1),
+                0,
+                "cycle {now}"
+            );
+        }
+        assert_eq!(link.pushed_total, 4);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! look at a value.
 
 use crate::channel::TokenChannel;
+use crate::forward;
 
 /// Shared off-chip bandwidth budget.
 ///
@@ -65,6 +66,32 @@ impl MemoryModel {
     pub(crate) fn stalled_requests(&self) -> u64 {
         self.stalled_requests
     }
+
+    /// Append the state a jump compares across a cycle (see
+    /// [`crate::forward`]): credits, words granted, requests refused.
+    pub(crate) fn save(&self, into: &mut Vec<u64>) {
+        let credits = self.credits.to_bits();
+        into.extend([credits, self.total_words, self.stalled_requests]);
+    }
+
+    /// Unbounded cycles if the credits are where they were when the last
+    /// cycle, which started from `saved`, began: every request then gets
+    /// the answer it got. None otherwise.
+    pub(crate) fn horizon(&self, saved: &mut &[u64]) -> u64 {
+        let [credits0, _, _] = forward::take(saved);
+        if self.credits.to_bits() == credits0 {
+            u64::MAX
+        } else {
+            0
+        }
+    }
+
+    /// Take `k` more cycles like the last one, which started from `saved`.
+    pub(crate) fn advance(&mut self, saved: &mut &[u64], k: u64) {
+        let [_, words0, stalled0] = forward::take(saved);
+        self.total_words += k * (self.total_words - words0);
+        self.stalled_requests += k * (self.stalled_requests - stalled0);
+    }
 }
 
 /// A dedicated writer draining one program output to off-chip memory.
@@ -114,6 +141,27 @@ impl WriterUnit {
         channels[self.in_channel].try_pop(now);
         self.received += 1;
         true
+    }
+
+    /// Append the counts a jump moves: words received, stalled cycles.
+    pub(crate) fn save(&self, into: &mut Vec<u64>) {
+        into.extend([self.received as u64, self.stall_cycles]);
+    }
+
+    /// For how many cycles from now on the writer is done or not done as
+    /// in the last cycle, which started from `saved`.
+    pub(crate) fn horizon(&self, saved: &mut &[u64]) -> u64 {
+        let [received0, _] = forward::take(saved);
+        let received = self.received as i64;
+        let expected = self.expected as i64;
+        forward::holds_for(received, received - received0 as i64, expected)
+    }
+
+    /// Take `k` more cycles like the last one, which started from `saved`.
+    pub(crate) fn advance(&mut self, saved: &mut &[u64], k: u64) {
+        let [received0, stalled0] = forward::take(saved);
+        self.received += (k * (self.received as u64 - received0)) as usize;
+        self.stall_cycles += k * (self.stall_cycles - stalled0);
     }
 }
 

@@ -774,13 +774,14 @@ mod tests {
     use stencilflow_workloads::random_dag;
 
     /// Run the split engine and the oracle loop on the same design and
-    /// require the same report.
-    fn both(
+    /// require the same report; also return how many of the report's cycles
+    /// the engine stepped rather than jumped over.
+    fn both_stepped(
         program: &StencilProgram,
         plan: Option<&MultiDevicePlan>,
         config: &SimConfig,
         inputs: &BTreeMap<String, Grid>,
-    ) -> SimReport {
+    ) -> (SimReport, u64) {
         let analysis = AnalysisConfig::paper_defaults();
         let simulator = match plan {
             Some(plan) => Simulator::build_multi_device(program, &analysis, plan, config),
@@ -790,7 +791,19 @@ mod tests {
         let ours = simulator.run(inputs).unwrap();
         let theirs = simulate(program, &analysis, plan, config, inputs).unwrap();
         assert_same_report(&ours, &theirs);
-        ours
+        let (outcome, cycles, stepped) = simulator.timing();
+        assert_eq!((outcome, cycles), (ours.outcome, ours.cycles));
+        assert!(stepped <= cycles);
+        (ours, stepped)
+    }
+
+    fn both(
+        program: &StencilProgram,
+        plan: Option<&MultiDevicePlan>,
+        config: &SimConfig,
+        inputs: &BTreeMap<String, Grid>,
+    ) -> SimReport {
+        both_stepped(program, plan, config, inputs).0
     }
 
     #[test]
@@ -865,11 +878,82 @@ mod tests {
         for program in &programs {
             let inputs = generate_inputs(program, 5);
             let plan = MultiDevicePlan::partition(program, &PartitionConfig::devices(4)).unwrap();
-            let single = both(program, None, &SimConfig::default(), &inputs);
-            let multi = both(program, Some(&plan), &SimConfig::default(), &inputs);
+            let (single, single_stepped) =
+                both_stepped(program, None, &SimConfig::default(), &inputs);
+            let (multi, multi_stepped) =
+                both_stepped(program, Some(&plan), &SimConfig::default(), &inputs);
             assert!(single.completed() && multi.completed());
+            // Linear stretches are jumped: fewer than one cycle in ten is
+            // stepped (listing 1: 9 of 288 and 22 of 688; horizontal
+            // diffusion: 55 of 1280 and 93 of 1880).
+            assert!(single_stepped * 10 < single.cycles, "{single_stepped}");
+            assert!(multi_stepped * 10 < multi.cycles, "{multi_stepped}");
             let starved = both(program, None, &SimConfig::with_minimal_channels(), &inputs);
             assert_eq!(starved.outcome, SimOutcome::Deadlocked);
         }
+    }
+
+    #[test]
+    fn jumps_stop_where_the_loop_decides() {
+        use stencilflow_expr::DataType;
+        use stencilflow_program::{BoundaryCondition, StencilProgramBuilder};
+        use stencilflow_workloads::{chain_program, listing1::listing1_with_shape, ChainSpec};
+        // A latency-200 link between two devices: its words fill the link
+        // while the first is in flight, stream one in one out, and drain.
+        // On 64 cells the producer is done before the first word lands, so
+        // the link only fills and drains.
+        for shape in [[4, 4, 4], [16, 8, 8]] {
+            let program = chain_program(&ChainSpec::new(2, 8).with_shape(&shape));
+            let inputs = generate_inputs(&program, 7);
+            let plan = MultiDevicePlan::partition(&program, &PartitionConfig::devices(2)).unwrap();
+            let (report, stepped) =
+                both_stepped(&program, Some(&plan), &SimConfig::default(), &inputs);
+            assert!(report.completed());
+            assert!(report.cycles > 200 + program.space().num_cells() as u64);
+            assert!(stepped * 10 < report.cycles, "{shape:?}: {stepped}");
+        }
+
+        // A channel fills to its capacity while its consumer waits for
+        // another port's window (`b[i+4,j]` is 65 words ahead of the cell).
+        let program = StencilProgramBuilder::new("lopsided", &[16, 16])
+            .input("a", DataType::Float32, &["i", "j"])
+            .input("b", DataType::Float32, &["i", "j"])
+            .stencil("s", "a[i,j] + b[i+4,j]")
+            .boundary("s", "b", BoundaryCondition::Constant(0.0))
+            .output("s")
+            .build()
+            .unwrap();
+        let inputs = generate_inputs(&program, 2);
+        let config = SimConfig {
+            channel_depth_override: Some(16),
+            ..SimConfig::default()
+        };
+        let (report, stepped) = both_stepped(&program, None, &config, &inputs);
+        assert!(report.completed());
+        let a = report.channel_stats.iter().find(|c| c.name == "a->s");
+        assert_eq!(a.unwrap().high_watermark, 16);
+        assert!(stepped * 10 < report.cycles, "{stepped}");
+
+        // Unit-depth channels deadlock (Fig. 4): the idle stretch is jumped
+        // up to the deadlock window.
+        let program = listing1_with_shape(&[6, 6, 6]);
+        let inputs = generate_inputs(&program, 3);
+        let config = SimConfig::with_minimal_channels();
+        let (report, stepped) = both_stepped(&program, None, &config, &inputs);
+        assert_eq!(report.outcome, SimOutcome::Deadlocked);
+        assert!(report.cycles > config.deadlock_window);
+        assert!(stepped < 100, "{stepped}");
+
+        // The cycle limit falls inside a linear stretch of streaming.
+        let program = chain_program(&ChainSpec::new(3, 8).with_shape(&[16, 8, 8]));
+        let inputs = generate_inputs(&program, 4);
+        let config = SimConfig {
+            max_cycles: 700,
+            ..SimConfig::default()
+        };
+        let (report, stepped) = both_stepped(&program, None, &config, &inputs);
+        assert_eq!(report.outcome, SimOutcome::MaxCyclesExceeded);
+        assert_eq!(report.cycles, 700);
+        assert!(stepped < 70, "{stepped}");
     }
 }

@@ -1,9 +1,10 @@
 //! The top-level simulator: builds the spatial design from a program and its
 //! buffering analysis once, then runs it on concrete inputs. A run steps the
-//! count machines cycle by cycle for the timing (see the crate
-//! documentation for why tokens suffice), and — only if the design ran to
-//! completion — takes the outputs from the reference executor's fused sweep
-//! of the same program, prepared at build time.
+//! count machines for the timing, jumping over the cycles that repeat the
+//! last one exactly (see the crate documentation for why tokens suffice and
+//! the jumps are exact), and — only if the design ran to completion — takes
+//! the outputs from the reference executor's fused sweep of the same
+//! program, prepared at build time.
 
 use crate::channel::TokenChannel;
 use crate::config::SimConfig;
@@ -219,7 +220,7 @@ impl Simulator {
         self.check_inputs(inputs)?;
         let mut machines = self.machines.clone();
         let mut memory = MemoryModel::new(self.config.memory_words_per_cycle);
-        let (outcome, cycles) = machines.run(&self.config, &mut memory);
+        let (outcome, cycles, _) = machines.run(&self.config, &mut memory);
         let outputs = if outcome == SimOutcome::Completed {
             let spec = RunSpec {
                 steps: None,
@@ -267,6 +268,15 @@ impl Simulator {
         })
     }
 
+    /// The timing run alone: its outcome, the cycles it simulated, and how
+    /// many of them the loop stepped rather than jumped over.
+    #[cfg(test)]
+    pub(crate) fn timing(&self) -> (SimOutcome, u64, u64) {
+        let mut machines = self.machines.clone();
+        let mut memory = MemoryModel::new(self.config.memory_words_per_cycle);
+        machines.run(&self.config, &mut memory)
+    }
+
     /// Every declared input is present, has its declared rank, and matches
     /// the iteration space along each dimension it shares with it: checked
     /// before the first cycle, so a bad input never costs a timing run.
@@ -297,15 +307,21 @@ impl Simulator {
 impl Machines {
     /// The cycle loop: step readers and units (in topological order, so a
     /// word pushed into an on-chip channel is visible downstream in the same
-    /// cycle), then writers, until every writer is done, nothing has moved
-    /// for `deadlock_window` cycles, or `max_cycles` is reached.
-    fn run(&mut self, config: &SimConfig, memory: &mut MemoryModel) -> (SimOutcome, u64) {
+    /// cycle, and every channel's producer steps before its consumer), then
+    /// writers, until every writer is done, nothing has moved for
+    /// `deadlock_window` cycles, or `max_cycles` is reached. After each
+    /// stepped cycle the loop jumps over as many cycles as repeat it
+    /// exactly ([`crate::forward`]); it returns the outcome, the cycles
+    /// simulated, and how many of them were stepped.
+    fn run(&mut self, config: &SimConfig, memory: &mut MemoryModel) -> (SimOutcome, u64, u64) {
         // Only channels with a bandwidth budget need a per-cycle grant.
         let throttled: Vec<usize> = (0..self.channels.len())
             .filter(|&c| self.channels[c].throttled())
             .collect();
         let mut cycles: u64 = 0;
         let mut idle_cycles: u64 = 0;
+        let mut stepped: u64 = 0;
+        let mut saved = Vec::new();
         let outcome = loop {
             if self.writers.iter().all(WriterUnit::done) {
                 break SimOutcome::Completed;
@@ -313,6 +329,8 @@ impl Machines {
             if cycles >= config.max_cycles {
                 break SimOutcome::MaxCyclesExceeded;
             }
+            saved.clear();
+            self.save(memory, &mut saved);
             memory.begin_cycle();
             for &channel in &throttled {
                 self.channels[channel].begin_cycle();
@@ -324,6 +342,7 @@ impl Machines {
             for writer in self.writers.iter_mut() {
                 progress |= writer.step(cycles, &mut self.channels, memory);
             }
+            stepped += 1;
             if progress {
                 idle_cycles = 0;
             } else {
@@ -333,8 +352,60 @@ impl Machines {
                 }
             }
             cycles += 1;
+            // The jump ends before the cycle limit, and before an idle
+            // stretch reaches the deadlock window.
+            let mut jump = self.horizon(memory, &saved, cycles);
+            jump = jump.min(config.max_cycles - cycles);
+            if !progress {
+                jump = jump.min(config.deadlock_window - idle_cycles - 1);
+                idle_cycles += jump;
+            }
+            if jump > 0 {
+                self.advance(memory, &saved, cycles, jump);
+                cycles += jump;
+            }
         };
-        (outcome, cycles)
+        (outcome, cycles, stepped)
+    }
+
+    /// Save the memory's and every machine's state, in one fixed order.
+    fn save(&self, memory: &MemoryModel, into: &mut Vec<u64>) {
+        memory.save(into);
+        self.channels.iter().for_each(|channel| channel.save(into));
+        self.units.iter().for_each(|unit| unit.save(into));
+        self.writers.iter().for_each(|writer| writer.save(into));
+    }
+
+    /// How many cycles from `now` on repeat the last one, which started
+    /// from `saved`, exactly.
+    fn horizon(&self, memory: &MemoryModel, mut saved: &[u64], now: u64) -> u64 {
+        let saved = &mut saved;
+        let mut k = memory.horizon(saved);
+        for channel in &self.channels {
+            k = k.min(channel.horizon(saved, now));
+        }
+        for unit in &self.units {
+            k = k.min(unit.horizon(saved));
+        }
+        for writer in &self.writers {
+            k = k.min(writer.horizon(saved));
+        }
+        k
+    }
+
+    /// Take the `k` cycles from `now` on in one step.
+    fn advance(&mut self, memory: &mut MemoryModel, mut saved: &[u64], now: u64, k: u64) {
+        let saved = &mut saved;
+        memory.advance(saved, k);
+        for channel in &mut self.channels {
+            channel.advance(saved, now, k);
+        }
+        for unit in &mut self.units {
+            unit.advance(saved, k);
+        }
+        for writer in &mut self.writers {
+            writer.advance(saved, k);
+        }
     }
 }
 

@@ -12,6 +12,7 @@
 //! ([`StencilUnit::reader`]).
 
 use crate::channel::TokenChannel;
+use crate::forward;
 use crate::memory::MemoryModel;
 use stencilflow_program::{IterationSpace, StencilNode};
 
@@ -166,6 +167,57 @@ impl StencilUnit {
         }
         self.produced += 1;
         true
+    }
+
+    /// Append the counts a jump moves (see [`crate::forward`]): cells
+    /// produced, the two stall counts, then each port's consumed words.
+    pub(crate) fn save(&self, into: &mut Vec<u64>) {
+        let (produced, inputs, outputs) = (self.produced, self.input_stalls, self.output_stalls);
+        into.extend([produced as u64, inputs, outputs]);
+        into.extend(self.ports.iter().map(|port| port.consumed as u64));
+    }
+
+    /// For how many cycles from now on every comparison of [`Self::step`]
+    /// answers as in the last cycle, which started from `saved`: whether
+    /// cells are left, and per port whether `required` is clamped at the
+    /// domain, whether the port wants a word, and whether it holds its
+    /// window once it has taken one.
+    pub(crate) fn horizon(&self, saved: &mut &[u64]) -> u64 {
+        let [produced0, _, _] = forward::take(saved);
+        let total = self.total_cells as i64;
+        let produced = self.produced as i64;
+        let dproduced = produced - produced0 as i64;
+        let mut k = forward::holds_for(produced, dproduced, total);
+        for port in &self.ports {
+            let [consumed0] = forward::take(saved);
+            let consumed = port.consumed as i64;
+            let popped = consumed - consumed0 as i64;
+            let ahead = produced + port.consume_ahead as i64;
+            k = k.min(forward::holds_for(ahead, dproduced, total));
+            let (required, drequired) = if ahead >= total {
+                (total, 0)
+            } else {
+                (ahead, dproduced)
+            };
+            // `required - consumed >= 1`: the port pops; `>= popped + 1`:
+            // even after its pop the port is short of its window.
+            let (gap, dgap) = (required - consumed, drequired - popped);
+            let wants = forward::holds_for(gap, dgap, 1);
+            k = k.min(wants).min(forward::holds_for(gap, dgap, popped + 1));
+        }
+        k
+    }
+
+    /// Take `k` more cycles like the last one, which started from `saved`.
+    pub(crate) fn advance(&mut self, saved: &mut &[u64], k: u64) {
+        let [produced0, inputs0, outputs0] = forward::take(saved);
+        self.produced += (k * (self.produced as u64 - produced0)) as usize;
+        self.input_stalls += k * (self.input_stalls - inputs0);
+        self.output_stalls += k * (self.output_stalls - outputs0);
+        for port in &mut self.ports {
+            let [consumed0] = forward::take(saved);
+            port.consumed += (k * (port.consumed as u64 - consumed0)) as usize;
+        }
     }
 }
 
