@@ -3,32 +3,32 @@
 //!
 //! Every kernel body this crate prints comes from `emit_kernel`, which
 //! emits from the **typed** instruction stream ([`TypedOp`]) the
-//! interpreter's fast tiers actually execute. Its `double` spelling — the
-//! OpenCL compute phase, and every `f64` kernel — does all arithmetic in
-//! `double` with explicit `(double)(float)` wraps exactly where the typed
-//! kernel carries a static `round` flag. The native spelling computes an
-//! operation in `float` where that gives the same bits: `+`, `-`, `*`,
-//! `/` and `sqrt` whose every operand is a binary32 value (a `float32`
-//! slot, a rounded result, a literal binary32 represents) and whose result
-//! rounds to binary32 (by its flag, or by an `f32` store). Doing such an
-//! operation in `double` and rounding once gives the correctly rounded
-//! binary32 result, because 53 ≥ 2·24 + 2 (S. A. Figueroa, "When is double
-//! rounding innocuous?", SIGNUM Newsletter 30(3), 1995); `fabs`, `min`,
-//! `max`, negation and selects of binary32 values are exact in either
-//! type. Every other operation stays `double` with its wrap. Either way the
+//! interpreter's fast tiers actually execute, in one spelling. An operation
+//! runs in `float` where that gives the same bits: `+`, `-`, `*`, `/` and
+//! `sqrt` whose every operand is a binary32 value (a `float32` slot, a
+//! rounded result, a literal binary32 represents) and whose result rounds
+//! to binary32 (by its flag, or by an `f32` store). Doing such an operation
+//! in `double` and rounding once gives the correctly rounded binary32
+//! result, because 53 ≥ 2·24 + 2 (S. A. Figueroa, "When is double rounding
+//! innocuous?", SIGNUM Newsletter 30(3), 1995); `fabs`, `min`, `max`,
+//! negation and selects of binary32 values are exact in either type. Every
+//! other operation is `double`, with an explicit `(double)(float)` wrap
+//! exactly where the typed kernel carries a static `round` flag. So the
 //! compiled code is bit-identical to `TypedKernel::eval_slots` /
 //! `eval_lanes` by construction — the same operations in the same order
 //! with the same roundings, every math function but `min`/`max` lowered to
 //! the libm symbol the typed tiers call — which is the foundation of the
-//! Tier-4 golden pins. The OpenCL kernel file ([`crate::opencl`]) prints
-//! the `double` body as each stencil's compute phase; only how a slot is
-//! read differs, and `min`/`max` stay the OpenCL builtins.
+//! Tier-4 golden pins. An `f64` kernel has no binary32 value, so its text
+//! is all `double`.
 //!
 //! A stage body reads each tap from `float` or `double` cells and stores
 //! to either, as its [`JitStageSpec`] says: a `float32` field's rings hold
-//! `f32`. A unit with any `float` buffer or value takes untyped pointers,
-//! which each body casts; a unit of `double`s only (every `f64` program's)
-//! keeps the `double` pointer spelling of the same ABI.
+//! `f32`. Every stage takes untyped slot and output pointers, which its
+//! body casts to the width it was emitted for. The OpenCL kernel file
+//! ([`crate::opencl`]) prints a stencil's stage body statements as its
+//! compute phase, each field read from its shift register at the field's
+//! type as a ring tap is; only how a slot is read differs, and `min`,
+//! `max`, `sqrt` and `fabs` are the OpenCL builtins (`Dialect`).
 //!
 //! The native forms are chosen so that GCC vectorizes every stage loop
 //! (built with `-fno-trapping-math`, which changes no value):
@@ -45,17 +45,11 @@
 //!   carries the prelude, so every other unit's text does not depend on
 //!   it.
 //!
-//! Two entry points here:
-//!
-//! * [`jit_translation_unit`] — the real backend: one exported
-//!   `sf_stage_{i}` (and `sf_stage_{i}_d` for a second store width) per
-//!   fused stage, each a name for one of the unit's *distinct* sweep bodies
-//!   (a chain of identical stencils has one), all in a single translation
-//!   unit compiled once per distinct text.
-//! * [`jit_eval_unit`] — a single `double f(const double *slots)` wrapper
-//!   around one kernel, in either spelling, used by the execution-level
-//!   round-trip tests to compare compiled C against the bytecode one value
-//!   vector at a time.
+//! [`jit_translation_unit`] is the entry point: one exported `sf_stage_{i}`
+//! (and `sf_stage_{i}_d` for a second store width) per fused stage, each a
+//! name for one of the unit's *distinct* sweep bodies (a chain of identical
+//! stencils has one), all in a single translation unit compiled once per
+//! distinct text.
 //!
 //! A typed kernel is a straight-line expression DAG by type (`TypedOp`
 //! has no jumps; conditionals are `Select`s), so emission fails only on a
@@ -155,21 +149,13 @@ pub struct JitStageSpec<'a> {
     pub store: DataType,
 }
 
-/// The C signature of every stage function of a unit whose buffers are all
-/// `double`. Row pointers: slot `s` at `(i0, i1)` starts at
-/// `sf_slots[s] + i0*sf_ss0[s] + i1*sf_ss1[s]`, the output row at
-/// `sf_out + i0*sf_os0 + i1*sf_os1`; the sweep touches indices `[0, sf_nk)`
-/// of each row and nothing else.
-const JIT_STAGE_PARAMS: &str = "(const double *const *sf_slots, const double *sf_scalars, \
-     const int64_t *sf_ss0, const int64_t *sf_ss1, \
-     double *restrict sf_out, int64_t sf_os0, int64_t sf_os1, \
-     int64_t sf_n0, int64_t sf_n1, int64_t sf_nk)";
-
-/// The same signature with untyped slot and output pointers, for a unit
-/// that computes or stores anything in `float`: each body casts every
-/// pointer to the element type it was emitted for (strides count elements
-/// of that type). Both spellings pass the same pointers.
-const JIT_STAGE_PARAMS_UNTYPED: &str = "(const void *const *sf_slots, const double *sf_scalars, \
+/// The C signature of every stage function. Slot and output pointers are
+/// untyped: each body casts every pointer to the element type it was
+/// emitted for, and strides count elements of that type. Row pointers: slot
+/// `s` at `(i0, i1)` starts at `sf_slots[s] + i0*sf_ss0[s] + i1*sf_ss1[s]`,
+/// the output row at `sf_out + i0*sf_os0 + i1*sf_os1`; the sweep touches
+/// indices `[0, sf_nk)` of each row and nothing else.
+const JIT_STAGE_PARAMS: &str = "(const void *const *sf_slots, const double *sf_scalars, \
      const int64_t *sf_ss0, const int64_t *sf_ss1, \
      void *restrict sf_out, int64_t sf_os0, int64_t sf_os1, \
      int64_t sf_n0, int64_t sf_n1, int64_t sf_nk)";
@@ -191,13 +177,16 @@ const MIN_MAX_F32_PRELUDE: &str = "\
 static inline float sf_minf(float a, float b) { return (a != a || b < a) ? b : a; }\n\
 static inline float sf_maxf(float a, float b) { return (a != a || b > a) ? b : a; }\n";
 
-/// How an emitted kernel spells `min`/`max`.
+/// Which language an emitted kernel is spelled in: only the names of
+/// `min`/`max` and of the `float` math functions differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum MinMax {
-    /// The native units' `sf_min`/`sf_max` from [`MIN_MAX_PRELUDE`].
-    Inline,
-    /// The `fmin`/`fmax` builtins (the OpenCL compute phase).
-    Builtin,
+pub(crate) enum Dialect {
+    /// C for the native units: `sf_min`/`sf_max` from [`MIN_MAX_PRELUDE`]
+    /// (`sf_minf`/`sf_maxf` on `float`s), and libm's `sqrtf`/`fabsf`.
+    C,
+    /// OpenCL C for the compute phase: the builtins `fmin`, `fmax`,
+    /// `sqrt` and `fabs`, overloaded on `float` and `double`.
+    OpenCl,
 }
 
 /// [`JIT_STAGE_PARAMS`]' names in order: what a forwarding stage passes on.
@@ -224,10 +213,6 @@ fn c_type(dtype: DataType) -> CType {
 /// judged on the text, not on the specs — `0.0 == -0.0` for a derived
 /// `PartialEq`, not for a stencil.
 ///
-/// A unit with no `float` buffer and no `float` operation (every `f64`
-/// program's) keeps the `double` pointer spelling of the same ABI;
-/// any other takes untyped pointers, cast in each body.
-///
 /// # Errors
 ///
 /// Fails when any stage's kernel does not emit (see [`EmitError`]), with
@@ -239,56 +224,44 @@ pub fn jit_translation_unit(
     let kernels = stages
         .iter()
         .enumerate()
-        .map(|(ix, stage)| stage_kernel(stage).map_err(|e| (ix, e)))
+        .map(|(ix, stage)| {
+            let text = |slot: usize| match stage.slot_kinds[slot] {
+                JitSlotKind::Scalar => format!("sf_s{slot}"),
+                JitSlotKind::Tap(_) => format!("sf_p{slot}[sf_k]"),
+            };
+            emit_kernel(stage, Dialect::C, &text).map_err(|e| (ix, e))
+        })
         .collect::<Result<Vec<_>, _>>()?;
-    let narrow = stages.iter().zip(&kernels).any(|(stage, kernel)| {
-        kernel.uses_float
-            || c_type(stage.store) == CType::Float
-            || stage
-                .slot_kinds
-                .contains(&JitSlotKind::Tap(DataType::Float32))
-    });
-    let params = if narrow {
-        JIT_STAGE_PARAMS_UNTYPED
-    } else {
-        JIT_STAGE_PARAMS
-    };
     let mut unit = format!(
         "#ifdef __ELF__\n\
          #define SF_STAGE(stage, body) \
-         void stage{params} __attribute__((alias(#body)));\n\
+         void stage{JIT_STAGE_PARAMS} __attribute__((alias(#body)));\n\
          #else\n\
          #define SF_STAGE(stage, body) \
-         void stage{params} {{ body{JIT_STAGE_ARGS}; }}\n\
+         void stage{JIT_STAGE_PARAMS} {{ body{JIT_STAGE_ARGS}; }}\n\
          #endif\n"
     );
     let mut bodies: HashMap<String, usize> = HashMap::new();
     let mut exports = String::from("\n");
     for (stage, kernel) in stages.iter().zip(&kernels) {
-        let body = stage_body(stage, kernel, narrow);
+        let body = stage_body(stage, kernel);
         let fresh = bodies.len();
         let k = *bodies.entry(body).or_insert_with_key(|body| {
-            unit.push_str(&format!("\nstatic void sf_body_{fresh}{params} {body}"));
+            unit.push_str(&format!(
+                "\nstatic void sf_body_{fresh}{JIT_STAGE_PARAMS} {body}"
+            ));
             fresh
         });
         exports.push_str(&format!("SF_STAGE({}, sf_body_{k})\n", stage.symbol));
     }
     unit.push_str(&exports);
-    let head = if narrow {
-        "/* Generated by stencilflow-codegen (Tier-4 native backend). Do not edit.\n\
+    let head = "/* Generated by stencilflow-codegen (Tier-4 native backend). Do not edit.\n\
          * Operations on binary32 operands whose result rounds to binary32 run in\n\
          * float (+ - * / sqrt: double rounding is innocuous, Figueroa 1995), the\n\
          * rest in double with explicit (double)(float) rounds, matching the typed\n\
          * bytecode tiers bit for bit; compile with -ffp-contract=off. */\n\
          #include <stdint.h>\n\
-         #include <math.h>\n"
-    } else {
-        "/* Generated by stencilflow-codegen (Tier-4 native backend). Do not edit.\n\
-         * Arithmetic is double with explicit (double)(float) rounds, matching the\n\
-         * typed bytecode tiers bit for bit; compile with -ffp-contract=off. */\n\
-         #include <stdint.h>\n\
-         #include <math.h>\n"
-    };
+         #include <math.h>\n";
     let mut prelude = String::new();
     if kernels.iter().any(|k| k.uses_min_max) {
         prelude.push_str(MIN_MAX_PRELUDE);
@@ -299,58 +272,9 @@ pub fn jit_translation_unit(
     Ok((format!("{head}{prelude}{unit}"), bodies.len()))
 }
 
-/// Emit one kernel as `double {symbol}(const double *sf_slots)` (every
-/// slot read straight from the argument vector), for the execution-level
-/// round-trip tests.
-///
-/// With the kernel's slot types, a `Float32` slot is read as `float` (its
-/// value must be a binary32 value) and the body computes exactly as a
-/// stage body whose taps of that slot read `float` cells. With `None`
-/// every operation is `double`, rounded by `(double)(float)` wraps: the
-/// spelling of the OpenCL compute phase.
-///
-/// # Errors
-///
-/// Same conditions as [`jit_translation_unit`].
-pub fn jit_eval_unit(
-    kernel: &TypedKernel,
-    slot_types: Option<&[DataType]>,
-    symbol: &str,
-) -> Result<String, EmitError> {
-    let slot = |ix: usize| match slot_types {
-        Some(types) if types[ix] == DataType::Float32 => {
-            Operand::value(format!("(float)sf_slots[{ix}]"), CType::Float, true)
-        }
-        _ => Operand::value(format!("sf_slots[{ix}]"), CType::Double, false),
-    };
-    let body = emit_kernel(kernel, MinMax::Inline, slot_types.is_some(), false, &slot)?;
-    let mut unit = String::new();
-    unit.push_str(
-        "/* Generated by stencilflow-codegen (Tier-4 native backend). Do not edit. */\n\
-         #include <stdint.h>\n\
-         #include <math.h>\n",
-    );
-    if body.uses_min_max {
-        unit.push_str(MIN_MAX_PRELUDE);
-    }
-    if body.uses_min_max_f32 {
-        unit.push_str(MIN_MAX_F32_PRELUDE);
-    }
-    unit.push('\n');
-    unit.push_str(&format!("double {symbol}(const double *sf_slots) {{\n"));
-    for stmt in &body.statements {
-        unit.push_str(&format!("    {stmt}\n"));
-    }
-    unit.push_str(&format!(
-        "    return {};\n}}\n",
-        body.stored(false, CType::Double)
-    ));
-    Ok(unit)
-}
-
 /// The C type of a value in an emitted body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CType {
+enum CType {
     Float,
     Double,
 }
@@ -369,7 +293,7 @@ impl CType {
 /// `Float32` slot, a rounded result, a literal binary32 represents, or a
 /// pick among such values), and its shape for clamp fusion.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Operand {
+struct Operand {
     text: String,
     ty: CType,
     exact: bool,
@@ -377,7 +301,7 @@ pub(crate) struct Operand {
 }
 
 impl Operand {
-    pub(crate) fn value(text: String, ty: CType, exact: bool) -> Operand {
+    fn value(text: String, ty: CType, exact: bool) -> Operand {
         Operand {
             text,
             ty,
@@ -427,21 +351,19 @@ pub(crate) struct EmittedKernel {
     pub(crate) statements: Vec<String>,
     result: Operand,
     /// Whether the kernel calls `min`/`max` on `double`s (it needs
-    /// [`MIN_MAX_PRELUDE`] when spelled [`MinMax::Inline`]) or on `float`s
+    /// [`MIN_MAX_PRELUDE`] in [`Dialect::C`]) or on `float`s
     /// ([`MIN_MAX_F32_PRELUDE`]).
     uses_min_max: bool,
     uses_min_max_f32: bool,
-    /// Whether any value of the kernel is a `float`.
-    uses_float: bool,
 }
 
 impl EmittedKernel {
-    /// The result as stored into a cell of type `store`. Storing mirrors
-    /// the executor's `round_lanes`: `Float32` outputs (`round`) round the
-    /// result through `f32`, `Float64` stores it as-is.
-    pub(crate) fn stored(&self, round: bool, store: CType) -> String {
+    /// The result as stored into a cell of element type `store`. Storing
+    /// mirrors the executor's `round_lanes`: `Float32` outputs (`round`)
+    /// round the result through `f32`, `Float64` stores it as-is.
+    pub(crate) fn stored(&self, round: bool, store: DataType) -> String {
         let result = &self.result;
-        match (store, result.ty) {
+        match (c_type(store), result.ty) {
             (CType::Float, CType::Float) => result.text.clone(),
             (CType::Float, CType::Double) => format!("(float)({})", result.text),
             (CType::Double, CType::Float) => result.double(),
@@ -451,43 +373,8 @@ impl EmittedKernel {
     }
 }
 
-/// The typed kernel of one stage, emitted with its slots as the stage body
-/// reads them.
-fn stage_kernel(stage: &JitStageSpec<'_>) -> Result<EmittedKernel, EmitError> {
-    if stage.slot_kinds.len() != stage.kernel.slot_count()
-        || stage.slot_types.len() != stage.kernel.slot_count()
-    {
-        return Err(EmitError::SlotKinds {
-            kinds: stage.slot_kinds.len(),
-            slots: stage.kernel.slot_count(),
-        });
-    }
-    if c_type(stage.store) == CType::Float && !stage.round_output {
-        return Err(EmitError::NarrowStore);
-    }
-    let slot = |ix: usize| {
-        let binary32 = stage.slot_types[ix] == DataType::Float32;
-        match stage.slot_kinds[ix] {
-            JitSlotKind::Scalar => Operand::value(format!("sf_s{ix}"), CType::Double, binary32),
-            JitSlotKind::Tap(dtype) => {
-                let ty = c_type(dtype);
-                let exact = binary32 || ty == CType::Float;
-                Operand::value(format!("sf_p{ix}[sf_k]"), ty, exact)
-            }
-        }
-    };
-    emit_kernel(
-        stage.kernel,
-        MinMax::Inline,
-        true,
-        stage.round_output,
-        &slot,
-    )
-}
-
-/// The braces of one stage's sweep function and everything between them;
-/// `untyped`: the unit passes untyped pointers, which the body casts.
-fn stage_body(stage: &JitStageSpec<'_>, body: &EmittedKernel, untyped: bool) -> String {
+/// The braces of one stage's sweep function and everything between them.
+fn stage_body(stage: &JitStageSpec<'_>, body: &EmittedKernel) -> String {
     let of_kind = |scalar: bool| -> Vec<usize> {
         (stage.slot_kinds.iter().enumerate())
             .filter(|(_, k)| (**k == JitSlotKind::Scalar) == scalar)
@@ -515,25 +402,15 @@ fn stage_body(stage: &JitStageSpec<'_>, body: &EmittedKernel, untyped: bool) -> 
             unreachable!("taps are taps");
         };
         let ty = c_type(dtype).name();
-        let cast = if untyped {
-            format!("(const {ty} *)")
-        } else {
-            String::new()
-        };
         f.push_str(&format!(
-            "            const {ty} *sf_p{ix} = {cast}sf_slots[{ix}] \
+            "            const {ty} *sf_p{ix} = (const {ty} *)sf_slots[{ix}] \
              + sf_i0 * sf_ss0[{ix}] + sf_i1 * sf_ss1[{ix}];\n"
         ));
     }
     let store = c_type(stage.store);
     let ty = store.name();
-    let cast = if untyped {
-        format!("({ty} *)")
-    } else {
-        String::new()
-    };
     f.push_str(&format!(
-        "            {ty} *sf_o = {cast}sf_out + sf_i0 * sf_os0 + sf_i1 * sf_os1;\n"
+        "            {ty} *sf_o = ({ty} *)sf_out + sf_i0 * sf_os0 + sf_i1 * sf_os1;\n"
     ));
     f.push_str("            for (int64_t sf_k = 0; sf_k < sf_nk; ++sf_k) {\n");
     for stmt in &body.statements {
@@ -541,7 +418,7 @@ fn stage_body(stage: &JitStageSpec<'_>, body: &EmittedKernel, untyped: bool) -> 
     }
     f.push_str(&format!(
         "                sf_o[sf_k] = {};\n",
-        body.stored(stage.round_output, store)
+        body.stored(stage.round_output, stage.store)
     ));
     f.push_str("            }\n        }\n    }\n}\n");
     f
@@ -569,14 +446,14 @@ fn compare_binop(op: CompareOp) -> BinOp {
     }
 }
 
-/// The C name of a math function, `double` flavor: the libm (and OpenCL
-/// builtin) symbol, `min`/`max` as `min_max` spells them.
-fn mathfn_c(func: MathFn, min_max: MinMax) -> &'static str {
+/// The name of a math function, `double` flavor: the libm (and OpenCL
+/// builtin) symbol, `min`/`max` as `dialect` spells them.
+fn mathfn_c(func: MathFn, dialect: Dialect) -> &'static str {
     match func {
         MathFn::Sqrt => "sqrt",
         MathFn::Abs => "fabs",
-        MathFn::Min if min_max == MinMax::Inline => "sf_min",
-        MathFn::Max if min_max == MinMax::Inline => "sf_max",
+        MathFn::Min if dialect == Dialect::C => "sf_min",
+        MathFn::Max if dialect == Dialect::C => "sf_max",
         MathFn::Min => "fmin",
         MathFn::Max => "fmax",
         MathFn::Exp => "exp",
@@ -592,9 +469,13 @@ fn mathfn_c(func: MathFn, min_max: MinMax) -> &'static str {
 
 /// The `float` flavor of the math functions that may run in `float` (see
 /// [`emit_kernel`]): `sqrt` (correctly rounded, so innocuous under double
-/// rounding), and the exact `fabs`, `min` and `max`.
-fn mathfn_f32(func: MathFn) -> Option<&'static str> {
+/// rounding), and the exact `fabs`, `min` and `max`, as `dialect` spells
+/// them.
+fn mathfn_f32(func: MathFn, dialect: Dialect) -> Option<&'static str> {
     match func {
+        MathFn::Sqrt | MathFn::Abs | MathFn::Min | MathFn::Max if dialect == Dialect::OpenCl => {
+            Some(mathfn_c(func, dialect))
+        }
         MathFn::Sqrt => Some("sqrtf"),
         MathFn::Abs => Some("fabsf"),
         MathFn::Min => Some("sf_minf"),
@@ -686,8 +567,11 @@ fn fuse_clamp<'a>(
     Some((x, otherwise, func))
 }
 
-/// Symbolically execute a typed kernel into C statements plus a result
-/// expression, rendering slot `ix` through `slot`.
+/// Symbolically execute one stage's typed kernel into statements plus a
+/// result expression in `dialect`, slot `ix` spelled `text(ix)`: a scalar
+/// is the `double` hoisted from the scalar table, a tap a value of its
+/// buffer's C type. Either is a binary32 value when the kernel was
+/// specialized to a `Float32` slot or the buffer holds `float`s.
 ///
 /// The value forms exactly mirror `TypedKernel::eval_slots`: comparisons
 /// and logical ops produce the `double` `1.0`/`0.0`, a `Select` evaluates
@@ -695,33 +579,48 @@ fn fuse_clamp<'a>(
 /// the typed tiers), and clamp-shaped selects fuse to `min`/`max` only
 /// when bit-faithful (see [`fuse_clamp`]).
 ///
-/// With `floats`, an operation runs in `float` where that gives the typed
-/// tiers' bits: `+`, `-`, `*`, `/` and `sqrt` when every operand is a
-/// binary32 value and the result is rounded to binary32 — by the op's own
-/// round flag, or (`round_result`) by the store of a result the last op
-/// produces. Computing such an op in `double` and rounding gives the
+/// An operation runs in `float` where that gives the typed tiers' bits:
+/// `+`, `-`, `*`, `/` and `sqrt` when every operand is a binary32 value and
+/// the result is rounded to binary32 — by the op's own round flag, or (the
+/// stage's `round_output`) by the store of a result the last op produces. Computing such an op in `double` and rounding gives the
 /// `float` op's result, since 53 ≥ 2·24 + 2 (Figueroa, "When is double
 /// rounding innocuous?", 1995). `fabs`, `min`/`max`, negation, selects and
 /// comparisons pick or flip binary32 values exactly, so on binary32
 /// operands at least one of which is already a `float` they stay `float`
 /// too. Everything else is `double`, wrapped in `(double)(float)` where
-/// the typed kernel rounds. Without a `float` slot or a round flag (an
-/// `f64` kernel) no value becomes a `float`, so the text is the
-/// `double` spelling `floats: false` gives.
+/// the typed kernel rounds. Without a binary32 slot or a round flag (an
+/// `f64` kernel) no value becomes a `float`.
 pub(crate) fn emit_kernel(
-    kernel: &TypedKernel,
-    min_max: MinMax,
-    floats: bool,
-    round_result: bool,
-    slot: &dyn Fn(usize) -> Operand,
+    stage: &JitStageSpec<'_>,
+    dialect: Dialect,
+    text: &dyn Fn(usize) -> String,
 ) -> Result<EmittedKernel, EmitError> {
+    let kernel = stage.kernel;
+    if stage.slot_kinds.len() != kernel.slot_count()
+        || stage.slot_types.len() != kernel.slot_count()
+    {
+        return Err(EmitError::SlotKinds {
+            kinds: stage.slot_kinds.len(),
+            slots: kernel.slot_count(),
+        });
+    }
+    if c_type(stage.store) == CType::Float && !stage.round_output {
+        return Err(EmitError::NarrowStore);
+    }
+    let slot = |ix: usize| {
+        let ty = match stage.slot_kinds[ix] {
+            JitSlotKind::Scalar => CType::Double,
+            JitSlotKind::Tap(dtype) => c_type(dtype),
+        };
+        let exact = stage.slot_types[ix] == DataType::Float32 || ty == CType::Float;
+        Operand::value(text(ix), ty, exact)
+    };
     let mut statements = Vec::new();
     let mut stack: Vec<Operand> = Vec::new();
     let mut locals: Vec<Option<Operand>> = vec![None; kernel.local_count()];
     let mut next_temp = 0usize;
     let mut uses_min_max = false;
     let mut uses_min_max_f32 = false;
-    let mut uses_float = false;
     // A fresh `const` temporary holding `value` as type `ty`.
     let mut bind = |value: String, ty: CType, exact: bool| {
         let name = format!("sf_t{next_temp}");
@@ -735,14 +634,13 @@ pub(crate) fn emit_kernel(
     // Whether an op on `operands` runs in `float`: all binary32 values,
     // and a rounded result or a `float` among them.
     let in_float = |operands: &[&Operand], rounded: bool| {
-        floats
-            && operands.iter().all(|o| o.exact)
+        operands.iter().all(|o| o.exact)
             && (rounded || operands.iter().any(|o| o.ty == CType::Float))
     };
     let last = kernel.ops().len().saturating_sub(1);
     for (at, op) in kernel.ops().iter().enumerate() {
         // The store rounds what the last op pushes.
-        let stored_round = round_result && at == last;
+        let stored_round = stage.round_output && at == last;
         match op {
             TypedOp::Const(v) => {
                 if v.is_nan() {
@@ -782,7 +680,7 @@ pub(crate) fn emit_kernel(
             }
             TypedOp::Neg { round } => {
                 let v = pop(&mut stack, "Neg")?;
-                stack.push(if floats && v.exact {
+                stack.push(if v.exact {
                     // The negative of a binary32 value is one: the round
                     // changes nothing.
                     Operand::value(format!("(-{})", v.text), v.ty, true)
@@ -858,7 +756,7 @@ pub(crate) fn emit_kernel(
                 // `sqrt` rounds correctly, so it needs the rounded result;
                 // the rest pick or flip an operand exactly.
                 let rounded = *round || stored_round;
-                let float_form = mathfn_f32(*func)
+                let float_form = mathfn_f32(*func, dialect)
                     .filter(|_| in_float(&arg_refs, rounded) && (rounded || *func != MathFn::Sqrt));
                 let is_min_max = matches!(func, MathFn::Min | MathFn::Max);
                 stack.push(match float_form {
@@ -871,7 +769,7 @@ pub(crate) fn emit_kernel(
                     None => {
                         uses_min_max |= is_min_max;
                         let args: Vec<String> = args.iter().map(Operand::double).collect();
-                        let call = format!("{}({})", mathfn_c(*func, min_max), args.join(", "));
+                        let call = format!("{}({})", mathfn_c(*func, dialect), args.join(", "));
                         let exact = is_min_max && arg_refs.iter().all(|a| a.exact);
                         let mut result = finish(call, *round);
                         result.exact |= exact;
@@ -887,12 +785,12 @@ pub(crate) fn emit_kernel(
                     let exact = x.exact && c.exact;
                     stack.push(if in_float(&[x, c], false) {
                         uses_min_max_f32 = true;
-                        let name = mathfn_f32(func).expect("min/max have a float form");
+                        let name = mathfn_f32(func, dialect).expect("min/max have a float form");
                         let text = format!("{name}({}, {})", x.float(), c.float());
                         Operand::value(text, CType::Float, true)
                     } else {
                         uses_min_max = true;
-                        let name = mathfn_c(func, min_max);
+                        let name = mathfn_c(func, dialect);
                         let text = format!("{name}({}, {})", x.double(), c.double());
                         Operand::value(text, CType::Double, exact)
                     });
@@ -917,9 +815,6 @@ pub(crate) fn emit_kernel(
                 stack.push(bind(select, ty, exact));
             }
         }
-        if let Some(top) = stack.last() {
-            uses_float |= top.ty == CType::Float;
-        }
     }
     let result = pop(&mut stack, "result")?;
     if !stack.is_empty() {
@@ -931,7 +826,6 @@ pub(crate) fn emit_kernel(
         result,
         uses_min_max,
         uses_min_max_f32,
-        uses_float,
     })
 }
 
@@ -945,37 +839,84 @@ mod tests {
         kernel.specialize(slot_types).expect("must specialize")
     }
 
-    /// The eval unit of `code` with every slot `f64`.
-    fn f64_unit(code: &str) -> String {
+    /// The unit of stage `sf_stage_0` over `kernel`, specialized to `types`,
+    /// its slots read as `kinds`, storing into `store` cells (`round`:
+    /// through `f32`).
+    fn one_stage(
+        kernel: &TypedKernel,
+        kinds: Vec<JitSlotKind>,
+        types: &[DataType],
+        round: bool,
+        store: DataType,
+    ) -> Result<String, (usize, EmitError)> {
+        let spec = JitStageSpec {
+            symbol: "sf_stage_0".to_string(),
+            kernel,
+            slot_kinds: kinds,
+            slot_types: types,
+            round_output: round,
+            store,
+        };
+        jit_translation_unit(&[spec]).map(|(unit, _)| unit)
+    }
+
+    /// The unit of one stage over `code`, slot `s` specialized to
+    /// `types[s]` (cycled over the slots) and read from cells of that type,
+    /// storing the unrounded result into `double` cells.
+    fn try_stage_unit(code: &str, types: &[DataType]) -> Result<String, (usize, EmitError)> {
         let program = parse_program(code).unwrap();
         let slots = CompiledKernel::compile(&program).unwrap().slots().len();
-        let types = vec![DataType::Float64; slots];
-        jit_eval_unit(&typed(code, &types), Some(&types), "sf_eval").unwrap()
+        let types: Vec<DataType> = types.iter().cycle().take(slots).copied().collect();
+        let kinds = types.iter().map(|&t| JitSlotKind::Tap(t)).collect();
+        one_stage(
+            &typed(code, &types),
+            kinds,
+            &types,
+            false,
+            DataType::Float64,
+        )
+    }
+
+    fn stage_unit(code: &str, types: &[DataType]) -> String {
+        try_stage_unit(code, types).unwrap()
+    }
+
+    /// [`stage_unit`] with every slot `f64`.
+    fn f64_unit(code: &str) -> String {
+        stage_unit(code, &[DataType::Float64])
+    }
+
+    /// The statements of `unit`'s innermost loop: the kernel and its store.
+    fn kernel_lines(unit: &str) -> &str {
+        let (_, inner) = unit.split_once("++sf_k) {\n").expect("a stage loop");
+        &inner[..inner.find("            }\n").expect("the loop closes")]
     }
 
     #[test]
-    fn eval_unit_emits_double_arithmetic_with_round_wraps() {
+    fn binary32_slots_compute_in_float_from_either_cell_width() {
         let types = [DataType::Float32, DataType::Float32];
         let kernel = typed("0.5 * (a[i-1] + a[i+1])", &types);
-        // Without slot types (the OpenCL spelling): the f32 add rounds
-        // through float, the f64 product and its literal stay double.
-        let unit = jit_eval_unit(&kernel, None, "sf_eval").unwrap();
-        assert!(unit.contains("double sf_eval(const double *sf_slots)"));
-        assert!(
-            unit.contains("return (0.5 * (double)(float)(sf_slots[0] + sf_slots[1]));"),
-            "{unit}"
-        );
-        // With them, the add of two binary32 operands whose result rounds
-        // runs in float; the product does not round, so it stays double.
-        let unit = jit_eval_unit(&kernel, Some(&types), "sf_eval").unwrap();
-        assert!(
-            unit.contains("return (0.5 * (double)((float)sf_slots[0] + (float)sf_slots[1]));"),
-            "{unit}"
-        );
-        assert!(
-            !unit.contains("0.5f"),
-            "the f64 literal stays double:\n{unit}"
-        );
+        for (cells, add) in [
+            // `float` cells (a ring): the add of two binary32 operands
+            // whose result rounds runs in float.
+            (DataType::Float32, "(sf_p0[sf_k] + sf_p1[sf_k])"),
+            // `double` cells (a grid read in place) hold the same binary32
+            // values, cast to float.
+            (
+                DataType::Float64,
+                "((float)sf_p0[sf_k] + (float)sf_p1[sf_k])",
+            ),
+        ] {
+            let kinds = vec![JitSlotKind::Tap(cells); 2];
+            let unit = one_stage(&kernel, kinds, &types, false, DataType::Float64).unwrap();
+            // The product does not round, so it and its literal stay double.
+            let store = format!("sf_o[sf_k] = (0.5 * (double){add});");
+            assert!(kernel_lines(&unit).contains(&store), "{unit}");
+            assert!(
+                !unit.contains("0.5f"),
+                "the f64 literal stays double:\n{unit}"
+            );
+        }
     }
 
     #[test]
@@ -984,44 +925,39 @@ mod tests {
             // Rounded ops on binary32 operands: float.
             (
                 "a[i] * b[i] - a[i]",
-                "return (double)(((float)sf_slots[0] * (float)sf_slots[1]) - (float)sf_slots[0]);",
+                "sf_o[sf_k] = (double)((sf_p0[sf_k] * sf_p1[sf_k]) - sf_p0[sf_k]);",
             ),
             (
                 "sqrt(a[i]) / b[i]",
-                "return (double)(sqrtf((float)sf_slots[0]) / (float)sf_slots[1]);",
+                "sf_o[sf_k] = (double)(sqrtf(sf_p0[sf_k]) / sf_p1[sf_k]);",
             ),
             (
                 "x = a[i] + b[i]; x * x",
-                "const float sf_t0 = ((float)sf_slots[0] + (float)sf_slots[1]);",
+                "const float sf_t0 = (sf_p0[sf_k] + sf_p1[sf_k]);",
             ),
             // `fabs` and `min`/`max` of binary32 values are exact.
             (
                 "min(abs(a[i]), b[i])",
-                "return (double)sf_minf(fabsf((float)sf_slots[0]), (float)sf_slots[1]);",
+                "sf_o[sf_k] = (double)sf_minf(fabsf(sf_p0[sf_k]), sf_p1[sf_k]);",
             ),
             // `0.1` is no binary32 value: the rounded product stays double.
-            ("0.1 * a[i]", "return (0.1 * (double)(float)sf_slots[0]);"),
+            ("0.1 * a[i]", "sf_o[sf_k] = (0.1 * (double)sf_p0[sf_k]);"),
             // `0.125` is one, but the f64 product does not round.
             (
                 "0.125 * a[i]",
-                "return (0.125 * (double)(float)sf_slots[0]);",
+                "sf_o[sf_k] = (0.125 * (double)sf_p0[sf_k]);",
             ),
         ] {
-            let slots = if code.contains("b[i]") { 2 } else { 1 };
-            let f32s = &[DataType::Float32; 2][..slots];
-            let kernel = typed(code, f32s);
-            let unit = jit_eval_unit(&kernel, Some(f32s), "sf_eval").unwrap();
+            let unit = stage_unit(code, &[DataType::Float32]);
             assert!(
-                unit.contains(expected),
+                kernel_lines(&unit).contains(expected),
                 "`{code}`: no `{expected}` in:\n{unit}"
             );
         }
         // A rounded op on an f64 operand stays double.
-        let mixed = [DataType::Float32, DataType::Float64];
-        let kernel = typed("a[i] * b[i]", &mixed);
-        let unit = jit_eval_unit(&kernel, Some(&mixed), "sf_eval").unwrap();
+        let unit = stage_unit("a[i] * b[i]", &[DataType::Float32, DataType::Float64]);
         assert!(
-            unit.contains("return ((double)(float)sf_slots[0] * sf_slots[1]);"),
+            kernel_lines(&unit).contains("sf_o[sf_k] = ((double)sf_p0[sf_k] * sf_p1[sf_k]);"),
             "{unit}"
         );
     }
@@ -1030,20 +966,25 @@ mod tests {
     fn f64_kernels_have_no_round_wraps() {
         let unit = f64_unit("0.5 * (a[i-1] + a[i+1])");
         assert!(
-            !unit.contains("(float)"),
+            !kernel_lines(&unit).contains("float"),
             "f64 kernel must not round:\n{unit}"
         );
-    }
-
-    /// The eval function of `unit`, without the includes and the prelude.
-    fn function(unit: &str) -> &str {
-        &unit[unit.find("double sf_eval(").expect("the eval function")..]
+        // Its pointers are cast to `double` all the same: one signature.
+        assert!(unit.contains("const double *sf_p0 = (const double *)sf_slots[0] + "));
+        assert!(
+            unit.contains("double *sf_o = (double *)sf_out + "),
+            "{unit}"
+        );
+        assert!(unit.contains("static void sf_body_0(const void *const *sf_slots"));
     }
 
     #[test]
     fn clamp_fuses_to_fmin_in_double_spelling() {
         let unit = f64_unit("min(a[i], 2.0)");
-        assert!(unit.contains("return sf_min(sf_slots[0], 2.0);"), "{unit}");
+        assert!(
+            kernel_lines(&unit).contains("sf_o[sf_k] = sf_min(sf_p0[sf_k], 2.0);"),
+            "{unit}"
+        );
         assert!(
             unit.contains("static inline double sf_min(double a, double b)"),
             "no prelude in:\n{unit}"
@@ -1055,11 +996,11 @@ mod tests {
     fn select_clamp_pattern_fuses_only_when_bit_faithful() {
         // `x < c ? x : c` with non-zero finite literal c fuses...
         let unit = f64_unit("a[i] < 2.0 ? a[i] : 2.0");
-        assert!(function(&unit).contains("sf_min("), "{unit}");
+        assert!(kernel_lines(&unit).contains("sf_min("), "{unit}");
         // ...but a zero literal must stay a select (signed-zero ties).
         let unit = f64_unit("a[i] < 0.0 ? a[i] : 0.0");
         assert!(
-            function(&unit).contains('?'),
+            kernel_lines(&unit).contains('?'),
             "zero clamp must stay a select:\n{unit}"
         );
     }
@@ -1070,16 +1011,16 @@ mod tests {
         // literal, so a NaN input selects the literal in both the ternary
         // and the fused `sf_min`/`sf_max` (and IEEE fmin/fmax).
         for (code, expected) in [
-            ("a[i] < 4.0 ? a[i] : 4.0", "sf_min(sf_slots[0], 4.0)"),
-            ("a[i] <= 4.0 ? a[i] : 4.0", "sf_min(sf_slots[0], 4.0)"),
-            ("a[i] > 0.125 ? a[i] : 0.125", "sf_max(sf_slots[0], 0.125)"),
-            ("0.5 > a[i] ? a[i] : 0.5", "sf_min(sf_slots[0], 0.5)"),
-            ("0.5 < a[i] ? a[i] : 0.5", "sf_max(sf_slots[0], 0.5)"),
+            ("a[i] < 4.0 ? a[i] : 4.0", "sf_min(sf_p0[sf_k], 4.0)"),
+            ("a[i] <= 4.0 ? a[i] : 4.0", "sf_min(sf_p0[sf_k], 4.0)"),
+            ("a[i] > 0.125 ? a[i] : 0.125", "sf_max(sf_p0[sf_k], 0.125)"),
+            ("0.5 > a[i] ? a[i] : 0.5", "sf_min(sf_p0[sf_k], 0.5)"),
+            ("0.5 < a[i] ? a[i] : 0.5", "sf_max(sf_p0[sf_k], 0.5)"),
         ] {
             let unit = f64_unit(code);
             assert!(unit.contains(expected), "`{code}` should fuse:\n{unit}");
             assert!(
-                !function(&unit).contains('?'),
+                !kernel_lines(&unit).contains('?'),
                 "select not fused in:\n{unit}"
             );
         }
@@ -1088,8 +1029,8 @@ mod tests {
     #[test]
     fn clamp_chains_fuse_through_cse_temporaries() {
         let unit = f64_unit("x = a[i] > 0.25 ? a[i] : 0.25; x < 1.0 ? x : 1.0");
-        assert!(unit.contains("const double sf_t0 = sf_max(sf_slots[0], 0.25);"));
-        assert!(unit.contains("return sf_min(sf_t0, 1.0);"), "{unit}");
+        assert!(unit.contains("const double sf_t0 = sf_max(sf_p0[sf_k], 0.25);"));
+        assert!(unit.contains("sf_o[sf_k] = sf_min(sf_t0, 1.0);"), "{unit}");
     }
 
     #[test]
@@ -1107,7 +1048,8 @@ mod tests {
             "a[i] < 0.0 ? a[i] : 0.0",
         ] {
             let unit = f64_unit(code);
-            assert!(unit.contains('?'), "`{code}` must stay a select:\n{unit}");
+            let lines = kernel_lines(&unit);
+            assert!(lines.contains('?'), "`{code}` must stay a select:\n{unit}");
             assert!(
                 !unit.contains("sf_min") && !unit.contains("sf_max"),
                 "{unit}"
@@ -1122,10 +1064,10 @@ mod tests {
         // no C `int` in it.
         let unit = f64_unit("a[i] > 0.0 ? a[i] : -a[i]");
         for line in [
-            "const double sf_t0 = sf_slots[0];",
-            "const double sf_t1 = (-sf_slots[0]);",
-            "const double sf_t2 = (((sf_slots[0] > 0.0) ? 1.0 : 0.0) != 0.0) ? sf_t0 : sf_t1;",
-            "return sf_t2;",
+            "const double sf_t0 = sf_p0[sf_k];",
+            "const double sf_t1 = (-sf_p0[sf_k]);",
+            "const double sf_t2 = (((sf_p0[sf_k] > 0.0) ? 1.0 : 0.0) != 0.0) ? sf_t0 : sf_t1;",
+            "sf_o[sf_k] = sf_t2;",
         ] {
             assert!(unit.contains(line), "no `{line}` in:\n{unit}");
         }
@@ -1140,15 +1082,15 @@ mod tests {
         for (code, expected) in [
             (
                 "(a[i] < b[i]) * 2.0",
-                "return (((sf_slots[0] < sf_slots[1]) ? 1.0 : 0.0) * 2.0);",
+                "sf_o[sf_k] = (((sf_p0[sf_k] < sf_p1[sf_k]) ? 1.0 : 0.0) * 2.0);",
             ),
             (
                 "(!a[i]) * 2.0",
-                "return (((sf_slots[0] != 0.0) ? 0.0 : 1.0) * 2.0);",
+                "sf_o[sf_k] = (((sf_p0[sf_k] != 0.0) ? 0.0 : 1.0) * 2.0);",
             ),
             (
                 "a[i] && b[i] ? 1.0 : 2.0",
-                "const double sf_t0 = ((sf_slots[1] != 0.0) ? 1.0 : 0.0);",
+                "const double sf_t0 = ((sf_p1[sf_k] != 0.0) ? 1.0 : 0.0);",
             ),
         ] {
             let unit = f64_unit(code);
@@ -1169,8 +1111,13 @@ mod tests {
     fn kernel_emission_names_cse_temporaries() {
         // A subexpression CSE shares is computed once, into a temporary.
         let unit = f64_unit("(a[i-1] + a[i+1]) * (a[i-1] + a[i+1])");
-        assert_eq!(unit.matches(" + ").count(), 1, "add not shared in:\n{unit}");
-        assert!(unit.contains("return (sf_t0 * sf_t0);"), "{unit}");
+        let lines = kernel_lines(&unit);
+        assert_eq!(
+            lines.matches(" + ").count(),
+            1,
+            "add not shared in:\n{unit}"
+        );
+        assert!(lines.contains("sf_o[sf_k] = (sf_t0 * sf_t0);"), "{unit}");
     }
 
     #[test]
@@ -1182,15 +1129,8 @@ mod tests {
         // Kernel slots are in first-use order: `dt` is slot 1.
         let mut kinds = vec![JitSlotKind::Tap(DataType::Float32); kernel.slot_count()];
         kinds[1] = JitSlotKind::Scalar;
-        let spec = JitStageSpec {
-            symbol: "sf_stage_0".to_string(),
-            kernel: &kernel,
-            slot_kinds: kinds,
-            slot_types: &[DataType::Float32; 3],
-            round_output: true,
-            store: DataType::Float32,
-        };
-        let (unit, _) = jit_translation_unit(&[spec]).unwrap();
+        let f32s = [DataType::Float32; 3];
+        let unit = one_stage(&kernel, kinds, &f32s, true, DataType::Float32).unwrap();
         // `float` cells: untyped pointers, cast in the body.
         assert!(unit.contains("static void sf_body_0(const void *const *sf_slots"));
         assert!(unit.contains("\nSF_STAGE(sf_stage_0, sf_body_0)\n"));
@@ -1210,15 +1150,8 @@ mod tests {
         );
         assert!(unit.contains("#include <math.h>"));
         // The same stage storing to `double` cells widens the float result.
-        let spec = JitStageSpec {
-            symbol: "sf_stage_0".to_string(),
-            kernel: &kernel,
-            slot_kinds: vec![JitSlotKind::Scalar; 3],
-            slot_types: &[DataType::Float32; 3],
-            round_output: true,
-            store: DataType::Float64,
-        };
-        let (unit, _) = jit_translation_unit(&[spec]).unwrap();
+        let scalars = vec![JitSlotKind::Scalar; 3];
+        let unit = one_stage(&kernel, scalars, &f32s, true, DataType::Float64).unwrap();
         assert!(
             unit.contains("sf_o[sf_k] = (double)(((float)sf_s0 * (float)sf_s1) + (float)sf_s2);"),
             "{unit}"
@@ -1231,19 +1164,11 @@ mod tests {
 
     #[test]
     fn unrounded_results_are_never_stored_as_float() {
-        let kernel = typed("a[i] + a[i-1]", &[DataType::Float64; 2]);
-        let spec = JitStageSpec {
-            symbol: "sf_stage_0".to_string(),
-            kernel: &kernel,
-            slot_kinds: vec![JitSlotKind::Tap(DataType::Float64); 2],
-            slot_types: &[DataType::Float64; 2],
-            round_output: false,
-            store: DataType::Float32,
-        };
-        assert_eq!(
-            jit_translation_unit(&[spec]).unwrap_err(),
-            (0, EmitError::NarrowStore)
-        );
+        let f64s = [DataType::Float64; 2];
+        let kernel = typed("a[i] + a[i-1]", &f64s);
+        let kinds = vec![JitSlotKind::Tap(DataType::Float64); 2];
+        let refused = one_stage(&kernel, kinds, &f64s, false, DataType::Float32);
+        assert_eq!(refused.unwrap_err(), (0, EmitError::NarrowStore));
     }
 
     /// A tap of `f64` cells.
@@ -1317,11 +1242,9 @@ mod tests {
 
     #[test]
     fn nan_constants_are_rejected() {
-        let kernel = typed("a[i] + (0.0 / 0.0)", &[DataType::Float64]);
-        let err = jit_eval_unit(&kernel, None, "sf_eval");
         // Constant folding may or may not have produced a NaN literal; if
         // it did, emission must refuse rather than emit `NaN`.
-        if let Ok(unit) = err {
+        if let Ok(unit) = try_stage_unit("a[i] + (0.0 / 0.0)", &[DataType::Float64]) {
             assert!(!unit.contains("NaN"), "NaN leaked into C:\n{unit}");
         }
     }
@@ -1334,11 +1257,9 @@ mod tests {
             unit.split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
                 .any(|token| token == "inf")
         };
-        let f32s = [DataType::Float32];
-        let kernel = typed("min(a[i], 1.0 / 0.0)", &f32s);
         for unit in [
             f64_unit("min(a[i], 1.0 / 0.0)"),
-            jit_eval_unit(&kernel, Some(&f32s), "sf_eval").unwrap(),
+            stage_unit("min(a[i], 1.0 / 0.0)", &[DataType::Float32]),
         ] {
             assert!(!bare_inf(&unit), "bare inf literal leaked:\n{unit}");
         }

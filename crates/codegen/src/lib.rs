@@ -13,20 +13,19 @@
 //! Both outputs print their arithmetic through one emitter:
 //!
 //! * [`jit_unit`] — the C expression emitter, which renders a stencil's
-//!   type-specialized kernel bit-identically to the typed bytecode tiers:
-//!   in `double` with explicit `f32`-round wraps, or, in the native units,
-//!   in `float` wherever double rounding is innocuous; and the
-//!   whole-program translation units of the Tier-4 native backend built
-//!   from it.
+//!   type-specialized kernel bit-identically to the typed bytecode tiers,
+//!   in `float` wherever double rounding is innocuous and in `double` with
+//!   explicit `f32`-round wraps elsewhere; and the whole-program
+//!   translation units of the Tier-4 native backend built from it.
 //! * [`opencl`] — Intel-FPGA-OpenCL-style kernel emission for a single
-//!   device, whose compute phases are those same typed bodies.
+//!   device, whose compute phases are those same stage bodies.
 
 #![forbid(unsafe_code)]
 
 pub mod jit_unit;
 pub mod opencl;
 
-pub use jit_unit::{jit_eval_unit, jit_translation_unit, EmitError, JitSlotKind, JitStageSpec};
+pub use jit_unit::{jit_translation_unit, EmitError, JitSlotKind, JitStageSpec};
 pub use opencl::generate_kernels;
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Intel-FPGA-OpenCL-style kernel emission.
 
-use crate::jit_unit::{emit_kernel, CType, EmitError, MinMax, Operand};
+use crate::jit_unit::{emit_kernel, Dialect, EmitError, JitSlotKind, JitStageSpec};
 use std::fmt::Write as _;
 use stencilflow_core::{ChannelEndpoint, HardwareMapping, MemoryAccessKind};
 use stencilflow_expr::{AccessSlot, CompiledKernel, DataType};
@@ -32,12 +32,23 @@ fn slot_c(slot: &AccessSlot) -> String {
     format!("tap(/* boundary-checked */ buf_{}, i {flat})", slot.field)
 }
 
+/// How a stage body reading `slot` of element type `dtype` from its field's
+/// cells takes it in.
+fn slot_kind(slot: &AccessSlot, dtype: DataType) -> JitSlotKind {
+    if slot.is_scalar() {
+        JitSlotKind::Scalar
+    } else {
+        JitSlotKind::Tap(dtype)
+    }
+}
+
 /// Compute-phase statements for one stencil unit: the stencil's typed
 /// kernel — specialized to the element types of the fields it reads —
-/// rendered by the same [`emit_kernel`] whose native code is checked bit
-/// for bit against the interpreter, and stored with the native store's
-/// `f32` rounding. Fails for a stencil without a typed kernel (integer
-/// operands) or with a non-float output.
+/// emitted as the body of a native stage (whose code is checked bit for bit
+/// against the interpreter) that reads each field from cells of its type (a
+/// `float32` field's slot is a binary32 `float`, as a ring tap is) and
+/// stores into a cell of the output type. Fails for a stencil without a
+/// typed kernel (integer operands) or with a non-float output.
 fn compute_phase_lines(
     program: &StencilProgram,
     stencil: &StencilNode,
@@ -58,10 +69,18 @@ fn compute_phase_lines(
         })
         .collect();
     let typed = kernel.specialize(&slot_types).ok_or(EmitError::Untyped)?;
-    // Every value `double`, rounded by `(double)(float)` wraps.
-    let slot = |ix| Operand::value(slot_c(&kernel.slots()[ix]), CType::Double, false);
-    let body = emit_kernel(&typed, MinMax::Builtin, false, false, &slot)?;
-    let result = format!("result = {};", body.stored(round, CType::Double));
+    let stage = JitStageSpec {
+        symbol: format!("stencil_{}", stencil.name),
+        kernel: &typed,
+        slot_kinds: (kernel.slots().iter().zip(&slot_types))
+            .map(|(slot, &dtype)| slot_kind(slot, dtype))
+            .collect(),
+        slot_types: &slot_types,
+        round_output: round,
+        store: stencil.output_type,
+    };
+    let body = emit_kernel(&stage, Dialect::OpenCl, &|ix| slot_c(&kernel.slots()[ix]))?;
+    let result = format!("result = {};", body.stored(round, stencil.output_type));
     let mut lines = body.statements;
     lines.push(result);
     Ok(lines)
@@ -90,7 +109,8 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
         "// Target: Intel FPGA SDK for OpenCL (never synthesized in this reproduction).\n"
     );
     let _ = writeln!(out, "#pragma OPENCL EXTENSION cl_intel_channels : enable");
-    // Compute phases are double arithmetic with explicit `f32` rounds.
+    // Compute phases keep `double` for every operation whose result does
+    // not round to binary32 (an `f64` field's, and those that reach one).
     let _ = writeln!(out, "#pragma OPENCL EXTENSION cl_khr_fp64 : enable\n");
 
     // Channel declarations with the analysis-computed depths.
@@ -220,7 +240,7 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jit_eval_unit;
+    use crate::jit_translation_unit;
     use stencilflow_core::AnalysisConfig;
     use stencilflow_dataflow::fuse_all;
     use stencilflow_program::StencilProgramBuilder;
@@ -275,44 +295,74 @@ mod tests {
         );
     }
 
+    /// The compute phase `stencil` of `program` must have: the kernel
+    /// statements and store of its one-stage native unit, each field read
+    /// from cells of its own type and the result stored into a cell of the
+    /// output type, with the OpenCL slot reads and math builtins.
+    fn stage_body_lines(program: &StencilProgram, stencil: &StencilNode) -> Vec<String> {
+        let kernel = CompiledKernel::compile(&stencil.program).unwrap();
+        let types: Vec<DataType> = (kernel.slots().iter())
+            .map(|slot| program.field_type(&slot.field).unwrap())
+            .collect();
+        let typed = kernel.specialize(&types).unwrap();
+        let spec = JitStageSpec {
+            symbol: "sf_stage_0".to_string(),
+            kernel: &typed,
+            slot_kinds: (kernel.slots().iter().zip(&types))
+                .map(|(slot, &dtype)| slot_kind(slot, dtype))
+                .collect(),
+            slot_types: &types,
+            round_output: stencil.output_type == DataType::Float32,
+            store: stencil.output_type,
+        };
+        let (mut unit, _) = jit_translation_unit(&[spec]).unwrap();
+        // Highest slot first: `sf_s1` is a prefix of `sf_s12`.
+        for (ix, slot) in kernel.slots().iter().enumerate().rev() {
+            unit = unit
+                .replace(&format!("sf_p{ix}[sf_k]"), &slot_c(slot))
+                .replace(&format!("sf_s{ix}"), &slot_c(slot));
+        }
+        for (inline, builtin) in [
+            ("sf_minf(", "fmin("),
+            ("sf_maxf(", "fmax("),
+            ("sf_min(", "fmin("),
+            ("sf_max(", "fmax("),
+            ("sqrtf(", "sqrt("),
+            ("fabsf(", "fabs("),
+        ] {
+            unit = unit.replace(inline, builtin);
+        }
+        let (_, inner) = unit.split_once("++sf_k) {\n").unwrap();
+        let body = inner.lines().map(str::trim).take_while(|line| *line != "}");
+        body.map(|line| line.replace("sf_o[sf_k] = ", "result = "))
+            .collect()
+    }
+
     #[test]
-    fn compute_phases_are_the_jit_eval_bodies() {
-        // Every stencil's compute phase is, slot reads and the spelling of
-        // `min`/`max` aside (the OpenCL builtins, the native unit's inline
-        // selects), exactly the statements and result of the native eval
-        // unit of its typed kernel, stored with the `f32` round of an `f32`
-        // output.
+    fn compute_phases_are_the_stage_bodies() {
+        // Every stencil's compute phase is, slot reads and the names of the
+        // math functions aside (the OpenCL builtins, overloaded on `float`;
+        // the native unit's inline `min`/`max` selects and libm's `sqrtf`,
+        // `fabsf`), exactly the statements and store of its stage body.
+        // Listing 1 and the chain are `f32` programs: their fields are read
+        // as `float`s; jacobi3d is `f64`.
         let hdiff = horizontal_diffusion(&HorizontalDiffusionSpec::production(1));
         for program in [
             listing1(),
             chain_program(&ChainSpec::new(8, 8)),
             fuse_all(&hdiff).unwrap(),
+            jacobi3d_typed(1, &[16, 16, 8], 1, DataType::Float64),
         ] {
             let code = kernels_of(&program);
             assert!(!code.contains("#error"), "{}", program.name());
             for stencil in program.stencils() {
-                let kernel = CompiledKernel::compile(&stencil.program).unwrap();
-                let types: Vec<DataType> = (kernel.slots().iter())
-                    .map(|slot| program.field_type(&slot.field).unwrap())
-                    .collect();
-                let mut unit = jit_eval_unit(&kernel.specialize(&types).unwrap(), None, "f")
-                    .unwrap()
-                    .replace("sf_min(", "fmin(")
-                    .replace("sf_max(", "fmax(");
-                for (ix, slot) in kernel.slots().iter().enumerate() {
-                    unit = unit.replace(&format!("sf_slots[{ix}]"), &slot_c(slot));
-                }
-                let (_, body) = unit.split_once("*sf_slots) {\n").unwrap();
-                let mut expected: Vec<String> =
-                    body.lines().map(|l| l.trim().to_string()).collect();
-                assert_eq!(expected.pop().unwrap(), "}");
-                let result = expected.pop().unwrap();
-                let result = &result["return ".len()..result.len() - 1];
-                expected.push(match stencil.output_type {
-                    DataType::Float32 => format!("result = (double)(float)({result});"),
-                    _ => format!("result = {result};"),
-                });
-                assert_eq!(compute_phase(&code, &stencil.name), expected);
+                assert_eq!(
+                    compute_phase(&code, &stencil.name),
+                    stage_body_lines(&program, stencil),
+                    "{}/{}",
+                    program.name(),
+                    stencil.name
+                );
             }
         }
     }
@@ -328,10 +378,13 @@ mod tests {
         ));
         let phase = compute_phase(&code, "b");
         assert_eq!(phase.len(), 4, "{phase:?}");
-        assert!(phase[0].starts_with("const double sf_t0 = (double)(float)(tap("));
+        assert!(
+            phase[0].starts_with("const float sf_t0 = (tap("),
+            "{phase:?}"
+        );
         assert!(phase[0].contains(" / "), "{phase:?}");
         assert!(phase[2].contains(" != 0.0) ? sf_t0 : sf_t1;"), "{phase:?}");
-        assert_eq!(phase[3], "result = (double)(float)(sf_t2);");
+        assert_eq!(phase[3], "result = sf_t2;");
     }
 
     #[test]
@@ -341,7 +394,7 @@ mod tests {
             DataType::Float32,
         ));
         let phase = compute_phase(&code, "b").join("\n");
-        assert!(phase.contains("+0+0) * dt)") && !phase.contains("buf_dt"));
+        assert!(phase.contains("+0+0) * (float)dt)") && !phase.contains("buf_dt"));
     }
 
     #[test]

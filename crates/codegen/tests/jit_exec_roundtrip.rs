@@ -1,24 +1,23 @@
-//! Execution-level round-trips of the emitted JIT eval units: the C the
-//! emitter produces is compiled with the real system `cc` and evaluated
-//! against the typed bytecode interpreter **bitwise** on adversarial
-//! values — NaN, signed zeros, subnormals, range extremes, and inputs
-//! chosen to expose double-rounding in the f32 `(double)(float)` wraps.
-//! Text pins (in the unit tests) say what the emitter wrote; these tests
-//! say what the compiled code *does*.
+//! Execution-level round-trips of emitted JIT stages: the C the emitter
+//! produces is compiled with the real system `cc`, swept over one row of
+//! cells per case set, and compared against the typed bytecode interpreter
+//! **bitwise** on adversarial values — NaN, signed zeros, subnormals, range
+//! extremes, and inputs chosen to expose double-rounding in the f32
+//! `(double)(float)` wraps. Text pins (in the unit tests) say what the
+//! emitter wrote; these tests say what the compiled code *does*.
 //!
-//! Every kernel is run in both spellings the emitter has: the one stage
-//! bodies use, where an operation on binary32 operands whose result
-//! rounds to binary32 runs in `float` (`+`, `-`, `*`, `/`, `sqrt`, and the
-//! exact `fabs`, `min`, `max`, negation and selects), and the all-`double`
-//! one of the OpenCL compute phase. For the first five, rounding the
-//! `double` result to binary32 equals the `float` operation (Figueroa,
-//! "When is double rounding innocuous?", 1995: 53 ≥ 2·24 + 2), which is
-//! also what makes the `(double)(float)(...)` wrap a faithful image of the
-//! typed tier's `finish(v, round)`. It does NOT hold for the
-//! transcendental calls, which the emitter forwards to the same libm the
-//! interpreter uses, in `double`.
+//! A kernel over `float32` slots is swept twice: from `float` cells (a
+//! ring) and from `double` cells (a grid read in place). In both, an
+//! operation on binary32 operands whose result rounds to binary32 runs in
+//! `float` (`+`, `-`, `*`, `/`, `sqrt`, and the exact `fabs`, `min`, `max`,
+//! negation and selects). For the first five, rounding the `double` result
+//! to binary32 equals the `float` operation (Figueroa, "When is double
+//! rounding innocuous?", 1995: 53 ≥ 2·24 + 2), which is also what makes the
+//! `(double)(float)(...)` wrap a faithful image of the typed tier's
+//! `finish(v, round)`. It does NOT hold for the transcendental calls, which
+//! the emitter forwards to the same libm the interpreter uses, in `double`.
 
-use stencilflow_codegen::{jit_eval_unit, jit_translation_unit, JitSlotKind, JitStageSpec};
+use stencilflow_codegen::{jit_translation_unit, JitSlotKind, JitStageSpec};
 use stencilflow_expr::{parse_program, CompiledKernel, DataType, TypedKernel, TypedScratch};
 use stencilflow_jit::{
     Cells, CellsMut, JitConfig, JitEngine, SlotArg, SweepArgs, SweepBuffers, Width,
@@ -52,10 +51,144 @@ fn engine() -> JitEngine {
     JitEngine::new(config).expect("system cc must be available for round-trip tests")
 }
 
-/// Evaluate `source` natively — in the stage bodies' spelling and in the
-/// all-`double` one — and through the bytecode over every row of `cases`
-/// (each row is one slot assignment), and require bitwise agreement.
-/// Returns the stage-body spelling's unit.
+/// The width of a buffer of element type `dtype`.
+fn width(dtype: DataType) -> Width {
+    match dtype {
+        DataType::Float32 => Width::F32,
+        _ => Width::F64,
+    }
+}
+
+/// A row of cells of element type `dtype`.
+enum Row {
+    F32(Vec<f32>),
+    F64(Vec<f64>),
+}
+
+impl Row {
+    /// `values` as cells of `dtype`; a `float` cell must hold its value
+    /// exactly.
+    fn new(dtype: DataType, values: impl Iterator<Item = f64>) -> Row {
+        match dtype {
+            DataType::Float32 => Row::F32(
+                values
+                    .map(|v| {
+                        assert!(v.is_nan() || f64::from(v as f32) == v, "{v} is no f32");
+                        v as f32
+                    })
+                    .collect(),
+            ),
+            _ => Row::F64(values.collect()),
+        }
+    }
+
+    fn cells(&self) -> Cells<'_> {
+        match self {
+            Row::F32(cells) => Cells::F32(cells),
+            Row::F64(cells) => Cells::F64(cells),
+        }
+    }
+}
+
+/// Emit `source` as one stage over `slots` (cycled over its slots), slot
+/// `s` a tap of `cells[s]` cells (cycled), storing into `store` cells —
+/// a `Float32` store rounds the result — and sweep it natively over one
+/// row holding every case of `cases` (each one slot assignment). Every
+/// stored cell must agree with the bytecode, stored alike, by `agree(case,
+/// native, bytecode)`. Returns the unit.
+fn sweep_roundtrip(
+    engine: &JitEngine,
+    source: &str,
+    slots: &[DataType],
+    cells: &[DataType],
+    store: DataType,
+    cases: &[&[f64]],
+    agree: fn(&[f64], f64, f64) -> bool,
+) -> String {
+    let (kernel, slot_types) = typed_with_slots(source, slots);
+    let count = slot_types.len();
+    let cells: Vec<DataType> = cells.iter().cycle().take(count).copied().collect();
+    let round = store == DataType::Float32;
+    let spec = JitStageSpec {
+        symbol: "sf_stage_0".to_string(),
+        kernel: &kernel,
+        slot_kinds: cells.iter().map(|&t| JitSlotKind::Tap(t)).collect(),
+        slot_types: &slot_types,
+        round_output: round,
+        store,
+    };
+    let (unit, _) = jit_translation_unit(&[spec]).expect("eligible stages emit");
+    let module = engine.load(source, &unit).expect("emitted unit compiles");
+    let widths: Vec<Option<Width>> = cells.iter().map(|&t| Some(width(t))).collect();
+    let stage = engine
+        .stage_fn(&module, "sf_stage_0", &widths, width(store))
+        .expect("the stage symbol resolves");
+    for case in cases {
+        assert!(case.len() >= count, "bad case arity for `{source}`");
+    }
+    let rows: Vec<Row> = (cells.iter().enumerate())
+        .map(|(s, &dtype)| Row::new(dtype, cases.iter().map(|case| case[s])))
+        .collect();
+    let n = cases.len();
+    let taps = rows.iter().map(|row| SlotArg::Tap {
+        buf: row.cells(),
+        base: 0,
+        s0: n,
+        s1: n,
+    });
+    let mut out = Row::new(store, std::iter::repeat_n(0.0, n));
+    let out_cells = match &mut out {
+        Row::F32(cells) => CellsMut::F32(cells),
+        Row::F64(cells) => CellsMut::F64(cells),
+    };
+    let mut args = SweepArgs {
+        out: out_cells,
+        out_base: 0,
+        out_s0: n,
+        out_s1: n,
+        n0: 1,
+        n1: 1,
+        nk: n,
+    };
+    stage
+        .sweep(taps, &mut args, &mut SweepBuffers::default())
+        .expect("sweep");
+    let mut scratch = TypedScratch::default();
+    for (cell, full) in cases.iter().enumerate() {
+        let case = &full[..count];
+        let want = kernel.eval_slots(case, &mut scratch);
+        let want = if round { f64::from(want as f32) } else { want };
+        let got = out.cells().get(cell);
+        assert!(
+            agree(case, got, want),
+            "`{source}` on {case:?}: native {got:?} ({:#x}) != bytecode {want:?} ({:#x})\n{unit}",
+            got.to_bits(),
+            want.to_bits()
+        );
+    }
+    unit
+}
+
+/// Sweep `source` over `slots` from cells of each slot's own type and, for
+/// a kernel with `float32` slots, from `double` cells too, storing the
+/// unrounded result into `double` cells, on every row of `cases`; agreement
+/// is judged by `agree`. Returns the unit of the first sweep.
+fn roundtrip(
+    engine: &JitEngine,
+    source: &str,
+    slots: &[DataType],
+    cases: &[&[f64]],
+    agree: fn(&[f64], f64, f64) -> bool,
+) -> String {
+    let f64s = [DataType::Float64];
+    let unit = sweep_roundtrip(engine, source, slots, slots, f64s[0], cases, agree);
+    if slots.contains(&DataType::Float32) {
+        sweep_roundtrip(engine, source, slots, &f64s, f64s[0], cases, agree);
+    }
+    unit
+}
+
+/// [`roundtrip`], bit for bit.
 fn assert_roundtrip(
     engine: &JitEngine,
     source: &str,
@@ -75,44 +208,6 @@ fn same_bits(_: &[f64], got: f64, want: f64) -> bool {
 /// survives an operation is unspecified — and bits match everywhere else.
 fn nan_contract(case: &[f64], got: f64, want: f64) -> bool {
     same_bits(case, got, want) || (got.is_nan() && want.is_nan() && case.iter().any(|v| v.is_nan()))
-}
-
-/// [`assert_roundtrip`] with agreement judged by `agree(case, native,
-/// bytecode)`.
-fn roundtrip(
-    engine: &JitEngine,
-    source: &str,
-    slots: &[DataType],
-    cases: &[&[f64]],
-    agree: fn(&[f64], f64, f64) -> bool,
-) -> String {
-    let (kernel, slot_types) = typed_with_slots(source, slots);
-    let units = [Some(&slot_types[..]), None]
-        .map(|types| jit_eval_unit(&kernel, types, "sf_eval").expect("eligible kernels emit"));
-    let mut scratch = TypedScratch::default();
-    for unit in &units {
-        let module = engine.load(source, unit).expect("emitted unit compiles");
-        let eval = engine
-            .eval_fn(&module, "sf_eval", kernel.slot_count())
-            .expect("eval symbol resolves");
-        for full in cases {
-            assert!(
-                full.len() >= kernel.slot_count(),
-                "bad case arity for `{source}`"
-            );
-            let case = &full[..kernel.slot_count()];
-            let want = kernel.eval_slots(case, &mut scratch);
-            let got = eval.call(case).expect("native eval runs");
-            assert!(
-                agree(case, got, want),
-                "`{source}` on {case:?}: native {got:?} ({:#x}) != bytecode {want:?} ({:#x})\n{unit}",
-                got.to_bits(),
-                want.to_bits()
-            );
-        }
-    }
-    let [typed, _] = units;
-    typed
 }
 
 /// Adversarial f64 operand pairs: NaN, signed zeros, subnormals, the
@@ -537,103 +632,30 @@ fn binary32_operations_run_in_float_and_round_trip_on_special_values() {
     // Every operation the emitter moves to `float` on binary32 operands
     // (±0, subnormals, the largest finite values, ±inf and the default
     // NaN, which the NaN contract of `f64_pairs` admits), in the spelling
-    // a stage body over `float` cells gets — `assert_roundtrip` also runs
-    // the all-`double` one.
+    // a stage body over `float` cells gets (`roundtrip` also sweeps them
+    // from `double` cells).
     let engine = engine();
     let pairs = f32_pairs();
     let cases: Vec<&[f64]> = pairs.iter().map(|p| p.as_slice()).collect();
     for (source, form) in [
-        ("a[i] + b[i]", "((float)sf_slots[0] + (float)sf_slots[1])"),
-        ("a[i] - b[i]", "((float)sf_slots[0] - (float)sf_slots[1])"),
-        ("a[i] * b[i]", "((float)sf_slots[0] * (float)sf_slots[1])"),
-        ("a[i] / b[i]", "((float)sf_slots[0] / (float)sf_slots[1])"),
-        (
-            "sqrt(a[i]) + b[i]",
-            "(sqrtf((float)sf_slots[0]) + (float)sf_slots[1])",
-        ),
-        (
-            "abs(a[i]) - b[i]",
-            "(fabsf((float)sf_slots[0]) - (float)sf_slots[1])",
-        ),
-        (
-            "min(a[i], b[i])",
-            "sf_minf((float)sf_slots[0], (float)sf_slots[1])",
-        ),
-        (
-            "max(a[i], b[i])",
-            "sf_maxf((float)sf_slots[0], (float)sf_slots[1])",
-        ),
+        ("a[i] + b[i]", "(sf_p0[sf_k] + sf_p1[sf_k])"),
+        ("a[i] - b[i]", "(sf_p0[sf_k] - sf_p1[sf_k])"),
+        ("a[i] * b[i]", "(sf_p0[sf_k] * sf_p1[sf_k])"),
+        ("a[i] / b[i]", "(sf_p0[sf_k] / sf_p1[sf_k])"),
+        ("sqrt(a[i]) + b[i]", "(sqrtf(sf_p0[sf_k]) + sf_p1[sf_k])"),
+        ("abs(a[i]) - b[i]", "(fabsf(sf_p0[sf_k]) - sf_p1[sf_k])"),
+        ("min(a[i], b[i])", "sf_minf(sf_p0[sf_k], sf_p1[sf_k])"),
+        ("max(a[i], b[i])", "sf_maxf(sf_p0[sf_k], sf_p1[sf_k])"),
         ("a[i] < b[i] ? a[i] : b[i]", "const float sf_t2 = "),
         (
             "(a[i] + b[i]) * (a[i] - b[i]) / (a[i] * b[i])",
-            "return (double)((((float)sf_slots[0] + (float)sf_slots[1]) * ((float)sf_slots[0] \
-             - (float)sf_slots[1])) / ((float)sf_slots[0] * (float)sf_slots[1]));",
+            "sf_o[sf_k] = (double)(((sf_p0[sf_k] + sf_p1[sf_k]) * (sf_p0[sf_k] - sf_p1[sf_k])) \
+             / (sf_p0[sf_k] * sf_p1[sf_k]));",
         ),
     ] {
         let unit = roundtrip(&engine, source, &[DataType::Float32], &cases, nan_contract);
         assert!(unit.contains(form), "`{source}`: no `{form}` in:\n{unit}");
     }
-}
-
-/// A stage over `float` cells of `a` and `b` storing `float` cells, swept
-/// natively over every pair of `f32_pairs`, against the bytecode rounded
-/// on store; returns the unit.
-fn assert_f32_stage_roundtrip(engine: &JitEngine, source: &str) -> String {
-    let (kernel, slot_types) = typed_with_slots(source, &[DataType::Float32]);
-    let spec = JitStageSpec {
-        symbol: "sf_stage_0".to_string(),
-        kernel: &kernel,
-        slot_kinds: vec![JitSlotKind::Tap(DataType::Float32); slot_types.len()],
-        slot_types: &slot_types,
-        round_output: true,
-        store: DataType::Float32,
-    };
-    let (unit, _) = jit_translation_unit(&[spec]).expect("eligible stages emit");
-    let module = engine.load(source, &unit).expect("emitted unit compiles");
-    let widths = vec![Some(Width::F32); slot_types.len()];
-    let stage = engine
-        .stage_fn(&module, "sf_stage_0", &widths, Width::F32)
-        .expect("the stage symbol resolves");
-    let pairs = f32_pairs();
-    let a: Vec<f32> = pairs.iter().map(|p| p[0] as f32).collect();
-    let b: Vec<f32> = pairs.iter().map(|p| p[1] as f32).collect();
-    let n = pairs.len();
-    let tap = |buf| SlotArg::Tap {
-        buf: Cells::F32(buf),
-        base: 0,
-        s0: n,
-        s1: n,
-    };
-    let mut out = vec![0.0f32; n];
-    let mut args = SweepArgs {
-        out: CellsMut::F32(&mut out),
-        out_base: 0,
-        out_s0: n,
-        out_s1: n,
-        n0: 1,
-        n1: 1,
-        nk: n,
-    };
-    let taps = [tap(&a), tap(&b)];
-    let slots = slot_types.len();
-    stage
-        .sweep(
-            taps[..slots].iter().copied(),
-            &mut args,
-            &mut SweepBuffers::default(),
-        )
-        .expect("sweep");
-    let mut scratch = TypedScratch::default();
-    for (cell, got) in out.iter().enumerate() {
-        let case = &pairs[cell][..slots];
-        let want = kernel.eval_slots(case, &mut scratch) as f32;
-        assert!(
-            nan_contract(case, f64::from(*got), f64::from(want)),
-            "`{source}` on {:?}: native {got:?} != bytecode {want:?}\n{unit}",
-            pairs[cell]
-        );
-    }
-    unit
 }
 
 #[test]
@@ -642,6 +664,9 @@ fn a_stored_round_floats_the_last_op_only_over_binary32_literals() {
     // f32 store. `0.125` is a binary32 value, so the product runs in
     // float; `0.1` is not, so it stays double and the store rounds.
     let engine = engine();
+    let f32s = [DataType::Float32];
+    let pairs = f32_pairs();
+    let cases: Vec<&[f64]> = pairs.iter().map(|p| p.as_slice()).collect();
     for (source, store) in [
         (
             "0.125 * (a[i] + b[i])",
@@ -656,7 +681,7 @@ fn a_stored_round_floats_the_last_op_only_over_binary32_literals() {
             "sf_o[sf_k] = (float)((0.1 * (double)sf_p0[sf_k]));",
         ),
     ] {
-        let unit = assert_f32_stage_roundtrip(&engine, source);
+        let unit = sweep_roundtrip(&engine, source, &f32s, &f32s, f32s[0], &cases, nan_contract);
         assert!(unit.contains(store), "`{source}`: no `{store}` in:\n{unit}");
     }
 }

@@ -13,8 +13,8 @@
 //! * The statement list is lowered **once** into a flat, postorder
 //!   instruction array ([`Op`]) executed by a small stack machine over
 //!   [`Value`]s. Locals become register indices, math functions dispatch on
-//!   the [`MathFn`] enum, and constants are pre-folded with the bit-exact
-//!   variant of the [`crate::fold`] pass.
+//!   the [`MathFn`] enum, and constants are pre-folded by the bit-exact
+//!   [`crate::fold`] pass.
 //! * Every distinct field access `(field, offsets)` — and every scalar
 //!   symbol — becomes an [`AccessSlot`] with a dense index. Consumers
 //!   resolve each slot to their own storage **once per plan** (the reference
@@ -36,7 +36,7 @@
 use crate::ast::{BinOp, Expr, MathFn, Program, Stmt, UnOp};
 use crate::error::{ExprError, Result};
 use crate::eval::{eval_math_fn, math_fn_raw, AccessResolver};
-use crate::fold::fold_program_exact;
+use crate::fold::fold_program;
 use crate::types::DataType;
 use crate::value::{CompareOp, Value};
 use std::collections::BTreeMap;
@@ -143,7 +143,7 @@ impl CompiledKernel {
         if program.statements.is_empty() {
             return Err(ExprError::EmptyProgram);
         }
-        let folded = fold_program_exact(program);
+        let folded = fold_program(program);
         let mut compiler = Compiler::default();
         let last = folded.statements.len() - 1;
         for (idx, stmt) in folded.statements.iter().enumerate() {

@@ -2,61 +2,48 @@
 //!
 //! The paper relies on the downstream HLS compiler for common-subexpression
 //! elimination after fusion (§V-B); the only expression-level simplification
-//! the StencilFlow layer itself performs is folding constant sub-expressions,
-//! which keeps latency estimates and operation counts honest for fused
-//! programs with literal coefficients.
+//! the StencilFlow layer itself performs is folding constant sub-expressions.
+//! [`crate::compile`] folds every kernel before lowering it, so a fused
+//! program with literal coefficients carries one constant where its source
+//! spelled an expression. Latency estimates and operation counts read the
+//! unfolded source.
 
 use crate::ast::{BinOp, Expr, Program, Stmt, UnOp};
 use crate::eval::eval_math_fn;
+use crate::types::DataType;
 use crate::value::{CompareOp, Value};
 
-/// Constant-fold every statement of a program.
+/// Constant-fold every statement of a program, bit-exactly: the folded
+/// program evaluates to the same bits, of the same type, as the original.
 ///
-/// Folding is conservative: it never changes evaluation results (including
-/// IEEE behaviour for floats) and leaves anything involving a field access or
-/// local variable untouched except where both operands are literals.
+/// Only sub-expressions whose operands are all literals fold, and only to
+/// what a literal can carry: a comparison, a logical operator or a `!` of
+/// literals yields a `Bool`, which no literal represents, so it stays for
+/// the runtime. Identity rewrites (`x + 0`, `x * 1`, ...) are not done:
+/// `x_f32 + 0.0_f64` promotes to `f64` in the evaluator, while `x_f32`
+/// alone stays `f32` and would round every later operation.
 pub fn fold_program(program: &Program) -> Program {
-    fold_program_impl(program, false)
-}
-
-/// Bit-exact constant folding: like [`fold_program`] but without the
-/// identity simplifications (`x + 0`, `x * 1`, `x / 1`, ...).
-///
-/// Those rewrites are numerically exact but can change the *type* of an
-/// intermediate: `x_f32 + 0.0_f64` promotes to `f64` in the evaluator, while
-/// the simplified `x_f32` stays `f32` and is rounded on every subsequent
-/// operation. The compiled-kernel path ([`crate::compile`]) must agree with
-/// the tree-walking evaluator bit for bit, so it folds with this variant.
-pub(crate) fn fold_program_exact(program: &Program) -> Program {
-    fold_program_impl(program, true)
-}
-
-fn fold_program_impl(program: &Program, exact: bool) -> Program {
     Program {
         statements: program
             .statements
             .iter()
             .map(|stmt| Stmt {
                 name: stmt.name.clone(),
-                value: fold_expr_impl(&stmt.value, exact),
+                value: fold_expr(&stmt.value),
             })
             .collect(),
     }
 }
 
-fn fold_expr_impl(expr: &Expr, exact: bool) -> Expr {
+fn fold_expr(expr: &Expr) -> Expr {
     match expr {
         Expr::IntLit(_) | Expr::FloatLit(_) | Expr::Var(_) | Expr::FieldAccess { .. } => {
             expr.clone()
         }
         Expr::Unary { op, operand } => {
-            let operand = fold_expr_impl(operand, exact);
+            let operand = fold_expr(operand);
             match (&op, literal_value(&operand)) {
                 (UnOp::Neg, Some(v)) => value_to_literal(v.neg()),
-                // `!literal` evaluates to a Bool, which literals cannot
-                // represent; folding it to 0/1 would change the result type,
-                // so exact mode leaves it to the runtime.
-                (UnOp::Not, Some(v)) if !exact => value_to_literal(v.not()),
                 _ => Expr::Unary {
                     op: *op,
                     operand: Box::new(operand),
@@ -64,41 +51,13 @@ fn fold_expr_impl(expr: &Expr, exact: bool) -> Expr {
             }
         }
         Expr::Binary { op, lhs, rhs } => {
-            let lhs = fold_expr_impl(lhs, exact);
-            let rhs = fold_expr_impl(rhs, exact);
+            let lhs = fold_expr(lhs);
+            let rhs = fold_expr(rhs);
             if let (Some(l), Some(r)) = (literal_value(&lhs), literal_value(&rhs)) {
                 if let Some(v) = fold_binary(*op, l, r) {
-                    // Comparisons and logic produce Bool, which literals
-                    // cannot represent; exact mode must preserve the type.
-                    if !(exact && v.data_type() == crate::types::DataType::Bool) {
+                    if v.data_type() != DataType::Bool {
                         return value_to_literal(v);
                     }
-                }
-            }
-            // Identity simplifications that are numerically exact for floats
-            // (x + 0, 0 + x, x - 0, x * 1, 1 * x, x / 1) but may change the
-            // promoted type of the intermediate; skipped in exact mode.
-            if !exact {
-                match (op, literal_value(&lhs), literal_value(&rhs)) {
-                    (BinOp::Add, Some(l), _)
-                        if l.as_f64() == 0.0 && !l.as_f64().is_sign_negative() =>
-                    {
-                        return rhs
-                    }
-                    (BinOp::Add, _, Some(r))
-                        if r.as_f64() == 0.0 && !r.as_f64().is_sign_negative() =>
-                    {
-                        return lhs
-                    }
-                    (BinOp::Sub, _, Some(r))
-                        if r.as_f64() == 0.0 && !r.as_f64().is_sign_negative() =>
-                    {
-                        return lhs
-                    }
-                    (BinOp::Mul, Some(l), _) if l.as_f64() == 1.0 => return rhs,
-                    (BinOp::Mul, _, Some(r)) if r.as_f64() == 1.0 => return lhs,
-                    (BinOp::Div, _, Some(r)) if r.as_f64() == 1.0 => return lhs,
-                    _ => {}
                 }
             }
             Expr::Binary {
@@ -112,9 +71,9 @@ fn fold_expr_impl(expr: &Expr, exact: bool) -> Expr {
             then,
             otherwise,
         } => {
-            let cond = fold_expr_impl(cond, exact);
-            let then = fold_expr_impl(then, exact);
-            let otherwise = fold_expr_impl(otherwise, exact);
+            let cond = fold_expr(cond);
+            let then = fold_expr(then);
+            let otherwise = fold_expr(otherwise);
             if let Some(c) = literal_value(&cond) {
                 return if c.as_bool() { then } else { otherwise };
             }
@@ -125,12 +84,10 @@ fn fold_expr_impl(expr: &Expr, exact: bool) -> Expr {
             }
         }
         Expr::Call { func, args } => {
-            let args: Vec<Expr> = args.iter().map(|a| fold_expr_impl(a, exact)).collect();
+            let args: Vec<Expr> = args.iter().map(fold_expr).collect();
             let literals: Option<Vec<Value>> = args.iter().map(literal_value).collect();
             if let Some(values) = literals {
-                // Only fold functions that are exact on the folded values to
-                // avoid perturbing results (sqrt of a perfect square is still
-                // folded via f64, which matches evaluation semantics).
+                // The evaluator calls the same function on the same values.
                 return value_to_literal(eval_math_fn(*func, &values));
             }
             Expr::Call { func: *func, args }
@@ -178,14 +135,6 @@ mod tests {
     use super::*;
     use crate::parser::{parse_expr, parse_program};
 
-    fn fold_expr(expr: &Expr) -> Expr {
-        fold_expr_impl(expr, false)
-    }
-
-    fn fold_expr_exact(expr: &Expr) -> Expr {
-        fold_expr_impl(expr, true)
-    }
-
     #[test]
     fn folds_constant_arithmetic() {
         let e = fold_expr(&parse_expr("2.0 * 3.0 + 1.0").unwrap());
@@ -194,7 +143,7 @@ mod tests {
 
     #[test]
     fn folds_constant_ternary() {
-        let e = fold_expr(&parse_expr("1 > 0 ? a[i] : b[i]").unwrap());
+        let e = fold_expr(&parse_expr("1 ? a[i] : b[i]").unwrap());
         assert!(matches!(e, Expr::FieldAccess { ref field, .. } if field == "a"));
     }
 
@@ -207,19 +156,27 @@ mod tests {
     }
 
     #[test]
-    fn identity_simplifications() {
-        let e = fold_expr(&parse_expr("a[i] + 0.0").unwrap());
-        assert!(matches!(e, Expr::FieldAccess { .. }));
-        let e = fold_expr(&parse_expr("1.0 * a[i]").unwrap());
-        assert!(matches!(e, Expr::FieldAccess { .. }));
-        let e = fold_expr(&parse_expr("a[i] / 1.0").unwrap());
-        assert!(matches!(e, Expr::FieldAccess { .. }));
-    }
-
-    #[test]
     fn does_not_fold_field_accesses() {
         let e = fold_expr(&parse_expr("a[i] + b[i]").unwrap());
         assert!(matches!(e, Expr::Binary { .. }));
+    }
+
+    #[test]
+    fn exact_mode_folds_constants_but_keeps_identities() {
+        // Constant subexpressions fold...
+        let e = fold_expr(&parse_expr("2.0 * 3.0 + 1.0").unwrap());
+        assert_eq!(e, Expr::FloatLit(7.0));
+        // ...but `a[i] + 0.0` promotes an `f32` field to `f64`: dropping the
+        // add would change the type.
+        for code in ["a[i] + 0.0", "1.0 * a[i]", "a[i] / 1.0"] {
+            let e = fold_expr(&parse_expr(code).unwrap());
+            assert!(matches!(e, Expr::Binary { .. }), "{code}");
+        }
+        // No literal carries a `Bool`.
+        let e = fold_expr(&parse_expr("1 > 0").unwrap());
+        assert!(matches!(e, Expr::Binary { .. }));
+        let e = fold_expr(&parse_expr("!1.0").unwrap());
+        assert!(matches!(e, Expr::Unary { .. }));
     }
 
     #[test]
@@ -231,18 +188,6 @@ mod tests {
         let folded = fold_program(&prog);
         let v1 = Evaluator::new(&r).eval_program(&prog).unwrap();
         let v2 = Evaluator::new(&r).eval_program(&folded).unwrap();
-        assert_eq!(v1.as_f64(), v2.as_f64());
-    }
-
-    #[test]
-    fn exact_mode_folds_constants_but_keeps_identities() {
-        // Constant subexpressions still fold...
-        let e = fold_expr_exact(&parse_expr("2.0 * 3.0 + 1.0").unwrap());
-        assert_eq!(e, Expr::FloatLit(7.0));
-        // ...but type-changing identity rewrites are kept verbatim.
-        let e = fold_expr_exact(&parse_expr("a[i] + 0.0").unwrap());
-        assert!(matches!(e, Expr::Binary { .. }));
-        let e = fold_expr_exact(&parse_expr("1.0 * a[i]").unwrap());
-        assert!(matches!(e, Expr::Binary { .. }));
+        assert_eq!(v1, v2);
     }
 }

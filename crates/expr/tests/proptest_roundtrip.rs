@@ -103,6 +103,16 @@ fn resolver_for(program: &Program) -> MapResolver {
     resolver
 }
 
+/// Whether `a` and `b` are the same value: the same type and the same bits
+/// (a NaN equals a NaN of the same payload).
+fn same_bits(a: Value, b: Value) -> bool {
+    match (a, b) {
+        (Value::F32(a), Value::F32(b)) => a.to_bits() == b.to_bits(),
+        (Value::F64(a), Value::F64(b)) => a.to_bits() == b.to_bits(),
+        (a, b) => a == b,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -114,7 +124,8 @@ proptest! {
         prop_assert_eq!(program, reparsed);
     }
 
-    /// Constant folding never changes the value a program evaluates to.
+    /// Constant folding never changes the value a program evaluates to:
+    /// not its type, not one bit.
     #[test]
     fn folding_preserves_semantics(program in arb_program()) {
         let resolver = resolver_for(&program);
@@ -122,7 +133,7 @@ proptest! {
         let folded = fold_program(&program);
         let after = Evaluator::new(&resolver).eval_program(&folded);
         match (original, after) {
-            (Ok(a), Ok(b)) => prop_assert!(a.approx_eq(b, 1e-9),
+            (Ok(a), Ok(b)) => prop_assert!(same_bits(a, b),
                 "folding changed value: {a:?} vs {b:?}"),
             (Err(_), Err(_)) => {}
             // Folding may turn an erroring program (integer div by zero on a

@@ -114,13 +114,6 @@ pub enum FfiError {
         /// The loader's message.
         message: String,
     },
-    /// An eval call got a slot vector of the wrong length.
-    EvalArity {
-        /// Slot values passed.
-        got: usize,
-        /// Slot values the symbol reads.
-        takes: usize,
-    },
 }
 
 impl std::fmt::Display for FfiError {
@@ -134,10 +127,6 @@ impl std::fmt::Display for FfiError {
             FfiError::MissingSymbol { symbol, message } => {
                 write!(f, "symbol `{symbol}` not found: {message}")
             }
-            FfiError::EvalArity { got, takes } => write!(
-                f,
-                "eval arity mismatch: got {got} slot values, symbol takes {takes}"
-            ),
         }
     }
 }
@@ -234,10 +223,8 @@ impl Drop for ModuleHandle {
 /// Slot and output pointers are untyped: the body casts each to the
 /// element width it was emitted for (`const float *` or `const double *`,
 /// strides counted in elements of that width), which the [`StageFn`]
-/// records and [`StageFn::sweep`] checks. A unit whose every buffer is
-/// `double` may spell them `const double *const *` and `double *`, which
-/// passes the same pointers. The function sweeps `n0 × n1` rows of `nk`
-/// cells; the row pointer of slot `s` at `(i0, i1)` is
+/// records and [`StageFn::sweep`] checks. The function sweeps `n0 × n1`
+/// rows of `nk` cells; the row pointer of slot `s` at `(i0, i1)` is
 /// `slots[s] + i0*ss0[s] + i1*ss1[s]`, and only indices `[0, nk)` of each
 /// row pointer (shifted by nothing further) are read or written.
 type RawStageFn = unsafe extern "C" fn(
@@ -252,10 +239,6 @@ type RawStageFn = unsafe extern "C" fn(
     i64,
     i64,
 );
-
-/// ABI of an emitted scalar evaluation function (round-trip tests):
-/// `double sf_eval(const double *slots)` over `arity` slot values.
-type RawEvalFn = unsafe extern "C" fn(*const f64) -> f64;
 
 /// The element width of a buffer a stage function reads or writes: C
 /// `float` or `double`.
@@ -732,52 +715,5 @@ impl StageFn {
             );
         }
         Ok(())
-    }
-}
-
-/// A scalar-evaluation symbol bound to its (kept-alive) module; used by the
-/// codegen round-trip tests to execute emitted expressions one cell at a
-/// time.
-#[derive(Debug, Clone)]
-pub struct EvalFn {
-    module: Arc<ModuleHandle>,
-    raw: RawEvalFn,
-    arity: usize,
-}
-
-impl EvalFn {
-    pub(crate) fn resolve(
-        module: &Arc<ModuleHandle>,
-        symbol: &str,
-        arity: usize,
-    ) -> Result<EvalFn, FfiError> {
-        let addr = module.symbol_address(symbol)?;
-        // SAFETY: as for `StageFn::resolve` — eval symbols are emitted
-        // with exactly the `RawEvalFn` signature.
-        let raw = unsafe { std::mem::transmute::<*mut c_void, RawEvalFn>(addr) };
-        Ok(EvalFn {
-            module: Arc::clone(module),
-            raw,
-            arity,
-        })
-    }
-
-    /// Evaluate the compiled expression on one slot-value vector.
-    ///
-    /// # Errors
-    ///
-    /// [`FfiError::EvalArity`] when `slots` does not match the arity the
-    /// symbol was resolved with.
-    pub fn call(&self, slots: &[f64]) -> Result<f64, FfiError> {
-        if slots.len() != self.arity {
-            let (got, takes) = (slots.len(), self.arity);
-            return Err(FfiError::EvalArity { got, takes });
-        }
-        let _keep_alive = &self.module;
-        // SAFETY: the target reads exactly `arity` doubles from the
-        // pointer (pinned by the emitter, validated against `slots.len()`
-        // above) and performs no other memory access — it is emitted from
-        // the same verified branch-free bytecode as the stage sweeps.
-        Ok(unsafe { (self.raw)(slots.as_ptr()) })
     }
 }

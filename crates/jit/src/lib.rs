@@ -35,8 +35,8 @@
 pub mod ffi;
 
 pub use ffi::{
-    Cells, CellsMut, EvalFn, FfiError, ModuleHandle, SlotArg, StageFn, SweepArgs, SweepBuffers,
-    SweepError, Width,
+    Cells, CellsMut, FfiError, ModuleHandle, SlotArg, StageFn, SweepArgs, SweepBuffers, SweepError,
+    Width,
 };
 
 use std::collections::{HashMap, VecDeque};
@@ -455,21 +455,6 @@ impl JitEngine {
     ) -> Result<StageFn, FfiError> {
         StageFn::resolve(module, symbol, slots, out)
     }
-
-    /// Resolve a scalar-evaluation symbol (used by codegen round-trip
-    /// tests) from a loaded module.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the symbol is absent from the module.
-    pub fn eval_fn(
-        &self,
-        module: &Arc<ModuleHandle>,
-        symbol: &str,
-        arity: usize,
-    ) -> Result<EvalFn, FfiError> {
-        EvalFn::resolve(module, symbol, arity)
-    }
 }
 
 impl Drop for JitEngine {
@@ -833,11 +818,6 @@ mod tests {
         }
     }
 
-    const EVAL_SOURCE: &str = "#include <stdint.h>\n\
-        double sf_eval(const double *sf_slots) {\n\
-            return sf_slots[0] * 2.0 + sf_slots[1];\n\
-        }\n";
-
     const STAGE_SOURCE: &str = "#include <stdint.h>\n\
         void sf_stage_0(const void *const *sf_slots, const double *sf_scalars,\n\
                         const int64_t *sf_ss0, const int64_t *sf_ss1,\n\
@@ -854,26 +834,53 @@ mod tests {
             }\n\
         }\n";
 
+    /// [`STAGE_SOURCE`] with another sweep: the same symbol, another
+    /// module.
+    fn stage_source_b() -> String {
+        STAGE_SOURCE.replace("sf_scalars[1];", "sf_scalars[1] + 1.0;")
+    }
+
     /// [`STAGE_SOURCE`]'s slots: an `f64` tap, then a scalar.
     const STAGE_SLOTS: [Option<Width>; 2] = [Some(Width::F64), None];
 
-    #[test]
-    fn compiles_loads_and_calls_an_eval_symbol() {
-        let config = test_config();
-        let dir = config.cache_dir.clone();
-        let engine = JitEngine::new(config).expect("engine");
-        let module = engine.load("eval-basic", EVAL_SOURCE).expect("load");
-        let eval = engine.eval_fn(&module, "sf_eval", 2).expect("symbol");
-        assert_eq!(eval.call(&[3.0, 0.5]).unwrap(), 6.5);
-        assert!(
-            eval.call(&[1.0]).is_err(),
-            "arity mismatch must be rejected"
-        );
-        let stats = engine.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.cc_invocations, 1);
-        assert!(stats.cache_bytes > 0);
-        let _ = fs::remove_dir_all(dir);
+    /// A tap over `buf` as [`geometry`] sweeps it.
+    fn tap(buf: Cells<'_>) -> SlotArg<'_> {
+        SlotArg::Tap {
+            buf,
+            base: 0,
+            s0: 12,
+            s1: 4,
+        }
+    }
+
+    /// A sweep of 2 × 3 rows of 4 cells into `out`: 24 cells, row by row.
+    fn geometry(out: CellsMut<'_>) -> SweepArgs<'_> {
+        SweepArgs {
+            out,
+            out_base: 0,
+            out_s0: 12,
+            out_s1: 4,
+            n0: 2,
+            n1: 3,
+            nk: 4,
+        }
+    }
+
+    /// What `module`'s `sf_stage_0` ([`STAGE_SOURCE`] or
+    /// [`stage_source_b`]) writes from tap cells `0, 1, ..., 23` and scalar
+    /// `3.0`, per cell over `3·cell`.
+    fn swept(engine: &JitEngine, module: &Arc<ModuleHandle>) -> Vec<f64> {
+        let stage = engine
+            .stage_fn(module, "sf_stage_0", &STAGE_SLOTS, Width::F64)
+            .expect("symbol");
+        let input: Vec<f64> = (0..24).map(f64::from).collect();
+        let mut out = vec![0.0; 24];
+        let slots = [tap(Cells::F64(&input)), SlotArg::Scalar(3.0)];
+        let mut args = geometry(CellsMut::F64(&mut out));
+        (stage.sweep(slots, &mut args, &mut SweepBuffers::default())).expect("sweep");
+        (out.iter().enumerate())
+            .map(|(cell, v)| v - 3.0 * cell as f64)
+            .collect()
     }
 
     #[test]
@@ -882,48 +889,21 @@ mod tests {
         let dir = config.cache_dir.clone();
         let engine = JitEngine::new(config).expect("engine");
         let module = engine.load("stage-basic", STAGE_SOURCE).expect("load");
-        let stage = engine
-            .stage_fn(&module, "sf_stage_0", &STAGE_SLOTS, Width::F64)
-            .expect("symbol");
-
-        let input: Vec<f64> = (0..24).map(f64::from).collect();
-        let mut out = vec![0.0; 24];
-        let slots = [
-            SlotArg::Tap {
-                buf: Cells::F64(&input),
-                base: 0,
-                s0: 12,
-                s1: 4,
-            },
-            SlotArg::Scalar(3.0),
-        ];
-        let mut args = SweepArgs {
-            out: CellsMut::F64(&mut out),
-            out_base: 0,
-            out_s0: 12,
-            out_s1: 4,
-            n0: 2,
-            n1: 3,
-            nk: 4,
-        };
-        let mut buffers = SweepBuffers::default();
-        stage.sweep(slots, &mut args, &mut buffers).expect("sweep");
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i as f64 * 3.0, "cell {i}");
-        }
+        let stats = engine.stats();
+        assert_eq!((stats.misses, stats.cc_invocations), (1, 1));
+        assert!(stats.cache_bytes > 0);
+        assert_eq!(swept(&engine, &module), [0.0; 24]);
 
         // Geometry that reaches past the buffer must be rejected in safe
         // code, not dereferenced.
+        let stage = engine
+            .stage_fn(&module, "sf_stage_0", &STAGE_SLOTS, Width::F64)
+            .expect("symbol");
+        let input: Vec<f64> = (0..24).map(f64::from).collect();
+        let slots = [tap(Cells::F64(&input)), SlotArg::Scalar(3.0)];
         let mut short = vec![0.0; 23];
-        let mut bad = SweepArgs {
-            out: CellsMut::F64(&mut short),
-            out_base: 0,
-            out_s0: 12,
-            out_s1: 4,
-            n0: 2,
-            n1: 3,
-            nk: 4,
-        };
+        let mut bad = geometry(CellsMut::F64(&mut short));
+        let mut buffers = SweepBuffers::default();
         let refused = stage.sweep(slots, &mut bad, &mut buffers).unwrap_err();
         assert_eq!(
             refused,
@@ -941,15 +921,7 @@ mod tests {
         // Taps are checked first, in slot order.
         let refused = stage
             .sweep(
-                [
-                    SlotArg::Tap {
-                        buf: Cells::F64(&input[..20]),
-                        base: 0,
-                        s0: 12,
-                        s1: 4,
-                    },
-                    slots[1],
-                ],
+                [tap(Cells::F64(&input[..20])), slots[1]],
                 &mut bad,
                 &mut buffers,
             )
@@ -968,28 +940,17 @@ mod tests {
     }
 
     /// [`STAGE_SOURCE`] over `float` cells.
-    const STAGE_SOURCE_F32: &str = "#include <stdint.h>\n\
-        void sf_stage_0(const void *const *sf_slots, const double *sf_scalars,\n\
-                        const int64_t *sf_ss0, const int64_t *sf_ss1,\n\
-                        void *restrict sf_out, int64_t sf_os0, int64_t sf_os1,\n\
-                        int64_t sf_n0, int64_t sf_n1, int64_t sf_nk) {\n\
-            for (int64_t i0 = 0; i0 < sf_n0; ++i0) {\n\
-                for (int64_t i1 = 0; i1 < sf_n1; ++i1) {\n\
-                    const float *sf_p0 = (const float *)sf_slots[0] + i0 * sf_ss0[0] + i1 * sf_ss1[0];\n\
-                    float *sf_o = (float *)sf_out + i0 * sf_os0 + i1 * sf_os1;\n\
-                    for (int64_t sf_k = 0; sf_k < sf_nk; ++sf_k) {\n\
-                        sf_o[sf_k] = sf_p0[sf_k] * (float)sf_scalars[1];\n\
-                    }\n\
-                }\n\
-            }\n\
-        }\n";
+    fn stage_source_f32() -> String {
+        let source = STAGE_SOURCE.replace("double", "float");
+        source.replace("const float *sf_scalars", "const double *sf_scalars")
+    }
 
     #[test]
     fn stage_sweep_refuses_buffers_of_another_width() {
         let config = test_config();
         let dir = config.cache_dir.clone();
         let engine = JitEngine::new(config).expect("engine");
-        let narrow = engine.load("stage-f32", STAGE_SOURCE_F32).expect("load");
+        let narrow = engine.load("stage-f32", &stage_source_f32()).expect("load");
         let wide = engine.load("stage-f64", STAGE_SOURCE).expect("load");
         let f32_slots = [Some(Width::F32), None];
         let narrow =
@@ -998,23 +959,6 @@ mod tests {
             (engine.stage_fn(&wide, "sf_stage_0", &STAGE_SLOTS, Width::F64)).expect("symbol");
         let in32: Vec<f32> = (0..24).map(|i| i as f32).collect();
         let in64: Vec<f64> = (0..24).map(f64::from).collect();
-        let tap = |buf| SlotArg::Tap {
-            buf,
-            base: 0,
-            s0: 12,
-            s1: 4,
-        };
-        fn geometry(out: CellsMut<'_>) -> SweepArgs<'_> {
-            SweepArgs {
-                out,
-                out_base: 0,
-                out_s0: 12,
-                out_s1: 4,
-                n0: 2,
-                n1: 3,
-                nk: 4,
-            }
-        }
         let mut buffers = SweepBuffers::default();
         // The sentinel survives every refusal: nothing was dereferenced,
         // nothing stored.
@@ -1119,14 +1063,13 @@ mod tests {
         let dir = config.cache_dir.clone();
         {
             let engine = JitEngine::new(config.clone()).expect("engine");
-            engine.load("shared-entry", EVAL_SOURCE).expect("load");
+            engine.load("shared-entry", STAGE_SOURCE).expect("load");
             assert_eq!(engine.stats().cc_invocations, 1);
         }
         // Fresh engine, same directory: must be a pure disk hit.
         let engine = JitEngine::new(config).expect("engine");
-        let module = engine.load("shared-entry", EVAL_SOURCE).expect("load");
-        let eval = engine.eval_fn(&module, "sf_eval", 2).expect("symbol");
-        assert_eq!(eval.call(&[1.0, 1.0]).unwrap(), 3.0);
+        let module = engine.load("shared-entry", STAGE_SOURCE).expect("load");
+        assert_eq!(swept(&engine, &module), [0.0; 24]);
         let stats = engine.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 0);
@@ -1134,26 +1077,21 @@ mod tests {
         let _ = fs::remove_dir_all(dir);
     }
 
-    /// `EVAL_SOURCE` with a different literal: same shape, other module.
-    const EVAL_SOURCE_B: &str = "#include <stdint.h>\n\
-        double sf_eval(const double *sf_slots) {\n\
-            return sf_slots[0] * 3.0 + sf_slots[1];\n\
-        }\n";
-
     #[test]
     fn one_label_with_two_sources_yields_two_modules() {
         let config = test_config();
         let dir = config.cache_dir.clone();
         let engine = JitEngine::new(config).expect("engine");
-        let a = engine.load("same-label", EVAL_SOURCE).expect("load a");
-        let b = engine.load("same-label", EVAL_SOURCE_B).expect("load b");
-        let eval = |module| engine.eval_fn(module, "sf_eval", 2).expect("symbol");
-        assert_eq!(eval(&a).call(&[3.0, 0.5]).unwrap(), 6.5);
-        assert_eq!(eval(&b).call(&[3.0, 0.5]).unwrap(), 9.5);
+        let a = engine.load("same-label", STAGE_SOURCE).expect("load a");
+        let b = engine
+            .load("same-label", &stage_source_b())
+            .expect("load b");
+        assert_eq!(swept(&engine, &a), [0.0; 24]);
+        assert_eq!(swept(&engine, &b), [1.0; 24]);
         assert_eq!(engine.stats().cc_invocations, 2);
         assert_ne!(
-            engine.shared.entry_hash(EVAL_SOURCE),
-            engine.shared.entry_hash(EVAL_SOURCE_B)
+            engine.shared.entry_hash(STAGE_SOURCE),
+            engine.shared.entry_hash(&stage_source_b())
         );
         let _ = fs::remove_dir_all(dir);
     }
@@ -1163,17 +1101,17 @@ mod tests {
         let config = test_config();
         let dir = config.cache_dir.clone();
         let engine = JitEngine::new(config.clone()).expect("engine");
-        engine.load("first-label", EVAL_SOURCE).expect("load");
-        engine.load("second-label", EVAL_SOURCE).expect("load");
+        engine.load("first-label", STAGE_SOURCE).expect("load");
+        engine.load("second-label", STAGE_SOURCE).expect("load");
         let stats = engine.stats();
         assert_eq!((stats.hits, stats.cc_invocations), (1, 1));
         drop(engine);
         // Neither the in-process table nor the disk entry knows the label.
         let engine = JitEngine::new(config).expect("engine");
-        engine.load("third-label", EVAL_SOURCE).expect("load");
+        engine.load("third-label", STAGE_SOURCE).expect("load");
         assert_eq!(engine.stats().cc_invocations, 0);
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 4, "one c/so/key/log");
-        let log = dir.join(format!("{}.log", engine.shared.entry_hash(EVAL_SOURCE)));
+        let log = dir.join(format!("{}.log", engine.shared.entry_hash(STAGE_SOURCE)));
         assert!(
             fs::read_to_string(log).unwrap().contains("first-label"),
             "the log names who caused the build"
@@ -1186,8 +1124,8 @@ mod tests {
         let config = test_config();
         let dir = config.cache_dir.clone();
         let engine = JitEngine::new(config.clone()).expect("engine");
-        engine.load("damaged", EVAL_SOURCE).expect("load");
-        let hash = engine.shared.entry_hash(EVAL_SOURCE);
+        engine.load("damaged", STAGE_SOURCE).expect("load");
+        let hash = engine.shared.entry_hash(STAGE_SOURCE);
         drop(engine);
         let path = |ext: &str| dir.join(format!("{hash}.{ext}"));
         let intact = fs::read(path("so")).unwrap();
@@ -1208,16 +1146,15 @@ mod tests {
         };
         // As if another source had hashed into this entry, or the `.c`
         // write was torn.
-        let other_source: Damage = &|_| fs::write(path("c"), EVAL_SOURCE_B).unwrap();
+        let other_source: Damage = &|_| fs::write(path("c"), stage_source_b()).unwrap();
 
         for damage in [truncated, empty, flipped, unloadable, other_source] {
             let engine = JitEngine::new(config.clone()).expect("engine");
             damage(&engine);
             let module = engine
-                .load("damaged", EVAL_SOURCE)
+                .load("damaged", STAGE_SOURCE)
                 .expect("rebuilt, not reported");
-            let eval = engine.eval_fn(&module, "sf_eval", 2).expect("symbol");
-            assert_eq!(eval.call(&[1.0, 1.0]).unwrap(), 3.0);
+            assert_eq!(swept(&engine, &module), [0.0; 24]);
             let stats = engine.stats();
             assert_eq!((stats.hits, stats.cc_invocations), (0, 1));
             assert_eq!(
@@ -1225,14 +1162,62 @@ mod tests {
                 engine.shared.key_material(&fs::read(path("so")).unwrap()),
                 "the rebuild must leave a committed, self-consistent entry"
             );
-            assert_eq!(fs::read(path("c")).unwrap(), EVAL_SOURCE.as_bytes());
+            assert_eq!(fs::read(path("c")).unwrap(), STAGE_SOURCE.as_bytes());
         }
         // A torn sidecar names no salt: evicted at start, then a miss.
         fs::write(path("key"), "").unwrap();
         let engine = JitEngine::new(config).expect("engine");
-        engine.load("damaged", EVAL_SOURCE).expect("load");
+        engine.load("damaged", STAGE_SOURCE).expect("load");
         let stats = engine.stats();
         assert_eq!((stats.hits, stats.cc_invocations), (0, 1));
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    /// `engine`'s unit of [`STAGE_SOURCE`] fails with a
+    /// [`JitError::Cache`] on the file `is_path` accepts; asked again, it
+    /// answers the kept failure without another compiler run.
+    fn fails_on_a_cache_file(engine: &JitEngine, is_path: impl Fn(&Path) -> bool) {
+        let err = engine
+            .wait("cache-fault", STAGE_SOURCE)
+            .expect_err("the entry cannot be written");
+        let JitError::Cache { path, .. } = &err else {
+            panic!("expected a cache error, got {err:?}");
+        };
+        assert!(is_path(path), "{err}");
+        assert!(err.to_string().contains(&path.display().to_string()));
+        let runs = engine.stats().cc_invocations;
+        assert!(matches!(
+            engine.request("cache-fault", STAGE_SOURCE),
+            ModuleStatus::Failed(JitError::Cache { .. })
+        ));
+        assert_eq!(engine.stats().cc_invocations, runs);
+    }
+
+    #[test]
+    fn a_removed_cache_directory_fails_the_unit_as_a_cache_error() {
+        let config = test_config();
+        let dir = config.cache_dir.clone();
+        let engine = JitEngine::new(config).expect("engine");
+        fs::remove_dir_all(&dir).unwrap();
+        let hash = engine.shared.entry_hash(STAGE_SOURCE);
+        // The first write of the entry, the source's scratch file, fails.
+        fails_on_a_cache_file(&engine, |path| {
+            let name = path.file_name().unwrap().to_string_lossy();
+            path.parent() == Some(&dir) && name.starts_with(&format!("{hash}.c."))
+        });
+        assert_eq!(engine.stats().cc_invocations, 0);
+    }
+
+    #[test]
+    fn a_directory_in_an_entry_files_place_fails_the_unit_as_a_cache_error() {
+        let config = test_config();
+        let dir = config.cache_dir.clone();
+        let engine = JitEngine::new(config).expect("engine");
+        let so = dir.join(format!("{}.so", engine.shared.entry_hash(STAGE_SOURCE)));
+        fs::create_dir(&so).unwrap();
+        // The compiler runs; moving its object into place fails.
+        fails_on_a_cache_file(&engine, |path| path == so);
+        assert_eq!(engine.stats().cc_invocations, 1);
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -1242,7 +1227,7 @@ mod tests {
         let dir = config.cache_dir.clone();
         {
             let engine = JitEngine::new(config.clone()).expect("engine");
-            engine.load("salted", EVAL_SOURCE).expect("load");
+            engine.load("salted", STAGE_SOURCE).expect("load");
         }
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 4, "c/so/key/log");
 
@@ -1256,7 +1241,7 @@ mod tests {
             0,
             "stale-salt entries must be gone after engine init"
         );
-        engine.load("salted", EVAL_SOURCE).expect("load");
+        engine.load("salted", STAGE_SOURCE).expect("load");
         let stats = engine.stats();
         assert!(stats.evictions >= 1);
         assert_eq!(stats.cc_invocations, 1);
@@ -1286,7 +1271,7 @@ mod tests {
         let config = test_config();
         let dir = config.cache_dir.clone();
         let native = JitEngine::new(config.clone()).expect("engine");
-        native.load("host-isa", EVAL_SOURCE).expect("load");
+        native.load("host-isa", STAGE_SOURCE).expect("load");
         let native_march = resolved_march(&native).unwrap().to_string();
         drop(native);
 
@@ -1299,9 +1284,8 @@ mod tests {
         assert_ne!(native_march, "x86-64");
         assert_eq!(engine.stats().evictions, 1, "the host-ISA entry is stale");
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
-        let module = engine.load("host-isa", EVAL_SOURCE).expect("load");
-        let eval = engine.eval_fn(&module, "sf_eval", 2).expect("symbol");
-        assert_eq!(eval.call(&[3.0, 0.5]).unwrap(), 6.5);
+        let module = engine.load("host-isa", STAGE_SOURCE).expect("load");
+        assert_eq!(swept(&engine, &module), [0.0; 24]);
         assert_eq!(engine.stats().cc_invocations, 1);
         let _ = fs::remove_dir_all(dir);
     }
@@ -1314,10 +1298,10 @@ mod tests {
         // out everything older than itself.
         config.max_cache_bytes = 1;
         let engine = JitEngine::new(config).expect("engine");
-        engine.load("lru-a", EVAL_SOURCE).expect("load");
-        let hash_a = engine.shared.entry_hash(EVAL_SOURCE);
-        engine.load("lru-b", STAGE_SOURCE).expect("load");
-        let hash_b = engine.shared.entry_hash(STAGE_SOURCE);
+        engine.load("lru-a", STAGE_SOURCE).expect("load");
+        let hash_a = engine.shared.entry_hash(STAGE_SOURCE);
+        engine.load("lru-b", &stage_source_b()).expect("load");
+        let hash_b = engine.shared.entry_hash(&stage_source_b());
         assert!(
             !dir.join(format!("{hash_a}.key")).exists(),
             "oldest entry must be evicted when over the byte bound"
@@ -1338,7 +1322,7 @@ mod tests {
         let err = engine
             .load(
                 "broken",
-                "double sf_eval(const double *s) { return undeclared_symbol; }\n",
+                "double sf_broken(const double *s) { return undeclared_symbol; }\n",
             )
             .expect_err("must fail");
         assert!(
@@ -1394,16 +1378,16 @@ mod tests {
     fn a_compiler_past_the_deadline_is_killed_and_the_unit_fails_closed() {
         let (engine, dir) = fake_engine("exec sleep 30");
         assert!(matches!(
-            engine.request("slow", EVAL_SOURCE),
+            engine.request("slow", STAGE_SOURCE),
             ModuleStatus::Queued
         ));
         let started = Instant::now();
-        let err = engine.wait("slow", EVAL_SOURCE).expect_err("killed");
+        let err = engine.wait("slow", STAGE_SOURCE).expect_err("killed");
         assert!(matches!(err, JitError::Timeout { .. }), "{err}");
         assert!(started.elapsed() < Duration::from_secs(10));
         // The failure is kept: asking again starts no second compiler.
         assert!(matches!(
-            engine.request("slow", EVAL_SOURCE),
+            engine.request("slow", STAGE_SOURCE),
             ModuleStatus::Failed(JitError::Timeout { .. })
         ));
         assert_eq!(engine.stats().cc_invocations, 1);
@@ -1413,14 +1397,14 @@ mod tests {
     #[test]
     fn a_failing_compiler_is_a_typed_error_carrying_its_log() {
         let (engine, dir) = fake_engine("echo 'fake-cc: refused' >&2; exit 3");
-        match engine.wait("refused", EVAL_SOURCE) {
+        match engine.wait("refused", STAGE_SOURCE) {
             Err(JitError::Compile { status, log }) => {
                 assert_eq!(status.code(), Some(3));
                 assert_eq!(log, "fake-cc: refused");
             }
             other => panic!("expected a compile error, got {other:?}"),
         }
-        let hash = engine.shared.entry_hash(EVAL_SOURCE);
+        let hash = engine.shared.entry_hash(STAGE_SOURCE);
         assert!(
             !dir.join(format!("{hash}.key")).exists(),
             "nothing committed"
@@ -1431,7 +1415,7 @@ mod tests {
     #[test]
     fn dropping_an_engine_does_not_wait_for_its_compiler() {
         let (engine, dir) = fake_engine("exec sleep 30");
-        engine.request("in-flight", EVAL_SOURCE);
+        engine.request("in-flight", STAGE_SOURCE);
         // Let the compile thread start the compiler.
         while engine.stats().cc_invocations == 0 {
             std::thread::sleep(Duration::from_millis(1));

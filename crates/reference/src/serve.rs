@@ -222,9 +222,6 @@ pub struct JobSpec {
     pub steps: usize,
     /// Per-job tier ceiling; `None` defers to the service's.
     pub tier: Option<Tier>,
-    /// Tenant identity for the daemon's quota accounting. The batch
-    /// executor itself ignores it.
-    pub tenant: Option<String>,
     /// Cooperative cancellation handle (see [`CancelToken`]).
     pub cancel: Option<CancelToken>,
     /// Deterministic fault injection for resilience tests.
@@ -239,7 +236,6 @@ impl JobSpec {
             inputs,
             steps: 1,
             tier: None,
-            tenant: None,
             cancel: None,
             fault: None,
         }
@@ -255,12 +251,6 @@ impl JobSpec {
     /// Pin this job's tier ceiling, overriding the service's.
     pub fn with_tier(mut self, tier: Tier) -> JobSpec {
         self.tier = Some(tier);
-        self
-    }
-
-    /// Tag the job with a tenant id (daemon quota accounting).
-    pub fn with_tenant(mut self, tenant: impl Into<String>) -> JobSpec {
-        self.tenant = Some(tenant.into());
         self
     }
 

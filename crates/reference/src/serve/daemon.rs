@@ -43,7 +43,7 @@
 //! All admitted jobs that complete are bit-identical to the tree-walking
 //! interpreter: the daemon only schedules; execution is the batch layer's.
 
-use super::{JobError, JobSpec, ServeConfig, ServeExecutor, ServeStats, Tier};
+use super::{JobError, JobSpec, ServeConfig, ServeExecutor, Tier};
 use crate::executor::ExecutionResult;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
@@ -482,11 +482,6 @@ impl Daemon {
             .expect("daemon state poisoned")
             .stats
             .clone()
-    }
-
-    /// The executor's counters (compiles, pools).
-    pub fn serve_stats(&self) -> ServeStats {
-        self.serve.stats()
     }
 
     /// Jobs currently queued (dispatch is synchronous, so nothing is

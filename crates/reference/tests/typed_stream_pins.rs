@@ -207,18 +207,20 @@ const TYPED_STREAMS: &[&str] = &[
 /// arms tested `!= 0.0` and `min`/`max` inline selects; the other units
 /// emit the same bytes.
 /// The units of `float32` programs were re-pinned when their rings,
-/// copies and arithmetic became `float`. The other two rows are that
-/// binary's: the `float64` jacobi3d, and membench, whose copies read their
-/// inputs in place and store straight to their output slabs, both `f64`.
+/// copies and arithmetic became `float`. The other two rows, the `float64`
+/// jacobi3d and membench (whose copies read their inputs in place and
+/// store straight to their output slabs, both `f64`), were re-pinned when
+/// every unit took the one stage signature of untyped pointers, which each
+/// body casts.
 const JIT_SOURCES: &[&str] = &[
     "listing1 8c2e1f98aa3a4994 337c7894c5439a61",
     "jacobi2d 0389f6f537be5105 3cde97a327405ed5",
     "jacobi3d f46fab0e3e69f055 8a0ae38b4175dff1",
-    "jacobi3d 1f37278d41f4d729 74ddc5929abf1cd2",
+    "jacobi3d c888fee7277aed9c ba943b14b1b7bf81",
     "diffusion2d fc56dcab4222a82d 51f37dcebb7051b9",
     "diffusion3d 219689da8db81841 500e062d315cd149",
     "chain8x8op ce1df14ca88fe9af 11f9925234151b2c",
-    "membench8x1 50489111a5b26eb3 7d3cc474490f3f80",
+    "membench8x1 adf5eb2bce491bb4 0c052864f1841376",
     "horizontal_diffusion a633d1243c46faeb 59ce41b56bda4342",
     "upwind3d 144a29a5bdb1443b 430d2a55d9201f1b",
 ];

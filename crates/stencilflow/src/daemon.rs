@@ -398,9 +398,7 @@ fn handle_submit<W: Write>(
             )
         }
     };
-    let mut job = JobSpec::new(program, Arc::new(grids))
-        .with_steps(submit.steps)
-        .with_tenant(&submit.tenant);
+    let mut job = JobSpec::new(program, Arc::new(grids)).with_steps(submit.steps);
     if let Some(tier) = submit.tier {
         job = job.with_tier(tier);
     }
@@ -470,9 +468,8 @@ fn handle_manifest<W: Write>(
             },
         };
         for k in 0..entry.count {
-            let mut job = JobSpec::new(entry.program.clone(), entry.inputs.clone())
-                .with_steps(entry.steps)
-                .with_tenant(tenant);
+            let mut job =
+                JobSpec::new(entry.program.clone(), entry.inputs.clone()).with_steps(entry.steps);
             if let Some(tier) = tier {
                 job = job.with_tier(tier);
             }
@@ -590,7 +587,7 @@ fn outcome_json(
 
 fn stats_json(daemon: &Daemon) -> Json {
     let stats = daemon.stats();
-    let serve = daemon.serve_stats();
+    let serve = daemon.serve().stats();
     let rejects = stats
         .rejects_by_code
         .iter()

@@ -24,11 +24,11 @@ fn fnv1a(text: &str) -> u64 {
 
 /// What mapping one program must keep producing, bit for bit. `kernels`
 /// and `kernel_bytes` pin the OpenCL file as it is since its compute phases
-/// became the native backend's typed bodies (`double` arithmetic with
-/// explicit `f32` rounds, declarations typed by field); horizontal
-/// diffusion's moved again when a select became two evaluated arms and a
-/// `!= 0.0` test. Every other field predates both changes and did not move
-/// with them.
+/// became the native backend's stage bodies: declarations typed by field,
+/// selects as two evaluated arms and a `!= 0.0` test, and (all three
+/// programs are `float32`) each field read as a `float`, with binary32
+/// operations in `float`. Every other field predates these changes and did
+/// not move with them.
 struct Golden {
     fused_json: u64,
     kernels: u64,
@@ -74,8 +74,8 @@ fn mapped_bits_and_counts_are_pinned() {
         &listing1(),
         &Golden {
             fused_json: 0x5ae9_63e3_b289_d8fd,
-            kernels: 0xe27f_9b5d_cf19_b358,
-            kernel_bytes: 3405,
+            kernels: 0x35f1_38c9_1b58_1b10,
+            kernel_bytes: 3320,
             buffer_elements: 6319,
             expected_cycles: 34_861,
             channels: 8,
@@ -86,8 +86,8 @@ fn mapped_bits_and_counts_are_pinned() {
         &chain_program(&ChainSpec::new(256, 8)),
         &Golden {
             fused_json: 0x0b62_440d_f2c4_655e,
-            kernels: 0xab65_01ab_9930_d637,
-            kernel_bytes: 195_233,
+            kernels: 0x246b_6d75_6a4a_211f,
+            kernel_bytes: 193_441,
             buffer_elements: 4880,
             expected_cycles: 33_568_000,
             channels: 257,
@@ -98,8 +98,8 @@ fn mapped_bits_and_counts_are_pinned() {
         &horizontal_diffusion(&HorizontalDiffusionSpec::production(1)),
         &Golden {
             fused_json: 0x4043_61e4_d90e_8a06,
-            kernels: 0x31d7_b145_e819_5f14,
-            kernel_bytes: 38_140,
+            kernels: 0x614c_df9e_730c_1134,
+            kernel_bytes: 36_830,
             buffer_elements: 1_467_826,
             expected_cycles: 1_372_370,
             channels: 68,

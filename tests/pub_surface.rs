@@ -17,6 +17,11 @@
 //!
 //! The scan is by name, so it is a floor: once an item is private, the
 //! compiler's dead-code lint decides whether it is used at all.
+//!
+//! The census also counts, without failing, the names whose every user is
+//! a test — a file under a `tests/` directory, or a `#[cfg(test)]` module.
+//! A test seam is a legitimate reason for `pub`; an ABI only tests call is
+//! a second spelling of the code that production never runs.
 
 use std::collections::HashSet;
 use std::fs;
@@ -51,6 +56,57 @@ fn code_of(line: &str) -> &str {
 fn words(code: &str) -> impl Iterator<Item = &str> {
     code.split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
         .filter(|word| !word.is_empty())
+}
+
+/// The `#[cfg(test)]` modules `text` declares, inline (`mod name {`) and
+/// in files of their own (`mod name;`): per line, whether it is part of an
+/// inline one, and the names of the others.
+fn test_modules(text: &str) -> (Vec<bool>, Vec<String>) {
+    let (mut inline, mut files) = (Vec::new(), Vec::new());
+    // The closing line of the test module being read, and whether the
+    // attributes just read include `#[cfg(test)]`.
+    let mut closing: Option<String> = None;
+    let mut cfg_test = false;
+    for line in text.lines() {
+        let code = code_of(line);
+        let item = code.trim_start();
+        if closing.is_none() && cfg_test {
+            if let Some(name) = item
+                .strip_prefix("mod ")
+                .and_then(|rest| words(rest).next())
+            {
+                if code.ends_with('{') {
+                    let indent = &code[..code.len() - item.len()];
+                    closing = Some(format!("{indent}}}"));
+                } else {
+                    files.push(name.to_owned());
+                }
+            }
+        }
+        cfg_test = item == "#[cfg(test)]" || (cfg_test && item.starts_with("#["));
+        inline.push(closing.is_some());
+        if closing.as_deref() == Some(code) {
+            closing = None;
+        }
+    }
+    (inline, files)
+}
+
+/// The words of `text`'s code, split into those outside and those inside
+/// `#[cfg(test)]` modules (the whole file, when `test` says it is one).
+fn code_words(text: &str, test: bool) -> (HashSet<String>, HashSet<String>) {
+    let (mut live, mut tests) = (HashSet::new(), HashSet::new());
+    let (inline, _) = test_modules(text);
+    for (line, in_test) in text.lines().zip(inline) {
+        let code = code_of(line);
+        let words = words(code).map(str::to_owned);
+        if test || in_test {
+            tests.extend(words);
+        } else {
+            live.extend(words);
+        }
+    }
+    (live, tests)
 }
 
 /// The capitalised words of a line: the types and constants it names.
@@ -98,6 +154,41 @@ struct Census {
 }
 
 impl Census {
+    /// The declared `(crate, name)`s with a user outside their crate's
+    /// library among `files` (`(owner, words outside tests, words inside
+    /// tests)`), counting test words only when `tests` says so.
+    fn used(
+        &self,
+        files: &[(usize, HashSet<String>, HashSet<String>)],
+        tests: bool,
+    ) -> HashSet<(usize, &str)> {
+        let mut used: HashSet<(usize, &str)> = self
+            .declared
+            .iter()
+            .filter(|(owner, name, _)| {
+                files.iter().any(|(file_owner, live, test_words)| {
+                    file_owner != owner
+                        && (live.contains(name) || (tests && test_words.contains(name)))
+                })
+            })
+            .map(|(owner, name, _)| (*owner, name.as_str()))
+            .collect();
+        // A public item with a user carries the types and constants it names.
+        loop {
+            let newly: Vec<(usize, &str)> = self
+                .carried
+                .iter()
+                .filter(|(owner, carrier, _)| used.contains(&(*owner, carrier.as_str())))
+                .flat_map(|(owner, _, names)| names.iter().map(|name| (*owner, name.as_str())))
+                .filter(|key| !used.contains(key))
+                .collect();
+            if newly.is_empty() {
+                return used;
+            }
+            used.extend(newly);
+        }
+    }
+
     fn scan(&mut self, owner: usize, text: &str, place: &str) {
         let mut open: Option<Until> = None;
         let mut in_macro = false;
@@ -165,49 +256,47 @@ fn every_pub_name_has_a_user_outside_its_crate() {
     for dir in ["crates", "tests", "examples", "src", "benchmark/src"] {
         rust_files(&root.join(dir), &mut paths);
     }
+    let texts: Vec<String> = (paths.iter())
+        .map(|path| fs::read_to_string(path).expect("source file is UTF-8"))
+        .collect();
+    // Where the `#[cfg(test)]` modules in files of their own live: `name`
+    // declared in `lib.rs`, `main.rs` or `mod.rs` is beside it, declared in
+    // `foo.rs` under `foo/`; its own submodules are under `name/`.
+    let mut test_trees: Vec<PathBuf> = Vec::new();
+    for (path, text) in paths.iter().zip(&texts) {
+        let dir = match path.file_stem().and_then(|stem| stem.to_str()) {
+            Some("lib" | "main" | "mod") | None => path.with_file_name(""),
+            Some(stem) => path.with_file_name(stem),
+        };
+        test_trees.extend(test_modules(text).1.iter().map(|name| dir.join(name)));
+    }
     let mut census = Census::default();
-    // Per file, the crate whose library it belongs to and the words in it.
-    let mut files: Vec<(usize, HashSet<String>)> = Vec::new();
-    for path in &paths {
+    // Per file, the crate whose library it belongs to and the words in it,
+    // outside and inside tests.
+    let mut files: Vec<(usize, HashSet<String>, HashSet<String>)> = Vec::new();
+    for (path, text) in paths.iter().zip(&texts) {
         let owner = crates
             .iter()
             .position(|src| path.starts_with(src) && !path.starts_with(src.join("bin")))
             .unwrap_or(NO_CRATE);
-        let text = fs::read_to_string(path).expect("source file is UTF-8");
+        let relative = path.strip_prefix(root).unwrap_or(path);
         if owner != NO_CRATE {
-            let place = path.strip_prefix(root).unwrap_or(path).display();
-            census.scan(owner, &text, &place.to_string());
+            census.scan(owner, text, &relative.display().to_string());
         }
-        let code = text.lines().flat_map(|line| words(code_of(line)));
-        files.push((owner, code.map(str::to_owned).collect()));
-    }
-    files.push((NO_CRATE, std::mem::take(&mut census.exported)));
-
-    let mut used: HashSet<(usize, &str)> = census
-        .declared
-        .iter()
-        .filter(|(owner, name, _)| {
-            files
+        let test = relative
+            .components()
+            .any(|part| part.as_os_str() == "tests")
+            || test_trees
                 .iter()
-                .any(|(file_owner, words)| file_owner != owner && words.contains(name))
-        })
-        .map(|(owner, name, _)| (*owner, name.as_str()))
-        .collect();
-    // A public item with a user carries the types and constants it names.
-    loop {
-        let newly: Vec<(usize, &str)> = census
-            .carried
-            .iter()
-            .filter(|(owner, carrier, _)| used.contains(&(*owner, carrier.as_str())))
-            .flat_map(|(owner, _, names)| names.iter().map(|name| (*owner, name.as_str())))
-            .filter(|key| !used.contains(key))
-            .collect();
-        if newly.is_empty() {
-            break;
-        }
-        used.extend(newly);
+                .any(|tree| path.starts_with(tree) || *path == tree.with_extension("rs"));
+        let (live, tests) = code_words(text, test);
+        files.push((owner, live, tests));
     }
+    let exported = std::mem::take(&mut census.exported);
+    files.push((NO_CRATE, exported, HashSet::new()));
 
+    let used = census.used(&files, true);
+    let used_live = census.used(&files, false);
     let unused: Vec<String> = census
         .declared
         .iter()
@@ -219,8 +308,11 @@ fn every_pub_name_has_a_user_outside_its_crate() {
         .iter()
         .map(|(owner, name, _)| (*owner, name.as_str()))
         .collect();
+    let test_only = (names.iter())
+        .filter(|key| used.contains(*key) && !used_live.contains(*key))
+        .count();
     println!(
-        "pub surface: {} names in {} crates, {} without an outside user",
+        "pub surface: {} names in {} crates, {} without an outside user, {test_only} used only by tests",
         names.len(),
         crates.len(),
         unused.len()
