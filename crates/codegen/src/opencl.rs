@@ -87,8 +87,9 @@ fn compute_phase_lines(
 }
 
 /// Generate the single-device kernel file: channel declarations, reader and
-/// writer kernels, and one autorun compute kernel per stencil unit with its
-/// shift-register internal buffers and boundary predication. Every
+/// writer kernels, and one compute kernel per stencil unit with its
+/// shift-register internal buffers and boundary predication, autorun
+/// unless it takes the program scalars it reads as `const` arguments. Every
 /// declaration takes the element type of the field it carries.
 pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> String {
     let field_type = |field: &str| {
@@ -153,8 +154,17 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
         let stencil = program
             .stencil(&unit.name)
             .expect("mapping units correspond to program stencils");
-        let _ = writeln!(out, "__attribute__((autorun))");
-        let _ = writeln!(out, "__kernel void stencil_{}() {{", unit.name);
+        // The program scalars the stencil reads are kernel arguments, which
+        // an autorun kernel cannot take: such a kernel is host-launched.
+        let scalars: Vec<String> = (stencil.accesses.iter())
+            .filter(|(_, info)| info.is_scalar())
+            .map(|(field, _)| format!("const {} {field}", field_type(field)))
+            .collect();
+        if scalars.is_empty() {
+            let _ = writeln!(out, "__attribute__((autorun))");
+        }
+        let params = scalars.join(", ");
+        let _ = writeln!(out, "__kernel void stencil_{}({params}) {{", unit.name);
         // Internal buffers as shift registers.
         for (field, info) in stencil.accesses.iter() {
             if info.access_count() > 1 {
@@ -257,7 +267,7 @@ mod tests {
     /// The compute-phase lines of stencil `name`'s kernel in `code`.
     fn compute_phase<'a>(code: &'a str, name: &str) -> Vec<&'a str> {
         let (_, kernel) = code
-            .split_once(&format!("__kernel void stencil_{name}() {{\n"))
+            .split_once(&format!("__kernel void stencil_{name}("))
             .unwrap();
         kernel
             .lines()
@@ -395,6 +405,9 @@ mod tests {
         ));
         let phase = compute_phase(&code, "b").join("\n");
         assert!(phase.contains("+0+0) * (float)dt)") && !phase.contains("buf_dt"));
+        // The name is declared: a kernel argument, so not an autorun kernel.
+        let header = "__kernel void stencil_b(const float dt) {\n";
+        assert!(code.contains(header) && !code.contains("autorun"), "{code}");
     }
 
     #[test]

@@ -602,8 +602,17 @@ impl Shared {
             let log = log.trim().to_string();
             return Err(status.map_or_else(|e| e, |status| JitError::Compile { status, log }));
         }
-        let so = fs::read(&so_tmp).map_err(cache_error(&so_tmp))?;
-        fs::rename(&so_tmp, &so_path).map_err(cache_error(&so_path))?;
+        let so = fs::read(&so_tmp)
+            .map_err(cache_error(&so_tmp))
+            .and_then(|so| {
+                fs::rename(&so_tmp, &so_path).map_err(cache_error(&so_path))?;
+                Ok(so)
+            });
+        if so.is_err() {
+            // Nothing lists or evicts a scratch object: drop it here.
+            let _ = fs::remove_file(&so_tmp);
+        }
+        let so = so?;
         // The `.key` sidecar is the commit point: written last, atomically.
         write_atomic(&key_path, self.key_material(&so).as_bytes())?;
         self.enforce_byte_bound(hash);
@@ -795,8 +804,12 @@ fn unique_tmp(path: &Path) -> PathBuf {
 /// file.
 fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), JitError> {
     let tmp = unique_tmp(path);
-    fs::write(&tmp, bytes).map_err(cache_error(&tmp))?;
-    fs::rename(&tmp, path).map_err(cache_error(path))
+    let written = fs::write(&tmp, bytes).map_err(cache_error(&tmp));
+    let written = written.and_then(|()| fs::rename(&tmp, path).map_err(cache_error(path)));
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    written
 }
 
 #[cfg(test)]
@@ -1218,6 +1231,13 @@ mod tests {
         // The compiler runs; moving its object into place fails.
         fails_on_a_cache_file(&engine, |path| path == so);
         assert_eq!(engine.stats().cc_invocations, 1);
+        // The failed build leaves no scratch file (`<name>.<pid>-<n>`).
+        let scratch = format!(".{}-", std::process::id());
+        let left: Vec<_> = (fs::read_dir(&dir).unwrap().flatten())
+            .map(|entry| entry.file_name().to_string_lossy().into_owned())
+            .filter(|name| name.contains(&scratch))
+            .collect();
+        assert!(left.is_empty(), "scratch files left behind: {left:?}");
         let _ = fs::remove_dir_all(dir);
     }
 

@@ -452,6 +452,18 @@ impl ReferenceExecutor {
         Self::default()
     }
 
+    /// The process-wide executor, created on first use, as the JIT engine
+    /// is: the simulator and `Pipeline`'s validation prepare on it, so a
+    /// program they have seen before is a cache hit and its sweeps draw
+    /// from warm pools. Sharing is safe because the cache is bounded and
+    /// keyed by [`StencilProgram::fingerprint`], and every pooled buffer is
+    /// written before it is read (unit tests poison what comes back to
+    /// prove it), so one program's leftovers never reach another's run.
+    pub fn shared() -> &'static ReferenceExecutor {
+        static SHARED: OnceLock<ReferenceExecutor> = OnceLock::new();
+        SHARED.get_or_init(ReferenceExecutor::new)
+    }
+
     /// Cap the number of worker threads a run sweeps on (`1` forces a
     /// sequential sweep).
     pub fn with_max_threads(mut self, threads: usize) -> Self {

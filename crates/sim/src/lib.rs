@@ -26,7 +26,12 @@
 //! watermarks are exactly those of a loop that drags every `f64` along.
 //! Once a run has completed, its outputs are taken from the reference
 //! executor's fused sweep of the same program (prepared when the simulator
-//! is built), so they are bit-identical to the interpreter. A
+//! is built), so they are bit-identical to the interpreter. The program is
+//! prepared on the process-wide executor that `Pipeline` validates on, so
+//! rebuilding a design of a program seen before compiles nothing; that is
+//! safe because its cache is bounded and keyed by the program's
+//! fingerprint, and its pooled buffers are overwritten before they are
+//! read. A
 //! `#[cfg(test)]` oracle keeps the value-carrying loop and pins the engine
 //! to it, statistic for statistic and bit for bit.
 //!

@@ -5,6 +5,14 @@
 //! the jumps are exact), and — only if the design ran to completion — takes
 //! the outputs from the reference executor's fused sweep of the same
 //! program, prepared at build time.
+//!
+//! Every design prepares on the process-wide executor
+//! ([`ReferenceExecutor::shared`]), which `Pipeline`'s validation uses
+//! too: the single- and multi-device designs of one program, and every
+//! later design of it, share one compiled program, and their sweeps draw
+//! from warm buffer pools. Nothing leaks between programs: the cache is
+//! bounded and keyed by the program's fingerprint, and a pooled buffer is
+//! overwritten before it is read.
 
 use crate::channel::TokenChannel;
 use crate::config::SimConfig;
@@ -49,9 +57,8 @@ pub struct Simulator {
     /// `read:<field>`, stencils, `write:<field>`: the order of
     /// `SimReport::unit_stats`.
     unit_names: Vec<String>,
-    /// The executor that computes a completed run's outputs, and the
-    /// program prepared on it.
-    executor: ReferenceExecutor,
+    /// The program prepared on the process-wide executor, which computes
+    /// a completed run's outputs.
     compiled: Arc<CompiledProgram>,
 }
 
@@ -190,8 +197,7 @@ impl Simulator {
             unit_names.push(format!("write:{output}"));
         }
 
-        let executor = ReferenceExecutor::new();
-        let compiled = executor.prepare(program)?;
+        let compiled = ReferenceExecutor::shared().prepare(program)?;
         Ok(Simulator {
             config: config.clone(),
             space: space.clone(),
@@ -203,7 +209,6 @@ impl Simulator {
             },
             channel_names,
             unit_names,
-            executor,
             compiled,
         })
     }
@@ -226,7 +231,7 @@ impl Simulator {
                 steps: None,
                 tier: Tier::Fused,
             };
-            let (result, _) = self.executor.execute(&self.compiled, inputs, &spec)?;
+            let (result, _) = ReferenceExecutor::shared().execute(&self.compiled, inputs, &spec)?;
             (result.fields())
                 .map(|(name, grid)| (name.to_string(), grid.clone()))
                 .collect()

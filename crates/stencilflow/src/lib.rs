@@ -154,10 +154,12 @@ impl Pipeline {
         let simulation = simulator.run(inputs)?;
 
         // Validate against the reference executor (on the original,
-        // unfused program — fusion must not change results).
+        // unfused program — fusion must not change results). The
+        // process-wide executor keeps both programs prepared, so a second
+        // run of this pipeline compiles nothing.
         let mut max_error: f64 = 0.0;
         if simulation.completed() {
-            let reference = ReferenceExecutor::new().run(&self.program, inputs)?;
+            let reference = ReferenceExecutor::shared().run(&self.program, inputs)?;
             for output in self.program.outputs() {
                 // A missing or mis-shaped simulated output fails validation.
                 let err = simulation

@@ -14,8 +14,12 @@
 #                                  and the `pub`-surface census,
 #                                  tests/pub_surface.rs: every `pub` name of
 #                                  a crate's library has a user outside it;
-#                                  no timing floor — speed floors live in
-#                                  gate 11 only)
+#                                  the compile-count guard,
+#                                  tests/pipeline_compile_guard.rs: a
+#                                  repeated Pipeline + multi-device
+#                                  simulation job compiles nothing on the
+#                                  process-wide executor; no timing floor —
+#                                  speed floors live in gate 11 only)
 #   4. cargo clippy -D warnings  — lints
 #   5. cargo doc -D warnings     — documentation (intra-doc links included)
 #   6. analyze --check           — the static-analysis gate: every workload
