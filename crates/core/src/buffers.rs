@@ -211,15 +211,6 @@ impl InternalBufferAnalysis {
         self.stencils.get(name)
     }
 
-    /// Initialization phase of one stencil in iterations (0 for unknown
-    /// names, which only happens for memory nodes).
-    pub(crate) fn init_iterations(&self, stencil: &str) -> u64 {
-        self.stencils
-            .get(stencil)
-            .map(|b| b.init_iterations())
-            .unwrap_or(0)
-    }
-
     /// Total on-chip elements consumed by internal buffers across the whole
     /// program.
     pub(crate) fn total_elements(&self) -> u64 {
@@ -354,7 +345,7 @@ mod tests {
         let analysis =
             InternalBufferAnalysis::compute(&program, &AnalysisConfig::default()).unwrap();
         assert_eq!(analysis.total_elements(), 3 + 3);
-        assert_eq!(analysis.init_iterations("s1"), 3);
-        assert_eq!(analysis.init_iterations("nonexistent"), 0);
+        assert_eq!(analysis.stencil("s1").unwrap().init_iterations(), 3);
+        assert!(analysis.stencil("nonexistent").is_none());
     }
 }

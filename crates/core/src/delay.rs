@@ -13,7 +13,10 @@
 //!   buffers, §IV-A) — the dominant term, proportional to (D−1)-dimensional
 //!   slices of the iteration space;
 //! * the *compute critical path* of each stencil's expression DAG — small
-//!   (<100 cycles) but included for completeness.
+//!   (<100 cycles), but a path of several stencils adds them up, and a
+//!   design that omits them deadlocks (horizontal diffusion does);
+//! * on a design partitioned across devices (§III-B), the latency of each
+//!   inter-device link a path crosses.
 //!
 //! The analysis traverses the DAG in topological order, computes for every
 //! node the largest delay accumulated along any path from any source
@@ -27,9 +30,9 @@
 use crate::buffers::InternalBufferAnalysis;
 use crate::config::AnalysisConfig;
 use crate::error::{CoreError, Result};
+use crate::partition::MultiDevicePlan;
 use std::collections::BTreeMap;
-use std::ops::Range;
-use stencilflow_program::{NodeKind, StencilDag, StencilProgram};
+use stencilflow_program::{NodeKind, StencilProgram};
 
 /// Computed FIFO depth of one DAG edge.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,8 +43,10 @@ pub struct ChannelDepth {
     pub to: String,
     /// Field carried by the edge.
     pub field: String,
-    /// Accumulated delay (cycles) of data arriving over this edge, i.e. the
-    /// longest-path delay up to and including the producer.
+    /// Accumulated delay (cycles) of data arriving over this edge: the
+    /// longest-path delay up to and including the producer, the consumer's
+    /// initialization for this field, and the link latency if the edge
+    /// crosses devices.
     pub edge_delay: u64,
     /// Required FIFO depth in vector words (transactions), excluding the
     /// configured minimum depth.
@@ -54,15 +59,16 @@ pub struct ChannelDepth {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DelayBufferAnalysis {
     channels: Vec<ChannelDepth>,
-    /// Consumer node → its incoming channels, contiguous in `channels`.
-    incoming: BTreeMap<String, Range<usize>>,
     arrival: BTreeMap<String, u64>,
-    node_delay: BTreeMap<String, u64>,
+    /// Stencil → its compute critical path, where it is not zero.
+    compute_latency: BTreeMap<String, u64>,
     vector_width: u64,
 }
 
 impl DelayBufferAnalysis {
-    /// Compute delay buffers for every edge of the program's DAG.
+    /// Compute delay buffers for every edge of the program's DAG, on one
+    /// device (`plan` is `None`) or partitioned by `plan`, whose
+    /// `link_latency_cycles` is charged on every edge that crosses devices.
     ///
     /// # Errors
     ///
@@ -71,28 +77,10 @@ impl DelayBufferAnalysis {
         program: &StencilProgram,
         internal: &InternalBufferAnalysis,
         config: &AnalysisConfig,
+        plan: Option<&MultiDevicePlan>,
     ) -> Result<Self> {
         let dag = program.dag()?;
         let width = config.effective_vectorization(program.vectorization()) as u64;
-
-        // Per-node delay contribution: init phase + compute critical path for
-        // stencils, zero for memory nodes. (Reported per node; the edge-level
-        // analysis below uses the per-field initialization terms.)
-        let mut node_delay: BTreeMap<String, u64> = BTreeMap::new();
-        for node in dag.nodes() {
-            let delay = match node.kind {
-                NodeKind::Stencil => {
-                    let init = internal.init_iterations(&node.name);
-                    let compute = program
-                        .stencil(&node.name)
-                        .map(|s| s.compute_latency(&config.latencies))
-                        .unwrap_or(0);
-                    init + compute
-                }
-                NodeKind::Input | NodeKind::Output => 0,
-            };
-            node_delay.insert(node.name.clone(), delay);
-        }
 
         // Per-edge initialization contribution: the delay the *consumer*
         // imposes on data arriving over this particular edge (the fill of the
@@ -107,36 +95,40 @@ impl DelayBufferAnalysis {
                 _ => 0,
             }
         };
+        // The latency of the link an edge crosses, if it crosses one.
+        let link_latency = |from: &str, to: &str| match plan {
+            Some(plan) if plan.is_remote(from, to) => plan.config.link_latency_cycles,
+            _ => 0,
+        };
 
         // Longest accumulated delay along any path, per node, in topological
-        // order: arrival(v) = max over in-edges (arrival(u) + edge_init) plus
-        // the node's compute critical path.
+        // order: arrival(v) = max over in-edges (arrival(u) + edge_init +
+        // link latency) plus the node's compute critical path.
         let order = dag.topological_order().map_err(CoreError::from)?;
         let mut arrival: BTreeMap<String, u64> = BTreeMap::new();
-        let mut channels = Vec::new();
-        let mut incoming = BTreeMap::new();
+        let mut compute_latency = BTreeMap::new();
+        let mut channels: Vec<ChannelDepth> = Vec::new();
         for node in &order {
             let kind = dag.node_kind(node);
-            let in_edges = dag.in_edges(node);
             let first = channels.len();
             let mut need = 0u64;
-            let mut edge_delays: Vec<(String, String, u64)> = Vec::new();
-            for edge in &in_edges {
-                let init = edge_init(node, &edge.field, kind);
-                let delay = arrival.get(&edge.from).copied().unwrap_or(0) + init;
+            for edge in dag.in_edges(node) {
+                let delay = arrival.get(&edge.from).copied().unwrap_or(0)
+                    + edge_init(node, &edge.field, kind)
+                    + link_latency(&edge.from, node);
                 need = need.max(delay);
-                edge_delays.push((edge.from.clone(), edge.field.clone(), delay));
-            }
-            for (from, field, delay) in edge_delays {
-                let delay_words = need - delay;
                 channels.push(ChannelDepth {
-                    from,
+                    from: edge.from.clone(),
                     to: node.clone(),
-                    field,
+                    field: edge.field.clone(),
                     edge_delay: delay,
-                    delay_words,
-                    depth_words: delay_words + config.min_channel_depth,
+                    delay_words: 0,
+                    depth_words: 0,
                 });
+            }
+            for channel in &mut channels[first..] {
+                channel.delay_words = need - channel.edge_delay;
+                channel.depth_words = channel.delay_words + config.min_channel_depth;
             }
             let compute = match kind {
                 Some(NodeKind::Stencil) => program
@@ -145,15 +137,16 @@ impl DelayBufferAnalysis {
                     .unwrap_or(0),
                 _ => 0,
             };
-            incoming.insert(node.clone(), first..channels.len());
+            if compute > 0 {
+                compute_latency.insert(node.clone(), compute);
+            }
             arrival.insert(node.clone(), need + compute);
         }
 
         Ok(DelayBufferAnalysis {
             channels,
-            incoming,
             arrival,
-            node_delay,
+            compute_latency,
             vector_width: width,
         })
     }
@@ -161,13 +154,6 @@ impl DelayBufferAnalysis {
     /// All channels with their computed depths.
     pub fn channels(&self) -> &[ChannelDepth] {
         &self.channels
-    }
-
-    /// The channels entering `node` (none for a source or an unknown node).
-    fn incoming(&self, node: &str) -> &[ChannelDepth] {
-        self.incoming
-            .get(node)
-            .map_or(&[], |range| &self.channels[range.clone()])
     }
 
     /// Total channel capacity in elements (words × vector width), the
@@ -179,9 +165,11 @@ impl DelayBufferAnalysis {
             .sum()
     }
 
-    /// Per-node delay contribution (init phase + compute critical path).
-    pub fn node_delay(&self, node: &str) -> u64 {
-        self.node_delay.get(node).copied().unwrap_or(0)
+    /// The compute critical path of `node` in cycles, as the analysis charged
+    /// it on every path through the node (zero for a memory node or an
+    /// unknown name).
+    pub fn compute_latency(&self, node: &str) -> u64 {
+        self.compute_latency.get(node).copied().unwrap_or(0)
     }
 
     /// The total pipeline latency `L` of Eq. 1: the largest accumulated delay
@@ -194,26 +182,6 @@ impl DelayBufferAnalysis {
     pub fn vector_width(&self) -> u64 {
         self.vector_width
     }
-
-    /// Verify the structural invariants of the analysis (used by tests and
-    /// property checks): every consumer has at least one zero-delay incoming
-    /// edge, and no channel has a negative depth (guaranteed by construction
-    /// with unsigned arithmetic, but the zero-edge invariant is real).
-    pub fn check_invariants(&self, dag: &StencilDag) -> std::result::Result<(), String> {
-        for node in dag.nodes() {
-            let incoming = self.incoming(&node.name);
-            if incoming.is_empty() {
-                continue;
-            }
-            if !incoming.iter().any(|c| c.delay_words == 0) {
-                return Err(format!(
-                    "node `{}` has no zero-delay incoming edge",
-                    node.name
-                ));
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -225,7 +193,7 @@ mod tests {
 
     fn analyze(program: &StencilProgram, config: &AnalysisConfig) -> DelayBufferAnalysis {
         let internal = InternalBufferAnalysis::compute(program, config).unwrap();
-        DelayBufferAnalysis::compute(program, &internal, config).unwrap()
+        DelayBufferAnalysis::compute(program, &internal, config, None).unwrap()
     }
 
     fn channel<'a>(analysis: &'a DelayBufferAnalysis, from: &str, to: &str) -> &'a ChannelDepth {
@@ -248,16 +216,14 @@ mod tests {
             .unwrap();
         let config = AnalysisConfig::unit_latencies();
         let analysis = analyze(&program, &config);
-        // b's delay = init (2*1+1 = 3 elements over the j stride of 16?) ...
-        // j stride is 16 (k-less 2D program: dims i,j with j fastest), so
-        // accesses at j-1/j+1 buffer 3 elements; init = 3; compute = 1 add.
-        let delay_b = analysis.node_delay("b");
-        assert_eq!(delay_b, 3 + 1);
+        // j is the fastest dimension, so b's accesses at j-1/j+1 buffer 3
+        // elements: init = 3; compute = 1 add.
+        assert_eq!(analysis.compute_latency("b"), 1);
         // The a->c channel must absorb exactly b's delay.
         let direct = channel(&analysis, "a", "c");
         let through = channel(&analysis, "b", "c");
         assert_eq!(through.delay_words, 0);
-        assert_eq!(direct.delay_words, delay_b);
+        assert_eq!(direct.delay_words, 3 + 1);
     }
 
     /// Fig. 8: an input edge bypassing two kernels of latency 64 and 16 gets
@@ -277,13 +243,13 @@ mod tests {
             .unwrap();
         let config = AnalysisConfig::unit_latencies();
         let analysis = analyze(&program, &config);
-        let delay_ka = analysis.node_delay("ka"); // 9 + 1
-        let delay_kb = analysis.node_delay("kb"); // 5 + 1
-        assert_eq!(delay_ka, 10);
-        assert_eq!(delay_kb, 6);
-        // The src->kc edge bypasses both kernels.
+        assert_eq!(analysis.compute_latency("ka"), 1);
+        assert_eq!(analysis.compute_latency("kb"), 1);
+        assert_eq!(analysis.compute_latency("src"), 0);
+        // The src->kc edge bypasses both kernels: ka's init 9 + 1 add, kb's
+        // init 5 + 1 add.
         let bypass = channel(&analysis, "src", "kc");
-        assert_eq!(bypass.delay_words, delay_ka + delay_kb);
+        assert_eq!(bypass.delay_words, 10 + 6);
         let through = channel(&analysis, "kb", "kc");
         assert_eq!(through.delay_words, 0);
     }
@@ -308,10 +274,44 @@ mod tests {
     #[test]
     fn every_node_has_a_zero_delay_edge() {
         let program = crate::tests_support::listing1();
-        let config = AnalysisConfig::paper_defaults();
-        let analysis = analyze(&program, &config);
-        let dag = program.dag().unwrap();
-        analysis.check_invariants(&dag).unwrap();
+        let analysis = analyze(&program, &AnalysisConfig::paper_defaults());
+        for stencil in program.stencils() {
+            let mut incoming = analysis.channels().iter().filter(|c| c.to == stencil.name);
+            assert!(incoming.any(|c| c.delay_words == 0), "{}", stencil.name);
+        }
+    }
+
+    /// A link on a path adds its latency to everything downstream of it,
+    /// and a bypass of the link buffers it.
+    #[test]
+    fn cross_device_edges_carry_the_link_latency() {
+        use crate::partition::PartitionConfig;
+        let program = StencilProgramBuilder::new("p", &[64])
+            .input("src", DataType::Float32, &["i"])
+            .stencil("ka", "src[i-1] + src[i+1]")
+            .stencil("kb", "ka[i-1] + ka[i+1]")
+            .stencil("kc", "src[i] + kb[i]")
+            .output("kc")
+            .build()
+            .unwrap();
+        let config = AnalysisConfig::unit_latencies();
+        let internal = InternalBufferAnalysis::compute(&program, &config).unwrap();
+        let local = analyze(&program, &config);
+        let devices = PartitionConfig {
+            link_latency_cycles: 7,
+            ..PartitionConfig::devices(3)
+        };
+        let plan = MultiDevicePlan::partition(&program, &devices).unwrap();
+        let split = DelayBufferAnalysis::compute(&program, &internal, &config, Some(&plan));
+        let split = split.unwrap();
+        // ka, kb and kc sit on devices 0, 1 and 2: two links on the long
+        // path, none on the bypass (`src` is read from each device's DRAM).
+        assert!(plan.is_remote("ka", "kb") && plan.is_remote("kb", "kc"));
+        assert!(!plan.is_remote("src", "kc"));
+        assert_eq!(split.pipeline_latency(), local.pipeline_latency() + 14);
+        let bypass = |analysis| channel(analysis, "src", "kc").delay_words;
+        assert_eq!(bypass(&split), bypass(&local) + 14);
+        assert_eq!(channel(&split, "kb", "kc").delay_words, 0);
     }
 
     #[test]

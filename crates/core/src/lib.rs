@@ -119,7 +119,7 @@ pub fn analyze(program: &StencilProgram, config: &AnalysisConfig) -> Result<Prog
     let flops_per_cell = program.ops_per_cell().flops();
     let vectorization = VectorizationInfo::of(program, config, flops_per_cell);
     let internal = InternalBufferAnalysis::compute(program, config)?;
-    let delay = DelayBufferAnalysis::compute(program, &internal, config)?;
+    let delay = DelayBufferAnalysis::compute(program, &internal, config, None)?;
     let performance = PerformanceEstimate::compute(program, &delay, config, flops_per_cell);
     Ok(ProgramAnalysis {
         internal,

@@ -21,10 +21,15 @@ pub struct PartitionConfig {
     pub max_ops_per_device: Option<u64>,
     /// Bandwidth of one inter-device link in words per cycle (a 40 Gbit/s
     /// QSFP link at 300 MHz moves ~4 32-bit words per cycle; the testbed has
-    /// two links between consecutive devices).
+    /// two links between consecutive devices). A simulated remote stream
+    /// moves at most this many words per cycle.
     pub link_words_per_cycle: f64,
     /// Number of parallel links between consecutive devices.
     pub links_between_devices: usize,
+    /// Cycles a word spends on an inter-device link. The delay-buffer
+    /// analysis charges it on every edge that crosses devices, and a
+    /// simulated remote stream holds that many words in flight.
+    pub link_latency_cycles: u64,
 }
 
 impl Default for PartitionConfig {
@@ -34,6 +39,7 @@ impl Default for PartitionConfig {
             max_ops_per_device: None,
             link_words_per_cycle: 4.0,
             links_between_devices: 2,
+            link_latency_cycles: 200,
         }
     }
 }
@@ -266,6 +272,13 @@ impl MultiDevicePlan {
         })
     }
 
+    /// Whether the edge from stencil `from` to stencil `to` crosses devices
+    /// (a remote stream over a link).
+    pub fn is_remote(&self, from: &str, to: &str) -> bool {
+        let mut remote = self.remote_channels.iter();
+        remote.any(|c| c.from_stencil == from && c.to_stencil == to)
+    }
+
     /// Number of devices in the plan.
     pub fn device_count(&self) -> usize {
         self.devices.len()
@@ -407,7 +420,10 @@ mod tests {
         assert!(!plan.remote_channels.is_empty());
         for channel in &plan.remote_channels {
             assert!(channel.from_device < channel.to_device);
+            assert!(plan.is_remote(&channel.from_stencil, &channel.to_stencil));
         }
+        let local = &plan.devices[0].stencils;
+        assert!(!plan.is_remote(&local[0], &local[1]));
         // Remote inputs/outputs listed on the right devices.
         for channel in &plan.remote_channels {
             assert!(plan.devices[channel.from_device]

@@ -840,7 +840,7 @@ pub(crate) fn run_sharded(
         .collect();
     let shared = Shared::new(shards);
 
-    let outcomes: Vec<std::result::Result<WorkerOutput, String>> = {
+    let outcomes: Vec<std::result::Result<WorkerOutput, ShardFailure>> = {
         let (shared, links, plan, slab_programs) = (&shared, &links, &plan, &slab_programs);
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(shards);
@@ -858,16 +858,15 @@ pub(crate) fn run_sharded(
                             initial,
                         )
                     }));
-                    let outcome = match run {
-                        Ok(result) => result,
-                        Err(panic) => Err(format!(
-                            "shard {shard} panicked: {}",
-                            crate::serve::panic_message(panic)
-                        )),
-                    };
+                    let outcome = run.unwrap_or_else(|panic| {
+                        Err(ShardFailure::Panic {
+                            shard,
+                            message: crate::serve::panic_message(panic),
+                        })
+                    });
                     if let Err(reason) = &outcome {
                         shared.set_status(shard, format!("failed ({reason})"), None);
-                        shared.poison(reason.clone());
+                        shared.poison(reason.to_string());
                         shared.log(format!("shard {shard}: failed: {reason}"));
                     }
                     shared.finish();
@@ -906,7 +905,7 @@ pub(crate) fn run_sharded(
                             config.watchdog, report.starved_edge
                         ));
                         *shared.watchdog.lock().expect("watchdog slot") = Some(report);
-                        shared.poison("progress watchdog tripped".to_string());
+                        shared.poison(WATCHDOG_TRIPPED.to_string());
                     }
                 }
             }
@@ -918,15 +917,21 @@ pub(crate) fn run_sharded(
     };
 
     let watchdog = shared.watchdog.lock().expect("watchdog slot").clone();
-    let failure = outcomes
-        .iter()
-        .find_map(|outcome| outcome.as_ref().err().cloned())
-        .or_else(|| {
-            watchdog
-                .as_ref()
-                .map(|_| "progress watchdog tripped".to_string())
-        });
-    let workers: Vec<WorkerOutput> = outcomes.into_iter().flatten().collect();
+    let mut failure = None;
+    let mut workers = Vec::with_capacity(shards);
+    for outcome in outcomes {
+        match outcome {
+            Ok(worker) => workers.push(worker),
+            Err(reason) => {
+                failure.get_or_insert(reason);
+            }
+        }
+    }
+    let failure = failure.or_else(|| {
+        watchdog.as_ref().map(|_| ShardFailure::Poisoned {
+            reason: WATCHDOG_TRIPPED.to_string(),
+        })
+    });
     let mut report = ShardReport {
         shards,
         window: plan.link.window,
@@ -944,7 +949,7 @@ pub(crate) fn run_sharded(
     if let Some(reason) = failure {
         // Graceful degradation: one bit-identical single-shard fused run.
         report.degraded = true;
-        report.degrade_reason = Some(reason.clone());
+        report.degrade_reason = Some(reason.to_string());
         report
             .fault_log
             .push(format!("degraded to the single-shard fused tier: {reason}"));
@@ -982,6 +987,82 @@ pub(crate) fn run_sharded(
         result: ExecutionResult::from_parts(fields, masks, cells),
         report,
     })
+}
+
+/// What the watchdog poisons the runtime with.
+const WATCHDOG_TRIPPED: &str = "progress watchdog tripped";
+
+/// Why a shard worker failed, one variant per failure; any of them degrades
+/// the run to the single-shard fused tier. `Display` is the text
+/// `ShardReport::degrade_reason` and the fault log carry. The codes are
+/// registered in `docs/analysis.md`.
+#[derive(Debug)]
+enum ShardFailure {
+    /// SF0304: the worker panicked.
+    Panic { shard: usize, message: String },
+    /// SF0305: a halo frame was still missing after every resend request.
+    RetryBudget {
+        shard: usize,
+        window: usize,
+        field: usize,
+        edge: String,
+    },
+    /// SF0301: a link cannot hold one frame, so it can never drain.
+    UndersizedLink {
+        edge: String,
+        capacity: usize,
+        needed: usize,
+    },
+    /// SF0306: another worker's failure, or the watchdog, poisoned the
+    /// runtime first; `reason` is what it was poisoned with.
+    Poisoned { reason: String },
+    /// SF0307: the executor failed on one window of the worker's slab.
+    Window {
+        shard: usize,
+        window: usize,
+        error: ProgramError,
+    },
+    /// SF0308: a window's result lacks an output the exchange ships.
+    MissingOutput { shard: usize, field: String },
+}
+
+impl std::fmt::Display for ShardFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ShardFailure::Panic { shard, message } => {
+                write!(f, "shard {shard} panicked: {message}")
+            }
+            ShardFailure::RetryBudget {
+                shard,
+                window,
+                field,
+                edge,
+            } => write!(
+                f,
+                "shard {shard}: retry budget ({RETRY_BUDGET}) exhausted waiting for \
+                 window {window} field {field} on `{edge}`"
+            ),
+            ShardFailure::UndersizedLink {
+                edge,
+                capacity,
+                needed,
+            } => write!(
+                f,
+                "deadlock on `{edge}`: capacity {capacity} words below the one-frame \
+                 minimum of {needed} (the buffer analysis minimum is violated, the link \
+                 can never drain)"
+            ),
+            ShardFailure::Poisoned { reason } => f.write_str(reason),
+            ShardFailure::Window {
+                shard,
+                window,
+                error,
+            } => write!(f, "shard {shard} window {window}: {error}"),
+            ShardFailure::MissingOutput { shard, field } => {
+                write!(f, "shard {shard}: output `{field}` missing")
+            }
+        }
+    }
 }
 
 /// What a worker hands back: its slab's outputs and its statistics.
@@ -1086,7 +1167,7 @@ impl<'a> Comms<'a> {
         field: usize,
         payload: Vec<f64>,
         faults: &FaultPlan,
-    ) -> std::result::Result<(), String> {
+    ) -> std::result::Result<(), ShardFailure> {
         let (shard, shared) = (self.shard, self.shared);
         let peer = &mut self.peers[peer];
         let link = &peer.outbound.data;
@@ -1204,7 +1285,7 @@ impl<'a> Comms<'a> {
     fn collect_halos(
         &mut self,
         window: usize,
-    ) -> std::result::Result<BTreeMap<(usize, usize), Vec<f64>>, String> {
+    ) -> std::result::Result<BTreeMap<(usize, usize), Vec<f64>>, ShardFailure> {
         let (shard, shared) = (self.shard, self.shared);
         let mut halos = BTreeMap::new();
         // (peer, field) -> (resend requests issued, next deadline).
@@ -1245,10 +1326,12 @@ impl<'a> Comms<'a> {
                 let inbound = self.peers[peer].inbound;
                 let edge = &inbound.data.name;
                 if *attempts >= RETRY_BUDGET {
-                    return Err(format!(
-                        "shard {shard}: retry budget ({RETRY_BUDGET}) exhausted waiting for \
-                         window {window} field {field} on `{edge}`"
-                    ));
+                    return Err(ShardFailure::RetryBudget {
+                        shard,
+                        window,
+                        field,
+                        edge: edge.clone(),
+                    });
                 }
                 self.stats.nacks_sent += 1;
                 shared.log(format!(
@@ -1292,8 +1375,12 @@ fn worker_run(
     compiled: std::sync::Arc<CompiledProgram>,
     worker_exec: ReferenceExecutor,
     mut work_inputs: BTreeMap<String, Grid>,
-) -> std::result::Result<WorkerOutput, String> {
+) -> std::result::Result<WorkerOutput, ShardFailure> {
     let (shard, plan, shared) = (comms.shard, comms.plan, comms.shared);
+    let missing = |field: &str| ShardFailure::MissingOutput {
+        shard,
+        field: field.to_string(),
+    };
     let (row_words, payload_words) = (plan.link.row_words, plan.link.payload_words);
     let mut steps_done = 0usize;
 
@@ -1331,7 +1418,11 @@ fn worker_run(
         let compute_started = Instant::now();
         let (mut result, _) = worker_exec
             .execute(&compiled, &work_inputs, &fused_spec(window_steps))
-            .map_err(|e| format!("shard {shard} window {window}: {e}"))?;
+            .map_err(|error| ShardFailure::Window {
+                shard,
+                window,
+                error,
+            })?;
         comms.stats.compute += compute_started.elapsed();
         comms.stats.cells_evaluated += result.cells_evaluated();
         steps_done += window_steps.unwrap_or(1);
@@ -1358,9 +1449,7 @@ fn worker_run(
         // frames — compute of other shards overlaps this transfer.
         let exchange_started = Instant::now();
         for (field, (out_field, _)) in plan.pairs.iter().enumerate() {
-            let grid = result
-                .field(out_field)
-                .ok_or_else(|| format!("shard {shard}: output `{out_field}` missing"))?;
+            let grid = result.field(out_field).ok_or_else(|| missing(out_field))?;
             for peer in 0..comms.peers.len() {
                 let lo = comms.peers[peer].send_row * row_words;
                 let payload = grid.as_slice()[lo..lo + payload_words].to_vec();
@@ -1375,7 +1464,7 @@ fn worker_run(
         for (field, (out_field, in_field)) in plan.pairs.iter().enumerate() {
             let mut grid = result
                 .take_field(out_field)
-                .ok_or_else(|| format!("shard {shard}: output `{out_field}` missing"))?;
+                .ok_or_else(|| missing(out_field))?;
             for (peer, neighbor) in comms.peers.iter().enumerate() {
                 let lo = neighbor.recv_row * row_words;
                 grid.as_mut_slice()[lo..lo + payload_words].copy_from_slice(&halos[&(peer, field)]);
@@ -1386,13 +1475,11 @@ fn worker_run(
     unreachable!("the last window always returns")
 }
 
-fn poison_reason(shared: &Shared) -> String {
-    shared
-        .poison_reason
-        .lock()
-        .expect("poison reason")
-        .clone()
-        .unwrap_or_else(|| "runtime poisoned".to_string())
+fn poison_reason(shared: &Shared) -> ShardFailure {
+    let reason = shared.poison_reason.lock().expect("poison reason").clone();
+    ShardFailure::Poisoned {
+        reason: reason.unwrap_or_else(|| "runtime poisoned".to_string()),
+    }
 }
 
 /// Adaptive wait for the worker polling loops: yield the core for the
@@ -1418,7 +1505,7 @@ fn push_frame(
     frame: &Frame,
     shared: &Shared,
     stats: &mut ShardStats,
-) -> std::result::Result<(), String> {
+) -> std::result::Result<(), ShardFailure> {
     let needed = frame.words();
     if link.capacity < needed {
         let report = WatchdogReport {
@@ -1431,11 +1518,11 @@ fn push_frame(
         };
         *shared.watchdog.lock().expect("watchdog slot") = Some(report);
         // The worker's failure path logs this reason.
-        return Err(format!(
-            "deadlock on `{}`: capacity {} words below the one-frame minimum of {needed} \
-             (the buffer analysis minimum is violated, the link can never drain)",
-            link.name, link.capacity
-        ));
+        return Err(ShardFailure::UndersizedLink {
+            edge: link.name.clone(),
+            capacity: link.capacity,
+            needed,
+        });
     }
     let mut spins = 0u32;
     loop {
@@ -1743,5 +1830,68 @@ mod tests {
             .run_steps_sharded(&program, &inputs, 4, &config)
             .unwrap();
         assert!(!outcome.report.degraded);
+    }
+
+    /// Each failure prints the text the fault log, `degrade_reason` and the
+    /// `fault_sweep` JSON have always carried.
+    #[test]
+    fn shard_failures_print_their_fault_log_text() {
+        let error = ProgramError::Invalid {
+            message: "bad".to_string(),
+        };
+        let window_text = format!("shard 2 window 4: {error}");
+        let cases = [
+            (
+                ShardFailure::Panic {
+                    shard: 1,
+                    message: "boom".to_string(),
+                },
+                "shard 1 panicked: boom".to_string(),
+            ),
+            (
+                ShardFailure::RetryBudget {
+                    shard: 0,
+                    window: 3,
+                    field: 1,
+                    edge: "s0->s1".to_string(),
+                },
+                "shard 0: retry budget (8) exhausted waiting for window 3 field 1 on `s0->s1`"
+                    .to_string(),
+            ),
+            (
+                ShardFailure::UndersizedLink {
+                    edge: "s1->s0".to_string(),
+                    capacity: 4,
+                    needed: 9,
+                },
+                "deadlock on `s1->s0`: capacity 4 words below the one-frame minimum of 9 \
+                 (the buffer analysis minimum is violated, the link can never drain)"
+                    .to_string(),
+            ),
+            (
+                ShardFailure::Poisoned {
+                    reason: WATCHDOG_TRIPPED.to_string(),
+                },
+                "progress watchdog tripped".to_string(),
+            ),
+            (
+                ShardFailure::Window {
+                    shard: 2,
+                    window: 4,
+                    error,
+                },
+                window_text,
+            ),
+            (
+                ShardFailure::MissingOutput {
+                    shard: 3,
+                    field: "out".to_string(),
+                },
+                "shard 3: output `out` missing".to_string(),
+            ),
+        ];
+        for (failure, text) in cases {
+            assert_eq!(failure.to_string(), text);
+        }
     }
 }

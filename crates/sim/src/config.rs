@@ -1,49 +1,27 @@
 //! Simulation configuration.
-
-/// Parameters of inter-device network channels (the SMI substitute).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetworkParams {
-    /// Additional latency of a remote stream, in cycles.
-    pub latency_cycles: u64,
-    /// Bandwidth of a remote stream in words per cycle (two 40 Gbit/s links
-    /// carry ~8 32-bit words per cycle at 300 MHz; the default of 4 models a
-    /// single link).
-    pub words_per_cycle: f64,
-}
-
-impl Default for NetworkParams {
-    fn default() -> Self {
-        NetworkParams {
-            latency_cycles: 200,
-            words_per_cycle: 4.0,
-        }
-    }
-}
+//!
+//! A simulated design takes none of its sizes from here: every FIFO depth
+//! comes from the delay-buffer analysis (`stencilflow-core`), and every
+//! link's latency and bandwidth from the partition plan's
+//! `PartitionConfig`. What is left to configure is the environment the
+//! design runs in and when to stop it.
 
 /// Configuration of a simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
-    /// Force every channel to this depth instead of the analysis-computed
-    /// depth. Used to demonstrate the deadlock of Fig. 4.
+    /// Give every on-chip channel this capacity instead of the one the
+    /// analysis sized (its depth plus its producer's compute latency). Used
+    /// to demonstrate the deadlock of Fig. 4. A remote stream still holds
+    /// its link latency in flight on top.
     pub channel_depth_override: Option<u64>,
     /// Off-chip memory bandwidth budget shared by all readers and writers, in
     /// words per cycle. `None` models unlimited bandwidth.
     pub memory_words_per_cycle: Option<f64>,
-    /// Network parameters applied to channels that cross devices (only
-    /// relevant when simulating a multi-device plan).
-    pub network: NetworkParams,
     /// Abort the simulation after this many cycles without completion.
     pub max_cycles: u64,
     /// Declare deadlock after this many consecutive cycles without any unit
     /// making progress.
     pub deadlock_window: u64,
-    /// Extra capacity (words) added to every channel on top of the computed
-    /// delay-buffer depth. Models the granularity of on-chip memory blocks
-    /// (an M20K holds 512 32-bit words, and HLS tools round FIFO depths up)
-    /// and absorbs the small difference between the analysis's conservative
-    /// compute-latency terms and the simulator's single-cycle evaluation.
-    /// Ignored when `channel_depth_override` is set.
-    pub extra_channel_slack: u64,
 }
 
 impl Default for SimConfig {
@@ -51,10 +29,8 @@ impl Default for SimConfig {
         SimConfig {
             channel_depth_override: None,
             memory_words_per_cycle: None,
-            network: NetworkParams::default(),
             max_cycles: 200_000_000,
             deadlock_window: 10_000,
-            extra_channel_slack: 1024,
         }
     }
 }
@@ -67,12 +43,6 @@ impl SimConfig {
             channel_depth_override: Some(1),
             ..Default::default()
         }
-    }
-
-    /// Set the shared off-chip bandwidth budget (builder style).
-    pub fn with_memory_bandwidth(mut self, words_per_cycle: f64) -> Self {
-        self.memory_words_per_cycle = Some(words_per_cycle);
-        self
     }
 }
 
@@ -91,9 +61,8 @@ mod tests {
 
     #[test]
     fn builders() {
-        let config = SimConfig::with_minimal_channels().with_memory_bandwidth(2.0);
+        let config = SimConfig::with_minimal_channels();
         assert_eq!(config.channel_depth_override, Some(1));
-        assert_eq!(config.memory_words_per_cycle, Some(2.0));
-        assert!(NetworkParams::default().words_per_cycle > 0.0);
+        assert_eq!(config.max_cycles, SimConfig::default().max_cycles);
     }
 }

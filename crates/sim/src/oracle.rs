@@ -14,6 +14,7 @@
 use crate::config::SimConfig;
 use crate::memory::MemoryModel;
 use crate::report::{ChannelStats, SimOutcome, SimReport, UnitStats};
+use crate::simulator::channel_shape;
 use std::collections::{BTreeMap, VecDeque};
 use stencilflow_core::channel::Fifo;
 use stencilflow_core::{AnalysisConfig, CoreError, DelayBufferAnalysis, InternalBufferAnalysis};
@@ -515,38 +516,12 @@ pub(crate) fn simulate(
     inputs: &BTreeMap<String, Grid>,
 ) -> CoreResult<SimReport> {
     let internal = InternalBufferAnalysis::compute(program, analysis)?;
-    let delay = DelayBufferAnalysis::compute(program, &internal, analysis)?;
-
-    // Device assignment for network-channel classification.
-    let mut device_of: BTreeMap<String, usize> = BTreeMap::new();
-    if let Some(plan) = plan {
-        for partition in &plan.devices {
-            for stencil in &partition.stencils {
-                device_of.insert(stencil.clone(), partition.index);
-            }
-        }
-    }
+    let delay = DelayBufferAnalysis::compute(program, &internal, analysis, plan)?;
 
     let mut channels: Vec<Fifo> = Vec::new();
     let mut channel_index: BTreeMap<(String, String), usize> = BTreeMap::new();
     for channel in delay.channels() {
-        let capacity = config
-            .channel_depth_override
-            .unwrap_or(channel.depth_words.max(1) + config.extra_channel_slack)
-            as usize;
-        let crosses_devices = match (device_of.get(&channel.from), device_of.get(&channel.to)) {
-            (Some(a), Some(b)) => a != b,
-            _ => false,
-        };
-        let (latency, words_per_cycle) = if crosses_devices {
-            (
-                config.network.latency_cycles,
-                config.network.words_per_cycle,
-            )
-        } else {
-            (0, f64::INFINITY)
-        };
-        let capacity = capacity.max(1) + if crosses_devices { latency as usize } else { 0 };
+        let (capacity, latency, words_per_cycle) = channel_shape(config, &delay, plan, channel);
         let mut fifo =
             Fifo::new(&format!("{}->{}", channel.from, channel.to), capacity).with_latency(latency);
         if words_per_cycle.is_finite() {
@@ -767,7 +742,6 @@ pub(crate) fn assert_same_grid(name: &str, ours: &Grid, theirs: &Grid) {
 
 mod tests {
     use super::*;
-    use crate::config::NetworkParams;
     use crate::simulator::Simulator;
     use stencilflow_core::PartitionConfig;
     use stencilflow_reference::generate_inputs;
@@ -814,33 +788,28 @@ mod tests {
             let inputs = generate_inputs(&program, seed);
             let devices = PartitionConfig::devices(program.stencil_count().min(2));
             let plan = MultiDevicePlan::partition(&program, &devices).unwrap();
+            let slow_links = PartitionConfig {
+                link_latency_cycles: 7,
+                link_words_per_cycle: 0.75,
+                ..devices
+            };
+            let slow_plan = MultiDevicePlan::partition(&program, &slow_links).unwrap();
             let default = both(&program, None, &SimConfig::default(), &inputs);
             assert!(default.completed(), "seed {seed}");
-            let slow_network = SimConfig {
-                network: NetworkParams {
-                    latency_cycles: 7,
-                    words_per_cycle: 0.75,
-                },
+            let memory = |words_per_cycle| SimConfig {
+                memory_words_per_cycle: Some(words_per_cycle),
                 ..SimConfig::default()
             };
             let configs = [
                 (Some(&plan), SimConfig::default()),
-                (Some(&plan), slow_network),
-                (None, SimConfig::default().with_memory_bandwidth(0.5)),
-                (None, SimConfig::default().with_memory_bandwidth(1.5)),
+                (Some(&slow_plan), SimConfig::default()),
+                (None, memory(0.5)),
+                (None, memory(1.5)),
                 (
                     None,
                     SimConfig {
                         deadlock_window: 40,
                         ..SimConfig::with_minimal_channels()
-                    },
-                ),
-                (
-                    None,
-                    SimConfig {
-                        extra_channel_slack: 0,
-                        deadlock_window: 200,
-                        ..SimConfig::default()
                     },
                 ),
                 (
@@ -885,7 +854,7 @@ mod tests {
             assert!(single.completed() && multi.completed());
             // Linear stretches are jumped: fewer than one cycle in ten is
             // stepped (listing 1: 9 of 288 and 22 of 688; horizontal
-            // diffusion: 55 of 1280 and 93 of 1880).
+            // diffusion: 62 of 1280 and 100 of 1880).
             assert!(single_stepped * 10 < single.cycles, "{single_stepped}");
             assert!(multi_stepped * 10 < multi.cycles, "{multi_stepped}");
             let starved = both(program, None, &SimConfig::with_minimal_channels(), &inputs);

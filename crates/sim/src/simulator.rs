@@ -1,10 +1,14 @@
-//! The top-level simulator: builds the spatial design from a program and its
-//! buffering analysis once, then runs it on concrete inputs. A run steps the
-//! count machines for the timing, jumping over the cycles that repeat the
-//! last one exactly (see the crate documentation for why tokens suffice and
-//! the jumps are exact), and — only if the design ran to completion — takes
-//! the outputs from the reference executor's fused sweep of the same
-//! program, prepared at build time.
+//! The top-level simulator: builds the spatial design from a program, its
+//! buffering analysis and (for several devices) its partition plan once,
+//! then runs it on concrete inputs. Every channel's capacity, and every
+//! link's latency and bandwidth, is read off the analysis and the plan
+//! (`channel_shape`); the configuration only overrides the depth.
+//!
+//! A run steps the count machines for the timing, jumping over the cycles
+//! that repeat the last one exactly (see the crate documentation for why
+//! tokens suffice and the jumps are exact), and — only if the design ran to
+//! completion — takes the outputs from the reference executor's fused
+//! sweep of the same program, prepared at build time.
 //!
 //! Every design prepares on the process-wide executor
 //! ([`ReferenceExecutor::shared`]), which `Pipeline`'s validation uses
@@ -21,7 +25,8 @@ use crate::report::{ChannelStats, SimOutcome, SimReport, UnitStats};
 use crate::unit::StencilUnit;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use stencilflow_core::{AnalysisConfig, CoreError, DelayBufferAnalysis, InternalBufferAnalysis};
+use stencilflow_core::{AnalysisConfig, ChannelDepth, CoreError};
+use stencilflow_core::{DelayBufferAnalysis, InternalBufferAnalysis};
 use stencilflow_core::{MultiDevicePlan, Result as CoreResult};
 use stencilflow_program::{IterationSpace, ProgramError, StencilDag, StencilProgram};
 use stencilflow_reference::{CompiledProgram, Grid, ReferenceExecutor, RunSpec, Tier};
@@ -70,6 +75,30 @@ fn invalid(message: String) -> CoreError {
     CoreError::Program(ProgramError::Invalid { message })
 }
 
+/// How a design realises `channel`: its capacity in words, and the latency
+/// (cycles) and bandwidth (words per cycle) of the link it crosses — none
+/// on chip. The capacity is the analysed depth plus the producer's compute
+/// latency (the words a hardware unit holds in its pipeline, which a
+/// simulated unit emits in the cycle it fires), or the configured override
+/// instead of both; a remote stream also holds its link latency in flight.
+pub(crate) fn channel_shape(
+    config: &SimConfig,
+    delay: &DelayBufferAnalysis,
+    plan: Option<&MultiDevicePlan>,
+    channel: &ChannelDepth,
+) -> (usize, u64, f64) {
+    let (from, to) = (channel.from.as_str(), channel.to.as_str());
+    let link = plan
+        .filter(|plan| plan.is_remote(from, to))
+        .map(|plan| &plan.config);
+    let latency = link.map_or(0, |link| link.link_latency_cycles);
+    let words_per_cycle = link.map_or(f64::INFINITY, |link| link.link_words_per_cycle);
+    let on_chip = (config.channel_depth_override)
+        .unwrap_or(channel.depth_words + delay.compute_latency(from));
+    let capacity = (on_chip.max(1) + latency) as usize;
+    (capacity, latency, words_per_cycle)
+}
+
 impl Simulator {
     /// Build the single-device design for `program`, using the delay-buffer
     /// analysis to size every channel.
@@ -86,8 +115,9 @@ impl Simulator {
     }
 
     /// Build a design partitioned across multiple devices: channels crossing
-    /// device boundaries become network channels with the configured latency
-    /// and bandwidth (the SMI substitute).
+    /// device boundaries become network channels (the SMI substitute) with
+    /// the latency and bandwidth of the plan's `PartitionConfig`, which the
+    /// delay-buffer analysis also charges on their paths.
     ///
     /// # Errors
     ///
@@ -109,40 +139,16 @@ impl Simulator {
         plan: Option<&MultiDevicePlan>,
     ) -> CoreResult<Self> {
         let internal_buffers = InternalBufferAnalysis::compute(program, analysis)?;
-        let delay = DelayBufferAnalysis::compute(program, &internal_buffers, analysis)?;
+        let delay = DelayBufferAnalysis::compute(program, &internal_buffers, analysis, plan)?;
         let space = program.space();
         let total_cells = space.num_cells();
-
-        // Device assignment for network-channel classification.
-        let mut device_of: BTreeMap<&str, usize> = BTreeMap::new();
-        for partition in plan.iter().flat_map(|plan| &plan.devices) {
-            for stencil in &partition.stencils {
-                device_of.insert(stencil, partition.index);
-            }
-        }
 
         let mut channels = Vec::new();
         let mut channel_names = Vec::new();
         let mut channel_index: BTreeMap<(&str, &str), usize> = BTreeMap::new();
         for channel in delay.channels() {
             let (from, to) = (channel.from.as_str(), channel.to.as_str());
-            let depth = config
-                .channel_depth_override
-                .unwrap_or(channel.depth_words.max(1) + config.extra_channel_slack);
-            let crosses_devices = match (device_of.get(from), device_of.get(to)) {
-                (Some(a), Some(b)) => a != b,
-                _ => false,
-            };
-            let (latency, words_per_cycle) = if crosses_devices {
-                (
-                    config.network.latency_cycles,
-                    config.network.words_per_cycle,
-                )
-            } else {
-                (0, f64::INFINITY)
-            };
-            // A network channel also holds the words in flight.
-            let capacity = (depth.max(1) + latency) as usize;
+            let (capacity, latency, words_per_cycle) = channel_shape(config, &delay, plan, channel);
             channel_index.insert((from, to), channels.len());
             channels.push(TokenChannel::new(capacity, latency, words_per_cycle));
             channel_names.push(format!("{from}->{to}"));

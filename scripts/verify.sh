@@ -18,7 +18,11 @@
 #                                  tests/pipeline_compile_guard.rs: a
 #                                  repeated Pipeline + multi-device
 #                                  simulation job compiles nothing on the
-#                                  process-wide executor; no timing floor —
+#                                  process-wide executor; the sufficiency
+#                                  test, tests/sim_sufficiency.rs: 450
+#                                  designs complete at the analysed channel
+#                                  depths on 1, 2 and 4 devices, at pinned
+#                                  cycle counts; no timing floor —
 #                                  speed floors live in gate 11 only)
 #   4. cargo clippy -D warnings  — lints
 #   5. cargo doc -D warnings     — documentation (intra-doc links included)

@@ -3,8 +3,8 @@
 //! spatial execution matches the sequential reference executor.
 
 use proptest::prelude::*;
-use stencilflow::core::{analyze, AnalysisConfig};
-use stencilflow::program::{StencilProgram, StencilProgramBuilder};
+use stencilflow::core::{analyze, AnalysisConfig, DelayBufferAnalysis};
+use stencilflow::program::{StencilDag, StencilProgram, StencilProgramBuilder};
 use stencilflow::reference::{generate_inputs, Grid, ReferenceExecutor};
 use stencilflow::sim::{SimConfig, SimOutcome, Simulator};
 use stencilflow_expr::DataType;
@@ -62,20 +62,37 @@ fn arb_program() -> impl Strategy<Value = StencilProgram> {
     })
 }
 
+/// Every consumer of the delay-buffer analysis has at least one zero-delay
+/// incoming edge: the slowest path into a node needs no buffer.
+fn check_invariants(delay: &DelayBufferAnalysis, dag: &StencilDag) -> Result<(), String> {
+    for node in dag.nodes() {
+        let incoming: Vec<_> = (delay.channels().iter())
+            .filter(|c| c.to == node.name)
+            .collect();
+        if !incoming.is_empty() && !incoming.iter().any(|c| c.delay_words == 0) {
+            return Err(format!(
+                "node `{}` has no zero-delay incoming edge",
+                node.name
+            ));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The delay-buffer analysis always leaves at least one zero-delay edge
-    /// per node and reports a pipeline latency no smaller than any single
-    /// node's delay.
+    /// per node and reports a pipeline latency no smaller than the delay
+    /// accumulated on any edge.
     #[test]
     fn delay_analysis_invariants(program in arb_program()) {
         let config = AnalysisConfig::paper_defaults();
         let analysis = analyze(&program, &config).unwrap();
         let dag = program.dag().unwrap();
-        analysis.delay.check_invariants(&dag).unwrap();
-        for node in dag.nodes() {
-            prop_assert!(analysis.delay.pipeline_latency() >= analysis.delay.node_delay(&node.name));
+        check_invariants(&analysis.delay, &dag).unwrap();
+        for channel in analysis.delay.channels() {
+            prop_assert!(analysis.delay.pipeline_latency() >= channel.edge_delay);
         }
         // Eq. 1 consistency.
         let perf = &analysis.performance;

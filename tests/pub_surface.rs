@@ -19,7 +19,8 @@
 //! compiler's dead-code lint decides whether it is used at all.
 //!
 //! The census also counts, without failing, the names whose every user is
-//! a test — a file under a `tests/` directory, or a `#[cfg(test)]` module.
+//! a test — a file under a `tests/` directory, or a `#[cfg(test)]` module —
+//! and prints each one's declaration as `file:line: name` under the count.
 //! A test seam is a legitimate reason for `pub`; an ABI only tests call is
 //! a second spelling of the code that production never runs.
 
@@ -308,15 +309,19 @@ fn every_pub_name_has_a_user_outside_its_crate() {
         .iter()
         .map(|(owner, name, _)| (*owner, name.as_str()))
         .collect();
-    let test_only = (names.iter())
-        .filter(|key| used.contains(*key) && !used_live.contains(*key))
-        .count();
+    let test_only = |key: &(usize, &str)| used.contains(key) && !used_live.contains(key);
+    let test_only_places: Vec<String> = (census.declared.iter())
+        .filter(|(owner, name, _)| test_only(&(*owner, name.as_str())))
+        .map(|(_, name, place)| format!("  {place}: {name}"))
+        .collect();
     println!(
-        "pub surface: {} names in {} crates, {} without an outside user, {test_only} used only by tests",
+        "pub surface: {} names in {} crates, {} without an outside user, {} used only by tests",
         names.len(),
         crates.len(),
-        unused.len()
+        unused.len(),
+        names.iter().filter(|key| test_only(key)).count()
     );
+    println!("{}", test_only_places.join("\n"));
     assert!(
         unused.is_empty(),
         "{} `pub` items have no user outside their crate's library (drop the \

@@ -12,6 +12,12 @@
 //! here.) The single-device cycles sum to 72 384 and the 4-device ones to
 //! 74 384 — the benchmark's `sim.cycles` (146 768) and
 //! `sim.multi_device_cycles`.
+//!
+//! One exception: the `membw1.5` rows' two stall sums and largest
+//! watermark were re-taken when channels lost the 1 024 words of slack they
+//! carried beyond the analysed depth. Under a memory budget the slack let
+//! readers run far ahead; at the analysed capacity they stall on full
+//! channels instead. Every outcome, cycle count and output hash stayed.
 
 use stencilflow::core::{AnalysisConfig, MultiDevicePlan, PartitionConfig};
 use stencilflow::dataflow::fuse_all;
@@ -61,31 +67,31 @@ type Row = (
 const GOLDEN: [Row; 28] = [
     ("hdiff16", "single", Completed, 5632, 16_896, 0, 1537, 0xdd52_da58_e00a_96cf),
     ("hdiff16", "multi4", Completed, 6232, 23_896, 0, 2137, 0xdd52_da58_e00a_96cf),
-    ("hdiff16", "membw1.5", Completed, 36_864, 478_726, 269_551, 2433, 0xdd52_da58_e00a_96cf),
+    ("hdiff16", "membw1.5", Completed, 36_864, 637_341, 364_547, 1409, 0xdd52_da58_e00a_96cf),
     ("hdiff16", "minimal", Deadlocked, 501, 12_040, 5000, 1, 0xcbf2_9ce4_8422_2325),
     ("chain32", "single", Completed, 16_448, 1056, 0, 1, 0xd60e_f6bc_bd42_9813),
     ("chain32", "multi4", Completed, 17_048, 11_256, 0, 201, 0xd60e_f6bc_bd42_9813),
-    ("chain32", "membw1.5", Completed, 32_768, 17_376, 120_120, 1040, 0xd60e_f6bc_bd42_9813),
+    ("chain32", "membw1.5", Completed, 32_768, 17_376, 502_090, 66, 0xd60e_f6bc_bd42_9813),
     ("chain32", "minimal", Completed, 16_448, 1056, 0, 1, 0xd60e_f6bc_bd42_9813),
     ("listing1", "single", Completed, 34_816, 2048, 0, 2049, 0xdcaf_f7a7_c491_1bc2),
     ("listing1", "multi4", Completed, 35_216, 3048, 0, 2449, 0xdcaf_f7a7_c491_1bc2),
-    ("listing1", "membw1.5", Completed, 98_304, 80_019, 352_861, 3111, 0xdcaf_f7a7_c491_1bc2),
+    ("listing1", "membw1.5", Completed, 98_304, 71_915, 374_101, 2087, 0xdcaf_f7a7_c491_1bc2),
     ("listing1", "minimal", Deadlocked, 503, 1508, 2004, 1, 0xcbf2_9ce4_8422_2325),
     ("diffusion3d", "single", Completed, 4608, 512, 0, 1, 0xbfc2_ac63_9169_01fc),
     ("diffusion3d", "multi4", Completed, 4608, 512, 0, 1, 0xbfc2_ac63_9169_01fc),
-    ("diffusion3d", "membw1.5", Completed, 8192, 4096, 4048, 1040, 0xbfc2_ac63_9169_01fc),
+    ("diffusion3d", "membw1.5", Completed, 8192, 4096, 7013, 70, 0xbfc2_ac63_9169_01fc),
     ("diffusion3d", "minimal", Completed, 4608, 512, 0, 1, 0xbfc2_ac63_9169_01fc),
     ("jacobi3d-x2", "single", Completed, 5120, 1536, 0, 1, 0x343c_5177_6c67_6ada),
     ("jacobi3d-x2", "multi4", Completed, 5320, 1936, 0, 201, 0x343c_5177_6c67_6ada),
-    ("jacobi3d-x2", "membw1.5", Completed, 8192, 4608, 3027, 1040, 0x343c_5177_6c67_6ada),
+    ("jacobi3d-x2", "membw1.5", Completed, 8192, 4608, 8852, 70, 0x343c_5177_6c67_6ada),
     ("jacobi3d-x2", "minimal", Completed, 5120, 1536, 0, 1, 0x343c_5177_6c67_6ada),
     ("upwind3d", "single", Completed, 4608, 512, 0, 513, 0xcb44_5333_5ba8_a52a),
     ("upwind3d", "multi4", Completed, 4608, 512, 0, 513, 0xcb44_5333_5ba8_a52a),
-    ("upwind3d", "membw1.5", Completed, 12_288, 10_785, 15_756, 1553, 0xcb44_5333_5ba8_a52a),
+    ("upwind3d", "membw1.5", Completed, 12_288, 8775, 22_772, 529, 0xcb44_5333_5ba8_a52a),
     ("upwind3d", "minimal", Completed, 4608, 512, 512, 1, 0xcb44_5333_5ba8_a52a),
     ("diffusion2d-x2", "single", Completed, 1152, 192, 0, 1, 0xca4f_bf9d_b871_8bed),
     ("diffusion2d-x2", "multi4", Completed, 1352, 592, 0, 201, 0xca4f_bf9d_b871_8bed),
-    ("diffusion2d-x2", "membw1.5", Completed, 2048, 1088, 0, 897, 0xca4f_bf9d_b871_8bed),
+    ("diffusion2d-x2", "membw1.5", Completed, 2048, 1088, 2403, 54, 0xca4f_bf9d_b871_8bed),
     ("diffusion2d-x2", "minimal", Completed, 1152, 192, 0, 1, 0xca4f_bf9d_b871_8bed),
 ];
 
@@ -125,7 +131,10 @@ fn sim_pipeline_programs_keep_their_parent_commit_timing_and_bits() {
             ),
             (
                 "membw1.5",
-                build(&SimConfig::default().with_memory_bandwidth(1.5)),
+                build(&SimConfig {
+                    memory_words_per_cycle: Some(1.5),
+                    ..SimConfig::default()
+                }),
             ),
             ("minimal", build(&minimal)),
         ];
