@@ -121,8 +121,10 @@ pub struct CacheStats {
     pub cache_bytes: u64,
 }
 
-/// Why a unit's module could not be built or loaded: one variant per
-/// cause. The engine keeps it, so a failed unit is never built again.
+/// Why a unit's module could not be built or loaded, or why the engine
+/// that builds them could not start: one variant per cause. The engine
+/// keeps a build's, so a failed unit is never built again; an engine that
+/// failed its start ([`JitEngine::try_from`]) builds nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JitError {
     /// `program` (the compiler, or the engine's compile thread) could not
@@ -158,6 +160,45 @@ pub enum JitError {
         /// Why the operating system refused.
         kind: std::io::ErrorKind,
     },
+    /// A probe of the compiler at engine start (`cc --version`, `cc -Q
+    /// --help=target`) could not be started.
+    ProbeSpawn {
+        /// The command line that was started.
+        command: String,
+        /// The operating system's message.
+        message: String,
+    },
+    /// `cc --version` ran and failed.
+    VersionFailed {
+        /// The compiler.
+        cc: String,
+        /// Its exit status.
+        status: ExitStatus,
+        /// What it wrote to standard error, trimmed.
+        stderr: String,
+    },
+    /// `cc --version` printed no version line.
+    NoVersionLine {
+        /// The compiler.
+        cc: String,
+    },
+    /// `cc -Q --help=target` does not say which `-march` the flags
+    /// resolve to (a compiler that is not GCC, or one that failed).
+    MarchUnresolved {
+        /// The compiler.
+        cc: String,
+        /// The flags, joined by spaces.
+        flags: String,
+        /// What it wrote to standard error, trimmed.
+        stderr: String,
+    },
+    /// The cache directory could not be created.
+    CacheDir {
+        /// The directory.
+        dir: PathBuf,
+        /// The operating system's message.
+        message: String,
+    },
 }
 
 impl std::fmt::Display for JitError {
@@ -172,6 +213,24 @@ impl std::fmt::Display for JitError {
             }
             JitError::Load { message } => write!(f, "the built module does not load: {message}"),
             JitError::Cache { path, kind } => write!(f, "cache file {}: {kind}", path.display()),
+            JitError::ProbeSpawn { command, message } => {
+                write!(f, "cannot run `{command}`: {message}")
+            }
+            JitError::VersionFailed { cc, status, stderr } => {
+                write!(f, "`{cc} --version` failed with {status}: {stderr}")
+            }
+            JitError::NoVersionLine { cc } => write!(f, "`{cc} --version` produced no output"),
+            JitError::MarchUnresolved { cc, flags, stderr } => write!(
+                f,
+                "`{cc} -Q --help=target` does not say which -march {flags} resolves to: {stderr}"
+            ),
+            JitError::CacheDir { dir, message } => {
+                write!(
+                    f,
+                    "cannot create JIT cache dir {}: {message}",
+                    dir.display()
+                )
+            }
         }
     }
 }
@@ -280,7 +339,9 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-impl JitEngine {
+impl TryFrom<JitConfig> for JitEngine {
+    type Error = JitError;
+
     /// Probe the configured compiler and the target it builds for, prepare
     /// the cache directory, and evict entries built under a different salt.
     ///
@@ -289,24 +350,39 @@ impl JitEngine {
     /// Fails when the compiler cannot be spawned (the usual "no `cc` on
     /// this machine" case — callers surface this as the JIT-unavailable
     /// reason and fall back to the fused tier), cannot say which `-march`
-    /// the flags resolve to, or the cache directory cannot be created.
-    pub fn new(config: JitConfig) -> Result<JitEngine, String> {
+    /// the flags resolve to, or the cache directory cannot be created: one
+    /// [`JitError`] variant each.
+    fn try_from(config: JitConfig) -> Result<JitEngine, JitError> {
         JitEngine::with_deadline(config, CC_DEADLINE)
     }
+}
 
-    /// [`JitEngine::new`] with another compiler deadline (tests only).
-    fn with_deadline(config: JitConfig, deadline: Duration) -> Result<JitEngine, String> {
+impl JitEngine {
+    /// [`JitEngine::try_from`] with the error rendered as text.
+    ///
+    /// # Errors
+    ///
+    /// The failures of [`JitEngine::try_from`].
+    pub fn new(config: JitConfig) -> Result<JitEngine, String> {
+        JitEngine::try_from(config).map_err(|e| e.to_string())
+    }
+
+    /// [`JitEngine::try_from`] with compiler deadline `deadline` (tests
+    /// pass a short one).
+    fn with_deadline(config: JitConfig, deadline: Duration) -> Result<JitEngine, JitError> {
         let probe = Command::new(&config.cc)
             .arg("--version")
             .output()
-            .map_err(|e| format!("cannot run `{} --version`: {e}", config.cc))?;
+            .map_err(|e| JitError::ProbeSpawn {
+                command: format!("{} --version", config.cc),
+                message: e.to_string(),
+            })?;
         if !probe.status.success() {
-            return Err(format!(
-                "`{} --version` failed with {}: {}",
-                config.cc,
-                probe.status,
-                String::from_utf8_lossy(&probe.stderr).trim()
-            ));
+            return Err(JitError::VersionFailed {
+                cc: config.cc.clone(),
+                status: probe.status,
+                stderr: String::from_utf8_lossy(&probe.stderr).trim().to_string(),
+            });
         }
         let version_line = String::from_utf8_lossy(&probe.stdout)
             .lines()
@@ -315,17 +391,17 @@ impl JitEngine {
             .trim()
             .to_string();
         if version_line.is_empty() {
-            return Err(format!("`{} --version` produced no output", config.cc));
+            return Err(JitError::NoVersionLine {
+                cc: config.cc.clone(),
+            });
         }
         let mut flags: Vec<String> = BASE_CFLAGS.iter().map(|f| f.to_string()).collect();
         flags.extend(config.extra_flags.iter().cloned());
         let target = resolve_target(&config.cc, &flags)?;
         let salt = format!("{version_line} | {} | {target}", flags.join(" "));
-        fs::create_dir_all(&config.cache_dir).map_err(|e| {
-            format!(
-                "cannot create JIT cache dir {}: {e}",
-                config.cache_dir.display()
-            )
+        fs::create_dir_all(&config.cache_dir).map_err(|e| JitError::CacheDir {
+            dir: config.cache_dir.clone(),
+            message: e.to_string(),
         })?;
         let shared = Shared {
             config,
@@ -766,24 +842,25 @@ fn fnv1a64(basis: u64, bytes: &[u8]) -> u64 {
 /// --help=target` under the same flags: ISA extensions, tuning, cache
 /// sizes), so two hosts that name the same CPU but enable different
 /// extensions still resolve differently. Probed once per engine.
-fn resolve_target(cc: &str, flags: &[String]) -> Result<String, String> {
+fn resolve_target(cc: &str, flags: &[String]) -> Result<String, JitError> {
     let probe = Command::new(cc)
         .args(flags)
         .args(["-Q", "--help=target"])
         .output()
-        .map_err(|e| format!("cannot run `{cc} -Q --help=target`: {e}"))?;
+        .map_err(|e| JitError::ProbeSpawn {
+            command: format!("{cc} -Q --help=target"),
+            message: e.to_string(),
+        })?;
     let report = String::from_utf8_lossy(&probe.stdout);
     let march = report
         .lines()
         .find_map(|line| line.trim_start().strip_prefix("-march="))
         .map(str::trim)
         .filter(|march| probe.status.success() && !march.is_empty())
-        .ok_or_else(|| {
-            format!(
-                "`{cc} -Q --help=target` does not say which -march {} resolves to: {}",
-                flags.join(" "),
-                String::from_utf8_lossy(&probe.stderr).trim()
-            )
+        .ok_or_else(|| JitError::MarchUnresolved {
+            cc: cc.to_string(),
+            flags: flags.join(" "),
+            stderr: String::from_utf8_lossy(&probe.stderr).trim().to_string(),
         })?;
     Ok(format!(
         "-march={march} {:016x}",
@@ -1356,18 +1433,41 @@ mod tests {
     /// probes like `cc`, and runs the shell command `build` when asked to
     /// compile.
     fn fake_cc(dir: &Path, build: &str) -> String {
+        fake_script(
+            dir,
+            &format!(
+                "case \"$*\" in\n\
+                 *--version*) echo 'fake-cc 1.0' ;;\n\
+                 *--help=target*) echo '  -march=                fake' ;;\n\
+                 *) {build} ;;\nesac\n"
+            ),
+        )
+    }
+
+    /// A `/bin/sh` script running `body`, as a fake compiler.
+    fn fake_script(dir: &Path, body: &str) -> String {
         use std::os::unix::fs::PermissionsExt;
         fs::create_dir_all(dir).unwrap();
         let path = dir.join("fake-cc");
-        let script = format!(
-            "#!/bin/sh\ncase \"$*\" in\n\
-             *--version*) echo 'fake-cc 1.0' ;;\n\
-             *--help=target*) echo '  -march=                fake' ;;\n\
-             *) {build} ;;\nesac\n"
-        );
-        fs::write(&path, script).unwrap();
+        fs::write(&path, format!("#!/bin/sh\n{body}")).unwrap();
         fs::set_permissions(&path, fs::Permissions::from_mode(0o755)).unwrap();
         path.display().to_string()
+    }
+
+    /// Start an engine driving the fake compiler of `config`, with a short
+    /// deadline. A child another test thread forks while the script is
+    /// being written inherits its write handle until that child's `exec`,
+    /// and running the script meanwhile fails with "text file busy".
+    fn start_fake(config: &JitConfig) -> Result<JitEngine, JitError> {
+        for _ in 0..100 {
+            match JitEngine::with_deadline(config.clone(), Duration::from_millis(300)) {
+                Err(JitError::ProbeSpawn { message, .. }) if message.contains("busy") => {
+                    std::thread::sleep(Duration::from_millis(10))
+                }
+                started => return started,
+            }
+        }
+        panic!("the fake compiler stayed busy")
     }
 
     /// A private engine over a fresh cache directory driving a fake
@@ -1376,17 +1476,10 @@ mod tests {
         let mut config = test_config();
         let dir = config.cache_dir.clone();
         config.cc = fake_cc(&dir.with_extension("bin"), build);
-        // A child another test thread forks while the script is being
-        // written inherits its write handle until that child's `exec`, and
-        // running the script meanwhile fails with "text file busy".
-        for _ in 0..100 {
-            match JitEngine::with_deadline(config.clone(), Duration::from_millis(300)) {
-                Ok(engine) => return (engine, dir),
-                Err(e) if e.contains("busy") => std::thread::sleep(Duration::from_millis(10)),
-                Err(e) => panic!("the fake answers both probes: {e}"),
-            }
+        match start_fake(&config) {
+            Ok(engine) => (engine, dir),
+            Err(e) => panic!("the fake answers both probes: {e}"),
         }
-        panic!("the fake compiler stayed busy")
     }
 
     fn remove_fake(dir: PathBuf) {
@@ -1450,7 +1543,89 @@ mod tests {
     fn missing_compiler_is_a_loud_construction_error() {
         let mut config = test_config();
         config.cc = "definitely-not-a-compiler-sf".to_string();
-        let err = JitEngine::new(config).expect_err("must fail");
-        assert!(err.contains("definitely-not-a-compiler-sf"));
+        let err = JitEngine::try_from(config.clone()).expect_err("must fail");
+        let command = "definitely-not-a-compiler-sf --version".to_string();
+        assert!(
+            matches!(&err, JitError::ProbeSpawn { command: c, .. } if *c == command),
+            "{err:?}"
+        );
+        assert_eq!(
+            JitEngine::new(config).expect_err("must fail"),
+            err.to_string()
+        );
+    }
+
+    /// Each way the engine's start fails is its own variant, and prints
+    /// what the untyped probe used to, byte for byte.
+    #[test]
+    fn engine_start_failures_print_the_probe_text() {
+        use std::os::unix::process::ExitStatusExt;
+        let status = ExitStatus::from_raw(3 << 8);
+        let cases = [
+            (
+                JitError::ProbeSpawn {
+                    command: "cc --version".into(),
+                    message: "No such file or directory (os error 2)".into(),
+                },
+                "cannot run `cc --version`: No such file or directory (os error 2)",
+            ),
+            (
+                JitError::VersionFailed {
+                    cc: "cc".into(),
+                    status,
+                    stderr: "bad".into(),
+                },
+                "`cc --version` failed with exit status: 3: bad",
+            ),
+            (
+                JitError::NoVersionLine { cc: "cc".into() },
+                "`cc --version` produced no output",
+            ),
+            (
+                JitError::MarchUnresolved {
+                    cc: "clang".into(),
+                    flags: "-O2 -march=native".into(),
+                    stderr: "unknown".into(),
+                },
+                "`clang -Q --help=target` does not say which -march -O2 -march=native \
+                 resolves to: unknown",
+            ),
+            (
+                JitError::CacheDir {
+                    dir: PathBuf::from("/nonexistent/cache"),
+                    message: "Permission denied (os error 13)".into(),
+                },
+                "cannot create JIT cache dir /nonexistent/cache: Permission denied (os error 13)",
+            ),
+        ];
+        for (error, text) in cases {
+            assert_eq!(error.to_string(), text);
+        }
+    }
+
+    /// A compiler whose `--version` fails, or prints nothing, or that
+    /// cannot name its `-march`, is refused with the variant for that cause.
+    #[test]
+    fn each_failed_probe_is_its_own_variant() {
+        let start = |script: &str| {
+            let mut config = test_config();
+            let dir = config.cache_dir.clone();
+            config.cc = fake_script(&dir.with_extension("bin"), script);
+            let started = start_fake(&config);
+            remove_fake(dir);
+            started.expect_err("the probe fails")
+        };
+        let version = start("echo 'no' >&2; exit 1");
+        assert!(matches!(&version, JitError::VersionFailed { stderr, .. } if stderr == "no"));
+        let silent = start("exit 0");
+        assert!(
+            matches!(silent, JitError::NoVersionLine { .. }),
+            "{silent:?}"
+        );
+        let march = start(r#"case "$*" in *--version*) echo fake 1.0 ;; *) exit 0 ;; esac"#);
+        assert!(
+            matches!(march, JitError::MarchUnresolved { .. }),
+            "{march:?}"
+        );
     }
 }

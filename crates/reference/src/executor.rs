@@ -34,6 +34,7 @@ use crate::tier::{Tier, TierTrace};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 use stencilflow_expr::{AccessResolver, DataType, Evaluator, Value};
 use stencilflow_program::{BoundaryCondition, ProgramError, Result, StencilNode, StencilProgram};
 
@@ -837,6 +838,34 @@ impl ReferenceExecutor {
             TierUp::Wait,
             &|| Ok(()),
         )
+    }
+
+    /// A run of the FPGA path — a simulated design's outputs, `Pipeline`'s
+    /// validation — outputs only, and the rung it ran on. The path's one
+    /// tier-up rule ([`crate::tier`]) picks the ceiling: [`Tier::Fused`]
+    /// until `compiled`'s fused runs through here have cost as much as one
+    /// native build (200 ms, a constant), [`Tier::Jit`] from then on. At
+    /// that ceiling a run never waits for `cc`: it takes the fused rung
+    /// until the module has landed, the native rung after. Every rung is
+    /// bit-identical, so the outputs are [`ReferenceExecutor::execute`]'s.
+    ///
+    /// # Errors
+    ///
+    /// The failure modes of [`ReferenceExecutor::run`].
+    pub fn run_tiered(
+        &self,
+        compiled: &CompiledProgram,
+        inputs: &BTreeMap<String, Grid>,
+    ) -> Result<(ExecutionResult, Tier)> {
+        let ceiling = compiled.trace.fpga_ceiling();
+        let start = Instant::now();
+        let ran = self.run_tier(compiled, inputs, None, ceiling, TierUp::Background, &|| {
+            Ok(())
+        });
+        if ceiling == Tier::Fused {
+            compiled.trace.charge_fused(start.elapsed());
+        }
+        ran
     }
 
     /// One run on the rung `tier` resolves to, outputs only, and the rung

@@ -18,10 +18,11 @@
 //! [`crate::tier::TierTrace`]: a JIT request on an ineligible program, or
 //! on a machine without a working `cc`, lands on the fused rung (or below)
 //! and reports it. Every module is built on the engine's one compile
-//! thread, with two waiting policies ([`TierUp`]): the service never waits
-//! — its runs take the fused rung until the module is loaded, and a unit
-//! whose build failed stays there, the typed failure kept on its trace —
-//! while [`crate::ReferenceExecutor::execute`] waits, and surfaces a
+//! thread, with two waiting policies ([`TierUp`]): the service and the
+//! FPGA path ([`crate::ReferenceExecutor::run_tiered`]) never wait — their
+//! runs take the fused rung until the module is loaded, and a unit whose
+//! build failed stays there, the typed failure kept on its trace — while
+//! [`crate::ReferenceExecutor::execute`] waits, and surfaces a
 //! *failing* compile or load of an eligible program as an error (it
 //! indicates an emitter bug, and hiding it would mask codegen regressions
 //! from CI).
@@ -89,16 +90,16 @@ pub(crate) enum TierUp {
     /// build's error ([`crate::ReferenceExecutor::execute`]).
     Wait,
     /// Never wait: until the module is loaded the run takes the fused rung
-    /// (the service).
+    /// (the service, and the FPGA path once a program is hot).
     Background,
 }
 
-/// The process-wide engine, probed once: `Ok` holds the engine, `Err` the
-/// human-readable reason native execution is unavailable on this machine
-/// (typically: no system `cc`).
-fn engine() -> &'static std::result::Result<Arc<JitEngine>, String> {
-    static ENGINE: OnceLock<std::result::Result<Arc<JitEngine>, String>> = OnceLock::new();
-    ENGINE.get_or_init(|| JitEngine::new(JitConfig::from_env()).map(Arc::new))
+/// The process-wide engine, probed once: `Ok` holds the engine, `Err` why
+/// native execution is unavailable on this machine (typically: no system
+/// `cc`).
+fn engine() -> &'static std::result::Result<Arc<JitEngine>, JitError> {
+    static ENGINE: OnceLock<std::result::Result<Arc<JitEngine>, JitError>> = OnceLock::new();
+    ENGINE.get_or_init(|| JitEngine::try_from(JitConfig::from_env()).map(Arc::new))
 }
 
 /// Whether native execution can run at all on this machine. `Ok` carries
@@ -106,12 +107,12 @@ fn engine() -> &'static std::result::Result<Arc<JitEngine>, String> {
 /// resolve to on this host. `Err` carries the probe failure (the JIT tier
 /// falls back to the fused tier in that case, and `verify.sh` refuses to
 /// skip it on CI).
-pub fn jit_available() -> std::result::Result<&'static str, String> {
-    engine().as_ref().map(|e| e.salt()).map_err(String::clone)
+pub fn jit_available() -> std::result::Result<&'static str, &'static JitError> {
+    engine().as_ref().map(|e| e.salt())
 }
 
-/// Cache counters of the process-wide engine (`None` before the first
-/// probe attempt or when the engine failed to initialize).
+/// Cache counters of the process-wide engine, which the first call probes
+/// (`None` when the engine failed to initialize).
 pub fn jit_cache_stats() -> Option<CacheStats> {
     engine().as_ref().ok().map(|e| e.stats())
 }

@@ -5,19 +5,32 @@
 //! decision, and it is made by one rule: a run asks for a ceiling —
 //! [`Tier::Jit`] unless the caller pins [`Tier::Fused`] — and lands on the
 //! highest rung at or below it that [`TierTrace`] allows for its program,
-//! so a run's rung is a pure function of the two. Nothing is timed: the
-//! fused rung is the streaming design the paper maps every stencil program
-//! onto, and takes every program; native is its compiled form. Both
-//! [`ReferenceExecutor::execute`](crate::ReferenceExecutor::execute) and
-//! the service layer run through the executor's one per-tier runner, which
-//! reports the rung that ran (the service wraps it in its panic boundary,
-//! gives it a cancellation probe it asks once per fused window, and never
-//! waits for a native module).
+//! so a run's rung is a pure function of the two. No rung is timed against
+//! another: the fused rung is the streaming design the paper maps every
+//! stencil program onto, and takes every program; native is its compiled
+//! form. Both [`ReferenceExecutor::execute`](crate::ReferenceExecutor::execute)
+//! and the service layer run through the executor's one per-tier runner,
+//! which reports the rung that ran (the service wraps it in its panic
+//! boundary, gives it a cancellation probe it asks once per fused window,
+//! and never waits for a native module).
+//!
+//! The FPGA path — the simulator's outputs and `Pipeline`'s validation,
+//! through [`ReferenceExecutor::run_tiered`](crate::ReferenceExecutor::run_tiered)
+//! — picks its ceiling by the ski-rental rule (Karlin, Manasse, Rudolph and
+//! Sleator, "Competitive snoopy caching", Algorithmica 3, 1988): a program
+//! runs at the fused ceiling until its fused runs on that path have cost
+//! as much as one native build (`NATIVE_BUILD_COST`, 200 ms), then at the
+//! JIT ceiling without waiting — fused until `cc`'s module lands, native
+//! after.
+//! That never spends more than twice what the better choice in hindsight
+//! would have, and a program that runs once never starts `cc`.
 
 use crate::fuse::FusePlan;
 use crate::jit::JitUnit;
 use crate::plan::CompiledStencil;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
+use std::time::Duration;
 use stencilflow_codegen::EmitError;
 use stencilflow_expr::{DataType, VerifyError};
 use stencilflow_jit::JitError;
@@ -47,6 +60,12 @@ impl std::fmt::Display for Tier {
         f.write_str(self.as_str())
     }
 }
+
+/// What one native build costs, as fused run time on the FPGA path: a
+/// program's runs there take the JIT ceiling once its fused runs have spent
+/// this much. Cold `cc` builds of the seven `sim-pipeline` units took
+/// 144–470 ms, median 196 ms (2-vCPU Xeon host, `-O2`, one unit at a time).
+pub(crate) const NATIVE_BUILD_COST: Duration = Duration::from_millis(200);
 
 /// The ladder, floor first: a rung takes every run a rung above it takes.
 static LADDER: [Tier; 2] = [Tier::Fused, Tier::Jit];
@@ -133,6 +152,9 @@ pub struct TierTrace {
     pub(crate) stencils: Vec<CompiledStencil>,
     pub(crate) fused: FusePlan,
     jit: OnceLock<Result<JitUnit, Ineligible>>,
+    /// Nanoseconds the program's fused runs on the FPGA path have taken,
+    /// up to the first that reached [`NATIVE_BUILD_COST`].
+    fused_spent: AtomicU64,
 }
 
 impl std::fmt::Debug for TierTrace {
@@ -150,7 +172,26 @@ impl TierTrace {
             stencils,
             fused,
             jit: OnceLock::new(),
+            fused_spent: AtomicU64::new(0),
         }
+    }
+
+    /// The ceiling of the program's next run on the FPGA path:
+    /// [`Tier::Fused`] until its fused runs there ([`Self::charge_fused`])
+    /// have cost one native build, [`Tier::Jit`] from then on.
+    pub(crate) fn fpga_ceiling(&self) -> Tier {
+        let build = NATIVE_BUILD_COST.as_nanos() as u64;
+        if self.fused_spent.load(Ordering::Relaxed) >= build {
+            Tier::Jit
+        } else {
+            Tier::Fused
+        }
+    }
+
+    /// Charge a fused run of the FPGA path that took `spent`.
+    pub(crate) fn charge_fused(&self, spent: Duration) {
+        self.fused_spent
+            .fetch_add(spent.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// The JIT rung's unit, or why the program cannot take the rung.

@@ -36,8 +36,8 @@
 //! tokens, not data, and its cycle count, per-unit stalls and per-channel
 //! watermarks are exactly those of a loop that drags every `f64` along.
 //! Once a run has completed, its outputs are taken from the reference
-//! executor's fused sweep of the same program (prepared when the simulator
-//! is built), so they are bit-identical to the interpreter. The program is
+//! executor's run of the same program (prepared when the simulator is
+//! built), so they are bit-identical to the interpreter. The program is
 //! prepared on the process-wide executor that `Pipeline` validates on, so
 //! rebuilding a design of a program seen before compiles nothing; that is
 //! safe because its cache is bounded and keyed by the program's
@@ -45,6 +45,16 @@
 //! read. A
 //! `#[cfg(test)]` oracle keeps the value-carrying loop and pins the engine
 //! to it, statistic for statistic and bit for bit.
+//!
+//! **A hot program's values are computed natively.** The run that supplies
+//! the outputs is `ReferenceExecutor::run_tiered`, the FPGA path's one
+//! entry point, shared with `Pipeline`'s validation. It follows the
+//! ski-rental rule: a program's runs there take the fused rung until they
+//! have cost as much as one native build (a 200 ms constant, about the
+//! median cold `cc` build of a `sim-pipeline` unit), then ask for the JIT
+//! rung without waiting — fused until `cc`'s module lands, native after.
+//! The two rungs are bit-identical, so the rule moves time, never a value
+//! or a cycle; a design simulated once never starts `cc`.
 //!
 //! **Most cycles repeat the one before.** A streaming design fills, streams
 //! and drains: for long stretches every unit does in each cycle what it did

@@ -7,8 +7,11 @@
 //! A run steps the count machines for the timing, jumping over the cycles
 //! that repeat the last one exactly (see the crate documentation for why
 //! tokens suffice and the jumps are exact), and — only if the design ran to
-//! completion — takes the outputs from the reference executor's fused
-//! sweep of the same program, prepared at build time.
+//! completion — takes the outputs from the reference executor's run of the
+//! same program, prepared at build time, through the FPGA path's entry
+//! point (`ReferenceExecutor::run_tiered`): on the fused rung until the
+//! program's runs there have cost one native build (200 ms), then on the
+//! native rung once `cc`'s module has landed, never waiting for it.
 //!
 //! Every design prepares on the process-wide executor
 //! ([`ReferenceExecutor::shared`]), which `Pipeline`'s validation uses
@@ -29,7 +32,7 @@ use stencilflow_core::{AnalysisConfig, ChannelDepth, CoreError};
 use stencilflow_core::{DelayBufferAnalysis, InternalBufferAnalysis};
 use stencilflow_core::{MultiDevicePlan, Result as CoreResult};
 use stencilflow_program::{IterationSpace, ProgramError, StencilDag, StencilProgram};
-use stencilflow_reference::{CompiledProgram, Grid, ReferenceExecutor, RunSpec, Tier};
+use stencilflow_reference::{CompiledProgram, Grid, ReferenceExecutor};
 
 /// The count machines of a design. The simulator holds them in their
 /// initial state; every run steps a copy.
@@ -233,11 +236,7 @@ impl Simulator {
         let mut memory = MemoryModel::new(self.config.memory_words_per_cycle);
         let (outcome, cycles, _) = machines.run(&self.config, &mut memory);
         let outputs = if outcome == SimOutcome::Completed {
-            let spec = RunSpec {
-                steps: None,
-                tier: Tier::Fused,
-            };
-            let (result, _) = ReferenceExecutor::shared().execute(&self.compiled, inputs, &spec)?;
+            let (result, _) = ReferenceExecutor::shared().run_tiered(&self.compiled, inputs)?;
             (result.fields())
                 .map(|(name, grid)| (name.to_string(), grid.clone()))
                 .collect()

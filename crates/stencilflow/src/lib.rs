@@ -103,6 +103,14 @@ pub struct PipelineResult {
 /// The end-to-end StencilFlow pipeline, run as in the paper's experiments:
 /// aggressive stencil fusion, [`AnalysisConfig::paper_defaults`] and the
 /// default [`SimConfig`].
+///
+/// The simulation's outputs and the validation run of the unfused program
+/// both go through the process-wide executor's FPGA-path entry point,
+/// [`reference::ReferenceExecutor::run_tiered`]: a program runs on the
+/// fused rung until its runs there have cost as much as one native build
+/// (200 ms), and on the native rung once `cc`'s module has landed, without
+/// ever waiting for it. A pipeline run once never starts `cc`; one run
+/// over and over runs native. Both rungs are bit-identical.
 #[derive(Debug, Clone)]
 pub struct Pipeline {
     program: StencilProgram,
@@ -159,7 +167,9 @@ impl Pipeline {
         // run of this pipeline compiles nothing.
         let mut max_error: f64 = 0.0;
         if simulation.completed() {
-            let reference = ReferenceExecutor::shared().run(&self.program, inputs)?;
+            let executor = ReferenceExecutor::shared();
+            let compiled = executor.prepare(&self.program)?;
+            let (reference, _) = executor.run_tiered(&compiled, inputs)?;
             for output in self.program.outputs() {
                 // A missing or mis-shaped simulated output fails validation.
                 let err = simulation

@@ -22,7 +22,13 @@
 #                                  test, tests/sim_sufficiency.rs: 450
 #                                  designs complete at the analysed channel
 #                                  depths on 1, 2 and 4 devices, at pinned
-#                                  cycle counts; no timing floor —
+#                                  cycle counts; the tier-up test,
+#                                  tests/sim_tier_up.rs: a simulated
+#                                  program asks for its JIT module only
+#                                  once its fused runs have cost one
+#                                  native build, and every output before
+#                                  and after the switch is the
+#                                  interpreter's in bits; no timing floor —
 #                                  speed floors live in gate 11 only)
 #   4. cargo clippy -D warnings  — lints
 #   5. cargo doc -D warnings     — documentation (intra-doc links included)

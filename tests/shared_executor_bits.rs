@@ -8,11 +8,16 @@
 //! fused (what the designs simulate). Every simulated output must still
 //! equal the interpreter's on the fused program, cell for cell — the cells
 //! the validity mask excludes included — and the shared executor's runs of
-//! both programs must equal the interpreter's, masks included.
+//! both programs must equal the interpreter's, masks included. That holds
+//! on both rungs: a last round runs once every program has tiered up to
+//! native code on the FPGA path.
 
 use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
 
-use stencilflow::reference::{generate_inputs, ExecutionResult, Grid, ReferenceExecutor};
+use stencilflow::dataflow::fuse_all;
+use stencilflow::reference::{generate_inputs, jit_available, ExecutionResult, Grid};
+use stencilflow::reference::{ReferenceExecutor, RunSpec, Tier};
 use stencilflow::workloads as wl;
 use stencilflow::{AnalysisConfig, MultiDevicePlan, PartitionConfig, Pipeline, SimConfig};
 use stencilflow::{Simulator, StencilProgram};
@@ -79,49 +84,92 @@ fn shuffle(order: &mut [usize], mut state: u64) {
     }
 }
 
+/// Drive `program`'s runs on the FPGA path past one native build's cost,
+/// its module landed: wait for the module once (`execute` at the JIT
+/// ceiling), then run the path until a run takes the native rung.
+fn land(program: &StencilProgram) {
+    let shared = ReferenceExecutor::shared();
+    let compiled = shared.prepare(program).unwrap();
+    assert_eq!(compiled.tier_trace().reason(), None, "{}", program.name());
+    let inputs = generate_inputs(program, 7);
+    let spec = RunSpec {
+        steps: None,
+        tier: Tier::Jit,
+    };
+    let (_, tier) = shared.execute(&compiled, &inputs, &spec).unwrap();
+    assert_eq!(tier, Tier::Jit, "{}", program.name());
+    let started = Instant::now();
+    while shared.run_tiered(&compiled, &inputs).unwrap().1 != Tier::Jit {
+        let spent = started.elapsed();
+        assert!(
+            spent < Duration::from_secs(60),
+            "{} never tiered up",
+            program.name()
+        );
+    }
+}
+
+/// One job of `program` on the inputs of seed `100 + turn`: `Pipeline`,
+/// then the single- and the multi-device design of the fused program (four
+/// devices, or one per stencil if it has fewer), every simulated output
+/// against the interpreter's on the fused program, and the shared
+/// executor's runs of both programs against the interpreter's.
+fn job(program: &StencilProgram, turn: usize) {
+    let context = format!("{} turn {turn}", program.name());
+    let inputs = generate_inputs(program, 100 + turn as u64);
+    let analysis = AnalysisConfig::paper_defaults();
+    let config = SimConfig::default();
+
+    let pipeline = Pipeline::new(program.clone())
+        .execute_with_inputs(&inputs)
+        .unwrap();
+    let fused = &pipeline.program;
+    let single = Simulator::build(fused, &analysis, &config).unwrap();
+    let devices = PartitionConfig::devices(fused.stencil_count().min(4));
+    let plan = MultiDevicePlan::partition(fused, &devices).unwrap();
+    let multi = Simulator::build_multi_device(fused, &analysis, &plan, &config).unwrap();
+
+    let interpreter = ReferenceExecutor::new();
+    let want = interpreter.run_interpreted(fused, &inputs).unwrap();
+    let reports = [
+        ("pipeline", pipeline.simulation),
+        ("single", single.run(&inputs).unwrap()),
+        ("multi", multi.run(&inputs).unwrap()),
+    ];
+    for (design, report) in &reports {
+        assert!(report.completed(), "{context} {design}");
+        assert_eq!(report.outputs.len(), fused.outputs().len());
+        for output in fused.outputs() {
+            let context = format!("{context} {design} `{output}`");
+            let theirs = want.field(output).unwrap();
+            assert_same_bits(&context, report.output(output), theirs);
+        }
+    }
+    assert_shared_run(&format!("{context} fused"), fused, &inputs, &want);
+    let unfused = interpreter.run_interpreted(program, &inputs).unwrap();
+    assert_shared_run(&format!("{context} unfused"), program, &inputs, &unfused);
+}
+
 /// Each program twice, the fourteen jobs shuffled, each job on inputs of
 /// its own seed (equal inputs would hide a stale buffer behind equal
-/// values): `Pipeline`, then the single- and the multi-device design of the
-/// fused program (four devices, or one per stencil if it has fewer).
+/// values). Then every program, unfused and fused, is driven past the
+/// FPGA path's tier-up point with its module landed, and one more round
+/// runs the path native.
 #[test]
 fn programs_interleaved_on_the_shared_executor_keep_every_bit() {
     let programs = programs();
     let mut order: Vec<usize> = (0..2 * programs.len()).collect();
     shuffle(&mut order, 41);
-    let analysis = AnalysisConfig::paper_defaults();
-    let config = SimConfig::default();
-    for (turn, &job) in order.iter().enumerate() {
-        let program = &programs[job % programs.len()];
-        let context = format!("{} turn {turn}", program.name());
-        let inputs = generate_inputs(program, 100 + turn as u64);
+    for (turn, &job_ix) in order.iter().enumerate() {
+        job(&programs[job_ix % programs.len()], turn);
+    }
 
-        let pipeline = Pipeline::new(program.clone())
-            .execute_with_inputs(&inputs)
-            .unwrap();
-        let fused = &pipeline.program;
-        let single = Simulator::build(fused, &analysis, &config).unwrap();
-        let devices = PartitionConfig::devices(fused.stencil_count().min(4));
-        let plan = MultiDevicePlan::partition(fused, &devices).unwrap();
-        let multi = Simulator::build_multi_device(fused, &analysis, &plan, &config).unwrap();
-
-        let interpreter = ReferenceExecutor::new();
-        let want = interpreter.run_interpreted(fused, &inputs).unwrap();
-        let reports = [
-            ("pipeline", pipeline.simulation),
-            ("single", single.run(&inputs).unwrap()),
-            ("multi", multi.run(&inputs).unwrap()),
-        ];
-        for (design, report) in &reports {
-            assert!(report.completed(), "{context} {design}");
-            assert_eq!(report.outputs.len(), fused.outputs().len());
-            for output in fused.outputs() {
-                let context = format!("{context} {design} `{output}`");
-                let theirs = want.field(output).unwrap();
-                assert_same_bits(&context, report.output(output), theirs);
-            }
-        }
-        assert_shared_run(&format!("{context} fused"), fused, &inputs, &want);
-        let unfused = interpreter.run_interpreted(program, &inputs).unwrap();
-        assert_shared_run(&format!("{context} unfused"), program, &inputs, &unfused);
+    jit_available().expect("system cc must be available for JIT tests");
+    for program in &programs {
+        land(program);
+        land(&fuse_all(program).unwrap());
+    }
+    for (ix, program) in programs.iter().enumerate() {
+        job(program, order.len() + ix);
     }
 }

@@ -7,18 +7,21 @@ use std::time::Instant;
 
 use stencilflow::core::AnalysisConfig;
 use stencilflow::dataflow::fuse_all;
-use stencilflow::reference::{generate_inputs, ReferenceExecutor, RunSpec, Tier};
+use stencilflow::reference::{generate_inputs, jit_cache_stats, ReferenceExecutor, RunSpec, Tier};
 use stencilflow::sim::{SimConfig, Simulator};
 use stencilflow::workloads::{chain_program, ChainSpec};
 
 /// `Simulator::run` on the `sim-pipeline` chain (32 stages on 64×16×16,
 /// after `fuse_all`, as `Pipeline` simulates it) against an `execute` of
-/// the same prepared program at the `Tier::Fused` ceiling — the sweep a
-/// completed simulation takes its outputs from — best of five interleaved
-/// runs each. The simulation must cost at most twice the sweep: the timing
-/// loop may cost as much as the values, not more. Stepping all 16 448
-/// cycles made it about three times; jumping the linear stretches takes it
-/// to about 1.1. A ratio does not depend on how fast the host is.
+/// the same prepared program at the `Tier::Fused` ceiling, best of five
+/// interleaved runs each. A simulation takes its outputs from a fused sweep
+/// until its program's fused sweeps have cost one native build, and five
+/// runs (about 14 ms of sweeps) stay well under it — no JIT module is asked
+/// for, which the engine's counters confirm — so the two are like for
+/// like. The simulation must cost at most twice the sweep: the timing loop
+/// may cost as much as the values, not more. Stepping all 16 448 cycles
+/// made it about three times; jumping the linear stretches takes it to
+/// about 1.1. A ratio does not depend on how fast the host is.
 #[test]
 fn simulating_costs_at_most_twice_the_sweep_it_takes_its_outputs_from() {
     let program = chain_program(&ChainSpec::new(32, 8).with_shape(&[64, 16, 16]));
@@ -47,6 +50,10 @@ fn simulating_costs_at_most_twice_the_sweep_it_takes_its_outputs_from() {
         best[1] = best[1].min(start.elapsed().as_secs_f64());
         assert_eq!(tier, Tier::Fused);
         std::hint::black_box(result);
+    }
+    if let Some(stats) = jit_cache_stats() {
+        let requested = (stats.hits, stats.misses);
+        assert_eq!(requested, (0, 0), "the simulation stayed on the fused rung");
     }
     let [simulate, sweep] = best.map(|s| s * 1e3);
     assert!(
