@@ -25,7 +25,7 @@
 
 use crate::diag::{AnalysisReport, Diagnostic, Severity};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use stencilflow_expr::{verify_kernel, CompiledKernel, DataType};
+use stencilflow_expr::{verify_kernel, DataType};
 use stencilflow_program::{AccessFootprints, StencilProgram};
 
 /// Run every program-level check on `program`.
@@ -221,7 +221,7 @@ fn check_footprints(program: &StencilProgram, report: &mut AnalysisReport) {
 /// program at once.
 fn check_kernels(program: &StencilProgram, report: &mut AnalysisReport) {
     for stencil in program.stencils() {
-        let kernel = match CompiledKernel::compile(&stencil.program) {
+        let kernel = match stencil.kernel() {
             Ok(kernel) => kernel,
             Err(e) => {
                 report.diagnostics.push(Diagnostic::new(
@@ -238,7 +238,7 @@ fn check_kernels(program: &StencilProgram, report: &mut AnalysisReport) {
             .iter()
             .map(|slot| program.field_type(&slot.field))
             .collect();
-        match verify_kernel(&kernel, slot_types.as_deref()) {
+        match verify_kernel(kernel, slot_types.as_deref()) {
             Err(e) => {
                 report.diagnostics.push(Diagnostic::new(
                     Severity::Error,

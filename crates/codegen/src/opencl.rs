@@ -3,7 +3,7 @@
 use crate::jit_unit::{emit_kernel, Dialect, EmitError, JitSlotKind, JitStageSpec};
 use std::fmt::Write as _;
 use stencilflow_core::{ChannelEndpoint, HardwareMapping, MemoryAccessKind};
-use stencilflow_expr::{AccessSlot, CompiledKernel, DataType};
+use stencilflow_expr::{AccessSlot, DataType};
 use stencilflow_program::{StencilNode, StencilProgram};
 
 fn channel_name(from: &ChannelEndpoint, to: &ChannelEndpoint) -> String {
@@ -58,7 +58,7 @@ fn compute_phase_lines(
         DataType::Float64 => false,
         dtype => return Err(EmitError::NonFloatOutput { dtype }),
     };
-    let kernel = CompiledKernel::compile(&stencil.program).map_err(EmitError::Compile)?;
+    let kernel = stencil.kernel().map_err(EmitError::Compile)?;
     let slot_types: Vec<DataType> = kernel
         .slots()
         .iter()
@@ -310,7 +310,7 @@ mod tests {
     /// from cells of its own type and the result stored into a cell of the
     /// output type, with the OpenCL slot reads and math builtins.
     fn stage_body_lines(program: &StencilProgram, stencil: &StencilNode) -> Vec<String> {
-        let kernel = CompiledKernel::compile(&stencil.program).unwrap();
+        let kernel = stencil.kernel().unwrap();
         let types: Vec<DataType> = (kernel.slots().iter())
             .map(|slot| program.field_type(&slot.field).unwrap())
             .collect();

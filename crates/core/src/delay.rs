@@ -79,7 +79,7 @@ impl DelayBufferAnalysis {
         config: &AnalysisConfig,
         plan: Option<&MultiDevicePlan>,
     ) -> Result<Self> {
-        let dag = program.dag()?;
+        let dag = program.dag();
         let width = config.effective_vectorization(program.vectorization()) as u64;
 
         // Per-edge initialization contribution: the delay the *consumer*
@@ -104,11 +104,11 @@ impl DelayBufferAnalysis {
         // Longest accumulated delay along any path, per node, in topological
         // order: arrival(v) = max over in-edges (arrival(u) + edge_init +
         // link latency) plus the node's compute critical path.
-        let order = dag.topological_order().map_err(CoreError::from)?;
+        let order = program.topological_nodes().map_err(CoreError::from)?;
         let mut arrival: BTreeMap<String, u64> = BTreeMap::new();
         let mut compute_latency = BTreeMap::new();
         let mut channels: Vec<ChannelDepth> = Vec::new();
-        for node in &order {
+        for node in order {
             let kind = dag.node_kind(node);
             let first = channels.len();
             let mut need = 0u64;

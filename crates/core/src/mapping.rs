@@ -141,7 +141,7 @@ impl HardwareMapping {
         config: &AnalysisConfig,
     ) -> Result<Self> {
         let (internal, delay) = (&analysis.internal, &analysis.delay);
-        let dag = program.dag()?;
+        let dag = program.dag();
         let width = config.effective_vectorization(program.vectorization());
         let full_rank = program.space().rank();
 

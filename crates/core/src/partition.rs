@@ -210,7 +210,7 @@ impl MultiDevicePlan {
 
         let mut input_readers: BTreeMap<String, BTreeSet<usize>> = BTreeMap::new();
         let mut remote_channels = Vec::new();
-        for stencil_name in &order {
+        for stencil_name in order {
             let stencil = program.stencil(stencil_name).expect("stencil exists");
             let consumer_device = device_of[stencil_name.as_str()];
             for (field, _) in stencil.accesses.iter() {

@@ -63,7 +63,7 @@ pub fn halo_radius(program: &StencilProgram) -> std::result::Result<usize, Progr
     let mut max_radius = 0i64;
     for name in program.topological_stencils()? {
         let stencil = program
-            .stencil(&name)
+            .stencil(name)
             .expect("topological order lists stencils");
         let mut r = 0i64;
         for (field, info) in stencil.accesses.iter() {
@@ -90,7 +90,7 @@ pub fn halo_radius(program: &StencilProgram) -> std::result::Result<usize, Progr
             r = r.max(upstream + reach);
         }
         max_radius = max_radius.max(r);
-        radius.insert(name, r);
+        radius.insert(name.clone(), r);
     }
     Ok(max_radius as usize)
 }

@@ -1,7 +1,7 @@
 //! `StencilFusion` (§V-B, Fig. 10): the greedy search for fusable
 //! producer/consumer pairs and the rewrite that merges a pair's code.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use stencilflow_expr::ast::{Expr, Program, Stmt};
 use stencilflow_program::{Result, StencilNode, StencilProgram};
 
@@ -38,7 +38,10 @@ fn try_fuse(
     if readers.next().map(|s| s.name.as_str()) != Some(consumer) || readers.next().is_some() {
         return Ok(None);
     }
-    if !absorbs(prod, cons) {
+    // Condition 2: identical boundary behaviour; condition 5: center-only
+    // accesses to the producer.
+    let center = (cons.accesses.get(producer)).is_some_and(|info| center_only(&info.offsets));
+    if !prod.boundary.behaviour_eq(&cons.boundary) || !center {
         return Ok(None);
     }
     let mut fused = program.clone();
@@ -48,19 +51,14 @@ fn try_fuse(
     Ok(Some(fused))
 }
 
-/// Conditions 2 and 5 for fusing `prod` into `cons`; the caller establishes
-/// conditions 3 and 4.
-fn absorbs(prod: &StencilNode, cons: &StencilNode) -> bool {
-    // Condition 2: identical boundary behaviour.
-    prod.boundary.behaviour_eq(&cons.boundary)
-        // Condition 5: center-only accesses to the producer.
-        && cons.accesses.get(&prod.name).is_some_and(|info| {
-            info.offsets.iter().all(|o| o.iter().all(|&x| x == 0))
-        })
+/// Condition 5 for one reader of a field: whether every access of it is at
+/// offset zero in every dimension.
+fn center_only(offsets: &BTreeSet<Vec<i64>>) -> bool {
+    offsets.iter().all(|o| o.iter().all(|&x| x == 0))
 }
 
-/// The node that replaces `cons` once `prod`, which it [`absorbs`], is fused
-/// into it.
+/// The node that replaces `cons` once `prod`, which `cons` alone reads and
+/// only at its center, under the same boundary behaviour, is fused into it.
 fn fused_node(prod: &StencilNode, cons: &StencilNode) -> Result<StencilNode> {
     let producer = prod.name.as_str();
     // Build the fused code: producer statements (locals renamed), a binding
@@ -184,21 +182,27 @@ pub fn fuse_all_with_report(program: &StencilProgram) -> Result<FusionOutcome> {
     let mut fused = Vec::new();
     loop {
         // Condition 3, for every field at once: how many stencils read it,
-        // and one of them (the only one where the count is 1).
-        let mut readers: HashMap<&str, (usize, &StencilNode)> = HashMap::new();
+        // and one of them (the only one where the count is 1) with
+        // condition 5 for it, read off the accesses while they are at hand.
+        let mut readers: HashMap<&str, (usize, &StencilNode, bool)> =
+            HashMap::with_capacity(current.stencil_count() + current.inputs().count());
         for stencil in current.stencils() {
-            for field in stencil.accesses.fields() {
-                readers.entry(field).or_insert((0, stencil)).0 += 1;
+            for (field, info) in stencil.accesses.iter() {
+                (readers.entry(field))
+                    .or_insert_with(|| (0, stencil, center_only(&info.offsets)))
+                    .0 += 1;
             }
         }
-        let fusable: HashMap<&str, &StencilNode> = current
-            .stencils()
-            .filter_map(|prod| match readers.get(prod.name.as_str()) {
-                // Condition 4: the producer must not be a program output.
-                Some(&(1, cons)) if !outputs.contains(prod.name.as_str()) => {
-                    absorbs(prod, cons).then_some((prod.name.as_str(), cons))
-                }
-                _ => None,
+        // Conditions 4 (the producer is no program output) and 2, only for
+        // the fields that pass 3 and 5: a program with nothing to fuse
+        // touches no stencil a second time.
+        let fusable: HashMap<&str, &StencilNode> = (readers.iter())
+            .filter(|&(&field, &(count, _, center))| {
+                count == 1 && center && !outputs.contains(field)
+            })
+            .filter_map(|(&field, &(_, cons, _))| {
+                let prod = current.stencil(field)?;
+                (prod.boundary.behaviour_eq(&cons.boundary)).then_some((field, cons))
             })
             .collect();
         if fusable.is_empty() {
@@ -207,12 +211,12 @@ pub fn fuse_all_with_report(program: &StencilProgram) -> Result<FusionOutcome> {
         let order = current.topological_stencils()?;
         let (producer, cons) = order
             .iter()
-            .find_map(|name| fusable.get(name.as_str()).map(|cons| (name, cons)))
+            .find_map(|name| fusable.get(name.as_str()).map(|cons| (name.clone(), cons)))
             .expect("every fusable producer is a stencil of the order");
-        let prod = current.stencil(producer).expect("ordered stencils exist");
+        let prod = current.stencil(&producer).expect("ordered stencils exist");
         let node = fused_node(prod, cons)?;
-        fused.push((producer.clone(), node.name.clone()));
-        current.remove_stencil(producer);
+        current.remove_stencil(&producer);
+        fused.push((producer, node.name.clone()));
         current.insert_stencil(node);
     }
     if !fused.is_empty() {
@@ -322,7 +326,7 @@ mod tests {
         let mut current = program.clone();
         let mut fused = Vec::new();
         'rounds: loop {
-            let order = current.topological_stencils().unwrap();
+            let order = current.topological_stencils().unwrap().to_vec();
             for producer in &order {
                 for consumer in &order {
                     let reads = current.stencil(consumer).unwrap().reads(producer);

@@ -36,21 +36,43 @@ impl BoundaryCondition {
         }
     }
 
-    /// Parse the wire representation. Returns a human-readable message on
-    /// schema violations.
-    pub(crate) fn from_json(value: &Json) -> Result<Self, String> {
+    /// Parse the wire representation.
+    pub(crate) fn from_json(value: &Json) -> Result<Self, BoundaryJsonError> {
         let kind = value
             .get("type")
             .and_then(Json::as_str)
-            .ok_or_else(|| "boundary condition must be an object with a `type` key".to_string())?;
+            .ok_or(BoundaryJsonError::MissingType)?;
         match kind {
             "constant" => Ok(BoundaryCondition::Constant(
                 value.get("value").and_then(Json::as_f64).unwrap_or(0.0),
             )),
             "copy" => Ok(BoundaryCondition::Copy),
-            other => Err(format!(
-                "unknown boundary condition type `{other}` (expected `constant` or `copy`)"
-            )),
+            other => Err(BoundaryJsonError::UnknownType {
+                kind: other.to_string(),
+            }),
+        }
+    }
+}
+
+/// Why the wire representation of a [`BoundaryCondition`] does not parse.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum BoundaryJsonError {
+    /// Not an object with a string `type` key.
+    MissingType,
+    /// A `type` that names no condition.
+    UnknownType { kind: String },
+}
+
+impl fmt::Display for BoundaryJsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BoundaryJsonError::MissingType => {
+                f.write_str("boundary condition must be an object with a `type` key")
+            }
+            BoundaryJsonError::UnknownType { kind } => write!(
+                f,
+                "unknown boundary condition type `{kind}` (expected `constant` or `copy`)"
+            ),
         }
     }
 }
@@ -180,6 +202,32 @@ mod tests {
             &stencilflow_json::parse(r#"{"type": "explode"}"#).unwrap()
         )
         .is_err());
+    }
+
+    #[test]
+    fn each_misuse_has_its_own_error_and_text() {
+        let parse = |text: &str| {
+            BoundaryCondition::from_json(&stencilflow_json::parse(text).unwrap()).unwrap_err()
+        };
+        for text in [r#"{"value": 1}"#, r#"{"type": 3}"#, r#""copy""#] {
+            let error = parse(text);
+            assert_eq!(error, BoundaryJsonError::MissingType, "{text}");
+            assert_eq!(
+                error.to_string(),
+                "boundary condition must be an object with a `type` key"
+            );
+        }
+        let error = parse(r#"{"type": "explode"}"#);
+        assert_eq!(
+            error,
+            BoundaryJsonError::UnknownType {
+                kind: "explode".to_string()
+            }
+        );
+        assert_eq!(
+            error.to_string(),
+            "unknown boundary condition type `explode` (expected `constant` or `copy`)"
+        );
     }
 
     #[test]

@@ -67,13 +67,9 @@ impl StencilDag {
         format!("{stencil}__out")
     }
 
-    /// Build the DAG of a validated stencil program.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProgramError::UnknownField`] if a stencil reads a symbol
-    /// that is neither an input nor a stencil.
-    pub(crate) fn from_program(program: &StencilProgram) -> Result<Self> {
+    /// Build the DAG of a stencil program. A read of a symbol that is
+    /// neither an input nor a stencil adds no edge: validation reports it.
+    pub(crate) fn from_program(program: &StencilProgram) -> Self {
         let mut dag = StencilDag::default();
         for (name, _) in program.inputs() {
             dag.add_node(name, NodeKind::Input);
@@ -85,11 +81,6 @@ impl StencilDag {
             for (field, _) in stencil.accesses.iter() {
                 if program.is_input(field) || program.is_stencil(field) {
                     dag.add_edge(field, &stencil.name, field);
-                } else {
-                    return Err(ProgramError::UnknownField {
-                        stencil: stencil.name.clone(),
-                        field: field.to_string(),
-                    });
                 }
             }
         }
@@ -98,7 +89,7 @@ impl StencilDag {
             dag.add_node(&sink, NodeKind::Output);
             dag.add_edge(output, &sink, output);
         }
-        Ok(dag)
+        dag
     }
 
     /// Create an empty DAG (used by tests and synthetic-graph tooling).
@@ -222,7 +213,7 @@ impl StencilDag {
     /// # Errors
     ///
     /// Returns [`ProgramError::Cycle`] if the graph contains a cycle.
-    pub fn topological_order(&self) -> Result<Vec<String>> {
+    pub(crate) fn topological_order(&self) -> Result<Vec<String>> {
         let (order, in_degree) = self.kahn();
         if let Some((stuck, _)) = in_degree.iter().find(|(_, &rest)| rest > 0) {
             return Err(ProgramError::Cycle {

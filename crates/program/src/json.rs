@@ -26,6 +26,7 @@
 use crate::boundary::{BoundaryCondition, BoundarySpec};
 use crate::error::{ProgramError, Result};
 use crate::program::{StencilProgram, StencilProgramBuilder};
+use std::collections::HashSet;
 use stencilflow_expr::DataType;
 use stencilflow_json::Json;
 
@@ -44,8 +45,9 @@ fn check_unique_keys(value: &Json, context: &str) -> Result<()> {
     let Some(members) = value.as_object() else {
         return Ok(());
     };
-    for (ix, (key, _)) in members.iter().enumerate() {
-        if members[..ix].iter().any(|(seen, _)| seen == key) {
+    let mut seen = HashSet::with_capacity(members.len());
+    for (key, _) in members {
+        if !seen.insert(key.as_str()) {
             return Err(schema_error(format!("duplicate key `{key}` in {context}")));
         }
     }
@@ -445,6 +447,34 @@ mod tests {
           "program": { "b": "a[i]" }
         }"#;
         assert!(matches!(from_json(text), Err(ProgramError::Json { .. })));
+    }
+
+    #[test]
+    fn the_first_duplicate_key_is_reported() {
+        let message = |text: &str| match from_json(text) {
+            Err(ProgramError::Json { message }) => message,
+            other => panic!("expected a schema error, got {other:?}"),
+        };
+        // `b` repeats before `a` does, so `b` is the first duplicate.
+        let text = r#"{
+          "inputs": { "x": {"dtype": "float32", "dims": ["i"]} },
+          "outputs": ["a"],
+          "shape": [16],
+          "program": { "a": "x[i]", "b": "x[i]", "b": "a[i]", "a": "b[i]" }
+        }"#;
+        assert_eq!(message(text), "duplicate key `b` in `program`");
+        let text = r#"{
+          "inputs": { "x": {"dtype": "float32", "dims": ["i"], "dtype": "float64"} },
+          "outputs": ["b"],
+          "shape": [16],
+          "program": { "b": "x[i]" }
+        }"#;
+        assert_eq!(message(text), "duplicate key `dtype` in input `x`");
+        let text = r#"{ "shape": [16], "shape": [8] }"#;
+        assert_eq!(
+            message(text),
+            "duplicate key `shape` in the program description"
+        );
     }
 
     #[test]

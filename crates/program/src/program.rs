@@ -7,25 +7,60 @@ use crate::graph::StencilDag;
 use crate::stencil::StencilNode;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use stencilflow_expr::{DataType, OpCount};
 
 /// A complete stencil program: iteration space, input fields, stencil nodes,
 /// and designated outputs (§II of the paper).
 ///
-/// Equality and the `Debug` rendering cover the program only, not the
-/// fingerprint it keeps once computed.
+/// A program derives three things once and keeps them: its fingerprint,
+/// its DAG with the two topological orders, and (in each stencil node) the
+/// compiled kernel. The `&mut` methods clear the first two; a node keeps
+/// its kernel for as long as it lives. The nodes are shared, so a clone
+/// costs one reference count per stencil and carries everything derived.
+/// Equality and the `Debug` rendering cover the program only, not what it
+/// keeps.
 #[derive(Clone)]
 pub struct StencilProgram {
     name: String,
     space: IterationSpace,
     inputs: BTreeMap<String, FieldDecl>,
-    stencils: BTreeMap<String, StencilNode>,
+    stencils: BTreeMap<String, Arc<StencilNode>>,
     outputs: Vec<String>,
     vectorization: usize,
-    /// [`StencilProgram::fingerprint`], computed on first use; the `&mut`
-    /// methods clear it.
+    /// [`StencilProgram::fingerprint`], computed on first use.
     fingerprint: OnceLock<u64>,
+    /// The DAG and its orders, built on first use ([`StencilProgram::validate`]
+    /// builds them at the latest).
+    derived: OnceLock<Arc<Derived>>,
+}
+
+/// What a program derives from its structure: the DAG and its orders.
+struct Derived {
+    dag: StencilDag,
+    /// Every DAG node in topological order, or the cycle that prevents one.
+    order: Result<Vec<String>>,
+    /// The stencils of `order`, in that order.
+    stencils: Vec<String>,
+}
+
+impl Derived {
+    fn of(program: &StencilProgram) -> Self {
+        let dag = StencilDag::from_program(program);
+        let order = dag.topological_order();
+        let stencils = match &order {
+            Ok(order) => (order.iter())
+                .filter(|n| program.is_stencil(n))
+                .cloned()
+                .collect(),
+            Err(_) => Vec::new(),
+        };
+        Derived {
+            dag,
+            order,
+            stencils,
+        }
+    }
 }
 
 impl PartialEq for StencilProgram {
@@ -93,12 +128,12 @@ impl StencilProgram {
     /// Iterate over all stencil nodes (in name order; use
     /// [`StencilProgram::topological_stencils`] for dependency order).
     pub fn stencils(&self) -> impl Iterator<Item = &StencilNode> {
-        self.stencils.values()
+        self.stencils.values().map(Arc::as_ref)
     }
 
     /// Look up a stencil node by name.
     pub fn stencil(&self, name: &str) -> Option<&StencilNode> {
-        self.stencils.get(name)
+        self.stencils.get(name).map(Arc::as_ref)
     }
 
     /// Number of stencil nodes.
@@ -142,24 +177,36 @@ impl StencilProgram {
         }
     }
 
-    /// Build the dependency DAG over memories and stencils.
+    fn derived(&self) -> &Derived {
+        self.derived.get_or_init(|| Arc::new(Derived::of(self)))
+    }
+
+    /// The dependency DAG over memories and stencils, built on first use
+    /// and kept. An access to a field the program does not declare has no
+    /// edge (validation rejects such a program).
+    pub fn dag(&self) -> &StencilDag {
+        &self.derived().dag
+    }
+
+    /// Every DAG node (input memories, stencils, output memories) in
+    /// topological order, built with the DAG.
     ///
     /// # Errors
     ///
     /// Returns [`ProgramError::Cycle`] if the stencil dependencies are
     /// cyclic (validation normally catches this earlier).
-    pub fn dag(&self) -> Result<StencilDag> {
-        StencilDag::from_program(self)
+    pub fn topological_nodes(&self) -> Result<&[String]> {
+        self.derived().order.as_deref().map_err(Clone::clone)
     }
 
-    /// Stencil names in topological (dependency) order.
-    pub fn topological_stencils(&self) -> Result<Vec<String>> {
-        let dag = self.dag()?;
-        Ok(dag
-            .topological_order()?
-            .into_iter()
-            .filter(|n| self.is_stencil(n))
-            .collect())
+    /// Stencil names in topological (dependency) order, built with the DAG.
+    ///
+    /// # Errors
+    ///
+    /// As [`StencilProgram::topological_nodes`].
+    pub fn topological_stencils(&self) -> Result<&[String]> {
+        self.topological_nodes()?;
+        Ok(&self.derived().stencils)
     }
 
     /// The output-to-input feedback pairing of time stepping, `(output,
@@ -294,15 +341,22 @@ impl StencilProgram {
 
     /// Remove a stencil node (used by fusion). The caller is responsible for
     /// re-validating afterwards.
-    pub fn remove_stencil(&mut self, name: &str) -> Option<StencilNode> {
-        self.fingerprint.take();
+    pub fn remove_stencil(&mut self, name: &str) -> Option<Arc<StencilNode>> {
+        self.forget_derived();
         self.stencils.remove(name)
     }
 
     /// Insert or replace a stencil node (used by fusion and generators).
     pub fn insert_stencil(&mut self, node: StencilNode) {
+        self.forget_derived();
+        self.stencils.insert(node.name.clone(), Arc::new(node));
+    }
+
+    /// Clear what was derived from the program's structure; the nodes keep
+    /// their kernels.
+    fn forget_derived(&mut self) {
         self.fingerprint.take();
-        self.stencils.insert(node.name.clone(), node);
+        self.derived.take();
     }
 
     /// Validate the program: name uniqueness, resolvable accesses, access
@@ -411,9 +465,8 @@ impl StencilProgram {
                 }
             }
         }
-        // Acyclicity.
-        let dag = self.dag()?;
-        dag.topological_order()?;
+        // Acyclicity; builds the DAG and its orders, which the program keeps.
+        self.topological_nodes()?;
         Ok(())
     }
 }
@@ -547,7 +600,7 @@ impl StencilProgramBuilder {
             if let Some(dtype) = self.output_types.get(name) {
                 node.output_type = *dtype;
             }
-            stencils.insert(name.clone(), node);
+            stencils.insert(name.clone(), Arc::new(node));
         }
         let program = StencilProgram {
             name: self.name,
@@ -557,6 +610,7 @@ impl StencilProgramBuilder {
             outputs: self.outputs,
             vectorization: self.vectorization,
             fingerprint: OnceLock::new(),
+            derived: OnceLock::new(),
         };
         program.validate()?;
         Ok(program)
@@ -645,7 +699,7 @@ mod tests {
         }
         // The name alone is fine as long as `b` is not an output.
         let program = builder.output("b__out").build().unwrap();
-        assert_eq!(program.dag().unwrap().nodes().count(), 4);
+        assert_eq!(program.dag().nodes().count(), 4);
     }
 
     #[test]
@@ -809,5 +863,26 @@ mod tests {
         assert_eq!(format!("{program:?}"), rendered);
         assert_eq!(program, simple().build().unwrap());
         assert_eq!(program.clone().fingerprint.get(), Some(&fingerprint));
+        // Nor do the DAG and the kernels, once derived.
+        let derived = simple().build().unwrap();
+        assert!(derived.derived.get().is_some(), "validation builds the DAG");
+        for stencil in derived.stencils() {
+            stencil.kernel().unwrap();
+        }
+        assert_eq!(format!("{derived:?}"), rendered);
+        assert_eq!(derived, program);
+        assert_eq!(derived.fingerprint(), fingerprint);
+    }
+
+    #[test]
+    fn the_mut_methods_clear_the_derived_dag() {
+        let mut program = simple().build().unwrap();
+        let before = program.topological_nodes().unwrap().to_vec();
+        program.insert_stencil(StencilNode::parse("c", "b[i,j,k] + 1.0").unwrap());
+        assert!(program.derived.get().is_none());
+        assert!(program.fingerprint.get().is_none());
+        assert_eq!(program.topological_stencils().unwrap(), ["b", "c"]);
+        program.remove_stencil("c");
+        assert_eq!(program.topological_nodes().unwrap(), before);
     }
 }

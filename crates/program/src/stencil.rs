@@ -2,9 +2,12 @@
 
 use crate::boundary::BoundarySpec;
 use crate::error::{ProgramError, Result};
+use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 use stencilflow_expr::{
-    count_ops, critical_path_latency, AccessExtractor, DataType, FieldAccesses, LatencyTable,
-    OpCount, Program,
+    count_ops, critical_path_latency, AccessExtractor, CompiledKernel, DataType, ExprError,
+    FieldAccesses, LatencyTable, OpCount, Program,
 };
 
 /// One stencil operation in the program DAG.
@@ -19,14 +22,49 @@ pub struct StencilNode {
     pub name: String,
     /// Original source text of the code segment.
     pub code: String,
-    /// Parsed code segment.
-    pub program: Program,
+    /// Parsed code segment, read-only, with the kernel compiled from it.
+    pub program: ParsedCode,
     /// Access pattern extracted from the code segment.
     pub accesses: FieldAccesses,
     /// Boundary conditions for this node.
     pub boundary: BoundarySpec,
     /// Output element type.
     pub output_type: DataType,
+}
+
+/// A stencil's parsed code segment and, once [`StencilNode::kernel`] asked
+/// for it, the kernel compiled from it.
+///
+/// The AST is read-only: this derefs to it, so `&node.program` still reads
+/// as a `&Program`, and nothing hands out `&mut`. The kernel lives beside
+/// it, so the kernel cannot go stale: replacing the code replaces its
+/// kernel too. Equality and the `Debug` rendering are
+/// the AST's alone, so the stored kernel moves no program fingerprint. A
+/// clone shares the kernel.
+#[derive(Clone)]
+pub struct ParsedCode {
+    ast: Program,
+    kernel: OnceLock<std::result::Result<Arc<CompiledKernel>, ExprError>>,
+}
+
+impl Deref for ParsedCode {
+    type Target = Program;
+
+    fn deref(&self) -> &Program {
+        &self.ast
+    }
+}
+
+impl PartialEq for ParsedCode {
+    fn eq(&self, other: &Self) -> bool {
+        self.ast == other.ast
+    }
+}
+
+impl fmt::Debug for ParsedCode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.ast, f)
+    }
 }
 
 impl StencilNode {
@@ -45,11 +83,29 @@ impl StencilNode {
         Ok(StencilNode {
             name: name.to_string(),
             code: code.to_string(),
-            program,
+            program: ParsedCode {
+                ast: program,
+                kernel: OnceLock::new(),
+            },
             accesses,
             boundary: BoundarySpec::default(),
             output_type: DataType::Float32,
         })
+    }
+
+    /// The code segment compiled to slot-resolved bytecode. It is compiled
+    /// on the first call and kept, so later calls, and every program that
+    /// shares this node, get the same kernel.
+    ///
+    /// # Errors
+    ///
+    /// Returns the compile error of a code segment that does not compile.
+    pub fn kernel(&self) -> std::result::Result<&Arc<CompiledKernel>, ExprError> {
+        let code = &self.program;
+        let kernel = code
+            .kernel
+            .get_or_init(|| CompiledKernel::compile(&code.ast).map(Arc::new));
+        kernel.as_ref().map_err(Clone::clone)
     }
 
     /// Names of the fields this stencil reads (inputs or other stencils).

@@ -709,7 +709,7 @@ impl ReferenceExecutor {
         let space = program.space();
         let order = program.topological_stencils()?;
         let mut stencils = Vec::with_capacity(order.len());
-        for name in &order {
+        for name in order {
             let stencil = program
                 .stencil(name)
                 .expect("topological order only lists stencils");
@@ -967,7 +967,7 @@ impl ReferenceExecutor {
         let order = program.topological_stencils()?;
         let dim_refs: Vec<&str> = space.dims.iter().map(String::as_str).collect();
 
-        for name in &order {
+        for name in order {
             let stencil = program
                 .stencil(name)
                 .expect("topological order only lists stencils");

@@ -23,6 +23,7 @@
 //! fuse plan's business (`fuse.rs`), which sweeps every stencil.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use stencilflow_expr::{CompiledKernel, DataType, ExprError, TypedKernel, Value};
 use stencilflow_program::{IterationSpace, StencilNode, StencilProgram};
 
@@ -40,7 +41,8 @@ pub(crate) fn declared_shape(space: &IterationSpace, dims: &[String]) -> Vec<usi
 /// Owns no grid data; reusable across runs.
 pub(crate) struct CompiledStencil {
     name: String,
-    kernel: CompiledKernel,
+    /// The stencil node's own kernel, shared with the program.
+    kernel: Arc<CompiledKernel>,
     /// Type-specialized kernel, present when every op's type is static.
     typed: Option<TypedKernel>,
     /// Element type of every kernel slot, in slot order (the types the
@@ -68,7 +70,7 @@ impl CompiledStencil {
         program: &StencilProgram,
         stencil: &StencilNode,
     ) -> Result<CompiledStencil, ExprError> {
-        let kernel = CompiledKernel::compile(&stencil.program)?;
+        let kernel = Arc::clone(stencil.kernel()?);
         let space = program.space();
         let slot_types = kernel
             .slots()

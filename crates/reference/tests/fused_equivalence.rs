@@ -1147,7 +1147,7 @@ fn hdiff_wavefront_lags_and_depths() {
     let footprints = AccessFootprints::of_program(&program);
     let mut lag: BTreeMap<&str, i64> = BTreeMap::new();
     let mut reach: BTreeMap<&str, i64> = BTreeMap::new();
-    let order = program.dag().unwrap().topological_order().unwrap();
+    let order = program.topological_nodes().unwrap();
     let stencils: Vec<_> = order.iter().filter_map(|n| program.stencil(n)).collect();
     for stencil in &stencils {
         let taps: Vec<(&str, i64, i64)> = footprints

@@ -576,7 +576,7 @@ pub(crate) fn simulate(
 
     // Stencil units, in topological order.
     let mut units: Vec<StencilUnitSim> = Vec::new();
-    for name in &program.topological_stencils()? {
+    for name in program.topological_stencils()? {
         let stencil = program.stencil(name).expect("topological order is valid");
         let mut input_channels = BTreeMap::new();
         for (field, _) in stencil.accesses.iter() {

@@ -183,7 +183,7 @@ impl Simulator {
         }
 
         // Stencil units in topological order.
-        for name in &program.topological_stencils()? {
+        for name in program.topological_stencils()? {
             let stencil = program
                 .stencil(name)
                 .ok_or_else(|| internal(format!("`{name}` is ordered but not a stencil")))?;

@@ -78,7 +78,7 @@ mod tests {
     #[test]
     fn chains_are_linear() {
         let program = diffusion2d(4, &[32, 32], 1);
-        let dag = program.dag().unwrap();
+        let dag = program.dag();
         assert!(!dag.requires_delay_buffers());
     }
 

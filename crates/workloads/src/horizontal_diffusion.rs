@@ -278,7 +278,7 @@ mod tests {
     #[test]
     fn dependency_complexity_requires_delay_buffers() {
         let program = horizontal_diffusion(&HorizontalDiffusionSpec::small());
-        let dag = program.dag().unwrap();
+        let dag = program.dag();
         assert!(dag.requires_delay_buffers());
         // Each update stencil receives data from several producers
         // (paper: 2-6 other stencil nodes).

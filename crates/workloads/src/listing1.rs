@@ -43,7 +43,7 @@ mod tests {
         assert_eq!(program.stencil_count(), 5);
         assert_eq!(program.inputs().count(), 3);
         assert_eq!(program.outputs(), &["b4".to_string()]);
-        let dag = program.dag().unwrap();
+        let dag = program.dag();
         assert!(dag.has_edge("b0", "b1"));
         assert!(dag.has_edge("b0", "b2"));
         assert!(dag.has_edge("b1", "b3"));

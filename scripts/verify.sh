@@ -28,8 +28,14 @@
 #                                  once its fused runs have cost one
 #                                  native build, and every output before
 #                                  and after the switch is the
-#                                  interpreter's in bits; no timing floor —
-#                                  speed floors live in gate 11 only)
+#                                  interpreter's in bits; the derivation
+#                                  test, tests/derive_once.rs: a program
+#                                  builds its DAG once, each stencil
+#                                  compiles its kernel once, clones and
+#                                  fusion share both, and four
+#                                  fingerprints stay pinned; no timing
+#                                  floor — speed floors live in gate 11
+#                                  only)
 #   4. cargo clippy -D warnings  — lints
 #   5. cargo doc -D warnings     — documentation (intra-doc links included)
 #   6. analyze --check           — the static-analysis gate: every workload

@@ -8,6 +8,7 @@ use std::time::Instant;
 use stencilflow::codegen::generate_kernels;
 use stencilflow::core::{AnalysisConfig, HardwareMapping};
 use stencilflow::dataflow::fuse_all;
+use stencilflow::program::{from_json, to_json};
 use stencilflow::workloads::{chain_program, ChainSpec};
 
 /// The two calls that were quadratic in the number of stencils, timed on a
@@ -19,6 +20,14 @@ use stencilflow::workloads::{chain_program, ChainSpec};
 /// about as long as one run of the large chain: on a busy core the scheduler
 /// then takes the same share from both, instead of preempting only the runs
 /// that outlast a time slice.
+///
+/// Each run gets a program parsed afresh, outside the timed region, and
+/// both calls time that one program. A stencil keeps the kernel it compiled,
+/// so a second code generation on one program would skip the compiles the
+/// guard is there to time. And a sample of the small chain then touches four
+/// programs as the large one touches one: both sizes run on the same amount
+/// of just-written memory, instead of the small chain's last three runs
+/// finding its one program in the cache.
 #[test]
 fn fusion_and_codegen_cost_grows_linearly_with_the_dag() {
     const GROWTH: usize = 4;
@@ -26,23 +35,26 @@ fn fusion_and_codegen_cost_grows_linearly_with_the_dag() {
     let chains = [(512, GROWTH), (512 * GROWTH, 1)].map(|(stages, runs)| {
         let program = chain_program(&ChainSpec::new(stages, 8));
         let mapping = HardwareMapping::build(&program, &config).unwrap();
-        (program, mapping, runs)
+        (to_json(&program), mapping, runs)
     });
     let mut fuse_us = [Vec::new(), Vec::new()];
     let mut codegen_us = [Vec::new(), Vec::new()];
     // Results stay alive to the end: freeing a large program between two
     // timings would bill the allocator's clean-up to whichever comes next.
+    let mut parsed = Vec::new();
     let mut fused = Vec::new();
     let mut kernels = Vec::new();
     for _ in 0..5 {
-        for (size, (program, mapping, runs)) in chains.iter().enumerate() {
+        for (size, (text, mapping, runs)) in chains.iter().enumerate() {
+            let programs: Vec<_> = (0..*runs).map(|_| from_json(text).unwrap()).collect();
             let start = Instant::now();
-            fused.extend((0..*runs).map(|_| fuse_all(program).unwrap()));
+            fused.extend(programs.iter().map(|p| fuse_all(p).unwrap()));
             fuse_us[size].push(start.elapsed().as_secs_f64() * 1e6 / *runs as f64);
             let start = Instant::now();
-            kernels.extend((0..*runs).map(|_| generate_kernels(program, mapping)));
+            kernels.extend(programs.iter().map(|p| generate_kernels(p, mapping)));
             codegen_us[size].push(start.elapsed().as_secs_f64() * 1e6 / *runs as f64);
-            let stages = program.stencil_count();
+            let stages = programs[0].stencil_count();
+            parsed.extend(programs);
             assert_eq!(fused.last().unwrap().stencil_count(), stages);
             assert!(kernels.last().unwrap().len() > 500 * stages);
         }

@@ -89,8 +89,8 @@ proptest! {
     fn delay_analysis_invariants(program in arb_program()) {
         let config = AnalysisConfig::paper_defaults();
         let analysis = analyze(&program, &config).unwrap();
-        let dag = program.dag().unwrap();
-        check_invariants(&analysis.delay, &dag).unwrap();
+        let dag = program.dag();
+        check_invariants(&analysis.delay, dag).unwrap();
         for channel in analysis.delay.channels() {
             prop_assert!(analysis.delay.pipeline_latency() >= channel.edge_delay);
         }
