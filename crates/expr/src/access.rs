@@ -9,7 +9,7 @@
 //!   at constant offsets along the listed iteration variables;
 //! * bare identifiers that are not locals, e.g. `dt` — scalar ("0D") inputs.
 
-use crate::ast::{Expr, Program};
+use crate::ast::{Expr, Index, Program};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// All accesses a code segment performs on one field.
@@ -86,20 +86,30 @@ impl FieldAccesses {
         self.accesses.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Record an access (used by the extractor and by tests that construct
-    /// access patterns directly).
-    pub(crate) fn record(&mut self, field: &str, index_vars: &[String], offsets: Vec<i64>) {
-        let entry = self.accesses.entry(field.to_string()).or_default();
-        if entry.index_vars.is_empty() && !index_vars.is_empty() {
-            entry.index_vars = index_vars.to_vec();
+    /// The entry of `field`, created empty on its first access; the name is
+    /// copied only then.
+    fn entry(&mut self, field: &str) -> &mut FieldAccessInfo {
+        if !self.accesses.contains_key(field) {
+            self.accesses
+                .insert(field.to_string(), FieldAccessInfo::default());
         }
-        entry.offsets.insert(offsets);
+        self.accesses.get_mut(field).expect("inserted above")
+    }
+
+    /// Record an access at the given index expressions.
+    fn record(&mut self, field: &str, indices: &[Index]) {
+        let entry = self.entry(field);
+        if entry.index_vars.is_empty() && !indices.is_empty() {
+            entry.index_vars = indices.iter().map(|ix| ix.var.clone()).collect();
+        }
+        entry
+            .offsets
+            .insert(indices.iter().map(|ix| ix.offset).collect());
     }
 
     /// Record a scalar (0D) access.
     fn record_scalar(&mut self, field: &str) {
-        let entry = self.accesses.entry(field.to_string()).or_default();
-        entry.offsets.insert(Vec::new());
+        self.entry(field).offsets.insert(Vec::new());
     }
 }
 
@@ -134,11 +144,7 @@ impl AccessExtractor {
 
     fn walk(expr: &Expr, locals: &BTreeSet<&str>, accesses: &mut FieldAccesses) {
         expr.visit(&mut |node| match node {
-            Expr::FieldAccess { field, indices } => {
-                let vars: Vec<String> = indices.iter().map(|ix| ix.var.clone()).collect();
-                let offsets: Vec<i64> = indices.iter().map(|ix| ix.offset).collect();
-                accesses.record(field, &vars, offsets);
-            }
+            Expr::FieldAccess { field, indices } => accesses.record(field, indices),
             Expr::Var(name) if !locals.contains(name.as_str()) => {
                 accesses.record_scalar(name);
             }

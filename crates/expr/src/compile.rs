@@ -33,13 +33,14 @@
 //! `f64`s with compile-time `f32` rounding flags, skipping `Value` tagging
 //! and per-op promotion entirely (again bit-identical by construction).
 
-use crate::ast::{BinOp, Expr, MathFn, Program, Stmt, UnOp};
+use crate::ast::{BinOp, Expr, Index, MathFn, Program, Stmt, UnOp};
 use crate::error::{ExprError, Result};
 use crate::eval::{eval_math_fn, math_fn_raw, AccessResolver};
-use crate::fold::fold_program;
+use crate::fold::fold_changed;
 use crate::types::DataType;
 use crate::value::{CompareOp, Value};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// One distinct access of a compiled kernel: a field (or scalar symbol) at a
 /// fixed constant-offset vector. Scalar symbols have empty `offsets`.
@@ -143,11 +144,14 @@ impl CompiledKernel {
         if program.statements.is_empty() {
             return Err(ExprError::EmptyProgram);
         }
-        let folded = fold_program(program);
+        // Statements with nothing to fold are lowered from the AST itself.
+        let folded: Vec<Option<Expr>> = (program.statements.iter())
+            .map(|stmt| fold_changed(&stmt.value))
+            .collect();
         let mut compiler = Compiler::default();
-        let last = folded.statements.len() - 1;
-        for (idx, stmt) in folded.statements.iter().enumerate() {
-            compiler.lower_stmt(stmt, idx == last);
+        let last = program.statements.len() - 1;
+        for (idx, (stmt, folded)) in program.statements.iter().zip(&folded).enumerate() {
+            compiler.lower_stmt(stmt, folded.as_ref().unwrap_or(&stmt.value), idx == last);
         }
         let mut ops = compiler.ops;
         passes.run(&mut ops);
@@ -1121,18 +1125,90 @@ fn top_verified<'a, T>(stack: &'a mut [T], what: &str) -> &'a mut T {
     &mut stack[ix]
 }
 
-/// Lowering state.
+/// A multiply-xor hasher for the small keys the compiler and the optimizer
+/// hash per instruction (names, offsets, value numbers): they come from
+/// the compiler, not from an adversary, and SipHash would cost more than
+/// the lowering around it.
 #[derive(Default)]
-struct Compiler {
-    ops: Vec<Op>,
-    slots: Vec<AccessSlot>,
-    slot_index: BTreeMap<(String, Vec<i64>), u16>,
-    locals: BTreeMap<String, u16>,
+pub(crate) struct MulXorHasher(u64);
+
+impl Hasher for MulXorHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
 }
 
-impl Compiler {
-    fn lower_stmt(&mut self, stmt: &Stmt, is_last: bool) {
-        self.lower_expr(&stmt.value);
+/// A `HashMap` over [`MulXorHasher`].
+pub(crate) type MulXorMap<K, V> = HashMap<K, V, BuildHasherDefault<MulXorHasher>>;
+
+/// The key of one access slot, borrowed from the AST: a field (or scalar
+/// symbol) and its index expressions. Two keys are equal when the field
+/// and the offsets are; the index variables do not take part.
+#[derive(Clone, Copy)]
+struct SlotKey<'a> {
+    field: &'a str,
+    indices: &'a [Index],
+}
+
+impl PartialEq for SlotKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.field == other.field
+            && self.indices.len() == other.indices.len()
+            && (self.indices.iter().zip(other.indices)).all(|(a, b)| a.offset == b.offset)
+    }
+}
+
+impl Eq for SlotKey<'_> {}
+
+impl Hash for SlotKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.field.hash(state);
+        state.write_usize(self.indices.len());
+        for index in self.indices {
+            state.write_i64(index.offset);
+        }
+    }
+}
+
+/// Lowering state; its maps borrow their keys from the program lowered.
+#[derive(Default)]
+struct Compiler<'a> {
+    ops: Vec<Op>,
+    slots: Vec<AccessSlot>,
+    slot_index: MulXorMap<SlotKey<'a>, u16>,
+    locals: MulXorMap<&'a str, u16>,
+}
+
+impl<'a> Compiler<'a> {
+    /// Lower one statement whose (folded) right-hand side is `value`.
+    fn lower_stmt(&mut self, stmt: &'a Stmt, value: &'a Expr, is_last: bool) {
+        self.lower_expr(value);
         if is_last {
             // The final statement's value is the kernel result: leave it on
             // the stack (even when named — nothing can read the local).
@@ -1141,45 +1217,43 @@ impl Compiler {
         match &stmt.name {
             Some(name) => {
                 let next = self.locals.len() as u16;
-                let register = *self.locals.entry(name.clone()).or_insert(next);
+                let register = *self.locals.entry(name).or_insert(next);
                 self.ops.push(Op::Store(register));
             }
             None => self.ops.push(Op::Pop),
         }
     }
 
-    fn slot_for(&mut self, field: &str, index_vars: Vec<String>, offsets: Vec<i64>) -> u16 {
-        let key = (field.to_string(), offsets.clone());
+    fn slot_for(&mut self, field: &'a str, indices: &'a [Index]) -> u16 {
+        let key = SlotKey { field, indices };
         if let Some(&ix) = self.slot_index.get(&key) {
             return ix;
         }
         let ix = u16::try_from(self.slots.len()).expect("more than 65535 distinct accesses");
         self.slots.push(AccessSlot {
             field: field.to_string(),
-            offsets,
-            index_vars,
+            offsets: indices.iter().map(|ix| ix.offset).collect(),
+            index_vars: indices.iter().map(|ix| ix.var.clone()).collect(),
         });
         self.slot_index.insert(key, ix);
         ix
     }
 
-    fn lower_expr(&mut self, expr: &Expr) {
+    fn lower_expr(&mut self, expr: &'a Expr) {
         match expr {
             Expr::IntLit(v) => self.ops.push(Op::Const(Value::I64(*v))),
             Expr::FloatLit(v) => self.ops.push(Op::Const(Value::F64(*v))),
             Expr::Var(name) => {
-                if let Some(&register) = self.locals.get(name) {
+                if let Some(&register) = self.locals.get(name.as_str()) {
                     self.ops.push(Op::Local(register));
                 } else {
                     // Scalar symbol: resolved by the consumer at bind time.
-                    let slot = self.slot_for(name, Vec::new(), Vec::new());
+                    let slot = self.slot_for(name, &[]);
                     self.ops.push(Op::Slot(slot));
                 }
             }
             Expr::FieldAccess { field, indices } => {
-                let offsets: Vec<i64> = indices.iter().map(|ix| ix.offset).collect();
-                let vars: Vec<String> = indices.iter().map(|ix| ix.var.clone()).collect();
-                let slot = self.slot_for(field, vars, offsets);
+                let slot = self.slot_for(field, indices);
                 self.ops.push(Op::Slot(slot));
             }
             Expr::Unary { op, operand } => {

@@ -36,61 +36,87 @@ pub fn fold_program(program: &Program) -> Program {
 }
 
 fn fold_expr(expr: &Expr) -> Expr {
+    fold_changed(expr).unwrap_or_else(|| expr.clone())
+}
+
+/// The folded form of `expr` (see [`fold_program`]), or `None` when nothing
+/// in it folds, so a caller that only reads the result can borrow the
+/// original instead of a copy.
+pub(crate) fn fold_changed(expr: &Expr) -> Option<Expr> {
     match expr {
-        Expr::IntLit(_) | Expr::FloatLit(_) | Expr::Var(_) | Expr::FieldAccess { .. } => {
-            expr.clone()
-        }
+        Expr::IntLit(_) | Expr::FloatLit(_) | Expr::Var(_) | Expr::FieldAccess { .. } => None,
         Expr::Unary { op, operand } => {
-            let operand = fold_expr(operand);
-            match (&op, literal_value(&operand)) {
-                (UnOp::Neg, Some(v)) => value_to_literal(v.neg()),
-                _ => Expr::Unary {
-                    op: *op,
-                    operand: Box::new(operand),
-                },
+            let folded = fold_changed(operand);
+            if *op == UnOp::Neg {
+                if let Some(v) = literal_value(folded.as_ref().unwrap_or(operand)) {
+                    return Some(value_to_literal(v.neg()));
+                }
             }
+            folded.map(|operand| Expr::Unary {
+                op: *op,
+                operand: Box::new(operand),
+            })
         }
         Expr::Binary { op, lhs, rhs } => {
-            let lhs = fold_expr(lhs);
-            let rhs = fold_expr(rhs);
-            if let (Some(l), Some(r)) = (literal_value(&lhs), literal_value(&rhs)) {
+            let (l, r) = (fold_changed(lhs), fold_changed(rhs));
+            let literals = (
+                literal_value(l.as_ref().unwrap_or(lhs)),
+                literal_value(r.as_ref().unwrap_or(rhs)),
+            );
+            if let (Some(l), Some(r)) = literals {
                 if let Some(v) = fold_binary(*op, l, r) {
                     if v.data_type() != DataType::Bool {
-                        return value_to_literal(v);
+                        return Some(value_to_literal(v));
                     }
                 }
             }
-            Expr::Binary {
-                op: *op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
+            if l.is_none() && r.is_none() {
+                return None;
             }
+            Some(Expr::Binary {
+                op: *op,
+                lhs: Box::new(l.unwrap_or_else(|| (**lhs).clone())),
+                rhs: Box::new(r.unwrap_or_else(|| (**rhs).clone())),
+            })
         }
         Expr::Ternary {
             cond,
             then,
             otherwise,
         } => {
-            let cond = fold_expr(cond);
-            let then = fold_expr(then);
-            let otherwise = fold_expr(otherwise);
-            if let Some(c) = literal_value(&cond) {
-                return if c.as_bool() { then } else { otherwise };
+            let c = fold_changed(cond);
+            let (t, e) = (fold_changed(then), fold_changed(otherwise));
+            if let Some(c) = literal_value(c.as_ref().unwrap_or(cond)) {
+                return Some(if c.as_bool() {
+                    t.unwrap_or_else(|| (**then).clone())
+                } else {
+                    e.unwrap_or_else(|| (**otherwise).clone())
+                });
             }
-            Expr::Ternary {
-                cond: Box::new(cond),
-                then: Box::new(then),
-                otherwise: Box::new(otherwise),
+            if c.is_none() && t.is_none() && e.is_none() {
+                return None;
             }
+            Some(Expr::Ternary {
+                cond: Box::new(c.unwrap_or_else(|| (**cond).clone())),
+                then: Box::new(t.unwrap_or_else(|| (**then).clone())),
+                otherwise: Box::new(e.unwrap_or_else(|| (**otherwise).clone())),
+            })
         }
         Expr::Call { func, args } => {
-            let args: Vec<Expr> = args.iter().map(fold_expr).collect();
-            let literals: Option<Vec<Value>> = args.iter().map(literal_value).collect();
+            let folded: Vec<Option<Expr>> = args.iter().map(fold_changed).collect();
+            let now = || (folded.iter().zip(args)).map(|(f, a)| f.as_ref().unwrap_or(a));
+            let literals: Option<Vec<Value>> = now().map(literal_value).collect();
             if let Some(values) = literals {
                 // The evaluator calls the same function on the same values.
-                return value_to_literal(eval_math_fn(*func, &values));
+                return Some(value_to_literal(eval_math_fn(*func, &values)));
             }
-            Expr::Call { func: *func, args }
+            if folded.iter().all(Option::is_none) {
+                return None;
+            }
+            Some(Expr::Call {
+                func: *func,
+                args: now().cloned().collect(),
+            })
         }
     }
 }

@@ -3,19 +3,20 @@
 use crate::error::{ExprError, Result};
 
 /// A lexical token together with its byte position in the source string.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SpannedToken {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct SpannedToken<'a> {
     /// The token itself.
-    pub token: Token,
+    pub token: Token<'a>,
     /// Byte offset of the first character of the token.
     pub position: usize,
 }
 
-/// Lexical tokens of the stencil expression language.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Token {
+/// Lexical tokens of the stencil expression language. An identifier
+/// borrows its text from the source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Token<'a> {
     /// Identifier (field name, index variable, local variable, function name).
-    Ident(String),
+    Ident(&'a str),
     /// Integer literal.
     Int(i64),
     /// Floating-point literal.
@@ -66,7 +67,7 @@ pub(crate) enum Token {
     Not,
 }
 
-impl Token {
+impl Token<'_> {
     /// Short human-readable description used in parse error messages.
     pub(crate) fn describe(&self) -> String {
         match self {
@@ -111,9 +112,10 @@ impl Token {
 /// # Errors
 ///
 /// Returns [`ExprError::Lex`] if an unexpected character is encountered.
-pub(crate) fn tokenize(input: &str) -> Result<Vec<SpannedToken>> {
+pub(crate) fn tokenize(input: &str) -> Result<Vec<SpannedToken<'_>>> {
     let bytes = input.as_bytes();
-    let mut tokens = Vec::new();
+    // About one token per three bytes of stencil code.
+    let mut tokens = Vec::with_capacity(input.len() / 3 + 1);
     let mut pos = 0usize;
 
     while pos < bytes.len() {
@@ -362,7 +364,7 @@ pub(crate) fn tokenize(input: &str) -> Result<Vec<SpannedToken>> {
                     }
                 }
                 tokens.push(SpannedToken {
-                    token: Token::Ident(input[start..pos].to_string()),
+                    token: Token::Ident(&input[start..pos]),
                     position: start,
                 });
             }
@@ -381,7 +383,7 @@ pub(crate) fn tokenize(input: &str) -> Result<Vec<SpannedToken>> {
 mod tests {
     use super::*;
 
-    fn toks(input: &str) -> Vec<Token> {
+    fn toks(input: &str) -> Vec<Token<'_>> {
         tokenize(input)
             .unwrap()
             .into_iter()

@@ -9,8 +9,8 @@
 //! every consumer automatically evaluates (and emits code for) the
 //! optimized form.
 //!
-//! Three passes are provided, run in a fixed order by a `PassManager`
-//! (`CompiledKernel::compile` runs all three,
+//! Two passes are provided, run in a fixed order by a `PassManager`
+//! (`CompiledKernel::compile` runs both,
 //! `CompiledKernel::compile_unoptimized` none):
 //!
 //! * `IfConversion` — rewrites the jump diamonds produced by ternaries
@@ -22,9 +22,10 @@
 //! * `Cse` — common-subexpression elimination over pure operations
 //!   (taps, arithmetic, math functions): the bytecode is value-numbered
 //!   into a DAG and re-emitted with shared subcomputations held in local
-//!   registers.
-//! * `Dce` — dead-code elimination of unreferenced locals and discarded
-//!   statement results (the same DAG machinery without value numbering).
+//!   registers. The re-emission starts from the result and the discarded
+//!   values that can fail, so it is also the dead-code elimination:
+//!   unreferenced locals and discarded statement results are never
+//!   emitted.
 //!
 //! # Legality and bit-identity
 //!
@@ -50,22 +51,21 @@
 //!   operation on the same operands produce identical bits (and identical
 //!   errors — division deduplicates against itself). Re-emission preserves
 //!   per-operand evaluation order inside every expression.
-//! * DCE never drops a computation that could fail: discarded results
-//!   whose subtrees contain a division are kept alive as explicit
+//! * The rebuild never drops a computation that could fail: discarded
+//!   results whose subtrees contain a division are kept alive as explicit
 //!   evaluate-and-pop statements, so `x = 1 / 0; a[i]` still errors
 //!   exactly like the interpreter.
 //!
 //! Kernels that still carry jumps after if-conversion (an arm with a
-//! division keeps its diamond in the `Value` bytecode) skip CSE/DCE
+//! division keeps its diamond in the `Value` bytecode) skip CSE
 //! entirely — the passes return the stream unchanged, which is always
 //! legal.
 
 use crate::ast::BinOp;
-use crate::compile::{local_count_of, Op};
+use crate::compile::{local_count_of, MulXorMap, Op};
 use crate::types::DataType;
 use crate::value::Value;
 use std::borrow::Cow;
-use std::collections::HashMap;
 
 /// One transformation over the compiled instruction stream. Implementations
 /// must preserve kernel semantics bit for bit (see the module docs for the
@@ -89,13 +89,12 @@ impl PassManager {
     }
 
     /// The standard pipeline in its canonical order — if-conversion first
-    /// (selects expose the arms to value numbering), then CSE, then DCE
-    /// (cleaning up what CSE left dead).
+    /// (selects expose the arms to value numbering), then CSE, whose one
+    /// rebuild also drops what is dead.
     pub(crate) fn standard() -> Self {
         PassManager::new()
             .with_pass(Box::new(IfConversion))
             .with_pass(Box::new(Cse))
-            .with_pass(Box::new(Dce))
     }
 
     /// Append a pass to the pipeline.
@@ -394,7 +393,11 @@ fn apply_rewrite(ops: &mut Vec<Op>, rewrite: Rewrite) {
 /// eligible kernels) are value-numbered into a DAG — every operation keyed
 /// by its opcode and operand value numbers, constants by their exact bit
 /// pattern — and re-emitted with multiply-used interior nodes held in
-/// local registers. Streams still containing jumps are left untouched.
+/// local registers. Only what the result and the fallible discarded values
+/// reach is re-emitted, so unreferenced locals and discarded statement
+/// results vanish, except for computations that could fail (division),
+/// which are kept as explicit evaluate-and-discard statements. Streams
+/// still containing jumps are left untouched.
 pub(crate) struct Cse;
 
 impl Pass for Cse {
@@ -403,24 +406,14 @@ impl Pass for Cse {
     }
 
     fn run(&self, ops: &mut Vec<Op>) -> bool {
-        rebuild_through_dag(ops, true)
-    }
-}
-
-/// Dead-code elimination: unreferenced locals and discarded statement
-/// results vanish, except for computations that could fail (division),
-/// which are kept as explicit evaluate-and-discard statements. Same DAG
-/// machinery as [`Cse`], without the value numbering; jump-carrying
-/// streams are left untouched.
-pub(crate) struct Dce;
-
-impl Pass for Dce {
-    fn name(&self) -> &'static str {
-        "dce"
-    }
-
-    fn run(&self, ops: &mut Vec<Op>) -> bool {
-        rebuild_through_dag(ops, false)
+        let Some(rebuilt) = dag_rebuild(ops) else {
+            return false;
+        };
+        if rebuilt == *ops {
+            return false;
+        }
+        *ops = rebuilt;
+        true
     }
 }
 
@@ -458,31 +451,28 @@ fn const_payload(v: Value) -> u64 {
 }
 
 /// One node of the expression DAG: the original instruction (re-emitted
-/// verbatim), its operand nodes, and whether its subtree can fail.
+/// verbatim), its operand nodes (at most three, inline), and whether its
+/// subtree can fail.
 struct Node {
     op: Op,
-    args: Vec<usize>,
+    args: [usize; 3],
+    arity: u8,
     fallible: bool,
 }
 
-/// Rebuild a branch-free stream through the expression DAG: dead code
-/// drops out, and with `dedup` set, identical pure subcomputations merge.
-/// Returns whether the stream changed; jump-carrying streams are returned
-/// unchanged.
-fn rebuild_through_dag(ops: &mut Vec<Op>, dedup: bool) -> bool {
-    let Some(rebuilt) = dag_rebuild(ops, dedup) else {
-        return false;
-    };
-    if rebuilt == *ops {
-        return false;
+impl Node {
+    fn args(&self) -> &[usize] {
+        &self.args[..usize::from(self.arity)]
     }
-    *ops = rebuilt;
-    true
 }
 
-fn dag_rebuild(ops: &[Op], dedup: bool) -> Option<Vec<Op>> {
-    let mut nodes: Vec<Node> = Vec::new();
-    let mut memo: HashMap<NodeKey, usize> = HashMap::new();
+/// Rebuild a branch-free stream through the expression DAG: identical pure
+/// subcomputations merge, and only what the result and the fallible
+/// discarded values reach is emitted. Jump-carrying streams return `None`.
+fn dag_rebuild(ops: &[Op]) -> Option<Vec<Op>> {
+    let mut nodes: Vec<Node> = Vec::with_capacity(ops.len());
+    let mut memo: MulXorMap<NodeKey, usize> =
+        MulXorMap::with_capacity_and_hasher(ops.len(), Default::default());
     let mut stack: Vec<usize> = Vec::new();
     let mut locals: Vec<Option<usize>> = vec![None; local_count_of(ops)];
     // Values the original program computed and then discarded (anonymous
@@ -490,8 +480,8 @@ fn dag_rebuild(ops: &[Op], dedup: bool) -> Option<Vec<Op>> {
     // kept alive below when their subtree can fail.
     let mut discarded: Vec<usize> = Vec::new();
 
-    let mut intern = |nodes: &mut Vec<Node>, op: &Op, args: Vec<usize>| -> usize {
-        let key = match (op, args.as_slice()) {
+    let mut intern = |nodes: &mut Vec<Node>, op: &Op, args: &[usize]| -> usize {
+        let key = match (op, args) {
             (Op::Const(v), []) => NodeKey::Const(v.data_type(), const_payload(*v)),
             (Op::Slot(ix), []) => NodeKey::Slot(*ix),
             (Op::Unary(f), &[a]) => NodeKey::Unary(*f, a),
@@ -502,29 +492,28 @@ fn dag_rebuild(ops: &[Op], dedup: bool) -> Option<Vec<Op>> {
             (Op::Select, &[c, t, e]) => NodeKey::Select(c, t, e),
             _ => unreachable!("interned ops are pure"),
         };
-        if dedup {
-            if let Some(&hit) = memo.get(&key) {
-                return hit;
-            }
+        if let Some(&hit) = memo.get(&key) {
+            return hit;
         }
         let fallible =
             matches!(op, Op::Binary(BinOp::Div)) || args.iter().any(|&a| nodes[a].fallible);
         let id = nodes.len();
+        let mut inline = [0; 3];
+        inline[..args.len()].copy_from_slice(args);
         nodes.push(Node {
             op: *op,
-            args,
+            args: inline,
+            arity: args.len() as u8,
             fallible,
         });
-        if dedup {
-            memo.insert(key, id);
-        }
+        memo.insert(key, id);
         id
     };
 
     for op in ops {
         match op {
             Op::Const(_) | Op::Slot(_) => {
-                let id = intern(&mut nodes, op, Vec::new());
+                let id = intern(&mut nodes, op, &[]);
                 stack.push(id);
             }
             Op::Local(ix) => stack.push(locals[*ix as usize]?),
@@ -537,20 +526,20 @@ fn dag_rebuild(ops: &[Op], dedup: bool) -> Option<Vec<Op>> {
             Op::Pop => discarded.push(stack.pop()?),
             Op::Unary(_) | Op::Call1(_) | Op::ToBool => {
                 let a = stack.pop()?;
-                let id = intern(&mut nodes, op, vec![a]);
+                let id = intern(&mut nodes, op, &[a]);
                 stack.push(id);
             }
             Op::Binary(_) | Op::Call2(_) => {
                 let b = stack.pop()?;
                 let a = stack.pop()?;
-                let id = intern(&mut nodes, op, vec![a, b]);
+                let id = intern(&mut nodes, op, &[a, b]);
                 stack.push(id);
             }
             Op::Select => {
                 let otherwise = stack.pop()?;
                 let then = stack.pop()?;
                 let cond = stack.pop()?;
-                let id = intern(&mut nodes, op, vec![cond, then, otherwise]);
+                let id = intern(&mut nodes, op, &[cond, then, otherwise]);
                 stack.push(id);
             }
             // Control flow: the DAG form cannot represent it; skip the
@@ -620,13 +609,13 @@ fn mark_reachable(nodes: &[Node], root: usize, reachable: &mut [bool]) {
         return;
     }
     reachable[root] = true;
-    for &arg in &nodes[root].args {
+    for &arg in nodes[root].args() {
         mark_reachable(nodes, arg, reachable);
     }
 }
 
 fn count_uses(nodes: &[Node], root: usize, uses: &mut [usize]) {
-    for &arg in &nodes[root].args {
+    for &arg in nodes[root].args() {
         uses[arg] += 1;
         // Count through an argument only on its first use: later uses read
         // the shared register (or re-push the leaf) without re-evaluating.
@@ -648,11 +637,11 @@ fn emit_node(
         out.push(Op::Local(register));
         return;
     }
-    for &arg in &nodes[node].args {
+    for &arg in nodes[node].args() {
         emit_node(nodes, uses, arg, out, registers, next_register);
     }
     out.push(nodes[node].op);
-    let is_leaf = nodes[node].args.is_empty();
+    let is_leaf = nodes[node].arity == 0;
     if uses[node] > 1 && !is_leaf {
         let register = *next_register;
         *next_register += 1;

@@ -59,20 +59,20 @@ pub(crate) fn parse_expr(input: &str) -> Result<Expr> {
 }
 
 struct Parser<'a> {
-    tokens: &'a [SpannedToken],
+    tokens: &'a [SpannedToken<'a>],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn new(tokens: &'a [SpannedToken]) -> Self {
+    fn new(tokens: &'a [SpannedToken<'a>]) -> Self {
         Parser { tokens, pos: 0 }
     }
 
-    fn peek(&self) -> Option<&Token> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.pos).map(|t| &t.token)
     }
 
-    fn peek2(&self) -> Option<&Token> {
+    fn peek2(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.pos + 1).map(|t| &t.token)
     }
 
@@ -83,13 +83,13 @@ impl<'a> Parser<'a> {
             .unwrap_or_else(|| self.tokens.last().map(|t| t.position + 1).unwrap_or(0))
     }
 
-    fn advance(&mut self) -> Option<&Token> {
+    fn advance(&mut self) -> Option<&Token<'a>> {
         let token = self.tokens.get(self.pos).map(|t| &t.token);
         self.pos += 1;
         token
     }
 
-    fn consume(&mut self, expected: &Token) -> Result<()> {
+    fn consume(&mut self, expected: &Token<'_>) -> Result<()> {
         match self.peek() {
             Some(t) if t == expected => {
                 self.pos += 1;
@@ -157,13 +157,12 @@ impl<'a> Parser<'a> {
 
     fn parse_stmt(&mut self) -> Result<Stmt> {
         // Lookahead: IDENT '=' (but not '==') means an assignment.
-        if let (Some(Token::Ident(name)), Some(Token::Assign)) = (self.peek(), self.peek2()) {
-            let name = name.clone();
+        if let (Some(&Token::Ident(name)), Some(Token::Assign)) = (self.peek(), self.peek2()) {
             self.advance();
             self.advance();
             let value = self.parse_expr()?;
             return Ok(Stmt {
-                name: Some(name),
+                name: Some(name.to_string()),
                 value,
             });
         }
@@ -276,7 +275,7 @@ impl<'a> Parser<'a> {
 
     fn parse_primary(&mut self) -> Result<Expr> {
         let position = self.position();
-        match self.advance().cloned() {
+        match self.advance().copied() {
             Some(Token::Int(v)) => Ok(Expr::IntLit(v)),
             Some(Token::Float(v)) => Ok(Expr::FloatLit(v)),
             Some(Token::LParen) => {
@@ -287,14 +286,14 @@ impl<'a> Parser<'a> {
             Some(Token::Ident(name)) => match self.peek() {
                 Some(Token::LBracket) => {
                     self.advance();
-                    let mut indices = vec![self.parse_index(&name)?];
+                    let mut indices = vec![self.parse_index(name)?];
                     while self.peek() == Some(&Token::Comma) {
                         self.advance();
-                        indices.push(self.parse_index(&name)?);
+                        indices.push(self.parse_index(name)?);
                     }
                     self.consume(&Token::RBracket)?;
                     Ok(Expr::FieldAccess {
-                        field: name,
+                        field: name.to_string(),
                         indices,
                     })
                 }
@@ -309,18 +308,20 @@ impl<'a> Parser<'a> {
                         }
                     }
                     self.consume(&Token::RParen)?;
-                    let func = MathFn::from_name(&name)
-                        .ok_or(ExprError::UnknownFunction { name: name.clone() })?;
+                    let func =
+                        MathFn::from_name(name).ok_or_else(|| ExprError::UnknownFunction {
+                            name: name.to_string(),
+                        })?;
                     if args.len() != func.arity() {
                         return Err(ExprError::Arity {
-                            name: name.clone(),
+                            name: name.to_string(),
                             expected: func.arity(),
                             found: args.len(),
                         });
                     }
                     Ok(Expr::Call { func, args })
                 }
-                _ => Ok(Expr::Var(name)),
+                _ => Ok(Expr::Var(name.to_string())),
             },
             other => Err(ExprError::Parse {
                 position,
@@ -339,7 +340,7 @@ impl<'a> Parser<'a> {
     /// empty variable, used for constant-plane accesses such as `a[0]` on 1D
     /// parameter fields).
     fn parse_index(&mut self, field: &str) -> Result<Index> {
-        match self.advance().cloned() {
+        match self.advance().copied() {
             Some(Token::Ident(var)) => {
                 let offset = match self.peek() {
                     Some(Token::Plus) => {
@@ -352,7 +353,10 @@ impl<'a> Parser<'a> {
                     }
                     _ => 0,
                 };
-                Ok(Index { var, offset })
+                Ok(Index {
+                    var: var.to_string(),
+                    offset,
+                })
             }
             Some(Token::Int(v)) => Ok(Index {
                 var: String::new(),
@@ -371,7 +375,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_index_offset(&mut self, field: &str) -> Result<i64> {
-        match self.advance().cloned() {
+        match self.advance().copied() {
             Some(Token::Int(v)) => Ok(v),
             other => Err(ExprError::InvalidIndex {
                 field: field.to_string(),

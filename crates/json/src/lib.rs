@@ -263,7 +263,7 @@ struct Parser<'a> {
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn error(&self, message: &str) -> JsonError {
         JsonError {
             position: self.pos,
@@ -381,7 +381,12 @@ impl Parser<'_> {
 
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let first = self.plain_run()?;
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(first.to_string());
+        }
+        let mut out = first.to_string();
         loop {
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
@@ -432,23 +437,28 @@ impl Parser<'_> {
                         _ => return Err(self.error("invalid escape sequence")),
                     }
                 }
-                Some(c) => {
-                    // Consume one UTF-8 character (input is a valid &str).
-                    let width = match c {
-                        0x00..=0x7F => 1,
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let end = (self.pos + width).min(self.bytes.len());
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[self.pos..end])
-                            .map_err(|_| self.error("invalid UTF-8 in string"))?,
-                    );
-                    self.pos = end;
+                Some(_) => {
+                    let text = self.plain_run()?;
+                    out.push_str(text);
                 }
             }
         }
+    }
+
+    /// The run of a string's bytes up to the next quote or backslash (or
+    /// the end of input), consumed: `string` copies it in one piece, and a
+    /// string without escapes is one run. The input is a `&str` and both
+    /// stops are ASCII, so a run is valid UTF-8.
+    fn plain_run(&mut self) -> Result<&'a str, JsonError> {
+        let start = self.pos;
+        let bytes: &'a [u8] = self.bytes;
+        let len = bytes[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(bytes.len() - start);
+        self.pos += len;
+        std::str::from_utf8(&bytes[start..self.pos])
+            .map_err(|_| self.error("invalid UTF-8 in string"))
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {

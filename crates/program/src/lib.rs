@@ -55,6 +55,7 @@
 pub mod boundary;
 pub mod error;
 pub mod field;
+mod fingerprint;
 pub mod graph;
 pub mod json;
 pub mod program;

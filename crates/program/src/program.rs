@@ -75,8 +75,8 @@ impl PartialEq for StencilProgram {
 }
 
 impl fmt::Debug for StencilProgram {
-    // Renders exactly what `#[derive(Debug)]` renders without the stored
-    // fingerprint, so the fingerprint hashes the program alone.
+    // Renders exactly what `#[derive(Debug)]` renders without what the
+    // program derives and keeps.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StencilProgram")
             .field("name", &self.name)
@@ -90,14 +90,18 @@ impl fmt::Debug for StencilProgram {
 }
 
 impl StencilProgram {
-    /// The hashed structural fingerprint: FNV-1a (64-bit) over the
-    /// program's `Debug` rendering, streamed, so the rendering is never
-    /// materialized. Two structurally identical programs hash identically.
-    /// It is computed on the first call and kept (a clone carries it), so
-    /// later calls cost one load; the reference executor keys its
-    /// compiled-program cache off it.
+    /// The hashed structural fingerprint: a 64-bit hash of one walk over
+    /// every field the program's `Debug` rendering shows (name, space,
+    /// inputs, each stencil's name, code, AST, accesses, boundary and output
+    /// type, outputs, vectorization), with lengths and variant tags hashed
+    /// and floats by bit pattern. Two structurally identical programs hash
+    /// identically. It is computed on the first call and kept (a clone
+    /// carries it), so later calls cost one load; the reference executor
+    /// keys its compiled-program cache off it.
     pub fn fingerprint(&self) -> u64 {
-        *self.fingerprint.get_or_init(|| program_fingerprint(self))
+        *self
+            .fingerprint
+            .get_or_init(|| crate::fingerprint::program_fingerprint(self))
     }
 
     /// Program name (used for reporting and code generation).
@@ -159,10 +163,15 @@ impl StencilProgram {
     /// The dimensions spanned by a field: an input's declared dims, or the
     /// full iteration space for a stencil output.
     pub fn field_dims(&self, name: &str) -> Option<Vec<String>> {
+        self.dims_of(name).map(<[String]>::to_vec)
+    }
+
+    /// [`StencilProgram::field_dims`], borrowed.
+    fn dims_of(&self, name: &str) -> Option<&[String]> {
         if let Some(decl) = self.inputs.get(name) {
-            Some(decl.dims.clone())
+            Some(&decl.dims)
         } else if self.stencils.contains_key(name) {
-            Some(self.space.dims.clone())
+            Some(&self.space.dims)
         } else {
             None
         }
@@ -404,7 +413,7 @@ impl StencilProgram {
         for (name, stencil) in &self.stencils {
             for (field, info) in stencil.accesses.iter() {
                 let dims = self
-                    .field_dims(field)
+                    .dims_of(field)
                     .ok_or_else(|| ProgramError::UnknownField {
                         stencil: name.clone(),
                         field: field.to_string(),
@@ -615,29 +624,6 @@ impl StencilProgramBuilder {
         program.validate()?;
         Ok(program)
     }
-}
-
-/// Streams `fmt::Write` output through an FNV-1a accumulator, so hashing a
-/// `Debug` rendering never materializes the rendered `String`.
-struct FnvWriter(u64);
-
-impl fmt::Write for FnvWriter {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        for &b in s.as_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Ok(())
-    }
-}
-
-/// FNV-1a (64-bit) over the program's `Debug` rendering, streamed — the
-/// rendering is walked exactly once and never allocated.
-fn program_fingerprint(program: &StencilProgram) -> u64 {
-    use fmt::Write as _;
-    let mut writer = FnvWriter(0xcbf2_9ce4_8422_2325);
-    write!(writer, "{program:?}").expect("FnvWriter::write_str never fails");
-    writer.0
 }
 
 #[cfg(test)]

@@ -1,6 +1,40 @@
 //! Dense grids over (subsets of) the iteration space.
 
+use std::fmt;
 use stencilflow_expr::{DataType, Value};
+
+/// Why [`Grid::try_zeros`] cannot allocate a grid of the given shape.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum GridShapeError {
+    /// `dims` and `shape` have different lengths.
+    RankMismatch {
+        /// Number of dimension names.
+        dims: usize,
+        /// Rank of the shape.
+        shape: usize,
+    },
+    /// The element count, its byte size or a stride overflows `usize`.
+    Overflow {
+        /// The shape asked for.
+        shape: Vec<usize>,
+    },
+}
+
+impl fmt::Display for GridShapeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GridShapeError::RankMismatch { dims, shape } => write!(
+                f,
+                "dims/shape rank mismatch: {dims} dimension names for shape of rank {shape}"
+            ),
+            GridShapeError::Overflow { shape } => write!(
+                f,
+                "grid shape {shape:?} overflows the addressable element count \
+                 on this platform; reject or split the domain before allocating"
+            ),
+        }
+    }
+}
 
 /// A dense row-major array spanning a subset of the iteration-space
 /// dimensions.
@@ -28,7 +62,7 @@ impl Grid {
     pub fn zeros(dims: &[&str], shape: &[usize], dtype: DataType) -> Self {
         match Grid::try_zeros(dims, shape, dtype) {
             Ok(grid) => grid,
-            Err(message) => panic!("{message}"),
+            Err(error) => panic!("{error}"),
         }
     }
 
@@ -43,27 +77,23 @@ impl Grid {
     ///
     /// # Errors
     ///
-    /// Returns a description of the problem when `dims` and `shape`
-    /// disagree in rank, or when the element count (dimension product,
-    /// including the byte size of the backing `f64` storage) overflows
-    /// `usize`.
+    /// Returns [`GridShapeError::RankMismatch`] when `dims` and `shape`
+    /// disagree in rank, and [`GridShapeError::Overflow`] when the element
+    /// count (dimension product, including the byte size of the backing
+    /// `f64` storage) overflows `usize`.
     pub(crate) fn try_zeros(
         dims: &[&str],
         shape: &[usize],
         dtype: DataType,
-    ) -> Result<Self, String> {
+    ) -> Result<Self, GridShapeError> {
         if dims.len() != shape.len() {
-            return Err(format!(
-                "dims/shape rank mismatch: {} dimension names for shape of rank {}",
-                dims.len(),
-                shape.len()
-            ));
+            return Err(GridShapeError::RankMismatch {
+                dims: dims.len(),
+                shape: shape.len(),
+            });
         }
-        let overflow = || {
-            format!(
-                "grid shape {shape:?} overflows the addressable element count \
-                 on this platform; reject or split the domain before allocating"
-            )
+        let overflow = || GridShapeError::Overflow {
+            shape: shape.to_vec(),
         };
         let mut len: usize = 1;
         for &extent in shape {
@@ -395,8 +425,9 @@ mod tests {
         // The element-count product of these extents exceeds usize::MAX on
         // every supported platform.
         let huge = 1usize << 40;
-        let err =
-            Grid::try_zeros(&["i", "j", "k"], &[huge, huge, huge], DataType::Float32).unwrap_err();
+        let err = Grid::try_zeros(&["i", "j", "k"], &[huge, huge, huge], DataType::Float32)
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("overflows"), "unexpected message: {err}");
         assert!(
             err.contains("1099511627776"),
@@ -410,15 +441,37 @@ mod tests {
             DataType::Float64,
         )
         .unwrap_err();
-        assert!(err.contains("overflows"), "unexpected message: {err}");
+        assert!(
+            matches!(err, GridShapeError::Overflow { .. }),
+            "unexpected error: {err}"
+        );
         // A zero extent must not let arbitrarily large trailing dimensions
         // overflow the stride computation.
         assert!(Grid::try_zeros(&["i", "j", "k"], &[0, huge, huge], DataType::Float32).is_err());
         // Rank mismatches surface as errors on the fallible path.
-        assert!(Grid::try_zeros(&["i"], &[2, 2], DataType::Float32).is_err());
+        assert_eq!(
+            Grid::try_zeros(&["i"], &[2, 2], DataType::Float32).unwrap_err(),
+            GridShapeError::RankMismatch { dims: 1, shape: 2 }
+        );
         // Ordinary shapes are unaffected.
         let grid = Grid::try_zeros(&["i", "j"], &[3, 4], DataType::Float32).unwrap();
         assert_eq!(grid.as_slice().len(), 12);
+    }
+
+    #[test]
+    fn shape_errors_print_their_text() {
+        assert_eq!(
+            GridShapeError::RankMismatch { dims: 1, shape: 2 }.to_string(),
+            "dims/shape rank mismatch: 1 dimension names for shape of rank 2"
+        );
+        assert_eq!(
+            GridShapeError::Overflow {
+                shape: vec![1 << 40, 3]
+            }
+            .to_string(),
+            "grid shape [1099511627776, 3] overflows the addressable element count \
+             on this platform; reject or split the domain before allocating"
+        );
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! A program derives its DAG once and each stencil compiles its kernel
 //! once; clones and fusion share both, the `&mut` methods invalidate the
-//! DAG, and nothing derived moves a program's fingerprint.
+//! DAG, and nothing derived moves a program's fingerprint. The fingerprint
+//! tells apart programs that differ in any one field, and survives a trip
+//! through the JSON description.
 
 use std::ptr;
 
 use stencilflow::dataflow::fuse_all;
-use stencilflow::expr::CompiledKernel;
-use stencilflow::program::{from_json, to_json, StencilNode, StencilProgram};
+use stencilflow::expr::{CompiledKernel, DataType};
+use stencilflow::program::{
+    from_json, to_json, BoundaryCondition, StencilNode, StencilProgram, StencilProgramBuilder,
+};
 use stencilflow::workloads::{
     chain_program, horizontal_diffusion, listing1, ChainSpec, HorizontalDiffusionSpec,
 };
@@ -90,10 +94,10 @@ fn fingerprints_do_not_depend_on_what_was_derived() {
     type Build = fn() -> StencilProgram;
     let fused_hdiff = || fuse_all(&production_hdiff()).unwrap();
     let pinned: [(&str, Build, u64); 4] = [
-        ("listing1", listing1, 0x1a92_d5c0_750a_f276),
-        ("production hdiff", production_hdiff, 0x8e5a_09af_1c40_2984),
-        ("fused production hdiff", fused_hdiff, 0x183e_c187_f145_c530),
-        ("chain32", chain32, 0x0517_5ca6_b103_7b55),
+        ("listing1", listing1, 0x991e_9ace_6583_113f),
+        ("production hdiff", production_hdiff, 0x10a7_3986_30de_0ece),
+        ("fused production hdiff", fused_hdiff, 0xe702_98e5_bb5b_a540),
+        ("chain32", chain32, 0x0258_ba89_fac9_1635),
     ];
     for (name, build, fingerprint) in pinned {
         assert_eq!(build().fingerprint(), fingerprint, "{name}");
@@ -104,5 +108,139 @@ fn fingerprints_do_not_depend_on_what_was_derived() {
         derived.topological_stencils().unwrap();
         assert_eq!(derived.fingerprint(), fingerprint, "{name}, derived");
         assert_eq!(derived, build(), "{name}");
+    }
+}
+
+/// A program with one of every field the fingerprint covers, each set by
+/// one knob of `Variant`.
+#[derive(Clone, Copy)]
+struct Variant {
+    literal: &'static str,
+    offset: &'static str,
+    boundary: f64,
+    output_type: DataType,
+    dim: &'static str,
+    spare: &'static str,
+    vectorization: usize,
+}
+
+const BASE: Variant = Variant {
+    literal: "0.0",
+    offset: "i-1",
+    boundary: 1.0,
+    output_type: DataType::Float32,
+    dim: "i",
+    spare: "spare",
+    vectorization: 1,
+};
+
+fn variant(v: Variant) -> StencilProgram {
+    StencilProgramBuilder::new("variants", &[8, 8])
+        .input("a", DataType::Float32, &["i", "j"])
+        .input("c", DataType::Float32, &[v.dim])
+        .stencil("b", &format!("a[{},j] + {}", v.offset, v.literal))
+        .boundary("b", "a", BoundaryCondition::Constant(v.boundary))
+        .output_type("b", v.output_type)
+        .stencil(v.spare, "a[i,j] * 2.0")
+        .output("b")
+        .vectorization(v.vectorization)
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn programs_that_differ_in_one_field_have_different_fingerprints() {
+    let variants = [
+        (
+            "a literal's sign bit",
+            Variant {
+                literal: "-0.0",
+                ..BASE
+            },
+        ),
+        (
+            "one offset",
+            Variant {
+                offset: "i+1",
+                ..BASE
+            },
+        ),
+        (
+            "a boundary constant",
+            Variant {
+                boundary: 2.0,
+                ..BASE
+            },
+        ),
+        (
+            "a boundary constant's sign bit",
+            Variant {
+                boundary: -1.0,
+                ..BASE
+            },
+        ),
+        (
+            "an output type",
+            Variant {
+                output_type: DataType::Float64,
+                ..BASE
+            },
+        ),
+        ("a dim name", Variant { dim: "j", ..BASE }),
+        (
+            "a stencil name",
+            Variant {
+                spare: "spare2",
+                ..BASE
+            },
+        ),
+        (
+            "the vectorization",
+            Variant {
+                vectorization: 2,
+                ..BASE
+            },
+        ),
+    ];
+    let base = variant(BASE).fingerprint();
+    assert_eq!(variant(BASE).fingerprint(), base);
+    let mut seen = vec![base];
+    for (what, v) in variants {
+        let fingerprint = variant(v).fingerprint();
+        assert!(!seen.contains(&fingerprint), "{what} moved no fingerprint");
+        seen.push(fingerprint);
+    }
+    // Only the sign of the boundary constant: `0.0` and `-0.0` compare
+    // equal but are different programs.
+    let zero = variant(Variant {
+        boundary: 0.0,
+        ..BASE
+    })
+    .fingerprint();
+    let negative_zero = variant(Variant {
+        boundary: -0.0,
+        ..BASE
+    })
+    .fingerprint();
+    assert_ne!(zero, negative_zero);
+}
+
+#[test]
+fn a_json_round_trip_keeps_the_fingerprint() {
+    let fused_hdiff = fuse_all(&production_hdiff()).unwrap();
+    for program in [
+        listing1(),
+        production_hdiff(),
+        fused_hdiff,
+        chain32(),
+        variant(BASE),
+    ] {
+        let reparsed = from_json(&to_json(&program)).unwrap();
+        assert_eq!(
+            reparsed.fingerprint(),
+            program.fingerprint(),
+            "{}",
+            program.name()
+        );
     }
 }
