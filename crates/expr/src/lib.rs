@@ -49,8 +49,9 @@
 //!   reference executor and the functional simulator (see
 //!   `docs/evaluation.md` for the two-tier evaluation architecture).
 //! * [`opt`] — the pass-based optimization pipeline over the bytecode
-//!   (if-conversion of ternary diamonds to branch-free selects, CSE, and
-//!   DCE), run by default inside [`compile`] and shared by every backend.
+//!   (if-conversion of ternary diamonds to branch-free selects, then CSE,
+//!   whose rebuild also drops dead code), run by default inside [`compile`]
+//!   and shared by every backend.
 //! * [`verify`] — the bytecode verifier: abstract interpretation proving
 //!   stack-depth safety, init-before-use, jump validity, and type-flow
 //!   soundness of every compiled stream, with conservative

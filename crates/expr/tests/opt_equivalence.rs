@@ -1,6 +1,7 @@
 //! Property test for the optimization pipeline: randomly generated
 //! programs with (nested) ternaries and short-circuit logic, asserting the
-//! optimized bytecode — if-converted, CSE'd, DCE'd — is bitwise identical
+//! optimized bytecode — if-converted, then CSE'd (which drops dead code
+//! too) — is bitwise identical
 //! to both the unoptimized bytecode and the tree-walking interpreter,
 //! across f32, f64, and mixed slot types, on the `Value` path and (where
 //! the kernel specializes) the typed and lane paths. A second generator

@@ -40,18 +40,31 @@ fn schema_error(message: impl Into<String>) -> ProgramError {
 /// duplicates (`get` returns the first), which for a program description
 /// would silently drop the later definition — e.g. two stencils with the
 /// same name, where ignoring one changes program semantics. Every object
-/// the schema consumes is checked.
-fn check_unique_keys(value: &Json, context: &str) -> Result<()> {
+/// the schema consumes is checked; `context` names the object, and is only
+/// rendered for the error.
+fn check_unique_keys(value: &Json, context: impl FnOnce() -> String) -> Result<()> {
     let Some(members) = value.as_object() else {
         return Ok(());
     };
-    let mut seen = HashSet::with_capacity(members.len());
-    for (key, _) in members {
-        if !seen.insert(key.as_str()) {
-            return Err(schema_error(format!("duplicate key `{key}` in {context}")));
-        }
+    // The first key that repeats an earlier one. Most objects of a
+    // description hold a handful of keys, compared pairwise without a set.
+    let repeated = if members.len() <= 16 {
+        (members.iter().enumerate())
+            .find(|(ix, (key, _))| members[..*ix].iter().any(|(earlier, _)| earlier == key))
+            .map(|(_, (key, _))| key)
+    } else {
+        let mut seen = HashSet::with_capacity(members.len());
+        (members.iter())
+            .find(|(key, _)| !seen.insert(key.as_str()))
+            .map(|(key, _)| key)
+    };
+    match repeated {
+        Some(key) => Err(schema_error(format!(
+            "duplicate key `{key}` in {}",
+            context()
+        ))),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 fn expect_str<'a>(value: &'a Json, context: &str) -> Result<&'a str> {
@@ -87,7 +100,7 @@ pub fn from_json(text: &str) -> Result<StencilProgram> {
     if root.as_object().is_none() {
         return Err(schema_error("program description must be a JSON object"));
     }
-    check_unique_keys(&root, "the program description")?;
+    check_unique_keys(&root, || "the program description".into())?;
 
     let name = match root.get("name") {
         Some(v) => expect_str(v, "`name`")?.to_string(),
@@ -125,9 +138,11 @@ pub fn from_json(text: &str) -> Result<StencilProgram> {
         .get("inputs")
         .and_then(Json::as_object)
         .ok_or_else(|| schema_error("missing or non-object `inputs`"))?;
-    check_unique_keys(root.get("inputs").expect("checked above"), "`inputs`")?;
+    check_unique_keys(root.get("inputs").expect("checked above"), || {
+        "`inputs`".into()
+    })?;
     for (field, decl) in inputs {
-        check_unique_keys(decl, &format!("input `{field}`"))?;
+        check_unique_keys(decl, || format!("input `{field}`"))?;
         let dtype_name = decl
             .get("dtype")
             .ok_or_else(|| schema_error(format!("input `{field}` is missing `dtype`")))
@@ -153,9 +168,11 @@ pub fn from_json(text: &str) -> Result<StencilProgram> {
         .get("program")
         .and_then(Json::as_object)
         .ok_or_else(|| schema_error("missing or non-object `program`"))?;
-    check_unique_keys(root.get("program").expect("checked above"), "`program`")?;
+    check_unique_keys(root.get("program").expect("checked above"), || {
+        "`program`".into()
+    })?;
     for (stencil, entry) in stencils {
-        check_unique_keys(entry, &format!("stencil `{stencil}`"))?;
+        check_unique_keys(entry, || format!("stencil `{stencil}`"))?;
         // The paper's format allows either a bare code string or an object
         // with `code`, `boundary_condition`, and `data_type`.
         let (code, boundary, data_type) = match entry {
@@ -218,7 +235,7 @@ fn parse_boundary(stencil: &str, value: &Json) -> Result<BoundarySpec> {
             "boundary condition of `{stencil}` must be `\"shrink\"` or a per-field map, got `{other}`"
         ))),
         Json::Object(members) => {
-            check_unique_keys(value, &format!("boundary condition of `{stencil}`"))?;
+            check_unique_keys(value, || format!("boundary condition of `{stencil}`"))?;
             let mut spec = BoundarySpec::new();
             for (field, condition) in members {
                 if field == "shrink" {
@@ -475,6 +492,17 @@ mod tests {
             message(text),
             "duplicate key `shape` in the program description"
         );
+        // Objects of more than 16 keys are checked through a set, with the
+        // same answer: `s19` repeats first.
+        let mut stencils: Vec<String> = (0..20).map(|ix| format!(r#""s{ix}": "x[i]""#)).collect();
+        stencils.push(r#""s19": "x[i]""#.into());
+        stencils.push(r#""s3": "x[i]""#.into());
+        let text = format!(
+            r#"{{ "inputs": {{ "x": {{"dtype": "float32", "dims": ["i"]}} }},
+              "outputs": ["s0"], "shape": [16], "program": {{ {} }} }}"#,
+            stencils.join(", ")
+        );
+        assert_eq!(message(&text), "duplicate key `s19` in `program`");
     }
 
     #[test]
