@@ -39,8 +39,8 @@ use crate::eval::{eval_math_fn, math_fn_raw, AccessResolver};
 use crate::fold::fold_changed;
 use crate::types::DataType;
 use crate::value::{CompareOp, Value};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 
 /// One distinct access of a compiled kernel: a field (or scalar symbol) at a
 /// fixed constant-offset vector. Scalar symbols have empty `offsets`.
@@ -1125,84 +1125,43 @@ fn top_verified<'a, T>(stack: &'a mut [T], what: &str) -> &'a mut T {
     &mut stack[ix]
 }
 
-/// A multiply-xor hasher for the small keys the compiler and the optimizer
-/// hash per instruction (names, offsets, value numbers): they come from
-/// the compiler, not from an adversary, and SipHash would cost more than
-/// the lowering around it.
-#[derive(Default)]
-pub(crate) struct MulXorHasher(u64);
-
-impl Hasher for MulXorHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u8(&mut self, v: u8) {
-        self.write_u64(u64::from(v));
-    }
-
-    fn write_u16(&mut self, v: u16) {
-        self.write_u64(u64::from(v));
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(u64::from(v));
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-/// A `HashMap` over [`MulXorHasher`].
-pub(crate) type MulXorMap<K, V> = HashMap<K, V, BuildHasherDefault<MulXorHasher>>;
-
 /// The key of one access slot, borrowed from the AST: a field (or scalar
-/// symbol) and its index expressions. Two keys are equal when the field
-/// and the offsets are; the index variables do not take part.
+/// symbol) and its index expressions, ordered by the field and then the
+/// offsets; the index variables do not take part.
 #[derive(Clone, Copy)]
 struct SlotKey<'a> {
     field: &'a str,
     indices: &'a [Index],
 }
 
+impl Ord for SlotKey<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let offsets = |key: &Self| key.indices.iter().map(|ix| ix.offset);
+        (self.field.cmp(other.field)).then_with(|| offsets(self).cmp(offsets(other)))
+    }
+}
+
+impl PartialOrd for SlotKey<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 impl PartialEq for SlotKey<'_> {
     fn eq(&self, other: &Self) -> bool {
-        self.field == other.field
-            && self.indices.len() == other.indices.len()
-            && (self.indices.iter().zip(other.indices)).all(|(a, b)| a.offset == b.offset)
+        self.cmp(other) == Ordering::Equal
     }
 }
 
 impl Eq for SlotKey<'_> {}
-
-impl Hash for SlotKey<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.field.hash(state);
-        state.write_usize(self.indices.len());
-        for index in self.indices {
-            state.write_i64(index.offset);
-        }
-    }
-}
 
 /// Lowering state; its maps borrow their keys from the program lowered.
 #[derive(Default)]
 struct Compiler<'a> {
     ops: Vec<Op>,
     slots: Vec<AccessSlot>,
-    slot_index: MulXorMap<SlotKey<'a>, u16>,
-    locals: MulXorMap<&'a str, u16>,
+    slot_index: BTreeMap<SlotKey<'a>, u16>,
+    locals: BTreeMap<&'a str, u16>,
 }
 
 impl<'a> Compiler<'a> {

@@ -119,208 +119,62 @@ pub(crate) fn tokenize(input: &str) -> Result<Vec<SpannedToken<'_>>> {
     let mut pos = 0usize;
 
     while pos < bytes.len() {
-        let c = bytes[pos] as char;
-        match c {
-            ' ' | '\t' | '\n' | '\r' => {
+        let c = bytes[pos];
+        let next = bytes.get(pos + 1).copied();
+        // Operators and punctuation: the token and its width in bytes.
+        let (token, width) = match c {
+            b' ' | b'\t' | b'\n' | b'\r' => {
                 pos += 1;
+                continue;
             }
-            '#' => {
+            b'#' => {
                 // Comment until end of line; convenient for hand-written
                 // multi-statement programs.
-                while pos < bytes.len() && bytes[pos] as char != '\n' {
+                while pos < bytes.len() && bytes[pos] != b'\n' {
                     pos += 1;
                 }
+                continue;
             }
-            '+' => {
-                tokens.push(SpannedToken {
-                    token: Token::Plus,
-                    position: pos,
-                });
-                pos += 1;
-            }
-            '-' => {
-                tokens.push(SpannedToken {
-                    token: Token::Minus,
-                    position: pos,
-                });
-                pos += 1;
-            }
-            '*' => {
-                tokens.push(SpannedToken {
-                    token: Token::Star,
-                    position: pos,
-                });
-                pos += 1;
-            }
-            '/' => {
-                tokens.push(SpannedToken {
-                    token: Token::Slash,
-                    position: pos,
-                });
-                pos += 1;
-            }
-            '(' => {
-                tokens.push(SpannedToken {
-                    token: Token::LParen,
-                    position: pos,
-                });
-                pos += 1;
-            }
-            ')' => {
-                tokens.push(SpannedToken {
-                    token: Token::RParen,
-                    position: pos,
-                });
-                pos += 1;
-            }
-            '[' => {
-                tokens.push(SpannedToken {
-                    token: Token::LBracket,
-                    position: pos,
-                });
-                pos += 1;
-            }
-            ']' => {
-                tokens.push(SpannedToken {
-                    token: Token::RBracket,
-                    position: pos,
-                });
-                pos += 1;
-            }
-            ',' => {
-                tokens.push(SpannedToken {
-                    token: Token::Comma,
-                    position: pos,
-                });
-                pos += 1;
-            }
-            ';' => {
-                tokens.push(SpannedToken {
-                    token: Token::Semicolon,
-                    position: pos,
-                });
-                pos += 1;
-            }
-            '?' => {
-                tokens.push(SpannedToken {
-                    token: Token::Question,
-                    position: pos,
-                });
-                pos += 1;
-            }
-            ':' => {
-                tokens.push(SpannedToken {
-                    token: Token::Colon,
-                    position: pos,
-                });
-                pos += 1;
-            }
-            '=' => {
-                if bytes.get(pos + 1) == Some(&b'=') {
-                    tokens.push(SpannedToken {
-                        token: Token::EqEq,
-                        position: pos,
-                    });
-                    pos += 2;
-                } else {
-                    tokens.push(SpannedToken {
-                        token: Token::Assign,
-                        position: pos,
-                    });
-                    pos += 1;
-                }
-            }
-            '<' => {
-                if bytes.get(pos + 1) == Some(&b'=') {
-                    tokens.push(SpannedToken {
-                        token: Token::Le,
-                        position: pos,
-                    });
-                    pos += 2;
-                } else {
-                    tokens.push(SpannedToken {
-                        token: Token::Lt,
-                        position: pos,
-                    });
-                    pos += 1;
-                }
-            }
-            '>' => {
-                if bytes.get(pos + 1) == Some(&b'=') {
-                    tokens.push(SpannedToken {
-                        token: Token::Ge,
-                        position: pos,
-                    });
-                    pos += 2;
-                } else {
-                    tokens.push(SpannedToken {
-                        token: Token::Gt,
-                        position: pos,
-                    });
-                    pos += 1;
-                }
-            }
-            '!' => {
-                if bytes.get(pos + 1) == Some(&b'=') {
-                    tokens.push(SpannedToken {
-                        token: Token::Ne,
-                        position: pos,
-                    });
-                    pos += 2;
-                } else {
-                    tokens.push(SpannedToken {
-                        token: Token::Not,
-                        position: pos,
-                    });
-                    pos += 1;
-                }
-            }
-            '&' => {
-                if bytes.get(pos + 1) == Some(&b'&') {
-                    tokens.push(SpannedToken {
-                        token: Token::AndAnd,
-                        position: pos,
-                    });
-                    pos += 2;
-                } else {
-                    return Err(ExprError::Lex {
-                        position: pos,
-                        character: c,
-                    });
-                }
-            }
-            '|' => {
-                if bytes.get(pos + 1) == Some(&b'|') {
-                    tokens.push(SpannedToken {
-                        token: Token::OrOr,
-                        position: pos,
-                    });
-                    pos += 2;
-                } else {
-                    return Err(ExprError::Lex {
-                        position: pos,
-                        character: c,
-                    });
-                }
-            }
-            c if c.is_ascii_digit() || c == '.' => {
+            b'+' => (Token::Plus, 1),
+            b'-' => (Token::Minus, 1),
+            b'*' => (Token::Star, 1),
+            b'/' => (Token::Slash, 1),
+            b'(' => (Token::LParen, 1),
+            b')' => (Token::RParen, 1),
+            b'[' => (Token::LBracket, 1),
+            b']' => (Token::RBracket, 1),
+            b',' => (Token::Comma, 1),
+            b';' => (Token::Semicolon, 1),
+            b'?' => (Token::Question, 1),
+            b':' => (Token::Colon, 1),
+            b'=' if next == Some(b'=') => (Token::EqEq, 2),
+            b'=' => (Token::Assign, 1),
+            b'<' if next == Some(b'=') => (Token::Le, 2),
+            b'<' => (Token::Lt, 1),
+            b'>' if next == Some(b'=') => (Token::Ge, 2),
+            b'>' => (Token::Gt, 1),
+            b'!' if next == Some(b'=') => (Token::Ne, 2),
+            b'!' => (Token::Not, 1),
+            b'&' if next == Some(b'&') => (Token::AndAnd, 2),
+            b'|' if next == Some(b'|') => (Token::OrOr, 2),
+            c if c.is_ascii_digit() || c == b'.' => {
                 let start = pos;
                 let mut saw_dot = false;
                 let mut saw_exp = false;
                 while pos < bytes.len() {
-                    let d = bytes[pos] as char;
+                    let d = bytes[pos];
                     if d.is_ascii_digit() {
                         pos += 1;
-                    } else if d == '.' && !saw_dot && !saw_exp {
+                    } else if d == b'.' && !saw_dot && !saw_exp {
                         saw_dot = true;
                         pos += 1;
-                    } else if (d == 'e' || d == 'E') && !saw_exp && pos > start {
+                    } else if (d == b'e' || d == b'E') && !saw_exp && pos > start {
                         saw_exp = true;
                         pos += 1;
                         if pos < bytes.len() && (bytes[pos] == b'+' || bytes[pos] == b'-') {
                             pos += 1;
                         }
-                    } else if d == 'f' && pos > start {
+                    } else if d == b'f' && pos > start {
                         // Allow a trailing `f` suffix (C-style float literal).
                         pos += 1;
                         break;
@@ -333,48 +187,47 @@ pub(crate) fn tokenize(input: &str) -> Result<Vec<SpannedToken<'_>>> {
                     text = &text[..text.len() - 1];
                     saw_dot = true;
                 }
-                if saw_dot || saw_exp {
-                    let value: f64 = text.parse().map_err(|_| ExprError::Lex {
-                        position: start,
-                        character: c,
-                    })?;
-                    tokens.push(SpannedToken {
-                        token: Token::Float(value),
-                        position: start,
-                    });
+                let token = if saw_dot || saw_exp {
+                    text.parse().ok().map(Token::Float)
                 } else {
-                    let value: i64 = text.parse().map_err(|_| ExprError::Lex {
-                        position: start,
-                        character: c,
-                    })?;
-                    tokens.push(SpannedToken {
-                        token: Token::Int(value),
-                        position: start,
-                    });
-                }
+                    text.parse().ok().map(Token::Int)
+                };
+                let token = token.ok_or(ExprError::Lex {
+                    position: start,
+                    character: c as char,
+                })?;
+                tokens.push(SpannedToken {
+                    token,
+                    position: start,
+                });
+                continue;
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
+            c if c.is_ascii_alphabetic() || c == b'_' => {
                 let start = pos;
-                while pos < bytes.len() {
-                    let d = bytes[pos] as char;
-                    if d.is_ascii_alphanumeric() || d == '_' {
-                        pos += 1;
-                    } else {
-                        break;
-                    }
-                }
+                let len = (bytes[pos..].iter())
+                    .position(|&d| !(d.is_ascii_alphanumeric() || d == b'_'))
+                    .unwrap_or(bytes.len() - pos);
+                pos += len;
                 tokens.push(SpannedToken {
                     token: Token::Ident(&input[start..pos]),
                     position: start,
                 });
+                continue;
             }
+            // A lone `&` or `|`, or any other character. A non-ASCII
+            // character is reported by its first byte.
             other => {
                 return Err(ExprError::Lex {
                     position: pos,
-                    character: other,
+                    character: other as char,
                 });
             }
-        }
+        };
+        tokens.push(SpannedToken {
+            token,
+            position: pos,
+        });
+        pos += width;
     }
     Ok(tokens)
 }

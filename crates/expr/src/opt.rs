@@ -62,10 +62,12 @@
 //! legal.
 
 use crate::ast::BinOp;
-use crate::compile::{local_count_of, MulXorMap, Op};
+use crate::compile::{local_count_of, Op};
 use crate::types::DataType;
 use crate::value::Value;
 use std::borrow::Cow;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// One transformation over the compiled instruction stream. Implementations
 /// must preserve kernel semantics bit for bit (see the module docs for the
@@ -450,6 +452,47 @@ fn const_payload(v: Value) -> u64 {
     }
 }
 
+/// A multiply-xor hasher for [`NodeKey`]s: opcodes, value numbers and
+/// constant payloads, hashed once per instruction of every kernel, where
+/// SipHash would cost more than the rebuild around it. `finish` rotates
+/// the well-mixed high bits of the last product down to the low bits the
+/// table indexes by, so constants that differ only in their high bits
+/// (float literals that differ in the exponent) do not share a bucket.
+#[derive(Default)]
+struct MulXorHasher(u64);
+
+impl Hasher for MulXorHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
 /// One node of the expression DAG: the original instruction (re-emitted
 /// verbatim), its operand nodes (at most three, inline), and whether its
 /// subtree can fail.
@@ -471,8 +514,8 @@ impl Node {
 /// discarded values reach is emitted. Jump-carrying streams return `None`.
 fn dag_rebuild(ops: &[Op]) -> Option<Vec<Op>> {
     let mut nodes: Vec<Node> = Vec::with_capacity(ops.len());
-    let mut memo: MulXorMap<NodeKey, usize> =
-        MulXorMap::with_capacity_and_hasher(ops.len(), Default::default());
+    let mut memo: HashMap<NodeKey, usize, BuildHasherDefault<MulXorHasher>> =
+        HashMap::with_capacity_and_hasher(ops.len(), Default::default());
     let mut stack: Vec<usize> = Vec::new();
     let mut locals: Vec<Option<usize>> = vec![None; local_count_of(ops)];
     // Values the original program computed and then discarded (anonymous

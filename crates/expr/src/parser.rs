@@ -286,7 +286,9 @@ impl<'a> Parser<'a> {
             Some(Token::Ident(name)) => match self.peek() {
                 Some(Token::LBracket) => {
                     self.advance();
-                    let mut indices = vec![self.parse_index(name)?];
+                    // Fields span at most three dimensions in practice.
+                    let mut indices = Vec::with_capacity(3);
+                    indices.push(self.parse_index(name)?);
                     while self.peek() == Some(&Token::Comma) {
                         self.advance();
                         indices.push(self.parse_index(name)?);

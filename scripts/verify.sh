@@ -32,8 +32,14 @@
 #                                  test, tests/derive_once.rs: a program
 #                                  builds its DAG once, each stencil
 #                                  compiles its kernel once, clones and
-#                                  fusion share both, and four
-#                                  fingerprints stay pinned; no timing
+#                                  fusion share both, four fingerprints
+#                                  stay pinned, programs that differ in
+#                                  one field hash apart and a JSON round
+#                                  trip keeps the value; the front-end
+#                                  pin, tests/frontend_bits.rs: one hash
+#                                  over the AST, the field accesses and
+#                                  the compiled op streams and slots of
+#                                  3 804 kernels must not move; no timing
 #                                  floor — speed floors live in gate 11
 #                                  only)
 #   4. cargo clippy -D warnings  — lints
