@@ -248,7 +248,7 @@ mod tests {
     fn simple_expression() {
         assert_eq!(
             toks("a + 2"),
-            vec![Token::Ident("a".into()), Token::Plus, Token::Int(2)]
+            vec![Token::Ident("a"), Token::Plus, Token::Int(2)]
         );
     }
 
@@ -257,15 +257,15 @@ mod tests {
         assert_eq!(
             toks("u[i-1, j, k]"),
             vec![
-                Token::Ident("u".into()),
+                Token::Ident("u"),
                 Token::LBracket,
-                Token::Ident("i".into()),
+                Token::Ident("i"),
                 Token::Minus,
                 Token::Int(1),
                 Token::Comma,
-                Token::Ident("j".into()),
+                Token::Ident("j"),
                 Token::Comma,
-                Token::Ident("k".into()),
+                Token::Ident("k"),
                 Token::RBracket,
             ]
         );
@@ -284,16 +284,16 @@ mod tests {
         assert_eq!(
             toks("a <= b && c != d || !e"),
             vec![
-                Token::Ident("a".into()),
+                Token::Ident("a"),
                 Token::Le,
-                Token::Ident("b".into()),
+                Token::Ident("b"),
                 Token::AndAnd,
-                Token::Ident("c".into()),
+                Token::Ident("c"),
                 Token::Ne,
-                Token::Ident("d".into()),
+                Token::Ident("d"),
                 Token::OrOr,
                 Token::Not,
-                Token::Ident("e".into()),
+                Token::Ident("e"),
             ]
         );
     }
@@ -303,11 +303,11 @@ mod tests {
         assert_eq!(
             toks("a > 0 ? a : 0"),
             vec![
-                Token::Ident("a".into()),
+                Token::Ident("a"),
                 Token::Gt,
                 Token::Int(0),
                 Token::Question,
-                Token::Ident("a".into()),
+                Token::Ident("a"),
                 Token::Colon,
                 Token::Int(0),
             ]
@@ -318,11 +318,7 @@ mod tests {
     fn comments_are_skipped() {
         assert_eq!(
             toks("a # this is a comment\n + b"),
-            vec![
-                Token::Ident("a".into()),
-                Token::Plus,
-                Token::Ident("b".into())
-            ]
+            vec![Token::Ident("a"), Token::Plus, Token::Ident("b")]
         );
     }
 
