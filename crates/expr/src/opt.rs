@@ -452,12 +452,14 @@ fn const_payload(v: Value) -> u64 {
     }
 }
 
-/// A multiply-xor hasher for [`NodeKey`]s: opcodes, value numbers and
-/// constant payloads, hashed once per instruction of every kernel, where
-/// SipHash would cost more than the rebuild around it. `finish` rotates
-/// the well-mixed high bits of the last product down to the low bits the
-/// table indexes by, so constants that differ only in their high bits
-/// (float literals that differ in the exponent) do not share a bucket.
+/// A multiply-xor hasher for [`NodeKey`]s (opcodes, value numbers and
+/// constant payloads), hashed once per instruction of every kernel.
+/// `finish` rotates the well-mixed high bits of the last product down to
+/// the low bits the table indexes by, so constants that differ only in
+/// their high bits (float literals that differ in the exponent) do not
+/// share a bucket. It is not keyed: a program that picks its literals'
+/// bits to collide makes its own rebuild quadratic in their number, as
+/// if-conversion's rescans already are in its diamond count.
 #[derive(Default)]
 struct MulXorHasher(u64);
 
@@ -472,15 +474,7 @@ impl Hasher for MulXorHasher {
         }
     }
 
-    fn write_u8(&mut self, v: u8) {
-        self.write_u64(u64::from(v));
-    }
-
     fn write_u16(&mut self, v: u16) {
-        self.write_u64(u64::from(v));
-    }
-
-    fn write_u32(&mut self, v: u32) {
         self.write_u64(u64::from(v));
     }
 

@@ -381,12 +381,7 @@ impl<'a> Parser<'a> {
 
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
-        let first = self.plain_run()?;
-        if self.peek() == Some(b'"') {
-            self.pos += 1;
-            return Ok(first.to_string());
-        }
-        let mut out = first.to_string();
+        let mut out = String::new();
         loop {
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
@@ -437,18 +432,15 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.error("invalid escape sequence")),
                     }
                 }
-                Some(_) => {
-                    let text = self.plain_run()?;
-                    out.push_str(text);
-                }
+                Some(_) => out.push_str(self.plain_run()?),
             }
         }
     }
 
     /// The run of a string's bytes up to the next quote or backslash (or
-    /// the end of input), consumed: `string` copies it in one piece, and a
-    /// string without escapes is one run. The input is a `&str` and both
-    /// stops are ASCII, so a run is valid UTF-8.
+    /// the end of input), consumed: `string` copies it in one piece, so a
+    /// string without escapes is one allocation. The input is a `&str` and
+    /// both stops are ASCII, so a run is valid UTF-8.
     fn plain_run(&mut self) -> Result<&'a str, JsonError> {
         let start = self.pos;
         let bytes: &'a [u8] = self.bytes;

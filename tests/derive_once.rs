@@ -127,7 +127,7 @@ struct Variant {
 const BASE: Variant = Variant {
     literal: "0.0",
     offset: "i-1",
-    boundary: 1.0,
+    boundary: 0.0,
     output_type: DataType::Float32,
     dim: "i",
     spare: "spare",
@@ -172,10 +172,11 @@ fn programs_that_differ_in_one_field_have_different_fingerprints() {
                 ..BASE
             },
         ),
+        // `0.0` and `-0.0` compare equal but are different programs.
         (
             "a boundary constant's sign bit",
             Variant {
-                boundary: -1.0,
+                boundary: -0.0,
                 ..BASE
             },
         ),
@@ -210,19 +211,6 @@ fn programs_that_differ_in_one_field_have_different_fingerprints() {
         assert!(!seen.contains(&fingerprint), "{what} moved no fingerprint");
         seen.push(fingerprint);
     }
-    // Only the sign of the boundary constant: `0.0` and `-0.0` compare
-    // equal but are different programs.
-    let zero = variant(Variant {
-        boundary: 0.0,
-        ..BASE
-    })
-    .fingerprint();
-    let negative_zero = variant(Variant {
-        boundary: -0.0,
-        ..BASE
-    })
-    .fingerprint();
-    assert_ne!(zero, negative_zero);
 }
 
 #[test]
