@@ -121,7 +121,8 @@ pub(crate) fn tokenize(input: &str) -> Result<Vec<SpannedToken<'_>>> {
     while pos < bytes.len() {
         let c = bytes[pos];
         let next = bytes.get(pos + 1).copied();
-        // Operators and punctuation: the token and its width in bytes.
+        // An operator or punctuation arm yields its token and width in
+        // bytes; the other arms consume their bytes and push themselves.
         let (token, width) = match c {
             b' ' | b'\t' | b'\n' | b'\r' => {
                 pos += 1;
