@@ -64,9 +64,14 @@ fn stencil_reads(program: &StencilProgram) -> BTreeMap<String, Vec<String>> {
 }
 
 /// SF0201: cycle detection with a named path, by iterative DFS with an
-/// explicit color map (white/gray/black). Only the first cycle found is
-/// reported — one is enough to make every downstream analysis undefined.
+/// explicit color map (white/gray/black). The DFS runs only when the
+/// program's kept topological order reports a cycle. Only the first cycle
+/// found is reported — one is enough to make every downstream analysis
+/// undefined.
 fn check_cycles(program: &StencilProgram, report: &mut AnalysisReport) {
+    if program.topological_nodes().is_ok() {
+        return;
+    }
     #[derive(Clone, Copy, PartialEq)]
     enum Color {
         White,
@@ -117,23 +122,29 @@ fn check_cycles(program: &StencilProgram, report: &mut AnalysisReport) {
     }
 }
 
-/// SF0202 + SF0203: reverse reachability from the outputs. A stencil no
-/// output depends on is dead; an input no live stencil reads is unused.
+/// SF0202 + SF0203: reverse reachability from the outputs over the
+/// program's DAG. A stencil no output depends on is dead; an input no live
+/// stencil reads is unused.
 fn check_liveness(program: &StencilProgram, report: &mut AnalysisReport) {
-    let reads = stencil_reads(program);
+    let dag = program.dag();
     let mut live: BTreeSet<&str> = BTreeSet::new();
+    let mut read_inputs: BTreeSet<&str> = BTreeSet::new();
     let mut queue: VecDeque<&str> = program
         .outputs()
         .iter()
         .map(String::as_str)
-        .filter(|o| reads.contains_key(*o))
+        .filter(|o| program.is_stencil(o))
         .collect();
     while let Some(node) = queue.pop_front() {
         if !live.insert(node) {
             continue;
         }
-        for upstream in &reads[node] {
-            if !live.contains(upstream.as_str()) {
+        for edge in dag.in_edges(node) {
+            let upstream = edge.from.as_str();
+            if program.is_input(upstream) {
+                read_inputs.insert(upstream);
+            }
+            if program.is_stencil(upstream) && !live.contains(upstream) {
                 queue.push_back(upstream);
             }
         }
@@ -149,10 +160,7 @@ fn check_liveness(program: &StencilProgram, report: &mut AnalysisReport) {
         }
     }
     for (input, _) in program.inputs() {
-        let read_by_live = program
-            .stencils()
-            .any(|s| live.contains(s.name.as_str()) && s.reads(input));
-        if !read_by_live {
+        if !read_inputs.contains(input) {
             report.diagnostics.push(Diagnostic::new(
                 Severity::Warning,
                 "SF0203",
@@ -290,13 +298,17 @@ mod tests {
             .input("a", DataType::Float32, &["i", "j"])
             .input("ghost", DataType::Float32, &["i", "j"])
             .stencil("b", "a[i,j] + 1.0")
+            .stencil("c", "b[i,j] * 0.5")
             .stencil("orphan", "ghost[i,j] * 2.0")
-            .output("b")
+            .output("c")
             .build()
             .unwrap();
+        // `b` and `a` are live through `c`; only `orphan` reads `ghost`.
         let report = analyze_program(&program);
         assert_eq!(report.with_code("SF0202").len(), 1);
+        assert_eq!(report.with_code("SF0202")[0].location, "deadwood/orphan");
         assert_eq!(report.with_code("SF0203").len(), 1);
+        assert_eq!(report.with_code("SF0203")[0].location, "deadwood/ghost");
         assert!(report.is_clean(), "liveness findings are warnings");
     }
 

@@ -82,7 +82,7 @@ pub fn scaling_series(
         let mapping = HardwareMapping::build(&program, &config).expect("chain programs always map");
         let resources = estimate_resources(&mapping);
         let frequency = frequency_model.frequency_hz(&resources, &device);
-        let perf = mapping.performance.at_frequency(frequency);
+        let perf = mapping.performance;
         let pipeline_efficiency = perf.iterations as f64 / perf.expected_cycles as f64;
         let ops_per_cycle = mapping.ops_per_cycle();
         let upper_bound = ops_per_cycle as f64 * frequency * pipeline_efficiency / 1e9;
@@ -232,7 +232,7 @@ pub fn table1_rows(quick: bool) -> Vec<KernelRow> {
         let (_, mapping) = best_fitting_chain(build.as_ref(), &config, &device);
         let resources = estimate_resources(&mapping);
         let frequency = frequency_model.frequency_hz(&resources, &device);
-        let perf = mapping.performance.at_frequency(frequency);
+        let perf = mapping.performance;
         let pipeline_efficiency = perf.iterations as f64 / perf.expected_cycles as f64;
         let gops = mapping.ops_per_cycle() as f64 * frequency * pipeline_efficiency / 1e9;
         rows.push(KernelRow {
@@ -397,7 +397,7 @@ pub fn table2_rows() -> (Vec<Table2Row>, String) {
     let mapping16 = HardwareMapping::build(&fused, &config16).expect("mapping succeeds");
     let resources16 = estimate_resources(&mapping16);
     let frequency16 = frequency_model.frequency_hz(&resources16, &device);
-    let perf16 = mapping16.performance.at_frequency(frequency16);
+    let perf16 = mapping16.performance;
     let pipeline_eff16 = perf16.iterations as f64 / perf16.expected_cycles as f64;
     let inf_gops = mapping16.ops_per_cycle() as f64 * frequency16 * pipeline_eff16 / 1e9
         * (total_ops as f64 / (mapping16.ops_per_cycle() as f64 * perf16.iterations as f64));
@@ -465,7 +465,7 @@ pub fn table2_rows() -> (Vec<Table2Row>, String) {
         program.stencil_count(),
         perf.init_fraction() * 100.0,
         analysis.total_buffer_elements(),
-        analysis.total_buffer_bytes(4) as f64 / 1e6,
+        (analysis.total_buffer_elements() * 4) as f64 / 1e6,
     );
     (rows, analysis_text)
 }
@@ -1001,6 +1001,46 @@ pub fn throughput_json(
     Json::Object(document).to_string_pretty()
 }
 
+/// Why a benchmark document fails its floor gate ([`check_floors`] for
+/// `bench_eval`'s document, [`check_serve_floors`] for `bench_serve`'s).
+#[derive(Debug, Clone, PartialEq)]
+pub enum FloorError {
+    /// The document does not parse as JSON.
+    InvalidJson {
+        document: &'static str,
+        detail: String,
+    },
+    /// A key the gate reads is absent or has the wrong type.
+    MissingKey {
+        document: &'static str,
+        key: &'static str,
+    },
+    /// The document has no row of a kind the gate requires.
+    MissingRows { rows: &'static str },
+    /// The floors the document misses, one line each.
+    Missed(Vec<String>),
+}
+
+impl std::fmt::Display for FloorError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FloorError::InvalidJson { document, detail } => {
+                write!(f, "invalid {document}: {detail}")
+            }
+            FloorError::MissingKey { document, key } => write!(f, "{document} is missing {key}"),
+            FloorError::MissingRows { rows } => {
+                write!(f, "benchmark JSON has no {rows} to check")
+            }
+            FloorError::Missed(failures) => f.write_str(&failures.join("\n")),
+        }
+    }
+}
+
+/// The key `key` of `document` is missing.
+pub(crate) fn missing(document: &'static str, key: &'static str) -> FloorError {
+    FloorError::MissingKey { document, key }
+}
+
 /// Check the speedup floors recorded in a `bench_eval` JSON document (the
 /// CI gate behind `bench_eval --check-floors`). Every gated row carries one
 /// **kernel-tier** gate on `fused_speedup`: the fused tier (what the
@@ -1032,15 +1072,19 @@ pub fn throughput_json(
 ///
 /// # Errors
 ///
-/// Returns a description of every violated floor (or of a malformed
-/// document); `Ok` carries the human-readable summary of the checks passed.
-pub fn check_floors(json_text: &str) -> Result<String, String> {
-    let parsed =
-        stencilflow_json::parse(json_text).map_err(|e| format!("invalid benchmark JSON: {e:?}"))?;
+/// Returns [`FloorError::Missed`] with every violated floor, or the error
+/// of a malformed document; `Ok` carries the human-readable summary of the
+/// checks passed.
+pub fn check_floors(json_text: &str) -> Result<String, FloorError> {
+    const DOCUMENT: &str = "benchmark JSON";
+    let parsed = stencilflow_json::parse(json_text).map_err(|e| FloorError::InvalidJson {
+        document: DOCUMENT,
+        detail: format!("{e:?}"),
+    })?;
     let quick = parsed
         .get("quick")
         .and_then(|v| v.as_bool())
-        .ok_or("benchmark JSON is missing the `quick` flag")?;
+        .ok_or(missing(DOCUMENT, "the `quick` flag"))?;
     // The kernel-tier floor guards against a stencil falling to the boxed
     // `Value` kernel. It was set under what the lane-batched materializing
     // sweep measured over the interpreter (40-75x quick, 48-89x full; one
@@ -1067,7 +1111,7 @@ pub fn check_floors(json_text: &str) -> Result<String, String> {
     let rows = parsed
         .get("rows")
         .and_then(|v| v.as_array())
-        .ok_or("benchmark JSON is missing `rows`")?;
+        .ok_or(missing(DOCUMENT, "`rows`"))?;
     let mut failures = Vec::new();
     let mut summary = String::new();
     let mut checked = 0usize;
@@ -1124,31 +1168,28 @@ pub fn check_floors(json_text: &str) -> Result<String, String> {
             check_gate(&workload, key, value, floor);
         }
     }
-    if checked == 0 {
-        return Err("no jacobi3d rows to check in benchmark JSON".to_string());
-    }
-    if branchy_checked == 0 {
-        return Err("no upwind3d rows to check in benchmark JSON".to_string());
-    }
-    if fused_checked < 2 {
-        return Err("benchmark JSON is missing the fused-tier rows (chain and steps)".to_string());
-    }
-    if hdiff_checked == 0 {
-        return Err(
-            "no benchmark-domain horizontal_diffusion row to check in benchmark JSON".to_string(),
-        );
-    }
-    if listing_checked == 0 {
-        return Err("no listing1 row to check in benchmark JSON".to_string());
+    for (present, rows) in [
+        (checked > 0, "jacobi3d rows"),
+        (branchy_checked > 0, "upwind3d rows"),
+        (fused_checked >= 2, "fused-tier rows (chain and steps)"),
+        (
+            hdiff_checked > 0,
+            "benchmark-domain horizontal_diffusion row",
+        ),
+        (listing_checked > 0, "listing1 row"),
+    ] {
+        if !present {
+            return Err(FloorError::MissingRows { rows });
+        }
     }
     // The sharded-runtime zero-fault overhead gates.
     let sharded = parsed
         .get("sharded")
-        .ok_or("benchmark JSON is missing the `sharded` section")?;
+        .ok_or(missing(DOCUMENT, "the `sharded` section"))?;
     let host_threads = sharded
         .get("host_threads")
         .and_then(|v| v.as_usize())
-        .ok_or("sharded section is missing `host_threads`")?;
+        .ok_or(missing("sharded section", "`host_threads`"))?;
     // Healthy 1-shard runs measure ~1.0x the fused tier (the acceptance
     // criterion is >= 0.9x); the floors sit below that by the same noise
     // margin the kernel-tier floors use, so jitter on shared runners does
@@ -1189,7 +1230,7 @@ pub fn check_floors(json_text: &str) -> Result<String, String> {
     if failures.is_empty() {
         Ok(summary)
     } else {
-        Err(failures.join("\n"))
+        Err(FloorError::Missed(failures))
     }
 }
 
@@ -1315,6 +1356,11 @@ mod tests {
         }
     }
 
+    /// The text of the error `check_floors` returns for `json`.
+    fn floor_error(json: &str) -> String {
+        check_floors(json).unwrap_err().to_string()
+    }
+
     #[test]
     fn check_floors_accepts_healthy_and_rejects_regressed_documents() {
         let healthy_sharded = sharded(1, 0.95, 0.6);
@@ -1344,60 +1390,72 @@ mod tests {
             ];
             check_floors(&throughput_json(&rows, Some(&healthy_sharded), true))
         };
-        let err = listing(24.0, 1.02).unwrap_err();
+        let err = listing(24.0, 1.02).unwrap_err().to_string();
         assert!(
             err.contains("listing1") && err.contains("streamed_speedup"),
             "unexpected error: {err}"
         );
         assert!(listing(30.0, 1.0).is_ok());
         // A jacobi row that left the lane-batched sweep trips the kernel gate.
-        let err = check_floors(&document(14.0, 40.0, 64.0, 52.0, 1.2, 60.0)).unwrap_err();
+        let err = floor_error(&document(14.0, 40.0, 64.0, 52.0, 1.2, 60.0));
         assert!(
             err.contains("jacobi3d") && err.contains("fused_speedup"),
             "unexpected error: {err}"
         );
         // A regressed branchy row trips its own gate.
-        let err = check_floors(&document(40.0, 14.0, 64.0, 52.0, 1.2, 60.0)).unwrap_err();
+        let err = floor_error(&document(40.0, 14.0, 64.0, 52.0, 1.2, 60.0));
         assert!(
             err.contains("upwind3d") && err.contains("fused_speedup"),
             "unexpected error: {err}"
         );
         // Chain and time-loop rows above the kernel floor but below their
         // streaming and temporal-blocking floors trip those.
-        let err = check_floors(&document(40.0, 40.0, 25.0, 52.0, 1.2, 60.0)).unwrap_err();
+        let err = floor_error(&document(40.0, 40.0, 25.0, 52.0, 1.2, 60.0));
         assert!(
             err.contains("chain") && err.contains("fused_speedup"),
             "unexpected error: {err}"
         );
-        let err = check_floors(&document(40.0, 40.0, 64.0, 23.0, 1.2, 60.0)).unwrap_err();
+        let err = floor_error(&document(40.0, 40.0, 64.0, 23.0, 1.2, 60.0));
         assert!(
             err.contains("steps") && err.contains("fused_speedup"),
             "unexpected error: {err}"
         );
         // A native sweep losing to the fused bytecode sweep trips the
         // Tier-4 floor on the jacobi rows.
-        let err = check_floors(&document(40.0, 40.0, 64.0, 52.0, 0.5, 60.0)).unwrap_err();
+        let err = floor_error(&document(40.0, 40.0, 64.0, 52.0, 0.5, 60.0));
         assert!(
             err.contains("jacobi3d") && err.contains("jit_speedup"),
             "unexpected error: {err}"
         );
         // Horizontal diffusion with stencils off the lane-batched sweep
         // trips the kernel gate.
-        let err = check_floors(&document(40.0, 40.0, 64.0, 52.0, 1.2, 14.0)).unwrap_err();
+        let err = floor_error(&document(40.0, 40.0, 64.0, 52.0, 1.2, 14.0));
         assert!(
             err.contains("horizontal_diffusion") && err.contains("fused_speedup"),
             "unexpected error: {err}"
         );
         // Documents without jacobi, upwind, or fused rows (or unparseable
         // ones) are errors, not silent passes.
-        assert!(check_floors("{\"quick\": true, \"rows\": []}").is_err());
+        assert_eq!(
+            check_floors("{\"quick\": true, \"rows\": []}"),
+            Err(FloorError::MissingRows {
+                rows: "jacobi3d rows"
+            })
+        );
+        assert_eq!(
+            check_floors("{}"),
+            Err(missing("benchmark JSON", "the `quick` flag"))
+        );
         let jacobi_only = throughput_json(
             &[row("jacobi3d 32^3 f32", 40.0, 1.2)],
             Some(&healthy_sharded),
             true,
         );
-        assert!(check_floors(&jacobi_only).unwrap_err().contains("upwind3d"));
-        assert!(check_floors("not json").is_err());
+        assert!(floor_error(&jacobi_only).contains("upwind3d"));
+        assert!(matches!(
+            check_floors("not json"),
+            Err(FloorError::InvalidJson { .. })
+        ));
     }
 
     #[test]
@@ -1414,17 +1472,21 @@ mod tests {
         // Healthy single-core document passes under the time-sliced floor.
         assert!(check_floors(&document(&sharded(1, 0.95, 0.6))).is_ok());
         // Missing section is an error, not a silent pass.
-        let err = check_floors(&throughput_json(&healthy_rows, None, true)).unwrap_err();
+        let err = floor_error(&throughput_json(&healthy_rows, None, true));
         assert!(err.contains("sharded"), "unexpected error: {err}");
         // A regressed 1-shard overhead trips its gate.
-        let err = check_floors(&document(&sharded(1, 0.5, 0.6))).unwrap_err();
+        assert!(matches!(
+            check_floors(&document(&sharded(1, 0.5, 0.6))),
+            Err(FloorError::Missed(failures)) if failures.len() == 1
+        ));
+        let err = floor_error(&document(&sharded(1, 0.5, 0.6)));
         assert!(err.contains("sharded1_ratio"), "unexpected error: {err}");
         // On a single-core host, 0.35x at 4 shards passes (time-sliced
         // floor) ...
         assert!(check_floors(&document(&sharded(1, 0.95, 0.35))).is_ok());
         // ... but the same ratio on a 8-core host violates the scaling
         // floor: with real cores the shards must actually scale.
-        let err = check_floors(&document(&sharded(8, 0.95, 0.35))).unwrap_err();
+        let err = floor_error(&document(&sharded(8, 0.95, 0.35)));
         assert!(err.contains("sharded4_ratio"), "unexpected error: {err}");
         assert!(check_floors(&document(&sharded(8, 0.95, 1.4))).is_ok());
     }

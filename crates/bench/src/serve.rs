@@ -23,6 +23,7 @@
 //!    (recorded beside the percentiles, not gated): the fixed cost a job
 //!    pays before its sweep.
 
+use crate::{missing, FloorError};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -400,23 +401,32 @@ pub fn format_serve(report: &ServeBenchReport) -> String {
 /// * **Fairness (p99 latency) floor** — the small-job p99 is bounded: if
 ///   a large job monopolized the pool, thousands of queued small jobs
 ///   would blow this bound immediately.
-pub fn check_serve_floors(json_text: &str) -> Result<String, String> {
-    let parsed =
-        stencilflow_json::parse(json_text).map_err(|e| format!("invalid serve JSON: {e:?}"))?;
+///
+/// # Errors
+///
+/// Returns [`FloorError::Missed`] with every violated floor, or the error
+/// of a malformed document; `Ok` carries the human-readable summary of the
+/// checks passed.
+pub fn check_serve_floors(json_text: &str) -> Result<String, FloorError> {
+    const DOCUMENT: &str = "serve JSON";
+    let parsed = stencilflow_json::parse(json_text).map_err(|e| FloorError::InvalidJson {
+        document: DOCUMENT,
+        detail: format!("{e:?}"),
+    })?;
     let quick = parsed
         .get("quick")
         .and_then(|v| v.as_bool())
-        .ok_or("serve JSON is missing the `quick` flag")?;
+        .ok_or(missing(DOCUMENT, "the `quick` flag"))?;
     let host_threads = parsed
         .get("host_threads")
         .and_then(|v| v.as_usize())
-        .ok_or("serve JSON is missing `host_threads`")?;
+        .ok_or(missing(DOCUMENT, "`host_threads`"))?;
     let mut failures = Vec::new();
     let mut summary = String::new();
 
     let steady = parsed
         .get("steady_state")
-        .ok_or("serve JSON is missing the `steady_state` section")?;
+        .ok_or(missing(DOCUMENT, "the `steady_state` section"))?;
     for key in ["pool_misses", "mask_misses", "compiles"] {
         match steady.get(key).and_then(|v| v.as_usize()) {
             Some(0) => summary.push_str(&format!("ok: steady_state.{key} == 0\n")),
@@ -477,7 +487,7 @@ pub fn check_serve_floors(json_text: &str) -> Result<String, String> {
     if failures.is_empty() {
         Ok(summary)
     } else {
-        Err(failures.join("\n"))
+        Err(FloorError::Missed(failures))
     }
 }
 
@@ -501,11 +511,23 @@ mod tests {
     fn floor_checker_rejects_violations() {
         let mut report = run_serve_bench(true);
         report.steady_pool_misses = 3;
-        let err = check_serve_floors(&serve_json(&report)).unwrap_err();
+        let err = check_serve_floors(&serve_json(&report))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("pool_misses"), "{err}");
         report.steady_pool_misses = 0;
         report.mcells_per_s = 0.01;
-        let err = check_serve_floors(&serve_json(&report)).unwrap_err();
+        let err = check_serve_floors(&serve_json(&report))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("mcells_per_s"), "{err}");
+        assert_eq!(
+            check_serve_floors("{\"quick\": true}"),
+            Err(missing("serve JSON", "`host_threads`"))
+        );
+        assert!(matches!(
+            check_serve_floors("{"),
+            Err(FloorError::InvalidJson { .. })
+        ));
     }
 }

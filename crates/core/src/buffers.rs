@@ -135,7 +135,7 @@ impl InternalBufferAnalysis {
     ///
     /// Currently infallible for validated programs; the `Result` return type
     /// keeps the signature stable if richer diagnostics are added.
-    pub fn compute(program: &StencilProgram, config: &AnalysisConfig) -> Result<Self> {
+    pub(crate) fn compute(program: &StencilProgram, config: &AnalysisConfig) -> Result<Self> {
         let width = config.effective_vectorization(program.vectorization()) as u64;
         let mut stencils = BTreeMap::new();
         for stencil in program.stencils() {

@@ -76,6 +76,7 @@ pub use shardlink::{
 };
 pub use vectorization::VectorizationInfo;
 
+use std::sync::Arc;
 use stencilflow_program::StencilProgram;
 
 /// Combined result of the full buffering analysis of one program.
@@ -97,11 +98,6 @@ impl ProgramAnalysis {
     pub fn total_buffer_elements(&self) -> u64 {
         self.internal.total_elements() + self.delay.total_elements()
     }
-
-    /// Total fast-memory bytes assuming the program's widest data type.
-    pub fn total_buffer_bytes(&self, element_bytes: u64) -> u64 {
-        self.total_buffer_elements() * element_bytes
-    }
 }
 
 /// Run the complete buffering analysis on a program.
@@ -111,10 +107,37 @@ impl ProgramAnalysis {
 /// is used by the hardware mapping ([`HardwareMapping::build`]) and by all
 /// downstream crates (simulator, code generator, benchmarks).
 ///
+/// The first analysis of a program object is kept in the program
+/// ([`StencilProgram::analysis_slot`]) with its `config`, and a later call
+/// under an equal config returns it, shared. A call under another config
+/// computes a fresh analysis and keeps nothing.
+///
 /// # Errors
 ///
 /// Returns an error if the program's DAG is cyclic or otherwise invalid.
-pub fn analyze(program: &StencilProgram, config: &AnalysisConfig) -> Result<ProgramAnalysis> {
+pub fn analyze(program: &StencilProgram, config: &AnalysisConfig) -> Result<Arc<ProgramAnalysis>> {
+    let slot = program.analysis_slot();
+    if let Some(kept) = slot.get() {
+        return match kept.downcast_ref::<KeptAnalysis>() {
+            Some(kept) if kept.config == *config => Ok(Arc::clone(&kept.analysis)),
+            _ => compute(program, config).map(Arc::new),
+        };
+    }
+    let analysis = Arc::new(compute(program, config)?);
+    let _ = slot.set(Arc::new(KeptAnalysis {
+        config: config.clone(),
+        analysis: Arc::clone(&analysis),
+    }));
+    Ok(analysis)
+}
+
+/// What [`analyze`] keeps in a program: the analysis and its config.
+struct KeptAnalysis {
+    config: AnalysisConfig,
+    analysis: Arc<ProgramAnalysis>,
+}
+
+fn compute(program: &StencilProgram, config: &AnalysisConfig) -> Result<ProgramAnalysis> {
     // One walk over the stencils' code serves both consumers of the count.
     let flops_per_cell = program.ops_per_cell().flops();
     let vectorization = VectorizationInfo::of(program, config, flops_per_cell);
@@ -176,9 +199,5 @@ mod tests {
         let analysis = analyze(&program, &AnalysisConfig::default()).unwrap();
         assert!(analysis.total_buffer_elements() > 0);
         assert!(analysis.performance.expected_cycles > program.space().num_cells() as u64);
-        assert_eq!(
-            analysis.total_buffer_bytes(4),
-            analysis.total_buffer_elements() * 4
-        );
     }
 }

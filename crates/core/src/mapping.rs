@@ -126,7 +126,8 @@ impl HardwareMapping {
     ///
     /// Returns an error if the program DAG is invalid.
     pub fn build(program: &StencilProgram, config: &AnalysisConfig) -> Result<Self> {
-        Self::from_analysis(program, &crate::analyze(program, config)?, config)
+        let analysis = crate::analyze(program, config)?;
+        Self::from_analysis(program, &analysis, config)
     }
 
     /// Build the mapping of a program from the buffering analysis

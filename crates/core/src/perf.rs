@@ -78,12 +78,6 @@ impl PerformanceEstimate {
     pub fn init_fraction(&self) -> f64 {
         self.pipeline_latency as f64 / self.expected_cycles as f64
     }
-
-    /// Re-evaluate the estimate at a different clock frequency.
-    pub fn at_frequency(mut self, frequency_hz: f64) -> Self {
-        self.frequency_hz = frequency_hz;
-        self
-    }
 }
 
 /// Compute expected cycles for a program directly (Eq. 1 convenience
@@ -165,7 +159,10 @@ mod tests {
         let config = AnalysisConfig::paper_defaults();
         let perf = crate::analyze(&program, &config).unwrap().performance;
         assert!((perf.gops() - perf.ops_per_second() / 1e9).abs() < 1e-9);
-        let faster = perf.at_frequency(600e6);
+        let faster = PerformanceEstimate {
+            frequency_hz: 600e6,
+            ..perf
+        };
         assert!(faster.runtime_seconds() < perf.runtime_seconds());
     }
 }

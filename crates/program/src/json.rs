@@ -187,13 +187,7 @@ pub fn from_json(text: &str) -> Result<StencilProgram> {
         };
         builder = builder.stencil(stencil, code);
         if let Some(boundary) = boundary {
-            let spec = parse_boundary(stencil, boundary)?;
-            for (field, condition) in &spec.per_field {
-                builder = builder.boundary(stencil, field, *condition);
-            }
-            if spec.shrink {
-                builder = builder.shrink(stencil);
-            }
+            builder = builder.boundary_spec(stencil, parse_boundary(stencil, boundary)?);
         }
         if let Some(dtype) = data_type {
             let dtype = expect_str(dtype, "`data_type`")?;

@@ -5,6 +5,7 @@ use crate::error::{ProgramError, Result};
 use crate::field::{FieldDecl, IterationSpace};
 use crate::graph::StencilDag;
 use crate::stencil::StencilNode;
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -13,13 +14,14 @@ use stencilflow_expr::{DataType, OpCount};
 /// A complete stencil program: iteration space, input fields, stencil nodes,
 /// and designated outputs (§II of the paper).
 ///
-/// A program derives three things once and keeps them: its fingerprint,
-/// its DAG with the two topological orders, and (in each stencil node) the
-/// compiled kernel. The `&mut` methods clear the first two; a node keeps
-/// its kernel for as long as it lives. The nodes are shared, so a clone
-/// costs one reference count per stencil and carries everything derived.
-/// Equality and the `Debug` rendering cover the program only, not what it
-/// keeps.
+/// A program derives four things once and keeps them: its fingerprint,
+/// its DAG with the two topological orders, the buffering analysis kept
+/// beside the DAG ([`StencilProgram::analysis_slot`]), and (in each
+/// stencil node) the compiled kernel. The `&mut` methods clear the first
+/// three; a node keeps its kernel for as long as it lives. The nodes are
+/// shared, so a clone costs one reference count per stencil and carries
+/// everything derived. Equality and the `Debug` rendering cover the
+/// program only, not what it keeps.
 #[derive(Clone)]
 pub struct StencilProgram {
     name: String,
@@ -30,18 +32,21 @@ pub struct StencilProgram {
     vectorization: usize,
     /// [`StencilProgram::fingerprint`], computed on first use.
     fingerprint: OnceLock<u64>,
-    /// The DAG and its orders, built on first use ([`StencilProgram::validate`]
-    /// builds them at the latest).
+    /// The DAG, its orders and the analysis slot, built on first use
+    /// ([`StencilProgram::validate`] builds them at the latest).
     derived: OnceLock<Arc<Derived>>,
 }
 
-/// What a program derives from its structure: the DAG and its orders.
+/// What a program derives from its structure: the DAG and its orders, and
+/// the analysis computed from them.
 struct Derived {
     dag: StencilDag,
     /// Every DAG node in topological order, or the cycle that prevents one.
     order: Result<Vec<String>>,
     /// The stencils of `order`, in that order.
     stencils: Vec<String>,
+    /// See [`StencilProgram::analysis_slot`].
+    analysis: OnceLock<Arc<dyn Any + Send + Sync>>,
 }
 
 impl Derived {
@@ -59,6 +64,7 @@ impl Derived {
             dag,
             order,
             stencils,
+            analysis: OnceLock::new(),
         }
     }
 }
@@ -216,6 +222,16 @@ impl StencilProgram {
     pub fn topological_stencils(&self) -> Result<&[String]> {
         self.topological_nodes()?;
         Ok(&self.derived().stencils)
+    }
+
+    /// Where `core::analyze` keeps the buffering analysis of this program
+    /// object (with the configuration it was computed under), beside the
+    /// DAG: `core` depends on this crate, so the slot holds the value
+    /// type-erased. Clones share it; [`StencilProgram::insert_stencil`] and
+    /// [`StencilProgram::remove_stencil`] clear it with the DAG; equality,
+    /// `Debug` and the fingerprint do not see it. The first value set stays.
+    pub fn analysis_slot(&self) -> &OnceLock<Arc<dyn Any + Send + Sync>> {
+        &self.derived().analysis
     }
 
     /// The output-to-input feedback pairing of time stepping, `(output,
@@ -560,6 +576,15 @@ impl StencilProgramBuilder {
         self
     }
 
+    /// Set the whole boundary specification of stencil `stencil`, replacing
+    /// what [`StencilProgramBuilder::boundary`] and
+    /// [`StencilProgramBuilder::shrink`] set before; `build()` moves it into
+    /// the node.
+    pub(crate) fn boundary_spec(mut self, stencil: &str, spec: BoundarySpec) -> Self {
+        self.boundaries.insert(stencil.to_string(), spec);
+        self
+    }
+
     /// Mark the output of stencil `stencil` as shrunk.
     pub fn shrink(mut self, stencil: &str) -> Self {
         self.boundaries
@@ -593,7 +618,7 @@ impl StencilProgramBuilder {
     ///
     /// Returns the first validation error encountered (see
     /// [`StencilProgram::validate`]).
-    pub fn build(self) -> Result<StencilProgram> {
+    pub fn build(mut self) -> Result<StencilProgram> {
         let dim_refs: Vec<&str> = self.dims.iter().map(String::as_str).collect();
         let space = IterationSpace::new(&dim_refs, &self.shape)?;
         let mut stencils = BTreeMap::new();
@@ -603,8 +628,8 @@ impl StencilProgramBuilder {
             }
             let code = &self.codes[name];
             let mut node = StencilNode::parse(name, code)?;
-            if let Some(boundary) = self.boundaries.get(name) {
-                node.boundary = boundary.clone();
+            if let Some(boundary) = self.boundaries.remove(name) {
+                node.boundary = boundary;
             }
             if let Some(dtype) = self.output_types.get(name) {
                 node.output_type = *dtype;

@@ -17,7 +17,7 @@ use crate::report::{ChannelStats, SimOutcome, SimReport, UnitStats};
 use crate::simulator::channel_shape;
 use std::collections::{BTreeMap, VecDeque};
 use stencilflow_core::channel::Fifo;
-use stencilflow_core::{AnalysisConfig, CoreError, DelayBufferAnalysis, InternalBufferAnalysis};
+use stencilflow_core::{AnalysisConfig, CoreError, DelayBufferAnalysis};
 use stencilflow_core::{MultiDevicePlan, Result as CoreResult};
 use stencilflow_expr::{CompiledKernel, EvalScratch, TypedKernel, TypedScratch, Value};
 use stencilflow_program::{
@@ -515,13 +515,16 @@ pub(crate) fn simulate(
     config: &SimConfig,
     inputs: &BTreeMap<String, Grid>,
 ) -> CoreResult<SimReport> {
-    let internal = InternalBufferAnalysis::compute(program, analysis)?;
-    let delay = DelayBufferAnalysis::compute(program, &internal, analysis, plan)?;
+    let kept = stencilflow_core::analyze(program, analysis)?;
+    let planned = (plan
+        .map(|plan| DelayBufferAnalysis::compute(program, &kept.internal, analysis, Some(plan))))
+    .transpose()?;
+    let delay = planned.as_ref().unwrap_or(&kept.delay);
 
     let mut channels: Vec<Fifo> = Vec::new();
     let mut channel_index: BTreeMap<(String, String), usize> = BTreeMap::new();
     for channel in delay.channels() {
-        let (capacity, latency, words_per_cycle) = channel_shape(config, &delay, plan, channel);
+        let (capacity, latency, words_per_cycle) = channel_shape(config, delay, plan, channel);
         let mut fifo =
             Fifo::new(&format!("{}->{}", channel.from, channel.to), capacity).with_latency(latency);
         if words_per_cycle.is_finite() {

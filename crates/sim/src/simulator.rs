@@ -28,8 +28,8 @@ use crate::report::{ChannelStats, SimOutcome, SimReport, UnitStats};
 use crate::unit::StencilUnit;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use stencilflow_core::DelayBufferAnalysis;
 use stencilflow_core::{AnalysisConfig, ChannelDepth, CoreError};
-use stencilflow_core::{DelayBufferAnalysis, InternalBufferAnalysis};
 use stencilflow_core::{MultiDevicePlan, Result as CoreResult};
 use stencilflow_program::{IterationSpace, ProgramError, StencilDag, StencilProgram};
 use stencilflow_reference::{CompiledProgram, Grid, ReferenceExecutor};
@@ -141,8 +141,14 @@ impl Simulator {
         config: &SimConfig,
         plan: Option<&MultiDevicePlan>,
     ) -> CoreResult<Self> {
-        let internal_buffers = InternalBufferAnalysis::compute(program, analysis)?;
-        let delay = DelayBufferAnalysis::compute(program, &internal_buffers, analysis, plan)?;
+        // The program's kept analysis sizes a single-device design; a plan
+        // needs delay buffers of its own, over the same internal buffers.
+        let kept = stencilflow_core::analyze(program, analysis)?;
+        let planned = (plan.map(|plan| {
+            DelayBufferAnalysis::compute(program, &kept.internal, analysis, Some(plan))
+        }))
+        .transpose()?;
+        let delay = planned.as_ref().unwrap_or(&kept.delay);
         let space = program.space();
         let total_cells = space.num_cells();
 
@@ -151,7 +157,7 @@ impl Simulator {
         let mut channel_index: BTreeMap<(&str, &str), usize> = BTreeMap::new();
         for channel in delay.channels() {
             let (from, to) = (channel.from.as_str(), channel.to.as_str());
-            let (capacity, latency, words_per_cycle) = channel_shape(config, &delay, plan, channel);
+            let (capacity, latency, words_per_cycle) = channel_shape(config, delay, plan, channel);
             channel_index.insert((from, to), channels.len());
             channels.push(TokenChannel::new(capacity, latency, words_per_cycle));
             channel_names.push(format!("{from}->{to}"));

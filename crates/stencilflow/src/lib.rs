@@ -46,6 +46,7 @@ pub use stencilflow_program::{from_json, StencilProgram, StencilProgramBuilder};
 pub use stencilflow_sim::{SimConfig, SimOutcome, SimReport, Simulator};
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use stencilflow_reference::{Grid, InputGenerator, ReferenceExecutor};
 
 /// Errors produced by the end-to-end pipeline.
@@ -85,8 +86,8 @@ impl From<stencilflow_core::CoreError> for PipelineError {
 pub struct PipelineResult {
     /// The (possibly fused) program that was mapped.
     pub program: StencilProgram,
-    /// The buffering analysis.
-    pub analysis: ProgramAnalysis,
+    /// The buffering analysis, the one the fused program keeps.
+    pub analysis: Arc<ProgramAnalysis>,
     /// The single-device hardware mapping.
     pub mapping: HardwareMapping,
     /// Generated OpenCL-style kernel code.

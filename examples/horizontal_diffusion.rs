@@ -56,7 +56,7 @@ fn main() {
         "mapping: {} Op/cycle, {} operands/cycle from DRAM, {:.1} MB on-chip buffers",
         mapping.ops_per_cycle(),
         mapping.memory_operands_per_cycle(),
-        analysis.total_buffer_bytes(4) as f64 / 1e6
+        (analysis.total_buffer_elements() * 4) as f64 / 1e6
     );
     println!(
         "estimated utilization: {:.0}% ALM, {:.0}% M20K, {:.0}% DSP",

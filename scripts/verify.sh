@@ -30,12 +30,14 @@
 #                                  and after the switch is the
 #                                  interpreter's in bits; the derivation
 #                                  test, tests/derive_once.rs: a program
-#                                  builds its DAG once, each stencil
-#                                  compiles its kernel once, clones and
-#                                  fusion share both, four fingerprints
-#                                  stay pinned, programs that differ in
-#                                  one field hash apart and a JSON round
-#                                  trip keeps the value; the front-end
+#                                  builds its DAG and its buffering
+#                                  analysis once, each stencil compiles
+#                                  its kernel once, clones share them,
+#                                  fusion shares the kernels, four
+#                                  fingerprints stay pinned, programs
+#                                  that differ in one field hash apart
+#                                  and a JSON round trip keeps the
+#                                  value; the front-end
 #                                  pin, tests/frontend_bits.rs: one hash
 #                                  over the AST, the field accesses and
 #                                  the compiled op streams and slots of

@@ -1,11 +1,15 @@
-//! A program derives its DAG once and each stencil compiles its kernel
-//! once; clones and fusion share both, the `&mut` methods invalidate the
-//! DAG, and nothing derived moves a program's fingerprint. The fingerprint
-//! tells apart programs that differ in any one field, and survives a trip
-//! through the JSON description.
+//! A program derives its DAG and its buffering analysis once and each
+//! stencil compiles its kernel once; clones and fusion share them, the
+//! `&mut` methods invalidate the DAG and the analysis, and nothing derived
+//! moves a program's fingerprint. The fingerprint tells apart programs that
+//! differ in any one field, and survives a trip through the JSON
+//! description.
 
 use std::ptr;
+use std::sync::Arc;
 
+use stencilflow::core::perf::expected_cycles;
+use stencilflow::core::{analyze, AnalysisConfig, HardwareMapping, ProgramAnalysis};
 use stencilflow::dataflow::fuse_all;
 use stencilflow::expr::{CompiledKernel, DataType};
 use stencilflow::program::{
@@ -106,9 +110,83 @@ fn fingerprints_do_not_depend_on_what_was_derived() {
             kernel(stencil);
         }
         derived.topological_stencils().unwrap();
+        analyze(&derived, &AnalysisConfig::paper_defaults()).unwrap();
         assert_eq!(derived.fingerprint(), fingerprint, "{name}, derived");
         assert_eq!(derived, build(), "{name}");
+        assert_eq!(format!("{derived:?}"), format!("{:?}", build()), "{name}");
     }
+}
+
+/// Whether two analyses hold the same buffers, channels and estimates.
+fn same_analysis(a: &ProgramAnalysis, b: &ProgramAnalysis) -> bool {
+    a.internal == b.internal
+        && a.delay == b.delay
+        && a.vectorization == b.vectorization
+        && a.performance == b.performance
+}
+
+#[test]
+fn the_mapping_calls_share_one_kept_analysis() {
+    let config = AnalysisConfig::paper_defaults();
+    let fused = fuse_all(&production_hdiff()).unwrap();
+    assert!(fused.analysis_slot().get().is_none());
+    HardwareMapping::build(&fused, &config).unwrap();
+    assert!(fused.analysis_slot().get().is_some(), "`build` keeps it");
+    expected_cycles(&fused, &config).unwrap();
+    let kept = analyze(&fused, &config).unwrap();
+    assert!(Arc::ptr_eq(&kept, &analyze(&fused, &config).unwrap()));
+
+    // A clone shares it, whether it was taken before or after the analysis.
+    let early = production_hdiff();
+    let clone = early.clone();
+    let analysis = analyze(&early, &config).unwrap();
+    assert!(Arc::ptr_eq(&analysis, &analyze(&clone, &config).unwrap()));
+    assert!(Arc::ptr_eq(
+        &kept,
+        &analyze(&fused.clone(), &config).unwrap()
+    ));
+
+    // Fusion's result is another program and gets its own.
+    let refused = fuse_all(&early).unwrap();
+    let fresh = analyze(&refused, &config).unwrap();
+    assert!(!Arc::ptr_eq(&analysis, &fresh));
+    assert!(same_analysis(&kept, &fresh));
+}
+
+#[test]
+fn the_mut_methods_clear_the_kept_analysis() {
+    let config = AnalysisConfig::paper_defaults();
+    let mut program = listing1();
+    let before = analyze(&program, &config).unwrap();
+    let b4 = program.stencil("b4").unwrap().clone();
+    program.insert_stencil(b4);
+    assert!(program.analysis_slot().get().is_none());
+    let inserted = analyze(&program, &config).unwrap();
+    assert!(!Arc::ptr_eq(&before, &inserted));
+    assert!(same_analysis(&before, &inserted));
+
+    program.insert_stencil(StencilNode::parse("spare", "b4[i,j,k] * 2.0").unwrap());
+    let grown = analyze(&program, &config).unwrap();
+    program.remove_stencil("spare");
+    assert!(program.analysis_slot().get().is_none());
+    let removed = analyze(&program, &config).unwrap();
+    assert!(!Arc::ptr_eq(&grown, &removed));
+    assert!(same_analysis(&before, &removed));
+}
+
+#[test]
+fn a_second_config_computes_afresh_and_keeps_nothing() {
+    let first = AnalysisConfig::paper_defaults();
+    let second = AnalysisConfig::paper_defaults().with_vectorization(4);
+    let program = production_hdiff();
+    let kept = analyze(&program, &first).unwrap();
+    let other = analyze(&program, &second).unwrap();
+    let uncached = analyze(&production_hdiff(), &second).unwrap();
+    assert!(same_analysis(&other, &uncached));
+    assert!(!same_analysis(&other, &kept));
+    assert!(!Arc::ptr_eq(&other, &analyze(&program, &second).unwrap()));
+    // The first config's analysis stays kept.
+    assert!(Arc::ptr_eq(&kept, &analyze(&program, &first).unwrap()));
 }
 
 /// A program with one of every field the fingerprint covers, each set by

@@ -10,8 +10,8 @@
 //! on a simulator that gave every FIFO 1 024 words beyond the analysed
 //! depth, so a change that sizes a channel too small for full rate moves it.
 
+use stencilflow::core::DelayBufferAnalysis;
 use stencilflow::core::{AnalysisConfig, MultiDevicePlan, PartitionConfig};
-use stencilflow::core::{DelayBufferAnalysis, InternalBufferAnalysis};
 use stencilflow::dataflow::fuse_all;
 use stencilflow::reference::generate_inputs;
 use stencilflow::sim::{SimConfig, Simulator};
@@ -87,8 +87,8 @@ fn channel_capacity_is_the_analysed_depth_plus_the_latencies() {
     assert!(program
         .stencils()
         .all(|s| s.compute_latency(&analysis.latencies) > 0));
-    let internal = InternalBufferAnalysis::compute(&program, &analysis).unwrap();
-    let delay = DelayBufferAnalysis::compute(&program, &internal, &analysis, Some(&plan)).unwrap();
+    let internal = &stencilflow::analyze(&program, &analysis).unwrap().internal;
+    let delay = DelayBufferAnalysis::compute(&program, internal, &analysis, Some(&plan)).unwrap();
     let simulator =
         Simulator::build_multi_device(&program, &analysis, &plan, &SimConfig::default()).unwrap();
     let report = simulator.run(&generate_inputs(&program, 1)).unwrap();
