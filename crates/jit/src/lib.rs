@@ -43,7 +43,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitStatus, Stdio};
+use std::process::{Child, Command, ExitStatus, Output, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant, SystemTime};
@@ -370,13 +370,19 @@ impl JitEngine {
     /// [`JitEngine::try_from`] with compiler deadline `deadline` (tests
     /// pass a short one).
     fn with_deadline(config: JitConfig, deadline: Duration) -> Result<JitEngine, JitError> {
-        let probe = Command::new(&config.cc)
-            .arg("--version")
-            .output()
-            .map_err(|e| JitError::ProbeSpawn {
-                command: format!("{} --version", config.cc),
-                message: e.to_string(),
-            })?;
+        let mut flags: Vec<String> = BASE_CFLAGS.iter().map(|f| f.to_string()).collect();
+        flags.extend(config.extra_flags.iter().cloned());
+        // Both probes run at once, so the engine starts in the time of the
+        // slower one rather than of the two in turn. Both are waited on
+        // before either is judged, and the version probe is judged first.
+        let version = start_probe(&config.cc, ["--version"], "--version");
+        let target_args = flags
+            .iter()
+            .map(String::as_str)
+            .chain(["-Q", "--help=target"]);
+        let target = start_probe(&config.cc, target_args, "-Q --help=target");
+        let (version, target) = (version(), target());
+        let probe = version?;
         if !probe.status.success() {
             return Err(JitError::VersionFailed {
                 cc: config.cc.clone(),
@@ -395,9 +401,7 @@ impl JitEngine {
                 cc: config.cc.clone(),
             });
         }
-        let mut flags: Vec<String> = BASE_CFLAGS.iter().map(|f| f.to_string()).collect();
-        flags.extend(config.extra_flags.iter().cloned());
-        let target = resolve_target(&config.cc, &flags)?;
+        let target = resolve_target(&config.cc, &flags, target?)?;
         let salt = format!("{version_line} | {} | {target}", flags.join(" "));
         fs::create_dir_all(&config.cache_dir).map_err(|e| JitError::CacheDir {
             dir: config.cache_dir.clone(),
@@ -837,20 +841,37 @@ fn fnv1a64(basis: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
+/// Start `cc args` with no input and both output streams captured; the
+/// returned closure waits for it. `what` completes the command's name in
+/// a [`JitError::ProbeSpawn`].
+fn start_probe<'a>(
+    cc: &str,
+    args: impl IntoIterator<Item = &'a str>,
+    what: &str,
+) -> impl FnOnce() -> Result<Output, JitError> {
+    let command = format!("{cc} {what}");
+    let child = Command::new(cc)
+        .args(args)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn();
+    move || {
+        child
+            .and_then(Child::wait_with_output)
+            .map_err(|e| JitError::ProbeSpawn {
+                command,
+                message: e.to_string(),
+            })
+    }
+}
+
 /// The target `flags` make `cc` build for on this host, as `-march=<cpu>`
-/// plus a hash of the compiler's whole target-option report (`-Q
-/// --help=target` under the same flags: ISA extensions, tuning, cache
-/// sizes), so two hosts that name the same CPU but enable different
-/// extensions still resolve differently. Probed once per engine.
-fn resolve_target(cc: &str, flags: &[String]) -> Result<String, JitError> {
-    let probe = Command::new(cc)
-        .args(flags)
-        .args(["-Q", "--help=target"])
-        .output()
-        .map_err(|e| JitError::ProbeSpawn {
-            command: format!("{cc} -Q --help=target"),
-            message: e.to_string(),
-        })?;
+/// plus a hash of the compiler's whole target-option report (`probe`, the
+/// output of `-Q --help=target` under the same flags: ISA extensions,
+/// tuning, cache sizes), so two hosts that name the same CPU but enable
+/// different extensions still resolve differently. Probed once per engine.
+fn resolve_target(cc: &str, flags: &[String], probe: Output) -> Result<String, JitError> {
     let report = String::from_utf8_lossy(&probe.stdout);
     let march = report
         .lines()
@@ -1603,29 +1624,45 @@ mod tests {
         }
     }
 
+    /// Start an engine on a fake compiler running `script`, expecting it
+    /// to be refused.
+    fn refused(script: &str) -> JitError {
+        let mut config = test_config();
+        let dir = config.cache_dir.clone();
+        config.cc = fake_script(&dir.with_extension("bin"), script);
+        let started = start_fake(&config);
+        remove_fake(dir);
+        started.expect_err("the probe fails")
+    }
+
     /// A compiler whose `--version` fails, or prints nothing, or that
     /// cannot name its `-march`, is refused with the variant for that cause.
     #[test]
     fn each_failed_probe_is_its_own_variant() {
-        let start = |script: &str| {
-            let mut config = test_config();
-            let dir = config.cache_dir.clone();
-            config.cc = fake_script(&dir.with_extension("bin"), script);
-            let started = start_fake(&config);
-            remove_fake(dir);
-            started.expect_err("the probe fails")
-        };
-        let version = start("echo 'no' >&2; exit 1");
+        let version = refused("echo 'no' >&2; exit 1");
         assert!(matches!(&version, JitError::VersionFailed { stderr, .. } if stderr == "no"));
-        let silent = start("exit 0");
+        let silent = refused("exit 0");
         assert!(
             matches!(silent, JitError::NoVersionLine { .. }),
             "{silent:?}"
         );
-        let march = start(r#"case "$*" in *--version*) echo fake 1.0 ;; *) exit 0 ;; esac"#);
+        let march = refused(r#"case "$*" in *--version*) echo fake 1.0 ;; *) exit 0 ;; esac"#);
         assert!(
             matches!(march, JitError::MarchUnresolved { .. }),
             "{march:?}"
+        );
+    }
+
+    /// The two probes run at once, but a failed `--version` is still the
+    /// error reported when the target probe succeeds.
+    #[test]
+    fn a_failed_version_probe_is_reported_whatever_the_target_probe_says() {
+        let version = refused(
+            r#"case "$*" in *--version*) echo 'no' >&2; exit 1 ;; *) echo '  -march=  fake' ;; esac"#,
+        );
+        assert!(
+            matches!(&version, JitError::VersionFailed { stderr, .. } if stderr == "no"),
+            "{version:?}"
         );
     }
 }

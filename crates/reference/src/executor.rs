@@ -111,13 +111,11 @@ impl ExecutionResult {
         if grid.shape() != other.shape() {
             return None;
         }
+        // A zero-extent grid still stores one slot; it holds no cell.
+        let cells: usize = grid.shape().iter().product();
+        let pairs = grid.as_slice()[..cells].iter().zip(other.as_slice());
         let mut max_err: f64 = 0.0;
-        for (flat, index) in grid.indices().enumerate() {
-            if !mask[flat] {
-                continue;
-            }
-            let a = grid.get(&index);
-            let b = other.get(&index);
+        for ((&a, &b), _) in pairs.zip(&mask[..cells]).filter(|(_, &valid)| valid) {
             if a == b || (a.is_nan() && b.is_nan()) {
                 continue;
             }
@@ -1248,6 +1246,69 @@ mod tests {
         let small = Grid::zeros(&["i", "j"], &[3, 3], DataType::Float32);
         assert_eq!(result.compare_field("lap", &small), None);
         assert_eq!(result.compare_field("nope", &reference), None);
+    }
+
+    /// The comparison written per index: decode each valid flat offset
+    /// into an index and read both grids through `get`.
+    fn compare_per_index(grid: &Grid, mask: &[bool], other: &Grid) -> f64 {
+        let mut max_err: f64 = 0.0;
+        for flat in (0..grid.shape().iter().product()).filter(|&flat| mask[flat]) {
+            let mut index = vec![0; grid.rank()];
+            let mut rest = flat;
+            for (ix, &extent) in index.iter_mut().zip(grid.shape()).rev() {
+                (*ix, rest) = (rest % extent, rest / extent);
+            }
+            let (a, b) = (grid.get(&index), other.get(&index));
+            if a != b && !(a.is_nan() && b.is_nan()) {
+                let err = (a - b).abs() / a.abs().max(b.abs()).max(1.0);
+                max_err = max_err.max(if err.is_nan() { f64::INFINITY } else { err });
+            }
+        }
+        max_err
+    }
+
+    #[test]
+    fn compare_field_matches_a_per_index_walk() {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n) as usize
+        };
+        let values = [
+            f64::NAN,
+            f64::INFINITY,
+            -f64::INFINITY,
+            0.0,
+            0.5,
+            -2.75,
+            1e-3,
+            7.0,
+        ];
+        let shapes: [&[usize]; 6] = [&[], &[7], &[5, 6], &[4, 3, 5], &[0, 4], &[3, 0, 2]];
+        for (round, shape) in shapes.into_iter().cycle().take(120).enumerate() {
+            // Every other round draws no NaN or infinity, so that finite
+            // errors decide the maximum.
+            let pool = &values[3 * (round % 2)..];
+            let dims = &["i", "j", "k"][..shape.len()];
+            // `other` keeps about half of `grid`'s cells and draws the rest.
+            let mut draw = |shared: Option<f64>| match shared.filter(|_| next(2) == 0) {
+                Some(value) => value,
+                None => pool[next(pool.len() as u64)],
+            };
+            let grid = Grid::from_fn(dims, shape, DataType::Float64, |_| draw(None));
+            let other = Grid::from_fn(dims, shape, DataType::Float64, |ix| {
+                draw(Some(grid.get(ix)))
+            });
+            let mask: Vec<bool> = (0..shape.iter().product()).map(|_| next(3) > 0).collect();
+            let expected = compare_per_index(&grid, &mask, &other);
+            let fields = BTreeMap::from([("f".to_string(), grid)]);
+            let result =
+                ExecutionResult::from_parts(fields, BTreeMap::from([("f".into(), mask)]), 0);
+            let got = result.compare_field("f", &other);
+            assert_eq!(got.map(f64::to_bits), Some(expected.to_bits()), "{shape:?}");
+        }
     }
 
     #[test]

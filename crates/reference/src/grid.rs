@@ -202,7 +202,15 @@ impl Grid {
         self.data
     }
 
-    /// Create a grid by evaluating `f` at every index.
+    /// Create a grid by evaluating `f` at every index, rounding each value
+    /// through the element type.
+    ///
+    /// `f` is called exactly once per cell, in row-major order (the last
+    /// dimension fastest): once with the empty index for a rank-0 grid,
+    /// never for a grid with a zero extent. That order is the contract a
+    /// stateful `f` relies on — [`crate::generate_inputs`] draws one random
+    /// number per call, so a seed reproduces its grids only as long as the
+    /// order holds.
     pub fn from_fn(
         dims: &[&str],
         shape: &[usize],
@@ -210,10 +218,18 @@ impl Grid {
         mut f: impl FnMut(&[usize]) -> f64,
     ) -> Self {
         let mut grid = Grid::zeros(dims, shape, dtype);
-        let indices: Vec<Vec<usize>> = grid.indices().collect();
-        for index in indices {
-            let v = f(&index);
-            grid.set(&index, v);
+        let cells: usize = shape.iter().product();
+        let mut index = vec![0usize; shape.len()];
+        for slot in &mut grid.data[..cells] {
+            *slot = Value::from_f64(f(&index), dtype).as_f64();
+            // Step to the next row-major index, carrying outward.
+            for (ix, &extent) in index.iter_mut().zip(shape).rev() {
+                *ix += 1;
+                if *ix < extent {
+                    break;
+                }
+                *ix = 0;
+            }
         }
         grid
     }
@@ -307,24 +323,6 @@ impl Grid {
         Some(self.data[flat])
     }
 
-    /// Iterate over all indices of the grid in row-major order. Rank-0 grids
-    /// yield a single empty index.
-    pub(crate) fn indices(&self) -> Box<dyn Iterator<Item = Vec<usize>>> {
-        if self.rank() == 0 {
-            return Box::new(std::iter::once(Vec::new()));
-        }
-        let shape = self.shape.clone();
-        let total: usize = shape.iter().product();
-        Box::new((0..total).map(move |mut flat| {
-            let mut index = vec![0usize; shape.len()];
-            for d in (0..shape.len()).rev() {
-                index[d] = flat % shape[d];
-                flat /= shape[d];
-            }
-            index
-        }))
-    }
-
     /// Maximum absolute difference to another grid of the same shape.
     ///
     /// # Panics
@@ -383,8 +381,12 @@ mod tests {
         assert_eq!(g.rank(), 0);
         assert_eq!(g.as_slice().len(), 1);
         assert_eq!(g.get(&[]), 3.25);
-        let all: Vec<Vec<usize>> = g.indices().collect();
-        assert_eq!(all, vec![Vec::<usize>::new()]);
+        let mut calls = Vec::new();
+        Grid::from_fn(&[], &[], DataType::Float32, |ix| {
+            calls.push(ix.to_vec());
+            0.0
+        });
+        assert_eq!(calls, vec![Vec::<usize>::new()]);
     }
 
     #[test]
@@ -411,13 +413,19 @@ mod tests {
 
     #[test]
     fn indices_are_row_major() {
-        let g = Grid::zeros(&["i", "j"], &[2, 2], DataType::Float32);
-        let all: Vec<Vec<usize>> = g.indices().collect();
-        assert_eq!(all, vec![vec![0, 0], vec![0, 1], vec![1, 0], vec![1, 1]]);
-        for index in &all {
-            let flat = g.flat_index(index);
-            assert!(flat < 4);
+        // The indices `from_fn` hands its closure, one call per cell.
+        let mut calls = Vec::new();
+        let g = Grid::from_fn(&["i", "j", "k"], &[2, 3, 2], DataType::Float32, |ix| {
+            calls.push(ix.to_vec());
+            calls.len() as f64
+        });
+        assert_eq!(calls[..4], [[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1]]);
+        assert_eq!(calls.len(), 12);
+        for (flat, index) in calls.iter().enumerate() {
+            assert_eq!(g.flat_index(index), flat);
+            assert_eq!(g.as_slice()[flat], (flat + 1) as f64);
         }
+        Grid::from_fn(&["i", "j"], &[3, 0], DataType::Float32, |_| unreachable!());
     }
 
     #[test]

@@ -67,6 +67,10 @@ impl InputGenerator {
 }
 
 /// Convenience wrapper: generate inputs for `program` with the default range.
+///
+/// A seed reproduces its grids because each is filled by [`Grid::from_fn`],
+/// which draws one value per cell in row-major order (inputs in name
+/// order); that order is the contract, and `tests/input_bits.rs` pins it.
 pub fn generate_inputs(program: &StencilProgram, seed: u64) -> BTreeMap<String, Grid> {
     InputGenerator::new(seed).generate(program)
 }

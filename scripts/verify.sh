@@ -41,9 +41,15 @@
 #                                  pin, tests/frontend_bits.rs: one hash
 #                                  over the AST, the field accesses and
 #                                  the compiled op streams and slots of
-#                                  3 804 kernels must not move; no timing
-#                                  floor — speed floors live in gate 11
-#                                  only)
+#                                  3 804 kernels must not move; the
+#                                  generator pin, tests/input_bits.rs: one
+#                                  hash over generate_inputs' grids; the
+#                                  allocation guard,
+#                                  tests/grid_alloc_guard.rs: comparing an
+#                                  output allocates nothing and
+#                                  Grid::from_fn allocates as often at 64^3
+#                                  as at 8^3; no timing floor — speed
+#                                  floors live in gate 11 only)
 #   4. cargo clippy -D warnings  — lints
 #   5. cargo doc -D warnings     — documentation (intra-doc links included)
 #   6. analyze --check           — the static-analysis gate: every workload
