@@ -24,9 +24,9 @@
 //!   verification; the code is the verifier's own.
 
 use crate::diag::{AnalysisReport, Diagnostic, Severity};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 use stencilflow_expr::{verify_kernel, DataType};
-use stencilflow_program::{AccessFootprints, StencilProgram};
+use stencilflow_program::{AccessFootprints, NodeId, NodeKind, StencilProgram};
 
 /// Run every program-level check on `program`.
 pub fn analyze_program(program: &StencilProgram) -> AnalysisReport {
@@ -123,49 +123,53 @@ fn check_cycles(program: &StencilProgram, report: &mut AnalysisReport) {
 }
 
 /// SF0202 + SF0203: reverse reachability from the outputs over the
-/// program's DAG. A stencil no output depends on is dead; an input no live
-/// stencil reads is unused.
+/// program's DAG, on node ids. A stencil no output depends on is dead; an
+/// input no live stencil reads is unused.
 fn check_liveness(program: &StencilProgram, report: &mut AnalysisReport) {
     let dag = program.dag();
-    let mut live: BTreeSet<&str> = BTreeSet::new();
-    let mut read_inputs: BTreeSet<&str> = BTreeSet::new();
-    let mut queue: VecDeque<&str> = program
-        .outputs()
-        .iter()
-        .map(String::as_str)
-        .filter(|o| program.is_stencil(o))
+    let mut live = vec![false; dag.node_count()];
+    let mut read = vec![false; dag.node_count()];
+    let mut stack: Vec<NodeId> = (program.outputs().iter())
+        .filter_map(|output| dag.id(output))
+        .filter(|&id| dag.kind(id) == NodeKind::Stencil)
         .collect();
-    while let Some(node) = queue.pop_front() {
-        if !live.insert(node) {
+    while let Some(node) = stack.pop() {
+        if std::mem::replace(&mut live[node.index()], true) {
             continue;
         }
-        for edge in dag.in_edges(node) {
-            let upstream = edge.from.as_str();
-            if program.is_input(upstream) {
-                read_inputs.insert(upstream);
-            }
-            if program.is_stencil(upstream) && !live.contains(upstream) {
-                queue.push_back(upstream);
+        for &upstream in dag.predecessors(node) {
+            match dag.kind(upstream) {
+                NodeKind::Input => read[upstream.index()] = true,
+                NodeKind::Stencil if !live[upstream.index()] => stack.push(upstream),
+                _ => {}
             }
         }
     }
-    for stencil in program.stencils() {
-        if !live.contains(stencil.name.as_str()) {
+    // Dead stencils, then unused inputs, each in name order (the order of
+    // the fields' ids).
+    for (kind, seen, code, message) in [
+        (
+            NodeKind::Stencil,
+            &live,
+            "SF0202",
+            "dead stencil: no output depends on it",
+        ),
+        (
+            NodeKind::Input,
+            &read,
+            "SF0203",
+            "unused input: no live stencil reads it",
+        ),
+    ] {
+        for node in dag
+            .nodes()
+            .filter(|n| n.kind == kind && !seen[n.id.index()])
+        {
             report.diagnostics.push(Diagnostic::new(
                 Severity::Warning,
-                "SF0202",
-                location(program, &stencil.name),
-                "dead stencil: no output depends on it".to_string(),
-            ));
-        }
-    }
-    for (input, _) in program.inputs() {
-        if !read_inputs.contains(input) {
-            report.diagnostics.push(Diagnostic::new(
-                Severity::Warning,
-                "SF0203",
-                location(program, input),
-                "unused input: no live stencil reads it".to_string(),
+                code,
+                location(program, node.name),
+                message.to_string(),
             ));
         }
     }
@@ -174,21 +178,27 @@ fn check_liveness(program: &StencilProgram, report: &mut AnalysisReport) {
 /// SF0204: an edge narrows when a stencil's declared output type cannot
 /// represent the promoted type of what it reads — every value leaving the
 /// stencil is rounded. The natural type is the promotion over the *field*
-/// types read (never over literals, which are always parsed wide).
+/// types read (never over literals, which are always parsed wide), each
+/// field's type looked up once, by id.
 fn check_edge_types(program: &StencilProgram, report: &mut AnalysisReport) {
-    for stencil in program.stencils() {
-        let natural = stencil
-            .read_fields()
-            .into_iter()
-            .filter_map(|f| program.field_type(f))
+    let dag = program.dag();
+    let field_types: Vec<Option<DataType>> =
+        (dag.nodes().take_while(|n| n.kind != NodeKind::Output))
+            .map(|node| program.field_type(node.name))
+            .collect();
+    for node in dag.nodes().filter(|n| n.kind == NodeKind::Stencil) {
+        let natural = (dag.predecessors(node.id).iter())
+            .filter_map(|&field| field_types[field.index()])
             .reduce(DataType::promote);
         let Some(natural) = natural else { continue };
-        let declared = stencil.output_type;
+        let Some(declared) = field_types[node.id.index()] else {
+            continue;
+        };
         if natural.promote(declared) != declared {
             report.diagnostics.push(Diagnostic::new(
                 Severity::Warning,
                 "SF0204",
-                location(program, &stencil.name),
+                location(program, node.name),
                 format!(
                     "narrowing edge: reads promote to {natural:?} but the output is \
                      declared {declared:?}, so every value is rounded"

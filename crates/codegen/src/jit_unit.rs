@@ -58,6 +58,7 @@
 //! back to the fused tier, the OpenCL file as an `#error` line.
 
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 use stencilflow_expr::value::CompareOp;
 use stencilflow_expr::{BinOp, DataType, ExprError, MathFn, TypedKernel, TypedOp};
 
@@ -221,17 +222,14 @@ fn c_type(dtype: DataType) -> CType {
 pub fn jit_translation_unit(
     stages: &[JitStageSpec<'_>],
 ) -> Result<(String, usize), (usize, EmitError)> {
-    let kernels = stages
-        .iter()
-        .enumerate()
-        .map(|(ix, stage)| {
-            let text = |slot: usize| match stage.slot_kinds[slot] {
-                JitSlotKind::Scalar => format!("sf_s{slot}"),
-                JitSlotKind::Tap(_) => format!("sf_p{slot}[sf_k]"),
-            };
-            emit_kernel(stage, Dialect::C, &text).map_err(|e| (ix, e))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+    let mut bodies_text = Vec::with_capacity(stages.len());
+    let (mut uses_min_max, mut uses_min_max_f32) = (false, false);
+    for (ix, stage) in stages.iter().enumerate() {
+        let (body, kernel) = stage_body(stage).map_err(|e| (ix, e))?;
+        uses_min_max |= kernel.uses_min_max;
+        uses_min_max_f32 |= kernel.uses_min_max_f32;
+        bodies_text.push(body);
+    }
     let mut unit = format!(
         "#ifdef __ELF__\n\
          #define SF_STAGE(stage, body) \
@@ -243,8 +241,7 @@ pub fn jit_translation_unit(
     );
     let mut bodies: HashMap<String, usize> = HashMap::new();
     let mut exports = String::from("\n");
-    for (stage, kernel) in stages.iter().zip(&kernels) {
-        let body = stage_body(stage, kernel);
+    for (stage, body) in stages.iter().zip(bodies_text) {
         let fresh = bodies.len();
         let k = *bodies.entry(body).or_insert_with_key(|body| {
             unit.push_str(&format!(
@@ -263,10 +260,10 @@ pub fn jit_translation_unit(
          #include <stdint.h>\n\
          #include <math.h>\n";
     let mut prelude = String::new();
-    if kernels.iter().any(|k| k.uses_min_max) {
+    if uses_min_max {
         prelude.push_str(MIN_MAX_PRELUDE);
     }
-    if kernels.iter().any(|k| k.uses_min_max_f32) {
+    if uses_min_max_f32 {
         prelude.push_str(MIN_MAX_F32_PRELUDE);
     }
     Ok((format!("{head}{prelude}{unit}"), bodies.len()))
@@ -311,29 +308,18 @@ impl Operand {
     }
 
     /// The value as a `double` expression (widening a `float` is exact).
-    fn double(&self) -> String {
-        match self.ty {
-            CType::Float => format!("(double){}", self.text),
-            CType::Double => self.text.clone(),
-        }
+    fn double(&self) -> InType<'_> {
+        InType(self, CType::Double)
     }
 
     /// The value as a `float` expression; exact only for an exact operand.
-    fn float(&self) -> String {
-        match (self.ty, &self.shape) {
-            (CType::Float, _) => self.text.clone(),
-            // `{v:?}` of the `f32` prints its shortest round-trip decimal.
-            (CType::Double, Shape::Literal(v)) => format!("{:?}f", *v as f32),
-            (CType::Double, _) => format!("(float){}", self.text),
-        }
+    fn float(&self) -> InType<'_> {
+        InType(self, CType::Float)
     }
 
     /// The value in type `ty`.
-    fn as_type(&self, ty: CType) -> String {
-        match ty {
-            CType::Float => self.float(),
-            CType::Double => self.double(),
-        }
+    fn as_type(&self, ty: CType) -> InType<'_> {
+        InType(self, ty)
     }
 
     /// `0.0` of the operand's type: what its truth test compares against.
@@ -345,10 +331,29 @@ impl Operand {
     }
 }
 
-/// Statements plus final expression produced by symbolically executing a
-/// typed kernel.
+/// An operand's value as an expression of a C type, rendered where it is
+/// formatted: a `float` widens exactly to `double`; a `double` narrows to
+/// `float` by a cast, or a literal by its `f32` spelling.
+struct InType<'a>(&'a Operand, CType);
+
+impl fmt::Display for InType<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let InType(operand, ty) = self;
+        match (ty, operand.ty, &operand.shape) {
+            (CType::Double, CType::Float, _) => write!(f, "(double){}", operand.text),
+            (CType::Double, CType::Double, _) | (CType::Float, CType::Float, _) => {
+                f.write_str(&operand.text)
+            }
+            // `{v:?}` of the `f32` prints its shortest round-trip decimal.
+            (CType::Float, CType::Double, Shape::Literal(v)) => write!(f, "{:?}f", *v as f32),
+            (CType::Float, CType::Double, _) => write!(f, "(float){}", operand.text),
+        }
+    }
+}
+
+/// The final expression produced by symbolically executing a typed kernel
+/// (its statements went to the caller's text).
 pub(crate) struct EmittedKernel {
-    pub(crate) statements: Vec<String>,
     result: Operand,
     /// Whether the kernel calls `min`/`max` on `double`s (it needs
     /// [`MIN_MAX_PRELUDE`] in [`Dialect::C`]) or on `float`s
@@ -361,20 +366,40 @@ impl EmittedKernel {
     /// The result as stored into a cell of element type `store`. Storing
     /// mirrors the executor's `round_lanes`: `Float32` outputs (`round`)
     /// round the result through `f32`, `Float64` stores it as-is.
-    pub(crate) fn stored(&self, round: bool, store: DataType) -> String {
-        let result = &self.result;
-        match (c_type(store), result.ty) {
-            (CType::Float, CType::Float) => result.text.clone(),
-            (CType::Float, CType::Double) => format!("(float)({})", result.text),
-            (CType::Double, CType::Float) => result.double(),
-            (CType::Double, CType::Double) if round => format!("(double)(float)({})", result.text),
-            (CType::Double, CType::Double) => result.text.clone(),
+    pub(crate) fn stored(&self, round: bool, store: DataType) -> impl fmt::Display + '_ {
+        Stored {
+            result: &self.result,
+            round,
+            store,
         }
     }
 }
 
-/// The braces of one stage's sweep function and everything between them.
-fn stage_body(stage: &JitStageSpec<'_>, body: &EmittedKernel) -> String {
+/// [`EmittedKernel::stored`], rendered where it is written.
+struct Stored<'a> {
+    result: &'a Operand,
+    round: bool,
+    store: DataType,
+}
+
+impl fmt::Display for Stored<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let result = self.result;
+        match (c_type(self.store), result.ty) {
+            (CType::Float, CType::Float) => f.write_str(&result.text),
+            (CType::Float, CType::Double) => write!(f, "(float)({})", result.text),
+            (CType::Double, CType::Float) => write!(f, "{}", result.double()),
+            (CType::Double, CType::Double) if self.round => {
+                write!(f, "(double)(float)({})", result.text)
+            }
+            (CType::Double, CType::Double) => f.write_str(&result.text),
+        }
+    }
+}
+
+/// The braces of one stage's sweep function and everything between them,
+/// and the kernel emitted into them.
+fn stage_body(stage: &JitStageSpec<'_>) -> Result<(String, EmittedKernel), EmitError> {
     let of_kind = |scalar: bool| -> Vec<usize> {
         (stage.slot_kinds.iter().enumerate())
             .filter(|(_, k)| (**k == JitSlotKind::Scalar) == scalar)
@@ -393,7 +418,7 @@ fn stage_body(stage: &JitStageSpec<'_>, body: &EmittedKernel) -> String {
         f.push_str("    (void)sf_scalars;\n");
     }
     for ix in &scalars {
-        f.push_str(&format!("    const double sf_s{ix} = sf_scalars[{ix}];\n"));
+        let _ = writeln!(f, "    const double sf_s{ix} = sf_scalars[{ix}];");
     }
     f.push_str("    for (int64_t sf_i0 = 0; sf_i0 < sf_n0; ++sf_i0) {\n");
     f.push_str("        for (int64_t sf_i1 = 0; sf_i1 < sf_n1; ++sf_i1) {\n");
@@ -402,37 +427,60 @@ fn stage_body(stage: &JitStageSpec<'_>, body: &EmittedKernel) -> String {
             unreachable!("taps are taps");
         };
         let ty = c_type(dtype).name();
-        f.push_str(&format!(
+        let _ = writeln!(
+            f,
             "            const {ty} *sf_p{ix} = (const {ty} *)sf_slots[{ix}] \
-             + sf_i0 * sf_ss0[{ix}] + sf_i1 * sf_ss1[{ix}];\n"
-        ));
+             + sf_i0 * sf_ss0[{ix}] + sf_i1 * sf_ss1[{ix}];"
+        );
     }
     let store = c_type(stage.store);
     let ty = store.name();
-    f.push_str(&format!(
-        "            {ty} *sf_o = ({ty} *)sf_out + sf_i0 * sf_os0 + sf_i1 * sf_os1;\n"
-    ));
+    let _ = writeln!(
+        f,
+        "            {ty} *sf_o = ({ty} *)sf_out + sf_i0 * sf_os0 + sf_i1 * sf_os1;"
+    );
     f.push_str("            for (int64_t sf_k = 0; sf_k < sf_nk; ++sf_k) {\n");
-    for stmt in &body.statements {
-        f.push_str(&format!("                {stmt}\n"));
-    }
-    f.push_str(&format!(
-        "                sf_o[sf_k] = {};\n",
+    let slots: Vec<String> = (stage.slot_kinds.iter().enumerate())
+        .map(|(slot, kind)| match kind {
+            JitSlotKind::Scalar => format!("sf_s{slot}"),
+            JitSlotKind::Tap(_) => format!("sf_p{slot}[sf_k]"),
+        })
+        .collect();
+    let body = emit_kernel(stage, Dialect::C, &slots, &mut f, "                ")?;
+    let _ = writeln!(
+        f,
+        "                sf_o[sf_k] = {};",
         body.stored(stage.round_output, stage.store)
-    ));
+    );
     f.push_str("            }\n        }\n    }\n}\n");
-    f
+    Ok((f, body))
 }
 
 /// Wrap `expr` in the typed tiers' `finish(v, round)`: an `f64 → f32 →
 /// f64` round-trip when the instruction carries the static round flag. A
 /// rounded result is a binary32 value.
-fn finish(expr: String, round: bool) -> Operand {
+fn finish(hint: usize, expr: fmt::Arguments<'_>, round: bool) -> Operand {
     if round {
-        Operand::value(format!("(double)(float){expr}"), CType::Double, true)
+        let text = render(hint + 16, format_args!("(double)(float){expr}"));
+        Operand::value(text, CType::Double, true)
     } else {
-        Operand::value(expr, CType::Double, false)
+        Operand::value(render(hint, expr), CType::Double, false)
     }
+}
+
+/// `args` rendered into a string allocated once for `hint` bytes: an
+/// operand's text grows with every op, and `format!` would grow it again
+/// from a guess at every op.
+fn render(hint: usize, args: fmt::Arguments<'_>) -> String {
+    let mut text = String::with_capacity(hint);
+    let _ = text.write_fmt(args);
+    text
+}
+
+/// Room for the text of `operands` and the casts, parentheses and names an
+/// op adds around them.
+fn room(operands: &[&Operand]) -> usize {
+    operands.iter().map(|o| o.text.len()).sum::<usize>() + 48
 }
 
 fn compare_binop(op: CompareOp) -> BinOp {
@@ -567,8 +615,9 @@ fn fuse_clamp<'a>(
     Some((x, otherwise, func))
 }
 
-/// Symbolically execute one stage's typed kernel into statements plus a
-/// result expression in `dialect`, slot `ix` spelled `text(ix)`: a scalar
+/// Symbolically execute one stage's typed kernel into statements, each
+/// written to `out` as a line after `indent`, plus a result expression in
+/// `dialect`, slot `ix` spelled `slots[ix]`: a scalar
 /// is the `double` hoisted from the scalar table, a tap a value of its
 /// buffer's C type. Either is a binary32 value when the kernel was
 /// specialized to a `Float32` slot or the buffer holds `float`s.
@@ -593,7 +642,9 @@ fn fuse_clamp<'a>(
 pub(crate) fn emit_kernel(
     stage: &JitStageSpec<'_>,
     dialect: Dialect,
-    text: &dyn Fn(usize) -> String,
+    slots: &[String],
+    out: &mut String,
+    indent: &str,
 ) -> Result<EmittedKernel, EmitError> {
     let kernel = stage.kernel;
     if stage.slot_kinds.len() != kernel.slot_count()
@@ -613,19 +664,18 @@ pub(crate) fn emit_kernel(
             JitSlotKind::Tap(dtype) => c_type(dtype),
         };
         let exact = stage.slot_types[ix] == DataType::Float32 || ty == CType::Float;
-        Operand::value(text(ix), ty, exact)
+        Operand::value(slots[ix].clone(), ty, exact)
     };
-    let mut statements = Vec::new();
     let mut stack: Vec<Operand> = Vec::new();
     let mut locals: Vec<Option<Operand>> = vec![None; kernel.local_count()];
     let mut next_temp = 0usize;
     let mut uses_min_max = false;
     let mut uses_min_max_f32 = false;
     // A fresh `const` temporary holding `value` as type `ty`.
-    let mut bind = |value: String, ty: CType, exact: bool| {
+    let mut bind = |value: &dyn fmt::Display, ty: CType, exact: bool| {
         let name = format!("sf_t{next_temp}");
         next_temp += 1;
-        statements.push(format!("const {} {name} = {value};", ty.name()));
+        let _ = writeln!(out, "{indent}const {} {name} = {value};", ty.name());
         Operand::value(name, ty, exact)
     };
     let pop = |stack: &mut Vec<Operand>, op: &'static str| {
@@ -671,7 +721,7 @@ pub(crate) fn emit_kernel(
             }
             TypedOp::Store(ix) => {
                 let value = pop(&mut stack, "Store")?;
-                locals[*ix as usize] = Some(bind(value.text, value.ty, value.exact));
+                locals[*ix as usize] = Some(bind(&value.text, value.ty, value.exact));
             }
             TypedOp::Pop => {
                 // Typed instructions are side-effect free; a popped value
@@ -683,9 +733,13 @@ pub(crate) fn emit_kernel(
                 stack.push(if v.exact {
                     // The negative of a binary32 value is one: the round
                     // changes nothing.
-                    Operand::value(format!("(-{})", v.text), v.ty, true)
+                    Operand::value(
+                        render(room(&[&v]), format_args!("(-{})", v.text)),
+                        v.ty,
+                        true,
+                    )
                 } else {
-                    finish(format!("(-{})", v.double()), *round)
+                    finish(room(&[&v]), format_args!("(-{})", v.double()), *round)
                 });
             }
             TypedOp::Not | TypedOp::ToBool => {
@@ -695,7 +749,10 @@ pub(crate) fn emit_kernel(
                     ("ToBool", "1.0", "0.0")
                 };
                 let v = pop(&mut stack, name)?;
-                let text = format!("(({} != {}) ? {yes} : {no})", v.text, v.zero());
+                let text = render(
+                    room(&[&v]),
+                    format_args!("(({} != {}) ? {yes} : {no})", v.text, v.zero()),
+                );
                 stack.push(Operand::value(text, CType::Double, true));
             }
             TypedOp::Add { round }
@@ -712,10 +769,17 @@ pub(crate) fn emit_kernel(
                 let l = pop(&mut stack, lhs)?;
                 let rounded = *round || stored_round;
                 stack.push(if rounded && in_float(&[&l, &r], true) {
-                    let text = format!("({} {symbol} {})", l.float(), r.float());
+                    let text = render(
+                        room(&[&l, &r]),
+                        format_args!("({} {symbol} {})", l.float(), r.float()),
+                    );
                     Operand::value(text, CType::Float, true)
                 } else {
-                    finish(format!("({} {symbol} {})", l.double(), r.double()), *round)
+                    finish(
+                        room(&[&l, &r]),
+                        format_args!("({} {symbol} {})", l.double(), r.double()),
+                        *round,
+                    )
                 });
             }
             TypedOp::Compare(op) => {
@@ -727,11 +791,14 @@ pub(crate) fn emit_kernel(
                 } else {
                     CType::Double
                 };
-                let rendered = format!(
-                    "(({} {} {}) ? 1.0 : 0.0)",
-                    l.as_type(ty),
-                    bin.symbol(),
-                    r.as_type(ty)
+                let rendered = render(
+                    room(&[&l, &r]),
+                    format_args!(
+                        "(({} {} {}) ? 1.0 : 0.0)",
+                        l.as_type(ty),
+                        bin.symbol(),
+                        r.as_type(ty)
+                    ),
                 );
                 let mut operand = Operand::value(rendered, CType::Double, true);
                 // Only ordering comparisons can seed a clamp fusion.
@@ -745,14 +812,23 @@ pub(crate) fn emit_kernel(
                 stack.push(operand);
             }
             TypedOp::Call1(func, round) | TypedOp::Call2(func, round) => {
-                let mut args = match op {
-                    TypedOp::Call1(..) => vec![pop(&mut stack, "Call1")?],
-                    _ => vec![pop(&mut stack, "Call2 arg 2")?],
+                let last = match op {
+                    TypedOp::Call1(..) => pop(&mut stack, "Call1")?,
+                    _ => pop(&mut stack, "Call2 arg 2")?,
                 };
-                if matches!(op, TypedOp::Call2(..)) {
-                    args.insert(0, pop(&mut stack, "Call2 arg 1")?);
-                }
-                let arg_refs: Vec<&Operand> = args.iter().collect();
+                let first = match op {
+                    TypedOp::Call2(..) => Some(pop(&mut stack, "Call2 arg 1")?),
+                    _ => None,
+                };
+                let arg_refs: Vec<&Operand> = first.iter().chain([&last]).collect();
+                // The arguments in type `ty`, comma-separated.
+                let args = |ty: CType| match &first {
+                    Some(first) => render(
+                        room(&[first, &last]),
+                        format_args!("{}, {}", first.as_type(ty), last.as_type(ty)),
+                    ),
+                    None => last.as_type(ty).to_string(),
+                };
                 // `sqrt` rounds correctly, so it needs the rounded result;
                 // the rest pick or flip an operand exactly.
                 let rounded = *round || stored_round;
@@ -762,16 +838,17 @@ pub(crate) fn emit_kernel(
                 stack.push(match float_form {
                     Some(name) => {
                         uses_min_max_f32 |= is_min_max;
-                        let args: Vec<String> = args.iter().map(Operand::float).collect();
-                        let text = format!("{name}({})", args.join(", "));
+                        let args = args(CType::Float);
+                        let text = render(args.len() + 16, format_args!("{name}({args})"));
                         Operand::value(text, CType::Float, true)
                     }
                     None => {
                         uses_min_max |= is_min_max;
-                        let args: Vec<String> = args.iter().map(Operand::double).collect();
-                        let call = format!("{}({})", mathfn_c(*func, dialect), args.join(", "));
+                        let name = mathfn_c(*func, dialect);
                         let exact = is_min_max && arg_refs.iter().all(|a| a.exact);
-                        let mut result = finish(call, *round);
+                        let args = args(CType::Double);
+                        let mut result =
+                            finish(args.len() + 16, format_args!("{name}({args})"), *round);
                         result.exact |= exact;
                         result
                     }
@@ -786,12 +863,18 @@ pub(crate) fn emit_kernel(
                     stack.push(if in_float(&[x, c], false) {
                         uses_min_max_f32 = true;
                         let name = mathfn_f32(func, dialect).expect("min/max have a float form");
-                        let text = format!("{name}({}, {})", x.float(), c.float());
+                        let text = render(
+                            room(&[x, c]),
+                            format_args!("{name}({}, {})", x.float(), c.float()),
+                        );
                         Operand::value(text, CType::Float, true)
                     } else {
                         uses_min_max = true;
                         let name = mathfn_c(func, dialect);
-                        let text = format!("{name}({}, {})", x.double(), c.double());
+                        let text = render(
+                            room(&[x, c]),
+                            format_args!("{name}({}, {})", x.double(), c.double()),
+                        );
                         Operand::value(text, CType::Double, exact)
                     });
                     continue;
@@ -803,8 +886,8 @@ pub(crate) fn emit_kernel(
                     CType::Double
                 };
                 let exact = then.exact && otherwise.exact;
-                let then = bind(then.as_type(ty), ty, exact);
-                let otherwise = bind(otherwise.as_type(ty), ty, exact);
+                let then = bind(&then.as_type(ty), ty, exact);
+                let otherwise = bind(&otherwise.as_type(ty), ty, exact);
                 let select = format!(
                     "({} != {}) ? {} : {}",
                     cond.text,
@@ -812,7 +895,7 @@ pub(crate) fn emit_kernel(
                     then.text,
                     otherwise.text
                 );
-                stack.push(bind(select, ty, exact));
+                stack.push(bind(&select, ty, exact));
             }
         }
     }
@@ -822,7 +905,6 @@ pub(crate) fn emit_kernel(
         return Err(EmitError::StackLeftover { values });
     }
     Ok(EmittedKernel {
-        statements,
         result,
         uses_min_max,
         uses_min_max_f32,

@@ -1,13 +1,30 @@
 //! Intel-FPGA-OpenCL-style kernel emission.
 
 use crate::jit_unit::{emit_kernel, Dialect, EmitError, JitSlotKind, JitStageSpec};
-use std::fmt::Write as _;
-use stencilflow_core::{ChannelEndpoint, HardwareMapping, MemoryAccessKind};
+use std::fmt::{self, Write as _};
+use stencilflow_core::{Channel, HardwareMapping, MemoryAccessKind};
 use stencilflow_expr::{AccessSlot, DataType};
-use stencilflow_program::{StencilNode, StencilProgram};
+use stencilflow_program::{NodeId, NodeKind, StencilNode, StencilProgram};
 
-fn channel_name(from: &ChannelEndpoint, to: &ChannelEndpoint) -> String {
-    format!("ch_{}_{}", from.name(), to.name())
+/// A channel's name, `ch_<from>_<to>`, rendered where it is written.
+struct ChannelName<'a>(&'a Channel);
+
+impl fmt::Display for ChannelName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "ch_{}_{}", self.0.from.name(), self.0.to.name())
+    }
+}
+
+/// A name in upper case, rendered where it is written (`str::to_uppercase`).
+struct Upper<'a>(&'a str);
+
+impl fmt::Display for Upper<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0
+            .chars()
+            .flat_map(char::to_uppercase)
+            .try_for_each(|c| f.write_char(c))
+    }
 }
 
 /// OpenCL C spelling of an element type: what a channel, shift register
@@ -28,8 +45,12 @@ fn slot_c(slot: &AccessSlot) -> String {
     if slot.is_scalar() {
         return slot.field.clone();
     }
-    let flat: String = slot.offsets.iter().map(|o| format!("{o:+}")).collect();
-    format!("tap(/* boundary-checked */ buf_{}, i {flat})", slot.field)
+    let mut tap = format!("tap(/* boundary-checked */ buf_{}, i ", slot.field);
+    for offset in &slot.offsets {
+        let _ = write!(tap, "{offset:+}");
+    }
+    tap.push(')');
+    tap
 }
 
 /// How a stage body reading `slot` of element type `dtype` from its field's
@@ -42,48 +63,53 @@ fn slot_kind(slot: &AccessSlot, dtype: DataType) -> JitSlotKind {
     }
 }
 
-/// Compute-phase statements for one stencil unit: the stencil's typed
-/// kernel — specialized to the element types of the fields it reads —
-/// emitted as the body of a native stage (whose code is checked bit for bit
-/// against the interpreter) that reads each field from cells of its type (a
-/// `float32` field's slot is a binary32 `float`, as a ring tap is) and
-/// stores into a cell of the output type. Fails for a stencil without a
-/// typed kernel (integer operands) or with a non-float output.
-fn compute_phase_lines(
+/// Write the compute-phase statements of one stencil unit to `out`, each
+/// line after `indent`: the stencil's typed kernel — specialized to the
+/// element types of the fields it reads, and kept by the program — emitted
+/// as the body of a native stage (whose code is checked bit for bit
+/// against the interpreter) that reads each field from cells of its type
+/// (a `float32` field's slot is a binary32 `float`, as a ring tap is) and
+/// stores into a cell of the output type. Each slot's tap text is rendered
+/// once. Fails for a stencil without a typed kernel (integer operands) or
+/// with a non-float output, having written nothing.
+fn write_compute_phase(
     program: &StencilProgram,
+    id: NodeId,
     stencil: &StencilNode,
-) -> Result<Vec<String>, EmitError> {
+    out: &mut String,
+    indent: &str,
+) -> Result<(), EmitError> {
     let round = match stencil.output_type {
         DataType::Float32 => true,
         DataType::Float64 => false,
         dtype => return Err(EmitError::NonFloatOutput { dtype }),
     };
     let kernel = stencil.kernel().map_err(EmitError::Compile)?;
-    let slot_types: Vec<DataType> = kernel
-        .slots()
-        .iter()
-        .map(|slot| {
-            program
-                .field_type(&slot.field)
-                .expect("validated programs declare every field they read")
-        })
-        .collect();
-    let typed = kernel.specialize(&slot_types).ok_or(EmitError::Untyped)?;
+    let (slot_types, typed) =
+        (program.typed_kernel(id)).expect("validated programs declare every field they read");
     let stage = JitStageSpec {
-        symbol: format!("stencil_{}", stencil.name),
-        kernel: &typed,
-        slot_kinds: (kernel.slots().iter().zip(&slot_types))
+        symbol: String::new(),
+        kernel: typed.ok_or(EmitError::Untyped)?,
+        slot_kinds: (kernel.slots().iter().zip(slot_types))
             .map(|(slot, &dtype)| slot_kind(slot, dtype))
             .collect(),
-        slot_types: &slot_types,
+        slot_types,
         round_output: round,
         store: stencil.output_type,
     };
-    let body = emit_kernel(&stage, Dialect::OpenCl, &|ix| slot_c(&kernel.slots()[ix]))?;
-    let result = format!("result = {};", body.stored(round, stencil.output_type));
-    let mut lines = body.statements;
-    lines.push(result);
-    Ok(lines)
+    let slots: Vec<String> = kernel.slots().iter().map(slot_c).collect();
+    let mark = out.len();
+    match emit_kernel(&stage, Dialect::OpenCl, &slots, out, indent) {
+        Ok(body) => {
+            let result = body.stored(round, stencil.output_type);
+            let _ = writeln!(out, "{indent}result = {result};");
+            Ok(())
+        }
+        Err(e) => {
+            out.truncate(mark);
+            Err(e)
+        }
+    }
 }
 
 /// Generate the single-device kernel file: channel declarations, reader and
@@ -92,14 +118,17 @@ fn compute_phase_lines(
 /// unless it takes the program scalars it reads as `const` arguments. Every
 /// declaration takes the element type of the field it carries.
 pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> String {
-    let field_type = |field: &str| {
-        cl_type(
-            program
-                .field_type(field)
-                .expect("mapped fields are program fields"),
-        )
-    };
-    let mut out = String::new();
+    // Each field's OpenCL type, looked up once, by id.
+    let dag = program.dag();
+    let types: Vec<&str> = (dag.nodes().take_while(|n| n.kind != NodeKind::Output))
+        .map(|field| {
+            let dtype = program.field_type(field.name);
+            cl_type(dtype.expect("every field has a type"))
+        })
+        .collect();
+    let field_type = |field: NodeId| types[field.index()];
+    // About what a chain stage takes; a larger kernel grows the buffer.
+    let mut out = String::with_capacity(1024 + 768 * mapping.units.len());
     let _ = writeln!(
         out,
         "// Auto-generated by the StencilFlow reproduction for program `{}`.",
@@ -119,8 +148,8 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
         let _ = writeln!(
             out,
             "channel {} {} __attribute__((depth({})));",
-            field_type(&channel.field),
-            channel_name(&channel.from, &channel.to),
+            field_type(channel.field_id),
+            ChannelName(channel),
             channel.depth_words
         );
     }
@@ -131,7 +160,7 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
         if unit.kind != MemoryAccessKind::Read {
             continue;
         }
-        let ty = field_type(&unit.field);
+        let ty = field_type(unit.field_id);
         let _ = writeln!(
             out,
             "__kernel void read_{}(__global const {ty}* restrict data, const long n) {{",
@@ -143,28 +172,35 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
             let _ = writeln!(
                 out,
                 "    write_channel_intel({}, value);",
-                channel_name(&consumer.from, &consumer.to)
+                ChannelName(consumer)
             );
         }
         let _ = writeln!(out, "  }}\n}}\n");
     }
 
     // One autorun compute kernel per stencil unit.
-    for unit in &mapping.units {
+    for (position, unit) in mapping.units.iter().enumerate() {
         let stencil = program
-            .stencil(&unit.name)
+            .stencil_at(unit.id)
             .expect("mapping units correspond to program stencils");
+        let (inputs, outputs) = mapping.unit_channels(position);
         // The program scalars the stencil reads are kernel arguments, which
         // an autorun kernel cannot take: such a kernel is host-launched.
-        let scalars: Vec<String> = (stencil.accesses.iter())
+        let named_type = |field: &str| cl_type(program.field_type(field).expect("declared"));
+        let mut scalars = (stencil.accesses.iter())
             .filter(|(_, info)| info.is_scalar())
-            .map(|(field, _)| format!("const {} {field}", field_type(field)))
-            .collect();
-        if scalars.is_empty() {
+            .peekable();
+        if scalars.peek().is_none() {
             let _ = writeln!(out, "__attribute__((autorun))");
         }
-        let params = scalars.join(", ");
-        let _ = writeln!(out, "__kernel void stencil_{}({params}) {{", unit.name);
+        let _ = write!(out, "__kernel void stencil_{}(", unit.name);
+        if let Some((field, _)) = scalars.next() {
+            let _ = write!(out, "const {} {field}", named_type(field));
+        }
+        for (field, _) in scalars {
+            let _ = write!(out, ", const {} {field}", named_type(field));
+        }
+        let _ = writeln!(out, ") {{");
         // Internal buffers as shift registers.
         for (field, info) in stencil.accesses.iter() {
             if info.access_count() > 1 {
@@ -175,20 +211,20 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
                 let _ = writeln!(
                     out,
                     "  {} buf_{field}[{}];",
-                    field_type(field),
+                    named_type(field),
                     unit.internal_buffer_elements.max(1)
                 );
             }
         }
         let _ = writeln!(out, "  for (long i = 0; i < N_ITERATIONS; ++i) {{");
         // Update phase: read new values from channels.
-        for channel in mapping.input_channels(&unit.name) {
+        for channel in inputs {
             let _ = writeln!(
                 out,
                 "    const {} in_{} = read_channel_intel({});",
-                field_type(&channel.field),
+                field_type(channel.field_id),
                 channel.field,
-                channel_name(&channel.from, &channel.to)
+                ChannelName(channel)
             );
         }
         // Compute phase with boundary predication.
@@ -199,23 +235,21 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
         let _ = writeln!(out, "    {} result;", cl_type(stencil.output_type));
         // A stencil the typed body cannot express gets an `#error` line:
         // the file fails closed rather than carry code its channels cannot.
-        let lines = compute_phase_lines(program, stencil)
-            .unwrap_or_else(|e| vec![format!("#error \"stencil `{}`: {e}\"", unit.name)]);
-        for line in lines {
-            let _ = writeln!(out, "    {line}");
+        if let Err(e) = write_compute_phase(program, unit.id, stencil, &mut out, "    ") {
+            let _ = writeln!(out, "    #error \"stencil `{}`: {e}\"", unit.name);
         }
         // Conditional write (suppressed during initialization).
         let _ = writeln!(
             out,
             "    if (i >= INIT_{}) {{ // skip initialization phase of {} iterations",
-            unit.name.to_uppercase(),
+            Upper(&unit.name),
             unit.init_iterations
         );
-        for channel in mapping.output_channels(&unit.name) {
+        for channel in outputs {
             let _ = writeln!(
                 out,
                 "      write_channel_intel({}, result);",
-                channel_name(&channel.from, &channel.to)
+                ChannelName(channel)
             );
         }
         let _ = writeln!(out, "    }}");
@@ -232,14 +266,14 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
             out,
             "__kernel void write_{}(__global {}* restrict data, const long n) {{",
             unit.field,
-            field_type(&unit.field)
+            field_type(unit.field_id)
         );
         let _ = writeln!(out, "  for (long i = 0; i < n; ++i) {{");
         if let Some(channel) = producer {
             let _ = writeln!(
                 out,
                 "    data[i] = read_channel_intel({});",
-                channel_name(&channel.from, &channel.to)
+                ChannelName(channel)
             );
         }
         let _ = writeln!(out, "  }}\n}}\n");

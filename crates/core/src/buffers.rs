@@ -22,14 +22,14 @@
 
 use crate::config::AnalysisConfig;
 use crate::error::Result;
-use std::collections::BTreeMap;
-use stencilflow_program::{StencilNode, StencilProgram};
+use std::sync::Arc;
+use stencilflow_program::{NameTable, NodeId, NodeKind, StencilNode, StencilProgram};
 
 /// Internal-buffer information for one field read by one stencil.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldBuffer {
     /// Field being buffered.
-    pub field: String,
+    pub field: NodeId,
     /// Number of distinct accesses (tap points) into the buffer.
     pub accesses: usize,
     /// Buffer size in elements (0 when only one access exists: the value is
@@ -75,23 +75,26 @@ impl FieldBuffer {
 /// Internal-buffer information for one stencil node.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StencilBuffers {
-    /// Per-field buffers (keyed by field name).
-    pub fields: BTreeMap<String, FieldBuffer>,
+    /// Per-field buffers, in field id (name) order.
+    fields: Vec<FieldBuffer>,
     /// Vectorization width the sizes were computed with.
     pub vector_width: u64,
 }
 
 impl StencilBuffers {
     /// Buffer info for one field.
-    pub fn field(&self, name: &str) -> Option<&FieldBuffer> {
-        self.fields.get(name)
+    pub fn field(&self, field: NodeId) -> Option<&FieldBuffer> {
+        let at = (self.fields)
+            .binary_search_by_key(&field, |b| b.field)
+            .ok()?;
+        Some(&self.fields[at])
     }
 
     /// Largest buffer size of this stencil, in elements: the length of the
     /// initialization phase (§IV-A).
     pub(crate) fn max_buffer_size(&self) -> u64 {
         self.fields
-            .values()
+            .iter()
             .map(|b| b.size_elements)
             .max()
             .unwrap_or(0)
@@ -101,7 +104,7 @@ impl StencilBuffers {
     /// 1): the largest per-field delay divided by the vectorization width.
     pub(crate) fn init_iterations(&self) -> u64 {
         self.fields
-            .values()
+            .iter()
             .map(|b| b.required_delay_words(self.vector_width))
             .max()
             .unwrap_or(0)
@@ -109,23 +112,24 @@ impl StencilBuffers {
 
     /// Per-field delay contribution in vector words, used as the per-edge
     /// initialization term of the delay-buffer analysis (§IV-B).
-    pub(crate) fn field_delay_words(&self, field: &str) -> u64 {
-        self.fields
-            .get(field)
+    pub(crate) fn field_delay_words(&self, field: NodeId) -> u64 {
+        self.field(field)
             .map(|b| b.required_delay_words(self.vector_width))
             .unwrap_or(0)
     }
 
     /// Total buffered elements across all fields of this stencil.
     pub(crate) fn total_elements(&self) -> u64 {
-        self.fields.values().map(|b| b.size_elements).sum()
+        self.fields.iter().map(|b| b.size_elements).sum()
     }
 }
 
-/// Internal-buffer analysis of a whole program.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// Internal-buffer analysis of a whole program: one entry per node id,
+/// `None` for a memory.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InternalBufferAnalysis {
-    stencils: BTreeMap<String, StencilBuffers>,
+    names: Arc<NameTable>,
+    stencils: Vec<Option<StencilBuffers>>,
 }
 
 impl InternalBufferAnalysis {
@@ -137,39 +141,55 @@ impl InternalBufferAnalysis {
     /// keeps the signature stable if richer diagnostics are added.
     pub(crate) fn compute(program: &StencilProgram, config: &AnalysisConfig) -> Result<Self> {
         let width = config.effective_vectorization(program.vectorization()) as u64;
-        let mut stencils = BTreeMap::new();
-        for stencil in program.stencils() {
-            stencils.insert(
-                stencil.name.clone(),
-                Self::compute_stencil(program, stencil, width),
-            );
+        let dag = program.dag();
+        let names = dag.names();
+        let mut stencils = vec![None; dag.node_count()];
+        // One buffer of memory-order offsets serves every field.
+        let mut linearized = Vec::new();
+        for node in dag.nodes().filter(|n| n.kind == NodeKind::Stencil) {
+            let stencil = program
+                .stencil_at(node.id)
+                .expect("stencil nodes are stencils");
+            stencils[node.id.index()] = Some(Self::compute_stencil(
+                program,
+                names,
+                stencil,
+                width,
+                &mut linearized,
+            ));
         }
-        Ok(InternalBufferAnalysis { stencils })
+        Ok(InternalBufferAnalysis {
+            names: Arc::clone(names),
+            stencils,
+        })
     }
 
     fn compute_stencil(
         program: &StencilProgram,
+        names: &NameTable,
         stencil: &StencilNode,
         width: u64,
+        linearized: &mut Vec<i64>,
     ) -> StencilBuffers {
         let space = program.space();
-        let mut fields = BTreeMap::new();
+        let mut fields = Vec::with_capacity(stencil.accesses.iter().count());
+        // Reads iterate in name order, which is id order.
         for (field, info) in stencil.accesses.iter() {
+            let Some(field) = names.id(field) else {
+                continue;
+            };
             // Embed each (possibly lower-dimensional) access offset into the
             // full iteration space: unnamed dimensions contribute offset 0.
-            let mut linearized: Vec<i64> = info
-                .offsets
-                .iter()
-                .map(|offsets| {
-                    let mut full = vec![0i64; space.rank()];
-                    for (var, &off) in info.index_vars.iter().zip(offsets.iter()) {
-                        if let Some(dim) = space.dim_index(var) {
-                            full[dim] = off;
-                        }
+            linearized.clear();
+            linearized.extend(info.offsets.iter().map(|offsets| {
+                let mut full = [0i64; 3];
+                for (var, &off) in info.index_vars.iter().zip(offsets.iter()) {
+                    if let Some(dim) = space.dim_index(var) {
+                        full[dim] = off;
                     }
-                    space.linearize_offset(&full)
-                })
-                .collect();
+                }
+                space.linearize_offset(&full[..space.rank()])
+            }));
             linearized.sort_unstable();
             let accesses = linearized.len();
             let highest = linearized.last().copied().unwrap_or(0);
@@ -181,17 +201,14 @@ impl InternalBufferAnalysis {
             } else {
                 (0, vec![0])
             };
-            fields.insert(
-                field.to_string(),
-                FieldBuffer {
-                    field: field.to_string(),
-                    accesses,
-                    size_elements: size,
-                    lookahead_elements: highest.max(0) as u64,
-                    fill_start: 0, // fixed up below once B_max is known
-                    tap_offsets: taps,
-                },
-            );
+            fields.push(FieldBuffer {
+                field,
+                accesses,
+                size_elements: size,
+                lookahead_elements: highest.max(0) as u64,
+                fill_start: 0, // fixed up below once B_max is known
+                tap_offsets: taps,
+            });
         }
         let mut buffers = StencilBuffers {
             fields,
@@ -200,7 +217,7 @@ impl InternalBufferAnalysis {
         // Synchronize fill starts: the largest buffer starts filling
         // immediately; smaller buffers wait for B_max - B_i elements.
         let max = buffers.max_buffer_size();
-        for buffer in buffers.fields.values_mut() {
+        for buffer in &mut buffers.fields {
             buffer.fill_start = max - buffer.size_elements;
         }
         buffers
@@ -208,13 +225,22 @@ impl InternalBufferAnalysis {
 
     /// Buffer information of one stencil.
     pub fn stencil(&self, name: &str) -> Option<&StencilBuffers> {
-        self.stencils.get(name)
+        self.stencil_at(self.names.id(name)?)
+    }
+
+    /// Buffer information of the stencil with id `id`.
+    pub(crate) fn stencil_at(&self, id: NodeId) -> Option<&StencilBuffers> {
+        self.stencils.get(id.index())?.as_ref()
     }
 
     /// Total on-chip elements consumed by internal buffers across the whole
     /// program.
     pub(crate) fn total_elements(&self) -> u64 {
-        self.stencils.values().map(|b| b.total_elements()).sum()
+        self.stencils
+            .iter()
+            .flatten()
+            .map(|b| b.total_elements())
+            .sum()
     }
 }
 
@@ -224,7 +250,21 @@ mod tests {
     use stencilflow_expr::DataType;
     use stencilflow_program::StencilProgramBuilder;
 
-    fn analysis_for(code: &str, shape: &[usize], width: usize) -> StencilBuffers {
+    /// The buffers of `program`'s stencil `stencil`, with a lookup of its
+    /// fields by name.
+    fn buffers_of<'a>(
+        program: &'a StencilProgram,
+        analysis: &'a InternalBufferAnalysis,
+        stencil: &str,
+    ) -> (&'a StencilBuffers, impl Fn(&str) -> &'a FieldBuffer) {
+        let buffers = analysis.stencil(stencil).unwrap();
+        let names = program.dag().names();
+        (buffers, move |field: &str| {
+            buffers.field(names.id(field).unwrap()).unwrap()
+        })
+    }
+
+    fn analysis_for(code: &str, shape: &[usize], width: usize) -> Named {
         let program = StencilProgramBuilder::new("p", shape)
             .input("a", DataType::Float32, &["i", "j", "k"])
             .input("b", DataType::Float32, &["i", "j", "k"])
@@ -235,7 +275,29 @@ mod tests {
             .unwrap();
         let analysis =
             InternalBufferAnalysis::compute(&program, &AnalysisConfig::default()).unwrap();
-        analysis.stencil("s").unwrap().clone()
+        let buffers = analysis.stencil("s").unwrap().clone();
+        Named { program, buffers }
+    }
+
+    /// One stencil's buffers, with the program that names their fields.
+    struct Named {
+        program: StencilProgram,
+        buffers: StencilBuffers,
+    }
+
+    impl std::ops::Deref for Named {
+        type Target = StencilBuffers;
+
+        fn deref(&self) -> &StencilBuffers {
+            &self.buffers
+        }
+    }
+
+    impl Named {
+        fn field(&self, name: &str) -> Option<&FieldBuffer> {
+            let id = self.program.dag().id(name)?;
+            self.buffers.field(id)
+        }
     }
 
     #[test]
@@ -328,9 +390,9 @@ mod tests {
             .unwrap();
         let analysis =
             InternalBufferAnalysis::compute(&program, &AnalysisConfig::default()).unwrap();
-        let buffers = analysis.stencil("s").unwrap();
-        assert_eq!(buffers.field("surf").unwrap().size_elements, 3);
-        assert_eq!(buffers.field("a").unwrap().size_elements, 0);
+        let (_, field) = buffers_of(&program, &analysis, "s");
+        assert_eq!(field("surf").size_elements, 3);
+        assert_eq!(field("a").size_elements, 0);
     }
 
     #[test]

@@ -31,8 +31,8 @@ use crate::buffers::InternalBufferAnalysis;
 use crate::config::AnalysisConfig;
 use crate::error::{CoreError, Result};
 use crate::partition::MultiDevicePlan;
-use std::collections::BTreeMap;
-use stencilflow_program::{NodeKind, StencilProgram};
+use std::sync::Arc;
+use stencilflow_program::{NameTable, NodeId, StencilProgram};
 
 /// Computed FIFO depth of one DAG edge.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,10 +58,14 @@ pub struct ChannelDepth {
 /// Result of the delay-buffer analysis for a whole program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DelayBufferAnalysis {
+    names: Arc<NameTable>,
     channels: Vec<ChannelDepth>,
-    arrival: BTreeMap<String, u64>,
-    /// Stencil → its compute critical path, where it is not zero.
-    compute_latency: BTreeMap<String, u64>,
+    /// The ends of each channel, parallel to `channels`.
+    ends: Vec<(NodeId, NodeId)>,
+    /// Per node id, the longest accumulated delay up to and including it.
+    arrival: Vec<u64>,
+    /// Per node id, its compute critical path (zero for a memory node).
+    compute_latency: Vec<u64>,
     vector_width: u64,
 }
 
@@ -81,70 +85,60 @@ impl DelayBufferAnalysis {
     ) -> Result<Self> {
         let dag = program.dag();
         let width = config.effective_vectorization(program.vectorization()) as u64;
+        let name = |id: NodeId| dag.name(id);
 
-        // Per-edge initialization contribution: the delay the *consumer*
-        // imposes on data arriving over this particular edge (the fill of the
-        // internal buffer for that field, §IV-B: "including the contribution
-        // of the initialization phase of the node itself").
-        let edge_init = |to: &str, field: &str, kind: Option<NodeKind>| -> u64 {
-            match kind {
-                Some(NodeKind::Stencil) => internal
-                    .stencil(to)
-                    .map(|b| b.field_delay_words(field))
-                    .unwrap_or(0),
-                _ => 0,
-            }
-        };
         // The latency of the link an edge crosses, if it crosses one.
-        let link_latency = |from: &str, to: &str| match plan {
-            Some(plan) if plan.is_remote(from, to) => plan.config.link_latency_cycles,
+        let link_latency = |from: NodeId, to: NodeId| match plan {
+            Some(plan) if plan.is_remote(name(from), name(to)) => plan.config.link_latency_cycles,
             _ => 0,
         };
 
         // Longest accumulated delay along any path, per node, in topological
         // order: arrival(v) = max over in-edges (arrival(u) + edge_init +
-        // link latency) plus the node's compute critical path.
+        // link latency) plus the node's compute critical path. The
+        // per-edge initialization term is the delay the *consumer* imposes on
+        // data arriving over this particular edge (the fill of the internal
+        // buffer for that field, §IV-B: "including the contribution of the
+        // initialization phase of the node itself").
         let order = program.topological_nodes().map_err(CoreError::from)?;
-        let mut arrival: BTreeMap<String, u64> = BTreeMap::new();
-        let mut compute_latency = BTreeMap::new();
-        let mut channels: Vec<ChannelDepth> = Vec::new();
-        for node in order {
-            let kind = dag.node_kind(node);
+        let mut arrival = vec![0u64; dag.node_count()];
+        let mut compute_latency = vec![0u64; dag.node_count()];
+        let mut channels: Vec<ChannelDepth> = Vec::with_capacity(dag.node_count());
+        let mut ends = Vec::with_capacity(dag.node_count());
+        for &node in order {
+            // Both `None` for a memory node.
+            let stencil = program.stencil_at(node);
+            let buffers = internal.stencil_at(node);
             let first = channels.len();
             let mut need = 0u64;
-            for edge in dag.in_edges(node) {
-                let delay = arrival.get(&edge.from).copied().unwrap_or(0)
-                    + edge_init(node, &edge.field, kind)
-                    + link_latency(&edge.from, node);
+            for &from in dag.predecessors(node) {
+                let delay = arrival[from.index()]
+                    + buffers.map_or(0, |b| b.field_delay_words(from))
+                    + link_latency(from, node);
                 need = need.max(delay);
                 channels.push(ChannelDepth {
-                    from: edge.from.clone(),
-                    to: node.clone(),
-                    field: edge.field.clone(),
+                    from: name(from).to_string(),
+                    to: name(node).to_string(),
+                    field: name(from).to_string(),
                     edge_delay: delay,
                     delay_words: 0,
                     depth_words: 0,
                 });
+                ends.push((from, node));
             }
             for channel in &mut channels[first..] {
                 channel.delay_words = need - channel.edge_delay;
                 channel.depth_words = channel.delay_words + config.min_channel_depth;
             }
-            let compute = match kind {
-                Some(NodeKind::Stencil) => program
-                    .stencil(node)
-                    .map(|s| s.compute_latency(&config.latencies))
-                    .unwrap_or(0),
-                _ => 0,
-            };
-            if compute > 0 {
-                compute_latency.insert(node.clone(), compute);
-            }
-            arrival.insert(node.clone(), need + compute);
+            let compute = stencil.map_or(0, |s| s.compute_latency(&config.latencies));
+            compute_latency[node.index()] = compute;
+            arrival[node.index()] = need + compute;
         }
 
         Ok(DelayBufferAnalysis {
+            names: Arc::clone(dag.names()),
             channels,
+            ends,
             arrival,
             compute_latency,
             vector_width: width,
@@ -165,17 +159,29 @@ impl DelayBufferAnalysis {
             .sum()
     }
 
+    /// The ends of each channel of [`DelayBufferAnalysis::channels`], by id.
+    pub(crate) fn channel_ends(&self) -> &[(NodeId, NodeId)] {
+        &self.ends
+    }
+
     /// The compute critical path of `node` in cycles, as the analysis charged
     /// it on every path through the node (zero for a memory node or an
     /// unknown name).
     pub fn compute_latency(&self, node: &str) -> u64 {
-        self.compute_latency.get(node).copied().unwrap_or(0)
+        self.names
+            .id(node)
+            .map_or(0, |id| self.compute_latency_at(id))
+    }
+
+    /// [`DelayBufferAnalysis::compute_latency`] of the node with id `id`.
+    pub(crate) fn compute_latency_at(&self, id: NodeId) -> u64 {
+        self.compute_latency[id.index()]
     }
 
     /// The total pipeline latency `L` of Eq. 1: the largest accumulated delay
     /// over all nodes (reached at some program output).
     pub fn pipeline_latency(&self) -> u64 {
-        self.arrival.values().copied().max().unwrap_or(0)
+        self.arrival.iter().copied().max().unwrap_or(0)
     }
 
     /// The vectorization width the analysis was performed with.

@@ -11,15 +11,17 @@ use crate::config::AnalysisConfig;
 use crate::error::Result;
 use crate::perf::PerformanceEstimate;
 use crate::ProgramAnalysis;
-use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 use stencilflow_expr::OpCount;
-use stencilflow_program::{NodeKind, StencilProgram};
+use stencilflow_program::{NameTable, NodeId, NodeKind, StencilProgram};
 
 /// One stencil unit of the mapped design.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StencilUnit {
     /// Stencil (and produced field) name.
     pub name: String,
+    /// The stencil's node id in the program's DAG.
+    pub id: NodeId,
     /// Operations evaluated per cycle per vector lane.
     pub ops: OpCount,
     /// Initialization phase in iterations (internal-buffer fill).
@@ -74,6 +76,8 @@ pub struct Channel {
     pub to: ChannelEndpoint,
     /// Field carried by the channel.
     pub field: String,
+    /// The carried field's id (its producer's node id).
+    pub field_id: NodeId,
     /// FIFO depth in vector words (delay buffer + minimum slack).
     pub depth_words: u64,
     /// FIFO capacity in elements (`depth_words × W`).
@@ -85,6 +89,8 @@ pub struct Channel {
 pub struct MemoryUnit {
     /// Field read or written.
     pub field: String,
+    /// The field's id.
+    pub field_id: NodeId,
     /// Access direction.
     pub kind: MemoryAccessKind,
     /// Number of stencil units fed by (or feeding) this unit.
@@ -109,14 +115,54 @@ pub struct HardwareMapping {
     pub vector_width: usize,
     /// Expected performance (Eq. 1).
     pub performance: PerformanceEstimate,
-    /// Stencil name → position in `units`.
-    unit_index: HashMap<String, usize>,
-    /// Per unit, the positions in `channels` of the channels it consumes and
-    /// of those it produces, in channel order.
-    unit_channels: Vec<(Vec<usize>, Vec<usize>)>,
+    /// The program's name table: the node ids of the indexes below.
+    names: Arc<NameTable>,
+    /// Per node id, its position in `units` (`u32::MAX` for a memory).
+    unit_index: Vec<u32>,
+    /// Per unit, the positions in `channels` of the channels it consumes.
+    unit_inputs: Groups,
+    /// Per unit, the positions in `channels` of the channels it produces.
+    unit_outputs: Groups,
     /// Per memory unit, the positions in `channels` of the channels it feeds
-    /// (a reader) or drains (a writer), in channel order.
-    memory_channels: Vec<Vec<usize>>,
+    /// (a reader) or drains (a writer).
+    memory_channels: Groups,
+}
+
+/// Lists of channel positions in one flat buffer: group `g` is
+/// `items[start[g]..start[g + 1]]`, each in channel order.
+#[derive(Debug, Clone, Default)]
+struct Groups {
+    start: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Groups {
+    /// `groups` lists holding each `(group, channel)` pair's channel, in
+    /// pair order; a pair whose group is `None` is left out.
+    fn of(groups: usize, pairs: impl Iterator<Item = (Option<usize>, usize)> + Clone) -> Groups {
+        let mut start = vec![0u32; groups + 1];
+        for (group, _) in pairs.clone() {
+            if let Some(g) = group {
+                start[g + 1] += 1;
+            }
+        }
+        for g in 0..groups {
+            start[g + 1] += start[g];
+        }
+        let mut fill = start.clone();
+        let mut items = vec![0u32; start[groups] as usize];
+        for (group, channel) in pairs {
+            if let Some(g) = group {
+                items[fill[g] as usize] = channel as u32;
+                fill[g] += 1;
+            }
+        }
+        Groups { start, items }
+    }
+
+    fn get(&self, group: usize) -> &[u32] {
+        &self.items[self.start[group] as usize..self.start[group + 1] as usize]
+    }
 }
 
 impl HardwareMapping {
@@ -146,47 +192,60 @@ impl HardwareMapping {
         let width = config.effective_vectorization(program.vectorization());
         let full_rank = program.space().rank();
 
-        let mut units = Vec::new();
-        for stencil in program.stencils() {
-            let buffers = internal.stencil(&stencil.name).cloned().unwrap_or_default();
+        // Stencil units in name order, which is id order.
+        let mut units = Vec::with_capacity(program.stencil_count());
+        let mut unit_index = vec![u32::MAX; dag.node_count()];
+        for node in dag.nodes().filter(|n| n.kind == NodeKind::Stencil) {
+            let stencil = program
+                .stencil_at(node.id)
+                .expect("stencil nodes are stencils");
+            let buffers = internal.stencil_at(node.id);
+            unit_index[node.id.index()] = units.len() as u32;
             units.push(StencilUnit {
                 name: stencil.name.clone(),
+                id: node.id,
                 ops: stencil.op_count(),
-                init_iterations: buffers.init_iterations(),
-                compute_latency: stencil.compute_latency(&config.latencies),
-                internal_buffer_elements: buffers.total_elements(),
-                fan_in: dag.in_degree(&stencil.name),
-                fan_out: dag.out_degree(&stencil.name),
+                init_iterations: buffers.map_or(0, |b| b.init_iterations()),
+                compute_latency: delay.compute_latency_at(node.id),
+                internal_buffer_elements: buffers.map_or(0, |b| b.total_elements()),
+                fan_in: dag.predecessors(node.id).len(),
+                fan_out: dag.successors(node.id).len(),
             });
         }
 
         // An edge into an output memory carries the field that memory holds.
-        let endpoint = |name: &str, field: &str| -> ChannelEndpoint {
-            match dag.node_kind(name) {
-                Some(NodeKind::Input) => ChannelEndpoint::MemoryRead(name.to_string()),
-                Some(NodeKind::Output) => ChannelEndpoint::MemoryWrite(field.to_string()),
-                _ => ChannelEndpoint::Stencil(name.to_string()),
+        let endpoint = |node: NodeId, field: &str| -> ChannelEndpoint {
+            match dag.kind(node) {
+                NodeKind::Input => ChannelEndpoint::MemoryRead(dag.name(node).to_string()),
+                NodeKind::Output => ChannelEndpoint::MemoryWrite(field.to_string()),
+                NodeKind::Stencil => ChannelEndpoint::Stencil(dag.name(node).to_string()),
             }
         };
-
-        let mut channels = Vec::new();
-        for depth in delay.channels() {
+        let mut channels = Vec::with_capacity(delay.channels().len());
+        for (depth, &(from, to)) in delay.channels().iter().zip(delay.channel_ends()) {
             channels.push(Channel {
-                from: endpoint(&depth.from, &depth.field),
-                to: endpoint(&depth.to, &depth.field),
+                from: endpoint(from, &depth.field),
+                to: endpoint(to, &depth.field),
                 field: depth.field.clone(),
+                field_id: from,
                 depth_words: depth.depth_words,
                 depth_elements: depth.depth_words * width as u64,
             });
         }
 
+        // A reader per input, in name order, then a writer per distinct
+        // output, in name order; indexed by the field they move.
         let mut memory_units = Vec::new();
-        for (name, decl) in program.inputs() {
-            let connections = dag.out_degree(name);
+        let mut reader = vec![u32::MAX; dag.node_count()];
+        let mut writer = vec![u32::MAX; dag.node_count()];
+        for node in dag.nodes().filter(|n| n.kind == NodeKind::Input) {
+            let decl = program.input(node.name).expect("input nodes are inputs");
+            reader[node.id.index()] = memory_units.len() as u32;
             memory_units.push(MemoryUnit {
-                field: name.to_string(),
+                field: node.name.to_string(),
+                field_id: node.id,
                 kind: MemoryAccessKind::Read,
-                connections,
+                connections: dag.successors(node.id).len(),
                 operands_per_cycle: if decl.rank() == full_rank {
                     width as u64
                 } else {
@@ -194,44 +253,47 @@ impl HardwareMapping {
                 },
             });
         }
-        let mut write_counts: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut writes = vec![0usize; dag.node_count()];
         for output in program.outputs() {
-            *write_counts.entry(output.as_str()).or_default() += 1;
+            if let Some(id) = dag.id(output) {
+                writes[id.index()] += 1;
+            }
         }
-        for (output, count) in write_counts {
+        for node in dag.nodes().filter(|n| writes[n.id.index()] > 0) {
+            writer[node.id.index()] = memory_units.len() as u32;
             memory_units.push(MemoryUnit {
-                field: output.to_string(),
+                field: node.name.to_string(),
+                field_id: node.id,
                 kind: MemoryAccessKind::Write,
-                connections: count,
+                connections: writes[node.id.index()],
                 operands_per_cycle: width as u64,
             });
         }
 
-        // Index the adjacency once, so no lookup scans the channel list.
-        let unit_index: HashMap<String, usize> = units
-            .iter()
-            .enumerate()
-            .map(|(ix, unit)| (unit.name.clone(), ix))
-            .collect();
-        let memory_index: HashMap<(&str, MemoryAccessKind), usize> = memory_units
-            .iter()
-            .enumerate()
-            .map(|(ix, unit)| ((unit.field.as_str(), unit.kind), ix))
-            .collect();
-        let mut unit_channels = vec![(Vec::new(), Vec::new()); units.len()];
-        let mut memory_channels = vec![Vec::new(); memory_units.len()];
-        for (ix, channel) in channels.iter().enumerate() {
-            match &channel.from {
-                ChannelEndpoint::Stencil(name) => unit_channels[unit_index[name]].1.push(ix),
-                from => {
-                    memory_channels[memory_index[&(from.name(), MemoryAccessKind::Read)]].push(ix)
-                }
-            }
-            match &channel.to {
-                ChannelEndpoint::Stencil(name) => unit_channels[unit_index[name]].0.push(ix),
-                to => memory_channels[memory_index[&(to.name(), MemoryAccessKind::Write)]].push(ix),
-            }
-        }
+        // Index the adjacency once, so no lookup scans the channel list. A
+        // channel into an output memory is drained by its field's writer.
+        let group = |table: &[u32], node: NodeId| {
+            let at = table[node.index()];
+            (at != u32::MAX).then_some(at as usize)
+        };
+        let ends = delay.channel_ends().iter().enumerate();
+        let unit_inputs = Groups::of(
+            units.len(),
+            ends.clone()
+                .map(|(ix, &(_, to))| (group(&unit_index, to), ix)),
+        );
+        let unit_outputs = Groups::of(
+            units.len(),
+            ends.clone()
+                .map(|(ix, &(from, _))| (group(&unit_index, from), ix)),
+        );
+        let memory_channels = Groups::of(
+            memory_units.len(),
+            ends.map(|(ix, &(from, to))| match dag.kind(to) {
+                NodeKind::Output => (group(&writer, from), ix),
+                _ => (group(&reader, from), ix),
+            }),
+        );
 
         Ok(HardwareMapping {
             program_name: program.name().to_string(),
@@ -240,15 +302,19 @@ impl HardwareMapping {
             memory_units,
             vector_width: width,
             performance: analysis.performance,
+            names: Arc::clone(dag.names()),
             unit_index,
-            unit_channels,
+            unit_inputs,
+            unit_outputs,
             memory_channels,
         })
     }
 
     /// Look up a stencil unit by name.
     pub fn unit(&self, name: &str) -> Option<&StencilUnit> {
-        self.unit_index.get(name).map(|&ix| &self.units[ix])
+        // A memory's `u32::MAX` is no position in `units`.
+        let at = *self.unit_index.get(self.names.id(name)?.index())?;
+        self.units.get(at as usize)
     }
 
     /// Number of stencil units.
@@ -256,16 +322,21 @@ impl HardwareMapping {
         self.units.len()
     }
 
-    /// Channels whose consumer is the given stencil.
-    pub fn input_channels(&self, stencil: &str) -> impl Iterator<Item = &Channel> {
-        let unit = self.unit_index.get(stencil);
-        self.channels_at(unit.map_or(&[], |&ix| &self.unit_channels[ix].0))
-    }
-
-    /// Channels whose producer is the given stencil.
-    pub fn output_channels(&self, stencil: &str) -> impl Iterator<Item = &Channel> {
-        let unit = self.unit_index.get(stencil);
-        self.channels_at(unit.map_or(&[], |&ix| &self.unit_channels[ix].1))
+    /// The channels `units[unit]` consumes, and those it produces, each in
+    /// channel order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `unit` is not a position in `units`.
+    pub fn unit_channels(
+        &self,
+        unit: usize,
+    ) -> (
+        impl Iterator<Item = &Channel>,
+        impl Iterator<Item = &Channel>,
+    ) {
+        let (inputs, outputs) = (self.unit_inputs.get(unit), self.unit_outputs.get(unit));
+        (self.channels_at(inputs), self.channels_at(outputs))
     }
 
     /// Channels attached to `memory_units[index]`: those a reader feeds, or
@@ -275,11 +346,12 @@ impl HardwareMapping {
     ///
     /// Panics if `index` is not a position in `memory_units`.
     pub fn memory_channels(&self, index: usize) -> impl Iterator<Item = &Channel> {
-        self.channels_at(&self.memory_channels[index])
+        assert!(index < self.memory_units.len(), "no memory unit {index}");
+        self.channels_at(self.memory_channels.get(index))
     }
 
-    fn channels_at<'a>(&'a self, positions: &'a [usize]) -> impl Iterator<Item = &'a Channel> {
-        positions.iter().map(|&ix| &self.channels[ix])
+    fn channels_at<'a>(&'a self, positions: &'a [u32]) -> impl Iterator<Item = &'a Channel> {
+        positions.iter().map(|&ix| &self.channels[ix as usize])
     }
 
     /// Total on-chip buffer capacity of the design in elements (internal
@@ -330,11 +402,11 @@ mod tests {
         assert_eq!(mapping.channels.len(), 10);
         // Memory units: 3 readers + 1 writer.
         assert_eq!(mapping.memory_units.len(), 4);
-        assert_eq!(mapping.input_channels("b4").count(), 2);
-        assert_eq!(mapping.output_channels("b0").count(), 2);
+        let position = |name: &str| mapping.units.iter().position(|u| u.name == name);
+        assert_eq!(mapping.unit_channels(position("b4").unwrap()).0.count(), 2);
+        assert_eq!(mapping.unit_channels(position("b0").unwrap()).1.count(), 2);
         // Only stencil units have unit channels; memory units have their own.
-        assert_eq!(mapping.input_channels("a0").count(), 0);
-        assert_eq!(mapping.output_channels("a0").count(), 0);
+        assert!(position("a0").is_none());
         assert!(mapping.unit("a0").is_none());
         for (ix, unit) in mapping.memory_units.iter().enumerate() {
             let attached: Vec<&Channel> = mapping.memory_channels(ix).collect();

@@ -8,8 +8,8 @@
 //! DRAM (replication).
 
 use crate::error::{CoreError, Result};
-use std::collections::{BTreeMap, BTreeSet};
-use stencilflow_program::StencilProgram;
+use std::collections::BTreeSet;
+use stencilflow_program::{NodeId, NodeKind, StencilProgram};
 
 /// Parameters of the partitioning step.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,7 +120,11 @@ impl MultiDevicePlan {
                 message: "cannot partition onto zero devices".into(),
             });
         }
-        let order = program.topological_stencils()?;
+        let dag = program.dag();
+        let order: Vec<NodeId> = (program.topological_nodes()?.iter())
+            .copied()
+            .filter(|&id| dag.kind(id) == NodeKind::Stencil)
+            .collect();
         if order.len() < config.num_devices {
             return Err(CoreError::Partition {
                 message: format!(
@@ -130,16 +134,11 @@ impl MultiDevicePlan {
                 ),
             });
         }
+        let stencil = |id: NodeId| program.stencil_at(id).expect("stencil nodes are stencils");
 
         // Balanced contiguous split by per-stencil flops.
-        let weights: Vec<u64> = order
-            .iter()
-            .map(|name| {
-                program
-                    .stencil(name)
-                    .map(|s| s.op_count().flops().max(1))
-                    .unwrap_or(1)
-            })
+        let weights: Vec<u64> = (order.iter())
+            .map(|&id| stencil(id).op_count().flops().max(1))
             .collect();
         let total: u64 = weights.iter().sum();
         let target = total as f64 / config.num_devices as f64;
@@ -169,20 +168,17 @@ impl MultiDevicePlan {
             ops_on_device += weight;
         }
 
-        let device_of: BTreeMap<&str, usize> = order
-            .iter()
-            .zip(assignment.iter())
-            .map(|(name, &d)| (name.as_str(), d))
-            .collect();
+        // Per node id, the device of a stencil.
+        let mut device_of: Vec<Option<usize>> = vec![None; dag.node_count()];
+        for (&id, &d) in order.iter().zip(&assignment) {
+            device_of[id.index()] = Some(d);
+        }
 
         // Per-device ops check.
         if let Some(max_ops) = config.max_ops_per_device {
             let mut per_device = vec![0u64; config.num_devices];
-            for (name, &d) in &device_of {
-                per_device[d] += program
-                    .stencil(name)
-                    .map(|s| s.op_count().flops())
-                    .unwrap_or(0);
+            for (&id, &d) in order.iter().zip(&assignment) {
+                per_device[d] += stencil(id).op_count().flops();
             }
             if let Some((d, &ops)) = per_device.iter().enumerate().find(|(_, &o)| o > max_ops) {
                 return Err(CoreError::Partition {
@@ -204,32 +200,38 @@ impl MultiDevicePlan {
                 remote_outputs: Vec::new(),
             })
             .collect();
-        for (name, &d) in order.iter().zip(assignment.iter()) {
-            devices[d].stencils.push(name.clone());
+        for (&id, &d) in order.iter().zip(assignment.iter()) {
+            devices[d].stencils.push(dag.name(id).to_string());
         }
 
-        let mut input_readers: BTreeMap<String, BTreeSet<usize>> = BTreeMap::new();
+        // Per input id, the first device that reads it, and whether another
+        // device reads it too.
+        let mut first_reader: Vec<Option<usize>> = vec![None; dag.node_count()];
+        let mut replicated = vec![false; dag.node_count()];
         let mut remote_channels = Vec::new();
-        for stencil_name in order {
-            let stencil = program.stencil(stencil_name).expect("stencil exists");
-            let consumer_device = device_of[stencil_name.as_str()];
-            for (field, _) in stencil.accesses.iter() {
-                if program.is_input(field) {
-                    devices[consumer_device]
-                        .local_inputs
-                        .insert(field.to_string());
-                    input_readers
-                        .entry(field.to_string())
-                        .or_default()
-                        .insert(consumer_device);
-                } else if let Some(&producer_device) = device_of.get(field) {
+        for &consumer in &order {
+            let consumer_device = device_of[consumer.index()].expect("placed above");
+            // The fields a stencil reads, in name order.
+            for &field in dag.predecessors(consumer) {
+                let name = dag.name(field);
+                if dag.kind(field) == NodeKind::Input {
+                    let local = &mut devices[consumer_device].local_inputs;
+                    if !local.contains(name) {
+                        local.insert(name.to_string());
+                    }
+                    match first_reader[field.index()] {
+                        None => first_reader[field.index()] = Some(consumer_device),
+                        Some(d) if d != consumer_device => replicated[field.index()] = true,
+                        Some(_) => {}
+                    }
+                } else if let Some(producer_device) = device_of[field.index()] {
                     if producer_device != consumer_device {
                         let channel = RemoteChannel {
-                            from_stencil: field.to_string(),
+                            from_stencil: name.to_string(),
                             from_device: producer_device,
-                            to_stencil: stencil_name.clone(),
+                            to_stencil: dag.name(consumer).to_string(),
                             to_device: consumer_device,
-                            field: field.to_string(),
+                            field: name.to_string(),
                         };
                         devices[producer_device]
                             .remote_outputs
@@ -241,15 +243,15 @@ impl MultiDevicePlan {
             }
         }
         for output in program.outputs() {
-            if let Some(&d) = device_of.get(output.as_str()) {
+            let device = dag.id(output).and_then(|id| device_of[id.index()]);
+            if let Some(d) = device {
                 devices[d].outputs.push(output.clone());
             }
         }
 
-        let replicated_inputs: BTreeSet<String> = input_readers
-            .iter()
-            .filter(|(_, readers)| readers.len() > 1)
-            .map(|(field, _)| field.clone())
+        let replicated_inputs: BTreeSet<String> = (dag.nodes())
+            .filter(|node| replicated[node.id.index()])
+            .map(|node| node.name.to_string())
             .collect();
 
         // Peak boundary traffic: streams crossing each consecutive boundary.

@@ -159,12 +159,16 @@ impl IterationSpace {
     /// the buffer for a field must span the distance between the lowest and
     /// highest flattened access offset.
     pub fn linearize_offset(&self, offsets: &[i64]) -> i64 {
-        let strides = self.strides();
-        offsets
-            .iter()
-            .zip(strides.iter())
-            .map(|(&off, &stride)| off * stride as i64)
-            .sum()
+        // The row-major strides, innermost first, without building them.
+        let mut stride = 1i64;
+        let mut distance = 0i64;
+        for (d, &extent) in self.shape.iter().enumerate().rev() {
+            if let Some(&off) = offsets.get(d) {
+                distance += off * stride;
+            }
+            stride *= extent as i64;
+        }
+        distance
     }
 
     /// Convert a multi-dimensional index into a flat row-major index.

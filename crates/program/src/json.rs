@@ -87,7 +87,7 @@ fn expect_str<'a>(value: &'a Json, context: &str) -> Result<&'a str> {
 /// assert_eq!(program.stencil_count(), 1);
 /// ```
 pub fn from_json(text: &str) -> Result<StencilProgram> {
-    let root = stencilflow_json::parse(text).map_err(|e| schema_error(e.to_string()))?;
+    let mut root = stencilflow_json::parse(text).map_err(|e| schema_error(e.to_string()))?;
     if root.as_object().is_none() {
         return Err(schema_error("program description must be a JSON object"));
     }
@@ -155,28 +155,32 @@ pub fn from_json(text: &str) -> Result<StencilProgram> {
         builder = builder.input(field, dtype, &dims);
     }
 
-    let stencils = root
+    let program = root
         .get("program")
-        .and_then(Json::as_object)
+        .filter(|program| program.as_object().is_some())
         .ok_or_else(|| schema_error("missing or non-object `program`"))?;
-    check_unique_keys(root.get("program").expect("checked above"), || {
-        "`program`".into()
-    })?;
-    for (stencil, entry) in stencils {
-        check_unique_keys(entry, || format!("stencil `{stencil}`"))?;
+    check_unique_keys(program, || "`program`".into())?;
+    // The stencils' names and code move out of the parsed tree.
+    let Some(Json::Object(stencils)) = root_member(&mut root, "program") else {
+        unreachable!("checked above")
+    };
+    for (stencil, mut entry) in std::mem::take(stencils) {
+        check_unique_keys(&entry, || format!("stencil `{stencil}`"))?;
         // The paper's format allows either a bare code string or an object
         // with `code`, `boundary_condition`, and `data_type`.
-        let (code, boundary, data_type) = match entry {
-            Json::String(code) => (code.as_str(), None, None),
-            Json::Object(_) => {
-                let code = entry.get("code").ok_or_else(|| {
-                    schema_error(format!("stencil `{stencil}` is missing `code`"))
-                })?;
-                (
-                    expect_str(code, "`code`")?,
-                    entry.get("boundary_condition"),
-                    entry.get("data_type"),
-                )
+        let code = match &mut entry {
+            Json::String(code) => std::mem::take(code),
+            Json::Object(members) => {
+                let code = (members.iter_mut())
+                    .find_map(|(key, value)| (key == "code").then_some(value))
+                    .ok_or_else(|| {
+                        schema_error(format!("stencil `{stencil}` is missing `code`"))
+                    })?;
+                expect_str(code, "`code`")?;
+                match code {
+                    Json::String(code) => std::mem::take(code),
+                    _ => unreachable!("a string, checked above"),
+                }
             }
             other => {
                 return Err(schema_error(format!(
@@ -185,18 +189,18 @@ pub fn from_json(text: &str) -> Result<StencilProgram> {
                 )))
             }
         };
-        builder = builder.stencil(stencil, code);
-        if let Some(boundary) = boundary {
-            builder = builder.boundary_spec(stencil, parse_boundary(stencil, boundary)?);
+        builder = builder.stencil_owned(&stencil, code);
+        if let Some(boundary) = entry.get("boundary_condition") {
+            builder = builder.boundary_spec(&stencil, parse_boundary(&stencil, boundary)?);
         }
-        if let Some(dtype) = data_type {
+        if let Some(dtype) = entry.get("data_type") {
             let dtype = expect_str(dtype, "`data_type`")?;
             let dtype: DataType = dtype.parse().map_err(|_| {
                 schema_error(format!(
                     "unknown data type `{dtype}` for stencil `{stencil}`"
                 ))
             })?;
-            builder = builder.output_type(stencil, dtype);
+            builder = builder.output_type(&stencil, dtype);
         }
     }
 
@@ -211,6 +215,14 @@ pub fn from_json(text: &str) -> Result<StencilProgram> {
         builder = builder.output(expect_str(output, "`outputs` entry")?);
     }
     builder.build()
+}
+
+/// The first member `key` of the object `root`, mutably.
+fn root_member<'a>(root: &'a mut Json, key: &str) -> Option<&'a mut Json> {
+    match root {
+        Json::Object(members) => (members.iter_mut()).find_map(|(k, v)| (k == key).then_some(v)),
+        _ => None,
+    }
 }
 
 fn parse_boundary(stencil: &str, value: &Json) -> Result<BoundarySpec> {
@@ -342,6 +354,29 @@ pub fn to_json(program: &StencilProgram) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_cycle_error_names_a_node_on_the_cycle() {
+        // `a1` only reads the cycle b -> c -> d -> b; the error used to name
+        // it, the first unsorted node by name.
+        let text = r#"{
+          "inputs": { "x": {"dtype": "float32", "dims": ["i"]} },
+          "outputs": ["a1"],
+          "shape": [8],
+          "program": { "b": "x[i] + d[i]", "c": "b[i]", "d": "c[i]", "a1": "d[i]" }
+        }"#;
+        let error = from_json(text).unwrap_err();
+        assert_eq!(
+            error,
+            ProgramError::Cycle {
+                node: "b".to_string()
+            }
+        );
+        assert_eq!(
+            error.to_string(),
+            "dependency graph contains a cycle through `b`"
+        );
+    }
 
     /// The paper's Lst. 1, verbatim apart from fixing the typo in b3's code
     /// (`b1[i+1,j k]` is missing a comma in the paper).

@@ -26,11 +26,32 @@
 //!   programmatically through [`StencilProgramBuilder`] or parsed from the
 //!   JSON-based input format of the paper's Lst. 1 ([`json`]).
 //! * [`StencilDag`] — the dependency graph over input memories, stencil
-//!   nodes, and output memories, with topological sorting, path queries, and
-//!   the graph-shape predicates (multi-tree detection) used by the deadlock
-//!   analysis.
+//!   nodes, and output memories, with its [`NameTable`] and the
+//!   topological orders the buffering and mapping analyses walk.
 //! * [`IterationSpace`] — shapes, strides and memory-order linearization of
 //!   offsets, the geometry underlying the buffer-size computations of §IV.
+//!
+//! # The name table
+//!
+//! A program names each DAG node once, in its [`NameTable`], built with the
+//! DAG (by [`StencilProgram::validate`] at the latest) and kept with it. A
+//! node's [`NodeId`] is its position there: first the fields — inputs and
+//! stencils — in name order, then the output memories (`<stencil>__out`),
+//! in name order. A field's id is the id of the node that produces it, so
+//! per-field and per-node tables are `Vec`s indexed by [`NodeId::index`].
+//! The analyses (`core`'s buffers, delays, mapping and partition,
+//! `analysis`' liveness and edge checks, the access footprints, codegen)
+//! run on ids; names are resolved only at the edges — JSON, diagnostics,
+//! reports and emitted text.
+//!
+//! The order contract: every node's successor and predecessor lists follow
+//! the order the edges were added in — the stencils in name order, each
+//! stencil's reads in name order, then the outputs in declaration order —
+//! and Kahn's algorithm starts from the sources in id order. Output
+//! memories are never sources, so [`StencilProgram::topological_nodes`]
+//! and [`StencilProgram::topological_stencils`] are exactly the orders
+//! Kahn's algorithm gives over the nodes keyed by name
+//! (`tests/order_equivalence.rs` keeps that algorithm and checks it).
 //!
 //! # Example
 //!
@@ -46,7 +67,8 @@
 //!     .build()
 //!     .unwrap();
 //! assert_eq!(program.stencils().count(), 1);
-//! assert!(program.dag().has_edge("a", "b"));
+//! let dag = program.dag();
+//! assert_eq!(dag.successors(dag.id("a").unwrap()), [dag.id("b").unwrap()]);
 //! assert_eq!(program.topological_nodes().unwrap().len(), 3); // a -> b -> b(out)
 //! ```
 
@@ -64,7 +86,7 @@ pub mod stencil;
 pub use boundary::{BoundaryCondition, BoundarySpec};
 pub use error::{ProgramError, Result};
 pub use field::{FieldDecl, IterationSpace};
-pub use graph::{AccessFootprints, DagEdge, DagNode, NodeKind, StencilDag};
+pub use graph::{AccessFootprints, DagNode, NameTable, NodeId, NodeKind, StencilDag};
 pub use json::{from_json, to_json};
 pub use program::{StencilProgram, StencilProgramBuilder};
 pub use stencil::{ParsedCode, StencilNode};
@@ -106,18 +128,19 @@ mod tests {
 
     #[test]
     fn listing1_dag_matches_figure2() {
+        use crate::graph::tests::has_edge;
         let program = listing1();
         let dag = program.dag();
         // a0,a1 -> b0; b0,a2 -> b1; b0,a2 -> b2; b1 -> b3; b2,b3 -> b4 -> out
-        assert!(dag.has_edge("a0", "b0"));
-        assert!(dag.has_edge("a1", "b0"));
-        assert!(dag.has_edge("b0", "b1"));
-        assert!(dag.has_edge("a2", "b1"));
-        assert!(dag.has_edge("b0", "b2"));
-        assert!(dag.has_edge("a2", "b2"));
-        assert!(dag.has_edge("b1", "b3"));
-        assert!(dag.has_edge("b2", "b4"));
-        assert!(dag.has_edge("b3", "b4"));
-        assert!(!dag.has_edge("b1", "b4"));
+        assert!(has_edge(dag, "a0", "b0"));
+        assert!(has_edge(dag, "a1", "b0"));
+        assert!(has_edge(dag, "b0", "b1"));
+        assert!(has_edge(dag, "a2", "b1"));
+        assert!(has_edge(dag, "b0", "b2"));
+        assert!(has_edge(dag, "a2", "b2"));
+        assert!(has_edge(dag, "b1", "b3"));
+        assert!(has_edge(dag, "b2", "b4"));
+        assert!(has_edge(dag, "b3", "b4"));
+        assert!(!has_edge(dag, "b1", "b4"));
     }
 }

@@ -3,13 +3,13 @@
 use crate::boundary::{BoundaryCondition, BoundarySpec};
 use crate::error::{ProgramError, Result};
 use crate::field::{FieldDecl, IterationSpace};
-use crate::graph::StencilDag;
+use crate::graph::{NodeId, NodeKind, StencilDag};
 use crate::stencil::StencilNode;
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
-use stencilflow_expr::{DataType, OpCount};
+use stencilflow_expr::{DataType, OpCount, TypedKernel};
 
 /// A complete stencil program: iteration space, input fields, stencil nodes,
 /// and designated outputs (§II of the paper).
@@ -37,16 +37,21 @@ pub struct StencilProgram {
     derived: OnceLock<Arc<Derived>>,
 }
 
-/// What a program derives from its structure: the DAG and its orders, and
-/// the analysis computed from them.
+/// What a program derives from its structure: the DAG with its name
+/// table and orders, and what is computed from them.
 struct Derived {
     dag: StencilDag,
     /// Every DAG node in topological order, or the cycle that prevents one.
-    order: Result<Vec<String>>,
-    /// The stencils of `order`, in that order.
+    order: Result<Vec<NodeId>>,
+    /// The names of the stencils of `order`, in that order.
     stencils: Vec<String>,
+    /// Per field id, the stencil node producing the field (`None` for an
+    /// input).
+    nodes: Vec<Option<Arc<StencilNode>>>,
     /// See [`StencilProgram::analysis_slot`].
     analysis: OnceLock<Arc<dyn Any + Send + Sync>>,
+    /// See [`StencilProgram::typed_kernel`], indexed by [`NodeId`].
+    typed: OnceLock<Vec<Option<TypedStencil>>>,
 }
 
 impl Derived {
@@ -55,18 +60,38 @@ impl Derived {
         let order = dag.topological_order();
         let stencils = match &order {
             Ok(order) => (order.iter())
-                .filter(|n| program.is_stencil(n))
-                .cloned()
+                .filter(|&&id| dag.kind(id) == NodeKind::Stencil)
+                .map(|&id| dag.name(id).to_string())
                 .collect(),
             Err(_) => Vec::new(),
         };
+        // Both the field ids and the stencil map follow name order.
+        let mut nodes = program.stencils.iter().peekable();
+        let fields = dag.nodes().take(dag.names().field_count());
+        let nodes = fields
+            .map(|field| {
+                let (_, node) = nodes.next_if(|(name, _)| name.as_str() == field.name)?;
+                (field.kind == NodeKind::Stencil).then(|| Arc::clone(node))
+            })
+            .collect();
         Derived {
             dag,
             order,
             stencils,
+            nodes,
             analysis: OnceLock::new(),
+            typed: OnceLock::new(),
         }
     }
+}
+
+/// A stencil's kernel specialized to the element types of the fields it
+/// reads ([`StencilProgram::typed_kernel`]).
+struct TypedStencil {
+    /// The element type of each kernel slot's field, in slot order.
+    slot_types: Vec<DataType>,
+    /// The specialized kernel; `None` when the kernel does not specialize.
+    kernel: Option<TypedKernel>,
 }
 
 impl PartialEq for StencilProgram {
@@ -204,13 +229,14 @@ impl StencilProgram {
     }
 
     /// Every DAG node (input memories, stencils, output memories) in
-    /// topological order, built with the DAG.
+    /// topological order, built with the DAG; [`StencilDag::name`] names
+    /// them.
     ///
     /// # Errors
     ///
     /// Returns [`ProgramError::Cycle`] if the stencil dependencies are
     /// cyclic (validation normally catches this earlier).
-    pub fn topological_nodes(&self) -> Result<&[String]> {
+    pub fn topological_nodes(&self) -> Result<&[NodeId]> {
         self.derived().order.as_deref().map_err(Clone::clone)
     }
 
@@ -222,6 +248,36 @@ impl StencilProgram {
     pub fn topological_stencils(&self) -> Result<&[String]> {
         self.topological_nodes()?;
         Ok(&self.derived().stencils)
+    }
+
+    /// The stencil node whose field has id `id`, or `None` if `id` is not a
+    /// stencil of this program's DAG.
+    pub fn stencil_at(&self, id: NodeId) -> Option<&StencilNode> {
+        self.derived().nodes.get(id.index())?.as_deref()
+    }
+
+    /// The element types of the fields stencil `id`'s kernel slots read,
+    /// and the kernel specialized to them (`None` when it does not
+    /// specialize: integer or boolean operands). Built for every stencil on
+    /// the first call and kept beside the DAG (so `&mut` methods clear it,
+    /// and clones share it). `None` if `id` is not a stencil, its kernel does
+    /// not compile ([`StencilNode::kernel`] has the error), or it reads a
+    /// field the program does not declare.
+    pub fn typed_kernel(&self, id: NodeId) -> Option<(&[DataType], Option<&TypedKernel>)> {
+        let typed = self.derived().typed.get_or_init(|| {
+            (self.derived().nodes.iter())
+                .map(|node| {
+                    let kernel = node.as_ref()?.kernel().ok()?;
+                    let slot_types: Vec<DataType> = (kernel.slots().iter())
+                        .map(|slot| self.field_type(&slot.field))
+                        .collect::<Option<_>>()?;
+                    let kernel = kernel.specialize(&slot_types);
+                    Some(TypedStencil { slot_types, kernel })
+                })
+                .collect()
+        });
+        let typed = typed.get(id.index())?.as_ref()?;
+        Some((&typed.slot_types, typed.kernel.as_ref()))
     }
 
     /// Where `core::analyze` keeps the buffering analysis of this program
@@ -505,12 +561,26 @@ pub struct StencilProgramBuilder {
     dims: Vec<String>,
     shape: Vec<usize>,
     inputs: BTreeMap<String, FieldDecl>,
-    stencil_order: Vec<String>,
-    codes: BTreeMap<String, String>,
-    boundaries: BTreeMap<String, BoundarySpec>,
-    output_types: BTreeMap<String, DataType>,
+    /// One entry per stencil name the builder has seen, in first-seen order.
+    stencils: Vec<PendingStencil>,
+    /// Position in `stencils` by name.
+    index: HashMap<String, usize>,
+    /// Number of distinct stencils declared so far; orders declarations.
+    declared: usize,
     outputs: Vec<String>,
     vectorization: usize,
+}
+
+/// What the builder knows of one stencil: its code once declared, and what
+/// `boundary`, `shrink` and `output_type` set (they may come first).
+#[derive(Debug, Clone)]
+struct PendingStencil {
+    name: String,
+    /// The code, and the position of the first declaration among all
+    /// stencils' (`build` parses in declaration order).
+    code: Option<(String, usize)>,
+    boundary: Option<BoundarySpec>,
+    output_type: Option<DataType>,
 }
 
 impl StencilProgramBuilder {
@@ -529,13 +599,30 @@ impl StencilProgramBuilder {
             dims,
             shape: shape.to_vec(),
             inputs: BTreeMap::new(),
-            stencil_order: Vec::new(),
-            codes: BTreeMap::new(),
-            boundaries: BTreeMap::new(),
-            output_types: BTreeMap::new(),
+            stencils: Vec::new(),
+            index: HashMap::new(),
+            declared: 0,
             outputs: Vec::new(),
             vectorization: 1,
         }
+    }
+
+    /// The entry of stencil `name`, created empty on first sight.
+    fn entry(&mut self, name: &str) -> &mut PendingStencil {
+        let at = match self.index.get(name) {
+            Some(&at) => at,
+            None => {
+                self.index.insert(name.to_string(), self.stencils.len());
+                self.stencils.push(PendingStencil {
+                    name: name.to_string(),
+                    code: None,
+                    boundary: None,
+                    output_type: None,
+                });
+                self.stencils.len() - 1
+            }
+        };
+        &mut self.stencils[at]
     }
 
     /// Override the iteration-space dimension names (memory order, slowest
@@ -557,22 +644,35 @@ impl StencilProgramBuilder {
         self.input(name, dtype, &[])
     }
 
-    /// Add a stencil node with the given code segment.
-    pub fn stencil(mut self, name: &str, code: &str) -> Self {
-        if !self.codes.contains_key(name) {
-            self.stencil_order.push(name.to_string());
+    /// Add a stencil node with the given code segment; adding a name again
+    /// replaces its code and keeps its place.
+    pub fn stencil(self, name: &str, code: &str) -> Self {
+        self.stencil_owned(name, code.to_string())
+    }
+
+    /// [`StencilProgramBuilder::stencil`], taking the code by value.
+    pub(crate) fn stencil_owned(mut self, name: &str, code: String) -> Self {
+        let declared = self.declared;
+        let entry = self.entry(name);
+        let first = match entry.code.take() {
+            Some((_, first)) => first,
+            None => declared,
+        };
+        entry.code = Some((code, first));
+        if first == declared {
+            self.declared += 1;
         }
-        self.codes.insert(name.to_string(), code.to_string());
         self
     }
 
     /// Set the boundary condition of `field` within stencil `stencil`.
     pub fn boundary(mut self, stencil: &str, field: &str, condition: BoundaryCondition) -> Self {
-        self.boundaries
-            .entry(stencil.to_string())
-            .or_default()
-            .per_field
-            .insert(field.to_string(), condition);
+        (self
+            .entry(stencil)
+            .boundary
+            .get_or_insert_with(BoundarySpec::default))
+        .per_field
+        .insert(field.to_string(), condition);
         self
     }
 
@@ -581,22 +681,23 @@ impl StencilProgramBuilder {
     /// [`StencilProgramBuilder::shrink`] set before; `build()` moves it into
     /// the node.
     pub(crate) fn boundary_spec(mut self, stencil: &str, spec: BoundarySpec) -> Self {
-        self.boundaries.insert(stencil.to_string(), spec);
+        self.entry(stencil).boundary = Some(spec);
         self
     }
 
     /// Mark the output of stencil `stencil` as shrunk.
     pub fn shrink(mut self, stencil: &str) -> Self {
-        self.boundaries
-            .entry(stencil.to_string())
-            .or_default()
-            .shrink = true;
+        (self
+            .entry(stencil)
+            .boundary
+            .get_or_insert_with(BoundarySpec::default))
+        .shrink = true;
         self
     }
 
     /// Set the output data type of a stencil (defaults to `float32`).
     pub fn output_type(mut self, stencil: &str, dtype: DataType) -> Self {
-        self.output_types.insert(stencil.to_string(), dtype);
+        self.entry(stencil).output_type = Some(dtype);
         self
     }
 
@@ -618,23 +719,30 @@ impl StencilProgramBuilder {
     ///
     /// Returns the first validation error encountered (see
     /// [`StencilProgram::validate`]).
-    pub fn build(mut self) -> Result<StencilProgram> {
+    pub fn build(self) -> Result<StencilProgram> {
         let dim_refs: Vec<&str> = self.dims.iter().map(String::as_str).collect();
         let space = IterationSpace::new(&dim_refs, &self.shape)?;
+        // Settings for a name never declared a stencil are dropped.
+        let mut pending: Vec<PendingStencil> = self
+            .stencils
+            .into_iter()
+            .filter(|p| p.code.is_some())
+            .collect();
+        pending.sort_by_key(|p| p.code.as_ref().map(|&(_, at)| at));
         let mut stencils = BTreeMap::new();
-        for name in &self.stencil_order {
-            if self.inputs.contains_key(name) || stencils.contains_key(name) {
-                return Err(ProgramError::DuplicateName { name: name.clone() });
+        for entry in pending {
+            if self.inputs.contains_key(&entry.name) {
+                return Err(ProgramError::DuplicateName { name: entry.name });
             }
-            let code = &self.codes[name];
-            let mut node = StencilNode::parse(name, code)?;
-            if let Some(boundary) = self.boundaries.remove(name) {
+            let (code, _) = entry.code.expect("kept above");
+            let mut node = StencilNode::parse_owned(entry.name, code)?;
+            if let Some(boundary) = entry.boundary {
                 node.boundary = boundary;
             }
-            if let Some(dtype) = self.output_types.get(name) {
-                node.output_type = *dtype;
+            if let Some(dtype) = entry.output_type {
+                node.output_type = dtype;
             }
-            stencils.insert(name.clone(), Arc::new(node));
+            stencils.insert(node.name.clone(), Arc::new(node));
         }
         let program = StencilProgram {
             name: self.name,

@@ -32,8 +32,9 @@ pub struct StencilNode {
     pub output_type: DataType,
 }
 
-/// A stencil's parsed code segment and, once [`StencilNode::kernel`] asked
-/// for it, the kernel compiled from it.
+/// A stencil's parsed code segment and, once [`StencilNode::kernel`] and
+/// [`StencilNode::op_count`] asked for them, the kernel compiled from it
+/// and its operation count.
 ///
 /// The AST is read-only: this derefs to it, so `&node.program` still reads
 /// as a `&Program`, and nothing hands out `&mut`. The kernel lives beside
@@ -45,6 +46,7 @@ pub struct StencilNode {
 pub struct ParsedCode {
     ast: Program,
     kernel: OnceLock<std::result::Result<Arc<CompiledKernel>, ExprError>>,
+    ops: OnceLock<OpCount>,
 }
 
 impl Deref for ParsedCode {
@@ -74,18 +76,28 @@ impl StencilNode {
     ///
     /// Returns [`ProgramError::Code`] if the code segment does not parse.
     pub fn parse(name: &str, code: &str) -> Result<Self> {
-        let program =
-            stencilflow_expr::parse_program(code).map_err(|source| ProgramError::Code {
-                stencil: name.to_string(),
-                source,
-            })?;
+        Self::parse_owned(name.to_string(), code.to_string())
+    }
+
+    /// [`StencilNode::parse`], taking the name and code by value.
+    pub(crate) fn parse_owned(name: String, code: String) -> Result<Self> {
+        let program = match stencilflow_expr::parse_program(&code) {
+            Ok(program) => program,
+            Err(source) => {
+                return Err(ProgramError::Code {
+                    stencil: name,
+                    source,
+                })
+            }
+        };
         let accesses = AccessExtractor::extract(&program);
         Ok(StencilNode {
-            name: name.to_string(),
-            code: code.to_string(),
+            name,
+            code,
             program: ParsedCode {
                 ast: program,
                 kernel: OnceLock::new(),
+                ops: OnceLock::new(),
             },
             accesses,
             boundary: BoundarySpec::default(),
@@ -118,9 +130,10 @@ impl StencilNode {
         self.accesses.contains(field)
     }
 
-    /// Operation counts for one evaluation of this stencil.
+    /// Operation counts for one evaluation of this stencil, counted on the
+    /// first call and kept like the kernel.
     pub fn op_count(&self) -> OpCount {
-        count_ops(&self.program)
+        *self.program.ops.get_or_init(|| count_ops(&self.program))
     }
 
     /// Critical-path compute latency of this stencil in cycles.

@@ -2281,8 +2281,9 @@ mod tests {
                     .filter(|c| &c.field == name)
                 {
                     let buffers = analysis.internal.stencil(&ch.to);
+                    let field = program.dag().id(name);
                     let size = buffers
-                        .and_then(|b| b.field(name))
+                        .and_then(|b| b.field(field?))
                         .map_or(0, |b| b.size_elements);
                     internal = internal.max(size);
                     edge = edge.max(size + ch.delay_words * analysis.delay.vector_width());

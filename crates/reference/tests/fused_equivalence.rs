@@ -1148,7 +1148,10 @@ fn hdiff_wavefront_lags_and_depths() {
     let mut lag: BTreeMap<&str, i64> = BTreeMap::new();
     let mut reach: BTreeMap<&str, i64> = BTreeMap::new();
     let order = program.topological_nodes().unwrap();
-    let stencils: Vec<_> = order.iter().filter_map(|n| program.stencil(n)).collect();
+    let stencils: Vec<_> = order
+        .iter()
+        .filter_map(|&n| program.stencil_at(n))
+        .collect();
     for stencil in &stencils {
         let taps: Vec<(&str, i64, i64)> = footprints
             .edges()

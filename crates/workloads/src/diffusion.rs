@@ -78,8 +78,7 @@ mod tests {
     #[test]
     fn chains_are_linear() {
         let program = diffusion2d(4, &[32, 32], 1);
-        let dag = program.dag();
-        assert!(!dag.requires_delay_buffers());
+        assert!(!crate::dag_checks::reconverges(&program));
     }
 
     #[test]

@@ -81,6 +81,51 @@ pub fn execution_suite() -> Vec<stencilflow_program::StencilProgram> {
     ]
 }
 
+/// DAG queries the workload tests share.
+#[cfg(test)]
+pub(crate) mod dag_checks {
+    use stencilflow_program::StencilProgram;
+
+    /// Whether the DAG has an edge from `from` to `to`.
+    pub(crate) fn has_edge(program: &StencilProgram, from: &str, to: &str) -> bool {
+        let dag = program.dag();
+        let (Some(from), Some(to)) = (dag.id(from), dag.id(to)) else {
+            return false;
+        };
+        dag.successors(from).contains(&to)
+    }
+
+    /// Number of edges into node `name`.
+    pub(crate) fn fan_in(program: &StencilProgram, name: &str) -> usize {
+        let dag = program.dag();
+        dag.id(name).map_or(0, |id| dag.predecessors(id).len())
+    }
+
+    /// Whether two paths of the DAG reconverge (it is not a multi-tree, so
+    /// it needs delay buffers, §III-A), in one pass over the topological
+    /// order: a node whose in-edges come from producers with a common
+    /// ancestor (or one producer twice) is where two paths meet. Each node
+    /// keeps its ancestors as a bit set.
+    pub(crate) fn reconverges(program: &StencilProgram) -> bool {
+        let dag = program.dag();
+        let words = dag.node_count().div_ceil(64);
+        let mut ancestors = vec![vec![0u64; words]; dag.node_count()];
+        for &node in program.topological_nodes().expect("acyclic") {
+            let mut seen = vec![0u64; words];
+            for &producer in dag.predecessors(node) {
+                let mut reach = ancestors[producer.index()].clone();
+                reach[producer.index() / 64] |= 1 << (producer.index() % 64);
+                if reach.iter().zip(&seen).any(|(a, b)| a & b != 0) {
+                    return true;
+                }
+                seen.iter_mut().zip(&reach).for_each(|(s, r)| *s |= r);
+            }
+            ancestors[node.index()] = seen;
+        }
+        false
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

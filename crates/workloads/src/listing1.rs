@@ -43,14 +43,14 @@ mod tests {
         assert_eq!(program.stencil_count(), 5);
         assert_eq!(program.inputs().count(), 3);
         assert_eq!(program.outputs(), &["b4".to_string()]);
-        let dag = program.dag();
-        assert!(dag.has_edge("b0", "b1"));
-        assert!(dag.has_edge("b0", "b2"));
-        assert!(dag.has_edge("b1", "b3"));
-        assert!(dag.has_edge("b3", "b4"));
-        assert!(dag.has_edge("b2", "b4"));
+        use crate::dag_checks::{has_edge, reconverges};
+        assert!(has_edge(&program, "b0", "b1"));
+        assert!(has_edge(&program, "b0", "b2"));
+        assert!(has_edge(&program, "b1", "b3"));
+        assert!(has_edge(&program, "b3", "b4"));
+        assert!(has_edge(&program, "b2", "b4"));
         // The fork at b0 reconverging at b4 makes delay buffers mandatory.
-        assert!(dag.requires_delay_buffers());
+        assert!(reconverges(&program));
     }
 
     #[test]

@@ -48,7 +48,17 @@
 #                                  tests/grid_alloc_guard.rs: comparing an
 #                                  output allocates nothing and
 #                                  Grid::from_fn allocates as often at 64^3
-#                                  as at 8^3; no timing floor — speed
+#                                  as at 8^3; the order-equivalence suite,
+#                                  tests/order_equivalence.rs: the id-
+#                                  indexed DAG, orders, footprints, buffers,
+#                                  channels and 8-device partition equal
+#                                  the name-keyed algorithms kept as test
+#                                  code; the mapping allocation guard,
+#                                  tests/mapping_alloc_guard.rs: text ->
+#                                  generate_kernels + partition allocates
+#                                  as often per stencil on a 1024-stage
+#                                  chain as on a 256-stage one, under a
+#                                  pinned ceiling; no timing floor — speed
 #                                  floors live in gate 11 only)
 #   4. cargo clippy -D warnings  — lints
 #   5. cargo doc -D warnings     — documentation (intra-doc links included)
