@@ -251,12 +251,14 @@ fn check_kernels(program: &StencilProgram, report: &mut AnalysisReport) {
                 continue;
             }
         };
-        let slot_types: Option<Vec<DataType>> = kernel
-            .slots()
-            .iter()
-            .map(|slot| program.field_type(&slot.field))
-            .collect();
-        match verify_kernel(kernel, slot_types.as_deref()) {
+        // The slot types the program keeps; `None` when a slot reads a
+        // field the program does not declare.
+        let id = program
+            .dag()
+            .id(&stencil.name)
+            .expect("stencils are DAG nodes");
+        let slot_types = program.typed_kernel(id).map(|(types, _)| types);
+        match verify_kernel(kernel, slot_types) {
             Err(e) => {
                 report.diagnostics.push(Diagnostic::new(
                     Severity::Error,

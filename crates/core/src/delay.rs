@@ -37,12 +37,10 @@ use stencilflow_program::{NameTable, NodeId, StencilProgram};
 /// Computed FIFO depth of one DAG edge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelDepth {
-    /// Producer node.
+    /// Producer node, which is also the field the edge carries.
     pub from: String,
     /// Consumer node.
     pub to: String,
-    /// Field carried by the edge.
-    pub field: String,
     /// Accumulated delay (cycles) of data arriving over this edge: the
     /// longest-path delay up to and including the producer, the consumer's
     /// initialization for this field, and the link latency if the edge
@@ -119,7 +117,6 @@ impl DelayBufferAnalysis {
                 channels.push(ChannelDepth {
                     from: name(from).to_string(),
                     to: name(node).to_string(),
-                    field: name(from).to_string(),
                     edge_delay: delay,
                     delay_words: 0,
                     depth_words: 0,

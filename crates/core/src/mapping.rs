@@ -224,9 +224,9 @@ impl HardwareMapping {
         let mut channels = Vec::with_capacity(delay.channels().len());
         for (depth, &(from, to)) in delay.channels().iter().zip(delay.channel_ends()) {
             channels.push(Channel {
-                from: endpoint(from, &depth.field),
-                to: endpoint(to, &depth.field),
-                field: depth.field.clone(),
+                from: endpoint(from, &depth.from),
+                to: endpoint(to, &depth.from),
+                field: depth.from.clone(),
                 field_id: from,
                 depth_words: depth.depth_words,
                 depth_elements: depth.depth_words * width as u64,

@@ -419,10 +419,10 @@ impl AccessFootprints {
     }
 
     /// The `(min, max)` offset extent per space dimension of `consumer`'s
-    /// accesses to `field`, or `None` if the consumer does not read it.
-    pub fn extent(&self, consumer: &str, field: &str) -> Option<&[(i64, i64)]> {
-        let pair = (self.names.field_id(consumer)?, self.names.field_id(field)?);
-        let at = self.pairs.binary_search(&pair).ok()?;
+    /// accesses to `field` (both field ids), or `None` if the consumer does
+    /// not read it.
+    pub fn extent(&self, consumer: NodeId, field: NodeId) -> Option<&[(i64, i64)]> {
+        let at = self.pairs.binary_search(&(consumer, field)).ok()?;
         Some(self.extents_at(at))
     }
 
@@ -726,26 +726,19 @@ pub(crate) mod tests {
             .build()
             .unwrap();
         let footprints = AccessFootprints::of_program(&program);
+        let dag = program.dag();
+        let extent = |consumer, field| footprints.extent(dag.id(consumer)?, dag.id(field)?);
         // `s` reads `u` at i in [-2, 1], j exactly 0, k in [-3, 0].
-        assert_eq!(
-            footprints.extent("s", "u").unwrap(),
-            &[(-2, 1), (0, 0), (-3, 0)]
-        );
+        assert_eq!(extent("s", "u").unwrap(), &[(-2, 1), (0, 0), (-3, 0)]);
         // The lower-dimensional `surf` access contributes (0,0) for the
         // missing j dimension and its own k offset.
-        assert_eq!(
-            footprints.extent("s", "surf").unwrap(),
-            &[(0, 0), (0, 0), (0, 1)]
-        );
+        assert_eq!(extent("s", "surf").unwrap(), &[(0, 0), (0, 0), (0, 1)]);
         // Scalars never appear as footprint edges.
-        assert!(footprints.extent("s", "dt").is_none());
+        assert!(extent("s", "dt").is_none());
         // `t` reads `s` only along j.
-        assert_eq!(
-            footprints.extent("t", "s").unwrap(),
-            &[(0, 0), (-1, 2), (0, 0)]
-        );
-        assert!(footprints.extent("t", "u").is_none());
-        assert!(footprints.extent("missing", "u").is_none());
+        assert_eq!(extent("t", "s").unwrap(), &[(0, 0), (-1, 2), (0, 0)]);
+        assert!(extent("t", "u").is_none());
+        assert!(extent("missing", "u").is_none());
         let edges: Vec<(&str, &str)> = footprints.edges().map(|(c, f, _)| (c, f)).collect();
         assert_eq!(edges, [("s", "surf"), ("s", "u"), ("t", "s")]);
     }

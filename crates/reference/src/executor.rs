@@ -4,10 +4,11 @@
 //! output (checked by the golden-equivalence suites):
 //!
 //! * [`ReferenceExecutor::execute`] — the one compiled path: the program
-//!   is compiled once into a [`CompiledProgram`] (slot-resolved — and,
-//!   where possible, type-specialized — kernels plus the fuse plan, cached
-//!   across runs) and streamed through the fused wavefront (`fuse.rs`),
-//!   up to the ceiling of its [`RunSpec`] (fused, or native JIT).
+//!   is prepared once into a [`CompiledProgram`] (the fuse plan over the
+//!   kernels the program keeps — slot-resolved and, where possible,
+//!   type-specialized — cached across runs) and streamed through the
+//!   fused wavefront (`fuse.rs`), up to the ceiling of its [`RunSpec`]
+//!   (fused, or native JIT).
 //!   [`ReferenceExecutor::run`] / [`ReferenceExecutor::run_steps`] are
 //!   `execute` at the fused ceiling.
 //! * [`ReferenceExecutor::run_interpreted`] — the tree-walking evaluator,
@@ -29,14 +30,15 @@
 
 use crate::grid::Grid;
 use crate::jit::TierUp;
-use crate::plan::CompiledStencil;
 use crate::tier::{Tier, TierTrace};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-use stencilflow_expr::{AccessResolver, DataType, Evaluator, Value};
-use stencilflow_program::{BoundaryCondition, ProgramError, Result, StencilNode, StencilProgram};
+use stencilflow_expr::{AccessResolver, Evaluator, Value};
+use stencilflow_program::{
+    BoundaryCondition, IterationSpace, ProgramError, Result, StencilNode, StencilProgram,
+};
 
 /// Result of running a stencil program on the reference executor.
 #[derive(Debug, Clone)]
@@ -129,27 +131,14 @@ impl ExecutionResult {
     }
 }
 
-/// Expected geometry of one input grid, baked at compile time.
-#[derive(Debug)]
-struct InputSpec {
-    name: String,
-    shape: Vec<usize>,
-    dtype: DataType,
-}
-
-/// A stencil program compiled for repeated execution: slot-resolved (and,
-/// where the types allow, type-specialized) kernels for every stencil, in
-/// topological order, and the tier ladder over them. Built once by
-/// [`ReferenceExecutor::prepare`]; a run only reads its grids.
+/// A stencil program prepared for repeated execution: a view over the
+/// program it was prepared from — whose kernels, slot types and typed
+/// kernels, kept per stencil id, are what every rung evaluates — and the
+/// tier ladder over it. Built once by [`ReferenceExecutor::prepare`]; a run
+/// only reads its grids.
 pub struct CompiledProgram {
-    name: String,
-    shape: Vec<usize>,
-    inputs: Vec<InputSpec>,
-    /// The time-stepping feedback pairs `(output, input)`, or why there
-    /// are none.
-    pairs: Result<Vec<(String, String)>>,
-    /// The tier ladder: the fused rung's plan and the JIT rung's unit, or
-    /// why the program cannot take it.
+    /// The tier ladder: the program, the fused rung's plan and the JIT
+    /// rung's unit, or why the program cannot take it.
     trace: TierTrace,
     /// [`StencilProgram::fingerprint`] of the source program (the executor
     /// cache key). A 64-bit collision between structurally different
@@ -161,9 +150,10 @@ pub struct CompiledProgram {
 
 impl std::fmt::Debug for CompiledProgram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let program = self.program();
         f.debug_struct("CompiledProgram")
-            .field("name", &self.name)
-            .field("shape", &self.shape)
+            .field("name", &program.name())
+            .field("shape", &program.space().shape)
             .field("stencils", &self.stencil_count())
             .field("typed_stencils", &self.typed_stencil_count())
             .finish()
@@ -171,21 +161,25 @@ impl std::fmt::Debug for CompiledProgram {
 }
 
 impl CompiledProgram {
-    /// Name of the source program.
-    pub(crate) fn name(&self) -> &str {
-        &self.name
+    /// The program this was prepared from (for a cache hit, the first
+    /// structurally identical program prepared).
+    pub(crate) fn program(&self) -> &StencilProgram {
+        &self.trace.program
     }
 
     /// Number of compiled stencils.
     pub fn stencil_count(&self) -> usize {
-        self.trace.stencils.len()
+        self.program().stencil_count()
     }
 
     /// Number of stencils carrying a type-specialized (`Value`-free) kernel:
     /// the ones whose sweep runs lane-batched (or native). The rest run cell
     /// by cell on boxed `Value`s.
     pub fn typed_stencil_count(&self) -> usize {
-        self.trace.stencils.iter().filter(|s| s.is_typed()).count()
+        let program = self.program();
+        (program.dag().nodes())
+            .filter(|node| matches!(program.typed_kernel(node.id), Some((_, Some(_)))))
+            .count()
     }
 
     /// The tier ladder: which rung each request lands on, and why a rung
@@ -214,16 +208,6 @@ impl CompiledProgram {
     /// the service keys its record of tier choices off it too).
     pub(crate) fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// The compiled stencils in topological order (fused-tier internal).
-    pub(crate) fn stencil_plans(&self) -> &[CompiledStencil] {
-        &self.trace.stencils
-    }
-
-    /// The output-to-input feedback pairing used by time stepping.
-    pub(crate) fn feedback_pairs(&self) -> Result<&[(String, String)]> {
-        self.pairs.as_deref().map_err(Clone::clone)
     }
 }
 
@@ -316,7 +300,11 @@ pub(crate) const PARALLEL_THRESHOLD_CELL_ACCESSES: usize = 1 << 18;
 
 /// Compiled-program cache entries kept per executor before the cache is
 /// reset (a safety valve for program-generating loops, not a tuned policy).
-const COMPILED_CACHE_CAPACITY: usize = 64;
+/// An entry keeps its program alive — the parsed code and accesses too,
+/// about as much again as the compiled form — so the valve holds half the
+/// 64 entries it held when an entry kept only compiled kernels: the same
+/// memory. No workload cycles through more than a few dozen programs.
+const COMPILED_CACHE_CAPACITY: usize = 32;
 
 /// Buffers kept in a pool before further releases are dropped (a safety
 /// valve, not a tuned policy: one fused `run_steps` needs a handful of
@@ -652,16 +640,38 @@ impl ReferenceExecutor {
             .reserve(copies);
     }
 
-    /// Input validation for the compiled paths: every declared input
-    /// present, with the shape and element type baked into `compiled`.
+    /// Input validation for every path: each input `program` declares is
+    /// present, with its declared shape and element type.
     pub(crate) fn check_inputs(
-        compiled: &CompiledProgram,
+        program: &StencilProgram,
         inputs: &BTreeMap<String, Grid>,
     ) -> Result<()> {
-        compiled
-            .inputs
-            .iter()
-            .try_for_each(|spec| check_grid(inputs, &spec.name, &spec.shape, spec.dtype))
+        let space = program.space();
+        program.inputs().try_for_each(|(name, decl)| {
+            let grid = inputs.get(name).ok_or_else(|| ProgramError::Invalid {
+                message: format!("missing input grid `{name}`"),
+            })?;
+            let declared = || declared_shape(space, &decl.dims);
+            if !grid.shape().iter().copied().eq(declared()) {
+                let shape: Vec<usize> = declared().collect();
+                return Err(ProgramError::Invalid {
+                    message: format!(
+                        "input `{name}` has shape {:?}, expected {shape:?}",
+                        grid.shape()
+                    ),
+                });
+            }
+            let dtype = decl.data_type();
+            if grid.data_type() != dtype {
+                return Err(ProgramError::Invalid {
+                    message: format!(
+                        "input `{name}` has element type {}, expected {dtype}",
+                        grid.data_type()
+                    ),
+                });
+            }
+            Ok(())
+        })
     }
 
     /// Compile `program` into a reusable [`CompiledProgram`], consulting the
@@ -698,43 +708,48 @@ impl ReferenceExecutor {
         Ok(compiled)
     }
 
+    /// Check that every stencil of `program` has its kept kernel and slot
+    /// types, in topological order, and plan the program's sweep over
+    /// them. The result keeps a clone of `program`, which shares its DAG
+    /// and kernels.
     fn compile_program(
         &self,
         program: &StencilProgram,
         fingerprint: u64,
     ) -> Result<CompiledProgram> {
         self.compiles.fetch_add(1, Ordering::Relaxed);
-        let space = program.space();
-        let order = program.topological_stencils()?;
-        let mut stencils = Vec::with_capacity(order.len());
-        for name in order {
-            let stencil = program
-                .stencil(name)
-                .expect("topological order only lists stencils");
-            let plan =
-                CompiledStencil::build(program, stencil).map_err(|source| ProgramError::Code {
-                    stencil: name.clone(),
-                    source,
-                })?;
-            stencils.push(plan);
+        for &id in program.topological_nodes()? {
+            let Some(stencil) = program.stencil_at(id) else {
+                continue;
+            };
+            let code = |source| ProgramError::Code {
+                stencil: stencil.name.clone(),
+                source,
+            };
+            let kernel = stencil.kernel().map_err(code)?;
+            // A slot reading a field the program does not declare has no
+            // type (validation rejects such a program).
+            let Some((slot_types, _)) = program.typed_kernel(id) else {
+                let slot = (kernel.slots().iter()).find(|s| program.field_type(&s.field).is_none());
+                let name = slot.map_or_else(String::new, |s| s.field.clone());
+                return Err(code(stencilflow_expr::ExprError::UnresolvedSymbol { name }));
+            };
+            // Debug builds consume the independent verifier's verdict
+            // instead of trusting compiler/optimizer bookkeeping: the kernel
+            // must verify with the bind-time slot types.
+            if cfg!(debug_assertions) {
+                if let Err(e) = stencilflow_expr::verify_kernel(kernel, Some(slot_types)) {
+                    panic!(
+                        "stencil `{}` failed bytecode verification at bind time: {e}",
+                        stencil.name
+                    );
+                }
+            }
         }
-        let inputs = program
-            .inputs()
-            .map(|(name, decl)| InputSpec {
-                name: name.to_string(),
-                shape: crate::plan::declared_shape(space, &decl.dims),
-                dtype: decl.data_type(),
-            })
-            .collect();
-        let pairs = program.feedback_pairs();
         // The ladder: the JIT rung runs the fused schedule.
-        let fused = crate::fuse::FusePlan::build(program, &stencils, pairs.as_deref().ok());
+        let fused = crate::fuse::FusePlan::build(program, program.feedback_pairs().ok().as_deref());
         Ok(CompiledProgram {
-            name: program.name().to_string(),
-            shape: space.shape.clone(),
-            inputs,
-            pairs,
-            trace: TierTrace::new(stencils, fused),
+            trace: TierTrace::new(program.clone(), fused),
             fingerprint,
         })
     }
@@ -879,22 +894,23 @@ impl ReferenceExecutor {
         tier_up: TierUp,
         probe: &dyn Fn() -> std::result::Result<(), E>,
     ) -> std::result::Result<(ExecutionResult, Tier), E> {
-        if steps.is_some() {
+        let program = compiled.program();
+        if steps.is_some() && !compiled.trace.fused.stepping() {
             // Validate the pairing even for a single step (dtype
-            // mismatches and ambiguity are rejected, never silently run).
-            compiled.feedback_pairs()?;
+            // mismatches and ambiguity are rejected, never silently run):
+            // the plan steps exactly when the pairs derive.
+            program.feedback_pairs()?;
         }
-        Self::check_inputs(compiled, inputs)?;
+        Self::check_inputs(program, inputs)?;
         let native = match compiled.trace.rung(tier) {
             Tier::Jit => match compiled.trace.jit() {
-                Ok(unit) => crate::jit::stage_fns(&compiled.name, unit, tier_up)?,
+                Ok(unit) => crate::jit::stage_fns(program.name(), unit, tier_up)?,
                 Err(_) => None,
             },
             Tier::Fused => None,
         };
-        let plan = &compiled.trace.fused;
         let count = steps.unwrap_or(1);
-        let result = crate::fuse::execute(self, compiled, plan, inputs, count, native, probe)?;
+        let result = crate::fuse::execute(self, compiled, inputs, count, native, probe)?;
         let ran = if native.is_some() {
             Tier::Jit
         } else {
@@ -956,7 +972,7 @@ impl ReferenceExecutor {
         program: &StencilProgram,
         inputs: &BTreeMap<String, Grid>,
     ) -> Result<ExecutionResult> {
-        Self::check_program_inputs(program, inputs)?;
+        Self::check_inputs(program, inputs)?;
 
         let space = program.space();
         let mut computed: BTreeMap<String, Grid> = BTreeMap::new();
@@ -1002,19 +1018,6 @@ impl ReferenceExecutor {
         })
     }
 
-    /// Input validation for the interpreted path, against the program's
-    /// own declarations (the compiled paths validate against the same
-    /// geometry baked into the [`CompiledProgram`], with the same errors).
-    fn check_program_inputs(
-        program: &StencilProgram,
-        inputs: &BTreeMap<String, Grid>,
-    ) -> Result<()> {
-        program.inputs().try_for_each(|(name, decl)| {
-            let shape = crate::plan::declared_shape(program.space(), &decl.dims);
-            check_grid(inputs, name, &shape, decl.data_type())
-        })
-    }
-
     /// Worker-thread count for a sweep of `cells` cells with
     /// `accesses_per_cell` reads each, at most `rows` independent work
     /// units (the fused sweep's planes).
@@ -1036,33 +1039,14 @@ impl ReferenceExecutor {
     }
 }
 
-/// One input grid against its declared shape and element type.
-fn check_grid(
-    inputs: &BTreeMap<String, Grid>,
-    name: &str,
-    shape: &[usize],
-    dtype: DataType,
-) -> Result<()> {
-    let grid = inputs.get(name).ok_or_else(|| ProgramError::Invalid {
-        message: format!("missing input grid `{name}`"),
-    })?;
-    if grid.shape() != shape {
-        return Err(ProgramError::Invalid {
-            message: format!(
-                "input `{name}` has shape {:?}, expected {shape:?}",
-                grid.shape()
-            ),
-        });
-    }
-    if grid.data_type() != dtype {
-        return Err(ProgramError::Invalid {
-            message: format!(
-                "input `{name}` has element type {}, expected {dtype}",
-                grid.data_type()
-            ),
-        });
-    }
-    Ok(())
+/// The dense row-major shape of a field declared over `dims` in `space`
+/// (a dimension the space does not know has extent 1): the one rule for a
+/// declared geometry, shared by input validation and input generation.
+pub(crate) fn declared_shape<'a>(
+    space: &'a IterationSpace,
+    dims: &'a [String],
+) -> impl Iterator<Item = usize> + 'a {
+    (dims.iter()).map(|d| space.dim_index(d).map_or(1, |ix| space.shape[ix]))
 }
 
 /// The one zero-steps rule of every entry point that takes `Option<usize>`

@@ -162,17 +162,17 @@
 use crate::executor::{CompiledProgram, ExecutionResult};
 use crate::grid::Grid;
 use crate::jit::{NativeStage, StageSymbols};
-use crate::plan::{round_lanes, CompiledStencil};
 use crate::tier::Ineligible;
 use crate::ReferenceExecutor;
 use std::collections::{BTreeMap, BTreeSet};
 use stencilflow_codegen::{jit_translation_unit, JitSlotKind, JitStageSpec};
 use stencilflow_expr::{
-    DataType, EvalScratch, ExprError, LaneScratch, TypedKernel, TypedScratch, Value,
+    CompiledKernel, DataType, EvalScratch, ExprError, LaneScratch, TypedKernel, TypedScratch, Value,
 };
 use stencilflow_jit::{Cells, CellsMut, SlotArg, StageFn, SweepArgs, SweepBuffers, Width};
 use stencilflow_program::{
-    AccessFootprints, BoundaryCondition, IterationSpace, ProgramError, StencilProgram,
+    AccessFootprints, BoundaryCondition, IterationSpace, NodeId, NodeKind, ProgramError,
+    StencilNode, StencilProgram,
 };
 
 /// Default number of time steps chained into one window. Nothing is
@@ -254,7 +254,8 @@ struct InputLayout {
 /// layout of one scratch plane of it.
 #[derive(Debug)]
 struct FusedField {
-    name: String,
+    /// The field's DAG node (its index in the plan's field table).
+    id: NodeId,
     /// Scalar program input: broadcast into the lanes, no buffer.
     scalar: bool,
     /// Program input (read in place, or copied into its ring or padded
@@ -360,18 +361,14 @@ enum Outside {
 /// One stencil of a fuse plan.
 #[derive(Debug)]
 struct FusedStage {
-    /// Index into the compiled program's stencil list (same order).
-    stencil: usize,
-    /// Output field of this stage.
-    field: usize,
+    /// The stencil's DAG node, which is also its output field's.
+    id: NodeId,
     /// Whether the stage contributes to any program output. Dead stages
     /// are elided entirely (their values are unobservable in the fused
     /// result), consistent with the simulator's unused-intermediate
     /// elision.
     live: bool,
     slots: Vec<FusedSlot>,
-    out_dtype: DataType,
-    shrink: bool,
     /// The shrink-validity box per axis (`[lo, hi)`): a cell is valid iff
     /// every coordinate lies inside — exactly the interpreter's "no access
     /// left the domain" predicate, which is a box because every check
@@ -382,6 +379,25 @@ struct FusedStage {
     /// the cells where none of them leaves the domain. `None`: the stage
     /// has no edge slot, and the edge pass never sees it.
     clean: Option<([usize; 3], [usize; 3])>,
+}
+
+impl FusedStage {
+    /// Index of the stage's output field.
+    fn field(&self) -> usize {
+        self.id.index()
+    }
+
+    /// The stencil node `program` keeps for the stage.
+    fn node<'p>(&self, program: &'p StencilProgram) -> &'p StencilNode {
+        program.stencil_at(self.id).expect("stages are stencils")
+    }
+
+    /// The slot types and typed kernel `program` keeps for the stage.
+    fn typed<'p>(&self, program: &'p StencilProgram) -> (&'p [DataType], Option<&'p TypedKernel>) {
+        program
+            .typed_kernel(self.id)
+            .expect("prepared stages resolve their slots")
+    }
 }
 
 /// The time-stepping extension of a fuse plan.
@@ -396,12 +412,10 @@ struct StepPlan {
 }
 
 /// A program analyzed for fused execution. Built once per
-/// [`CompiledProgram`]; owns only geometry (kernels stay in the compiled
-/// stencils).
+/// [`CompiledProgram`]; owns only geometry (the kernels stay in the
+/// program, read by stencil id).
 #[derive(Debug)]
 pub(crate) struct FusePlan {
-    dims: Vec<String>,
-    shape: Vec<usize>,
     /// The iteration space as planes × rows × cells (see [`axis`]).
     ext: [usize; 3],
     /// Lane width of the fused sweep, chosen from the innermost extent.
@@ -429,49 +443,48 @@ fn fused_lane_width(row_len: usize) -> usize {
 }
 
 impl FusePlan {
-    /// Analyze `program`, compiled to `plans` (topological order), for
-    /// fused execution; `pairs` are its time-stepping feedback pairs, if
-    /// they derive.
-    pub(crate) fn build(
-        program: &StencilProgram,
-        plans: &[CompiledStencil],
-        pairs: Option<&[(String, String)]>,
-    ) -> FusePlan {
+    /// Analyze `program` for fused execution, over the kernels it keeps
+    /// (every stencil's must compile and resolve its slots); `pairs` are
+    /// its time-stepping feedback pairs, if they derive. The fields are
+    /// indexed by [`NodeId`]: the DAG's fields come first, in id order.
+    pub(crate) fn build(program: &StencilProgram, pairs: Option<&[(String, String)]>) -> FusePlan {
         let space = program.space();
         let rank = space.rank();
         let mut ext = [1usize; 3];
         for (d, &n) in space.shape.iter().enumerate() {
             ext[axis(d, rank)] = n;
         }
-
-        // Liveness: the program outputs, then backward through the reads of
-        // every live stencil (reverse topological order visits each consumer
-        // before its producers). Nothing else is ever read or swept.
-        let mut live: BTreeSet<&str> = program.outputs().iter().map(String::as_str).collect();
-        for plan in plans.iter().rev() {
-            if live.contains(plan.name()) {
-                live.extend(
-                    plan.compiled_kernel()
-                        .slots()
-                        .iter()
-                        .map(|s| s.field.as_str()),
-                );
-            }
+        let dag = program.dag();
+        // Program validation resolves every read to a declared field.
+        let field_of = |name: &str| dag.id(name).expect("reads resolve to fields").index();
+        let order: Vec<(NodeId, &StencilNode)> = (program.topological_nodes())
+            .expect("a prepared program is acyclic")
+            .iter()
+            .filter_map(|&id| Some((id, program.stencil_at(id)?)))
+            .collect();
+        fn kernel(node: &StencilNode) -> &CompiledKernel {
+            node.kernel().expect("prepared kernels compile")
         }
 
-        // Field table: program inputs first, then stage outputs in
-        // topological (compiled) order.
+        // Field table, by id: the DAG's fields (inputs and stencils) come
+        // before its output memories.
+        let dense = input_layout(space, &space.dims);
         let mut fields: Vec<FusedField> = Vec::new();
-        let mut field_ids: BTreeMap<String, usize> = BTreeMap::new();
         let mut dtypes: Vec<DataType> = Vec::new();
-        let mut new_field = |name: &str, dtype: DataType, scalar, input, layout: InputLayout| {
-            field_ids.insert(name.to_string(), fields.len());
-            dtypes.push(dtype);
+        for node in dag.nodes().take_while(|node| node.kind != NodeKind::Output) {
+            let decl = program.input(node.name);
+            let scalar = decl.is_some_and(|decl| decl.is_scalar());
+            // A stage's output, and a scalar: full rank, in space order.
+            let layout = match decl {
+                Some(decl) if !scalar => input_layout(space, &decl.dims),
+                _ => dense,
+            };
+            dtypes.push(program.field_type(node.name).expect("fields have types"));
             fields.push(FusedField {
-                name: name.to_string(),
+                id: node.id,
                 scalar,
-                input,
-                live: live.contains(name),
+                input: decl.is_some(),
+                live: false,
                 span: layout.span,
                 replicate: layout.replicate,
                 transposed: layout.transposed,
@@ -487,35 +500,31 @@ impl FusePlan {
                 grow_lo: 0,
                 grow_hi: 0,
             });
-        };
-        // A stage's output, and a scalar: full rank, in space order.
-        let dense = input_layout(space, &space.dims);
-        for (name, decl) in program.inputs() {
-            let scalar = decl.is_scalar();
-            let layout = if scalar {
-                dense
-            } else {
-                input_layout(space, &decl.dims)
-            };
-            new_field(name, decl.data_type(), scalar, true, layout);
         }
-        for plan in plans {
-            new_field(plan.name(), plan.out_dtype(), false, false, dense);
+
+        // Liveness over kernel slots: the program outputs, then backward
+        // through the reads of every live stencil (reverse topological
+        // order visits each consumer before its producers). Nothing else is
+        // ever read or swept. (Folding can drop a syntactic read, so this
+        // is not the DAG's liveness.)
+        for output in program.outputs() {
+            fields[field_of(output)].live = true;
+        }
+        for &(id, node) in order.iter().rev() {
+            if fields[id.index()].live {
+                for slot in kernel(node).slots() {
+                    fields[field_of(&slot.field)].live = true;
+                }
+            }
         }
 
         // Stages: kernels with taps at constant per-axis offsets.
-        let mut stages: Vec<FusedStage> = Vec::with_capacity(plans.len());
-        for (ix, plan) in plans.iter().enumerate() {
-            let field = field_ids[plan.name()];
-            let live = fields[field].live;
-            let boundary = &program
-                .stencil(plan.name())
-                .expect("compiled stencils exist in the program")
-                .boundary;
-            let mut slots = Vec::with_capacity(plan.compiled_kernel().slots().len());
-            for slot in plan.compiled_kernel().slots() {
-                // Program validation resolves every read to a declared field.
-                let field = field_ids[&slot.field];
+        let mut stages: Vec<FusedStage> = Vec::with_capacity(order.len());
+        for &(id, node) in &order {
+            let kernel = kernel(node);
+            let mut slots = Vec::with_capacity(kernel.slots().len());
+            for slot in kernel.slots() {
+                let field = field_of(&slot.field);
                 if slot.is_scalar() {
                     slots.push(FusedSlot::Scalar(field));
                     continue;
@@ -527,7 +536,7 @@ impl FusePlan {
                         .expect("program validation resolves index variables");
                     off[axis(d, rank)] = o;
                 }
-                let outside = match boundary.condition_for(&slot.field) {
+                let outside = match node.boundary.condition_for(&slot.field) {
                     // A centre tap never leaves the domain.
                     _ if off == [0; 3] => Outside::Pad,
                     BoundaryCondition::Copy => Outside::Centre,
@@ -541,25 +550,30 @@ impl FusePlan {
                     outside,
                 });
             }
-            // The shrink-validity box from the deduplicated check set of
-            // the stencil's accesses.
+            // The shrink-validity box from the stencil's full syntactic
+            // access pattern (the interpreter's per-cell out-of-bounds
+            // re-walk), including reads the kernel folded away.
             let mut mask_lo = [0usize; 3];
             let mut mask_hi = ext;
-            for &(dim, off) in plan.shrink_mask_checks() {
-                let a = axis(dim, rank);
-                if off < 0 {
-                    mask_lo[a] = mask_lo[a].max((-off) as usize);
-                } else {
-                    mask_hi[a] = mask_hi[a].min(ext[a].saturating_sub(off as usize));
+            for (_, info) in node.accesses.iter() {
+                for offsets in &info.offsets {
+                    for (var, &off) in info.index_vars.iter().zip(offsets) {
+                        let Some(dim) = space.dim_index(var) else {
+                            continue;
+                        };
+                        let a = axis(dim, rank);
+                        if off < 0 {
+                            mask_lo[a] = mask_lo[a].max((-off) as usize);
+                        } else {
+                            mask_hi[a] = mask_hi[a].min(ext[a].saturating_sub(off as usize));
+                        }
+                    }
                 }
             }
             stages.push(FusedStage {
-                stencil: ix,
-                field,
-                live,
+                id,
+                live: fields[id.index()].live,
                 slots,
-                out_dtype: plan.out_dtype(),
-                shrink: plan.is_shrink(),
                 mask_lo,
                 mask_hi,
                 clean: None,
@@ -588,10 +602,10 @@ impl FusePlan {
             .outputs()
             .iter()
             .map(|output| {
-                let field = field_ids[output];
+                let field = field_of(output);
                 let stage = stages
                     .iter()
-                    .position(|s| s.field == field)
+                    .position(|s| s.field() == field)
                     .expect("program outputs are stencils");
                 (stage, field)
             })
@@ -603,7 +617,6 @@ impl FusePlan {
         let footprints = AccessFootprints::of_program(program);
         let mut constants: Vec<Option<f64>> = vec![None; fields.len()];
         for stage in stages.iter().filter(|s| s.live) {
-            let name = plans[stage.stencil].name();
             for slot in &stage.slots {
                 let FusedSlot::Tap { field, outside, .. } = *slot else {
                     continue;
@@ -611,7 +624,7 @@ impl FusePlan {
                 if let Outside::Constant(c) = outside {
                     constants[field].get_or_insert(c);
                 }
-                let Some(extent) = footprints.extent(name, &fields[field].name) else {
+                let Some(extent) = footprints.extent(stage.id, fields[field].id) else {
                     continue;
                 };
                 for (d, &(lo, hi)) in extent.iter().enumerate() {
@@ -635,16 +648,15 @@ impl FusePlan {
             if !stages[s].live || rank == 1 {
                 continue;
             }
-            let name = plans[stages[s].stencil].name();
             let (own_lo, own_hi) = {
-                let f = &fields[stages[s].field];
+                let f = &fields[stages[s].field()];
                 (f.grow_lo, f.grow_hi)
             };
             for slot in &stages[s].slots {
                 let FusedSlot::Tap { field, .. } = slot else {
                     continue;
                 };
-                if let Some(extent) = footprints.extent(name, &fields[*field].name) {
+                if let Some(extent) = footprints.extent(stages[s].id, fields[*field].id) {
                     let (lo, hi) = extent[0];
                     let f = &mut fields[*field];
                     f.grow_lo = f.grow_lo.max(own_lo + (-lo).max(0) as usize);
@@ -660,8 +672,7 @@ impl FusePlan {
             let mut step_hi = 0usize;
             let mut mapped = Vec::with_capacity(pairs.len());
             for (output, input) in pairs {
-                let o = field_ids[output];
-                let i = field_ids[input];
+                let (o, i) = (field_of(output), field_of(input));
                 step_lo = step_lo.max(fields[i].grow_lo.saturating_sub(fields[o].grow_lo));
                 step_hi = step_hi.max(fields[i].grow_hi.saturating_sub(fields[o].grow_hi));
                 mapped.push((o, i));
@@ -764,8 +775,6 @@ impl FusePlan {
         }
 
         FusePlan {
-            dims: space.dims.clone(),
-            shape: space.shape.clone(),
             ext,
             lanes,
             fields,
@@ -794,7 +803,7 @@ impl FusePlan {
     /// The error is why the JIT rung cannot take the program.
     pub(crate) fn jit_unit(
         &self,
-        plans: &[CompiledStencil],
+        program: &StencilProgram,
     ) -> Result<crate::jit::JitUnit, Ineligible> {
         let dtype = |width| match width {
             Width::F32 => DataType::Float32,
@@ -816,20 +825,22 @@ impl FusePlan {
                 symbols.push(None);
                 continue;
             }
-            let plan = &plans[stage.stencil];
-            let Some(typed) = plan.typed_kernel() else {
-                let stencil = plan.name().to_string();
+            let node = stage.node(program);
+            let (slot_types, typed) = stage.typed(program);
+            let Some(typed) = typed else {
+                let stencil = node.name.clone();
                 return Err(Ineligible::Untyped { stencil });
             };
-            if !matches!(stage.out_dtype, DataType::Float32 | DataType::Float64) {
-                let (stage, dtype) = (plan.name().to_string(), stage.out_dtype);
+            let out_dtype = node.output_type;
+            if !matches!(out_dtype, DataType::Float32 | DataType::Float64) {
+                let (stage, dtype) = (node.name.clone(), out_dtype);
                 return Err(Ineligible::NonFloatOutput { stage, dtype });
             }
-            stencilflow_expr::verify_kernel(plan.compiled_kernel(), Some(plan.slot_dtypes()))
-                .map_err(|error| {
-                    let stage = plan.name().to_string();
-                    Ineligible::Unverified { stage, error }
-                })?;
+            let kernel = node.kernel().expect("prepared kernels compile");
+            stencilflow_expr::verify_kernel(kernel, Some(slot_types)).map_err(|error| {
+                let stage = node.name.clone();
+                Ineligible::Unverified { stage, error }
+            })?;
             let slots: Vec<Option<Width>> = (stage.slots.iter())
                 .map(|s| match s {
                     FusedSlot::Scalar(_) => None,
@@ -842,9 +853,9 @@ impl FusePlan {
             // A stage stores into its ring unless it is an output no stage
             // of its step reads, which stores to its slab in the last step
             // of a window — the only step of a run that does not step.
-            let width = self.fields[stage.field].width;
+            let width = self.fields[stage.field()].width;
             let output = self.outputs.iter().any(|&(s, _)| s == ix);
-            let direct = output && !tapped.contains(&stage.field);
+            let direct = output && !tapped.contains(&stage.field());
             let ring = !direct || self.steps.is_some();
             let base = format!("sf_stage_{ix}");
             let mut exports = Vec::new();
@@ -860,11 +871,11 @@ impl FusePlan {
                     symbol: symbol.clone(),
                     kernel: typed,
                     slot_kinds: slot_kinds.clone(),
-                    slot_types: plan.slot_dtypes(),
-                    round_output: stage.out_dtype == DataType::Float32,
+                    slot_types,
+                    round_output: out_dtype == DataType::Float32,
                     store: dtype(*store),
                 });
-                names.push(plan.name());
+                names.push(node.name.as_str());
             }
             symbols.push(Some(StageSymbols {
                 slots,
@@ -882,6 +893,11 @@ impl FusePlan {
             bodies,
             resolved: std::sync::OnceLock::new(),
         })
+    }
+
+    /// Whether the program time-steps: its feedback pairs derived.
+    pub(crate) fn stepping(&self) -> bool {
+        self.steps.is_some()
     }
 
     /// Planes of `field` a worker owning `chunk` must cover at step `t` of
@@ -987,8 +1003,8 @@ impl FusePlan {
                         r.read_in_step |= r.step == t;
                     }
                 }
-                holder[stage.field] = Some(rings.len());
-                rings.push(new_ring(stage.field, Some(s), t, lag, taps));
+                holder[stage.field()] = Some(rings.len());
+                rings.push(new_ring(stage.field(), Some(s), t, lag, taps));
             }
         }
 
@@ -1156,7 +1172,8 @@ impl Schedule {
 /// Everything a worker needs for one window, shared read-only.
 struct WindowCtx<'a> {
     plan: &'a FusePlan,
-    compiled: &'a CompiledProgram,
+    /// The program whose kernels the stages evaluate.
+    program: &'a StencilProgram,
     sched: &'a Schedule,
     /// What each live input field is read from (empty for the rest): the
     /// caller's grid or the previous window's pooled state grid (read in
@@ -1239,12 +1256,13 @@ impl Buffer {
 pub(crate) fn execute<E: From<ProgramError>>(
     executor: &ReferenceExecutor,
     compiled: &CompiledProgram,
-    plan: &FusePlan,
     inputs: &BTreeMap<String, Grid>,
     steps: usize,
     jit: Option<&[Option<NativeStage>]>,
     probe: &dyn Fn() -> Result<(), E>,
 ) -> Result<ExecutionResult, E> {
+    let (program, plan) = (compiled.program(), &compiled.tier_trace().fused);
+    let names = program.dag().names();
     let w_max = executor.fusion_window.clamp(1, steps);
     let [n0, n1, nk] = plan.ext;
     let num_cells = n0 * n1 * nk;
@@ -1272,7 +1290,8 @@ pub(crate) fn execute<E: From<ProgramError>>(
             }
             let len = field.padded(0, &plan.ext) * field.plane;
             let mut buf = Buffer::acquire(executor, field.width, len);
-            fill_copy(plan, field, inputs[&field.name].as_slice(), buf.cells_mut());
+            let grid = inputs[names.name(field.id)].as_slice();
+            fill_copy(plan, field, grid, buf.cells_mut());
             Some(buf)
         })
         .collect();
@@ -1284,7 +1303,7 @@ pub(crate) fn execute<E: From<ProgramError>>(
         if !field.input || !field.live {
             continue;
         }
-        let grid = inputs[&field.name].as_slice();
+        let grid = inputs[names.name(field.id)].as_slice();
         user_sources[ix] = match &copies[ix] {
             _ if field.scalar => {
                 scalars[ix] = grid[0];
@@ -1299,15 +1318,16 @@ pub(crate) fn execute<E: From<ProgramError>>(
     // tier (pooled results) these buffers come from the executor pools:
     // the cells as their last user left them (the sinks store every owned
     // plane), the masks all-true like fresh allocations.
-    let dim_refs: Vec<&str> = plan.dims.iter().map(String::as_str).collect();
+    let space = program.space();
+    let dim_refs: Vec<&str> = space.dims.iter().map(String::as_str).collect();
     let mut out_grids: Vec<Grid> = plan
         .outputs
         .iter()
         .map(|&(stage, _)| {
             Grid::from_data(
                 &dim_refs,
-                &plan.shape,
-                plan.stages[stage].out_dtype,
+                &space.shape,
+                plan.stages[stage].node(program).output_type,
                 executor.alloc_result_cells(num_cells),
             )
         })
@@ -1425,7 +1445,7 @@ pub(crate) fn execute<E: From<ProgramError>>(
 
         let ctx = WindowCtx {
             plan,
-            compiled,
+            program,
             sched: &sched,
             sources,
             scalars: &scalars,
@@ -1460,8 +1480,7 @@ pub(crate) fn execute<E: From<ProgramError>>(
             .min_by_key(|f| f.0);
         if let Some((ring, source)) = first {
             let stage = sched.rings[ring].stage.expect("only stages fail");
-            let stencil = compiled.stencil_plans()[plan.stages[stage].stencil].name();
-            let stencil = stencil.to_string();
+            let stencil = plan.stages[stage].node(program).name.clone();
             failure = Err(E::from(ProgramError::Code { stencil, source }));
             break;
         }
@@ -1486,9 +1505,7 @@ pub(crate) fn execute<E: From<ProgramError>>(
     let mut result_fields = BTreeMap::new();
     let mut result_masks = BTreeMap::new();
     for ((&(stage, _), grid), mask) in plan.outputs.iter().zip(out_grids).zip(out_masks) {
-        let name = compiled.stencil_plans()[plan.stages[stage].stencil]
-            .name()
-            .to_string();
+        let name = plan.stages[stage].node(program).name.clone();
         result_fields.insert(name.clone(), grid);
         result_masks.insert(name, mask);
     }
@@ -1672,7 +1689,7 @@ fn run_worker_lanes<const L: usize>(ctx: &WindowCtx<'_>, worker: Worker<'_>) -> 
 
     if ctx.last {
         for (&(stage, _), mask) in plan.outputs.iter().zip(masks.iter_mut()) {
-            if plan.stages[stage].shrink {
+            if plan.stages[stage].node(ctx.program).boundary.shrink {
                 fill_mask(plan, &plan.stages[stage], mask, chunk);
             }
         }
@@ -1783,8 +1800,7 @@ fn run_worker_lanes<const L: usize>(ctx: &WindowCtx<'_>, worker: Worker<'_>) -> 
                     layout,
                 };
                 let stage = &plan.stages[ring.stage.expect("copy-ins are not swept")];
-                let kernel = &ctx.compiled.stencil_plans()[stage.stencil];
-                let evaluated = match kernel.typed_kernel() {
+                let evaluated = match stage.typed(ctx.program).1 {
                     Some(typed) => {
                         match ctx.native(ring.stage) {
                             Some(native) => {
@@ -1870,6 +1886,26 @@ fn load<const L: usize>(cells: Cells<'_>, at: usize) -> [f64; L] {
     batch
 }
 
+/// Round a lane batch of raw results through the stencil's output element
+/// type into `out` — per lane exactly `Value::from_f64(v, dtype).as_f64()`,
+/// the rounding the interpreter applies on store.
+#[inline]
+fn round_lanes<const LANES: usize>(values: &[f64; LANES], dtype: DataType, out: &mut [f64]) {
+    match dtype {
+        DataType::Float32 => {
+            for (cell, &v) in out.iter_mut().zip(values.iter()) {
+                *cell = v as f32 as f64;
+            }
+        }
+        DataType::Float64 => out.copy_from_slice(values),
+        _ => {
+            for (cell, &v) in out.iter_mut().zip(values.iter()) {
+                *cell = Value::from_f64(v, dtype).as_f64();
+            }
+        }
+    }
+}
+
 /// Store `values` from cell `at` of `out` on, rounded through `dtype` (as
 /// the interpreter stores): into `f32` cells — only a `float32` field's —
 /// that rounding is the narrowing.
@@ -1899,6 +1935,7 @@ fn sweep_lanes<const L: usize>(
     let plan = ctx.plan;
     let [_, n1, nk] = plan.ext;
     let stage = &plan.stages[target.stage.expect("copy-ins are not swept")];
+    let out_dtype = stage.node(ctx.program).output_type;
     let batches = nk.div_ceil(L);
     let field = &plan.fields[target.field];
     let pad_hi_k = field.pad_hi[2];
@@ -1941,7 +1978,7 @@ fn sweep_lanes<const L: usize>(
                     },
                     scratch,
                 );
-                store(&result, stage.out_dtype, out, out_row + k0);
+                store(&result, out_dtype, out, out_row + k0);
             }
             // Restore the tail pad the over-computed last batch clobbered.
             if refill_tail {
@@ -1995,7 +2032,9 @@ fn cell_pass(
     let plan = ctx.plan;
     let [_, n1, nk] = plan.ext;
     let stage = &plan.stages[target.stage.expect("copy-ins are not swept")];
-    let kernel = &ctx.compiled.stencil_plans()[stage.stencil];
+    let node = stage.node(ctx.program);
+    let (slot_types, typed_kernel) = stage.typed(ctx.program);
+    let kernel = node.kernel()?;
     let ext = plan.ext.map(|e| e as i64);
     // The cell at `d` from `cell` of the buffer `tap` reads.
     let load = |tap: &Tap, cell: [i64; 3], d: [i64; 3]| -> f64 {
@@ -2053,21 +2092,21 @@ fn cell_pass(
                         }
                     };
                 }
-                let result = match kernel.typed_kernel() {
+                let result = match typed_kernel {
                     Some(kernel) => kernel.eval_slots(raw, typed),
                     None => {
                         // Grids round every store through their element
                         // type, so tagging a raw value recovers exactly the
                         // one the interpreter reads.
-                        let types = kernel.slot_dtypes();
-                        for ((value, &raw), &dtype) in values.iter_mut().zip(&*raw).zip(types) {
+                        for ((value, &raw), &dtype) in values.iter_mut().zip(&*raw).zip(slot_types)
+                        {
                             *value = Value::from_f64(raw, dtype);
                         }
-                        kernel.compiled_kernel().eval_slots(values, boxed)?.as_f64()
+                        kernel.eval_slots(values, boxed)?.as_f64()
                     }
                 };
                 let at = out_base + p * out_s0 + j * out_s1 + k;
-                store(&[result], stage.out_dtype, out, at);
+                store(&[result], node.output_type, out, at);
             }
         }
     }
@@ -2271,26 +2310,21 @@ mod tests {
             let sched = plan.schedule(1, Some(1), |_| false);
             let plane = (plan.ext[1] * plan.ext[2]) as u64;
             for ring in &sched.rings {
-                let name = &plan.fields[ring.field].name;
+                let field = plan.fields[ring.field].id;
+                let name = program.dag().name(field);
                 let cells = ring.depth as u64 * plane;
                 let (mut internal, mut edge) = (0u64, 0u64);
-                for ch in analysis
-                    .delay
-                    .channels()
-                    .iter()
-                    .filter(|c| &c.field == name)
-                {
+                for ch in analysis.delay.channels().iter().filter(|c| c.from == name) {
                     let buffers = analysis.internal.stencil(&ch.to);
-                    let field = program.dag().id(name);
                     let size = buffers
-                        .and_then(|b| b.field(field?))
+                        .and_then(|b| b.field(field))
                         .map_or(0, |b| b.size_elements);
                     internal = internal.max(size);
                     edge = edge.max(size + ch.delay_words * analysis.delay.vector_width());
                 }
                 let label = format!("`{}` in `{}`", name, program.name());
                 assert!(cells >= internal, "{label}: {cells} < internal {internal}");
-                if (program.name(), name.as_str()) == ("horizontal_diffusion", "sqr_s") {
+                if (program.name(), name) == ("horizontal_diffusion", "sqr_s") {
                     let numbers = (cells, edge, plane, sched.block);
                     assert_eq!(
                         numbers,
@@ -2304,6 +2338,40 @@ mod tests {
             }
         }
         assert_eq!(fusible, 10);
+    }
+
+    /// The fused stages of a prepared program evaluate the slot types and
+    /// typed kernels its program keeps — the same objects, never a second
+    /// specialization — after a fresh `prepare`, and after a `prepare` of
+    /// an identical program object (a clone, which shares what the program
+    /// derived) that hits the cache.
+    #[test]
+    fn stages_evaluate_the_kernels_the_program_keeps() {
+        let executor = ReferenceExecutor::new();
+        let mut typed = 0;
+        for program in stencilflow_workloads::analyze_suite() {
+            let fresh = executor.prepare(&program).unwrap();
+            let compiles = executor.compile_count();
+            let identical = program.clone();
+            let hit = executor.prepare(&identical).unwrap();
+            assert_eq!(executor.compile_count(), compiles, "{}", program.name());
+            for (compiled, kept) in [(&fresh, &program), (&hit, &identical)] {
+                for stage in &compiled.tier_trace().fused.stages {
+                    let (types, kernel) = stage.typed(compiled.program());
+                    let (kept_types, kept_kernel) = kept.typed_kernel(stage.id).unwrap();
+                    assert!(std::ptr::eq(types, kept_types));
+                    match (kernel, kept_kernel) {
+                        (Some(kernel), Some(kept)) => {
+                            assert!(std::ptr::eq(kernel, kept));
+                            typed += 1;
+                        }
+                        (None, None) => {}
+                        _ => panic!("`{}`: a typed kernel on one side only", program.name()),
+                    }
+                }
+            }
+        }
+        assert!(typed > 0);
     }
 
     #[test]
@@ -2332,22 +2400,24 @@ mod tests {
             let sched = plan.schedule(1, Some(1), |_| false);
             let live_inputs = plan.fields.iter().enumerate();
             for (f, field) in live_inputs.filter(|(_, f)| f.live && f.input && !f.scalar) {
+                let name = program.dag().name(field.id);
                 let ringed = sched.rings.iter().any(|r| r.field == f);
-                assert_eq!(ringed, !field.in_place && !field.copied(), "{}", field.name);
-                let dtype = program.field_type(&field.name).unwrap();
+                assert_eq!(ringed, !field.in_place && !field.copied(), "{name}");
+                let dtype = program.field_type(name).unwrap();
                 let narrow = dtype == DataType::Float32 && !field.in_place;
-                assert_eq!(field.width == Width::F32, narrow, "{}", field.name);
+                assert_eq!(field.width == Width::F32, narrow, "{name}");
                 if field.in_place {
-                    in_place.push(format!("{}.{}", program.name(), field.name));
+                    in_place.push(format!("{}.{name}", program.name()));
                 }
             }
             for ring in &sched.rings {
                 assert_eq!(ring.width, plan.fields[ring.field].width);
             }
             for stage in plan.stages.iter().filter(|s| s.live) {
-                let field = &plan.fields[stage.field];
-                if stage.out_dtype == DataType::Float32 && field.width == Width::F64 {
-                    wide_f32_outputs.push(format!("{}.{}", program.name(), field.name));
+                let node = stage.node(&program);
+                let field = &plan.fields[stage.field()];
+                if node.output_type == DataType::Float32 && field.width == Width::F64 {
+                    wide_f32_outputs.push(format!("{}.{}", program.name(), node.name));
                 }
             }
         }

@@ -1,5 +1,6 @@
 //! Deterministic input-data generation for tests and benchmarks.
 
+use crate::executor::declared_shape;
 use crate::grid::Grid;
 use std::collections::BTreeMap;
 use stencilflow_program::StencilProgram;
@@ -54,11 +55,7 @@ impl InputGenerator {
         let mut grids = BTreeMap::new();
         for (name, decl) in program.inputs() {
             let dims: Vec<&str> = decl.dims.iter().map(String::as_str).collect();
-            let shape: Vec<usize> = decl
-                .dims
-                .iter()
-                .map(|d| space.dim_index(d).map(|ix| space.shape[ix]).unwrap_or(1))
-                .collect();
+            let shape: Vec<usize> = declared_shape(space, &decl.dims).collect();
             let grid = Grid::from_fn(&dims, &shape, decl.data_type(), |_| rng.gen_range(0.1, 1.0));
             grids.insert(name.to_string(), grid);
         }

@@ -15,9 +15,10 @@
 //!   validity mask. [`ReferenceExecutor::run_interpreted`] keeps the
 //!   tree-walking evaluator as the semantic baseline, every stencil over
 //!   the full domain in topological order; [`ReferenceExecutor::execute`]
-//!   (and `run` / `run_steps` over it) streams compiled kernels (the
-//!   private `plan` module) through one fused wavefront (the private
-//!   `fuse` module), lane-batched, optionally native. Both produce
+//!   (and `run` / `run_steps` over it) streams the kernels the program
+//!   keeps per stencil (`StencilProgram::typed_kernel`) through one fused
+//!   wavefront (the private `fuse` module), lane-batched, optionally
+//!   native. Both produce
 //!   bit-identical program outputs (see `docs/evaluation.md`).
 //! * [`input_data`] — deterministic pseudo-random input generation shared by
 //!   tests and benchmarks.
@@ -29,7 +30,6 @@ mod fuse;
 pub mod grid;
 pub mod input_data;
 mod jit;
-mod plan;
 pub mod serve;
 pub mod shard;
 pub mod tier;

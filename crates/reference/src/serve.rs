@@ -527,7 +527,7 @@ impl ServeExecutor {
             return Err(JobError::Cancelled);
         }
         let compiled = self.executor.prepare(&job.program)?;
-        ReferenceExecutor::check_inputs(&compiled, &job.inputs)?;
+        ReferenceExecutor::check_inputs(compiled.program(), &job.inputs)?;
         if job.steps == 0 {
             return Err(JobError::Program(ProgramError::Invalid {
                 message: "serve jobs require at least one time step".into(),
@@ -546,7 +546,7 @@ impl ServeExecutor {
             let key = (compiled.fingerprint(), steps.is_some());
             choices
                 .entry(key)
-                .or_insert_with(|| (rung, compiled.name().to_string()));
+                .or_insert_with(|| (rung, compiled.program().name().to_string()));
         }
         // A failed run reports the rung it was to run on.
         Ok(match self.run_tier(&compiled, job, steps, tier, tier_up) {
@@ -621,7 +621,7 @@ mod tests {
     fn land(serve: &ServeExecutor, program: &StencilProgram) {
         let compiled = serve.executor.prepare(program).unwrap();
         if let (Ok(unit), Ok(_)) = (compiled.tier_trace().jit(), crate::jit_available()) {
-            crate::jit::stage_fns(compiled.name(), unit, TierUp::Wait).unwrap();
+            crate::jit::stage_fns(compiled.program().name(), unit, TierUp::Wait).unwrap();
         }
     }
 

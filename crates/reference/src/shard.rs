@@ -708,7 +708,6 @@ struct Plan {
 fn plan_run(
     exec: &ReferenceExecutor,
     program: &StencilProgram,
-    compiled: &CompiledProgram,
     steps: Option<usize>,
     host: usize,
     config: &ShardConfig,
@@ -721,7 +720,7 @@ fn plan_run(
     let extent = program.space().shape[0];
     let total_steps = steps.unwrap_or(1);
     let pairs = match steps {
-        Some(_) => compiled.feedback_pairs()?.to_vec(),
+        Some(_) => program.feedback_pairs()?,
         None => Vec::new(),
     };
     let requested = config
@@ -794,7 +793,7 @@ pub(crate) fn run_sharded(
     let started = Instant::now();
     let host = crate::executor::host_threads();
     let global = exec.prepare(program)?;
-    let plan = plan_run(exec, program, &global, steps, host, config)?;
+    let plan = plan_run(exec, program, steps, host, config)?;
     let (shards, row_words) = (plan.link.shards, plan.link.row_words);
 
     let space = program.space();
@@ -1608,7 +1607,7 @@ mod tests {
         let mut inputs = BTreeMap::new();
         for (name, decl) in program.inputs() {
             let dims: Vec<&str> = decl.dims.iter().map(String::as_str).collect();
-            let shape = crate::plan::declared_shape(space, &decl.dims);
+            let shape: Vec<usize> = crate::executor::declared_shape(space, &decl.dims).collect();
             let mut counter = 0.0f64;
             let grid = Grid::from_fn(&dims, &shape, decl.data_type(), |_| {
                 counter += 1.0;

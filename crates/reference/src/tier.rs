@@ -27,13 +27,13 @@
 
 use crate::fuse::FusePlan;
 use crate::jit::JitUnit;
-use crate::plan::CompiledStencil;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 use stencilflow_codegen::EmitError;
 use stencilflow_expr::{DataType, VerifyError};
 use stencilflow_jit::JitError;
+use stencilflow_program::StencilProgram;
 
 /// Execution tiers a run can be scheduled on (the interpreter exists for
 /// reference/testing, not for routing).
@@ -139,7 +139,7 @@ impl std::fmt::Display for Ineligible {
     }
 }
 
-/// The tier ladder of one compiled program: the stencils both rungs sweep,
+/// The tier ladder of one compiled program: the program both rungs sweep,
 /// the fused rung's plan, which takes every run, and the JIT rung's unit,
 /// or why there is none. The unit is judged, and its C emitted, once, by
 /// the first question only the JIT rung raises — a run asking for the
@@ -148,8 +148,8 @@ impl std::fmt::Display for Ineligible {
 /// not, sharded or served — lands on the rung its ceiling resolves to here,
 /// and reports it.
 pub struct TierTrace {
-    /// The compiled stencils, in topological order.
-    pub(crate) stencils: Vec<CompiledStencil>,
+    /// The program, sharing the DAG and kernels of the one prepared.
+    pub(crate) program: StencilProgram,
     pub(crate) fused: FusePlan,
     jit: OnceLock<Result<JitUnit, Ineligible>>,
     /// Nanoseconds the program's fused runs on the FPGA path have taken,
@@ -167,9 +167,9 @@ impl std::fmt::Debug for TierTrace {
 }
 
 impl TierTrace {
-    pub(crate) fn new(stencils: Vec<CompiledStencil>, fused: FusePlan) -> Self {
+    pub(crate) fn new(program: StencilProgram, fused: FusePlan) -> Self {
         TierTrace {
-            stencils,
+            program,
             fused,
             jit: OnceLock::new(),
             fused_spent: AtomicU64::new(0),
@@ -196,7 +196,7 @@ impl TierTrace {
 
     /// The JIT rung's unit, or why the program cannot take the rung.
     pub(crate) fn jit(&self) -> Result<&JitUnit, &Ineligible> {
-        let unit = self.jit.get_or_init(|| self.fused.jit_unit(&self.stencils));
+        let unit = self.jit.get_or_init(|| self.fused.jit_unit(&self.program));
         unit.as_ref()
     }
 

@@ -37,7 +37,12 @@
 #                                  fingerprints stay pinned, programs
 #                                  that differ in one field hash apart
 #                                  and a JSON round trip keeps the
-#                                  value; the front-end
+#                                  value, and (a unit test of the
+#                                  reference crate's fuse module) a
+#                                  prepared program's stages evaluate the
+#                                  typed kernels the program keeps, by
+#                                  pointer, fresh and on a cache hit; the
+#                                  front-end
 #                                  pin, tests/frontend_bits.rs: one hash
 #                                  over the AST, the field accesses and
 #                                  the compiled op streams and slots of

@@ -397,7 +397,8 @@ fn check(label: &str, program: &StencilProgram) {
     // Each edge's delay buffer, in channel order.
     let depths: Vec<Depth> = (analysis.delay.channels().iter())
         .map(|c| {
-            let (from, to, field) = (c.from.clone(), c.to.clone(), c.field.clone());
+            // A channel carries the field its producer names.
+            let (from, to, field) = (c.from.clone(), c.to.clone(), c.from.clone());
             (from, to, field, c.edge_delay, c.delay_words, c.depth_words)
         })
         .collect();
