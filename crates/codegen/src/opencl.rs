@@ -2,16 +2,22 @@
 
 use crate::jit_unit::{emit_kernel, Dialect, EmitError, JitSlotKind, JitStageSpec};
 use std::fmt::{self, Write as _};
-use stencilflow_core::{Channel, HardwareMapping, MemoryAccessKind};
+use stencilflow_core::{Channel, ChannelEndpoint, HardwareMapping, MemoryAccessKind};
 use stencilflow_expr::{AccessSlot, DataType};
-use stencilflow_program::{NodeId, NodeKind, StencilNode, StencilProgram};
+use stencilflow_program::{NameTable, NodeId, NodeKind, StencilNode, StencilProgram};
 
-/// A channel's name, `ch_<from>_<to>`, rendered where it is written.
-struct ChannelName<'a>(&'a Channel);
+/// A channel's name, `ch_<from>_<to>`, rendered where it is written; a
+/// writer is named by the field it writes, the producer's.
+struct ChannelName<'a>(&'a NameTable, &'a Channel);
 
 impl fmt::Display for ChannelName<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ch_{}_{}", self.0.from.name(), self.0.to.name())
+        let (names, channel) = (self.0, self.1);
+        let to = match channel.to {
+            ChannelEndpoint::MemoryWrite(_) => channel.from.id(),
+            to => to.id(),
+        };
+        write!(f, "ch_{}_{}", names.name(channel.from.id()), names.name(to))
     }
 }
 
@@ -127,6 +133,8 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
         })
         .collect();
     let field_type = |field: NodeId| types[field.index()];
+    let names = dag.names();
+    let channel_at = |at: &u32| ChannelName(names, &mapping.channels[*at as usize]);
     // About what a chain stage takes; a larger kernel grows the buffer.
     let mut out = String::with_capacity(1024 + 768 * mapping.units.len());
     let _ = writeln!(
@@ -148,8 +156,8 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
         let _ = writeln!(
             out,
             "channel {} {} __attribute__((depth({})));",
-            field_type(channel.field_id),
-            ChannelName(channel),
+            field_type(channel.from.id()),
+            ChannelName(names, channel),
             channel.depth_words
         );
     }
@@ -164,16 +172,12 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
         let _ = writeln!(
             out,
             "__kernel void read_{}(__global const {ty}* restrict data, const long n) {{",
-            unit.field
+            dag.name(unit.field_id)
         );
         let _ = writeln!(out, "  for (long i = 0; i < n; ++i) {{");
         let _ = writeln!(out, "    const {ty} value = data[i];");
-        for consumer in mapping.memory_channels(index) {
-            let _ = writeln!(
-                out,
-                "    write_channel_intel({}, value);",
-                ChannelName(consumer)
-            );
+        for consumer in mapping.memory_channels(index).iter().map(channel_at) {
+            let _ = writeln!(out, "    write_channel_intel({consumer}, value);");
         }
         let _ = writeln!(out, "  }}\n}}\n");
     }
@@ -183,6 +187,7 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
         let stencil = program
             .stencil_at(unit.id)
             .expect("mapping units correspond to program stencils");
+        let name = dag.name(unit.id);
         let (inputs, outputs) = mapping.unit_channels(position);
         // The program scalars the stencil reads are kernel arguments, which
         // an autorun kernel cannot take: such a kernel is host-launched.
@@ -193,7 +198,7 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
         if scalars.peek().is_none() {
             let _ = writeln!(out, "__attribute__((autorun))");
         }
-        let _ = write!(out, "__kernel void stencil_{}(", unit.name);
+        let _ = write!(out, "__kernel void stencil_{name}(");
         if let Some((field, _)) = scalars.next() {
             let _ = write!(out, "const {} {field}", named_type(field));
         }
@@ -218,13 +223,14 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
         }
         let _ = writeln!(out, "  for (long i = 0; i < N_ITERATIONS; ++i) {{");
         // Update phase: read new values from channels.
-        for channel in inputs {
+        for &at in inputs {
+            let input = &mapping.channels[at as usize];
             let _ = writeln!(
                 out,
                 "    const {} in_{} = read_channel_intel({});",
-                field_type(channel.field_id),
-                channel.field,
-                ChannelName(channel)
+                field_type(input.from.id()),
+                dag.name(input.from.id()),
+                ChannelName(names, input)
             );
         }
         // Compute phase with boundary predication.
@@ -236,21 +242,17 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
         // A stencil the typed body cannot express gets an `#error` line:
         // the file fails closed rather than carry code its channels cannot.
         if let Err(e) = write_compute_phase(program, unit.id, stencil, &mut out, "    ") {
-            let _ = writeln!(out, "    #error \"stencil `{}`: {e}\"", unit.name);
+            let _ = writeln!(out, "    #error \"stencil `{name}`: {e}\"");
         }
         // Conditional write (suppressed during initialization).
         let _ = writeln!(
             out,
             "    if (i >= INIT_{}) {{ // skip initialization phase of {} iterations",
-            Upper(&unit.name),
+            Upper(name),
             unit.init_iterations
         );
-        for channel in outputs {
-            let _ = writeln!(
-                out,
-                "      write_channel_intel({}, result);",
-                ChannelName(channel)
-            );
+        for output in outputs.iter().map(channel_at) {
+            let _ = writeln!(out, "      write_channel_intel({output}, result);");
         }
         let _ = writeln!(out, "    }}");
         let _ = writeln!(out, "  }}\n}}\n");
@@ -261,20 +263,16 @@ pub fn generate_kernels(program: &StencilProgram, mapping: &HardwareMapping) -> 
         if unit.kind != MemoryAccessKind::Write {
             continue;
         }
-        let producer = mapping.memory_channels(index).next();
+        let producer = mapping.memory_channels(index).first().map(channel_at);
         let _ = writeln!(
             out,
             "__kernel void write_{}(__global {}* restrict data, const long n) {{",
-            unit.field,
+            dag.name(unit.field_id),
             field_type(unit.field_id)
         );
         let _ = writeln!(out, "  for (long i = 0; i < n; ++i) {{");
-        if let Some(channel) = producer {
-            let _ = writeln!(
-                out,
-                "    data[i] = read_channel_intel({});",
-                ChannelName(channel)
-            );
+        if let Some(producer) = producer {
+            let _ = writeln!(out, "    data[i] = read_channel_intel({producer});");
         }
         let _ = writeln!(out, "  }}\n}}\n");
     }

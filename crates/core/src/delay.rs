@@ -31,16 +31,15 @@ use crate::buffers::InternalBufferAnalysis;
 use crate::config::AnalysisConfig;
 use crate::error::{CoreError, Result};
 use crate::partition::MultiDevicePlan;
-use std::sync::Arc;
-use stencilflow_program::{NameTable, NodeId, StencilProgram};
+use stencilflow_program::{NodeId, StencilProgram};
 
 /// Computed FIFO depth of one DAG edge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelDepth {
     /// Producer node, which is also the field the edge carries.
-    pub from: String,
+    pub from: NodeId,
     /// Consumer node.
-    pub to: String,
+    pub to: NodeId,
     /// Accumulated delay (cycles) of data arriving over this edge: the
     /// longest-path delay up to and including the producer, the consumer's
     /// initialization for this field, and the link latency if the edge
@@ -56,10 +55,7 @@ pub struct ChannelDepth {
 /// Result of the delay-buffer analysis for a whole program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DelayBufferAnalysis {
-    names: Arc<NameTable>,
     channels: Vec<ChannelDepth>,
-    /// The ends of each channel, parallel to `channels`.
-    ends: Vec<(NodeId, NodeId)>,
     /// Per node id, the longest accumulated delay up to and including it.
     arrival: Vec<u64>,
     /// Per node id, its compute critical path (zero for a memory node).
@@ -83,11 +79,10 @@ impl DelayBufferAnalysis {
     ) -> Result<Self> {
         let dag = program.dag();
         let width = config.effective_vectorization(program.vectorization()) as u64;
-        let name = |id: NodeId| dag.name(id);
 
         // The latency of the link an edge crosses, if it crosses one.
         let link_latency = |from: NodeId, to: NodeId| match plan {
-            Some(plan) if plan.is_remote(name(from), name(to)) => plan.config.link_latency_cycles,
+            Some(plan) if plan.is_remote(from, to) => plan.config.link_latency_cycles,
             _ => 0,
         };
 
@@ -102,7 +97,6 @@ impl DelayBufferAnalysis {
         let mut arrival = vec![0u64; dag.node_count()];
         let mut compute_latency = vec![0u64; dag.node_count()];
         let mut channels: Vec<ChannelDepth> = Vec::with_capacity(dag.node_count());
-        let mut ends = Vec::with_capacity(dag.node_count());
         for &node in order {
             // Both `None` for a memory node.
             let stencil = program.stencil_at(node);
@@ -115,13 +109,12 @@ impl DelayBufferAnalysis {
                     + link_latency(from, node);
                 need = need.max(delay);
                 channels.push(ChannelDepth {
-                    from: name(from).to_string(),
-                    to: name(node).to_string(),
+                    from,
+                    to: node,
                     edge_delay: delay,
                     delay_words: 0,
                     depth_words: 0,
                 });
-                ends.push((from, node));
             }
             for channel in &mut channels[first..] {
                 channel.delay_words = need - channel.edge_delay;
@@ -133,9 +126,7 @@ impl DelayBufferAnalysis {
         }
 
         Ok(DelayBufferAnalysis {
-            names: Arc::clone(dag.names()),
             channels,
-            ends,
             arrival,
             compute_latency,
             vector_width: width,
@@ -156,21 +147,8 @@ impl DelayBufferAnalysis {
             .sum()
     }
 
-    /// The ends of each channel of [`DelayBufferAnalysis::channels`], by id.
-    pub(crate) fn channel_ends(&self) -> &[(NodeId, NodeId)] {
-        &self.ends
-    }
-
-    /// The compute critical path of `node` in cycles, as the analysis charged
-    /// it on every path through the node (zero for a memory node or an
-    /// unknown name).
-    pub fn compute_latency(&self, node: &str) -> u64 {
-        self.names
-            .id(node)
-            .map_or(0, |id| self.compute_latency_at(id))
-    }
-
-    /// [`DelayBufferAnalysis::compute_latency`] of the node with id `id`.
+    /// The compute critical path of node `id` in cycles, as the analysis
+    /// charged it on every path through the node (zero for a memory node).
     pub(crate) fn compute_latency_at(&self, id: NodeId) -> u64 {
         self.compute_latency[id.index()]
     }
@@ -199,9 +177,22 @@ mod tests {
         DelayBufferAnalysis::compute(program, &internal, config, None).unwrap()
     }
 
-    fn channel<'a>(analysis: &'a DelayBufferAnalysis, from: &str, to: &str) -> &'a ChannelDepth {
+    /// The channel from node `from` to node `to` of `program`.
+    fn channel<'a>(
+        program: &StencilProgram,
+        analysis: &'a DelayBufferAnalysis,
+        from: &str,
+        to: &str,
+    ) -> &'a ChannelDepth {
+        let ends = (program.dag().id(from), program.dag().id(to));
         let mut channels = analysis.channels().iter();
-        channels.find(|c| c.from == from && c.to == to).unwrap()
+        let found = channels.find(|c| ends == (Some(c.from), Some(c.to)));
+        found.unwrap()
+    }
+
+    /// The compute latency the analysis charged on node `name` of `program`.
+    fn latency(program: &StencilProgram, analysis: &DelayBufferAnalysis, name: &str) -> u64 {
+        analysis.compute_latency_at(program.dag().id(name).unwrap())
     }
 
     /// Fig. 4: A feeds B and C, B feeds C. The direct A->C edge must buffer
@@ -221,10 +212,10 @@ mod tests {
         let analysis = analyze(&program, &config);
         // j is the fastest dimension, so b's accesses at j-1/j+1 buffer 3
         // elements: init = 3; compute = 1 add.
-        assert_eq!(analysis.compute_latency("b"), 1);
+        assert_eq!(latency(&program, &analysis, "b"), 1);
         // The a->c channel must absorb exactly b's delay.
-        let direct = channel(&analysis, "a", "c");
-        let through = channel(&analysis, "b", "c");
+        let direct = channel(&program, &analysis, "a", "c");
+        let through = channel(&program, &analysis, "b", "c");
         assert_eq!(through.delay_words, 0);
         assert_eq!(direct.delay_words, 3 + 1);
     }
@@ -246,14 +237,14 @@ mod tests {
             .unwrap();
         let config = AnalysisConfig::unit_latencies();
         let analysis = analyze(&program, &config);
-        assert_eq!(analysis.compute_latency("ka"), 1);
-        assert_eq!(analysis.compute_latency("kb"), 1);
-        assert_eq!(analysis.compute_latency("src"), 0);
+        assert_eq!(latency(&program, &analysis, "ka"), 1);
+        assert_eq!(latency(&program, &analysis, "kb"), 1);
+        assert_eq!(latency(&program, &analysis, "src"), 0);
         // The src->kc edge bypasses both kernels: ka's init 9 + 1 add, kb's
         // init 5 + 1 add.
-        let bypass = channel(&analysis, "src", "kc");
+        let bypass = channel(&program, &analysis, "src", "kc");
         assert_eq!(bypass.delay_words, 10 + 6);
-        let through = channel(&analysis, "kb", "kc");
+        let through = channel(&program, &analysis, "kb", "kc");
         assert_eq!(through.delay_words, 0);
     }
 
@@ -279,7 +270,8 @@ mod tests {
         let program = crate::tests_support::listing1();
         let analysis = analyze(&program, &AnalysisConfig::paper_defaults());
         for stencil in program.stencils() {
-            let mut incoming = analysis.channels().iter().filter(|c| c.to == stencil.name);
+            let id = program.dag().id(&stencil.name);
+            let mut incoming = analysis.channels().iter().filter(|c| Some(c.to) == id);
             assert!(incoming.any(|c| c.delay_words == 0), "{}", stencil.name);
         }
     }
@@ -309,12 +301,16 @@ mod tests {
         let split = split.unwrap();
         // ka, kb and kc sit on devices 0, 1 and 2: two links on the long
         // path, none on the bypass (`src` is read from each device's DRAM).
-        assert!(plan.is_remote("ka", "kb") && plan.is_remote("kb", "kc"));
-        assert!(!plan.is_remote("src", "kc"));
+        let remote = |from, to| {
+            let id = |name| program.dag().id(name).unwrap();
+            plan.is_remote(id(from), id(to))
+        };
+        assert!(remote("ka", "kb") && remote("kb", "kc"));
+        assert!(!remote("src", "kc"));
         assert_eq!(split.pipeline_latency(), local.pipeline_latency() + 14);
-        let bypass = |analysis| channel(analysis, "src", "kc").delay_words;
+        let bypass = |analysis| channel(&program, analysis, "src", "kc").delay_words;
         assert_eq!(bypass(&split), bypass(&local) + 14);
-        assert_eq!(channel(&split, "kb", "kc").delay_words, 0);
+        assert_eq!(channel(&program, &split, "kb", "kc").delay_words, 0);
     }
 
     #[test]
@@ -345,10 +341,9 @@ mod tests {
                 .unwrap()
         };
         let config = AnalysisConfig::unit_latencies();
-        let narrow = analyze(&build(1), &config);
-        let wide = analyze(&build(4), &config);
-        let narrow_depth = channel(&narrow, "a", "c").delay_words;
-        let wide_depth = channel(&wide, "a", "c").delay_words;
+        let (narrow, wide) = (build(1), build(4));
+        let depth = |program| channel(program, &analyze(program, &config), "a", "c").delay_words;
+        let (narrow_depth, wide_depth) = (depth(&narrow), depth(&wide));
         assert!(wide_depth < narrow_depth);
     }
 

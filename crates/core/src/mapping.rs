@@ -7,20 +7,21 @@
 //! memory is accessed by dedicated reader units (prefetchers) at source nodes
 //! and writer units at sink nodes.
 
+use crate::buffers::InternalBufferAnalysis;
 use crate::config::AnalysisConfig;
+use crate::delay::DelayBufferAnalysis;
 use crate::error::Result;
+use crate::partition::MultiDevicePlan;
 use crate::perf::PerformanceEstimate;
 use crate::ProgramAnalysis;
-use std::sync::Arc;
 use stencilflow_expr::OpCount;
-use stencilflow_program::{NameTable, NodeId, NodeKind, StencilProgram};
+use stencilflow_program::{NodeId, NodeKind, StencilProgram};
 
 /// One stencil unit of the mapped design.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StencilUnit {
-    /// Stencil (and produced field) name.
-    pub name: String,
-    /// The stencil's node id in the program's DAG.
+    /// The stencil's node id in the program's DAG, which is also the id of
+    /// the field it produces.
     pub id: NodeId,
     /// Operations evaluated per cycle per vector lane.
     pub ops: OpCount,
@@ -30,30 +31,28 @@ pub struct StencilUnit {
     pub compute_latency: u64,
     /// Total internal-buffer elements held by this unit.
     pub internal_buffer_elements: u64,
-    /// Number of input channels feeding this unit.
-    pub fan_in: usize,
-    /// Number of output channels this unit feeds.
-    pub fan_out: usize,
 }
 
-/// What a channel endpoint is attached to.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// What a channel endpoint is attached to: the DAG node at that end of
+/// the channel's edge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ChannelEndpoint {
-    /// A DRAM reader unit for the named input field.
-    MemoryRead(String),
-    /// A DRAM writer unit for the named output field.
-    MemoryWrite(String),
-    /// A stencil unit.
-    Stencil(String),
+    /// The DRAM reader unit of this input field.
+    MemoryRead(NodeId),
+    /// The DRAM writer unit behind this output memory; it writes the field
+    /// the channel carries, its producer's.
+    MemoryWrite(NodeId),
+    /// This stencil's unit.
+    Stencil(NodeId),
 }
 
 impl ChannelEndpoint {
-    /// The underlying node name.
-    pub fn name(&self) -> &str {
+    /// The DAG node at this end.
+    pub fn id(self) -> NodeId {
         match self {
-            ChannelEndpoint::MemoryRead(n)
-            | ChannelEndpoint::MemoryWrite(n)
-            | ChannelEndpoint::Stencil(n) => n,
+            ChannelEndpoint::MemoryRead(id)
+            | ChannelEndpoint::MemoryWrite(id)
+            | ChannelEndpoint::Stencil(id) => id,
         }
     }
 }
@@ -67,17 +66,13 @@ pub enum MemoryAccessKind {
     Write,
 }
 
-/// A FIFO channel of the mapped design.
+/// A FIFO channel of the mapped design; it carries its producer's field.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Channel {
     /// Producer endpoint.
     pub from: ChannelEndpoint,
     /// Consumer endpoint.
     pub to: ChannelEndpoint,
-    /// Field carried by the channel.
-    pub field: String,
-    /// The carried field's id (its producer's node id).
-    pub field_id: NodeId,
     /// FIFO depth in vector words (delay buffer + minimum slack).
     pub depth_words: u64,
     /// FIFO capacity in elements (`depth_words × W`).
@@ -87,14 +82,10 @@ pub struct Channel {
 /// A dedicated off-chip memory access unit (prefetcher or writer).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemoryUnit {
-    /// Field read or written.
-    pub field: String,
-    /// The field's id.
+    /// The id of the field read or written.
     pub field_id: NodeId,
     /// Access direction.
     pub kind: MemoryAccessKind,
-    /// Number of stencil units fed by (or feeding) this unit.
-    pub connections: usize,
     /// Operands transferred per cycle (vector width for full-domain fields,
     /// 0 for lower-dimensional fields that are amortized).
     pub operands_per_cycle: u64,
@@ -103,8 +94,6 @@ pub struct MemoryUnit {
 /// The complete single-device hardware mapping of a stencil program.
 #[derive(Debug, Clone)]
 pub struct HardwareMapping {
-    /// Program name.
-    pub program_name: String,
     /// All stencil units.
     pub units: Vec<StencilUnit>,
     /// All channels (memory→stencil, stencil→stencil, stencil→memory).
@@ -115,11 +104,10 @@ pub struct HardwareMapping {
     pub vector_width: usize,
     /// Expected performance (Eq. 1).
     pub performance: PerformanceEstimate,
-    /// The program's name table: the node ids of the indexes below.
-    names: Arc<NameTable>,
     /// Per node id, its position in `units` (`u32::MAX` for a memory).
     unit_index: Vec<u32>,
-    /// Per unit, the positions in `channels` of the channels it consumes.
+    /// Per unit, the positions in `channels` of the channels it consumes,
+    /// in the order it reads its fields (`StencilDag::predecessors`).
     unit_inputs: Groups,
     /// Per unit, the positions in `channels` of the channels it produces.
     unit_outputs: Groups,
@@ -188,6 +176,38 @@ impl HardwareMapping {
         config: &AnalysisConfig,
     ) -> Result<Self> {
         let (internal, delay) = (&analysis.internal, &analysis.delay);
+        Self::map(program, internal, delay, analysis.performance, config)
+    }
+
+    /// Build the mapping of a program partitioned by `plan`: the internal
+    /// buffers of its kept analysis, and delay buffers (and so the Eq. 1
+    /// estimate) that charge the plan's link latency on every edge
+    /// crossing devices.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the program DAG is invalid.
+    pub fn partitioned(
+        program: &StencilProgram,
+        config: &AnalysisConfig,
+        plan: &MultiDevicePlan,
+    ) -> Result<Self> {
+        let internal = &crate::analyze(program, config)?.internal;
+        let delay = DelayBufferAnalysis::compute(program, internal, config, Some(plan))?;
+        let flops = program.ops_per_cell().flops();
+        let performance = PerformanceEstimate::compute(program, &delay, config, flops);
+        Self::map(program, internal, &delay, performance, config)
+    }
+
+    /// The mapping whose buffers `internal` and `delay` size, with
+    /// `performance` as its Eq. 1 estimate.
+    fn map(
+        program: &StencilProgram,
+        internal: &InternalBufferAnalysis,
+        delay: &DelayBufferAnalysis,
+        performance: PerformanceEstimate,
+        config: &AnalysisConfig,
+    ) -> Result<Self> {
         let dag = program.dag();
         let width = config.effective_vectorization(program.vectorization());
         let full_rank = program.space().rank();
@@ -202,36 +222,27 @@ impl HardwareMapping {
             let buffers = internal.stencil_at(node.id);
             unit_index[node.id.index()] = units.len() as u32;
             units.push(StencilUnit {
-                name: stencil.name.clone(),
                 id: node.id,
                 ops: stencil.op_count(),
                 init_iterations: buffers.map_or(0, |b| b.init_iterations()),
                 compute_latency: delay.compute_latency_at(node.id),
                 internal_buffer_elements: buffers.map_or(0, |b| b.total_elements()),
-                fan_in: dag.predecessors(node.id).len(),
-                fan_out: dag.successors(node.id).len(),
             });
         }
 
-        // An edge into an output memory carries the field that memory holds.
-        let endpoint = |node: NodeId, field: &str| -> ChannelEndpoint {
-            match dag.kind(node) {
-                NodeKind::Input => ChannelEndpoint::MemoryRead(dag.name(node).to_string()),
-                NodeKind::Output => ChannelEndpoint::MemoryWrite(field.to_string()),
-                NodeKind::Stencil => ChannelEndpoint::Stencil(dag.name(node).to_string()),
-            }
+        let endpoint = |node: NodeId| match dag.kind(node) {
+            NodeKind::Input => ChannelEndpoint::MemoryRead(node),
+            NodeKind::Output => ChannelEndpoint::MemoryWrite(node),
+            NodeKind::Stencil => ChannelEndpoint::Stencil(node),
         };
-        let mut channels = Vec::with_capacity(delay.channels().len());
-        for (depth, &(from, to)) in delay.channels().iter().zip(delay.channel_ends()) {
-            channels.push(Channel {
-                from: endpoint(from, &depth.from),
-                to: endpoint(to, &depth.from),
-                field: depth.from.clone(),
-                field_id: from,
+        let channels: Vec<Channel> = (delay.channels().iter())
+            .map(|depth| Channel {
+                from: endpoint(depth.from),
+                to: endpoint(depth.to),
                 depth_words: depth.depth_words,
                 depth_elements: depth.depth_words * width as u64,
-            });
-        }
+            })
+            .collect();
 
         // A reader per input, in name order, then a writer per distinct
         // output, in name order; indexed by the field they move.
@@ -242,10 +253,8 @@ impl HardwareMapping {
             let decl = program.input(node.name).expect("input nodes are inputs");
             reader[node.id.index()] = memory_units.len() as u32;
             memory_units.push(MemoryUnit {
-                field: node.name.to_string(),
                 field_id: node.id,
                 kind: MemoryAccessKind::Read,
-                connections: dag.successors(node.id).len(),
                 operands_per_cycle: if decl.rank() == full_rank {
                     width as u64
                 } else {
@@ -253,19 +262,15 @@ impl HardwareMapping {
                 },
             });
         }
-        let mut writes = vec![0usize; dag.node_count()];
-        for output in program.outputs() {
-            if let Some(id) = dag.id(output) {
-                writes[id.index()] += 1;
-            }
+        let mut written = vec![false; dag.node_count()];
+        for id in program.outputs().iter().filter_map(|output| dag.id(output)) {
+            written[id.index()] = true;
         }
-        for node in dag.nodes().filter(|n| writes[n.id.index()] > 0) {
+        for node in dag.nodes().filter(|n| written[n.id.index()]) {
             writer[node.id.index()] = memory_units.len() as u32;
             memory_units.push(MemoryUnit {
-                field: node.name.to_string(),
                 field_id: node.id,
                 kind: MemoryAccessKind::Write,
-                connections: writes[node.id.index()],
                 operands_per_cycle: width as u64,
             });
         }
@@ -276,33 +281,29 @@ impl HardwareMapping {
             let at = table[node.index()];
             (at != u32::MAX).then_some(at as usize)
         };
-        let ends = delay.channel_ends().iter().enumerate();
+        let ends = delay.channels().iter().enumerate();
         let unit_inputs = Groups::of(
             units.len(),
-            ends.clone()
-                .map(|(ix, &(_, to))| (group(&unit_index, to), ix)),
+            ends.clone().map(|(ix, c)| (group(&unit_index, c.to), ix)),
         );
         let unit_outputs = Groups::of(
             units.len(),
-            ends.clone()
-                .map(|(ix, &(from, _))| (group(&unit_index, from), ix)),
+            ends.clone().map(|(ix, c)| (group(&unit_index, c.from), ix)),
         );
         let memory_channels = Groups::of(
             memory_units.len(),
-            ends.map(|(ix, &(from, to))| match dag.kind(to) {
-                NodeKind::Output => (group(&writer, from), ix),
-                _ => (group(&reader, from), ix),
+            ends.map(|(ix, c)| match dag.kind(c.to) {
+                NodeKind::Output => (group(&writer, c.from), ix),
+                _ => (group(&reader, c.from), ix),
             }),
         );
 
         Ok(HardwareMapping {
-            program_name: program.name().to_string(),
             units,
             channels,
             memory_units,
             vector_width: width,
-            performance: analysis.performance,
-            names: Arc::clone(dag.names()),
+            performance,
             unit_index,
             unit_inputs,
             unit_outputs,
@@ -310,11 +311,11 @@ impl HardwareMapping {
         })
     }
 
-    /// Look up a stencil unit by name.
-    pub fn unit(&self, name: &str) -> Option<&StencilUnit> {
+    /// The position in `units` of stencil `id`'s unit.
+    pub fn unit_position(&self, id: NodeId) -> Option<usize> {
         // A memory's `u32::MAX` is no position in `units`.
-        let at = *self.unit_index.get(self.names.id(name)?.index())?;
-        self.units.get(at as usize)
+        let at = *self.unit_index.get(id.index())?;
+        (at != u32::MAX).then_some(at as usize)
     }
 
     /// Number of stencil units.
@@ -322,36 +323,28 @@ impl HardwareMapping {
         self.units.len()
     }
 
-    /// The channels `units[unit]` consumes, and those it produces, each in
+    /// The positions in `channels` of the channels `units[unit]` consumes,
+    /// in the order it reads its fields, and of those it produces, in
     /// channel order.
     ///
     /// # Panics
     ///
     /// Panics if `unit` is not a position in `units`.
-    pub fn unit_channels(
-        &self,
-        unit: usize,
-    ) -> (
-        impl Iterator<Item = &Channel>,
-        impl Iterator<Item = &Channel>,
-    ) {
-        let (inputs, outputs) = (self.unit_inputs.get(unit), self.unit_outputs.get(unit));
-        (self.channels_at(inputs), self.channels_at(outputs))
+    pub fn unit_channels(&self, unit: usize) -> (&[u32], &[u32]) {
+        (self.unit_inputs.get(unit), self.unit_outputs.get(unit))
     }
 
-    /// Channels attached to `memory_units[index]`: those a reader feeds, or
-    /// the one a writer drains.
+    /// The positions in `channels` of the channels attached to
+    /// `memory_units[index]`, in channel order: those a reader feeds, or
+    /// those a writer drains (one per time the program lists its field as
+    /// an output).
     ///
     /// # Panics
     ///
     /// Panics if `index` is not a position in `memory_units`.
-    pub fn memory_channels(&self, index: usize) -> impl Iterator<Item = &Channel> {
+    pub fn memory_channels(&self, index: usize) -> &[u32] {
         assert!(index < self.memory_units.len(), "no memory unit {index}");
-        self.channels_at(self.memory_channels.get(index))
-    }
-
-    fn channels_at<'a>(&'a self, positions: &'a [u32]) -> impl Iterator<Item = &'a Channel> {
-        positions.iter().map(|&ix| &self.channels[ix as usize])
+        self.memory_channels.get(index)
     }
 
     /// Total on-chip buffer capacity of the design in elements (internal
@@ -388,7 +381,7 @@ mod tests {
     use super::*;
     use crate::tests_support::listing1;
 
-    fn is_memory(end: &ChannelEndpoint) -> bool {
+    fn is_memory(end: ChannelEndpoint) -> bool {
         !matches!(end, ChannelEndpoint::Stencil(_))
     }
 
@@ -402,26 +395,28 @@ mod tests {
         assert_eq!(mapping.channels.len(), 10);
         // Memory units: 3 readers + 1 writer.
         assert_eq!(mapping.memory_units.len(), 4);
-        let position = |name: &str| mapping.units.iter().position(|u| u.name == name);
-        assert_eq!(mapping.unit_channels(position("b4").unwrap()).0.count(), 2);
-        assert_eq!(mapping.unit_channels(position("b0").unwrap()).1.count(), 2);
+        let id = |name: &str| program.dag().id(name).unwrap();
+        let position = |name: &str| mapping.unit_position(id(name));
+        assert_eq!(mapping.unit_channels(position("b4").unwrap()).0.len(), 2);
+        // b0 reads a0 and a1 on channels 0 and 1 and feeds b1 and b2 on 3
+        // and 5 (a2 feeds them on 2 and 4): consumers in topological order.
+        let b0 = mapping.unit_channels(position("b0").unwrap());
+        assert_eq!(b0, (&[0, 1][..], &[3, 5][..]));
         // Only stencil units have unit channels; memory units have their own.
         assert!(position("a0").is_none());
-        assert!(mapping.unit("a0").is_none());
         for (ix, unit) in mapping.memory_units.iter().enumerate() {
-            let attached: Vec<&Channel> = mapping.memory_channels(ix).collect();
-            assert_eq!(attached.len(), unit.connections, "{}", unit.field);
-            for channel in attached {
+            let attached = mapping.memory_channels(ix);
+            let consumers = program.dag().successors(unit.field_id);
+            assert_eq!(attached.len(), consumers.len(), "{:?}", unit.field_id);
+            for &at in attached {
+                let channel = &mapping.channels[at as usize];
                 let end = match unit.kind {
-                    MemoryAccessKind::Read => &channel.from,
-                    MemoryAccessKind::Write => &channel.to,
+                    MemoryAccessKind::Read => channel.from,
+                    MemoryAccessKind::Write => channel.to,
                 };
-                assert!(is_memory(end) && end.name() == unit.field);
+                assert!(is_memory(end) && channel.from.id() == unit.field_id);
             }
         }
-        let b0 = mapping.unit("b0").unwrap();
-        assert_eq!(b0.fan_in, 2);
-        assert_eq!(b0.fan_out, 2);
     }
 
     #[test]
@@ -465,21 +460,15 @@ mod tests {
         let from_memory = mapping
             .channels
             .iter()
-            .filter(|c| is_memory(&c.from))
+            .filter(|c| is_memory(c.from))
             .count();
         // a0->b0, a1->b0, a2->b1, a2->b2 come from memory readers.
         assert_eq!(from_memory, 4);
-        let to_memory = mapping.channels.iter().filter(|c| is_memory(&c.to)).count();
+        let to_memory = mapping.channels.iter().filter(|c| is_memory(c.to)).count();
         assert_eq!(to_memory, 1);
-        assert_eq!(
-            mapping
-                .channels
-                .iter()
-                .find(|c| is_memory(&c.to))
-                .unwrap()
-                .to
-                .name(),
-            "b4"
-        );
+        let written = mapping.channels.iter().find(|c| is_memory(c.to)).unwrap();
+        let dag = program.dag();
+        assert_eq!(dag.name(written.from.id()), "b4");
+        assert_eq!(dag.name(written.to.id()), "b4__out");
     }
 }

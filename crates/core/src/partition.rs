@@ -65,8 +65,6 @@ pub struct RemoteChannel {
     pub to_stencil: String,
     /// Device hosting the consumer.
     pub to_device: usize,
-    /// Field carried across the network.
-    pub field: String,
 }
 
 /// The part of a program mapped to one device.
@@ -100,6 +98,8 @@ pub struct MultiDevicePlan {
     pub peak_link_words_per_cycle: f64,
     /// The partitioning configuration used.
     pub config: PartitionConfig,
+    /// Per node id, the device of a stencil (`None` for a memory).
+    device_of: Vec<Option<usize>>,
 }
 
 impl MultiDevicePlan {
@@ -231,7 +231,6 @@ impl MultiDevicePlan {
                             from_device: producer_device,
                             to_stencil: dag.name(consumer).to_string(),
                             to_device: consumer_device,
-                            field: name.to_string(),
                         };
                         devices[producer_device]
                             .remote_outputs
@@ -271,14 +270,16 @@ impl MultiDevicePlan {
             remote_channels,
             peak_link_words_per_cycle: peak,
             config: config.clone(),
+            device_of,
         })
     }
 
-    /// Whether the edge from stencil `from` to stencil `to` crosses devices
-    /// (a remote stream over a link).
-    pub fn is_remote(&self, from: &str, to: &str) -> bool {
-        let mut remote = self.remote_channels.iter();
-        remote.any(|c| c.from_stencil == from && c.to_stencil == to)
+    /// Whether the edge from node `from` to node `to` of the partitioned
+    /// program crosses devices (a remote stream over a link): both are
+    /// stencils, on different devices.
+    pub fn is_remote(&self, from: NodeId, to: NodeId) -> bool {
+        let (from, to) = (self.device_of[from.index()], self.device_of[to.index()]);
+        from.is_some() && to.is_some() && from != to
     }
 
     /// Number of devices in the plan.
@@ -420,12 +421,13 @@ mod tests {
         let program = listing1();
         let plan = MultiDevicePlan::partition(&program, &PartitionConfig::devices(2)).unwrap();
         assert!(!plan.remote_channels.is_empty());
+        let id = |name: &str| program.dag().id(name).unwrap();
         for channel in &plan.remote_channels {
             assert!(channel.from_device < channel.to_device);
-            assert!(plan.is_remote(&channel.from_stencil, &channel.to_stencil));
+            assert!(plan.is_remote(id(&channel.from_stencil), id(&channel.to_stencil)));
         }
         let local = &plan.devices[0].stencils;
-        assert!(!plan.is_remote(&local[0], &local[1]));
+        assert!(!plan.is_remote(id(&local[0]), id(&local[1])));
         // Remote inputs/outputs listed on the right devices.
         for channel in &plan.remote_channels {
             assert!(plan.devices[channel.from_device]

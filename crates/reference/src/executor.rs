@@ -163,7 +163,7 @@ impl std::fmt::Debug for CompiledProgram {
 impl CompiledProgram {
     /// The program this was prepared from (for a cache hit, the first
     /// structurally identical program prepared).
-    pub(crate) fn program(&self) -> &StencilProgram {
+    pub fn program(&self) -> &StencilProgram {
         &self.trace.program
     }
 
@@ -642,10 +642,11 @@ impl ReferenceExecutor {
 
     /// Input validation for every path: each input `program` declares is
     /// present, with its declared shape and element type.
-    pub(crate) fn check_inputs(
-        program: &StencilProgram,
-        inputs: &BTreeMap<String, Grid>,
-    ) -> Result<()> {
+    ///
+    /// # Errors
+    ///
+    /// [`ProgramError::Invalid`], naming the first input that fails.
+    pub fn check_inputs(program: &StencilProgram, inputs: &BTreeMap<String, Grid>) -> Result<()> {
         let space = program.space();
         program.inputs().try_for_each(|(name, decl)| {
             let grid = inputs.get(name).ok_or_else(|| ProgramError::Invalid {
@@ -843,6 +844,7 @@ impl ReferenceExecutor {
         spec: &RunSpec,
     ) -> Result<(ExecutionResult, Tier)> {
         check_steps(spec.steps)?;
+        Self::check_inputs(compiled.program(), inputs)?;
         self.run_tier(
             compiled,
             inputs,
@@ -870,6 +872,7 @@ impl ReferenceExecutor {
         compiled: &CompiledProgram,
         inputs: &BTreeMap<String, Grid>,
     ) -> Result<(ExecutionResult, Tier)> {
+        Self::check_inputs(compiled.program(), inputs)?;
         let ceiling = compiled.trace.fpga_ceiling();
         let start = Instant::now();
         let ran = self.run_tier(compiled, inputs, None, ceiling, TierUp::Background, &|| {
@@ -884,7 +887,8 @@ impl ReferenceExecutor {
     /// One run on the rung `tier` resolves to, outputs only, and the rung
     /// it ran on: the fused schedule, with native stage sweeps on the JIT
     /// rung once `tier_up` has the module. `probe` is asked before every
-    /// fused window whether to go on.
+    /// fused window whether to go on. The caller has checked `inputs`
+    /// ([`ReferenceExecutor::check_inputs`]).
     pub(crate) fn run_tier<E: From<ProgramError>>(
         &self,
         compiled: &CompiledProgram,
@@ -901,7 +905,6 @@ impl ReferenceExecutor {
             // the plan steps exactly when the pairs derive.
             program.feedback_pairs()?;
         }
-        Self::check_inputs(program, inputs)?;
         let native = match compiled.trace.rung(tier) {
             Tier::Jit => match compiled.trace.jit() {
                 Ok(unit) => crate::jit::stage_fns(program.name(), unit, tier_up)?,

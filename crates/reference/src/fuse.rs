@@ -2314,8 +2314,8 @@ mod tests {
                 let name = program.dag().name(field);
                 let cells = ring.depth as u64 * plane;
                 let (mut internal, mut edge) = (0u64, 0u64);
-                for ch in analysis.delay.channels().iter().filter(|c| c.from == name) {
-                    let buffers = analysis.internal.stencil(&ch.to);
+                for ch in analysis.delay.channels().iter().filter(|c| c.from == field) {
+                    let buffers = analysis.internal.stencil(program.dag().name(ch.to));
                     let size = buffers
                         .and_then(|b| b.field(field))
                         .map_or(0, |b| b.size_elements);

@@ -984,6 +984,27 @@ mod tests {
     }
 
     #[test]
+    fn a_job_with_invalid_inputs_fails_before_its_rung_is_chosen() {
+        // The inputs are checked once, before the job records a tier
+        // choice: the job reports the fused rung and leaves no choice.
+        let program = jacobi_like(&[8, 8]);
+        let serve = ServeExecutor::new(ServeConfig::new().with_workers(1));
+        let mut inputs = generate_inputs(&program, 1);
+        inputs.insert(
+            "u".into(),
+            Grid::zeros(&["i", "j"], &[8, 4], DataType::Float32),
+        );
+        let outcome = serve.run_one(JobSpec::new(Arc::clone(&program), Arc::new(inputs)));
+        let error = outcome.result.unwrap_err().to_string();
+        assert_eq!(
+            error,
+            "invalid program: input `u` has shape [8, 4], expected [8, 8]"
+        );
+        assert_eq!(outcome.tier, Tier::Fused);
+        assert!(serve.tier_choices().is_empty());
+    }
+
+    #[test]
     fn recycled_result_buffers_never_leak_a_stale_cell() {
         // Pooled result cells are handed out as their last user left them,
         // and in unit tests every released cell buffer is filled with a

@@ -12,8 +12,8 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone)]
 pub(crate) struct TokenChannel {
     pub(crate) capacity: usize,
-    latency: u64,
-    words_per_cycle: f64,
+    pub(crate) latency: u64,
+    pub(crate) words_per_cycle: f64,
     credits: f64,
     /// Words currently buffered, visible or still in flight.
     pub(crate) len: usize,

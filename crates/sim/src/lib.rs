@@ -20,12 +20,12 @@
 //!   substitute) whose latency and bandwidth are the partition plan's
 //!   (`PartitionConfig`), and which hold their link latency in flight.
 //!
-//! The simulated design is the analysed one: no size in it comes from
-//! [`SimConfig`], which only says how long to run, what off-chip bandwidth
-//! to allow, and — to reproduce Fig. 4 — a channel depth that replaces the
-//! analysed one. The analysis charges the link latency on every edge that
-//! crosses devices, so a multi-device design streams at full rate because
-//! the analysis sized it to.
+//! The simulated design is the mapped one, `HardwareMapping`'s: no size in
+//! it comes from [`SimConfig`], which only says how long to run, what
+//! off-chip bandwidth to allow, and — to reproduce Fig. 4 — a channel depth
+//! that replaces the analysed one. The analysis charges the link latency
+//! on every edge that crosses devices, so a multi-device design streams at
+//! full rate because the analysis sized it to.
 //!
 //! The simulator answers timing questions; the values a design computes
 //! are already fixed by the program. **Control is count-driven**: whether a
@@ -42,9 +42,9 @@
 //! rebuilding a design of a program seen before compiles nothing; that is
 //! safe because its cache is bounded and keyed by the program's
 //! fingerprint, and its pooled buffers are overwritten before they are
-//! read. A
-//! `#[cfg(test)]` oracle keeps the value-carrying loop and pins the engine
-//! to it, statistic for statistic and bit for bit.
+//! read. A `#[cfg(test)]` oracle keeps the value-carrying loop, wired by
+//! name as the simulator once was, and pins the engine to it, statistic
+//! for statistic and bit for bit, and the mapping's wiring to its own.
 //!
 //! **A hot program's values are computed natively.** The run that supplies
 //! the outputs is `ReferenceExecutor::run_tiered`, the FPGA path's one
@@ -111,12 +111,7 @@ mod tests {
         let inputs = generate_inputs(&program, 11);
         let reference = ReferenceExecutor::new().run(&program, &inputs).unwrap();
 
-        let sim = Simulator::build(
-            &program,
-            &AnalysisConfig::paper_defaults(),
-            &SimConfig::default(),
-        )
-        .unwrap();
+        let sim = Simulator::paper_defaults(&program);
         let report = sim.run(&inputs).unwrap();
         assert_eq!(report.outcome, SimOutcome::Completed);
         // The simulated values are the executor's, bit for bit.
@@ -152,14 +147,7 @@ mod tests {
     fn memory_bandwidth_limit_slows_the_design_down() {
         let program = listing1_with_shape(&[6, 6, 6]);
         let inputs = generate_inputs(&program, 3);
-        let unlimited = Simulator::build(
-            &program,
-            &AnalysisConfig::paper_defaults(),
-            &SimConfig::default(),
-        )
-        .unwrap()
-        .run(&inputs)
-        .unwrap();
+        let unlimited = Simulator::paper_defaults(&program).run(&inputs).unwrap();
         let limited_config = SimConfig {
             memory_words_per_cycle: Some(1.0),
             ..SimConfig::default()
@@ -183,12 +171,7 @@ mod tests {
         let program = horizontal_diffusion(&HorizontalDiffusionSpec::small());
         let inputs = generate_inputs(&program, 5);
         let reference = ReferenceExecutor::new().run(&program, &inputs).unwrap();
-        let sim = Simulator::build(
-            &program,
-            &AnalysisConfig::paper_defaults(),
-            &SimConfig::default(),
-        )
-        .unwrap();
+        let sim = Simulator::paper_defaults(&program);
         let report = sim.run(&inputs).unwrap();
         assert_eq!(report.outcome, SimOutcome::Completed);
         for output in ["u_out", "v_out", "w_out", "pp_out"] {
@@ -200,12 +183,7 @@ mod tests {
     #[test]
     fn missing_inputs_are_reported() {
         let program = listing1_with_shape(&[4, 4, 4]);
-        let sim = Simulator::build(
-            &program,
-            &AnalysisConfig::paper_defaults(),
-            &SimConfig::default(),
-        )
-        .unwrap();
+        let sim = Simulator::paper_defaults(&program);
         let empty: BTreeMap<String, stencilflow_reference::Grid> = BTreeMap::new();
         assert!(sim.run(&empty).is_err());
     }

@@ -98,7 +98,7 @@ impl MemoryModel {
 #[derive(Debug, Clone)]
 pub(crate) struct WriterUnit {
     /// Index of the incoming channel.
-    in_channel: usize,
+    pub(crate) in_channel: usize,
     /// Total number of cells expected.
     expected: usize,
     /// Cells drained so far.
@@ -239,7 +239,7 @@ mod tests {
         // does not span the domain draws no off-chip bandwidth.
         let mut channels = vec![channel(16)];
         let mut memory = MemoryModel::new(None);
-        let mut reader = StencilUnit::reader(vec![0], false, 6);
+        let mut reader = StencilUnit::reader(&[0], false, 6);
         memory.begin_cycle();
         for _ in 0..6 {
             assert!(reader.step(0, &mut channels, &mut memory));
@@ -249,7 +249,7 @@ mod tests {
         assert_eq!(memory.total_words(), 0);
 
         let mut channels = vec![channel(1)];
-        let mut reader = StencilUnit::reader(vec![0], true, 4);
+        let mut reader = StencilUnit::reader(&[0], true, 4);
         assert!(reader.step(0, &mut channels, &mut memory));
         assert!(!reader.step(0, &mut channels, &mut memory)); // channel full
         assert_eq!((reader.input_stalls, reader.output_stalls), (0, 1));

@@ -9,21 +9,22 @@
 //! [`crate::simulator`] — a token loop whose outputs are the reference
 //! executor's — must return the same [`SimReport`] (outcome, cycle count,
 //! every statistic and every output bit) on any program, plan and
-//! configuration.
+//! configuration. Its wiring is the old name-keyed one ([`named_wiring`]);
+//! the simulator wires from the `HardwareMapping`, and its tests compare
+//! the two.
 
 use crate::config::SimConfig;
 use crate::memory::MemoryModel;
 use crate::report::{ChannelStats, SimOutcome, SimReport, UnitStats};
-use crate::simulator::channel_shape;
 use std::collections::{BTreeMap, VecDeque};
 use stencilflow_core::channel::Fifo;
-use stencilflow_core::{AnalysisConfig, CoreError, DelayBufferAnalysis};
+use stencilflow_core::{AnalysisConfig, DelayBufferAnalysis};
 use stencilflow_core::{MultiDevicePlan, Result as CoreResult};
 use stencilflow_expr::{CompiledKernel, EvalScratch, TypedKernel, TypedScratch, Value};
 use stencilflow_program::{
-    BoundaryCondition, IterationSpace, ProgramError, StencilDag, StencilNode, StencilProgram,
+    BoundaryCondition, IterationSpace, StencilDag, StencilNode, StencilProgram,
 };
-use stencilflow_reference::Grid;
+use stencilflow_reference::{Grid, ReferenceExecutor};
 
 /// The per-field input port of a stencil unit: a channel plus the sliding
 /// window that implements the internal buffer.
@@ -124,16 +125,16 @@ pub(crate) struct StencilUnitSim {
 
 impl StencilUnitSim {
     /// Create a unit for `stencil`, wiring each consumed field to the given
-    /// channel index and the output to `out_channels`.
+    /// channel index (in access order) and the output to `out_channels`.
     pub(crate) fn new(
         program: &StencilProgram,
         stencil: &StencilNode,
-        input_channels: &BTreeMap<String, usize>,
+        input_channels: &[usize],
         out_channels: Vec<usize>,
     ) -> Self {
         let space = program.space().clone();
         let mut ports = Vec::new();
-        for (field, info) in stencil.accesses.iter() {
+        for ((field, info), &channel) in stencil.accesses.iter().zip(input_channels) {
             let mut lins: Vec<i64> = info
                 .offsets
                 .iter()
@@ -150,9 +151,6 @@ impl StencilUnitSim {
             if lins.is_empty() {
                 lins.push(0);
             }
-            let channel = *input_channels
-                .get(field)
-                .unwrap_or_else(|| panic!("no channel wired for field `{field}`"));
             let max_lin = *lins.iter().max().expect("non-empty");
             let min_lin = *lins.iter().min().expect("non-empty");
             // Buffer-fill distance: the full shift-register span when the
@@ -506,6 +504,87 @@ impl WriterUnit {
     }
 }
 
+/// The design's wiring, by name: per channel, in delay-buffer order,
+/// `from->to` and its shape (capacity, link latency, link words per
+/// cycle); per read input, in name order, its name and the channels it
+/// feeds; per stencil, in topological order, its name, its channel per
+/// accessed field and the channels it feeds; per program output, in
+/// declaration order, its name and the channel into its memory.
+pub(crate) struct NamedWiring {
+    pub(crate) channels: Vec<(String, (usize, u64, f64))>,
+    pub(crate) readers: Vec<(String, Vec<usize>)>,
+    pub(crate) units: Vec<(String, Vec<usize>, Vec<usize>)>,
+    pub(crate) writers: Vec<(String, usize)>,
+}
+
+/// Wire the design of `program` (partitioned by `plan`, if any) by name,
+/// sizing each channel from the delay buffers as the simulator did.
+pub(crate) fn named_wiring(
+    program: &StencilProgram,
+    analysis: &AnalysisConfig,
+    plan: Option<&MultiDevicePlan>,
+    config: &SimConfig,
+) -> CoreResult<NamedWiring> {
+    let kept = stencilflow_core::analyze(program, analysis)?;
+    let planned = (plan
+        .map(|plan| DelayBufferAnalysis::compute(program, &kept.internal, analysis, Some(plan))))
+    .transpose()?;
+    let delay = planned.as_ref().unwrap_or(&kept.delay);
+    let dag = program.dag();
+
+    let mut channels = Vec::new();
+    let mut channel_index: BTreeMap<(String, String), usize> = BTreeMap::new();
+    for channel in delay.channels() {
+        let (from, to) = (dag.name(channel.from), dag.name(channel.to));
+        let remote = plan.filter(|plan| plan.is_remote(channel.from, channel.to));
+        let link = remote.map(|plan| &plan.config);
+        let latency = link.map_or(0, |link| link.link_latency_cycles);
+        let words_per_cycle = link.map_or(f64::INFINITY, |link| link.link_words_per_cycle);
+        let held = (program.stencil(from)).map_or(0, |s| s.compute_latency(&analysis.latencies));
+        let on_chip = (config.channel_depth_override).unwrap_or(channel.depth_words + held);
+        let shape = (
+            (on_chip.max(1) + latency) as usize,
+            latency,
+            words_per_cycle,
+        );
+        channel_index.insert((from.to_string(), to.to_string()), channels.len());
+        channels.push((format!("{from}->{to}"), shape));
+    }
+    let outs_of = |name: &str| -> Vec<usize> {
+        channel_index
+            .iter()
+            .filter(|((from, _), _)| from == name)
+            .map(|(_, &idx)| idx)
+            .collect()
+    };
+    let channel_between = |from: &str, to: &str| channel_index[&(from.into(), to.into())];
+
+    let readers = (program.inputs())
+        .map(|(name, _)| (name.to_string(), outs_of(name)))
+        .filter(|(_, outs)| !outs.is_empty())
+        .collect();
+    let mut units = Vec::new();
+    for name in program.topological_stencils()? {
+        let stencil = program.stencil(name).expect("topological order is valid");
+        let ins = (stencil.accesses.iter())
+            .map(|(field, _)| channel_between(field, name))
+            .collect();
+        units.push((name.clone(), ins, outs_of(name)));
+    }
+    let writers = (program.outputs().iter())
+        .map(|output| {
+            let sink = StencilDag::output_node_name(output);
+            (output.clone(), channel_between(output, &sink))
+        })
+        .collect();
+    Ok(NamedWiring {
+        channels,
+        readers,
+        units,
+        writers,
+    })
+}
+
 /// Build the design of `program` (partitioned by `plan`, if any) and run it
 /// on `inputs`, cycle by cycle, carrying every value.
 pub(crate) fn simulate(
@@ -515,102 +594,45 @@ pub(crate) fn simulate(
     config: &SimConfig,
     inputs: &BTreeMap<String, Grid>,
 ) -> CoreResult<SimReport> {
-    let kept = stencilflow_core::analyze(program, analysis)?;
-    let planned = (plan
-        .map(|plan| DelayBufferAnalysis::compute(program, &kept.internal, analysis, Some(plan))))
-    .transpose()?;
-    let delay = planned.as_ref().unwrap_or(&kept.delay);
-
+    let wiring = named_wiring(program, analysis, plan, config)?;
     let mut channels: Vec<Fifo> = Vec::new();
-    let mut channel_index: BTreeMap<(String, String), usize> = BTreeMap::new();
-    for channel in delay.channels() {
-        let (capacity, latency, words_per_cycle) = channel_shape(config, delay, plan, channel);
-        let mut fifo =
-            Fifo::new(&format!("{}->{}", channel.from, channel.to), capacity).with_latency(latency);
+    for (name, (capacity, latency, words_per_cycle)) in wiring.channels {
+        let mut fifo = Fifo::new(&name, capacity).with_latency(latency);
         if words_per_cycle.is_finite() {
             fifo = fifo.with_bandwidth(words_per_cycle);
         }
-        channel_index.insert((channel.from.clone(), channel.to.clone()), channels.len());
         channels.push(fifo);
     }
-    let outs_of = |name: &str| -> Vec<usize> {
-        channel_index
-            .iter()
-            .filter(|((from, _), _)| from == name)
-            .map(|(_, &idx)| idx)
-            .collect()
-    };
 
     let space = program.space();
     let total_cells = space.num_cells();
-    for (name, decl) in program.inputs() {
-        let grid = inputs.get(name).ok_or_else(|| {
-            CoreError::Program(ProgramError::Invalid {
-                message: format!("missing input grid `{name}`"),
-            })
-        })?;
-        if grid.rank() != decl.rank() {
-            return Err(CoreError::Program(ProgramError::Invalid {
-                message: format!(
-                    "input `{name}` has rank {}, expected {}",
-                    grid.rank(),
-                    decl.rank()
-                ),
-            }));
-        }
-    }
+    ReferenceExecutor::check_inputs(program, inputs)?;
 
-    // Readers: one per program input.
+    // Readers: one per program input that anything reads.
     let full_rank = space.rank();
     let mut readers: Vec<ReaderUnit> = Vec::new();
-    for (name, decl) in program.inputs() {
-        let outs = outs_of(name);
-        if outs.is_empty() {
-            continue; // unused input
-        }
+    for (name, outs) in wiring.readers {
+        let full_domain = program.input(&name).expect("an input").rank() == full_rank;
         readers.push(ReaderUnit::new(
-            name,
-            &inputs[name],
+            &name,
+            &inputs[&name],
             space,
             outs,
-            decl.rank() == full_rank,
+            full_domain,
         ));
     }
 
     // Stencil units, in topological order.
     let mut units: Vec<StencilUnitSim> = Vec::new();
-    for name in program.topological_stencils()? {
-        let stencil = program.stencil(name).expect("topological order is valid");
-        let mut input_channels = BTreeMap::new();
-        for (field, _) in stencil.accesses.iter() {
-            let idx = channel_index
-                .get(&(field.to_string(), name.clone()))
-                .copied()
-                .ok_or_else(|| CoreError::Internal {
-                    message: format!("no channel from `{field}` to `{name}`"),
-                })?;
-            input_channels.insert(field.to_string(), idx);
-        }
-        units.push(StencilUnitSim::new(
-            program,
-            stencil,
-            &input_channels,
-            outs_of(name),
-        ));
+    for (name, ins, outs) in wiring.units {
+        let stencil = program.stencil(&name).expect("a stencil");
+        units.push(StencilUnitSim::new(program, stencil, &ins, outs));
     }
 
     // Writers: one per program output.
-    let mut writers: Vec<WriterUnit> = Vec::new();
-    for output in program.outputs() {
-        let sink = StencilDag::output_node_name(output);
-        let idx = channel_index
-            .get(&(output.clone(), sink))
-            .copied()
-            .ok_or_else(|| CoreError::Internal {
-                message: format!("no channel from `{output}` to its output memory"),
-            })?;
-        writers.push(WriterUnit::new(output, idx, total_cells));
-    }
+    let mut writers: Vec<WriterUnit> = (wiring.writers.iter())
+        .map(|(output, channel)| WriterUnit::new(output, *channel, total_cells))
+        .collect();
 
     // Main loop.
     let mut memory = MemoryModel::new(config.memory_words_per_cycle);

@@ -1,8 +1,9 @@
-//! The top-level simulator: builds the spatial design from a program, its
-//! buffering analysis and (for several devices) its partition plan once,
-//! then runs it on concrete inputs. Every channel's capacity, and every
-//! link's latency and bandwidth, is read off the analysis and the plan
-//! (`channel_shape`); the configuration only overrides the depth.
+//! The top-level simulator: runs the design `HardwareMapping` lays out for
+//! a program (`HardwareMapping::partitioned` on several devices) on
+//! concrete inputs. Its units take their channel positions from the
+//! mapping, by id, and its links their latency and bandwidth from the plan
+//! (`token_channel`); the configuration only overrides the depth. Names
+//! are looked up only for the report.
 //!
 //! A run steps the count machines for the timing, jumping over the cycles
 //! that repeat the last one exactly (see the crate documentation for why
@@ -28,10 +29,9 @@ use crate::report::{ChannelStats, SimOutcome, SimReport, UnitStats};
 use crate::unit::StencilUnit;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use stencilflow_core::DelayBufferAnalysis;
-use stencilflow_core::{AnalysisConfig, ChannelDepth, CoreError};
+use stencilflow_core::{AnalysisConfig, Channel, HardwareMapping, MemoryAccessKind};
 use stencilflow_core::{MultiDevicePlan, Result as CoreResult};
-use stencilflow_program::{IterationSpace, ProgramError, StencilDag, StencilProgram};
+use stencilflow_program::StencilProgram;
 use stencilflow_reference::{CompiledProgram, Grid, ReferenceExecutor};
 
 /// The count machines of a design. The simulator holds them in their
@@ -46,21 +46,12 @@ struct Machines {
     writers: Vec<WriterUnit>,
 }
 
-/// A declared program input.
-#[derive(Debug)]
-struct InputField {
-    name: String,
-    rank: usize,
-}
-
 /// A spatial design ready to be simulated on concrete input data.
 #[derive(Debug)]
 pub struct Simulator {
     config: SimConfig,
-    space: IterationSpace,
-    inputs: Vec<InputField>,
     machines: Machines,
-    /// `from->to`, in `DelayBufferAnalysis` order.
+    /// `from->to`, in channel order.
     channel_names: Vec<String>,
     /// `read:<field>`, stencils, `write:<field>`: the order of
     /// `SimReport::unit_stats`.
@@ -70,41 +61,37 @@ pub struct Simulator {
     compiled: Arc<CompiledProgram>,
 }
 
-fn internal(message: String) -> CoreError {
-    CoreError::Internal { message }
-}
-
-fn invalid(message: String) -> CoreError {
-    CoreError::Program(ProgramError::Invalid { message })
-}
-
-/// How a design realises `channel`: its capacity in words, and the latency
-/// (cycles) and bandwidth (words per cycle) of the link it crosses — none
-/// on chip. The capacity is the analysed depth plus the producer's compute
-/// latency (the words a hardware unit holds in its pipeline, which a
-/// simulated unit emits in the cycle it fires), or the configured override
-/// instead of both; a remote stream also holds its link latency in flight.
-pub(crate) fn channel_shape(
+/// How a design realises `channel` of `mapping`: its capacity in words, and
+/// the latency (cycles) and bandwidth (words per cycle) of the link it
+/// crosses — none on chip. The capacity is the analysed depth plus the
+/// producer's compute latency (the words a hardware unit holds in its
+/// pipeline, which a simulated unit emits in the cycle it fires; a reader
+/// holds none), or the configured override instead of both; a remote
+/// stream also holds its link latency in flight.
+fn token_channel(
     config: &SimConfig,
-    delay: &DelayBufferAnalysis,
     plan: Option<&MultiDevicePlan>,
-    channel: &ChannelDepth,
-) -> (usize, u64, f64) {
-    let (from, to) = (channel.from.as_str(), channel.to.as_str());
+    mapping: &HardwareMapping,
+    channel: &Channel,
+) -> TokenChannel {
+    let (from, to) = (channel.from.id(), channel.to.id());
+    let held = (mapping.unit_position(from)).map_or(0, |unit| mapping.units[unit].compute_latency);
     let link = plan
         .filter(|plan| plan.is_remote(from, to))
         .map(|plan| &plan.config);
     let latency = link.map_or(0, |link| link.link_latency_cycles);
     let words_per_cycle = link.map_or(f64::INFINITY, |link| link.link_words_per_cycle);
-    let on_chip = (config.channel_depth_override)
-        .unwrap_or(channel.depth_words + delay.compute_latency(from));
-    let capacity = (on_chip.max(1) + latency) as usize;
-    (capacity, latency, words_per_cycle)
+    let on_chip = (config.channel_depth_override).unwrap_or(channel.depth_words + held);
+    TokenChannel::new(
+        (on_chip.max(1) + latency) as usize,
+        latency,
+        words_per_cycle,
+    )
 }
 
 impl Simulator {
-    /// Build the single-device design for `program`, using the delay-buffer
-    /// analysis to size every channel.
+    /// Build the single-device design for `program`: the mapping of its
+    /// kept analysis, whose delay buffers size every channel.
     ///
     /// # Errors
     ///
@@ -114,7 +101,8 @@ impl Simulator {
         analysis: &AnalysisConfig,
         config: &SimConfig,
     ) -> CoreResult<Self> {
-        Self::build_inner(program, analysis, config, None)
+        let mapping = HardwareMapping::build(program, analysis)?;
+        Self::build_inner(program, &mapping, config, None)
     }
 
     /// Build a design partitioned across multiple devices: channels crossing
@@ -132,91 +120,70 @@ impl Simulator {
         plan: &MultiDevicePlan,
         config: &SimConfig,
     ) -> CoreResult<Self> {
-        Self::build_inner(program, analysis, config, Some(plan))
+        let mapping = HardwareMapping::partitioned(program, analysis, plan)?;
+        Self::build_inner(program, &mapping, config, Some(plan))
     }
 
+    /// The design `mapping` lays out, its channels' and units' report names,
+    /// and the program prepared on the process-wide executor.
     fn build_inner(
         program: &StencilProgram,
-        analysis: &AnalysisConfig,
+        mapping: &HardwareMapping,
         config: &SimConfig,
         plan: Option<&MultiDevicePlan>,
     ) -> CoreResult<Self> {
-        // The program's kept analysis sizes a single-device design; a plan
-        // needs delay buffers of its own, over the same internal buffers.
-        let kept = stencilflow_core::analyze(program, analysis)?;
-        let planned = (plan.map(|plan| {
-            DelayBufferAnalysis::compute(program, &kept.internal, analysis, Some(plan))
-        }))
-        .transpose()?;
-        let delay = planned.as_ref().unwrap_or(&kept.delay);
-        let space = program.space();
+        let (dag, space) = (program.dag(), program.space());
         let total_cells = space.num_cells();
+        let name = |id| dag.name(id);
 
-        let mut channels = Vec::new();
-        let mut channel_names = Vec::new();
-        let mut channel_index: BTreeMap<(&str, &str), usize> = BTreeMap::new();
-        for channel in delay.channels() {
-            let (from, to) = (channel.from.as_str(), channel.to.as_str());
-            let (capacity, latency, words_per_cycle) = channel_shape(config, delay, plan, channel);
-            channel_index.insert((from, to), channels.len());
-            channels.push(TokenChannel::new(capacity, latency, words_per_cycle));
-            channel_names.push(format!("{from}->{to}"));
-        }
-        let channel_between = |from: &str, to: &str| {
-            let channel = channel_index.get(&(from, to)).copied();
-            channel.ok_or_else(|| internal(format!("no channel from `{from}` to `{to}`")))
-        };
-        let mut fan_out: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        for (&(from, _), &channel) in &channel_index {
-            fan_out.entry(from).or_default().push(channel);
-        }
+        let channels = (mapping.channels.iter())
+            .map(|channel| token_channel(config, plan, mapping, channel))
+            .collect();
+        let channel_names = (mapping.channels.iter())
+            .map(|c| format!("{}->{}", name(c.from.id()), name(c.to.id())))
+            .collect();
 
         // Readers: one per program input that anything reads. Only
-        // full-domain fields draw from the off-chip budget.
-        let mut inputs = Vec::new();
-        let mut units = Vec::new();
-        let mut unit_names = Vec::new();
-        for (name, decl) in program.inputs() {
-            inputs.push(InputField {
-                name: name.to_string(),
-                rank: decl.rank(),
-            });
-            if let Some(outs) = fan_out.remove(name) {
-                let full_domain = decl.rank() == space.rank();
+        // full-domain fields, which move operands every cycle, draw from
+        // the off-chip budget.
+        let mut units = Vec::with_capacity(mapping.memory_units.len() + mapping.units.len());
+        let mut unit_names = Vec::with_capacity(units.capacity() + program.outputs().len());
+        for (index, memory) in mapping.memory_units.iter().enumerate() {
+            let outs = mapping.memory_channels(index);
+            if memory.kind == MemoryAccessKind::Read && !outs.is_empty() {
+                let full_domain = memory.operands_per_cycle > 0;
                 units.push(StencilUnit::reader(outs, full_domain, total_cells));
-                unit_names.push(format!("read:{name}"));
+                unit_names.push(format!("read:{}", name(memory.field_id)));
             }
         }
 
         // Stencil units in topological order.
-        for name in program.topological_stencils()? {
-            let stencil = program
-                .stencil(name)
-                .ok_or_else(|| internal(format!("`{name}` is ordered but not a stencil")))?;
-            let in_channels = (stencil.accesses.iter())
-                .map(|(field, _)| channel_between(field, name))
-                .collect::<CoreResult<Vec<_>>>()?;
-            let outs = fan_out.remove(name.as_str()).unwrap_or_default();
-            units.push(StencilUnit::new(space, stencil, &in_channels, outs));
-            unit_names.push(name.clone());
+        for &id in program.topological_nodes()? {
+            if let Some(position) = mapping.unit_position(id) {
+                let stencil = program.stencil_at(id).expect("units are stencils");
+                let (ins, outs) = mapping.unit_channels(position);
+                units.push(StencilUnit::new(space, stencil, ins, outs));
+                unit_names.push(name(id).to_string());
+            }
         }
 
-        // Writers: one per program output.
-        let mut writers = Vec::new();
+        // Writers: one per program output, in declaration order, each
+        // draining its own channel into its field's writer.
+        let mut drained = vec![0; mapping.memory_units.len()];
+        let mut writers = Vec::with_capacity(program.outputs().len());
         for output in program.outputs() {
-            let sink = StencilDag::output_node_name(output);
-            writers.push(WriterUnit::new(
-                channel_between(output, &sink)?,
-                total_cells,
-            ));
+            let field = dag.id(output);
+            let index = (mapping.memory_units.iter())
+                .position(|m| m.kind == MemoryAccessKind::Write && Some(m.field_id) == field)
+                .expect("every output has a writer");
+            let channel = mapping.memory_channels(index)[drained[index]];
+            drained[index] += 1;
+            writers.push(WriterUnit::new(channel as usize, total_cells));
             unit_names.push(format!("write:{output}"));
         }
 
-        let compiled = ReferenceExecutor::shared().prepare(program)?;
         Ok(Simulator {
             config: config.clone(),
-            space: space.clone(),
-            inputs,
             machines: Machines {
                 channels,
                 units,
@@ -224,7 +191,7 @@ impl Simulator {
             },
             channel_names,
             unit_names,
-            compiled,
+            compiled: ReferenceExecutor::shared().prepare(program)?,
         })
     }
 
@@ -232,12 +199,13 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Program`] if an input grid is missing or has the
-    /// wrong rank or extents, or — when the run completes and its outputs
-    /// are computed — the wrong element type, or if a stencil's code fails
-    /// on the data.
+    /// Returns [`CoreError::Program`](stencilflow_core::CoreError::Program)
+    /// if an input grid is missing or has the wrong shape or element type
+    /// (the executor's rule, [`ReferenceExecutor::check_inputs`], checked
+    /// before the first cycle, so a bad input never costs a timing run),
+    /// or if a stencil's code fails on the data.
     pub fn run(&self, inputs: &BTreeMap<String, Grid>) -> CoreResult<SimReport> {
-        self.check_inputs(inputs)?;
+        ReferenceExecutor::check_inputs(self.compiled.program(), inputs)?;
         let mut machines = self.machines.clone();
         let mut memory = MemoryModel::new(self.config.memory_words_per_cycle);
         let (outcome, cycles, _) = machines.run(&self.config, &mut memory);
@@ -284,6 +252,17 @@ impl Simulator {
         })
     }
 
+    /// The single-device design of `program` under the paper's defaults.
+    #[cfg(test)]
+    pub(crate) fn paper_defaults(program: &StencilProgram) -> Self {
+        Self::build(
+            program,
+            &AnalysisConfig::paper_defaults(),
+            &SimConfig::default(),
+        )
+        .unwrap()
+    }
+
     /// The timing run alone: its outcome, the cycles it simulated, and how
     /// many of them the loop stepped rather than jumped over.
     #[cfg(test)]
@@ -291,32 +270,6 @@ impl Simulator {
         let mut machines = self.machines.clone();
         let mut memory = MemoryModel::new(self.config.memory_words_per_cycle);
         machines.run(&self.config, &mut memory)
-    }
-
-    /// Every declared input is present, has its declared rank, and matches
-    /// the iteration space along each dimension it shares with it: checked
-    /// before the first cycle, so a bad input never costs a timing run.
-    fn check_inputs(&self, inputs: &BTreeMap<String, Grid>) -> CoreResult<()> {
-        for InputField { name, rank } in &self.inputs {
-            let grid = inputs
-                .get(name)
-                .ok_or_else(|| invalid(format!("missing input grid `{name}`")))?;
-            if grid.rank() != *rank {
-                let found = grid.rank();
-                return Err(invalid(format!(
-                    "input `{name}` has rank {found}, expected {rank}"
-                )));
-            }
-            for (dim, &extent) in grid.dims().iter().zip(grid.shape()) {
-                let expected = self.space.dim_index(dim).map(|ix| self.space.shape[ix]);
-                if let Some(expected) = expected.filter(|&expected| expected != extent) {
-                    return Err(invalid(format!(
-                        "input `{name}` has extent {extent} along `{dim}`, expected {expected}"
-                    )));
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -428,7 +381,7 @@ impl Machines {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stencilflow_core::PartitionConfig;
+    use stencilflow_core::{CoreError, PartitionConfig};
     use stencilflow_expr::DataType;
     use stencilflow_program::{BoundaryCondition, StencilProgramBuilder};
     use stencilflow_reference::generate_inputs;
@@ -438,12 +391,7 @@ mod tests {
     fn chain_streams_at_full_rate() {
         let program = chain_program(&ChainSpec::new(4, 8).with_shape(&[32, 8, 8]));
         let inputs = generate_inputs(&program, 1);
-        let sim = Simulator::build(
-            &program,
-            &AnalysisConfig::paper_defaults(),
-            &SimConfig::default(),
-        )
-        .unwrap();
+        let sim = Simulator::paper_defaults(&program);
         let report = sim.run(&inputs).unwrap();
         assert!(report.completed());
         // A linear chain is fully pipelined: close to one cell per cycle.
@@ -459,14 +407,7 @@ mod tests {
     fn multi_device_chain_matches_single_device_functionally() {
         let program = chain_program(&ChainSpec::new(6, 8).with_shape(&[16, 8, 8]));
         let inputs = generate_inputs(&program, 2);
-        let single = Simulator::build(
-            &program,
-            &AnalysisConfig::paper_defaults(),
-            &SimConfig::default(),
-        )
-        .unwrap()
-        .run(&inputs)
-        .unwrap();
+        let single = Simulator::paper_defaults(&program).run(&inputs).unwrap();
         let plan = MultiDevicePlan::partition(&program, &PartitionConfig::devices(2)).unwrap();
         let multi = Simulator::build_multi_device(
             &program,
@@ -494,12 +435,7 @@ mod tests {
         // leaves the built state untouched, so a second run — on the same
         // or on other inputs — starts from the same initial design.
         let program = chain_program(&ChainSpec::new(4, 8).with_shape(&[16, 8, 8]));
-        let sim = Simulator::build(
-            &program,
-            &AnalysisConfig::paper_defaults(),
-            &SimConfig::default(),
-        )
-        .unwrap();
+        let sim = Simulator::paper_defaults(&program);
         let inputs = generate_inputs(&program, 3);
         let first = sim.run(&inputs).unwrap();
         let other = sim.run(&generate_inputs(&program, 4)).unwrap();
@@ -516,20 +452,31 @@ mod tests {
     #[test]
     fn wrong_input_extents_are_an_error_not_a_panic() {
         let program = chain_program(&ChainSpec::new(2, 8).with_shape(&[16, 8, 8]));
-        let sim = Simulator::build(
-            &program,
-            &AnalysisConfig::paper_defaults(),
-            &SimConfig::default(),
-        )
-        .unwrap();
+        let sim = Simulator::paper_defaults(&program);
         let mut inputs = generate_inputs(&program, 1);
         let name = inputs.keys().next().unwrap().clone();
         let short = Grid::zeros(&["i", "j", "k"], &[16, 8, 4], DataType::Float32);
         inputs.insert(name.clone(), short);
         let error = sim.run(&inputs).unwrap_err();
         assert!(matches!(error, CoreError::Program(_)), "{error}");
-        inputs.insert(name, Grid::zeros(&["i", "j"], &[16, 8], DataType::Float32));
+        inputs.insert(
+            name.clone(),
+            Grid::zeros(&["i", "j"], &[16, 8], DataType::Float32),
+        );
         assert!(matches!(sim.run(&inputs), Err(CoreError::Program(_))));
+
+        // So is the element type: a design that runs no cycle, and so never
+        // computes an output, rejects it.
+        let idle = SimConfig {
+            max_cycles: 0,
+            ..SimConfig::default()
+        };
+        let idle = Simulator::build(&program, &AnalysisConfig::paper_defaults(), &idle).unwrap();
+        let wide = Grid::zeros(&["i", "j", "k"], &[16, 8, 8], DataType::Float64);
+        inputs.insert(name.clone(), wide);
+        let error = idle.run(&inputs).unwrap_err().to_string();
+        let expected = format!("input `{name}` has element type float64, expected float32");
+        assert!(error.contains(&expected), "{error}");
     }
 
     #[test]
@@ -545,14 +492,7 @@ mod tests {
             .build()
             .unwrap();
         let inputs = generate_inputs(&program, 1);
-        let report = Simulator::build(
-            &program,
-            &AnalysisConfig::paper_defaults(),
-            &SimConfig::default(),
-        )
-        .unwrap()
-        .run(&inputs)
-        .unwrap();
+        let report = Simulator::paper_defaults(&program).run(&inputs).unwrap();
         assert!(report.completed());
         let reference = ReferenceExecutor::new().run(&program, &inputs).unwrap();
         let expected = reference.field("s").unwrap();
@@ -575,14 +515,7 @@ mod tests {
             .build()
             .unwrap();
         let inputs = generate_inputs(&program, 1);
-        let report = Simulator::build(
-            &program,
-            &AnalysisConfig::paper_defaults(),
-            &SimConfig::default(),
-        )
-        .unwrap()
-        .run(&inputs)
-        .unwrap();
+        let report = Simulator::paper_defaults(&program).run(&inputs).unwrap();
         assert!(report.completed());
         let interpreted = ReferenceExecutor::new()
             .run_interpreted(&program, &inputs)
@@ -591,15 +524,88 @@ mod tests {
         crate::oracle::assert_same_grid("s", report.output("s").unwrap(), expected);
     }
 
+    /// The simulator reads the design off the mapping, and must build the
+    /// name-keyed wiring it replaced (`oracle::named_wiring`): each
+    /// channel's name and shape, each reader's, unit's and writer's
+    /// channels. A unit pushes to all its outputs in one cycle, so their
+    /// order is not observable: they are compared as sets.
+    #[test]
+    fn the_mapping_wires_the_design_as_by_name() {
+        use stencilflow_workloads::{execution_suite, random_dag};
+        use stencilflow_workloads::{horizontal_diffusion, HorizontalDiffusionSpec};
+        let hdiff = horizontal_diffusion(&HorizontalDiffusionSpec::production(1));
+        let mut programs = execution_suite();
+        programs.push(stencilflow_dataflow::fuse_all(&hdiff).unwrap());
+        programs.push(hdiff);
+        programs.extend((0..64).map(random_dag));
+        let (analysis, config) = (AnalysisConfig::paper_defaults(), SimConfig::default());
+        type Wiring = (String, Vec<usize>, Vec<usize>);
+        let sorted = |(name, ins, mut outs): Wiring| {
+            outs.sort_unstable();
+            (name, ins, outs)
+        };
+        for program in &programs {
+            let four = PartitionConfig::devices(program.stencil_count().min(4));
+            let plan = MultiDevicePlan::partition(program, &four).unwrap();
+            for plan in [None, Some(&plan)] {
+                let simulator = match plan {
+                    Some(plan) => Simulator::build_multi_device(program, &analysis, plan, &config),
+                    None => Simulator::build(program, &analysis, &config),
+                };
+                let Simulator {
+                    machines,
+                    channel_names: channels,
+                    unit_names: names,
+                    ..
+                } = simulator.unwrap();
+                let named = crate::oracle::named_wiring(program, &analysis, plan, &config);
+                let named = named.unwrap();
+                let devices = plan.map_or(1, MultiDevicePlan::device_count);
+                let label = format!("{} on {devices} devices", program.name());
+
+                let shapes = machines.channels.iter();
+                let shapes = shapes.map(|c| (c.capacity, c.latency, c.words_per_cycle));
+                let channels: Vec<_> = channels.into_iter().zip(shapes).collect();
+                assert_eq!(channels, named.channels, "{label}: channels");
+
+                let writers = (machines.writers.iter()).map(|w| (vec![w.in_channel], vec![]));
+                let ports = (machines.units.iter()).map(StencilUnit::wiring);
+                let ports = ports.chain(writers);
+                let units: Vec<Wiring> = (names.into_iter().zip(ports))
+                    .map(|(name, (ins, outs))| sorted((name, ins, outs)))
+                    .collect();
+                let readers = (named.readers.into_iter())
+                    .map(|(name, outs)| (format!("read:{name}"), vec![], outs));
+                let writers = (named.writers.into_iter())
+                    .map(|(name, channel)| (format!("write:{name}"), vec![channel], vec![]));
+                let named_units = readers.chain(named.units).chain(writers);
+                let named_units: Vec<Wiring> = named_units.map(sorted).collect();
+                assert_eq!(units, named_units, "{label}: readers, units and writers");
+            }
+        }
+    }
+
+    #[test]
+    fn an_output_listed_twice_is_written_twice() {
+        // Each listing has its own channel into the memory, and a writer.
+        let program = StencilProgramBuilder::new("twice", &[8, 8])
+            .input("a", DataType::Float32, &["i", "j"])
+            .stencil("b", "a[i,j-1] + a[i,j+1]")
+            .output("b")
+            .output("b")
+            .build()
+            .unwrap();
+        let inputs = generate_inputs(&program, 1);
+        let report = Simulator::paper_defaults(&program).run(&inputs).unwrap();
+        assert_eq!(report.outcome, SimOutcome::Completed);
+        let writers = report.unit_stats.iter().filter(|u| u.name == "write:b");
+        assert_eq!(writers.map(|u| u.produced).collect::<Vec<_>>(), [64, 64]);
+    }
+
     #[test]
     fn channel_count_matches_dag_edges() {
         let program = chain_program(&ChainSpec::new(3, 8).with_shape(&[16, 8, 8]));
-        let sim = Simulator::build(
-            &program,
-            &AnalysisConfig::paper_defaults(),
-            &SimConfig::default(),
-        )
-        .unwrap();
+        let sim = Simulator::paper_defaults(&program);
         // f0->f1, f1->f2, f2->f3, f3->out.
         assert_eq!(sim.machines.channels.len(), 4);
     }

@@ -62,8 +62,8 @@ impl StencilUnit {
     pub(crate) fn new(
         space: &IterationSpace,
         stencil: &StencilNode,
-        in_channels: &[usize],
-        out_channels: Vec<usize>,
+        in_channels: &[u32],
+        out_channels: &[u32],
     ) -> Self {
         let ports = stencil
             .accesses
@@ -87,7 +87,7 @@ impl StencilUnit {
                     0
                 };
                 Port {
-                    channel,
+                    channel: channel as usize,
                     consume_ahead: span.max(max_lin + 1).max(1) as usize,
                     consumed: 0,
                 }
@@ -102,10 +102,10 @@ impl StencilUnit {
     /// A dedicated prefetcher streaming one input field from off-chip
     /// memory, one element per cell, to all its consumers. Only full-domain
     /// fields draw from the bandwidth budget (`draws_memory`).
-    pub(crate) fn reader(out_channels: Vec<usize>, draws_memory: bool, total_cells: usize) -> Self {
+    pub(crate) fn reader(out_channels: &[u32], draws_memory: bool, total_cells: usize) -> Self {
         StencilUnit {
             ports: Vec::new(),
-            out_channels,
+            out_channels: out_channels.iter().map(|&c| c as usize).collect(),
             total_cells,
             draws_memory,
             produced: 0,
@@ -167,6 +167,13 @@ impl StencilUnit {
         }
         self.produced += 1;
         true
+    }
+
+    /// The channel each port reads, in port order, and those the unit feeds.
+    #[cfg(test)]
+    pub(crate) fn wiring(&self) -> (Vec<usize>, Vec<usize>) {
+        let ports = self.ports.iter().map(|port| port.channel);
+        (ports.collect(), self.out_channels.clone())
     }
 
     /// Append the counts a jump moves (see [`crate::forward`]): cells
@@ -240,7 +247,7 @@ mod tests {
     /// The unit of stencil `s`, wired `channel 0 -> s -> channel 1`.
     fn unit_of(program: &StencilProgram) -> StencilUnit {
         let stencil = program.stencil("s").unwrap();
-        StencilUnit::new(program.space(), stencil, &[0], vec![1])
+        StencilUnit::new(program.space(), stencil, &[0], &[1])
     }
 
     fn channels(input: usize, output: usize) -> (Vec<TokenChannel>, MemoryModel) {

@@ -16,10 +16,14 @@ fn main() {
     let analysis = analyze(&program, &config).expect("analysis succeeds");
 
     println!("delay buffers computed for the Lst. 1 fork/join program:");
+    let dag = program.dag();
     for channel in analysis.delay.channels() {
         println!(
             "  {:<10} -> {:<10}  delay {:>6} words  (FIFO depth {:>6})",
-            channel.from, channel.to, channel.delay_words, channel.depth_words
+            dag.name(channel.from),
+            dag.name(channel.to),
+            channel.delay_words,
+            channel.depth_words
         );
     }
     println!(

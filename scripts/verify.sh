@@ -63,7 +63,14 @@
 #                                  generate_kernels + partition allocates
 #                                  as often per stencil on a 1024-stage
 #                                  chain as on a 256-stage one, under a
-#                                  pinned ceiling; no timing floor — speed
+#                                  pinned ceiling; the wiring oracle, the
+#                                  sim crate's unit test
+#                                  the_mapping_wires_the_design_as_by_name:
+#                                  the design the simulator reads off
+#                                  HardwareMapping, on one device and on
+#                                  four, equals the name-keyed wiring kept
+#                                  as test code, channel for channel and
+#                                  unit for unit; no timing floor — speed
 #                                  floors live in gate 11 only)
 #   4. cargo clippy -D warnings  — lints
 #   5. cargo doc -D warnings     — documentation (intra-doc links included)

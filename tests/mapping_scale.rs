@@ -126,14 +126,18 @@ fn a_4096_stage_chain_maps_end_to_end() {
         mapping.total_buffer_elements(),
         analysis.total_buffer_elements()
     );
+    let dag = fused.dag();
     for stage in [1, stages / 2, stages] {
         let name = format!("f{stage}");
-        assert_eq!(mapping.unit(&name).unwrap().name, name);
-        let unit = mapping.units.iter().position(|u| u.name == name).unwrap();
+        let id = dag.id(&name).unwrap();
+        let unit = mapping.unit_position(id).unwrap();
+        assert_eq!(mapping.units[unit].id, id);
         let (inputs, outputs) = mapping.unit_channels(unit);
-        let from: Vec<&str> = inputs.map(|c| c.from.name()).collect();
+        let from: Vec<&str> = (inputs.iter())
+            .map(|&at| dag.name(mapping.channels[at as usize].from.id()))
+            .collect();
         assert_eq!(from, [format!("f{}", stage - 1)]);
-        assert_eq!(outputs.count(), 1);
+        assert_eq!(outputs.len(), 1);
     }
     let kernels = generate_kernels(&fused, &mapping);
     assert_eq!(kernels.matches("__attribute__((autorun))").count(), stages);

@@ -398,8 +398,15 @@ fn check(label: &str, program: &StencilProgram) {
     let depths: Vec<Depth> = (analysis.delay.channels().iter())
         .map(|c| {
             // A channel carries the field its producer names.
-            let (from, to, field) = (c.from.clone(), c.to.clone(), c.from.clone());
-            (from, to, field, c.edge_delay, c.delay_words, c.depth_words)
+            let (from, to) = (dag.name(c.from).to_string(), dag.name(c.to).to_string());
+            (
+                from.clone(),
+                to,
+                from,
+                c.edge_delay,
+                c.delay_words,
+                c.depth_words,
+            )
         })
         .collect();
     let named_depths = named_delays(program, &named, &buffers, &config, width);
@@ -407,10 +414,13 @@ fn check(label: &str, program: &StencilProgram) {
 
     // The mapping's channels, in order.
     let mapping = HardwareMapping::build(program, &config).unwrap();
-    let endpoint = |name: &str, field: &str| match named.nodes[name] {
-        NodeKind::Input => ChannelEndpoint::MemoryRead(name.to_string()),
-        NodeKind::Output => ChannelEndpoint::MemoryWrite(field.to_string()),
-        NodeKind::Stencil => ChannelEndpoint::Stencil(name.to_string()),
+    let endpoint = |name: &str| {
+        let id = dag.id(name).unwrap();
+        match named.nodes[name] {
+            NodeKind::Input => ChannelEndpoint::MemoryRead(id),
+            NodeKind::Output => ChannelEndpoint::MemoryWrite(id),
+            NodeKind::Stencil => ChannelEndpoint::Stencil(id),
+        }
     };
     assert_eq!(
         mapping.channels.len(),
@@ -418,24 +428,26 @@ fn check(label: &str, program: &StencilProgram) {
         "{label}: channels"
     );
     for (channel, (from, to, field, _, _, depth)) in mapping.channels.iter().zip(&named_depths) {
+        assert_eq!(channel.from, endpoint(from), "{label}: {from} -> {to}");
+        assert_eq!(channel.to, endpoint(to), "{label}: {from} -> {to}");
         assert_eq!(
-            channel.from,
-            endpoint(from, field),
+            dag.name(channel.from.id()),
+            field,
             "{label}: {from} -> {to}"
         );
-        assert_eq!(channel.to, endpoint(to, field), "{label}: {from} -> {to}");
-        assert_eq!(&channel.field, field, "{label}: {from} -> {to}");
-        assert_eq!(channel.field_id, dag.id(field).unwrap());
         assert_eq!(channel.depth_words, *depth, "{label}: {from} -> {to}");
     }
     for (ix, unit) in mapping.units.iter().enumerate() {
+        let name = dag.name(unit.id);
         let (ins, outs) = mapping.unit_channels(ix);
-        let ins: Vec<&str> = ins.map(|c| c.field.as_str()).collect();
-        let named_ins: Vec<&str> = (named.in_edges(&unit.name).iter())
+        let ins: Vec<&str> = (ins.iter())
+            .map(|&at| dag.name(mapping.channels[at as usize].from.id()))
+            .collect();
+        let named_ins: Vec<&str> = (named.in_edges(name).iter())
             .map(|(from, _, _)| from.as_str())
             .collect();
-        assert_eq!(ins, named_ins, "{label}: channels into {}", unit.name);
-        assert_eq!(outs.count(), named.out_edges(&unit.name).len());
+        assert_eq!(ins, named_ins, "{label}: channels into {name}");
+        assert_eq!(outs.len(), named.out_edges(name).len());
     }
 
     // The 8-device partition (one device per stencil if there are fewer).
@@ -444,7 +456,7 @@ fn check(label: &str, program: &StencilProgram) {
     let (parts, replicated) = named_partition(program, devices);
     let remote = |r: &stencilflow::core::partition::RemoteChannel| {
         let (from, to) = (r.from_stencil.clone(), r.to_stencil.clone());
-        (from, r.from_device, to, r.to_device, r.field.clone())
+        (from, r.from_device, to, r.to_device, r.from_stencil.clone())
     };
     let got: Vec<Device> = (plan.devices.iter())
         .map(|d| {

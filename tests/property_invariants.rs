@@ -67,7 +67,7 @@ fn arb_program() -> impl Strategy<Value = StencilProgram> {
 fn check_invariants(delay: &DelayBufferAnalysis, dag: &StencilDag) -> Result<(), String> {
     for node in dag.nodes() {
         let incoming: Vec<_> = (delay.channels().iter())
-            .filter(|c| c.to == node.name)
+            .filter(|c| c.to == node.id)
             .collect();
         if !incoming.is_empty() && !incoming.iter().any(|c| c.delay_words == 0) {
             return Err(format!(

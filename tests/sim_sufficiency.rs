@@ -94,15 +94,17 @@ fn channel_capacity_is_the_analysed_depth_plus_the_latencies() {
     let report = simulator.run(&generate_inputs(&program, 1)).unwrap();
     assert!(report.completed());
     assert_eq!(report.channel_stats.len(), delay.channels().len());
+    let dag = program.dag();
     for (stats, channel) in report.channel_stats.iter().zip(delay.channels()) {
-        assert_eq!(stats.name, format!("{}->{}", channel.from, channel.to));
+        let (from, to) = (dag.name(channel.from), dag.name(channel.to));
+        assert_eq!(stats.name, format!("{from}->{to}"));
         let latency = program
-            .stencil(&channel.from)
+            .stencil(from)
             .map_or(0, |s| s.compute_latency(&analysis.latencies));
         let remote = plan
             .remote_channels
             .iter()
-            .any(|r| r.from_stencil == channel.from && r.to_stencil == channel.to);
+            .any(|r| r.from_stencil == from && r.to_stencil == to);
         let link = if remote {
             plan.config.link_latency_cycles
         } else {
