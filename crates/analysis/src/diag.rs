@@ -7,7 +7,7 @@
 //! * `SF01xx` — bytecode verifier (`stencilflow_expr::verify`), surfaced
 //!   here when a stencil kernel fails verification;
 //! * `SF02xx` — program/DAG analyzer ([`crate::analyze_program`]);
-//! * `SF03xx` — shard-link sizing ([`crate::analyze_sharding`]).
+//! * `SF03xx` — retired with the slab-sharded runtime; not to be reused.
 
 use stencilflow_json::Json;
 
@@ -85,8 +85,7 @@ impl Diagnostic {
     }
 }
 
-/// Everything the analyzer found about one program (plus, optionally, one
-/// shard configuration of it).
+/// Everything the analyzer found about one program.
 #[derive(Debug, Clone, Default)]
 pub struct AnalysisReport {
     /// Name of the analyzed program.

@@ -4,7 +4,7 @@
 //! decidable *before* it runs: buffer sizes, deadlock freedom, and
 //! performance all fall out of static analysis (§III–IV). This crate
 //! extends that discipline from the dataflow graph down to the expression
-//! bytecode and up to the sharded runtime:
+//! bytecode:
 //!
 //! * [`analyze_program`] — structural, type, and kernel checks over a
 //!   [`StencilProgram`](stencilflow_program::StencilProgram): cycle
@@ -12,14 +12,11 @@
 //!   narrowing-edge and footprint-vs-extent checks, and per-stencil
 //!   bytecode verification (via `stencilflow_expr::verify`) including the
 //!   error-reachability judgment.
-//! * [`analyze_sharding`] — the fig04 buffer-sizing argument applied to
-//!   halo-exchange links: predicts the undersized-link deadlock the
-//!   runtime watchdog can only detect live.
-//! * [`Diagnostic`]/[`AnalysisReport`] — the structured findings both
-//!   emit: severity, stable `SFxxxx` code, location, rendered text, JSON.
+//! * [`Diagnostic`]/[`AnalysisReport`] — the structured findings it
+//!   emits: severity, stable `SFxxxx` code, location, rendered text, JSON.
 //!
 //! The `analyze` binary (in `stencilflow-bench`) sweeps every workload
-//! through both analyzers and gates CI on error-severity findings. It also
+//! through the analyzer and gates CI on error-severity findings. It also
 //! renders SF0208 (the JIT rung refuses a program) from the runtime's own
 //! tier trace: whether a program runs natively is judged once, by the
 //! executor, never re-derived here. See `docs/analysis.md` for the
@@ -29,8 +26,6 @@
 
 mod diag;
 mod program;
-mod shard;
 
 pub use diag::{AnalysisReport, Diagnostic, Severity};
 pub use program::analyze_program;
-pub use shard::analyze_sharding;

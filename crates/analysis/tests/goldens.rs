@@ -5,10 +5,9 @@
 //! golden is built valid and then broken through the program-transform
 //! mutators — the same route a buggy optimization pass would take.
 
-use stencilflow_analysis::{analyze_program, analyze_sharding, Severity};
-use stencilflow_core::ShardLinkSpec;
+use stencilflow_analysis::{analyze_program, Severity};
 use stencilflow_expr::DataType;
-use stencilflow_program::{StencilNode, StencilProgram, StencilProgramBuilder};
+use stencilflow_program::{StencilNode, StencilProgramBuilder};
 
 fn codes(report: &stencilflow_analysis::AnalysisReport) -> Vec<&'static str> {
     report.diagnostics.iter().map(|d| d.code).collect()
@@ -115,37 +114,4 @@ fn reachable_integer_division_reports_sf0206() {
         .build()
         .unwrap();
     assert!(analyze_program(&float_program).diagnostics.is_empty());
-}
-
-fn halo_chain() -> StencilProgram {
-    StencilProgramBuilder::new("halo-chain", &[24, 10, 8])
-        .input("f0", DataType::Float64, &["i", "j", "k"])
-        .stencil("f1", "(f0[i-1,j,k] + f0[i+1,j,k] + f0[i,j,k]) * 0.333333")
-        .output_type("f1", DataType::Float64)
-        .output("f1")
-        .build()
-        .unwrap()
-}
-
-#[test]
-fn undersized_shard_link_reports_sf0301() {
-    let spec = ShardLinkSpec::new(4, 1, 4)
-        .with_link_capacity_words(4)
-        .with_feedback_pairs(1);
-    let (requirement, diags) = analyze_sharding(&halo_chain(), &spec);
-    let requirement = requirement.unwrap();
-    assert!(requirement.deadlock_predicted);
-    assert_eq!(diags.len(), 1);
-    assert_eq!(diags[0].code, "SF0301");
-    assert_eq!(diags[0].severity, Severity::Error);
-    // The message carries the sizing math, not just the verdict.
-    assert!(diags[0]
-        .message
-        .contains(&requirement.required_frame_words.to_string()));
-
-    // The same geometry with default capacity is deadlock free.
-    let default_spec = ShardLinkSpec::new(4, 1, 4).with_feedback_pairs(1);
-    let (req, diags) = analyze_sharding(&halo_chain(), &default_spec);
-    assert!(!req.unwrap().deadlock_predicted);
-    assert!(diags.is_empty());
 }

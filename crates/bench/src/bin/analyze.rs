@@ -1,12 +1,12 @@
 //! Static-analysis sweep over every workload: run the program/DAG
-//! analyzer and the shard-link sizing pass on each, print the findings
-//! compiler-style, and write a JSON artifact of every diagnostic. Each
-//! program is also prepared for execution, which adds two facts only the
-//! runtime can judge: SF0208 (info), rendered from the program's
-//! [`TierTrace`](stencilflow_reference::TierTrace) when the JIT rung
-//! refuses it, and the census of kernel forms — how many stencils the
-//! executor sweeps on a typed (lane-batched) kernel and how many on the
-//! boxed `Value` kernel — per program and in total.
+//! analyzer on each, print the findings compiler-style, and write a JSON
+//! artifact of every diagnostic. Each program is also prepared for
+//! execution, which adds two facts only the runtime can judge: SF0208
+//! (info), rendered from the program's
+//! [`TierTrace`](stencilflow_reference::TierTrace) when the JIT rung refuses
+//! it, and the census of kernel forms — how many stencils the executor
+//! sweeps on a typed (lane-batched) kernel and how many on the boxed
+//! `Value` kernel — per program and in total.
 //!
 //! With `--check`, exits non-zero if any workload produces an
 //! error-severity diagnostic — the CI gate that keeps the whole workload
@@ -14,10 +14,7 @@
 //!
 //! Usage: `analyze [--check] [--out PATH]`
 
-use stencilflow_analysis::{
-    analyze_program, analyze_sharding, AnalysisReport, Diagnostic, Severity,
-};
-use stencilflow_core::ShardLinkSpec;
+use stencilflow_analysis::{analyze_program, AnalysisReport, Diagnostic, Severity};
 use stencilflow_json::Json;
 use stencilflow_program::StencilProgram;
 use stencilflow_reference::{Ineligible, ReferenceExecutor};
@@ -56,12 +53,6 @@ fn analyze(
     program: &StencilProgram,
 ) -> (AnalysisReport, (usize, usize)) {
     let mut report = analyze_program(program);
-    // Sweep the sharded-run configuration every workload would get by
-    // default: the static pass must prove the default link sizing
-    // deadlock free for each of them.
-    let spec = ShardLinkSpec::new(4, 1, 4).with_feedback_pairs(program.outputs().len());
-    let (_, shard_diags) = analyze_sharding(program, &spec);
-    report.diagnostics.extend(shard_diags);
     let compiled = executor
         .prepare(program)
         .expect("the suite's programs compile");

@@ -101,9 +101,7 @@ fn main() {
     let rows = stencilflow_bench::eval_throughput(quick);
     print!("{}", stencilflow_bench::format_throughput(&rows));
     print!("{}", format_fused_evaluations(quick));
-    let sharded = stencilflow_bench::sharded_throughput(quick);
-    print!("{}", stencilflow_bench::format_sharded(&sharded));
-    let json = stencilflow_bench::throughput_json(&rows, Some(&sharded), quick);
+    let json = stencilflow_bench::throughput_json(&rows, quick);
     match path {
         Some(path) => {
             std::fs::write(&path, format!("{json}\n")).expect("write benchmark JSON");

@@ -5,9 +5,9 @@
 //!   binary prints them all, computed here from the analytical models and
 //!   the simulator in the shape the paper reports them.
 //! * **Tier speed floors**: `bench_eval` measures the evaluation
-//!   throughput ([`eval_throughput`], [`sharded_throughput`]) and
-//!   `bench_eval --check-floors` gates its ratios ([`check_floors`]); the
-//!   service layer has `bench_serve` ([`serve`]).
+//!   throughput ([`eval_throughput`]) and `bench_eval --check-floors` gates
+//!   its ratios ([`check_floors`]); the service layer has `bench_serve`
+//!   ([`serve`]).
 //! * **End-to-end numbers**: the frozen `benchmark/` workspace, not this
 //!   crate.
 
@@ -557,32 +557,6 @@ fn secs_per_iter(budget: std::time::Duration, mut run: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64() / iterations as f64
 }
 
-/// [`secs_per_iter`] for several workloads at once: they run round-robin
-/// (after one warm-up round) until `budget` has elapsed, and each gets the
-/// mean of its own iterations.
-fn interleaved_secs_per_iter(
-    budget: std::time::Duration,
-    runs: &mut [&mut dyn FnMut()],
-) -> Vec<f64> {
-    use std::time::Instant;
-    runs.iter_mut().for_each(|run| run());
-    let mut totals = vec![0.0; runs.len()];
-    let mut rounds = 0u32;
-    let start = Instant::now();
-    while rounds == 0 || start.elapsed() < budget {
-        for (run, total) in runs.iter_mut().zip(totals.iter_mut()) {
-            let begin = Instant::now();
-            run();
-            *total += begin.elapsed().as_secs_f64();
-        }
-        rounds += 1;
-    }
-    totals
-        .iter()
-        .map(|total| total / f64::from(rounds))
-        .collect()
-}
-
 /// One outputs-only run pinned to `tier` (`ReferenceExecutor::execute`
 /// after a cache-hit `prepare`), so a per-tier row measures the tier it
 /// names rather than the router's pick.
@@ -736,151 +710,6 @@ pub fn eval_throughput(quick: bool) -> Vec<ThroughputRow> {
     rows
 }
 
-/// The sharded-execution measurement attached to the evaluation-throughput
-/// document: zero-fault overhead of the sharded runtime against the
-/// single-process fused tier on the jacobi3d time loop, plus the measured
-/// halo traffic of a 4-shard run.
-#[derive(Debug, Clone)]
-pub struct ShardedThroughput {
-    /// Workload name (the jacobi3d time-stepping row).
-    pub workload: String,
-    /// Stencil-cell evaluations per run (iteration-space cells × steps).
-    pub cells: usize,
-    /// `std::thread::available_parallelism()` of the measuring host. The
-    /// 4-shard floor is conditioned on this: shards can only run
-    /// concurrently when the host actually has cores for them.
-    pub host_threads: usize,
-    /// Single-process fused-tier baseline (`execute`, `Tier::Fused`) in
-    /// cells/s, swept on **one thread** — the thread budget of one shard
-    /// worker — so the ratios below compare runtimes, not thread counts.
-    pub fused_cells_per_s: f64,
-    /// Sharded runtime at 1 shard (no boundaries, no halo traffic).
-    pub sharded1_cells_per_s: f64,
-    /// Sharded runtime at 4 shards (three boundaries of halo traffic).
-    pub sharded4_cells_per_s: f64,
-    /// Halo payload bytes sent over one whole 4-shard run.
-    pub halo_bytes_per_run: f64,
-    /// Measured aggregate halo bandwidth of the 4-shard run in bytes/s.
-    pub measured_halo_bytes_per_s: f64,
-}
-
-impl ShardedThroughput {
-    /// Zero-fault overhead of the sharded runtime at 1 shard, as a
-    /// fraction of the single-process fused tier on the same single thread.
-    pub(crate) fn sharded1_ratio(&self) -> f64 {
-        self.sharded1_cells_per_s / self.fused_cells_per_s
-    }
-
-    /// 4-shard throughput as a fraction of the single-thread fused tier
-    /// (> 1 means the shards scale; < 1 on hosts without 4 cores, where
-    /// the shards time-slice and pay the halo/dilation tax).
-    pub(crate) fn sharded4_ratio(&self) -> f64 {
-        self.sharded4_cells_per_s / self.fused_cells_per_s
-    }
-}
-
-/// Measure the sharded runtime (`ReferenceExecutor::run_steps_sharded`)
-/// against the single-process fused tier on the jacobi3d time loop — the
-/// zero-fault overhead measurement behind the `--check-floors` sharded
-/// gates — and capture the halo traffic of a 4-shard run.
-pub fn sharded_throughput(quick: bool) -> ShardedThroughput {
-    use stencilflow_reference::{generate_inputs, ReferenceExecutor, ShardConfig};
-    let jacobi_shape: [usize; 3] = if quick { [32, 32, 32] } else { [64, 64, 64] };
-    // Enough steps that a run is several milliseconds even on the quick
-    // domain: launching and joining the workers costs a few hundred
-    // microseconds per run (more when a wake-up crosses vCPUs), which at 4
-    // steps was a third of a 32^3 run and swung the quick ratios by 0.3.
-    let steps = if quick { 16 } else { 8 };
-    let program = jacobi3d(1, &jacobi_shape, 1);
-    let inputs = generate_inputs(&program, 17);
-    let cells = program.space().num_cells() * steps;
-    let executor = ReferenceExecutor::new();
-    // A shard worker sweeps its slab on one thread. Give the baseline the
-    // same budget: on a 2-thread SMT host a row-parallel baseline read
-    // `sharded1_ratio` as 0.97 or 0.55 depending on how the siblings were
-    // scheduled that hour, which says nothing about the runtime's overhead.
-    let one_thread = ReferenceExecutor::new().with_max_threads(1);
-    let config1 = ShardConfig::shards(1);
-    let config4 = ShardConfig::shards(4);
-    let sharded = |config: &ShardConfig| {
-        let outcome = executor.run_steps_sharded(&program, &inputs, steps, config);
-        std::hint::black_box(outcome.unwrap());
-    };
-    // One plain run first to harvest the halo-traffic report (and to make
-    // sure the measured path is the genuine sharded runtime, not the
-    // degraded fallback).
-    let probe = executor
-        .run_steps_sharded(&program, &inputs, steps, &config4)
-        .unwrap();
-    assert!(
-        !probe.report.degraded,
-        "4-shard probe degraded: {:?}",
-        probe.report.degrade_reason
-    );
-    let halo_bytes = probe.report.halo_bytes_sent() as f64;
-    let elapsed = probe.report.elapsed.as_secs_f64();
-    // The three runs take turns inside one window, so a load swing of the
-    // host slows all of them alike instead of landing on one side of a ratio.
-    let secs = interleaved_secs_per_iter(
-        std::time::Duration::from_millis(600),
-        &mut [
-            &mut || {
-                let result = run_pinned(&one_thread, &program, &inputs, Some(steps), Tier::Fused);
-                std::hint::black_box(&result);
-            },
-            &mut || sharded(&config1),
-            &mut || sharded(&config4),
-        ],
-    );
-    let [fused, sharded1, sharded4] = [0, 1, 2].map(|run| cells as f64 / secs[run]);
-    ShardedThroughput {
-        workload: format!("jacobi3d {0}^3 x{steps} steps", jacobi_shape[0]),
-        cells,
-        host_threads: probe.report.host_threads,
-        fused_cells_per_s: fused,
-        sharded1_cells_per_s: sharded1,
-        sharded4_cells_per_s: sharded4,
-        halo_bytes_per_run: halo_bytes,
-        measured_halo_bytes_per_s: if elapsed > 0.0 {
-            halo_bytes / elapsed
-        } else {
-            0.0
-        },
-    }
-}
-
-/// Render the sharded-execution measurement.
-pub fn format_sharded(sharded: &ShardedThroughput) -> String {
-    let mut out = String::new();
-    out.push_str("== Sharded execution (tier 3\u{00bd}): zero-fault overhead ==\n");
-    out.push_str(&format!("{:<28} {}\n", "workload", sharded.workload));
-    out.push_str(&format!(
-        "{:<28} {}\n",
-        "host threads", sharded.host_threads
-    ));
-    out.push_str(&format!(
-        "{:<28} {:>12.3e}\n",
-        "fused (1 thread) c/s", sharded.fused_cells_per_s
-    ));
-    out.push_str(&format!(
-        "{:<28} {:>12.3e}  ({:.2}x fused)\n",
-        "sharded x1 c/s",
-        sharded.sharded1_cells_per_s,
-        sharded.sharded1_ratio()
-    ));
-    out.push_str(&format!(
-        "{:<28} {:>12.3e}  ({:.2}x fused)\n",
-        "sharded x4 c/s",
-        sharded.sharded4_cells_per_s,
-        sharded.sharded4_ratio()
-    ));
-    out.push_str(&format!(
-        "{:<28} {:>12.3e} B/s over {:.0} B per run\n",
-        "halo traffic (x4)", sharded.measured_halo_bytes_per_s, sharded.halo_bytes_per_run
-    ));
-    out
-}
-
 /// Render the evaluation-throughput comparison.
 pub fn format_throughput(rows: &[ThroughputRow]) -> String {
     let mut out = String::new();
@@ -906,16 +735,9 @@ pub fn format_throughput(rows: &[ThroughputRow]) -> String {
     out
 }
 
-/// Serialize throughput rows (and the sharded-execution measurement, when
-/// present) as a pretty-printed JSON document — the format of the
-/// `BENCH_eval.json` baseline tracked in the repository. `check_floors`
-/// requires the sharded section, so production documents should always
-/// pass `Some`.
-pub fn throughput_json(
-    rows: &[ThroughputRow],
-    sharded: Option<&ShardedThroughput>,
-    quick: bool,
-) -> String {
+/// Serialize throughput rows as a pretty-printed JSON document — the
+/// format of the `BENCH_eval.json` baseline tracked in the repository.
+pub fn throughput_json(rows: &[ThroughputRow], quick: bool) -> String {
     use stencilflow_json::Json;
     let rows_json: Vec<Json> = rows
         .iter()
@@ -943,62 +765,15 @@ pub fn throughput_json(
             ])
         })
         .collect();
-    let mut document = vec![
+    Json::Object(vec![
         (
             "benchmark".to_string(),
             Json::String("eval_throughput".to_string()),
         ),
         ("quick".to_string(), Json::Bool(quick)),
         ("rows".to_string(), Json::Array(rows_json)),
-    ];
-    if let Some(sharded) = sharded {
-        document.push((
-            "sharded".to_string(),
-            Json::Object(vec![
-                (
-                    "workload".to_string(),
-                    Json::String(sharded.workload.clone()),
-                ),
-                (
-                    "cells_per_run".to_string(),
-                    Json::Number(sharded.cells as f64),
-                ),
-                (
-                    "host_threads".to_string(),
-                    Json::Number(sharded.host_threads as f64),
-                ),
-                (
-                    "fused_cells_per_s".to_string(),
-                    Json::Number(sharded.fused_cells_per_s),
-                ),
-                (
-                    "sharded1_cells_per_s".to_string(),
-                    Json::Number(sharded.sharded1_cells_per_s),
-                ),
-                (
-                    "sharded4_cells_per_s".to_string(),
-                    Json::Number(sharded.sharded4_cells_per_s),
-                ),
-                (
-                    "sharded1_ratio".to_string(),
-                    Json::Number(sharded.sharded1_ratio()),
-                ),
-                (
-                    "sharded4_ratio".to_string(),
-                    Json::Number(sharded.sharded4_ratio()),
-                ),
-                (
-                    "halo_bytes_per_run".to_string(),
-                    Json::Number(sharded.halo_bytes_per_run),
-                ),
-                (
-                    "measured_halo_bytes_per_s".to_string(),
-                    Json::Number(sharded.measured_halo_bytes_per_s),
-                ),
-            ]),
-        ));
-    }
-    Json::Object(document).to_string_pretty()
+    ])
+    .to_string_pretty()
 }
 
 /// Why a benchmark document fails its floor gate ([`check_floors`] for
@@ -1062,13 +837,6 @@ pub(crate) fn missing(document: &'static str, key: &'static str) -> FloorError {
 /// `horizontal_diffusion` row carries no floor: it is structurally
 /// lane-hostile and documents why. Quick-mode documents (small domains on
 /// noisy shared CI runners) use looser floors than full-mode baselines.
-///
-/// The `sharded` section gates the zero-fault overhead of the sharded
-/// runtime: 1-shard throughput must stay within a constant factor of the
-/// single-process fused tier, and the 4-shard floor is conditioned on the
-/// recorded `host_threads` — on a 4+-core host the shards must actually
-/// scale (≥ 1.5x full mode), while on a smaller host they time-slice and
-/// only the bounded overhead floor applies.
 ///
 /// # Errors
 ///
@@ -1180,51 +948,6 @@ pub fn check_floors(json_text: &str) -> Result<String, FloorError> {
     ] {
         if !present {
             return Err(FloorError::MissingRows { rows });
-        }
-    }
-    // The sharded-runtime zero-fault overhead gates.
-    let sharded = parsed
-        .get("sharded")
-        .ok_or(missing(DOCUMENT, "the `sharded` section"))?;
-    let host_threads = sharded
-        .get("host_threads")
-        .and_then(|v| v.as_usize())
-        .ok_or(missing("sharded section", "`host_threads`"))?;
-    // Healthy 1-shard runs measure ~1.0x the fused tier (the acceptance
-    // criterion is >= 0.9x); the floors sit below that by the same noise
-    // margin the kernel-tier floors use, so jitter on shared runners does
-    // not trip them but a runtime regression that taxes every run does.
-    let sharded1_floor = if quick { 0.6 } else { 0.8 };
-    let sharded4_floor = if host_threads >= 4 {
-        // Enough cores for real concurrency: the shards must scale.
-        if quick {
-            1.2
-        } else {
-            1.5
-        }
-    } else {
-        // Time-sliced host: only the bounded halo/dilation overhead floor
-        // applies (window drops to 1, so temporal blocking is lost too).
-        if quick {
-            0.25
-        } else {
-            0.4
-        }
-    };
-    for (key, floor) in [
-        ("sharded1_ratio", sharded1_floor),
-        ("sharded4_ratio", sharded4_floor),
-    ] {
-        match sharded.get(key).and_then(|v| v.as_f64()) {
-            Some(value) if value >= floor => {
-                summary.push_str(&format!(
-                    "ok: sharded ({host_threads} host threads): {key} {value:.2} >= {floor:.2}\n"
-                ));
-            }
-            Some(value) => failures.push(format!(
-                "sharded ({host_threads} host threads): {key} {value:.2} below floor {floor:.2}"
-            )),
-            None => failures.push(format!("sharded: missing `{key}`")),
         }
     }
     if failures.is_empty() {
@@ -1343,19 +1066,6 @@ mod tests {
         }
     }
 
-    fn sharded(host_threads: usize, s1: f64, s4: f64) -> ShardedThroughput {
-        ShardedThroughput {
-            workload: "jacobi3d 32^3 x4 steps".to_string(),
-            cells: 1 << 17,
-            host_threads,
-            fused_cells_per_s: 32.0e6,
-            sharded1_cells_per_s: 32.0e6 * s1,
-            sharded4_cells_per_s: 32.0e6 * s4,
-            halo_bytes_per_run: 1.0e6,
-            measured_halo_bytes_per_s: 5.0e8,
-        }
-    }
-
     /// The text of the error `check_floors` returns for `json`.
     fn floor_error(json: &str) -> String {
         check_floors(json).unwrap_err().to_string()
@@ -1363,7 +1073,6 @@ mod tests {
 
     #[test]
     fn check_floors_accepts_healthy_and_rejects_regressed_documents() {
-        let healthy_sharded = sharded(1, 0.95, 0.6);
         let document =
             |jacobi: f64, upwind: f64, chain: f64, steps: f64, jacobi_jit: f64, hdiff: f64| {
                 let rows = vec![
@@ -1374,7 +1083,7 @@ mod tests {
                     row("jacobi3d 32^3 x4 steps", steps, jacobi_jit),
                     row("horizontal_diffusion 24x24x64", hdiff, 1.0),
                 ];
-                throughput_json(&rows, Some(&healthy_sharded), true)
+                throughput_json(&rows, true)
             };
         assert!(check_floors(&document(40.0, 40.0, 64.0, 52.0, 1.2, 60.0)).is_ok());
         // Listing 1 streaming below its floor trips its gate; the fused
@@ -1388,7 +1097,7 @@ mod tests {
                 row("jacobi3d 32^3 x4 steps", 52.0, 1.2),
                 row("horizontal_diffusion 24x24x64", 60.0, 1.0),
             ];
-            check_floors(&throughput_json(&rows, Some(&healthy_sharded), true))
+            check_floors(&throughput_json(&rows, true))
         };
         let err = listing(24.0, 1.02).unwrap_err().to_string();
         assert!(
@@ -1446,49 +1155,12 @@ mod tests {
             check_floors("{}"),
             Err(missing("benchmark JSON", "the `quick` flag"))
         );
-        let jacobi_only = throughput_json(
-            &[row("jacobi3d 32^3 f32", 40.0, 1.2)],
-            Some(&healthy_sharded),
-            true,
-        );
+        let jacobi_only = throughput_json(&[row("jacobi3d 32^3 f32", 40.0, 1.2)], true);
         assert!(floor_error(&jacobi_only).contains("upwind3d"));
         assert!(matches!(
             check_floors("not json"),
             Err(FloorError::InvalidJson { .. })
         ));
-    }
-
-    #[test]
-    fn check_floors_gates_the_sharded_section() {
-        let healthy_rows = vec![
-            row("jacobi3d 32^3 f32", 40.0, 1.25),
-            row("upwind3d 32^3 f32", 40.0, 1.0),
-            row("chain 8x8op [96,32,32]", 64.0, 1.0),
-            row("listing1 32^3", 150.0, 3.0),
-            row("jacobi3d 32^3 x4 steps", 52.0, 1.2),
-            row("horizontal_diffusion 24x24x64", 60.0, 1.0),
-        ];
-        let document = |sh: &ShardedThroughput| throughput_json(&healthy_rows, Some(sh), true);
-        // Healthy single-core document passes under the time-sliced floor.
-        assert!(check_floors(&document(&sharded(1, 0.95, 0.6))).is_ok());
-        // Missing section is an error, not a silent pass.
-        let err = floor_error(&throughput_json(&healthy_rows, None, true));
-        assert!(err.contains("sharded"), "unexpected error: {err}");
-        // A regressed 1-shard overhead trips its gate.
-        assert!(matches!(
-            check_floors(&document(&sharded(1, 0.5, 0.6))),
-            Err(FloorError::Missed(failures)) if failures.len() == 1
-        ));
-        let err = floor_error(&document(&sharded(1, 0.5, 0.6)));
-        assert!(err.contains("sharded1_ratio"), "unexpected error: {err}");
-        // On a single-core host, 0.35x at 4 shards passes (time-sliced
-        // floor) ...
-        assert!(check_floors(&document(&sharded(1, 0.95, 0.35))).is_ok());
-        // ... but the same ratio on a 8-core host violates the scaling
-        // floor: with real cores the shards must actually scale.
-        let err = floor_error(&document(&sharded(8, 0.95, 0.35)));
-        assert!(err.contains("sharded4_ratio"), "unexpected error: {err}");
-        assert!(check_floors(&document(&sharded(8, 0.95, 1.4))).is_ok());
     }
 
     #[test]
@@ -1539,29 +1211,9 @@ mod tests {
             fused_cells_per_s: 4.5e7,
             jit_cells_per_s: 9.0e7,
         }];
-        let sharded = ShardedThroughput {
-            workload: "jacobi3d 8^3 x4 steps".to_string(),
-            cells: 2048,
-            host_threads: 1,
-            fused_cells_per_s: 4.0e7,
-            sharded1_cells_per_s: 3.8e7,
-            sharded4_cells_per_s: 2.4e7,
-            halo_bytes_per_run: 4096.0,
-            measured_halo_bytes_per_s: 1.0e6,
-        };
-        let text = throughput_json(&rows, Some(&sharded), true);
+        let text = throughput_json(&rows, true);
         let parsed = stencilflow_json::parse(&text).unwrap();
         assert_eq!(parsed.get("quick").and_then(|v| v.as_bool()), Some(true));
-        let sharded_json = parsed.get("sharded").unwrap();
-        assert_eq!(
-            sharded_json.get("host_threads").and_then(|v| v.as_usize()),
-            Some(1)
-        );
-        let ratio = sharded_json
-            .get("sharded1_ratio")
-            .and_then(|v| v.as_f64())
-            .unwrap();
-        assert!((ratio - 0.95).abs() < 1e-9);
         let row = &parsed.get("rows").unwrap().as_array().unwrap()[0];
         assert_eq!(
             row.get("workload").and_then(|v| v.as_str()),

@@ -5,8 +5,7 @@
 //! type's capacity, latency and credit rules, its value-carrying test
 //! oracle with [`Fifo`] itself. Those are [`Fifo`]'s remaining users — the
 //! simulator's `#[cfg(test)]` oracle and `TokenChannel`'s equivalence
-//! test; the sharded runtime (`stencilflow_reference::shard`) queues whole
-//! frames on links of its own.
+//! test.
 
 use std::collections::VecDeque;
 use std::fmt;

@@ -60,7 +60,6 @@ pub mod error;
 pub mod mapping;
 pub mod partition;
 pub mod perf;
-pub mod shardlink;
 pub mod vectorization;
 
 pub use buffers::{InternalBufferAnalysis, StencilBuffers};
@@ -69,11 +68,8 @@ pub use config::AnalysisConfig;
 pub use delay::{ChannelDepth, DelayBufferAnalysis};
 pub use error::{CoreError, Result};
 pub use mapping::{Channel, ChannelEndpoint, HardwareMapping, MemoryAccessKind, StencilUnit};
-pub use partition::{DevicePartition, MultiDevicePlan, PartitionConfig, SlabRange};
+pub use partition::{DevicePartition, MultiDevicePlan, PartitionConfig};
 pub use perf::{expected_cycles, PerformanceEstimate};
-pub use shardlink::{
-    analyze_shard_links, halo_radius, ShardLinkRequirement, ShardLinkSpec, FRAME_HEADER_WORDS,
-};
 pub use vectorization::VectorizationInfo;
 
 use std::sync::Arc;

@@ -295,74 +295,6 @@ impl MultiDevicePlan {
     }
 }
 
-/// One shard's contiguous slab of the outermost iteration-space dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlabRange {
-    /// Shard index (0-based, in chain order).
-    pub shard: usize,
-    /// First owned row (inclusive).
-    pub start: usize,
-    /// One past the last owned row (exclusive).
-    pub end: usize,
-}
-
-/// A contiguous, balanced split of the outermost iteration-space dimension
-/// across worker shards.
-///
-/// This is the data-parallel counterpart of [`MultiDevicePlan`]: where the
-/// device chain splits the stencil *DAG* (§III-B) and streams whole fields
-/// across the cut, a slab partition splits the *iteration space* and only
-/// exchanges halo rows between neighboring shards. Both are contiguous in
-/// their respective order, so all communication stays between neighbors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct SlabPartition {
-    /// Extent of the partitioned (outermost) dimension.
-    pub extent: usize,
-    /// Per-shard row ranges, in order; they tile `0..extent` exactly.
-    pub ranges: Vec<SlabRange>,
-}
-
-impl SlabPartition {
-    /// Split `extent` rows into `shards` contiguous ranges, each at least
-    /// `min_rows` rows, balanced to within one row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Partition`] when `shards` is zero or the extent
-    /// cannot give every shard its `min_rows` floor (callers reduce the
-    /// shard count and retry).
-    pub(crate) fn split(extent: usize, shards: usize, min_rows: usize) -> Result<Self> {
-        if shards == 0 {
-            return Err(CoreError::Partition {
-                message: "cannot shard onto zero workers".into(),
-            });
-        }
-        let floor = min_rows.max(1);
-        if extent < shards.saturating_mul(floor) {
-            return Err(CoreError::Partition {
-                message: format!(
-                    "{extent} rows cannot give {shards} shards at least \
-                     {floor} rows each"
-                ),
-            });
-        }
-        let base = extent / shards;
-        let remainder = extent % shards;
-        let mut ranges = Vec::with_capacity(shards);
-        let mut start = 0usize;
-        for shard in 0..shards {
-            let rows = base + usize::from(shard < remainder);
-            ranges.push(SlabRange {
-                shard,
-                start,
-                end: start + rows,
-            });
-            start += rows;
-        }
-        Ok(SlabPartition { extent, ranges })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,30 +428,5 @@ mod tests {
         assert_eq!(plan.device_count(), 1);
         assert!(plan.remote_channels.is_empty());
         assert!(plan.replicated_inputs.is_empty());
-    }
-
-    #[test]
-    fn slab_partition_tiles_the_extent_balanced() {
-        let slabs = SlabPartition::split(67, 4, 1).unwrap();
-        assert_eq!(slabs.ranges.len(), 4);
-        assert_eq!(slabs.ranges[0].start, 0);
-        assert_eq!(slabs.ranges[3].end, 67);
-        for pair in slabs.ranges.windows(2) {
-            assert_eq!(pair[0].end, pair[1].start);
-        }
-        let rows: Vec<usize> = slabs.ranges.iter().map(|r| r.end - r.start).collect();
-        assert_eq!(rows.iter().sum::<usize>(), 67);
-        assert!(rows.iter().max().unwrap() - rows.iter().min().unwrap() <= 1);
-    }
-
-    #[test]
-    fn slab_partition_enforces_min_rows() {
-        assert!(SlabPartition::split(64, 0, 1).is_err());
-        assert!(SlabPartition::split(7, 8, 1).is_err());
-        assert!(matches!(
-            SlabPartition::split(64, 8, 9),
-            Err(CoreError::Partition { .. })
-        ));
-        assert!(SlabPartition::split(64, 8, 8).is_ok());
     }
 }

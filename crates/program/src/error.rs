@@ -34,6 +34,11 @@ pub enum ProgramError {
         /// The missing output name.
         name: String,
     },
+    /// A program output is listed more than once.
+    DuplicateOutput {
+        /// The output listed twice.
+        name: String,
+    },
     /// A field is named like the DAG's memory node of a program output
     /// (`b__out` next to an output `b`), so the two would share one node.
     OutputMemoryName {
@@ -105,6 +110,9 @@ impl fmt::Display for ProgramError {
             }
             ProgramError::UnknownOutput { name } => {
                 write!(f, "output `{name}` does not correspond to any stencil")
+            }
+            ProgramError::DuplicateOutput { name } => {
+                write!(f, "output `{name}` is listed more than once")
             }
             ProgramError::OutputMemoryName { output, field } => write!(
                 f,

@@ -456,9 +456,16 @@ impl StencilProgram {
                 message: "program declares no outputs".into(),
             });
         }
-        for output in &self.outputs {
+        for (ix, output) in self.outputs.iter().enumerate() {
             if !self.stencils.contains_key(output) {
                 return Err(ProgramError::UnknownOutput {
+                    name: output.clone(),
+                });
+            }
+            // Results are keyed by name: a second listing adds nothing, and
+            // the generated design would declare its channel twice.
+            if self.outputs[..ix].contains(output) {
+                return Err(ProgramError::DuplicateOutput {
                     name: output.clone(),
                 });
             }
@@ -800,6 +807,22 @@ mod tests {
             .output("c")
             .build();
         assert!(matches!(result, Err(ProgramError::UnknownOutput { .. })));
+    }
+
+    #[test]
+    fn rejects_an_output_listed_twice() {
+        let result = StencilProgramBuilder::new("p", &[8, 8])
+            .input("a", DataType::Float32, &["i", "j"])
+            .stencil("b", "a[i,j] + 1.0")
+            .stencil("c", "b[i,j] * 2.0")
+            .output("b")
+            .output("c")
+            .output("b")
+            .build();
+        match result {
+            Err(ProgramError::DuplicateOutput { name }) => assert_eq!(name, "b"),
+            other => panic!("expected DuplicateOutput, got {other:?}"),
+        }
     }
 
     #[test]

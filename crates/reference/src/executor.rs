@@ -95,13 +95,6 @@ impl ExecutionResult {
         }
     }
 
-    /// Remove and return a computed field (used by the sharded runtime to
-    /// feed a window's output back as the next window's input without a
-    /// copy).
-    pub(crate) fn take_field(&mut self, name: &str) -> Option<Grid> {
-        self.fields.remove(name)
-    }
-
     /// Compare a field against another grid at its valid cells. Returns the
     /// maximum relative error seen (absolute below magnitude 1), or `None`
     /// when the field is unknown or the shapes differ. Two NaNs agree; a
@@ -920,48 +913,6 @@ impl ReferenceExecutor {
             Tier::Fused
         };
         Ok((result, ran))
-    }
-
-    /// Apply `program` once through the fault-tolerant sharded runtime:
-    /// the iteration space is partitioned along the outermost dimension
-    /// across `config.shards` worker threads, each running the fused tier
-    /// on its slab (see [`crate::shard`]). The assembled outputs are
-    /// bitwise identical to [`ReferenceExecutor::run`] under every
-    /// recoverable fault schedule, and the run degrades to the
-    /// single-shard fused tier (still bit-identical) when a fault exceeds
-    /// the retry budget.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ReferenceExecutor::run`], plus invalid
-    /// shard configurations (zero shards).
-    pub fn run_sharded(
-        &self,
-        program: &StencilProgram,
-        inputs: &BTreeMap<String, Grid>,
-        config: &crate::shard::ShardConfig,
-    ) -> Result<crate::shard::ShardedOutcome> {
-        crate::shard::run_sharded(self, program, inputs, None, config)
-    }
-
-    /// Time-step `program` through the fault-tolerant sharded runtime,
-    /// exchanging halo slabs between shards every exchange window.
-    /// Results are bitwise identical to [`ReferenceExecutor::run_steps`]
-    /// under every recoverable fault schedule; unrecoverable faults
-    /// degrade to the single-shard fused tier.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ReferenceExecutor::run_steps`], plus
-    /// invalid shard configurations (zero shards).
-    pub fn run_steps_sharded(
-        &self,
-        program: &StencilProgram,
-        inputs: &BTreeMap<String, Grid>,
-        steps: usize,
-        config: &crate::shard::ShardConfig,
-    ) -> Result<crate::shard::ShardedOutcome> {
-        crate::shard::run_sharded(self, program, inputs, Some(steps), config)
     }
 
     /// Run `program` through the tree-walking evaluator (the semantic

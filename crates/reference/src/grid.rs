@@ -323,20 +323,6 @@ impl Grid {
         Some(self.data[flat])
     }
 
-    /// Maximum absolute difference to another grid of the same shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn max_abs_diff(&self, other: &Grid) -> f64 {
-        assert_eq!(self.shape, other.shape, "shape mismatch");
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max)
-    }
-
     /// Whether every element is within `tol` of the corresponding element of
     /// `other`, relative to the larger magnitude (and absolutely for small
     /// values).
@@ -486,10 +472,8 @@ mod tests {
     fn from_fn_and_comparisons() {
         let a = Grid::from_fn(&["i"], &[4], DataType::Float64, |ix| ix[0] as f64);
         let mut b = a.clone();
-        assert_eq!(a.max_abs_diff(&b), 0.0);
         assert!(a.approx_eq(&b, 1e-12));
         b.set(&[2], 2.5);
-        assert_eq!(a.max_abs_diff(&b), 0.5);
         assert!(!a.approx_eq(&b, 1e-3));
     }
 }

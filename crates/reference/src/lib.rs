@@ -31,7 +31,7 @@ pub mod grid;
 pub mod input_data;
 mod jit;
 pub mod serve;
-pub mod shard;
+mod shim;
 pub mod tier;
 
 pub use executor::{CompiledProgram, ExecutionResult, ReferenceExecutor, RunSpec};
@@ -46,7 +46,7 @@ pub use serve::{
     CancelToken, JobError, JobFault, JobOutcome, JobResult, JobSpec, ServeConfig, ServeExecutor,
     ServeStats, TierChoice,
 };
-pub use shard::{FaultPlan, ShardConfig, ShardReport, ShardStats, ShardedOutcome, WatchdogReport};
+pub use shim::{ShardConfig, ShardReport, ShardStats, ShardedOutcome};
 pub use stencilflow_jit::CacheStats as JitCacheStats;
 pub use tier::{Ineligible, ParseTierError, Tier, TierTrace};
 

@@ -137,10 +137,9 @@ impl CancelToken {
     }
 }
 
-/// Deterministic fault injection for one job, extending the seed-driven
-/// fault-plan idiom of [`crate::shard`] to the service layer. Faults fire
-/// inside the per-job `catch_unwind` isolation boundary, so tests can
-/// prove a poison job is contained without any unsafety.
+/// Deterministic fault injection for one job. Faults fire inside the
+/// per-job `catch_unwind` isolation boundary, so tests can prove a poison
+/// job is contained without any unsafety.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobFault {
     /// Panic inside kernel execution (a poison job). The job must come

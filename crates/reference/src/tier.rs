@@ -145,8 +145,8 @@ impl std::fmt::Display for Ineligible {
 /// the first question only the JIT rung raises — a run asking for the
 /// [`Tier::Jit`] ceiling, [`TierTrace::reason`], or the emitted source — so
 /// a program that only ever runs fused never emits C. Every run — pinned or
-/// not, sharded or served — lands on the rung its ceiling resolves to here,
-/// and reports it.
+/// not, served or not — lands on the rung its ceiling resolves to here, and
+/// reports it.
 pub struct TierTrace {
     /// The program, sharing the DAG and kernels of the one prepared.
     pub(crate) program: StencilProgram,

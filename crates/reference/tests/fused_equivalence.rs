@@ -203,6 +203,26 @@ fn fused_steps_match_interpreted_steps() {
         .build()
         .unwrap();
     assert_tier_steps_bit_identical(&coupled, 65, 5);
+
+    // Two coupled state fields beside a lower-rank input, which stays the
+    // user's grid in every window while `h` and `u` step.
+    let coupled_lower_rank = StencilProgramBuilder::new("coupled_lower_rank", &[12, 6])
+        .dims(&["i", "j"])
+        .input("h", DataType::Float64, &["i", "j"])
+        .input("u", DataType::Float64, &["i", "j"])
+        .input("c", DataType::Float64, &["j"])
+        .stencil(
+            "h_next",
+            "0.25 * (h[i-1,j] + h[i+1,j]) + 0.5 * u[i,j] + c[j]",
+        )
+        .stencil("u_next", "0.5 * (u[i,j-1] + u[i,j+1]) - 0.125 * h[i+1,j]")
+        .output_type("h_next", DataType::Float64)
+        .output_type("u_next", DataType::Float64)
+        .output("h_next")
+        .output("u_next")
+        .build()
+        .unwrap();
+    assert_tier_steps_bit_identical(&coupled_lower_rank, 66, 4);
 }
 
 /// A 3-D field missing the plane axis, read at row offsets under a
@@ -533,6 +553,15 @@ fn former_fallbacks_fuse_and_match_the_interpreter() {
         .build()
         .unwrap();
     assert_stepping_rejections_match(&unpairable);
+    // An output whose element type is not its state input's.
+    let mistyped = StencilProgramBuilder::new("mistyped", &[6])
+        .input("a", DataType::Float32, &["i"])
+        .stencil("a_next", "a[i] + 1.0")
+        .output_type("a_next", DataType::Float64)
+        .output("a_next")
+        .build()
+        .unwrap();
+    assert_stepping_rejections_match(&mistyped);
 }
 
 /// Two boxed stages, both integer-valued: `k_next = 4 / k - 3 + s - k`

@@ -383,7 +383,7 @@ mod tests {
     use super::*;
     use stencilflow_core::{CoreError, PartitionConfig};
     use stencilflow_expr::DataType;
-    use stencilflow_program::{BoundaryCondition, StencilProgramBuilder};
+    use stencilflow_program::{BoundaryCondition, ProgramError, StencilProgramBuilder};
     use stencilflow_reference::generate_inputs;
     use stencilflow_workloads::{chain_program, ChainSpec};
 
@@ -586,20 +586,19 @@ mod tests {
     }
 
     #[test]
-    fn an_output_listed_twice_is_written_twice() {
-        // Each listing has its own channel into the memory, and a writer.
-        let program = StencilProgramBuilder::new("twice", &[8, 8])
+    fn an_output_listed_twice_is_rejected() {
+        // Results are keyed by name, so the program is rejected before any
+        // design is built for it.
+        let result = StencilProgramBuilder::new("twice", &[8, 8])
             .input("a", DataType::Float32, &["i", "j"])
             .stencil("b", "a[i,j-1] + a[i,j+1]")
             .output("b")
             .output("b")
-            .build()
-            .unwrap();
-        let inputs = generate_inputs(&program, 1);
-        let report = Simulator::paper_defaults(&program).run(&inputs).unwrap();
-        assert_eq!(report.outcome, SimOutcome::Completed);
-        let writers = report.unit_stats.iter().filter(|u| u.name == "write:b");
-        assert_eq!(writers.map(|u| u.produced).collect::<Vec<_>>(), [64, 64]);
+            .build();
+        assert!(
+            matches!(&result, Err(ProgramError::DuplicateOutput { name }) if name == "b"),
+            "{result:?}"
+        );
     }
 
     #[test]

@@ -1,18 +1,14 @@
 //! Multi-device mapping (§III-B): partition a long stencil chain over
 //! several FPGAs, inspect the replicated inputs and remote streams, and
 //! verify that the distributed design computes the same result as the
-//! single-device one — then *execute* the same program on the host
-//! sharded runtime, which splits the iteration space across worker
-//! threads exchanging halos over the same channel abstractions, and show
-//! that it stays bitwise identical to the reference even with faults
-//! injected into the halo traffic.
+//! single-device one, bit for bit.
 //!
 //! Run with: `cargo run --release --example multi_device`
 
 use stencilflow::core::{AnalysisConfig, MultiDevicePlan, PartitionConfig};
-use stencilflow::reference::{generate_inputs, FaultPlan, ReferenceExecutor, ShardConfig};
-use stencilflow::sim::{SimConfig, Simulator};
-use stencilflow::workloads::{chain_program, jacobi3d, ChainSpec};
+use stencilflow::reference::generate_inputs;
+use stencilflow::sim::{SimConfig, SimReport, Simulator};
+use stencilflow::workloads::{chain_program, ChainSpec};
 
 fn main() {
     // A 12-stage chain on a reduced domain, analogous to the paper's
@@ -60,116 +56,22 @@ fn main() {
             .expect("multi-device design builds")
             .run(&inputs)
             .expect("multi-device design runs");
-    let output = program.outputs().last().unwrap().clone();
-    let max_diff = single
-        .output(&output)
-        .unwrap()
-        .max_abs_diff(multi.output(&output).unwrap());
+    for name in program.outputs() {
+        let bits = |report: &SimReport| -> Vec<u64> {
+            let grid = report.output(name).expect("simulated output");
+            grid.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(
+            bits(&single),
+            bits(&multi),
+            "output `{name}` differs between one and {} devices",
+            plan.device_count()
+        );
+    }
     println!(
-        "single device: {} cycles; {} devices: {} cycles; max output difference: {max_diff:.2e}",
+        "single device: {} cycles; {} devices: {} cycles; outputs identical in bits",
         single.cycles,
         plan.device_count(),
         multi.cycles
-    );
-
-    // Now *execute* the plan's worker count on the host sharded runtime:
-    // the iteration space is split into slabs across worker threads that
-    // exchange halo slabs over the same FIFO channel layer the simulator
-    // models, and the assembled outputs must be bitwise identical to the
-    // single-process reference executor.
-    let executor = ReferenceExecutor::new();
-    let reference = executor
-        .run(&program, &inputs)
-        .expect("single-process reference run");
-    let sharded = executor
-        .run_sharded(&program, &inputs, &ShardConfig::shards(plan.device_count()))
-        .expect("sharded run");
-    let report = &sharded.report;
-    println!(
-        "sharded host run: {} worker shards (of {} requested), {} halo bytes exchanged",
-        report.shards,
-        plan.device_count(),
-        report.halo_bytes_sent()
-    );
-    for name in program.outputs() {
-        let reference_bits: Vec<u64> = reference
-            .field(name)
-            .expect("reference output")
-            .as_slice()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        let sharded_bits: Vec<u64> = sharded
-            .result
-            .field(name)
-            .expect("sharded output")
-            .as_slice()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        assert_eq!(
-            reference_bits, sharded_bits,
-            "sharded output `{name}` diverged from the reference"
-        );
-    }
-    println!("sharded chain outputs bitwise-identical to the reference");
-
-    // The robustness layer needs live halo traffic, so switch to an
-    // iterative jacobi time loop (feedback pairs are exchanged at every
-    // window): drop a third of all first-transmission halo frames, and
-    // sequence numbers, checksums, and bounded resends must recover every
-    // one of them without changing a single bit.
-    let iterative = jacobi3d(1, &[32, 16, 16], 1);
-    let iterative_inputs = generate_inputs(&iterative, 5);
-    let steps = 6;
-    let baseline = executor
-        .run_steps(&iterative, &iterative_inputs, steps)
-        .expect("iterative baseline");
-    let faulty = executor
-        .run_steps_sharded(
-            &iterative,
-            &iterative_inputs,
-            steps,
-            &ShardConfig::shards(plan.device_count()).with_fault_plan(FaultPlan::dropped_halo(9)),
-        )
-        .expect("fault-injected sharded run");
-    let resent: usize = faulty
-        .report
-        .per_shard
-        .iter()
-        .map(|s| s.frames_resent)
-        .sum();
-    let injected: usize = faulty
-        .report
-        .per_shard
-        .iter()
-        .map(|s| s.faults_injected)
-        .sum();
-    for name in iterative.outputs() {
-        let baseline_bits: Vec<u64> = baseline
-            .field(name)
-            .expect("baseline output")
-            .as_slice()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        let faulty_bits: Vec<u64> = faulty
-            .result
-            .field(name)
-            .expect("sharded output")
-            .as_slice()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        assert_eq!(
-            baseline_bits, faulty_bits,
-            "fault-injected output `{name}` diverged from the stepper"
-        );
-    }
-    println!(
-        "fault-injected jacobi time loop ({} shards, {} halo bytes): {injected} frames \
-         dropped, {resent} recovered by resend; outputs bitwise-identical to the stepper",
-        faulty.report.shards,
-        faulty.report.halo_bytes_sent()
     );
 }

@@ -71,35 +71,19 @@
 #                                  four, equals the name-keyed wiring kept
 #                                  as test code, channel for channel and
 #                                  unit for unit; no timing floor — speed
-#                                  floors live in gate 11 only)
+#                                  floors live in gate 10 only)
 #   4. cargo clippy -D warnings  — lints
 #   5. cargo doc -D warnings     — documentation (intra-doc links included)
 #   6. analyze --check           — the static-analysis gate: every workload
 #                                  must be free of error-severity
 #                                  diagnostics (cycles, out-of-domain
-#                                  footprints, failed kernel verification,
-#                                  predicted shard-link deadlocks); the
-#                                  info SF0208 (the JIT rung refuses a
+#                                  footprints, failed kernel
+#                                  verification); the info SF0208 (the JIT rung refuses a
 #                                  program) is rendered from the runtime's
 #                                  own tier trace, not re-judged; the
 #                                  diagnostics JSON lands in $ANALYSIS_JSON
 #   7. examples                  — compile-and-run every example
-#   8. fault_sweep               — the sharded fault-injection suite, the
-#                                  exchange window pinned to one step so
-#                                  the result does not depend on the
-#                                  host's core count: every (seed x fault
-#                                  schedule) run must stay bitwise
-#                                  identical to the interpreter, and no
-#                                  schedule may pass having tested nothing
-#                                  — every worker_panic run must report
-#                                  that it degraded, every run that did
-#                                  not degrade must have sent halo frames,
-#                                  and each of the four halo schedules
-#                                  must have injected a fault on some seed;
-#                                  seeds extend via STENCILFLOW_FAULT_SEEDS
-#                                  (comma-separated), and the fault-log JSON
-#                                  lands next to the bench JSON
-#   9. jit gate                  — the Tier-4 native-JIT gate, run twice:
+#   8. jit gate                  — the Tier-4 native-JIT gate, run twice:
 #                                  a first pass against an empty
 #                                  $SF_JIT_CACHE_DIR sweeps all ten
 #                                  workloads through the `cc`-compiled
@@ -113,13 +97,13 @@
 #                                  system `cc` is probed up front; set
 #                                  SF_JIT_ALLOW_MISSING_CC=1 to downgrade
 #                                  a missing compiler to a skip.
-#  10. bench_eval --quick + report --quick
+#   9. bench_eval --quick + report --quick
 #                                — the benchmark smoke run: bench_eval
 #                                  measures the tier throughput and writes
 #                                  the JSON document the floor gate checks;
 #                                  report prints the paper's tables and
 #                                  figures only (no measurement, < 1 s)
-#  11. bench_eval --check-floors — the one home of the speed floors (the
+#  10. bench_eval --check-floors — the one home of the speed floors (the
 #                                  tier-1 tests carry none): one
 #                                  kernel-tier gate per row (the fused
 #                                  tier — what `run` takes — over the
@@ -133,12 +117,10 @@
 #                                  time-stepping rows, by the factors
 #                                  they once had to beat the deleted
 #                                  materializing sweep by), the streamed
-#                                  floor on listing1, the Tier-4
+#                                  floor on listing1, and the Tier-4
 #                                  jit-vs-fused floor on the jacobi3d
-#                                  rows, and the sharded zero-fault
-#                                  overhead floors conditioned on the
-#                                  recorded host thread count)
-#  12. bench_serve --quick + --check-floors
+#                                  rows)
+#  11. bench_serve --quick + --check-floors
 #                                — the multi-tenant service-layer gate:
 #                                  runs the seeded job mix through the
 #                                  batch executor and fails the build if
@@ -153,7 +135,7 @@
 #                                  the JSON also records, per job
 #                                  template, the median us of a warm
 #                                  `prepare` hit (recorded, no floor)
-#  13. daemon gate               — the resilient-daemon smoke gate: pipes
+#  12. daemon gate               — the resilient-daemon smoke gate: pipes
 #                                  a seeded mixed-traffic script (normal
 #                                  + stepped jobs, a poison job, an
 #                                  over-quota tenant, a past-deadline
@@ -170,8 +152,7 @@
 # The quick-mode JSON lands in $BENCH_JSON (default: bench_eval_ci.json in
 # the repository root), the serve JSON in $SERVE_JSON (default:
 # bench_serve_ci.json), the daemon JSON in $DAEMON_JSON (default:
-# daemon_gate_ci.json), the fault log in $FAULT_JSON (default:
-# fault_sweep_ci.json), and the jit bundle in $JIT_ARTIFACTS (default:
+# daemon_gate_ci.json), and the jit bundle in $JIT_ARTIFACTS (default:
 # jit_artifacts_ci/); CI uploads all of them as artifacts.
 
 set -euo pipefail
@@ -180,7 +161,6 @@ cd "$(dirname "$0")/.."
 BENCH_JSON="${BENCH_JSON:-bench_eval_ci.json}"
 SERVE_JSON="${SERVE_JSON:-bench_serve_ci.json}"
 DAEMON_JSON="${DAEMON_JSON:-daemon_gate_ci.json}"
-FAULT_JSON="${FAULT_JSON:-fault_sweep_ci.json}"
 ANALYSIS_JSON="${ANALYSIS_JSON:-analysis_ci.json}"
 JIT_ARTIFACTS="${JIT_ARTIFACTS:-jit_artifacts_ci}"
 # The jit gate owns its cache directory so the zero-recompile assertion
@@ -230,9 +210,6 @@ cargo run --release --example horizontal_diffusion
 cargo run --release --example multi_device
 cargo run --release --example deadlock_buffers
 
-echo "==> sharded fault-injection sweep -> ${FAULT_JSON}"
-cargo run --release --bin fault_sweep -- --out "${FAULT_JSON}"
-
 if [ "${HAVE_CC}" = "1" ]; then
   echo "==> jit gate (cold cache) -> ${JIT_ARTIFACTS}"
   rm -rf "${SF_JIT_CACHE_DIR}" "${JIT_ARTIFACTS}"
@@ -247,7 +224,7 @@ echo "==> bench smoke run (quick mode) -> ${BENCH_JSON}"
 cargo run --release --bin bench_eval -- --quick "${BENCH_JSON}"
 cargo run --release --bin report -- --quick
 
-echo "==> speed floors (kernel, fused, jit and sharded tiers)"
+echo "==> speed floors (kernel, fused and jit tiers)"
 cargo run --release --bin bench_eval -- --check-floors "${BENCH_JSON}"
 
 echo "==> service-layer smoke run (quick mode) -> ${SERVE_JSON}"
